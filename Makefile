@@ -50,7 +50,7 @@ SNAP_BENCH_SPEC  ?= grid3d:100x100x100
 SNAP_BENCH_OUT    = BENCH_9.json
 SNAP_BENCH_NOTE  ?= state-plane overhead sweep: flood checkpointed at est/8, est/2, est event intervals on grid:40x40 and er:n=500 plus a single-interval $(SNAP_BENCH_SPEC) million-node row; frameBytes, saveMsPerSnap, restoreMs, timeX vs the uninterrupted baseline — every row requires the run restored from the last checkpoint to finish byte-identical to the baseline before metrics are reported
 
-.PHONY: build test race bench bench-shard bench-faults bench-snapshot fmt vet
+.PHONY: build test race bench bench-check bench-shard bench-faults bench-snapshot fmt vet
 
 build:
 	go build ./...
@@ -66,6 +66,13 @@ fmt:
 
 vet:
 	go vet ./...
+
+# benchmark/ is its own module, so `go vet ./...` and `go test ./...` at
+# the root never compile it. Its decorators wrap core.NewNodeHandler,
+# async.Mux's state-plane methods and execpolicy.AsyncAuto; this target is
+# what notices a change to that surface before the benchmark pipeline does.
+bench-check:
+	cd benchmark && go vet ./... && go test ./...
 
 # Separate recipe lines so a failing benchmark suite fails the target
 # instead of being swallowed by a pipe (benchjson would happily emit a

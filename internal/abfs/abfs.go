@@ -69,7 +69,7 @@ type checkGlue struct {
 
 var _ async.Module = (*checkGlue)(nil)
 var _ gather.Callbacks = (*checkGlue)(nil)
-var _ wire.StateCodec = (*checkGlue)(nil)
+var _ async.ModuleState = (*checkGlue)(nil)
 var _ async.Rebinder = (*checkGlue)(nil)
 
 // SaveState implements wire.StateCodec. The TBFS handler and the gather
@@ -84,6 +84,13 @@ func (cg *checkGlue) SaveState(e *wire.Enc) {
 func (cg *checkGlue) LoadState(d *wire.Dec) {
 	cg.srcDone = d.Bool()
 	cg.frontier = d.Bool()
+}
+
+// CloneModuleInto implements async.ModuleState. The node handle travels
+// too: a speculative clone is never Started, and its onSourceDone needs it.
+func (cg *checkGlue) CloneModuleInto(dst async.Module) {
+	d := dst.(*checkGlue)
+	d.srcDone, d.frontier, d.node = cg.srcDone, cg.frontier, cg.node
 }
 
 // Rebind implements async.Rebinder: on a restored engine Start does not
@@ -197,13 +204,11 @@ func thresholdedOn(sim *async.Sim, cfg Config, dense bool) (Result, *async.Sim) 
 	for _, s := range cfg.Sources {
 		isSource[s] = true
 	}
-	glues := make([]*checkGlue, cfg.Graph.N())
 	mk := func(id graph.NodeID) async.Handler {
 		tb := &apps.TBFS{Sources: cfg.Sources, Threshold: cfg.Threshold}
 		glue := &checkGlue{tb: tb, isSource: isSource[id]}
 		glue.gm = gather.New(protoCheck, checkCov, glue, nil)
 		tb.OnSourceDone = glue.onSourceDone
-		glues[id] = glue
 		stack := core.NewNodeHandler(sched, layered, tb)
 		stack.Register(protoCheck, glue.gm)
 		stack.Register(protoCheck+1, glue)
@@ -220,10 +225,13 @@ func thresholdedOn(sim *async.Sim, cfg Config, dense bool) (Result, *async.Sim) 
 	res := sim.Run()
 	complete := true
 	for _, s := range cfg.Sources {
-		if !glues[s].srcDone {
+		// Read the verdict off the engine's committed handler: under
+		// ModeSpec mk also builds the per-round clone targets.
+		glue := sim.Handler(s).(*async.Mux).Module(protoCheck + 1).(*checkGlue)
+		if !glue.srcDone {
 			panic(fmt.Sprintf("abfs: source %d never completed its echo", s))
 		}
-		if glues[s].frontier {
+		if glue.frontier {
 			complete = false
 		}
 	}

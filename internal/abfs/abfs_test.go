@@ -144,9 +144,13 @@ func TestFullModeMatchesSerial(t *testing.T) {
 		async.SeededRandom{Seed: 23},
 	} {
 		serial := FullMode(g, sources, adv, async.ModeSingle)
-		par := FullMode(g, sources, adv, async.ModeMulti)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("%s: FullMode parallel differs from serial:\n%+v\nvs\n%+v", adv.Name(), serial, par)
+		// ModeSpec runs the stack on per-round clones, so it also covers
+		// the glue's and the checking gather's direct clone path.
+		for _, mode := range []async.ExecutionMode{async.ModeMulti, async.ModeSpec} {
+			par := FullMode(g, sources, adv, mode)
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%s: FullMode in mode %d differs from serial:\n%+v\nvs\n%+v", adv.Name(), mode, serial, par)
+			}
 		}
 		if bad := apps.CheckBFSOutputs(g, sources, toBFSOutputs(serial.Outputs)); bad >= 0 {
 			t.Fatalf("%s: node %d has wrong BFS output", adv.Name(), bad)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/wire"
 )
 
 // Module is a sub-protocol that can be composed with others on one node.
@@ -22,11 +21,12 @@ type Module interface {
 // core) sharing the same physical links; Mux is how one node hosts them.
 type Mux struct {
 	modules map[Proto]Module
-	order   []Proto
-	// cloneBuf is CloneStateInto's scratch frame (see muxsnap.go); clone
-	// pairs are per-node, so per-Mux scratch is race-free under ModeSpec's
-	// concurrent per-node cloning.
-	cloneBuf wire.Enc
+	// uniq lists each registered instance once, in first-registration
+	// order (the synchronizer core owns both ProtoAlgo and ProtoTree): the
+	// order modules start in and the state plane (muxsnap.go) walks.
+	// state[i] is uniq[i]'s ModuleState, nil when it has none.
+	uniq  []Module
+	state []ModuleState
 }
 
 var _ Handler = (*Mux)(nil)
@@ -42,16 +42,23 @@ func (x *Mux) Register(p Proto, mod Module) {
 		panic(fmt.Sprintf("async: proto %d registered twice", p))
 	}
 	x.modules[p] = mod
-	x.order = append(x.order, p)
+	for _, u := range x.uniq {
+		if u == mod {
+			return
+		}
+	}
+	ms, _ := mod.(ModuleState)
+	x.uniq = append(x.uniq, mod)
+	x.state = append(x.state, ms)
 }
 
 // Module returns the module registered for p, or nil.
 func (x *Mux) Module(p Proto) Module { return x.modules[p] }
 
-// Init implements Handler: starts modules in registration order.
+// Init implements Handler: starts each module once, in registration order.
 func (x *Mux) Init(n *Node) {
-	for _, p := range x.order {
-		x.modules[p].Start(n)
+	for _, mod := range x.uniq {
+		mod.Start(n)
 	}
 }
 

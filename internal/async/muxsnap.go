@@ -7,25 +7,39 @@ import (
 )
 
 // StateCodecProbe is an optional refinement for composite handlers whose
-// snapshot support depends on their runtime composition: a Mux is only as
-// serializable as the modules registered on it, which the type system
-// cannot see. The engine consults the probe before trusting a handler's
-// wire.StateCodec or StateCloner methods — a failing probe turns Snapshot
-// into a clean error and ModeSpec into the conservative fallback instead
-// of a panic inside SaveState.
+// state-plane support depends on their runtime composition: a Mux is only
+// as serializable and cloneable as the modules registered on it, which the
+// type system cannot see. The engine consults the probe before trusting a
+// handler's wire.StateCodec or StateCloner methods — a failing probe turns
+// Snapshot into a clean error and ModeSpec into the conservative fallback
+// instead of a panic inside SaveState or CloneStateInto.
 type StateCodecProbe interface {
 	// StateCodecOK reports whether the handler's complete state is
-	// serializable right now.
+	// serializable (and, for a StateCloner, cloneable) right now.
 	StateCodecOK() bool
 }
 
 // Rebinder is an optional handler/module interface for state restore:
-// Rebind is invoked after a snapshot is loaded into a resumed engine (one
-// whose Init/Start phase already ran before the snapshot), re-establishing
-// cached *Node references that Start would normally capture. Modules that
-// never cache the node don't need it.
+// Sim.Restore calls Rebind on every node's handler immediately before that
+// node's LoadState, whether or not the snapshotted run had started. A
+// module that learns its node lazily (Start, its first callback) and lays
+// its state out by that node's position in shared tables binds here, so
+// LoadState on a freshly built engine can size and validate what it
+// reads; a module that caches the *Node during Start re-captures it here,
+// because Start does not run again on a resumed engine.
 type Rebinder interface {
 	Rebind(n *Node)
+}
+
+// ModuleState is the state-plane contract of a Mux module: the codec the
+// snapshot plane reads and writes, plus a direct copy for ModeSpec's
+// per-round clones. CloneModuleInto must leave dst — the same module of a
+// Mux built by the same constructor for the same node — holding a copy of
+// the receiver's complete mutable state that shares no mutable memory with
+// it, reusing dst's capacity; it must be equivalent to LoadState(SaveState).
+type ModuleState interface {
+	wire.StateCodec
+	CloneModuleInto(dst Module)
 }
 
 var (
@@ -35,107 +49,83 @@ var (
 	_ Rebinder        = (*Mux)(nil)
 )
 
-// eachUniqueModule visits registered modules in registration order, once
-// per instance — a module registered under several protos (the
-// synchronizer core owns both ProtoAlgo and ProtoTree) serializes once.
-func (x *Mux) eachUniqueModule(fn func(p Proto, mod Module) bool) {
-	for i, p := range x.order {
-		mod := x.modules[p]
-		dup := false
-		for _, q := range x.order[:i] {
-			if x.modules[q] == mod {
-				dup = true
-				break
-			}
+// StateCodecOK implements StateCodecProbe: every registered module must
+// implement ModuleState (and pass its own probe, if it has one).
+func (x *Mux) StateCodecOK() bool {
+	for i, mod := range x.uniq {
+		if x.state[i] == nil {
+			return false
 		}
-		if dup {
-			continue
-		}
-		if !fn(p, mod) {
-			return
+		if pr, ok := mod.(StateCodecProbe); ok && !pr.StateCodecOK() {
+			return false
 		}
 	}
+	return true
 }
 
-// StateCodecOK implements StateCodecProbe: every registered module must
-// carry a state codec (and pass its own probe, if it has one).
-func (x *Mux) StateCodecOK() bool {
-	ok := true
-	x.eachUniqueModule(func(_ Proto, mod Module) bool {
-		if _, is := mod.(wire.StateCodec); !is {
-			ok = false
-		} else if pr, is := mod.(StateCodecProbe); is && !pr.StateCodecOK() {
-			ok = false
-		}
-		return ok
-	})
-	return ok
+// noModuleState reports a walk over a module without ModuleState. Callers
+// gate on StateCodecOK, so getting here is a programming error.
+func (x *Mux) noModuleState(i int) {
+	panic(fmt.Sprintf("async: module %T does not implement ModuleState", x.uniq[i]))
 }
 
 // SaveState implements wire.StateCodec: each unique module's state rides
-// in its own blob, in registration order. Callers gate on StateCodecOK —
-// a non-codec module here is a programming error and panics.
+// in its own blob, in registration order.
 func (x *Mux) SaveState(e *wire.Enc) {
-	x.eachUniqueModule(func(p Proto, mod Module) bool {
-		sc, ok := mod.(wire.StateCodec)
-		if !ok {
-			panic(fmt.Sprintf("async: module %T (proto %d) does not implement wire.StateCodec", mod, p))
+	for i, ms := range x.state {
+		if ms == nil {
+			x.noModuleState(i)
 		}
 		mark := e.BeginBlob()
-		sc.SaveState(e)
+		ms.SaveState(e)
 		e.EndBlob(mark)
-		return true
-	})
+	}
 }
 
 // LoadState implements wire.StateCodec. The restoring Mux must have been
 // built by the same constructor, so the registration order matches.
 func (x *Mux) LoadState(d *wire.Dec) {
-	x.eachUniqueModule(func(p Proto, mod Module) bool {
-		sc, ok := mod.(wire.StateCodec)
-		if !ok {
-			d.Fail("async: module %T (proto %d) does not implement wire.StateCodec", mod, p)
-			return false
+	for i, ms := range x.state {
+		if ms == nil {
+			d.Fail("async: module %T does not implement ModuleState", x.uniq[i])
+			return
 		}
 		end := d.BeginBlob()
 		if d.Failed() {
-			return false
+			return
 		}
-		sc.LoadState(d)
+		ms.LoadState(d)
 		d.EndBlob(end)
-		return !d.Failed()
-	})
+		if d.Failed() {
+			return
+		}
+	}
 }
 
-// Rebind implements Rebinder, forwarding to modules that cache the node.
+// Rebind implements Rebinder, forwarding to the modules that need it.
 func (x *Mux) Rebind(n *Node) {
-	x.eachUniqueModule(func(_ Proto, mod Module) bool {
+	for _, mod := range x.uniq {
 		if rb, ok := mod.(Rebinder); ok {
 			rb.Rebind(n)
 		}
-		return true
-	})
+	}
 }
 
-// CloneStateInto implements StateCloner via the state codec: the module
-// stack's state round-trips through a scratch frame into the clone. This
-// is what lets the full synchronizer stack run under ModeSpec — the
-// per-module codecs written for the snapshot plane double as the clone
-// path, so no Mux-hosted stack falls back to the conservative executor
-// anymore.
+// CloneStateInto implements StateCloner: module by module, each copying
+// its own state straight into its counterpart in dst. This runs once per
+// touched node per speculative round, so it is the synchronizer stack's
+// hot path under ModeSpec; the modules keep their state in flat slices
+// precisely so that this is a handful of copies into dst's retained
+// capacity.
 func (x *Mux) CloneStateInto(dst Handler) {
 	dx, ok := dst.(*Mux)
-	if !ok {
-		panic(fmt.Sprintf("async: Mux clone target is %T", dst))
+	if !ok || len(dx.uniq) != len(x.uniq) {
+		panic(fmt.Sprintf("async: Mux clone target %T was not built by the same constructor", dst))
 	}
-	x.cloneBuf.Reset()
-	x.SaveState(&x.cloneBuf)
-	d := wire.NewDec(x.cloneBuf.Bytes(), nil)
-	dx.LoadState(d)
-	if err := d.Err(); err != nil {
-		panic(fmt.Sprintf("async: Mux state clone failed: %v", err))
-	}
-	if d.Remaining() != 0 {
-		panic(fmt.Sprintf("async: Mux state clone left %d bytes unread", d.Remaining()))
+	for i, ms := range x.state {
+		if ms == nil {
+			x.noModuleState(i)
+		}
+		ms.CloneModuleInto(dx.uniq[i])
 	}
 }

@@ -350,6 +350,11 @@ func (s *Sim) decodeEngine(d *wire.Dec) error {
 		if d.Failed() {
 			break
 		}
+		// Bind before load (see Rebinder): on a freshly built engine no
+		// callback has told the handler which node it serves yet.
+		if rb, ok := s.handlers[li].(Rebinder); ok {
+			rb.Rebind(&s.nodes[li])
+		}
 		sc.LoadState(d)
 		d.EndBlob(end)
 	}
@@ -481,15 +486,6 @@ func (s *Sim) decodeEngine(d *wire.Dec) error {
 	}
 	if d.Remaining() != 0 {
 		return fmt.Errorf("async: snapshot frame has %d trailing bytes", d.Remaining())
-	}
-	if inited {
-		// Init/Start will not run again on this engine; give modules that
-		// cache the node reference during Start a chance to re-capture it.
-		for i := range s.handlers {
-			if rb, ok := s.handlers[i].(Rebinder); ok {
-				rb.Rebind(&s.nodes[i])
-			}
-		}
 	}
 	s.resumed = inited
 	return nil

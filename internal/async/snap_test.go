@@ -1,6 +1,8 @@
 package async
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -251,6 +253,52 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
+// versionOneFrame seals payload the way a SnapVersion-1 build did: the
+// container header written out by hand (magic "SNAP", version, payload
+// length, FNV-1a of the payload), everything valid but the version.
+func versionOneFrame(payload []byte) []byte {
+	sum := uint64(14695981039346656037)
+	for _, c := range payload {
+		sum = (sum ^ uint64(c)) * 1099511628211
+	}
+	frame := []byte{'S', 'N', 'A', 'P', 1, 0, 0, 0}
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
+	frame = binary.LittleEndian.AppendUint64(frame, sum)
+	return append(frame, payload...)
+}
+
+// TestSnapshotVersionMismatch: version-1 frames (the synchronizer modules'
+// sorted map dumps) are refused by the container check, before Restore
+// touches the engine — a mid-run engine handed one carries on unharmed.
+func TestSnapshotVersionMismatch(t *testing.T) {
+	g := graph.RandomConnected(16, 36, 6)
+	adv := Adversary(Fixed{D: 1})
+	want := New(g, adv, mkRelax).Run()
+
+	a := New(g, adv, mkRelax)
+	a.RunSteps(10)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := versionOneFrame(payload)
+	if _, err := wire.OpenSnapshot(old); !errors.Is(err, wire.ErrSnapVersion) {
+		t.Fatalf("OpenSnapshot(version-1 frame) = %v, want ErrSnapVersion", err)
+	}
+	if err := a.Restore(old); !errors.Is(err, wire.ErrSnapVersion) {
+		t.Fatalf("Restore(version-1 frame) = %v, want ErrSnapVersion", err)
+	}
+	for !a.RunSteps(1 << 20) {
+	}
+	if got := a.FinishResult(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a refused version-1 frame disturbed the running engine")
+	}
+}
+
 // TestSnapshotSegRoundTrip covers segment-carrying state: events in flight
 // at the snapshot hold arena payloads, which the frame inlines and the
 // restoring engine re-carves. The restored run must agree and both
@@ -345,6 +393,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(versionOneFrame(valid[24:])) // an intact frame from the previous SnapVersion
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
 

@@ -30,6 +30,12 @@ func (c *regClient) Start(n *async.Node) {
 func (c *regClient) Recv(*async.Node, graph.NodeID, async.Msg) {}
 func (c *regClient) Ack(*async.Node, graph.NodeID, async.Msg)  {}
 
+// The client keeps no run state of its own, so its async.ModuleState is
+// empty; having one lets the Mux hosting it snapshot and run under ModeSpec.
+func (c *regClient) SaveState(*wire.Enc)          {}
+func (c *regClient) LoadState(*wire.Dec)          {}
+func (c *regClient) CloneModuleInto(async.Module) {}
+
 // Registered implements reg.Callbacks.
 func (c *regClient) Registered(n *async.Node, cid cover.ClusterID, s int) {
 	c.mod.Deregister(n, cid, s)
@@ -325,6 +331,11 @@ type gatherBench struct {
 func (c *gatherBench) Start(n *async.Node)                       { c.mod.MarkDone(n, 0) }
 func (c *gatherBench) Recv(*async.Node, graph.NodeID, async.Msg) {}
 func (c *gatherBench) Ack(*async.Node, graph.NodeID, async.Msg)  {}
+
+// Stateless, like regClient: an empty async.ModuleState.
+func (c *gatherBench) SaveState(*wire.Enc)          {}
+func (c *gatherBench) LoadState(*wire.Dec)          {}
+func (c *gatherBench) CloneModuleInto(async.Module) {}
 
 // NeighborhoodDone implements gather.Callbacks.
 func (c *gatherBench) NeighborhoodDone(n *async.Node, _ int) { n.Output(true) }

@@ -27,9 +27,9 @@ type Config struct {
 	Layered *cover.Layered
 	// Mode selects the asynchronous engine's execution mode (default
 	// ModeAuto). Results are byte-identical across modes; the parallel
-	// modes only change wall-clock. The stack's state codec doubles as its
-	// StateCloner, so ModeSpec runs the synchronizer speculatively like
-	// any other cloneable workload.
+	// modes only change wall-clock. Every module of the stack implements
+	// async.ModuleState, so ModeSpec runs the synchronizer speculatively
+	// like any other cloneable workload.
 	Mode async.ExecutionMode
 	// Workers caps the engine's parallel worker pool (0 = engine default;
 	// negative panics).
@@ -163,14 +163,11 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 // Mux before the simulation starts.
 func NewNodeHandler(sched *Schedule, layered *cover.Layered, algo syncrun.Handler) *async.Mux {
 	c := &nodeCore{
-		sched:       sched,
-		layered:     layered,
-		algo:        algo,
-		regMods:     make(map[int]*reg.Module),
-		barMods:     make(map[int]*gather.Module),
-		vnodes:      make(map[int]*vnode),
-		recvd:       make(map[int][]syncrun.Incoming),
-		recvdClosed: make(map[int]bool),
+		sched:   sched,
+		layered: layered,
+		algo:    algo,
+		regMods: make([]*reg.Module, sched.MaxCoverLevel+1),
+		barMods: make([]*gather.Module, sched.MaxCoverLevel+1),
 	}
 	mux := async.NewMux()
 	mux.Register(ProtoAlgo, c)

@@ -14,9 +14,8 @@ import (
 // handler serializes its complete mutable run state — the embedded
 // synchronous algorithm first (as a blob, via its own wire.StateCodec),
 // then the synchronizer's own bookkeeping — so the engine state plane can
-// checkpoint and resume any synchronized run, and the Mux's codec-backed
-// CloneStateInto lets the full stack run under ModeSpec without the old
-// fall-back to the conservative executor.
+// checkpoint and resume any synchronized run. The synchronizer core also
+// copies itself directly (CloneModuleInto) for ModeSpec's per-round clones.
 //
 // The congestStamp deliberately stays out of every frame: its epoch
 // counter only ever grows and stamps are compared for equality, so a
@@ -87,74 +86,39 @@ func loadIncoming(d *wire.Dec) []syncrun.Incoming {
 	return batch
 }
 
-func sortedInts[T any](m map[int]T) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func saveIntSet(e *wire.Enc, set map[int]bool) {
-	keys := sortedInts(set)
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Int(k)
-	}
-}
-
-func loadIntSet(d *wire.Dec) map[int]bool {
-	n := int(d.U32())
-	set := make(map[int]bool, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		set[d.Int()] = true
-	}
-	return set
-}
-
-func saveIntCounts(e *wire.Enc, m map[int]int) {
-	keys := sortedInts(m)
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.Int(k)
-		e.Int(m[k])
-	}
-}
-
-func loadIntCounts(d *wire.Dec) map[int]int {
-	n := int(d.U32())
-	m := make(map[int]int, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		k := d.Int()
-		m[k] = d.Int()
-	}
-	return m
-}
-
-func saveNodeList(e *wire.Enc, ids []graph.NodeID) {
-	e.U32(uint32(len(ids)))
-	for _, v := range ids {
-		e.I32(int32(v))
-	}
-}
-
-func loadNodeList(d *wire.Dec) []graph.NodeID {
-	n := int(d.U32())
-	var ids []graph.NodeID
-	for i := 0; i < n && !d.Failed(); i++ {
-		ids = append(ids, graph.NodeID(d.I32()))
-	}
-	return ids
-}
-
 // --- nodeCore --------------------------------------------------------------
+
+var _ async.ModuleState = (*nodeCore)(nil)
 
 // StateCodecOK implements async.StateCodecProbe: the core is serializable
 // iff the embedded algorithm is.
 func (c *nodeCore) StateCodecOK() bool { return algoCodecOK(c.algo) }
 
-// SaveState implements wire.StateCodec.
+// CloneModuleInto implements async.ModuleState: the flat run state copies
+// straight across. Only the embedded algorithm goes through its codec — a
+// few bytes, via a frame and decoder this core retains — because
+// wire.StateCodec is the one state contract algorithms (and decorators
+// wrapped around them) are asked to implement.
+func (c *nodeCore) CloneModuleInto(dst async.Module) {
+	d := dst.(*nodeCore)
+	c.algoBuf.Reset()
+	saveAlgoState(&c.algoBuf, c.algo)
+	c.algoDec.Reset(c.algoBuf.Bytes(), nil)
+	loadAlgoState(&c.algoDec, d.algo)
+	if err := c.algoDec.Err(); err != nil {
+		panic(fmt.Sprintf("core: cloning %T through its state codec: %v", c.algo, err))
+	}
+	d.started = c.started
+	d.originator = c.originator
+	d.barrierRegWait = c.barrierRegWait
+	d.initSends = append(d.initSends[:0], c.initSends...)
+	d.vnodes = append(d.vnodes[:0], c.vnodes...)
+	d.qs = append(d.qs[:0], c.qs...)
+	d.ready = append(d.ready[:0], c.ready...)
+	d.recvd = append(d.recvd[:0], c.recvd...)
+}
+
+// SaveState implements wire.StateCodec: a linear walk of the flat state.
 func (c *nodeCore) SaveState(e *wire.Enc) {
 	saveAlgoState(e, c.algo)
 	e.Bool(c.started)
@@ -166,20 +130,45 @@ func (c *nodeCore) SaveState(e *wire.Enc) {
 	}
 	e.Int(c.barrierRegWait)
 
-	pulses := sortedInts(c.vnodes)
-	e.U32(uint32(len(pulses)))
-	for _, p := range pulses {
-		e.Int(p)
-		saveVnode(e, c.vnodes[p])
+	e.U32(uint32(len(c.vnodes)))
+	for i := range c.vnodes {
+		v := &c.vnodes[i]
+		e.I32(v.pulse)
+		e.I32(int32(v.parentPhys))
+		e.Bool(v.parentSelf)
+		e.Bool(v.hasParent)
+		e.Bool(v.evaluated)
+		e.Bool(v.sentAny)
+		e.Bool(v.selfChild)
+		e.I32(v.outstandingReplies)
+		e.I32(v.childPhys)
+		e.I32(v.qoff)
 	}
-
-	batches := sortedInts(c.recvd)
-	e.U32(uint32(len(batches)))
-	for _, p := range batches {
-		e.Int(p)
-		saveIncoming(e, c.recvd[p])
+	e.U32(uint32(len(c.qs)))
+	for i := range c.qs {
+		st := &c.qs[i]
+		e.I32(st.reports)
+		e.I32(st.gateOutstanding)
+		e.I32(st.regOutstanding)
+		e.I32(st.gaOutstanding)
+		e.Bool(st.registered)
+		e.Bool(st.anyReady)
+		e.Bool(st.resolved)
+		e.Bool(st.ready)
+		e.Bool(st.forwarded)
+		e.Bool(st.readySelf)
 	}
-	saveIntSet(e, c.recvdClosed)
+	e.U32(uint32(len(c.ready)))
+	for _, r := range c.ready {
+		e.I32(r.qi)
+		e.I32(int32(r.child))
+	}
+	e.U32(uint32(len(c.recvd)))
+	for _, m := range c.recvd {
+		e.I32(m.pulse)
+		e.I32(int32(m.in.From))
+		e.Body(m.in.Body)
+	}
 }
 
 // LoadState implements wire.StateCodec.
@@ -187,9 +176,8 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	loadAlgoState(d, c.algo)
 	c.started = d.Bool()
 	c.originator = d.Bool()
-	nSends := int(d.U32())
-	c.initSends = nil
-	for i := 0; i < nSends && !d.Failed(); i++ {
+	c.initSends = c.initSends[:0]
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		s := capturedSend{to: graph.NodeID(d.I32()), body: d.Body()}
 		if !d.Failed() {
 			c.initSends = append(c.initSends, s)
@@ -197,96 +185,73 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	}
 	c.barrierRegWait = d.Int()
 
-	nVnodes := int(d.U32())
-	c.vnodes = make(map[int]*vnode, nVnodes)
-	for i := 0; i < nVnodes && !d.Failed(); i++ {
-		p := d.Int()
-		v := loadVnode(d)
-		if !d.Failed() {
-			if v.pulse != p {
-				d.Fail("core: vnode keyed %d carries pulse %d", p, v.pulse)
-				return
-			}
-			c.vnodes[p] = v
+	c.vnodes = c.vnodes[:0]
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
+		v := vnode{
+			pulse:              d.I32(),
+			parentPhys:         graph.NodeID(d.I32()),
+			parentSelf:         d.Bool(),
+			hasParent:          d.Bool(),
+			evaluated:          d.Bool(),
+			sentAny:            d.Bool(),
+			selfChild:          d.Bool(),
+			outstandingReplies: d.I32(),
+			childPhys:          d.I32(),
+			qoff:               d.I32(),
 		}
-	}
-
-	nBatches := int(d.U32())
-	c.recvd = make(map[int][]syncrun.Incoming, nBatches)
-	for i := 0; i < nBatches && !d.Failed(); i++ {
-		p := d.Int()
-		batch := loadIncoming(d)
-		if !d.Failed() {
-			c.recvd[p] = batch
+		if d.Failed() {
+			break
 		}
+		if v.pulse < 0 || int(v.pulse) > c.sched.B || (i > 0 && v.pulse <= c.vnodes[i-1].pulse) {
+			d.Fail("core: vnode %d has pulse %d (bound %d, pulses must ascend)", i, v.pulse, c.sched.B)
+			break
+		}
+		c.vnodes = append(c.vnodes, v)
 	}
-	c.recvdClosed = loadIntSet(d)
-}
-
-func saveVnode(e *wire.Enc, v *vnode) {
-	e.Int(v.pulse)
-	e.I32(int32(v.parentPhys))
-	e.Bool(v.parentSelf)
-	e.Bool(v.hasParent)
-	e.Bool(v.evaluated)
-	e.Bool(v.sentAny)
-	e.Int(v.outstandingReplies)
-	saveNodeList(e, v.childPhys)
-	e.Bool(v.selfChild)
-
-	qs := sortedInts(v.q)
-	e.U32(uint32(len(qs)))
-	for _, q := range qs {
-		st := v.q[q]
-		e.Int(st.q)
-		e.Int(st.reports)
-		e.Bool(st.anyReady)
-		e.Bool(st.resolved)
-		e.Bool(st.ready)
-		e.Bool(st.forwarded)
-		e.Int(st.gateOutstanding)
-		saveNodeList(e, st.readyPhys)
-		e.Bool(st.readySelf)
-	}
-	saveIntCounts(e, v.regOutstanding)
-	saveIntSet(e, v.registered)
-	saveIntCounts(e, v.gaOutstanding)
-}
-
-func loadVnode(d *wire.Dec) *vnode {
-	v := &vnode{
-		pulse:              d.Int(),
-		parentPhys:         graph.NodeID(d.I32()),
-		parentSelf:         d.Bool(),
-		hasParent:          d.Bool(),
-		evaluated:          d.Bool(),
-		sentAny:            d.Bool(),
-		outstandingReplies: d.Int(),
-		childPhys:          loadNodeList(d),
-		selfChild:          d.Bool(),
-	}
-	nQ := int(d.U32())
-	v.q = make(map[int]*qstate, nQ)
-	for i := 0; i < nQ && !d.Failed(); i++ {
-		st := &qstate{
-			q:               d.Int(),
-			reports:         d.Int(),
+	c.qs = c.qs[:0]
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
+		st := qstate{
+			reports:         d.I32(),
+			gateOutstanding: d.I32(),
+			regOutstanding:  d.I32(),
+			gaOutstanding:   d.I32(),
+			registered:      d.Bool(),
 			anyReady:        d.Bool(),
 			resolved:        d.Bool(),
 			ready:           d.Bool(),
 			forwarded:       d.Bool(),
-			gateOutstanding: d.Int(),
-			readyPhys:       loadNodeList(d),
 			readySelf:       d.Bool(),
 		}
 		if !d.Failed() {
-			v.q[st.q] = st
+			c.qs = append(c.qs, st)
 		}
 	}
-	v.regOutstanding = loadIntCounts(d)
-	v.registered = loadIntSet(d)
-	v.gaOutstanding = loadIntCounts(d)
-	return v
+	for i := range c.vnodes {
+		v := &c.vnodes[i]
+		if v.qoff < 0 || int(v.qoff)+len(c.sched.Tracked(int(v.pulse))) > len(c.qs) {
+			d.Fail("core: vnode of pulse %d claims q-states from %d, only %d loaded", v.pulse, v.qoff, len(c.qs))
+		}
+	}
+	c.ready = c.ready[:0]
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
+		r := readyRef{qi: d.I32(), child: graph.NodeID(d.I32())}
+		if !d.Failed() && (r.qi < 0 || int(r.qi) >= len(c.qs)) {
+			d.Fail("core: ready child %d refers to q-state %d of %d", r.child, r.qi, len(c.qs))
+		}
+		if !d.Failed() {
+			c.ready = append(c.ready, r)
+		}
+	}
+	c.recvd = c.recvd[:0]
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
+		m := pendingMsg{pulse: d.I32(), in: syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}}
+		if !d.Failed() {
+			c.recvd = append(c.recvd, m)
+		}
+	}
+	if d.Failed() { // never leave vnodes pointing past the q-state pool
+		c.vnodes, c.qs, c.ready, c.recvd = c.vnodes[:0], c.qs[:0], c.ready[:0], c.recvd[:0]
+	}
 }
 
 // --- alpha -----------------------------------------------------------------

@@ -65,10 +65,8 @@ func watchdogReport(sim *async.Sim, res *async.Result, bound int) StallReport {
 			continue
 		}
 		p := -1
-		for q := range nc.vnodes {
-			if q > p {
-				p = q
-			}
+		if k := len(nc.vnodes); k > 0 {
+			p = int(nc.vnodes[k-1].pulse) // sorted by pulse
 		}
 		pulses = append(pulses, p)
 		ids = append(ids, id)

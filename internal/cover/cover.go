@@ -55,6 +55,17 @@ func (c *Cluster) ChildrenOf(v graph.NodeID) []graph.NodeID {
 	return c.Tree.ChildrenOf(v)
 }
 
+// ChildIndex returns ch's position in ChildrenOf(v), or -1 when ch is not
+// a tree child of v. Per-child protocol state is laid out by this index.
+func (c *Cluster) ChildIndex(v, ch graph.NodeID) int {
+	children := c.Tree.ChildrenOf(v)
+	i := sort.Search(len(children), func(i int) bool { return children[i] >= ch })
+	if i < len(children) && children[i] == ch {
+		return i
+	}
+	return -1
+}
+
 // Cover is a sparse d-cover: a set of clusters such that every node is in
 // O(log n) clusters and every node's d-ball is fully inside at least one
 // cluster.
@@ -87,6 +98,17 @@ func (c *Cover) MemberOf(v graph.NodeID) []ClusterID { return c.memberOf[v] }
 // TreeOf returns the clusters whose tree v participates in, ascending by
 // id. Do not mutate.
 func (c *Cover) TreeOf(v graph.NodeID) []ClusterID { return c.treeOf[v] }
+
+// TreeIndex returns id's position in TreeOf(v), or -1 when v is not on
+// that cluster's tree. Per-cluster protocol state is laid out by this index.
+func (c *Cover) TreeIndex(v graph.NodeID, id ClusterID) int {
+	tree := c.treeOf[v]
+	i := sort.Search(len(tree), func(i int) bool { return tree[i] >= id })
+	if i < len(tree) && tree[i] == id {
+		return i
+	}
+	return -1
+}
 
 // Home returns a cluster whose member set contains every node within
 // distance D of v (the strengthened covering property of Definition 2.1).

@@ -44,37 +44,58 @@ func decPayload(b wire.Body) (cover.ClusterID, int) {
 	return cover.ClusterID(b.A), int(b.B)
 }
 
-type clusterState struct {
-	began     bool
-	localDone bool
-	childDone map[graph.NodeID]bool
-	reported  bool
-	confirmed bool
-}
+// Per-(session, cluster) convergecast flags; the cluster's record is this
+// byte followed by one childDone bit per tree child.
+const (
+	fBegan uint8 = 1 << iota
+	fLocalDone
+	fReported
+	fConfirmed
+)
 
-type nodeSession struct {
+// sessionState is the per-session callback state of this node.
+type sessionState struct {
+	id        int
+	confirmed int32 // clusters containing me that confirmed
 	began     bool
 	markedAll bool
-	confirmed int  // clusters containing me that confirmed
 	fired     bool // callback delivered
 }
 
-type key struct {
-	c cover.ClusterID
-	s int
-}
-
 // Module is the per-node gather engine for one cover.
+//
+// All run state lives in two flat slices. A session gets a compact slot
+// the first time this node hears of it (sessions are sparse in id space —
+// the synchronizer's barrier sessions are 2p and 2p+1 for a handful of
+// pulses p — so slots, never raw ids, index the state). Slot s owns row
+// st[s*stride:(s+1)*stride], which holds one record per cluster tree this
+// node participates in, in cov.TreeOf(me) order: a flags byte, then one
+// childDone bit per entry of that cluster's ChildrenOf(me). Cloning the
+// module is therefore two copies, and a snapshot is the slices as they
+// stand. Code below addresses records by offset and never holds a
+// sub-slice across a callback: callbacks can open sessions, which grows st.
 type Module struct {
-	proto    async.Proto
-	cov      *cover.Cover
-	cb       Callbacks
-	stageOf  func(session int) int
-	states   map[key]*clusterState
-	sessions map[int]*nodeSession
+	proto   async.Proto
+	cov     *cover.Cover
+	cb      Callbacks
+	stageOf func(session int) int
+
+	// Node binding: derived from (cov, me) on first use, never serialized.
+	bound   bool
+	me      graph.NodeID
+	tree    []cover.ClusterID // cov.TreeOf(me), ascending
+	isMem   []bool            // isMem[ci]: me is a member (terminal) of tree[ci]
+	off     []int32           // off[ci]: cluster ci's record offset in a row
+	stride  int               // row length in bytes
+	nMember int               // len(cov.MemberOf(me))
+
+	sess []sessionState // by slot, in first-sight order
+	st   []byte         // len(sess) rows
 }
 
 var _ async.Module = (*Module)(nil)
+var _ async.ModuleState = (*Module)(nil)
+var _ async.Rebinder = (*Module)(nil)
 
 // New creates the per-node module. stageOf maps sessions to link stages
 // (nil = all zero).
@@ -82,62 +103,98 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 	if stageOf == nil {
 		stageOf = func(int) int { return 0 }
 	}
-	return &Module{
-		proto:    proto,
-		cov:      cov,
-		cb:       cb,
-		stageOf:  stageOf,
-		states:   make(map[key]*clusterState),
-		sessions: make(map[int]*nodeSession),
+	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf}
+}
+
+// bind fixes the node this module serves and derives the row layout. The
+// constructor has no node id, so every entry point binds on first use.
+func (m *Module) bind(me graph.NodeID) {
+	if m.bound {
+		return
+	}
+	m.bound = true
+	m.me = me
+	m.tree = m.cov.TreeOf(me)
+	member := m.cov.MemberOf(me)
+	m.nMember = len(member)
+	m.isMem = make([]bool, len(m.tree))
+	m.off = make([]int32, len(m.tree))
+	for ci, cid := range m.tree {
+		if len(member) > 0 && member[0] == cid { // both lists ascend
+			m.isMem[ci] = true
+			member = member[1:]
+		}
+		m.off[ci] = int32(m.stride)
+		m.stride += 1 + (len(m.cov.Cluster(cid).ChildrenOf(me))+7)/8
 	}
 }
 
 // Start implements async.Module.
-func (m *Module) Start(*async.Node) {}
+func (m *Module) Start(n *async.Node) { m.bind(n.ID()) }
+
+// Rebind implements async.Rebinder: a restored module learns its node here,
+// ahead of LoadState.
+func (m *Module) Rebind(n *async.Node) { m.bind(n.ID()) }
 
 // Ack implements async.Module.
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-func (m *Module) state(c cover.ClusterID, s int) *clusterState {
-	k := key{c: c, s: s}
-	st := m.states[k]
-	if st == nil {
-		st = &clusterState{childDone: make(map[graph.NodeID]bool)}
-		m.states[k] = st
+// lookup returns the session's slot, or -1. Recent sessions are the live
+// ones, so the scan runs newest first.
+func (m *Module) lookup(session int) int {
+	for s := len(m.sess) - 1; s >= 0; s-- {
+		if m.sess[s].id == session {
+			return s
+		}
 	}
-	return st
+	return -1
 }
 
-func (m *Module) session(s int) *nodeSession {
-	ns := m.sessions[s]
-	if ns == nil {
-		ns = &nodeSession{}
-		m.sessions[s] = ns
+// slot returns the session's slot, opening a zeroed row on first sight.
+func (m *Module) slot(session int) int {
+	if s := m.lookup(session); s >= 0 {
+		return s
 	}
-	return ns
+	m.sess = append(m.sess, sessionState{id: session})
+	m.st = append(m.st, make([]byte, m.stride)...)
+	return len(m.sess) - 1
 }
+
+// clusterIndex returns c's position in tree; gather traffic only travels
+// along cluster trees, so a miss is a routing bug.
+func (m *Module) clusterIndex(c cover.ClusterID) int {
+	ci := m.cov.TreeIndex(m.me, c)
+	if ci < 0 {
+		panic(fmt.Sprintf("gather: node %d is not on the tree of cluster %d", m.me, c))
+	}
+	return ci
+}
+
+// rec returns the offset of (slot, ci)'s record in st.
+func (m *Module) rec(slot, ci int) int { return slot*m.stride + int(m.off[ci]) }
 
 // Begin announces the session at this node: every cluster tree this node
 // participates in becomes live here. Nonterminal nodes (pure relays) count
 // as locally done. Idempotent. Every tree participant must eventually call
 // Begin (or MarkDone) for every session, or convergecasts stall.
 func (m *Module) Begin(n *async.Node, session int) {
-	ns := m.session(session)
-	if ns.began {
+	m.bind(n.ID())
+	slot := m.slot(session)
+	if m.sess[slot].began {
 		return
 	}
-	ns.began = true
-	for _, cid := range m.cov.TreeOf(n.ID()) {
-		st := m.state(cid, session)
-		st.began = true
-		if !m.cov.Cluster(cid).Has(n.ID()) {
-			st.localDone = true // nonterminals have no process to finish
+	m.sess[slot].began = true
+	for ci := range m.tree {
+		f := fBegan
+		if !m.isMem[ci] {
+			f |= fLocalDone // nonterminals have no process to finish
 		}
-		m.maybeReport(n, cid, session, st)
+		m.st[m.rec(slot, ci)] |= f
+		m.maybeReport(n, slot, ci)
 	}
 	// A node in no cluster at all has a trivially-done neighborhood.
-	if len(m.cov.MemberOf(n.ID())) == 0 {
-		m.maybeFire(n, session, ns)
+	if m.nMember == 0 {
+		m.maybeFire(n, slot)
 	}
 }
 
@@ -145,29 +202,37 @@ func (m *Module) Begin(n *async.Node, session int) {
 // finished. Implies Begin.
 func (m *Module) MarkDone(n *async.Node, session int) {
 	m.Begin(n, session)
-	ns := m.session(session)
-	if ns.markedAll {
+	slot := m.slot(session)
+	if m.sess[slot].markedAll {
 		return
 	}
-	ns.markedAll = true
-	for _, cid := range m.cov.MemberOf(n.ID()) {
-		st := m.state(cid, session)
-		st.localDone = true
-		m.maybeReport(n, cid, session, st)
+	m.sess[slot].markedAll = true
+	for ci := range m.tree {
+		if !m.isMem[ci] {
+			continue
+		}
+		m.st[m.rec(slot, ci)] |= fLocalDone
+		m.maybeReport(n, slot, ci)
 	}
-	m.maybeFire(n, session, ns)
+	m.maybeFire(n, slot)
 }
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
+	m.bind(n.ID())
 	c, session := decPayload(msg.Body)
-	st := m.state(c, session)
+	ci := m.clusterIndex(c)
+	slot := m.slot(session)
 	switch msg.Body.Kind {
 	case kindDoneUp:
-		st.childDone[from] = true
-		m.maybeReport(n, c, session, st)
+		i := m.cov.Cluster(c).ChildIndex(m.me, from)
+		if i < 0 {
+			panic(fmt.Sprintf("gather: node %d got a report from non-child %d in cluster %d", m.me, from, c))
+		}
+		m.st[m.rec(slot, ci)+1+i/8] |= 1 << uint(i%8)
+		m.maybeReport(n, slot, ci)
 	case kindConfirmDown:
-		m.confirm(n, c, session, st)
+		m.confirm(n, slot, ci)
 	default:
 		panic(fmt.Sprintf("gather: unknown kind %d", msg.Body.Kind))
 	}
@@ -176,65 +241,69 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 // maybeReport sends the subtree-done report upward (or starts the
 // confirmation broadcast at the root) once this node is locally done, has
 // begun, and has heard from every tree child.
-func (m *Module) maybeReport(n *async.Node, c cover.ClusterID, session int, st *clusterState) {
-	if st.reported || !st.began || !st.localDone {
+func (m *Module) maybeReport(n *async.Node, slot, ci int) {
+	r := m.rec(slot, ci)
+	if f := m.st[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
 		return
 	}
+	c := m.tree[ci]
 	cl := m.cov.Cluster(c)
-	for _, ch := range cl.ChildrenOf(n.ID()) {
-		if !st.childDone[ch] {
+	for i := range cl.ChildrenOf(m.me) {
+		if m.st[r+1+i/8]&(1<<uint(i%8)) == 0 {
 			return
 		}
 	}
-	st.reported = true
-	if cl.Root == n.ID() {
-		m.confirm(n, c, session, st)
+	m.st[r] |= fReported
+	if cl.Root == m.me {
+		m.confirm(n, slot, ci)
 		return
 	}
-	par, _ := cl.ParentOf(n.ID())
+	session := m.sess[slot].id
+	par, _ := cl.ParentOf(m.me)
 	n.Send(par, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindDoneUp, c, session)})
 }
 
 // confirm marks the cluster complete at this node and forwards the
 // broadcast to tree children.
-func (m *Module) confirm(n *async.Node, c cover.ClusterID, session int, st *clusterState) {
-	if st.confirmed {
+func (m *Module) confirm(n *async.Node, slot, ci int) {
+	r := m.rec(slot, ci)
+	if m.st[r]&fConfirmed != 0 {
 		return
 	}
-	st.confirmed = true
-	cl := m.cov.Cluster(c)
-	for _, ch := range cl.ChildrenOf(n.ID()) {
+	m.st[r] |= fConfirmed
+	c := m.tree[ci]
+	session := m.sess[slot].id
+	for _, ch := range m.cov.Cluster(c).ChildrenOf(m.me) {
 		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindConfirmDown, c, session)})
 	}
-	if cl.Has(n.ID()) {
-		ns := m.session(session)
-		ns.confirmed++
-		m.maybeFire(n, session, ns)
+	if m.isMem[ci] {
+		m.sess[slot].confirmed++
+		m.maybeFire(n, slot)
 	}
 }
 
 // maybeFire delivers NeighborhoodDone when every containing cluster has
 // confirmed and the local process finished (a member's own completion is
 // part of "everyone within distance d is done").
-func (m *Module) maybeFire(n *async.Node, session int, ns *nodeSession) {
+func (m *Module) maybeFire(n *async.Node, slot int) {
+	ns := &m.sess[slot]
 	if ns.fired {
 		return
 	}
-	member := m.cov.MemberOf(n.ID())
-	if len(member) > 0 && (!ns.markedAll || ns.confirmed < len(member)) {
+	if m.nMember > 0 && (!ns.markedAll || int(ns.confirmed) < m.nMember) {
 		return
 	}
-	if len(member) == 0 && !ns.began {
+	if m.nMember == 0 && !ns.began {
 		return
 	}
 	ns.fired = true
-	m.cb.NeighborhoodDone(n, session)
+	m.cb.NeighborhoodDone(n, ns.id)
 }
 
 // Done reports whether the session's NeighborhoodDone fired at this node.
 func (m *Module) Done(session int) bool {
-	ns := m.sessions[session]
-	return ns != nil && ns.fired
+	s := m.lookup(session)
+	return s >= 0 && m.sess[s].fired
 }
 
 // Chain runs Theorem 3.2's staged gather: stage i learns that the

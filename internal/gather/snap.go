@@ -1,100 +1,63 @@
 package gather
 
 import (
-	"sort"
-
-	"repro/internal/cover"
-	"repro/internal/graph"
+	"repro/internal/async"
 	"repro/internal/wire"
 )
 
-var _ wire.StateCodec = (*Module)(nil)
-
-// SaveState implements wire.StateCodec: per-(cluster, session) convergecast
-// state plus per-session callback state, both in sorted key order. The
-// cover, proto, callbacks, and stage map are constructor-owned and stay
-// out of the frame.
-func (m *Module) SaveState(e *wire.Enc) {
-	keys := make([]key, 0, len(m.states))
-	for k := range m.states {
-		keys = append(keys, k)
+// CloneModuleInto implements async.ModuleState: the run state is two flat
+// slices, so a clone is two copies into dst's retained capacity.
+func (m *Module) CloneModuleInto(dst async.Module) {
+	d := dst.(*Module)
+	if m.bound && !d.bound {
+		d.bind(m.me)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].c != keys[j].c {
-			return keys[i].c < keys[j].c
-		}
-		return keys[i].s < keys[j].s
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		st := m.states[k]
-		e.I64(int64(k.c))
-		e.Int(k.s)
-		e.Bool(st.began)
-		e.Bool(st.localDone)
-		done := make([]graph.NodeID, 0, len(st.childDone))
-		for ch := range st.childDone {
-			done = append(done, ch)
-		}
-		sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
-		e.U32(uint32(len(done)))
-		for _, ch := range done {
-			e.I32(int32(ch))
-		}
-		e.Bool(st.reported)
-		e.Bool(st.confirmed)
-	}
-
-	sess := make([]int, 0, len(m.sessions))
-	for s := range m.sessions {
-		sess = append(sess, s)
-	}
-	sort.Ints(sess)
-	e.U32(uint32(len(sess)))
-	for _, s := range sess {
-		ns := m.sessions[s]
-		e.Int(s)
-		e.Bool(ns.began)
-		e.Bool(ns.markedAll)
-		e.Int(ns.confirmed)
-		e.Bool(ns.fired)
-	}
+	d.sess = append(d.sess[:0], m.sess...)
+	d.st = append(d.st[:0], m.st...)
 }
 
-// LoadState implements wire.StateCodec.
-func (m *Module) LoadState(d *wire.Dec) {
-	nStates := int(d.U32())
-	m.states = make(map[key]*clusterState, nStates)
-	for i := 0; i < nStates && !d.Failed(); i++ {
-		k := key{c: cover.ClusterID(d.I64()), s: d.Int()}
-		st := &clusterState{
-			began:     d.Bool(),
-			localDone: d.Bool(),
-		}
-		nDone := int(d.U32())
-		st.childDone = make(map[graph.NodeID]bool, nDone)
-		for j := 0; j < nDone && !d.Failed(); j++ {
-			st.childDone[graph.NodeID(d.I32())] = true
-		}
-		st.reported = d.Bool()
-		st.confirmed = d.Bool()
-		if !d.Failed() {
-			m.states[k] = st
-		}
+// SaveState implements wire.StateCodec: the session table in slot order,
+// then the state rows verbatim. The cover, proto, callbacks, and stage map
+// are constructor-owned, and the row layout derives from (cover, node);
+// none of it travels.
+func (m *Module) SaveState(e *wire.Enc) {
+	e.U32(uint32(len(m.sess)))
+	for i := range m.sess {
+		ns := &m.sess[i]
+		e.Int(ns.id)
+		e.I32(ns.confirmed)
+		e.Bool(ns.began)
+		e.Bool(ns.markedAll)
+		e.Bool(ns.fired)
 	}
+	e.Raw(m.st)
+}
 
-	nSess := int(d.U32())
-	m.sessions = make(map[int]*nodeSession, nSess)
-	for i := 0; i < nSess && !d.Failed(); i++ {
-		s := d.Int()
-		ns := &nodeSession{
+// LoadState implements wire.StateCodec. The module must know its node
+// (Rebind runs first on a restored engine): the rows are only meaningful
+// against that node's layout.
+func (m *Module) LoadState(d *wire.Dec) {
+	n := int(d.U32())
+	m.sess = m.sess[:0]
+	m.st = m.st[:0]
+	if n > 0 && !m.bound {
+		d.Fail("gather: state for %d sessions loaded into a module that does not know its node", n)
+		return
+	}
+	for i := 0; i < n && !d.Failed(); i++ {
+		ns := sessionState{
+			id:        d.Int(),
+			confirmed: d.I32(),
 			began:     d.Bool(),
 			markedAll: d.Bool(),
-			confirmed: d.Int(),
 			fired:     d.Bool(),
 		}
 		if !d.Failed() {
-			m.sessions[s] = ns
+			m.sess = append(m.sess, ns)
 		}
+	}
+	m.st = append(m.st, d.Raw(len(m.sess)*m.stride)...)
+	if d.Failed() { // never leave rows and session table out of step
+		m.sess, m.st = m.sess[:0], m.st[:0]
 	}
 }

@@ -27,6 +27,11 @@ type NaiveModule struct {
 	states map[key]*naiveState
 }
 
+type key struct {
+	c cover.ClusterID
+	s int
+}
+
 type naiveState struct {
 	// root-only bookkeeping
 	regs, deregs int

@@ -1,82 +1,79 @@
 package reg
 
 import (
-	"sort"
-
-	"repro/internal/cover"
+	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
-var _ wire.StateCodec = (*Module)(nil)
-
-// SaveState implements wire.StateCodec: every (cluster, session) state in
-// sorted key order. Configuration (proto, cover, callbacks, stage map) is
-// reconstructed by the module's constructor and stays out of the frame.
-func (m *Module) SaveState(e *wire.Enc) {
-	keys := make([]key, 0, len(m.states))
-	for k := range m.states {
-		keys = append(keys, k)
+// CloneModuleInto implements async.ModuleState: three flat slices, three
+// copies into dst's retained capacity.
+func (m *Module) CloneModuleInto(dst async.Module) {
+	d := dst.(*Module)
+	if m.bound && !d.bound {
+		d.bind(m.me)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].c != keys[j].c {
-			return keys[i].c < keys[j].c
-		}
-		return keys[i].s < keys[j].s
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		st := m.states[k]
-		e.I64(int64(k.c))
-		e.Int(k.s)
-		e.U8(uint8(st.local))
-		e.Bool(st.finished)
-		e.Bool(st.pending)
-		e.Bool(st.upDirty)
-		e.U32(uint32(len(st.invokers)))
-		for _, v := range st.invokers {
-			e.I32(int32(v))
-		}
-		marks := make([]graph.NodeID, 0, len(st.childMark))
-		for ch := range st.childMark {
-			marks = append(marks, ch)
-		}
-		sort.Slice(marks, func(i, j int) bool { return marks[i] < marks[j] })
-		e.U32(uint32(len(marks)))
-		for _, ch := range marks {
-			e.I32(int32(ch))
-			e.U8(uint8(st.childMark[ch]))
-		}
+	d.sessions = append(d.sessions[:0], m.sessions...)
+	d.st = append(d.st[:0], m.st...)
+	d.inv = append(d.inv[:0], m.inv...)
+}
+
+// SaveState implements wire.StateCodec: the session table in slot order,
+// the state rows verbatim, then the waiting invokers in arrival order.
+// Configuration (proto, cover, callbacks, stage map) is reconstructed by
+// the module's constructor, and the row layout derives from (cover, node);
+// none of it travels.
+func (m *Module) SaveState(e *wire.Enc) {
+	e.U32(uint32(len(m.sessions)))
+	for _, s := range m.sessions {
+		e.Int(s)
+	}
+	e.Raw(m.st)
+	e.U32(uint32(len(m.inv)))
+	for _, iv := range m.inv {
+		e.I32(iv.ord)
+		e.I32(int32(iv.child))
 	}
 }
 
-// LoadState implements wire.StateCodec.
+// LoadState implements wire.StateCodec. The module must know its node
+// (Rebind runs first on a restored engine): the rows are only meaningful
+// against that node's layout.
 func (m *Module) LoadState(d *wire.Dec) {
 	n := int(d.U32())
-	m.states = make(map[key]*state, n)
+	m.sessions, m.st, m.inv = m.sessions[:0], m.st[:0], m.inv[:0]
+	if n > 0 && !m.bound {
+		d.Fail("reg: state for %d sessions loaded into a module that does not know its node", n)
+		return
+	}
 	for i := 0; i < n && !d.Failed(); i++ {
-		k := key{c: cover.ClusterID(d.I64()), s: d.Int()}
-		st := &state{
-			local:    localState(d.U8()),
-			finished: d.Bool(),
-			pending:  d.Bool(),
-			upDirty:  d.Bool(),
+		m.sessions = append(m.sessions, d.Int())
+	}
+	m.st = append(m.st, d.Raw(n*len(m.rowInit))...)
+	for slot := 0; slot < n && !d.Failed(); slot++ {
+		for ci := range m.tree {
+			r := m.at(slot, ci)
+			if m.local(r) > free {
+				d.Fail("reg: cluster %d session %d has local state %d", m.tree[ci], m.sessions[slot], m.local(r))
+			}
+			for _, mark := range m.marks(r, ci) {
+				if edgeMark(mark) > markWaiting {
+					d.Fail("reg: cluster %d session %d has edge mark %d", m.tree[ci], m.sessions[slot], mark)
+				}
+			}
 		}
-		nInv := int(d.U32())
-		for j := 0; j < nInv && !d.Failed(); j++ {
-			st.invokers = append(st.invokers, graph.NodeID(d.I32()))
-		}
-		nMarks := int(d.U32())
-		st.childMark = make(map[graph.NodeID]edgeMark, nMarks)
-		for j := 0; j < nMarks && !d.Failed(); j++ {
-			ch := graph.NodeID(d.I32())
-			st.childMark[ch] = edgeMark(d.U8())
-		}
-		if st.local > free {
-			d.Fail("reg: state for cluster %d session %d has local state %d", k.c, k.s, st.local)
+	}
+	nInv := int(d.U32())
+	for i := 0; i < nInv && !d.Failed(); i++ {
+		iv := invoker{ord: d.I32(), child: graph.NodeID(d.I32())}
+		if !d.Failed() && (iv.ord < 0 || int(iv.ord) >= n*len(m.tree)) {
+			d.Fail("reg: invoker on record %d of %d", iv.ord, n*len(m.tree))
 		}
 		if !d.Failed() {
-			m.states[k] = st
+			m.inv = append(m.inv, iv)
 		}
+	}
+	if d.Failed() { // never leave rows and session table out of step
+		m.sessions, m.st, m.inv = m.sessions[:0], m.st[:0], m.inv[:0]
 	}
 }

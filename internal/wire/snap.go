@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -119,8 +120,8 @@ func (e *Enc) EndBlob(mark int) {
 	e.buf[mark+3] = byte(n >> 24)
 }
 
-// Dec is the snapshot decoder. The zero value is unusable; build with
-// NewDec. All reads return the zero value once the sticky error latches.
+// Dec is the snapshot decoder; build with NewDec, or Reset a retained
+// one. All reads return the zero value once the sticky error latches.
 type Dec struct {
 	b      []byte
 	off    int
@@ -133,6 +134,14 @@ type Dec struct {
 // NewDec returns a decoder over b whose Body calls re-home segments into a
 // (nil is fine for streams without segment-inlined bodies).
 func NewDec(b []byte, a *Arena) *Dec { return &Dec{b: b, arena: a} }
+
+// Reset rearms the decoder over b, clearing the sticky error and keeping
+// the segment list's capacity — the allocation-free form of NewDec for
+// callers that decode on a hot path (the synchronizer core clones its
+// embedded algorithm through a retained Enc/Dec pair).
+func (d *Dec) Reset(b []byte, a *Arena) {
+	*d = Dec{b: b, arena: a, segs: d.segs[:0]}
+}
 
 // Err returns the sticky error, or nil if every read so far succeeded.
 func (d *Dec) Err() error {
@@ -235,6 +244,21 @@ func (d *Dec) Str() string {
 	s := string(d.b[d.off : d.off+n])
 	d.off += n
 	return s
+}
+
+// Raw reads n bytes verbatim — the counterpart of Enc.Raw for sections
+// whose length the reader derives from state it already holds. The result
+// aliases the input; copy it to keep it.
+func (d *Dec) Raw(n int) []byte {
+	if n < 0 {
+		d.Fail("raw section of %d bytes", n)
+	}
+	if !d.need(n) {
+		return nil
+	}
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	return b
 }
 
 // Body decodes an Enc.Body frame, re-homing any inlined segment into the
@@ -359,9 +383,15 @@ type StateCodec interface {
 // does not round-trip — bit corruption surfaces here, truncation either
 // here or as a Dec sticky error.
 const (
-	snapMagic   = 0x50414e53 // "SNAP", little-endian
-	SnapVersion = 1
+	snapMagic = 0x50414e53 // "SNAP", little-endian
+	// SnapVersion 2: the synchronizer modules (core/reg/gather) write their
+	// flat slot-indexed state; version-1 frames carried sorted map dumps.
+	SnapVersion = 2
 )
+
+// ErrSnapVersion is what OpenSnapshot's error wraps when a frame is intact
+// but was written under a different SnapVersion.
+var ErrSnapVersion = errors.New("wire: snapshot version mismatch")
 
 // snapHeaderLen is the sealed-frame overhead: magic, version, payload
 // length, checksum.
@@ -400,7 +430,7 @@ func OpenSnapshot(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("wire: bad snapshot magic %#x", m)
 	}
 	if v := d.U32(); v != SnapVersion {
-		return nil, fmt.Errorf("wire: snapshot version %d, this build reads %d", v, SnapVersion)
+		return nil, fmt.Errorf("%w: frame is version %d, this build reads %d", ErrSnapVersion, v, SnapVersion)
 	}
 	n := d.U64()
 	sum := d.U64()
