@@ -8,7 +8,9 @@
 # sweep rows beyond -cpu 1 measure oversubscribed coordination overhead —
 # still useful as the floor of the multicore trajectory, which the CI
 # multicore job tracks on real parallel hardware.
-ASYNC_BENCH       = BenchmarkSimFlood$$|BenchmarkSimFloodFixed|BenchmarkSimFloodReset
+# The event queue's three regimes are priced separately (the sub-benchmark
+# pattern after the slash applies to it alone: the others have none).
+ASYNC_BENCH       = BenchmarkSimFlood$$|BenchmarkSimFloodFixed|BenchmarkSimFloodReset|BenchmarkEventQueuePushPop/(inorder|random|horizon)
 ASYNC_MODE_BENCH  = BenchmarkSimFloodParallel|BenchmarkSimFloodRandomModes
 ABFS_MODE_BENCH   = BenchmarkFullBFSModes
 SYNC_BENCH        = BenchmarkLockstepPulse$$|BenchmarkLockstepPulseMulti

@@ -100,3 +100,31 @@ func TestZeroSteadyStateAllocsReset(t *testing.T) {
 			long-short, extra, extra/float64(long-short))
 	}
 }
+
+// TestFreshQueueAllocsOneSlicePerSlot pins what a fresh engine pays for its
+// event queue (a new Sim per run grows every slot it touches from nothing):
+// one key slice per slot, whichever shape the slot takes, plus the slab. A
+// slot kept as a run plus a side heap doubles the first term, and measured
+// +3.4 % allocations on a whole synchronized BFS. Every wheel slot and the
+// overflow store get four keys out of order — so each goes run, then heap —
+// and the drain frees every cell; the count holds under -race too.
+func TestFreshQueueAllocsOneSlicePerSlot(t *testing.T) {
+	const perSlot = 4
+	got := testing.AllocsPerRun(5, func() {
+		var q eventQueue
+		for i := 0; i < perSlot; i++ {
+			for s := 0; s <= cqBuckets; s++ { // s == cqBuckets is past the horizon
+				q.push(&event{t: (float64(s) + 0.5) / cqBuckets, seq: uint64(perSlot - i)})
+			}
+		}
+		for !q.empty() {
+			q.pop()
+		}
+	})
+	// Per slot, append grows 1→2→4 keys; the slab is 1028 events in five
+	// chunks, their pointer slice, and a free list grown to match.
+	const slices, slab = 3 * (cqBuckets + 1), 5 + 4 + 12
+	if got > slices+slab {
+		t.Fatalf("a fresh queue made %.0f allocations, want at most %d for the slots and %d for the slab", got, slices, slab)
+	}
+}

@@ -85,8 +85,8 @@ func (s *Sim) ShardInit() {
 func (s *Sim) ShardRunWindow(wStart float64) {
 	wEnd := wStart + s.lookahead
 	for {
-		ev, ok := s.events.popBefore(wEnd)
-		if !ok {
+		ev := s.events.popBefore(wEnd)
+		if ev == nil {
 			return
 		}
 		if ev.t < s.now {
@@ -97,7 +97,7 @@ func (s *Sim) ShardRunWindow(wStart float64) {
 		if s.steps > s.maxEvents {
 			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
 		}
-		s.direct.processEvent(&ev)
+		s.direct.processEvent(ev)
 	}
 }
 
@@ -121,7 +121,7 @@ func (s *Sim) ShardStaged(i int) ShardStagedView {
 		Src:     se.ev.src,
 		Dst:     se.ev.dst,
 		Msg:     se.ev.msg,
-		Owner:   ownerOf(se.ev),
+		Owner:   ownerOf(&se.ev),
 	}
 }
 
@@ -139,7 +139,7 @@ func (s *Sim) ShardGrant(seqs []uint64, remote []bool) {
 		if remote[i] {
 			continue
 		}
-		ev := s.shardLog[i].ev
+		ev := &s.shardLog[i].ev
 		ev.seq = seqs[i]
 		s.events.push(ev)
 	}
@@ -174,7 +174,7 @@ func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.Node
 	default:
 		panic(fmt.Sprintf("async: remote event of unknown kind %d", kind))
 	}
-	s.events.push(event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
+	s.events.push(&event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
 }
 
 // ShardResult materializes this shard's slice of the run: counters and

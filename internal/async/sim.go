@@ -657,7 +657,7 @@ func (s *Sim) runSerial() {
 		if s.steps > s.maxEvents {
 			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
 		}
-		s.direct.processEvent(&ev)
+		s.direct.processEvent(ev)
 	}
 }
 
@@ -791,13 +791,13 @@ func (s *Sim) runShard(k int, wEnd float64) {
 	c := &s.wctx[k]
 	q := &s.shards[k]
 	for {
-		ev, ok := q.popBefore(wEnd)
-		if !ok {
+		ev := q.popBefore(wEnd)
+		if ev == nil {
 			return
 		}
 		c.steps++
 		c.maxT = ev.t // shards pop in nondecreasing t
-		c.processEvent(&ev)
+		c.processEvent(ev)
 	}
 }
 
@@ -840,7 +840,7 @@ func (s *Sim) mergeWindow() {
 	mergeWorkerLists(s.mergeCur, len(s.wctx),
 		func(k int) []stagedEv { return s.wctx[k].staged },
 		stagedLess,
-		func(se *stagedEv) { s.schedule(se.ev) })
+		func(se *stagedEv) { s.schedule(&se.ev) })
 	for k := range s.wctx {
 		s.wctx[k].staged = s.wctx[k].staged[:0]
 	}
@@ -1062,7 +1062,7 @@ func (c *execCtx) processEvent(ev *event) {
 		d := s.adv.Delay(ev.dst, ev.src, uint64(s.txSeq[back]), ev.msg.Proto)
 		s.bumpTx(back)
 		s.checkDelay(d)
-		c.schedule(event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
+		c.schedule(&event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
 	case evAckArrive:
 		// ev.src is the original sender whose link is now free.
 		s.busy[ev.link] = false
@@ -1110,7 +1110,7 @@ func (c *execCtx) invokeAck(ev *event) {
 // would have, so counters, outbox scheduling, and adversary consultation
 // happen in the identical order.
 func (c *execCtx) applyOps(ev *event) {
-	owner := ownerOf(*ev)
+	owner := ownerOf(ev)
 	for i := range c.replay {
 		op := &c.replay[i]
 		switch op.kind {
@@ -1189,7 +1189,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 	s.checkDelay(d)
 	td := c.now + d
 	if s.faults == nil || !s.faults.Lost(from, to, txs, td) {
-		c.schedule(event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: m})
+		c.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: m})
 		return
 	}
 	if c.direct {
@@ -1207,7 +1207,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 		c.retrans++
 	}
 	b := s.faults.backoff(attempt, s.lookahead)
-	c.schedule(event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: m, attempt: attempt + 1})
+	c.schedule(&event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: m, attempt: attempt + 1})
 }
 
 // undeliverable abandons a message whose retransmit budget is exhausted:
@@ -1274,23 +1274,24 @@ func (s *Sim) checkDelay(d float64) {
 	}
 }
 
-func (c *execCtx) schedule(ev event) {
+func (c *execCtx) schedule(ev *event) {
 	if c.direct {
 		s := c.s
 		if s.shardMode {
 			// Event seqs are assigned by the coordinator's cross-shard
 			// merge; park the call keyed by its triggering event, exactly
 			// like ModeMulti worker staging.
-			s.shardLog = append(s.shardLog, stagedEv{ev: ev, trigT: c.now, trigSeq: c.curSeq})
+			s.shardLog = append(s.shardLog, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
 			return
 		}
 		s.schedule(ev)
 		return
 	}
-	c.staged = append(c.staged, stagedEv{ev: ev, trigT: c.now, trigSeq: c.curSeq})
+	c.staged = append(c.staged, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
 }
 
-func (s *Sim) schedule(ev event) {
+// schedule stamps *ev with the next sequence number and queues a copy.
+func (s *Sim) schedule(ev *event) {
 	ev.seq = s.eventSq
 	s.eventSq++
 	if s.specWalking && ev.t < s.specNewMin {
@@ -1310,7 +1311,7 @@ func (s *Sim) schedule(ev event) {
 // piece of state an event touches — the handler, the node's outgoing
 // outboxes and transmission counters, its output slot — private to one
 // worker within a window.
-func ownerOf(ev event) graph.NodeID {
+func ownerOf(ev *event) graph.NodeID {
 	if ev.kind == evDeliver {
 		return ev.dst
 	}
@@ -1434,7 +1435,8 @@ const (
 
 // event is one scheduled occurrence. Field order packs the 32-bit ids, the
 // 1-byte kind, and the 1-byte retransmission attempt into one word, keeping
-// the struct at 96 bytes — the wheel slots hold these by value.
+// the struct at 96 bytes — the queue's slab holds these by value and its
+// wheel slots order 24-byte keys into it (queue.go).
 type event struct {
 	t       float64
 	seq     uint64

@@ -101,7 +101,7 @@ func (s *Sim) RunSteps(n uint64) bool {
 		if s.steps > s.maxEvents {
 			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
 		}
-		s.direct.processEvent(&ev)
+		s.direct.processEvent(ev)
 	}
 	return s.events.empty()
 }
@@ -463,7 +463,7 @@ func (s *Sim) decodeEngine(d *wire.Dec) error {
 		if d.Failed() {
 			break
 		}
-		s.events.push(ev)
+		s.events.push(&ev)
 	}
 
 	nTrace := int(d.U32())

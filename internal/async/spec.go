@@ -242,11 +242,11 @@ func (s *Sim) specWorker(k int, hEnd float64) {
 	}()
 	q := &s.shards[k]
 	for {
-		ev, ok := q.popBefore(hEnd)
-		if !ok {
+		ev := q.popBefore(hEnd)
+		if ev == nil {
 			return
 		}
-		c.specCur = ev
+		c.specCur = *ev
 		v := ownerOf(ev)
 		// evRetrans runs no handler — it is pure engine mechanics (a new
 		// transmission attempt), which only the commit walk may perform. It
@@ -258,7 +258,7 @@ func (s *Sim) specWorker(k int, hEnd float64) {
 		case evAckArrive:
 			s.specHandlerFor(v).Ack(&s.nodes[v], ev.dst, ev.msg)
 		}
-		c.specLog = append(c.specLog, specExec{ev: ev, opEnd: int32(len(c.specOps))})
+		c.specLog = append(c.specLog, specExec{ev: *ev, opEnd: int32(len(c.specOps))})
 	}
 }
 
@@ -397,10 +397,10 @@ func (s *Sim) specFinishRound() {
 			if c.specLog[i].ev.kind == evRetrans {
 				continue
 			}
-			s.specRejEp[ownerOf(c.specLog[i].ev)] = round
+			s.specRejEp[ownerOf(&c.specLog[i].ev)] = round
 		}
 		if c.specPanicked {
-			s.specRejEp[ownerOf(c.specCur)] = round
+			s.specRejEp[ownerOf(&c.specCur)] = round
 		}
 	}
 	// Pass 2: promote clean clones (pointer swap; the displaced handler is
@@ -417,7 +417,7 @@ func (s *Sim) specFinishRound() {
 				// nil) clone.
 				continue
 			}
-			v := ownerOf(e.ev)
+			v := ownerOf(&e.ev)
 			if s.specRejEp[v] == round {
 				s.specSwallowReplay(v, e)
 				s.specStats.Replayed++
@@ -444,11 +444,11 @@ func (s *Sim) specFinishRound() {
 		}
 		for i := s.mergeCur[k]; i < len(c.specLog); i++ {
 			s.specStats.Rejected++
-			s.shards[k].push(c.specLog[i].ev)
+			s.shards[k].push(&c.specLog[i].ev)
 		}
 		if c.specPanicked {
 			s.specStats.Rejected++
-			s.shards[k].push(c.specCur)
+			s.shards[k].push(&c.specCur)
 			c.specPanicked, c.specPanic = false, nil
 		}
 		clearSpecOps(c.specOps)
