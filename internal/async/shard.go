@@ -89,15 +89,7 @@ func (s *Sim) ShardRunWindow(wStart float64) {
 		if ev == nil {
 			return
 		}
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(ev)
+		s.step(ev)
 	}
 }
 
@@ -176,10 +168,6 @@ func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.Node
 	}
 	s.events.push(&event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
 }
-
-// ShardResult materializes this shard's slice of the run: counters and
-// outputs cover local nodes only; the coordinator merges across shards.
-func (s *Sim) ShardResult() Result { return s.result() }
 
 // ShardRawOutputs visits every local node that produced an output, with
 // its outval-encoded body — the form the RESULT message transports, so

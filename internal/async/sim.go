@@ -162,7 +162,7 @@ type Sim struct {
 	running   bool
 
 	// resumed marks an engine whose state was loaded from a snapshot
-	// (Restore/ShardRestoreFrame): the next run continues the interrupted
+	// (Restore/ShardRestoreFrames): the next run continues the interrupted
 	// one, so handlers are not re-initialized and pending events already
 	// populate the queue.
 	resumed bool
@@ -648,17 +648,23 @@ func (s *Sim) runSerial() {
 		}
 	}
 	for !s.events.empty() {
-		ev := s.events.pop()
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(ev)
+		s.step(s.events.pop())
 	}
+}
+
+// step executes one popped event serially: the clock and livelock guards,
+// then the handler through the direct context. Run (ModeSingle), RunSteps
+// and a shard worker's window all advance through it.
+func (s *Sim) step(ev *event) {
+	if ev.t < s.now {
+		panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
+	}
+	s.now = ev.t
+	s.steps++
+	if s.steps > s.maxEvents {
+		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
+	}
+	s.direct.processEvent(ev)
 }
 
 // runWindows is the bounded-lag executor: repeatedly take the earliest
@@ -837,48 +843,51 @@ func (s *Sim) mergeWindow() {
 	}
 	// Merge staged schedules; seq assignment happens in merge order, which
 	// reproduces the serial engine's schedule-call order exactly.
-	mergeWorkerLists(s.mergeCur, len(s.wctx),
+	MergeRuns(s.mergeCur, len(s.wctx),
 		func(k int) []stagedEv { return s.wctx[k].staged },
 		stagedLess,
-		func(se *stagedEv) { s.schedule(&se.ev) })
+		func(_ int, se *stagedEv) { s.schedule(&se.ev) })
 	for k := range s.wctx {
 		s.wctx[k].staged = s.wctx[k].staged[:0]
 	}
 	if s.keepTrace {
-		mergeWorkerLists(s.mergeCur, len(s.wctx),
+		MergeRuns(s.mergeCur, len(s.wctx),
 			func(k int) []TraceEntry { return s.wctx[k].trace },
-			traceLess,
-			func(te *TraceEntry) { s.trace = append(s.trace, *te) })
+			TraceLess,
+			func(_ int, te *TraceEntry) { s.trace = append(s.trace, *te) })
 		for k := range s.wctx {
 			s.wctx[k].trace = s.wctx[k].trace[:0]
 		}
 	}
 }
 
-// mergeWorkerLists k-way merges the workers' per-window buffers. Each list
-// is already sorted by `less` (workers emit in their shard's (t, seq)
-// processing order) and no key appears in two lists (one owner per event),
-// so a stable scan-for-minimum reproduces the global serial order.
-func mergeWorkerLists[T any](cur []int, n int, list func(k int) []T,
-	less func(a, b *T) bool, emit func(*T)) {
+// MergeRuns k-way merges n sorted runs — the workers' per-window buffers
+// here, the shard workers' flushed logs and traces in internal/shard —
+// calling emit with each element and the index of the run it came from.
+// Each run is already sorted by `less` (workers emit in their shard's
+// (t, seq) processing order) and no key appears in two runs (one owner per
+// event), so a stable scan-for-minimum reproduces the global serial order.
+// cur is caller-owned cursor scratch of length ≥ n.
+func MergeRuns[T any](cur []int, n int, list func(k int) []T,
+	less func(a, b *T) bool, emit func(k int, v *T)) {
 	for k := 0; k < n; k++ {
 		cur[k] = 0
 	}
 	for {
-		best := -1
+		best, head := -1, (*T)(nil)
 		for k := 0; k < n; k++ {
 			l := list(k)
 			if cur[k] == len(l) {
 				continue
 			}
-			if best < 0 || less(&l[cur[k]], &list(best)[cur[best]]) {
-				best = k
+			if h := &l[cur[k]]; best < 0 || less(h, head) {
+				best, head = k, h
 			}
 		}
 		if best < 0 {
 			return
 		}
-		emit(&list(best)[cur[best]])
+		emit(best, head)
 		cur[best]++
 	}
 }
@@ -890,7 +899,8 @@ func stagedLess(a, b *stagedEv) bool {
 	return a.trigSeq < b.trigSeq
 }
 
-func traceLess(a, b *TraceEntry) bool {
+// TraceLess orders trace entries by (T, Seq), the serial delivery order.
+func TraceLess(a, b *TraceEntry) bool {
 	if a.T != b.T {
 		return a.T < b.T
 	}

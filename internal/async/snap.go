@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -20,9 +21,10 @@ import (
 // The frame is relocatable: nodes are keyed by global id, links by their
 // (from, to) endpoint pair, and events carry (src, dst) with the dense
 // LinkID recomputed at restore against whatever graph view the restoring
-// engine holds. A per-shard frame can therefore be split and re-merged
-// across a different shard count (ResplitEngineFrames) — the basis of the
-// shard coordinator's distributed snapshot.
+// engine holds. The K frames of a distributed snapshot can therefore be
+// read by any engine at any shard count: decodeEngine takes the whole frame
+// set and keeps the records whose owner it hosts — the basis of the shard
+// coordinator's distributed snapshot.
 //
 // Arena segments never serialize as handles: a Body's segment words are
 // inlined in the frame and re-carved from the restoring engine's arena, so
@@ -62,8 +64,7 @@ func (s *Sim) Restore(data []byte) error {
 		return err
 	}
 	s.Reset(s.adv, s.specMk)
-	d := wire.NewDec(payload, &s.arena)
-	if err := s.decodeEngine(d); err != nil {
+	if err := s.decodeEngine([][]byte{payload}); err != nil {
 		s.Reset(s.adv, s.specMk) // releases everything the partial decode carved
 		return err
 	}
@@ -92,22 +93,15 @@ func (s *Sim) RunSteps(n uint64) bool {
 		}
 	}
 	for ; n > 0 && !s.events.empty(); n-- {
-		ev := s.events.pop()
-		if ev.t < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-		}
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		s.direct.processEvent(ev)
+		s.step(s.events.pop())
 	}
 	return s.events.empty()
 }
 
 // FinishResult materializes the Result of a stepped run after RunSteps
-// reached quiescence.
+// reached quiescence — or, on a shard engine after the coordinator's FINISH,
+// this shard's slice of the run: counters and outputs cover local nodes
+// only, and the coordinator merges across shards.
 func (s *Sim) FinishResult() Result {
 	if !s.events.empty() {
 		panic("async: FinishResult before quiescence")
@@ -127,13 +121,11 @@ func (s *Sim) ShardSnapshotFrame(e *wire.Enc) error {
 	return s.encodeEngine(e)
 }
 
-// ShardRestoreFrame loads one engine frame into a freshly built shard
-// engine (after BeginShard, instead of ShardInit). On error the engine is
-// unusable; the coordinator aborts the resume.
-func (s *Sim) ShardRestoreFrame(frame []byte) error {
-	d := wire.NewDec(frame, &s.arena)
-	return s.decodeEngine(d)
-}
+// ShardRestoreFrames loads this shard's share of a distributed snapshot —
+// all K_old engine frames, whatever K the resumed run uses — into a freshly
+// built shard engine (after BeginShard, instead of ShardInit). On error the
+// engine is unusable; the coordinator aborts the resume.
+func (s *Sim) ShardRestoreFrames(frames [][]byte) error { return s.decodeEngine(frames) }
 
 // encodeEngine appends the engine's state sections: header, counters,
 // nodes (output + handler state), links (busy/txSeq/outbox), events, and
@@ -287,487 +279,266 @@ func (s *Sim) localNode(v graph.NodeID) bool {
 	return i >= 0 && i < s.g.NLocal()
 }
 
-// decodeEngine reads an encodeEngine frame into a just-reset engine. On
-// failure the caller resets the engine, which releases every segment the
+// decodeEngine reads a snapshot's encodeEngine frames into a just-reset
+// engine: the one frame of a Snapshot, or all K_old frames of a distributed
+// snapshot resumed at any shard count. Records are keyed by global id, so
+// the engine keeps the node, link and event records whose owner it hosts
+// (links belong to their sender, events to the node whose handler they
+// invoke) and skips the rest without carving their segments. The additive
+// counters and the trace are ledgers of the whole run, not of a node range:
+// they land on the engine hosting node 0 (the coordinator's RESULT merge
+// sums counters back), and clocks take the maximum over frames, which every
+// pending event's timestamp dominates (pending events all lie at or beyond
+// the last window boundary, which bounds every engine's clock from above).
+// On failure the caller resets the engine, which releases every segment the
 // partial decode carved.
-func (s *Sim) decodeEngine(d *wire.Dec) error {
-	if n := d.U32(); !d.Failed() && int(n) != s.g.N() {
-		return fmt.Errorf("async: snapshot of a %d-node graph restored into %d nodes", n, s.g.N())
-	}
-	if name := d.Str(); !d.Failed() && name != s.adv.Name() {
-		return fmt.Errorf("async: snapshot under adversary %q restored under %q", name, s.adv.Name())
-	}
-	if la := d.F64(); !d.Failed() && la != s.lookahead {
-		return fmt.Errorf("async: snapshot lookahead %g, engine has %g", la, s.lookahead)
-	}
-	if kt := d.Bool(); !d.Failed() && kt != s.keepTrace {
-		return fmt.Errorf("async: snapshot traced=%v, engine traced=%v", kt, s.keepTrace)
-	}
-	inited := d.Bool()
-
-	s.now = d.F64()
-	s.lastOutputTime = d.F64()
-	s.eventSq = d.U64()
-	s.steps = d.U64()
-	s.msgs = d.U64()
-	s.acks = d.U64()
-	s.dropped = d.U64()
-	s.retrans = d.U64()
-	s.undeliv = d.U64()
-	s.outCount = int(d.I64())
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		s.perProto = bumpProtoBy(s.perProto, Proto(i), d.U64())
-	}
-
-	nNodes := int(d.U32())
-	if !d.Failed() && nNodes != s.g.NLocal() {
-		return fmt.Errorf("async: snapshot carries %d node records, engine hosts %d", nNodes, s.g.NLocal())
-	}
-	for i := 0; i < nNodes && !d.Failed(); i++ {
-		id := graph.NodeID(d.I32())
-		if d.Failed() {
-			break
-		}
-		if !s.localNode(id) {
-			d.Fail("node record %d outside this engine's range", id)
-			break
-		}
-		li := s.li(id)
-		if d.Bool() {
-			b := d.Body()
-			if !d.Failed() && b.Kind == 0 {
-				d.Fail("node %d output record has zero kind", id)
-				break
-			}
-			s.hasOut[li] = true
-			s.outBodies()[li] = b
-		}
-		sc, ok := s.handlers[li].(wire.StateCodec)
-		if !ok {
-			return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", s.handlers[li], id)
-		}
-		end := d.BeginBlob()
-		if d.Failed() {
-			break
-		}
-		// Bind before load (see Rebinder): on a freshly built engine no
-		// callback has told the handler which node it serves yet.
-		if rb, ok := s.handlers[li].(Rebinder); ok {
-			rb.Rebind(&s.nodes[li])
-		}
-		sc.LoadState(d)
-		d.EndBlob(end)
-	}
-
-	linkBlob := d.SkipBlob()
-	nLinks := int(d.U32())
-	ld := wire.NewDec(linkBlob, &s.arena)
-	for i := 0; i < nLinks && !ld.Failed(); i++ {
-		from := graph.NodeID(ld.I32())
-		to := graph.NodeID(ld.I32())
-		if ld.Failed() {
-			break
-		}
-		if !s.localNode(from) {
-			ld.Fail("link record %d->%d not owned by this engine", from, to)
-			break
-		}
-		l := s.g.LinkBetween(from, to)
-		if l < 0 {
-			ld.Fail("link record %d->%d along a non-edge", from, to)
-			break
-		}
-		s.busy[l] = ld.Bool()
-		s.txSeq[l] = ld.U32()
-		nStages := int(ld.U32())
-		if nStages == 0 {
-			continue
-		}
-		// Reconstruct the outbox structure verbatim — including drained
-		// protoFIFO rotation slots and the round-robin cursor — because the
-		// rotation's first-appearance order decides future injection order.
-		ob := s.boxes[l]
-		if ob == nil {
-			ob = &outbox{}
-			s.boxes[l] = ob
-		}
-		prevStage := 0
-		for si := 0; si < nStages && !ld.Failed(); si++ {
-			stage := int(ld.I64())
-			next := int(ld.U32())
-			nProtos := int(ld.U32())
-			if si > 0 && stage <= prevStage {
-				ld.Fail("link %d->%d stages out of order (%d after %d)", from, to, stage, prevStage)
-				break
-			}
-			prevStage = stage
-			if next < 0 || (nProtos > 0 && next >= nProtos) || (nProtos == 0 && next != 0) {
-				ld.Fail("link %d->%d stage %d rotation cursor %d outside %d protos", from, to, stage, next, nProtos)
-				break
-			}
-			sq := stageQueue{stage: stage, next: next}
-			for pi := 0; pi < nProtos && !ld.Failed(); pi++ {
-				pf := protoFIFO{proto: Proto(ld.I32())}
-				nMsgs := int(ld.U32())
-				for mi := 0; mi < nMsgs && !ld.Failed(); mi++ {
-					pf.msgs = append(pf.msgs, Msg{Proto: pf.proto, Stage: stage, Body: ld.Body()})
-				}
-				sq.queued += len(pf.msgs)
-				sq.protos = append(sq.protos, pf)
-			}
-			ob.stages = append(ob.stages, sq)
-			ob.queued += sq.queued
-		}
-	}
-	if err := ld.Err(); err != nil {
-		return err
-	}
-
-	nEvents := int(d.U32())
-	for i := 0; i < nEvents && !d.Failed(); i++ {
-		var ev event
-		ev.kind = d.U8()
-		ev.attempt = d.U8()
-		ev.t = d.F64()
-		ev.seq = d.U64()
-		ev.src = graph.NodeID(d.I32())
-		ev.dst = graph.NodeID(d.I32())
-		ev.msg.Proto = Proto(d.I32())
-		ev.msg.Stage = int(d.I64())
-		ev.msg.Body = d.Body()
-		if d.Failed() {
-			break
-		}
-		switch ev.kind {
-		case evDeliver:
-			if !s.localNode(ev.dst) {
-				d.Fail("delivery event for remote node %d", ev.dst)
-			} else if s.localNode(ev.src) {
-				if ev.link = s.g.LinkBetween(ev.src, ev.dst); ev.link < 0 {
-					d.Fail("delivery event %d->%d along a non-edge", ev.src, ev.dst)
-				}
-			} else if back := s.g.LinkBetween(ev.dst, ev.src); back >= 0 {
-				ev.link = ^back
-			} else {
-				d.Fail("delivery event %d->%d along a non-edge", ev.src, ev.dst)
-			}
-		case evAckArrive, evRetrans:
-			if !s.localNode(ev.src) {
-				d.Fail("event kind %d owned by remote node %d", ev.kind, ev.src)
-			} else if ev.link = s.g.LinkBetween(ev.src, ev.dst); ev.link < 0 {
-				d.Fail("event kind %d %d->%d along a non-edge", ev.kind, ev.src, ev.dst)
-			}
-		default:
-			d.Fail("event of unknown kind %d", ev.kind)
-		}
-		if d.Failed() {
-			break
-		}
-		s.events.push(&ev)
-	}
-
-	nTrace := int(d.U32())
-	for i := 0; i < nTrace && !d.Failed(); i++ {
-		var te TraceEntry
-		te.T = d.F64()
-		te.Seq = d.U64()
-		te.From = graph.NodeID(d.I32())
-		te.To = graph.NodeID(d.I32())
-		te.Msg.Proto = Proto(d.I32())
-		te.Msg.Stage = int(d.I64())
-		te.Msg.Body = d.RawBody()
-		te.Kind = TraceKind(d.U8())
-		if !d.Failed() {
-			s.trace = append(s.trace, te)
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("async: snapshot frame has %d trailing bytes", d.Remaining())
-	}
-	s.resumed = inited
-	return nil
-}
-
-// ResplitEngineFrames merges per-shard engine frames from a distributed
-// snapshot and re-partitions them into k frames under a (possibly
-// different) ownership function: node and link records route to the owner
-// of their node (links to the sender's owner, matching the engine's
-// owner-sharded link state), events to the owner of the node whose handler
-// they invoke, and the trace — already sorted per frame — k-way merges by
-// (T, Seq) into frame 0. Additive counters aggregate into frame 0 (the
-// coordinator's RESULT merge sums them back); clocks take the global
-// maximum everywhere, which every pending event's timestamp dominates
-// (pending events all lie at or beyond the last window boundary, which
-// bounds every engine's clock from above). nextSeq seeds frame 0's
-// event-sequence counter for single-engine restores (shard engines take
-// seqs from coordinator grants instead).
-func ResplitEngineFrames(frames [][]byte, k int, owner func(graph.NodeID) int, nextSeq uint64) ([][]byte, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("async: resplit into %d frames", k)
-	}
-	type secBufs struct {
-		nodes, links, events    wire.Enc
-		nNodes, nLinks, nEvents int
-	}
-	out := make([]secBufs, k)
-	var (
-		headN                                        uint32
-		headAdv                                      string
-		headLA                                       float64
-		headTrace, headInited                        bool
-		maxNow, maxLastOut                           float64
-		steps, msgs, acks, dropped, retrans, undeliv uint64
-		outCount                                     int64
-		perProto                                     []uint64
-		traces                                       [][]byte // per input frame: raw trace records
-		traceCnt                                     []int
-	)
-	route := func(id graph.NodeID) (int, error) {
-		o := owner(id)
-		if o < 0 || o >= k {
-			return 0, fmt.Errorf("async: resplit owner %d of node %d outside %d shards", o, id, k)
-		}
-		return o, nil
-	}
+func (s *Sim) decodeEngine(frames [][]byte) error {
+	n := s.g.N()
+	inGraph := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
+	ledger := s.localNode(0)
+	seen := make([]bool, s.g.NLocal())
+	nSeen := 0
+	inited := false
 	for fi, frame := range frames {
-		d := wire.NewDec(frame, nil)
-		n := d.U32()
-		adv := d.Str()
-		la := d.F64()
-		kt := d.Bool()
-		it := d.Bool()
-		if fi == 0 {
-			headN, headAdv, headLA, headTrace, headInited = n, adv, la, kt, it
-		} else if n != headN || adv != headAdv || la != headLA || kt != headTrace || it != headInited {
-			return nil, fmt.Errorf("async: resplit frames disagree on engine configuration")
+		d := wire.NewDec(frame, &s.arena)
+		if fn := d.U32(); !d.Failed() && int(fn) != n {
+			return fmt.Errorf("async: snapshot of a %d-node graph restored into %d nodes", fn, n)
 		}
-		if now := d.F64(); now > maxNow {
-			maxNow = now
+		if name := d.Str(); !d.Failed() && name != s.adv.Name() {
+			return fmt.Errorf("async: snapshot under adversary %q restored under %q", name, s.adv.Name())
 		}
-		if lo := d.F64(); lo > maxLastOut {
-			maxLastOut = lo
+		if la := d.F64(); !d.Failed() && la != s.lookahead {
+			return fmt.Errorf("async: snapshot lookahead %g, engine has %g", la, s.lookahead)
 		}
-		d.U64() // per-frame eventSq: shard engines take seqs from grants
-		steps += d.U64()
-		msgs += d.U64()
-		acks += d.U64()
-		dropped += d.U64()
-		retrans += d.U64()
-		undeliv += d.U64()
-		outCount += d.I64()
-		for i, pn := 0, int(d.U32()); i < pn && !d.Failed(); i++ {
-			for len(perProto) <= i {
-				perProto = append(perProto, 0)
+		if kt := d.Bool(); !d.Failed() && kt != s.keepTrace {
+			return fmt.Errorf("async: snapshot traced=%v, engine traced=%v", kt, s.keepTrace)
+		}
+		if it := d.Bool(); fi == 0 {
+			inited = it
+		} else if !d.Failed() && it != inited {
+			return fmt.Errorf("async: snapshot frames disagree on whether Init ran (frame %d says %v)", fi, it)
+		}
+
+		s.now = max(s.now, d.F64())
+		s.lastOutputTime = max(s.lastOutputTime, d.F64())
+		s.eventSq = max(s.eventSq, d.U64())
+		steps, msgs, acks := d.U64(), d.U64(), d.U64()
+		dropped, retrans, undeliv := d.U64(), d.U64(), d.U64()
+		outCount := int(d.I64())
+		if ledger {
+			s.steps += steps
+			s.msgs += msgs
+			s.acks += acks
+			s.dropped += dropped
+			s.retrans += retrans
+			s.undeliv += undeliv
+			s.outCount += outCount
+		}
+		for i, np := 0, int(d.U32()); i < np && !d.Failed(); i++ {
+			if c := d.U64(); ledger {
+				s.perProto = bumpProtoBy(s.perProto, Proto(i), c)
 			}
-			perProto[i] += d.U64()
 		}
 
 		for i, nn := 0, int(d.U32()); i < nn && !d.Failed(); i++ {
 			id := graph.NodeID(d.I32())
 			hasOut := d.Bool()
-			var body []byte
-			if hasOut {
-				body = d.SkipBody()
-			}
-			blob := d.SkipBlob()
 			if d.Failed() {
 				break
 			}
-			o, err := route(id)
-			if err != nil {
-				return nil, err
+			if !inGraph(id) {
+				d.Fail("node record %d outside the %d-node graph", id, n)
+				break
 			}
-			t := &out[o]
-			t.nNodes++
-			t.nodes.I32(int32(id))
-			t.nodes.Bool(hasOut)
-			t.nodes.Raw(body)
-			bm := t.nodes.BeginBlob()
-			t.nodes.Raw(blob)
-			t.nodes.EndBlob(bm)
+			if !s.localNode(id) {
+				if hasOut {
+					d.SkipBody()
+				}
+				d.SkipBlob()
+				continue
+			}
+			li := s.li(id)
+			if seen[li] {
+				d.Fail("node %d has two records", id)
+				break
+			}
+			seen[li] = true
+			nSeen++
+			if hasOut {
+				b := d.Body()
+				if !d.Failed() && b.Kind == 0 {
+					d.Fail("node %d output record has zero kind", id)
+					break
+				}
+				s.hasOut[li] = true
+				s.outBodies()[li] = b
+			}
+			sc, ok := s.handlers[li].(wire.StateCodec)
+			if !ok {
+				return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", s.handlers[li], id)
+			}
+			end := d.BeginBlob()
+			if d.Failed() {
+				break
+			}
+			// Bind before load (see Rebinder): on a freshly built engine no
+			// callback has told the handler which node it serves yet.
+			if rb, ok := s.handlers[li].(Rebinder); ok {
+				rb.Rebind(&s.nodes[li])
+			}
+			sc.LoadState(d)
+			d.EndBlob(end)
 		}
 
-		linkBlob := d.SkipBlob()
-		nLinks := int(d.U32())
-		ld := wire.NewDec(linkBlob, nil)
-		for i := 0; i < nLinks && !ld.Failed(); i++ {
+		ld := wire.NewDec(d.SkipBlob(), &s.arena)
+		for i, nl := 0, int(d.U32()); i < nl && !ld.Failed(); i++ {
 			from := graph.NodeID(ld.I32())
+			to := graph.NodeID(ld.I32())
+			busy := ld.Bool()
+			txSeq := ld.U32()
+			nStages := int(ld.U32())
 			if ld.Failed() {
 				break
 			}
-			o, err := route(from)
-			if err != nil {
-				return nil, err
+			if !inGraph(from) || !inGraph(to) {
+				ld.Fail("link record %d->%d outside the %d-node graph", from, to, n)
+				break
 			}
-			t := &out[o]
-			t.nLinks++
-			t.links.I32(int32(from))
-			t.links.I32(ld.I32())
-			t.links.Bool(ld.Bool())
-			t.links.U32(ld.U32())
-			nStages := int(ld.U32())
-			t.links.U32(uint32(nStages))
+			// Reconstruct the outbox structure verbatim — including drained
+			// protoFIFO rotation slots and the round-robin cursor — because the
+			// rotation's first-appearance order decides future injection order.
+			// A foreign link's record is walked the same way, bodies skipped.
+			local := s.localNode(from)
+			var ob *outbox
+			if local {
+				l := s.g.LinkBetween(from, to)
+				if l < 0 {
+					ld.Fail("link record %d->%d along a non-edge", from, to)
+					break
+				}
+				s.busy[l] = busy
+				s.txSeq[l] = txSeq
+				if ob = s.boxes[l]; ob == nil && nStages > 0 {
+					ob = &outbox{}
+					s.boxes[l] = ob
+				}
+			}
+			prevStage := 0
 			for si := 0; si < nStages && !ld.Failed(); si++ {
-				t.links.I64(ld.I64())
-				t.links.U32(ld.U32())
+				stage := int(ld.I64())
+				next := int(ld.U32())
 				nProtos := int(ld.U32())
-				t.links.U32(uint32(nProtos))
+				if si > 0 && stage <= prevStage {
+					ld.Fail("link %d->%d stages out of order (%d after %d)", from, to, stage, prevStage)
+					break
+				}
+				prevStage = stage
+				if next < 0 || (nProtos > 0 && next >= nProtos) || (nProtos == 0 && next != 0) {
+					ld.Fail("link %d->%d stage %d rotation cursor %d outside %d protos", from, to, stage, next, nProtos)
+					break
+				}
+				sq := stageQueue{stage: stage, next: next}
 				for pi := 0; pi < nProtos && !ld.Failed(); pi++ {
-					t.links.I32(ld.I32())
+					pf := protoFIFO{proto: Proto(ld.I32())}
 					nMsgs := int(ld.U32())
-					t.links.U32(uint32(nMsgs))
 					for mi := 0; mi < nMsgs && !ld.Failed(); mi++ {
-						t.links.Raw(ld.SkipBody())
+						if !local {
+							ld.SkipBody()
+							continue
+						}
+						pf.msgs = append(pf.msgs, Msg{Proto: pf.proto, Stage: stage, Body: ld.Body()})
 					}
+					if local {
+						sq.queued += len(pf.msgs)
+						sq.protos = append(sq.protos, pf)
+					}
+				}
+				if local {
+					ob.stages = append(ob.stages, sq)
+					ob.queued += sq.queued
 				}
 			}
 		}
 		if err := ld.Err(); err != nil {
-			return nil, err
+			return err
 		}
 
 		for i, ne := 0, int(d.U32()); i < ne && !d.Failed(); i++ {
-			kind := d.U8()
-			attempt := d.U8()
-			tm := d.F64()
-			seq := d.U64()
-			src := graph.NodeID(d.I32())
-			dst := graph.NodeID(d.I32())
-			proto := d.I32()
-			stage := d.I64()
-			body := d.SkipBody()
+			var ev event
+			ev.kind = d.U8()
+			ev.attempt = d.U8()
+			ev.t = d.F64()
+			ev.seq = d.U64()
+			ev.src = graph.NodeID(d.I32())
+			ev.dst = graph.NodeID(d.I32())
+			ev.msg.Proto = Proto(d.I32())
+			ev.msg.Stage = int(d.I64())
 			if d.Failed() {
 				break
 			}
-			ownNode := src
-			if kind == evDeliver {
-				ownNode = dst
+			if ev.kind != evDeliver && ev.kind != evAckArrive && ev.kind != evRetrans {
+				d.Fail("event of unknown kind %d", ev.kind)
+				break
 			}
-			o, err := route(ownNode)
-			if err != nil {
-				return nil, err
+			if !inGraph(ev.src) || !inGraph(ev.dst) {
+				d.Fail("event kind %d %d->%d outside the %d-node graph", ev.kind, ev.src, ev.dst, n)
+				break
 			}
-			t := &out[o]
-			t.nEvents++
-			t.events.U8(kind)
-			t.events.U8(attempt)
-			t.events.F64(tm)
-			t.events.U64(seq)
-			t.events.I32(int32(src))
-			t.events.I32(int32(dst))
-			t.events.I32(proto)
-			t.events.I64(stage)
-			t.events.Raw(body)
-		}
-
-		// The trace section routes wholesale to frame 0, k-way merged below.
-		tc := int(d.U32())
-		traceStart := len(frame) - d.Remaining()
-		for i := 0; i < tc && !d.Failed(); i++ {
-			d.F64()
-			d.U64()
-			d.I32()
-			d.I32()
-			d.I32()
-			d.I64()
-			d.RawBody()
-			d.U8()
-		}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if d.Remaining() != 0 {
-			return nil, fmt.Errorf("async: resplit frame %d has %d trailing bytes", fi, d.Remaining())
-		}
-		traces = append(traces, frame[traceStart:])
-		traceCnt = append(traceCnt, tc)
-	}
-
-	mergedTrace, nTrace := mergeTraceRecords(traces, traceCnt)
-
-	result := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		e := wire.NewEnc(nil)
-		e.U32(headN)
-		e.Str(headAdv)
-		e.F64(headLA)
-		e.Bool(headTrace)
-		e.Bool(headInited)
-		e.F64(maxNow)
-		e.F64(maxLastOut)
-		if i == 0 {
-			e.U64(nextSeq)
-			e.U64(steps)
-			e.U64(msgs)
-			e.U64(acks)
-			e.U64(dropped)
-			e.U64(retrans)
-			e.U64(undeliv)
-			e.I64(outCount)
-			e.U32(uint32(len(perProto)))
-			for _, n := range perProto {
-				e.U64(n)
-			}
-		} else {
-			for j := 0; j < 8; j++ { // eventSq + six counters + outCount
-				e.U64(0)
-			}
-			e.U32(0)
-		}
-		t := &out[i]
-		e.U32(uint32(t.nNodes))
-		e.Raw(t.nodes.Bytes())
-		lm := e.BeginBlob()
-		e.Raw(t.links.Bytes())
-		e.EndBlob(lm)
-		e.U32(uint32(t.nLinks))
-		e.U32(uint32(t.nEvents))
-		e.Raw(t.events.Bytes())
-		if i == 0 {
-			e.U32(uint32(nTrace))
-			e.Raw(mergedTrace)
-		} else {
-			e.U32(0)
-		}
-		result[i] = append([]byte(nil), e.Bytes()...)
-	}
-	return result, nil
-}
-
-// traceRecLen is the fixed wire size of one trace record.
-const traceRecLen = 8 + 8 + 4 + 4 + 4 + 8 + wire.BodyWireSize + 1
-
-// mergeTraceRecords k-way merges per-frame raw trace sections — each
-// sorted by (T, Seq), keys globally unique — into one sorted byte run.
-func mergeTraceRecords(sections [][]byte, counts []int) ([]byte, int) {
-	var out []byte
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	cur := make([]int, len(sections))
-	key := func(i int) (float64, uint64) {
-		d := wire.NewDec(sections[i][cur[i]*traceRecLen:], nil)
-		return d.F64(), d.U64()
-	}
-	for emitted := 0; emitted < total; emitted++ {
-		best := -1
-		var bt float64
-		var bs uint64
-		for i := range sections {
-			if cur[i] == counts[i] {
+			if !s.localNode(ownerOf(&ev)) {
+				d.SkipBody()
 				continue
 			}
-			t, sq := key(i)
-			if best < 0 || t < bt || (t == bt && sq < bs) {
-				best, bt, bs = i, t, sq
+			ev.msg.Body = d.Body()
+			if d.Failed() {
+				break
+			}
+			// The dense LinkID is recomputed against this engine's graph view; a
+			// delivery whose sender is remote carries the complement of the local
+			// back link instead (see ShardInject).
+			remoteSrc := ev.kind == evDeliver && !s.localNode(ev.src)
+			if remoteSrc {
+				ev.link = s.g.LinkBetween(ev.dst, ev.src)
+			} else {
+				ev.link = s.g.LinkBetween(ev.src, ev.dst)
+			}
+			if ev.link < 0 {
+				d.Fail("event kind %d %d->%d along a non-edge", ev.kind, ev.src, ev.dst)
+				break
+			}
+			if remoteSrc {
+				ev.link = ^ev.link
+			}
+			s.events.push(&ev)
+		}
+
+		for i, nt := 0, int(d.U32()); i < nt && !d.Failed(); i++ {
+			var te TraceEntry
+			te.T = d.F64()
+			te.Seq = d.U64()
+			te.From = graph.NodeID(d.I32())
+			te.To = graph.NodeID(d.I32())
+			te.Msg.Proto = Proto(d.I32())
+			te.Msg.Stage = int(d.I64())
+			te.Msg.Body = d.RawBody()
+			te.Kind = TraceKind(d.U8())
+			if ledger && !d.Failed() {
+				s.trace = append(s.trace, te)
 			}
 		}
-		out = append(out, sections[best][cur[best]*traceRecLen:(cur[best]+1)*traceRecLen]...)
-		cur[best]++
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if d.Remaining() != 0 {
+			return fmt.Errorf("async: snapshot frame %d has %d trailing bytes", fi, d.Remaining())
+		}
 	}
-	return out, total
+	if nSeen != len(seen) {
+		return fmt.Errorf("async: snapshot carries %d node records of the %d this engine hosts", nSeen, len(seen))
+	}
+	if len(frames) > 1 {
+		// Each frame's trace is a (T, Seq)-sorted run with globally unique keys.
+		sort.Slice(s.trace, func(i, j int) bool { return TraceLess(&s.trace[i], &s.trace[j]) })
+	}
+	s.resumed = inited
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -245,12 +246,104 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Error("restore accepted a corrupted snapshot (checksum miss)")
 	}
 
+	// Frame sets. A resumed shard engine reads every frame of a distributed
+	// snapshot and keeps the records it hosts, so what it must refuse is a set
+	// that does not add up, not a record that is someone else's.
+	open := func(s *Sim) []byte {
+		t.Helper()
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := wire.OpenSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	payload := open(a)
+	upper := New(g.Subrange(8, 16), adv, mkRelax)
+	upper.BeginShard()
+	upper.ShardInit() // hosts no root: nothing staged, the frame is complete
+	upperEnc := wire.NewEnc(upper.Arena())
+	if err := upper.ShardSnapshotFrame(upperEnc); err != nil {
+		t.Fatal(err)
+	}
+	nodeAt, linkAt, eventAt := firstRecordOffsets(t, payload)
+	patched := func(off int, id int32) []byte {
+		p := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(p[off:], uint32(id))
+		return p
+	}
+	shardOf := func() *Sim { // hosts [8,16): every patched record below is foreign to it
+		s := New(g.Subrange(8, 16), adv, mkRelax)
+		s.BeginShard()
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		sim    *Sim
+		frames [][]byte
+		want   string
+	}{
+		{"frame-missing", New(g, adv, mkRelax), [][]byte{upperEnc.Bytes()}, "8 node records of the 16"},
+		{"no-frames", New(g, adv, mkRelax), nil, "0 node records of the 16"},
+		{"frame-twice", New(g, adv, mkRelax), [][]byte{payload, payload}, "node 0 has two records"},
+		{"inited-disagrees", New(g, adv, mkRelax), [][]byte{payload, open(New(g, adv, mkRelax))}, "disagree on whether Init ran"},
+		{"trace-flag-disagrees", New(g, adv, mkRelax), [][]byte{payload, open(New(g, adv, mkRelax).KeepTrace())}, "traced=true"},
+		{"node-id-outside", shardOf(), [][]byte{patched(nodeAt, 16)}, "node record 16 outside"},
+		{"link-id-outside", shardOf(), [][]byte{patched(linkAt, -1)}, "link record -1->"},
+		{"event-id-outside", shardOf(), [][]byte{patched(eventAt, 1<<20)}, "outside the 16-node graph"},
+	} {
+		if err := tc.sim.decodeEngine(tc.frames); err == nil {
+			t.Errorf("%s: frame set accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	// The same frame unpatched restores into that shard engine: foreign
+	// records are skipped, its own eight nodes are all found.
+	if err := shardOf().ShardRestoreFrames([][]byte{payload}); err != nil {
+		t.Errorf("shard engine refused a whole-graph frame: %v", err)
+	}
+
 	// floodHandler clones but does not codec: Snapshot must refuse it.
 	nc := New(g, adv, func(graph.NodeID) Handler { return &floodHandler{} })
 	nc.RunSteps(5)
 	if _, err := nc.Snapshot(); err == nil {
 		t.Error("Snapshot accepted a handler without wire.StateCodec")
 	}
+}
+
+// firstRecordOffsets walks an engine frame's sections and returns the byte
+// offsets of the first node record's id, the first link record's sender and
+// the first event record's source (the frame must hold one of each).
+func firstRecordOffsets(t *testing.T, frame []byte) (node, link, event int) {
+	t.Helper()
+	d := wire.NewDec(frame, nil)
+	at := func() int { return len(frame) - d.Remaining() }
+	d.U32() // header: n, adversary, lookahead, traced, inited
+	d.Str()
+	d.Raw(8 + 1 + 1)
+	d.Raw(2*8 + 7*8 + 8) // clocks, eventSq + six counters, outCount
+	d.Raw(8 * int(d.U32()))
+	nNodes := int(d.U32())
+	node = at()
+	for i := 0; i < nNodes; i++ {
+		d.I32()
+		if d.Bool() {
+			d.SkipBody()
+		}
+		d.SkipBlob()
+	}
+	link = at() + 4 // past the link blob's length prefix
+	d.SkipBlob()
+	nLinks, nEvents := d.U32(), d.U32()
+	event = at() + 1 + 1 + 8 + 8 // past kind, attempt, t, seq
+	if d.Failed() || nNodes == 0 || nLinks == 0 || nEvents == 0 {
+		t.Fatalf("frame lacks a node, link or event record (%d/%d/%d, err %v)", nNodes, nLinks, nEvents, d.Err())
+	}
+	return node, link, event
 }
 
 // versionOneFrame seals payload the way a SnapVersion-1 build did: the

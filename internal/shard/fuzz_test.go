@@ -14,13 +14,15 @@ import (
 // the arena's chunk-class boundary (1<<16 words), where the copy spans
 // non-contiguous chunks.
 func FuzzShardFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(0), int32(10), int32(0), int32(3), int32(9), uint16(1), int64(42), int64(-7), 0)
-	f.Add(uint8(1), int32(11), int32(2), int32(0), int32(1), uint16(2), int64(1), int64(2), 48)
+	f.Add(uint8(0), int32(10), int64(0), int32(3), int32(9), uint16(1), int64(42), int64(-7), 0)
+	f.Add(uint8(1), int32(11), int64(2), int32(0), int32(1), uint16(2), int64(1), int64(2), 48)
+	// A stage past int32: snapshots always carried it, the frame must too.
+	f.Add(uint8(1), int32(11), int64(1<<40), int32(0), int32(1), uint16(2), int64(1), int64(2), 3)
 	// The chunk-class boundary, one under, one over.
-	f.Add(uint8(0), int32(12), int32(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65535)
-	f.Add(uint8(0), int32(12), int32(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65536)
-	f.Add(uint8(0), int32(12), int32(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65537)
-	f.Fuzz(func(t *testing.T, kindSel uint8, proto, stage, src, dst int32, bkind uint16, a, b int64, segWords int) {
+	f.Add(uint8(0), int32(12), int64(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65535)
+	f.Add(uint8(0), int32(12), int64(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65536)
+	f.Add(uint8(0), int32(12), int64(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65537)
+	f.Fuzz(func(t *testing.T, kindSel uint8, proto int32, stage int64, src, dst int32, bkind uint16, a, b int64, segWords int) {
 		kind := uint8(async.ShardEvDeliver)
 		if kindSel&1 == 1 {
 			kind = async.ShardEvAckArrive
@@ -39,15 +41,15 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 			body.Seg = seg
 		}
 		m := async.Msg{Proto: async.Proto(proto), Stage: int(stage), Body: body}
-		frame := appendEventFrame(nil, kind, graph.NodeID(src), graph.NodeID(dst), m, &sa)
+		enc := wire.NewEnc(&sa)
+		encodeEventFrame(enc, kind, graph.NodeID(src), graph.NodeID(dst), m)
+		frame := enc.Bytes()
 
 		var da wire.Arena
-		gotKind, gotSrc, gotDst, gotM, used, err := decodeEventFrame(frame, &da)
-		if err != nil {
+		dec := wire.NewDec(frame, &da)
+		gotKind, gotSrc, gotDst, gotM := decodeEventFrame(dec)
+		if err := finish(dec, "event frame"); err != nil {
 			t.Fatalf("decode: %v", err)
-		}
-		if used != len(frame) {
-			t.Fatalf("decode consumed %d of %d bytes", used, len(frame))
 		}
 		if gotKind != kind || gotSrc != graph.NodeID(src) || gotDst != graph.NodeID(dst) {
 			t.Fatalf("envelope (%d,%d,%d) != (%d,%d,%d)", gotKind, gotSrc, gotDst, kind, src, dst)
@@ -77,12 +79,10 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		}
 
 		// Any strict prefix must fail cleanly, never decode garbage.
-		for _, cut := range []int{0, eventFrameHead - 1, len(frame) - 1} {
-			if cut < 0 || cut >= len(frame) {
-				continue
-			}
+		for _, cut := range []int{0, 20, len(frame) - 1} {
 			var ta wire.Arena
-			if _, _, _, _, _, err := decodeEventFrame(frame[:cut], &ta); err == nil {
+			td := wire.NewDec(frame[:cut], &ta)
+			if decodeEventFrame(td); td.Err() == nil {
 				t.Fatalf("decode of %d/%d-byte prefix succeeded", cut, len(frame))
 			}
 			if ta.Live() != 0 {

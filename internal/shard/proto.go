@@ -8,11 +8,14 @@
 //	worker k                       coordinator
 //	--------                       -----------
 //	JOIN{k}           ──────▶
-//	                  ◀──────      HELLO{spec, cuts, self, adversary, ...}
-//	ShardInit
+//	                  ◀──────      HELLO{spec, cuts, self, adversary, ...,
+//	                                     checkpoint path when resuming}
+//	ShardInit, or ShardRestoreFrames
+//	from the checkpoint file
 //	FLUSH{log, minT}  ──────▶      k-way merge all logs by (trigT, trigSeq),
 //	                               grant seqs in merge order, route remote
-//	                  ◀──────      OPEN{wStart, grants, inbound frames}
+//	                  ◀──────      OPEN{wStart, grants, inbound frames, snap?}
+//	SNAPFRAME{engine} ──────▶      (only when snap: seal the K frames to disk)
 //	ShardRunWindow
 //	FLUSH{...}        ──────▶      ... until no shard has pending events ...
 //	                  ◀──────      FINISH
@@ -30,11 +33,13 @@
 // therefore assigns seqs exactly as the serial engine's schedule calls
 // would, and seqs drive every tie-break downstream.
 //
-// Frames are raw copies of wire.Body plus the referenced arena segment's
-// words (see wire.AppendBodySeg): serialization is memcpy. Segments are
-// re-homed into the receiving engine's arena on the way in and released
-// from the sender's on the way out, so each arena's Live() count settles
-// to zero exactly as in a single-process run.
+// Every payload but HELLO's JSON is a wire.Enc stream read back with a
+// wire.Dec — the codec snapshots use, so a value has one byte form whether
+// it crosses a socket or a checkpoint. Bodies travel as raw images plus the
+// referenced arena segment's words (see wire.AppendBodySeg): serialization
+// is memcpy. Segments are re-homed into the receiving engine's arena on the
+// way in and released from the sender's on the way out, so each arena's
+// Live() count settles to zero exactly as in a single-process run.
 package shard
 
 import (
@@ -42,7 +47,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/async"
 	"repro/internal/graph"
@@ -62,9 +66,6 @@ const (
 	// msgSnapFrame carries one worker's engine frame to the coordinator
 	// when an OPEN's snapshot flag was set (worker → coordinator).
 	msgSnapFrame
-	// msgFrame ships one resumed worker its restored engine frame right
-	// after HELLO (coordinator → worker).
-	msgFrame
 )
 
 // maxMsgLen bounds a single protocol message; a 10M-node shard's flush
@@ -103,116 +104,44 @@ func readMsg(r *bufio.Reader, buf []byte) (byte, []byte, error) {
 	return hdr[0], buf, nil
 }
 
-// Little-endian append/read helpers. The envelope fields go through
-// encoding/binary; the Body+segment bulk goes through wire's memcpy
-// codec.
-
-func appendU8(b []byte, v uint8) []byte { return append(b, v) }
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendI32(b []byte, v int32) []byte { return appendU32(b, uint32(v)) }
-
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-// reader is a cursor over a received payload; short reads poison it and
-// surface once at err().
-type reader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *reader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
+// finish closes the decode of one received message: the decoder's sticky
+// error (a short or malformed payload) or unread trailing bytes.
+func finish(d *wire.Dec, what string) error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("shard: %s message: %w", what, err)
 	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) u8() uint8 {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *reader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(v)
-}
-
-func (r *reader) u64() uint64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
-}
-
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) done() bool   { return r.off == len(r.b) && !r.bad }
-func (r *reader) err(what string) error {
-	if r.bad {
-		return fmt.Errorf("shard: truncated %s message", what)
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("shard: %d trailing bytes in %s message", len(r.b)-r.off, what)
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("shard: %d trailing bytes in %s message", n, what)
 	}
 	return nil
 }
 
-// Event frames: one cross-shard event in flight. Layout:
+// Event frames: one cross-shard event in flight, a blob inside FLUSH and
+// OPEN. Layout:
 //
-//	kind u8 | proto i32 | stage i32 | src i32 | dst i32 | Body+segment
+//	kind u8 | proto i32 | stage i64 | src i32 | dst i32 | Body+segment
 //
 // The timestamp and granted seq travel in the enclosing envelope (the
 // flush entry / open inbound record); the local LinkID deliberately does
 // not travel — link ids are shard-local, so the receiver recomputes its
 // own (see async.ShardInject).
-const eventFrameHead = 1 + 4 + 4 + 4 + 4
-
-func appendEventFrame(dst []byte, kind uint8, src, to graph.NodeID, m async.Msg, a *wire.Arena) []byte {
-	dst = appendU8(dst, kind)
-	dst = appendI32(dst, int32(m.Proto))
-	dst = appendI32(dst, int32(m.Stage))
-	dst = appendI32(dst, int32(src))
-	dst = appendI32(dst, int32(to))
-	return wire.AppendBodySeg(dst, m.Body, a)
+func encodeEventFrame(e *wire.Enc, kind uint8, src, to graph.NodeID, m async.Msg) {
+	e.U8(kind)
+	e.I32(int32(m.Proto))
+	e.I64(int64(m.Stage))
+	e.I32(int32(src))
+	e.I32(int32(to))
+	e.Body(m.Body)
 }
 
-// decodeEventFrame decodes one event frame, re-homing any segment into a.
-// Returns the event fields, the bytes consumed, and an error on a
-// malformed buffer.
-func decodeEventFrame(b []byte, a *wire.Arena) (kind uint8, src, to graph.NodeID, m async.Msg, n int, err error) {
-	if len(b) < eventFrameHead {
-		return 0, 0, 0, m, 0, fmt.Errorf("shard: event frame truncated at %d bytes", len(b))
-	}
-	kind = b[0]
-	m.Proto = async.Proto(int32(binary.LittleEndian.Uint32(b[1:])))
-	m.Stage = int(int32(binary.LittleEndian.Uint32(b[5:])))
-	src = graph.NodeID(int32(binary.LittleEndian.Uint32(b[9:])))
-	to = graph.NodeID(int32(binary.LittleEndian.Uint32(b[13:])))
-	body, used, err := wire.DecodeBodySeg(b[eventFrameHead:], a)
-	if err != nil {
-		return 0, 0, 0, async.Msg{}, 0, err
-	}
-	m.Body = body
-	return kind, src, to, m, eventFrameHead + used, nil
+// decodeEventFrame reads one event frame, re-homing any segment into d's
+// arena; a malformed frame latches d's sticky error.
+func decodeEventFrame(d *wire.Dec) (kind uint8, src, to graph.NodeID, m async.Msg) {
+	kind = d.U8()
+	m.Proto = async.Proto(d.I32())
+	m.Stage = int(d.I64())
+	src = graph.NodeID(d.I32())
+	to = graph.NodeID(d.I32())
+	m.Body = d.Body()
+	return kind, src, to, m
 }

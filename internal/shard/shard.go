@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/async"
@@ -78,7 +79,7 @@ type Config struct {
 	// ResumeFrom resumes a checkpointed run from its snapshot file. The
 	// workload identity (graph, adversary, faults, workload, sources,
 	// trace flag) is taken from the file; Shards may differ from the
-	// checkpoint's K — frames are re-split across the new partition.
+	// checkpoint's K — each worker keeps the records its nodes own.
 	ResumeFrom string
 }
 
@@ -135,12 +136,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.SnapshotEvery > 0 && cfg.SnapshotPath == "" {
 		return nil, fmt.Errorf("shard: SnapshotEvery without a SnapshotPath")
 	}
-	var resumeHdr *snapHeader
-	var resumeFrames [][]byte
+	var resumeSeq uint64
 	if cfg.ResumeFrom != "" {
 		var err error
-		cfg, resumeHdr, resumeFrames, err = loadResume(cfg)
-		if err != nil {
+		if cfg, resumeSeq, err = loadResume(cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -181,20 +180,13 @@ func Run(cfg Config) (*Report, error) {
 	k = part.K()
 
 	c := &coord{
-		cfg:  cfg,
-		part: part,
+		cfg:       cfg,
+		part:      part,
+		resumeSeq: resumeSeq,
 		stats: Stats{
 			Shards:     k,
 			CrossLinks: part.CrossLinks(full),
 		},
-	}
-	if resumeHdr != nil {
-		frames, err := resplitForResume(resumeFrames, part, resumeHdr.NextSeq)
-		if err != nil {
-			return nil, err
-		}
-		c.resumeFrames = frames
-		c.resumeSeq = resumeHdr.NextSeq
 	}
 	return c.run(full)
 }
@@ -207,10 +199,11 @@ type coord struct {
 
 	conns []workerConn
 
-	// Resume state: per-shard engine frames to ship after HELLO, and the
-	// grant counter the checkpoint froze.
-	resumeFrames [][]byte
-	resumeSeq    uint64
+	// resumeSeq is the grant counter a resumed checkpoint froze (0 on a
+	// fresh run); cfg.ResumeFrom names the file the workers restore from.
+	resumeSeq uint64
+
+	mergeCur []int // MergeRuns cursor scratch
 }
 
 // workerConn is one connected worker.
@@ -219,6 +212,7 @@ type workerConn struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 	buf  []byte // receive buffer, reused across windows
+	dec  wire.Dec
 
 	// Decoded current flush.
 	hasMin  bool
@@ -227,12 +221,16 @@ type workerConn struct {
 	steps   uint64
 	entries []flushEntry
 
-	// OPEN under construction.
+	// OPEN under construction: grants and routed inbound records accumulate
+	// side by side during the merge, then open assembles the message.
 	grants  []uint64
-	inbound []byte
+	inbound wire.Enc
 	inCount uint32
+	open    wire.Enc
 
-	err error // in-proc worker outcome
+	// err is an in-process worker's failure, stored by its goroutine before
+	// it closes the socket and loaded here once the coordinator's read fails.
+	err atomic.Pointer[error]
 }
 
 // flushEntry is one staged schedule call as received; frame views the
@@ -260,6 +258,7 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 
 	k := c.part.K()
 	c.conns = make([]workerConn, k)
+	c.mergeCur = make([]int, k)
 	t0 := time.Now()
 
 	// Launch. In-process workers share the already-built graph read-only;
@@ -302,7 +301,7 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 				if serr := serveWorker(conn, i, full, false); serr != nil {
 					// Surfaces as a protocol read error coordinator-side;
 					// keep the cause for the error message.
-					c.conns[i].err = serr
+					c.conns[i].err.Store(&serr)
 				}
 			}(i)
 		}
@@ -329,7 +328,7 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 			conn.Close()
 			return nil, c.workerError(fmt.Errorf("shard: bad JOIN handshake (%v)", merr))
 		}
-		idx := int(uint32(payload[0]) | uint32(payload[1])<<8 | uint32(payload[2])<<16 | uint32(payload[3])<<24)
+		idx := int(wire.NewDec(payload, nil).U32())
 		if idx < 0 || idx >= k || c.conns[idx].conn != nil {
 			conn.Close()
 			return nil, fmt.Errorf("shard: worker joined with bad index %d", idx)
@@ -346,17 +345,18 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 		}
 	}()
 
-	// HELLO (plus the restored engine frame when resuming).
+	// HELLO. A resumed run names its checkpoint file; the workers open it
+	// themselves (see loadResume for why that is safe).
 	hcfg := hello{
-		GraphSpec: c.cfg.GraphSpec,
-		Cuts:      c.part.Cuts(),
-		Adversary: c.cfg.Adversary,
-		Faults:    c.cfg.Faults,
-		Workload:  c.cfg.Workload,
-		Sources:   sortNodeIDs(append([]graph.NodeID(nil), c.cfg.Sources...)),
-		SegWords:  c.cfg.SegWords,
-		KeepTrace: c.cfg.KeepTrace,
-		Resume:    c.resumeFrames != nil,
+		GraphSpec:  c.cfg.GraphSpec,
+		Cuts:       c.part.Cuts(),
+		Adversary:  c.cfg.Adversary,
+		Faults:     c.cfg.Faults,
+		Workload:   c.cfg.Workload,
+		Sources:    sortNodeIDs(append([]graph.NodeID(nil), c.cfg.Sources...)),
+		SegWords:   c.cfg.SegWords,
+		KeepTrace:  c.cfg.KeepTrace,
+		ResumeFrom: c.cfg.ResumeFrom,
 	}
 	for i := range c.conns {
 		hcfg.Self = i
@@ -366,11 +366,6 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 		}
 		if werr := writeMsg(c.conns[i].w, msgHello, payload); werr != nil {
 			return nil, c.workerError(werr)
-		}
-		if c.resumeFrames != nil {
-			if werr := writeMsg(c.conns[i].w, msgFrame, c.resumeFrames[i]); werr != nil {
-				return nil, c.workerError(werr)
-			}
 		}
 	}
 
@@ -472,8 +467,8 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 // workerError augments a protocol error with any in-process worker cause.
 func (c *coord) workerError(err error) error {
 	for i := range c.conns {
-		if c.conns[i].err != nil {
-			return fmt.Errorf("%v (worker %d: %v)", err, i, c.conns[i].err)
+		if werr := c.conns[i].err.Load(); werr != nil {
+			return fmt.Errorf("%v (worker %d: %w)", err, i, *werr)
 		}
 	}
 	return err
@@ -489,29 +484,26 @@ func (c *coord) readFlush(wc *workerConn) error {
 	if typ != msgFlush {
 		return fmt.Errorf("shard: expected FLUSH, got message type %d", typ)
 	}
-	rd := reader{b: payload}
-	wc.hasMin = rd.u8() != 0
-	wc.minT = rd.f64()
-	wc.execNs = rd.u64()
-	wc.steps = rd.u64()
-	n := int(rd.u32())
+	d := &wc.dec
+	d.Reset(payload, nil)
+	wc.hasMin = d.Bool()
+	wc.minT = d.F64()
+	wc.execNs = d.U64()
+	wc.steps = d.U64()
 	wc.entries = wc.entries[:0]
-	for i := 0; i < n; i++ {
+	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		e := flushEntry{
-			trigT:   rd.f64(),
-			trigSeq: rd.u64(),
-			evT:     rd.f64(),
-			owner:   graph.NodeID(rd.i32()),
+			trigT:   d.F64(),
+			trigSeq: d.U64(),
+			evT:     d.F64(),
+			owner:   graph.NodeID(d.I32()),
 		}
-		if rd.u8() != 0 {
-			e.frame = rd.take(int(rd.u32()))
-		}
-		if rd.bad {
-			break
+		if d.Bool() {
+			e.frame = d.SkipBlob()
 		}
 		wc.entries = append(wc.entries, e)
 	}
-	return rd.err("FLUSH")
+	return finish(d, "FLUSH")
 }
 
 // merge k-way merges the flushed logs by (trigT, trigSeq) — the serial
@@ -523,48 +515,34 @@ func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 	for i := range c.conns {
 		wc := &c.conns[i]
 		wc.grants = wc.grants[:0]
-		wc.inbound = wc.inbound[:0]
+		wc.inbound.Reset()
 		wc.inCount = 0
 	}
-	cur := make([]int, len(c.conns))
-	newMin := math.Inf(1)
-	for {
-		best := -1
-		for i := range c.conns {
-			es := c.conns[i].entries
-			if cur[i] == len(es) {
-				continue
+	wStart = math.Inf(1)
+	async.MergeRuns(c.mergeCur, len(c.conns),
+		func(i int) []flushEntry { return c.conns[i].entries },
+		entryLess,
+		func(from int, e *flushEntry) {
+			seq := *nextSeq
+			*nextSeq++
+			c.conns[from].grants = append(c.conns[from].grants, seq)
+			wStart = min(wStart, e.evT)
+			if e.frame == nil {
+				return
 			}
-			if best < 0 || entryLess(&es[cur[i]], &c.conns[best].entries[cur[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := &c.conns[best].entries[cur[best]]
-		cur[best]++
-		seq := *nextSeq
-		*nextSeq++
-		c.conns[best].grants = append(c.conns[best].grants, seq)
-		if e.evT < newMin {
-			newMin = e.evT
-		}
-		if e.frame != nil {
 			dst := &c.conns[c.part.Owner(e.owner)]
-			dst.inbound = appendU64(dst.inbound, seq)
-			dst.inbound = appendF64(dst.inbound, e.evT)
-			dst.inbound = appendU32(dst.inbound, uint32(len(e.frame)))
-			dst.inbound = append(dst.inbound, e.frame...)
+			dst.inbound.U64(seq)
+			dst.inbound.F64(e.evT)
+			mark := dst.inbound.BeginBlob()
+			dst.inbound.Raw(e.frame)
+			dst.inbound.EndBlob(mark)
 			dst.inCount++
 			c.stats.Frames++
 			c.stats.FrameBytes += uint64(len(e.frame))
-		}
-	}
-	wStart = newMin
+		})
 	for i := range c.conns {
-		if wc := &c.conns[i]; wc.hasMin && wc.minT < wStart {
-			wStart = wc.minT
+		if wc := &c.conns[i]; wc.hasMin {
+			wStart = min(wStart, wc.minT)
 		}
 	}
 	return wStart, !math.IsInf(wStart, 1)
@@ -580,19 +558,17 @@ func entryLess(a, b *flushEntry) bool {
 // writeOpen sends one worker its grants and routed inbound events, plus
 // the snapshot flag requesting an engine frame before the window runs.
 func (c *coord) writeOpen(wc *workerConn, wStart float64, snap bool) error {
-	out := appendF64(nil, wStart)
-	out = appendU32(out, uint32(len(wc.grants)))
+	out := &wc.open
+	out.Reset()
+	out.F64(wStart)
+	out.U32(uint32(len(wc.grants)))
 	for _, s := range wc.grants {
-		out = appendU64(out, s)
+		out.U64(s)
 	}
-	out = appendU32(out, wc.inCount)
-	out = append(out, wc.inbound...)
-	if snap {
-		out = appendU8(out, 1)
-	} else {
-		out = appendU8(out, 0)
-	}
-	return writeMsg(wc.w, msgOpen, out)
+	out.U32(wc.inCount)
+	out.Raw(wc.inbound.Bytes())
+	out.Bool(snap)
+	return writeMsg(wc.w, msgOpen, out.Bytes())
 }
 
 // collectSnapshot reads one engine frame per worker (the response to a
@@ -636,46 +612,38 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 	if typ != msgResult {
 		return fmt.Errorf("shard: expected RESULT, got message type %d", typ)
 	}
-	rd := reader{b: payload}
+	d := &wc.dec
+	d.Reset(payload, nil)
 	res := &rep.Result
-	if t := rd.f64(); t > res.Time {
-		res.Time = t
-	}
-	if q := rd.f64(); q > res.QuiesceTime {
-		res.QuiesceTime = q
-	}
-	res.Msgs += rd.u64()
-	res.Acks += rd.u64()
-	res.Dropped += rd.u64()
-	res.Retrans += rd.u64()
-	res.Undeliverable += rd.u64()
+	res.Time = max(res.Time, d.F64())
+	res.QuiesceTime = max(res.QuiesceTime, d.F64())
+	res.Msgs += d.U64()
+	res.Acks += d.U64()
+	res.Dropped += d.U64()
+	res.Retrans += d.U64()
+	res.Undeliverable += d.U64()
 	si := &rep.Shards[idx]
-	si.Steps = rd.u64()
-	si.SegLive = int(rd.u64())
-	si.Nodes = int(rd.u32())
-	si.Links = int(rd.u32())
-	si.Boundary = int(rd.u32())
-	si.GraphBytes = int64(rd.u64())
-	si.EngineBytes = int64(rd.u64())
-	si.HeapMB = int64(rd.u64())
-	np := int(rd.u32())
-	for i := 0; i < np; i++ {
-		p := async.Proto(rd.i32())
-		n := rd.u64()
-		if rd.bad {
-			break
-		}
+	si.Steps = d.U64()
+	si.SegLive = int(d.U64())
+	si.Nodes = int(d.U32())
+	si.Links = int(d.U32())
+	si.Boundary = int(d.U32())
+	si.GraphBytes = int64(d.U64())
+	si.EngineBytes = int64(d.U64())
+	si.HeapMB = int64(d.U64())
+	for i, np := 0, int(d.U32()); i < np && !d.Failed(); i++ {
+		p := async.Proto(d.I32())
+		n := d.U64()
 		if res.PerProto == nil {
 			res.PerProto = make(map[async.Proto]uint64)
 		}
 		res.PerProto[p] += n
 	}
-	no := int(rd.u32())
-	for i := 0; i < no; i++ {
-		id := graph.NodeID(rd.i32())
-		raw := rd.take(wire.BodyWireSize)
-		if rd.bad {
-			break
+	for od := wire.NewDec(d.SkipBlob(), nil); od.Remaining() > 0; {
+		id := graph.NodeID(od.I32())
+		b := od.RawBody()
+		if od.Failed() {
+			return finish(od, "RESULT outputs")
 		}
 		if res.Outputs == nil {
 			res.Outputs = make(map[graph.NodeID]any)
@@ -683,34 +651,27 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 		if _, dup := res.Outputs[id]; dup {
 			return fmt.Errorf("shard: node %d reported an output from two shards", id)
 		}
-		res.Outputs[id] = outval.DecodeSlot(wire.DecodeBody(raw), nil)
+		res.Outputs[id] = outval.DecodeSlot(b, nil)
 	}
-	nt := int(rd.u32())
-	var tr []async.TraceEntry
-	if nt > 0 {
-		tr = make([]async.TraceEntry, 0, nt)
-	}
-	for i := 0; i < nt; i++ {
+	nt := int(d.U32())
+	tr := make([]async.TraceEntry, 0, min(nt, d.Remaining())) // a record is more than a byte
+	for i := 0; i < nt && !d.Failed(); i++ {
 		te := async.TraceEntry{
-			T:    rd.f64(),
-			Seq:  rd.u64(),
-			From: graph.NodeID(rd.i32()),
-			To:   graph.NodeID(rd.i32()),
+			T:    d.F64(),
+			Seq:  d.U64(),
+			From: graph.NodeID(d.I32()),
+			To:   graph.NodeID(d.I32()),
 		}
-		te.Msg.Proto = async.Proto(rd.i32())
-		te.Msg.Stage = int(rd.i32())
-		raw := rd.take(wire.BodyWireSize)
-		if rd.bad {
-			break
-		}
-		te.Msg.Body = wire.DecodeBody(raw)
-		te.Kind = async.TraceKind(rd.u8())
+		te.Msg.Proto = async.Proto(d.I32())
+		te.Msg.Stage = int(d.I64())
+		te.Msg.Body = d.RawBody()
+		te.Kind = async.TraceKind(d.U8())
 		tr = append(tr, te)
 	}
 	if c.cfg.KeepTrace {
 		*traces = append(*traces, tr)
 	}
-	return rd.err("RESULT")
+	return finish(d, "RESULT")
 }
 
 // mergeTraces k-way merges per-shard delivery traces by (T, Seq); shards
@@ -721,28 +682,9 @@ func mergeTraces(traces [][]async.TraceEntry) []async.TraceEntry {
 		total += len(tr)
 	}
 	out := make([]async.TraceEntry, 0, total)
-	cur := make([]int, len(traces))
-	for {
-		best := -1
-		for i, tr := range traces {
-			if cur[i] == len(tr) {
-				continue
-			}
-			if best < 0 || traceEntryLess(&tr[cur[i]], &traces[best][cur[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, traces[best][cur[best]])
-		cur[best]++
-	}
-}
-
-func traceEntryLess(a, b *async.TraceEntry) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	return a.Seq < b.Seq
+	async.MergeRuns(make([]int, len(traces)), len(traces),
+		func(k int) []async.TraceEntry { return traces[k] },
+		async.TraceLess,
+		func(_ int, te *async.TraceEntry) { out = append(out, *te) })
+	return out
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
@@ -22,9 +21,12 @@ import (
 // header + K length-prefixed frames into one file.
 //
 // Resume rebuilds the run from the file alone: the header replays the
-// HELLO configuration, and the frames — relocatable by construction — are
-// re-split across the resumed partition (async.ResplitEngineFrames), so a
-// checkpoint taken at K shards restores at any K′.
+// HELLO configuration, and the frames are relocatable by construction —
+// every record is keyed by global id — so each resumed worker opens the
+// file, hands all K frames to async.ShardRestoreFrames, and keeps the
+// records its own nodes own. A checkpoint taken at K shards restores at any
+// K′ with no coordinator-side rewriting; the run-wide ledgers (counters,
+// trace) land on whichever worker hosts node 0.
 
 // snapHeader is the sealed file's JSON preamble: everything a resumed
 // coordinator needs to rebuild workers byte-identically.
@@ -56,45 +58,59 @@ func sealShardSnapshot(hdr *snapHeader, frames [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := appendU32(nil, uint32(len(hb)))
-	payload = append(payload, hb...)
+	var e wire.Enc
+	e.U32(uint32(len(hb)))
+	e.Raw(hb)
 	for _, f := range frames {
-		payload = appendU32(payload, uint32(len(f)))
-		payload = append(payload, f...)
+		e.U32(uint32(len(f)))
+		e.Raw(f)
 	}
-	return wire.SealSnapshot(payload), nil
+	return wire.SealSnapshot(e.Bytes()), nil
 }
 
 // openShardSnapshot parses a sealed checkpoint into its header and the
-// per-shard engine frames.
+// per-shard engine frames (views of data).
 func openShardSnapshot(data []byte) (*snapHeader, [][]byte, error) {
 	payload, err := wire.OpenSnapshot(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	rd := reader{b: payload}
-	hb := rd.take(int(rd.u32()))
-	if rd.bad {
+	d := wire.NewDec(payload, nil)
+	hb := d.SkipBlob()
+	if d.Failed() {
 		return nil, nil, fmt.Errorf("shard: truncated snapshot header")
 	}
 	var hdr snapHeader
 	if err := json.Unmarshal(hb, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("shard: bad snapshot header: %v", err)
 	}
-	if hdr.Shards < 1 {
-		return nil, nil, fmt.Errorf("shard: snapshot of %d shards", hdr.Shards)
+	// Each frame costs at least its 4-byte length, which bounds the count a
+	// well-sealed header may claim before anything is allocated for it.
+	if hdr.Shards < 1 || hdr.Shards > d.Remaining()/4 {
+		return nil, nil, fmt.Errorf("shard: snapshot header claims %d shards over a %d-byte frame section", hdr.Shards, d.Remaining())
 	}
 	frames := make([][]byte, hdr.Shards)
 	for i := range frames {
-		frames[i] = rd.take(int(rd.u32()))
-		if rd.bad {
-			return nil, nil, fmt.Errorf("shard: snapshot truncated at frame %d of %d", i, hdr.Shards)
-		}
+		frames[i] = d.SkipBlob()
 	}
-	if err := rd.err("snapshot"); err != nil {
+	if err := finish(d, "snapshot"); err != nil {
 		return nil, nil, err
 	}
 	return &hdr, frames, nil
+}
+
+// readSnapshotFile opens a checkpoint file: the coordinator to replay its
+// header, each resumed worker again for the frames.
+func readSnapshotFile(path string) (*snapHeader, [][]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	hdr, frames, err := openShardSnapshot(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard: %s: %w", filepath.Base(path), err)
+	}
+	return hdr, frames, nil
 }
 
 // writeSnapshotFile seals and atomically replaces path (write-temp-rename,
@@ -115,21 +131,28 @@ func writeSnapshotFile(path string, hdr *snapHeader, frames [][]byte) error {
 	return nil
 }
 
-// loadResume reads a checkpoint file and folds its header into cfg: the
+// loadResume opens a checkpoint file and folds its header into cfg: the
 // workload identity (graph, adversary, faults, workload, sources, trace
 // flag) comes from the file — a resume must continue the checkpointed run,
 // not a reconfigured one — while execution choices (Shards, Launch,
-// snapshot cadence, ceilings) stay the caller's. The frames are re-split
-// for the resumed shard count once the partition is known (coord.run).
-func loadResume(cfg Config) (Config, *snapHeader, [][]byte, error) {
-	data, err := os.ReadFile(cfg.ResumeFrom)
+// snapshot cadence, ceilings) stay the caller's. The coordinator opens the
+// file in full (seal, version, header, frame count) so a bad one fails
+// before any worker is spawned, then passes its absolute path on in HELLO
+// for the workers to open again. That is safe even when the resumed run
+// checkpoints back onto the same path: workers read before their first
+// FLUSH, the coordinator writes no checkpoint until every first FLUSH is
+// in, and checkpoints land by rename. Also returns the grant counter the
+// checkpoint froze.
+func loadResume(cfg Config) (_ Config, nextSeq uint64, err error) {
+	path, err := filepath.Abs(cfg.ResumeFrom)
 	if err != nil {
-		return cfg, nil, nil, err
+		return cfg, 0, err
 	}
-	hdr, frames, err := openShardSnapshot(data)
+	hdr, _, err := readSnapshotFile(path)
 	if err != nil {
-		return cfg, nil, nil, fmt.Errorf("shard: %s: %v", filepath.Base(cfg.ResumeFrom), err)
+		return cfg, 0, err
 	}
+	cfg.ResumeFrom = path
 	cfg.GraphSpec = hdr.GraphSpec
 	cfg.Adversary = hdr.Adversary
 	cfg.Faults = hdr.Faults
@@ -138,13 +161,7 @@ func loadResume(cfg Config) (Config, *snapHeader, [][]byte, error) {
 	cfg.SegWords = hdr.SegWords
 	cfg.KeepTrace = hdr.KeepTrace
 	if hdr.GraphSpec == "" && cfg.Graph == nil {
-		return cfg, nil, nil, fmt.Errorf("shard: snapshot carries no graph spec and no pre-built graph was supplied")
+		return cfg, 0, fmt.Errorf("shard: snapshot carries no graph spec and no pre-built graph was supplied")
 	}
-	return cfg, hdr, frames, nil
-}
-
-// resplitForResume routes the checkpoint's frames onto the resumed
-// partition (possibly a different K) via the engine-frame re-splitter.
-func resplitForResume(frames [][]byte, part graph.Partition, nextSeq uint64) ([][]byte, error) {
-	return async.ResplitEngineFrames(frames, part.K(), part.Owner, nextSeq)
+	return cfg, hdr.NextSeq, nil
 }

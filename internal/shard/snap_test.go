@@ -1,10 +1,15 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestShardSnapshotResume is the distributed-snapshot identity matrix: a
@@ -12,8 +17,8 @@ import (
 // uncheckpointed run — snapshotting is observation, not perturbation —
 // and (b) resume from its last checkpoint at a different shard count K′
 // to the same final result, byte for byte (counters, outputs, PerProto,
-// full trace). Frames are relocatable, so the re-split across K′ is the
-// part under test.
+// full trace). Frames are relocatable, so each K′-way worker picking its
+// own records out of the K frames is the part under test.
 func TestShardSnapshotResume(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -95,7 +100,9 @@ func TestShardSnapshotResume(t *testing.T) {
 
 // TestShardSnapshotErrors pins the checkpoint configuration and file
 // validation: a cadence without a path, a resume from a missing file, and
-// a resume from a corrupted file all fail before any worker is spawned.
+// a resume from a corrupted, outdated or lying file all fail before any
+// worker is spawned; a well-formed file whose frame set is incomplete
+// fails in the workers, and the run returns their error.
 func TestShardSnapshotErrors(t *testing.T) {
 	if _, err := Run(Config{GraphSpec: "grid:4x4", Workload: "flood",
 		Adversary: "fixed:0.5", SnapshotEvery: 10}); err == nil {
@@ -123,18 +130,67 @@ func TestShardSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"flipped":   func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },
-		"empty":     func([]byte) []byte { return nil },
-	} {
-		t.Run(name, func(t *testing.T) {
-			bad := filepath.Join(dir, name+".bin")
-			if err := os.WriteFile(bad, mutate(append([]byte(nil), data...)), 0o644); err != nil {
+	// reseal rewrites the checkpoint's header and frame set.
+	reseal := func(edit func(*snapHeader, [][]byte) [][]byte) func([]byte) []byte {
+		return func(b []byte) []byte {
+			hdr, frames, err := openShardSnapshot(b)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Run(Config{ResumeFrom: bad}); err == nil {
-				t.Error("corrupted checkpoint accepted")
+			out, err := sealShardSnapshot(hdr, edit(hdr, frames))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]byte) []byte
+		want   error  // matched with errors.Is when set
+		substr string // must appear in the error when set
+	}{
+		{name: "truncated", mutate: func(b []byte) []byte { return b[:len(b)/2] }},
+		{name: "flipped", mutate: func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+		{name: "empty", mutate: func([]byte) []byte { return nil }},
+		{name: "version", want: wire.ErrSnapVersion, mutate: func(b []byte) []byte {
+			// A SnapVersion-1 container written out by hand (magic, version,
+			// payload length, FNV-1a): everything valid but the version.
+			payload, err := wire.OpenSnapshot(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := uint64(14695981039346656037)
+			for _, c := range payload {
+				sum = (sum ^ uint64(c)) * 1099511628211
+			}
+			old := []byte{'S', 'N', 'A', 'P', 1, 0, 0, 0}
+			old = binary.LittleEndian.AppendUint64(old, uint64(len(payload)))
+			old = binary.LittleEndian.AppendUint64(old, sum)
+			return append(old, payload...)
+		}},
+		{name: "shards-overflow", substr: "shards", mutate: reseal(func(h *snapHeader, f [][]byte) [][]byte {
+			h.Shards = 1 << 30 // well sealed, but no file holds a billion frames
+			return f
+		})},
+		{name: "frame-missing", substr: "node records", mutate: reseal(func(h *snapHeader, f [][]byte) [][]byte {
+			h.Shards = 1
+			return f[:1]
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := filepath.Join(dir, tc.name+".bin")
+			if err := os.WriteFile(bad, tc.mutate(append([]byte(nil), data...)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Run(Config{ResumeFrom: bad})
+			switch {
+			case err == nil:
+				t.Error("bad checkpoint accepted")
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Errorf("error %q does not wrap %q", err, tc.want)
+			case !strings.Contains(err.Error(), tc.substr):
+				t.Errorf("error %q does not mention %q", err, tc.substr)
 			}
 		})
 	}

@@ -71,9 +71,10 @@ type hello struct {
 	Sources   []graph.NodeID
 	SegWords  int
 	KeepTrace bool
-	// Resume announces that a FRAME message follows HELLO: the worker
-	// restores its engine from the frame instead of running ShardInit.
-	Resume bool
+	// ResumeFrom, when set, is the absolute path of the checkpoint file the
+	// worker restores its engine from instead of running ShardInit (workers
+	// share the coordinator's machine, as the socket path already assumes).
+	ResumeFrom string
 }
 
 // settledHeap is the worker-side twin of the bench probe: heap bytes
@@ -95,7 +96,9 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 
-	if err := writeMsg(w, msgJoin, appendU32(nil, uint32(idx))); err != nil {
+	var join wire.Enc
+	join.U32(uint32(idx))
+	if err := writeMsg(w, msgJoin, join.Bytes()); err != nil {
 		return err
 	}
 	typ, payload, err := readMsg(r, nil)
@@ -153,69 +156,64 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	}
 	sim.BeginShard()
 
-	// The window loop. remoteFlags stays aligned with the staged log
-	// between flush and grant; out/scratch are reused across windows.
-	var (
-		out     []byte
-		scratch []byte
-		seqs    []uint64
-		remote  []bool
-		inBuf   []byte
-	)
-	if cfg.Resume {
-		typ, frame, ferr := readMsg(r, nil)
-		if ferr != nil {
-			return ferr
+	if cfg.ResumeFrom != "" {
+		// Every worker reads the whole file and keeps its own share: resume
+		// is a once-per-process cold path over a page-cache-hot file.
+		_, frames, rerr := readSnapshotFile(cfg.ResumeFrom)
+		if rerr != nil {
+			return rerr
 		}
-		if typ != msgFrame {
-			return fmt.Errorf("shard: worker expected FRAME, got message type %d", typ)
-		}
-		if rerr := sim.ShardRestoreFrame(frame); rerr != nil {
-			return fmt.Errorf("shard: worker %d restore: %v", idx, rerr)
+		if rerr := sim.ShardRestoreFrames(frames); rerr != nil {
+			return fmt.Errorf("shard: worker %d restore: %w", idx, rerr)
 		}
 	} else {
 		sim.ShardInit()
 	}
+
+	// The window loop. remote stays aligned with the staged log between
+	// flush and grant; enc carries every message this worker sends and dec
+	// every one it receives, both reused across windows.
+	var (
+		enc    = wire.NewEnc(sim.Arena())
+		dec    wire.Dec
+		seqs   []uint64
+		remote []bool
+		inBuf  []byte
+	)
 	// The first flush's exec time covers startup + graph build + Init so
 	// the coordinator can report startup separately from steady windows.
 	execNs := uint64(time.Since(startNs))
 	for {
 		// FLUSH: wheel minimum, exec time, then the staged log.
-		out = out[:0]
+		enc.Reset()
 		minT, hasMin := sim.ShardPendingMinT()
-		if hasMin {
-			out = appendU8(out, 1)
-		} else {
-			out = appendU8(out, 0)
-		}
-		out = appendF64(out, minT)
-		out = appendU64(out, execNs)
-		out = appendU64(out, sim.ShardSteps())
+		enc.Bool(hasMin)
+		enc.F64(minT)
+		enc.U64(execNs)
+		enc.U64(sim.ShardSteps())
 		n := sim.ShardStagedCount()
-		out = appendU32(out, uint32(n))
+		enc.U32(uint32(n))
 		remote = remote[:0]
 		for i := 0; i < n; i++ {
 			v := sim.ShardStaged(i)
 			isRemote := part.Owner(v.Owner) != idx
 			remote = append(remote, isRemote)
-			out = appendF64(out, v.TrigT)
-			out = appendU64(out, v.TrigSeq)
-			out = appendF64(out, v.T)
-			out = appendI32(out, int32(v.Owner))
+			enc.F64(v.TrigT)
+			enc.U64(v.TrigSeq)
+			enc.F64(v.T)
+			enc.I32(int32(v.Owner))
+			enc.Bool(isRemote)
 			if isRemote {
-				out = appendU8(out, 1)
-				scratch = appendEventFrame(scratch[:0], v.Kind, v.Src, v.Dst, v.Msg, sim.Arena())
-				out = appendU32(out, uint32(len(scratch)))
-				out = append(out, scratch...)
+				mark := enc.BeginBlob()
+				encodeEventFrame(enc, v.Kind, v.Src, v.Dst, v.Msg)
+				enc.EndBlob(mark)
 				// The frame now owns the payload; the local segment's
 				// lifecycle ends here, exactly where the serial engine's
 				// ack-side Release would have been reached remotely.
 				sim.Arena().Release(v.Msg.Body.Seg)
-			} else {
-				out = appendU8(out, 0)
 			}
 		}
-		if err := writeMsg(w, msgFlush, out); err != nil {
+		if err := writeMsg(w, msgFlush, enc.Bytes()); err != nil {
 			return err
 		}
 
@@ -230,44 +228,36 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		if typ != msgOpen {
 			return fmt.Errorf("shard: worker expected OPEN/FINISH, got message type %d", typ)
 		}
-		rd := reader{b: payload}
-		wStart := rd.f64()
-		ng := int(rd.u32())
+		dec.Reset(payload, sim.Arena())
+		wStart := dec.F64()
 		seqs = seqs[:0]
-		for i := 0; i < ng; i++ {
-			seqs = append(seqs, rd.u64())
+		for i, ng := 0, int(dec.U32()); i < ng && !dec.Failed(); i++ {
+			seqs = append(seqs, dec.U64())
 		}
-		if rd.bad {
-			return rd.err("OPEN")
+		if dec.Failed() {
+			return finish(&dec, "OPEN")
 		}
 		sim.ShardGrant(seqs, remote)
-		ni := int(rd.u32())
-		for i := 0; i < ni; i++ {
-			seq := rd.u64()
-			t := rd.f64()
-			fl := int(rd.u32())
-			fb := rd.take(fl)
-			if rd.bad {
-				return rd.err("OPEN")
-			}
-			kind, src, dst, m, used, err := decodeEventFrame(fb, sim.Arena())
-			if err != nil {
-				return err
-			}
-			if used != fl {
-				return fmt.Errorf("shard: inbound frame has %d trailing bytes", fl-used)
+		for i, ni := 0, int(dec.U32()); i < ni; i++ {
+			seq := dec.U64()
+			t := dec.F64()
+			end := dec.BeginBlob()
+			kind, src, dst, m := decodeEventFrame(&dec)
+			dec.EndBlob(end)
+			if dec.Failed() {
+				return finish(&dec, "OPEN")
 			}
 			sim.ShardInject(seq, t, kind, src, dst, m)
 		}
-		snap := rd.u8() != 0
-		if err := rd.err("OPEN"); err != nil {
+		snap := dec.Bool()
+		if err := finish(&dec, "OPEN"); err != nil {
 			return err
 		}
 		if snap {
 			// Grants applied, inbound injected: the staged log is empty and
 			// every pending event sits in the queue — serialize and ship the
 			// engine frame before running the window.
-			enc := wire.NewEnc(sim.Arena())
+			enc.Reset()
 			if serr := sim.ShardSnapshotFrame(enc); serr != nil {
 				return serr
 			}
@@ -280,8 +270,9 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		execNs = uint64(time.Since(t0))
 	}
 
-	// RESULT: counters, footprint, outputs, trace.
-	res := sim.ShardResult()
+	// RESULT: counters, footprint, outputs, trace. FINISH means nothing is
+	// pending anywhere, which is FinishResult's precondition.
+	res := sim.FinishResult()
 	engineHeap := int64(0)
 	heapMB := int64(0)
 	if ownProcess {
@@ -289,60 +280,51 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		engineHeap = settled - graphHeap
 		heapMB = (settled + (1 << 20) - 1) >> 20 // round up: a live process is never 0 MB
 	}
-	out = out[:0]
-	out = appendF64(out, res.Time)
-	out = appendF64(out, res.QuiesceTime)
-	out = appendU64(out, res.Msgs)
-	out = appendU64(out, res.Acks)
-	out = appendU64(out, res.Dropped)
-	out = appendU64(out, res.Retrans)
-	out = appendU64(out, res.Undeliverable)
-	out = appendU64(out, sim.ShardSteps())
-	out = appendU64(out, uint64(sim.Arena().Live()))
-	out = appendU32(out, uint32(sub.NLocal()))
-	out = appendU32(out, uint32(sub.Links()))
-	out = appendU32(out, uint32(len(sub.BoundaryLinks())))
-	out = appendU64(out, uint64(sub.Footprint()))
-	out = appendU64(out, uint64(engineHeap))
-	out = appendU64(out, uint64(heapMB))
-	out = appendU32(out, uint32(len(res.PerProto)))
+	enc.Reset()
+	enc.F64(res.Time)
+	enc.F64(res.QuiesceTime)
+	enc.U64(res.Msgs)
+	enc.U64(res.Acks)
+	enc.U64(res.Dropped)
+	enc.U64(res.Retrans)
+	enc.U64(res.Undeliverable)
+	enc.U64(sim.ShardSteps())
+	enc.U64(uint64(sim.Arena().Live()))
+	enc.U32(uint32(sub.NLocal()))
+	enc.U32(uint32(sub.Links()))
+	enc.U32(uint32(len(sub.BoundaryLinks())))
+	enc.U64(uint64(sub.Footprint()))
+	enc.U64(uint64(engineHeap))
+	enc.U64(uint64(heapMB))
+	enc.U32(uint32(len(res.PerProto)))
 	for _, p := range sortedProtos(res.PerProto) {
-		out = appendI32(out, int32(p))
-		out = appendU64(out, res.PerProto[p])
+		enc.I32(int32(p))
+		enc.U64(res.PerProto[p])
 	}
-	nOut := 0
-	mark := len(out)
-	out = appendU32(out, 0)
+	// Outputs ride in a blob: their count is known only after the visit.
+	mark := enc.BeginBlob()
 	err = sim.ShardRawOutputs(func(id graph.NodeID, b wire.Body) error {
-		out = appendI32(out, int32(id))
-		out = wire.AppendBody(out, b)
-		nOut++
+		enc.I32(int32(id))
+		enc.RawBody(b)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	putU32At(out, mark, uint32(nOut))
-	out = appendU32(out, uint32(len(res.Trace)))
+	enc.EndBlob(mark)
+	enc.U32(uint32(len(res.Trace)))
 	for i := range res.Trace {
 		te := &res.Trace[i]
-		out = appendF64(out, te.T)
-		out = appendU64(out, te.Seq)
-		out = appendI32(out, int32(te.From))
-		out = appendI32(out, int32(te.To))
-		out = appendI32(out, int32(te.Msg.Proto))
-		out = appendI32(out, int32(te.Msg.Stage))
-		out = wire.AppendBody(out, te.Msg.Body)
-		out = appendU8(out, uint8(te.Kind))
+		enc.F64(te.T)
+		enc.U64(te.Seq)
+		enc.I32(int32(te.From))
+		enc.I32(int32(te.To))
+		enc.I32(int32(te.Msg.Proto))
+		enc.I64(int64(te.Msg.Stage))
+		enc.RawBody(te.Msg.Body)
+		enc.U8(uint8(te.Kind))
 	}
-	return writeMsg(w, msgResult, out)
-}
-
-func putU32At(b []byte, off int, v uint32) {
-	b[off] = byte(v)
-	b[off+1] = byte(v >> 8)
-	b[off+2] = byte(v >> 16)
-	b[off+3] = byte(v >> 24)
+	return writeMsg(w, msgResult, enc.Bytes())
 }
 
 func sortedProtos(pp map[async.Proto]uint64) []async.Proto {

@@ -91,8 +91,8 @@ func (e *Enc) Str(s string) {
 // segment into the receiving arena.
 func (e *Enc) Body(b Body) { e.buf = AppendBodySeg(e.buf, b, e.arena) }
 
-// Raw appends pre-encoded bytes verbatim (the re-partitioner's copy path
-// for records it routes without decoding).
+// Raw appends pre-encoded bytes verbatim: flat state rows (reg, gather)
+// and frames the shard coordinator routes without decoding.
 func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // RawBody appends b's raw 48-byte image, segment handle verbatim and
@@ -103,8 +103,8 @@ func (e *Enc) RawBody(b Body) { e.buf = AppendBody(e.buf, b) }
 // BeginBlob reserves a u32 length prefix for a nested blob and returns its
 // patch mark. The matching EndBlob back-patches the length, making the
 // blob skippable (Dec.SkipBlob) and verifiable (Dec.BeginBlob/EndBlob)
-// without understanding its contents — the property the shard
-// re-partitioner relies on to route per-protocol state it cannot decode.
+// without understanding its contents — the property a resumed shard
+// engine relies on to step over the state of nodes it does not host.
 func (e *Enc) BeginBlob() int {
 	mark := len(e.buf)
 	e.U32(0)
@@ -350,7 +350,8 @@ func (d *Dec) EndBlob(end int) {
 }
 
 // SkipBlob reads a blob's length prefix and returns its raw contents
-// without interpreting them (the re-partitioner's opaque routing path).
+// without interpreting them (how a foreign node's state, or a cross-shard
+// event frame in transit through the coordinator, is stepped over).
 func (d *Dec) SkipBlob() []byte {
 	end := d.BeginBlob()
 	if d.failed {
