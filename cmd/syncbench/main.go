@@ -1,18 +1,17 @@
-// Command syncbench regenerates the experiment tables of EXPERIMENTS.md.
+// Command syncbench regenerates the experiment tables indexed in
+// DESIGN.md ("Experiments index").
 //
 // Usage:
 //
 //	syncbench                      # run every experiment
-//	syncbench -exp E5              # run one experiment (E1..E18)
+//	syncbench -exp E5              # run one experiment (ids: -list)
 //	syncbench -exp E2,E3,E4        # run a subset, in the given order
 //	syncbench -list                # list experiment ids and titles
 //	syncbench -parallel 8          # run independent trials on 8 workers
 //	syncbench -json                # emit structured JSON records
-//	syncbench -exp E13 -json       # the CI bench-trajectory smoke run
 //	syncbench -seed 42             # override every adversary seed
 //	syncbench -mode multi          # force an execution mode, both engines
 //	syncbench -exp E16 -graph grid3d:100x100x100   # add a million-node row
-//	syncbench -exp E14 -shards 2       # add multi-process shard-protocol rows
 //	syncbench -exp E17 -faults crash:p=0.01,drop:p=0.05,budget=3,seed=7
 //	syncbench -exp E18 -snapshot-every 100000  # extra checkpoint-interval row
 //	syncbench -exp E18 -resume run.ckpt        # price restoring a real checkpoint
@@ -23,17 +22,18 @@
 // reproduce the published tables; any other value sweeps every seeded
 // adversary, matching what cmd/synchronize's -seed flag does there.
 // -mode selects the execution mode of BOTH engines: the lockstep runner's
-// worker pool and the async engine's bounded-lag parallel windows (E13,
-// E14, and E15 compare the modes explicitly and ignore it). -mode spec
-// forces the async engine's speculative executor (the lockstep runner,
-// which has no safe window to speculate past, keeps its Auto pool); spec
-// runs fall back to multi wherever handlers are not cloneable.
+// worker pool and the async engine's bounded-lag parallel windows.
+// -mode spec forces the async engine's speculative executor (the lockstep
+// runner, which has no safe window to speculate past, keeps its Auto
+// pool); spec runs fall back to multi wherever handlers are not
+// cloneable.
 //
 // -graph takes a graph.FromSpec string (grid3d:XxYxZ, pa:n=…,m=…,
 // ring:k=…,c=…, and the classic families) and appends it as an extra row
-// to the engine-facing experiments E13, E14, and E16; other experiments
-// ignore it. The implicit generators build sorted CSR directly, so a
-// ten-million-node spec is a few hundred megabytes, not a hash-map blowup.
+// to E16 (footprint) and an extra case to E18 (checkpoint overhead);
+// other experiments ignore it. The implicit generators build sorted CSR
+// directly, so a ten-million-node spec is a few hundred megabytes, not a
+// hash-map blowup.
 //
 // -faults takes a fault-schedule spec (async.ParseFaultSpec form:
 // crash:p=…, drop:p=…, link:p=…, budget=…, backoff=…, epoch=…, seed=…)
@@ -44,7 +44,7 @@
 //
 // -snapshot-every appends an extra checkpoint interval to E18's sweep, and
 // -resume points E18 at a checkpoint file written by a sharded run
-// (shardsim/asyncbfs -snapshot-path), adding a row that prices a full
+// (shardsim -snapshot-path), adding a row that prices a full
 // restore-to-completion; both are validated before any experiment runs.
 package main
 
@@ -64,17 +64,16 @@ func main() {
 }
 
 func run() int {
-	exp := flag.String("exp", "", "comma-separated experiment ids (E1..E18); empty = all")
+	exp := flag.String("exp", "", "comma-separated experiment ids (see -list); empty = all")
 	parallel := flag.Int("parallel", 1, "worker-pool size for independent trials (1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit structured JSON records instead of text tables")
 	list := flag.Bool("list", false, "list experiment ids and titles, then exit")
 	seed := flag.Uint64("seed", 0, "delay adversary seed; 0 keeps each experiment's default")
 	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi|spec")
-	graphSpec := flag.String("graph", "", "extra topology for E13/E14/E16, as a graph spec (e.g. grid3d:100x100x100)")
-	shards := flag.Int("shards", 0, "add E14 rows running the multi-process shard protocol with K workers (0 = off; 1 = degenerate single-shard run, byte-identical)")
+	graphSpec := flag.String("graph", "", "extra topology for E16/E18, as a graph spec (e.g. grid3d:100x100x100)")
 	faults := flag.String("faults", "", "fault schedule wrapped around every adversary (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
 	snapEvery := flag.Uint64("snapshot-every", 0, "extra checkpoint interval for E18's sweep (0 = built-ins only)")
-	resume := flag.String("resume", "", "checkpoint file for E18's restore-to-completion row (from shardsim/asyncbfs -snapshot-path)")
+	resume := flag.String("resume", "", "checkpoint file for E18's restore-to-completion row (from shardsim -snapshot-path)")
 	flag.Parse()
 	if *list {
 		for _, info := range bench.List() {
@@ -106,7 +105,7 @@ func run() int {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	opts := bench.Options{Workers: *parallel, JSON: *jsonOut, Seed: *seed, Mode: execMode, AsyncMode: asyncMode, Graph: *graphSpec, Shards: *shards, Faults: *faults, SnapshotEvery: *snapEvery, Resume: *resume}
+	opts := bench.Options{Workers: *parallel, JSON: *jsonOut, Seed: *seed, Mode: execMode, AsyncMode: asyncMode, Graph: *graphSpec, Faults: *faults, SnapshotEvery: *snapEvery, Resume: *resume}
 	if err := bench.Run(os.Stdout, ids, opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -1,6 +1,7 @@
 // Package bench implements the experiment harness: one function per
-// experiment in DESIGN.md's index (E1–E18), each regenerating its table of
-// measured time/message complexities against the paper's predicted shape.
+// experiment in DESIGN.md's index (E1–E12, E16–E18), each regenerating
+// its table of measured time/message complexities against the paper's
+// predicted shape.
 // Root bench_test.go and cmd/syncbench both call into this package.
 //
 // The harness is job-based: every experiment enumerates its independent
@@ -9,8 +10,7 @@
 // job order — so the emitted tables are byte-identical whether the run is
 // serial or parallel. Each table row additionally produces a structured
 // record; Options.JSON switches the output to one JSON document carrying
-// every record, which is what cmd/syncbench -json emits and CI archives as
-// the bench trajectory.
+// every record, which is what cmd/syncbench -json emits.
 package bench
 
 import (
@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"text/tabwriter"
 
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/execpolicy"
 	"repro/internal/graph"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
@@ -40,7 +40,8 @@ type row struct {
 }
 
 // experiment is one registry entry. The registry slice is the single
-// ordered source of truth: All, ByName, Run, and List all drive off it.
+// ordered source of truth: ByName, Run, IDs, and List all drive off it.
+// Ids are stable names, not positions: retired experiments leave gaps.
 type experiment struct {
 	id    string
 	title string
@@ -60,9 +61,6 @@ var experiments = []experiment{
 	{"E10", "sparse cover quality (Thm 4.21)", e10CoverQuality},
 	{"E11", "link multiplexing & stage priorities (Cor 2.3 / Lem 2.5)", e11StagePipelining},
 	{"E12", "gather-in-covers cost (Thm 3.1)", e12GatherCost},
-	{"E13", "lockstep engine throughput by execution mode", e13EngineThroughput},
-	{"E14", "async engine throughput by execution mode (bounded-lag windows)", e14AsyncEngineThroughput},
-	{"E15", "speculative execution past the safe window (rollback accounting)", e15SpeculativeExecution},
 	{"E16", "retained footprint vs n (graph plane + engine state)", e16Footprint},
 	{"E17", "fault-plane overhead vs fault rate (crash × drop × budget)", e17FaultOverhead},
 	{"E18", "state-plane snapshot overhead (frame bytes + time vs interval)", e18SnapshotOverheads},
@@ -117,28 +115,19 @@ type Options struct {
 	// Mode selects the lockstep execution mode for experiments that run a
 	// synchronous baseline (cmd/syncbench -mode). The default is ModeAuto;
 	// results are byte-identical across modes, so this is a wall-clock
-	// knob. E13 compares the modes explicitly and ignores it.
+	// knob.
 	Mode syncrun.ExecutionMode
 	// AsyncMode selects the asynchronous engine's execution mode for every
 	// experiment that runs a simulation (cmd/syncbench -mode sets both
-	// engines). Also byte-identical across modes; E14 and E15 compare the
-	// modes explicitly and ignore it.
+	// engines). Also byte-identical across modes.
 	AsyncMode async.ExecutionMode
 	// Graph is an optional extra topology, as a graph.FromSpec string
-	// (cmd/syncbench -graph, e.g. "grid3d:100x100x100"). The engine-facing
-	// experiments E13, E14, and E16 append it as an extra row after their
-	// built-in cases — this is how the committed BENCH_6.json gets its
-	// million-node rows without every default run paying for them. Other
-	// experiments ignore it. Invalid specs fail Run before anything runs.
+	// (cmd/syncbench -graph, e.g. "grid3d:100x100x100"). E16 appends it as
+	// an extra footprint row and E18 as an extra checkpointed case, after
+	// their built-in cases — a million-node row without every default run
+	// paying for it. Other experiments ignore it. Invalid specs fail Run
+	// before anything runs.
 	Graph string
-	// Shards, when >= 1, makes E14 add multi-process-protocol rows: each
-	// case also runs through the sharded coordinator (in-process workers,
-	// K = Shards) with its det column holding the byte-identity check
-	// against the serial engine. Shards = 1 exercises the full shard
-	// protocol degenerately and must change nothing else in the run
-	// (cmd/syncbench -shards). Out-of-range values fail Run before
-	// anything runs, like an invalid Graph spec.
-	Shards int
 	// Faults is an optional fault-schedule spec (async.ParseFaultSpec,
 	// e.g. "crash:p=0.01,drop:p=0.05,budget=3,seed=7"; cmd/syncbench
 	// -faults). When set, every experiment's delay adversary is wrapped in
@@ -153,10 +142,11 @@ type Options struct {
 	// Other experiments ignore it.
 	SnapshotEvery uint64
 	// Resume is an optional checkpoint file written by a sharded run
-	// (shardsim/asyncbfs -snapshot-path; cmd/syncbench -resume). E18
-	// appends a final row that resumes it through the sharded coordinator
-	// with in-process workers, pricing restore-to-completion on a real
-	// file. Missing or corrupt files fail Run before anything runs.
+	// (shardsim -snapshot-path; cmd/syncbench -resume). E18 appends a
+	// final row that resumes it through the sharded coordinator with
+	// in-process workers, pricing restore-to-completion on a real file.
+	// Missing or corrupt files fail Run before anything runs; errors wrap
+	// the cause, so wire.ErrSnapVersion stays visible to errors.Is.
 	Resume string
 }
 
@@ -183,11 +173,9 @@ type Ctx struct {
 	amode   async.ExecutionMode
 	// gspec/custom carry the Options.Graph extra topology: the spec string
 	// (used as the row label and re-built by E16's footprint probe) and the
-	// graph itself, built once up front so E13 and E14 share it.
+	// graph itself, built once up front so E16 and E18 share it.
 	gspec  string
 	custom *graph.Graph
-	// shards carries Options.Shards: E14's sharded-coordinator row count.
-	shards int
 	// faults/fspec carry Options.Faults: the parsed schedule wrapped
 	// around every adversary c.adv hands out, and the raw spec string E17
 	// uses as its extra-row label.
@@ -321,15 +309,12 @@ func Run(w io.Writer, ids []string, opts Options) error {
 	}
 	for _, id := range ids {
 		if byID(id) == nil {
-			return fmt.Errorf("unknown experiment %q (want E1..E%d)", id, len(experiments))
+			return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ","))
 		}
 	}
 	tw := w
 	if opts.JSON {
 		tw = io.Discard
-	}
-	if opts.Shards < 0 || opts.Shards > execpolicy.MaxShards {
-		return fmt.Errorf("shards = %d out of range [0, %d]", opts.Shards, execpolicy.MaxShards)
 	}
 	fs, err := async.ParseFaultSpec(opts.Faults)
 	if err != nil {
@@ -341,10 +326,10 @@ func Run(w io.Writer, ids []string, opts Options) error {
 			return err
 		}
 		if _, err := wire.OpenSnapshot(data); err != nil {
-			return fmt.Errorf("resume %s: %v", opts.Resume, err)
+			return fmt.Errorf("resume %s: %w", opts.Resume, err)
 		}
 	}
-	c := &Ctx{w: tw, workers: opts.Workers, seed: opts.Seed, mode: opts.Mode, amode: opts.AsyncMode, gspec: opts.Graph, shards: opts.Shards, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
+	c := &Ctx{w: tw, workers: opts.Workers, seed: opts.Seed, mode: opts.Mode, amode: opts.AsyncMode, gspec: opts.Graph, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
 	if opts.Graph != "" {
 		g, err := graph.FromSpec(opts.Graph)
 		if err != nil {
@@ -366,41 +351,8 @@ func Run(w io.Writer, ids []string, opts Options) error {
 	return nil
 }
 
-// All runs every experiment serially, emitting text tables.
-func All(w io.Writer) {
-	if err := Run(w, nil, Options{}); err != nil {
-		panic(err) // unreachable: registry ids are always valid
-	}
-}
-
-// ByName runs one experiment by its id ("E1".."E16"); it reports whether
-// the id was known.
+// ByName runs one experiment by its id (any of IDs()) serially with
+// table output; it reports whether the id was known.
 func ByName(w io.Writer, id string) bool {
-	if byID(id) == nil {
-		return false
-	}
-	if err := Run(w, []string{id}, Options{}); err != nil {
-		return false
-	}
-	return true
+	return Run(w, []string{id}, Options{}) == nil
 }
-
-// Exported per-experiment entry points (serial, table output); root
-// bench_test.go's Benchmark wrappers call these.
-func E1SynchronizerOverheads(w io.Writer)  { ByName(w, "E1") }
-func E2BFSTimeVsD(w io.Writer)             { ByName(w, "E2") }
-func E3BFSMessagesVsM(w io.Writer)         { ByName(w, "E3") }
-func E4MultiSourceD1(w io.Writer)          { ByName(w, "E4") }
-func E5LeaderElection(w io.Writer)         { ByName(w, "E5") }
-func E6MST(w io.Writer)                    { ByName(w, "E6") }
-func E7RegistrationCongestion(w io.Writer) { ByName(w, "E7") }
-func E8AlphaBlowup(w io.Writer)            { ByName(w, "E8") }
-func E9AdversaryRobustness(w io.Writer)    { ByName(w, "E9") }
-func E10CoverQuality(w io.Writer)          { ByName(w, "E10") }
-func E11StagePipelining(w io.Writer)       { ByName(w, "E11") }
-func E12GatherCost(w io.Writer)            { ByName(w, "E12") }
-func E13EngineThroughput(w io.Writer)      { ByName(w, "E13") }
-func E14AsyncEngineThroughput(w io.Writer) { ByName(w, "E14") }
-func E15SpeculativeExecution(w io.Writer)  { ByName(w, "E15") }
-func E16Footprint(w io.Writer)             { ByName(w, "E16") }
-func E17FaultOverhead(w io.Writer)         { ByName(w, "E17") }

@@ -2,14 +2,19 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"math/bits"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 func TestByName(t *testing.T) {
@@ -25,15 +30,24 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestRegistryOrdered: ids are stable names cited by CHANGES.md and
+// DESIGN.md, so retired experiments leave gaps — but every id is "E<n>",
+// unique, and the registry lists them in strictly increasing n.
 func TestRegistryOrdered(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("registry has %d experiments, want 18", len(ids))
+	if len(ids) == 0 {
+		t.Fatal("empty registry")
 	}
+	prev := 0
 	for i, id := range ids {
-		if want := fmt.Sprintf("E%d", i+1); id != want {
-			t.Fatalf("registry[%d] = %s, want %s", i, id, want)
+		n, err := strconv.Atoi(strings.TrimPrefix(id, "E"))
+		if err != nil || !strings.HasPrefix(id, "E") {
+			t.Fatalf("registry[%d] = %q, want E<n>", i, id)
 		}
+		if n <= prev {
+			t.Fatalf("registry[%d] = %s does not follow E%d", i, id, prev)
+		}
+		prev = n
 	}
 	infos := List()
 	for i, info := range infos {
@@ -43,16 +57,43 @@ func TestRegistryOrdered(t *testing.T) {
 	}
 }
 
+// TestRunUnknownID: Run rejects bad input before running anything. An
+// unknown id's error lists the valid ids (E13 is retired, not renamed),
+// and a resume file from an older snapshot version keeps
+// wire.ErrSnapVersion reachable through errors.Is.
 func TestRunUnknownID(t *testing.T) {
-	if err := Run(io.Discard, []string{"E7", "bogus"}, Options{}); err == nil {
-		t.Fatal("expected error for unknown id")
+	for _, id := range []string{"bogus", "E13"} {
+		err := Run(io.Discard, []string{"E7", id}, Options{})
+		if err == nil {
+			t.Fatalf("expected error for unknown id %s", id)
+		}
+		if !strings.Contains(err.Error(), strings.Join(IDs(), ",")) {
+			t.Errorf("error %q does not list the valid ids", err)
+		}
+	}
+
+	// A version-1 container written out by hand (magic, version, payload
+	// length, FNV-1a): everything valid but the version.
+	payload := []byte("version-1 payload")
+	sum := uint64(14695981039346656037)
+	for _, c := range payload {
+		sum = (sum ^ uint64(c)) * 1099511628211
+	}
+	old := []byte{'S', 'N', 'A', 'P', 1, 0, 0, 0}
+	old = binary.LittleEndian.AppendUint64(old, uint64(len(payload)))
+	old = binary.LittleEndian.AppendUint64(old, sum)
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, append(old, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(io.Discard, []string{"E7"}, Options{Resume: path}); !errors.Is(err, wire.ErrSnapVersion) {
+		t.Fatalf("Run(Resume: version-1 file) = %v, want ErrSnapVersion", err)
 	}
 }
 
 // deterministicSubset lists experiments whose outputs carry no wall-clock
 // measurements, so their tables must be byte-identical across worker
-// counts (E13's single/multi millisecond columns vary run to run and are
-// excluded).
+// counts.
 var deterministicSubset = []string{"E7", "E9", "E10", "E11", "E12"}
 
 // TestParallelMatchesSerial is the harness determinism contract: a
@@ -114,6 +155,52 @@ func TestJSONOutputShape(t *testing.T) {
 			if len(r) == 0 {
 				t.Fatalf("experiment %s has an empty record", e.ID)
 			}
+		}
+	}
+}
+
+// TestFaultAndStateDet holds E17 and E18 to the det columns they print:
+// every crash row's incremental cover repair equals the from-scratch
+// rebuild, every checkpointed run restores and finishes byte-identical to
+// the uninterrupted one, and a budget-0 schedule ends stalled with
+// undeliverable messages rather than silently completing.
+func TestFaultAndStateDet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweeps")
+	}
+	var buf bytes.Buffer
+	if err := Run(&buf, []string{"E17", "E18"}, Options{JSON: true}); err != nil {
+		t.Fatal(err)
+	}
+	var out Output
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Experiments) != 2 {
+		t.Fatalf("got %d experiments, want 2", len(out.Experiments))
+	}
+	starved := 0
+	for _, r := range out.Experiments[0].Rows {
+		if det, _ := r["repairDeterministic"].(bool); !det {
+			t.Errorf("E17 %v %v: repair diverged from rebuild", r["graph"], r["faults"])
+		}
+		if !strings.Contains(r["faults"].(string), "budget=0") {
+			continue
+		}
+		starved++
+		stalled, _ := r["stalled"].(bool)
+		undeliv, _ := r["undeliverable"].(float64)
+		if !stalled || undeliv <= 0 {
+			t.Errorf("E17 %v %v: stalled=%v undeliverable=%v, want a stall with undeliverable > 0",
+				r["graph"], r["faults"], r["stalled"], r["undeliverable"])
+		}
+	}
+	if starved == 0 {
+		t.Error("E17 has no budget=0 row")
+	}
+	for _, r := range out.Experiments[1].Rows {
+		if det, _ := r["det"].(bool); !det {
+			t.Errorf("E18 %v interval %v: restored run diverged", r["graph"], r["interval"])
 		}
 	}
 }

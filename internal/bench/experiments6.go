@@ -11,7 +11,7 @@ package bench
 //
 // The built-in ladder spans 4k–80k nodes across all three implicit
 // generators; Options.Graph (cmd/syncbench -graph) appends one more row,
-// which is how the committed BENCH_6.json gets its million-node entry.
+// e.g. grid3d:100x100x100 for a million-node entry.
 //
 // E16 runs as one serial job: the probe reads process-global heap state,
 // so concurrent trials would bleed into each other's baselines. The byte

@@ -28,8 +28,8 @@ import (
 // golden invariant from internal/cover's repair tests). reuse is the
 // fraction of clusters the repair kept without rebuilding.
 //
-// Like E13/E14 this runs as one serial job: wall-clock columns would
-// distort under concurrent trials. With Options.Faults set, the spec is
+// E17 runs as one serial job: wall-clock columns would distort under
+// concurrent trials. With Options.Faults set, the spec is
 // appended as an extra row after the built-in grid.
 func e17FaultOverhead(c *Ctx) {
 	t := c.table("overhead vs fault rate; budget turns drops into delay, exhaustion into stalls; repair must equal rebuild (det)")

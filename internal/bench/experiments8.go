@@ -56,13 +56,12 @@ func (h *e18Flood) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 // frameMB tracks engine state (roughly linear in links), save cost is
 // linear in frame size, and timeX decays toward 1 as the interval grows.
 //
-// Options.Graph appends one more case — how the committed BENCH_9.json
-// gets its million-node row — and Options.SnapshotEvery appends an extra
-// interval to every case. Options.Resume appends a final row that resumes
-// a real checkpoint file through the sharded coordinator (in-process
-// workers), pricing a full restore-to-completion. Like E13/E14/E17 this
-// runs as one serial job: wall-clock columns would distort under
-// concurrent trials.
+// Options.Graph appends one more case (e.g. a million-node row) and
+// Options.SnapshotEvery appends an extra interval to every case.
+// Options.Resume appends a final row that resumes a real checkpoint file
+// through the sharded coordinator (in-process workers), pricing a full
+// restore-to-completion. Like E17 this runs as one serial job: wall-clock
+// columns would distort under concurrent trials.
 func e18SnapshotOverheads(c *Ctx) {
 	t := c.table("checkpoint cost vs interval; det requires restore-and-finish byte-identical to the uninterrupted run")
 	t.head("graph", "n", "interval", "snaps", "frameMB", "save(ms/snap)", "restore(ms)", "run(ms)", "base(ms)", "timeX", "det")

@@ -4,23 +4,24 @@ import "testing"
 
 // Pinned resident footprints on grid3d:32x32x32 (n=32768, 190464 directed
 // links), measured by the RetainedBytes probe after one completed flood.
-// The pins are the values of the compact 32-bit layout this package
-// shipped with BENCH_6; the tests fail at >10% growth so a regression in
-// any per-link or per-node table is caught before it multiplies by ten
-// million nodes. If a deliberate layout change moves a number, re-measure
-// with E16 and update the pin in the same commit.
+// The pins are the values the compact 32-bit layout shipped with
+// (CHANGES.md, "Ten-million-node substrate"); the tests fail at >10%
+// growth so a regression in any per-link or per-node table is caught
+// before it multiplies by ten million nodes. If a deliberate layout
+// change moves a number, re-measure with E16 and update the pin in the
+// same commit.
 const (
 	pinGraphBytesPerLink = 20.8  // CSR: target+link+reverse+weights+offsets
 	pinAsyncBytesPerLink = 28.4  // outboxes, seq stamps, wheel, busy/boxes
 	pinSyncBytesPerNode  = 101.0 // pulse-buffer cursors, stamps, bitmaps
 
-	// benchFiveEraBytesPerLink is the BENCH_5-era resident cost of the
-	// graph plane plus the async engine per directed link (≈52 B/link of
-	// 64-bit Neighbor/EdgeID graph tables + ≈48 B/link of eagerly allocated
-	// per-link engine state). The compact layout must keep its ≥1.8×
+	// preCompactBytesPerLink is the resident cost of the graph plane plus
+	// the async engine per directed link before the compact layout
+	// (≈52 B/link of 64-bit Neighbor/EdgeID graph tables + ≈48 B/link of
+	// eagerly allocated per-link engine state). The compact layout must keep its ≥1.8×
 	// advantage over it.
-	benchFiveEraBytesPerLink = 100.0
-	footprintHeadroom        = 1.10
+	preCompactBytesPerLink = 100.0
+	footprintHeadroom      = 1.10
 )
 
 func TestFootprintPins(t *testing.T) {
@@ -54,10 +55,10 @@ func TestFootprintPins(t *testing.T) {
 	}
 
 	// The headline acceptance bar: graph + async engine resident bytes per
-	// directed link must stay at least 1.8x below the BENCH_5-era layout.
-	if got := float64(gBytes+aBytes) / links; got*1.8 > benchFiveEraBytesPerLink {
+	// directed link must stay at least 1.8x below the pre-compact layout.
+	if got := float64(gBytes+aBytes) / links; got*1.8 > preCompactBytesPerLink {
 		t.Errorf("graph+async retain %.2f B/link; 1.8x bar requires <= %.2f",
-			got, benchFiveEraBytesPerLink/1.8)
+			got, preCompactBytesPerLink/1.8)
 	}
 }
 

@@ -133,8 +133,9 @@ const MaxShards = 8
 // sharding engages at all: below ~4M links a single in-process engine
 // wins outright. On the million-node smoke graph (~5.9M links, just
 // past the gate) the whole multi-process protocol costs ~1% at K=2 and
-// ~3% at K=4 measured on one core (BENCH_7.json — the overhead floor,
-// since timesharing workers re-serialize each window), so on real
+// ~3% at K=4 measured on one core (CHANGES.md, "Sharded multi-process
+// execution" — the overhead floor, since timesharing workers
+// re-serialize each window), so on real
 // multi-core hosts the per-window critical path divides by K against
 // low-single-digit protocol cost; the procs clamp below keeps
 // single-core hosts at K=1 regardless.
