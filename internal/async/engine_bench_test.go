@@ -102,8 +102,8 @@ func BenchmarkSimFloodParallel(b *testing.B) {
 // safe window almost never holds more than one event and ModeMulti
 // degenerates to barrier overhead, while ModeSpec drains whole horizons
 // optimistically and pays for the occasional rollback instead. On one core
-// every parallel row is pure overhead; the -cpu sweep in `make bench` is
-// where the spec-over-single crossover appears.
+// every parallel row is pure overhead; run it with -cpu 1,2,4 to look for
+// the spec-over-single crossover.
 func BenchmarkSimFloodRandomModes(b *testing.B) {
 	g := graph.Grid(60, 60)
 	adv := SeededRandom{Seed: 7}

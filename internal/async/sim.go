@@ -207,9 +207,10 @@ type Sim struct {
 // many of those committed, how many were rolled back and re-executed in a
 // later round, and how many committed events needed their handler's state
 // transition replayed because the node also owned a rolled-back event.
-// Rejected/Executed is the rollback rate E15 charts per adversary. FellBack
-// reports that a ModeSpec run used the bounded-lag executor instead because
-// at least one handler does not implement StateCloner.
+// Rejected/Executed is the rollback rate; the benchmark module reports
+// Committed/Executed as async.spec.commit_ratio. FellBack reports that a
+// ModeSpec run used the bounded-lag executor instead because at least one
+// handler does not implement StateCloner.
 type SpecStats struct {
 	Rounds    uint64
 	Executed  uint64

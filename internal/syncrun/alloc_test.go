@@ -1,6 +1,7 @@
 package syncrun
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,7 +11,7 @@ import (
 // allocBounce ping-pongs a counter between nodes 0 and 1 for `rounds`
 // pulses: one message per pulse, so the marginal cost between two round
 // counts is purely the per-pulse/per-message hot path — activation
-// bookkeeping, inbox delivery, CONGEST stamp, double-buffer swap.
+// bookkeeping, send log, seal, CONGEST stamp.
 type allocBounce struct {
 	rounds int
 }
@@ -56,5 +57,30 @@ func TestZeroSteadyStateAllocsPerMessage(t *testing.T) {
 	if extra := a2 - a1; extra > slack {
 		t.Fatalf("the %d extra messages allocated %.1f times (%.4f allocs/msg); want 0",
 			long-short, extra, extra/float64(long-short))
+	}
+}
+
+// TestLockstepBytesPerMessage pins the bytes a whole BFS run allocates per
+// message, runner construction and the Outputs map included. The send
+// logs and the inbox array are sized by the peak pulse and reused, so the
+// figure is a couple of 56-byte records per message of the peak pulse plus
+// per-node state (about 119 B). Per-receiver chains in one growing pool
+// allocated about 310 B/message (Single) and 500 B/message (Multi, three
+// workers) here.
+func TestLockstepBytesPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race shadow state inflates allocation sizes; the pin holds on uninstrumented builds")
+	}
+	const pin = 150.0
+	g := graph.RandomConnected(40000, 160000, 9)
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := New(g, func(graph.NodeID) Handler { return &benchBFS{} }).WithMode(mode).WithWorkers(3).Run()
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.M); got > pin {
+			t.Errorf("%s: %.1f B allocated per message over %d messages, pin %.0f", mode, got, res.M, pin)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package syncrun
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -122,6 +123,73 @@ func TestBatchesSortedBySender(t *testing.T) {
 		r.Run()
 		if !center.seen {
 			t.Fatalf("mode %v: center received no batch", mode)
+		}
+	}
+}
+
+// scribbler is a wave: a node forwards the first batch it receives to all
+// neighbors. It logs a copy of every batch it is handed; with scribble set
+// it then abuses recvd — appends to it and overwrites every entry of the
+// result, and overwrites recvd's own entries in place — before sending.
+type scribbler struct {
+	scribble bool
+	got      [][]Incoming
+	sent     bool
+}
+
+func (h *scribbler) Init(n API) {
+	if n.ID() == 0 {
+		h.wave(n, 0)
+	}
+}
+
+func (h *scribbler) wave(n API, p int) {
+	h.sent = true
+	for _, nb := range n.Neighbors() {
+		n.Send(nb.Node, wire.Body{Kind: 1, A: int64(n.ID()), B: int64(p)})
+	}
+}
+
+func (h *scribbler) Pulse(n API, p int, recvd []Incoming) {
+	h.got = append(h.got, append([]Incoming(nil), recvd...))
+	if h.scribble {
+		more := append(recvd, Incoming{From: -1, Body: wire.Tag(9)})
+		for i := range more {
+			more[i] = Incoming{From: -2, Body: wire.Body{Kind: 9, A: -2}}
+		}
+		for i := range recvd {
+			recvd[i] = Incoming{From: -3, Body: wire.Body{Kind: 9, A: -3}}
+		}
+	}
+	if !h.sent && len(recvd) > 0 {
+		h.wave(n, p)
+	}
+}
+
+// TestInPlaceBatchSafety: batches are handed out in place, so a handler
+// that appends to recvd and scribbles over its entries must leave every
+// other node's batches and the trace exactly as a well-behaved run sees
+// them, in both modes.
+func TestInPlaceBatchSafety(t *testing.T) {
+	g := graph.RandomConnected(400, 1600, 6)
+	run := func(mode ExecutionMode, scribble bool) ([]*scribbler, Result) {
+		hs := make([]*scribbler, g.N())
+		res := New(g, func(id graph.NodeID) Handler {
+			hs[id] = &scribbler{scribble: scribble}
+			return hs[id]
+		}).WithMode(mode).WithWorkers(3).WithMinParallel(1).KeepTrace().Run()
+		return hs, res
+	}
+	clean, want := run(ModeSingle, false)
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
+		hs, res := run(mode, true)
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: a scribbling handler changed the Result or trace", mode)
+		}
+		for v := range hs {
+			if !reflect.DeepEqual(hs[v].got, clean[v].got) {
+				t.Fatalf("%s: node %d saw batches %v, want %v", mode, v, hs[v].got, clean[v].got)
+			}
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 
 // Snapshot serializes the runner's state into a sealed frame. Legal
 // before Run, between RunPulses calls, or after quiescence — pulse
-// boundaries, where the current pulse's buffer is drained and all pending
-// work sits in the next-pulse buffer.
+// boundaries, where the send logs are sealed and all pending work sits in
+// the pulse buffer as the next pulse's batches.
 func (r *Runner) Snapshot() ([]byte, error) {
 	e := wire.NewEnc(&r.arena)
 	// Header.
@@ -65,34 +65,31 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		e.EndBlob(mark)
 	}
 
-	// Next pulse's pending deliveries, as per-receiver chains in receiver
-	// order (chain order is the serial application order batch replays).
+	// Next pulse's pending deliveries, as per-receiver batches in receiver
+	// order (batch order is the serial application order).
 	nChains := 0
 	for to := 0; to < r.g.N(); to++ {
-		if r.nxt.ep[to] == r.nxt.epoch {
+		if r.buf.ep[to] == r.buf.epoch {
 			nChains++
 		}
 	}
 	e.U32(uint32(nChains))
 	for to := 0; to < r.g.N(); to++ {
-		if r.nxt.ep[to] != r.nxt.epoch {
+		if r.buf.ep[to] != r.buf.epoch {
 			continue
 		}
 		e.I32(int32(to))
-		cnt := 0
-		for i := r.nxt.head[to]; i >= 0; i = r.nxt.pend[i].next {
-			cnt++
-		}
-		e.U32(uint32(cnt))
-		for i := r.nxt.head[to]; i >= 0; i = r.nxt.pend[i].next {
-			e.I32(int32(r.nxt.pend[i].in.From))
-			e.Body(r.nxt.pend[i].in.Body)
+		batch := r.buf.batch(graph.NodeID(to))
+		e.U32(uint32(len(batch)))
+		for _, in := range batch {
+			e.I32(int32(in.From))
+			e.Body(in.Body)
 		}
 	}
 
 	// Activation set, in index order off the bitmap.
-	e.U32(uint32(r.nxt.active))
-	for w, word := range r.nxt.bits {
+	e.U32(uint32(r.buf.active))
+	for w, word := range r.buf.bits {
 		base := w << 6
 		for word != 0 {
 			e.I32(int32(base + bits.TrailingZeros64(word)))
@@ -172,13 +169,19 @@ func (r *Runner) Restore(data []byte) error {
 			d.Fail("delivery chain for node %d outside the graph", to)
 			break
 		}
+		if r.buf.ep[to] == r.buf.epoch {
+			d.Fail("two delivery chains for node %d", to)
+			break
+		}
+		r.buf.ep[to], r.buf.lo[to] = r.buf.epoch, int32(len(r.buf.in))
 		for i := 0; i < cnt && !d.Failed(); i++ {
 			from := graph.NodeID(d.I32())
 			body := d.Body()
 			if !d.Failed() {
-				r.nxt.deliver(to, Incoming{From: from, Body: body})
+				r.buf.in = append(r.buf.in, Incoming{From: from, Body: body})
 			}
 		}
+		r.buf.hi[to] = int32(len(r.buf.in))
 	}
 
 	nActive := int(d.U32())
@@ -188,7 +191,7 @@ func (r *Runner) Restore(data []byte) error {
 			d.Fail("active node %d outside the graph", v)
 			break
 		}
-		r.nxt.activate(v)
+		r.buf.activate(v)
 	}
 
 	nTrace := int(d.U32())
@@ -228,11 +231,11 @@ func (r *Runner) restoreFailed() {
 		}
 	}
 	r.trace = r.trace[:0]
-	r.nxt.refill()
-	for i := range r.nxt.bits {
-		r.nxt.bits[i] = 0
+	r.buf.refill()
+	for i := range r.buf.bits {
+		r.buf.bits[i] = 0
 	}
-	r.nxt.active = 0
+	r.buf.active = 0
 	r.arena.Reset()
 }
 

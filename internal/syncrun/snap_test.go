@@ -1,10 +1,14 @@
 package syncrun
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -79,6 +83,104 @@ func TestLockstepSnapshotMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// snapFramesGrid12 is the SHA-256 over every pulse-boundary Snapshot frame
+// of a traced codecBFS run on grid:12x12: the pristine runner, after Init,
+// and after each pulse. It was computed when each pulse's deliveries were
+// threaded into per-receiver chains; how the engine stages deliveries must
+// not show in the frame.
+const snapFramesGrid12 = "017372cf6da2cdc89e21bf172ee5979e134d6e220571484ede74e41ae95240b0"
+
+// TestLockstepSnapshotFormatFrozen pins the frame bytes in both modes and
+// checks that Snapshot → Restore into a fresh runner → Snapshot reproduces
+// each frame byte for byte.
+func TestLockstepSnapshotFormatFrozen(t *testing.T) {
+	g, err := graph.FromSpec("grid:12x12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
+		r := New(g, mkCodecBFS).KeepTrace().WithMode(mode).WithWorkers(3).WithMinParallel(1)
+		h := sha256.New()
+		frames := 0
+		frame := func() {
+			snap, err := r.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot %d: %v", mode, frames, err)
+			}
+			h.Write(snap)
+			b := New(g, mkCodecBFS).KeepTrace()
+			if err := b.Restore(snap); err != nil {
+				t.Fatalf("%s: restore of frame %d: %v", mode, frames, err)
+			}
+			again, err := b.Snapshot()
+			if err != nil || !bytes.Equal(again, snap) {
+				t.Fatalf("%s: frame %d does not survive Restore → Snapshot (err %v)", mode, frames, err)
+			}
+			frames++
+		}
+		frame()
+		for active := r.RunPulses(0); ; active = r.RunPulses(1) {
+			frame()
+			if !active {
+				break
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != snapFramesGrid12 {
+			t.Errorf("%s: %d frames hash to %s, want %s", mode, frames, got, snapFramesGrid12)
+		}
+	}
+}
+
+// TestLockstepRestoreRejectsDuplicateChain: each receiver's batch is one
+// contiguous range, so a frame that lists one receiver's deliveries twice
+// is malformed. The frame is written by hand — first with one chain, which
+// must equal the runner's own Snapshot after Init on path:2, then with the
+// chain repeated.
+func TestLockstepRestoreRejectsDuplicateChain(t *testing.T) {
+	g := graph.Path(2)
+	frame := func(chains int) []byte {
+		var arena wire.Arena
+		e := wire.NewEnc(&arena)
+		e.U32(2)      // nodes
+		e.Bool(false) // traced
+		e.Bool(true)  // Init ran
+		e.Int(0)      // pulse
+		e.Int(0)      // T clock
+		e.U64(1)      // messages
+		e.Bool(false) // quiescent
+		state := func(dist int) {
+			mark := e.BeginBlob()
+			e.Int(dist)
+			e.EndBlob(mark)
+		}
+		e.Bool(true) // node 0: output 0, distance 0
+		e.Body(wire.Body{Kind: outval.KindInt, A: 0})
+		state(0)
+		e.Bool(false) // node 1: no output yet
+		state(-1)
+		e.U32(uint32(chains))
+		for range chains {
+			e.I32(1) // receiver
+			e.U32(1)
+			e.I32(0) // sender
+			e.Body(wire.Tag(1))
+		}
+		e.U32(2) // active: both endpoints
+		e.I32(0)
+		e.I32(1)
+		e.U32(0) // trace
+		return wire.SealSnapshot(e.Bytes())
+	}
+	a := New(g, mkCodecBFS)
+	a.RunPulses(0)
+	if snap, err := a.Snapshot(); err != nil || !bytes.Equal(snap, frame(1)) {
+		t.Fatalf("hand-written frame does not match Snapshot (err %v)", err)
+	}
+	if err := New(g, mkCodecBFS).Restore(frame(2)); err == nil {
+		t.Fatal("restore accepted a frame with two delivery chains for one node")
 	}
 }
 

@@ -12,21 +12,23 @@
 // while making algorithms like BFS natural to write.
 //
 // The engine is dense and allocation-free at steady state: message bodies
-// are wire.Body values (no interface boxing), each pulse's deliveries live
-// in one flat pool threaded into per-receiver chains by epoch-stamped
-// head/tail cursors (12 bytes of per-node state per buffer instead of a
-// per-node slice), the activation set is a bitmap iterated in node-index
-// order, and the CONGEST one-message-per-link-per-pulse guard is a flat
-// pulse-stamp array indexed by the graph's dense LinkID. Because active
-// nodes step in ascending index order and each sends at most once per
-// neighbor, every receiver's chain is sorted by sender by construction.
+// are wire.Body values (no interface boxing), every Send appends a record
+// to a send log, and at the pulse barrier the logs are counting-sorted by
+// receiver into one flat inbox array — each receiver's batch is a
+// contiguous range named by epoch-stamped lo/hi cursors (12 bytes of
+// per-node state) and handed to the handler in place. The activation set
+// is a bitmap iterated in node-index order, and the CONGEST
+// one-message-per-link-per-pulse guard is a flat pulse-stamp array indexed
+// by the graph's dense LinkID. Because the logs drain in serial send order
+// (active nodes in ascending index order, each sending at most once per
+// neighbor) and the scatter is stable, every batch is sorted by sender.
 //
 // Runner supports three execution modes. Single steps the activation set
-// on one goroutine. Multi shards it across a worker pool; each worker
-// buffers its sends and outputs, and the buffers merge in shard order
-// after a barrier, which reproduces Single's send order exactly — Result
-// (outputs, T, M, trace) is byte-identical across modes. Auto picks Multi
-// for graphs large enough to amortize the pool.
+// on one goroutine into one send log. Multi shards it across a worker
+// pool, one log per worker; the logs drain in shard order, which
+// reproduces Single's send order exactly — Result (outputs, T, M, trace)
+// is byte-identical across modes. Auto picks Multi for graphs large enough
+// to amortize the pool.
 package syncrun
 
 import (
@@ -43,11 +45,13 @@ import (
 )
 
 // Incoming is one received message: the sender and the payload, both plain
-// values — delivery never boxes. The recvd batch handed to Pulse is
-// engine-owned scratch, valid only during the call (its backing array is
-// reused for the next node's batch, and a Body segment is recycled when
-// the receiving Pulse returns); copy entries out inside Pulse to retain
-// them.
+// values — delivery never boxes. The recvd batch handed to Pulse aliases
+// the engine's pulse buffer and is valid only during the call: the buffer
+// is refilled at the next pulse barrier, and when Pulse returns the engine
+// releases the segments of the entries recvd then holds. Copy entries out
+// inside Pulse to retain them. recvd's capacity is clipped to its length,
+// so appending to it copies, and overwriting its entries is seen by no
+// other node and not by the trace.
 type Incoming struct {
 	From graph.NodeID
 	Body wire.Body
@@ -92,8 +96,9 @@ type Handler interface {
 	Init(n API)
 	// Pulse runs at pulse p > 0 if this node received messages sent at
 	// pulse p-1 (recvd, sorted by sender) or itself sent at pulse p-1.
-	// It may send messages (which then carry pulse p). recvd is only
-	// valid during the call (see Incoming).
+	// It may send messages (which then carry pulse p). recvd aliases the
+	// engine's pulse buffer and is only valid during the call (see
+	// Incoming).
 	Pulse(n API, p int, recvd []Incoming)
 }
 
@@ -126,11 +131,11 @@ func (m ExecutionMode) String() string {
 }
 
 // Node is the Runner's API implementation. It is 16 bytes: effects route
-// through a sink index — 0 applies immediately to the Runner, k+1 buffers
-// in worker sink k — resolved per call instead of held as a pointer.
+// through a sink index — 0 for Init and serial pulses, k for worker k —
+// resolved per call instead of held as a pointer.
 type Node struct {
 	id      graph.NodeID
-	sinkIdx int32 // set per step; 0 = direct, k+1 = workerSinks[k]
+	sinkIdx int32 // set per step: the index into Runner.sinks
 	run     *Runner
 }
 
@@ -160,12 +165,7 @@ func (n *Node) Send(to graph.NodeID, body wire.Body) {
 		panic(fmt.Sprintf("syncrun: node %d sent twice to %d in one pulse", n.id, to))
 	}
 	r.sentAt[l] = stamp
-	if n.sinkIdx == 0 {
-		r.record(n.id, to, body)
-		return
-	}
-	sink := &r.workerSinks[n.sinkIdx-1]
-	sink.sends = append(sink.sends, pendingSend{from: n.id, to: to, body: body})
+	r.sinks[n.sinkIdx].push(sendRec{from: n.id, to: to, body: body})
 }
 
 // Output records this node's final output.
@@ -195,22 +195,14 @@ func (n *Node) OutputBody(b wire.Body) {
 	n.noteOutput()
 }
 
-// noteOutput updates the first-output bookkeeping (T clock, activation of
-// the worker sink's new-output flag).
+// noteOutput flags a first output in the node's sink; the seal advances
+// the T clock from the flag.
 func (n *Node) noteOutput() {
 	r := n.run
-	had := r.hasOut[n.id]
-	r.hasOut[n.id] = true
-	if had {
-		return
+	if !r.hasOut[n.id] {
+		r.hasOut[n.id] = true
+		r.sinks[n.sinkIdx].newOut = true
 	}
-	if n.sinkIdx == 0 {
-		if r.pulse > r.lastOut {
-			r.lastOut = r.pulse
-		}
-		return
-	}
-	r.workerSinks[n.sinkIdx-1].newOut = true
 }
 
 // HasOutput reports whether this node already produced output.
@@ -250,55 +242,60 @@ type Result struct {
 	Trace []TraceEntry
 }
 
-// pendingSend is one buffered worker-mode send, applied at merge time.
-type pendingSend struct {
+// sendRec is one staged send, held in a sink's log until the seal.
+type sendRec struct {
 	from, to graph.NodeID
 	body     wire.Body
 }
 
-// sendSink is one worker's effect buffer: sends accumulate in call order
-// and newOut records whether any node produced its first output, both
-// drained deterministically after the pulse barrier. scratch is the
-// worker's reusable batch-materialization buffer (serial stepping uses the
-// Runner's own scratch instead).
+// Send-log chunk capacities in records: the first chunk is small so small
+// runs stay small, each further one doubles up to the cap.
+const minLogChunk, maxLogChunk = 64, 1 << 16
+
+// sendSink is one effect buffer — sink 0 serves Init and serial pulses,
+// sink k worker k. Sends accumulate in call order in log[:used], a list of
+// chunks kept across pulses, so the log grows to the peak pulse without
+// ever copying; newOut records whether any node produced its first output.
+// Both drain at the seal.
 type sendSink struct {
-	sends   []pendingSend
-	newOut  bool
-	scratch []Incoming
+	log    [][]sendRec
+	used   int
+	newOut bool
 }
 
-// pendMsg is one pending delivery in a pulse buffer's flat pool, threaded
-// into its receiver's chain by pool index (-1 terminates).
-type pendMsg struct {
-	in   Incoming
-	next int32
+func (s *sendSink) push(rec sendRec) {
+	if s.used == 0 || len(s.log[s.used-1]) == cap(s.log[s.used-1]) {
+		s.grow()
+	}
+	s.log[s.used-1] = append(s.log[s.used-1], rec)
 }
 
-// pulseBuf is one side of the double-buffered pulse state. The pulse's
-// deliveries sit in one flat pool (pend, appended in serial application
-// order) threaded into per-receiver chains by head/tail cursors; ep stamps
-// which cursors belong to the buffer's current fill epoch, so rearming the
-// buffer is a counter bump plus a pool truncation instead of clearing n
-// per-node slices. Chains materialize already sorted by sender: senders
-// apply in ascending node order and each sends at most once per receiver.
+// grow opens the next chunk, allocating it the first time the log reaches
+// it.
+func (s *sendSink) grow() {
+	if s.used == len(s.log) {
+		size := minLogChunk
+		if s.used > 0 {
+			size = min(2*cap(s.log[s.used-1]), maxLogChunk)
+		}
+		s.log = append(s.log, make([]sendRec, 0, size))
+	}
+	s.used++
+}
+
+// pulseBuf holds one pulse's deliveries grouped by receiver: receiver v's
+// batch is in[lo[v]:hi[v]] when ep[v] equals the fill epoch, so rearming
+// the buffer is a counter bump instead of clearing n per-node ranges. bits
+// is the activation set (receivers and last pulse's senders). One buffer
+// suffices: handlers read it during the pulse, and the seal refills it
+// only after the pulse's last handler returned.
 type pulseBuf struct {
-	pend   []pendMsg
-	head   []int32
-	tail   []int32
+	in     []Incoming
+	lo, hi []int32
 	ep     []uint32
 	epoch  uint32
 	bits   []uint64
 	active int // number of set bits
-}
-
-func newPulseBuf(n int, epoch uint32) pulseBuf {
-	return pulseBuf{
-		head:  make([]int32, n),
-		tail:  make([]int32, n),
-		ep:    make([]uint32, n),
-		epoch: epoch,
-		bits:  make([]uint64, (n+63)/64),
-	}
 }
 
 func (b *pulseBuf) activate(v graph.NodeID) {
@@ -309,40 +306,21 @@ func (b *pulseBuf) activate(v graph.NodeID) {
 	}
 }
 
-// deliver appends one message to the pool and splices it onto the
-// receiver's chain.
-func (b *pulseBuf) deliver(to graph.NodeID, in Incoming) {
-	idx := int32(len(b.pend))
-	b.pend = append(b.pend, pendMsg{in: in, next: -1})
-	if b.ep[to] == b.epoch {
-		b.pend[b.tail[to]].next = idx
-	} else {
-		b.ep[to] = b.epoch
-		b.head[to] = idx
+// batch returns node v's deliveries in place, its capacity clipped so a
+// handler's append cannot reach the next receiver's range. Nodes active
+// only because they sent get none: their epoch never reached this fill.
+func (b *pulseBuf) batch(v graph.NodeID) []Incoming {
+	if b.ep[v] != b.epoch {
+		return nil
 	}
-	b.tail[to] = idx
+	return b.in[b.lo[v]:b.hi[v]:b.hi[v]]
 }
 
-// batch materializes node to's chain into scratch (reused across calls;
-// the returned slice aliases it). Nodes active only because they sent get
-// an empty batch: their cursor epoch never reached this fill epoch.
-func (b *pulseBuf) batch(to graph.NodeID, scratch []Incoming) []Incoming {
-	scratch = scratch[:0]
-	if b.ep[to] != b.epoch {
-		return scratch
-	}
-	for i := b.head[to]; i >= 0; i = b.pend[i].next {
-		scratch = append(scratch, b.pend[i].in)
-	}
-	return scratch
-}
-
-// refill rearms the buffer as the next pulse's fill target: the pool
-// empties (capacity kept) and the epoch bump invalidates every node's
-// cursors at once. pendMsg holds no pointers, so the retained capacity
-// pins nothing for the GC.
+// refill rearms the buffer: the inbox empties (capacity kept) and the
+// epoch bump invalidates every node's range at once. Incoming holds no
+// pointers, so the retained capacity pins nothing for the GC.
 func (b *pulseBuf) refill() {
-	b.pend = b.pend[:0]
+	b.in = b.in[:0]
 	if b.epoch == math.MaxUint32 {
 		panic("syncrun: pulse epoch counter overflow")
 	}
@@ -360,8 +338,8 @@ type Runner struct {
 	minParallel int
 
 	pulse int
-	cur   pulseBuf // being processed this pulse
-	nxt   pulseBuf // being filled for next pulse
+	buf   pulseBuf   // this pulse's deliveries; between pulses, the next's
+	sinks []sendSink // send logs: one, or one per worker once Multi fans out
 
 	// started marks that Init ran (or was skipped on a resumed run); done
 	// marks quiescence; resumed marks state loaded from a snapshot, whose
@@ -391,13 +369,8 @@ type Runner struct {
 	maxRounds int
 	keepTrace bool
 
-	// scratch is the serial-mode batch-materialization buffer (each
-	// worker sink carries its own).
-	scratch []Incoming
-
-	// Multi-mode scratch, allocated on first parallel pulse.
+	// Multi-mode state, allocated on first parallel pulse.
 	activeIDs    []graph.NodeID
-	workerSinks  []sendSink
 	workerPanics []any
 
 	// arena backs Body.Seg segments; delivered segments return to it after
@@ -413,10 +386,13 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 		g:        g,
 		handlers: make([]Handler, g.N()),
 		nodes:    make([]Node, g.N()),
-		// cur's epoch trails nxt's by one; each refill bumps past every
-		// stamp the buffer has ever written, so stale cursors never match.
-		cur:         newPulseBuf(g.N(), 0),
-		nxt:         newPulseBuf(g.N(), 1),
+		// Epoch 1 is past the zeroed stamps; each refill bumps past every
+		// stamp the buffer has ever written, so stale ranges never match.
+		buf: pulseBuf{
+			lo: make([]int32, g.N()), hi: make([]int32, g.N()), ep: make([]uint32, g.N()),
+			epoch: 1, bits: make([]uint64, (g.N()+63)/64),
+		},
+		sinks:       make([]sendSink, 1),
 		sentAt:      make([]int32, g.Links()),
 		hasOut:      make([]bool, g.N()),
 		maxRounds:   1 << 22,
@@ -547,10 +523,11 @@ func (r *Runner) start() ExecutionMode {
 	if !r.started {
 		r.started = true
 		if !r.resumed {
-			// Pulse 0: initiators act; their sends land in nxt.
+			// Pulse 0: initiators act; their sends seal into the buffer.
 			for i := range r.handlers {
 				r.handlers[i].Init(&r.nodes[i])
 			}
+			r.seal()
 		}
 	}
 	return mode
@@ -567,17 +544,16 @@ func (r *Runner) stepPulse(mode ExecutionMode) bool {
 	if r.pulse > r.maxRounds {
 		panic(fmt.Sprintf("syncrun: exceeded %d rounds", r.maxRounds))
 	}
-	if r.nxt.active == 0 {
+	if r.buf.active == 0 {
 		r.done = true
 		return false
 	}
-	r.cur, r.nxt = r.nxt, r.cur
-	r.nxt.refill()
-	if mode == ModeMulti && r.cur.active >= r.minParallel && r.workers > 1 {
+	if mode == ModeMulti && r.buf.active >= r.minParallel && r.workers > 1 {
 		r.stepParallel()
 	} else {
 		r.stepSerial()
 	}
+	r.seal()
 	return true
 }
 
@@ -610,7 +586,13 @@ func (r *Runner) finish() Result {
 		}
 		return res
 	}
-	outputs := make(map[graph.NodeID]any)
+	n := 0
+	for _, has := range r.hasOut {
+		if has {
+			n++
+		}
+	}
+	outputs := make(map[graph.NodeID]any, n)
 	for i, has := range r.hasOut {
 		if has {
 			var b wire.Body
@@ -631,11 +613,11 @@ func (r *Runner) finish() Result {
 // stepSerial runs one pulse on the calling goroutine, iterating active
 // nodes in index order straight off the bitmap.
 func (r *Runner) stepSerial() {
-	for w, word := range r.cur.bits {
+	for w, word := range r.buf.bits {
 		if word == 0 {
 			continue
 		}
-		r.cur.bits[w] = 0
+		r.buf.bits[w] = 0
 		base := w << 6
 		for word != 0 {
 			v := graph.NodeID(base + bits.TrailingZeros64(word))
@@ -643,37 +625,32 @@ func (r *Runner) stepSerial() {
 			r.stepNode(v, 0)
 		}
 	}
-	r.cur.active = 0
+	r.buf.active = 0
 }
 
-// stepNode materializes node v's batch into its sink's scratch buffer,
-// delivers it, and recycles the batch's segments.
+// stepNode hands node v its batch in place and recycles the batch's
+// segments once the handler returns.
 func (r *Runner) stepNode(v graph.NodeID, sinkIdx int32) {
-	scratchP := &r.scratch
-	if sinkIdx > 0 {
-		scratchP = &r.workerSinks[sinkIdx-1].scratch
-	}
-	batch := r.cur.batch(v, *scratchP)
-	*scratchP = batch
+	batch := r.buf.batch(v)
 	n := &r.nodes[v]
 	n.sinkIdx = sinkIdx
 	r.handlers[v].Pulse(n, r.pulse, batch)
-	n.sinkIdx = 0
 	for i := range batch {
 		r.arena.Release(batch[i].Body.Seg) // the batch was the segment's last use
 	}
 }
 
 // stepParallel runs one pulse on the worker pool: contiguous shards of the
-// (index-ordered) activation set step concurrently, buffering their
-// effects; the buffers merge in shard order, reproducing serial order.
+// (index-ordered) activation set step concurrently, worker k staging its
+// sends in sink k; the seal drains the sinks in shard order, reproducing
+// serial order.
 func (r *Runner) stepParallel() {
 	ids := r.activeIDs[:0]
-	for w, word := range r.cur.bits {
+	for w, word := range r.buf.bits {
 		if word == 0 {
 			continue
 		}
-		r.cur.bits[w] = 0
+		r.buf.bits[w] = 0
 		base := w << 6
 		for word != 0 {
 			ids = append(ids, graph.NodeID(base+bits.TrailingZeros64(word)))
@@ -681,14 +658,11 @@ func (r *Runner) stepParallel() {
 		}
 	}
 	r.activeIDs = ids
-	r.cur.active = 0
+	r.buf.active = 0
 
-	w := r.workers
-	if w > len(ids) {
-		w = len(ids)
-	}
-	if r.workerSinks == nil || len(r.workerSinks) < w {
-		r.workerSinks = make([]sendSink, r.workers)
+	w := min(r.workers, len(ids))
+	if len(r.workerPanics) < w {
+		r.sinks = append(r.sinks, make([]sendSink, r.workers-len(r.sinks))...)
 		r.workerPanics = make([]any, r.workers)
 	}
 	var wg sync.WaitGroup
@@ -703,7 +677,7 @@ func (r *Runner) stepParallel() {
 				}
 			}()
 			for _, v := range shard {
-				r.stepNode(v, int32(k)+1)
+				r.stepNode(v, int32(k))
 			}
 		}(k, ids[lo:hi])
 	}
@@ -713,35 +687,66 @@ func (r *Runner) stepParallel() {
 			panic(p)
 		}
 	}
-	// Deterministic merge: shards in ascending node order, sends in call
-	// order — exactly the serial application order.
-	for k := 0; k < w; k++ {
-		sink := &r.workerSinks[k]
-		for _, ps := range sink.sends {
-			r.record(ps.from, ps.to, ps.body)
-		}
-		if sink.newOut && r.pulse > r.lastOut {
-			r.lastOut = r.pulse
-		}
-		for i := range sink.sends {
-			sink.sends[i] = pendingSend{}
-		}
-		sink.sends = sink.sends[:0]
-		sink.newOut = false
-	}
 }
 
-// record applies one send: deliver into the next pulse's chain pool and
-// activate both endpoints.
-func (r *Runner) record(from, to graph.NodeID, body wire.Body) {
-	r.msgs++
-	r.nxt.deliver(to, Incoming{From: from, Body: body})
-	r.nxt.activate(to)
-	r.nxt.activate(from)
-	if r.keepTrace {
-		// A seg-carrying trace Body keeps only the handle; its storage is
-		// recycled after delivery, so traces of seg traffic are compared
-		// by handle, not resolved afterwards.
-		r.trace = append(r.trace, TraceEntry{Pulse: r.pulse, From: from, To: to, Body: body})
+// seal closes a pulse (or Init) at the barrier: it counting-sorts the
+// staged sends by receiver into the buffer as the next pulse's batches.
+// The sinks drain in order — the serial application order. A first pass
+// counts each receiver's messages, activates both endpoints and does the
+// M, T and trace accounting; a walk of the activation bitmap gives each
+// receiver a contiguous range in ascending node order; a stable scatter
+// then fills the ranges, so every batch stays sorted by sender.
+func (r *Runner) seal() {
+	b := &r.buf
+	b.refill()
+	for k := range r.sinks {
+		s := &r.sinks[k]
+		for _, c := range s.log[:s.used] {
+			for i := range c {
+				rec := &c[i]
+				if b.ep[rec.to] != b.epoch {
+					b.ep[rec.to], b.lo[rec.to] = b.epoch, 0
+					b.activate(rec.to)
+				}
+				b.lo[rec.to]++
+				b.activate(rec.from)
+				if r.keepTrace {
+					// A seg-carrying trace Body keeps only the handle; its
+					// storage is recycled after delivery, so traces of seg
+					// traffic are compared by handle, not resolved afterwards.
+					r.trace = append(r.trace, TraceEntry{Pulse: r.pulse, From: rec.from, To: rec.to, Body: rec.body})
+				}
+			}
+			r.msgs += uint64(len(c))
+		}
+		if s.newOut && r.pulse > r.lastOut {
+			r.lastOut = r.pulse
+		}
+	}
+	var off int32
+	for w, word := range b.bits {
+		for base := w << 6; word != 0; word &= word - 1 {
+			if v := base + bits.TrailingZeros64(word); b.ep[v] == b.epoch {
+				cnt := b.lo[v]
+				b.lo[v], b.hi[v] = off, off
+				off += cnt
+			}
+		}
+	}
+	if int(off) > cap(b.in) {
+		b.in = make([]Incoming, 0, max(int(off), 2*cap(b.in)))
+	}
+	b.in = b.in[:off]
+	for k := range r.sinks {
+		s := &r.sinks[k]
+		for j, c := range s.log[:s.used] {
+			for i := range c {
+				rec := &c[i]
+				b.in[b.hi[rec.to]] = Incoming{From: rec.from, Body: rec.body}
+				b.hi[rec.to]++
+			}
+			s.log[j] = c[:0]
+		}
+		s.used, s.newOut = 0, false
 	}
 }
