@@ -155,9 +155,8 @@ const (
 // Asynchronous engine execution modes (byte-identical results, wall-clock
 // only). AsyncModeAuto engages the conservative bounded-lag windows when
 // the adversary's MinDelay lookahead and the graph are both large enough to
-// amortize the window barriers, and upgrades to speculative execution when
-// the lookahead is too small for windows but every handler implements
-// async.StateCloner. AsyncModeSpec forces the speculative executor
+// amortize the window barriers, and runs serially otherwise — it never
+// chooses speculation. AsyncModeSpec forces the speculative executor
 // (copy-on-write staging past the safe window with straggler rollback);
 // when handlers are not cloneable it falls back to AsyncModeMulti.
 const (

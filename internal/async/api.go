@@ -105,7 +105,8 @@ type Node struct {
 	// ctxIdx routes the node's effects: ctxDirect is the engine's direct
 	// context (ModeSingle and merges), k > 0 is worker context wctx[k-1]
 	// (exactly one worker owns a node inside a window, so the index is
-	// stable for the window's duration), ctxSwallow is the speculative
+	// stable for the window's duration; a shard engine routes every node to
+	// wctx[0] for the whole run), ctxSwallow is the speculative
 	// straddle-repair context. An index instead of a pointer keeps Node at
 	// 16 bytes — the engine holds one Node per simulated node.
 	ctxIdx int32

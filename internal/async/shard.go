@@ -11,12 +11,14 @@ import (
 // (internal/shard owns the sockets and the coordinator).
 //
 // One Sim is built per shard over a graph.Subrange view; BeginShard flips
-// it into shard-staged mode, where every schedule call parks in a log
-// keyed by its triggering event's (t, seq) instead of entering the local
-// queue. The cross-process protocol then alternates:
+// it into shard-staged mode, where handlers run through one worker context
+// whose schedule calls stage keyed by their triggering event's (t, seq),
+// exactly as a ModeMulti worker's do, instead of entering the local queue.
+// The cross-process protocol then alternates:
 //
 //   - ShardInit / ShardRunWindow execute local handler code, staging all
-//     schedule calls;
+//     schedule calls, and fold the context's ledger in as a window barrier
+//     does (the event cap is checked there);
 //   - the worker flushes the staged log (ShardStaged) to the coordinator,
 //     which k-way merges every shard's log by (trigT, trigSeq) — exactly
 //     the ModeMulti barrier merge, across processes — and grants event
@@ -64,6 +66,10 @@ func (s *Sim) BeginShard() {
 	}
 	s.running = true
 	s.shardMode = true
+	s.ensureWindowState(1)
+	for i := range s.nodes {
+		s.nodes[i].ctxIdx = 1
+	}
 }
 
 // ShardInit runs every local handler's Init in ascending node order,
@@ -72,25 +78,19 @@ func (s *Sim) BeginShard() {
 // serial engine's init order because it issues schedule calls in
 // ascending node order too.
 func (s *Sim) ShardInit() {
+	c := &s.wctx[0]
 	for i := range s.handlers {
-		s.direct.curSeq = uint64(s.nodeBase) + uint64(i)
+		c.curSeq = uint64(s.nodeBase) + uint64(i)
 		s.handlers[i].Init(&s.nodes[i])
 	}
-	s.direct.curSeq = 0
-	s.direct.now = 0
+	s.foldWindow()
 }
 
 // ShardRunWindow drains every local event in [wStart, wStart+MinDelay)
-// through the serial engine's processEvent, staging all schedule calls.
+// through the worker context, staging all schedule calls.
 func (s *Sim) ShardRunWindow(wStart float64) {
-	wEnd := wStart + s.lookahead
-	for {
-		ev := s.events.popBefore(wEnd)
-		if ev == nil {
-			return
-		}
-		s.step(ev)
-	}
+	s.wctx[0].drain(&s.events, wStart+s.lookahead)
+	s.foldWindow()
 }
 
 // ShardPendingMinT returns the earliest timestamp still queued locally
@@ -98,13 +98,13 @@ func (s *Sim) ShardRunWindow(wStart float64) {
 func (s *Sim) ShardPendingMinT() (float64, bool) { return s.events.minT() }
 
 // ShardStagedCount returns the staged-log length since the last flush.
-func (s *Sim) ShardStagedCount() int { return len(s.shardLog) }
+func (s *Sim) ShardStagedCount() int { return len(s.wctx[0].staged) }
 
 // ShardStaged returns staged entry i. Entries are sorted by (TrigT,
 // TrigSeq): windows process events in that order and a single event's
 // calls share its key in call order.
 func (s *Sim) ShardStaged(i int) ShardStagedView {
-	se := &s.shardLog[i]
+	se := &s.wctx[0].staged[i]
 	return ShardStagedView{
 		TrigT:   se.trigT,
 		TrigSeq: se.trigSeq,
@@ -123,30 +123,26 @@ func (s *Sim) ShardStaged(i int) ShardStagedView {
 // dropped — their grant is consumed by the destination shard's
 // ShardInject. The log resets for the next window.
 func (s *Sim) ShardGrant(seqs []uint64, remote []bool) {
-	if len(seqs) != len(s.shardLog) || len(remote) != len(s.shardLog) {
+	staged := s.wctx[0].staged
+	if len(seqs) != len(staged) || len(remote) != len(staged) {
 		panic(fmt.Sprintf("async: grant of %d/%d seqs for %d staged entries",
-			len(seqs), len(remote), len(s.shardLog)))
+			len(seqs), len(remote), len(staged)))
 	}
-	for i := range s.shardLog {
+	for i := range staged {
 		if remote[i] {
 			continue
 		}
-		ev := &s.shardLog[i].ev
+		ev := &staged[i].ev
 		ev.seq = seqs[i]
 		s.events.push(ev)
 	}
-	// Release the staged Msg values (and any segment handles already
-	// extracted) for the garbage collector's sake: the log is long-lived.
-	for i := range s.shardLog {
-		s.shardLog[i] = stagedEv{}
-	}
-	s.shardLog = s.shardLog[:0]
+	s.wctx[0].staged = staged[:0]
 }
 
 // ShardInject admits one remote-born event routed to this shard. The
 // local link id is recomputed here: a delivery's forward link lives on
 // the sender's shard, so the event instead carries the complement of the
-// local back link (dst→src), which processEvent recognizes by sign; an
+// local back link (dst→src), which step recognizes by sign; an
 // ack-return's forward link (src→dst) is local to this shard, the
 // original sender's.
 func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.NodeID, m Msg) {
@@ -201,7 +197,7 @@ func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body) error) error
 
 // ShardSteps reports events processed so far (the coordinator sums and
 // reports them; each shard also enforces its own MaxEvents cap).
-func (s *Sim) ShardSteps() uint64 { return s.steps }
+func (s *Sim) ShardSteps() uint64 { return s.direct.steps }
 
 // Arena exposes the run's segment arena: the shard transport re-homes
 // inbound frame segments into it and releases outbound ones after

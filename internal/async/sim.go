@@ -18,12 +18,12 @@ import (
 type ExecutionMode int
 
 const (
-	// ModeAuto picks a parallel executor when the graph is large enough to
-	// amortize per-round coordination and more than one CPU is available:
-	// ModeMulti when the adversary's lookahead makes safe windows worth a
-	// barrier, ModeSpec when lookahead is tiny but every handler implements
-	// StateCloner, else ModeSingle. The decision lives in
-	// execpolicy.AsyncAuto, shared with the lockstep runner's heuristic.
+	// ModeAuto picks ModeMulti when the graph is large enough to amortize
+	// per-window coordination, more than one CPU is available and the
+	// adversary's lookahead makes safe windows worth a barrier; otherwise
+	// ModeSingle. It never picks ModeSpec, which no measured workload runs
+	// faster than serial. The decision lives in execpolicy.AsyncAuto,
+	// shared with the lockstep runner's heuristic.
 	ModeAuto ExecutionMode = iota
 	// ModeSingle pops one event at a time on the calling goroutine.
 	ModeSingle
@@ -101,22 +101,20 @@ type Sim struct {
 	// Whole graphs have base 0, so the subtraction is free noise there.
 	nodeBase graph.NodeID
 
-	// Shard-staged mode (see shard.go): direct-context schedule calls are
-	// appended to shardLog — keyed by the triggering event like ModeMulti
-	// staging — instead of entering the local queue, because event seqs
-	// are granted by the cross-process coordinator's merge.
+	// Shard-staged mode (see shard.go): handlers run through worker context
+	// 0, whose schedule calls stage exactly like a ModeMulti worker's,
+	// because event seqs are granted by the cross-process coordinator's
+	// merge.
 	shardMode bool
-	shardLog  []stagedEv
 
 	mode        ExecutionMode
 	workers     int
 	minParallel int
 
-	events  eventQueue   // ModeSingle event store
-	shards  []eventQueue // ModeMulti per-worker event stores, by owner node
+	events  eventQueue   // ModeSingle and shard-staged event store
+	shards  []eventQueue // parallel-mode per-worker event stores, by owner node
 	sharded bool
 	eventSq uint64
-	now     float64
 
 	// Per-directed-link hot state, indexed by graph.LinkID and split by
 	// temperature: busy is the 1-byte in-flight flag every send and ack
@@ -136,29 +134,14 @@ type Sim struct {
 	// the respective kind, published via atomic pointer so concurrent
 	// owner-sharded workers agree on the slab before writing their own
 	// (disjoint) slots. Only the 1-byte hasOut column is eager.
-	outBodyP       atomic.Pointer[[]wire.Body]
-	outAnyP        atomic.Pointer[[]any]
-	outMu          sync.Mutex
-	hasOut         []bool
-	outCount       int
-	lastOutputTime float64
-	denseOut       bool
-
-	msgs     uint64
-	acks     uint64
-	perProto []uint64 // dense, indexed by Proto
-
-	// Fault-plane accounting: transmissions lost to the schedule, retries
-	// scheduled, and messages abandoned with their budget exhausted.
-	dropped uint64
-	retrans uint64
-	undeliv uint64
+	outBodyP atomic.Pointer[[]wire.Body]
+	outAnyP  atomic.Pointer[[]any]
+	outMu    sync.Mutex
+	hasOut   []bool
+	denseOut bool
 
 	keepTrace bool
-	trace     []TraceEntry
-
 	maxEvents uint64
-	steps     uint64
 	running   bool
 
 	// resumed marks an engine whose state was loaded from a snapshot
@@ -172,8 +155,10 @@ type Sim struct {
 	// a committed prefix and Stats refuses to serve them as a snapshot.
 	inWindow bool
 
-	// direct is the apply-immediately execution context (ModeSingle and
-	// the Init phase); wctx are the ModeMulti worker contexts.
+	// direct is the apply-immediately execution context (ModeSingle, the
+	// Init phase, window merges and the speculative commit walk); its ledger
+	// is the engine's committed totals. wctx are the worker contexts of the
+	// parallel modes and of shard-staged mode.
 	direct       execCtx
 	wctx         []execCtx
 	workerPanics []any
@@ -394,7 +379,7 @@ func (s *Sim) DenseOutputs() *Sim { s.denseOut = true; return s }
 
 // SetMaxEvents caps the number of processed events; exceeding it panics
 // (runaway protocols are bugs, not conditions to limp through). In
-// ModeMulti the cap is checked at window barriers.
+// ModeMulti and on shard engines the cap is checked at window barriers.
 func (s *Sim) SetMaxEvents(limit uint64) { s.maxEvents = limit }
 
 // Handler returns node v's handler (tests use this to inspect final state).
@@ -421,7 +406,7 @@ func (s *Sim) Stats() (now float64, msgs, acks uint64, perProto map[Proto]uint64
 	if s.inWindow {
 		panic("async: Stats called while a parallel window is in flight; mid-run snapshots are defined only between barriers (or any time in ModeSingle)")
 	}
-	return s.now, s.msgs, s.acks, s.perProtoMap()
+	return s.direct.now, s.direct.msgs, s.direct.acks, s.perProtoMap()
 }
 
 // FaultStats snapshots the fault-plane counters, under the same
@@ -430,12 +415,12 @@ func (s *Sim) FaultStats() (dropped, retrans, undeliverable uint64) {
 	if s.inWindow {
 		panic("async: FaultStats called while a parallel window is in flight")
 	}
-	return s.dropped, s.retrans, s.undeliv
+	return s.direct.dropped, s.direct.retrans, s.direct.undeliv
 }
 
 func (s *Sim) perProtoMap() map[Proto]uint64 {
 	pp := make(map[Proto]uint64)
-	for p, n := range s.perProto {
+	for p, n := range s.direct.perProto {
 		if n != 0 {
 			pp[Proto(p)] = n
 		}
@@ -510,10 +495,6 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	}
 	s.sharded = false
 	s.eventSq = 0
-	s.now = 0
-	s.direct.now = 0
-	s.direct.curSeq = 0
-	s.steps = 0
 	for i, ob := range s.boxes {
 		s.busy[i] = false
 		if ob != nil {
@@ -535,28 +516,13 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	for i := range outA {
 		outA[i] = nil
 	}
-	s.outCount = 0
-	s.lastOutputTime = 0
-	s.msgs, s.acks = 0, 0
-	s.dropped, s.retrans, s.undeliv = 0, 0, 0
-	for i := range s.perProto {
-		s.perProto[i] = 0
-	}
-	s.trace = s.trace[:0]
-	// Clear worker staging state: a run that panicked mid-window (the
-	// recoverable engine-panic idiom core.tryBound relies on) leaves
-	// staged events, counters, and possibly a recorded panic behind.
+	// Every context's ledger and logs clear: a run that panicked mid-window
+	// (the recoverable engine-panic idiom core.tryBound relies on) leaves
+	// staged events, counters, speculative ops, and possibly a recorded
+	// panic behind.
+	s.direct.reset()
 	for k := range s.wctx {
-		c := &s.wctx[k]
-		c.now, c.maxT, c.lastOut = 0, 0, 0
-		c.curSeq, c.msgs, c.acks, c.steps = 0, 0, 0, 0
-		c.dropped, c.retrans, c.undeliv = 0, 0, 0
-		c.outCount = 0
-		for i := range c.perProto {
-			c.perProto[i] = 0
-		}
-		c.staged = c.staged[:0]
-		c.trace = c.trace[:0]
+		s.wctx[k].reset()
 	}
 	for k := range s.workerPanics {
 		s.workerPanics[k] = nil
@@ -570,19 +536,11 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	for i := range s.specClones {
 		s.specClones[i] = nil
 	}
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		clearSpecOps(c.specOps)
-		c.specOps = c.specOps[:0]
-		c.specLog = c.specLog[:0]
-		c.specPanicked, c.specPanic = false, nil
-	}
 	s.specRelease = s.specRelease[:0]
 	s.specStats = SpecStats{}
 	s.specMk = mk
 	s.arena.Reset()
 	s.shardMode = false
-	s.shardLog = s.shardLog[:0]
 	for i := range s.handlers {
 		s.nodes[i].ctxIdx = ctxDirect
 		s.handlers[i] = mk(s.nodeBase + graph.NodeID(i))
@@ -600,13 +558,9 @@ func (s *Sim) Run() Result {
 	s.running = true
 	mode := s.mode
 	if mode == ModeAuto {
-		switch execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, s.handlersCloneable()) {
-		case execpolicy.AsyncWindows:
+		mode = ModeSingle
+		if execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, false) == execpolicy.AsyncWindows {
 			mode = ModeMulti
-		case execpolicy.AsyncSpec:
-			mode = ModeSpec
-		default:
-			mode = ModeSingle
 		}
 	}
 	if mode == ModeSpec && !s.handlersCloneable() {
@@ -619,17 +573,20 @@ func (s *Sim) Run() Result {
 	}
 	switch mode {
 	case ModeMulti:
-		s.runWindows()
+		s.runWindows(func(k int, wStart float64) {
+			s.wctx[k].drain(&s.shards[k], wStart+s.lookahead)
+		}, s.mergeWindow)
 	case ModeSpec:
 		s.runSpec()
 	default:
-		s.runSerial()
+		s.initHandlers()
+		s.direct.drain(&s.events, maxEventTime)
 	}
 	return s.result()
 }
 
 // handlersCloneable reports whether every handler opted into speculative
-// execution. O(n) type assertions; called at most twice per Run.
+// execution. O(n) type assertions; called once per forced ModeSpec Run.
 func (s *Sim) handlersCloneable() bool {
 	for _, h := range s.handlers {
 		if _, ok := h.(StateCloner); !ok {
@@ -642,43 +599,29 @@ func (s *Sim) handlersCloneable() bool {
 	return true
 }
 
-func (s *Sim) runSerial() {
-	if !s.resumed {
-		for i := range s.handlers {
-			s.handlers[i].Init(&s.nodes[i])
-		}
+// initHandlers runs every handler's Init in ascending node order, through
+// the direct context — unless the run continues a restored snapshot, whose
+// handlers already ran it.
+func (s *Sim) initHandlers() {
+	if s.resumed {
+		return
 	}
-	for !s.events.empty() {
-		s.step(s.events.pop())
+	for i := range s.handlers {
+		s.handlers[i].Init(&s.nodes[i])
 	}
 }
 
-// step executes one popped event serially: the clock and livelock guards,
-// then the handler through the direct context. Run (ModeSingle), RunSteps
-// and a shard worker's window all advance through it.
-func (s *Sim) step(ev *event) {
-	if ev.t < s.now {
-		panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, s.now))
-	}
-	s.now = ev.t
-	s.steps++
-	if s.steps > s.maxEvents {
-		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-	}
-	s.direct.processEvent(ev)
-}
-
-// runWindows is the bounded-lag executor: repeatedly take the earliest
-// queued timestamp wStart, execute every event in [wStart, wStart +
-// lookahead) — the adversary's MinDelay guarantees no event processed in
-// the window can schedule anything inside it, in exact floating-point
-// arithmetic too, since fl(t+d) is monotone in t and d — and merge the
-// staged effects deterministically at the barrier.
-func (s *Sim) runWindows() {
-	w := s.workers
-	if w < 1 {
-		w = 1
-	}
+// runWindows is the parallel executors' shared driver: repeatedly take the
+// earliest queued timestamp wStart, let round(k, wStart) drain worker k's
+// shard for the round opened there, and let barrier(wStart) fold the round
+// back into the engine. barrier returns how many events the round
+// committed, the next round's fan-out predictor. ModeMulti's round is the
+// bounded-lag window [wStart, wStart + lookahead) — the adversary's MinDelay
+// guarantees no event processed in it can schedule anything inside it, in
+// exact floating-point arithmetic too, since fl(t+d) is monotone in t and d
+// — and its barrier is mergeWindow; ModeSpec's are in spec.go.
+func (s *Sim) runWindows(round func(k int, wStart float64), barrier func(wStart float64) int) {
+	w := max(s.workers, 1)
 	s.ensureWindowState(w)
 	s.sharded = true
 	defer func() {
@@ -688,41 +631,35 @@ func (s *Sim) runWindows() {
 			s.nodes[i].ctxIdx = ctxDirect
 		}
 	}()
-	// Init runs serially through the direct context (its schedules route
-	// to the shards), exactly as in ModeSingle. A resumed run skips Init —
-	// its events were restored into the serial queue and are dealt to the
-	// owner shards instead, identities (t, seq) intact.
-	if s.resumed {
-		s.dealRestoredEvents()
-	} else {
-		for i := range s.handlers {
-			s.handlers[i].Init(&s.nodes[i])
-		}
-	}
+	// Init runs serially through the direct context (its schedules route to
+	// the shards), exactly as in ModeSingle. A resumed run skips Init — its
+	// events were restored into the serial queue and are dealt to the owner
+	// shards instead, identities (t, seq) intact.
+	s.dealRestoredEvents()
+	s.initHandlers()
 	for i := range s.nodes {
 		s.nodes[i].ctxIdx = int32(i%w) + 1
 	}
-	// Fan out to goroutines only when windows are actually populated: the
-	// previous window's event count is the predictor (window occupancy is
-	// unknowable before draining, and total queue size is the wrong
-	// proxy — a tiny-lookahead adversary keeps thousands of events queued
-	// while every window holds one). A forced ModeMulti under such an
-	// adversary therefore stays on the inline staging path — same merge,
-	// same results, no per-event goroutine barrier.
-	prevWindow := 0
+	// Fan out to goroutines only when rounds are actually populated: the
+	// previous round's event count is the predictor (round occupancy is
+	// unknowable before draining, and total queue size is the wrong proxy —
+	// a tiny-lookahead adversary keeps thousands of events queued while
+	// every window holds one). A forced ModeMulti under such an adversary
+	// therefore stays on the inline staging path — same merge, same
+	// results, no per-event goroutine barrier.
+	prev := 0
 	for {
 		wStart, ok := s.minShardT()
 		if !ok {
-			break
+			return
 		}
-		if wStart < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", wStart, s.now))
+		if wStart < s.direct.now {
+			panic(fmt.Sprintf("async: time went backwards: %g < %g", wStart, s.direct.now))
 		}
-		wEnd := wStart + s.lookahead
 		s.inWindow = true
-		if w == 1 || prevWindow < s.minParallel {
-			for k := range s.shards {
-				s.runShard(k, wEnd)
+		if w == 1 || prev < s.minParallel {
+			for k := 0; k < w; k++ {
+				round(k, wStart)
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -735,7 +672,7 @@ func (s *Sim) runWindows() {
 							s.workerPanics[k] = p
 						}
 					}()
-					s.runShard(k, wEnd)
+					round(k, wStart)
 				}(k)
 			}
 			wg.Wait()
@@ -745,30 +682,24 @@ func (s *Sim) runWindows() {
 				}
 			}
 		}
-		stepsBefore := s.steps
-		s.mergeWindow()
+		prev = barrier(wStart)
 		s.inWindow = false
-		prevWindow = int(s.steps - stepsBefore)
 	}
 }
 
 // ensureWindowState sizes the shard queues and worker contexts, reusing
 // them across Reset cycles when the worker count is unchanged.
 func (s *Sim) ensureWindowState(w int) {
-	if len(s.shards) != w {
-		s.shards = make([]eventQueue, w)
-		s.wctx = make([]execCtx, w)
-		for k := range s.wctx {
-			s.wctx[k] = execCtx{s: s}
-		}
-		s.workerPanics = make([]any, w)
-		s.mergeCur = make([]int, w)
+	if len(s.shards) == w {
+		return
 	}
+	s.shards = make([]eventQueue, w)
+	s.wctx = make([]execCtx, w)
 	for k := range s.wctx {
-		c := &s.wctx[k]
-		c.maxT = 0
-		c.lastOut = 0
+		s.wctx[k].s = s
 	}
+	s.workerPanics = make([]any, w)
+	s.mergeCur = make([]int, w)
 }
 
 // dealRestoredEvents moves snapshot-restored events from the serial queue
@@ -793,84 +724,56 @@ func (s *Sim) minShardT() (float64, bool) {
 	return best, any
 }
 
-// runShard drains one shard's slice of the window in (t, seq) order.
-func (s *Sim) runShard(k int, wEnd float64) {
-	c := &s.wctx[k]
-	q := &s.shards[k]
-	for {
-		ev := q.popBefore(wEnd)
-		if ev == nil {
-			return
-		}
-		c.steps++
-		c.maxT = ev.t // shards pop in nondecreasing t
-		c.processEvent(ev)
-	}
-}
-
-// mergeWindow folds every worker's staged effects back into the engine in
-// the exact order the serial engine would have produced them: counters are
-// plain sums and maxima; staged schedules and trace entries k-way merge by
-// their triggering event's (t, seq) — each worker's buffer is already
-// sorted by that key because shards process their events in order, and no
-// key appears in two buffers because each event has one owner.
-func (s *Sim) mergeWindow() {
-	for k := range s.wctx {
-		c := &s.wctx[k]
-		s.msgs += c.msgs
-		s.acks += c.acks
-		s.steps += c.steps
-		s.dropped += c.dropped
-		s.retrans += c.retrans
-		s.undeliv += c.undeliv
-		s.outCount += c.outCount
-		c.msgs, c.acks, c.steps, c.outCount = 0, 0, 0, 0
-		c.dropped, c.retrans, c.undeliv = 0, 0, 0
-		if c.lastOut > s.lastOutputTime {
-			s.lastOutputTime = c.lastOut
-		}
-		if c.maxT > s.now {
-			s.now = c.maxT
-		}
-		for p, n := range c.perProto {
-			if n != 0 {
-				s.perProto = bumpProtoBy(s.perProto, Proto(p), n)
-				c.perProto[p] = 0
-			}
-		}
-	}
-	if s.steps > s.maxEvents {
-		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-	}
-	// Merge staged schedules; seq assignment happens in merge order, which
-	// reproduces the serial engine's schedule-call order exactly.
-	MergeRuns(s.mergeCur, len(s.wctx),
-		func(k int) []stagedEv { return s.wctx[k].staged },
-		stagedLess,
-		func(_ int, se *stagedEv) { s.schedule(&se.ev) })
-	for k := range s.wctx {
-		s.wctx[k].staged = s.wctx[k].staged[:0]
-	}
+// foldWindow books every worker's share of a window into the engine's
+// ledger — counters are sums and clocks maxima, the traces k-way merge by
+// (T, Seq) — and checks the event cap, which a worker could only check
+// against its own share. Returns how many events the window ran.
+func (s *Sim) foldWindow() int {
+	before := s.direct.steps
 	if s.keepTrace {
 		MergeRuns(s.mergeCur, len(s.wctx),
 			func(k int) []TraceEntry { return s.wctx[k].trace },
 			TraceLess,
-			func(_ int, te *TraceEntry) { s.trace = append(s.trace, *te) })
-		for k := range s.wctx {
-			s.wctx[k].trace = s.wctx[k].trace[:0]
-		}
+			func(_ int, te *TraceEntry) bool { s.direct.trace = append(s.direct.trace, *te); return true })
 	}
+	for k := range s.wctx {
+		s.direct.fold(&s.wctx[k].ledger)
+	}
+	if s.direct.steps > s.maxEvents {
+		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.direct.now))
+	}
+	return int(s.direct.steps - before)
+}
+
+// mergeWindow is the bounded-lag barrier: fold the window, then issue the
+// staged schedules in the exact order the serial engine would have — a
+// k-way merge by their triggering event's (t, seq). Each worker's buffer is
+// already sorted by that key because shards process their events in order,
+// and no key appears in two buffers because each event has one owner; seq
+// assignment in merge order reproduces the serial schedule-call order.
+func (s *Sim) mergeWindow(float64) int {
+	ran := s.foldWindow()
+	MergeRuns(s.mergeCur, len(s.wctx),
+		func(k int) []stagedEv { return s.wctx[k].staged },
+		stagedLess,
+		func(_ int, se *stagedEv) bool { s.schedule(&se.ev); return true })
+	for k := range s.wctx {
+		s.wctx[k].staged = s.wctx[k].staged[:0]
+	}
+	return ran
 }
 
 // MergeRuns k-way merges n sorted runs — the workers' per-window buffers
-// here, the shard workers' flushed logs and traces in internal/shard —
-// calling emit with each element and the index of the run it came from.
-// Each run is already sorted by `less` (workers emit in their shard's
-// (t, seq) processing order) and no key appears in two runs (one owner per
-// event), so a stable scan-for-minimum reproduces the global serial order.
-// cur is caller-owned cursor scratch of length ≥ n.
+// and speculative logs here, the shard workers' flushed logs and traces in
+// internal/shard — calling emit with each element and the index of the run
+// it came from, until emit returns false. Each run is already sorted by
+// `less` (workers emit in their shard's (t, seq) processing order) and no
+// key appears in two runs (one owner per event), so a stable scan-for-
+// minimum reproduces the global serial order. cur is caller-owned cursor
+// scratch of length ≥ n; on return cur[k] counts the elements of run k that
+// were emitted and accepted.
 func MergeRuns[T any](cur []int, n int, list func(k int) []T,
-	less func(a, b *T) bool, emit func(k int, v *T)) {
+	less func(a, b *T) bool, emit func(k int, v *T) bool) {
 	for k := 0; k < n; k++ {
 		cur[k] = 0
 	}
@@ -885,10 +788,9 @@ func MergeRuns[T any](cur []int, n int, list func(k int) []T,
 				best, head = k, h
 			}
 		}
-		if best < 0 {
+		if best < 0 || !emit(best, head) {
 			return
 		}
-		emit(best, head)
 		cur[best]++
 	}
 }
@@ -910,18 +812,19 @@ func TraceLess(a, b *TraceEntry) bool {
 
 // result materializes the run's Result at the engine boundary.
 func (s *Sim) result() Result {
+	l := &s.direct.ledger
 	res := Result{
-		Time:          s.lastOutputTime,
-		QuiesceTime:   s.now,
-		Msgs:          s.msgs,
-		Acks:          s.acks,
-		Dropped:       s.dropped,
-		Retrans:       s.retrans,
-		Undeliverable: s.undeliv,
+		Time:          l.lastOut,
+		QuiesceTime:   l.now,
+		Msgs:          l.msgs,
+		Acks:          l.acks,
+		Dropped:       l.dropped,
+		Retrans:       l.retrans,
+		Undeliverable: l.undeliv,
 		PerProto:      s.perProtoMap(),
 	}
 	if s.keepTrace {
-		res.Trace = append([]TraceEntry(nil), s.trace...)
+		res.Trace = append([]TraceEntry(nil), l.trace...)
 	}
 	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
 	bodyAt := func(i int) wire.Body {
@@ -953,7 +856,7 @@ func (s *Sim) result() Result {
 		}
 		return res
 	}
-	outputs := make(map[graph.NodeID]any, s.outCount)
+	outputs := make(map[graph.NodeID]any, l.outCount)
 	for i, has := range s.hasOut {
 		if has {
 			outputs[s.nodeBase+graph.NodeID(i)] = outval.DecodeSlot(bodyAt(i), anyAt(i))
@@ -981,9 +884,11 @@ func (r *Result) DecodedOutputs() map[graph.NodeID]any {
 }
 
 // execCtx is one execution context: the direct (apply-immediately) context
-// of the serial engine and Init phase, or one ModeMulti worker's private
-// staging state. A single code path serves both — the hot-path branch on
-// `direct` keeps the two modes impossible to drift apart.
+// of the serial engine, the Init phase, window merges and the commit walk,
+// or one worker's private staging state in the parallel and shard-staged
+// modes. One code path serves every context: effects book into the
+// context's own ledger, and only schedule chooses between applying an event
+// and staging it.
 type execCtx struct {
 	s      *Sim
 	direct bool
@@ -997,38 +902,78 @@ type execCtx struct {
 	spec    bool
 	swallow bool
 
-	// now/curSeq identify the event being processed (the parallel schedule
-	// staging keys on them; the direct context mirrors Sim.now).
-	now    float64
+	// curSeq (with ledger.now) identifies the event being processed; the
+	// staged schedule calls key on the pair.
 	curSeq uint64
-
-	// Worker-private effect staging, merged at the window barrier.
-	msgs, acks uint64
-	steps      uint64
-	dropped    uint64
-	retrans    uint64
-	undeliv    uint64
-	outCount   int
-	lastOut    float64
-	maxT       float64
-	perProto   []uint64
-	staged     []stagedEv
-	trace      []TraceEntry
+	ledger
+	staged []stagedEv
 
 	// Speculative round log (spec contexts): flat op log plus one entry per
 	// executed event closing its op range. specCur is the event currently
-	// inside its handler callback, so a panic can be attributed.
-	specOps      []specOp
-	specLog      []specExec
-	specCur      event
-	specPanic    any
-	specPanicked bool
+	// inside its handler callback; if the callback panics, the event closes
+	// the log with its partial ops and specPanic holds the panic value.
+	specOps   []specOp
+	specLog   []specExec
+	specCur   event
+	specPanic any
 
 	// replay (direct context, commit walk only): when replayOn is set,
 	// invokeRecv/invokeAck apply this logged op sequence instead of calling
-	// the handler — everything else in processEvent runs as in ModeSingle.
-	replay   []specOp
-	replayOn bool
+	// the handler — everything else in step runs as in ModeSingle — and then
+	// re-raise replayPanic if it is set.
+	replay      []specOp
+	replayOn    bool
+	replayPanic any
+}
+
+// ledger is what an execution context books as it runs events: the clock,
+// the message, ack, step and fault counters, the output count and clock,
+// the per-proto counts and the delivery trace. The direct context's ledger
+// is the engine's committed totals — what Stats, Result and the snapshot
+// frame report; a worker's holds its share of one window until the barrier
+// folds it in.
+type ledger struct {
+	now, lastOut float64
+	msgs, acks   uint64
+	steps        uint64
+	// Fault-plane accounting: transmissions lost to the schedule, retries
+	// scheduled, and messages abandoned with their budget exhausted.
+	dropped, retrans, undeliv uint64
+	outCount                  int
+	perProto                  []uint64 // dense, indexed by Proto
+	trace                     []TraceEntry
+}
+
+// fold adds o's counters into l and takes the maximum of the clocks, then
+// empties o. The trace is the caller's to move: window traces interleave.
+func (l *ledger) fold(o *ledger) {
+	l.now = max(l.now, o.now)
+	l.lastOut = max(l.lastOut, o.lastOut)
+	l.msgs += o.msgs
+	l.acks += o.acks
+	l.steps += o.steps
+	l.dropped += o.dropped
+	l.retrans += o.retrans
+	l.undeliv += o.undeliv
+	l.outCount += o.outCount
+	for p, n := range o.perProto {
+		l.perProto = bumpProtoBy(l.perProto, Proto(p), n)
+	}
+	o.reset()
+}
+
+// reset zeroes the ledger, keeping its slices' capacity.
+func (l *ledger) reset() { *l = ledger{perProto: l.perProto[:0], trace: l.trace[:0]} }
+
+// reset clears the context's ledger and logs for another run.
+func (c *execCtx) reset() {
+	c.ledger.reset()
+	c.curSeq = 0
+	c.staged = c.staged[:0]
+	clearSpecOps(c.specOps)
+	c.specOps = c.specOps[:0]
+	c.specLog = c.specLog[:0]
+	c.specPanic = nil
 }
 
 // stagedEv is one deferred schedule call, keyed by the event that issued it.
@@ -1038,28 +983,39 @@ type stagedEv struct {
 	trigSeq uint64
 }
 
-// processEvent executes one event against this context.
-func (c *execCtx) processEvent(ev *event) {
+// drain steps c through every event q holds before end, in (t, seq) order:
+// a whole serial run, one worker's share of a window, or a shard engine's
+// window.
+func (c *execCtx) drain(q *eventQueue, end float64) {
+	for ev := q.popBefore(end); ev != nil; ev = q.popBefore(end) {
+		c.step(ev)
+	}
+}
+
+// step executes one popped event against this context: the clock guard,
+// the event count and its livelock cap, then the event's mechanics and
+// handler. The cap reads the context's own count — the engine's total for
+// the direct context, one window's share for a worker, whose total the
+// barrier checks.
+func (c *execCtx) step(ev *event) {
 	s := c.s
+	if ev.t < c.now {
+		panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, c.now))
+	}
 	c.now = ev.t
 	c.curSeq = ev.seq
+	c.steps++
+	if c.steps > s.maxEvents {
+		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, c.now))
+	}
 	switch ev.kind {
 	case evDeliver:
 		if s.keepTrace {
-			te := TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg}
-			if c.direct {
-				s.trace = append(s.trace, te)
-			} else {
-				c.trace = append(c.trace, te)
-			}
+			c.trace = append(c.trace, TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg})
 		}
 		c.invokeRecv(ev)
 		// Ack travels back; its arrival frees the link.
-		if c.direct {
-			s.acks++
-		} else {
-			c.acks++
-		}
+		c.acks++
 		// The return path. A negative link marks a remote-injected delivery
 		// (shard mode): the forward link lives on the sender's shard, so the
 		// injector encoded the local back link as its complement instead of
@@ -1092,7 +1048,7 @@ func (c *execCtx) processEvent(ev *event) {
 
 // invokeRecv runs the delivery's handler callback — or, during a
 // speculative commit walk, replays the effects the callback logged when it
-// already ran on the clone. Either way the surrounding processEvent
+// already ran on the clone. Either way the surrounding step
 // mechanics (trace, counters, ack scheduling, seq assignment) execute the
 // serial engine's code on the serial engine's state.
 func (c *execCtx) invokeRecv(ev *event) {
@@ -1119,7 +1075,9 @@ func (c *execCtx) invokeAck(ev *event) {
 // applyOps replays a logged handler-effect sequence through this context.
 // The ops re-enter send/setOutput exactly where the handler's own calls
 // would have, so counters, outbox scheduling, and adversary consultation
-// happen in the identical order.
+// happen in the identical order. A callback that panicked on the clone
+// panics here too, after its partial effects — the serial engine's exact
+// state at the point of death.
 func (c *execCtx) applyOps(ev *event) {
 	owner := ownerOf(ev)
 	for i := range c.replay {
@@ -1132,6 +1090,9 @@ func (c *execCtx) applyOps(ev *event) {
 		case opOutAny:
 			c.setOutput(op.to, op.val)
 		}
+	}
+	if c.replayPanic != nil {
+		panic(c.replayPanic)
 	}
 }
 
@@ -1154,13 +1115,8 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 		s.arena.Release(m.Body.Seg)
 		return
 	}
-	if c.direct {
-		s.msgs++
-		s.perProto = bumpProtoBy(s.perProto, m.Proto, 1)
-	} else {
-		c.msgs++
-		c.perProto = bumpProtoBy(c.perProto, m.Proto, 1)
-	}
+	c.msgs++
+	c.perProto = bumpProtoBy(c.perProto, m.Proto, 1)
 	if !s.busy[l] {
 		// Uncontended fast path: an idle link's queue is necessarily empty
 		// (a queued message implies an in-flight one), so push+pop of this
@@ -1203,20 +1159,12 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 		c.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: m})
 		return
 	}
-	if c.direct {
-		s.dropped++
-	} else {
-		c.dropped++
-	}
+	c.dropped++
 	if int(attempt) >= s.faults.Budget {
 		c.undeliverable(from, to, l, m)
 		return
 	}
-	if c.direct {
-		s.retrans++
-	} else {
-		c.retrans++
-	}
+	c.retrans++
 	b := s.faults.backoff(attempt, s.lookahead)
 	c.schedule(&event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: m, attempt: attempt + 1})
 }
@@ -1229,18 +1177,9 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 // by watchdogs (core.StallReport), never as hangs.
 func (c *execCtx) undeliverable(from, to graph.NodeID, l graph.LinkID, m Msg) {
 	s := c.s
-	if c.direct {
-		s.undeliv++
-	} else {
-		c.undeliv++
-	}
+	c.undeliv++
 	if s.keepTrace {
-		te := TraceEntry{T: c.now, Seq: c.curSeq, From: from, To: to, Msg: m, Kind: TraceUndeliverable}
-		if c.direct {
-			s.trace = append(s.trace, te)
-		} else {
-			c.trace = append(c.trace, te)
-		}
+		c.trace = append(c.trace, TraceEntry{T: c.now, Seq: c.curSeq, From: from, To: to, Msg: m, Kind: TraceUndeliverable})
 	}
 	s.arena.Release(m.Body.Seg)
 	s.busy[l] = false
@@ -1285,17 +1224,12 @@ func (s *Sim) checkDelay(d float64) {
 	}
 }
 
+// schedule applies the direct context's schedule calls at once; a worker
+// stages its calls keyed by the triggering event, for the barrier merge (or
+// the shard coordinator's) to grant seqs in serial order.
 func (c *execCtx) schedule(ev *event) {
 	if c.direct {
-		s := c.s
-		if s.shardMode {
-			// Event seqs are assigned by the coordinator's cross-shard
-			// merge; park the call keyed by its triggering event, exactly
-			// like ModeMulti worker staging.
-			s.shardLog = append(s.shardLog, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
-			return
-		}
-		s.schedule(ev)
+		c.s.schedule(ev)
 		return
 	}
 	c.staged = append(c.staged, stagedEv{ev: *ev, trigT: c.now, trigSeq: c.curSeq})
@@ -1332,18 +1266,8 @@ func ownerOf(ev *event) graph.NodeID {
 // noteFirstOutput updates the time-to-output clock for a node's first
 // Output call.
 func (c *execCtx) noteFirstOutput() {
-	s := c.s
-	if c.direct {
-		s.outCount++
-		if s.now > s.lastOutputTime {
-			s.lastOutputTime = s.now
-		}
-		return
-	}
 	c.outCount++
-	if c.now > c.lastOut {
-		c.lastOut = c.now
-	}
+	c.lastOut = max(c.lastOut, c.now)
 }
 
 func (c *execCtx) setOutputBody(id graph.NodeID, b wire.Body) {

@@ -86,14 +86,10 @@ func (s *Sim) RunSteps(n uint64) bool {
 	}
 	if !s.running {
 		s.running = true
-		if !s.resumed {
-			for i := range s.handlers {
-				s.handlers[i].Init(&s.nodes[i])
-			}
-		}
+		s.initHandlers()
 	}
 	for ; n > 0 && !s.events.empty(); n-- {
-		s.step(s.events.pop())
+		s.direct.step(s.events.pop())
 	}
 	return s.events.empty()
 }
@@ -115,8 +111,8 @@ func (s *Sim) FinishResult() Result {
 // log is empty then, so every pending event lives in exactly one shard's
 // queue and the frame set is complete.
 func (s *Sim) ShardSnapshotFrame(e *wire.Enc) error {
-	if len(s.shardLog) != 0 {
-		return fmt.Errorf("async: shard snapshot with %d staged-but-ungranted events", len(s.shardLog))
+	if n := len(s.wctx[0].staged); n != 0 {
+		return fmt.Errorf("async: shard snapshot with %d staged-but-ungranted events", n)
 	}
 	return s.encodeEngine(e)
 }
@@ -141,18 +137,19 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 	e.Bool(s.running || s.resumed)
 
 	// Counters.
-	e.F64(s.now)
-	e.F64(s.lastOutputTime)
+	lg := &s.direct.ledger
+	e.F64(lg.now)
+	e.F64(lg.lastOut)
 	e.U64(s.eventSq)
-	e.U64(s.steps)
-	e.U64(s.msgs)
-	e.U64(s.acks)
-	e.U64(s.dropped)
-	e.U64(s.retrans)
-	e.U64(s.undeliv)
-	e.I64(int64(s.outCount))
-	e.U32(uint32(len(s.perProto)))
-	for _, n := range s.perProto {
+	e.U64(lg.steps)
+	e.U64(lg.msgs)
+	e.U64(lg.acks)
+	e.U64(lg.dropped)
+	e.U64(lg.retrans)
+	e.U64(lg.undeliv)
+	e.I64(int64(lg.outCount))
+	e.U32(uint32(len(lg.perProto)))
+	for _, n := range lg.perProto {
 		e.U64(n)
 	}
 
@@ -257,20 +254,37 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		s.shards[k].forEach(encodeEv)
 	}
 
-	// Trace: record-only bodies, handle images verbatim.
-	e.U32(uint32(len(s.trace)))
-	for i := range s.trace {
-		te := &s.trace[i]
-		e.F64(te.T)
-		e.U64(te.Seq)
-		e.I32(int32(te.From))
-		e.I32(int32(te.To))
-		e.I32(int32(te.Msg.Proto))
-		e.I64(int64(te.Msg.Stage))
-		e.RawBody(te.Msg.Body)
-		e.U8(uint8(te.Kind))
+	// Trace.
+	e.U32(uint32(len(lg.trace)))
+	for i := range lg.trace {
+		EncodeTraceEntry(e, &lg.trace[i])
 	}
 	return nil
+}
+
+// EncodeTraceEntry appends one delivery-trace record, the form both engine
+// frames and the shard protocol's RESULT message carry. Trace bodies are
+// record-only, never resolved again, so a segment travels as its handle
+// image.
+func EncodeTraceEntry(e *wire.Enc, te *TraceEntry) {
+	e.F64(te.T)
+	e.U64(te.Seq)
+	e.I32(int32(te.From))
+	e.I32(int32(te.To))
+	e.I32(int32(te.Msg.Proto))
+	e.I64(int64(te.Msg.Stage))
+	e.RawBody(te.Msg.Body)
+	e.U8(uint8(te.Kind))
+}
+
+// DecodeTraceEntry reads one EncodeTraceEntry record.
+func DecodeTraceEntry(d *wire.Dec) TraceEntry {
+	te := TraceEntry{T: d.F64(), Seq: d.U64(), From: graph.NodeID(d.I32()), To: graph.NodeID(d.I32())}
+	te.Msg.Proto = Proto(d.I32())
+	te.Msg.Stage = int(d.I64())
+	te.Msg.Body = d.RawBody()
+	te.Kind = TraceKind(d.U8())
+	return te
 }
 
 // localNode reports whether v is hosted by this engine.
@@ -287,7 +301,8 @@ func (s *Sim) localNode(v graph.NodeID) bool {
 // invoke) and skips the rest without carving their segments. The additive
 // counters and the trace are ledgers of the whole run, not of a node range:
 // they land on the engine hosting node 0 (the coordinator's RESULT merge
-// sums counters back), and clocks take the maximum over frames, which every
+// sums counters back), and clocks take the maximum over frames — each
+// frame's ledger folds into the engine's as a window's does — which every
 // pending event's timestamp dominates (pending events all lie at or beyond
 // the last window boundary, which bounds every engine's clock from above).
 // On failure the caller resets the engine, which releases every segment the
@@ -295,7 +310,7 @@ func (s *Sim) localNode(v graph.NodeID) bool {
 func (s *Sim) decodeEngine(frames [][]byte) error {
 	n := s.g.N()
 	inGraph := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
-	ledger := s.localNode(0)
+	host := s.localNode(0)
 	seen := make([]bool, s.g.NLocal())
 	nSeen := 0
 	inited := false
@@ -319,26 +334,18 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			return fmt.Errorf("async: snapshot frames disagree on whether Init ran (frame %d says %v)", fi, it)
 		}
 
-		s.now = max(s.now, d.F64())
-		s.lastOutputTime = max(s.lastOutputTime, d.F64())
+		l := ledger{now: d.F64(), lastOut: d.F64()}
 		s.eventSq = max(s.eventSq, d.U64())
-		steps, msgs, acks := d.U64(), d.U64(), d.U64()
-		dropped, retrans, undeliv := d.U64(), d.U64(), d.U64()
-		outCount := int(d.I64())
-		if ledger {
-			s.steps += steps
-			s.msgs += msgs
-			s.acks += acks
-			s.dropped += dropped
-			s.retrans += retrans
-			s.undeliv += undeliv
-			s.outCount += outCount
-		}
+		l.steps, l.msgs, l.acks = d.U64(), d.U64(), d.U64()
+		l.dropped, l.retrans, l.undeliv = d.U64(), d.U64(), d.U64()
+		l.outCount = int(d.I64())
 		for i, np := 0, int(d.U32()); i < np && !d.Failed(); i++ {
-			if c := d.U64(); ledger {
-				s.perProto = bumpProtoBy(s.perProto, Proto(i), c)
-			}
+			l.perProto = bumpProtoBy(l.perProto, Proto(i), d.U64())
 		}
+		if !host {
+			l = ledger{now: l.now, lastOut: l.lastOut}
+		}
+		s.direct.fold(&l)
 
 		for i, nn := 0, int(d.U32()); i < nn && !d.Failed(); i++ {
 			id := graph.NodeID(d.I32())
@@ -512,17 +519,8 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 		}
 
 		for i, nt := 0, int(d.U32()); i < nt && !d.Failed(); i++ {
-			var te TraceEntry
-			te.T = d.F64()
-			te.Seq = d.U64()
-			te.From = graph.NodeID(d.I32())
-			te.To = graph.NodeID(d.I32())
-			te.Msg.Proto = Proto(d.I32())
-			te.Msg.Stage = int(d.I64())
-			te.Msg.Body = d.RawBody()
-			te.Kind = TraceKind(d.U8())
-			if ledger && !d.Failed() {
-				s.trace = append(s.trace, te)
+			if te := DecodeTraceEntry(d); host && !d.Failed() {
+				s.direct.trace = append(s.direct.trace, te)
 			}
 		}
 		if err := d.Err(); err != nil {
@@ -537,7 +535,8 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 	}
 	if len(frames) > 1 {
 		// Each frame's trace is a (T, Seq)-sorted run with globally unique keys.
-		sort.Slice(s.trace, func(i, j int) bool { return TraceLess(&s.trace[i], &s.trace[j]) })
+		tr := s.direct.trace
+		sort.Slice(tr, func(i, j int) bool { return TraceLess(&tr[i], &tr[j]) })
 	}
 	s.resumed = inited
 	return nil

@@ -1,9 +1,7 @@
 package async
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -14,7 +12,9 @@ import (
 // holds one event and the barrier is pure overhead. The speculative
 // executor drains each owner shard past the window up to an adaptive
 // horizon, betting that most events' relative order is already decided
-// even though it is not yet provable.
+// even though it is not yet provable. Rounds run on the bounded-lag
+// executor's own window driver (runWindows): only what a round does and
+// what its barrier does differ.
 //
 // The design splits each round into a phase that is parallel but effect-
 // free and a walk that is effectful but serial:
@@ -27,19 +27,22 @@ import (
 //     assignment — is touched. The one piece of engine state a handler can
 //     observe, its own HasOutput, is served from a per-round overlay.
 //
-//   - Commit walk (serial): k-way merge the workers' logs by (t, seq) and
-//     re-run each event through the serial engine's own processEvent on
-//     the committed state, with the handler invocation replaced by a
-//     replay of its logged ops. Trace entries, ack scheduling, adversary
-//     consultation, outbox dispatch, sequence numbers, and counters are
-//     therefore produced by the ModeSingle code path itself — byte-
-//     identical results by construction, not by careful imitation.
+//   - Commit walk (serial): merge the workers' logs by (t, seq) through
+//     MergeRuns, the same k-way merge every barrier uses, and step each
+//     event through the direct context — the serial engine's own step, clock
+//     guard and event cap included — on the committed state, with the
+//     handler invocation replaced by a replay of its logged ops. Trace
+//     entries, ack scheduling, adversary consultation, outbox dispatch,
+//     sequence numbers, and counters are therefore produced by the
+//     ModeSingle code path itself — byte-identical results by construction,
+//     not by careful imitation.
 //
 //     Stragglers are detected on the fly: the walk tracks the minimum
 //     timestamp it has scheduled (specNewMin); the first merged event with
 //     t strictly greater than that minimum proves the remaining suffix was
 //     executed out of order (a not-yet-executed event precedes it), so the
-//     walk stops and the round commits the maximal clean prefix. Equality
+//     merge stops early and the round commits the maximal clean prefix,
+//     leaving each worker's merge cursor at its committed count. Equality
 //     is safe — a new event carries a larger seq than every logged one.
 //     Every event inside the safe window always commits (nothing can be
 //     scheduled before wStart+MinDelay), so a round commits at least as
@@ -60,13 +63,12 @@ import (
 //
 // A handler panic during speculation is not propagated immediately — the
 // event may be a mis-speculation that serial execution never reaches in
-// that state. The worker records it and stops; the walk treats it as a
-// sentinel ordered at the panicking event's (t, seq). If the walk reaches
-// it cleanly, the panic is real: the walk replays the event's pre-handler
-// mechanics and partial ops, then re-panics, leaving exactly the committed
-// state the serial engine would have at that point (Stats afterwards is
-// serial-exact). If it is cut off, the event is rolled back and retried
-// like any other.
+// that state. The worker closes its log with the panicking event and its
+// partial ops, and stops. If the walk reaches that entry cleanly, the panic
+// is real: stepping it runs the event's pre-handler mechanics and partial
+// ops, then re-panics, leaving exactly the committed state the serial
+// engine would have at that point (Stats afterwards is serial-exact). If it
+// is cut off, the event is rolled back and retried like any other.
 //
 // Costs, honestly: the walk re-executes every committed event's engine
 // mechanics serially, so for trivial handlers the parallel phase offloads
@@ -107,108 +109,38 @@ type specExec struct {
 // delays lie in (0,1], so no queued event is further out than that.
 const specMaxSpan = 1.0
 
-// runSpec executes the simulation to quiescence speculatively.
+// runSpec executes the simulation to quiescence speculatively, through the
+// bounded-lag executor's window driver: a round drains each shard up to the
+// horizon on cloned handlers, the barrier walks, repairs and adapts the
+// horizon.
 func (s *Sim) runSpec() {
-	w := s.workers
-	if w < 1 {
-		w = 1
-	}
-	s.ensureWindowState(w)
 	s.ensureSpecState()
-	s.sharded = true
-	for k := range s.wctx {
-		s.wctx[k].spec = true
-	}
-	defer func() {
-		s.sharded = false
-		s.inWindow = false
-		for k := range s.wctx {
-			s.wctx[k].spec = false
-		}
-		for i := range s.nodes {
-			s.nodes[i].ctxIdx = ctxDirect
-		}
-	}()
-	// Init runs serially through the direct context (its schedules route
-	// to the shards), exactly as in ModeSingle. A resumed run deals its
-	// restored events to the owner shards instead.
-	if s.resumed {
-		s.dealRestoredEvents()
-	} else {
-		for i := range s.handlers {
-			s.handlers[i].Init(&s.nodes[i])
-		}
-	}
-	for i := range s.nodes {
-		s.nodes[i].ctxIdx = int32(i%w) + 1
-	}
 	span := s.specFixedSpan
 	if span == 0 {
 		span = s.lookahead // adaptive: start at the provably-safe window
 	}
-	if span < s.lookahead {
-		span = s.lookahead
-	}
-	if span > specMaxSpan {
-		span = specMaxSpan
-	}
-	// Same fan-out gating as runWindows: goroutines only when the previous
-	// round was populated enough to amortize them; small rounds run their
-	// shards inline through the identical speculation path.
-	prevRound := 0
-	for {
-		wStart, ok := s.minShardT()
-		if !ok {
-			break
-		}
-		if wStart < s.now {
-			panic(fmt.Sprintf("async: time went backwards: %g < %g", wStart, s.now))
-		}
-		hEnd := wStart + span
-		s.specRoundEp++
-		s.specStats.Rounds++
-		s.inWindow = true
-		if w == 1 || prevRound < s.minParallel {
-			for k := 0; k < w; k++ {
-				s.specWorker(k, hEnd)
+	span = min(max(span, s.lookahead), specMaxSpan)
+	s.specRoundEp++
+	s.runWindows(func(k int, wStart float64) { s.specWorker(k, wStart+span) },
+		func(wStart float64) int {
+			s.specStats.Rounds++
+			cut, cutT := s.specCommitWalk()
+			committed := s.specFinishRound()
+			s.specRoundEp++
+			if s.specFixedSpan == 0 {
+				if cut {
+					// Aim at twice the span that actually committed: ~2/3 of
+					// the next round's speculation should commit if event
+					// density holds, bounding wasted work without collapsing
+					// to the safe window.
+					span = 2 * (cutT - wStart)
+				} else {
+					span *= 2
+				}
+				span = min(max(span, s.lookahead), specMaxSpan)
 			}
-		} else {
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					s.specWorker(k, hEnd)
-				}(k)
-			}
-			wg.Wait()
-		}
-		for k := range s.wctx {
-			s.specStats.Executed += uint64(len(s.wctx[k].specLog))
-		}
-		committed, cut, cutT := s.specCommitWalk()
-		s.inWindow = false
-		s.specFinishRound()
-		s.specStats.Committed += uint64(committed)
-		prevRound = committed
-		if s.specFixedSpan == 0 {
-			if cut {
-				// Aim at twice the span that actually committed: ~2/3 of
-				// the next round's speculation should commit if event
-				// density holds, bounding wasted work without collapsing
-				// to the safe window.
-				span = 2 * (cutT - wStart)
-			} else {
-				span *= 2
-			}
-			if span < s.lookahead {
-				span = s.lookahead
-			}
-			if span > specMaxSpan {
-				span = specMaxSpan
-			}
-		}
-	}
+			return committed
+		})
 }
 
 // ensureSpecState sizes the per-node speculation arrays (once per Sim; the
@@ -230,13 +162,16 @@ func (s *Sim) ensureSpecState() {
 
 // specWorker drains shard k up to the horizon, running handler clones and
 // logging their effects. A panic — usually from the handler, possibly a
-// mis-speculation — is captured, not propagated: the commit walk decides
-// whether serial execution actually reaches it.
+// mis-speculation — is captured, not propagated: the panicking event closes
+// the log with its partial ops, and the commit walk decides whether serial
+// execution actually reaches it.
 func (s *Sim) specWorker(k int, hEnd float64) {
 	c := &s.wctx[k]
+	c.spec = true
 	defer func() {
+		c.spec = false
 		if p := recover(); p != nil {
-			c.specPanicked = true
+			c.specLog = append(c.specLog, specExec{ev: c.specCur, opEnd: int32(len(c.specOps))})
 			c.specPanic = p
 		}
 	}()
@@ -260,6 +195,14 @@ func (s *Sim) specWorker(k int, hEnd float64) {
 		}
 		c.specLog = append(c.specLog, specExec{ev: *ev, opEnd: int32(len(c.specOps))})
 	}
+}
+
+// opStart is where logged event i's ops begin in the flat specOps log.
+func (c *execCtx) opStart(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return c.specLog[i-1].opEnd
 }
 
 // specHandlerFor returns node v's per-round clone, refreshing it from the
@@ -291,101 +234,46 @@ func (s *Sim) specTouchOut(id graph.NodeID) {
 }
 
 // specCommitWalk merges the workers' logs in global (t, seq) order and
-// commits the maximal prefix that serial execution certifies, applying
-// each event's engine mechanics through the direct context. Returns the
-// committed count and, if the round was cut, the straggler frontier.
-func (s *Sim) specCommitWalk() (committed int, cut bool, cutT float64) {
-	w := len(s.wctx)
-	cur := s.mergeCur
-	for k := 0; k < w; k++ {
-		cur[k] = 0
-	}
+// commits the maximal prefix that serial execution certifies, stepping each
+// event through the direct context with its handler callback replaced by
+// the logged ops. It reports whether the round was cut and, if so, the
+// straggler frontier; s.mergeCur is left at each worker's committed count.
+func (s *Sim) specCommitWalk() (cut bool, cutT float64) {
+	c := &s.direct
 	s.specNewMin = math.Inf(1)
 	s.specWalking = true
+	c.replayOn = true
 	defer func() {
 		s.specWalking = false
-		s.direct.replayOn = false
-		s.direct.replay = nil
+		c.replayOn, c.replay, c.replayPanic = false, nil, nil
 	}()
-	for {
-		best := -1
-		var bestEv *event
-		for k := 0; k < w; k++ {
-			c := &s.wctx[k]
-			var ev *event
-			switch {
-			case cur[k] < len(c.specLog):
-				ev = &c.specLog[cur[k]].ev
-			case cur[k] == len(c.specLog) && c.specPanicked:
-				// The panicking event: popped but never logged. It merges
-				// like any other entry; its ops are the log's open tail.
-				ev = &c.specCur
-			default:
-				continue
+	MergeRuns(s.mergeCur, len(s.wctx),
+		func(k int) []specExec { return s.wctx[k].specLog },
+		func(a, b *specExec) bool { return evLess(a.ev, b.ev) },
+		func(k int, e *specExec) bool {
+			if e.ev.t > s.specNewMin {
+				// e is the minimum of everything left, so the entire
+				// remaining suffix is past the straggler frontier.
+				cut, cutT = true, s.specNewMin
+				return false
 			}
-			if best < 0 || evLess(*ev, *bestEv) {
-				best, bestEv = k, ev
+			w := &s.wctx[k]
+			i := s.mergeCur[k]
+			c.replay = w.specOps[w.opStart(i):e.opEnd]
+			if i == len(w.specLog)-1 {
+				// A panicking event is always its log's last; reached
+				// cleanly, the panic is real.
+				c.replayPanic = w.specPanic
 			}
-		}
-		if best < 0 {
-			return committed, false, 0
-		}
-		if bestEv.t > s.specNewMin {
-			// bestEv is the minimum of everything left, so the entire
-			// remaining suffix is past the straggler frontier.
-			return committed, true, s.specNewMin
-		}
-		c := &s.wctx[best]
-		i := cur[best]
-		var opStart int32
-		if i > 0 {
-			opStart = c.specLog[i-1].opEnd
-		}
-		ev := *bestEv
-		s.now = ev.t
-		s.steps++
-		if s.steps > s.maxEvents {
-			panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, s.now))
-		}
-		if i == len(c.specLog) {
-			// Certified panic: reproduce the serial engine's exact state at
-			// the point of death, then die the same way.
-			s.direct.replay = c.specOps[opStart:]
-			s.direct.replayOn = true
-			s.specReplayPanic(&ev, c.specPanic)
-		}
-		s.direct.replay = c.specOps[opStart:c.specLog[i].opEnd]
-		s.direct.replayOn = true
-		s.direct.processEvent(&ev)
-		cur[best]++
-		committed++
-	}
-}
-
-// specReplayPanic applies the mechanics the serial engine performs before
-// a handler callback that panics — the delivery trace entry, or the ack's
-// link release and redispatch — plus the callback's partial effects, then
-// re-raises the original panic value.
-func (s *Sim) specReplayPanic(ev *event, p any) {
-	c := &s.direct
-	c.now = ev.t
-	c.curSeq = ev.seq
-	switch ev.kind {
-	case evDeliver:
-		if s.keepTrace {
-			s.trace = append(s.trace, TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg})
-		}
-	case evAckArrive:
-		s.busy[ev.link] = false
-		c.dispatch(ev.src, ev.dst, ev.link)
-	}
-	c.applyOps(ev)
-	panic(p)
+			c.step(&e.ev)
+			return true
+		})
+	return cut, cutT
 }
 
 // specFinishRound repairs handler state and rolls back the rejected
-// suffix after a commit walk.
-func (s *Sim) specFinishRound() {
+// suffix after a commit walk, and returns how many events committed.
+func (s *Sim) specFinishRound() (committed int) {
 	w := len(s.wctx)
 	round := s.specRoundEp
 	// Pass 1: mark every node owning a rejected event — its clone ran past
@@ -398,9 +286,6 @@ func (s *Sim) specFinishRound() {
 				continue
 			}
 			s.specRejEp[ownerOf(&c.specLog[i].ev)] = round
-		}
-		if c.specPanicked {
-			s.specRejEp[ownerOf(&c.specCur)] = round
 		}
 	}
 	// Pass 2: promote clean clones (pointer swap; the displaced handler is
@@ -433,30 +318,27 @@ func (s *Sim) specFinishRound() {
 	// references the segments).
 	for k := 0; k < w; k++ {
 		c := &s.wctx[k]
-		var opStart int32
-		if n := s.mergeCur[k]; n > 0 {
-			opStart = c.specLog[n-1].opEnd
-		}
-		for i := opStart; i < int32(len(c.specOps)); i++ {
+		n := s.mergeCur[k]
+		for i := c.opStart(n); i < int32(len(c.specOps)); i++ {
 			if c.specOps[i].kind == opSend && !c.specOps[i].msg.Body.Seg.IsZero() {
 				s.specRelease = append(s.specRelease, c.specOps[i].msg.Body.Seg)
 			}
 		}
-		for i := s.mergeCur[k]; i < len(c.specLog); i++ {
-			s.specStats.Rejected++
+		for i := n; i < len(c.specLog); i++ {
 			s.shards[k].push(&c.specLog[i].ev)
 		}
-		if c.specPanicked {
-			s.specStats.Rejected++
-			s.shards[k].push(&c.specCur)
-			c.specPanicked, c.specPanic = false, nil
-		}
+		committed += n
+		s.specStats.Executed += uint64(len(c.specLog))
+		s.specStats.Committed += uint64(n)
+		s.specStats.Rejected += uint64(len(c.specLog) - n)
+		c.specPanic = nil
 		clearSpecOps(c.specOps)
 		c.specOps = c.specOps[:0]
 		c.specLog = c.specLog[:0]
 	}
 	s.arena.ReleaseAll(s.specRelease)
 	s.specRelease = s.specRelease[:0]
+	return committed
 }
 
 // specSwallowReplay re-runs one committed transition on node v's committed

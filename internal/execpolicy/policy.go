@@ -23,8 +23,8 @@ const MaxWorkers = 16
 // AutoMinLookahead is the smallest adversary lookahead for which Auto mode
 // engages the conservative bounded-lag executor: one tick of the async
 // engine's 256-slot calendar wheel. Below it, safe windows rarely hold
-// more than one event and the barrier is pure overhead — that regime
-// belongs to the speculative executor instead.
+// more than one event and the barrier is pure overhead, so Auto stays
+// serial.
 const AutoMinLookahead = 1.0 / 256
 
 // AutoMultiLinks is the graph size (directed links) at which the async
@@ -39,8 +39,8 @@ const AutoMultiNodes = 2048
 // AutoHugeLinks is the graph size (directed links) past which Auto mode
 // treats the graph as huge: with millions of concurrent link timers even a
 // lookahead far below AutoMinLookahead packs thousands of events into each
-// safe window, so the windowed/speculative executors amortize their
-// barriers and the serial heap discipline becomes the bottleneck.
+// safe window, so the windowed executor amortizes its barriers and the
+// serial heap discipline becomes the bottleneck.
 const AutoHugeLinks = 1 << 21
 
 // AutoHugeEventsPerWindow is the expected-events-per-safe-window level
@@ -87,21 +87,25 @@ const (
 	// AsyncWindows: conservative bounded-lag windows on a worker pool.
 	AsyncWindows
 	// AsyncSpec: speculative rounds past the safe window (requires every
-	// handler to implement async.StateCloner).
+	// handler to implement async.StateCloner). AsyncAuto does not return
+	// it: on every measured workload speculation ran slower than serial.
+	// The choice stays nameable for callers that map choices to modes.
 	AsyncSpec
 )
 
 // AsyncAuto picks the async engine's execution path: the bounded-lag
 // window executor when the adversary's lookahead makes safe windows worth
-// a barrier, the speculative executor when lookahead is tiny but the
-// graph is big and the handlers are cloneable, and serial otherwise.
+// a barrier, and serial otherwise.
 //
 // Huge graphs (AutoHugeLinks and up) get an extra windowed gate: a
 // lookahead below AutoMinLookahead still engages the window executor when
 // lookahead × links promises at least AutoHugeEventsPerWindow events per
 // window — at that scale the per-window population, not the per-link
 // lookahead, is what pays for the barrier.
-func AsyncAuto(workers, links int, lookahead float64, cloneable bool) AsyncChoice {
+//
+// The fourth parameter, whether the handlers are cloneable, is ignored: it
+// stays in the signature because the benchmark module still passes it.
+func AsyncAuto(workers, links int, lookahead float64, _ bool) AsyncChoice {
 	if AutoWorkers(workers) <= 1 || links < AutoMultiLinks {
 		return AsyncSerial
 	}
@@ -110,9 +114,6 @@ func AsyncAuto(workers, links int, lookahead float64, cloneable bool) AsyncChoic
 	}
 	if links >= AutoHugeLinks && lookahead*float64(links) >= AutoHugeEventsPerWindow {
 		return AsyncWindows
-	}
-	if cloneable {
-		return AsyncSpec
 	}
 	return AsyncSerial
 }

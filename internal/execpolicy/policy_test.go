@@ -64,7 +64,7 @@ func TestAsyncAuto(t *testing.T) {
 			{"one worker", 1, AutoMultiLinks, 1, true, AsyncSerial},
 			{"small graph", 4, AutoMultiLinks - 1, 1, true, AsyncSerial},
 			{"wide lookahead", 4, AutoMultiLinks, AutoMinLookahead, true, AsyncWindows},
-			{"tiny lookahead, cloneable", 4, AutoMultiLinks, AutoMinLookahead / 2, true, AsyncSpec},
+			{"tiny lookahead, cloneable", 4, AutoMultiLinks, AutoMinLookahead / 2, true, AsyncSerial},
 			{"tiny lookahead, opaque state", 4, AutoMultiLinks, AutoMinLookahead / 2, false, AsyncSerial},
 		}
 		for _, c := range cases {
@@ -105,9 +105,9 @@ func TestHugeGraphGate(t *testing.T) {
 			// expected events — exactly the gate.
 			{"huge graph, product at gate", AutoHugeLinks, tiny, false, AsyncWindows},
 			{"huge graph, product below gate", AutoHugeLinks, tiny / 2, false, AsyncSerial},
-			{"huge graph, product below gate, cloneable", AutoHugeLinks, tiny / 2, true, AsyncSpec},
+			{"huge graph, product below gate, cloneable", AutoHugeLinks, tiny / 2, true, AsyncSerial},
 			{"just under huge", AutoHugeLinks - 1, tiny, false, AsyncSerial},
-			{"just under huge, cloneable", AutoHugeLinks - 1, tiny, true, AsyncSpec},
+			{"just under huge, cloneable", AutoHugeLinks - 1, tiny, true, AsyncSerial},
 		}
 		for _, c := range cases {
 			if got := AsyncAuto(4, c.links, c.lookahead, c.cloneable); got != c.want {

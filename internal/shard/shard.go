@@ -522,13 +522,13 @@ func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 	async.MergeRuns(c.mergeCur, len(c.conns),
 		func(i int) []flushEntry { return c.conns[i].entries },
 		entryLess,
-		func(from int, e *flushEntry) {
+		func(from int, e *flushEntry) bool {
 			seq := *nextSeq
 			*nextSeq++
 			c.conns[from].grants = append(c.conns[from].grants, seq)
 			wStart = min(wStart, e.evT)
 			if e.frame == nil {
-				return
+				return true
 			}
 			dst := &c.conns[c.part.Owner(e.owner)]
 			dst.inbound.U64(seq)
@@ -539,6 +539,7 @@ func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 			dst.inCount++
 			c.stats.Frames++
 			c.stats.FrameBytes += uint64(len(e.frame))
+			return true
 		})
 	for i := range c.conns {
 		if wc := &c.conns[i]; wc.hasMin {
@@ -656,17 +657,7 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 	nt := int(d.U32())
 	tr := make([]async.TraceEntry, 0, min(nt, d.Remaining())) // a record is more than a byte
 	for i := 0; i < nt && !d.Failed(); i++ {
-		te := async.TraceEntry{
-			T:    d.F64(),
-			Seq:  d.U64(),
-			From: graph.NodeID(d.I32()),
-			To:   graph.NodeID(d.I32()),
-		}
-		te.Msg.Proto = async.Proto(d.I32())
-		te.Msg.Stage = int(d.I64())
-		te.Msg.Body = d.RawBody()
-		te.Kind = async.TraceKind(d.U8())
-		tr = append(tr, te)
+		tr = append(tr, async.DecodeTraceEntry(d))
 	}
 	if c.cfg.KeepTrace {
 		*traces = append(*traces, tr)
@@ -685,6 +676,6 @@ func mergeTraces(traces [][]async.TraceEntry) []async.TraceEntry {
 	async.MergeRuns(make([]int, len(traces)), len(traces),
 		func(k int) []async.TraceEntry { return traces[k] },
 		async.TraceLess,
-		func(_ int, te *async.TraceEntry) { out = append(out, *te) })
+		func(_ int, te *async.TraceEntry) bool { out = append(out, *te); return true })
 	return out
 }

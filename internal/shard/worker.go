@@ -314,15 +314,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	enc.EndBlob(mark)
 	enc.U32(uint32(len(res.Trace)))
 	for i := range res.Trace {
-		te := &res.Trace[i]
-		enc.F64(te.T)
-		enc.U64(te.Seq)
-		enc.I32(int32(te.From))
-		enc.I32(int32(te.To))
-		enc.I32(int32(te.Msg.Proto))
-		enc.I64(int64(te.Msg.Stage))
-		enc.RawBody(te.Msg.Body)
-		enc.U8(uint8(te.Kind))
+		async.EncodeTraceEntry(enc, &res.Trace[i])
 	}
 	return writeMsg(w, msgResult, enc.Bytes())
 }
