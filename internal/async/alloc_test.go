@@ -101,6 +101,79 @@ func TestZeroSteadyStateAllocsReset(t *testing.T) {
 	}
 }
 
+// allocBurst keeps one link contended: node 0's Init queues burst messages
+// to node 1 across three protocols and two stages, and every ack sends one
+// more until total have gone, so the outbox holds burst-1 messages for most
+// of the run. With burst 1 the same traffic never queues.
+type allocBurst struct{ burst, total, sent int }
+
+func (h *allocBurst) send(n *Node) {
+	h.sent++
+	n.Send(1, Msg{Proto: Proto(1 + h.sent%3), Stage: h.sent % 2, Body: wire.Body{Kind: 1, A: int64(h.sent)}})
+}
+
+func (h *allocBurst) Init(n *Node) {
+	for n.ID() == 0 && h.sent < h.burst {
+		h.send(n)
+	}
+}
+
+func (h *allocBurst) Recv(*Node, graph.NodeID, Msg) {}
+
+func (h *allocBurst) Ack(n *Node, _ graph.NodeID, _ Msg) {
+	if h.sent < h.total {
+		h.send(n)
+	}
+}
+
+// slabFootprint is what an outbox slab has allocated: its chunks and the
+// capacity of its free lists.
+func slabFootprint(sl *outboxSlab) [8]int {
+	return [8]int{
+		len(sl.boxes.chunks), cap(sl.boxes.free),
+		len(sl.stages.chunks), cap(sl.stages.free),
+		len(sl.protos.chunks), cap(sl.protos.free),
+		len(sl.msgs.chunks), cap(sl.msgs.free),
+	}
+}
+
+// TestZeroOutboxAllocsAfterReset is the contended-link companion of
+// TestZeroSteadyStateAllocsReset: once a run has grown the outbox slab to
+// its peak, a run after Reset carves every record and queue node from the
+// same chunks — the slab's footprint does not move, and the Reset/Run cycle
+// allocates exactly as much as the same traffic on a link that never queues.
+func TestZeroOutboxAllocsAfterReset(t *testing.T) {
+	g := graph.Path(2)
+	cycle := func(burst int) (*Sim, func()) {
+		var hs [2]allocBurst
+		mk := func(id graph.NodeID) Handler {
+			hs[id] = allocBurst{burst: burst, total: 3000}
+			return &hs[id]
+		}
+		s := New(g, Fixed{D: 1}, mk)
+		s.Run()
+		return s, func() {
+			s.Reset(Fixed{D: 1}, mk)
+			if res := s.Run(); res.Msgs != 3000 {
+				t.Fatalf("sent %d messages, want 3000", res.Msgs)
+			}
+		}
+	}
+	s, contended := cycle(500)
+	before := slabFootprint(&s.direct.obs)
+	if before[6] == 0 {
+		t.Fatal("the burst never queued a message; the workload no longer contends")
+	}
+	a := testing.AllocsPerRun(5, contended)
+	if after := slabFootprint(&s.direct.obs); after != before {
+		t.Fatalf("outbox slab grew across Reset: %v -> %v", before, after)
+	}
+	_, uncontended := cycle(1)
+	if b := testing.AllocsPerRun(5, uncontended); a != b {
+		t.Fatalf("a Reset/Run cycle on a contended link allocates %.1f times, the same traffic uncontended %.1f", a, b)
+	}
+}
+
 // TestFreshQueueAllocsOneSlicePerSlot pins what a fresh engine pays for its
 // event queue (a new Sim per run grows every slot it touches from nothing):
 // one key slice per slot, whichever shape the slot takes, plus the slab. A

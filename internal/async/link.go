@@ -1,5 +1,10 @@
 package async
 
+import (
+	"repro/internal/graph"
+	"repro/internal/wire"
+)
+
 // outbox holds the messages a node has queued on one directed link but not
 // yet injected (the ack discipline allows one in-flight message per link).
 // Scheduling follows the paper's two composition rules:
@@ -11,165 +16,272 @@ package async
 //     messages, simulating "one copy of the edge per subroutine" with a
 //     k-factor slowdown for k contending subroutines.
 //
-// Outboxes are allocated lazily, one per CONTENDED directed link: the
-// simulator's []*outbox slot stays nil until a send finds the link busy
-// (see execCtx.send's uncontended fast path), so a ten-million-link flood
-// whose links never queue two messages costs one pointer per link, not a
-// queue structure. The in-flight flag itself lives in the engine's dense
-// []bool. The internal queues are plain slices — protocols per stage are
-// few (the synchronizer stack registers tens at most), so linear scans
-// beat hashing.
-//
-// Zeroing rules: popped message slots are cleared (so retained capacity
-// never pins a delivered body), but drained stageQueue and protoFIFO slots
-// are only truncated, never dropped — their slice capacity rotates back
-// into use when the stage or protocol reappears on the link. A link that
-// reaches steady state therefore stops allocating entirely, even when its
-// outbox fully drains between messages (the common, uncontended case).
+// An outbox exists only while its link is contended: a send that finds the
+// link idle injects at once (execCtx.send's fast path), the first send that
+// finds it busy takes a record from the sending context's outboxSlab, and
+// the pop that drains it hands the record back. The engine's per-link table
+// is therefore one pointer, nil for every link not queueing right now, and
+// the in-flight flag lives in the engine's dense []bool. Stages, protocol
+// rotations and message queues are linked nodes from the same slab, so
+// queueing a message allocates nothing once the slab has grown to the run's
+// peak queue population. Protocols per stage are few (the synchronizer
+// stack registers tens at most), so every list is scanned linearly.
 type outbox struct {
 	queued int
-	stages []stageQueue // sorted ascending by stage
+	stages *stageQueue // ascending by stage; a stage retires when it drains
 }
 
 type stageQueue struct {
 	stage  int
 	queued int
-	protos []protoFIFO // rotation order (first-appearance order)
-	next   int         // round-robin cursor into protos
+	// protos..last is the rotation in first-appearance order; a drained
+	// protocol keeps its place until the whole stage retires. cur is the
+	// round-robin cursor: the protocol the next pop tries first.
+	protos, last, cur *protoFIFO
+	up                *stageQueue // the next higher stage
 }
 
-// protoFIFO is one protocol's pending-message queue on one link: a slice
-// ring that compacts to msgs[:0] whenever it drains, reusing capacity.
+// protoFIFO is one protocol's pending messages on one link.
 type protoFIFO struct {
-	proto Proto
-	head  int
-	msgs  []Msg
+	proto      Proto
+	head, tail *msgNode
+	next       *protoFIFO // rotation order
 }
 
-func (o *outbox) push(m Msg) {
+type msgNode struct {
+	m    Msg
+	next *msgNode
+}
+
+func (o *outbox) push(sl *outboxSlab, m Msg) {
 	o.queued++
-	// Find or insert the stage queue, keeping stages sorted.
-	lo, hi := 0, len(o.stages)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if o.stages[mid].stage < m.Stage {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	at := &o.stages
+	for *at != nil && (*at).stage < m.Stage {
+		at = &(*at).up
 	}
-	if lo == len(o.stages) || o.stages[lo].stage != m.Stage {
-		// Grow by one, then rotate the tail slot — whose protoFIFO capacity
-		// survives from a previously drained stage — into position lo.
-		n := len(o.stages)
-		if n < cap(o.stages) {
-			o.stages = o.stages[:n+1]
-		} else {
-			o.stages = append(o.stages, stageQueue{})
-		}
-		tail := o.stages[n]
-		copy(o.stages[lo+1:], o.stages[lo:n])
-		tail.stage = m.Stage
-		o.stages[lo] = tail
+	sq := *at
+	if sq == nil || sq.stage != m.Stage {
+		sq = sl.stages.get()
+		sq.stage, sq.up = m.Stage, *at
+		*at = sq
 	}
-	sq := &o.stages[lo]
 	sq.queued++
-	for i := range sq.protos {
-		if sq.protos[i].proto == m.Proto {
-			sq.protos[i].msgs = append(sq.protos[i].msgs, m)
-			return
-		}
+	pf := sq.protos
+	for pf != nil && pf.proto != m.Proto {
+		pf = pf.next
 	}
-	// Grow the rotation by one, reusing a drained protoFIFO's msgs capacity
-	// when the slice has room beyond its length.
-	n := len(sq.protos)
-	if n < cap(sq.protos) {
-		sq.protos = sq.protos[:n+1]
+	if pf == nil {
+		pf = sq.addProto(sl, m.Proto)
+	}
+	pf.append(sl, m)
+}
+
+// addProto appends p to the stage's rotation. A first protocol is also
+// where the cursor starts.
+func (sq *stageQueue) addProto(sl *outboxSlab, p Proto) *protoFIFO {
+	pf := sl.protos.get()
+	pf.proto = p
+	if sq.last == nil {
+		sq.protos, sq.cur = pf, pf
 	} else {
-		sq.protos = append(sq.protos, protoFIFO{})
+		sq.last.next = pf
 	}
-	pf := &sq.protos[n]
-	pf.proto = m.Proto
-	pf.msgs = append(pf.msgs, m)
+	sq.last = pf
+	return pf
+}
+
+func (pf *protoFIFO) append(sl *outboxSlab, m Msg) {
+	mn := sl.msgs.get()
+	mn.m = m
+	if pf.tail == nil {
+		pf.head = mn
+	} else {
+		pf.tail.next = mn
+	}
+	pf.tail = mn
 }
 
 // pop removes and returns the next message per the scheduling discipline.
 // The second return is false when the outbox is empty.
-func (o *outbox) pop() (Msg, bool) {
-	if o.queued == 0 {
-		// Retire any lingering drained stages so long-lived links do not
-		// accumulate stale rotation state (capacity is kept for reuse).
-		for len(o.stages) > 0 {
-			o.removeFrontStage()
-		}
+func (o *outbox) pop(sl *outboxSlab) (Msg, bool) {
+	// Only a restored frame can hold an empty stage; a live one retires on
+	// its last pop.
+	for o.stages != nil && o.stages.queued == 0 {
+		o.retireFront(sl)
+	}
+	sq := o.stages
+	if sq == nil {
 		return Msg{}, false
 	}
-	// Stages are sorted ascending and drained stages are removed, so the
-	// front stage always holds the next message.
-	for o.stages[0].queued == 0 {
-		o.removeFrontStage()
-	}
-	sq := &o.stages[0]
-	m := sq.pop()
+	m := sq.pop(sl)
 	o.queued--
 	if sq.queued == 0 {
-		o.removeFrontStage()
+		o.retireFront(sl)
 	}
 	return m, true
 }
 
-// reset empties the outbox in place for engine reuse (Sim.Reset), keeping
-// the stage rotation's and every protoFIFO's capacity. Msg slots are
-// pointer-free values, so the retained arrays pin nothing.
-func (o *outbox) reset() {
-	o.queued = 0
-	for i := range o.stages {
-		sq := &o.stages[i]
-		sq.stage = 0
-		sq.queued = 0
-		sq.next = 0
-		for j := range sq.protos {
-			sq.protos[j].head = 0
-			sq.protos[j].msgs = sq.protos[j].msgs[:0]
-		}
-		sq.protos = sq.protos[:0]
+// free hands a drained outbox back to the slab, with any stage a restored
+// frame left in it.
+func (o *outbox) free(sl *outboxSlab) {
+	for o.stages != nil {
+		o.retireFront(sl)
 	}
-	o.stages = o.stages[:0]
+	sl.boxes.put(o)
 }
 
-// removeFrontStage retires the drained front stage, rotating its slot —
-// scalars reset, protoFIFO capacity intact (each FIFO already reset itself
-// when it drained) — past the slice's length for later reuse.
-func (o *outbox) removeFrontStage() {
-	front := o.stages[0]
-	copy(o.stages, o.stages[1:])
-	front.stage = 0
-	front.queued = 0
-	front.next = 0
-	front.protos = front.protos[:0]
-	o.stages[len(o.stages)-1] = front
-	o.stages = o.stages[:len(o.stages)-1]
+// retireFront returns the front stage and its rotation to the slab. Its
+// protocols are drained: a stage retires only when it holds no message.
+func (o *outbox) retireFront(sl *outboxSlab) {
+	sq := o.stages
+	o.stages = sq.up
+	for pf := sq.protos; pf != nil; {
+		next := pf.next
+		sl.protos.put(pf)
+		pf = next
+	}
+	sl.stages.put(sq)
 }
 
-// pop returns the next message of a non-empty stage, round-robining across
-// its protocols.
-func (sq *stageQueue) pop() Msg {
-	n := len(sq.protos)
-	for i := 0; i < n; i++ {
-		pf := &sq.protos[(sq.next+i)%n]
-		if pf.head == len(pf.msgs) {
-			continue
+// pop returns the next message of a non-empty stage: the first protocol at
+// or after the cursor that has one, cycling; the cursor moves past it.
+func (sq *stageQueue) pop(sl *outboxSlab) Msg {
+	pf := sq.cur
+	for pf.head == nil {
+		if pf = pf.next; pf == nil {
+			pf = sq.protos
 		}
-		m := pf.msgs[pf.head]
-		pf.msgs[pf.head] = Msg{} // release the body for GC
-		pf.head++
-		if pf.head == len(pf.msgs) {
-			pf.head = 0
-			pf.msgs = pf.msgs[:0]
-		}
-		sq.next = (sq.next + i + 1) % n
-		sq.queued--
-		return m
 	}
-	panic("async: stageQueue.pop on empty stage")
+	mn := pf.head
+	if pf.head = mn.next; pf.head == nil {
+		pf.tail = nil
+	}
+	if sq.cur = pf.next; sq.cur == nil {
+		sq.cur = sq.protos
+	}
+	sq.queued--
+	m := mn.m
+	sl.msgs.put(mn)
+	return m
 }
+
+// encode writes the outbox's scheduling state as a snapshot carries it:
+// the stages ascending, each with its cursor position, its rotation and
+// every protocol's pending bodies in FIFO order. The decoder in snap.go
+// rebuilds exactly this, drained rotation slots included, because the
+// rotation's first-appearance order decides future injection order.
+func (o *outbox) encode(e *wire.Enc) {
+	n := 0
+	for sq := o.stages; sq != nil; sq = sq.up {
+		n++
+	}
+	e.U32(uint32(n))
+	for sq := o.stages; sq != nil; sq = sq.up {
+		e.I64(int64(sq.stage))
+		cur, np := 0, 0
+		for pf := sq.protos; pf != nil; pf = pf.next {
+			if pf == sq.cur {
+				cur = np
+			}
+			np++
+		}
+		e.U32(uint32(cur))
+		e.U32(uint32(np))
+		for pf := sq.protos; pf != nil; pf = pf.next {
+			e.I32(int32(pf.proto))
+			k := 0
+			for mn := pf.head; mn != nil; mn = mn.next {
+				k++
+			}
+			e.U32(uint32(k))
+			for mn := pf.head; mn != nil; mn = mn.next {
+				e.Body(mn.m.Body)
+			}
+		}
+	}
+}
+
+// queue appends m to link l's outbox, taking a record if the link has none.
+func (sl *outboxSlab) queue(boxes []*outbox, l graph.LinkID, m Msg) {
+	ob := boxes[l]
+	if ob == nil {
+		ob = sl.boxes.get()
+		boxes[l] = ob
+	}
+	ob.push(sl, m)
+}
+
+// next pops link l's next queued message. A link with nothing queued has no
+// outbox and returns at once; the pop that drains one hands it back.
+func (sl *outboxSlab) next(boxes []*outbox, l graph.LinkID) (Msg, bool) {
+	ob := boxes[l]
+	if ob == nil {
+		return Msg{}, false
+	}
+	m, ok := ob.pop(sl)
+	if ob.queued == 0 {
+		ob.free(sl)
+		boxes[l] = nil
+	}
+	return m, ok
+}
+
+// outboxSlab carves one execution context's outbox records and queue nodes,
+// so the parallel workers never share one. Nodes a context frees join its
+// own free lists whichever context carved them (a queue built during Init
+// drains in a worker); node ownership keeps every link, and so every record
+// and node in use, private to one context at a time. Reset rewinds the
+// pools and keeps their chunks.
+type outboxSlab struct {
+	boxes  pool[outbox]
+	stages pool[stageQueue]
+	protos pool[protoFIFO]
+	msgs   pool[msgNode]
+}
+
+func (sl *outboxSlab) reset() {
+	sl.boxes.reset()
+	sl.stages.reset()
+	sl.protos.reset()
+	sl.msgs.reset()
+}
+
+// pool hands out zeroed T values from chunks carved front to back, reusing
+// freed ones first. Chunks start small and double, so a context that never
+// queues a message allocates none and one that does allocates a handful.
+type pool[T any] struct {
+	chunks  [][]T
+	ci, off int // next unused slot: chunks[ci][off]
+	free    []*T
+}
+
+const (
+	poolChunk     = 32
+	poolDoublings = 6
+)
+
+func (p *pool[T]) get() *T {
+	var x *T
+	if n := len(p.free); n > 0 {
+		x = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		if p.ci == len(p.chunks) {
+			p.chunks = append(p.chunks, make([]T, poolChunk<<min(p.ci, poolDoublings)))
+		}
+		c := p.chunks[p.ci]
+		x = &c[p.off]
+		if p.off++; p.off == len(c) {
+			p.ci, p.off = p.ci+1, 0
+		}
+	}
+	var zero T
+	*x = zero
+	return x
+}
+
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
+
+// reset forgets every handed-out value; the chunks are carved again from
+// the front.
+func (p *pool[T]) reset() { p.ci, p.off, p.free = 0, 0, p.free[:0] }

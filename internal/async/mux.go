@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -19,52 +20,71 @@ type Module interface {
 // the module registered for its Proto tag. The paper's algorithms are
 // stacks of subroutines (covers, registration, gather, BFS, synchronizer
 // core) sharing the same physical links; Mux is how one node hosts them.
+//
+// A run that hosts one Mux per node builds them as copies of one NewMux
+// value, taken before the first Register: the copies share its route
+// table slab, so the run allocates route tables per run, not per node.
 type Mux struct {
-	modules map[Proto]Module
-	// uniq lists each registered instance once, in first-registration
-	// order (the synchronizer core owns both ProtoAlgo and ProtoTree): the
-	// order modules start in and the state plane (muxsnap.go) walks.
-	// state[i] is uniq[i]'s ModuleState, nil when it has none.
-	uniq  []Module
-	state []ModuleState
+	// routes pairs each registered proto with its module, in registration
+	// order; dispatch scans it, since a stack registers a handful of protos.
+	// A module registered under several protos (the synchronizer core owns
+	// ProtoAlgo and ProtoTree) is marked first on its earliest route only:
+	// the first routes, in order, are the unique modules — the order they
+	// start in and the state plane (muxsnap.go) walks.
+	routes []route
+	slab   *routeSlab
+}
+
+type route struct {
+	proto Proto
+	first bool
+	mod   Module
 }
 
 var _ Handler = (*Mux)(nil)
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux {
-	return &Mux{modules: make(map[Proto]Module)}
-}
+func NewMux() *Mux { return &Mux{slab: &routeSlab{}} }
 
 // Register attaches mod to proto p. Registering the same proto twice panics.
 func (x *Mux) Register(p Proto, mod Module) {
-	if _, dup := x.modules[p]; dup {
-		panic(fmt.Sprintf("async: proto %d registered twice", p))
-	}
-	x.modules[p] = mod
-	for _, u := range x.uniq {
-		if u == mod {
-			return
+	first := true
+	for i := range x.routes {
+		if x.routes[i].proto == p {
+			panic(fmt.Sprintf("async: proto %d registered twice", p))
+		}
+		if x.routes[i].mod == mod {
+			first = false
 		}
 	}
-	ms, _ := mod.(ModuleState)
-	x.uniq = append(x.uniq, mod)
-	x.state = append(x.state, ms)
+	if len(x.routes) == cap(x.routes) && x.slab != nil {
+		x.routes = append(x.slab.carve(max(2*len(x.routes), 8)), x.routes...)
+	}
+	x.routes = append(x.routes, route{proto: p, first: first, mod: mod})
 }
 
 // Module returns the module registered for p, or nil.
-func (x *Mux) Module(p Proto) Module { return x.modules[p] }
+func (x *Mux) Module(p Proto) Module {
+	for i := range x.routes {
+		if x.routes[i].proto == p {
+			return x.routes[i].mod
+		}
+	}
+	return nil
+}
 
 // Init implements Handler: starts each module once, in registration order.
 func (x *Mux) Init(n *Node) {
-	for _, mod := range x.uniq {
-		mod.Start(n)
+	for i := range x.routes {
+		if x.routes[i].first {
+			x.routes[i].mod.Start(n)
+		}
 	}
 }
 
 // Recv implements Handler.
 func (x *Mux) Recv(n *Node, from graph.NodeID, m Msg) {
-	mod := x.modules[m.Proto]
+	mod := x.Module(m.Proto)
 	if mod == nil {
 		panic(fmt.Sprintf("async: node %d got message for unregistered proto %d", n.ID(), m.Proto))
 	}
@@ -73,9 +93,33 @@ func (x *Mux) Recv(n *Node, from graph.NodeID, m Msg) {
 
 // Ack implements Handler.
 func (x *Mux) Ack(n *Node, to graph.NodeID, m Msg) {
-	mod := x.modules[m.Proto]
+	mod := x.Module(m.Proto)
 	if mod == nil {
 		panic(fmt.Sprintf("async: node %d got ack for unregistered proto %d", n.ID(), m.Proto))
 	}
 	mod.Ack(n, to, m)
+}
+
+// routeSlab carves route tables for every Mux copied from one NewMux value.
+// The copies may register from different goroutines (clone targets are
+// built concurrently), hence the lock; it is taken only when a table grows.
+type routeSlab struct {
+	mu    sync.Mutex
+	spare []route
+	next  int // length of the next chunk
+}
+
+// carve returns an empty slice with capacity n.
+func (sl *routeSlab) carve(n int) []route {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if len(sl.spare) < n {
+		// Chunks double from the first table's size: a lone Mux carves
+		// just its own table, a run's copies a handful of chunks.
+		sl.next = min(max(2*sl.next, n), 4096)
+		sl.spare = make([]route, max(n, sl.next))
+	}
+	out := sl.spare[:0:n]
+	sl.spare = sl.spare[n:]
+	return out
 }

@@ -52,32 +52,40 @@ var (
 // StateCodecOK implements StateCodecProbe: every registered module must
 // implement ModuleState (and pass its own probe, if it has one).
 func (x *Mux) StateCodecOK() bool {
-	for i, mod := range x.uniq {
-		if x.state[i] == nil {
+	for i := range x.routes {
+		r := &x.routes[i]
+		if !r.first {
+			continue
+		}
+		if _, ok := r.mod.(ModuleState); !ok {
 			return false
 		}
-		if pr, ok := mod.(StateCodecProbe); ok && !pr.StateCodecOK() {
+		if pr, ok := r.mod.(StateCodecProbe); ok && !pr.StateCodecOK() {
 			return false
 		}
 	}
 	return true
 }
 
-// noModuleState reports a walk over a module without ModuleState. Callers
-// gate on StateCodecOK, so getting here is a programming error.
-func (x *Mux) noModuleState(i int) {
-	panic(fmt.Sprintf("async: module %T does not implement ModuleState", x.uniq[i]))
+// moduleState returns the unique module at route i's ModuleState. Callers
+// gate on StateCodecOK, so a module without one is a programming error.
+func (x *Mux) moduleState(i int) ModuleState {
+	ms, ok := x.routes[i].mod.(ModuleState)
+	if !ok {
+		panic(fmt.Sprintf("async: module %T does not implement ModuleState", x.routes[i].mod))
+	}
+	return ms
 }
 
 // SaveState implements wire.StateCodec: each unique module's state rides
 // in its own blob, in registration order.
 func (x *Mux) SaveState(e *wire.Enc) {
-	for i, ms := range x.state {
-		if ms == nil {
-			x.noModuleState(i)
+	for i := range x.routes {
+		if !x.routes[i].first {
+			continue
 		}
 		mark := e.BeginBlob()
-		ms.SaveState(e)
+		x.moduleState(i).SaveState(e)
 		e.EndBlob(mark)
 	}
 }
@@ -85,9 +93,14 @@ func (x *Mux) SaveState(e *wire.Enc) {
 // LoadState implements wire.StateCodec. The restoring Mux must have been
 // built by the same constructor, so the registration order matches.
 func (x *Mux) LoadState(d *wire.Dec) {
-	for i, ms := range x.state {
-		if ms == nil {
-			d.Fail("async: module %T does not implement ModuleState", x.uniq[i])
+	for i := range x.routes {
+		r := &x.routes[i]
+		if !r.first {
+			continue
+		}
+		ms, ok := r.mod.(ModuleState)
+		if !ok {
+			d.Fail("async: module %T does not implement ModuleState", r.mod)
 			return
 		}
 		end := d.BeginBlob()
@@ -104,8 +117,8 @@ func (x *Mux) LoadState(d *wire.Dec) {
 
 // Rebind implements Rebinder, forwarding to the modules that need it.
 func (x *Mux) Rebind(n *Node) {
-	for _, mod := range x.uniq {
-		if rb, ok := mod.(Rebinder); ok {
+	for i := range x.routes {
+		if rb, ok := x.routes[i].mod.(Rebinder); ok && x.routes[i].first {
 			rb.Rebind(n)
 		}
 	}
@@ -119,13 +132,12 @@ func (x *Mux) Rebind(n *Node) {
 // capacity.
 func (x *Mux) CloneStateInto(dst Handler) {
 	dx, ok := dst.(*Mux)
-	if !ok || len(dx.uniq) != len(x.uniq) {
+	if !ok || len(dx.routes) != len(x.routes) {
 		panic(fmt.Sprintf("async: Mux clone target %T was not built by the same constructor", dst))
 	}
-	for i, ms := range x.state {
-		if ms == nil {
-			x.noModuleState(i)
+	for i := range x.routes {
+		if x.routes[i].first {
+			x.moduleState(i).CloneModuleInto(dx.routes[i].mod)
 		}
-		ms.CloneModuleInto(dx.uniq[i])
 	}
 }

@@ -60,13 +60,14 @@ func (m ExecutionMode) String() string {
 // execution: a graph, one Handler per node, and a delay adversary.
 //
 // All per-link state is dense: the graph's CSR link index (graph.LinkID)
-// addresses a flat []outbox and []uint64 transmission-sequence array, both
-// pre-sized at New, and message bodies are wire.Body values end to end —
-// the send/dispatch/deliver hot path performs no map operations, no
-// interface boxing, and no steady-state allocations. Per-protocol message
-// counts live in a flat slice indexed by Proto (the map form exists only
-// at the Result/Stats boundary), and node outputs are stored as typed
-// wire.Body values (outval encoding) rather than boxed interfaces.
+// addresses the in-flight flags, the transmission sequences and one outbox
+// pointer per link, all pre-sized at New, and message bodies are wire.Body
+// values end to end — the send/dispatch/deliver hot path performs no map
+// operations, no interface boxing, and no steady-state allocations.
+// Per-protocol message counts live in a flat slice indexed by Proto (the
+// map form exists only at the Result/Stats boundary), and node outputs are
+// stored as typed wire.Body values (outval encoding) rather than boxed
+// interfaces.
 // Variable-length segments come from a per-run arena and are recycled when
 // each message's lifecycle ends (after the sender's Ack callback).
 //
@@ -119,11 +120,12 @@ type Sim struct {
 	// Per-directed-link hot state, indexed by graph.LinkID and split by
 	// temperature: busy is the 1-byte in-flight flag every send and ack
 	// touches; txSeq is the 4-byte transmission sequence the adversary is
-	// consulted with (overflow-checked); boxes holds the lazily allocated
-	// contention queues — a slot stays nil until a send finds its link
-	// busy, so uncontended links cost 13 bytes, not an outbox struct.
-	// Box slots are only written by the link's owning worker, so lazy
-	// allocation is race-free in the parallel modes.
+	// consulted with (overflow-checked); boxes holds the contention queues
+	// — a slot is nil unless the link has messages queued behind an
+	// in-flight one, so a link costs 13 bytes, not an outbox struct. The
+	// records come from the sending context's outboxSlab (see link.go);
+	// box slots are only written by the link's owning worker, so they are
+	// race-free in the parallel modes.
 	busy  []bool
 	txSeq []uint32
 	boxes []*outbox
@@ -480,7 +482,7 @@ func (s *Sim) loadedOutAnys() []any {
 // Reset rearms the engine for another run on the same graph: counters,
 // queues, outboxes, outputs, and the segment arena all return to their
 // initial state while keeping every backing array they grew — the wheel
-// slots, per-link outbox capacity, and arena chunks are reused, so a
+// slots, the contexts' outbox slabs, and arena chunks are reused, so a
 // harness sweeping many trials on one topology allocates the engine once.
 // mk rebuilds the per-node handlers; adv may differ from the previous run.
 func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
@@ -495,15 +497,9 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	}
 	s.sharded = false
 	s.eventSq = 0
-	for i, ob := range s.boxes {
-		s.busy[i] = false
-		if ob != nil {
-			ob.reset()
-		}
-	}
-	for i := range s.txSeq {
-		s.txSeq[i] = 0
-	}
+	clear(s.busy)
+	clear(s.boxes)
+	clear(s.txSeq)
 	// The lazily built output slabs stay allocated (pooled growth); only
 	// their contents clear.
 	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
@@ -516,10 +512,10 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	for i := range outA {
 		outA[i] = nil
 	}
-	// Every context's ledger and logs clear: a run that panicked mid-window
-	// (the recoverable engine-panic idiom core.tryBound relies on) leaves
-	// staged events, counters, speculative ops, and possibly a recorded
-	// panic behind.
+	// Every context's ledger, logs and outbox slab clear: a run that
+	// panicked mid-window (the recoverable engine-panic idiom core.tryBound
+	// relies on) leaves staged events, counters, speculative ops, and
+	// possibly a recorded panic behind.
 	s.direct.reset()
 	for k := range s.wctx {
 		s.wctx[k].reset()
@@ -907,6 +903,8 @@ type execCtx struct {
 	curSeq uint64
 	ledger
 	staged []stagedEv
+	// obs carves the outboxes of the links this context queues on.
+	obs outboxSlab
 
 	// Speculative round log (spec contexts): flat op log plus one entry per
 	// executed event closing its op range. specCur is the event currently
@@ -968,6 +966,7 @@ func (l *ledger) reset() { *l = ledger{perProto: l.perProto[:0], trace: l.trace[
 // reset clears the context's ledger and logs for another run.
 func (c *execCtx) reset() {
 	c.ledger.reset()
+	c.obs.reset()
 	c.curSeq = 0
 	c.staged = c.staged[:0]
 	clearSpecOps(c.specOps)
@@ -1120,17 +1119,12 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 	if !s.busy[l] {
 		// Uncontended fast path: an idle link's queue is necessarily empty
 		// (a queued message implies an in-flight one), so push+pop of this
-		// single message collapses to direct injection — no outbox is ever
-		// allocated for a link that never queues behind an in-flight send.
+		// single message collapses to direct injection — a link that never
+		// queues behind an in-flight send never takes an outbox.
 		s.inject(c, from, to, l, m)
 		return
 	}
-	ob := s.boxes[l]
-	if ob == nil {
-		ob = &outbox{}
-		s.boxes[l] = ob
-	}
-	ob.push(m)
+	c.obs.queue(s.boxes, l, m)
 }
 
 // inject marks the link in flight and performs the first transmission
@@ -1197,18 +1191,10 @@ func (s *Sim) bumpTx(l graph.LinkID) {
 }
 
 // dispatch injects the next queued message of the (from,to) link, if any.
-// Links that never contended have no outbox and return immediately.
 func (c *execCtx) dispatch(from, to graph.NodeID, l graph.LinkID) {
-	s := c.s
-	ob := s.boxes[l]
-	if ob == nil {
-		return
+	if m, ok := c.obs.next(c.s.boxes, l); ok {
+		c.s.inject(c, from, to, l, m)
 	}
-	m, ok := ob.pop()
-	if !ok {
-		return
-	}
-	s.inject(c, from, to, l, m)
 }
 
 // checkDelay enforces both the model's (0,1] delay contract and the

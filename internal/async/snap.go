@@ -211,21 +211,7 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 				e.U32(0)
 				continue
 			}
-			e.U32(uint32(len(ob.stages)))
-			for si := range ob.stages {
-				sq := &ob.stages[si]
-				e.I64(int64(sq.stage))
-				e.U32(uint32(sq.next))
-				e.U32(uint32(len(sq.protos)))
-				for pi := range sq.protos {
-					pf := &sq.protos[pi]
-					e.I32(int32(pf.proto))
-					e.U32(uint32(len(pf.msgs) - pf.head))
-					for mi := pf.head; mi < len(pf.msgs); mi++ {
-						e.Body(pf.msgs[mi].Body)
-					}
-				}
-			}
+			ob.encode(e)
 		}
 	}
 	e.EndBlob(mark)
@@ -415,8 +401,12 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			// protoFIFO rotation slots and the round-robin cursor — because the
 			// rotation's first-appearance order decides future injection order.
 			// A foreign link's record is walked the same way, bodies skipped.
+			// Local records are carved from the direct context's slab, as a
+			// queue built during Init would be.
 			local := s.localNode(from)
+			sl := &s.direct.obs
 			var ob *outbox
+			var tail *stageQueue
 			if local {
 				l := s.g.LinkBetween(from, to)
 				if l < 0 {
@@ -426,8 +416,14 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 				s.busy[l] = busy
 				s.txSeq[l] = txSeq
 				if ob = s.boxes[l]; ob == nil && nStages > 0 {
-					ob = &outbox{}
+					ob = sl.boxes.get()
 					s.boxes[l] = ob
+				}
+				if ob != nil {
+					tail = ob.stages
+					for tail != nil && tail.up != nil {
+						tail = tail.up
+					}
 				}
 			}
 			prevStage := 0
@@ -444,25 +440,36 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 					ld.Fail("link %d->%d stage %d rotation cursor %d outside %d protos", from, to, stage, next, nProtos)
 					break
 				}
-				sq := stageQueue{stage: stage, next: next}
+				var sq *stageQueue
+				if local {
+					sq = sl.stages.get()
+					sq.stage = stage
+					if tail == nil {
+						ob.stages = sq
+					} else {
+						tail.up = sq
+					}
+					tail = sq
+				}
 				for pi := 0; pi < nProtos && !ld.Failed(); pi++ {
-					pf := protoFIFO{proto: Proto(ld.I32())}
+					proto := Proto(ld.I32())
 					nMsgs := int(ld.U32())
+					var pf *protoFIFO
+					if local {
+						pf = sq.addProto(sl, proto)
+						if pi == next {
+							sq.cur = pf
+						}
+					}
 					for mi := 0; mi < nMsgs && !ld.Failed(); mi++ {
 						if !local {
 							ld.SkipBody()
 							continue
 						}
-						pf.msgs = append(pf.msgs, Msg{Proto: pf.proto, Stage: stage, Body: ld.Body()})
+						pf.append(sl, Msg{Proto: proto, Stage: stage, Body: ld.Body()})
+						sq.queued++
+						ob.queued++
 					}
-					if local {
-						sq.queued += len(pf.msgs)
-						sq.protos = append(sq.protos, pf)
-					}
-				}
-				if local {
-					ob.stages = append(ob.stages, sq)
-					ob.queued += sq.queued
 				}
 			}
 		}

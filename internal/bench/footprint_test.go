@@ -75,6 +75,7 @@ func TestGeneratorAllocPins(t *testing.T) {
 		{"grid3d:16x16x16", 12},
 		{"pa:n=2000,m=3,seed=7", 16},
 		{"ring:k=50,c=6", 13},
+		{"er:n=2000,m=8000,seed=3", 13},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(5, func() { mustSpec(c.spec) }); got > c.max {

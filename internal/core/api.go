@@ -57,9 +57,15 @@ type captureAPI struct {
 var _ syncrun.API = (*captureAPI)(nil)
 
 // newAPI binds one pulse evaluation (or the Init capture) of the embedded
-// algorithm to a fresh congest epoch.
+// algorithm to a fresh congest epoch. The core's one API value serves them
+// all: Init and Pulse only queue sends, so no evaluation starts inside
+// another.
 func (c *nodeCore) newAPI(n *async.Node, vn *vnode, capture bool) *captureAPI {
-	return &captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
+	if c.cs.stamp == nil {
+		c.cs.stamp = c.st.stamps.carve(n.Degree())[:n.Degree()]
+	}
+	c.api = captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
+	return &c.api
 }
 
 func (a *captureAPI) ID() graph.NodeID            { return a.n.ID() }
@@ -73,7 +79,7 @@ func (a *captureAPI) Arena() *wire.Arena          { return a.n.Arena() }
 func (a *captureAPI) Send(to graph.NodeID, body wire.Body) {
 	a.core.cs.mark(a.n, to, a.epoch, "synchronizer")
 	if a.capture {
-		a.core.initSends = append(a.core.initSends, capturedSend{to: to, body: body})
+		a.core.initSends = push(&a.core.st.sends, a.core.initSends, capturedSend{to: to, body: body})
 		return
 	}
 	a.vn.sentAny = true

@@ -181,18 +181,25 @@ func TestMuxCloneSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSerialSynchronizedBFSAllocs guards the serial handler path: with the
-// state in maps (and a sort per evaluate, afterAnswersMaybe and runG) one
-// forced-ModeSingle run of this workload made 46 912 allocations. The
-// ceiling below is that figure; the flat layout sits far under it, and a
-// per-event sort or scratch slice creeping back in would not.
+// TestSerialSynchronizedBFSAllocs guards the serial handler path. One
+// forced-ModeSingle run of this workload made 46 912 allocations with the
+// state in maps, 31 003 with the flat layout, and 2 507 once outboxes,
+// node stacks and their run state came from per-run slabs (Go 1.24,
+// linux/amd64) — the rest is mostly the event queue's slot slices and the
+// Result. The ceiling is that figure plus 5 %, so a per-node or per-message
+// allocation creeping back in fails it; the race detector adds a few
+// percent of its own, so under -race the ceiling is 15 % over.
 func TestSerialSynchronizedBFSAllocs(t *testing.T) {
 	cfg := syncBFSWorkload(t)
 	cfg.Layered = BuildLayeredFor(cfg.Graph, cfg.Bound)
-	const parentAllocs = 46912
-	if avg := testing.AllocsPerRun(3, func() { Synchronize(cfg, mkBFS0) }); avg > parentAllocs {
-		t.Fatalf("serial synchronized BFS allocates %.0f times per run, parent commit made %d", avg, parentAllocs)
+	const measured = 2507
+	ceiling := measured * 105 / 100
+	if raceEnabled {
+		ceiling = measured * 115 / 100
+	}
+	if avg := testing.AllocsPerRun(3, func() { Synchronize(cfg, mkBFS0) }); avg > float64(ceiling) {
+		t.Fatalf("serial synchronized BFS allocates %.0f times per run, ceiling %d (measured %d)", avg, ceiling, measured)
 	} else {
-		t.Logf("%.0f allocations per run (parent commit: %d)", avg, parentAllocs)
+		t.Logf("%.0f allocations per run (measured %d, ceiling %d)", avg, measured, ceiling)
 	}
 }

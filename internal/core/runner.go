@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/cover"
-	"repro/internal/gather"
 	"repro/internal/graph"
-	"repro/internal/reg"
 	"repro/internal/syncrun"
 )
 
@@ -148,8 +146,9 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 		panic(fmt.Sprintf("core: layered covers reach level %d, need %d",
 			layered.MaxLevel(), sched.MaxCoverLevel))
 	}
+	b := &batcher{sched: sched, layered: layered, n: cfg.Graph.NLocal(), base: cfg.Graph.NodeBase()}
 	sim := async.New(cfg.Graph, adv, func(id graph.NodeID) async.Handler {
-		return NewNodeHandler(sched, layered, mk(id))
+		return b.handler(id, mk(id))
 	}).WithMode(cfg.Mode)
 	if cfg.Workers > 0 {
 		sim.WithWorkers(cfg.Workers)
@@ -159,29 +158,9 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 
 // NewNodeHandler wires one node's synchronizer stack: the core engine plus
 // one registration module and one barrier module per cover level in use.
-// Callers may register additional modules on unused protos of the returned
-// Mux before the simulation starts.
+// It is the one-node batch of the constructor a synchronized run builds
+// all its stacks with (stacks.go). Callers may register additional modules
+// on unused protos of the returned Mux before the simulation starts.
 func NewNodeHandler(sched *Schedule, layered *cover.Layered, algo syncrun.Handler) *async.Mux {
-	c := &nodeCore{
-		sched:   sched,
-		layered: layered,
-		algo:    algo,
-		regMods: make([]*reg.Module, sched.MaxCoverLevel+1),
-		barMods: make([]*gather.Module, sched.MaxCoverLevel+1),
-	}
-	mux := async.NewMux()
-	mux.Register(ProtoAlgo, c)
-	mux.Register(ProtoTree, c)
-	stagePulse := func(session int) int { return session }
-	stageBarrier := func(session int) int { return session / 2 }
-	for lvl := 5; lvl <= sched.MaxCoverLevel; lvl++ {
-		cov := layered.Level(lvl)
-		rm := reg.New(ProtoRegBase+async.Proto(lvl), cov, c, stagePulse)
-		bm := gather.New(ProtoBarrierBase+async.Proto(lvl), cov, c, stageBarrier)
-		c.regMods[lvl] = rm
-		c.barMods[lvl] = bm
-		mux.Register(ProtoRegBase+async.Proto(lvl), rm)
-		mux.Register(ProtoBarrierBase+async.Proto(lvl), bm)
-	}
-	return mux
+	return newStacks(sched, layered, 1, 0).stack(0, algo)
 }

@@ -111,11 +111,11 @@ func (c *nodeCore) CloneModuleInto(dst async.Module) {
 	d.started = c.started
 	d.originator = c.originator
 	d.barrierRegWait = c.barrierRegWait
-	d.initSends = append(d.initSends[:0], c.initSends...)
-	d.vnodes = append(d.vnodes[:0], c.vnodes...)
-	d.qs = append(d.qs[:0], c.qs...)
-	d.ready = append(d.ready[:0], c.ready...)
-	d.recvd = append(d.recvd[:0], c.recvd...)
+	d.initSends = assign(&d.st.sends, d.initSends, c.initSends)
+	d.vnodes = assign(&d.st.vnodes, d.vnodes, c.vnodes)
+	d.qs = assign(&d.st.qs, d.qs, c.qs)
+	d.ready = assign(&d.st.ready, d.ready, c.ready)
+	d.recvd = assign(&d.st.recvd, d.recvd, c.recvd)
 }
 
 // SaveState implements wire.StateCodec: a linear walk of the flat state.
@@ -180,7 +180,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		s := capturedSend{to: graph.NodeID(d.I32()), body: d.Body()}
 		if !d.Failed() {
-			c.initSends = append(c.initSends, s)
+			c.initSends = push(&c.st.sends, c.initSends, s)
 		}
 	}
 	c.barrierRegWait = d.Int()
@@ -206,7 +206,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			d.Fail("core: vnode %d has pulse %d (bound %d, pulses must ascend)", i, v.pulse, c.sched.B)
 			break
 		}
-		c.vnodes = append(c.vnodes, v)
+		c.vnodes = push(&c.st.vnodes, c.vnodes, v)
 	}
 	c.qs = c.qs[:0]
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
@@ -223,7 +223,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			readySelf:       d.Bool(),
 		}
 		if !d.Failed() {
-			c.qs = append(c.qs, st)
+			c.qs = push(&c.st.qs, c.qs, st)
 		}
 	}
 	for i := range c.vnodes {
@@ -239,14 +239,14 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			d.Fail("core: ready child %d refers to q-state %d of %d", r.child, r.qi, len(c.qs))
 		}
 		if !d.Failed() {
-			c.ready = append(c.ready, r)
+			c.ready = push(&c.st.ready, c.ready, r)
 		}
 	}
 	c.recvd = c.recvd[:0]
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		m := pendingMsg{pulse: d.I32(), in: syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}}
 		if !d.Failed() {
-			c.recvd = append(c.recvd, m)
+			c.recvd = push(&c.st.recvd, c.recvd, m)
 		}
 	}
 	if d.Failed() { // never leave vnodes pointing past the q-state pool

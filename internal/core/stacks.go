@@ -1,0 +1,194 @@
+package core
+
+import (
+	"sync"
+
+	"repro/internal/async"
+	"repro/internal/cover"
+	"repro/internal/gather"
+	"repro/internal/graph"
+	"repro/internal/reg"
+	"repro/internal/syncrun"
+)
+
+// firstCoverLevel is the lowest cover level a pulse registers on: ℓ(p)+5.
+const firstCoverLevel = 5
+
+// stacks is one batch of synchronizer node stacks, built together so a run
+// allocates them per run rather than per node: the batch's nodeCores,
+// Muxes and per-level registration and barrier modules are four slices,
+// every Mux and module is a copy of one async.NewMux, reg.New or
+// gather.New value (so the copies share those values' slabs), and the cores
+// grow their run state from the batch's own slabs. Slot i hosts node
+// base+i; a one-slot batch — NewNodeHandler's — hosts whichever node
+// starts it. The batch is also every module's callbacks, routing each call
+// to the core of the node it carries.
+type stacks struct {
+	sched   *Schedule
+	layered *cover.Layered
+	base    graph.NodeID
+
+	cores []nodeCore
+	muxes []async.Mux
+	regs  []reg.Module // slot-major: one per cover level from firstCoverLevel
+	bars  []gather.Module
+	taken []bool
+
+	mux *async.Mux
+	reg []*reg.Module // by cover level from firstCoverLevel
+	bar []*gather.Module
+
+	vnodes slab[vnode]
+	qs     slab[qstate]
+	ready  slab[readyRef]
+	recvd  slab[pendingMsg]
+	batch  slab[syncrun.Incoming]
+	sends  slab[capturedSend]
+	stamps slab[int32]
+}
+
+var _ reg.Callbacks = (*stacks)(nil)
+var _ gather.Callbacks = (*stacks)(nil)
+
+func stagePulse(session int) int   { return session }
+func stageBarrier(session int) int { return session / 2 }
+
+// newStacks builds an empty batch of n slots, slot 0 hosting node base.
+func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID) *stacks {
+	levels := sched.MaxCoverLevel - firstCoverLevel + 1
+	st := &stacks{
+		sched:   sched,
+		layered: layered,
+		base:    base,
+		cores:   make([]nodeCore, n),
+		muxes:   make([]async.Mux, n),
+		regs:    make([]reg.Module, n*levels),
+		bars:    make([]gather.Module, n*levels),
+		taken:   make([]bool, n),
+		mux:     async.NewMux(),
+		reg:     make([]*reg.Module, levels),
+		bar:     make([]*gather.Module, levels),
+	}
+	for k := range levels {
+		lvl := firstCoverLevel + k
+		cov := layered.Level(lvl)
+		st.reg[k] = reg.New(ProtoRegBase+async.Proto(lvl), cov, st, stagePulse)
+		st.bar[k] = gather.New(ProtoBarrierBase+async.Proto(lvl), cov, st, stageBarrier)
+	}
+	return st
+}
+
+// stack wires slot i's node stack around algo: the core engine plus one
+// registration module and one barrier module per cover level in use.
+func (st *stacks) stack(i int, algo syncrun.Handler) *async.Mux {
+	st.taken[i] = true
+	levels := len(st.reg)
+	c := &st.cores[i]
+	*c = nodeCore{
+		st:      st,
+		sched:   st.sched,
+		layered: st.layered,
+		algo:    algo,
+		regMods: st.regs[i*levels : (i+1)*levels],
+		barMods: st.bars[i*levels : (i+1)*levels],
+	}
+	mux := &st.muxes[i]
+	*mux = *st.mux
+	mux.Register(ProtoAlgo, c)
+	mux.Register(ProtoTree, c)
+	for k := range levels {
+		lvl := async.Proto(firstCoverLevel + k)
+		c.regMods[k] = *st.reg[k]
+		c.barMods[k] = *st.bar[k]
+		mux.Register(ProtoRegBase+lvl, &c.regMods[k])
+		mux.Register(ProtoBarrierBase+lvl, &c.barMods[k])
+	}
+	return mux
+}
+
+// core returns the core of the node n hosts in this batch.
+func (st *stacks) core(n *async.Node) *nodeCore {
+	if len(st.cores) == 1 {
+		return &st.cores[0]
+	}
+	return &st.cores[n.ID()-st.base]
+}
+
+// Registered implements reg.Callbacks.
+func (st *stacks) Registered(n *async.Node, c cover.ClusterID, session int) {
+	st.core(n).Registered(n, c, session)
+}
+
+// GoAhead implements reg.Callbacks.
+func (st *stacks) GoAhead(n *async.Node, c cover.ClusterID, session int) {
+	st.core(n).GoAhead(n, c, session)
+}
+
+// NeighborhoodDone implements gather.Callbacks.
+func (st *stacks) NeighborhoodDone(n *async.Node, session int) {
+	st.core(n).NeighborhoodDone(n, session)
+}
+
+// batcher hands each handler-constructor call of one synchronized run a
+// stack from the run's current batch. A construction sweep — New's, or a
+// Reset's — fills a batch slot by slot; a call for a node whose slot is
+// taken (the next sweep, or a speculative clone target) starts a new batch.
+// The engine may build clone targets concurrently, hence the lock.
+type batcher struct {
+	mu      sync.Mutex
+	sched   *Schedule
+	layered *cover.Layered
+	n       int
+	base    graph.NodeID
+	cur     *stacks
+}
+
+func (b *batcher) handler(id graph.NodeID, algo syncrun.Handler) *async.Mux {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i := int(id - b.base)
+	if b.cur == nil || b.cur.taken[i] {
+		b.cur = newStacks(b.sched, b.layered, b.n, b.base)
+	}
+	return b.cur.stack(i, algo)
+}
+
+// slab carves the cores' per-node slices out of shared chunks: a slice that
+// outgrows its capacity moves to a carved one twice the size, leaving the
+// old one behind as garbage until the run ends. Carving locks, because the
+// parallel executors run different nodes' handlers at once; it only happens
+// when a slice grows.
+type slab[T any] struct {
+	mu    sync.Mutex
+	spare []T
+	next  int // length of the next chunk
+}
+
+// carve returns an empty, zeroed slice with capacity n.
+func (sl *slab[T]) carve(n int) []T {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if len(sl.spare) < n {
+		sl.next = min(max(2*sl.next, n), 1<<12)
+		sl.spare = make([]T, max(n, sl.next))
+	}
+	out := sl.spare[:0:n]
+	sl.spare = sl.spare[n:]
+	return out
+}
+
+// grow returns s with room for n more elements.
+func (sl *slab[T]) grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(sl.carve(2*(len(s)+n)), s...)
+}
+
+// push appends x to s, growing it from sl.
+func push[T any](sl *slab[T], s []T, x T) []T { return append(sl.grow(s, 1), x) }
+
+// assign sets dst to a copy of src, growing it from sl.
+func assign[T any](sl *slab[T], dst, src []T) []T {
+	return append(sl.grow(dst[:0], len(src)), src...)
+}

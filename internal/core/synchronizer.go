@@ -20,15 +20,18 @@ import (
 // vnodes index into, and two small arrival-ordered lists (ready, recvd)
 // whose entries are removed once consumed. Nothing here is a map or a
 // per-vnode allocation, so the speculative executor's per-round clone
-// (CloneModuleInto) is a handful of copies.
+// (CloneModuleInto) is a handful of copies, and every slice grows from
+// the batch's slabs (stacks.go).
 type nodeCore struct {
+	st      *stacks
 	sched   *Schedule
 	layered *cover.Layered
 	algo    syncrun.Handler
 
-	// Per-cover-level modules, indexed by level (nil below level 5).
-	regMods []*reg.Module
-	barMods []*gather.Module
+	// Per-cover-level modules from firstCoverLevel up, in the batch's
+	// slices (see reg and bar).
+	regMods []reg.Module
+	barMods []gather.Module
 
 	vnodes []vnode      // sorted by pulse
 	qs     []qstate     // vnode v's block starts at v.qoff
@@ -41,8 +44,10 @@ type nodeCore struct {
 	barrierRegWait int
 	cs             congestStamp
 
-	// Scratch, not state: the batch handed to Pulse, and the frame the
-	// embedded algorithm is cloned through (see CloneModuleInto).
+	// Scratch, not state: the API and batch handed to Init and Pulse, and
+	// the frame the embedded algorithm is cloned through (see
+	// CloneModuleInto).
+	api     captureAPI
 	batch   []syncrun.Incoming
 	algoBuf wire.Enc
 	algoDec wire.Dec
@@ -54,8 +59,12 @@ type capturedSend struct {
 }
 
 var _ async.Module = (*nodeCore)(nil)
-var _ reg.Callbacks = (*nodeCore)(nil)
-var _ gather.Callbacks = (*nodeCore)(nil)
+
+// reg returns the registration module of cover level lvl.
+func (c *nodeCore) reg(lvl int) *reg.Module { return &c.regMods[lvl-firstCoverLevel] }
+
+// bar returns the barrier module of cover level lvl.
+func (c *nodeCore) bar(lvl int) *gather.Module { return &c.barMods[lvl-firstCoverLevel] }
 
 // Start implements async.Module: run Init in capture mode, then join the
 // originator barriers of §4.2 (one register-barrier and one
@@ -65,11 +74,15 @@ func (c *nodeCore) Start(n *async.Node) {
 		return
 	}
 	c.started = true
+	// A pulse brings at most one message per neighbor (CONGEST), so the
+	// received list and the batch rarely outgrow the degree.
+	c.recvd = c.st.recvd.carve(n.Degree())
+	c.batch = c.st.batch.carve(n.Degree())
 	c.algo.Init(c.newAPI(n, nil, true))
 	c.originator = len(c.initSends) > 0
 	c.barrierRegWait = len(c.sched.Barrier())
 	for _, p := range c.sched.Barrier() {
-		bm := c.barMods[c.sched.CoverLevel(p)]
+		bm := c.bar(c.sched.CoverLevel(p))
 		bm.MarkDone(n, barrierRegSession(p))
 		if c.originator {
 			bm.Begin(n, barrierDeregSession(p))
@@ -164,7 +177,7 @@ func (c *nodeCore) onAlgoMsg(n *async.Node, from graph.NodeID, pulse int, body w
 	// The message is retained until Go-Ahead(p) evaluates the pulse — long
 	// past the carrying message's lifecycle — which is why frameAlgo
 	// rejects seg-carrying algorithm payloads at the send side.
-	c.recvd = append(c.recvd, pendingMsg{pulse: int32(pulse), in: syncrun.Incoming{From: from, Body: body}})
+	c.recvd = push(&c.st.recvd, c.recvd, pendingMsg{pulse: int32(pulse), in: syncrun.Incoming{From: from, Body: body}})
 	if next != nil {
 		// Already triggered: decline.
 		n.Send(from, async.Msg{Proto: ProtoAlgo, Stage: pulse, Body: encReply(replyMsg{Pulse: pulse, Chosen: false})})
@@ -210,7 +223,7 @@ func (c *nodeCore) onChildStatus(n *async.Node, p int, s statusMsg, fromPhys gra
 		if fromSelf {
 			qs.readySelf = true
 		} else {
-			c.ready = append(c.ready, readyRef{qi: int32(qi), child: fromPhys})
+			c.ready = push(&c.st.ready, c.ready, readyRef{qi: int32(qi), child: fromPhys})
 		}
 	}
 	c.tryResolve(n, p, qi)
@@ -257,7 +270,7 @@ func (c *nodeCore) registerSession(n *async.Node, p, s int) {
 	}
 	c.qs[c.qi(p, s)].regOutstanding = int32(len(ids))
 	for _, cid := range ids {
-		c.regMods[lvl].Register(n, cid, s)
+		c.reg(lvl).Register(n, cid, s)
 	}
 }
 
@@ -269,7 +282,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, p, q, qi int) {
 		if !c.sched.IsBarrier(q) {
 			panic(fmt.Sprintf("core: pulse-0 consumer for non-barrier pulse %d", q))
 		}
-		c.barMods[c.sched.CoverLevel(q)].MarkDone(n, barrierDeregSession(q))
+		c.bar(c.sched.CoverLevel(q)).MarkDone(n, barrierDeregSession(q))
 		return
 	}
 	qs := &c.qs[qi]
@@ -285,7 +298,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, p, q, qi int) {
 	ids := c.layered.Level(lvl).MemberOf(n.ID())
 	qs.gaOutstanding = int32(len(ids))
 	for _, cid := range ids {
-		c.regMods[lvl].Deregister(n, cid, q)
+		c.reg(lvl).Deregister(n, cid, q)
 	}
 }
 
@@ -349,7 +362,7 @@ func (c *nodeCore) takeBatch(pulse int) []syncrun.Incoming {
 			continue
 		}
 		i := len(batch)
-		batch = append(batch, m.in)
+		batch = push(&c.st.batch, batch, m.in)
 		for ; i > 0 && batch[i-1].From > m.in.From; i-- {
 			batch[i] = batch[i-1]
 		}
@@ -381,8 +394,8 @@ func (c *nodeCore) evaluate(n *async.Node, p int) {
 	c.afterAnswersMaybe(n, p)
 }
 
-// Registered implements reg.Callbacks: one cluster of a wave session
-// confirmed; when the last does, the gated q-report is released.
+// Registered is reg.Callbacks' call for this node: one cluster of a wave
+// session confirmed; when the last does, the gated q-report is released.
 func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
 	p := prevPrev(session)
 	qs := &c.qs[c.qi(p, session)]
@@ -399,8 +412,8 @@ func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
 	}
 }
 
-// GoAhead implements reg.Callbacks: one cluster's Go-Ahead for a wave
-// session; when the last arrives, GA(session) flows down the forest.
+// GoAhead is reg.Callbacks' call for this node: one cluster's Go-Ahead for
+// a wave session; when the last arrives, GA(session) flows down the forest.
 func (c *nodeCore) GoAhead(n *async.Node, _ cover.ClusterID, session int) {
 	p := prevPrev(session)
 	qs := &c.qs[c.qi(p, session)]
@@ -411,7 +424,8 @@ func (c *nodeCore) GoAhead(n *async.Node, _ cover.ClusterID, session int) {
 	c.propagateGA(n, p, session)
 }
 
-// NeighborhoodDone implements gather.Callbacks for the originator barriers.
+// NeighborhoodDone is gather.Callbacks' call for this node, for the
+// originator barriers.
 func (c *nodeCore) NeighborhoodDone(n *async.Node, session int) {
 	if session%2 == 0 { // register barrier
 		c.barrierRegWait--

@@ -120,10 +120,12 @@ func (c *nodeCore) newVnode(p int) *vnode {
 	if dup {
 		panic(fmt.Sprintf("core: vnode %d created twice", p))
 	}
-	c.vnodes = append(c.vnodes, vnode{})
+	c.vnodes = push(&c.st.vnodes, c.vnodes, vnode{})
 	copy(c.vnodes[i+1:], c.vnodes[i:])
 	c.vnodes[i] = vnode{pulse: int32(p), parentPhys: -1, qoff: int32(len(c.qs))}
-	c.qs = append(c.qs, make([]qstate, len(c.sched.Tracked(p)))...)
+	n, k := len(c.qs), len(c.sched.Tracked(p))
+	c.qs = c.st.qs.grow(c.qs, k)[:n+k]
+	clear(c.qs[n:])
 	return &c.vnodes[i]
 }
 

@@ -15,6 +15,8 @@ package gather
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -79,18 +81,37 @@ type Module struct {
 	cov     *cover.Cover
 	cb      Callbacks
 	stageOf func(session int) int
+	run     *run
 
 	// Node binding: derived from (cov, me) on first use, never serialized.
 	bound   bool
 	me      graph.NodeID
-	tree    []cover.ClusterID // cov.TreeOf(me), ascending
-	isMem   []bool            // isMem[ci]: me is a member (terminal) of tree[ci]
-	off     []int32           // off[ci]: cluster ci's record offset in a row
-	stride  int               // row length in bytes
-	nMember int               // len(cov.MemberOf(me))
+	trees   []treeRef // cov.TreeOf(me), ascending by cluster
+	stride  int       // row length in bytes
+	nMember int       // len(cov.MemberOf(me))
 
 	sess []sessionState // by slot, in first-sight order
 	st   []byte         // len(sess) rows
+}
+
+// treeRef is this node's place on one cluster tree, resolved once at bind
+// so no event searches the cluster tree again: the record's offset in a
+// row, membership, and the tree parent and children the convergecast and
+// the broadcast travel to.
+type treeRef struct {
+	id       cover.ClusterID
+	off      int32          // record offset in a row
+	member   bool           // me is a member (terminal) of the cluster
+	parent   graph.NodeID   // -1 at the root
+	children []graph.NodeID // ascending; the cluster tree's own storage
+}
+
+// run holds the slabs every copy of one New value carves from: the node
+// layouts at bind, and the session table and rows as they grow.
+type run struct {
+	trees slab[treeRef]
+	bytes slab[byte]
+	sess  slab[sessionState]
 }
 
 var _ async.Module = (*Module)(nil)
@@ -99,33 +120,45 @@ var _ async.Rebinder = (*Module)(nil)
 
 // New creates the per-node module. stageOf maps sessions to link stages
 // (nil = all zero).
+//
+// A run that hosts the module on many nodes builds them as copies of one
+// New value, taken before any of them starts: the copies share its
+// callbacks — which tell the nodes apart by the *async.Node each call
+// carries — and its slabs, from which each copy binds its node's layout
+// and grows its rows. The run then allocates module state per run, not
+// per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
 	if stageOf == nil {
 		stageOf = func(int) int { return 0 }
 	}
-	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf}
+	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, run: &run{}}
 }
 
-// bind fixes the node this module serves and derives the row layout. The
-// constructor has no node id, so every entry point binds on first use.
+// bind fixes the node this module serves and derives its layout into the
+// run's slabs. The constructor has no node id, so every entry point binds
+// on first use.
 func (m *Module) bind(me graph.NodeID) {
 	if m.bound {
 		return
 	}
 	m.bound = true
 	m.me = me
-	m.tree = m.cov.TreeOf(me)
+	ids := m.cov.TreeOf(me)
 	member := m.cov.MemberOf(me)
 	m.nMember = len(member)
-	m.isMem = make([]bool, len(m.tree))
-	m.off = make([]int32, len(m.tree))
-	for ci, cid := range m.tree {
+	m.trees = m.run.trees.carve(len(ids))
+	for _, cid := range ids {
+		cl := m.cov.Cluster(cid)
+		t := treeRef{id: cid, off: int32(m.stride), parent: -1, children: cl.ChildrenOf(me)}
 		if len(member) > 0 && member[0] == cid { // both lists ascend
-			m.isMem[ci] = true
+			t.member = true
 			member = member[1:]
 		}
-		m.off[ci] = int32(m.stride)
-		m.stride += 1 + (len(m.cov.Cluster(cid).ChildrenOf(me))+7)/8
+		if cl.Root != me {
+			t.parent, _ = cl.ParentOf(me)
+		}
+		m.trees = append(m.trees, t)
+		m.stride += 1 + (len(t.children)+7)/8
 	}
 }
 
@@ -155,23 +188,26 @@ func (m *Module) slot(session int) int {
 	if s := m.lookup(session); s >= 0 {
 		return s
 	}
-	m.sess = append(m.sess, sessionState{id: session})
-	m.st = append(m.st, make([]byte, m.stride)...)
+	m.sess = append(m.run.sess.grow(m.sess, 1), sessionState{id: session})
+	n := len(m.st)
+	m.st = m.run.bytes.grow(m.st, m.stride)[:n+m.stride]
+	clear(m.st[n:])
 	return len(m.sess) - 1
 }
 
-// clusterIndex returns c's position in tree; gather traffic only travels
+// clusterIndex returns c's position in trees; gather traffic only travels
 // along cluster trees, so a miss is a routing bug.
 func (m *Module) clusterIndex(c cover.ClusterID) int {
-	ci := m.cov.TreeIndex(m.me, c)
-	if ci < 0 {
-		panic(fmt.Sprintf("gather: node %d is not on the tree of cluster %d", m.me, c))
+	for ci := range m.trees {
+		if m.trees[ci].id == c {
+			return ci
+		}
 	}
-	return ci
+	panic(fmt.Sprintf("gather: node %d is not on the tree of cluster %d", m.me, c))
 }
 
 // rec returns the offset of (slot, ci)'s record in st.
-func (m *Module) rec(slot, ci int) int { return slot*m.stride + int(m.off[ci]) }
+func (m *Module) rec(slot, ci int) int { return slot*m.stride + int(m.trees[ci].off) }
 
 // Begin announces the session at this node: every cluster tree this node
 // participates in becomes live here. Nonterminal nodes (pure relays) count
@@ -184,9 +220,9 @@ func (m *Module) Begin(n *async.Node, session int) {
 		return
 	}
 	m.sess[slot].began = true
-	for ci := range m.tree {
+	for ci := range m.trees {
 		f := fBegan
-		if !m.isMem[ci] {
+		if !m.trees[ci].member {
 			f |= fLocalDone // nonterminals have no process to finish
 		}
 		m.st[m.rec(slot, ci)] |= f
@@ -207,8 +243,8 @@ func (m *Module) MarkDone(n *async.Node, session int) {
 		return
 	}
 	m.sess[slot].markedAll = true
-	for ci := range m.tree {
-		if !m.isMem[ci] {
+	for ci := range m.trees {
+		if !m.trees[ci].member {
 			continue
 		}
 		m.st[m.rec(slot, ci)] |= fLocalDone
@@ -225,8 +261,8 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 	slot := m.slot(session)
 	switch msg.Body.Kind {
 	case kindDoneUp:
-		i := m.cov.Cluster(c).ChildIndex(m.me, from)
-		if i < 0 {
+		i, ok := slices.BinarySearch(m.trees[ci].children, from)
+		if !ok {
 			panic(fmt.Sprintf("gather: node %d got a report from non-child %d in cluster %d", m.me, from, c))
 		}
 		m.st[m.rec(slot, ci)+1+i/8] |= 1 << uint(i%8)
@@ -246,21 +282,19 @@ func (m *Module) maybeReport(n *async.Node, slot, ci int) {
 	if f := m.st[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
 		return
 	}
-	c := m.tree[ci]
-	cl := m.cov.Cluster(c)
-	for i := range cl.ChildrenOf(m.me) {
+	t := &m.trees[ci]
+	for i := range t.children {
 		if m.st[r+1+i/8]&(1<<uint(i%8)) == 0 {
 			return
 		}
 	}
 	m.st[r] |= fReported
-	if cl.Root == m.me {
+	if t.parent < 0 {
 		m.confirm(n, slot, ci)
 		return
 	}
 	session := m.sess[slot].id
-	par, _ := cl.ParentOf(m.me)
-	n.Send(par, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindDoneUp, c, session)})
+	n.Send(t.parent, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindDoneUp, t.id, session)})
 }
 
 // confirm marks the cluster complete at this node and forwards the
@@ -271,12 +305,12 @@ func (m *Module) confirm(n *async.Node, slot, ci int) {
 		return
 	}
 	m.st[r] |= fConfirmed
-	c := m.tree[ci]
+	t := &m.trees[ci]
 	session := m.sess[slot].id
-	for _, ch := range m.cov.Cluster(c).ChildrenOf(m.me) {
-		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindConfirmDown, c, session)})
+	for _, ch := range t.children {
+		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindConfirmDown, t.id, session)})
 	}
-	if m.isMem[ci] {
+	if t.member {
 		m.sess[slot].confirmed++
 		m.maybeFire(n, slot)
 	}
@@ -356,4 +390,36 @@ func (ch *Chain) OnNeighborhoodDone(n *async.Node, session int) {
 // Owns reports whether the session belongs to this chain.
 func (ch *Chain) Owns(session int) bool {
 	return session >= ch.Base && session < ch.Base+ch.L
+}
+
+// slab carves the per-node slices of every copy of one New value out of
+// shared chunks: a slice that outgrows its capacity moves to a carved one
+// twice the size, leaving the old one behind as garbage until the run ends.
+// Carving locks, because the parallel executors run different nodes'
+// handlers at once; it only happens when a slice grows.
+type slab[T any] struct {
+	mu    sync.Mutex
+	spare []T
+	next  int // length of the next chunk
+}
+
+// carve returns an empty, zeroed slice with capacity n.
+func (sl *slab[T]) carve(n int) []T {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if len(sl.spare) < n {
+		sl.next = min(max(2*sl.next, n), 1<<12)
+		sl.spare = make([]T, max(n, sl.next))
+	}
+	out := sl.spare[:0:n]
+	sl.spare = sl.spare[n:]
+	return out
+}
+
+// grow returns s with room for n more elements.
+func (sl *slab[T]) grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(sl.carve(2*(len(s)+n)), s...)
 }

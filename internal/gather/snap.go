@@ -6,14 +6,16 @@ import (
 )
 
 // CloneModuleInto implements async.ModuleState: the run state is two flat
-// slices, so a clone is two copies into dst's retained capacity.
+// slices, so a clone is two copies into dst's retained capacity. A target
+// that does not know its node yet shares the source's layout, which is
+// read-only once bound.
 func (m *Module) CloneModuleInto(dst async.Module) {
 	d := dst.(*Module)
 	if m.bound && !d.bound {
-		d.bind(m.me)
+		d.bound, d.me, d.trees, d.stride, d.nMember = true, m.me, m.trees, m.stride, m.nMember
 	}
-	d.sess = append(d.sess[:0], m.sess...)
-	d.st = append(d.st[:0], m.st...)
+	d.sess = append(d.run.sess.grow(d.sess[:0], len(m.sess)), m.sess...)
+	d.st = append(d.run.bytes.grow(d.st[:0], len(m.st)), m.st...)
 }
 
 // SaveState implements wire.StateCodec: the session table in slot order,
@@ -53,10 +55,11 @@ func (m *Module) LoadState(d *wire.Dec) {
 			fired:     d.Bool(),
 		}
 		if !d.Failed() {
-			m.sess = append(m.sess, ns)
+			m.sess = append(m.run.sess.grow(m.sess, 1), ns)
 		}
 	}
-	m.st = append(m.st, d.Raw(len(m.sess)*m.stride)...)
+	rows := d.Raw(len(m.sess) * m.stride)
+	m.st = append(m.run.bytes.grow(m.st, len(rows)), rows...)
 	if d.Failed() { // never leave rows and session table out of step
 		m.sess, m.st = m.sess[:0], m.st[:0]
 	}

@@ -105,42 +105,78 @@ func Complete(n int) *Graph {
 }
 
 // RandomConnected returns a connected graph: a random spanning tree plus
-// extra random edges until reaching approximately m edges total.
-// Deterministic in seed.
+// extra random edges until reaching m edges total (m is clamped to
+// n(n-1)/2). Deterministic in seed. It panics when m < n-1; FromSpec's er:
+// form reports that as an error.
 func RandomConnected(n, m int, seed uint64) *Graph {
+	g, err := randomConnected(n, m, seed)
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
+}
+
+// randomConnected emits RandomConnected's CSR directly (see buildCSR): node
+// i of the spanning tree attaches to a uniformly random earlier node, then
+// uniform random pairs are drawn until m distinct edges exist, with an
+// open-addressed set of packed pairs rejecting self-loops and repeats.
+// Edge ids follow the order the edges were drawn in.
+func randomConnected(n, m int, seed uint64) (*Graph, error) {
 	if m < n-1 {
-		panic(fmt.Sprintf("graph: RandomConnected needs m >= n-1 (n=%d, m=%d)", n, m))
+		return nil, fmt.Errorf("graph: RandomConnected needs m >= n-1 (n=%d, m=%d)", n, m)
 	}
-	maxM := n * (n - 1) / 2
-	if m > maxM {
-		m = maxM
+	m = min(m, n*(n-1)/2)
+	return buildCSR(int64(n), int64(m), false, func(emit func(u, v NodeID)) {
+		r := newRNG(seed)
+		seen := newPairSet(m)
+		add := func(u, v NodeID) bool {
+			if u == v {
+				return false
+			}
+			if u > v {
+				u, v = v, u
+			}
+			if !seen.insert(uint64(u)<<32 | uint64(v)) {
+				return false
+			}
+			emit(u, v)
+			return true
+		}
+		for i := 1; i < n; i++ {
+			add(NodeID(r.Intn(i)), NodeID(i))
+		}
+		for k := max(n-1, 0); k < m; {
+			if add(NodeID(r.Intn(n)), NodeID(r.Intn(n))) {
+				k++
+			}
+		}
+	})
+}
+
+// pairSet is an open-addressed set of nonzero uint64 keys at load <= 1/2
+// (a packed pair u<v is never zero, the empty slot's value).
+type pairSet struct{ slots []uint64 }
+
+func newPairSet(n int) pairSet {
+	size := 16
+	for size < 2*n {
+		size *= 2
 	}
-	r := newRNG(seed)
-	g := New(n)
-	have := make(map[[2]NodeID]bool, m)
-	addIfNew := func(u, v NodeID) bool {
-		if u == v {
+	return pairSet{slots: make([]uint64, size)}
+}
+
+// insert adds k and reports whether it was absent.
+func (s pairSet) insert(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
 			return false
 		}
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]NodeID{u, v}
-		if have[key] {
-			return false
-		}
-		have[key] = true
-		g.AddEdge(u, v, 0)
-		return true
 	}
-	// Random spanning tree: attach node i to a uniformly random earlier node.
-	for i := 1; i < n; i++ {
-		addIfNew(NodeID(r.Intn(i)), NodeID(i))
-	}
-	for g.M() < m {
-		addIfNew(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
-	}
-	return g.Finalize()
 }
 
 // Dumbbell returns two K_k cliques joined by a path of pathLen extra nodes.

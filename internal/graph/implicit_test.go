@@ -56,6 +56,36 @@ func naiveRingOfCliques(k, c int) *Graph {
 	return g.Finalize()
 }
 
+// naiveRandomConnected is the materialized er: generator the implicit one
+// replaced: the same draws, a map of seen pairs, and AddEdge per edge.
+func naiveRandomConnected(n, m int, seed uint64) *Graph {
+	if maxM := n * (n - 1) / 2; m > maxM {
+		m = maxM
+	}
+	r := newRNG(seed)
+	g := New(n)
+	have := make(map[[2]NodeID]bool, m)
+	addIfNew := func(u, v NodeID) {
+		if u == v {
+			return
+		}
+		if u > v {
+			u, v = v, u
+		}
+		if !have[[2]NodeID{u, v}] {
+			have[[2]NodeID{u, v}] = true
+			g.AddEdge(u, v, 0)
+		}
+	}
+	for i := 1; i < n; i++ {
+		addIfNew(NodeID(r.Intn(i)), NodeID(i))
+	}
+	for g.M() < m {
+		addIfNew(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
+	}
+	return g.Finalize()
+}
+
 // assertSameCSR checks that two finalized graphs have byte-identical CSR:
 // same edge table, same offsets, same adjacency entries (including EdgeID
 // and LinkID), and same reverse-link table.
@@ -171,6 +201,26 @@ func TestRingOfCliquesGolden(t *testing.T) {
 	}
 }
 
+// TestRandomConnectedGolden pins the implicit er: generator to the AddEdge
+// one it replaced — the benchmark's sync-bfs graph, a request for more edges
+// than the complete graph has, a single node, and small sparse and dense
+// cases — so no workload's message count can move with it.
+func TestRandomConnectedGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n, m int
+		seed uint64
+	}{{200, 2100, 1}, {7, 100, 3}, {1, 0, 5}, {1, 4, 5}, {2, 1, 0}, {30, 29, 9}, {40, 100, 3}, {12, 60, 2}} {
+		g := RandomConnected(tc.n, tc.m, tc.seed)
+		assertSameCSR(t, g, naiveRandomConnected(tc.n, tc.m, tc.seed))
+		if !g.Connected() {
+			t.Fatalf("RandomConnected(%+v) disconnected", tc)
+		}
+		if want := min(tc.m, tc.n*(tc.n-1)/2); g.M() != want {
+			t.Fatalf("RandomConnected(%+v) m=%d, want %d", tc, g.M(), want)
+		}
+	}
+}
+
 func TestImplicitOverflowErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -239,6 +289,7 @@ func TestFromSpec(t *testing.T) {
 		"", "grid3d", "bogus:5", "grid:3", "grid:3x4x5", "grid3d:axbxc",
 		"pa:n=10", "pa:m=2", "pa:n=10,m=2,seed=1,extra=9", "ring:k=4",
 		"er:n=10,m=15,seed=1,seed=2", "path:x", "grid3d:1300x1300x1300",
+		"er:n=10,m=3", "er:n=0,m=0", "er:n=-2,m=5",
 	}
 	for _, spec := range bad {
 		if _, err := FromSpec(spec); err == nil {

@@ -18,7 +18,7 @@ import (
 //	star:<n>                 star
 //	tree:<n>                 complete binary tree
 //	complete:<n>             K_n
-//	er:n=<n>,m=<m>[,seed=<s>]   random connected (spanning tree + extras)
+//	er:n=<n>,m=<m>[,seed=<s>]   random connected (spanning tree + extras, implicit)
 //	pa:n=<n>,m=<m>[,seed=<s>]   power-law preferential attachment (implicit)
 //	ring:k=<k>,c=<c>         ring of k c-cliques joined by road edges (implicit)
 //
@@ -64,7 +64,10 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return RandomConnected(kv["n"], kv["m"], uint64(kv["seed"])), nil
+		if n, m := kv["n"], kv["m"]; n < 1 || m < n-1 {
+			return nil, fmt.Errorf("graph: spec %q needs n >= 1 and m >= n-1 (a spanning tree), got n=%d m=%d", spec, n, m)
+		}
+		return randomConnected(kv["n"], kv["m"], uint64(kv["seed"]))
 	case "pa":
 		kv, err := specKV(spec, args, "n", "m", "seed")
 		if err != nil {

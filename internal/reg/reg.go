@@ -23,6 +23,8 @@ package reg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -90,13 +92,23 @@ const (
 )
 
 // invoker is one child waiting for RegDone on a record (ord is the record's
-// ordinal, slot*len(tree)+ci). They live in one arrival-ordered list per
+// ordinal, slot*len(trees)+ci). They live in one arrival-ordered list per
 // module, not per record: an entry exists only while an R invocation is in
 // flight up the tree, so the list is almost always empty, and RegDone must
 // answer a record's invokers in the order they asked.
 type invoker struct {
 	ord   int32
 	child graph.NodeID
+}
+
+// treeRef is this node's place on one cluster tree, resolved once at bind
+// so no event searches the cluster tree again: the record's offset in a
+// row, the tree parent, and the children the edge marks follow.
+type treeRef struct {
+	id       cover.ClusterID
+	off      int32          // record offset in a row; the record is 1+len(children) bytes
+	parent   graph.NodeID   // -1 at the root
+	children []graph.NodeID // ascending; the cluster tree's own storage
 }
 
 // Module is the per-node registration engine for one cover. It implements
@@ -114,17 +126,27 @@ type Module struct {
 	cov     *cover.Cover
 	cb      Callbacks
 	stageOf func(session int) int
+	run     *run
 
 	// Node binding: derived from (cov, me) on first use, never serialized.
 	bound   bool
 	me      graph.NodeID
-	tree    []cover.ClusterID // cov.TreeOf(me), ascending
-	off     []int32           // off[ci]: record ci's offset in a row; off[len(tree)] ends it
-	rowInit []byte            // a fresh row; len(rowInit) is the row stride
+	trees   []treeRef // cov.TreeOf(me), ascending by cluster
+	rowInit []byte    // a fresh row; len(rowInit) is the row stride
 
 	sessions []int // slot -> session id, in first-sight order
 	st       []byte
 	inv      []invoker
+}
+
+// run holds the slabs every copy of one New value carves from: the node
+// layouts at bind, and the session table, rows and invoker lists as they
+// grow.
+type run struct {
+	trees    slab[treeRef]
+	bytes    slab[byte]
+	sessions slab[int]
+	invs     slab[invoker]
 }
 
 var _ async.Module = (*Module)(nil)
@@ -133,32 +155,46 @@ var _ async.Rebinder = (*Module)(nil)
 
 // New creates the per-node module. stageOf maps a session to the link
 // scheduling stage (Lemma 2.5); pass nil for all-stage-zero.
+//
+// A run that hosts the module on many nodes builds them as copies of one
+// New value, taken before any of them starts: the copies share its
+// callbacks — which tell the nodes apart by the *async.Node each call
+// carries — and its slabs, from which each copy binds its node's layout
+// and grows its rows. The run then allocates module state per run, not
+// per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
 	if stageOf == nil {
 		stageOf = func(int) int { return 0 }
 	}
-	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf}
+	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, run: &run{}}
 }
 
-// bind fixes the node this module serves and derives the row layout. The
-// constructor has no node id, so every entry point binds on first use.
+// bind fixes the node this module serves and derives its layout into the
+// run's slabs. The constructor has no node id, so every entry point binds
+// on first use.
 func (m *Module) bind(me graph.NodeID) {
 	if m.bound {
 		return
 	}
 	m.bound = true
 	m.me = me
-	m.tree = m.cov.TreeOf(me)
-	m.off = make([]int32, len(m.tree)+1)
-	for ci, cid := range m.tree {
+	ids := m.cov.TreeOf(me)
+	m.trees = m.run.trees.carve(len(ids))
+	stride := 0
+	for _, cid := range ids {
 		cl := m.cov.Cluster(cid)
-		head := uint8(idle)
-		if cl.Root == me {
-			head |= fFinished // the root is always finished
+		t := treeRef{id: cid, off: int32(stride), parent: -1, children: cl.ChildrenOf(me)}
+		if cl.Root != me {
+			t.parent, _ = cl.ParentOf(me)
 		}
-		m.rowInit = append(m.rowInit, head)
-		m.rowInit = append(m.rowInit, make([]byte, len(cl.ChildrenOf(me)))...)
-		m.off[ci+1] = int32(len(m.rowInit))
+		m.trees = append(m.trees, t)
+		stride += 1 + len(t.children)
+	}
+	m.rowInit = m.run.bytes.carve(stride)[:stride]
+	for _, t := range m.trees {
+		if t.parent < 0 {
+			m.rowInit[t.off] = uint8(idle) | fFinished // the root is always finished
+		}
 	}
 }
 
@@ -183,28 +219,38 @@ func (m *Module) lookup(session int) int {
 	return -1
 }
 
+// treeIndex returns c's position in trees, or -1.
+func (m *Module) treeIndex(c cover.ClusterID) int {
+	for ci := range m.trees {
+		if m.trees[ci].id == c {
+			return ci
+		}
+	}
+	return -1
+}
+
 // rec returns the offset in st of (c, session)'s record plus its cluster
 // index and slot, opening the session's row on first sight.
 func (m *Module) rec(n *async.Node, c cover.ClusterID, session int) (r, slot, ci int) {
 	m.bind(n.ID())
-	ci = m.cov.TreeIndex(m.me, c)
+	ci = m.treeIndex(c)
 	if ci < 0 {
 		panic(fmt.Sprintf("reg: node %d is not on the tree of cluster %d", m.me, c))
 	}
 	slot = m.lookup(session)
 	if slot < 0 {
 		slot = len(m.sessions)
-		m.sessions = append(m.sessions, session)
-		m.st = append(m.st, m.rowInit...)
+		m.sessions = append(m.run.sessions.grow(m.sessions, 1), session)
+		m.st = append(m.run.bytes.grow(m.st, len(m.rowInit)), m.rowInit...)
 	}
 	return m.at(slot, ci), slot, ci
 }
 
 // at returns the offset of (slot, ci)'s record in st.
-func (m *Module) at(slot, ci int) int { return slot*len(m.rowInit) + int(m.off[ci]) }
+func (m *Module) at(slot, ci int) int { return slot*len(m.rowInit) + int(m.trees[ci].off) }
 
 // ord returns (slot, ci)'s record ordinal, the key invokers carry.
-func (m *Module) ord(slot, ci int) int32 { return int32(slot*len(m.tree) + ci) }
+func (m *Module) ord(slot, ci int) int32 { return int32(slot*len(m.trees) + ci) }
 
 func (m *Module) local(r int) localState { return localState(m.st[r] & localMask) }
 
@@ -222,19 +268,16 @@ func (m *Module) anyDirty(r, ci int) bool {
 
 // marks returns record r's child-edge marks; valid until st next grows.
 func (m *Module) marks(r, ci int) []byte {
-	return m.st[r+1 : r+int(m.off[ci+1]-m.off[ci])]
+	return m.st[r+1 : r+1+len(m.trees[ci].children)]
 }
 
-func (m *Module) isRoot(ci int) bool {
-	return m.cov.Cluster(m.tree[ci]).Root == m.me
-}
+func (m *Module) isRoot(ci int) bool { return m.trees[ci].parent < 0 }
 
 func (m *Module) parent(ci int) graph.NodeID {
-	p, ok := m.cov.Cluster(m.tree[ci]).ParentOf(m.me)
-	if !ok {
-		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", m.me, m.tree[ci]))
+	if m.isRoot(ci) {
+		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", m.me, m.trees[ci].id))
 	}
-	return p
+	return m.trees[ci].parent
 }
 
 func (m *Module) send(n *async.Node, to graph.NodeID, kind wire.Kind, slot, ci int) {
@@ -242,7 +285,7 @@ func (m *Module) send(n *async.Node, to graph.NodeID, kind wire.Kind, slot, ci i
 	n.Send(to, async.Msg{
 		Proto: m.proto,
 		Stage: m.stageOf(session),
-		Body:  encPayload(kind, m.tree[ci], session),
+		Body:  encPayload(kind, m.trees[ci].id, session),
 	})
 }
 
@@ -304,9 +347,9 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 
 // childMark returns the offset of child's edge mark in record (slot, ci).
 func (m *Module) childMark(slot, ci int, child graph.NodeID) int {
-	i := m.cov.Cluster(m.tree[ci]).ChildIndex(m.me, child)
-	if i < 0 {
-		panic(fmt.Sprintf("reg: node %d heard from non-child %d in cluster %d", m.me, child, m.tree[ci]))
+	i, ok := slices.BinarySearch(m.trees[ci].children, child)
+	if !ok {
+		panic(fmt.Sprintf("reg: node %d heard from non-child %d in cluster %d", m.me, child, m.trees[ci].id))
 	}
 	return m.at(slot, ci) + 1 + i
 }
@@ -317,7 +360,7 @@ func (m *Module) onRegUp(n *async.Node, child graph.NodeID, slot, ci int) {
 		m.send(n, child, kindRegDone, slot, ci)
 		return
 	}
-	m.inv = append(m.inv, invoker{ord: m.ord(slot, ci), child: child})
+	m.inv = append(m.run.invs.grow(m.inv, 1), invoker{ord: m.ord(slot, ci), child: child})
 	m.invokeRUp(n, slot, ci)
 }
 
@@ -336,7 +379,7 @@ func (m *Module) onRegDone(n *async.Node, slot, ci int) {
 	m.inv = m.inv[:kept]
 	if m.local(r) == registering {
 		m.setLocal(r, registered)
-		m.cb.Registered(n, m.tree[ci], m.sessions[slot])
+		m.cb.Registered(n, m.trees[ci].id, m.sessions[slot])
 	}
 }
 
@@ -388,10 +431,10 @@ func (m *Module) maybeIssueGo(n *async.Node, slot, ci int) {
 func (m *Module) runG(n *async.Node, slot, ci int) {
 	if r := m.at(slot, ci); m.local(r) == deregistered {
 		m.setLocal(r, free)
-		m.cb.GoAhead(n, m.tree[ci], m.sessions[slot])
+		m.cb.GoAhead(n, m.trees[ci].id, m.sessions[slot])
 	}
 	r := m.at(slot, ci) // the callback may have grown st
-	children := m.cov.Cluster(m.tree[ci]).ChildrenOf(m.me)
+	children := m.trees[ci].children
 	for i, mark := range m.marks(r, ci) {
 		if edgeMark(mark) == markWaiting {
 			m.st[r+1+i] = uint8(markNone)
@@ -406,6 +449,38 @@ func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
 	if !m.bound {
 		return false
 	}
-	slot, ci := m.lookup(session), m.cov.TreeIndex(m.me, c)
+	slot, ci := m.lookup(session), m.treeIndex(c)
 	return slot >= 0 && ci >= 0 && m.local(m.at(slot, ci)) == free
+}
+
+// slab carves the per-node slices of every copy of one New value out of
+// shared chunks: a slice that outgrows its capacity moves to a carved one
+// twice the size, leaving the old one behind as garbage until the run ends.
+// Carving locks, because the parallel executors run different nodes'
+// handlers at once; it only happens when a slice grows.
+type slab[T any] struct {
+	mu    sync.Mutex
+	spare []T
+	next  int // length of the next chunk
+}
+
+// carve returns an empty, zeroed slice with capacity n.
+func (sl *slab[T]) carve(n int) []T {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if len(sl.spare) < n {
+		sl.next = min(max(2*sl.next, n), 1<<12)
+		sl.spare = make([]T, max(n, sl.next))
+	}
+	out := sl.spare[:0:n]
+	sl.spare = sl.spare[n:]
+	return out
+}
+
+// grow returns s with room for n more elements.
+func (sl *slab[T]) grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(sl.carve(2*(len(s)+n)), s...)
 }

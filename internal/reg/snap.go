@@ -7,15 +7,16 @@ import (
 )
 
 // CloneModuleInto implements async.ModuleState: three flat slices, three
-// copies into dst's retained capacity.
+// copies into dst's retained capacity. A target that does not know its
+// node yet shares the source's layout, which is read-only once bound.
 func (m *Module) CloneModuleInto(dst async.Module) {
 	d := dst.(*Module)
 	if m.bound && !d.bound {
-		d.bind(m.me)
+		d.bound, d.me, d.trees, d.rowInit = true, m.me, m.trees, m.rowInit
 	}
-	d.sessions = append(d.sessions[:0], m.sessions...)
-	d.st = append(d.st[:0], m.st...)
-	d.inv = append(d.inv[:0], m.inv...)
+	d.sessions = append(d.run.sessions.grow(d.sessions[:0], len(m.sessions)), m.sessions...)
+	d.st = append(d.run.bytes.grow(d.st[:0], len(m.st)), m.st...)
+	d.inv = append(d.run.invs.grow(d.inv[:0], len(m.inv)), m.inv...)
 }
 
 // SaveState implements wire.StateCodec: the session table in slot order,
@@ -47,18 +48,19 @@ func (m *Module) LoadState(d *wire.Dec) {
 		return
 	}
 	for i := 0; i < n && !d.Failed(); i++ {
-		m.sessions = append(m.sessions, d.Int())
+		m.sessions = append(m.run.sessions.grow(m.sessions, 1), d.Int())
 	}
-	m.st = append(m.st, d.Raw(n*len(m.rowInit))...)
+	rows := d.Raw(n * len(m.rowInit))
+	m.st = append(m.run.bytes.grow(m.st, len(rows)), rows...)
 	for slot := 0; slot < n && !d.Failed(); slot++ {
-		for ci := range m.tree {
+		for ci := range m.trees {
 			r := m.at(slot, ci)
 			if m.local(r) > free {
-				d.Fail("reg: cluster %d session %d has local state %d", m.tree[ci], m.sessions[slot], m.local(r))
+				d.Fail("reg: cluster %d session %d has local state %d", m.trees[ci].id, m.sessions[slot], m.local(r))
 			}
 			for _, mark := range m.marks(r, ci) {
 				if edgeMark(mark) > markWaiting {
-					d.Fail("reg: cluster %d session %d has edge mark %d", m.tree[ci], m.sessions[slot], mark)
+					d.Fail("reg: cluster %d session %d has edge mark %d", m.trees[ci].id, m.sessions[slot], mark)
 				}
 			}
 		}
@@ -66,11 +68,11 @@ func (m *Module) LoadState(d *wire.Dec) {
 	nInv := int(d.U32())
 	for i := 0; i < nInv && !d.Failed(); i++ {
 		iv := invoker{ord: d.I32(), child: graph.NodeID(d.I32())}
-		if !d.Failed() && (iv.ord < 0 || int(iv.ord) >= n*len(m.tree)) {
-			d.Fail("reg: invoker on record %d of %d", iv.ord, n*len(m.tree))
+		if !d.Failed() && (iv.ord < 0 || int(iv.ord) >= n*len(m.trees)) {
+			d.Fail("reg: invoker on record %d of %d", iv.ord, n*len(m.trees))
 		}
 		if !d.Failed() {
-			m.inv = append(m.inv, iv)
+			m.inv = append(m.run.invs.grow(m.inv, 1), iv)
 		}
 	}
 	if d.Failed() { // never leave rows and session table out of step
