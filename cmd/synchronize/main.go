@@ -84,7 +84,7 @@ func run() int {
 	fmt.Printf("synchronous:  T(A)=%d rounds, M(A)=%d messages\n", sres.T, sres.M)
 	fmt.Printf("asynchronous: time=%.1f, msgs=%d (+%d acks)\n", ares.Time, ares.Msgs, ares.Acks)
 	fmt.Printf("overheads:    time %.1fx, messages %.1fx, outputs-match=%v\n",
-		ares.Time/float64(max(sres.T, 1)), float64(ares.Msgs)/float64(max64(sres.M, 1)), match)
+		ares.Time/float64(max(sres.T, 1)), float64(ares.Msgs)/float64(max(sres.M, 1)), match)
 	if !match {
 		return 1
 	}
@@ -130,18 +130,4 @@ func buildGraph(kind string, n, m, rows, cols int, seed uint64) (*dsync.Graph, e
 	default:
 		return nil, fmt.Errorf("unknown graph kind %q", kind)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

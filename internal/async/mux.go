@@ -2,9 +2,9 @@ package async
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/slab"
 )
 
 // Module is a sub-protocol that can be composed with others on one node.
@@ -32,7 +32,7 @@ type Mux struct {
 	// the first routes, in order, are the unique modules — the order they
 	// start in and the state plane (muxsnap.go) walks.
 	routes []route
-	slab   *routeSlab
+	tables *slab.Slab[route]
 }
 
 type route struct {
@@ -44,7 +44,7 @@ type route struct {
 var _ Handler = (*Mux)(nil)
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux { return &Mux{slab: &routeSlab{}} }
+func NewMux() *Mux { return &Mux{tables: &slab.Slab[route]{}} }
 
 // Register attaches mod to proto p. Registering the same proto twice panics.
 func (x *Mux) Register(p Proto, mod Module) {
@@ -57,8 +57,8 @@ func (x *Mux) Register(p Proto, mod Module) {
 			first = false
 		}
 	}
-	if len(x.routes) == cap(x.routes) && x.slab != nil {
-		x.routes = append(x.slab.carve(max(2*len(x.routes), 8)), x.routes...)
+	if len(x.routes) == cap(x.routes) && x.tables != nil {
+		x.routes = append(x.tables.Carve(max(2*len(x.routes), 8)), x.routes...)
 	}
 	x.routes = append(x.routes, route{proto: p, first: first, mod: mod})
 }
@@ -98,28 +98,4 @@ func (x *Mux) Ack(n *Node, to graph.NodeID, m Msg) {
 		panic(fmt.Sprintf("async: node %d got ack for unregistered proto %d", n.ID(), m.Proto))
 	}
 	mod.Ack(n, to, m)
-}
-
-// routeSlab carves route tables for every Mux copied from one NewMux value.
-// The copies may register from different goroutines (clone targets are
-// built concurrently), hence the lock; it is taken only when a table grows.
-type routeSlab struct {
-	mu    sync.Mutex
-	spare []route
-	next  int // length of the next chunk
-}
-
-// carve returns an empty slice with capacity n.
-func (sl *routeSlab) carve(n int) []route {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if len(sl.spare) < n {
-		// Chunks double from the first table's size: a lone Mux carves
-		// just its own table, a run's copies a handful of chunks.
-		sl.next = min(max(2*sl.next, n), 4096)
-		sl.spare = make([]route, max(n, sl.next))
-	}
-	out := sl.spare[:0:n]
-	sl.spare = sl.spare[n:]
-	return out
 }

@@ -167,30 +167,20 @@ func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.Node
 
 // ShardRawOutputs visits every local node that produced an output, with
 // its outval-encoded body — the form the RESULT message transports, so
-// the coordinator's DecodeSlot reproduces the serial engine's decoded
-// map bit for bit. Outputs that outval cannot encode (the boxed escape
-// slot) and segment-carrying bodies have no cross-process representation
-// and error out.
+// the coordinator's decode reproduces the serial engine's decoded map bit
+// for bit. Outputs that outval cannot encode (the boxed escape slot) and
+// segment-carrying bodies have no cross-process representation and error
+// out.
 func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body) error) error {
-	outB := s.loadedOutBodies()
-	for i, has := range s.hasOut {
-		if !has {
-			continue
-		}
-		var b wire.Body
-		if outB != nil {
-			b = outB[i]
-		}
-		if b.Kind == 0 {
-			id := s.nodeBase + graph.NodeID(i)
-			return fmt.Errorf("async: node %d output a boxed value; shard mode transports only outval-encodable outputs", id)
-		}
+	err := s.out.Each(func(i int, b wire.Body) error {
+		id := s.nodeBase + graph.NodeID(i)
 		if b.Seg.Len() != 0 {
-			return fmt.Errorf("async: node %d output a segment-carrying body; segments do not outlive a shard run", s.nodeBase+graph.NodeID(i))
+			return fmt.Errorf("node %d output a segment-carrying body; segments do not outlive a shard run", id)
 		}
-		if err := fn(s.nodeBase+graph.NodeID(i), b); err != nil {
-			return err
-		}
+		return fn(id, b)
+	})
+	if err != nil {
+		return fmt.Errorf("async: shard hosting nodes from %d: %w", s.nodeBase, err)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
@@ -97,8 +96,8 @@ type Sim struct {
 	handlers []Handler
 	nodes    []Node
 
-	// nodeBase mirrors g.NodeBase(): per-node arrays (handlers, nodes,
-	// hasOut, output slabs) are NLocal-sized and indexed by id - nodeBase.
+	// nodeBase mirrors g.NodeBase(): per-node arrays (handlers, nodes, the
+	// output table) are NLocal-sized and indexed by id - nodeBase.
 	// Whole graphs have base 0, so the subtraction is free noise there.
 	nodeBase graph.NodeID
 
@@ -130,16 +129,9 @@ type Sim struct {
 	txSeq []uint32
 	boxes []*outbox
 
-	// Outputs: typed bodies (Kind != 0) with a boxed escape hatch for
-	// values outval cannot encode (zero body slot, value in the any slot).
-	// Both value slabs are lazy — allocated once, on the first output of
-	// the respective kind, published via atomic pointer so concurrent
-	// owner-sharded workers agree on the slab before writing their own
-	// (disjoint) slots. Only the 1-byte hasOut column is eager.
-	outBodyP atomic.Pointer[[]wire.Body]
-	outAnyP  atomic.Pointer[[]any]
-	outMu    sync.Mutex
-	hasOut   []bool
+	// out holds the node outputs; owner-sharded workers write only their
+	// own nodes' (disjoint) slots.
+	out      outval.Table
 	denseOut bool
 
 	keepTrace bool
@@ -174,8 +166,8 @@ type Sim struct {
 	specSwapEp    []uint64  // round epoch when handlers[v]/specClones[v] swapped
 	specRejEp     []uint64  // round epoch when node v owned a rejected event
 	specOutEp     []uint64  // round epoch when v's speculative output view became valid
-	specOutView   []bool    // speculative-phase view of hasOut[v]
-	specOutSaved  []bool    // hasOut[v] at the round start (repair's evolving local view)
+	specOutView   []bool    // speculative-phase view of out.Has(v)
+	specOutSaved  []bool    // out.Has(v) at the round start (repair's evolving local view)
 	specRoundEp   uint64    // current round epoch; never reused, survives Reset
 	specNewMin    float64   // min t scheduled during the in-flight commit walk
 	specWalking   bool      // commit walk in progress (schedule feeds specNewMin)
@@ -292,13 +284,13 @@ func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
 		busy:        make([]bool, g.Links()),
 		txSeq:       make([]uint32, g.Links()),
 		boxes:       make([]*outbox, g.Links()),
-		hasOut:      make([]bool, g.NLocal()),
 		maxEvents:   1 << 34,
 		workers:     execpolicy.DefaultWorkers(),
 		minParallel: defaultMinParallel,
 		specMk:      mk,
 	}
 	s.direct = execCtx{s: s, direct: true}
+	s.out.Init(g.NLocal())
 	for i := 0; i < g.NLocal(); i++ {
 		id := s.nodeBase + graph.NodeID(i)
 		s.nodes[i] = Node{id: id, sim: s}
@@ -430,55 +422,6 @@ func (s *Sim) perProtoMap() map[Proto]uint64 {
 	return pp
 }
 
-// outBodies returns the typed-output slab, allocating and publishing it on
-// first use. Workers write only their owned nodes' slots; the atomic
-// pointer publication orders the allocation before any cross-worker read.
-func (s *Sim) outBodies() []wire.Body {
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
-	}
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]wire.Body, s.g.NLocal())
-	s.outBodyP.Store(&sl)
-	return sl
-}
-
-// outAnys is outBodies' counterpart for the boxed escape slab.
-func (s *Sim) outAnys() []any {
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	s.outMu.Lock()
-	defer s.outMu.Unlock()
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]any, s.g.NLocal())
-	s.outAnyP.Store(&sl)
-	return sl
-}
-
-// loadedOutBodies returns the typed-output slab or nil if no typed output
-// has ever been recorded (readers treat nil as all-zero).
-func (s *Sim) loadedOutBodies() []wire.Body {
-	if p := s.outBodyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// loadedOutAnys is loadedOutBodies' counterpart for the boxed slab.
-func (s *Sim) loadedOutAnys() []any {
-	if p := s.outAnyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Reset rearms the engine for another run on the same graph: counters,
 // queues, outboxes, outputs, and the segment arena all return to their
 // initial state while keeping every backing array they grew — the wheel
@@ -500,18 +443,7 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	clear(s.busy)
 	clear(s.boxes)
 	clear(s.txSeq)
-	// The lazily built output slabs stay allocated (pooled growth); only
-	// their contents clear.
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
-	for i := range s.hasOut {
-		s.hasOut[i] = false
-	}
-	for i := range outB {
-		outB[i] = wire.Body{}
-	}
-	for i := range outA {
-		outA[i] = nil
-	}
+	s.out.Reset()
 	// Every context's ledger, logs and outbox slab clear: a run that
 	// panicked mid-window (the recoverable engine-panic idiom core.tryBound
 	// relies on) leaves staged events, counters, speculative ops, and
@@ -822,43 +754,11 @@ func (s *Sim) result() Result {
 	if s.keepTrace {
 		res.Trace = append([]TraceEntry(nil), l.trace...)
 	}
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
-	bodyAt := func(i int) wire.Body {
-		if outB == nil {
-			return wire.Body{}
-		}
-		return outB[i]
-	}
-	anyAt := func(i int) any {
-		if outA == nil {
-			return nil
-		}
-		return outA[i]
-	}
 	if s.denseOut {
-		if outB != nil {
-			res.OutBodies = append([]wire.Body(nil), outB...)
-		} else {
-			res.OutBodies = make([]wire.Body, s.g.N())
-		}
-		res.OutSet = append([]bool(nil), s.hasOut...)
-		for i, has := range s.hasOut {
-			if has && bodyAt(i).Kind == 0 {
-				if res.Outputs == nil {
-					res.Outputs = make(map[graph.NodeID]any)
-				}
-				res.Outputs[graph.NodeID(i)] = anyAt(i)
-			}
-		}
-		return res
+		res.OutBodies, res.OutSet, res.Outputs = s.out.Dense(true)
+	} else {
+		res.Outputs = s.out.Map(s.nodeBase)
 	}
-	outputs := make(map[graph.NodeID]any, l.outCount)
-	for i, has := range s.hasOut {
-		if has {
-			outputs[s.nodeBase+graph.NodeID(i)] = outval.DecodeSlot(bodyAt(i), anyAt(i))
-		}
-	}
-	res.Outputs = outputs
 	return res
 }
 
@@ -870,13 +770,7 @@ func (r *Result) DecodedOutputs() map[graph.NodeID]any {
 	if r.OutSet == nil {
 		return r.Outputs
 	}
-	outputs := make(map[graph.NodeID]any)
-	for i, has := range r.OutSet {
-		if has {
-			outputs[graph.NodeID(i)] = outval.DecodeSlot(r.OutBodies[i], r.Outputs[graph.NodeID(i)])
-		}
-	}
-	return outputs
+	return outval.DecodeDense(r.OutBodies, r.OutSet, r.Outputs)
 }
 
 // execCtx is one execution context: the direct (apply-immediately) context
@@ -1270,14 +1164,8 @@ func (c *execCtx) setOutputBody(id graph.NodeID, b wire.Body) {
 		s.specOutSaved[id] = true
 		return
 	}
-	i := s.li(id)
-	if !s.hasOut[i] {
-		s.hasOut[i] = true
+	if s.out.SetBody(int(s.li(id)), b) {
 		c.noteFirstOutput()
-	}
-	s.outBodies()[i] = b
-	if outA := s.loadedOutAnys(); outA != nil {
-		outA[i] = nil
 	}
 }
 
@@ -1296,29 +1184,23 @@ func (c *execCtx) setOutput(id graph.NodeID, v any) {
 		s.specOutSaved[id] = true
 		return
 	}
-	i := s.li(id)
-	if !s.hasOut[i] {
-		s.hasOut[i] = true
+	if s.out.SetBoxed(int(s.li(id)), v) {
 		c.noteFirstOutput()
 	}
-	if outB := s.loadedOutBodies(); outB != nil {
-		outB[i] = wire.Body{}
-	}
-	s.outAnys()[i] = v
 }
 
 // hasOutput answers Node.HasOutput through the node's execution context:
 // the committed array in serial/window execution, the per-round overlay
 // during a speculative phase, and repair's evolving local view during a
-// swallow replay. Each view reproduces what the serial engine's hasOut
+// swallow replay. Each view reproduces what the serial engine's has-bit
 // would say at the same point in the event order.
 func (c *execCtx) hasOutput(id graph.NodeID) bool {
 	s := c.s
 	if c.spec {
 		if s.specOutEp[id] != s.specRoundEp {
 			s.specOutEp[id] = s.specRoundEp
-			s.specOutView[id] = s.hasOut[id]
-			s.specOutSaved[id] = s.hasOut[id]
+			s.specOutView[id] = s.out.Has(int(id))
+			s.specOutSaved[id] = s.specOutView[id]
 		}
 		return s.specOutView[id]
 	}
@@ -1326,9 +1208,9 @@ func (c *execCtx) hasOutput(id graph.NodeID) bool {
 		if s.specOutEp[id] == s.specRoundEp {
 			return s.specOutSaved[id]
 		}
-		return s.hasOut[id]
+		return s.out.Has(int(id))
 	}
-	return s.hasOut[s.li(id)]
+	return s.out.Has(int(s.li(id)))
 }
 
 // bumpProtoBy adds n to the dense per-proto counter, growing the slice to

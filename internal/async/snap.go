@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -153,26 +154,13 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		e.U64(n)
 	}
 
-	// Nodes: output slot plus handler state, keyed by global id.
-	outB, outA := s.loadedOutBodies(), s.loadedOutAnys()
+	// Nodes: output record plus handler state, keyed by global id.
 	e.U32(uint32(s.g.NLocal()))
 	for i := 0; i < s.g.NLocal(); i++ {
 		id := s.nodeBase + graph.NodeID(i)
 		e.I32(int32(id))
-		e.Bool(s.hasOut[i])
-		if s.hasOut[i] {
-			var b wire.Body
-			if outB != nil {
-				b = outB[i]
-			}
-			if b.Kind == 0 {
-				var v any
-				if outA != nil {
-					v = outA[i]
-				}
-				return fmt.Errorf("async: node %d output a boxed %T; snapshots carry only outval-encodable outputs", id, v)
-			}
-			e.Body(b)
+		if err := s.out.Save(e, i); err != nil {
+			return fmt.Errorf("async: node %d: %w", id, err)
 		}
 		sc, ok := s.handlers[i].(wire.StateCodec)
 		if !ok {
@@ -335,7 +323,6 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 
 		for i, nn := 0, int(d.U32()); i < nn && !d.Failed(); i++ {
 			id := graph.NodeID(d.I32())
-			hasOut := d.Bool()
 			if d.Failed() {
 				break
 			}
@@ -344,9 +331,7 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 				break
 			}
 			if !s.localNode(id) {
-				if hasOut {
-					d.SkipBody()
-				}
+				outval.SkipRecord(d)
 				d.SkipBlob()
 				continue
 			}
@@ -357,15 +342,7 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			}
 			seen[li] = true
 			nSeen++
-			if hasOut {
-				b := d.Body()
-				if !d.Failed() && b.Kind == 0 {
-					d.Fail("node %d output record has zero kind", id)
-					break
-				}
-				s.hasOut[li] = true
-				s.outBodies()[li] = b
-			}
+			s.out.Load(d, int(li))
 			sc, ok := s.handlers[li].(wire.StateCodec)
 			if !ok {
 				return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", s.handlers[li], id)

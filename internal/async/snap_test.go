@@ -275,6 +275,20 @@ func TestSnapshotErrors(t *testing.T) {
 		binary.LittleEndian.PutUint32(p[off:], uint32(id))
 		return p
 	}
+	// The first node record is the root's, whose output is set: past its id
+	// and has-bit sits the output body, rewritten here with a kind no
+	// decoder is registered for.
+	unknownKind := append([]byte(nil), payload...)
+	outAt := nodeAt + 4 + 1
+	if unknownKind[nodeAt+4] != 1 {
+		t.Fatal("the first node record carries no output")
+	}
+	body := wire.DecodeBody(unknownKind[outAt:])
+	body.Kind = 0x1234
+	copy(unknownKind[outAt:], wire.AppendBody(nil, body))
+	if err := New(g, adv, mkRelax).Restore(wire.SealSnapshot(unknownKind)); err == nil {
+		t.Error("restore accepted an output record of an unregistered kind")
+	}
 	shardOf := func() *Sim { // hosts [8,16): every patched record below is foreign to it
 		s := New(g.Subrange(8, 16), adv, mkRelax)
 		s.BeginShard()
@@ -294,6 +308,7 @@ func TestSnapshotErrors(t *testing.T) {
 		{"node-id-outside", shardOf(), [][]byte{patched(nodeAt, 16)}, "node record 16 outside"},
 		{"link-id-outside", shardOf(), [][]byte{patched(linkAt, -1)}, "link record -1->"},
 		{"event-id-outside", shardOf(), [][]byte{patched(eventAt, 1<<20)}, "outside the 16-node graph"},
+		{"output-kind-unknown", New(g, adv, mkRelax), [][]byte{unknownKind}, "kind 4660, which no decoder"},
 	} {
 		if err := tc.sim.decodeEngine(tc.frames); err == nil {
 			t.Errorf("%s: frame set accepted", tc.name)

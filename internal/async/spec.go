@@ -228,7 +228,7 @@ func (s *Sim) specHandlerFor(v graph.NodeID) Handler {
 func (s *Sim) specTouchOut(id graph.NodeID) {
 	if s.specOutEp[id] != s.specRoundEp {
 		s.specOutEp[id] = s.specRoundEp
-		s.specOutSaved[id] = s.hasOut[id]
+		s.specOutSaved[id] = s.out.Has(int(id))
 	}
 	s.specOutView[id] = true
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/pulse"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
@@ -62,7 +63,7 @@ var _ syncrun.API = (*captureAPI)(nil)
 // another.
 func (c *nodeCore) newAPI(n *async.Node, vn *vnode, capture bool) *captureAPI {
 	if c.cs.stamp == nil {
-		c.cs.stamp = c.st.stamps.carve(n.Degree())[:n.Degree()]
+		c.cs.stamp = c.st.stamps.Carve(n.Degree())[:n.Degree()]
 	}
 	c.api = captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
 	return &c.api
@@ -79,7 +80,7 @@ func (a *captureAPI) Arena() *wire.Arena          { return a.n.Arena() }
 func (a *captureAPI) Send(to graph.NodeID, body wire.Body) {
 	a.core.cs.mark(a.n, to, a.epoch, "synchronizer")
 	if a.capture {
-		a.core.initSends = push(&a.core.st.sends, a.core.initSends, capturedSend{to: to, body: body})
+		a.core.initSends = slab.Push(&a.core.st.sends, a.core.initSends, capturedSend{to: to, body: body})
 		return
 	}
 	a.vn.sentAny = true

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
@@ -111,11 +112,11 @@ func (c *nodeCore) CloneModuleInto(dst async.Module) {
 	d.started = c.started
 	d.originator = c.originator
 	d.barrierRegWait = c.barrierRegWait
-	d.initSends = assign(&d.st.sends, d.initSends, c.initSends)
-	d.vnodes = assign(&d.st.vnodes, d.vnodes, c.vnodes)
-	d.qs = assign(&d.st.qs, d.qs, c.qs)
-	d.ready = assign(&d.st.ready, d.ready, c.ready)
-	d.recvd = assign(&d.st.recvd, d.recvd, c.recvd)
+	d.initSends = slab.Assign(&d.st.sends, d.initSends, c.initSends)
+	d.vnodes = slab.Assign(&d.st.vnodes, d.vnodes, c.vnodes)
+	d.qs = slab.Assign(&d.st.qs, d.qs, c.qs)
+	d.ready = slab.Assign(&d.st.ready, d.ready, c.ready)
+	d.recvd = slab.Assign(&d.st.recvd, d.recvd, c.recvd)
 }
 
 // SaveState implements wire.StateCodec: a linear walk of the flat state.
@@ -180,7 +181,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		s := capturedSend{to: graph.NodeID(d.I32()), body: d.Body()}
 		if !d.Failed() {
-			c.initSends = push(&c.st.sends, c.initSends, s)
+			c.initSends = slab.Push(&c.st.sends, c.initSends, s)
 		}
 	}
 	c.barrierRegWait = d.Int()
@@ -206,7 +207,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			d.Fail("core: vnode %d has pulse %d (bound %d, pulses must ascend)", i, v.pulse, c.sched.B)
 			break
 		}
-		c.vnodes = push(&c.st.vnodes, c.vnodes, v)
+		c.vnodes = slab.Push(&c.st.vnodes, c.vnodes, v)
 	}
 	c.qs = c.qs[:0]
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
@@ -223,7 +224,7 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			readySelf:       d.Bool(),
 		}
 		if !d.Failed() {
-			c.qs = push(&c.st.qs, c.qs, st)
+			c.qs = slab.Push(&c.st.qs, c.qs, st)
 		}
 	}
 	for i := range c.vnodes {
@@ -239,14 +240,14 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 			d.Fail("core: ready child %d refers to q-state %d of %d", r.child, r.qi, len(c.qs))
 		}
 		if !d.Failed() {
-			c.ready = push(&c.st.ready, c.ready, r)
+			c.ready = slab.Push(&c.st.ready, c.ready, r)
 		}
 	}
 	c.recvd = c.recvd[:0]
 	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
 		m := pendingMsg{pulse: d.I32(), in: syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}}
 		if !d.Failed() {
-			c.recvd = push(&c.st.recvd, c.recvd, m)
+			c.recvd = slab.Push(&c.st.recvd, c.recvd, m)
 		}
 	}
 	if d.Failed() { // never leave vnodes pointing past the q-state pool

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/reg"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 )
 
@@ -38,13 +39,13 @@ type stacks struct {
 	reg []*reg.Module // by cover level from firstCoverLevel
 	bar []*gather.Module
 
-	vnodes slab[vnode]
-	qs     slab[qstate]
-	ready  slab[readyRef]
-	recvd  slab[pendingMsg]
-	batch  slab[syncrun.Incoming]
-	sends  slab[capturedSend]
-	stamps slab[int32]
+	vnodes slab.Slab[vnode]
+	qs     slab.Slab[qstate]
+	ready  slab.Slab[readyRef]
+	recvd  slab.Slab[pendingMsg]
+	batch  slab.Slab[syncrun.Incoming]
+	sends  slab.Slab[capturedSend]
+	stamps slab.Slab[int32]
 }
 
 var _ reg.Callbacks = (*stacks)(nil)
@@ -151,44 +152,4 @@ func (b *batcher) handler(id graph.NodeID, algo syncrun.Handler) *async.Mux {
 		b.cur = newStacks(b.sched, b.layered, b.n, b.base)
 	}
 	return b.cur.stack(i, algo)
-}
-
-// slab carves the cores' per-node slices out of shared chunks: a slice that
-// outgrows its capacity moves to a carved one twice the size, leaving the
-// old one behind as garbage until the run ends. Carving locks, because the
-// parallel executors run different nodes' handlers at once; it only happens
-// when a slice grows.
-type slab[T any] struct {
-	mu    sync.Mutex
-	spare []T
-	next  int // length of the next chunk
-}
-
-// carve returns an empty, zeroed slice with capacity n.
-func (sl *slab[T]) carve(n int) []T {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if len(sl.spare) < n {
-		sl.next = min(max(2*sl.next, n), 1<<12)
-		sl.spare = make([]T, max(n, sl.next))
-	}
-	out := sl.spare[:0:n]
-	sl.spare = sl.spare[n:]
-	return out
-}
-
-// grow returns s with room for n more elements.
-func (sl *slab[T]) grow(s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	return append(sl.carve(2*(len(s)+n)), s...)
-}
-
-// push appends x to s, growing it from sl.
-func push[T any](sl *slab[T], s []T, x T) []T { return append(sl.grow(s, 1), x) }
-
-// assign sets dst to a copy of src, growing it from sl.
-func assign[T any](sl *slab[T], dst, src []T) []T {
-	return append(sl.grow(dst[:0], len(src)), src...)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/reg"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
@@ -76,8 +77,8 @@ func (c *nodeCore) Start(n *async.Node) {
 	c.started = true
 	// A pulse brings at most one message per neighbor (CONGEST), so the
 	// received list and the batch rarely outgrow the degree.
-	c.recvd = c.st.recvd.carve(n.Degree())
-	c.batch = c.st.batch.carve(n.Degree())
+	c.recvd = c.st.recvd.Carve(n.Degree())
+	c.batch = c.st.batch.Carve(n.Degree())
 	c.algo.Init(c.newAPI(n, nil, true))
 	c.originator = len(c.initSends) > 0
 	c.barrierRegWait = len(c.sched.Barrier())
@@ -177,7 +178,7 @@ func (c *nodeCore) onAlgoMsg(n *async.Node, from graph.NodeID, pulse int, body w
 	// The message is retained until Go-Ahead(p) evaluates the pulse — long
 	// past the carrying message's lifecycle — which is why frameAlgo
 	// rejects seg-carrying algorithm payloads at the send side.
-	c.recvd = push(&c.st.recvd, c.recvd, pendingMsg{pulse: int32(pulse), in: syncrun.Incoming{From: from, Body: body}})
+	c.recvd = slab.Push(&c.st.recvd, c.recvd, pendingMsg{pulse: int32(pulse), in: syncrun.Incoming{From: from, Body: body}})
 	if next != nil {
 		// Already triggered: decline.
 		n.Send(from, async.Msg{Proto: ProtoAlgo, Stage: pulse, Body: encReply(replyMsg{Pulse: pulse, Chosen: false})})
@@ -223,7 +224,7 @@ func (c *nodeCore) onChildStatus(n *async.Node, p int, s statusMsg, fromPhys gra
 		if fromSelf {
 			qs.readySelf = true
 		} else {
-			c.ready = push(&c.st.ready, c.ready, readyRef{qi: int32(qi), child: fromPhys})
+			c.ready = slab.Push(&c.st.ready, c.ready, readyRef{qi: int32(qi), child: fromPhys})
 		}
 	}
 	c.tryResolve(n, p, qi)
@@ -362,7 +363,7 @@ func (c *nodeCore) takeBatch(pulse int) []syncrun.Incoming {
 			continue
 		}
 		i := len(batch)
-		batch = push(&c.st.batch, batch, m.in)
+		batch = slab.Push(&c.st.batch, batch, m.in)
 		for ; i > 0 && batch[i-1].From > m.in.From; i-- {
 			batch[i] = batch[i-1]
 		}

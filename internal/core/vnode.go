@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 )
 
@@ -120,11 +121,11 @@ func (c *nodeCore) newVnode(p int) *vnode {
 	if dup {
 		panic(fmt.Sprintf("core: vnode %d created twice", p))
 	}
-	c.vnodes = push(&c.st.vnodes, c.vnodes, vnode{})
+	c.vnodes = slab.Push(&c.st.vnodes, c.vnodes, vnode{})
 	copy(c.vnodes[i+1:], c.vnodes[i:])
 	c.vnodes[i] = vnode{pulse: int32(p), parentPhys: -1, qoff: int32(len(c.qs))}
 	n, k := len(c.qs), len(c.sched.Tracked(p))
-	c.qs = c.st.qs.grow(c.qs, k)[:n+k]
+	c.qs = c.st.qs.Grow(c.qs, k)[:n+k]
 	clear(c.qs[n:])
 	return &c.vnodes[i]
 }

@@ -16,11 +16,11 @@ package gather
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/async"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -109,9 +109,9 @@ type treeRef struct {
 // run holds the slabs every copy of one New value carves from: the node
 // layouts at bind, and the session table and rows as they grow.
 type run struct {
-	trees slab[treeRef]
-	bytes slab[byte]
-	sess  slab[sessionState]
+	trees slab.Slab[treeRef]
+	bytes slab.Slab[byte]
+	sess  slab.Slab[sessionState]
 }
 
 var _ async.Module = (*Module)(nil)
@@ -146,7 +146,7 @@ func (m *Module) bind(me graph.NodeID) {
 	ids := m.cov.TreeOf(me)
 	member := m.cov.MemberOf(me)
 	m.nMember = len(member)
-	m.trees = m.run.trees.carve(len(ids))
+	m.trees = m.run.trees.Carve(len(ids))
 	for _, cid := range ids {
 		cl := m.cov.Cluster(cid)
 		t := treeRef{id: cid, off: int32(m.stride), parent: -1, children: cl.ChildrenOf(me)}
@@ -188,9 +188,9 @@ func (m *Module) slot(session int) int {
 	if s := m.lookup(session); s >= 0 {
 		return s
 	}
-	m.sess = append(m.run.sess.grow(m.sess, 1), sessionState{id: session})
+	m.sess = slab.Push(&m.run.sess, m.sess, sessionState{id: session})
 	n := len(m.st)
-	m.st = m.run.bytes.grow(m.st, m.stride)[:n+m.stride]
+	m.st = m.run.bytes.Grow(m.st, m.stride)[:n+m.stride]
 	clear(m.st[n:])
 	return len(m.sess) - 1
 }
@@ -390,36 +390,4 @@ func (ch *Chain) OnNeighborhoodDone(n *async.Node, session int) {
 // Owns reports whether the session belongs to this chain.
 func (ch *Chain) Owns(session int) bool {
 	return session >= ch.Base && session < ch.Base+ch.L
-}
-
-// slab carves the per-node slices of every copy of one New value out of
-// shared chunks: a slice that outgrows its capacity moves to a carved one
-// twice the size, leaving the old one behind as garbage until the run ends.
-// Carving locks, because the parallel executors run different nodes'
-// handlers at once; it only happens when a slice grows.
-type slab[T any] struct {
-	mu    sync.Mutex
-	spare []T
-	next  int // length of the next chunk
-}
-
-// carve returns an empty, zeroed slice with capacity n.
-func (sl *slab[T]) carve(n int) []T {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if len(sl.spare) < n {
-		sl.next = min(max(2*sl.next, n), 1<<12)
-		sl.spare = make([]T, max(n, sl.next))
-	}
-	out := sl.spare[:0:n]
-	sl.spare = sl.spare[n:]
-	return out
-}
-
-// grow returns s with room for n more elements.
-func (sl *slab[T]) grow(s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	return append(sl.carve(2*(len(s)+n)), s...)
 }

@@ -2,6 +2,7 @@ package gather
 
 import (
 	"repro/internal/async"
+	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -14,8 +15,8 @@ func (m *Module) CloneModuleInto(dst async.Module) {
 	if m.bound && !d.bound {
 		d.bound, d.me, d.trees, d.stride, d.nMember = true, m.me, m.trees, m.stride, m.nMember
 	}
-	d.sess = append(d.run.sess.grow(d.sess[:0], len(m.sess)), m.sess...)
-	d.st = append(d.run.bytes.grow(d.st[:0], len(m.st)), m.st...)
+	d.sess = slab.Assign(&d.run.sess, d.sess, m.sess)
+	d.st = slab.Assign(&d.run.bytes, d.st, m.st)
 }
 
 // SaveState implements wire.StateCodec: the session table in slot order,
@@ -55,11 +56,11 @@ func (m *Module) LoadState(d *wire.Dec) {
 			fired:     d.Bool(),
 		}
 		if !d.Failed() {
-			m.sess = append(m.run.sess.grow(m.sess, 1), ns)
+			m.sess = slab.Push(&m.run.sess, m.sess, ns)
 		}
 	}
 	rows := d.Raw(len(m.sess) * m.stride)
-	m.st = append(m.run.bytes.grow(m.st, len(rows)), rows...)
+	m.st = append(m.run.bytes.Grow(m.st, len(rows)), rows...)
 	if d.Failed() { // never leave rows and session table out of step
 		m.sess, m.st = m.sess[:0], m.st[:0]
 	}

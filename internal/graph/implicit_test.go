@@ -290,6 +290,10 @@ func TestFromSpec(t *testing.T) {
 		"pa:n=10", "pa:m=2", "pa:n=10,m=2,seed=1,extra=9", "ring:k=4",
 		"er:n=10,m=15,seed=1,seed=2", "path:x", "grid3d:1300x1300x1300",
 		"er:n=10,m=3", "er:n=0,m=0", "er:n=-2,m=5",
+		// The classic families' generators panic on these sizes; the spec
+		// form must return errors instead.
+		"path:-3", "path:0", "cycle:2", "grid:-1x3", "grid:3x0", "path:3000000000",
+		"grid:70000x70000", "star:-1", "tree:0", "complete:70000",
 	}
 	for _, spec := range bad {
 		if _, err := FromSpec(spec); err == nil {

@@ -35,6 +35,10 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: spec %q: bad size %q", spec, args)
 		}
+		// The generators panic on these sizes; a spec string is input.
+		if n < 1 || n > MaxNodes || kind == "cycle" && n < 3 || kind == "complete" && int64(n)*int64(n-1)/2 > MaxEdges {
+			return nil, fmt.Errorf("graph: spec %q: size out of range (positive, at least 3 for a cycle, within MaxNodes and MaxEdges)", spec)
+		}
 		switch kind {
 		case "path":
 			return Path(n), nil
@@ -51,6 +55,9 @@ func FromSpec(spec string) (*Graph, error) {
 		dims, err := specDims(spec, args, 2)
 		if err != nil {
 			return nil, err
+		}
+		if r, c := int64(dims[0]), int64(dims[1]); r < 1 || c < 1 || r > MaxNodes || c > MaxNodes || r*c > MaxNodes {
+			return nil, fmt.Errorf("graph: spec %q: dimensions out of range (positive, at most MaxNodes nodes)", spec)
 		}
 		return Grid(dims[0], dims[1]), nil
 	case "grid3d":

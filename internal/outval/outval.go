@@ -1,11 +1,18 @@
-// Package outval encodes node outputs as typed wire.Body values so the
-// engines can store them in dense, pointer-free arrays instead of boxing
-// every output into an interface. Primitive Go values the engines see all
+// Package outval owns how an engine stores and reads back node outputs.
+//
+// An output is a typed wire.Body. Primitive Go values the engines see all
 // the time (int, int64, bool, graph.NodeID) encode into reserved kinds
 // handled here; algorithm packages register decoders for their own
 // fixed-size result structs (apps.BFSResult, abfs.Unreachable, …) under
 // kinds of their choosing, and Decode dispatches on the Kind tag when a
 // Result boundary materializes user-facing values.
+//
+// Table is the one output column both engines (async.Sim and
+// syncrun.Runner) hold: the has-bit per node, the typed bodies, a boxed
+// escape for values Encode cannot represent, the map and dense
+// materializations their Results return, and the per-node record their
+// snapshot frames carry. The slot format — a zero Kind marks a boxed slot,
+// both value slabs are allocated lazily — is known only here.
 //
 // Registration happens in package init functions only; after init the
 // registry is read-only, so concurrent decodes (the parallel experiment
@@ -14,6 +21,9 @@ package outval
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -38,14 +48,11 @@ var decoders = map[wire.Kind]func(wire.Body) any{}
 
 // Register installs the decoder for one output kind. It must be called
 // from a package init function (the registry is lock-free by virtue of
-// init's happens-before edge); registering a reserved kind or the same
-// kind twice panics.
+// init's happens-before edge); registering kind 0 (the boxed-slot marker),
+// a reserved kind or the same kind twice panics.
 func Register(k wire.Kind, dec func(wire.Body) any) {
-	if _, ok := primDecode(wire.Body{Kind: k}); ok {
-		panic(fmt.Sprintf("outval: kind %d is reserved for primitives", k))
-	}
-	if _, dup := decoders[k]; dup {
-		panic(fmt.Sprintf("outval: output kind %d registered twice", k))
+	if k == 0 || Known(k) {
+		panic(fmt.Sprintf("outval: output kind %d is zero, reserved for primitives or already registered", k))
 	}
 	decoders[k] = dec
 }
@@ -96,13 +103,234 @@ func Decode(b wire.Body) any {
 	panic(fmt.Sprintf("outval: no decoder registered for output kind %d", b.Kind))
 }
 
-// DecodeSlot materializes one engine output slot: a typed body (non-zero
-// Kind) decodes, the zero body means the value lives in the boxed escape
-// slot. Both engines' Result boundaries and every dense-output consumer
-// share this rule through here.
-func DecodeSlot(b wire.Body, escape any) any {
+// Known reports whether a body of kind k decodes: a reserved primitive kind
+// or a registered one. Kind 0, the boxed-slot marker, is not.
+func Known(k wire.Kind) bool {
+	_, prim := primDecode(wire.Body{Kind: k})
+	_, reg := decoders[k]
+	return prim || reg
+}
+
+// decodeSlot materializes one output slot: a typed body (non-zero Kind)
+// decodes, the zero body means the value lives in the boxed escape.
+func decodeSlot(b wire.Body, boxed any) any {
 	if b.Kind != 0 {
 		return Decode(b)
 	}
-	return escape
+	return boxed
+}
+
+// Table is one engine's output column, one slot per hosted node. A slot
+// holds either a typed body (non-zero Kind) or, for values Encode cannot
+// represent, a boxed value with a zero body. Both value slabs are lazy —
+// allocated on the first output of their kind and published by atomic
+// pointer, so workers writing their own disjoint slots concurrently agree
+// on one slab. Only the 1-byte has-bit column is eager. Call Init before
+// use; Reset rearms the table and keeps its slabs.
+type Table struct {
+	has    []bool
+	bodies atomic.Pointer[[]wire.Body]
+	boxed  atomic.Pointer[[]any]
+	mu     sync.Mutex
+}
+
+// Init sizes an empty table for n slots.
+func (t *Table) Init(n int) { t.has = make([]bool, n) }
+
+// Has reports whether slot i holds an output.
+func (t *Table) Has(i int) bool { return t.has[i] }
+
+// SetBody stores the typed output b in slot i, replacing whatever the slot
+// held, and reports whether it is the slot's first output. A zero Kind
+// panics: it is the boxed marker, not a value.
+func (t *Table) SetBody(i int, b wire.Body) bool {
+	if b.Kind == 0 {
+		panic(fmt.Sprintf("outval: slot %d output a Body with zero Kind", i))
+	}
+	publish(&t.bodies, &t.mu, len(t.has))[i] = b
+	if boxed := loaded(&t.boxed); boxed != nil {
+		boxed[i] = nil
+	}
+	return t.mark(i)
+}
+
+// SetBoxed stores v in slot i's boxed escape, replacing whatever the slot
+// held, and reports whether it is the slot's first output. Engines call it
+// for the values Encode refuses.
+func (t *Table) SetBoxed(i int, v any) bool {
+	if bodies := loaded(&t.bodies); bodies != nil {
+		bodies[i] = wire.Body{}
+	}
+	publish(&t.boxed, &t.mu, len(t.has))[i] = v
+	return t.mark(i)
+}
+
+func (t *Table) mark(i int) bool {
+	first := !t.has[i]
+	t.has[i] = true
+	return first
+}
+
+// Reset empties every slot, keeping both slabs for the next run.
+func (t *Table) Reset() {
+	clear(t.has)
+	clear(loaded(&t.bodies))
+	clear(loaded(&t.boxed))
+}
+
+// Map materializes every set slot's decoded value, keyed by base + slot.
+func (t *Table) Map(base graph.NodeID) map[graph.NodeID]any {
+	n := 0
+	for _, has := range t.has {
+		if has {
+			n++
+		}
+	}
+	out := make(map[graph.NodeID]any, n)
+	bodies, boxed := loaded(&t.bodies), loaded(&t.boxed)
+	for i, has := range t.has {
+		if has {
+			out[base+graph.NodeID(i)] = decodeSlot(at(bodies, i), at(boxed, i))
+		}
+	}
+	return out
+}
+
+// Dense returns the table in the dense Result form, slot-indexed: set is
+// the has-bit column, bodies the typed values, and boxed the values of the
+// set slots whose body is zero (nil when there are none). With own the
+// slices are copies the caller may keep across Reset; otherwise they alias
+// the table. DecodeDense turns the triple into Map's form.
+func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool, boxed map[graph.NodeID]any) {
+	bodies, set = loaded(&t.bodies), t.has
+	switch {
+	case bodies == nil:
+		bodies = make([]wire.Body, len(t.has))
+	case own:
+		bodies = slices.Clone(bodies)
+	}
+	if own {
+		set = slices.Clone(set)
+	}
+	escapes := loaded(&t.boxed)
+	for i, has := range t.has {
+		if has && bodies[i].Kind == 0 {
+			if boxed == nil {
+				boxed = make(map[graph.NodeID]any)
+			}
+			boxed[graph.NodeID(i)] = at(escapes, i)
+		}
+	}
+	return bodies, set, boxed
+}
+
+// DecodeDense materializes the decoded output map of a Dense triple.
+func DecodeDense(bodies []wire.Body, set []bool, boxed map[graph.NodeID]any) map[graph.NodeID]any {
+	out := make(map[graph.NodeID]any)
+	for i, has := range set {
+		if has {
+			out[graph.NodeID(i)] = decodeSlot(bodies[i], boxed[graph.NodeID(i)])
+		}
+	}
+	return out
+}
+
+// Each calls fn with every set slot's typed body in slot order, stopping at
+// the first error. A boxed slot has no encoded form and ends the walk with
+// an error.
+func (t *Table) Each(fn func(i int, b wire.Body) error) error {
+	for i, has := range t.has {
+		if !has {
+			continue
+		}
+		b, err := t.typed(i)
+		if err != nil {
+			return err
+		}
+		if err := fn(i, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// typed returns set slot i's body, or an error if the slot is boxed.
+func (t *Table) typed(i int) (wire.Body, error) {
+	b := at(loaded(&t.bodies), i)
+	if b.Kind == 0 {
+		return b, fmt.Errorf("outval: slot %d holds a boxed %T; only outval-encodable outputs have an encoded form", i, at(loaded(&t.boxed), i))
+	}
+	return b, nil
+}
+
+// Save appends slot i's frame record: the has-bit, then the typed body if
+// the slot is set. A boxed output has no record, so Save refuses it.
+func (t *Table) Save(e *wire.Enc, i int) error {
+	e.Bool(t.has[i])
+	if !t.has[i] {
+		return nil
+	}
+	b, err := t.typed(i)
+	if err != nil {
+		return err
+	}
+	e.Body(b)
+	return nil
+}
+
+// Load reads one Save record into slot i. A body of a kind no decoder
+// knows fails d: it would restore, then panic at the Result boundary.
+func (t *Table) Load(d *wire.Dec, i int) {
+	if !d.Bool() {
+		return
+	}
+	b := d.Body()
+	if d.Failed() {
+		return
+	}
+	if !Known(b.Kind) {
+		d.Fail("slot %d output record has kind %d, which no decoder is registered for", i, b.Kind)
+		return
+	}
+	t.SetBody(i, b)
+}
+
+// SkipRecord skips one Save record (a node another engine hosts).
+func SkipRecord(d *wire.Dec) {
+	if d.Bool() {
+		d.SkipBody()
+	}
+}
+
+// publish returns the slab p points to, allocating and publishing an
+// n-slot one on first use. The double-checked lock makes one allocation
+// win when workers race to the first output.
+func publish[T any](p *atomic.Pointer[[]T], mu *sync.Mutex, n int) []T {
+	if s := p.Load(); s != nil {
+		return *s
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if s := p.Load(); s != nil {
+		return *s
+	}
+	s := make([]T, n)
+	p.Store(&s)
+	return s
+}
+
+// loaded returns the slab p points to, or nil before its first use.
+func loaded[T any](p *atomic.Pointer[[]T]) []T {
+	if s := p.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// at reads s[i], or the zero value from a slab not yet allocated.
+func at[T any](s []T, i int) (v T) {
+	if s != nil {
+		v = s[i]
+	}
+	return v
 }

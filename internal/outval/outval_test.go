@@ -1,6 +1,10 @@
 package outval
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -62,4 +66,187 @@ func TestRegisterReservedPanics(t *testing.T) {
 		}
 	}()
 	Register(KindInt, func(wire.Body) any { return nil })
+}
+
+// TestTableOverwrite: a slot moves typed → boxed → typed, reads back the
+// latest value each time, and reports its first output exactly once.
+func TestTableOverwrite(t *testing.T) {
+	var tb Table
+	tb.Init(3)
+	if tb.Has(1) {
+		t.Fatal("fresh slot reports an output")
+	}
+	firsts := 0
+	for _, step := range []struct {
+		set  func() bool
+		want any
+	}{
+		{func() bool { return tb.SetBody(1, wire.Body{Kind: KindInt, A: 7}) }, 7},
+		{func() bool { return tb.SetBoxed(1, "seven") }, "seven"},
+		{func() bool { return tb.SetBody(1, wire.Body{Kind: kindTestOut, A: 1, B: 2}) }, testOut{A: 1, B: 2}},
+	} {
+		if step.set() {
+			firsts++
+		}
+		if got := tb.Map(10)[11]; got != step.want || !tb.Has(1) {
+			t.Fatalf("slot 1 reads %v (has %v), want %v", got, tb.Has(1), step.want)
+		}
+	}
+	if firsts != 1 {
+		t.Fatalf("first output reported %d times, want once", firsts)
+	}
+	if m := tb.Map(10); len(m) != 1 {
+		t.Fatalf("map has %d entries, want 1: %v", len(m), m)
+	}
+}
+
+func TestTableZeroKindPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetBody with a zero Kind should panic")
+		}
+	}()
+	var tb Table
+	tb.Init(1)
+	tb.SetBody(0, wire.Body{A: 1})
+}
+
+// filled returns a table with typed, boxed and empty slots.
+func filled() *Table {
+	tb := &Table{}
+	tb.Init(6)
+	tb.SetBody(0, wire.Body{Kind: KindBool, A: 1})
+	tb.SetBoxed(2, 3.5)
+	tb.SetBody(3, wire.Body{Kind: kindTestOut, A: -1, B: 4})
+	tb.SetBody(5, wire.Body{Kind: KindNode, A: 2})
+	return tb
+}
+
+// TestTableDenseMatchesMap: both dense forms — aliased and owned — decode
+// to the map materialization, and only the owned one survives Reset.
+func TestTableDenseMatchesMap(t *testing.T) {
+	tb := filled()
+	want := tb.Map(0)
+	for _, own := range []bool{false, true} {
+		bodies, set, boxed := tb.Dense(own)
+		if len(boxed) != 1 || boxed[2] != 3.5 {
+			t.Fatalf("own=%v: boxed = %v, want only slot 2", own, boxed)
+		}
+		if got := DecodeDense(bodies, set, boxed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("own=%v: dense decodes to %v, map is %v", own, got, want)
+		}
+	}
+	bodies, set, _ := tb.Dense(true)
+	tb.Reset()
+	if !set[0] || bodies[0].Kind != KindBool {
+		t.Fatal("owned dense slices changed when the table was reset")
+	}
+	var empty Table
+	empty.Init(2)
+	if bodies, set, boxed := empty.Dense(false); len(bodies) != 2 || len(set) != 2 || boxed != nil {
+		t.Fatalf("empty table's dense form: %d bodies, %d set, boxed %v", len(bodies), len(set), boxed)
+	}
+}
+
+// TestTableFrameRecords: Save/Load round-trips every typed slot, Save
+// refuses a boxed one, and Load refuses a kind no decoder knows.
+func TestTableFrameRecords(t *testing.T) {
+	tb := filled()
+	tb.SetBody(2, wire.Body{Kind: KindInt64, A: 1 << 40}) // replace the boxed value
+	e := wire.NewEnc(nil)
+	for i := range 6 {
+		if err := tb.Save(e, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var back Table
+	back.Init(6)
+	d := wire.NewDec(e.Bytes(), nil)
+	for i := range 6 {
+		if i == 4 {
+			SkipRecord(d) // an empty record skips like any other
+			continue
+		}
+		back.Load(d, i)
+	}
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("load: err %v, %d bytes left", err, d.Remaining())
+	}
+	if got, want := back.Map(0), tb.Map(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %v, want %v", got, want)
+	}
+
+	tb.SetBoxed(2, "boxed")
+	if err := tb.Save(wire.NewEnc(nil), 2); err == nil || !strings.Contains(err.Error(), "boxed string") {
+		t.Fatalf("Save of a boxed slot: err %v", err)
+	}
+
+	e = wire.NewEnc(nil)
+	e.Bool(true)
+	e.Body(wire.Body{Kind: 0x7998})
+	var fresh Table
+	fresh.Init(1)
+	d = wire.NewDec(e.Bytes(), nil)
+	fresh.Load(d, 0)
+	if d.Err() == nil || fresh.Has(0) {
+		t.Fatal("Load accepted an output record of an unregistered kind")
+	}
+}
+
+// TestTableResetKeepsSlabs: after Reset, refilling every slot of both
+// kinds allocates nothing.
+func TestTableResetKeepsSlabs(t *testing.T) {
+	var tb Table
+	tb.Init(64)
+	fill := func() {
+		for i := range 64 {
+			if i%2 == 0 {
+				tb.SetBody(i, wire.Body{Kind: KindInt, A: int64(i)})
+			} else {
+				tb.SetBoxed(i, &tb)
+			}
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, func() { tb.Reset(); fill() }); allocs != 0 {
+		t.Fatalf("Reset + refill allocated %.0f times, want 0", allocs)
+	}
+	tb.Reset()
+	if tb.Has(0) || len(tb.Map(0)) != 0 {
+		t.Fatal("Reset left an output behind")
+	}
+}
+
+// TestTableConcurrentFirstWrites: workers racing to the first output of
+// each kind agree on one slab, so every disjoint write survives (run it
+// under -race).
+func TestTableConcurrentFirstWrites(t *testing.T) {
+	const workers, per = 8, 32
+	var tb Table
+	tb.Init(workers * per)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < workers*per; i += workers {
+				if i%3 == 0 {
+					tb.SetBoxed(i, fmt.Sprint(i))
+				} else {
+					tb.SetBody(i, wire.Body{Kind: KindInt, A: int64(i)})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	m := tb.Map(0)
+	for i := range workers * per {
+		want := any(i)
+		if i%3 == 0 {
+			want = fmt.Sprint(i)
+		}
+		if m[graph.NodeID(i)] != want {
+			t.Fatalf("slot %d reads %v, want %v", i, m[graph.NodeID(i)], want)
+		}
+	}
 }

@@ -24,11 +24,11 @@ package reg
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/async"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -143,10 +143,10 @@ type Module struct {
 // layouts at bind, and the session table, rows and invoker lists as they
 // grow.
 type run struct {
-	trees    slab[treeRef]
-	bytes    slab[byte]
-	sessions slab[int]
-	invs     slab[invoker]
+	trees    slab.Slab[treeRef]
+	bytes    slab.Slab[byte]
+	sessions slab.Slab[int]
+	invs     slab.Slab[invoker]
 }
 
 var _ async.Module = (*Module)(nil)
@@ -179,7 +179,7 @@ func (m *Module) bind(me graph.NodeID) {
 	m.bound = true
 	m.me = me
 	ids := m.cov.TreeOf(me)
-	m.trees = m.run.trees.carve(len(ids))
+	m.trees = m.run.trees.Carve(len(ids))
 	stride := 0
 	for _, cid := range ids {
 		cl := m.cov.Cluster(cid)
@@ -190,7 +190,7 @@ func (m *Module) bind(me graph.NodeID) {
 		m.trees = append(m.trees, t)
 		stride += 1 + len(t.children)
 	}
-	m.rowInit = m.run.bytes.carve(stride)[:stride]
+	m.rowInit = m.run.bytes.Carve(stride)[:stride]
 	for _, t := range m.trees {
 		if t.parent < 0 {
 			m.rowInit[t.off] = uint8(idle) | fFinished // the root is always finished
@@ -240,8 +240,8 @@ func (m *Module) rec(n *async.Node, c cover.ClusterID, session int) (r, slot, ci
 	slot = m.lookup(session)
 	if slot < 0 {
 		slot = len(m.sessions)
-		m.sessions = append(m.run.sessions.grow(m.sessions, 1), session)
-		m.st = append(m.run.bytes.grow(m.st, len(m.rowInit)), m.rowInit...)
+		m.sessions = slab.Push(&m.run.sessions, m.sessions, session)
+		m.st = append(m.run.bytes.Grow(m.st, len(m.rowInit)), m.rowInit...)
 	}
 	return m.at(slot, ci), slot, ci
 }
@@ -360,7 +360,7 @@ func (m *Module) onRegUp(n *async.Node, child graph.NodeID, slot, ci int) {
 		m.send(n, child, kindRegDone, slot, ci)
 		return
 	}
-	m.inv = append(m.run.invs.grow(m.inv, 1), invoker{ord: m.ord(slot, ci), child: child})
+	m.inv = slab.Push(&m.run.invs, m.inv, invoker{ord: m.ord(slot, ci), child: child})
 	m.invokeRUp(n, slot, ci)
 }
 
@@ -451,36 +451,4 @@ func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
 	}
 	slot, ci := m.lookup(session), m.treeIndex(c)
 	return slot >= 0 && ci >= 0 && m.local(m.at(slot, ci)) == free
-}
-
-// slab carves the per-node slices of every copy of one New value out of
-// shared chunks: a slice that outgrows its capacity moves to a carved one
-// twice the size, leaving the old one behind as garbage until the run ends.
-// Carving locks, because the parallel executors run different nodes'
-// handlers at once; it only happens when a slice grows.
-type slab[T any] struct {
-	mu    sync.Mutex
-	spare []T
-	next  int // length of the next chunk
-}
-
-// carve returns an empty, zeroed slice with capacity n.
-func (sl *slab[T]) carve(n int) []T {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if len(sl.spare) < n {
-		sl.next = min(max(2*sl.next, n), 1<<12)
-		sl.spare = make([]T, max(n, sl.next))
-	}
-	out := sl.spare[:0:n]
-	sl.spare = sl.spare[n:]
-	return out
-}
-
-// grow returns s with room for n more elements.
-func (sl *slab[T]) grow(s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	return append(sl.carve(2*(len(s)+n)), s...)
 }

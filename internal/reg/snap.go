@@ -3,6 +3,7 @@ package reg
 import (
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -14,9 +15,9 @@ func (m *Module) CloneModuleInto(dst async.Module) {
 	if m.bound && !d.bound {
 		d.bound, d.me, d.trees, d.rowInit = true, m.me, m.trees, m.rowInit
 	}
-	d.sessions = append(d.run.sessions.grow(d.sessions[:0], len(m.sessions)), m.sessions...)
-	d.st = append(d.run.bytes.grow(d.st[:0], len(m.st)), m.st...)
-	d.inv = append(d.run.invs.grow(d.inv[:0], len(m.inv)), m.inv...)
+	d.sessions = slab.Assign(&d.run.sessions, d.sessions, m.sessions)
+	d.st = slab.Assign(&d.run.bytes, d.st, m.st)
+	d.inv = slab.Assign(&d.run.invs, d.inv, m.inv)
 }
 
 // SaveState implements wire.StateCodec: the session table in slot order,
@@ -48,10 +49,10 @@ func (m *Module) LoadState(d *wire.Dec) {
 		return
 	}
 	for i := 0; i < n && !d.Failed(); i++ {
-		m.sessions = append(m.run.sessions.grow(m.sessions, 1), d.Int())
+		m.sessions = slab.Push(&m.run.sessions, m.sessions, d.Int())
 	}
 	rows := d.Raw(n * len(m.rowInit))
-	m.st = append(m.run.bytes.grow(m.st, len(rows)), rows...)
+	m.st = append(m.run.bytes.Grow(m.st, len(rows)), rows...)
 	for slot := 0; slot < n && !d.Failed(); slot++ {
 		for ci := range m.trees {
 			r := m.at(slot, ci)
@@ -72,7 +73,7 @@ func (m *Module) LoadState(d *wire.Dec) {
 			d.Fail("reg: invoker on record %d of %d", iv.ord, n*len(m.trees))
 		}
 		if !d.Failed() {
-			m.inv = append(m.run.invs.grow(m.inv, 1), iv)
+			m.inv = slab.Push(&m.run.invs, m.inv, iv)
 		}
 	}
 	if d.Failed() { // never leave rows and session table out of step

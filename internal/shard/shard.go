@@ -652,7 +652,10 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 		if _, dup := res.Outputs[id]; dup {
 			return fmt.Errorf("shard: node %d reported an output from two shards", id)
 		}
-		res.Outputs[id] = outval.DecodeSlot(b, nil)
+		if !outval.Known(b.Kind) {
+			return fmt.Errorf("shard: node %d reported an output of kind %d, which no decoder is registered for", id, b.Kind)
+		}
+		res.Outputs[id] = outval.Decode(b)
 	}
 	nt := int(d.U32())
 	tr := make([]async.TraceEntry, 0, min(nt, d.Remaining())) // a record is more than a byte

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 func TestMain(m *testing.M) {
@@ -390,5 +393,43 @@ func TestShardFaultConfigError(t *testing.T) {
 	cfg := Config{GraphSpec: "grid:4x4", Workload: "flood", Adversary: "fixed:0.5", Faults: "drop:p=2"}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("invalid fault spec accepted")
+	}
+}
+
+// TestReadResultRejectsUnknownOutputKind: a worker RESULT whose output
+// carries a kind no decoder is registered for is an error at the
+// coordinator, not a panic while decoding the merged outputs.
+func TestReadResultRejectsUnknownOutputKind(t *testing.T) {
+	e := wire.NewEnc(nil)
+	e.F64(1) // time
+	e.F64(1) // quiesce time
+	for range 7 {
+		e.U64(0) // msgs, acks, dropped, retrans, undeliverable, steps, live segments
+	}
+	for range 3 {
+		e.U32(0) // nodes, links, boundary links
+	}
+	for range 3 {
+		e.U64(0) // graph bytes, engine bytes, heap MB
+	}
+	e.U32(0) // per-proto counts
+	mark := e.BeginBlob()
+	e.I32(3)
+	e.RawBody(wire.Body{Kind: 0x1234})
+	e.EndBlob(mark)
+	e.U32(0) // trace
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := writeMsg(w, msgResult, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wc := &workerConn{r: bufio.NewReader(&buf)}
+	rep := &Report{Shards: make([]ShardInfo, 1)}
+	err := (&coord{}).readResult(wc, rep, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "kind 4660") {
+		t.Fatalf("readResult of an unregistered output kind: err %v, want a kind-4660 error", err)
 	}
 }

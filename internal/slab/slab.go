@@ -1,0 +1,48 @@
+// Package slab carves many small, growable slices out of shared chunks, so
+// a run that builds one value per node — route tables, module rows, core
+// queues — allocates a handful of chunks rather than one backing array per
+// node.
+package slab
+
+import "sync"
+
+// Slab hands out slices from shared chunks: a slice that outgrows its
+// capacity moves to a carved one twice the size, leaving the old one behind
+// as garbage until the slab's owner is dropped. Chunks double from the
+// first request's size up to 4096 elements. Carving locks, because the
+// parallel executors run different nodes' handlers at once; it only
+// happens when a slice grows. The zero Slab is ready to use.
+type Slab[T any] struct {
+	mu    sync.Mutex
+	spare []T
+	next  int // length of the next chunk
+}
+
+// Carve returns an empty, zeroed slice with capacity n.
+func (sl *Slab[T]) Carve(n int) []T {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if len(sl.spare) < n {
+		sl.next = min(max(2*sl.next, n), 1<<12)
+		sl.spare = make([]T, max(n, sl.next))
+	}
+	out := sl.spare[:0:n]
+	sl.spare = sl.spare[n:]
+	return out
+}
+
+// Grow returns s with room for n more elements.
+func (sl *Slab[T]) Grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(sl.Carve(2*(len(s)+n)), s...)
+}
+
+// Push appends x to s, growing it from sl.
+func Push[T any](sl *Slab[T], s []T, x T) []T { return append(sl.Grow(s, 1), x) }
+
+// Assign sets dst to a copy of src, growing it from sl.
+func Assign[T any](sl *Slab[T], dst, src []T) []T {
+	return append(sl.Grow(dst[:0], len(src)), src...)
+}

@@ -38,23 +38,10 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	e.U64(r.msgs)
 	e.Bool(r.done)
 
-	// Nodes: output slot plus handler state, in index order.
-	outB, outA := r.loadedOutBodies(), r.loadedOutAnys()
+	// Nodes: output record plus handler state, in index order.
 	for i := 0; i < r.g.N(); i++ {
-		e.Bool(r.hasOut[i])
-		if r.hasOut[i] {
-			var b wire.Body
-			if outB != nil {
-				b = outB[i]
-			}
-			if b.Kind == 0 {
-				var v any
-				if outA != nil {
-					v = outA[i]
-				}
-				return nil, fmt.Errorf("syncrun: node %d output a boxed %T; snapshots carry only outval-encodable outputs", i, v)
-			}
-			e.Body(b)
+		if err := r.out.Save(e, i); err != nil {
+			return nil, fmt.Errorf("syncrun: node %d: %w", i, err)
 		}
 		sc, ok := r.handlers[i].(wire.StateCodec)
 		if !ok {
@@ -136,15 +123,7 @@ func (r *Runner) Restore(data []byte) error {
 	r.done = d.Bool()
 
 	for i := 0; i < r.g.N() && !d.Failed(); i++ {
-		if d.Bool() {
-			b := d.Body()
-			if !d.Failed() && b.Kind == 0 {
-				d.Fail("node %d output record has zero kind", i)
-				break
-			}
-			r.hasOut[i] = true
-			r.outBodies()[i] = b
-		}
+		r.out.Load(d, i)
 		sc, ok := r.handlers[i].(wire.StateCodec)
 		if !ok {
 			r.restoreFailed()
@@ -222,14 +201,7 @@ func (r *Runner) Restore(data []byte) error {
 func (r *Runner) restoreFailed() {
 	r.pulse, r.lastOut, r.msgs = 0, 0, 0
 	r.done = false
-	for i := range r.hasOut {
-		r.hasOut[i] = false
-	}
-	if outB := r.loadedOutBodies(); outB != nil {
-		for i := range outB {
-			outB[i] = wire.Body{}
-		}
-	}
+	r.out.Reset()
 	r.trace = r.trace[:0]
 	r.buf.refill()
 	for i := range r.buf.bits {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -134,53 +135,67 @@ func TestLockstepSnapshotFormatFrozen(t *testing.T) {
 	}
 }
 
+// path2Frame writes by hand the frame of codecBFS on path:2 after Init:
+// node 0 has output 0 (encoded under outKind) and sent to node 1, whose
+// delivery chain is listed chains times.
+func path2Frame(chains int, outKind wire.Kind) []byte {
+	var arena wire.Arena
+	e := wire.NewEnc(&arena)
+	e.U32(2)      // nodes
+	e.Bool(false) // traced
+	e.Bool(true)  // Init ran
+	e.Int(0)      // pulse
+	e.Int(0)      // T clock
+	e.U64(1)      // messages
+	e.Bool(false) // quiescent
+	state := func(dist int) {
+		mark := e.BeginBlob()
+		e.Int(dist)
+		e.EndBlob(mark)
+	}
+	e.Bool(true) // node 0: output 0, distance 0
+	e.Body(wire.Body{Kind: outKind, A: 0})
+	state(0)
+	e.Bool(false) // node 1: no output yet
+	state(-1)
+	e.U32(uint32(chains))
+	for range chains {
+		e.I32(1) // receiver
+		e.U32(1)
+		e.I32(0) // sender
+		e.Body(wire.Tag(1))
+	}
+	e.U32(2) // active: both endpoints
+	e.I32(0)
+	e.I32(1)
+	e.U32(0) // trace
+	return wire.SealSnapshot(e.Bytes())
+}
+
 // TestLockstepRestoreRejectsDuplicateChain: each receiver's batch is one
 // contiguous range, so a frame that lists one receiver's deliveries twice
-// is malformed. The frame is written by hand — first with one chain, which
-// must equal the runner's own Snapshot after Init on path:2, then with the
-// chain repeated.
+// is malformed. The hand-written frame with one chain must equal the
+// runner's own Snapshot after Init on path:2; with the chain repeated it
+// must be refused.
 func TestLockstepRestoreRejectsDuplicateChain(t *testing.T) {
 	g := graph.Path(2)
-	frame := func(chains int) []byte {
-		var arena wire.Arena
-		e := wire.NewEnc(&arena)
-		e.U32(2)      // nodes
-		e.Bool(false) // traced
-		e.Bool(true)  // Init ran
-		e.Int(0)      // pulse
-		e.Int(0)      // T clock
-		e.U64(1)      // messages
-		e.Bool(false) // quiescent
-		state := func(dist int) {
-			mark := e.BeginBlob()
-			e.Int(dist)
-			e.EndBlob(mark)
-		}
-		e.Bool(true) // node 0: output 0, distance 0
-		e.Body(wire.Body{Kind: outval.KindInt, A: 0})
-		state(0)
-		e.Bool(false) // node 1: no output yet
-		state(-1)
-		e.U32(uint32(chains))
-		for range chains {
-			e.I32(1) // receiver
-			e.U32(1)
-			e.I32(0) // sender
-			e.Body(wire.Tag(1))
-		}
-		e.U32(2) // active: both endpoints
-		e.I32(0)
-		e.I32(1)
-		e.U32(0) // trace
-		return wire.SealSnapshot(e.Bytes())
-	}
 	a := New(g, mkCodecBFS)
 	a.RunPulses(0)
-	if snap, err := a.Snapshot(); err != nil || !bytes.Equal(snap, frame(1)) {
+	if snap, err := a.Snapshot(); err != nil || !bytes.Equal(snap, path2Frame(1, outval.KindInt)) {
 		t.Fatalf("hand-written frame does not match Snapshot (err %v)", err)
 	}
-	if err := New(g, mkCodecBFS).Restore(frame(2)); err == nil {
+	if err := New(g, mkCodecBFS).Restore(path2Frame(2, outval.KindInt)); err == nil {
 		t.Fatal("restore accepted a frame with two delivery chains for one node")
+	}
+}
+
+// TestLockstepRestoreRejectsUnknownOutputKind: an output record whose kind
+// no decoder is registered for must fail Restore, not restore and then
+// panic when Run materializes the Result.
+func TestLockstepRestoreRejectsUnknownOutputKind(t *testing.T) {
+	err := New(graph.Path(2), mkCodecBFS).Restore(path2Frame(1, 0x1234))
+	if err == nil || !strings.Contains(err.Error(), "kind 4660") {
+		t.Fatalf("restore of an unregistered output kind: err %v, want a kind-4660 error", err)
 	}
 }
 

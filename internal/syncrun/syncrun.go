@@ -36,7 +36,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
@@ -174,39 +173,22 @@ func (n *Node) Output(v any) {
 		n.OutputBody(b)
 		return
 	}
-	r := n.run
-	if outB := r.loadedOutBodies(); outB != nil {
-		outB[n.id] = wire.Body{}
-	}
-	r.outAnys()[n.id] = v
-	n.noteOutput()
+	n.noteOutput(n.run.out.SetBoxed(int(n.id), v))
 }
 
 // OutputBody records this node's final output as a typed wire.Body.
-func (n *Node) OutputBody(b wire.Body) {
-	if b.Kind == 0 {
-		panic(fmt.Sprintf("syncrun: node %d output a Body with zero Kind", n.id))
-	}
-	r := n.run
-	r.outBodies()[n.id] = b
-	if outA := r.loadedOutAnys(); outA != nil {
-		outA[n.id] = nil
-	}
-	n.noteOutput()
-}
+func (n *Node) OutputBody(b wire.Body) { n.noteOutput(n.run.out.SetBody(int(n.id), b)) }
 
 // noteOutput flags a first output in the node's sink; the seal advances
 // the T clock from the flag.
-func (n *Node) noteOutput() {
-	r := n.run
-	if !r.hasOut[n.id] {
-		r.hasOut[n.id] = true
-		r.sinks[n.sinkIdx].newOut = true
+func (n *Node) noteOutput(first bool) {
+	if first {
+		n.run.sinks[n.sinkIdx].newOut = true
 	}
 }
 
 // HasOutput reports whether this node already produced output.
-func (n *Node) HasOutput() bool { return n.run.hasOut[n.id] }
+func (n *Node) HasOutput() bool { return n.run.out.Has(int(n.id)) }
 
 // Arena returns the run's segment arena. Sent segments are recycled after
 // the receiving pulse's batch is delivered; the arena is safe for the
@@ -352,16 +334,9 @@ type Runner struct {
 	// (pulse+1) of the last pulse a message was sent on it.
 	sentAt []int32
 
-	// Outputs: typed bodies (Kind != 0) with a boxed escape hatch for
-	// values outval cannot encode (body zero, value in the any slab).
-	// Both value slabs are lazy — allocated on the first output of the
-	// respective kind, published via atomic pointer so concurrent worker
-	// Pulses agree on the slab before writing their own (disjoint) slots.
-	// Only the 1-byte hasOut column is eager.
-	outBodyP  atomic.Pointer[[]wire.Body]
-	outAnyP   atomic.Pointer[[]any]
-	outMu     sync.Mutex
-	hasOut    []bool
+	// out holds the node outputs; concurrent worker Pulses write only
+	// their own nodes' (disjoint) slots.
+	out       outval.Table
 	denseOut  bool
 	lastOut   int
 	msgs      uint64
@@ -394,11 +369,11 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 		},
 		sinks:       make([]sendSink, 1),
 		sentAt:      make([]int32, g.Links()),
-		hasOut:      make([]bool, g.N()),
 		maxRounds:   1 << 22,
 		workers:     execpolicy.DefaultWorkers(),
 		minParallel: defaultMinParallel,
 	}
+	r.out.Init(g.N())
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
 		r.nodes[i] = Node{id: id, run: r}
@@ -450,55 +425,6 @@ func (r *Runner) SetMaxRounds(limit int) { r.maxRounds = limit }
 
 // Handler returns node v's handler for post-run inspection.
 func (r *Runner) Handler(v graph.NodeID) Handler { return r.handlers[v] }
-
-// outBodies returns the typed-output slab, allocating and publishing it on
-// first use. Workers write only their own nodes' slots; the atomic pointer
-// publication orders the allocation before any cross-worker read.
-func (r *Runner) outBodies() []wire.Body {
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]wire.Body, r.g.N())
-	r.outBodyP.Store(&sl)
-	return sl
-}
-
-// outAnys is outBodies' counterpart for the boxed escape slab.
-func (r *Runner) outAnys() []any {
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	sl := make([]any, r.g.N())
-	r.outAnyP.Store(&sl)
-	return sl
-}
-
-// loadedOutBodies returns the typed-output slab or nil if no typed output
-// has ever been recorded (readers treat nil as all-zero).
-func (r *Runner) loadedOutBodies() []wire.Body {
-	if p := r.outBodyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// loadedOutAnys is loadedOutBodies' counterpart for the boxed slab.
-func (r *Runner) loadedOutAnys() []any {
-	if p := r.outAnyP.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // Run executes to quiescence and returns measurements.
 func (r *Runner) Run() Result {
@@ -565,48 +491,11 @@ func (r *Runner) finish() Result {
 		M:      r.msgs,
 		Trace:  r.trace,
 	}
-	outB, outA := r.loadedOutBodies(), r.loadedOutAnys()
 	if r.denseOut {
-		if outB == nil {
-			outB = make([]wire.Body, r.g.N())
-		}
-		res.OutBodies = outB
-		res.OutSet = r.hasOut
-		for i, has := range r.hasOut {
-			if has && outB[i].Kind == 0 {
-				if res.Outputs == nil {
-					res.Outputs = make(map[graph.NodeID]any)
-				}
-				var v any
-				if outA != nil {
-					v = outA[i]
-				}
-				res.Outputs[graph.NodeID(i)] = v
-			}
-		}
-		return res
+		res.OutBodies, res.OutSet, res.Outputs = r.out.Dense(false)
+	} else {
+		res.Outputs = r.out.Map(0)
 	}
-	n := 0
-	for _, has := range r.hasOut {
-		if has {
-			n++
-		}
-	}
-	outputs := make(map[graph.NodeID]any, n)
-	for i, has := range r.hasOut {
-		if has {
-			var b wire.Body
-			if outB != nil {
-				b = outB[i]
-			}
-			var v any
-			if outA != nil {
-				v = outA[i]
-			}
-			outputs[graph.NodeID(i)] = outval.DecodeSlot(b, v)
-		}
-	}
-	res.Outputs = outputs
 	return res
 }
 
