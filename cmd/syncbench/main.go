@@ -22,11 +22,8 @@
 // reproduce the published tables; any other value sweeps every seeded
 // adversary, matching what cmd/synchronize's -seed flag does there.
 // -mode selects the execution mode of BOTH engines: the lockstep runner's
-// worker pool and the async engine's bounded-lag parallel windows.
-// -mode spec forces the async engine's speculative executor (the lockstep
-// runner, which has no safe window to speculate past, keeps its Auto
-// pool); spec runs fall back to multi wherever handlers are not
-// cloneable.
+// worker pool and the async engine's bounded-lag parallel windows, as
+// cmd/synchronize's -mode does.
 //
 // -graph takes a graph.FromSpec string (grid3d:XxYxZ, pa:n=…,m=…,
 // ring:k=…,c=…, and the classic families) and appends it as an extra row
@@ -69,7 +66,7 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit structured JSON records instead of text tables")
 	list := flag.Bool("list", false, "list experiment ids and titles, then exit")
 	seed := flag.Uint64("seed", 0, "delay adversary seed; 0 keeps each experiment's default")
-	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi|spec")
+	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi")
 	graphSpec := flag.String("graph", "", "extra topology for E16/E18, as a graph spec (e.g. grid3d:100x100x100)")
 	faults := flag.String("faults", "", "fault schedule wrapped around every adversary (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
 	snapEvery := flag.Uint64("snapshot-every", 0, "extra checkpoint interval for E18's sweep (0 = built-ins only)")
@@ -90,13 +87,8 @@ func run() int {
 		execMode, asyncMode = syncrun.ModeSingle, async.ModeSingle
 	case "multi":
 		execMode, asyncMode = syncrun.ModeMulti, async.ModeMulti
-	case "spec":
-		// Speculation is an async-engine concept; the lockstep runner has no
-		// windows to speculate past, so it gets its Auto pool. The async
-		// engine itself falls back to multi for non-cloneable handlers.
-		execMode, asyncMode = syncrun.ModeAuto, async.ModeSpec
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi|spec)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
 		return 2
 	}
 	var ids []string

@@ -9,8 +9,8 @@
 //   - the asynchronous BFS family of §4,
 //   - ready-made deterministic asynchronous leader election and MST
 //     (Corollaries 1.2–1.4),
-//   - and the state plane: versioned snapshot / restore / replay of
-//     stepwise runs (NewSynchronizedRun, NewLockstepRun, Replay).
+//   - and the state plane: stepwise synchronized runs that snapshot,
+//     restore and replay (NewSynchronizedRun).
 //
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package dsync
@@ -34,27 +34,16 @@ type (
 	Body = wire.Body
 	// Kind tags a Body's message type within its algorithm's namespace.
 	Kind = wire.Kind
-	// Arena recycles variable-length Body segments (API.Arena).
-	Arena = wire.Arena
-	// Seg is a pointer-free handle referencing an Arena segment.
-	Seg = wire.Seg
 	// Graph is an undirected network.
 	Graph = graph.Graph
 	// NodeID identifies a node.
 	NodeID = graph.NodeID
 	// EdgeID indexes the edge table of a Graph.
 	EdgeID = graph.EdgeID
-	// LinkID is a dense directed-link identifier (see graph.LinkID).
-	LinkID = graph.LinkID
 	// Adversary chooses asynchronous message delays.
 	Adversary = async.Adversary
 	// AsyncResult summarizes an asynchronous run.
 	AsyncResult = async.Result
-	// TraceEntry is one delivery-trace record; its Kind distinguishes
-	// delivered messages from ones abandoned by the fault plane.
-	TraceEntry = async.TraceEntry
-	// TraceKind tags a TraceEntry (TraceDeliver / TraceUndeliverable).
-	TraceKind = async.TraceKind
 	// SyncResult summarizes a lockstep synchronous run.
 	SyncResult = syncrun.Result
 	// ExecutionMode selects how the lockstep runner steps each pulse
@@ -77,34 +66,22 @@ type (
 	BFSResult = apps.BFSResult
 	// MSTResult is the per-node MST output.
 	MSTResult = apps.MSTResult
-	// TBFSResult is the per-node thresholded-BFS output.
+	// TBFSResult is what every node AsyncBFS reaches outputs (sources
+	// output their echo verdict instead).
 	TBFSResult = apps.TBFSResult
-	// Unreachable marks nodes beyond a BFS threshold (the paper's ∞).
-	Unreachable = abfs.Unreachable
 )
 
-// Graph generators (deterministic; random families take a seed). The
-// implicit generators — Grid3D, PowerLaw, RingOfCliques, and the textual
-// GraphFromSpec front end — emit sorted CSR directly with exact
-// preallocation, validate against the 32-bit id space, and return an error
-// instead of allocating when a spec would overflow it.
+// Graph construction (deterministic; random families take a seed).
+// GraphFromSpec reaches every generator by a textual spec ("grid:6x8",
+// "grid3d:100x100x100", "er:n=40,m=120,seed=1", "pa:…", "ring:…"); the
+// implicit families emit sorted CSR directly with exact preallocation and
+// return an error instead of allocating when a spec would overflow the
+// 32-bit id space.
 var (
-	NewGraph           = graph.New
-	Path               = graph.Path
-	Cycle              = graph.Cycle
-	Grid               = graph.Grid
-	Star               = graph.Star
-	Complete           = graph.Complete
-	CompleteBinaryTree = graph.CompleteBinaryTree
-	RandomConnected    = graph.RandomConnected
-	Dumbbell           = graph.Dumbbell
-	Lollipop           = graph.Lollipop
-	StarOfPaths        = graph.StarOfPaths
-	WithRandomWeights  = graph.WithRandomWeights
-	Grid3D             = graph.Grid3D
-	PowerLaw           = graph.PowerLaw
-	RingOfCliques      = graph.RingOfCliques
-	GraphFromSpec      = graph.FromSpec
+	Grid              = graph.Grid
+	RandomConnected   = graph.RandomConnected
+	WithRandomWeights = graph.WithRandomWeights
+	GraphFromSpec     = graph.FromSpec
 )
 
 // Tag returns a words-free Body of the given kind (pure signal messages).
@@ -131,18 +108,6 @@ func ParseFaultSpec(spec string) (*FaultSchedule, error) { return async.ParseFau
 // fs is nil or inert).
 func WithFaults(adv Adversary, fs *FaultSchedule) Adversary { return async.WithFaults(adv, fs) }
 
-// StandardFaultSchedules returns the deterministic fault-schedule matrix
-// the cross-mode tests and E17 sweep share.
-func StandardFaultSchedules(seed uint64) []*FaultSchedule {
-	return async.StandardFaultSchedules(seed)
-}
-
-// Trace-entry kinds.
-const (
-	TraceDeliver       = async.TraceDeliver
-	TraceUndeliverable = async.TraceUndeliverable
-)
-
 // Lockstep execution modes. ModeAuto picks the worker pool for large
 // graphs; ModeSingle and ModeMulti force one path. All three produce
 // byte-identical results — the choice is purely wall-clock.
@@ -155,15 +120,11 @@ const (
 // Asynchronous engine execution modes (byte-identical results, wall-clock
 // only). AsyncModeAuto engages the conservative bounded-lag windows when
 // the adversary's MinDelay lookahead and the graph are both large enough to
-// amortize the window barriers, and runs serially otherwise — it never
-// chooses speculation. AsyncModeSpec forces the speculative executor
-// (copy-on-write staging past the safe window with straggler rollback);
-// when handlers are not cloneable it falls back to AsyncModeMulti.
+// amortize the window barriers, and runs serially otherwise.
 const (
 	AsyncModeAuto   = async.ModeAuto
 	AsyncModeSingle = async.ModeSingle
 	AsyncModeMulti  = async.ModeMulti
-	AsyncModeSpec   = async.ModeSpec
 )
 
 // RunSync executes an event-driven synchronous algorithm in lockstep rounds
@@ -301,67 +262,20 @@ func AsyncBFSMode(g *Graph, sources []NodeID, adv Adversary, mode AsyncExecution
 	return abfs.FullMode(g, sources, adv, mode)
 }
 
-// ThresholdedBFS runs the τ-thresholded asynchronous BFS of Theorem 4.15;
-// nodes beyond τ output Unreachable.
-func ThresholdedBFS(g *Graph, sources []NodeID, tau int, adv Adversary) abfs.Result {
-	return abfs.Thresholded(abfs.Config{Graph: g, Sources: sources, Threshold: tau, Adversary: adv})
-}
-
-// State plane: versioned snapshot / restore / replay. A snapshot is a
-// sealed, pointer-free byte frame of a run's complete state, taken at an
-// event boundary (asynchronous engine) or pulse boundary (lockstep
-// runner). Restoring it into a handle built over the same graph and
-// algorithm continues the run byte-identically to the uninterrupted one,
-// in every execution mode — so checkpoints can also fork ("what happens
-// from here under a different engine?") and replay deterministically.
-// Handlers participate via StateCodec; every shipped algorithm and the
-// synchronizer stack implement it.
-type (
-	// SynchronizedRun is a stepwise synchronized execution handle
-	// (async.Sim): RunSteps / Snapshot / Restore / FinishResult, or plain
-	// Run to completion.
-	SynchronizedRun = async.Sim
-	// LockstepRun is a stepwise lockstep execution handle
-	// (syncrun.Runner): RunPulses / Snapshot / Restore / FinishResult.
-	LockstepRun = syncrun.Runner
-	// StateCodec is the per-handler serialization contract snapshots are
-	// built from (SaveState/LoadState over the wire codec).
-	StateCodec = wire.StateCodec
-)
-
-// NewLockstepRun builds a stepwise lockstep runner over the synchronous
-// algorithm: RunPulses(k) advances k pulses, Snapshot() checkpoints at the
-// pulse boundary, FinishResult() closes a quiescent run.
-func NewLockstepRun(g *Graph, mk func(NodeID) Algorithm) *LockstepRun {
-	return syncrun.New(g, mk)
-}
+// State plane: a SynchronizedRun steps the synchronizer stack event by
+// event and checkpoints it. Snapshot seals the run's complete state into a
+// pointer-free byte frame at an event boundary; Restore loads a frame into
+// a handle built over the same graph and algorithm — discarding whatever
+// that handle held — and Run then finishes byte-identically to the
+// uninterrupted run, in every execution mode. Restoring one frame
+// repeatedly replays it deterministically. Every shipped algorithm and the
+// synchronizer stack serialize their state for it.
+type SynchronizedRun = async.Sim
 
 // NewSynchronizedRun assembles the paper's synchronizer stack over the
-// synchronous algorithm without running it, for stepwise execution and
-// checkpointing: RunSteps(k) advances k engine events, Snapshot()
-// checkpoints between events, Run() finishes in any execution mode.
+// synchronous algorithm without running it: RunSteps(k) advances k engine
+// events, Snapshot() checkpoints between events, Restore(frame) rewinds
+// to a checkpoint, and Run() finishes in any execution mode.
 func NewSynchronizedRun(g *Graph, bound int, adv Adversary, mk func(NodeID) Algorithm) *SynchronizedRun {
 	return core.NewSynchronizedSim(core.Config{Graph: g, Bound: bound, Adversary: adv}, mk)
-}
-
-// Replay restores a snapshot into the synchronized run handle and plays it
-// to completion. Restore discards any state the handle held, so the same
-// handle can replay the same snapshot repeatedly — deterministic replay
-// debugging — or run snapshots taken at different points of one run.
-func Replay(run *SynchronizedRun, snapshot []byte) (AsyncResult, error) {
-	if err := run.Restore(snapshot); err != nil {
-		return AsyncResult{}, err
-	}
-	return run.Run(), nil
-}
-
-// ReplayLockstep builds a fresh lockstep runner (a lockstep restore
-// requires a pristine runner), restores the snapshot, and plays it to
-// completion.
-func ReplayLockstep(g *Graph, mk func(NodeID) Algorithm, snapshot []byte) (SyncResult, error) {
-	r := syncrun.New(g, mk)
-	if err := r.Restore(snapshot); err != nil {
-		return SyncResult{}, err
-	}
-	return r.Run(), nil
 }

@@ -20,8 +20,18 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// specGraph builds a graph through the public spec front end.
+func specGraph(t *testing.T, spec string) *Graph {
+	t.Helper()
+	g, err := GraphFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPublicAPIBaselines(t *testing.T) {
-	g := Cycle(10)
+	g := specGraph(t, "cycle:10")
 	mk := NewBFS([]NodeID{0})
 	sres := RunSync(g, mk)
 	bound := sres.Rounds + 2
@@ -63,28 +73,8 @@ func TestPublicAPILeaderAndMST(t *testing.T) {
 	}
 }
 
-func TestPublicAPIThresholdedBFS(t *testing.T) {
-	g := Path(12)
-	res := ThresholdedBFS(g, []NodeID{0}, 4, RandomDelays(5))
-	if res.Complete {
-		t.Fatal("threshold 4 on path 12 cannot be complete")
-	}
-	reached, beyond := 0, 0
-	for v := 0; v < g.N(); v++ {
-		switch res.Outputs[NodeID(v)].(type) {
-		case Unreachable:
-			beyond++
-		default:
-			reached++
-		}
-	}
-	if reached != 5 || beyond != 7 {
-		t.Fatalf("reached=%d beyond=%d, want 5/7", reached, beyond)
-	}
-}
-
 func TestPublicAPIAsyncBFS(t *testing.T) {
-	g := Cycle(12)
+	g := specGraph(t, "cycle:12")
 	res := AsyncBFS(g, []NodeID{0}, RandomDelays(9))
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("outputs %d, want %d", len(res.Outputs), g.N())
@@ -130,8 +120,8 @@ func TestPublicAPISnapshotReplay(t *testing.T) {
 	sres := RunSync(g, mk)
 	bound := sres.Rounds + 2
 
-	// Synchronized (asynchronous-engine) checkpoint: step, snapshot,
-	// replay twice through the same handle.
+	// Step, snapshot, then replay twice through one handle: Restore
+	// discards what the handle held, so each Run finishes the same run.
 	want := Synchronize(g, bound, RandomDelays(2), mk)
 	run := NewSynchronizedRun(g, bound, RandomDelays(2), mk)
 	run.RunSteps(100)
@@ -141,28 +131,11 @@ func TestPublicAPISnapshotReplay(t *testing.T) {
 	}
 	replayer := NewSynchronizedRun(g, bound, RandomDelays(2), mk)
 	for i := 0; i < 2; i++ {
-		got, err := Replay(replayer, snap)
-		if err != nil {
+		if err := replayer.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := replayer.Run(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("replay %d diverged from the uninterrupted synchronized run", i)
 		}
-	}
-
-	// Lockstep checkpoint: snapshot at a pulse boundary, replay.
-	swant := RunSync(g, mk)
-	lr := NewLockstepRun(g, mk)
-	lr.RunPulses(2)
-	lsnap, err := lr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot, err := ReplayLockstep(g, mk, lsnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sgot, swant) {
-		t.Fatal("lockstep replay diverged from the uninterrupted run")
 	}
 }

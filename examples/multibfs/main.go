@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	dsync "repro"
-	"repro/internal/apps"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 	// Show a few assignments from the last run.
 	res := dsync.AsyncBFS(g, sets[3], dsync.RandomDelays(3))
 	for _, v := range []int{4, 36, 44, 76} {
-		if out, ok := res.Outputs[dsync.NodeID(v)].(apps.TBFSResult); ok {
+		if out, ok := res.Outputs[dsync.NodeID(v)].(dsync.TBFSResult); ok {
 			fmt.Printf("rack %2d -> replica %2d at distance %d\n", v, out.Source, out.Dist)
 		}
 	}

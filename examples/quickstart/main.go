@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	dsync "repro"
 )
@@ -55,15 +56,33 @@ func main() {
 	ares := dsync.Synchronize(g, sres.Rounds+2, dsync.RandomDelays(42), mk)
 	fmt.Printf("asynchronous: time=%.1f, msgs=%d\n", ares.Time, ares.Msgs)
 
-	mismatches := 0
-	for v, want := range sres.Outputs {
-		if ares.Outputs[v] != want {
-			mismatches++
-		}
-	}
-	fmt.Printf("outputs identical across worlds: %v (%d nodes)\n",
-		mismatches == 0, len(sres.Outputs))
+	same := sameOutputs(sres.Outputs, ares.Outputs)
+	fmt.Printf("outputs identical across worlds: %v (%d nodes)\n", same, len(sres.Outputs))
+
+	// 3. No pulse bound known up front (Theorem 5.4): the synchronizer
+	// doubles its guess until an attempt completes — here under another
+	// adversary, with the same outputs again.
+	ures, bound := dsync.SynchronizeUnknownBound(g, dsync.FixedDelays(1), mk)
+	usame := sameOutputs(sres.Outputs, ures.Outputs)
+	fmt.Printf("unknown bound: discovered bound=%d, time=%.1f, msgs=%d, outputs identical: %v\n",
+		bound, ures.Time, ures.Msgs, usame)
+
 	for v := 0; v < g.N(); v++ {
 		fmt.Printf("node %2d: distance %v\n", v, ares.Outputs[dsync.NodeID(v)])
 	}
+	if !same || !usame {
+		os.Exit(1)
+	}
+}
+
+func sameOutputs(want, got map[dsync.NodeID]any) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for v, w := range want {
+		if got[v] != w {
+			return false
+		}
+	}
+	return true
 }

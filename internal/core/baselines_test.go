@@ -132,7 +132,7 @@ func TestBetaTimeShape(t *testing.T) {
 
 func TestGammaPartitionShape(t *testing.T) {
 	g := graph.Grid(6, 6)
-	part := NewGammaPartition(g)
+	part := newGammaPartition(g)
 	if part.ClusterCount() < 1 {
 		t.Fatal("no clusters")
 	}

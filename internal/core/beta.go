@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -15,59 +14,32 @@ import (
 // per pulse, a convergecast of "my subtree is safe for p" followed by a
 // broadcast of "advance to p+1". Time overhead Θ(D) per pulse; message
 // overhead Θ(n) per pulse.
-//
-// Per-pulse state is bound-indexed slices allocated once at construction.
 type betaNode struct {
-	algo  syncrun.Handler
-	bound int
-	tree  *cover.Cluster
+	pulseShell
+	tree *cover.Cluster
 
-	pulse      int
-	recvd      [][]syncrun.Incoming
-	sendAcked  []int
 	selfSafe   []bool
 	childSafe  []int // pulse -> children subtrees reported safe
 	reportSent []bool
-	cs         congestStamp
 }
 
 const protoBetaTree async.Proto = 4
 
-var _ async.Handler = (*betaNode)(nil)
-
-// NewBeta builds the β-synchronized handler for one node; tree is the
+// newBeta builds the β-synchronized handler for one node; tree is the
 // shared BFS-tree cluster (its construction is β's initialization, which
 // Appendix A ignores in the overhead accounting).
-func NewBeta(algo syncrun.Handler, bound int, tree *cover.Cluster) async.Handler {
-	return &betaNode{
-		algo:       algo,
-		bound:      bound,
+func newBeta(algo syncrun.Handler, bound int, tree *cover.Cluster) *betaNode {
+	b := &betaNode{
 		tree:       tree,
-		recvd:      make([][]syncrun.Incoming, bound+1),
-		sendAcked:  make([]int, bound+1),
 		selfSafe:   make([]bool, bound+1),
 		childSafe:  make([]int, bound+1),
 		reportSent: make([]bool, bound+1),
 	}
+	b.pulseShell = newPulseShell(algo, bound, "beta", b)
+	return b
 }
 
-// Init implements async.Handler.
-func (b *betaNode) Init(n *async.Node) { b.runPulse(n, 0) }
-
-func (b *betaNode) runPulse(n *async.Node, p int) {
-	b.pulse = p
-	api := &betaAPI{n: n, b: b, pulse: p, epoch: b.cs.begin(n.Degree())}
-	if p == 0 {
-		b.algo.Init(api)
-	} else {
-		batch := b.recvd[p-1]
-		sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
-		b.algo.Pulse(api, p, batch)
-	}
-	b.maybeSafe(n, p)
-}
-
-func (b *betaNode) maybeSafe(n *async.Node, p int) {
+func (b *betaNode) checkSafe(n *async.Node, p int) {
 	if b.sendAcked[p] > 0 || b.pulse < p {
 		return
 	}
@@ -103,12 +75,8 @@ func (b *betaNode) advance(n *async.Node, next int) {
 	b.runPulse(n, next)
 }
 
-// Recv implements async.Handler.
-func (b *betaNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
+func (b *betaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 	switch m.Body.Kind {
-	case kindAlgo:
-		pulse, inner := m.Body.Unframe()
-		b.recvd[pulse] = append(b.recvd[pulse], syncrun.Incoming{From: from, Body: inner})
 	case kindBetaSafeUp:
 		p := int(m.Body.A)
 		b.childSafe[p]++
@@ -120,48 +88,9 @@ func (b *betaNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	}
 }
 
-// Ack implements async.Handler.
-func (b *betaNode) Ack(n *async.Node, _ graph.NodeID, m async.Msg) {
-	if m.Body.Kind != kindAlgo {
-		return
-	}
-	pulse := int(m.Body.P)
-	b.sendAcked[pulse]--
-	b.maybeSafe(n, pulse)
-}
-
-type betaAPI struct {
-	n     *async.Node
-	b     *betaNode
-	pulse int
-	epoch int32
-}
-
-var _ syncrun.API = (*betaAPI)(nil)
-
-func (x *betaAPI) ID() graph.NodeID            { return x.n.ID() }
-func (x *betaAPI) Neighbors() []graph.Neighbor { return x.n.Neighbors() }
-func (x *betaAPI) Degree() int                 { return x.n.Degree() }
-func (x *betaAPI) Output(v any)                { x.n.Output(v) }
-func (x *betaAPI) OutputBody(b wire.Body)      { x.n.OutputBody(b) }
-func (x *betaAPI) HasOutput() bool             { return x.n.HasOutput() }
-func (x *betaAPI) Arena() *wire.Arena          { return x.n.Arena() }
-
-func (x *betaAPI) Send(to graph.NodeID, body wire.Body) {
-	x.b.cs.mark(x.n, to, x.epoch, "beta")
-	x.b.sendAcked[x.pulse]++
-	x.n.Send(to, async.Msg{Proto: ProtoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
-}
-
 // SynchronizeBeta runs the algorithm under β for exactly `bound` pulses.
 func SynchronizeBeta(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) async.Result {
-	if adv == nil {
-		adv = async.SeededRandom{Seed: 1}
-	}
 	tree := cover.BFSTreeCluster(g, 0)
-	sim := async.New(g, adv, func(id graph.NodeID) async.Handler {
-		return NewBeta(mk(id), bound, tree)
-	})
-	return sim.Run()
+	return runBaseline(g, adv, func(id graph.NodeID) async.Handler { return newBeta(mk(id), bound, tree) })
 }

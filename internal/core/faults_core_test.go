@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/async"
-	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/syncrun"
 )
@@ -86,59 +85,5 @@ func TestUnknownBoundFaultBilling(t *testing.T) {
 	}
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("clean run incomplete: %d outputs", len(res.Outputs))
-	}
-}
-
-// TestBuildLayeredForEpochCache pins the invalidation-aware cover cache:
-// fault-free schedules hit the fault-free cache, identical
-// (graph, schedule, epoch) keys return the identical repaired cover, and
-// the repair equals a from-scratch masked build of the same epoch.
-func TestBuildLayeredForEpochCache(t *testing.T) {
-	ResetEpochCoverCache()
-	g := graph.Grid(8, 8)
-	g.Finalize()
-	b := 32
-
-	clean, stats := BuildLayeredForEpoch(g, b, nil, 0)
-	if stats != nil {
-		t.Fatalf("fault-free epoch build reported repair stats: %+v", stats)
-	}
-	if clean != BuildLayeredFor(g, b) {
-		t.Fatal("fault-free epoch build missed the base cache")
-	}
-
-	fs := &async.FaultSchedule{Seed: 11, CrashP: 0.05, Budget: 1}
-	l1, stats1 := BuildLayeredForEpoch(g, b, fs, 2)
-	l2, _ := BuildLayeredForEpoch(g, b, fs, 2)
-	if l1 != l2 {
-		t.Fatal("identical epoch key rebuilt instead of hitting the cache")
-	}
-	faulted := fs.CrashedSet(g.N(), 2)
-	if len(faulted) == 0 {
-		t.Fatal("schedule crashed nobody at epoch 2; pick a different seed")
-	}
-	if stats1 == nil {
-		t.Fatal("crash epoch reported no repair stats")
-	}
-	base := BuildLayeredFor(g, b)
-	wantRepaired, _ := cover.RepairLayered(base, faulted)
-	if !reflect.DeepEqual(l1, wantRepaired) {
-		t.Fatal("cached epoch cover differs from direct repair")
-	}
-
-	// A different epoch with a different crashed set is a different entry.
-	var other uint64
-	for e := uint64(3); e < 64; e++ {
-		set := fs.CrashedSet(g.N(), e)
-		if len(set) > 0 && !reflect.DeepEqual(set, faulted) {
-			other = e
-			break
-		}
-	}
-	if other != 0 {
-		l3, _ := BuildLayeredForEpoch(g, b, fs, other)
-		if l3 == l1 {
-			t.Fatal("distinct crashed sets shared a cache entry")
-		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/async"
 	"repro/internal/decomp"
@@ -23,17 +22,11 @@ import (
 // so a node may relay traffic for clusters it is not a member of; all tree
 // messages therefore carry the cluster index.
 type gammaNode struct {
-	algo  syncrun.Handler
-	bound int
-	part  *GammaPartition
+	pulseShell
+	part *gammaPartition
 
-	pulse     int
-	recvd     [][]syncrun.Incoming // bound-indexed, allocated once
-	sendAcked []int
-	safe      []bool // own pulse-p sends all acked
-	cs        congestStamp
-
-	ph map[gKey]*gammaPhase
+	safe []bool // own pulse-p sends all acked
+	ph   map[gKey]*gammaPhase
 }
 
 type gKey struct {
@@ -51,10 +44,10 @@ type gammaPhase struct {
 	p2Sent  bool
 }
 
-// GammaPartition is the γ clustering: a vertex partition into weak-diameter
+// gammaPartition is the γ clustering: a vertex partition into weak-diameter
 // clusters with Steiner trees, plus one designated edge per adjacent
 // cluster pair. All per-node state is dense and node-indexed.
-type GammaPartition struct {
+type gammaPartition struct {
 	clusters []*decomp.Cluster
 	// clusterOf[v] is the cluster index of member v.
 	clusterOf []int32
@@ -65,10 +58,10 @@ type GammaPartition struct {
 	designated [][]graph.NodeID
 }
 
-// NewGammaPartition builds the clustering (γ's initialization).
-func NewGammaPartition(g *graph.Graph) *GammaPartition {
+// newGammaPartition builds the clustering (γ's initialization).
+func newGammaPartition(g *graph.Graph) *gammaPartition {
 	dec := decomp.Build(g, 1, nil)
-	p := &GammaPartition{
+	p := &gammaPartition{
 		clusterOf:  make([]int32, g.N()),
 		treesOf:    make([][]int32, g.N()),
 		designated: make([][]graph.NodeID, g.N()),
@@ -104,7 +97,7 @@ func NewGammaPartition(g *graph.Graph) *GammaPartition {
 }
 
 // DesignatedEdgeCount returns the number of designated inter-cluster edges.
-func (p *GammaPartition) DesignatedEdgeCount() int {
+func (p *gammaPartition) DesignatedEdgeCount() int {
 	total := 0
 	for _, peers := range p.designated {
 		total += len(peers)
@@ -113,7 +106,7 @@ func (p *GammaPartition) DesignatedEdgeCount() int {
 }
 
 // ClusterCount returns the number of clusters.
-func (p *GammaPartition) ClusterCount() int { return len(p.clusters) }
+func (p *gammaPartition) ClusterCount() int { return len(p.clusters) }
 
 const protoGammaTree async.Proto = 5
 
@@ -122,19 +115,15 @@ func encGamma(k wire.Kind, cluster, pulse int) wire.Body {
 	return wire.Body{Kind: k, A: int64(cluster), B: int64(pulse)}
 }
 
-var _ async.Handler = (*gammaNode)(nil)
-
-// NewGamma builds the γ-synchronized handler for one node.
-func NewGamma(algo syncrun.Handler, bound int, part *GammaPartition) async.Handler {
-	return &gammaNode{
-		algo:      algo,
-		bound:     bound,
-		part:      part,
-		recvd:     make([][]syncrun.Incoming, bound+1),
-		sendAcked: make([]int, bound+1),
-		safe:      make([]bool, bound+1),
-		ph:        make(map[gKey]*gammaPhase),
+// newGamma builds the γ-synchronized handler for one node.
+func newGamma(algo syncrun.Handler, bound int, part *gammaPartition) *gammaNode {
+	gm := &gammaNode{
+		part: part,
+		safe: make([]bool, bound+1),
+		ph:   make(map[gKey]*gammaPhase),
 	}
+	gm.pulseShell = newPulseShell(algo, bound, "gamma", gm)
+	return gm
 }
 
 func (gm *gammaNode) phase(c, p int) *gammaPhase {
@@ -153,23 +142,7 @@ func (gm *gammaNode) isMember(n *async.Node, c int) bool {
 	return gm.part.clusterOf[n.ID()] == int32(c)
 }
 
-// Init implements async.Handler.
-func (gm *gammaNode) Init(n *async.Node) { gm.runPulse(n, 0) }
-
-func (gm *gammaNode) runPulse(n *async.Node, p int) {
-	gm.pulse = p
-	api := &gammaAPI{n: n, g: gm, pulse: p, epoch: gm.cs.begin(n.Degree())}
-	if p == 0 {
-		gm.algo.Init(api)
-	} else {
-		batch := gm.recvd[p-1]
-		sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
-		gm.algo.Pulse(api, p, batch)
-	}
-	gm.maybeSelfSafe(n, p)
-}
-
-func (gm *gammaNode) maybeSelfSafe(n *async.Node, p int) {
+func (gm *gammaNode) checkSafe(n *async.Node, p int) {
 	if gm.safe[p] || gm.sendAcked[p] > 0 || gm.pulse < p {
 		return
 	}
@@ -249,13 +222,9 @@ func (gm *gammaNode) broadcastAdvance(n *async.Node, c, next int) {
 	}
 }
 
-// Recv implements async.Handler.
-func (gm *gammaNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
+func (gm *gammaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 	cluster, pulse := int(m.Body.A), int(m.Body.B)
 	switch m.Body.Kind {
-	case kindAlgo:
-		p, inner := m.Body.Unframe()
-		gm.recvd[p] = append(gm.recvd[p], syncrun.Incoming{From: from, Body: inner})
 	case kindGammaP1Up:
 		gm.phase(cluster, pulse).p1Count++
 		gm.maybeP1(n, cluster, pulse)
@@ -275,48 +244,9 @@ func (gm *gammaNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	}
 }
 
-// Ack implements async.Handler.
-func (gm *gammaNode) Ack(n *async.Node, _ graph.NodeID, m async.Msg) {
-	if m.Body.Kind != kindAlgo {
-		return
-	}
-	pulse := int(m.Body.P)
-	gm.sendAcked[pulse]--
-	gm.maybeSelfSafe(n, pulse)
-}
-
-type gammaAPI struct {
-	n     *async.Node
-	g     *gammaNode
-	pulse int
-	epoch int32
-}
-
-var _ syncrun.API = (*gammaAPI)(nil)
-
-func (x *gammaAPI) ID() graph.NodeID            { return x.n.ID() }
-func (x *gammaAPI) Neighbors() []graph.Neighbor { return x.n.Neighbors() }
-func (x *gammaAPI) Degree() int                 { return x.n.Degree() }
-func (x *gammaAPI) Output(v any)                { x.n.Output(v) }
-func (x *gammaAPI) OutputBody(b wire.Body)      { x.n.OutputBody(b) }
-func (x *gammaAPI) HasOutput() bool             { return x.n.HasOutput() }
-func (x *gammaAPI) Arena() *wire.Arena          { return x.n.Arena() }
-
-func (x *gammaAPI) Send(to graph.NodeID, body wire.Body) {
-	x.g.cs.mark(x.n, to, x.epoch, "gamma")
-	x.g.sendAcked[x.pulse]++
-	x.n.Send(to, async.Msg{Proto: ProtoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
-}
-
 // SynchronizeGamma runs the algorithm under γ for exactly `bound` pulses.
 func SynchronizeGamma(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) async.Result {
-	if adv == nil {
-		adv = async.SeededRandom{Seed: 1}
-	}
-	part := NewGammaPartition(g)
-	sim := async.New(g, adv, func(id graph.NodeID) async.Handler {
-		return NewGamma(mk(id), bound, part)
-	})
-	return sim.Run()
+	part := newGammaPartition(g)
+	return runBaseline(g, adv, func(id graph.NodeID) async.Handler { return newGamma(mk(id), bound, part) })
 }

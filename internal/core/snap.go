@@ -255,10 +255,10 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 	}
 }
 
-// --- alpha -----------------------------------------------------------------
+// --- alpha, beta, gamma ---------------------------------------------------
 
-// StateCodecOK implements async.StateCodecProbe.
-func (a *alphaNode) StateCodecOK() bool { return algoCodecOK(a.algo) }
+// StateCodecOK implements async.StateCodecProbe for every baseline.
+func (s *pulseShell) StateCodecOK() bool { return algoCodecOK(s.algo) }
 
 // SaveState implements wire.StateCodec. The bound-indexed slices are fixed
 // length (bound+1, set at construction), so only the entries travel.
@@ -289,9 +289,6 @@ func (a *alphaNode) LoadState(d *wire.Dec) {
 
 // --- beta ------------------------------------------------------------------
 
-// StateCodecOK implements async.StateCodecProbe.
-func (b *betaNode) StateCodecOK() bool { return algoCodecOK(b.algo) }
-
 // SaveState implements wire.StateCodec.
 func (b *betaNode) SaveState(e *wire.Enc) {
 	saveAlgoState(e, b.algo)
@@ -319,9 +316,6 @@ func (b *betaNode) LoadState(d *wire.Dec) {
 }
 
 // --- gamma -----------------------------------------------------------------
-
-// StateCodecOK implements async.StateCodecProbe.
-func (gm *gammaNode) StateCodecOK() bool { return algoCodecOK(gm.algo) }
 
 // SaveState implements wire.StateCodec.
 func (gm *gammaNode) SaveState(e *wire.Enc) {
