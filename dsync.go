@@ -166,10 +166,10 @@ func SynchronizeWithCovers(g *Graph, bound int, adv Adversary, l *Layered,
 }
 
 // BuildCovers constructs the layered sparse covers the synchronizer needs
-// for the given pulse bound (the synchronizer's initialization). For
-// finalized graphs, results are memoized per (graph, cover radius) and
-// the returned value may be shared with concurrent runs — treat it as
-// immutable. ResetCoverCache drops the memoized covers.
+// for the given pulse bound (the synchronizer's initialization). Results
+// are memoized per (graph, cover radius) and the returned value may be
+// shared with concurrent runs — treat it as immutable. ResetCoverCache
+// drops the memoized covers.
 func BuildCovers(g *Graph, bound int) *Layered { return core.BuildLayeredFor(g, bound) }
 
 // ResetCoverCache releases every layered cover memoized by BuildCovers /

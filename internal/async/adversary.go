@@ -120,8 +120,9 @@ func (a EdgeLottery) MinDelay() float64 { return 1.0 / (1 << 16) }
 // Name implements Adversary.
 func (a EdgeLottery) Name() string { return "edge-lottery" }
 
+// clamp maps d into (0,1]; NaN counts as a value <= 0.
 func clamp(d float64) float64 {
-	if d <= 0 {
+	if !(d > 0) {
 		return 1.0 / (1 << 20)
 	}
 	if d > 1 {

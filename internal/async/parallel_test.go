@@ -1,6 +1,7 @@
 package async
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -181,6 +182,8 @@ func TestMinDelayContract(t *testing.T) {
 		SeededRandom{Seed: 0xDEAD},
 		Skew{Cut: n / 2, FastD: 1.0 / 64},
 		Skew{Cut: 0, FastD: 0.5},
+		Fixed{D: math.NaN()},                // clamps like D <= 0
+		Skew{Cut: n / 2, FastD: math.NaN()}, // likewise
 		Flaky{Seed: 7},
 		EdgeLottery{Seed: 7},
 	}
@@ -189,7 +192,7 @@ func TestMinDelayContract(t *testing.T) {
 	}
 	for _, adv := range advs {
 		min := adv.MinDelay()
-		if min <= 0 || min > 1 {
+		if !(min > 0 && min <= 1) {
 			t.Fatalf("%s: MinDelay %g outside (0,1]", adv.Name(), min)
 		}
 		for from := 0; from < n; from += 3 {
@@ -197,7 +200,7 @@ func TestMinDelayContract(t *testing.T) {
 				for seq := uint64(0); seq < 40; seq++ {
 					for _, p := range []Proto{0, 1, 7, 200} {
 						d := adv.Delay(graph.NodeID(from), graph.NodeID(to), seq, p)
-						if d <= 0 || d > 1 {
+						if !(d > 0 && d <= 1) {
 							t.Fatalf("%s: Delay(%d,%d,%d,%d) = %g outside (0,1]",
 								adv.Name(), from, to, seq, p, d)
 						}

@@ -268,11 +268,10 @@ type Result struct {
 	Trace []TraceEntry
 }
 
-// New builds a simulation. mk is called once per node, in ascending node
-// order, to create that node's Handler. The graph is finalized if it was
-// not already (the dense link index requires it).
+// New builds a simulation on g (a whole graph or a Subrange view). mk is
+// called once per node, in ascending node order, to create that node's
+// Handler.
 func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
-	g.Finalize()
 	s := &Sim{
 		g:           g,
 		adv:         adv,
@@ -306,7 +305,7 @@ func (s *Sim) li(id graph.NodeID) graph.NodeID { return id - s.nodeBase }
 // checkedLookahead validates the adversary's declared delay lower bound.
 func checkedLookahead(adv Adversary) float64 {
 	la := adv.MinDelay()
-	if la <= 0 || la > 1 {
+	if !(la > 0 && la <= 1) {
 		panic(fmt.Sprintf("async: adversary %q declares MinDelay %g outside (0,1]", adv.Name(), la))
 	}
 	return la
@@ -1095,7 +1094,7 @@ func (c *execCtx) dispatch(from, to graph.NodeID, l graph.LinkID) {
 // adversary's own MinDelay declaration — the bounded-lag mode's safety
 // rests on the latter, so violating it fails loudly in every mode.
 func (s *Sim) checkDelay(d float64) {
-	if d <= 0 || d > 1 {
+	if !(d > 0 && d <= 1) {
 		panic(fmt.Sprintf("async: adversary %q returned delay %g outside (0,1]", s.adv.Name(), d))
 	}
 	if d < s.lookahead {

@@ -62,11 +62,12 @@ func TestFootprintPins(t *testing.T) {
 	}
 }
 
-// TestGeneratorAllocPins pins the allocation count of each implicit
-// generator: CSR arrays are exactly preallocated from closed-form counts,
-// so construction is a fixed handful of allocations regardless of size —
-// no per-edge appends, no intermediate adjacency maps. A drifting count
-// means an intermediate structure crept back in.
+// TestGeneratorAllocPins pins the allocation count of generators across
+// the implicit and classic families: every generator emits through one
+// exactly preallocated CSR builder, so construction is a fixed handful of
+// allocations regardless of size — no per-edge appends, no intermediate
+// adjacency maps. A drifting count means an intermediate structure crept
+// back in.
 func TestGeneratorAllocPins(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -76,6 +77,9 @@ func TestGeneratorAllocPins(t *testing.T) {
 		{"pa:n=2000,m=3,seed=7", 16},
 		{"ring:k=50,c=6", 13},
 		{"er:n=2000,m=8000,seed=3", 13},
+		{"grid:40x40", 13},
+		{"path:1000", 13},
+		{"complete:60", 13},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(5, func() { mustSpec(c.spec) }); got > c.max {

@@ -66,17 +66,13 @@ func ResetCoverCache() {
 // pulse bound b on g. Building them is the synchronizer's initialization
 // (§4.6 / Theorem 4.22 do it asynchronously; this implementation builds
 // them centrally and reports their cost separately — see DESIGN.md).
-// Results are memoized per (graph, radius) for finalized graphs — their
-// topology can no longer change (AddEdge panics) and covers are immutable
-// after construction, so the cached value is safe to share across
-// concurrent runs (the parallel experiment harness relies on this).
-// Unfinalized graphs bypass the cache.
+// Results are memoized per (graph, radius) — graphs are immutable and
+// covers are immutable after construction, so the cached value is safe to
+// share across concurrent runs (the parallel experiment harness relies on
+// this).
 func BuildLayeredFor(g *graph.Graph, b int) *cover.Layered {
 	sched := NewSchedule(b)
 	radius := 1 << uint(sched.MaxCoverLevel)
-	if !g.Final() {
-		return cover.BuildLayered(g, radius, nil)
-	}
 	key := coverCacheKey{g: g, radius: radius}
 	coverCache.Lock()
 	if l, ok := coverCache.entries[key]; ok {

@@ -31,13 +31,31 @@ func (r *rng) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
+// must unwraps a builder result for the generators whose bad parameters
+// are programmer errors (FromSpec validates spec input before calling them).
+func must(g *Graph, err error) *Graph {
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
+}
+
+// enumerate builds a classic family on n nodes: one pass over the edge
+// enumeration counts it, a second emits it through buildCSR. lex promises
+// a lexicographic enumeration (see buildCSR).
+func enumerate(n int, lex bool, edges func(emit func(u, v NodeID))) *Graph {
+	m := int64(0)
+	edges(func(NodeID, NodeID) { m++ })
+	return must(buildCSR(int64(n), m, lex, edges))
+}
+
 // Path returns the path graph 0-1-2-…-(n-1). Diameter n-1.
 func Path(n int) *Graph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(NodeID(i), NodeID(i+1), 0)
-	}
-	return g.Finalize()
+	return enumerate(n, true, func(emit func(u, v NodeID)) {
+		for i := 0; i+1 < n; i++ {
+			emit(NodeID(i), NodeID(i+1))
+		}
+	})
 }
 
 // Cycle returns the n-cycle. Diameter floor(n/2). Requires n >= 3.
@@ -45,63 +63,50 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: Cycle needs n >= 3, got %d", n))
 	}
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(NodeID(i), NodeID((i+1)%n), 0)
-	}
-	return g.Finalize()
+	return enumerate(n, false, func(emit func(u, v NodeID)) {
+		for i := 0; i < n; i++ {
+			emit(NodeID(i), NodeID((i+1)%n))
+		}
+	})
 }
 
-// Grid returns the rows×cols grid. Diameter rows+cols-2.
-func Grid(rows, cols int) *Graph {
-	g := New(rows * cols)
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1), 0)
-			}
-			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c), 0)
-			}
-		}
-	}
-	return g.Finalize()
-}
+// Grid returns the rows×cols grid, Grid3D(rows, cols, 1): node (r, c) has
+// id r·cols+c. Diameter rows+cols-2.
+func Grid(rows, cols int) *Graph { return must(Grid3D(rows, cols, 1)) }
 
 // Star returns the star with center 0 and n-1 leaves. Diameter 2.
 func Star(n int) *Graph {
-	g := New(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(0, NodeID(i), 0)
-	}
-	return g.Finalize()
+	return enumerate(n, true, func(emit func(u, v NodeID)) {
+		for i := 1; i < n; i++ {
+			emit(0, NodeID(i))
+		}
+	})
 }
 
 // CompleteBinaryTree returns a complete binary tree on n nodes
 // (node i has children 2i+1 and 2i+2 when in range).
 func CompleteBinaryTree(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		if l := 2*i + 1; l < n {
-			g.AddEdge(NodeID(i), NodeID(l), 0)
+	return enumerate(n, true, func(emit func(u, v NodeID)) {
+		for i := 0; i < n; i++ {
+			if l := 2*i + 1; l < n {
+				emit(NodeID(i), NodeID(l))
+			}
+			if r := 2*i + 2; r < n {
+				emit(NodeID(i), NodeID(r))
+			}
 		}
-		if r := 2*i + 2; r < n {
-			g.AddEdge(NodeID(i), NodeID(r), 0)
-		}
-	}
-	return g.Finalize()
+	})
 }
 
 // Complete returns K_n.
 func Complete(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(NodeID(i), NodeID(j), 0)
+	return enumerate(n, true, func(emit func(u, v NodeID)) {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				emit(NodeID(i), NodeID(j))
+			}
 		}
-	}
-	return g.Finalize()
+	})
 }
 
 // RandomConnected returns a connected graph: a random spanning tree plus
@@ -109,11 +114,7 @@ func Complete(n int) *Graph {
 // n(n-1)/2). Deterministic in seed. It panics when m < n-1; FromSpec's er:
 // form reports that as an error.
 func RandomConnected(n, m int, seed uint64) *Graph {
-	g, err := randomConnected(n, m, seed)
-	if err != nil {
-		panic(err.Error())
-	}
-	return g
+	return must(randomConnected(n, m, seed))
 }
 
 // randomConnected emits RandomConnected's CSR directly (see buildCSR): node
@@ -183,73 +184,72 @@ func (s pairSet) insert(k uint64) bool {
 // Total nodes: 2k + pathLen. Good for congestion experiments: all
 // clique-to-clique traffic funnels through the path.
 func Dumbbell(k, pathLen int) *Graph {
-	n := 2*k + pathLen
-	g := New(n)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			g.AddEdge(NodeID(i), NodeID(j), 0)
-			g.AddEdge(NodeID(k+pathLen+i), NodeID(k+pathLen+j), 0)
+	return enumerate(2*k+pathLen, false, func(emit func(u, v NodeID)) {
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				emit(NodeID(i), NodeID(j))
+				emit(NodeID(k+pathLen+i), NodeID(k+pathLen+j))
+			}
 		}
-	}
-	prev := NodeID(0)
-	for i := 0; i < pathLen; i++ {
-		g.AddEdge(prev, NodeID(k+i), 0)
-		prev = NodeID(k + i)
-	}
-	g.AddEdge(prev, NodeID(k+pathLen), 0)
-	return g.Finalize()
+		prev := NodeID(0)
+		for i := 0; i < pathLen; i++ {
+			emit(prev, NodeID(k+i))
+			prev = NodeID(k + i)
+		}
+		emit(prev, NodeID(k+pathLen))
+	})
 }
 
 // Lollipop returns K_k with a path of pathLen nodes hanging off node 0.
 func Lollipop(k, pathLen int) *Graph {
-	n := k + pathLen
-	g := New(n)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			g.AddEdge(NodeID(i), NodeID(j), 0)
+	return enumerate(k+pathLen, false, func(emit func(u, v NodeID)) {
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				emit(NodeID(i), NodeID(j))
+			}
 		}
-	}
-	prev := NodeID(0)
-	for i := 0; i < pathLen; i++ {
-		g.AddEdge(prev, NodeID(k+i), 0)
-		prev = NodeID(k + i)
-	}
-	return g.Finalize()
+		prev := NodeID(0)
+		for i := 0; i < pathLen; i++ {
+			emit(prev, NodeID(k+i))
+			prev = NodeID(k + i)
+		}
+	})
 }
 
 // StarOfPaths returns deg paths of length pathLen all attached to a hub
 // (node 0). This is the worst case for the "natural" registration approach
 // (§3.2): Θ(n) registrants behind one hub edge. n = 1 + deg*pathLen.
 func StarOfPaths(deg, pathLen int) *Graph {
-	n := 1 + deg*pathLen
-	g := New(n)
-	for d := 0; d < deg; d++ {
-		prev := NodeID(0)
-		for i := 0; i < pathLen; i++ {
-			v := NodeID(1 + d*pathLen + i)
-			g.AddEdge(prev, v, 0)
-			prev = v
+	return enumerate(1+deg*pathLen, false, func(emit func(u, v NodeID)) {
+		for d := 0; d < deg; d++ {
+			prev := NodeID(0)
+			for i := 0; i < pathLen; i++ {
+				v := NodeID(1 + d*pathLen + i)
+				emit(prev, v)
+				prev = v
+			}
 		}
-	}
-	return g.Finalize()
+	})
 }
 
 // WithRandomWeights returns a copy of g whose edge weights are distinct
-// values in [1, 10*m], a random permutation determined by seed. Distinct
-// weights make the MST unique, which the tests rely on.
+// values in [1, m], a random permutation determined by seed. Distinct
+// weights make the MST unique, which the tests rely on. The copy shares
+// g's immutable edge table and CSR arrays; only the weight column is new
+// (and stays nil when g has no edges).
 func WithRandomWeights(g *Graph, seed uint64) *Graph {
-	r := newRNG(seed)
-	out := New(g.N())
-	perm := make([]int64, g.M())
-	for i := range perm {
-		perm[i] = int64(i + 1)
+	out := *g
+	out.weights = nil
+	if m := g.M(); m > 0 {
+		r := newRNG(seed)
+		out.weights = make([]int64, m)
+		for i := range out.weights {
+			out.weights[i] = int64(i + 1)
+		}
+		for i := m - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			out.weights[i], out.weights[j] = out.weights[j], out.weights[i]
+		}
 	}
-	for i := len(perm) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	for i := 0; i < g.M(); i++ {
-		out.AddEdge(g.edgeU[i], g.edgeV[i], perm[i])
-	}
-	return out.Finalize()
+	return &out
 }

@@ -4,11 +4,12 @@
 // the experiments, exact reference algorithms (BFS, multi-source BFS,
 // diameter, MST) used as ground truth by the tests, and a union-find.
 //
-// Finalize compiles the adjacency structure into CSR form: all adjacency
-// entries live in one contiguous slice, and every ordered pair of adjacent
-// nodes gets a dense LinkID — the entry's index in that slice. Simulation
-// engines index per-directed-link state ([]outbox, sequence counters,
-// CONGEST stamps) by LinkID instead of hashing (u,v) pairs.
+// A Graph is immutable: a generator or FromSpec builds it once, in CSR
+// form. All adjacency entries live in one contiguous slice, and every
+// ordered pair of adjacent nodes gets a dense LinkID — the entry's index in
+// that slice. Simulation engines index per-directed-link state ([]outbox,
+// sequence counters, CONGEST stamps) by LinkID instead of hashing (u,v)
+// pairs.
 //
 // All ids are 32-bit: a graph holds at most MaxNodes nodes and MaxEdges
 // edges, so per-link and per-node engine state stays compact at the
@@ -18,7 +19,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a node. Nodes are numbered 0..n-1; the paper's unique
@@ -30,8 +30,7 @@ type EdgeID int32
 
 // LinkID is a dense identifier for one directed link (an ordered pair of
 // adjacent nodes). Links are numbered 0..2m-1 in CSR order: node 0's
-// out-links first (ascending destination), then node 1's, and so on. Valid
-// only after Finalize.
+// out-links first (ascending destination), then node 1's, and so on.
 type LinkID int32
 
 // MaxNodes is the largest supported node count (NodeIDs are int32).
@@ -49,24 +48,21 @@ type Edge struct {
 }
 
 // Neighbor is one adjacency entry: the node on the other side of Edge,
-// plus the dense id of the directed link toward it (set by Finalize).
+// plus the dense id of the directed link toward it.
 type Neighbor struct {
 	Node NodeID
 	Edge EdgeID
 	Link LinkID
 }
 
-// Graph is an immutable undirected graph. Build one with New and AddEdge,
-// then call Finalize; generators return finalized graphs.
+// Graph is an immutable undirected graph, built by a generator or FromSpec.
 //
 // Storage is struct-of-arrays: the edge table is two NodeID columns plus a
 // weight column that stays nil while every weight is zero, and adjacency
 // lives in one flat CSR slice (12 bytes per directed link) addressed by
-// int32 offsets. The temporary per-node adjacency lists used during
-// construction are released by Finalize.
+// int32 offsets.
 type Graph struct {
-	n     int
-	final bool
+	n int
 
 	// Sub-view window (Subrange): the CSR arrays cover only the nodes
 	// [nodeBase, nodeBase+nLocal) and their out-links, with local LinkIDs.
@@ -77,30 +73,16 @@ type Graph struct {
 	nodeBase NodeID
 	nLocal   int
 
-	// Edge table. weights is nil until the first nonzero weight.
+	// Edge table. weights is nil while every weight is zero.
 	edgeU, edgeV []NodeID
 	weights      []int64
 
-	// Construction-only adjacency lists; nil after Finalize.
-	adj [][]Neighbor
-
-	// CSR arrays, built by Finalize. Node v's adjacency row is
+	// CSR arrays. Node v's adjacency row is
 	// flat[off[v-nodeBase]:off[v-nodeBase+1]], so the LinkID of adjacency
 	// entry i of node v is off[v-nodeBase]+i.
 	flat []Neighbor
 	off  []int32
 	rev  []LinkID // LinkID -> the opposite-direction link
-}
-
-// New returns an empty graph on n nodes.
-func New(n int) *Graph {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative node count %d", n))
-	}
-	if n > MaxNodes {
-		panic(fmt.Sprintf("graph: node count %d exceeds MaxNodes (%d)", n, MaxNodes))
-	}
-	return &Graph{n: n, adj: make([][]Neighbor, n)}
 }
 
 // N returns the number of nodes. For a Subrange view this is still the
@@ -127,11 +109,8 @@ func (g *Graph) Sub() bool { return g.sub }
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.edgeU) }
 
-// Links returns the number of directed links (2·M). Valid after Finalize.
+// Links returns the number of directed links (2·M).
 func (g *Graph) Links() int { return len(g.flat) }
-
-// Final reports whether Finalize has run.
-func (g *Graph) Final() bool { return g.final }
 
 // Edge returns edge e.
 func (g *Graph) Edge(e EdgeID) Edge {
@@ -155,107 +134,18 @@ func (g *Graph) Weight(e EdgeID) int64 {
 // Weighted reports whether any edge carries a nonzero weight.
 func (g *Graph) Weighted() bool { return g.weights != nil }
 
-// AddEdge adds the undirected edge {u, v} with weight w. Self-loops and
-// out-of-range endpoints panic: topology construction bugs are programmer
-// errors, not runtime conditions. Parallel edges are rejected at Finalize.
-func (g *Graph) AddEdge(u, v NodeID, w int64) EdgeID {
-	if g.final {
-		panic("graph: AddEdge after Finalize")
-	}
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	if u < 0 || v < 0 || int(u) >= g.n || int(v) >= g.n {
-		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n))
-	}
-	if len(g.edgeU) >= MaxEdges {
-		panic(fmt.Sprintf("graph: edge count exceeds MaxEdges (%d)", MaxEdges))
-	}
-	if u > v {
-		u, v = v, u
-	}
-	id := EdgeID(len(g.edgeU))
-	g.edgeU = append(g.edgeU, u)
-	g.edgeV = append(g.edgeV, v)
-	g.setWeight(id, w)
-	g.adj[u] = append(g.adj[u], Neighbor{Node: v, Edge: id})
-	g.adj[v] = append(g.adj[v], Neighbor{Node: u, Edge: id})
-	return id
-}
-
-// setWeight records w for the just-appended edge id, materializing the
-// weight column on the first nonzero weight.
-func (g *Graph) setWeight(id EdgeID, w int64) {
-	if g.weights == nil {
-		if w == 0 {
-			return
-		}
-		g.weights = make([]int64, int(id), cap(g.edgeU))
-	}
-	g.weights = append(g.weights, w)
-}
-
-// Finalize sorts adjacency lists (determinism), checks simplicity, and
-// compiles the CSR link index, releasing the construction-time adjacency
-// lists. It returns the graph to allow chaining.
-func (g *Graph) Finalize() *Graph {
-	if g.final {
-		return g
-	}
-	seen := make(map[[2]NodeID]struct{}, len(g.edgeU))
-	for e := range g.edgeU {
-		key := [2]NodeID{g.edgeU[e], g.edgeV[e]}
-		if _, dup := seen[key]; dup {
-			panic(fmt.Sprintf("graph: parallel edge {%d,%d}", key[0], key[1]))
-		}
-		seen[key] = struct{}{}
-	}
-	for _, nbrs := range g.adj {
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].Node < nbrs[j].Node })
-	}
-	// Flatten into CSR form and assign dense LinkIDs.
-	links := 2 * len(g.edgeU)
-	g.flat = make([]Neighbor, 0, links)
-	g.off = make([]int32, g.n+1)
-	for v := range g.adj {
-		g.off[v] = int32(len(g.flat))
-		for _, nb := range g.adj[v] {
-			nb.Link = LinkID(len(g.flat))
-			g.flat = append(g.flat, nb)
-		}
-	}
-	g.off[g.n] = int32(len(g.flat))
-	g.adj = nil
-	g.final = true
-	// Reverse-link table: the opposite direction of each link, so engines
-	// resolve ack/return paths in O(1) with no hashing or search.
-	g.rev = make([]LinkID, links)
-	for v := 0; v < g.n; v++ {
-		for _, nb := range g.flat[g.off[v]:g.off[v+1]] {
-			g.rev[nb.Link] = g.LinkBetween(nb.Node, NodeID(v))
-		}
-	}
-	return g
-}
-
-// Neighbors returns the adjacency list of v in ascending node order. After
-// Finalize each entry carries the directed LinkID v→entry.Node. The
-// returned slice must not be mutated.
+// Neighbors returns the adjacency list of v in ascending node order. Each
+// entry carries the directed LinkID v→entry.Node. The returned slice must
+// not be mutated.
 func (g *Graph) Neighbors(v NodeID) []Neighbor {
-	if g.final {
-		v -= g.nodeBase
-		return g.flat[g.off[v]:g.off[v+1]]
-	}
-	return g.adj[v]
+	v -= g.nodeBase
+	return g.flat[g.off[v]:g.off[v+1]]
 }
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v NodeID) int {
-	if g.final {
-		v -= g.nodeBase
-		return int(g.off[v+1] - g.off[v])
-	}
-	return len(g.adj[v])
+	v -= g.nodeBase
+	return int(g.off[v+1] - g.off[v])
 }
 
 // Other returns the endpoint of edge e that is not v.
@@ -270,17 +160,9 @@ func (g *Graph) Other(e EdgeID, v NodeID) NodeID {
 }
 
 // NeighborIndex returns the position of v in u's adjacency list, or -1 if
-// {u,v} is not an edge. O(log degree) after Finalize.
+// {u,v} is not an edge. O(log degree).
 func (g *Graph) NeighborIndex(u, v NodeID) int {
 	nbrs := g.Neighbors(u)
-	if !g.final {
-		for i, nb := range nbrs {
-			if nb.Node == v {
-				return i
-			}
-		}
-		return -1
-	}
 	lo, hi := 0, len(nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -315,11 +197,8 @@ func (g *Graph) EdgeBetween(u, v NodeID) EdgeID {
 
 // LinkBetween returns the dense id of the directed link u→v, or -1 if
 // {u,v} is not an edge. O(log degree); hot paths that already hold a
-// Neighbor entry should use its Link field instead. Requires Finalize.
+// Neighbor entry should use its Link field instead.
 func (g *Graph) LinkBetween(u, v NodeID) LinkID {
-	if !g.final {
-		panic("graph: LinkBetween before Finalize")
-	}
 	i := g.NeighborIndex(u, v)
 	if i < 0 {
 		return -1
@@ -328,23 +207,14 @@ func (g *Graph) LinkBetween(u, v NodeID) LinkID {
 }
 
 // LinkOffset returns the first LinkID out of v; v's out-links are the
-// contiguous range [LinkOffset(v), LinkOffset(v)+Degree(v)). Requires
-// Finalize.
-func (g *Graph) LinkOffset(v NodeID) LinkID {
-	if !g.final {
-		panic("graph: LinkOffset before Finalize")
-	}
-	return LinkID(g.off[v-g.nodeBase])
-}
+// contiguous range [LinkOffset(v), LinkOffset(v)+Degree(v)).
+func (g *Graph) LinkOffset(v NodeID) LinkID { return LinkID(g.off[v-g.nodeBase]) }
 
 // LinkSrc returns the source node of directed link l: the unique v with
 // off[v] <= l < off[v+1], found by binary search (the graph does not
 // retain a 2m-entry source column; engines carry src/dst in their events
 // and only cold paths resolve a bare LinkID).
 func (g *Graph) LinkSrc(l LinkID) NodeID {
-	if !g.final {
-		panic("graph: LinkSrc before Finalize")
-	}
 	lo, hi := 0, g.NLocal()-1
 	for lo < hi {
 		mid := int(uint(lo+hi+1) >> 1)
@@ -361,13 +231,8 @@ func (g *Graph) LinkSrc(l LinkID) NodeID {
 func (g *Graph) LinkDst(l LinkID) NodeID { return g.flat[l].Node }
 
 // ReverseLink returns the link of the opposite direction of l (the ack /
-// return path). Requires Finalize.
-func (g *Graph) ReverseLink(l LinkID) LinkID {
-	if !g.final {
-		panic("graph: ReverseLink before Finalize")
-	}
-	return g.rev[l]
-}
+// return path).
+func (g *Graph) ReverseLink(l LinkID) LinkID { return g.rev[l] }
 
 // Connected reports whether the graph is connected (true for n <= 1).
 func (g *Graph) Connected() bool {

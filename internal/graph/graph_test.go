@@ -309,24 +309,33 @@ func TestMultiBFSProperty(t *testing.T) {
 	}
 }
 
-func TestAddEdgePanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"self-loop":    func() { New(3).AddEdge(1, 1, 0) },
-		"out-of-range": func() { New(3).AddEdge(0, 5, 0) },
-		"parallel": func() {
-			g := New(3)
-			g.AddEdge(0, 1, 0)
-			g.AddEdge(1, 0, 0)
-			g.Finalize()
-		},
+// TestBuildCSRPanics pins buildCSR's rejection of malformed enumerations
+// on 3 nodes: topology construction bugs are programmer errors, not
+// runtime conditions.
+func TestBuildCSRPanics(t *testing.T) {
+	for name, tc := range map[string]struct {
+		m     int64
+		lex   bool
+		edges [][2]NodeID
+	}{
+		"self-loop":        {1, false, [][2]NodeID{{1, 1}}},
+		"out-of-range":     {1, false, [][2]NodeID{{0, 5}}},
+		"negative":         {1, false, [][2]NodeID{{-1, 2}}},
+		"parallel":         {2, false, [][2]NodeID{{0, 1}, {1, 0}}},
+		"fewer than m":     {2, false, [][2]NodeID{{0, 1}}},
+		"more than m":      {1, false, [][2]NodeID{{0, 1}, {1, 2}}},
+		"lex order broken": {2, true, [][2]NodeID{{1, 2}, {0, 2}}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
+		_, panicked := catchBuild(func() *Graph {
+			g, _ := buildCSR(3, tc.m, tc.lex, func(emit func(u, v NodeID)) {
+				for _, e := range tc.edges {
+					emit(e[0], e[1])
 				}
-			}()
-			fn()
-		}()
+			})
+			return g
+		})
+		if !panicked {
+			t.Errorf("%s: expected panic", name)
+		}
 	}
 }

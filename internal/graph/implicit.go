@@ -2,23 +2,22 @@ package graph
 
 import "fmt"
 
-// This file holds the structure-implicit generators: topology families
-// whose node count, edge count, and per-node degree are known in closed
-// form, so the finalized CSR arrays are emitted directly with exact
-// preallocation — no intermediate adjacency lists, no per-edge AddEdge
-// bookkeeping, no maps. These are the generators that reach the
-// ten-million-node scale; they validate their size against MaxNodes /
-// MaxEdges and return an error BEFORE allocating anything.
+// This file holds buildCSR, the one graph builder every generator emits
+// through, and the structure-implicit generators: topology families whose
+// node count, edge count, and per-node degree are known in closed form, so
+// the CSR arrays are emitted directly with exact preallocation — no
+// intermediate adjacency lists, no maps. These are the generators that
+// reach the ten-million-node scale; they validate their size against
+// MaxNodes / MaxEdges and return an error BEFORE allocating anything.
 //
-// Contract shared with the materialized path (New+AddEdge+Finalize), and
-// pinned by the golden tests: for the same parameters the two builders
-// produce byte-identical CSR (same EdgeIDs, same LinkIDs, same rev table).
 // EdgeIDs follow the enumeration order of the generator; adjacency rows
-// are ascending by neighbor id.
+// are ascending by neighbor id. The golden tests pin every generator's CSR
+// byte-identical (same EdgeIDs, same LinkIDs, same rev table) against a
+// naive materializing builder.
 
-// buildCSR assembles a finalized graph from one exact edge enumeration.
-// n and m are the exact node and edge counts (validated against the 32-bit
-// id space before any allocation); edges must call emit exactly m times in
+// buildCSR assembles a graph from one exact edge enumeration. n and m are
+// the exact node and edge counts (validated against the 32-bit id space
+// before any allocation); edges must call emit exactly m times in
 // canonical EdgeID order. When lex is true the enumeration is promised to
 // be lexicographic — ascending u, then ascending v within u, with u < v —
 // which makes the scattered adjacency rows sorted for free; otherwise each
@@ -31,7 +30,7 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 	if m < 0 || m > MaxEdges {
 		return nil, fmt.Errorf("graph: edge count %d outside [0, %d] (2m directed links must fit 32-bit LinkID space)", m, int64(MaxEdges))
 	}
-	g := &Graph{n: int(n), final: true}
+	g := &Graph{n: int(n)}
 	g.edgeU = make([]NodeID, 0, m)
 	g.edgeV = make([]NodeID, 0, m)
 	g.off = make([]int32, n+1)
@@ -53,7 +52,7 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 		g.off[v+1]++
 	})
 	if int64(len(g.edgeU)) != m {
-		panic(fmt.Sprintf("graph: implicit generator emitted %d edges, promised %d", len(g.edgeU), m))
+		panic(fmt.Sprintf("graph: generator emitted %d edges, promised %d", len(g.edgeU), m))
 	}
 	for v := int64(0); v < n; v++ {
 		g.off[v+1] += g.off[v]
@@ -86,7 +85,7 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 				if row[i].Node == row[i-1].Node {
 					panic(fmt.Sprintf("graph: parallel edge {%d,%d}", v, row[i].Node))
 				}
-				panic(fmt.Sprintf("graph: implicit generator emitted unsorted row at node %d", v))
+				panic(fmt.Sprintf("graph: generator emitted unsorted row at node %d", v))
 			}
 		}
 	}
@@ -134,7 +133,7 @@ func siftNeighbor(row []Neighbor, root, end int) {
 // Grid3D returns the x×y×z axis-aligned grid: node (ix,iy,iz) has id
 // (ix·y + iy)·z + iz and is adjacent to the ±1 lattice neighbors in each
 // dimension. Diameter (x-1)+(y-1)+(z-1). The CSR is emitted implicitly:
-// construction retains only the finalized arrays.
+// construction retains only the CSR arrays.
 func Grid3D(x, y, z int) (*Graph, error) {
 	if x < 1 || y < 1 || z < 1 {
 		return nil, fmt.Errorf("graph: Grid3D needs positive dimensions, got %d×%d×%d", x, y, z)

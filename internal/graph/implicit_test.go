@@ -1,14 +1,100 @@
 package graph
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
 
+// naiveGraph is the golden tests' reference builder, sharing no code with
+// buildCSR: per-node adjacency lists grown by AddEdge, a map-based
+// parallel-edge check, a sort.Slice per row and a linear-scan reverse-link
+// table at Finalize.
+type naiveGraph struct {
+	n    int
+	u, v []NodeID
+	w    []int64
+	adj  [][]Neighbor
+}
+
+func newNaive(n int) *naiveGraph {
+	if n < 0 {
+		panic(fmt.Sprintf("naive: negative node count %d", n))
+	}
+	return &naiveGraph{n: n, adj: make([][]Neighbor, n)}
+}
+
+func (b *naiveGraph) M() int { return len(b.u) }
+
+// AddEdge appends the edge {u, v} with weight w. Self-loops and
+// out-of-range endpoints panic; parallel edges panic at Finalize.
+func (b *naiveGraph) AddEdge(u, v NodeID, w int64) {
+	if u == v {
+		panic(fmt.Sprintf("naive: self-loop at node %d", u))
+	}
+	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
+		panic(fmt.Sprintf("naive: edge {%d,%d} out of range [0,%d)", u, v, b.n))
+	}
+	if u > v {
+		u, v = v, u
+	}
+	id := EdgeID(len(b.u))
+	b.u, b.v, b.w = append(b.u, u), append(b.v, v), append(b.w, w)
+	b.adj[u] = append(b.adj[u], Neighbor{Node: v, Edge: id})
+	b.adj[v] = append(b.adj[v], Neighbor{Node: u, Edge: id})
+}
+
+// Finalize flattens the sorted rows into a Graph.
+func (b *naiveGraph) Finalize() *Graph {
+	seen := make(map[[2]NodeID]bool, len(b.u))
+	for e := range b.u {
+		key := [2]NodeID{b.u[e], b.v[e]}
+		if seen[key] {
+			panic(fmt.Sprintf("naive: parallel edge %v", key))
+		}
+		seen[key] = true
+	}
+	g := &Graph{n: b.n, edgeU: b.u, edgeV: b.v, off: make([]int32, b.n+1)}
+	for _, w := range b.w {
+		if w != 0 {
+			g.weights = b.w
+			break
+		}
+	}
+	for v, row := range b.adj {
+		sort.Slice(row, func(i, j int) bool { return row[i].Node < row[j].Node })
+		g.off[v] = int32(len(g.flat))
+		for _, nb := range row {
+			nb.Link = LinkID(len(g.flat))
+			g.flat = append(g.flat, nb)
+		}
+	}
+	g.off[b.n] = int32(len(g.flat))
+	g.rev = make([]LinkID, len(g.flat))
+	for v := 0; v < b.n; v++ {
+		for _, nb := range g.flat[g.off[v]:g.off[v+1]] {
+			for _, back := range g.flat[g.off[nb.Node]:g.off[nb.Node+1]] {
+				if back.Node == NodeID(v) {
+					g.rev[nb.Link] = back.Link
+				}
+			}
+		}
+	}
+	return g
+}
+
+// naive materializes n nodes and the unweighted edges add enumerates.
+func naive(n int, edges func(add func(u, v int))) *Graph {
+	b := newNaive(n)
+	edges(func(u, v int) { b.AddEdge(NodeID(u), NodeID(v), 0) })
+	return b.Finalize()
+}
+
 // naiveGrid3D materializes the 3-D grid through the AddEdge path, emitting
 // edges in the same lexicographic order as the implicit builder.
 func naiveGrid3D(x, y, z int) *Graph {
-	g := New(x * y * z)
+	g := newNaive(x * y * z)
 	id := func(ix, iy, iz int) NodeID { return NodeID((ix*y+iy)*z + iz) }
 	for ix := 0; ix < x; ix++ {
 		for iy := 0; iy < y; iy++ {
@@ -31,7 +117,7 @@ func naiveGrid3D(x, y, z int) *Graph {
 // naivePowerLaw materializes the preferential-attachment graph by replaying
 // the shared sampling sequence through AddEdge.
 func naivePowerLaw(n, m int, seed uint64) *Graph {
-	g := New(n)
+	g := newNaive(n)
 	powerLawEdges(n, m, seed, func(u, v NodeID) { g.AddEdge(u, v, 0) })
 	return g.Finalize()
 }
@@ -40,7 +126,7 @@ func naivePowerLaw(n, m int, seed uint64) *Graph {
 // the implicit builder's enumeration order.
 func naiveRingOfCliques(k, c int) *Graph {
 	n := k * c
-	g := New(n)
+	g := newNaive(n)
 	for u := 0; u < n; u++ {
 		i, pos := u/c, u%c
 		for w := u + 1; w < (i+1)*c; w++ {
@@ -63,7 +149,7 @@ func naiveRandomConnected(n, m int, seed uint64) *Graph {
 		m = maxM
 	}
 	r := newRNG(seed)
-	g := New(n)
+	g := newNaive(n)
 	have := make(map[[2]NodeID]bool, m)
 	addIfNew := func(u, v NodeID) {
 		if u == v {
@@ -86,18 +172,21 @@ func naiveRandomConnected(n, m int, seed uint64) *Graph {
 	return g.Finalize()
 }
 
-// assertSameCSR checks that two finalized graphs have byte-identical CSR:
-// same edge table, same offsets, same adjacency entries (including EdgeID
-// and LinkID), and same reverse-link table.
+// assertSameCSR checks that two graphs have byte-identical CSR: same edge
+// table and weights, same offsets, same adjacency entries (including
+// EdgeID and LinkID), and same reverse-link table.
 func assertSameCSR(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() || got.Links() != want.Links() {
 		t.Fatalf("size mismatch: got n=%d m=%d links=%d, want n=%d m=%d links=%d",
 			got.N(), got.M(), got.Links(), want.N(), want.M(), want.Links())
 	}
+	if got.Weighted() != want.Weighted() {
+		t.Fatalf("weighted: got %v, want %v", got.Weighted(), want.Weighted())
+	}
 	for e := range got.edgeU {
-		if got.edgeU[e] != want.edgeU[e] || got.edgeV[e] != want.edgeV[e] {
-			t.Fatalf("edge %d: got {%d,%d}, want {%d,%d}", e, got.edgeU[e], got.edgeV[e], want.edgeU[e], want.edgeV[e])
+		if got.Edge(EdgeID(e)) != want.Edge(EdgeID(e)) {
+			t.Fatalf("edge %d: got %+v, want %+v", e, got.Edge(EdgeID(e)), want.Edge(EdgeID(e)))
 		}
 	}
 	for v := 0; v <= got.N(); v++ {
@@ -281,9 +370,6 @@ func TestFromSpec(t *testing.T) {
 		if g.N() != tc.n || g.M() != tc.m {
 			t.Fatalf("FromSpec(%q): n=%d m=%d, want n=%d m=%d", tc.spec, g.N(), g.M(), tc.n, tc.m)
 		}
-		if !g.Final() {
-			t.Fatalf("FromSpec(%q): graph not finalized", tc.spec)
-		}
 	}
 	bad := []string{
 		"", "grid3d", "bogus:5", "grid:3", "grid:3x4x5", "grid3d:axbxc",
@@ -302,9 +388,7 @@ func TestFromSpec(t *testing.T) {
 	}
 }
 
-// The implicit builders must never read back through the materialized
-// adjacency path: a finalized implicit graph answers every query the
-// AddEdge path answers.
+// A graph from an implicit generator answers every link and edge query.
 func TestImplicitGraphQueries(t *testing.T) {
 	g, err := Grid3D(3, 3, 3)
 	if err != nil {
@@ -323,4 +407,218 @@ func TestImplicitGraphQueries(t *testing.T) {
 	if g.Weighted() || g.Weight(0) != 0 {
 		t.Fatal("implicit graphs are unweighted")
 	}
+}
+
+// TestClassicGolden pins every classic generator's CSR against the same
+// edge enumeration replayed through the naive builder.
+func TestClassicGolden(t *testing.T) {
+	check := func(name string, got *Graph, n int, edges func(add func(u, v int))) {
+		t.Run(name, func(t *testing.T) { assertSameCSR(t, got, naive(n, edges)) })
+	}
+	for _, n := range []int{0, 1, 2, 7} {
+		check(fmt.Sprintf("path:%d", n), Path(n), n, func(add func(u, v int)) {
+			for i := 0; i+1 < n; i++ {
+				add(i, i+1)
+			}
+		})
+	}
+	for _, n := range []int{3, 4, 9} {
+		check(fmt.Sprintf("cycle:%d", n), Cycle(n), n, func(add func(u, v int)) {
+			for i := 0; i < n; i++ {
+				add(i, (i+1)%n)
+			}
+		})
+	}
+	for _, d := range [][2]int{{1, 1}, {1, 5}, {4, 1}, {3, 4}, {40, 40}} {
+		rows, cols := d[0], d[1]
+		check(fmt.Sprintf("grid:%dx%d", rows, cols), Grid(rows, cols), rows*cols, func(add func(u, v int)) {
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					if c+1 < cols {
+						add(r*cols+c, r*cols+c+1)
+					}
+					if r+1 < rows {
+						add(r*cols+c, (r+1)*cols+c)
+					}
+				}
+			}
+		})
+	}
+	for _, n := range []int{1, 2, 9} {
+		check(fmt.Sprintf("star:%d", n), Star(n), n, func(add func(u, v int)) {
+			for i := 1; i < n; i++ {
+				add(0, i)
+			}
+		})
+	}
+	for _, n := range []int{1, 2, 3, 15, 20} {
+		check(fmt.Sprintf("tree:%d", n), CompleteBinaryTree(n), n, func(add func(u, v int)) {
+			for i := 0; i < n; i++ {
+				if l := 2*i + 1; l < n {
+					add(i, l)
+				}
+				if r := 2*i + 2; r < n {
+					add(i, r)
+				}
+			}
+		})
+	}
+	for _, n := range []int{1, 2, 6, 60} {
+		check(fmt.Sprintf("complete:%d", n), Complete(n), n, func(add func(u, v int)) {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					add(i, j)
+				}
+			}
+		})
+	}
+	for _, d := range [][2]int{{1, 0}, {3, 0}, {4, 3}, {5, 3}} {
+		k, p := d[0], d[1]
+		check(fmt.Sprintf("dumbbell:%d,%d", k, p), Dumbbell(k, p), 2*k+p, func(add func(u, v int)) {
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					add(i, j)
+					add(k+p+i, k+p+j)
+				}
+			}
+			prev := 0
+			for i := 0; i < p; i++ {
+				add(prev, k+i)
+				prev = k + i
+			}
+			add(prev, k+p)
+		})
+	}
+	for _, d := range [][2]int{{1, 0}, {5, 0}, {4, 3}, {6, 4}} {
+		k, p := d[0], d[1]
+		check(fmt.Sprintf("lollipop:%d,%d", k, p), Lollipop(k, p), k+p, func(add func(u, v int)) {
+			for i := 0; i < k; i++ {
+				for j := i + 1; j < k; j++ {
+					add(i, j)
+				}
+			}
+			prev := 0
+			for i := 0; i < p; i++ {
+				add(prev, k+i)
+				prev = k + i
+			}
+		})
+	}
+	for _, d := range [][2]int{{0, 3}, {1, 1}, {4, 3}, {3, 5}} {
+		deg, p := d[0], d[1]
+		check(fmt.Sprintf("starofpaths:%d,%d", deg, p), StarOfPaths(deg, p), 1+deg*p, func(add func(u, v int)) {
+			for s := 0; s < deg; s++ {
+				prev := 0
+				for i := 0; i < p; i++ {
+					add(prev, 1+s*p+i)
+					prev = 1 + s*p + i
+				}
+			}
+		})
+	}
+}
+
+// TestWithRandomWeightsGolden pins the shared-array copy against a full
+// rebuild: the seed's permutation of 1..m as weights, replayed through the
+// naive builder in edge order. The source graph keeps its zero weights.
+func TestWithRandomWeightsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		seed uint64
+	}{
+		{"grid:4x5", Grid(4, 5), 9},
+		{"complete:8", Complete(8), 3},
+		{"er:n=200,m=2100", RandomConnected(200, 2100, 1), 5},
+		{"path:2", Path(2), 1},
+		{"path:1", Path(1), 7},
+	} {
+		r := newRNG(tc.seed)
+		perm := make([]int64, tc.g.M())
+		for i := range perm {
+			perm[i] = int64(i + 1)
+		}
+		for i := len(perm) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		b := newNaive(tc.g.N())
+		for e, w := range perm {
+			b.AddEdge(tc.g.EdgeU(EdgeID(e)), tc.g.EdgeV(EdgeID(e)), w)
+		}
+		got := WithRandomWeights(tc.g, tc.seed)
+		assertSameCSR(t, got, b.Finalize())
+		if tc.g.Weighted() {
+			t.Fatalf("%s: WithRandomWeights wrote the source graph's weights", tc.name)
+		}
+	}
+}
+
+// catchBuild runs build and reports whether it panicked.
+func catchBuild(build func() *Graph) (g *Graph, panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	return build(), false
+}
+
+// FuzzBuildCSRVsNaive feeds one edge list to buildCSR and to the naive
+// builder. Byte 0 picks n < 16; each following byte pair is an edge whose
+// endpoints may be n itself or -1 (byte 0xFF), so self-loops, repeats and
+// out-of-range endpoints all occur. Both builders must produce the same
+// CSR or both must panic. A strictly lexicographic list of u < v pairs
+// also goes through buildCSR's lex path.
+func FuzzBuildCSRVsNaive(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{4, 0, 1, 3, 2, 0, 3, 1, 3, 2, 0})
+	f.Add([]byte{3, 0, 1, 1, 0})
+	f.Add([]byte{3, 1, 1})
+	f.Add([]byte{3, 0, 3})
+	f.Add([]byte{3, 0xFF, 2})
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0] % 16)
+		node := func(b byte) NodeID {
+			if b == 0xFF {
+				return -1
+			}
+			return NodeID(int(b) % (n + 1))
+		}
+		var edges [][2]NodeID
+		lex := true
+		for i := 1; i+1 < len(data); i += 2 {
+			e := [2]NodeID{node(data[i]), node(data[i+1])}
+			if k := len(edges); e[0] >= e[1] || k > 0 && (e[0] < edges[k-1][0] || e[0] == edges[k-1][0] && e[1] <= edges[k-1][1]) {
+				lex = false
+			}
+			edges = append(edges, e)
+		}
+		want, wantPanic := catchBuild(func() *Graph {
+			b := newNaive(n)
+			for _, e := range edges {
+				b.AddEdge(e[0], e[1], 0)
+			}
+			return b.Finalize()
+		})
+		for _, l := range []bool{false, lex} {
+			got, gotPanic := catchBuild(func() *Graph {
+				g, err := buildCSR(int64(n), int64(len(edges)), l, func(emit func(u, v NodeID)) {
+					for _, e := range edges {
+						emit(e[0], e[1])
+					}
+				})
+				if err != nil {
+					panic(err)
+				}
+				return g
+			})
+			if gotPanic != wantPanic {
+				t.Fatalf("n=%d edges=%v lex=%v: buildCSR panicked=%v, naive panicked=%v", n, edges, l, gotPanic, wantPanic)
+			}
+			if !gotPanic {
+				assertSameCSR(t, got, want)
+			}
+		}
+	})
 }

@@ -56,14 +56,3 @@ func TestLinkIndexing(t *testing.T) {
 		}
 	}
 }
-
-func TestLinkBeforeFinalizePanics(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from LinkBetween before Finalize")
-		}
-	}()
-	g.LinkBetween(0, 1)
-}

@@ -33,9 +33,6 @@ type Partition struct {
 // smaller position. Crossing counts come from the CSR alone — implicit
 // generators need not materialize an edge table. k is clamped to [1, n].
 func PartitionContiguous(g *Graph, k int) Partition {
-	if !g.final {
-		panic("graph: PartitionContiguous before Finalize")
-	}
 	if g.sub {
 		panic("graph: PartitionContiguous on a Subrange view")
 	}
@@ -161,8 +158,8 @@ func (p Partition) CrossLinks(g *Graph) int {
 	return cross
 }
 
-// Subrange returns a finalized sub-CSR view holding only the adjacency
-// rows of the global nodes [lo, hi). NodeIDs stay global (N() is
+// Subrange returns a sub-CSR view holding only the adjacency rows of the
+// global nodes [lo, hi). NodeIDs stay global (N() is
 // unchanged; NodeBase()/NLocal() describe the window) while LinkIDs are
 // renumbered local — link 0 is the first out-link of node lo — so engine
 // per-link arrays are sized by the shard, not the whole graph.
@@ -174,9 +171,6 @@ func (p Partition) CrossLinks(g *Graph) int {
 // carried over: M() reports 0 and Neighbor.Edge values are retained as
 // opaque global ids; workloads that need edge weights must run unsharded.
 func (g *Graph) Subrange(lo, hi NodeID) *Graph {
-	if !g.final {
-		panic("graph: Subrange before Finalize")
-	}
 	if g.sub {
 		panic("graph: Subrange of a Subrange view")
 	}
@@ -202,7 +196,6 @@ func (g *Graph) Subrange(lo, hi NodeID) *Graph {
 	}
 	return &Graph{
 		n:        g.n,
-		final:    true,
 		sub:      true,
 		nodeBase: lo,
 		nLocal:   nl,

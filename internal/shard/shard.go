@@ -154,6 +154,11 @@ func Run(cfg Config) (*Report, error) {
 	if full == nil {
 		return nil, fmt.Errorf("shard: config names no graph")
 	}
+	for _, s := range cfg.Sources {
+		if s < 0 || int(s) >= full.N() {
+			return nil, fmt.Errorf("shard: source %d outside the graph's nodes [0, %d)", s, full.N())
+		}
+	}
 	if cfg.Launch == LaunchProcess && cfg.GraphSpec == "" {
 		return nil, fmt.Errorf("shard: process workers need a GraphSpec to rebuild the topology")
 	}

@@ -267,7 +267,9 @@ func TestShardConfigErrors(t *testing.T) {
 		"bad spec":        func(c *Config) { c.GraphSpec = "nope:3" },
 		"bad workload":    func(c *Config) { c.Workload = "nope" },
 		"bad adversary":   func(c *Config) { c.Adversary = "nope:1" },
+		"NaN delay":       func(c *Config) { c.Adversary = "fixed:NaN" },
 		"negative shards": func(c *Config) { c.Shards = -1 },
+		"source outside":  func(c *Config) { c.Sources = []graph.NodeID{0, 99} },
 		"process w/o spec": func(c *Config) {
 			c.GraphSpec = ""
 			g, _ := graph.FromSpec("grid:4x4")

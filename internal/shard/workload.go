@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -226,7 +227,7 @@ func ParseAdversary(spec string) (async.Adversary, error) {
 	name, arg, _ := strings.Cut(spec, ":")
 	switch name {
 	case "fixed":
-		d, err := strconv.ParseFloat(arg, 64)
+		d, err := parseDelay(arg)
 		if err != nil {
 			return nil, fmt.Errorf("shard: adversary %q: %v", spec, err)
 		}
@@ -260,7 +261,7 @@ func ParseAdversary(spec string) (async.Adversary, error) {
 				}
 				cut = n
 			case "fast":
-				f, err := strconv.ParseFloat(v, 64)
+				f, err := parseDelay(v)
 				if err != nil {
 					return nil, fmt.Errorf("shard: adversary %q: %v", spec, err)
 				}
@@ -275,6 +276,16 @@ func ParseAdversary(spec string) (async.Adversary, error) {
 		return async.Skew{Cut: graph.NodeID(cut), FastD: fast}, nil
 	}
 	return nil, fmt.Errorf("shard: unknown adversary %q (want fixed:/random:/skew:/flaky:/edge:)", spec)
+}
+
+// parseDelay parses a delay parameter; NaN and ±Inf are errors, so a spec
+// string can never carry a non-finite delay into the engine.
+func parseDelay(s string) (float64, error) {
+	d, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(d) || math.IsInf(d, 0)) {
+		err = fmt.Errorf("delay %q is not finite", s)
+	}
+	return d, err
 }
 
 // sortNodeIDs sorts in place and returns its argument (HELLO ships

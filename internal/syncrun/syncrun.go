@@ -353,10 +353,8 @@ type Runner struct {
 	arena wire.Arena
 }
 
-// New builds a Runner; mk creates each node's handler. The graph is
-// finalized if it was not already (the dense link index requires it).
+// New builds a Runner; mk creates each node's handler.
 func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
-	g.Finalize()
 	r := &Runner{
 		g:        g,
 		handlers: make([]Handler, g.N()),
