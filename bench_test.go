@@ -14,13 +14,13 @@ import (
 // beyond the first re-run the experiment silently so -benchtime still
 // measures it.
 func BenchmarkExperiments(b *testing.B) {
-	for _, id := range bench.IDs() {
-		b.Run(id, func(b *testing.B) {
-			if !bench.ByName(os.Stdout, id) {
-				b.Fatalf("experiment %s failed", id)
+	for _, e := range bench.List() {
+		b.Run(e.ID, func(b *testing.B) {
+			if err := bench.Run(os.Stdout, []string{e.ID}, bench.Options{}); err != nil {
+				b.Fatalf("experiment %s: %v", e.ID, err)
 			}
 			for i := 1; i < b.N; i++ {
-				bench.ByName(io.Discard, id)
+				bench.Run(io.Discard, []string{e.ID}, bench.Options{})
 			}
 		})
 	}

@@ -29,12 +29,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 
+	dsync "repro"
 	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/shard"
@@ -42,35 +44,40 @@ import (
 
 func main() {
 	shard.MaybeWorker() // worker re-execs never return from this
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("shardsim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		spec     = flag.String("graph", "grid3d:32x32x32", "graph spec (graph.FromSpec form, e.g. grid3d:100x100x100)")
-		shards   = flag.Int("shards", 0, "worker count K; 0 picks execpolicy.AutoShards for the graph")
-		workload = flag.String("workload", "flood", "workload: "+strings.Join(shard.Workloads(), "|"))
-		adv      = flag.String("adv", "fixed:1", "delay adversary: fixed:<d>|random:<seed>|skew:cut=<n>,fast=<d>|flaky:<seed>|edge:<seed>")
-		faults   = flag.String("faults", "", "fault schedule (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
-		sources  = flag.String("sources", "0", "comma-separated source node ids")
-		segWords = flag.Int("seg-words", 0, "segment words per message (segflood; 0 = workload default)")
-		inproc   = flag.Bool("inproc", false, "serve workers on goroutines instead of spawned processes")
-		ceiling  = flag.Int64("ceiling-mb", 0, "fail if any worker's settled heap exceeds this many MB (process workers; 0 = off)")
-		verify   = flag.Bool("verify", false, "also run the serial single-process engine and require byte-identical results")
-		snapN    = flag.Uint64("snapshot-every", 0, "checkpoint the run every N executed events (requires -snapshot-path)")
-		snapP    = flag.String("snapshot-path", "", "checkpoint file (atomically replaced at each checkpoint)")
-		resume   = flag.String("resume", "", "resume from a checkpoint file; graph/workload/adversary/faults come from the file, -shards stays yours")
-		_        = flag.Bool("shard-worker", false, "(internal) cosmetic marker on re-exec'd worker argv; workers are configured via environment")
+		spec     = fl.String("graph", "grid3d:32x32x32", "graph spec (graph.FromSpec form, e.g. grid3d:100x100x100)")
+		shards   = fl.Int("shards", 0, "worker count K; 0 picks execpolicy.AutoShards for the graph")
+		workload = fl.String("workload", "flood", "workload: "+strings.Join(shard.Workloads(), "|"))
+		adv      = fl.String("adv", "fixed:1", "delay adversary: fixed:<d>|random:<seed>|skew:cut=<n>,fast=<d>|flaky:<seed>|edge:<seed>")
+		faults   = fl.String("faults", "", "fault schedule (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
+		sources  = fl.String("sources", "0", "comma-separated source node ids")
+		segWords = fl.Int("seg-words", 0, "segment words per message (segflood; 0 = workload default)")
+		inproc   = fl.Bool("inproc", false, "serve workers on goroutines instead of spawned processes")
+		ceiling  = fl.Int64("ceiling-mb", 0, "fail if any worker's settled heap exceeds this many MB (process workers; 0 = off)")
+		verify   = fl.Bool("verify", false, "also run the serial single-process engine and require byte-identical results")
+		snapN    = fl.Uint64("snapshot-every", 0, "checkpoint the run every N executed events (requires -snapshot-path)")
+		snapP    = fl.String("snapshot-path", "", "checkpoint file (atomically replaced at each checkpoint)")
+		resume   = fl.String("resume", "", "resume from a checkpoint file; graph/workload/adversary/faults come from the file, -shards stays yours")
+		_        = fl.Bool("shard-worker", false, "(internal) cosmetic marker on re-exec'd worker argv; workers are configured via environment")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
-	srcs, err := parseSources(*sources)
+	// The id-space bound only: shard.Run checks sources against the graph.
+	srcs, err := dsync.ParseSources(*sources, math.MaxInt32)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *resume != "" && *verify {
-		fmt.Fprintln(os.Stderr, "-verify needs the full workload spec, which a -resume run takes from the checkpoint file; run -verify on the uninterrupted configuration instead")
+		fmt.Fprintln(stderr, "-verify needs the full workload spec, which a -resume run takes from the checkpoint file; run -verify on the uninterrupted configuration instead")
 		return 2
 	}
 	cfg := shard.Config{
@@ -97,24 +104,24 @@ func run() int {
 	}
 	rep, err := shard.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
 	res := rep.Result
 	st := rep.Stats
 	if *resume != "" {
-		fmt.Printf("resumed=%s shards=%d cuts=%v crossLinks=%d\n",
+		fmt.Fprintf(stdout, "resumed=%s shards=%d cuts=%v crossLinks=%d\n",
 			*resume, st.Shards, rep.Cuts, st.CrossLinks)
 	} else {
-		fmt.Printf("graph=%s workload=%s adv=%s shards=%d cuts=%v crossLinks=%d\n",
+		fmt.Fprintf(stdout, "graph=%s workload=%s adv=%s shards=%d cuts=%v crossLinks=%d\n",
 			*spec, *workload, *adv, st.Shards, rep.Cuts, st.CrossLinks)
 	}
 	if *faults != "" {
-		fmt.Printf("faults=%s dropped=%d retrans=%d undeliverable=%d\n",
+		fmt.Fprintf(stdout, "faults=%s dropped=%d retrans=%d undeliverable=%d\n",
 			*faults, res.Dropped, res.Retrans, res.Undeliverable)
 	}
-	fmt.Printf("time=%.3f quiesce=%.3f msgs=%d acks=%d events=%d outputs=%d\n",
+	fmt.Fprintf(stdout, "time=%.3f quiesce=%.3f msgs=%d acks=%d events=%d outputs=%d\n",
 		res.Time, res.QuiesceTime, res.Msgs, res.Acks, st.TotalEvents, len(res.Outputs))
 	protos := make([]int, 0, len(res.PerProto))
 	for p := range res.PerProto {
@@ -122,42 +129,42 @@ func run() int {
 	}
 	sort.Ints(protos)
 	for _, p := range protos {
-		fmt.Printf("  proto %d: %d msgs\n", p, res.PerProto[async.Proto(p)])
+		fmt.Fprintf(stdout, "  proto %d: %d msgs\n", p, res.PerProto[async.Proto(p)])
 	}
-	fmt.Printf("windows=%d frames=%d frameKB=%d\n", st.Windows, st.Frames, st.FrameBytes>>10)
+	fmt.Fprintf(stdout, "windows=%d frames=%d frameKB=%d\n", st.Windows, st.Frames, st.FrameBytes>>10)
 	if st.Snapshots > 0 {
-		fmt.Printf("snapshots=%d snapshotMs=%.1f path=%s\n", st.Snapshots, ms(st.SnapshotNs), *snapP)
+		fmt.Fprintf(stdout, "snapshots=%d snapshotMs=%.1f path=%s\n", st.Snapshots, ms(st.SnapshotNs), *snapP)
 	}
-	fmt.Printf("startup=%.1fms worker=%.1fms comm=%.1fms merge=%.1fms", ms(st.StartupNs), ms(st.WorkerNs), ms(st.CommNs), ms(st.MergeNs))
+	fmt.Fprintf(stdout, "startup=%.1fms worker=%.1fms comm=%.1fms merge=%.1fms", ms(st.StartupNs), ms(st.WorkerNs), ms(st.CommNs), ms(st.MergeNs))
 	if st.Windows > 0 {
-		fmt.Printf("  (per window: worker=%.1fµs comm=%.1fµs merge=%.1fµs)",
+		fmt.Fprintf(stdout, "  (per window: worker=%.1fµs comm=%.1fµs merge=%.1fµs)",
 			us(st.WorkerNs)/float64(st.Windows), us(st.CommNs)/float64(st.Windows), us(st.MergeNs)/float64(st.Windows))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i, si := range rep.Shards {
-		fmt.Printf("shard %d: nodes=%d links=%d boundary=%d steps=%d graphMB=%.1f", i,
+		fmt.Fprintf(stdout, "shard %d: nodes=%d links=%d boundary=%d steps=%d graphMB=%.1f", i,
 			si.Nodes, si.Links, si.Boundary, si.Steps, float64(si.GraphBytes)/(1<<20))
 		if si.HeapMB > 0 {
-			fmt.Printf(" engineMB=%.1f heapMB=%d", float64(si.EngineBytes)/(1<<20), si.HeapMB)
+			fmt.Fprintf(stdout, " engineMB=%.1f heapMB=%d", float64(si.EngineBytes)/(1<<20), si.HeapMB)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *verify {
 		want, err := serialReference(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if !reflect.DeepEqual(res, want) {
-			fmt.Fprintf(os.Stderr, "VERIFY FAILED: sharded result diverges from the serial engine\n"+
+			fmt.Fprintf(stderr, "VERIFY FAILED: sharded result diverges from the serial engine\n"+
 				"  sharded: time=%v msgs=%d acks=%d outputs=%d\n"+
 				"  serial:  time=%v msgs=%d acks=%d outputs=%d\n",
 				res.Time, res.Msgs, res.Acks, len(res.Outputs),
 				want.Time, want.Msgs, want.Acks, len(want.Outputs))
 			return 1
 		}
-		fmt.Println("verify: OK — byte-identical to the serial single-process engine")
+		fmt.Fprintln(stdout, "verify: OK — byte-identical to the serial single-process engine")
 	}
 	return 0
 }
@@ -187,18 +194,6 @@ func serialReference(cfg shard.Config) (async.Result, error) {
 		sim.KeepTrace()
 	}
 	return sim.Run(), nil
-}
-
-func parseSources(s string) ([]graph.NodeID, error) {
-	var out []graph.NodeID
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad source %q", part)
-		}
-		out = append(out, graph.NodeID(v))
-	}
-	return out, nil
 }
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }

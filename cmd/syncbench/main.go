@@ -48,47 +48,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"repro/internal/async"
+	dsync "repro"
 	"repro/internal/bench"
-	"repro/internal/syncrun"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	exp := flag.String("exp", "", "comma-separated experiment ids (see -list); empty = all")
-	parallel := flag.Int("parallel", 1, "worker-pool size for independent trials (1 = serial)")
-	jsonOut := flag.Bool("json", false, "emit structured JSON records instead of text tables")
-	list := flag.Bool("list", false, "list experiment ids and titles, then exit")
-	seed := flag.Uint64("seed", 0, "delay adversary seed; 0 keeps each experiment's default")
-	mode := flag.String("mode", "auto", "execution mode for both engines: auto|single|multi")
-	graphSpec := flag.String("graph", "", "extra topology for E16/E18, as a graph spec (e.g. grid3d:100x100x100)")
-	faults := flag.String("faults", "", "fault schedule wrapped around every adversary (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
-	snapEvery := flag.Uint64("snapshot-every", 0, "extra checkpoint interval for E18's sweep (0 = built-ins only)")
-	resume := flag.String("resume", "", "checkpoint file for E18's restore-to-completion row (from shardsim -snapshot-path)")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("syncbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	exp := fl.String("exp", "", "comma-separated experiment ids (see -list); empty = all")
+	parallel := fl.Int("parallel", 1, "worker-pool size for independent trials (1 = serial)")
+	jsonOut := fl.Bool("json", false, "emit structured JSON records instead of text tables")
+	list := fl.Bool("list", false, "list experiment ids and titles, then exit")
+	seed := fl.Uint64("seed", 0, "delay adversary seed; 0 keeps each experiment's default")
+	mode := fl.String("mode", "auto", "execution mode for both engines: auto|single|multi")
+	graphSpec := fl.String("graph", "", "extra topology for E16/E18, as a graph spec (e.g. grid3d:100x100x100)")
+	faults := fl.String("faults", "", "fault schedule wrapped around every adversary (e.g. crash:p=0.01,drop:p=0.05,budget=3,seed=7); empty = fault-free")
+	snapEvery := fl.Uint64("snapshot-every", 0, "extra checkpoint interval for E18's sweep (0 = built-ins only)")
+	resume := fl.String("resume", "", "checkpoint file for E18's restore-to-completion row (from shardsim -snapshot-path)")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 	if *list {
 		for _, info := range bench.List() {
-			fmt.Printf("%-4s %s\n", info.ID, info.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", info.ID, info.Title)
 		}
 		return 0
 	}
-	var execMode syncrun.ExecutionMode
-	var asyncMode async.ExecutionMode
-	switch *mode {
-	case "auto":
-		execMode, asyncMode = syncrun.ModeAuto, async.ModeAuto
-	case "single":
-		execMode, asyncMode = syncrun.ModeSingle, async.ModeSingle
-	case "multi":
-		execMode, asyncMode = syncrun.ModeMulti, async.ModeMulti
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want auto|single|multi)\n", *mode)
+	execMode, asyncMode, err := dsync.ParseModes(*mode)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var ids []string
@@ -98,8 +94,8 @@ func run() int {
 		}
 	}
 	opts := bench.Options{Workers: *parallel, JSON: *jsonOut, Seed: *seed, Mode: execMode, AsyncMode: asyncMode, Graph: *graphSpec, Faults: *faults, SnapshotEvery: *snapEvery, Resume: *resume}
-	if err := bench.Run(os.Stdout, ids, opts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := bench.Run(stdout, ids, opts); err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	return 0

@@ -32,7 +32,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	dsync "repro"
 )
@@ -64,17 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var syncMode dsync.ExecutionMode
-	var asyncMode dsync.AsyncExecutionMode
-	switch *mode {
-	case "auto":
-		syncMode, asyncMode = dsync.ModeAuto, dsync.AsyncModeAuto
-	case "single":
-		syncMode, asyncMode = dsync.ModeSingle, dsync.AsyncModeSingle
-	case "multi":
-		syncMode, asyncMode = dsync.ModeMulti, dsync.AsyncModeMulti
-	default:
-		return fail(fmt.Errorf("unknown mode %q (want auto|single|multi)", *mode))
+	syncMode, asyncMode, err := dsync.ParseModes(*mode)
+	if err != nil {
+		return fail(err)
 	}
 	switch {
 	case *sy != "main" && *sy != "alpha" && *sy != "beta" && *sy != "gamma":
@@ -86,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	srcs, err := parseSources(*sources, g.N())
+	srcs, err := dsync.ParseSources(*sources, g.N())
 	if err != nil {
 		return fail(err)
 	}
@@ -104,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "algo=abfs graph=%s n=%d m=%d D=%s sources=%v\n", *spec, g.N(), g.M(), diam, srcs)
 		sres := dsync.RunSyncMode(g, syncMode, dsync.NewBFS(srcs))
 		res := dsync.AsyncBFSMode(g, srcs, adv, asyncMode)
-		match := len(res.Outputs) == len(sres.Outputs)
+		match := !res.Stalled && len(res.Outputs) == len(sres.Outputs)
 		for v, want := range sres.Outputs {
 			d, ok := abfsDist(res.Outputs[v], v, srcs)
 			match = match && ok && d == want.(dsync.BFSResult).Dist
@@ -186,16 +177,4 @@ func buildAlgo(algo string, g *dsync.Graph) (func(dsync.NodeID) dsync.Algorithm,
 	default:
 		return nil, 0, fmt.Errorf("unknown algorithm %q (want bfs|flood|echo|leader|mst|abfs)", algo)
 	}
-}
-
-func parseSources(s string, n int) ([]dsync.NodeID, error) {
-	var out []dsync.NodeID
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 0 || v >= n {
-			return nil, fmt.Errorf("bad source %q (need 0..%d)", part, n-1)
-		}
-		out = append(out, dsync.NodeID(v))
-	}
-	return out, nil
 }

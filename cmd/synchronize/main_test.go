@@ -26,12 +26,28 @@ func TestRunMatrix(t *testing.T) {
 				})
 			}
 		}
-		t.Run(spec+"/abfs", func(t *testing.T) {
-			code, out, errOut := runCLI("-algo", "abfs", "-graph", spec, "-sources", "0,7")
+	}
+	// path:1 is a source with no neighbors: its echo completes at once.
+	for _, c := range []struct{ spec, sources string }{
+		{"grid:4x4", "0,7"}, {"er:n=30,m=60,seed=2", "0,7"}, {"path:1", "0"},
+	} {
+		t.Run(c.spec+"/abfs", func(t *testing.T) {
+			code, out, errOut := runCLI("-algo", "abfs", "-graph", c.spec, "-sources", c.sources)
 			if code != 0 || !strings.Contains(out, "outputs-match=true") {
 				t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 			}
 		})
+	}
+}
+
+// A fault that starves a source's echo is reported as a mismatch (exit 1),
+// the way -algo bfs reports it, not as a panic.
+func TestRunReportsFaultStall(t *testing.T) {
+	for _, faults := range []string{"crash:p=0.05,seed=1", "drop:p=0.3,budget=0,seed=7"} {
+		code, out, errOut := runCLI("-algo", "abfs", "-graph", "grid:6x6", "-faults", faults)
+		if code != 1 || !strings.Contains(out, "outputs-match=false") {
+			t.Errorf("%s: exit %d\nstdout:\n%s\nstderr:\n%s", faults, code, out, errOut)
+		}
 	}
 }
 

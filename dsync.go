@@ -16,6 +16,10 @@
 package dsync
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"repro/internal/abfs"
 	"repro/internal/apps"
 	"repro/internal/async"
@@ -126,6 +130,34 @@ const (
 	AsyncModeSingle = async.ModeSingle
 	AsyncModeMulti  = async.ModeMulti
 )
+
+// ParseModes maps an execution-mode name (auto|single|multi) to the
+// matching mode of both engines, the form the command-line -mode flags
+// take.
+func ParseModes(s string) (ExecutionMode, AsyncExecutionMode, error) {
+	switch s {
+	case "auto":
+		return ModeAuto, AsyncModeAuto, nil
+	case "single":
+		return ModeSingle, AsyncModeSingle, nil
+	case "multi":
+		return ModeMulti, AsyncModeMulti, nil
+	}
+	return 0, 0, fmt.Errorf("unknown mode %q (want auto|single|multi)", s)
+}
+
+// ParseSources parses a comma-separated list of node ids, each in [0, n).
+func ParseSources(s string, n int) ([]NodeID, error) {
+	var out []NodeID
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 0 || v >= n {
+			return nil, fmt.Errorf("bad source %q (need 0..%d)", part, n-1)
+		}
+		out = append(out, NodeID(v))
+	}
+	return out, nil
+}
 
 // RunSync executes an event-driven synchronous algorithm in lockstep rounds
 // and measures T(A) and M(A). On large graphs the engine may step

@@ -30,28 +30,31 @@ import (
 	"repro/internal/wire"
 )
 
-// Unreachable is the output of nodes whose distance to every source
+// unreachable is the output of nodes whose distance to every source
 // exceeds the threshold (the paper's ∞ symbol, Definition 4.2).
-type Unreachable struct{}
+type unreachable struct{}
 
-// KindOutUnreachable is the typed-output encoding of Unreachable (a pure
+// kindOutUnreachable is the typed-output encoding of unreachable (a pure
 // tag; see outval for the output-kind namespace).
-const KindOutUnreachable wire.Kind = 0x7D01
+const kindOutUnreachable wire.Kind = 0x7D01
 
 func init() {
-	outval.Register(KindOutUnreachable, func(wire.Body) any { return Unreachable{} })
+	outval.Register(kindOutUnreachable, func(wire.Body) any { return unreachable{} })
 }
 
 // protoCheck carries the checking-stage gather (distinct from every proto
 // the synchronizer stack uses).
 const protoCheck async.Proto = 90
 
-// Result of one thresholded asynchronous BFS execution.
-type Result struct {
+// result of one thresholded asynchronous BFS execution.
+type result struct {
 	async.Result
 	// Complete reports whether every node was reached (no frontier beyond
 	// the threshold at any source).
 	Complete bool
+	// Stalled reports that some source never completed its echo: a fault
+	// left a message undeliverable or crashed a node the echo needed.
+	Stalled bool
 }
 
 // checkGlue bridges the synchronized TBFS and the checking-stage gather on
@@ -131,12 +134,12 @@ func (cg *checkGlue) onSourceDone(frontier bool) {
 // NeighborhoodDone implements gather.Callbacks: the τ-ball is settled.
 func (cg *checkGlue) NeighborhoodDone(n *async.Node, _ int) {
 	if !cg.tb.Reached() {
-		n.OutputBody(wire.Tag(KindOutUnreachable))
+		n.OutputBody(wire.Tag(kindOutUnreachable))
 	}
 }
 
-// Config parameterizes one thresholded run.
-type Config struct {
+// config parameterizes one thresholded run.
+type config struct {
 	Graph     *graph.Graph
 	Sources   []graph.NodeID
 	Threshold int
@@ -153,11 +156,6 @@ type Config struct {
 // live τ pulses, probes and the echo double back, plus slack.
 func pulseBound(tau int) int { return 2*tau + 6 }
 
-// BuildLayeredFor constructs covers sufficient for a τ-thresholded run.
-func BuildLayeredFor(g *graph.Graph, tau int) *cover.Layered {
-	return core.BuildLayeredFor(g, pulseBound(tau))
-}
-
 // checkLevel returns ⌈log₂ τ⌉: the cover level whose clusters contain
 // every τ-ball.
 func checkLevel(tau int) int {
@@ -167,10 +165,10 @@ func checkLevel(tau int) int {
 	return bits.Len(uint(tau - 1))
 }
 
-// Thresholded runs one asynchronous τ-thresholded multi-source BFS.
+// thresholded runs one asynchronous τ-thresholded multi-source BFS.
 // Outputs: apps.TBFSResult for reached non-source nodes,
-// apps.TBFSSourceDone at sources, Unreachable{} beyond the threshold.
-func Thresholded(cfg Config) Result {
+// apps.TBFSSourceDone at sources, unreachable{} beyond the threshold.
+func thresholded(cfg config) result {
 	res, _ := thresholdedOn(nil, cfg, false)
 	return res
 }
@@ -180,7 +178,7 @@ func Thresholded(cfg Config) Result {
 // the doubling loop of Full reuses one engine's event wheel, outboxes, and
 // arena across all its iterations. dense selects the engine's dense-output
 // mode (no Outputs map materialization; the caller decodes OutBodies).
-func thresholdedOn(sim *async.Sim, cfg Config, dense bool) (Result, *async.Sim) {
+func thresholdedOn(sim *async.Sim, cfg config, dense bool) (result, *async.Sim) {
 	if len(cfg.Sources) == 0 {
 		panic("abfs: no sources")
 	}
@@ -223,19 +221,19 @@ func thresholdedOn(sim *async.Sim, cfg Config, dense bool) (Result, *async.Sim) 
 		sim.Reset(adv, mk)
 	}
 	res := sim.Run()
-	complete := true
+	out := result{Result: res, Complete: true}
 	for _, s := range cfg.Sources {
 		// Read the verdict off the engine's committed handler: under
 		// ModeSpec mk also builds the per-round clone targets.
 		glue := sim.Handler(s).(*async.Mux).Module(protoCheck + 1).(*checkGlue)
-		if !glue.srcDone {
-			panic(fmt.Sprintf("abfs: source %d never completed its echo", s))
-		}
-		if glue.frontier {
-			complete = false
+		switch {
+		case !glue.srcDone:
+			out.Complete, out.Stalled = false, true
+		case glue.frontier:
+			out.Complete = false
 		}
 	}
-	return Result{Result: res, Complete: complete}, sim
+	return out, sim
 }
 
 // FullResult aggregates the doubling iterations of the complete BFS.
@@ -249,6 +247,9 @@ type FullResult struct {
 	Iterations int
 	// FinalThreshold is the τ of the last iteration.
 	FinalThreshold int
+	// Stalled reports that the last iteration ended with a source whose
+	// echo never completed, so Outputs are that iteration's partial ones.
+	Stalled bool
 }
 
 // Full runs the complete asynchronous (multi-source) BFS of Theorems
@@ -267,15 +268,18 @@ func FullMode(g *graph.Graph, sources []graph.NodeID, adv async.Adversary,
 	out := FullResult{}
 	var sim *async.Sim
 	for tau := 1; ; tau *= 2 {
-		var res Result
-		res, sim = thresholdedOn(sim, Config{Graph: g, Sources: sources,
+		var res result
+		res, sim = thresholdedOn(sim, config{Graph: g, Sources: sources,
 			Threshold: tau, Adversary: adv, Mode: mode}, true)
 		out.Iterations++
 		out.Time += res.Time
 		out.Msgs += res.Msgs
 		out.FinalThreshold = tau
-		if res.Complete {
+		// A stall ends the doubling: a larger τ cannot resurrect an
+		// undeliverable message (core's watchdog reasons the same way).
+		if res.Complete || res.Stalled {
 			out.Outputs = res.DecodedOutputs()
+			out.Stalled = res.Stalled
 			return out
 		}
 		if tau > 4*g.N() {

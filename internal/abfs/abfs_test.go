@@ -10,7 +10,7 @@ import (
 )
 
 // checkThresholded validates Definition 4.2 semantics on the outputs.
-func checkThresholded(t *testing.T, g *graph.Graph, sources []graph.NodeID, tau int, res Result) {
+func checkThresholded(t *testing.T, g *graph.Graph, sources []graph.NodeID, tau int, res result) {
 	t.Helper()
 	dist, _ := g.MultiBFS(sources)
 	isSource := map[graph.NodeID]bool{}
@@ -35,7 +35,7 @@ func checkThresholded(t *testing.T, g *graph.Graph, sources []graph.NodeID, tau 
 			if !isSource[id] {
 				t.Fatalf("node %d got SourceDone but is not a source", v)
 			}
-		case Unreachable:
+		case unreachable:
 			if dist[v] <= tau {
 				t.Fatalf("node %d output ∞ but dist %d <= tau %d", v, dist[v], tau)
 			}
@@ -52,7 +52,7 @@ func checkThresholded(t *testing.T, g *graph.Graph, sources []graph.NodeID, tau 
 func TestThresholdedCutsAtTau(t *testing.T) {
 	g := graph.Path(24)
 	for _, tau := range []int{1, 3, 8, 30} {
-		res := Thresholded(Config{Graph: g, Sources: []graph.NodeID{0}, Threshold: tau,
+		res := thresholded(config{Graph: g, Sources: []graph.NodeID{0}, Threshold: tau,
 			Adversary: async.SeededRandom{Seed: 2}})
 		checkThresholded(t, g, []graph.NodeID{0}, tau, res)
 	}
@@ -62,7 +62,7 @@ func TestThresholdedMultiSource(t *testing.T) {
 	g := graph.Grid(5, 5)
 	sources := []graph.NodeID{0, 24}
 	for _, tau := range []int{2, 4, 9} {
-		res := Thresholded(Config{Graph: g, Sources: sources, Threshold: tau,
+		res := thresholded(config{Graph: g, Sources: sources, Threshold: tau,
 			Adversary: async.SeededRandom{Seed: 7}})
 		checkThresholded(t, g, sources, tau, res)
 	}
@@ -72,7 +72,7 @@ func TestThresholdedAdversaries(t *testing.T) {
 	g := graph.RandomConnected(20, 45, 11)
 	sources := []graph.NodeID{3}
 	for _, adv := range async.StandardAdversaries(g.N(), 61) {
-		res := Thresholded(Config{Graph: g, Sources: sources, Threshold: 2, Adversary: adv})
+		res := thresholded(config{Graph: g, Sources: sources, Threshold: 2, Adversary: adv})
 		checkThresholded(t, g, sources, 2, res)
 	}
 }

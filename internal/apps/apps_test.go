@@ -25,7 +25,7 @@ func TestFloodOutputsDistances(t *testing.T) {
 }
 
 func TestEchoCountsNodes(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.Path(15), graph.Grid(4, 5), graph.CompleteBinaryTree(31)} {
+	for _, g := range []*graph.Graph{graph.Path(15), graph.Grid(4, 5), specGraph("tree:31")} {
 		res := syncrun.New(g, func(graph.NodeID) syncrun.Handler { return &Echo{Root: 0} }).Run()
 		if res.Outputs[0] != g.N() {
 			t.Fatalf("echo root counted %v, want %d", res.Outputs[0], g.N())
@@ -81,13 +81,25 @@ func mkLeader(g *graph.Graph) (func(graph.NodeID) syncrun.Handler, *cover.Layere
 	}, layered
 }
 
+// TestTBFSIsolatedSource: a source with no neighbors has nothing to wait
+// for, so its echo completes in Init and it outputs its verdict.
+func TestTBFSIsolatedSource(t *testing.T) {
+	done := false
+	res := syncrun.New(graph.Path(1), func(graph.NodeID) syncrun.Handler {
+		return &TBFS{Sources: []graph.NodeID{0}, Threshold: 1, OnSourceDone: func(bool) { done = true }}
+	}).Run()
+	if got := res.Outputs[0]; got != (TBFSSourceDone{}) || !done {
+		t.Fatalf("isolated source output %#v, echo callback %v; want TBFSSourceDone{} and true", got, done)
+	}
+}
+
 func TestLeaderElectsGlobalMin(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Path(20),
 		graph.Cycle(17),
 		graph.Grid(5, 5),
 		graph.RandomConnected(40, 90, 13),
-		graph.Star(12),
+		specGraph("star:12"),
 	} {
 		mk, _ := mkLeader(g)
 		res := syncrun.New(g, mk).Run()
@@ -170,7 +182,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		graph.WithRandomWeights(graph.Path(12), 1),
 		graph.WithRandomWeights(graph.Cycle(10), 2),
 		graph.WithRandomWeights(graph.Grid(4, 5), 3),
-		graph.WithRandomWeights(graph.Complete(8), 4),
+		graph.WithRandomWeights(specGraph("complete:8"), 4),
 		graph.WithRandomWeights(graph.RandomConnected(30, 80, 5), 6),
 		graph.WithRandomWeights(graph.Dumbbell(5, 4), 7),
 	}

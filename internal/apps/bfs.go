@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
@@ -95,12 +93,4 @@ func CheckBFSOutputs(g *graph.Graph, sources []graph.NodeID, outputs map[graph.N
 		}
 	}
 	return -1
-}
-
-// SortedSources returns a sorted copy of sources (the algorithms don't
-// require order, but deterministic tooling does).
-func SortedSources(sources []graph.NodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), sources...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

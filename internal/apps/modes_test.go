@@ -22,9 +22,9 @@ func TestModesByteIdentical(t *testing.T) {
 		{"path40", graph.Path(40)},
 		{"cycle33", graph.Cycle(33)},
 		{"grid12x12", graph.Grid(12, 12)},
-		{"star64", graph.Star(64)},
-		{"tree127", graph.CompleteBinaryTree(127)},
-		{"complete40", graph.Complete(40)},
+		{"star64", specGraph("star:64")},
+		{"tree127", specGraph("tree:127")},
+		{"complete40", specGraph("complete:40")},
 		{"random150", graph.RandomConnected(150, 400, 5)},
 		{"dumbbell", graph.Dumbbell(12, 9)},
 		{"lollipop", graph.Lollipop(10, 14)},
@@ -106,4 +106,13 @@ func TestModeAutoMatchesSingle(t *testing.T) {
 	single := syncrun.New(g, mk).WithMode(syncrun.ModeSingle).KeepTrace().Run()
 	auto := syncrun.New(g, mk).KeepTrace().Run()
 	compareResults(t, single, auto)
+}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -65,6 +65,7 @@ func (h *TBFS) Init(n syncrun.API) {
 			h.join(n, 0, -1, s)
 		}
 	}
+	h.maybeEcho(n) // a source without neighbors is done at once
 	h.out.Flush(n)
 }
 

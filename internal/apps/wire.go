@@ -43,36 +43,36 @@ const (
 // boundary). Output kinds share one global namespace across packages —
 // outval's registry — so they live in a high range of their own.
 const (
-	// KindOutBFS carries a BFSResult: A = dist, B = parent, C = source.
-	KindOutBFS wire.Kind = 0x7E01
-	// KindOutTBFS carries a TBFSResult with the same layout.
-	KindOutTBFS wire.Kind = 0x7E02
-	// KindOutTBFSSourceDone carries a TBFSSourceDone: A = frontier.
-	KindOutTBFSSourceDone wire.Kind = 0x7E03
+	// kindOutBFS carries a BFSResult: A = dist, B = parent, C = source.
+	kindOutBFS wire.Kind = 0x7E01
+	// kindOutTBFS carries a TBFSResult with the same layout.
+	kindOutTBFS wire.Kind = 0x7E02
+	// kindOutTBFSSourceDone carries a TBFSSourceDone: A = frontier.
+	kindOutTBFSSourceDone wire.Kind = 0x7E03
 )
 
 func init() {
-	outval.Register(KindOutBFS, func(b wire.Body) any {
+	outval.Register(kindOutBFS, func(b wire.Body) any {
 		return BFSResult{Dist: int(b.A), Parent: graph.NodeID(b.B), Source: graph.NodeID(b.C)}
 	})
-	outval.Register(KindOutTBFS, func(b wire.Body) any {
+	outval.Register(kindOutTBFS, func(b wire.Body) any {
 		return TBFSResult{Dist: int(b.A), Parent: graph.NodeID(b.B), Source: graph.NodeID(b.C)}
 	})
-	outval.Register(KindOutTBFSSourceDone, func(b wire.Body) any {
+	outval.Register(kindOutTBFSSourceDone, func(b wire.Body) any {
 		return TBFSSourceDone{Frontier: wire.ToBool(b.A)}
 	})
 }
 
 func encBFSOut(r BFSResult) wire.Body {
-	return wire.Body{Kind: KindOutBFS, A: int64(r.Dist), B: int64(r.Parent), C: int64(r.Source)}
+	return wire.Body{Kind: kindOutBFS, A: int64(r.Dist), B: int64(r.Parent), C: int64(r.Source)}
 }
 
 func encTBFSOut(r TBFSResult) wire.Body {
-	return wire.Body{Kind: KindOutTBFS, A: int64(r.Dist), B: int64(r.Parent), C: int64(r.Source)}
+	return wire.Body{Kind: kindOutTBFS, A: int64(r.Dist), B: int64(r.Parent), C: int64(r.Source)}
 }
 
 func encTBFSSourceDone(r TBFSSourceDone) wire.Body {
-	return wire.Body{Kind: KindOutTBFSSourceDone, A: wire.FromBool(r.Frontier)}
+	return wire.Body{Kind: kindOutTBFSSourceDone, A: wire.FromBool(r.Frontier)}
 }
 
 // --- leader codec ----------------------------------------------------------

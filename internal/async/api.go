@@ -54,12 +54,12 @@ type Handler interface {
 	Ack(n *Node, to graph.NodeID, m Msg)
 }
 
-// StateCloner is the opt-in contract for speculative execution (ModeSpec).
+// stateCloner is the opt-in contract for speculative execution (ModeSpec).
 // A handler that implements it can be run optimistically past the safe
 // window: each round the engine copies its state into a clone, lets the
 // clone execute events whose order is not yet certain, and either promotes
 // the clone at the round barrier or discards it and repairs from the
-// committed original. Handlers that do not implement StateCloner silently
+// committed original. Handlers that do not implement stateCloner silently
 // fall back to the conservative bounded-lag executor (Result.SpecStats
 // reports the fallback), so opting in is purely a performance feature.
 //
@@ -84,7 +84,7 @@ type Handler interface {
 //
 // The engine may call mk (to build clone targets, at most once per node)
 // and CloneStateInto concurrently for different nodes.
-type StateCloner interface {
+type stateCloner interface {
 	Handler
 	// CloneStateInto copies the receiver's mutable state into dst, reusing
 	// dst's capacity where possible.

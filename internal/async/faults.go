@@ -41,20 +41,20 @@ type FaultSchedule struct {
 	Budget int
 	// Backoff is the base retransmit delay; attempt k waits
 	// Backoff * 2^k, clamped into [adversary MinDelay, 1]. Zero means
-	// DefaultBackoff.
+	// defaultBackoff.
 	Backoff float64
 	// EpochLen is the crash/link epoch length in normalized time units;
 	// zero means 1 (the normalized delay unit τ).
 	EpochLen float64
 }
 
-// DefaultBackoff is the base retransmit delay when Backoff is zero: 1/64
+// defaultBackoff is the base retransmit delay when Backoff is zero: 1/64
 // of the normalized time unit, doubling per attempt.
-const DefaultBackoff = 1.0 / 64
+const defaultBackoff = 1.0 / 64
 
-// MaxRetransmitBudget bounds Budget: event timestamps and counters stay
+// maxRetransmitBudget bounds Budget: event timestamps and counters stay
 // sane, and an exhausted budget is reachable in bounded simulated time.
-const MaxRetransmitBudget = 64
+const maxRetransmitBudget = 64
 
 // Salts separate the three hash families.
 const (
@@ -81,8 +81,8 @@ func (f *FaultSchedule) Validate() error {
 	if err := check("link", f.LinkP); err != nil {
 		return err
 	}
-	if f.Budget < 0 || f.Budget > MaxRetransmitBudget {
-		return fmt.Errorf("faults: retransmit budget %d outside [0, %d]", f.Budget, MaxRetransmitBudget)
+	if f.Budget < 0 || f.Budget > maxRetransmitBudget {
+		return fmt.Errorf("faults: retransmit budget %d outside [0, %d]", f.Budget, maxRetransmitBudget)
 	}
 	if math.IsNaN(f.Backoff) || f.Backoff < 0 || f.Backoff > 1 {
 		return fmt.Errorf("faults: backoff %g outside [0, 1]", f.Backoff)
@@ -120,11 +120,6 @@ func (f *FaultSchedule) CrashedEpoch(v graph.NodeID, e uint64) bool {
 	return rand01(mix(f.Seed^saltCrash, mix(uint64(uint32(v)), e))) < f.CrashP
 }
 
-// Crashed reports whether node v is crashed at time t.
-func (f *FaultSchedule) Crashed(v graph.NodeID, t float64) bool {
-	return f.CrashedEpoch(v, f.Epoch(t))
-}
-
 // LinkDownEpoch reports whether the undirected link {a, b} is down
 // throughout epoch e.
 func (f *FaultSchedule) LinkDownEpoch(a, b graph.NodeID, e uint64) bool {
@@ -136,11 +131,6 @@ func (f *FaultSchedule) LinkDownEpoch(a, b graph.NodeID, e uint64) bool {
 	}
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	return rand01(mix(f.Seed^saltLink, mix(key, e))) < f.LinkP
-}
-
-// LinkDown reports whether the undirected link {a, b} is down at time t.
-func (f *FaultSchedule) LinkDown(a, b graph.NodeID, t float64) bool {
-	return f.LinkDownEpoch(a, b, f.Epoch(t))
 }
 
 // Drop reports whether transmission seq on the directed link from→to is
@@ -191,7 +181,7 @@ func (f *FaultSchedule) CrashedSet(n int, e uint64) []graph.NodeID {
 func (f *FaultSchedule) backoff(attempt uint8, lookahead float64) float64 {
 	base := f.Backoff
 	if base <= 0 {
-		base = DefaultBackoff
+		base = defaultBackoff
 	}
 	d := base * float64(uint64(1)<<attempt)
 	if d < lookahead {
@@ -246,7 +236,7 @@ func (f *FaultSchedule) String() string {
 //	epoch=0.5      crash/link epoch length (default 1)
 //
 // "" and "none" mean no fault plane (nil schedule). The result is
-// validated; wiring it around an adversary is Faulty{Inner, Schedule}.
+// validated; wiring it around an adversary is faultyAdv{Inner, Schedule}.
 func ParseFaultSpec(spec string) (*FaultSchedule, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" {
@@ -311,25 +301,25 @@ func ParseFaultSpec(spec string) (*FaultSchedule, error) {
 	return f, nil
 }
 
-// Faulty wraps any delay adversary with a fault schedule. Delays — and the
+// faultyAdv wraps any delay adversary with a fault schedule. Delays — and the
 // MinDelay lookahead the bounded-lag and speculative executors build
 // windows from — pass through unchanged; the engine unwraps the schedule
 // at New/Reset and consults it at dispatch, once per transmission attempt.
-type Faulty struct {
+type faultyAdv struct {
 	Inner    Adversary
 	Schedule *FaultSchedule
 }
 
 // Delay delegates to the wrapped adversary.
-func (f Faulty) Delay(from, to graph.NodeID, seq uint64, p Proto) float64 {
+func (f faultyAdv) Delay(from, to graph.NodeID, seq uint64, p Proto) float64 {
 	return f.Inner.Delay(from, to, seq, p)
 }
 
 // MinDelay preserves the wrapped adversary's lookahead declaration.
-func (f Faulty) MinDelay() float64 { return f.Inner.MinDelay() }
+func (f faultyAdv) MinDelay() float64 { return f.Inner.MinDelay() }
 
 // Name tags the wrapped adversary's name with the fault spec.
-func (f Faulty) Name() string { return f.Inner.Name() + "+faults(" + f.Schedule.String() + ")" }
+func (f faultyAdv) Name() string { return f.Inner.Name() + "+faults(" + f.Schedule.String() + ")" }
 
 // WithFaults wraps adv with fs; a nil or inactive schedule returns adv
 // unchanged so fault-free configurations pay nothing.
@@ -337,21 +327,21 @@ func WithFaults(adv Adversary, fs *FaultSchedule) Adversary {
 	if !fs.Active() {
 		return adv
 	}
-	return Faulty{Inner: adv, Schedule: fs}
+	return faultyAdv{Inner: adv, Schedule: fs}
 }
 
 // faultsOf extracts the fault schedule the engine enforces at dispatch.
 func faultsOf(adv Adversary) *FaultSchedule {
-	if f, ok := adv.(Faulty); ok && f.Schedule.Active() {
+	if f, ok := adv.(faultyAdv); ok && f.Schedule.Active() {
 		return f.Schedule
 	}
 	return nil
 }
 
-// StandardFaultSchedules is the suite robustness tests sweep: pure drops,
+// standardFaultSchedules is the suite robustness tests sweep: pure drops,
 // drops with a deeper budget, epoch crashes, link churn, and the combined
 // plane. All are deterministic in seed.
-func StandardFaultSchedules(seed uint64) []*FaultSchedule {
+func standardFaultSchedules(seed uint64) []*FaultSchedule {
 	return []*FaultSchedule{
 		{Seed: seed, DropP: 0.05, Budget: 3},
 		{Seed: seed ^ 0xFEED, DropP: 0.25, Budget: 1},

@@ -155,7 +155,7 @@ func TestFaultMatrixModes(t *testing.T) {
 	anyUndeliv := false
 	for _, seed := range []uint64{3, 17} {
 		graphs := matrixGraphs(seed)[:4]
-		for _, fs := range StandardFaultSchedules(seed) {
+		for _, fs := range standardFaultSchedules(seed) {
 			for _, tg := range graphs {
 				adv := WithFaults(SeededRandom{Seed: seed}, fs)
 				mkFlood := func(graph.NodeID) Handler { return &multiFlood{k: 3} }
@@ -195,7 +195,7 @@ func TestFaultMatrixModes(t *testing.T) {
 					}
 					nUndeliv := uint64(0)
 					for _, te := range want.Trace {
-						if te.Kind == TraceUndeliverable {
+						if te.Kind == traceUndeliverable {
 							nUndeliv++
 						}
 					}

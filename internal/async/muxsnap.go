@@ -10,12 +10,12 @@ import (
 // state-plane support depends on their runtime composition: a Mux is only
 // as serializable and cloneable as the modules registered on it, which the
 // type system cannot see. The engine consults the probe before trusting a
-// handler's wire.StateCodec or StateCloner methods — a failing probe turns
+// handler's wire.StateCodec or stateCloner methods — a failing probe turns
 // Snapshot into a clean error and ModeSpec into the conservative fallback
 // instead of a panic inside SaveState or CloneStateInto.
 type StateCodecProbe interface {
 	// StateCodecOK reports whether the handler's complete state is
-	// serializable (and, for a StateCloner, cloneable) right now.
+	// serializable (and, for a stateCloner, cloneable) right now.
 	StateCodecOK() bool
 }
 
@@ -45,7 +45,7 @@ type ModuleState interface {
 var (
 	_ wire.StateCodec = (*Mux)(nil)
 	_ StateCodecProbe = (*Mux)(nil)
-	_ StateCloner     = (*Mux)(nil)
+	_ stateCloner     = (*Mux)(nil)
 	_ Rebinder        = (*Mux)(nil)
 )
 
@@ -124,7 +124,7 @@ func (x *Mux) Rebind(n *Node) {
 	}
 }
 
-// CloneStateInto implements StateCloner: module by module, each copying
+// CloneStateInto implements stateCloner: module by module, each copying
 // its own state straight into its counterpart in dst. This runs once per
 // touched node per speculative round, so it is the synchronizer stack's
 // hot path under ModeSpec; the modules keep their state in flat slices

@@ -71,7 +71,7 @@ func matrixGraphs(seed uint64) []struct {
 		{"path40", graph.Path(40)},
 		{"cycle48", graph.Cycle(48)},
 		{"grid7x9", graph.Grid(7, 9)},
-		{"star32", graph.Star(32)},
+		{"star32", specGraph("star:32")},
 		{"er60", graph.RandomConnected(60, 150, seed)},
 	}
 }
@@ -337,4 +337,13 @@ func TestResetAfterMidWindowPanic(t *testing.T) {
 	if got := s.Run(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("rearmed engine after mid-window panic differs from fresh engine:\n%+v\nvs\n%+v", want, got)
 	}
+}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -34,12 +34,6 @@ import (
 // order reproduces serial seq assignment exactly, making per-shard
 // Results, outputs, and traces merge to the byte-identical serial run.
 
-// Exported event kinds for the cross-shard frame plane.
-const (
-	ShardEvDeliver   = evDeliver
-	ShardEvAckArrive = evAckArrive
-)
-
 // ShardStagedView is one staged schedule call as the shard worker ships
 // it: the merge key (TrigT, TrigSeq), the event's own fields, and the
 // global node whose shard must execute it.

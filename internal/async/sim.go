@@ -36,7 +36,7 @@ const (
 	// a serial commit walk at the round barrier replays the effects in
 	// global (t, seq) order through the serial engine's own code path,
 	// detects stragglers, and rolls back only the poisoned suffix. Requires
-	// every handler to implement StateCloner; otherwise the run falls back
+	// every handler to implement stateCloner; otherwise the run falls back
 	// to ModeMulti (see SpecStats.FellBack).
 	ModeSpec
 )
@@ -88,7 +88,7 @@ type Sim struct {
 	g         *graph.Graph
 	adv       Adversary
 	lookahead float64 // adv.MinDelay(), validated at New/Reset
-	// faults is the schedule unwrapped from a Faulty adversary at New/Reset
+	// faults is the schedule unwrapped from a faultyAdv adversary at New/Reset
 	// (nil when absent). It is consulted once per transmission attempt at
 	// dispatch — the same point in the event order in every execution mode,
 	// so fault decisions are byte-identical across Single/Multi/Spec/shard.
@@ -189,7 +189,7 @@ type Sim struct {
 // Rejected/Executed is the rollback rate; the benchmark module reports
 // Committed/Executed as async.spec.commit_ratio. FellBack reports that a
 // ModeSpec run used the bounded-lag executor instead because at least one
-// handler does not implement StateCloner.
+// handler does not implement stateCloner.
 type SpecStats struct {
 	Rounds    uint64
 	Executed  uint64
@@ -204,13 +204,13 @@ type SpecStats struct {
 type TraceKind uint8
 
 const (
-	// TraceDeliver is a delivered message (the zero value).
-	TraceDeliver TraceKind = iota
-	// TraceUndeliverable records a message abandoned after its retransmit
+	// traceDeliver is a delivered message (the zero value).
+	traceDeliver TraceKind = iota
+	// traceUndeliverable records a message abandoned after its retransmit
 	// budget was exhausted by the fault schedule — typed evidence instead
 	// of a hang. Its (T, Seq) key is the event that issued the final failed
 	// attempt.
-	TraceUndeliverable
+	traceUndeliverable
 )
 
 // TraceEntry records one delivered message (KeepTrace). Entries appear in
@@ -248,7 +248,7 @@ type Result struct {
 	// delay).
 	Retrans uint64
 	// Undeliverable counts messages abandoned with their retransmit budget
-	// exhausted; each also appears as a TraceUndeliverable entry in traced
+	// exhausted; each also appears as a traceUndeliverable entry in traced
 	// runs.
 	Undeliverable uint64
 	// PerProto breaks Msgs down by protocol tag (materialized from the
@@ -491,7 +491,7 @@ func (s *Sim) Run() Result {
 		}
 	}
 	if mode == ModeSpec && !s.handlersCloneable() {
-		// Opting in is per-handler (StateCloner); a stack that cannot be
+		// Opting in is per-handler (stateCloner); a stack that cannot be
 		// cloned gets the conservative executor, not an error — callers can
 		// force -mode=spec fleet-wide and let each workload take what it
 		// supports. SpecStats records the downgrade.
@@ -516,7 +516,7 @@ func (s *Sim) Run() Result {
 // execution. O(n) type assertions; called once per forced ModeSpec Run.
 func (s *Sim) handlersCloneable() bool {
 	for _, h := range s.handlers {
-		if _, ok := h.(StateCloner); !ok {
+		if _, ok := h.(stateCloner); !ok {
 			return false
 		}
 		if pr, ok := h.(StateCodecProbe); ok && !pr.StateCodecOK() {
@@ -1066,7 +1066,7 @@ func (c *execCtx) undeliverable(from, to graph.NodeID, l graph.LinkID, m Msg) {
 	s := c.s
 	c.undeliv++
 	if s.keepTrace {
-		c.trace = append(c.trace, TraceEntry{T: c.now, Seq: c.curSeq, From: from, To: to, Msg: m, Kind: TraceUndeliverable})
+		c.trace = append(c.trace, TraceEntry{T: c.now, Seq: c.curSeq, From: from, To: to, Msg: m, Kind: traceUndeliverable})
 	}
 	s.arena.Release(m.Body.Seg)
 	s.busy[l] = false

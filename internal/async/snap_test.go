@@ -14,7 +14,7 @@ import (
 
 // snapRelax is the round-trip test workload: multi-source BFS by monotone
 // relaxation. It implements both wire.StateCodec (snapshot/restore) and
-// StateCloner (ModeSpec), so a snapshot taken mid-run can be resumed under
+// stateCloner (ModeSpec), so a snapshot taken mid-run can be resumed under
 // every execution mode. root is config — the handler constructor rebuilds
 // it — so only the mutable pair (have, dist) serializes.
 type snapRelax struct {
@@ -283,9 +283,12 @@ func TestSnapshotErrors(t *testing.T) {
 	if unknownKind[nodeAt+4] != 1 {
 		t.Fatal("the first node record carries no output")
 	}
-	body := wire.DecodeBody(unknownKind[outAt:])
+	var arena wire.Arena
+	body := wire.NewDec(unknownKind[outAt:], &arena).Body()
 	body.Kind = 0x1234
-	copy(unknownKind[outAt:], wire.AppendBody(nil, body))
+	enc := wire.NewEnc(&arena)
+	enc.RawBody(body)
+	copy(unknownKind[outAt:], enc.Bytes())
 	if err := New(g, adv, mkRelax).Restore(wire.SealSnapshot(unknownKind)); err == nil {
 		t.Error("restore accepted an output record of an unregistered kind")
 	}

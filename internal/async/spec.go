@@ -21,7 +21,7 @@ import (
 //
 //   - Speculative phase (parallel): each worker pops its shard in (t, seq)
 //     order and invokes ONLY the handler callback, on a per-node clone
-//     (StateCloner) built from the committed handler at first touch. The
+//     (stateCloner) built from the committed handler at first touch. The
 //     callback's Send/Output calls are logged as specOps; nothing in the
 //     engine — outboxes, txSeq, counters, trace, arena lifecycle, seq
 //     assignment — is touched. The one piece of engine state a handler can
@@ -216,7 +216,7 @@ func (s *Sim) specHandlerFor(v graph.NodeID) Handler {
 			cl = s.specMk(v)
 			s.specClones[v] = cl
 		}
-		s.handlers[v].(StateCloner).CloneStateInto(cl)
+		s.handlers[v].(stateCloner).CloneStateInto(cl)
 		s.specCloneEp[v] = s.specRoundEp
 	}
 	return s.specClones[v]

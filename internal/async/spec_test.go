@@ -1,6 +1,7 @@
 package async
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -87,7 +88,7 @@ func TestSpecWorkerSweep(t *testing.T) {
 	}
 }
 
-// plainFlood is floodHandler without StateCloner: a deliberately
+// plainFlood is floodHandler without stateCloner: a deliberately
 // speculation-ineligible workload for the fallback test.
 type plainFlood struct {
 	seen bool
@@ -389,13 +390,20 @@ func TestAutoModeTinyLookaheadSerial(t *testing.T) {
 	}
 }
 
-// TestAutoPolicyWheelDrift pins the shared policy constant to the calendar
+// TestAutoPolicyWheelDrift pins Auto's window threshold to the calendar
 // wheel's resolution — the two must move together or Auto's window
-// heuristic stops meaning "one wheel tick".
+// heuristic stops meaning "one wheel tick": a lookahead of exactly one tick
+// engages the windows, anything shorter stays serial.
 func TestAutoPolicyWheelDrift(t *testing.T) {
-	if execpolicy.AutoMinLookahead != 1.0/cqBuckets {
-		t.Fatalf("execpolicy.AutoMinLookahead = %g, wheel tick = %g",
-			execpolicy.AutoMinLookahead, 1.0/cqBuckets)
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	const links = 1 << 20 // past the Auto pool gate, short of the huge-graph one
+	tick := 1.0 / cqBuckets
+	if c := execpolicy.AsyncAuto(4, links, tick, true); c != execpolicy.AsyncWindows {
+		t.Fatalf("AsyncAuto at one wheel tick chose %v, want AsyncWindows", c)
+	}
+	if c := execpolicy.AsyncAuto(4, links, math.Nextafter(tick, 0), true); c != execpolicy.AsyncSerial {
+		t.Fatalf("AsyncAuto below one wheel tick chose %v, want AsyncSerial", c)
 	}
 }
 

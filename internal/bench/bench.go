@@ -29,23 +29,23 @@ import (
 	"repro/internal/wire"
 )
 
-// Rec is one structured per-row record: column name -> raw (unformatted)
+// record is one structured per-row record: column name -> raw (unformatted)
 // value. encoding/json sorts map keys, so marshaling is deterministic.
-type Rec map[string]any
+type record map[string]any
 
 // row pairs one table row with its structured record.
 type row struct {
 	cols []any
-	rec  Rec
+	rec  record
 }
 
 // experiment is one registry entry. The registry slice is the single
-// ordered source of truth: ByName, Run, IDs, and List all drive off it.
+// ordered source of truth: Run, allIDs and List drive off it.
 // Ids are stable names, not positions: retired experiments leave gaps.
 type experiment struct {
 	id    string
 	title string
-	run   func(*Ctx)
+	run   func(*expCtx)
 }
 
 var experiments = []experiment{
@@ -90,8 +90,8 @@ func List() []Info {
 	return out
 }
 
-// IDs returns every experiment id in registry order.
-func IDs() []string {
+// allIDs returns every experiment id in registry order.
+func allIDs() []string {
 	out := make([]string, len(experiments))
 	for i, e := range experiments {
 		out[i] = e.id
@@ -150,22 +150,22 @@ type Options struct {
 	Resume string
 }
 
-// ExpRecords is the JSON shape of one experiment's output.
-type ExpRecords struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-	Rows  []Rec  `json:"rows"`
+// expRecords is the JSON shape of one experiment's output.
+type expRecords struct {
+	ID    string   `json:"id"`
+	Title string   `json:"title"`
+	Rows  []record `json:"rows"`
 }
 
-// Output is the top-level JSON document of a -json run.
-type Output struct {
+// jsonDoc is the top-level JSON document of a -json run.
+type jsonDoc struct {
 	Schema      string       `json:"schema"`
-	Experiments []ExpRecords `json:"experiments"`
+	Experiments []expRecords `json:"experiments"`
 }
 
-// Ctx is the per-run context handed to each experiment: table output,
+// expCtx is the per-run context handed to each experiment: table output,
 // worker pool, run-wide option overrides, and the record accumulator.
-type Ctx struct {
+type expCtx struct {
 	w       io.Writer
 	workers int
 	seed    uint64
@@ -185,13 +185,13 @@ type Ctx struct {
 	// extra checkpoint interval and its optional real-file resume row.
 	snapEvery uint64
 	resume    string
-	cur       *ExpRecords
-	exps      []ExpRecords
+	cur       *expRecords
+	exps      []expRecords
 }
 
 // seedOr returns the run-wide adversary-seed override, or the
 // experiment's default when none was given.
-func (c *Ctx) seedOr(def uint64) uint64 {
+func (c *expCtx) seedOr(def uint64) uint64 {
 	if c.seed != 0 {
 		return c.seed
 	}
@@ -201,31 +201,31 @@ func (c *Ctx) seedOr(def uint64) uint64 {
 // adv returns the seeded random delay adversary an experiment should use,
 // honoring the -seed override and wrapping in the run-wide fault
 // schedule when one was given.
-func (c *Ctx) adv(def uint64) async.Adversary {
+func (c *expCtx) adv(def uint64) async.Adversary {
 	return async.WithFaults(async.SeededRandom{Seed: c.seedOr(def)}, c.faults)
 }
 
 // runSync executes a lockstep baseline in the selected execution mode
 // (results are mode-independent; only wall-clock changes).
-func (c *Ctx) runSync(g *graph.Graph, mk func(graph.NodeID) syncrun.Handler) syncrun.Result {
+func (c *expCtx) runSync(g *graph.Graph, mk func(graph.NodeID) syncrun.Handler) syncrun.Result {
 	return syncrun.New(g, mk).WithMode(c.mode).Run()
 }
 
 // coreCfg assembles a synchronizer config honoring the run-wide async
 // execution mode.
-func (c *Ctx) coreCfg(g *graph.Graph, bound int, adv async.Adversary) core.Config {
+func (c *expCtx) coreCfg(g *graph.Graph, bound int, adv async.Adversary) core.Config {
 	return core.Config{Graph: g, Bound: bound, Adversary: adv, Mode: c.amode}
 }
 
 // table accumulates aligned rows.
 type table struct {
 	w   *tabwriter.Writer
-	ctx *Ctx
+	ctx *expCtx
 }
 
 // table opens the experiment's table, printing the registry title plus the
 // experiment's expectation note.
-func (c *Ctx) table(note string) *table {
+func (c *expCtx) table(note string) *table {
 	fmt.Fprintf(c.w, "\n=== %s: %s ===\n", c.cur.ID, c.cur.Title)
 	if note != "" {
 		fmt.Fprintf(c.w, "%s\n", note)
@@ -265,7 +265,7 @@ func (t *table) emit(rows []row) {
 
 // jobs executes n independent trials on the worker pool and returns their
 // rows merged in job order, so output is identical to a serial run.
-func (c *Ctx) jobs(n int, fn func(i int) []row) []row {
+func (c *expCtx) jobs(n int, fn func(i int) []row) []row {
 	out := make([][]row, n)
 	workers := c.workers
 	if workers > n {
@@ -305,11 +305,11 @@ func (c *Ctx) jobs(n int, fn func(i int) []row) []row {
 // w. It errors on unknown ids without running anything.
 func Run(w io.Writer, ids []string, opts Options) error {
 	if len(ids) == 0 {
-		ids = IDs()
+		ids = allIDs()
 	}
 	for _, id := range ids {
 		if byID(id) == nil {
-			return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ","))
+			return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(allIDs(), ","))
 		}
 	}
 	tw := w
@@ -329,7 +329,7 @@ func Run(w io.Writer, ids []string, opts Options) error {
 			return fmt.Errorf("resume %s: %w", opts.Resume, err)
 		}
 	}
-	c := &Ctx{w: tw, workers: opts.Workers, seed: opts.Seed, mode: opts.Mode, amode: opts.AsyncMode, gspec: opts.Graph, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
+	c := &expCtx{w: tw, workers: opts.Workers, seed: opts.Seed, mode: opts.Mode, amode: opts.AsyncMode, gspec: opts.Graph, faults: fs, fspec: opts.Faults, snapEvery: opts.SnapshotEvery, resume: opts.Resume}
 	if opts.Graph != "" {
 		g, err := graph.FromSpec(opts.Graph)
 		if err != nil {
@@ -339,20 +339,14 @@ func Run(w io.Writer, ids []string, opts Options) error {
 	}
 	for _, id := range ids {
 		e := byID(id)
-		c.exps = append(c.exps, ExpRecords{ID: e.id, Title: e.title})
+		c.exps = append(c.exps, expRecords{ID: e.id, Title: e.title})
 		c.cur = &c.exps[len(c.exps)-1]
 		e.run(c)
 	}
 	if opts.JSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(Output{Schema: "syncbench/v1", Experiments: c.exps})
+		return enc.Encode(jsonDoc{Schema: "syncbench/v1", Experiments: c.exps})
 	}
 	return nil
-}
-
-// ByName runs one experiment by its id (any of IDs()) serially with
-// table output; it reports whether the id was known.
-func ByName(w io.Writer, id string) bool {
-	return Run(w, []string{id}, Options{}) == nil
 }

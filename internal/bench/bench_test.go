@@ -19,13 +19,13 @@ import (
 
 func TestByName(t *testing.T) {
 	var sb strings.Builder
-	if !ByName(&sb, "E10") {
-		t.Fatal("E10 unknown")
+	if err := Run(&sb, []string{"E10"}, Options{}); err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "sparse cover quality") {
 		t.Fatalf("unexpected output: %s", sb.String())
 	}
-	if ByName(io.Discard, "E99") {
+	if Run(io.Discard, []string{"E99"}, Options{}) == nil {
 		t.Fatal("E99 should be unknown")
 	}
 }
@@ -34,7 +34,7 @@ func TestByName(t *testing.T) {
 // DESIGN.md, so retired experiments leave gaps — but every id is "E<n>",
 // unique, and the registry lists them in strictly increasing n.
 func TestRegistryOrdered(t *testing.T) {
-	ids := IDs()
+	ids := allIDs()
 	if len(ids) == 0 {
 		t.Fatal("empty registry")
 	}
@@ -67,7 +67,7 @@ func TestRunUnknownID(t *testing.T) {
 		if err == nil {
 			t.Fatalf("expected error for unknown id %s", id)
 		}
-		if !strings.Contains(err.Error(), strings.Join(IDs(), ",")) {
+		if !strings.Contains(err.Error(), strings.Join(allIDs(), ",")) {
 			t.Errorf("error %q does not list the valid ids", err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestJSONOutputShape(t *testing.T) {
 	if err := Run(&buf, []string{"E7", "E11"}, Options{JSON: true}); err != nil {
 		t.Fatal(err)
 	}
-	var out Output
+	var out jsonDoc
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestFaultAndStateDet(t *testing.T) {
 	if err := Run(&buf, []string{"E17", "E18"}, Options{JSON: true}); err != nil {
 		t.Fatal(err)
 	}
-	var out Output
+	var out jsonDoc
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,8 @@ func TestCheapExperimentsRun(t *testing.T) {
 		t.Skip("experiment sweeps")
 	}
 	for _, id := range []string{"E7", "E9", "E11", "E12"} {
-		if !ByName(io.Discard, id) {
-			t.Fatalf("%s missing", id)
+		if err := Run(io.Discard, []string{id}, Options{}); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
 	}
 }
@@ -233,7 +233,7 @@ func TestE10CoverQualityInvariants(t *testing.T) {
 	for _, tc := range cases {
 		logn := bits.Len(uint(tc.g.N()))
 		for _, d := range []int{1, 2, 4, 8} {
-			q := MeasureCoverQuality(tc.g, d)
+			q := measureCoverQuality(tc.g, d)
 			if q.Clusters == 0 {
 				t.Fatalf("%s d=%d: no clusters", tc.name, d)
 			}

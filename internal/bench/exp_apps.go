@@ -26,7 +26,7 @@ type namedGraph struct {
 // M(A')/M(A) per Appendix A and Theorem 1.1. Expected shape: α wins time
 // and loses messages as T·m grows; β pays Θ(D) time per pulse; the main
 // synchronizer keeps both overheads polylogarithmic.
-func e1SynchronizerOverheads(c *Ctx) {
+func e1SynchronizerOverheads(c *expCtx) {
 	t := c.table("overheads = async/sync; α time ≈ O(1)/pulse, β time ≈ Θ(D)/pulse, main = polylog")
 	t.head("graph", "n", "m", "D", "T(A)", "M(A)", "sync", "time-ovh", "msg-ovh")
 	graphs := []namedGraph{
@@ -56,7 +56,7 @@ func e1SynchronizerOverheads(c *Ctx) {
 			msgOvh := float64(r.res.Msgs) / float64(sres.M)
 			rows = append(rows, row{
 				cols: []any{tc.name, g.N(), g.M(), g.Diameter(), sres.T, sres.M, r.name, timeOvh, msgOvh},
-				rec: Rec{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": g.Diameter(),
+				rec: record{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": g.Diameter(),
 					"syncT": sres.T, "syncM": sres.M, "synchronizer": r.name,
 					"time": r.res.Time, "msgs": r.res.Msgs,
 					"timeOverhead": timeOvh, "msgOverhead": msgOvh},
@@ -68,7 +68,7 @@ func e1SynchronizerOverheads(c *Ctx) {
 
 // e2BFSTimeVsD measures the complete asynchronous BFS (Theorem 4.23):
 // time should scale near-linearly in D (polylog factors on top).
-func e2BFSTimeVsD(c *Ctx) {
+func e2BFSTimeVsD(c *expCtx) {
 	t := c.table("time/D should stay within polylog factors as D doubles")
 	t.head("graph", "n", "m", "D", "iters", "time", "time/D", "msgs")
 	cases := []namedGraph{
@@ -86,7 +86,7 @@ func e2BFSTimeVsD(c *Ctx) {
 		perD := res.Time / float64(d)
 		return []row{{
 			cols: []any{tc.name, g.N(), g.M(), d, res.Iterations, res.Time, perD, res.Msgs},
-			rec: Rec{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": d,
+			rec: record{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": d,
 				"iterations": res.Iterations, "time": res.Time, "timePerD": perD, "msgs": res.Msgs},
 		}}
 	}))
@@ -94,7 +94,7 @@ func e2BFSTimeVsD(c *Ctx) {
 
 // e3BFSMessagesVsM fixes n and sweeps m: messages should scale near-
 // linearly in m (Theorem 4.23's Õ(m)).
-func e3BFSMessagesVsM(c *Ctx) {
+func e3BFSMessagesVsM(c *expCtx) {
 	t := c.table("msgs/m should stay within polylog factors as m grows")
 	t.head("n", "m", "D", "time", "msgs", "msgs/m")
 	const n = 96
@@ -105,7 +105,7 @@ func e3BFSMessagesVsM(c *Ctx) {
 		perM := float64(res.Msgs) / float64(g.M())
 		return []row{{
 			cols: []any{n, g.M(), g.Diameter(), res.Time, res.Msgs, perM},
-			rec: Rec{"n": n, "m": g.M(), "diameter": g.Diameter(),
+			rec: record{"n": n, "m": g.M(), "diameter": g.Diameter(),
 				"time": res.Time, "msgs": res.Msgs, "msgsPerM": perM},
 		}}
 	}))
@@ -113,7 +113,7 @@ func e3BFSMessagesVsM(c *Ctx) {
 
 // e4MultiSourceD1 shows Theorem 4.24: multi-source BFS terminates in time
 // governed by D1 (max distance to the closest source), not the diameter.
-func e4MultiSourceD1(c *Ctx) {
+func e4MultiSourceD1(c *expCtx) {
 	t := c.table("with more sources D1 shrinks and so should the time, at fixed D")
 	t.head("sources", "D", "D1", "iters", "time", "time/D1", "msgs")
 	sets := [][]graph.NodeID{
@@ -131,7 +131,7 @@ func e4MultiSourceD1(c *Ctx) {
 		perD1 := res.Time / float64(d1)
 		return []row{{
 			cols: []any{len(sources), d, d1, res.Iterations, res.Time, perD1, res.Msgs},
-			rec: Rec{"sources": len(sources), "diameter": d, "d1": d1,
+			rec: record{"sources": len(sources), "diameter": d, "d1": d1,
 				"iterations": res.Iterations, "time": res.Time, "timePerD1": perD1, "msgs": res.Msgs},
 		}}
 	}))
@@ -139,7 +139,7 @@ func e4MultiSourceD1(c *Ctx) {
 
 // e5LeaderElection measures Corollary 1.3: deterministic asynchronous
 // leader election in Õ(D) time and Õ(m) messages.
-func e5LeaderElection(c *Ctx) {
+func e5LeaderElection(c *expCtx) {
 	t := c.table("time/D and msgs/m should stay within polylog factors")
 	t.head("graph", "n", "m", "D", "T(A)", "M(A)", "time", "time/D", "msgs", "msgs/m")
 	cases := []namedGraph{
@@ -164,7 +164,7 @@ func e5LeaderElection(c *Ctx) {
 		perM := float64(res.Msgs) / float64(g.M())
 		return []row{{
 			cols: []any{tc.name, g.N(), g.M(), d, sres.T, sres.M, res.Time, perD, res.Msgs, perM},
-			rec: Rec{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": d,
+			rec: record{"graph": tc.name, "n": g.N(), "m": g.M(), "diameter": d,
 				"syncT": sres.T, "syncM": sres.M, "time": res.Time, "timePerD": perD,
 				"msgs": res.Msgs, "msgsPerM": perM},
 		}}
@@ -173,7 +173,7 @@ func e5LeaderElection(c *Ctx) {
 
 // e6MST measures Corollary 1.4 (with the documented Borůvka substitution):
 // asynchronous deterministic MST with Õ(m) messages.
-func e6MST(c *Ctx) {
+func e6MST(c *expCtx) {
 	t := c.table("msgs/m should stay within polylog factors; MST verified against Kruskal")
 	t.head("graph", "n", "m", "T(A)", "M(A)", "time", "msgs", "msgs/m", "correct")
 	cases := []namedGraph{
@@ -198,7 +198,7 @@ func e6MST(c *Ctx) {
 		correct := mstCorrect(g, res.Outputs)
 		return []row{{
 			cols: []any{tc.name, g.N(), g.M(), sres.T, sres.M, res.Time, res.Msgs, perM, correct},
-			rec: Rec{"graph": tc.name, "n": g.N(), "m": g.M(), "syncT": sres.T, "syncM": sres.M,
+			rec: record{"graph": tc.name, "n": g.N(), "m": g.M(), "syncT": sres.T, "syncM": sres.M,
 				"time": res.Time, "msgs": res.Msgs, "msgsPerM": perM, "correct": correct},
 		}}
 	}))

@@ -31,7 +31,7 @@ import (
 // E17 runs as one serial job: wall-clock columns would distort under
 // concurrent trials. With Options.Faults set, the spec is
 // appended as an extra row after the built-in grid.
-func e17FaultOverhead(c *Ctx) {
+func e17FaultOverhead(c *expCtx) {
 	t := c.table("overhead vs fault rate; budget turns drops into delay, exhaustion into stalls; repair must equal rebuild (det)")
 	t.head("graph", "faults", "delivered", "dropped", "retrans", "undeliv", "stalled", "timeX", "msgX", "repair(ms)", "rebuild(ms)", "reuse", "det")
 	seed := c.seedOr(7)
@@ -80,7 +80,7 @@ func e17FaultOverhead(c *Ctx) {
 				rows = append(rows, row{
 					cols: []any{tc.name, spec, delivered, res.Dropped, res.Retrans, res.Undeliverable,
 						rep.IsStalled(), timeX, msgX, repairMs, rebuildMs, reuse, det},
-					rec: Rec{"graph": tc.name, "faults": spec, "n": g.N(), "m": g.M(),
+					rec: record{"graph": tc.name, "faults": spec, "n": g.N(), "m": g.M(),
 						"delivered": delivered, "dropped": res.Dropped, "retrans": res.Retrans,
 						"undeliverable": res.Undeliverable, "stalledNodes": rep.StalledCount,
 						"stalled": rep.IsStalled(), "time": res.Time, "msgs": res.Msgs,

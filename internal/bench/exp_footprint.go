@@ -18,7 +18,7 @@ package bench
 // counts are stable in practice but depend on the runtime's size classes,
 // so they are pinned loosely by footprint_test.go rather than replayed
 // byte-identically here.
-func e16Footprint(c *Ctx) {
+func e16Footprint(c *expCtx) {
 	t := c.table("retained heap bytes after GC; engines measured after one completed flood; per-link and per-node columns must stay flat as n grows.")
 	t.head("graph", "n", "links", "graphKB", "gB/link", "asyncKB", "aB/link", "syncKB", "sB/node")
 	specs := []string{
@@ -34,7 +34,7 @@ func e16Footprint(c *Ctx) {
 	t.emit(c.jobs(1, func(int) []row {
 		rows := make([]row, 0, len(specs))
 		for _, spec := range specs {
-			gBytes, err := GraphRetainedBytes(spec)
+			gBytes, err := graphRetainedBytes(spec)
 			if err != nil {
 				// Run validated Options.Graph and the built-ins are static,
 				// so a failure here is a harness bug.
@@ -44,8 +44,8 @@ func e16Footprint(c *Ctx) {
 			if spec != c.gspec || g == nil {
 				g = mustSpec(spec)
 			}
-			aBytes := AsyncRetainedBytes(g)
-			sBytes := SyncRetainedBytes(g)
+			aBytes := asyncRetainedBytes(g)
+			sBytes := syncRetainedBytes(g)
 			n, links := g.N(), g.Links()
 			gPerLink := float64(gBytes) / float64(links)
 			aPerLink := float64(aBytes) / float64(links)
@@ -55,7 +55,7 @@ func e16Footprint(c *Ctx) {
 					float64(gBytes) / 1024, gPerLink,
 					float64(aBytes) / 1024, aPerLink,
 					float64(sBytes) / 1024, sPerNode},
-				rec: Rec{"graph": spec, "n": n, "links": links,
+				rec: record{"graph": spec, "n": n, "links": links,
 					"graphBytes": gBytes, "graphBytesPerLink": gPerLink,
 					"asyncBytes": aBytes, "asyncBytesPerLink": aPerLink,
 					"syncBytes": sBytes, "syncBytesPerNode": sPerNode},

@@ -50,7 +50,7 @@ func (c *regClient) GoAhead(n *async.Node, _ cover.ClusterID, _ int) {
 // route-everything-to-the-root registration needs Ω(n) time on a shallow
 // tree with many registrants behind one edge, while the wave-based
 // algorithm stays proportional to the tree height per operation.
-func e7RegistrationCongestion(c *Ctx) {
+func e7RegistrationCongestion(c *expCtx) {
 	t := c.table("star-of-paths: every node registers once; naive funnels Θ(n) messages through the hub")
 	t.head("deg", "pathLen", "n", "scheme", "time", "msgs")
 	cases := []struct{ deg, plen int }{{4, 8}, {8, 16}, {8, 32}}
@@ -85,7 +85,7 @@ func e7RegistrationCongestion(c *Ctx) {
 			res := sim.Run()
 			rows = append(rows, row{
 				cols: []any{tc.deg, tc.plen, g.N(), scheme, res.QuiesceTime, res.Msgs},
-				rec: Rec{"degree": tc.deg, "pathLen": tc.plen, "n": g.N(), "scheme": scheme,
+				rec: record{"degree": tc.deg, "pathLen": tc.plen, "n": g.N(), "scheme": scheme,
 					"time": res.QuiesceTime, "msgs": res.Msgs},
 			})
 		}
@@ -95,7 +95,7 @@ func e7RegistrationCongestion(c *Ctx) {
 
 // e8AlphaBlowup isolates Appendix A's α message term M(A) + Θ(T(A)·m):
 // a token ping-pong (T = M = rounds) on a dense low-diameter graph.
-func e8AlphaBlowup(c *Ctx) {
+func e8AlphaBlowup(c *expCtx) {
 	t := c.table("ping workload: M(A)=T(A)=n on ER(n, 6n); α pays Θ(T·m), main stays polylog/pulse")
 	t.head("n", "m", "M(A)", "alpha-msgs", "main-msgs", "ratio", "alpha-time", "main-time")
 	ns := []int{64, 128, 256}
@@ -109,7 +109,7 @@ func e8AlphaBlowup(c *Ctx) {
 		ratio := float64(alpha.Msgs) / float64(main.Msgs)
 		return []row{{
 			cols: []any{n, g.M(), rounds, alpha.Msgs, main.Msgs, ratio, alpha.Time, main.Time},
-			rec: Rec{"n": n, "m": g.M(), "syncM": rounds, "alphaMsgs": alpha.Msgs,
+			rec: record{"n": n, "m": g.M(), "syncM": rounds, "alphaMsgs": alpha.Msgs,
 				"mainMsgs": main.Msgs, "msgRatio": ratio,
 				"alphaTime": alpha.Time, "mainTime": main.Time},
 		}}
@@ -143,7 +143,7 @@ func (h *pingAlgo) Pulse(n syncrun.API, _ int, recvd []syncrun.Incoming) {
 // e9AdversaryRobustness runs the synchronized BFS under every standard
 // delay adversary: outputs must be identical (determinism of the
 // synchronized algorithm, Theorem 5.2); time varies within the bound.
-func e9AdversaryRobustness(c *Ctx) {
+func e9AdversaryRobustness(c *expCtx) {
 	t := c.table("synchronized BFS on grid 6x6; outputs must match the lockstep run under every adversary")
 	t.head("adversary", "time", "msgs", "outputs-match")
 	// The graph, lockstep baseline, and adversary suite are shared across
@@ -163,14 +163,14 @@ func e9AdversaryRobustness(c *Ctx) {
 		}
 		return []row{{
 			cols: []any{adv.Name(), res.Time, res.Msgs, match},
-			rec:  Rec{"adversary": adv.Name(), "time": res.Time, "msgs": res.Msgs, "outputsMatch": match},
+			rec:  record{"adversary": adv.Name(), "time": res.Time, "msgs": res.Msgs, "outputsMatch": match},
 		}}
 	}))
 }
 
 // e10CoverQuality verifies Theorem 4.21's construction quality empirically:
 // tree stretch (depth/d), per-edge tree congestion, per-node membership.
-func e10CoverQuality(c *Ctx) {
+func e10CoverQuality(c *expCtx) {
 	t := c.table("bounds: depth = O(d·log³n), congestion = O(log⁴n), membership = O(log n)")
 	t.head("graph", "d", "clusters", "maxDepth", "depth/d", "maxCongestion", "maxMembership")
 	graphs := []namedGraph{
@@ -182,31 +182,31 @@ func e10CoverQuality(c *Ctx) {
 		tc := graphs[i/len(ds)]
 		d := ds[i%len(ds)]
 		g := tc.mk()
-		q := MeasureCoverQuality(g, d)
+		q := measureCoverQuality(g, d)
 		return []row{{
 			cols: []any{tc.name, d, q.Clusters, q.MaxDepth,
 				float64(q.MaxDepth) / float64(d), q.MaxCongestion, q.MaxMembership},
-			rec: Rec{"graph": tc.name, "d": d, "clusters": q.Clusters, "maxDepth": q.MaxDepth,
+			rec: record{"graph": tc.name, "d": d, "clusters": q.Clusters, "maxDepth": q.MaxDepth,
 				"depthPerD":     float64(q.MaxDepth) / float64(d),
 				"maxCongestion": q.MaxCongestion, "maxMembership": q.MaxMembership},
 		}}
 	}))
 }
 
-// CoverQuality aggregates the E10 empirical metrics of one (graph, d)
+// coverQuality aggregates the E10 empirical metrics of one (graph, d)
 // cover build; tests reuse it to assert the Theorem 4.21 bounds.
-type CoverQuality struct {
+type coverQuality struct {
 	Clusters      int
 	MaxDepth      int
 	MaxCongestion int
 	MaxMembership int
 }
 
-// MeasureCoverQuality builds the sparse d-cover of g and measures the E10
+// measureCoverQuality builds the sparse d-cover of g and measures the E10
 // quality metrics.
-func MeasureCoverQuality(g *graph.Graph, d int) CoverQuality {
+func measureCoverQuality(g *graph.Graph, d int) coverQuality {
 	cov := cover.Build(g, d, nil)
-	q := CoverQuality{Clusters: len(cov.Clusters)}
+	q := coverQuality{Clusters: len(cov.Clusters)}
 	cong := map[[2]graph.NodeID]int{}
 	for _, cl := range cov.Clusters {
 		if dep := cl.Tree.Depth(); dep > q.MaxDepth {
@@ -297,7 +297,7 @@ func (h *floodK) CloneStateInto(dst async.Handler) {
 // (Cor 2.3) pipelines them in ≈ D + k time rather than k·D; stage
 // priorities (Lem 2.5) preserve the same completion bound while strictly
 // ordering the flows.
-func e11StagePipelining(c *Ctx) {
+func e11StagePipelining(c *expCtx) {
 	t := c.table("k floods over one path: pipelined completion ≈ D+k, far below the naive k·D")
 	t.head("k", "D", "scheduling", "time", "time/(D+k)", "k·D")
 	ks := []int{1, 2, 4, 8}
@@ -317,7 +317,7 @@ func e11StagePipelining(c *Ctx) {
 		norm := res.Time / float64(d+k)
 		return []row{{
 			cols: []any{k, d, name, res.Time, norm, k * d},
-			rec: Rec{"k": k, "diameter": d, "scheduling": name, "time": res.Time,
+			rec: record{"k": k, "diameter": d, "scheduling": name, "time": res.Time,
 				"timePerDPlusK": norm, "kTimesD": k * d},
 		}}
 	}))
@@ -343,7 +343,7 @@ func (c *gatherBench) NeighborhoodDone(n *async.Node, _ int) { n.Output(true) }
 // e12GatherCost measures Theorem 3.1: completion detection in a sparse
 // d-cover costs O(1) messages per tree edge per cluster and O(d·polylog)
 // time.
-func e12GatherCost(c *Ctx) {
+func e12GatherCost(c *expCtx) {
 	t := c.table("msgs vs 2·Σ|tree| budget; time grows with d, not n")
 	t.head("graph", "d", "time", "msgs", "budget", "msgs/budget")
 	graphs := []namedGraph{
@@ -372,7 +372,7 @@ func e12GatherCost(c *Ctx) {
 		perBudget := float64(res.Msgs) / float64(budget)
 		return []row{{
 			cols: []any{tc.name, d, res.Time, res.Msgs, budget, perBudget},
-			rec: Rec{"graph": tc.name, "d": d, "time": res.Time, "msgs": res.Msgs,
+			rec: record{"graph": tc.name, "d": d, "time": res.Time, "msgs": res.Msgs,
 				"budget": budget, "msgsPerBudget": perBudget},
 		}}
 	}))

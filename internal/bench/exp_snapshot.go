@@ -62,7 +62,7 @@ func (h *e18Flood) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 // through the sharded coordinator (in-process workers), pricing a full
 // restore-to-completion. Like E17 this runs as one serial job: wall-clock
 // columns would distort under concurrent trials.
-func e18SnapshotOverheads(c *Ctx) {
+func e18SnapshotOverheads(c *expCtx) {
 	t := c.table("checkpoint cost vs interval; det requires restore-and-finish byte-identical to the uninterrupted run")
 	t.head("graph", "n", "interval", "snaps", "frameMB", "save(ms/snap)", "restore(ms)", "run(ms)", "base(ms)", "timeX", "det")
 	specs := []string{"grid:40x40", "er:n=500,m=1500,seed=3"}
@@ -132,7 +132,7 @@ func e18SnapshotOverheads(c *Ctx) {
 				timeX := runMs / baseMs
 				rows = append(rows, row{
 					cols: []any{spec, g.N(), iv, snaps, frameMB, savePer, restoreMs, runMs, baseMs, timeX, det},
-					rec: Rec{"graph": spec, "n": g.N(), "interval": iv, "snaps": snaps,
+					rec: record{"graph": spec, "n": g.N(), "interval": iv, "snaps": snaps,
 						"frameBytes": len(last), "saveMsPerSnap": savePer, "restoreMs": restoreMs,
 						"runMs": runMs, "baseMs": baseMs, "timeX": timeX, "det": det},
 				})
@@ -146,12 +146,12 @@ func e18SnapshotOverheads(c *Ctx) {
 			if err != nil {
 				rows = append(rows, row{
 					cols: []any{name, "-", "-", "-", "-", "-", "-", wallMs, "-", "-", false},
-					rec:  Rec{"graph": name, "error": err.Error(), "det": false},
+					rec:  record{"graph": name, "error": err.Error(), "det": false},
 				})
 			} else {
 				rows = append(rows, row{
 					cols: []any{name, len(rep.Result.Outputs), "-", "-", "-", "-", wallMs, wallMs, "-", "-", true},
-					rec: Rec{"graph": name, "outputs": len(rep.Result.Outputs),
+					rec: record{"graph": name, "outputs": len(rep.Result.Outputs),
 						"shards": rep.Stats.Shards, "windows": rep.Stats.Windows,
 						"restoreMs": wallMs, "det": true},
 				})

@@ -19,7 +19,7 @@ func mustSpec(spec string) *graph.Graph {
 	return g
 }
 
-// RetainedBytes reports how many heap bytes the object returned by build
+// retainedBytes reports how many heap bytes the object returned by build
 // keeps live: settled HeapAlloc with the object held, minus settled
 // HeapAlloc before building it. "Settled" means after back-to-back forced
 // collections, so construction churn that has already become garbage is
@@ -27,7 +27,7 @@ func mustSpec(spec string) *graph.Graph {
 // the allocation traffic on the way there. The probe is process-global
 // state (one heap per process), so callers must not run it concurrently
 // with other measured work.
-func RetainedBytes(build func() any) int64 {
+func retainedBytes(build func() any) int64 {
 	base := settledHeap()
 	obj := build()
 	delta := int64(settledHeap()) - int64(base)
@@ -105,13 +105,13 @@ func (h *leanWave) Pulse(n syncrun.API, _ int, recvd []syncrun.Incoming) {
 	}
 }
 
-// AsyncRetainedBytes measures the asynchronous engine's resident footprint
+// asyncRetainedBytes measures the asynchronous engine's resident footprint
 // on g: retained heap bytes of a simulator that has completed one full
 // leanFlood run (so lazily allocated per-link state for every active link
 // is present), excluding the graph itself, which the caller keeps alive
 // across the measurement.
-func AsyncRetainedBytes(g *graph.Graph) int64 {
-	return RetainedBytes(func() any {
+func asyncRetainedBytes(g *graph.Graph) int64 {
+	return retainedBytes(func() any {
 		sim := async.New(g, async.Fixed{D: 1}, func(graph.NodeID) async.Handler {
 			return &leanFlood{}
 		}).WithMode(async.ModeSingle)
@@ -120,11 +120,11 @@ func AsyncRetainedBytes(g *graph.Graph) int64 {
 	})
 }
 
-// SyncRetainedBytes measures the lockstep engine's resident footprint on
-// g, mirroring AsyncRetainedBytes: retained bytes of a Runner that has
+// syncRetainedBytes measures the lockstep engine's resident footprint on
+// g, mirroring asyncRetainedBytes: retained bytes of a Runner that has
 // completed one leanWave run, excluding the graph.
-func SyncRetainedBytes(g *graph.Graph) int64 {
-	return RetainedBytes(func() any {
+func syncRetainedBytes(g *graph.Graph) int64 {
+	return retainedBytes(func() any {
 		r := syncrun.New(g, func(graph.NodeID) syncrun.Handler {
 			return &leanWave{}
 		}).WithMode(syncrun.ModeSingle)
@@ -133,12 +133,12 @@ func SyncRetainedBytes(g *graph.Graph) int64 {
 	})
 }
 
-// GraphRetainedBytes measures the graph plane itself: retained bytes of
+// graphRetainedBytes measures the graph plane itself: retained bytes of
 // the CSR arrays (offsets, targets, link table, reverse links, weights)
 // built from spec.
-func GraphRetainedBytes(spec string) (int64, error) {
+func graphRetainedBytes(spec string) (int64, error) {
 	var err error
-	b := RetainedBytes(func() any {
+	b := retainedBytes(func() any {
 		var g *graph.Graph
 		g, err = graph.FromSpec(spec)
 		return g

@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 // Pinned resident footprints on grid3d:32x32x32 (n=32768, 190464 directed
-// links), measured by the RetainedBytes probe after one completed flood.
+// links), measured by the retainedBytes probe after one completed flood.
 // The pins are the values the compact 32-bit layout shipped with
 // (CHANGES.md, "Ten-million-node substrate"); the tests fail at >10%
 // growth so a regression in any per-link or per-node table is caught
@@ -35,7 +35,7 @@ func TestFootprintPins(t *testing.T) {
 	g := mustSpec(spec)
 	links, n := float64(g.Links()), float64(g.N())
 
-	gBytes, err := GraphRetainedBytes(spec)
+	gBytes, err := graphRetainedBytes(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func TestFootprintPins(t *testing.T) {
 		t.Errorf("graph plane retains %.2f B/link, pin %.1f (+10%% ceiling %.1f)",
 			got, pinGraphBytesPerLink, pinGraphBytesPerLink*footprintHeadroom)
 	}
-	aBytes := AsyncRetainedBytes(g)
+	aBytes := asyncRetainedBytes(g)
 	if got := float64(aBytes) / links; got > pinAsyncBytesPerLink*footprintHeadroom {
 		t.Errorf("async engine retains %.2f B/link, pin %.1f (+10%% ceiling %.1f)",
 			got, pinAsyncBytesPerLink, pinAsyncBytesPerLink*footprintHeadroom)
 	}
-	sBytes := SyncRetainedBytes(g)
+	sBytes := syncRetainedBytes(g)
 	if got := float64(sBytes) / n; got > pinSyncBytesPerNode*footprintHeadroom {
 		t.Errorf("lockstep engine retains %.2f B/node, pin %.1f (+10%% ceiling %.1f)",
 			got, pinSyncBytesPerNode, pinSyncBytesPerNode*footprintHeadroom)

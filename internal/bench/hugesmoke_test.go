@@ -85,7 +85,7 @@ func TestTenMillionNodeRun(t *testing.T) {
 	}
 	const spec = "grid3d:215x215x215"
 	t0 := time.Now()
-	gBytes, err := GraphRetainedBytes(spec)
+	gBytes, err := graphRetainedBytes(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,11 @@ import (
 // time-to-output); QuiesceTime adds only the final attempt's.
 func SynchronizeUnknownBound(g *graph.Graph, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) (async.Result, int) {
-	res, bound, _ := SynchronizeUnknownBoundWatched(g, adv, mk)
+	res, bound, _ := synchronizeUnknownBoundWatched(g, adv, mk)
 	return res, bound
 }
 
-// SynchronizeUnknownBoundWatched is SynchronizeUnknownBound plus
+// synchronizeUnknownBoundWatched is SynchronizeUnknownBound plus
 // fault-aware stall detection: when an attempt quiesces *without*
 // hitting its pulse bound but the watchdog shows fault-induced
 // starvation (undeliverable messages froze part of the pulse frontier),
@@ -39,7 +39,7 @@ func SynchronizeUnknownBound(g *graph.Graph, adv async.Adversary,
 // for no progress. The returned report is the final attempt's; billing
 // stays honest either way (every attempt's full costs are summed, the
 // stalled attempt's included).
-func SynchronizeUnknownBoundWatched(g *graph.Graph, adv async.Adversary,
+func synchronizeUnknownBoundWatched(g *graph.Graph, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) (async.Result, int, StallReport) {
 	var total async.Result
 	total.PerProto = make(map[async.Proto]uint64)

@@ -30,7 +30,7 @@ func TestSynchronizerCodecRoundTrips(t *testing.T) {
 		t.Fatalf("frame fields: %+v", framed)
 	}
 	pulse, got := framed.Unframe()
-	if pulse != 9 || !wire.Equal(got, inner) {
+	if pulse != 9 || got != inner {
 		t.Fatalf("algo framing round trip: pulse %d, %+v", pulse, got)
 	}
 }

@@ -63,7 +63,7 @@ func (h *allInit) Pulse(n syncrun.API, p int, recvd []syncrun.Incoming) {
 }
 
 func TestSynchronizerStar(t *testing.T) {
-	g := graph.Star(9)
+	g := specGraph("star:9")
 	mk := func(graph.NodeID) syncrun.Handler { return &bfsAlgo{src: 0} }
 	syncRes := syncrun.New(g, mk).Run()
 	res := Synchronize(Config{Graph: g, Bound: 4, Adversary: async.Flaky{Seed: 3}}, mk)
@@ -106,8 +106,8 @@ func TestSynchronizerSilentAlgorithm(t *testing.T) {
 	mk := func(graph.NodeID) syncrun.Handler { return &silentAlgo{} }
 	res := Synchronize(Config{Graph: g, Bound: 2, Adversary: async.Fixed{D: 1}}, mk)
 	// Barrier traffic only; no algorithm messages.
-	if res.PerProto[ProtoAlgo] != 0 {
-		t.Fatalf("silent algorithm sent %d algo messages", res.PerProto[ProtoAlgo])
+	if res.PerProto[protoAlgo] != 0 {
+		t.Fatalf("silent algorithm sent %d algo messages", res.PerProto[protoAlgo])
 	}
 	if res.Outputs[3] != "quiet" {
 		t.Fatalf("output %v", res.Outputs[3])
@@ -118,3 +118,12 @@ type silentAlgo struct{}
 
 func (h *silentAlgo) Init(n syncrun.API)                         { n.Output("quiet") }
 func (h *silentAlgo) Pulse(syncrun.API, int, []syncrun.Incoming) {}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}

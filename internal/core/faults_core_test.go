@@ -66,7 +66,7 @@ func TestUnknownBoundFaultBilling(t *testing.T) {
 	g := graph.Grid(4, 5)
 	mk := func(graph.NodeID) syncrun.Handler { return &bfsAlgo{src: 0} }
 	fs := &async.FaultSchedule{Seed: 5, DropP: 0.4, Budget: 0}
-	res, bound, rep := SynchronizeUnknownBoundWatched(g,
+	res, bound, rep := synchronizeUnknownBoundWatched(g,
 		async.WithFaults(async.SeededRandom{Seed: 6}, fs), mk)
 	if bound < 8 {
 		t.Fatalf("bound = %d", bound)
@@ -79,7 +79,7 @@ func TestUnknownBoundFaultBilling(t *testing.T) {
 	}
 
 	// Fault-free reference still works and reports clean.
-	res, _, rep = SynchronizeUnknownBoundWatched(g, async.SeededRandom{Seed: 6}, mk)
+	res, _, rep = synchronizeUnknownBoundWatched(g, async.SeededRandom{Seed: 6}, mk)
 	if rep.IsStalled() || res.Dropped != 0 {
 		t.Fatalf("clean run misreported: %+v / %+v", res, rep)
 	}

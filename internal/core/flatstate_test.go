@@ -104,7 +104,7 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 				for v := 0; v < tc.g.N(); v++ {
 					id := graph.NodeID(v)
 					want[v] = saveHandler(t, src.Handler(id))
-					src.Handler(id).(async.StateCloner).CloneStateInto(clones.Handler(id))
+					src.Handler(id).(stateCloner).CloneStateInto(clones.Handler(id))
 					if got := saveHandler(t, clones.Handler(id)); !bytes.Equal(got, want[v]) {
 						t.Fatalf("stop %d node %d: clone differs from source (%d vs %d bytes)", stop, v, len(got), len(want[v]))
 					}
@@ -141,7 +141,7 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 			fresh := newSynchronizedSim(cfg, tc.mk)
 			for v := 0; v < tc.g.N(); v++ {
 				id := graph.NodeID(v)
-				fresh.Handler(id).(async.StateCloner).CloneStateInto(clones.Handler(id))
+				fresh.Handler(id).(stateCloner).CloneStateInto(clones.Handler(id))
 				if !bytes.Equal(saveHandler(t, clones.Handler(id)), saveHandler(t, fresh.Handler(id))) {
 					t.Fatalf("node %d: cloning a fresh handler into a used target left old state behind", v)
 				}
@@ -173,7 +173,7 @@ func TestMuxCloneSteadyStateAllocs(t *testing.T) {
 	dst := newSynchronizedSim(cfg, mkBFS0)
 	for v := 0; v < cfg.Graph.N(); v++ {
 		id := graph.NodeID(v)
-		from, to := src.Handler(id).(async.StateCloner), dst.Handler(id)
+		from, to := src.Handler(id).(stateCloner), dst.Handler(id)
 		from.CloneStateInto(to) // first touch binds the target and sizes its slices
 		if avg := testing.AllocsPerRun(10, func() { from.CloneStateInto(to) }); avg != 0 {
 			t.Fatalf("node %d: steady-state Mux clone allocates %.1f times, want 0", v, avg)
@@ -203,3 +203,7 @@ func TestSerialSynchronizedBFSAllocs(t *testing.T) {
 		t.Logf("%.0f allocations per run (measured %d, ceiling %d)", avg, measured, ceiling)
 	}
 }
+
+// stateCloner is the method the async engine's speculative executor
+// requires of every handler.
+type stateCloner interface{ CloneStateInto(async.Handler) }

@@ -8,16 +8,16 @@ import (
 // Protocol tags used by the synchronizer. Registration and barrier modules
 // get one proto per cover level on top of these bases.
 const (
-	// ProtoAlgo carries algorithm messages and their chosen/declined
+	// protoAlgo carries algorithm messages and their chosen/declined
 	// replies (the execution forest's edges).
-	ProtoAlgo async.Proto = 1
-	// ProtoTree carries safety-status reports and Go-Ahead propagation on
+	protoAlgo async.Proto = 1
+	// protoTree carries safety-status reports and Go-Ahead propagation on
 	// the execution forest.
-	ProtoTree async.Proto = 2
-	// ProtoRegBase + coverLevel carries §3.2 registration traffic.
-	ProtoRegBase async.Proto = 100
-	// ProtoBarrierBase + coverLevel carries §4.2 originator barriers.
-	ProtoBarrierBase async.Proto = 200
+	protoTree async.Proto = 2
+	// protoRegBase + coverLevel carries §3.2 registration traffic.
+	protoRegBase async.Proto = 100
+	// protoBarrierBase + coverLevel carries §4.2 originator barriers.
+	protoBarrierBase async.Proto = 200
 )
 
 // Wire kinds of every payload this package puts on a link. The main

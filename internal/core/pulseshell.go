@@ -114,7 +114,7 @@ func (x *shellAPI) Arena() *wire.Arena          { return x.n.Arena() }
 func (x *shellAPI) Send(to graph.NodeID, body wire.Body) {
 	x.s.cs.mark(x.n, to, x.epoch, x.s.who)
 	x.s.sendAcked[x.pulse]++
-	x.n.Send(to, async.Msg{Proto: ProtoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
+	x.n.Send(to, async.Msg{Proto: protoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
 }
 
 // runBaseline runs one baseline-synchronized handler per node; a nil

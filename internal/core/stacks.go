@@ -73,8 +73,8 @@ func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID
 	for k := range levels {
 		lvl := firstCoverLevel + k
 		cov := layered.Level(lvl)
-		st.reg[k] = reg.New(ProtoRegBase+async.Proto(lvl), cov, st, stagePulse)
-		st.bar[k] = gather.New(ProtoBarrierBase+async.Proto(lvl), cov, st, stageBarrier)
+		st.reg[k] = reg.New(protoRegBase+async.Proto(lvl), cov, st, stagePulse)
+		st.bar[k] = gather.New(protoBarrierBase+async.Proto(lvl), cov, st, stageBarrier)
 	}
 	return st
 }
@@ -95,14 +95,14 @@ func (st *stacks) stack(i int, algo syncrun.Handler) *async.Mux {
 	}
 	mux := &st.muxes[i]
 	*mux = *st.mux
-	mux.Register(ProtoAlgo, c)
-	mux.Register(ProtoTree, c)
+	mux.Register(protoAlgo, c)
+	mux.Register(protoTree, c)
 	for k := range levels {
 		lvl := async.Proto(firstCoverLevel + k)
 		c.regMods[k] = *st.reg[k]
 		c.barMods[k] = *st.bar[k]
-		mux.Register(ProtoRegBase+lvl, &c.regMods[k])
-		mux.Register(ProtoBarrierBase+lvl, &c.barMods[k])
+		mux.Register(protoRegBase+lvl, &c.regMods[k])
+		mux.Register(protoBarrierBase+lvl, &c.barMods[k])
 	}
 	return mux
 }

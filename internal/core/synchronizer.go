@@ -129,8 +129,8 @@ func (c *nodeCore) createVnode(n *async.Node, p int, parentPhys graph.NodeID, pa
 		c.vn(p - 1).selfChild = true
 		c.onChildStatus(n, p-1, statusMsg{Q: p, ChildPulse: p, Ready: true}, -1, true)
 	} else {
-		n.Send(parentPhys, async.Msg{Proto: ProtoAlgo, Stage: p - 1, Body: encReply(replyMsg{Pulse: p - 1, Chosen: true})})
-		n.Send(parentPhys, async.Msg{Proto: ProtoTree, Stage: p, Body: encStatus(statusMsg{Q: p, ChildPulse: p, Ready: true})})
+		n.Send(parentPhys, async.Msg{Proto: protoAlgo, Stage: p - 1, Body: encReply(replyMsg{Pulse: p - 1, Chosen: true})})
+		n.Send(parentPhys, async.Msg{Proto: protoTree, Stage: p, Body: encStatus(statusMsg{Q: p, ChildPulse: p, Ready: true})})
 	}
 }
 
@@ -138,10 +138,10 @@ func (c *nodeCore) createVnode(n *async.Node, p int, parentPhys graph.NodeID, pa
 // framed as kindAlgo (the pulse rides in P, the payload stays in place).
 func (c *nodeCore) sendAlgo(n *async.Node, v *vnode, to graph.NodeID, body wire.Body) {
 	v.outstandingReplies++
-	n.Send(to, async.Msg{Proto: ProtoAlgo, Stage: int(v.pulse), Body: frameAlgo(int(v.pulse), body)})
+	n.Send(to, async.Msg{Proto: protoAlgo, Stage: int(v.pulse), Body: frameAlgo(int(v.pulse), body)})
 }
 
-// Recv implements async.Module for ProtoAlgo and ProtoTree.
+// Recv implements async.Module for protoAlgo and protoTree.
 func (c *nodeCore) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	switch m.Body.Kind {
 	case kindAlgo:
@@ -181,7 +181,7 @@ func (c *nodeCore) onAlgoMsg(n *async.Node, from graph.NodeID, pulse int, body w
 	c.recvd = slab.Push(&c.st.recvd, c.recvd, pendingMsg{pulse: int32(pulse), in: syncrun.Incoming{From: from, Body: body}})
 	if next != nil {
 		// Already triggered: decline.
-		n.Send(from, async.Msg{Proto: ProtoAlgo, Stage: pulse, Body: encReply(replyMsg{Pulse: pulse, Chosen: false})})
+		n.Send(from, async.Msg{Proto: protoAlgo, Stage: pulse, Body: encReply(replyMsg{Pulse: pulse, Chosen: false})})
 		return
 	}
 	c.createVnode(n, p, from, false)
@@ -317,7 +317,7 @@ func (c *nodeCore) forwardStatus(n *async.Node, p, q, qi int) {
 		c.onChildStatus(n, p-1, report, -1, true)
 		return
 	}
-	n.Send(v.parentPhys, async.Msg{Proto: ProtoTree, Stage: q, Body: encStatus(report)})
+	n.Send(v.parentPhys, async.Msg{Proto: protoTree, Stage: q, Body: encStatus(report)})
 }
 
 // onGA handles Go-Ahead(q) at the pulse-p vnode (p <= q): evaluate when
@@ -340,7 +340,7 @@ func (c *nodeCore) propagateGA(n *async.Node, p, q int) {
 	kept := 0
 	for _, r := range c.ready {
 		if int(r.qi) == qi {
-			n.Send(r.child, async.Msg{Proto: ProtoTree, Stage: q, Body: encGA(gaMsg{Q: q, ChildPulse: p + 1})})
+			n.Send(r.child, async.Msg{Proto: protoTree, Stage: q, Body: encGA(gaMsg{Q: q, ChildPulse: p + 1})})
 		} else {
 			c.ready[kept] = r
 			kept++

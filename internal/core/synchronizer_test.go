@@ -158,7 +158,7 @@ func TestSynchronizedBFSMatchesSyncOutputs(t *testing.T) {
 		"path12":  graph.Path(12),
 		"cycle9":  graph.Cycle(9),
 		"grid4x4": graph.Grid(4, 4),
-		"star10":  graph.Star(10),
+		"star10":  specGraph("star:10"),
 		"er20":    graph.RandomConnected(20, 40, 7),
 	}
 	for name, g := range graphs {
@@ -203,7 +203,7 @@ func TestSynchronizedEcho(t *testing.T) {
 	}{
 		{"path10", graph.Path(10)},
 		{"grid3x4", graph.Grid(3, 4)},
-		{"tree15", graph.CompleteBinaryTree(15)},
+		{"tree15", specGraph("tree:15")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Echo takes up to ~2D+2 pulses.

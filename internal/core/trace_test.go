@@ -130,8 +130,8 @@ func TestTheorem54UnknownBound(t *testing.T) {
 	if perProtoSum != res.Msgs {
 		t.Fatalf("merged PerProto sums to %d, want Msgs %d", perProtoSum, res.Msgs)
 	}
-	if res.PerProto[ProtoAlgo] <= fresh.PerProto[ProtoAlgo] {
+	if res.PerProto[protoAlgo] <= fresh.PerProto[protoAlgo] {
 		t.Fatalf("PerProto[algo] %d not merged across attempts (final attempt alone: %d)",
-			res.PerProto[ProtoAlgo], fresh.PerProto[ProtoAlgo])
+			res.PerProto[protoAlgo], fresh.PerProto[protoAlgo])
 	}
 }

@@ -60,7 +60,7 @@ func watchdogReport(sim *async.Sim, res *async.Result, bound int) StallReport {
 		if !ok {
 			continue
 		}
-		nc, ok := mux.Module(ProtoAlgo).(*nodeCore)
+		nc, ok := mux.Module(protoAlgo).(*nodeCore)
 		if !ok {
 			continue
 		}

@@ -27,13 +27,13 @@ type Cluster struct {
 	Root    graph.NodeID
 	Members []graph.NodeID // ascending
 	// Seeds are the decomposition-cluster members the d-expansion grew
-	// from (the alive ones, under a masked build) — ascending. Repair's
+	// from (the alive ones, under a masked build) — ascending. repair's
 	// dirty certificate tests fault distance against this set.
 	Seeds []graph.NodeID
 	Tree  *decomp.Tree
 
 	// base is the decomposition cluster this cover cluster expands;
-	// Repair walks the decomposition in build order and matches reusable
+	// repair walks the decomposition in build order and matches reusable
 	// clusters through it.
 	base *decomp.Cluster
 }
@@ -71,7 +71,7 @@ type Cover struct {
 	// home[v] is a cluster guaranteed to contain Ball(v, D).
 	home []ClusterID
 
-	// Retained for Repair: the fault-independent base decomposition, the
+	// Retained for repair: the fault-independent base decomposition, the
 	// covered node set, the alive mask this cover was built under (nil =
 	// no faults), and the graph.
 	g     *graph.Graph
@@ -109,19 +109,19 @@ func (c *Cover) MaxTreeDepth() int {
 // Build constructs a sparse d-cover of the nodes in s (nil = all nodes) by
 // Theorem 4.21. Deterministic.
 func Build(g *graph.Graph, d int, s []graph.NodeID) *Cover {
-	return BuildMasked(g, d, s, nil)
+	return buildMasked(g, d, s, nil)
 }
 
-// BuildMasked constructs the sparse d-cover of the alive nodes of s.
+// buildMasked constructs the sparse d-cover of the alive nodes of s.
 // alive (nil = no faults) masks the *expansion* only: the base
 // decomposition is computed over the full set — it is fault-independent,
-// which is what lets Repair patch a faulted cover incrementally instead
+// which is what lets repair patch a faulted cover incrementally instead
 // of re-deriving the decomposition — while cluster seeds shrink to the
 // alive members, BFS relays route only through alive nodes, and clusters
 // whose seeds all died disappear. Separation only improves under a mask
 // (masked distances dominate true distances), so the cover properties
 // hold over the alive subgraph. Deterministic.
-func BuildMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Cover {
+func buildMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Cover {
 	if d < 1 {
 		panic(fmt.Sprintf("cover: d must be >= 1, got %d", d))
 	}
@@ -262,7 +262,7 @@ func BuildLayered(g *graph.Graph, d int, s []graph.NodeID) *Layered {
 }
 
 // BuildLayeredMasked constructs the layered sparse cover of the alive
-// nodes of s (see BuildMasked).
+// nodes of s (see buildMasked).
 func BuildLayeredMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Layered {
 	if d < 1 {
 		panic(fmt.Sprintf("cover: layered d must be >= 1, got %d", d))
@@ -270,7 +270,7 @@ func BuildLayeredMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *
 	var levels []*Cover
 	for j := 0; ; j++ {
 		r := 1 << uint(j)
-		levels = append(levels, BuildMasked(g, r, s, alive))
+		levels = append(levels, buildMasked(g, r, s, alive))
 		if r >= d {
 			break
 		}

@@ -97,8 +97,9 @@ func contains(s []ClusterID, id ClusterID) bool {
 	return false
 }
 
-// mustGraph unwraps an implicit-generator result for test tables.
-func mustGraph(g *graph.Graph, err error) *graph.Graph {
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
 	if err != nil {
 		panic(err)
 	}
@@ -114,15 +115,15 @@ func TestCoverFamilies(t *testing.T) {
 		{"path48-d4", graph.Path(48), 4},
 		{"cycle60-d4", graph.Cycle(60), 4},
 		{"grid7x9-d3", graph.Grid(7, 9), 3},
-		{"tree63-d5", graph.CompleteBinaryTree(63), 5},
+		{"tree63-d5", specGraph("tree:63"), 5},
 		{"er70-d3", graph.RandomConnected(70, 170, 23), 3},
 		{"dumbbell-d4", graph.Dumbbell(6, 8), 4},
-		{"complete16-d1", graph.Complete(16), 1},
+		{"complete16-d1", specGraph("complete:16"), 1},
 		// Implicit-generator topologies: covers must build directly on CSR
 		// graphs that never went through AddEdge.
-		{"grid3d-3x4x5-d2", mustGraph(graph.Grid3D(3, 4, 5)), 2},
-		{"pa-n80-m2-d2", mustGraph(graph.PowerLaw(80, 2, 7)), 2},
-		{"ring-k5-c4-d2", mustGraph(graph.RingOfCliques(5, 4)), 2},
+		{"grid3d-3x4x5-d2", specGraph("grid3d:3x4x5"), 2},
+		{"pa-n80-m2-d2", specGraph("pa:n=80,m=2,seed=7"), 2},
+		{"ring-k5-c4-d2", specGraph("ring:k=5,c=4"), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

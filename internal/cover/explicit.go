@@ -76,25 +76,3 @@ func BFSTreeCluster(g *graph.Graph, root graph.NodeID) *Cluster {
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	return &Cluster{ID: 0, Root: root, Members: members, Tree: tree.Finalize()}
 }
-
-// PathCluster builds one cluster whose tree is the path v0-v1-…-vk rooted
-// at v0; all path nodes are members. Test helper for controlled tree
-// shapes.
-func PathCluster(id ClusterID, nodes []graph.NodeID) *Cluster {
-	if len(nodes) == 0 {
-		panic("cover: empty PathCluster")
-	}
-	max := nodes[0]
-	for _, v := range nodes {
-		if v > max {
-			max = v
-		}
-	}
-	tree := decomp.NewTree(int(max)+1, nodes[0])
-	for i := 1; i < len(nodes); i++ {
-		tree.Attach(nodes[i], nodes[i-1])
-	}
-	members := append([]graph.NodeID(nil), nodes...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return &Cluster{ID: id, Root: nodes[0], Members: members, Tree: tree.Finalize()}
-}

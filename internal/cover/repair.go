@@ -20,7 +20,7 @@ import (
 	"repro/internal/graph"
 )
 
-// RepairStats accounts one Repair call.
+// RepairStats accounts one repair call.
 type RepairStats struct {
 	// Faulted counts the newly-dead nodes actually applied (nodes that
 	// were already dead, and duplicates, are skipped).
@@ -36,12 +36,12 @@ type RepairStats struct {
 	Dropped int
 }
 
-// Repair returns the cover of base's node set with the given nodes
+// repair returns the cover of base's node set with the given nodes
 // additionally faulted, reusing every cluster whose region no fault
-// touched. The result equals BuildMasked over the combined mask; base is
+// touched. The result equals buildMasked over the combined mask; base is
 // not mutated. When every listed node is already dead, base itself is
 // returned.
-func Repair(base *Cover, faulted []graph.NodeID) (*Cover, RepairStats) {
+func repair(base *Cover, faulted []graph.NodeID) (*Cover, RepairStats) {
 	g := base.g
 	if g == nil {
 		panic("cover: Repair on a cover without retained build state")
@@ -118,12 +118,12 @@ func Repair(base *Cover, faulted []graph.NodeID) (*Cover, RepairStats) {
 	return out, st
 }
 
-// RepairLayered repairs every level of a layered cover (see Repair).
+// RepairLayered repairs every level of a layered cover (see repair).
 func RepairLayered(base *Layered, faulted []graph.NodeID) (*Layered, []RepairStats) {
 	out := &Layered{Levels: make([]*Cover, len(base.Levels))}
 	stats := make([]RepairStats, len(base.Levels))
 	for j, cov := range base.Levels {
-		out.Levels[j], stats[j] = Repair(cov, faulted)
+		out.Levels[j], stats[j] = repair(cov, faulted)
 	}
 	return out, stats
 }

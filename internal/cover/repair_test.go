@@ -50,7 +50,7 @@ func TestRepairGolden(t *testing.T) {
 		{"grid10x10-d2", graph.Grid(10, 10), 2, 5},
 		{"path64-d4", graph.Path(64), 4, 3},
 		{"er80-d3", graph.RandomConnected(80, 200, 17), 3, 6},
-		{"tree63-d2", graph.CompleteBinaryTree(63), 2, 4},
+		{"tree63-d2", specGraph("tree:63"), 2, 4},
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -58,7 +58,7 @@ func TestRepairGolden(t *testing.T) {
 				n := tc.g.N()
 				base := Build(tc.g, tc.d, nil)
 				faulted := faultPick(n, tc.faults, seed)
-				rep, st := Repair(base, faulted)
+				rep, st := repair(base, faulted)
 				if st.Faulted != tc.faults {
 					t.Fatalf("applied %d of %d faults", st.Faulted, tc.faults)
 				}
@@ -69,7 +69,7 @@ func TestRepairGolden(t *testing.T) {
 				if st.Rebuilt+st.Dropped != st.Dirty {
 					t.Fatalf("rebuilt %d + dropped %d != dirty %d", st.Rebuilt, st.Dropped, st.Dirty)
 				}
-				scratch := BuildMasked(tc.g, tc.d, nil, aliveMask(n, faulted))
+				scratch := buildMasked(tc.g, tc.d, nil, aliveMask(n, faulted))
 				if !reflect.DeepEqual(rep, scratch) {
 					t.Fatalf("repaired cover differs from from-scratch masked build (%d vs %d clusters)",
 						len(rep.Clusters), len(scratch.Clusters))
@@ -87,18 +87,18 @@ func TestRepairChainedGolden(t *testing.T) {
 	n := g.N()
 	base := Build(g, 2, nil)
 	r1 := faultPick(n, 4, 3)
-	rep1, _ := Repair(base, r1)
+	rep1, _ := repair(base, r1)
 	r2 := faultPick(n, 4, 9)
-	rep2, st := Repair(rep1, r2)
+	rep2, st := repair(rep1, r2)
 	all := append(append([]graph.NodeID(nil), r1...), r2...)
-	scratch := BuildMasked(g, 2, nil, aliveMask(n, all))
+	scratch := buildMasked(g, 2, nil, aliveMask(n, all))
 	if !reflect.DeepEqual(rep2, scratch) {
 		t.Fatalf("chained repair differs from from-scratch build")
 	}
 	// Second-round faults overlapping the first are no-ops; the stats
 	// must only count newly-applied ones.
 	dup := append(append([]graph.NodeID(nil), r1...), r2...)
-	rep2b, st2 := Repair(rep1, dup)
+	rep2b, st2 := repair(rep1, dup)
 	if st2.Faulted != st.Faulted {
 		t.Fatalf("duplicate faults counted: %d vs %d", st2.Faulted, st.Faulted)
 	}
@@ -130,7 +130,7 @@ func TestRepairLayeredGolden(t *testing.T) {
 func TestRepairIsIncremental(t *testing.T) {
 	g := graph.Path(256)
 	base := Build(g, 2, nil)
-	_, st := Repair(base, []graph.NodeID{17})
+	_, st := repair(base, []graph.NodeID{17})
 	if st.Reused == 0 {
 		t.Fatalf("single fault rebuilt every one of %d clusters", len(base.Clusters))
 	}
@@ -145,8 +145,8 @@ func TestRepairIsIncremental(t *testing.T) {
 func TestRepairNoOp(t *testing.T) {
 	g := graph.Path(32)
 	base := Build(g, 2, nil)
-	rep1, _ := Repair(base, []graph.NodeID{5})
-	rep2, st := Repair(rep1, []graph.NodeID{5, 5})
+	rep1, _ := repair(base, []graph.NodeID{5})
+	rep2, st := repair(rep1, []graph.NodeID{5, 5})
 	if rep2 != rep1 {
 		t.Fatalf("no-op repair returned a new cover")
 	}
@@ -163,7 +163,7 @@ func TestMaskedCoverProperties(t *testing.T) {
 	n := g.N()
 	faulted := faultPick(n, 6, 11)
 	alive := aliveMask(n, faulted)
-	cov := BuildMasked(g, 2, nil, alive)
+	cov := buildMasked(g, 2, nil, alive)
 	for v := 0; v < n; v++ {
 		if !alive[v] {
 			if cov.Home(graph.NodeID(v)) != -1 {

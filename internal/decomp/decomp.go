@@ -424,18 +424,7 @@ type Decomposition struct {
 	K int
 	// Colors[c] lists the clusters of color c.
 	Colors [][]*Cluster
-
-	colorOf   []int32 // -1 for nodes outside the clustered set
-	clusterOf []*Cluster
 }
-
-// ColorOf returns the color of a clustered node, or -1 for nodes outside
-// the clustered set.
-func (d *Decomposition) ColorOf(v graph.NodeID) int { return int(d.colorOf[v]) }
-
-// ClusterOf returns the cluster of a clustered node, or nil for nodes
-// outside the clustered set.
-func (d *Decomposition) ClusterOf(v graph.NodeID) *Cluster { return d.clusterOf[v] }
 
 // Clusters returns all clusters across colors.
 func (d *Decomposition) Clusters() []*Cluster {
@@ -467,14 +456,7 @@ func Build(g *graph.Graph, k int, s []graph.NodeID) *Decomposition {
 			}
 		}
 	}
-	d := &Decomposition{
-		K:         k,
-		colorOf:   make([]int32, g.N()),
-		clusterOf: make([]*Cluster, g.N()),
-	}
-	for i := range d.colorOf {
-		d.colorOf[i] = -1
-	}
+	d := &Decomposition{K: k}
 	st := newPhaseState(g, k)
 	maxColors := 4*bits.Len(uint(g.N())) + 4
 	for color := 0; remaining > 0; color++ {
@@ -488,8 +470,6 @@ func Build(g *graph.Graph, k int, s []graph.NodeID) *Decomposition {
 			for _, v := range c.Members {
 				living[v] = false
 				cleared++
-				d.colorOf[v] = int32(color)
-				d.clusterOf[v] = c
 			}
 		}
 		if cleared == 0 {

@@ -109,10 +109,10 @@ func TestDecompositionFamilies(t *testing.T) {
 		{"path64-k3", graph.Path(64), 3},
 		{"cycle50-k5", graph.Cycle(50), 5},
 		{"grid8x8-k3", graph.Grid(8, 8), 3},
-		{"tree63-k4", graph.CompleteBinaryTree(63), 4},
+		{"tree63-k4", specGraph("tree:63"), 4},
 		{"er80-k3", graph.RandomConnected(80, 200, 17), 3},
-		{"star40-k2", graph.Star(40), 2},
-		{"complete20-k1", graph.Complete(20), 1},
+		{"star40-k2", specGraph("star:40"), 2},
+		{"complete20-k1", specGraph("complete:20"), 1},
 		{"dumbbell-k3", graph.Dumbbell(8, 10), 3},
 	}
 	for _, tc := range cases {
@@ -209,4 +209,13 @@ func TestBuildPanicsOnBadK(t *testing.T) {
 		}
 	}()
 	Build(graph.Path(4), 0, nil)
+}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

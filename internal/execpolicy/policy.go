@@ -15,45 +15,45 @@ import (
 	"runtime"
 )
 
-// MaxWorkers caps every worker pool: beyond ~16 workers the merge and
+// maxWorkers caps every worker pool: beyond ~16 workers the merge and
 // barrier costs outgrow the marginal core, and the deterministic k-way
 // merges scan one cursor per worker.
-const MaxWorkers = 16
+const maxWorkers = 16
 
-// AutoMinLookahead is the smallest adversary lookahead for which Auto mode
+// autoMinLookahead is the smallest adversary lookahead for which Auto mode
 // engages the conservative bounded-lag executor: one tick of the async
 // engine's 256-slot calendar wheel. Below it, safe windows rarely hold
 // more than one event and the barrier is pure overhead, so Auto stays
 // serial.
-const AutoMinLookahead = 1.0 / 256
+const autoMinLookahead = 1.0 / 256
 
-// AutoMultiLinks is the graph size (directed links) at which the async
+// autoMultiLinks is the graph size (directed links) at which the async
 // engine's Auto mode considers a worker pool at all.
-const AutoMultiLinks = 4096
+const autoMultiLinks = 4096
 
-// AutoMultiNodes is the graph size at which the lockstep runner's Auto
+// autoMultiNodes is the graph size at which the lockstep runner's Auto
 // mode switches to its worker pool: below it, per-pulse pool coordination
 // dominates the tiny handler steps.
-const AutoMultiNodes = 2048
+const autoMultiNodes = 2048
 
-// AutoHugeLinks is the graph size (directed links) past which Auto mode
+// autoHugeLinks is the graph size (directed links) past which Auto mode
 // treats the graph as huge: with millions of concurrent link timers even a
-// lookahead far below AutoMinLookahead packs thousands of events into each
+// lookahead far below autoMinLookahead packs thousands of events into each
 // safe window, so the windowed executor amortizes its barriers and the
 // serial heap discipline becomes the bottleneck.
-const AutoHugeLinks = 1 << 21
+const autoHugeLinks = 1 << 21
 
-// AutoHugeEventsPerWindow is the expected-events-per-safe-window level
+// autoHugeEventsPerWindow is the expected-events-per-safe-window level
 // (lookahead × links, with per-link delays in (0, 1]) a huge graph must
-// reach for Auto to engage the windowed executor below AutoMinLookahead.
-const AutoHugeEventsPerWindow = 4096
+// reach for Auto to engage the windowed executor below autoMinLookahead.
+const autoHugeEventsPerWindow = 4096
 
 // DefaultWorkers is the worker-pool size when the caller does not choose:
-// every available CPU, capped at MaxWorkers.
+// every available CPU, capped at maxWorkers.
 func DefaultWorkers() int {
 	w := runtime.GOMAXPROCS(0)
-	if w > MaxWorkers {
-		w = MaxWorkers
+	if w > maxWorkers {
+		w = maxWorkers
 	}
 	return w
 }
@@ -66,12 +66,12 @@ func ValidateWorkers(engine string, k int) {
 	}
 }
 
-// AutoWorkers is the worker count Auto-mode decisions reason with: the
+// autoWorkers is the worker count Auto-mode decisions reason with: the
 // configured pool clamped to GOMAXPROCS. An explicitly forced parallel
 // mode keeps its configured (possibly oversubscribed) pool — tests rely on
 // forcing 4 workers on 1 CPU — but Auto never volunteers more workers than
 // there are CPUs to run them.
-func AutoWorkers(configured int) int {
+func autoWorkers(configured int) int {
 	if p := runtime.GOMAXPROCS(0); configured > p {
 		return p
 	}
@@ -97,22 +97,22 @@ const (
 // window executor when the adversary's lookahead makes safe windows worth
 // a barrier, and serial otherwise.
 //
-// Huge graphs (AutoHugeLinks and up) get an extra windowed gate: a
-// lookahead below AutoMinLookahead still engages the window executor when
-// lookahead × links promises at least AutoHugeEventsPerWindow events per
+// Huge graphs (autoHugeLinks and up) get an extra windowed gate: a
+// lookahead below autoMinLookahead still engages the window executor when
+// lookahead × links promises at least autoHugeEventsPerWindow events per
 // window — at that scale the per-window population, not the per-link
 // lookahead, is what pays for the barrier.
 //
 // The fourth parameter, whether the handlers are cloneable, is ignored: it
 // stays in the signature because the benchmark module still passes it.
 func AsyncAuto(workers, links int, lookahead float64, _ bool) AsyncChoice {
-	if AutoWorkers(workers) <= 1 || links < AutoMultiLinks {
+	if autoWorkers(workers) <= 1 || links < autoMultiLinks {
 		return AsyncSerial
 	}
-	if lookahead >= AutoMinLookahead {
+	if lookahead >= autoMinLookahead {
 		return AsyncWindows
 	}
-	if links >= AutoHugeLinks && lookahead*float64(links) >= AutoHugeEventsPerWindow {
+	if links >= autoHugeLinks && lookahead*float64(links) >= autoHugeEventsPerWindow {
 		return AsyncWindows
 	}
 	return AsyncSerial
@@ -121,16 +121,16 @@ func AsyncAuto(workers, links int, lookahead float64, _ bool) AsyncChoice {
 // LockstepMulti reports whether the lockstep runner's Auto mode should use
 // its worker pool for a graph of n nodes.
 func LockstepMulti(workers, nodes int) bool {
-	return AutoWorkers(workers) > 1 && nodes >= AutoMultiNodes
+	return autoWorkers(workers) > 1 && nodes >= autoMultiNodes
 }
 
-// MaxShards caps multi-process sharded runs: each shard is a whole OS
+// maxShards caps multi-process sharded runs: each shard is a whole OS
 // process with its own graph plane, and past 8 ways the per-window
 // coordinator round trip (a k-cursor merge plus 2k socket syscalls)
 // outgrows the marginal process on the graphs that fit one machine.
-const MaxShards = 8
+const maxShards = 8
 
-// AutoShardLinks is the graph size (directed links) at which Auto-mode
+// autoShardLinks is the graph size (directed links) at which Auto-mode
 // sharding engages at all: below ~4M links a single in-process engine
 // wins outright. On the million-node smoke graph (~5.9M links, just
 // past the gate) the whole multi-process protocol costs ~1% at K=2 and
@@ -140,28 +140,28 @@ const MaxShards = 8
 // multi-core hosts the per-window critical path divides by K against
 // low-single-digit protocol cost; the procs clamp below keeps
 // single-core hosts at K=1 regardless.
-const AutoShardLinks = 1 << 22
+const autoShardLinks = 1 << 22
 
-// AutoShardLinksPerShard keeps Auto from over-sharding mid-size graphs:
+// autoShardLinksPerShard keeps Auto from over-sharding mid-size graphs:
 // every shard Auto volunteers must own at least this many links, so the
 // shard count grows with the graph instead of jumping straight to the
 // process cap.
-const AutoShardLinksPerShard = 1 << 21
+const autoShardLinksPerShard = 1 << 21
 
 // AutoShards picks the shard count for a multi-process run when the
-// caller does not choose: 1 (no sharding) below AutoShardLinks, then the
-// largest count that keeps every shard at AutoShardLinksPerShard links,
-// clamped to the machine's processors and MaxShards.
+// caller does not choose: 1 (no sharding) below autoShardLinks, then the
+// largest count that keeps every shard at autoShardLinksPerShard links,
+// clamped to the machine's processors and maxShards.
 func AutoShards(procs, links int) int {
-	if links < AutoShardLinks {
+	if links < autoShardLinks {
 		return 1
 	}
-	k := links / AutoShardLinksPerShard
+	k := links / autoShardLinksPerShard
 	if k > procs {
 		k = procs
 	}
-	if k > MaxShards {
-		k = MaxShards
+	if k > maxShards {
+		k = maxShards
 	}
 	if k < 1 {
 		k = 1

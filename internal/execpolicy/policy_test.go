@@ -19,8 +19,8 @@ func TestDefaultWorkers(t *testing.T) {
 			t.Fatalf("DefaultWorkers at 3 CPUs = %d", w)
 		}
 	})
-	withProcs(MaxWorkers+8, func() {
-		if w := DefaultWorkers(); w != MaxWorkers {
+	withProcs(maxWorkers+8, func() {
+		if w := DefaultWorkers(); w != maxWorkers {
 			t.Fatalf("DefaultWorkers must cap at MaxWorkers, got %d", w)
 		}
 	})
@@ -42,10 +42,10 @@ func TestValidateWorkers(t *testing.T) {
 
 func TestAutoWorkers(t *testing.T) {
 	withProcs(2, func() {
-		if w := AutoWorkers(8); w != 2 {
+		if w := autoWorkers(8); w != 2 {
 			t.Fatalf("AutoWorkers must clamp an oversubscribed pool to GOMAXPROCS, got %d", w)
 		}
-		if w := AutoWorkers(1); w != 1 {
+		if w := autoWorkers(1); w != 1 {
 			t.Fatalf("AutoWorkers(1) = %d", w)
 		}
 	})
@@ -61,11 +61,11 @@ func TestAsyncAuto(t *testing.T) {
 			cloneable bool
 			want      AsyncChoice
 		}{
-			{"one worker", 1, AutoMultiLinks, 1, true, AsyncSerial},
-			{"small graph", 4, AutoMultiLinks - 1, 1, true, AsyncSerial},
-			{"wide lookahead", 4, AutoMultiLinks, AutoMinLookahead, true, AsyncWindows},
-			{"tiny lookahead, cloneable", 4, AutoMultiLinks, AutoMinLookahead / 2, true, AsyncSerial},
-			{"tiny lookahead, opaque state", 4, AutoMultiLinks, AutoMinLookahead / 2, false, AsyncSerial},
+			{"one worker", 1, autoMultiLinks, 1, true, AsyncSerial},
+			{"small graph", 4, autoMultiLinks - 1, 1, true, AsyncSerial},
+			{"wide lookahead", 4, autoMultiLinks, autoMinLookahead, true, AsyncWindows},
+			{"tiny lookahead, cloneable", 4, autoMultiLinks, autoMinLookahead / 2, true, AsyncSerial},
+			{"tiny lookahead, opaque state", 4, autoMultiLinks, autoMinLookahead / 2, false, AsyncSerial},
 		}
 		for _, c := range cases {
 			if got := AsyncAuto(c.workers, c.links, c.lookahead, c.cloneable); got != c.want {
@@ -76,7 +76,7 @@ func TestAsyncAuto(t *testing.T) {
 	// The clamp applies inside Auto too: a big configured pool on one CPU
 	// must not volunteer parallelism.
 	withProcs(1, func() {
-		if got := AsyncAuto(8, AutoMultiLinks, 1, true); got != AsyncSerial {
+		if got := AsyncAuto(8, autoMultiLinks, 1, true); got != AsyncSerial {
 			t.Fatalf("AsyncAuto on 1 CPU = %v, want AsyncSerial", got)
 		}
 	})
@@ -86,14 +86,14 @@ func TestAsyncAuto(t *testing.T) {
 // shape: drifting either constant or the lookahead×links product test
 // changes which mode million-link benchmarks silently run under.
 func TestHugeGraphGate(t *testing.T) {
-	if AutoHugeLinks != 1<<21 {
-		t.Fatalf("AutoHugeLinks drifted to %d", AutoHugeLinks)
+	if autoHugeLinks != 1<<21 {
+		t.Fatalf("AutoHugeLinks drifted to %d", autoHugeLinks)
 	}
-	if AutoHugeEventsPerWindow != 4096 {
-		t.Fatalf("AutoHugeEventsPerWindow drifted to %d", AutoHugeEventsPerWindow)
+	if autoHugeEventsPerWindow != 4096 {
+		t.Fatalf("AutoHugeEventsPerWindow drifted to %d", autoHugeEventsPerWindow)
 	}
 	withProcs(4, func() {
-		tiny := AutoMinLookahead / 2 // below the ordinary windowed gate
+		tiny := autoMinLookahead / 2 // below the ordinary windowed gate
 		cases := []struct {
 			name      string
 			links     int
@@ -103,11 +103,11 @@ func TestHugeGraphGate(t *testing.T) {
 		}{
 			// At the huge threshold, tiny lookahead × 2^21 links = 2^12
 			// expected events — exactly the gate.
-			{"huge graph, product at gate", AutoHugeLinks, tiny, false, AsyncWindows},
-			{"huge graph, product below gate", AutoHugeLinks, tiny / 2, false, AsyncSerial},
-			{"huge graph, product below gate, cloneable", AutoHugeLinks, tiny / 2, true, AsyncSerial},
-			{"just under huge", AutoHugeLinks - 1, tiny, false, AsyncSerial},
-			{"just under huge, cloneable", AutoHugeLinks - 1, tiny, true, AsyncSerial},
+			{"huge graph, product at gate", autoHugeLinks, tiny, false, AsyncWindows},
+			{"huge graph, product below gate", autoHugeLinks, tiny / 2, false, AsyncSerial},
+			{"huge graph, product below gate, cloneable", autoHugeLinks, tiny / 2, true, AsyncSerial},
+			{"just under huge", autoHugeLinks - 1, tiny, false, AsyncSerial},
+			{"just under huge, cloneable", autoHugeLinks - 1, tiny, true, AsyncSerial},
 		}
 		for _, c := range cases {
 			if got := AsyncAuto(4, c.links, c.lookahead, c.cloneable); got != c.want {
@@ -119,18 +119,18 @@ func TestHugeGraphGate(t *testing.T) {
 
 func TestLockstepMulti(t *testing.T) {
 	withProcs(4, func() {
-		if !LockstepMulti(4, AutoMultiNodes) {
+		if !LockstepMulti(4, autoMultiNodes) {
 			t.Fatal("big graph with a real pool should go parallel")
 		}
-		if LockstepMulti(4, AutoMultiNodes-1) {
+		if LockstepMulti(4, autoMultiNodes-1) {
 			t.Fatal("small graph should stay serial")
 		}
-		if LockstepMulti(1, AutoMultiNodes) {
+		if LockstepMulti(1, autoMultiNodes) {
 			t.Fatal("one worker should stay serial")
 		}
 	})
 	withProcs(1, func() {
-		if LockstepMulti(8, AutoMultiNodes) {
+		if LockstepMulti(8, autoMultiNodes) {
 			t.Fatal("oversubscribed pool on 1 CPU should stay serial in Auto")
 		}
 	})
@@ -141,11 +141,11 @@ func TestAutoShards(t *testing.T) {
 		procs, links, want int
 	}{
 		{8, 0, 1},
-		{8, AutoShardLinks - 1, 1},                   // below the gate: never shard
-		{8, AutoShardLinks, 2},                       // at the gate: 4M links = 2 shards
-		{8, 4 * AutoShardLinksPerShard, 4},           // grows with the graph
-		{2, 8 * AutoShardLinksPerShard, 2},           // clamped to processors
-		{64, 64 * AutoShardLinksPerShard, MaxShards}, // clamped to the process cap
+		{8, autoShardLinks - 1, 1},                   // below the gate: never shard
+		{8, autoShardLinks, 2},                       // at the gate: 4M links = 2 shards
+		{8, 4 * autoShardLinksPerShard, 4},           // grows with the graph
+		{2, 8 * autoShardLinksPerShard, 2},           // clamped to processors
+		{64, 64 * autoShardLinksPerShard, maxShards}, // clamped to the process cap
 		{1, 1 << 30, 1},                              // single core: sharding never wins
 	}
 	for _, c := range cases {

@@ -65,7 +65,7 @@ func stepGather(t *testing.T, sim *async.Sim, mods []*Module, stride uint64) asy
 // TestGatherWideStar: the hub of an 80-star has 79 tree children, so its
 // childDone bits span ten bytes of the record.
 func TestGatherWideStar(t *testing.T) {
-	g := graph.Star(80)
+	g := specGraph("star:80")
 	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, 0)})
 	w := &world{}
 	mods := make([]*Module, g.N())
@@ -150,4 +150,13 @@ func TestGatherSessionFirstSeenByRecv(t *testing.T) {
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("only %d/%d nodes finished gathering", len(res.Outputs), g.N())
 	}
+}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

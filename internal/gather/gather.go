@@ -340,10 +340,10 @@ func (m *Module) Done(session int) bool {
 	return s >= 0 && m.sess[s].fired
 }
 
-// Chain runs Theorem 3.2's staged gather: stage i learns that the
+// stagedGather runs Theorem 3.2's staged gather: stage i learns that the
 // (i+1)·d-neighborhood is done, by gathering "stage i-1 done" in the
 // d-cover. Sessions used are base+0 … base+(L-1).
-type Chain struct {
+type stagedGather struct {
 	Mod  *Module
 	L    int // number of stages ℓ
 	Base int // first session id
@@ -355,14 +355,14 @@ type Chain struct {
 }
 
 // Begin announces all chain sessions at this node (relays included).
-func (ch *Chain) Begin(n *async.Node) {
+func (ch *stagedGather) Begin(n *async.Node) {
 	for i := 0; i < ch.L; i++ {
 		ch.Mod.Begin(n, ch.Base+i)
 	}
 }
 
 // MarkDone records local completion of P, starting stage 0.
-func (ch *Chain) MarkDone(n *async.Node) {
+func (ch *stagedGather) MarkDone(n *async.Node) {
 	if ch.marked {
 		return
 	}
@@ -373,7 +373,7 @@ func (ch *Chain) MarkDone(n *async.Node) {
 
 // OnNeighborhoodDone must be called from the owner's Callbacks for sessions
 // in [Base, Base+L); it advances the chain and fires Final at the end.
-func (ch *Chain) OnNeighborhoodDone(n *async.Node, session int) {
+func (ch *stagedGather) OnNeighborhoodDone(n *async.Node, session int) {
 	if session != ch.Base+ch.stage {
 		panic(fmt.Sprintf("gather: chain got session %d at stage %d", session, ch.stage))
 	}
@@ -385,9 +385,4 @@ func (ch *Chain) OnNeighborhoodDone(n *async.Node, session int) {
 		return
 	}
 	ch.Mod.MarkDone(n, ch.Base+ch.stage)
-}
-
-// Owns reports whether the session belongs to this chain.
-func (ch *Chain) Owns(session int) bool {
-	return session >= ch.Base && session < ch.Base+ch.L
 }

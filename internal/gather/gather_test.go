@@ -39,7 +39,7 @@ type gclient struct {
 	mod      *Module
 	flooded  bool
 	useChain bool
-	chain    *Chain
+	chain    *stagedGather
 }
 
 func (c *gclient) Start(n *async.Node) {
@@ -175,7 +175,7 @@ func TestGatherMessageBound(t *testing.T) {
 	}
 }
 
-// chainClient wires Chain (Theorem 3.2) with L stages.
+// chainClient wires stagedGather (Theorem 3.2) with L stages.
 type chainWorld struct {
 	w *world
 	l int
@@ -189,7 +189,7 @@ func TestGatherChainTheorem32(t *testing.T) {
 	sim := async.New(g, async.SeededRandom{Seed: 5}, func(id graph.NodeID) async.Handler {
 		cl := &gclient{w: w, useChain: true}
 		cl.mod = New(protoGather, cov, cl, nil)
-		cl.chain = &Chain{
+		cl.chain = &stagedGather{
 			Mod: cl.mod, L: l, Base: 0,
 			Final: func(n *async.Node) {
 				w.log = append(w.log, event{kind: evDone, node: n.ID()})
@@ -218,7 +218,7 @@ func TestGatherChainAdversaries(t *testing.T) {
 		sim := async.New(g, adv, func(id graph.NodeID) async.Handler {
 			cl := &gclient{w: w, useChain: true}
 			cl.mod = New(protoGather, cov, cl, nil)
-			cl.chain = &Chain{
+			cl.chain = &stagedGather{
 				Mod: cl.mod, L: l, Base: 0,
 				Final: func(n *async.Node) {
 					w.log = append(w.log, event{kind: evDone, node: n.ID()})

@@ -70,12 +70,12 @@ func Cycle(n int) *Graph {
 	})
 }
 
-// Grid returns the rows×cols grid, Grid3D(rows, cols, 1): node (r, c) has
+// Grid returns the rows×cols grid, grid3D(rows, cols, 1): node (r, c) has
 // id r·cols+c. Diameter rows+cols-2.
-func Grid(rows, cols int) *Graph { return must(Grid3D(rows, cols, 1)) }
+func Grid(rows, cols int) *Graph { return must(grid3D(rows, cols, 1)) }
 
-// Star returns the star with center 0 and n-1 leaves. Diameter 2.
-func Star(n int) *Graph {
+// star returns the star with center 0 and n-1 leaves. Diameter 2.
+func star(n int) *Graph {
 	return enumerate(n, true, func(emit func(u, v NodeID)) {
 		for i := 1; i < n; i++ {
 			emit(0, NodeID(i))
@@ -83,9 +83,9 @@ func Star(n int) *Graph {
 	})
 }
 
-// CompleteBinaryTree returns a complete binary tree on n nodes
+// completeBinaryTree returns a complete binary tree on n nodes
 // (node i has children 2i+1 and 2i+2 when in range).
-func CompleteBinaryTree(n int) *Graph {
+func completeBinaryTree(n int) *Graph {
 	return enumerate(n, true, func(emit func(u, v NodeID)) {
 		for i := 0; i < n; i++ {
 			if l := 2*i + 1; l < n {
@@ -98,8 +98,8 @@ func CompleteBinaryTree(n int) *Graph {
 	})
 }
 
-// Complete returns K_n.
-func Complete(n int) *Graph {
+// complete returns K_n.
+func complete(n int) *Graph {
 	return enumerate(n, true, func(emit func(u, v NodeID)) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {

@@ -11,7 +11,7 @@
 // sequence counters, CONGEST stamps) by LinkID instead of hashing (u,v)
 // pairs.
 //
-// All ids are 32-bit: a graph holds at most MaxNodes nodes and MaxEdges
+// All ids are 32-bit: a graph holds at most maxNodes nodes and maxEdges
 // edges, so per-link and per-node engine state stays compact at the
 // ten-million-node scale. Construction checks the limits explicitly.
 package graph
@@ -33,12 +33,12 @@ type EdgeID int32
 // out-links first (ascending destination), then node 1's, and so on.
 type LinkID int32
 
-// MaxNodes is the largest supported node count (NodeIDs are int32).
-const MaxNodes = math.MaxInt32
+// maxNodes is the largest supported node count (NodeIDs are int32).
+const maxNodes = math.MaxInt32
 
-// MaxEdges is the largest supported edge count: 2m directed links must fit
+// maxEdges is the largest supported edge count: 2m directed links must fit
 // in the int32 LinkID space.
-const MaxEdges = math.MaxInt32 / 2
+const maxEdges = math.MaxInt32 / 2
 
 // Edge is an undirected edge {U, V} with an optional weight (used by MST
 // workloads; weight 0 elsewhere). U < V always holds after normalization.

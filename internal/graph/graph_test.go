@@ -45,17 +45,17 @@ func TestGridDiameter(t *testing.T) {
 }
 
 func TestStarAndComplete(t *testing.T) {
-	if d := Star(10).Diameter(); d != 2 {
+	if d := star(10).Diameter(); d != 2 {
 		t.Errorf("Star(10) diameter = %d, want 2", d)
 	}
-	k := Complete(6)
+	k := complete(6)
 	if k.M() != 15 || k.Diameter() != 1 {
 		t.Errorf("Complete(6): m=%d diam=%d", k.M(), k.Diameter())
 	}
 }
 
 func TestCompleteBinaryTree(t *testing.T) {
-	g := CompleteBinaryTree(15)
+	g := completeBinaryTree(15)
 	if g.M() != 14 {
 		t.Fatalf("tree edges = %d, want 14", g.M())
 	}
@@ -206,7 +206,7 @@ func TestOtherAndEdgeBetween(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(6)
+	uf := newUnionFind(6)
 	if uf.Count() != 6 {
 		t.Fatal("initial count")
 	}
@@ -251,7 +251,7 @@ func TestKruskalUniqueMST(t *testing.T) {
 }
 
 func TestWithRandomWeightsDistinct(t *testing.T) {
-	g := WithRandomWeights(Complete(8), 3)
+	g := WithRandomWeights(complete(8), 3)
 	seen := make(map[int64]bool)
 	for i := 0; i < g.M(); i++ {
 		e := g.Edge(EdgeID(i))

@@ -8,7 +8,7 @@ import "fmt"
 // the CSR arrays are emitted directly with exact preallocation — no
 // intermediate adjacency lists, no maps. These are the generators that
 // reach the ten-million-node scale; they validate their size against
-// MaxNodes / MaxEdges and return an error BEFORE allocating anything.
+// maxNodes / maxEdges and return an error BEFORE allocating anything.
 //
 // EdgeIDs follow the enumeration order of the generator; adjacency rows
 // are ascending by neighbor id. The golden tests pin every generator's CSR
@@ -24,11 +24,11 @@ import "fmt"
 // row is sorted afterwards. Duplicate edges are caught by a final
 // adjacent-equal scan.
 func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph, error) {
-	if n < 0 || n > MaxNodes {
-		return nil, fmt.Errorf("graph: node count %d outside [0, %d] (32-bit NodeID space)", n, int64(MaxNodes))
+	if n < 0 || n > maxNodes {
+		return nil, fmt.Errorf("graph: node count %d outside [0, %d] (32-bit NodeID space)", n, int64(maxNodes))
 	}
-	if m < 0 || m > MaxEdges {
-		return nil, fmt.Errorf("graph: edge count %d outside [0, %d] (2m directed links must fit 32-bit LinkID space)", m, int64(MaxEdges))
+	if m < 0 || m > maxEdges {
+		return nil, fmt.Errorf("graph: edge count %d outside [0, %d] (2m directed links must fit 32-bit LinkID space)", m, int64(maxEdges))
 	}
 	g := &Graph{n: int(n)}
 	g.edgeU = make([]NodeID, 0, m)
@@ -130,23 +130,23 @@ func siftNeighbor(row []Neighbor, root, end int) {
 	}
 }
 
-// Grid3D returns the x×y×z axis-aligned grid: node (ix,iy,iz) has id
+// grid3D returns the x×y×z axis-aligned grid: node (ix,iy,iz) has id
 // (ix·y + iy)·z + iz and is adjacent to the ±1 lattice neighbors in each
 // dimension. Diameter (x-1)+(y-1)+(z-1). The CSR is emitted implicitly:
 // construction retains only the CSR arrays.
-func Grid3D(x, y, z int) (*Graph, error) {
+func grid3D(x, y, z int) (*Graph, error) {
 	if x < 1 || y < 1 || z < 1 {
 		return nil, fmt.Errorf("graph: Grid3D needs positive dimensions, got %d×%d×%d", x, y, z)
 	}
 	// Overflow-safe size computation: each factor fits an int64 product of
 	// two, so guard the chain step by step.
 	n := int64(x) * int64(y)
-	if n > MaxNodes {
-		return nil, fmt.Errorf("graph: Grid3D %d×%d×%d exceeds MaxNodes (%d, the 32-bit NodeID space)", x, y, z, int64(MaxNodes))
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: Grid3D %d×%d×%d exceeds MaxNodes (%d, the 32-bit NodeID space)", x, y, z, int64(maxNodes))
 	}
 	n *= int64(z)
-	if n > MaxNodes {
-		return nil, fmt.Errorf("graph: Grid3D %d×%d×%d exceeds MaxNodes (%d, the 32-bit NodeID space)", x, y, z, int64(MaxNodes))
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: Grid3D %d×%d×%d exceeds MaxNodes (%d, the 32-bit NodeID space)", x, y, z, int64(maxNodes))
 	}
 	m := int64(x-1)*int64(y)*int64(z) + int64(x)*int64(y-1)*int64(z) + int64(x)*int64(y)*int64(z-1)
 	return buildCSR(n, m, true, func(emit func(u, v NodeID)) {
@@ -170,25 +170,25 @@ func Grid3D(x, y, z int) (*Graph, error) {
 	})
 }
 
-// PowerLaw returns a deterministic Barabási–Albert preferential-attachment
+// powerLaw returns a deterministic Barabási–Albert preferential-attachment
 // graph: a seed clique on m+1 nodes, then each node v = m+1..n-1 attaches
 // to m distinct earlier nodes sampled proportionally to degree (by drawing
 // uniformly from the running edge-endpoint list, resampling batch
 // duplicates). Degree distribution is power-law with heavy-tailed hubs;
 // diameter O(log n). Deterministic in seed.
-func PowerLaw(n, m int, seed uint64) (*Graph, error) {
+func powerLaw(n, m int, seed uint64) (*Graph, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("graph: PowerLaw needs m >= 1, got %d", m)
 	}
 	if n < m+1 {
 		return nil, fmt.Errorf("graph: PowerLaw needs n >= m+1 (n=%d, m=%d)", n, m)
 	}
-	if int64(n) > MaxNodes {
-		return nil, fmt.Errorf("graph: PowerLaw n=%d exceeds MaxNodes (%d, the 32-bit NodeID space)", n, int64(MaxNodes))
+	if int64(n) > maxNodes {
+		return nil, fmt.Errorf("graph: PowerLaw n=%d exceeds MaxNodes (%d, the 32-bit NodeID space)", n, int64(maxNodes))
 	}
 	edges := int64(m)*int64(m+1)/2 + int64(n-m-1)*int64(m)
-	if edges > MaxEdges {
-		return nil, fmt.Errorf("graph: PowerLaw n=%d m=%d needs %d edges, exceeding MaxEdges (%d, the 32-bit LinkID space)", n, m, edges, int64(MaxEdges))
+	if edges > maxEdges {
+		return nil, fmt.Errorf("graph: PowerLaw n=%d m=%d needs %d edges, exceeding MaxEdges (%d, the 32-bit LinkID space)", n, m, edges, int64(maxEdges))
 	}
 	return buildCSR(int64(n), edges, false, func(emit func(u, v NodeID)) {
 		powerLawEdges(n, m, seed, emit)
@@ -234,22 +234,22 @@ func powerLawEdges(n, m int, seed uint64, emit func(u, v NodeID)) {
 	}
 }
 
-// RingOfCliques returns k cliques of c nodes each (clique i owns the id
+// ringOfCliques returns k cliques of c nodes each (clique i owns the id
 // range [i·c, (i+1)·c)), with one road edge from each clique's last node
 // to the next clique's first node, closing into a ring. Road-like: locally
 // dense, globally a long cycle — diameter Θ(k). Requires k >= 3 (a 2-ring
 // would double the connecting edge).
-func RingOfCliques(k, c int) (*Graph, error) {
+func ringOfCliques(k, c int) (*Graph, error) {
 	if k < 3 || c < 1 {
 		return nil, fmt.Errorf("graph: RingOfCliques needs k >= 3 cliques of c >= 1 nodes, got k=%d c=%d", k, c)
 	}
 	n := int64(k) * int64(c)
-	if n > MaxNodes {
-		return nil, fmt.Errorf("graph: RingOfCliques k=%d c=%d exceeds MaxNodes (%d, the 32-bit NodeID space)", k, c, int64(MaxNodes))
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: RingOfCliques k=%d c=%d exceeds MaxNodes (%d, the 32-bit NodeID space)", k, c, int64(maxNodes))
 	}
 	m := int64(k)*int64(c)*int64(c-1)/2 + int64(k)
-	if m > MaxEdges {
-		return nil, fmt.Errorf("graph: RingOfCliques k=%d c=%d needs %d edges, exceeding MaxEdges (%d, the 32-bit LinkID space)", k, c, m, int64(MaxEdges))
+	if m > maxEdges {
+		return nil, fmt.Errorf("graph: RingOfCliques k=%d c=%d needs %d edges, exceeding MaxEdges (%d, the 32-bit LinkID space)", k, c, m, int64(maxEdges))
 	}
 	return buildCSR(n, m, true, func(emit func(u, v NodeID)) {
 		for u := int64(0); u < n; u++ {

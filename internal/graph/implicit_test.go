@@ -206,7 +206,7 @@ func assertSameCSR(t *testing.T, got, want *Graph) {
 
 func TestGrid3DGolden(t *testing.T) {
 	for _, d := range [][3]int{{1, 1, 1}, {2, 1, 1}, {1, 3, 1}, {1, 1, 4}, {2, 2, 2}, {3, 4, 5}, {5, 1, 4}, {4, 4, 1}} {
-		g, err := Grid3D(d[0], d[1], d[2])
+		g, err := grid3D(d[0], d[1], d[2])
 		if err != nil {
 			t.Fatalf("Grid3D(%v): %v", d, err)
 		}
@@ -225,7 +225,7 @@ func TestPowerLawGolden(t *testing.T) {
 		n, m int
 		seed uint64
 	}{{5, 1, 1}, {4, 3, 2}, {30, 2, 7}, {64, 3, 9}, {100, 1, 3}} {
-		g, err := PowerLaw(tc.n, tc.m, tc.seed)
+		g, err := powerLaw(tc.n, tc.m, tc.seed)
 		if err != nil {
 			t.Fatalf("PowerLaw(%+v): %v", tc, err)
 		}
@@ -239,10 +239,10 @@ func TestPowerLawGolden(t *testing.T) {
 		}
 	}
 	// Determinism in seed; sensitivity to it.
-	a, _ := PowerLaw(50, 2, 11)
-	b, _ := PowerLaw(50, 2, 11)
+	a, _ := powerLaw(50, 2, 11)
+	b, _ := powerLaw(50, 2, 11)
 	assertSameCSR(t, a, b)
-	c, _ := PowerLaw(50, 2, 12)
+	c, _ := powerLaw(50, 2, 12)
 	same := true
 	for e := range a.edgeU {
 		if a.edgeU[e] != c.edgeU[e] {
@@ -256,7 +256,7 @@ func TestPowerLawGolden(t *testing.T) {
 }
 
 func TestPowerLawIsHeavyTailed(t *testing.T) {
-	g, err := PowerLaw(2000, 2, 5)
+	g, err := powerLaw(2000, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPowerLawIsHeavyTailed(t *testing.T) {
 
 func TestRingOfCliquesGolden(t *testing.T) {
 	for _, tc := range [][2]int{{3, 1}, {3, 2}, {4, 3}, {5, 4}, {8, 1}, {3, 6}} {
-		g, err := RingOfCliques(tc[0], tc[1])
+		g, err := ringOfCliques(tc[0], tc[1])
 		if err != nil {
 			t.Fatalf("RingOfCliques(%v): %v", tc, err)
 		}
@@ -316,13 +316,13 @@ func TestImplicitOverflowErrors(t *testing.T) {
 		f    func() (*Graph, error)
 	}{
 		// 1300^3 = 2.197e9 nodes > 2^31-1.
-		{"grid3d-nodes", func() (*Graph, error) { return Grid3D(1300, 1300, 1300) }},
+		{"grid3d-nodes", func() (*Graph, error) { return grid3D(1300, 1300, 1300) }},
 		// Node count fits, but 2m links would not fit the int32 LinkID space.
-		{"grid3d-links", func() (*Graph, error) { return Grid3D(715827882, 3, 1) }},
-		{"pa-nodes", func() (*Graph, error) { return PowerLaw(MaxNodes+1, 1, 1) }},
-		{"pa-links", func() (*Graph, error) { return PowerLaw(1<<30, 4, 1) }},
-		{"ring-nodes", func() (*Graph, error) { return RingOfCliques(1<<16, 1<<16) }},
-		{"ring-links", func() (*Graph, error) { return RingOfCliques(3, 1<<15) }},
+		{"grid3d-links", func() (*Graph, error) { return grid3D(715827882, 3, 1) }},
+		{"pa-nodes", func() (*Graph, error) { return powerLaw(maxNodes+1, 1, 1) }},
+		{"pa-links", func() (*Graph, error) { return powerLaw(1<<30, 4, 1) }},
+		{"ring-nodes", func() (*Graph, error) { return ringOfCliques(1<<16, 1<<16) }},
+		{"ring-links", func() (*Graph, error) { return ringOfCliques(3, 1<<15) }},
 	}
 	for _, tc := range cases {
 		g, err := tc.f()
@@ -334,13 +334,13 @@ func TestImplicitOverflowErrors(t *testing.T) {
 		}
 	}
 	// Bad-parameter (not overflow) errors.
-	if _, err := Grid3D(0, 1, 1); err == nil {
+	if _, err := grid3D(0, 1, 1); err == nil {
 		t.Fatal("Grid3D(0,1,1): want error")
 	}
-	if _, err := PowerLaw(3, 3, 1); err == nil {
+	if _, err := powerLaw(3, 3, 1); err == nil {
 		t.Fatal("PowerLaw(3,3,1): want error")
 	}
-	if _, err := RingOfCliques(2, 3); err == nil {
+	if _, err := ringOfCliques(2, 3); err == nil {
 		t.Fatal("RingOfCliques(2,3): want error")
 	}
 }
@@ -390,7 +390,7 @@ func TestFromSpec(t *testing.T) {
 
 // A graph from an implicit generator answers every link and edge query.
 func TestImplicitGraphQueries(t *testing.T) {
-	g, err := Grid3D(3, 3, 3)
+	g, err := grid3D(3, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,14 +445,14 @@ func TestClassicGolden(t *testing.T) {
 		})
 	}
 	for _, n := range []int{1, 2, 9} {
-		check(fmt.Sprintf("star:%d", n), Star(n), n, func(add func(u, v int)) {
+		check(fmt.Sprintf("star:%d", n), star(n), n, func(add func(u, v int)) {
 			for i := 1; i < n; i++ {
 				add(0, i)
 			}
 		})
 	}
 	for _, n := range []int{1, 2, 3, 15, 20} {
-		check(fmt.Sprintf("tree:%d", n), CompleteBinaryTree(n), n, func(add func(u, v int)) {
+		check(fmt.Sprintf("tree:%d", n), completeBinaryTree(n), n, func(add func(u, v int)) {
 			for i := 0; i < n; i++ {
 				if l := 2*i + 1; l < n {
 					add(i, l)
@@ -464,7 +464,7 @@ func TestClassicGolden(t *testing.T) {
 		})
 	}
 	for _, n := range []int{1, 2, 6, 60} {
-		check(fmt.Sprintf("complete:%d", n), Complete(n), n, func(add func(u, v int)) {
+		check(fmt.Sprintf("complete:%d", n), complete(n), n, func(add func(u, v int)) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					add(i, j)
@@ -528,7 +528,7 @@ func TestWithRandomWeightsGolden(t *testing.T) {
 		seed uint64
 	}{
 		{"grid:4x5", Grid(4, 5), 9},
-		{"complete:8", Complete(8), 3},
+		{"complete:8", complete(8), 3},
 		{"er:n=200,m=2100", RandomConnected(200, 2100, 1), 5},
 		{"path:2", Path(2), 1},
 		{"path:1", Path(1), 7},

@@ -7,7 +7,7 @@ func TestLinkIndexing(t *testing.T) {
 		Path(9),
 		Grid(4, 5),
 		RandomConnected(40, 100, 3),
-		Complete(7),
+		complete(7),
 	} {
 		if g.Links() != 2*g.M() {
 			t.Fatalf("Links() = %d, want %d", g.Links(), 2*g.M())

@@ -18,7 +18,7 @@ func (g *Graph) KruskalMST() []EdgeID {
 		}
 		return ids[a] < ids[b]
 	})
-	uf := NewUnionFind(g.n)
+	uf := newUnionFind(g.n)
 	out := make([]EdgeID, 0, g.n-1)
 	for _, id := range ids {
 		if uf.Union(int(g.edgeU[id]), int(g.edgeV[id])) {
@@ -47,7 +47,7 @@ func (g *Graph) IsSpanningTree(edges []EdgeID) bool {
 	if len(edges) != g.n-1 {
 		return false
 	}
-	uf := NewUnionFind(g.n)
+	uf := newUnionFind(g.n)
 	for _, id := range edges {
 		if !uf.Union(int(g.edgeU[id]), int(g.edgeV[id])) {
 			return false

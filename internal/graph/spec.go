@@ -36,7 +36,7 @@ func FromSpec(spec string) (*Graph, error) {
 			return nil, fmt.Errorf("graph: spec %q: bad size %q", spec, args)
 		}
 		// The generators panic on these sizes; a spec string is input.
-		if n < 1 || n > MaxNodes || kind == "cycle" && n < 3 || kind == "complete" && int64(n)*int64(n-1)/2 > MaxEdges {
+		if n < 1 || n > maxNodes || kind == "cycle" && n < 3 || kind == "complete" && int64(n)*int64(n-1)/2 > maxEdges {
 			return nil, fmt.Errorf("graph: spec %q: size out of range (positive, at least 3 for a cycle, within MaxNodes and MaxEdges)", spec)
 		}
 		switch kind {
@@ -45,18 +45,18 @@ func FromSpec(spec string) (*Graph, error) {
 		case "cycle":
 			return Cycle(n), nil
 		case "star":
-			return Star(n), nil
+			return star(n), nil
 		case "tree":
-			return CompleteBinaryTree(n), nil
+			return completeBinaryTree(n), nil
 		default:
-			return Complete(n), nil
+			return complete(n), nil
 		}
 	case "grid":
 		dims, err := specDims(spec, args, 2)
 		if err != nil {
 			return nil, err
 		}
-		if r, c := int64(dims[0]), int64(dims[1]); r < 1 || c < 1 || r > MaxNodes || c > MaxNodes || r*c > MaxNodes {
+		if r, c := int64(dims[0]), int64(dims[1]); r < 1 || c < 1 || r > maxNodes || c > maxNodes || r*c > maxNodes {
 			return nil, fmt.Errorf("graph: spec %q: dimensions out of range (positive, at most MaxNodes nodes)", spec)
 		}
 		return Grid(dims[0], dims[1]), nil
@@ -65,7 +65,7 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Grid3D(dims[0], dims[1], dims[2])
+		return grid3D(dims[0], dims[1], dims[2])
 	case "er":
 		kv, err := specKV(spec, args, "n", "m", "seed")
 		if err != nil {
@@ -80,13 +80,13 @@ func FromSpec(spec string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return PowerLaw(kv["n"], kv["m"], uint64(kv["seed"]))
+		return powerLaw(kv["n"], kv["m"], uint64(kv["seed"]))
 	case "ring":
 		kv, err := specKV(spec, args, "k", "c")
 		if err != nil {
 			return nil, err
 		}
-		return RingOfCliques(kv["k"], kv["c"])
+		return ringOfCliques(kv["k"], kv["c"])
 	default:
 		return nil, fmt.Errorf("graph: unknown generator %q in spec %q (want path|cycle|grid|grid3d|star|tree|complete|er|pa|ring)", kind, spec)
 	}

@@ -1,15 +1,15 @@
 package graph
 
-// UnionFind is a disjoint-set forest with union by rank and path halving.
-type UnionFind struct {
+// unionFind is a disjoint-set forest with union by rank and path halving.
+type unionFind struct {
 	parent []int
 	rank   []int
 	count  int
 }
 
-// NewUnionFind returns n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{
 		parent: make([]int, n),
 		rank:   make([]int, n),
 		count:  n,
@@ -21,7 +21,7 @@ func NewUnionFind(n int) *UnionFind {
 }
 
 // Find returns the representative of x.
-func (uf *UnionFind) Find(x int) int {
+func (uf *unionFind) Find(x int) int {
 	for uf.parent[x] != x {
 		uf.parent[x] = uf.parent[uf.parent[x]]
 		x = uf.parent[x]
@@ -30,7 +30,7 @@ func (uf *UnionFind) Find(x int) int {
 }
 
 // Union merges the sets of x and y; returns false if already joined.
-func (uf *UnionFind) Union(x, y int) bool {
+func (uf *unionFind) Union(x, y int) bool {
 	rx, ry := uf.Find(x), uf.Find(y)
 	if rx == ry {
 		return false
@@ -47,7 +47,7 @@ func (uf *UnionFind) Union(x, y int) bool {
 }
 
 // Count returns the number of disjoint sets.
-func (uf *UnionFind) Count() int { return uf.count }
+func (uf *unionFind) Count() int { return uf.count }
 
 // Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
+func (uf *unionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

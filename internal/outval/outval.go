@@ -32,14 +32,14 @@ import (
 // Reserved kinds for engine-encoded primitives. They live at the top of
 // the Kind space so no algorithm's message or output kinds collide.
 const (
-	// KindInt carries a Go int in A.
-	KindInt wire.Kind = 0x7F01
-	// KindInt64 carries an int64 in A.
-	KindInt64 wire.Kind = 0x7F02
-	// KindBool carries a bool in A (wire.FromBool encoding).
-	KindBool wire.Kind = 0x7F03
-	// KindNode carries a graph.NodeID in A.
-	KindNode wire.Kind = 0x7F04
+	// kindInt carries a Go int in A.
+	kindInt wire.Kind = 0x7F01
+	// kindInt64 carries an int64 in A.
+	kindInt64 wire.Kind = 0x7F02
+	// kindBool carries a bool in A (wire.FromBool encoding).
+	kindBool wire.Kind = 0x7F03
+	// kindNode carries a graph.NodeID in A.
+	kindNode wire.Kind = 0x7F04
 )
 
 // decoders maps registered output kinds to their decode funcs. Written
@@ -63,13 +63,13 @@ func Register(k wire.Kind, dec func(wire.Body) any) {
 func Encode(v any) (wire.Body, bool) {
 	switch x := v.(type) {
 	case int:
-		return wire.Body{Kind: KindInt, A: int64(x)}, true
+		return wire.Body{Kind: kindInt, A: int64(x)}, true
 	case int64:
-		return wire.Body{Kind: KindInt64, A: x}, true
+		return wire.Body{Kind: kindInt64, A: x}, true
 	case bool:
-		return wire.Body{Kind: KindBool, A: wire.FromBool(x)}, true
+		return wire.Body{Kind: kindBool, A: wire.FromBool(x)}, true
 	case graph.NodeID:
-		return wire.Body{Kind: KindNode, A: int64(x)}, true
+		return wire.Body{Kind: kindNode, A: int64(x)}, true
 	}
 	return wire.Body{}, false
 }
@@ -77,13 +77,13 @@ func Encode(v any) (wire.Body, bool) {
 // primDecode decodes the reserved primitive kinds.
 func primDecode(b wire.Body) (any, bool) {
 	switch b.Kind {
-	case KindInt:
+	case kindInt:
 		return int(b.A), true
-	case KindInt64:
+	case kindInt64:
 		return b.A, true
-	case KindBool:
+	case kindBool:
 		return wire.ToBool(b.A), true
-	case KindNode:
+	case kindNode:
 		return graph.NodeID(b.A), true
 	}
 	return nil, false

@@ -65,7 +65,7 @@ func TestRegisterReservedPanics(t *testing.T) {
 			t.Fatal("registering a reserved kind should panic")
 		}
 	}()
-	Register(KindInt, func(wire.Body) any { return nil })
+	Register(kindInt, func(wire.Body) any { return nil })
 }
 
 // TestTableOverwrite: a slot moves typed → boxed → typed, reads back the
@@ -81,7 +81,7 @@ func TestTableOverwrite(t *testing.T) {
 		set  func() bool
 		want any
 	}{
-		{func() bool { return tb.SetBody(1, wire.Body{Kind: KindInt, A: 7}) }, 7},
+		{func() bool { return tb.SetBody(1, wire.Body{Kind: kindInt, A: 7}) }, 7},
 		{func() bool { return tb.SetBoxed(1, "seven") }, "seven"},
 		{func() bool { return tb.SetBody(1, wire.Body{Kind: kindTestOut, A: 1, B: 2}) }, testOut{A: 1, B: 2}},
 	} {
@@ -115,10 +115,10 @@ func TestTableZeroKindPanics(t *testing.T) {
 func filled() *Table {
 	tb := &Table{}
 	tb.Init(6)
-	tb.SetBody(0, wire.Body{Kind: KindBool, A: 1})
+	tb.SetBody(0, wire.Body{Kind: kindBool, A: 1})
 	tb.SetBoxed(2, 3.5)
 	tb.SetBody(3, wire.Body{Kind: kindTestOut, A: -1, B: 4})
-	tb.SetBody(5, wire.Body{Kind: KindNode, A: 2})
+	tb.SetBody(5, wire.Body{Kind: kindNode, A: 2})
 	return tb
 }
 
@@ -138,7 +138,7 @@ func TestTableDenseMatchesMap(t *testing.T) {
 	}
 	bodies, set, _ := tb.Dense(true)
 	tb.Reset()
-	if !set[0] || bodies[0].Kind != KindBool {
+	if !set[0] || bodies[0].Kind != kindBool {
 		t.Fatal("owned dense slices changed when the table was reset")
 	}
 	var empty Table
@@ -152,7 +152,7 @@ func TestTableDenseMatchesMap(t *testing.T) {
 // refuses a boxed one, and Load refuses a kind no decoder knows.
 func TestTableFrameRecords(t *testing.T) {
 	tb := filled()
-	tb.SetBody(2, wire.Body{Kind: KindInt64, A: 1 << 40}) // replace the boxed value
+	tb.SetBody(2, wire.Body{Kind: kindInt64, A: 1 << 40}) // replace the boxed value
 	e := wire.NewEnc(nil)
 	for i := range 6 {
 		if err := tb.Save(e, i); err != nil {
@@ -201,7 +201,7 @@ func TestTableResetKeepsSlabs(t *testing.T) {
 	fill := func() {
 		for i := range 64 {
 			if i%2 == 0 {
-				tb.SetBody(i, wire.Body{Kind: KindInt, A: int64(i)})
+				tb.SetBody(i, wire.Body{Kind: kindInt, A: int64(i)})
 			} else {
 				tb.SetBoxed(i, &tb)
 			}
@@ -233,7 +233,7 @@ func TestTableConcurrentFirstWrites(t *testing.T) {
 				if i%3 == 0 {
 					tb.SetBoxed(i, fmt.Sprint(i))
 				} else {
-					tb.SetBody(i, wire.Body{Kind: KindInt, A: int64(i)})
+					tb.SetBody(i, wire.Body{Kind: kindInt, A: int64(i)})
 				}
 			}
 		}()

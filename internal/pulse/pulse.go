@@ -6,17 +6,17 @@ package pulse
 
 import "math/bits"
 
-// LevelInf is the level of pulse 0 (the paper defines ℓ(0) = ∞).
-const LevelInf = 1 << 30
+// levelInf is the level of pulse 0 (the paper defines ℓ(0) = ∞).
+const levelInf = 1 << 30
 
-// Level returns ℓ(p): the exponent of the highest power of 2 dividing p,
-// and LevelInf for p = 0 (Definition 4.3). Negative pulses panic.
-func Level(p int) int {
+// level returns ℓ(p): the exponent of the highest power of 2 dividing p,
+// and levelInf for p = 0 (Definition 4.3). Negative pulses panic.
+func level(p int) int {
 	switch {
 	case p < 0:
 		panic("pulse: negative pulse")
 	case p == 0:
-		return LevelInf
+		return levelInf
 	default:
 		return bits.TrailingZeros64(uint64(p))
 	}
@@ -28,13 +28,13 @@ func Prev(p int) int {
 	if p == 0 {
 		return 0
 	}
-	l := Level(p)
+	l := level(p)
 	step := 1 << uint(l)
 	cand := p - step // divisible by 2^(l+1) since p = odd·2^l
 	if cand <= 0 {
 		return 0
 	}
-	if Level(cand) == l+1 {
+	if level(cand) == l+1 {
 		return cand
 	}
 	// cand divisible by 2^(l+2) or more; step back one 2^(l+1) block.
@@ -53,22 +53,22 @@ func Prev2(p int) int { return Prev(Prev(p)) }
 //	p − prev(p)        ≤ 3·2^ℓ(p)
 //	p − prev(prev(p))  ≤ 9·2^ℓ(p)
 //
-// HostDistBound returns 3·2^ℓ(p) (the distance from a node of pulse p to
-// its host, Lemma 4.7(c)); Host2DistBound returns 9·2^ℓ(p) (to the host's
+// hostDistBound returns 3·2^ℓ(p) (the distance from a node of pulse p to
+// its host, Lemma 4.7(c)); host2DistBound returns 9·2^ℓ(p) (to the host's
 // host, Lemma 4.7(d)). Both panic for p = 0, whose host is itself.
-func HostDistBound(p int) int {
+func hostDistBound(p int) int {
 	if p <= 0 {
 		panic("pulse: HostDistBound needs p > 0")
 	}
-	return 3 << uint(Level(p))
+	return 3 << uint(level(p))
 }
 
-// Host2DistBound returns 9·2^ℓ(p); see HostDistBound.
-func Host2DistBound(p int) int {
+// host2DistBound returns 9·2^ℓ(p); see hostDistBound.
+func host2DistBound(p int) int {
 	if p <= 0 {
 		panic("pulse: Host2DistBound needs p > 0")
 	}
-	return 9 << uint(Level(p))
+	return 9 << uint(level(p))
 }
 
 // CoverLevel returns ℓ(p)+5: registrations for pulse p use clusters of the
@@ -77,15 +77,15 @@ func CoverLevel(p int) int {
 	if p <= 0 {
 		panic("pulse: CoverLevel needs p > 0")
 	}
-	return Level(p) + 5
+	return level(p) + 5
 }
 
-// SumLevels returns Σ_{p=1..P} 2^ℓ(p); Lemma 4.13 proves it is O(P·log P).
+// sumLevels returns Σ_{p=1..P} 2^ℓ(p); Lemma 4.13 proves it is O(P·log P).
 // Benchmarks use it as the predicted time-shape of the pulse schedule.
-func SumLevels(P int) int {
+func sumLevels(P int) int {
 	total := 0
 	for p := 1; p <= P; p++ {
-		total += 1 << uint(Level(p))
+		total += 1 << uint(level(p))
 	}
 	return total
 }

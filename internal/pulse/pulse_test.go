@@ -10,10 +10,10 @@ func prevBrute(p int) int {
 	if p == 0 {
 		return 0
 	}
-	l := Level(p)
+	l := level(p)
 	limit := p - 1<<uint(l)
 	for cand := limit; cand > 0; cand-- {
-		if Level(cand) == l+1 {
+		if level(cand) == l+1 {
 			return cand
 		}
 	}
@@ -23,11 +23,11 @@ func prevBrute(p int) int {
 func TestLevelSmallValues(t *testing.T) {
 	want := map[int]int{1: 0, 2: 1, 3: 0, 4: 2, 6: 1, 8: 3, 12: 2, 20: 2, 1024: 10, 1536: 9}
 	for p, l := range want {
-		if got := Level(p); got != l {
+		if got := level(p); got != l {
 			t.Errorf("Level(%d) = %d, want %d", p, got, l)
 		}
 	}
-	if Level(0) != LevelInf {
+	if level(0) != levelInf {
 		t.Error("Level(0) must be LevelInf")
 	}
 }
@@ -59,8 +59,8 @@ func TestPrevExamples(t *testing.T) {
 // Lemma 4.7(a): p − prev(p) ≤ 3·2^ℓ(p).
 func TestLemma47a(t *testing.T) {
 	for p := 1; p <= 1<<14; p++ {
-		if gap := p - Prev(p); gap > 3<<uint(Level(p)) {
-			t.Fatalf("p=%d: gap %d > 3·2^ℓ=%d", p, gap, 3<<uint(Level(p)))
+		if gap := p - Prev(p); gap > 3<<uint(level(p)) {
+			t.Fatalf("p=%d: gap %d > 3·2^ℓ=%d", p, gap, 3<<uint(level(p)))
 		}
 	}
 }
@@ -68,8 +68,8 @@ func TestLemma47a(t *testing.T) {
 // Lemma 4.7(b): p − prev(prev(p)) ≤ 9·2^ℓ(p).
 func TestLemma47b(t *testing.T) {
 	for p := 1; p <= 1<<14; p++ {
-		if gap := p - Prev2(p); gap > 9<<uint(Level(p)) {
-			t.Fatalf("p=%d: gap %d > 9·2^ℓ=%d", p, gap, 9<<uint(Level(p)))
+		if gap := p - Prev2(p); gap > 9<<uint(level(p)) {
+			t.Fatalf("p=%d: gap %d > 9·2^ℓ=%d", p, gap, 9<<uint(level(p)))
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestPrevChainStructure(t *testing.T) {
 		if pr >= p {
 			t.Fatalf("Prev(%d) = %d not smaller", p, pr)
 		}
-		if pr != 0 && Level(pr) != Level(p)+1 {
-			t.Fatalf("Prev(%d)=%d: level %d, want %d", p, pr, Level(pr), Level(p)+1)
+		if pr != 0 && level(pr) != level(p)+1 {
+			t.Fatalf("Prev(%d)=%d: level %d, want %d", p, pr, level(pr), level(p)+1)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestLemma414PerLevelCount(t *testing.T) {
 		perLevel := map[int]int{}
 		for p := 1; p <= P; p++ {
 			if Prev2(p) <= p1 && p1 <= p {
-				perLevel[Level(p)]++
+				perLevel[level(p)]++
 			}
 		}
 		for l, c := range perLevel {
@@ -140,7 +140,7 @@ func TestLemma416SourcePulseCount(t *testing.T) {
 func TestLemma413SumLevels(t *testing.T) {
 	for T := 0; T <= 14; T++ {
 		P := 1 << uint(T)
-		got := SumLevels(P)
+		got := sumLevels(P)
 		bound := (T + 1) * P
 		if got > bound {
 			t.Fatalf("T=%d: SumLevels=%d > (t+1)2^t=%d", T, got, bound)
@@ -161,7 +161,7 @@ func TestQuickPrevInvariants(t *testing.T) {
 		if pr != prevBrute(p) {
 			return false
 		}
-		return p-pr <= 3<<uint(Level(p))
+		return p-pr <= 3<<uint(level(p))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -170,8 +170,8 @@ func TestQuickPrevInvariants(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"negative-level": func() { Level(-1) },
-		"zero-hostdist":  func() { HostDistBound(0) },
+		"negative-level": func() { level(-1) },
+		"zero-hostdist":  func() { hostDistBound(0) },
 		"zero-coverlvl":  func() { CoverLevel(0) },
 	} {
 		func() {

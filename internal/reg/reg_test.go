@@ -256,7 +256,7 @@ func TestWaveMultiSession(t *testing.T) {
 func TestWaveSubsetOfClients(t *testing.T) {
 	// Only a few nodes register; relays must still carry the waves.
 	g := graph.Path(24)
-	cl := cover.PathCluster(0, pathNodes(24))
+	cl := cover.BFSTreeCluster(graph.Path(24), 0)
 	cov := cover.NewExplicit(24, 23, []*cover.Cluster{cl})
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		5:  {0: {0}},
@@ -268,21 +268,13 @@ func TestWaveSubsetOfClients(t *testing.T) {
 	}
 }
 
-func pathNodes(n int) []graph.NodeID {
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = graph.NodeID(i)
-	}
-	return out
-}
-
 // TestCrossingRegistration reproduces the subtle race the paper's fix
 // addresses: an ancestor (node 2) starts registering while the descendant's
 // (node 5) deregistration wave passes through it. Swept across adversaries
 // and seeds to hit many interleavings.
 func TestCrossingRegistration(t *testing.T) {
 	g := graph.Path(6)
-	cl := cover.PathCluster(0, pathNodes(6))
+	cl := cover.BFSTreeCluster(graph.Path(6), 0)
 	cov := cover.NewExplicit(6, 5, []*cover.Cluster{cl})
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		2: {0: {0}},
@@ -328,7 +320,7 @@ func TestNaiveRegistration(t *testing.T) {
 
 func TestRootAsClient(t *testing.T) {
 	g := graph.Path(8)
-	cl := cover.PathCluster(0, pathNodes(8))
+	cl := cover.BFSTreeCluster(graph.Path(8), 0)
 	cov := cover.NewExplicit(8, 7, []*cover.Cluster{cl})
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		0: {0: {0}}, // the root itself registers
@@ -341,7 +333,7 @@ func TestRootAsClient(t *testing.T) {
 
 func TestDoubleRegisterPanics(t *testing.T) {
 	g := graph.Path(3)
-	cl := cover.PathCluster(0, pathNodes(3))
+	cl := cover.BFSTreeCluster(graph.Path(3), 0)
 	cov := cover.NewExplicit(3, 2, []*cover.Cluster{cl})
 	defer func() {
 		if recover() == nil {
@@ -383,7 +375,7 @@ func (d *doubleReg) Ack(*async.Node, graph.NodeID, async.Msg)  {}
 // messages are O(ops · h).
 func TestMessageProportionality(t *testing.T) {
 	g := graph.Path(32)
-	cl := cover.PathCluster(0, pathNodes(32))
+	cl := cover.BFSTreeCluster(graph.Path(32), 0)
 	cov := cover.NewExplicit(32, 31, []*cover.Cluster{cl})
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		31: {0: {0}}, 15: {0: {0}}, 7: {0: {0}},

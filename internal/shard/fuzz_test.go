@@ -23,10 +23,7 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), int32(12), int64(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65536)
 	f.Add(uint8(0), int32(12), int64(1), int32(5), int32(6), uint16(3), int64(0), int64(9), 65537)
 	f.Fuzz(func(t *testing.T, kindSel uint8, proto int32, stage int64, src, dst int32, bkind uint16, a, b int64, segWords int) {
-		kind := uint8(async.ShardEvDeliver)
-		if kindSel&1 == 1 {
-			kind = async.ShardEvAckArrive
-		}
+		kind := kindSel // the frame carries the event kind opaquely
 		if segWords < 0 {
 			segWords = -segWords
 		}

@@ -287,8 +287,8 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 		for i := 0; i < k; i++ {
 			cmd := exec.Command(exe, c.cfg.WorkerArgs...)
 			cmd.Env = append(os.Environ(),
-				EnvSocket+"="+sockPath,
-				fmt.Sprintf("%s=%d", EnvIndex, i))
+				envSocket+"="+sockPath,
+				fmt.Sprintf("%s=%d", envIndex, i))
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
 				return nil, err

@@ -270,6 +270,7 @@ func TestShardConfigErrors(t *testing.T) {
 		"NaN delay":       func(c *Config) { c.Adversary = "fixed:NaN" },
 		"negative shards": func(c *Config) { c.Shards = -1 },
 		"source outside":  func(c *Config) { c.Sources = []graph.NodeID{0, 99} },
+		"negative words":  func(c *Config) { c.SegWords = -5 },
 		"process w/o spec": func(c *Config) {
 			c.GraphSpec = ""
 			g, _ := graph.FromSpec("grid:4x4")

@@ -16,41 +16,41 @@ import (
 )
 
 // Worker entry points. A worker process is a re-exec of the coordinator's
-// own binary: the coordinator sets EnvSocket/EnvIndex and the child's
+// own binary: the coordinator sets envSocket/envIndex and the child's
 // main calls MaybeWorker before anything else. Test binaries hook the
 // same pair in TestMain, and cmd/shardsim additionally accepts the
 // -shard-worker flag form for debuggability (ps shows what the process
 // is).
 
-// EnvSocket names the coordinator's unix socket in a worker's
+// envSocket names the coordinator's unix socket in a worker's
 // environment; its presence is what makes a process a worker.
-const EnvSocket = "REPRO_SHARD_SOCKET"
+const envSocket = "REPRO_SHARD_SOCKET"
 
-// EnvIndex is the worker's shard index.
-const EnvIndex = "REPRO_SHARD_INDEX"
+// envIndex is the worker's shard index.
+const envIndex = "REPRO_SHARD_INDEX"
 
 // MaybeWorker turns the current process into a shard worker when the
 // environment says so, never returning in that case (the process exits
 // when its shard completes). A no-op otherwise.
 func MaybeWorker() {
-	sock := os.Getenv(EnvSocket)
+	sock := os.Getenv(envSocket)
 	if sock == "" {
 		return
 	}
-	idx, err := strconv.Atoi(os.Getenv(EnvIndex))
+	idx, err := strconv.Atoi(os.Getenv(envIndex))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shard worker: bad %s: %v\n", EnvIndex, err)
+		fmt.Fprintf(os.Stderr, "shard worker: bad %s: %v\n", envIndex, err)
 		os.Exit(1)
 	}
-	if err := RunWorker(sock, idx); err != nil {
+	if err := runWorker(sock, idx); err != nil {
 		fmt.Fprintf(os.Stderr, "shard worker %d: %v\n", idx, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// RunWorker dials the coordinator and serves one shard to completion.
-func RunWorker(socket string, idx int) error {
+// runWorker dials the coordinator and serves one shard to completion.
+func runWorker(socket string, idx int) error {
 	conn, err := net.Dial("unix", socket)
 	if err != nil {
 		return err

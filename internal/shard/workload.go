@@ -30,6 +30,9 @@ type WorkloadConfig struct {
 // NewWorkload builds the named workload's handler factory. Factories are
 // deterministic in (name, cfg, id); unknown names error at HELLO time.
 func NewWorkload(name string, cfg WorkloadConfig) (func(id graph.NodeID) async.Handler, error) {
+	if cfg.SegWords < 0 {
+		return nil, fmt.Errorf("shard: negative SegWords %d", cfg.SegWords)
+	}
 	srcs := cfg.Sources
 	if len(srcs) == 0 {
 		srcs = []graph.NodeID{0}

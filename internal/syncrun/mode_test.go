@@ -72,7 +72,7 @@ func TestMultiBFSMatchesSingle(t *testing.T) {
 	}
 	for i := range single.Trace {
 		a, b := single.Trace[i], multi.Trace[i]
-		if a.Pulse != b.Pulse || a.From != b.From || a.To != b.To || !wire.Equal(a.Body, b.Body) {
+		if a.Pulse != b.Pulse || a.From != b.From || a.To != b.To || a.Body != b.Body {
 			t.Fatalf("trace[%d]: %+v vs %+v", i, a, b)
 		}
 	}
@@ -110,7 +110,7 @@ func (h *sortChecker) Pulse(n API, p int, recvd []Incoming) {
 }
 
 func TestBatchesSortedBySender(t *testing.T) {
-	g := graph.Star(200)
+	g := specGraph("star:200")
 	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti} {
 		var center *sortChecker
 		r := New(g, func(id graph.NodeID) Handler {
@@ -192,4 +192,13 @@ func TestInPlaceBatchSafety(t *testing.T) {
 			}
 		}
 	}
+}
+
+// specGraph builds a test topology from a graph.FromSpec string.
+func specGraph(spec string) *graph.Graph {
+	g, err := graph.FromSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -26,7 +26,8 @@ func (typedOutAlgo) Pulse(n API, p int, recvd []Incoming) {
 	if len(recvd) == 0 || n.HasOutput() {
 		return
 	}
-	n.OutputBody(wire.Body{Kind: outval.KindInt, A: int64(p)})
+	b, _ := outval.Encode(p)
+	n.OutputBody(b)
 	for _, nb := range n.Neighbors() {
 		if nb.Node != recvd[0].From {
 			n.Send(nb.Node, wire.Tag(1))

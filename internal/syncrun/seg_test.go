@@ -76,3 +76,45 @@ func TestSegmentTrafficDeliversAndRecycles(t *testing.T) {
 		t.Fatalf("arena carved %d segments for serialized traffic; recycling broken (recycled %d)", carves, recycles)
 	}
 }
+
+// segBounceCodec is segBounce with a state codec, so a run whose in-flight
+// message carries a segment can be snapshotted.
+type segBounceCodec struct{ segBounce }
+
+func (h *segBounceCodec) SaveState(e *wire.Enc) { e.Int(h.bad) }
+func (h *segBounceCodec) LoadState(d *wire.Dec) { h.bad = d.Int() }
+
+// TestTruncatedSegmentSnapshotLeaksNothing cuts a snapshot whose pending
+// delivery inlines a segment at every payload offset: each Restore must
+// fail and leave no arena segment live, including the cuts that fall after
+// the segment was re-homed.
+func TestTruncatedSegmentSnapshotLeaksNothing(t *testing.T) {
+	g := graph.Path(2)
+	mk := func(graph.NodeID) Handler { return &segBounceCodec{segBounce{rounds: 10}} }
+	r := New(g, mk)
+	r.RunPulses(3)
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := New(g, mk)
+	if err := whole.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if whole.arena.Live() == 0 {
+		t.Fatal("the snapshot carries no segment")
+	}
+	payload, err := wire.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range len(payload) {
+		fresh := New(g, mk)
+		if err := fresh.Restore(wire.SealSnapshot(payload[:n])); err == nil {
+			t.Fatalf("restore of %d/%d payload bytes accepted", n, len(payload))
+		}
+		if live := fresh.arena.Live(); live != 0 {
+			t.Fatalf("restore of %d/%d payload bytes leaked %d segments", n, len(payload), live)
+		}
+	}
+}

@@ -57,7 +57,7 @@ type Incoming struct {
 }
 
 // API is the surface an event-driven synchronous algorithm sees. The
-// lockstep Runner in this package implements it with *Node; the
+// lockstep Runner in this package implements it with *node; the
 // synchronizer of internal/core implements it again so the identical
 // algorithm code runs asynchronously.
 type API interface {
@@ -129,31 +129,31 @@ func (m ExecutionMode) String() string {
 	return fmt.Sprintf("ExecutionMode(%d)", int(m))
 }
 
-// Node is the Runner's API implementation. It is 16 bytes: effects route
+// node is the Runner's API implementation. It is 16 bytes: effects route
 // through a sink index — 0 for Init and serial pulses, k for worker k —
 // resolved per call instead of held as a pointer.
-type Node struct {
+type node struct {
 	id      graph.NodeID
 	sinkIdx int32 // set per step: the index into Runner.sinks
 	run     *Runner
 }
 
-var _ API = (*Node)(nil)
+var _ API = (*node)(nil)
 
 // ID returns the node id.
-func (n *Node) ID() graph.NodeID { return n.id }
+func (n *node) ID() graph.NodeID { return n.id }
 
 // Neighbors returns adjacent nodes in ascending order.
-func (n *Node) Neighbors() []graph.Neighbor { return n.run.g.Neighbors(n.id) }
+func (n *node) Neighbors() []graph.Neighbor { return n.run.g.Neighbors(n.id) }
 
 // Degree returns the node degree.
-func (n *Node) Degree() int { return n.run.g.Degree(n.id) }
+func (n *node) Degree() int { return n.run.g.Degree(n.id) }
 
 // Send transmits body to neighbor `to`; it arrives next pulse. At most one
 // message per neighbor per pulse (CONGEST-style link capacity; the async
 // ack discipline enforces the same limit, so algorithms written against
 // this runner synchronize without surprises).
-func (n *Node) Send(to graph.NodeID, body wire.Body) {
+func (n *node) Send(to graph.NodeID, body wire.Body) {
 	r := n.run
 	l := r.g.LinkBetween(n.id, to)
 	if l < 0 {
@@ -168,7 +168,7 @@ func (n *Node) Send(to graph.NodeID, body wire.Body) {
 }
 
 // Output records this node's final output.
-func (n *Node) Output(v any) {
+func (n *node) Output(v any) {
 	if b, ok := outval.Encode(v); ok {
 		n.OutputBody(b)
 		return
@@ -177,23 +177,23 @@ func (n *Node) Output(v any) {
 }
 
 // OutputBody records this node's final output as a typed wire.Body.
-func (n *Node) OutputBody(b wire.Body) { n.noteOutput(n.run.out.SetBody(int(n.id), b)) }
+func (n *node) OutputBody(b wire.Body) { n.noteOutput(n.run.out.SetBody(int(n.id), b)) }
 
 // noteOutput flags a first output in the node's sink; the seal advances
 // the T clock from the flag.
-func (n *Node) noteOutput(first bool) {
+func (n *node) noteOutput(first bool) {
 	if first {
 		n.run.sinks[n.sinkIdx].newOut = true
 	}
 }
 
 // HasOutput reports whether this node already produced output.
-func (n *Node) HasOutput() bool { return n.run.out.Has(int(n.id)) }
+func (n *node) HasOutput() bool { return n.run.out.Has(int(n.id)) }
 
 // Arena returns the run's segment arena. Sent segments are recycled after
 // the receiving pulse's batch is delivered; the arena is safe for the
 // Multi-mode worker pool.
-func (n *Node) Arena() *wire.Arena { return &n.run.arena }
+func (n *node) Arena() *wire.Arena { return &n.run.arena }
 
 // TraceEntry records one message for trace-equivalence checking against the
 // synchronized asynchronous execution (Theorem 5.2).
@@ -313,7 +313,7 @@ func (b *pulseBuf) refill() {
 type Runner struct {
 	g        *graph.Graph
 	handlers []Handler
-	nodes    []Node
+	nodes    []node
 
 	mode        ExecutionMode
 	workers     int
@@ -341,7 +341,6 @@ type Runner struct {
 	lastOut   int
 	msgs      uint64
 	trace     []TraceEntry
-	maxRounds int
 	keepTrace bool
 
 	// Multi-mode state, allocated on first parallel pulse.
@@ -353,12 +352,16 @@ type Runner struct {
 	arena wire.Arena
 }
 
+// maxRounds caps a run's pulses; a run past it is a handler that never
+// quiesces, and the runner panics instead of spinning.
+const maxRounds = 1 << 22
+
 // New builds a Runner; mk creates each node's handler.
 func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 	r := &Runner{
 		g:        g,
 		handlers: make([]Handler, g.N()),
-		nodes:    make([]Node, g.N()),
+		nodes:    make([]node, g.N()),
 		// Epoch 1 is past the zeroed stamps; each refill bumps past every
 		// stamp the buffer has ever written, so stale ranges never match.
 		buf: pulseBuf{
@@ -367,14 +370,13 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 		},
 		sinks:       make([]sendSink, 1),
 		sentAt:      make([]int32, g.Links()),
-		maxRounds:   1 << 22,
 		workers:     execpolicy.DefaultWorkers(),
 		minParallel: defaultMinParallel,
 	}
 	r.out.Init(g.N())
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
-		r.nodes[i] = Node{id: id, run: r}
+		r.nodes[i] = node{id: id, run: r}
 		r.handlers[i] = mk(id)
 	}
 	return r
@@ -417,9 +419,6 @@ func (r *Runner) WithMinParallel(k int) *Runner {
 	r.minParallel = k
 	return r
 }
-
-// SetMaxRounds caps the number of rounds; exceeding it panics.
-func (r *Runner) SetMaxRounds(limit int) { r.maxRounds = limit }
 
 // Handler returns node v's handler for post-run inspection.
 func (r *Runner) Handler(v graph.NodeID) Handler { return r.handlers[v] }
@@ -465,8 +464,8 @@ func (r *Runner) stepPulse(mode ExecutionMode) bool {
 		return false
 	}
 	r.pulse++
-	if r.pulse > r.maxRounds {
-		panic(fmt.Sprintf("syncrun: exceeded %d rounds", r.maxRounds))
+	if r.pulse > maxRounds {
+		panic(fmt.Sprintf("syncrun: exceeded %d rounds", maxRounds))
 	}
 	if r.buf.active == 0 {
 		r.done = true

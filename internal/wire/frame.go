@@ -12,42 +12,42 @@ import (
 //
 // Frames are a same-machine transport (unix-domain sockets between
 // processes forked from one binary): byte order and struct layout are
-// whatever this build uses, asserted below to be exactly BodyWireSize
+// whatever this build uses, asserted below to be exactly bodyWireSize
 // bytes with no padding. They are not a storage or network format.
 
-// BodyWireSize is the exact in-memory (and on-wire) size of a Body.
-const BodyWireSize = 48
+// bodyWireSize is the exact in-memory (and on-wire) size of a Body.
+const bodyWireSize = 48
 
 // Compile-time layout assertions, both directions: a field added to Body
 // without updating the codec fails the build rather than truncating
 // frames.
 var (
-	_ [BodyWireSize - unsafe.Sizeof(Body{})]byte
-	_ [unsafe.Sizeof(Body{}) - BodyWireSize]byte
+	_ [bodyWireSize - unsafe.Sizeof(Body{})]byte
+	_ [unsafe.Sizeof(Body{}) - bodyWireSize]byte
 )
 
-// AppendBody appends the raw image of b to dst. The Seg handle rides
+// appendBody appends the raw image of b to dst. The Seg handle rides
 // along verbatim; it is only meaningful to a decoder sharing the same
-// arena (intra-process staging). Cross-process frames use AppendBodySeg.
-func AppendBody(dst []byte, b Body) []byte {
-	img := (*[BodyWireSize]byte)(unsafe.Pointer(&b))
+// arena (intra-process staging). Cross-process frames use appendBodySeg.
+func appendBody(dst []byte, b Body) []byte {
+	img := (*[bodyWireSize]byte)(unsafe.Pointer(&b))
 	return append(dst, img[:]...)
 }
 
-// DecodeBody reads the Body at the front of src (which must hold at least
-// BodyWireSize bytes). The copy through a stack image keeps the unsafe
+// decodeBody reads the Body at the front of src (which must hold at least
+// bodyWireSize bytes). The copy through a stack image keeps the unsafe
 // reinterpretation on aligned memory regardless of src's alignment.
-func DecodeBody(src []byte) Body {
-	var img [BodyWireSize]byte
-	copy(img[:], src[:BodyWireSize])
+func decodeBody(src []byte) Body {
+	var img [bodyWireSize]byte
+	copy(img[:], src[:bodyWireSize])
 	return *(*Body)(unsafe.Pointer(&img[0]))
 }
 
-// AppendBodySeg appends b's raw image followed by its segment words
+// appendBodySeg appends b's raw image followed by its segment words
 // resolved against a. The segment is read, not released — the caller
 // decides when the local handle dies. Returns the extended buffer.
-func AppendBodySeg(dst []byte, b Body, a *Arena) []byte {
-	dst = AppendBody(dst, b)
+func appendBodySeg(dst []byte, b Body, a *Arena) []byte {
+	dst = appendBody(dst, b)
 	if b.Seg.IsZero() {
 		return dst
 	}
@@ -55,30 +55,30 @@ func AppendBodySeg(dst []byte, b Body, a *Arena) []byte {
 	return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*len(w))...)
 }
 
-// DecodeBodySeg decodes a frame written by AppendBodySeg, re-homing the
+// decodeBodySeg decodes a frame written by appendBodySeg, re-homing the
 // segment into a: a fresh segment is carved from the receiving arena, the
 // wire words are copied in, and the returned Body's Seg points at the
 // local copy. Returns the body, the number of bytes consumed, and an
 // error on a short or malformed buffer.
-func DecodeBodySeg(src []byte, a *Arena) (Body, int, error) {
-	if len(src) < BodyWireSize {
-		return Body{}, 0, fmt.Errorf("wire: frame truncated: %d bytes, body needs %d", len(src), BodyWireSize)
+func decodeBodySeg(src []byte, a *Arena) (Body, int, error) {
+	if len(src) < bodyWireSize {
+		return Body{}, 0, fmt.Errorf("wire: frame truncated: %d bytes, body needs %d", len(src), bodyWireSize)
 	}
-	b := DecodeBody(src)
+	b := decodeBody(src)
 	n := b.Seg.Len()
 	if n == 0 {
 		b.Seg = Seg{}
-		return b, BodyWireSize, nil
+		return b, bodyWireSize, nil
 	}
-	if n < 0 || len(src)-BodyWireSize < 4*n {
+	if n < 0 || len(src)-bodyWireSize < 4*n {
 		return Body{}, 0, fmt.Errorf("wire: frame truncated: segment of %d words needs %d bytes, have %d",
-			n, 4*n, len(src)-BodyWireSize)
+			n, 4*n, len(src)-bodyWireSize)
 	}
 	seg, w := a.Alloc(n)
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*n), src[BodyWireSize:])
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*n), src[bodyWireSize:])
 	b.Seg = seg
-	return b, BodyWireSize + 4*n, nil
+	return b, bodyWireSize + 4*n, nil
 }
 
-// FrameLen returns the encoded size of a frame carrying b.
-func FrameLen(b Body) int { return BodyWireSize + 4*b.Seg.Len() }
+// frameLen returns the encoded size of a frame carrying b.
+func frameLen(b Body) int { return bodyWireSize + 4*b.Seg.Len() }

@@ -7,17 +7,17 @@ import (
 
 func TestBodyRawRoundTrip(t *testing.T) {
 	b := Body{Kind: 7, Sub: 9, P: -3, A: 1, B: -2, C: 1 << 40, D: -1 << 50}
-	enc := AppendBody(nil, b)
-	if len(enc) != BodyWireSize {
-		t.Fatalf("encoded %d bytes, want %d", len(enc), BodyWireSize)
+	enc := appendBody(nil, b)
+	if len(enc) != bodyWireSize {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), bodyWireSize)
 	}
-	if got := DecodeBody(enc); got != b {
+	if got := decodeBody(enc); got != b {
 		t.Fatalf("round trip %+v -> %+v", b, got)
 	}
 	// Decoding from an odd offset must still work: frames land at
 	// arbitrary positions in a socket read buffer.
 	shifted := append(make([]byte, 3), enc...)
-	if got := DecodeBody(shifted[3:]); got != b {
+	if got := decodeBody(shifted[3:]); got != b {
 		t.Fatalf("unaligned round trip %+v -> %+v", b, got)
 	}
 }
@@ -33,11 +33,11 @@ func TestBodySegRoundTrip(t *testing.T) {
 			}
 			b.Seg = seg
 		}
-		enc := AppendBodySeg(nil, b, &src)
-		if len(enc) != FrameLen(b) {
-			t.Fatalf("n=%d: encoded %d bytes, FrameLen says %d", n, len(enc), FrameLen(b))
+		enc := appendBodySeg(nil, b, &src)
+		if len(enc) != frameLen(b) {
+			t.Fatalf("n=%d: encoded %d bytes, FrameLen says %d", n, len(enc), frameLen(b))
 		}
-		got, used, err := DecodeBodySeg(enc, &dst)
+		got, used, err := decodeBodySeg(enc, &dst)
 		if err != nil || used != len(enc) {
 			t.Fatalf("n=%d: decode used %d/%d, err %v", n, used, len(enc), err)
 		}
@@ -65,13 +65,13 @@ func TestBodySegRoundTrip(t *testing.T) {
 	b := Body{Kind: 1}
 	seg, _ := src.Alloc(4)
 	b.Seg = seg
-	enc := AppendBodySeg(nil, b, &src)
-	for _, cut := range []int{0, BodyWireSize - 1, BodyWireSize + 3, len(enc) - 1} {
-		if _, _, err := DecodeBodySeg(enc[:cut], &dst); err == nil {
+	enc := appendBodySeg(nil, b, &src)
+	for _, cut := range []int{0, bodyWireSize - 1, bodyWireSize + 3, len(enc) - 1} {
+		if _, _, err := decodeBodySeg(enc[:cut], &dst); err == nil {
 			t.Fatalf("cut=%d: truncated frame decoded without error", cut)
 		}
 	}
-	if !bytes.Equal(AppendBody(nil, Body{}), make([]byte, BodyWireSize)) {
+	if !bytes.Equal(appendBody(nil, Body{}), make([]byte, bodyWireSize)) {
 		t.Fatal("zero Body does not encode to zero bytes")
 	}
 }

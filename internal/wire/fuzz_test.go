@@ -30,7 +30,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if gotPulse != pulse {
 			t.Fatalf("pulse %d -> %d", pulse, gotPulse)
 		}
-		if !Equal(got, inner) {
+		if got != inner {
 			t.Fatalf("round trip lost data: %+v vs %+v", got, inner)
 		}
 		for i, v := range arena.Data(got.Seg) {

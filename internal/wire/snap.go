@@ -13,7 +13,7 @@ import (
 //
 // The codec is deliberately primitive — fixed-width little-endian scalars,
 // length-prefixed strings and blobs, and Body values in the same raw-image
-// form the cross-shard frame plane uses (AppendBodySeg: the 48-byte image
+// form the cross-shard frame plane uses (appendBodySeg: the 48-byte image
 // plus the referenced arena segment's words inlined) — because snapshot
 // frames share the wire plane's contract: a same-machine format whose
 // encode path is memcpy, not a portable storage schema.
@@ -87,9 +87,9 @@ func (e *Enc) Str(s string) {
 }
 
 // Body appends b in frame form: the raw image with its segment words
-// inlined (AppendBodySeg). Decode with Dec.Body, which re-homes the
+// inlined (appendBodySeg). Decode with Dec.Body, which re-homes the
 // segment into the receiving arena.
-func (e *Enc) Body(b Body) { e.buf = AppendBodySeg(e.buf, b, e.arena) }
+func (e *Enc) Body(b Body) { e.buf = appendBodySeg(e.buf, b, e.arena) }
 
 // Raw appends pre-encoded bytes verbatim: flat state rows (reg, gather)
 // and frames the shard coordinator routes without decoding.
@@ -98,7 +98,7 @@ func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
 // RawBody appends b's raw 48-byte image, segment handle verbatim and
 // contents not inlined. For record-only bodies (trace entries) whose
 // segments are never resolved after restore.
-func (e *Enc) RawBody(b Body) { e.buf = AppendBody(e.buf, b) }
+func (e *Enc) RawBody(b Body) { e.buf = appendBody(e.buf, b) }
 
 // BeginBlob reserves a u32 length prefix for a nested blob and returns its
 // patch mark. The matching EndBlob back-patches the length, making the
@@ -126,7 +126,6 @@ type Dec struct {
 	b      []byte
 	off    int
 	arena  *Arena
-	segs   []Seg // segments allocated by Body, for release on a failed restore
 	failed bool
 	reason string
 }
@@ -135,12 +134,12 @@ type Dec struct {
 // (nil is fine for streams without segment-inlined bodies).
 func NewDec(b []byte, a *Arena) *Dec { return &Dec{b: b, arena: a} }
 
-// Reset rearms the decoder over b, clearing the sticky error and keeping
-// the segment list's capacity — the allocation-free form of NewDec for
-// callers that decode on a hot path (the synchronizer core clones its
-// embedded algorithm through a retained Enc/Dec pair).
+// Reset rearms the decoder over b, clearing the sticky error — the
+// allocation-free form of NewDec for callers that decode on a hot path
+// (the synchronizer core clones its embedded algorithm through a retained
+// Enc/Dec pair).
 func (d *Dec) Reset(b []byte, a *Arena) {
-	*d = Dec{b: b, arena: a, segs: d.segs[:0]}
+	*d = Dec{b: b, arena: a}
 }
 
 // Err returns the sticky error, or nil if every read so far succeeded.
@@ -172,11 +171,6 @@ func (d *Dec) Remaining() int {
 	}
 	return len(d.b) - d.off
 }
-
-// Segs returns the segments allocated by Body calls so far. A caller whose
-// restore fails releases them (or resets the whole arena) so a corrupted
-// snapshot leaks nothing.
-func (d *Dec) Segs() []Seg { return d.segs }
 
 func (d *Dec) need(n int) bool {
 	if d.failed {
@@ -262,47 +256,44 @@ func (d *Dec) Raw(n int) []byte {
 }
 
 // Body decodes an Enc.Body frame, re-homing any inlined segment into the
-// decoder's arena. The allocated segment is tracked in Segs for release on
-// a failed restore. A frame whose declared segment length exceeds the
+// decoder's arena. A caller whose restore fails resets the arena, so the
+// segment does not leak. A frame whose declared segment length exceeds the
 // remaining input (or the arena's class bound) fails cleanly before any
 // allocation.
 func (d *Dec) Body() Body {
-	if !d.need(BodyWireSize) {
+	if !d.need(bodyWireSize) {
 		return Body{}
 	}
 	// Validate the declared segment length against the remaining input
-	// before DecodeBodySeg allocates: Arena.Alloc panics past its class
+	// before decodeBodySeg allocates: Arena.Alloc panics past its class
 	// bound, and a corrupted length must surface as an error instead.
-	probe := DecodeBody(d.b[d.off:])
+	probe := decodeBody(d.b[d.off:])
 	if n := probe.Seg.Len(); n < 0 || n >= 1<<(maxClass-1) {
 		d.Fail("body segment of %d words out of range", n)
 		return Body{}
 	}
-	b, used, err := DecodeBodySeg(d.b[d.off:], d.arena)
+	b, used, err := decodeBodySeg(d.b[d.off:], d.arena)
 	if err != nil {
 		d.Fail("%v", err)
 		return Body{}
 	}
 	d.off += used
-	if !b.Seg.IsZero() {
-		d.segs = append(d.segs, b.Seg)
-	}
 	return b
 }
 
 // SkipBody advances past an Enc.Body frame without re-homing its segment,
 // returning the raw frame bytes (re-encodable verbatim with Enc.Raw).
 func (d *Dec) SkipBody() []byte {
-	if !d.need(BodyWireSize) {
+	if !d.need(bodyWireSize) {
 		return nil
 	}
-	probe := DecodeBody(d.b[d.off:])
+	probe := decodeBody(d.b[d.off:])
 	n := probe.Seg.Len()
 	if n < 0 || n >= 1<<(maxClass-1) {
 		d.Fail("body segment of %d words out of range", n)
 		return nil
 	}
-	total := BodyWireSize + 4*n
+	total := bodyWireSize + 4*n
 	if !d.need(total) {
 		return nil
 	}
@@ -313,11 +304,11 @@ func (d *Dec) SkipBody() []byte {
 
 // RawBody decodes an Enc.RawBody image (segment handle verbatim).
 func (d *Dec) RawBody() Body {
-	if !d.need(BodyWireSize) {
+	if !d.need(bodyWireSize) {
 		return Body{}
 	}
-	b := DecodeBody(d.b[d.off:])
-	d.off += BodyWireSize
+	b := decodeBody(d.b[d.off:])
+	d.off += bodyWireSize
 	return b
 }
 
@@ -385,13 +376,13 @@ type StateCodec interface {
 // here or as a Dec sticky error.
 const (
 	snapMagic = 0x50414e53 // "SNAP", little-endian
-	// SnapVersion 2: the synchronizer modules (core/reg/gather) write their
+	// snapVersion 2: the synchronizer modules (core/reg/gather) write their
 	// flat slot-indexed state; version-1 frames carried sorted map dumps.
-	SnapVersion = 2
+	snapVersion = 2
 )
 
 // ErrSnapVersion is what OpenSnapshot's error wraps when a frame is intact
-// but was written under a different SnapVersion.
+// but was written under a different snapVersion.
 var ErrSnapVersion = errors.New("wire: snapshot version mismatch")
 
 // snapHeaderLen is the sealed-frame overhead: magic, version, payload
@@ -412,7 +403,7 @@ func SealSnapshot(payload []byte) []byte {
 	out := make([]byte, 0, snapHeaderLen+len(payload))
 	e := Enc{buf: out}
 	e.U32(snapMagic)
-	e.U32(SnapVersion)
+	e.U32(snapVersion)
 	e.U64(uint64(len(payload)))
 	e.U64(fnv1a(payload))
 	e.buf = append(e.buf, payload...)
@@ -430,8 +421,8 @@ func OpenSnapshot(data []byte) ([]byte, error) {
 	if m := d.U32(); m != snapMagic {
 		return nil, fmt.Errorf("wire: bad snapshot magic %#x", m)
 	}
-	if v := d.U32(); v != SnapVersion {
-		return nil, fmt.Errorf("%w: frame is version %d, this build reads %d", ErrSnapVersion, v, SnapVersion)
+	if v := d.U32(); v != snapVersion {
+		return nil, fmt.Errorf("%w: frame is version %d, this build reads %d", ErrSnapVersion, v, snapVersion)
 	}
 	n := d.U64()
 	sum := d.U64()

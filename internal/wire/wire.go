@@ -105,13 +105,3 @@ func (b Body) Unframe() (pulse int, inner Body) {
 	b.P = 0
 	return pulse, b
 }
-
-// Equal reports whether two Bodies carry the same message. Bodies are
-// plain values, so this is field equality; two segment handles are equal
-// exactly when they reference the same arena storage. Note that handle
-// values depend on arena allocation order — identical for serial replays
-// of one execution, but scheduling-dependent when a worker pool allocates
-// concurrently (syncrun ModeMulti) — so cross-run comparisons of
-// seg-carrying Bodies are only meaningful for serially-allocated traffic;
-// compare resolved segment contents otherwise.
-func Equal(a, b Body) bool { return a == b }

@@ -39,7 +39,7 @@ func TestFrameUnframeRoundTrip(t *testing.T) {
 	if pulse != 12 {
 		t.Fatalf("pulse = %d, want 12", pulse)
 	}
-	if !Equal(got, inner) {
+	if got != inner {
 		t.Fatalf("round trip lost data: %+v vs %+v", got, inner)
 	}
 	if d := a.Data(got.Seg); len(d) != 3 || d[0] != 9 || d[2] != 7 {
