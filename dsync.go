@@ -298,9 +298,11 @@ func AsyncBFSMode(g *Graph, sources []NodeID, adv Adversary, mode AsyncExecution
 // event and checkpoints it. Snapshot seals the run's complete state into a
 // pointer-free byte frame at an event boundary; Restore loads a frame into
 // a handle built over the same graph and algorithm — discarding whatever
-// that handle held — and Run then finishes byte-identically to the
-// uninterrupted run, in every execution mode. Restoring one frame
-// repeatedly replays it deterministically. Every shipped algorithm and the
+// run state that handle held — and Run then finishes byte-identically to
+// the uninterrupted run, in every execution mode. The handle keeps its
+// node stacks across Restore: each stack's LoadState replaces its state
+// (wire.StateCodec), so rewinding one handle again and again builds its
+// stacks once. Restoring one frame repeatedly replays it deterministically. Every shipped algorithm and the
 // synchronizer stack serialize their state for it.
 type SynchronizedRun = async.Sim
 

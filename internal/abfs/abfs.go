@@ -27,6 +27,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/outval"
+	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
 
@@ -71,9 +72,25 @@ type checkGlue struct {
 }
 
 var _ async.Module = (*checkGlue)(nil)
-var _ gather.Callbacks = (*checkGlue)(nil)
 var _ async.ModuleState = (*checkGlue)(nil)
 var _ async.Rebinder = (*checkGlue)(nil)
+
+// checkBatch is the checking stage of one batch of synchronizer stacks:
+// every node's glue and gather module, the modules copies of one
+// gather.New value so that they share its slabs, and their gather
+// callbacks, routed to the glue of the node each call carries.
+type checkBatch struct {
+	base  graph.NodeID
+	glues []checkGlue
+	gms   []gather.Module
+}
+
+var _ gather.Callbacks = (*checkBatch)(nil)
+
+// NeighborhoodDone implements gather.Callbacks.
+func (b *checkBatch) NeighborhoodDone(n *async.Node, session int) {
+	b.glues[n.ID()-b.base].NeighborhoodDone(n, session)
+}
 
 // SaveState implements wire.StateCodec. The TBFS handler and the gather
 // module serialize themselves via their own codecs in the enclosing Mux;
@@ -131,7 +148,8 @@ func (cg *checkGlue) onSourceDone(frontier bool) {
 	}
 }
 
-// NeighborhoodDone implements gather.Callbacks: the τ-ball is settled.
+// NeighborhoodDone is the gather callback for this node: the τ-ball is
+// settled.
 func (cg *checkGlue) NeighborhoodDone(n *async.Node, _ int) {
 	if !cg.tb.Reached() {
 		n.OutputBody(wire.Tag(kindOutUnreachable))
@@ -176,42 +194,15 @@ func thresholded(cfg config) result {
 // thresholdedOn runs one thresholded iteration, either on a fresh engine
 // (sim nil) or by rearming a previous iteration's engine via Sim.Reset —
 // the doubling loop of Full reuses one engine's event wheel, outboxes, and
-// arena across all its iterations. dense selects the engine's dense-output
+// arena across all its iterations, and builds one batch of node stacks
+// per iteration. dense selects the engine's dense-output
 // mode (no Outputs map materialization; the caller decodes OutBodies).
 func thresholdedOn(sim *async.Sim, cfg config, dense bool) (result, *async.Sim) {
-	if len(cfg.Sources) == 0 {
-		panic("abfs: no sources")
-	}
 	adv := cfg.Adversary
 	if adv == nil {
 		adv = async.SeededRandom{Seed: 1}
 	}
-	bound := pulseBound(cfg.Threshold)
-	sched := core.NewSchedule(bound)
-	layered := cfg.Layered
-	if layered == nil {
-		layered = core.BuildLayeredFor(cfg.Graph, bound)
-	}
-	lvl := checkLevel(cfg.Threshold)
-	if lvl > layered.MaxLevel() {
-		panic(fmt.Sprintf("abfs: covers reach level %d, checking needs %d", layered.MaxLevel(), lvl))
-	}
-	checkCov := layered.Level(lvl)
-
-	isSource := make([]bool, cfg.Graph.N())
-	for _, s := range cfg.Sources {
-		isSource[s] = true
-	}
-	mk := func(id graph.NodeID) async.Handler {
-		tb := &apps.TBFS{Sources: cfg.Sources, Threshold: cfg.Threshold}
-		glue := &checkGlue{tb: tb, isSource: isSource[id]}
-		glue.gm = gather.New(protoCheck, checkCov, glue, nil)
-		tb.OnSourceDone = glue.onSourceDone
-		stack := core.NewNodeHandler(sched, layered, tb)
-		stack.Register(protoCheck, glue.gm)
-		stack.Register(protoCheck+1, glue)
-		return stack
-	}
+	mk := IterationStacks(cfg.Graph, cfg.Sources, cfg.Threshold, cfg.Layered)
 	if sim == nil {
 		sim = async.New(cfg.Graph, adv, mk).WithMode(cfg.Mode)
 		if dense {
@@ -234,6 +225,48 @@ func thresholdedOn(sim *async.Sim, cfg config, dense bool) (result, *async.Sim) 
 		}
 	}
 	return out, sim
+}
+
+// IterationStacks returns the handler constructor of one τ-thresholded
+// iteration from sources on g: every node's synchronizer stack around a
+// TBFS, with the checking stage's gather module and glue beside it, all
+// built batch by batch like any synchronized run's stacks (core.Extra).
+// layered nil builds the covers; given, they must reach the synchronizer's
+// level for bound 2τ+6 and the checking level ⌈log₂τ⌉.
+func IterationStacks(g *graph.Graph, sources []graph.NodeID, tau int, layered *cover.Layered) func(graph.NodeID) async.Handler {
+	if len(sources) == 0 {
+		panic("abfs: no sources")
+	}
+	bound := pulseBound(tau)
+	if layered == nil {
+		layered = core.BuildLayeredFor(g, bound)
+	}
+	lvl := checkLevel(tau)
+	if lvl > layered.MaxLevel() {
+		panic(fmt.Sprintf("abfs: covers reach level %d, checking needs %d", layered.MaxLevel(), lvl))
+	}
+	checkCov := layered.Level(lvl)
+	isSource := make([]bool, g.N())
+	for _, s := range sources {
+		isSource[s] = true
+	}
+	base := g.NodeBase()
+	check := func(nodes int) func(graph.NodeID, syncrun.Handler, *async.Mux) {
+		b := &checkBatch{base: base, glues: make([]checkGlue, nodes), gms: make([]gather.Module, nodes)}
+		gm := gather.New(protoCheck, checkCov, b, nil)
+		return func(id graph.NodeID, algo syncrun.Handler, mux *async.Mux) {
+			i := id - base
+			b.gms[i] = *gm
+			tb := algo.(*apps.TBFS)
+			b.glues[i] = checkGlue{tb: tb, gm: &b.gms[i], isSource: isSource[id]}
+			tb.OnSourceDone = b.glues[i].onSourceDone
+			mux.Register(protoCheck, &b.gms[i])
+			mux.Register(protoCheck+1, &b.glues[i])
+		}
+	}
+	return core.StackMaker(g, core.NewSchedule(bound), layered, func(graph.NodeID) syncrun.Handler {
+		return &apps.TBFS{Sources: sources, Threshold: tau}
+	}, check)
 }
 
 // FullResult aggregates the doubling iterations of the complete BFS.

@@ -26,17 +26,22 @@ type StateCodecProbe interface {
 // its state out by that node's position in shared tables binds here, so
 // LoadState on a freshly built engine can size and validate what it
 // reads; a module that caches the *Node during Start re-captures it here,
-// because Start does not run again on a resumed engine.
+// because Start does not run again on a resumed engine. Restore keeps the
+// handlers an engine already has, so Rebind also runs on handlers that are
+// bound: it must be idempotent, a no-op on a live handler.
 type Rebinder interface {
 	Rebind(n *Node)
 }
 
 // ModuleState is the state-plane contract of a Mux module: the codec the
 // snapshot plane reads and writes, plus a direct copy for ModeSpec's
-// per-round clones. CloneModuleInto must leave dst — the same module of a
-// Mux built by the same constructor for the same node — holding a copy of
-// the receiver's complete mutable state that shares no mutable memory with
-// it, reusing dst's capacity; it must be equivalent to LoadState(SaveState).
+// per-round clones. LoadState replaces the module's state rather than
+// filling in a fresh module: Sim.Restore loads into the modules a run
+// already has, mid-run or finished (see wire.StateCodec). CloneModuleInto
+// must leave dst — the same module of a Mux built by the same constructor
+// for the same node — holding a copy of the receiver's complete mutable
+// state that shares no mutable memory with it, reusing dst's capacity; it
+// must be equivalent to LoadState(SaveState).
 type ModuleState interface {
 	wire.StateCodec
 	CloneModuleInto(dst Module)

@@ -179,6 +179,11 @@ type Sim struct {
 	// arena backs Body.Seg segments; sent segments return to it after the
 	// ack completes the message's lifecycle.
 	arena wire.Arena
+
+	// State-plane scratch: the length of the last Snapshot frame, which
+	// sizes the next one's buffer, and the pending events it sorts.
+	lastFrame int
+	snapEvs   []*event
 }
 
 // SpecStats is the speculative executor's round accounting: how many
@@ -431,6 +436,28 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	s.adv = adv
 	s.lookahead = checkedLookahead(adv)
 	s.faults = faultsOf(adv)
+	s.resetRun()
+	// Clone targets are dropped because mk may build different handler
+	// types this cycle.
+	for i := range s.specClones {
+		s.specClones[i] = nil
+	}
+	s.specMk = mk
+	// Drop the previous handlers before building any: they may share one
+	// batch (core's stacks), which stays reachable while any of them is,
+	// and a collection during the build would otherwise keep the whole
+	// previous run alive and pace the heap by both.
+	clear(s.handlers)
+	for i := range s.handlers {
+		s.handlers[i] = mk(s.nodeBase + graph.NodeID(i))
+	}
+}
+
+// resetRun is Reset without the handlers: everything the engine itself
+// keeps for a run returns to its initial state, while the handlers (and
+// the speculative clone targets the same mk built) keep theirs — Restore
+// then replaces each handler's state through its LoadState.
+func (s *Sim) resetRun() {
 	s.running = false
 	s.resumed = false
 	s.events.reset()
@@ -456,21 +483,15 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	}
 	// Clear speculative state. The round epoch is deliberately NOT reset —
 	// it must never repeat, so the per-node epoch arrays (specCloneEp and
-	// friends) invalidate themselves without a scrub. Clone targets are
-	// dropped because mk may build different handler types this cycle.
+	// friends) invalidate themselves without a scrub.
 	s.inWindow = false
 	s.specWalking = false
-	for i := range s.specClones {
-		s.specClones[i] = nil
-	}
 	s.specRelease = s.specRelease[:0]
 	s.specStats = SpecStats{}
-	s.specMk = mk
 	s.arena.Reset()
 	s.shardMode = false
-	for i := range s.handlers {
+	for i := range s.nodes {
 		s.nodes[i].ctxIdx = ctxDirect
-		s.handlers[i] = mk(s.nodeBase + graph.NodeID(i))
 	}
 }
 

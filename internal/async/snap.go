@@ -1,7 +1,9 @@
 package async
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -46,25 +48,32 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	if s.shardMode {
 		return nil, fmt.Errorf("async: Snapshot on a shard engine (the coordinator snapshots at FLUSH barriers)")
 	}
-	e := wire.NewEnc(&s.arena)
-	if err := s.encodeEngine(e); err != nil {
+	e := wire.NewSnapshotEnc(&s.arena, s.lastFrame+s.lastFrame/8)
+	if err := s.encodeEngine(&e.Enc); err != nil {
 		return nil, err
 	}
-	return wire.SealSnapshot(e.Bytes()), nil
+	frame := e.Seal()
+	s.lastFrame = len(frame)
+	return frame, nil
 }
 
 // Restore loads a Snapshot frame into this engine, which must have been
 // built over the same graph, adversary, and handler constructor as the
 // snapshotted one (validated against the frame header). Any existing run
-// state is discarded first. After a successful restore the next Run (any
-// mode) or RunSteps continues the interrupted run; on error the engine is
-// left reset and reusable, with no arena segments leaked.
+// state is discarded first. The engine keeps the handlers it has: each
+// node's Rebind and LoadState replace that handler's state (see
+// wire.StateCodec), so a handle restored into repeatedly — the
+// checkpoint-and-rewind loop — builds its handlers once. After a
+// successful restore the next Run (any mode) or RunSteps continues the
+// interrupted run; on error the engine is left reset and reusable, with no
+// arena segments leaked and its handlers rebuilt through the constructor,
+// since a partial decode may have loaded some of them.
 func (s *Sim) Restore(data []byte) error {
 	payload, err := wire.OpenSnapshot(data)
 	if err != nil {
 		return err
 	}
-	s.Reset(s.adv, s.specMk)
+	s.resetRun()
 	if err := s.decodeEngine([][]byte{payload}); err != nil {
 		s.Reset(s.adv, s.specMk) // releases everything the partial decode carved
 		return err
@@ -206,13 +215,24 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 	e.U32(uint32(nLinks))
 
 	// Events, from whichever store holds them (serial queue, or the owner
-	// shards if the engine last ran a parallel mode — mutually exclusive).
-	nEvents := s.events.size
+	// shards if the engine last ran a parallel mode — mutually exclusive),
+	// in (t, seq) order: queue order depends on how the events arrived, and
+	// the frame must not, so that a restored engine writes the same bytes
+	// back.
+	evs := s.snapEvs[:0]
+	collect := func(ev *event) { evs = append(evs, ev) }
+	s.events.forEach(collect)
 	for k := range s.shards {
-		nEvents += s.shards[k].size
+		s.shards[k].forEach(collect)
 	}
-	e.U32(uint32(nEvents))
-	encodeEv := func(ev *event) {
+	slices.SortFunc(evs, func(a, b *event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	e.U32(uint32(len(evs)))
+	for _, ev := range evs {
 		e.U8(ev.kind)
 		e.U8(ev.attempt)
 		e.F64(ev.t)
@@ -223,10 +243,8 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		e.I64(int64(ev.msg.Stage))
 		e.Body(ev.msg.Body)
 	}
-	s.events.forEach(encodeEv)
-	for k := range s.shards {
-		s.shards[k].forEach(encodeEv)
-	}
+	clear(evs)
+	s.snapEvs = evs[:0]
 
 	// Trace.
 	e.U32(uint32(len(lg.trace)))
@@ -267,9 +285,10 @@ func (s *Sim) localNode(v graph.NodeID) bool {
 	return i >= 0 && i < s.g.NLocal()
 }
 
-// decodeEngine reads a snapshot's encodeEngine frames into a just-reset
-// engine: the one frame of a Snapshot, or all K_old frames of a distributed
-// snapshot resumed at any shard count. Records are keyed by global id, so
+// decodeEngine reads a snapshot's encodeEngine frames into an engine whose
+// run state was just reset (its handlers keep theirs until LoadState
+// replaces it): the one frame of a Snapshot, or all K_old frames of a
+// distributed snapshot resumed at any shard count. Records are keyed by global id, so
 // the engine keeps the node, link and event records whose owner it hosts
 // (links belong to their sender, events to the node whose handler they
 // invoke) and skips the rest without carving their segments. The additive
@@ -352,7 +371,8 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 				break
 			}
 			// Bind before load (see Rebinder): on a freshly built engine no
-			// callback has told the handler which node it serves yet.
+			// callback has told the handler which node it serves yet; on a
+			// live one the handler is already bound and this is a no-op.
 			if rb, ok := s.handlers[li].(Rebinder); ok {
 				rb.Rebind(&s.nodes[li])
 			}

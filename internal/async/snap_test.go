@@ -289,7 +289,7 @@ func TestSnapshotErrors(t *testing.T) {
 	enc := wire.NewEnc(&arena)
 	enc.RawBody(body)
 	copy(unknownKind[outAt:], enc.Bytes())
-	if err := New(g, adv, mkRelax).Restore(wire.SealSnapshot(unknownKind)); err == nil {
+	if err := New(g, adv, mkRelax).Restore(sealPayload(unknownKind)); err == nil {
 		t.Error("restore accepted an output record of an unregistered kind")
 	}
 	shardOf := func() *Sim { // hosts [8,16): every patched record below is foreign to it
@@ -532,4 +532,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sealPayload seals an already-encoded (truncated or patched) payload.
+func sealPayload(p []byte) []byte {
+	e := wire.NewSnapshotEnc(nil, len(p))
+	e.Raw(p)
+	return e.Seal()
 }

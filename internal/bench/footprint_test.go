@@ -1,6 +1,16 @@
 package bench
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/abfs"
+	"repro/internal/apps"
+	"repro/internal/async"
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/syncrun"
+)
 
 // Pinned resident footprints on grid3d:32x32x32 (n=32768, 190464 directed
 // links), measured by the retainedBytes probe after one completed flood.
@@ -87,3 +97,60 @@ func TestGeneratorAllocPins(t *testing.T) {
 		}
 	}
 }
+
+// Pinned settled bytes per node of the synchronizer stacks after a
+// completed run, by stackBytesPerNode: a synchronized BFS from node 0
+// (core.NewSynchronizedSim) and one τ=4 iteration of the §4 BFS from node
+// 0 (abfs.IterationStacks), each on grid, er and pa (Go 1.24,
+// linux/amd64). Both build their stacks as one batch per run; before the
+// abfs iteration did, it kept 7 138, 10 042 and 9 489 B/node on these
+// graphs. The test fails at >10% growth, like the footprint pins above.
+var stackBytePins = []struct {
+	spec       string
+	sync, abfs float64
+}{
+	{"grid:40x40", 8663, 4446},
+	{"er:n=2000,m=8000,seed=3", 5438, 8032},
+	{"pa:n=2000,m=3,seed=7", 3998, 6928},
+}
+
+func TestStackBytePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("footprint probe")
+	}
+	if raceEnabled {
+		t.Skip("race shadow state inflates allocation sizes; pins hold on uninstrumented builds")
+	}
+	for _, pin := range stackBytePins {
+		g := mustSpec(pin.spec)
+		bfs := func(graph.NodeID) syncrun.Handler { return &apps.BFS{Sources: []graph.NodeID{0}} }
+		bound := syncrun.New(g, bfs).Run().Rounds + 2
+		cfg := core.Config{Graph: g, Bound: bound, Layered: core.BuildLayeredFor(g, bound), Mode: async.ModeSingle}
+		sync := stackBytesPerNode(core.NewSynchronizedSim(cfg, bfs))
+		iter := stackBytesPerNode(async.New(g, async.SeededRandom{Seed: 1},
+			abfs.IterationStacks(g, []graph.NodeID{0}, 4, nil)).WithMode(async.ModeSingle))
+		t.Logf("%s: synchronized BFS %.0f B/node, abfs iteration %.0f B/node", pin.spec, sync, iter)
+		if sync > pin.sync*footprintHeadroom || iter > pin.abfs*footprintHeadroom {
+			t.Errorf("%s: stacks keep %.0f B/node (synchronized BFS, pin %.0f) and %.0f B/node (abfs iteration, pin %.0f); +10%% ceiling",
+				pin.spec, sync, pin.sync, iter, pin.abfs)
+		}
+	}
+}
+
+// stackBytesPerNode runs sim to quiescence and reports the settled heap
+// bytes per node its handlers keep: what rearming the engine with
+// stateless handlers frees, since Reset keeps everything the engine
+// itself grew.
+func stackBytesPerNode(sim *async.Sim) float64 {
+	sim.Run()
+	before := settledHeap()
+	sim.Reset(async.SeededRandom{Seed: 1}, func(graph.NodeID) async.Handler { return nopHandler{} })
+	freed := int64(before) - int64(settledHeap())
+	runtime.KeepAlive(sim)
+	return float64(freed) / float64(sim.Graph().N())
+}
+
+type nopHandler struct{ async.NopAck }
+
+func (nopHandler) Init(*async.Node)                          {}
+func (nopHandler) Recv(*async.Node, graph.NodeID, async.Msg) {}

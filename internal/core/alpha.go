@@ -76,5 +76,10 @@ func (a *alphaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 // `bound` pulses.
 func SynchronizeAlpha(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) async.Result {
-	return runBaseline(g, adv, func(id graph.NodeID) async.Handler { return newAlpha(mk(id), bound) })
+	return runBaseline(g, adv, alphaHandlers(bound, mk))
+}
+
+// alphaHandlers returns the handler constructor of an α-synchronized run.
+func alphaHandlers(bound int, mk func(id graph.NodeID) syncrun.Handler) func(id graph.NodeID) async.Handler {
+	return func(id graph.NodeID) async.Handler { return newAlpha(mk(id), bound) }
 }

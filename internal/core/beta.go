@@ -91,6 +91,11 @@ func (b *betaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 // SynchronizeBeta runs the algorithm under β for exactly `bound` pulses.
 func SynchronizeBeta(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) async.Result {
+	return runBaseline(g, adv, betaHandlers(g, bound, mk))
+}
+
+// betaHandlers returns the handler constructor of a β-synchronized run on g.
+func betaHandlers(g *graph.Graph, bound int, mk func(id graph.NodeID) syncrun.Handler) func(id graph.NodeID) async.Handler {
 	tree := cover.BFSTreeCluster(g, 0)
-	return runBaseline(g, adv, func(id graph.NodeID) async.Handler { return newBeta(mk(id), bound, tree) })
+	return func(id graph.NodeID) async.Handler { return newBeta(mk(id), bound, tree) }
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -201,6 +202,58 @@ func TestSerialSynchronizedBFSAllocs(t *testing.T) {
 		t.Fatalf("serial synchronized BFS allocates %.0f times per run, ceiling %d (measured %d)", avg, ceiling, measured)
 	} else {
 		t.Logf("%.0f allocations per run (measured %d, ceiling %d)", avg, measured, ceiling)
+	}
+}
+
+// TestCheckpointAllocs pins the state plane on a live synchronized run.
+// Restore keeps the handlers a run already has and replaces their state,
+// and Snapshot writes its frame once into a buffer sized from the previous
+// frame, so rewinding a run to a checkpoint it took allocates a handful of
+// objects whatever the graph's size: 12 and 2 on both grids (Go 1.24,
+// linux/amd64). Before, Restore rebuilt every node's stack (1 168
+// allocations on grid:20x20, 3 741 on grid:40x40, halfway through the run)
+// and Snapshot grew and then copied its buffer (30 and 37).
+func TestCheckpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race shadow state inflates allocation counts")
+	}
+	const maxRestore, maxSnapshot = 16, 4
+	for _, spec := range []string{"grid:20x20", "grid:40x40"} {
+		g, err := graph.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Graph: g, Bound: g.Diameter() + 2, Adversary: async.SeededRandom{Seed: 1}, Mode: async.ModeSingle}
+		cfg.Layered = BuildLayeredFor(g, cfg.Bound)
+		ref := Synchronize(cfg, mkBFS0)
+		run := newSynchronizedSim(cfg, mkBFS0)
+		run.RunSteps((ref.Msgs + ref.Acks) / 2)
+		frame, err := run.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := testing.AllocsPerRun(5, func() {
+			if err := run.Restore(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		snapshot := testing.AllocsPerRun(5, func() {
+			if _, err := run.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if restore > maxRestore || snapshot > maxSnapshot {
+			t.Errorf("%s: Restore allocates %.0f times (pin %d), Snapshot %.0f (pin %d)",
+				spec, restore, maxRestore, snapshot, maxSnapshot)
+		} else {
+			t.Logf("%s: Restore %.0f allocations, Snapshot %.0f", spec, restore, snapshot)
+		}
+		if got := run.RunSteps(1 << 40); !got {
+			t.Fatalf("%s: not quiescent", spec)
+		}
+		if res := run.FinishResult(); !reflect.DeepEqual(res, ref) {
+			t.Errorf("%s: the rewound run finished differently", spec)
+		}
 	}
 }
 

@@ -247,6 +247,11 @@ func (gm *gammaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 // SynchronizeGamma runs the algorithm under γ for exactly `bound` pulses.
 func SynchronizeGamma(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) async.Result {
+	return runBaseline(g, adv, gammaHandlers(g, bound, mk))
+}
+
+// gammaHandlers returns the handler constructor of a γ-synchronized run on g.
+func gammaHandlers(g *graph.Graph, bound int, mk func(id graph.NodeID) syncrun.Handler) func(id graph.NodeID) async.Handler {
 	part := newGammaPartition(g)
-	return runBaseline(g, adv, func(id graph.NodeID) async.Handler { return newGamma(mk(id), bound, part) })
+	return func(id graph.NodeID) async.Handler { return newGamma(mk(id), bound, part) }
 }

@@ -138,14 +138,7 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 	if layered == nil {
 		layered = BuildLayeredFor(cfg.Graph, cfg.Bound)
 	}
-	if layered.MaxLevel() < sched.MaxCoverLevel {
-		panic(fmt.Sprintf("core: layered covers reach level %d, need %d",
-			layered.MaxLevel(), sched.MaxCoverLevel))
-	}
-	b := &batcher{sched: sched, layered: layered, n: cfg.Graph.NLocal(), base: cfg.Graph.NodeBase()}
-	sim := async.New(cfg.Graph, adv, func(id graph.NodeID) async.Handler {
-		return b.handler(id, mk(id))
-	}).WithMode(cfg.Mode)
+	sim := async.New(cfg.Graph, adv, StackMaker(cfg.Graph, sched, layered, mk, nil)).WithMode(cfg.Mode)
 	if cfg.Workers > 0 {
 		sim.WithWorkers(cfg.Workers)
 	}

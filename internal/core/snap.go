@@ -75,9 +75,10 @@ func saveIncoming(e *wire.Enc, batch []syncrun.Incoming) {
 	}
 }
 
-func loadIncoming(d *wire.Dec) []syncrun.Incoming {
+// loadIncoming reads a saveIncoming batch into batch's capacity.
+func loadIncoming(d *wire.Dec, batch []syncrun.Incoming) []syncrun.Incoming {
 	n := int(d.U32())
-	var batch []syncrun.Incoming
+	batch = batch[:0]
 	for i := 0; i < n && !d.Failed(); i++ {
 		in := syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}
 		if !d.Failed() {
@@ -279,7 +280,7 @@ func (a *alphaNode) LoadState(d *wire.Dec) {
 	loadAlgoState(d, a.algo)
 	a.pulse = d.Int()
 	for p := range a.recvd {
-		a.recvd[p] = loadIncoming(d)
+		a.recvd[p] = loadIncoming(d, a.recvd[p])
 		a.safeCnt[p] = d.Int()
 		a.sendAcked[p] = d.Int()
 		a.selfSafe[p] = d.Bool()
@@ -307,7 +308,7 @@ func (b *betaNode) LoadState(d *wire.Dec) {
 	loadAlgoState(d, b.algo)
 	b.pulse = d.Int()
 	for p := range b.recvd {
-		b.recvd[p] = loadIncoming(d)
+		b.recvd[p] = loadIncoming(d, b.recvd[p])
 		b.sendAcked[p] = d.Int()
 		b.selfSafe[p] = d.Bool()
 		b.childSafe[p] = d.Int()
@@ -355,7 +356,7 @@ func (gm *gammaNode) LoadState(d *wire.Dec) {
 	loadAlgoState(d, gm.algo)
 	gm.pulse = d.Int()
 	for p := range gm.recvd {
-		gm.recvd[p] = loadIncoming(d)
+		gm.recvd[p] = loadIncoming(d, gm.recvd[p])
 		gm.sendAcked[p] = d.Int()
 		gm.safe[p] = d.Bool()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/async"
@@ -35,9 +36,10 @@ type stacks struct {
 	bars  []gather.Module
 	taken []bool
 
-	mux *async.Mux
-	reg []*reg.Module // by cover level from firstCoverLevel
-	bar []*gather.Module
+	mux   *async.Mux
+	reg   []*reg.Module // by cover level from firstCoverLevel
+	bar   []*gather.Module
+	extra func(id graph.NodeID, algo syncrun.Handler, mux *async.Mux) // nil: none
 
 	vnodes slab.Slab[vnode]
 	qs     slab.Slab[qstate]
@@ -130,6 +132,29 @@ func (st *stacks) NeighborhoodDone(n *async.Node, session int) {
 	st.core(n).NeighborhoodDone(n, session)
 }
 
+// Extra adds a caller's own modules to the node stacks of a synchronized
+// run, batch by batch as the stacks themselves are built: the run calls it
+// once per batch with the batch's node count, and the function it returns
+// registers one node's modules on that node's Mux, beside the algorithm
+// the stack embeds. Per-node modules can so come from per-batch slices and
+// share per-batch slabs, as the stack's own do.
+type Extra func(nodes int) func(id graph.NodeID, algo syncrun.Handler, mux *async.Mux)
+
+// StackMaker returns the handler constructor of a synchronized run on g:
+// each call wires node id's stack — the core engine plus one registration
+// and one barrier module per cover level — around mk(id), taking it from
+// the run's current batch, and registers extra's modules on it (extra may
+// be nil). layered must reach sched's cover levels.
+func StackMaker(g *graph.Graph, sched *Schedule, layered *cover.Layered,
+	mk func(id graph.NodeID) syncrun.Handler, extra Extra) func(id graph.NodeID) async.Handler {
+	if layered.MaxLevel() < sched.MaxCoverLevel {
+		panic(fmt.Sprintf("core: layered covers reach level %d, need %d",
+			layered.MaxLevel(), sched.MaxCoverLevel))
+	}
+	b := &batcher{sched: sched, layered: layered, n: g.NLocal(), base: g.NodeBase(), extra: extra}
+	return func(id graph.NodeID) async.Handler { return b.handler(id, mk(id)) }
+}
+
 // batcher hands each handler-constructor call of one synchronized run a
 // stack from the run's current batch. A construction sweep — New's, or a
 // Reset's — fills a batch slot by slot; a call for a node whose slot is
@@ -141,6 +166,7 @@ type batcher struct {
 	layered *cover.Layered
 	n       int
 	base    graph.NodeID
+	extra   Extra
 	cur     *stacks
 }
 
@@ -150,6 +176,13 @@ func (b *batcher) handler(id graph.NodeID, algo syncrun.Handler) *async.Mux {
 	i := int(id - b.base)
 	if b.cur == nil || b.cur.taken[i] {
 		b.cur = newStacks(b.sched, b.layered, b.n, b.base)
+		if b.extra != nil {
+			b.cur.extra = b.extra(b.n)
+		}
 	}
-	return b.cur.stack(i, algo)
+	mux := b.cur.stack(i, algo)
+	if b.cur.extra != nil {
+		b.cur.extra(id, algo, mux)
+	}
+	return mux
 }

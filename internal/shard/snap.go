@@ -58,14 +58,18 @@ func sealShardSnapshot(hdr *snapHeader, frames [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e wire.Enc
+	size := 4 + len(hb)
+	for _, f := range frames {
+		size += 4 + len(f)
+	}
+	e := wire.NewSnapshotEnc(nil, size)
 	e.U32(uint32(len(hb)))
 	e.Raw(hb)
 	for _, f := range frames {
 		e.U32(uint32(len(f)))
 		e.Raw(f)
 	}
-	return wire.SealSnapshot(e.Bytes()), nil
+	return e.Seal(), nil
 }
 
 // openShardSnapshot parses a sealed checkpoint into its header and the

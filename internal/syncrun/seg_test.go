@@ -110,11 +110,18 @@ func TestTruncatedSegmentSnapshotLeaksNothing(t *testing.T) {
 	}
 	for n := range len(payload) {
 		fresh := New(g, mk)
-		if err := fresh.Restore(wire.SealSnapshot(payload[:n])); err == nil {
+		if err := fresh.Restore(sealPayload(payload[:n])); err == nil {
 			t.Fatalf("restore of %d/%d payload bytes accepted", n, len(payload))
 		}
 		if live := fresh.arena.Live(); live != 0 {
 			t.Fatalf("restore of %d/%d payload bytes leaked %d segments", n, len(payload), live)
 		}
 	}
+}
+
+// sealPayload seals an already-encoded (truncated or patched) payload.
+func sealPayload(p []byte) []byte {
+	e := wire.NewSnapshotEnc(nil, len(p))
+	e.Raw(p)
+	return e.Seal()
 }

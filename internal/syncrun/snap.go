@@ -26,7 +26,8 @@ import (
 // boundaries, where the send logs are sealed and all pending work sits in
 // the pulse buffer as the next pulse's batches.
 func (r *Runner) Snapshot() ([]byte, error) {
-	e := wire.NewEnc(&r.arena)
+	se := wire.NewSnapshotEnc(&r.arena, 0)
+	e := &se.Enc
 	// Header.
 	e.U32(uint32(r.g.N()))
 	e.Bool(r.keepTrace)
@@ -93,7 +94,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		e.I32(int32(te.To))
 		e.RawBody(te.Body)
 	}
-	return wire.SealSnapshot(e.Bytes()), nil
+	return se.Seal(), nil
 }
 
 // Restore loads a Snapshot frame into this runner, which must be freshly

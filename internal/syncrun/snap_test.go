@@ -146,7 +146,7 @@ var intKind = func() wire.Kind {
 // delivery chain is listed chains times.
 func path2Frame(chains int, outKind wire.Kind) []byte {
 	var arena wire.Arena
-	e := wire.NewEnc(&arena)
+	e := wire.NewSnapshotEnc(&arena, 0)
 	e.U32(2)      // nodes
 	e.Bool(false) // traced
 	e.Bool(true)  // Init ran
@@ -175,7 +175,7 @@ func path2Frame(chains int, outKind wire.Kind) []byte {
 	e.I32(0)
 	e.I32(1)
 	e.U32(0) // trace
-	return wire.SealSnapshot(e.Bytes())
+	return e.Seal()
 }
 
 // TestLockstepRestoreRejectsDuplicateChain: each receiver's batch is one

@@ -357,14 +357,16 @@ func (d *Dec) SkipBlob() []byte {
 // anything owning mutable per-node protocol state — an async Handler, a
 // syncrun Handler, a Mux module — implements it to become checkpointable.
 // SaveState appends the complete mutable state; LoadState reads exactly
-// that stream back into the receiver, overwriting (not merging with) its
-// current state: maps clear-and-refill, slices truncate-and-append, so a
-// reused or ping-ponged target ends identical to the saved instance.
-// Immutable per-node configuration (ids, topology, bounds) is already
-// present in the receiver — both calls run on instances built by the same
-// constructor — and stays out of the stream. LoadState reports corruption
-// via the decoder's sticky error (Dec.Fail for semantic checks); it must
-// not panic on malformed input.
+// that stream back into the receiver, replacing (not merging with) its
+// current state: every mutable field is overwritten or cleared, maps
+// clear-and-refill, slices truncate-and-append. The receiver need not be
+// fresh — async.Sim.Restore loads into the handlers a run already has,
+// whatever state they reached — and must end identical to the saved
+// instance either way. Immutable per-node configuration (ids, topology,
+// bounds) is already present in the receiver — both calls run on instances
+// built by the same constructor — and stays out of the stream. LoadState
+// reports corruption via the decoder's sticky error (Dec.Fail for semantic
+// checks); it must not panic on malformed input.
 type StateCodec interface {
 	SaveState(e *Enc)
 	LoadState(d *Dec)
@@ -398,15 +400,29 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// SealSnapshot wraps an encoded payload in the versioned container.
-func SealSnapshot(payload []byte) []byte {
-	out := make([]byte, 0, snapHeaderLen+len(payload))
-	e := Enc{buf: out}
-	e.U32(snapMagic)
-	e.U32(snapVersion)
-	e.U64(uint64(len(payload)))
-	e.U64(fnv1a(payload))
-	e.buf = append(e.buf, payload...)
+// SnapshotEnc encodes one sealed snapshot frame: an Enc whose buffer
+// starts with the container header, reserved until Seal fills it in. The
+// frame is so written once, with no payload copy at the end. Do not Reset
+// the embedded Enc: that drops the reserved header.
+type SnapshotEnc struct{ Enc }
+
+// NewSnapshotEnc returns a SnapshotEnc with room for sizeHint payload
+// bytes; a good hint (the previous frame's length) makes its buffer one
+// allocation.
+func NewSnapshotEnc(a *Arena, sizeHint int) *SnapshotEnc {
+	buf := make([]byte, snapHeaderLen, snapHeaderLen+max(sizeHint, 0))
+	return &SnapshotEnc{Enc{buf: buf, arena: a}}
+}
+
+// Seal fills in the reserved container header — magic, version, payload
+// length and checksum — and returns the sealed frame.
+func (e *SnapshotEnc) Seal() []byte {
+	payload := e.buf[snapHeaderLen:]
+	h := Enc{buf: e.buf[:0]} // appends rewrite the reserved bytes in place
+	h.U32(snapMagic)
+	h.U32(snapVersion)
+	h.U64(uint64(len(payload)))
+	h.U64(fnv1a(payload))
 	return e.buf
 }
 

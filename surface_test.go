@@ -17,6 +17,7 @@ import (
 // each with the reason. An entry that stops being declared, or gains an
 // outside use, fails TestInternalSurface, so the list cannot go stale.
 var surfaceAllowlist = map[string]string{
+	"abfs.IterationStacks": "one doubling iteration's stacks, which Full runs internally; the stack byte budget and the live-restore matrix build engines from them",
 	"apps.CheckBFSOutputs": "the BFS output oracle the apps and abfs tests share; a _test.go helper cannot cross packages",
 	"apps.TBFSSourceDone":  "what every AsyncBFS source outputs; callers meet it inside Outputs' any, tests match it by type",
 	"graph.Dumbbell":       "bottleneck topology the cover, decomp and apps tests share; no CLI run needs a spec form for it",
