@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -19,33 +20,70 @@ import (
 //   - ShardInit / ShardRunWindow execute local handler code, staging all
 //     schedule calls, and fold the context's ledger in as a window barrier
 //     does (the event cap is checked there);
-//   - the worker flushes the staged log (ShardStaged) to the coordinator,
-//     which k-way merges every shard's log by (trigT, trigSeq) — exactly
-//     the ModeMulti barrier merge, across processes — and grants event
-//     seqs in the merged order;
-//   - ShardGrant pushes locally-owned events with their granted seqs,
-//     ShardInject admits remote-born events routed here;
+//   - ShardLog walks the staged log one group per triggering event — its
+//     key, its call count, and the calls whose owner lives on another
+//     shard — plus the minimum timestamp of the calls that stay local;
+//   - the coordinator k-way merges every shard's groups by (trigT,
+//     trigSeq) — exactly the ModeMulti barrier merge, across processes —
+//     grants each group its count of consecutive seqs in merged order, and
+//     routes each remote call with the seq its index in the group picks;
+//   - ShardAdmit reads the OPEN's grant runs along the staged log and
+//     admits the local calls and the routed inbound events as one merge by
+//     seq;
 //   - the coordinator opens the next window at the global minimum pending
-//     timestamp (ShardPendingMinT over all shards and in-flight grants).
+//     timestamp (ShardPendingMinT over all shards and the flushed calls).
 //
 // Because the serial engine also assigns seqs in (t, seq)-sorted order of
 // the triggering events within each window (every schedule call lands at
 // or past the window's end — the bounded-lag safety argument), the grant
 // order reproduces serial seq assignment exactly, making per-shard
 // Results, outputs, and traces merge to the byte-identical serial run.
+// Grants per group are exact because one trigger's calls are contiguous in
+// its owner's log and in the serial order, and its (trigT, trigSeq) key is
+// globally unique. Admitting in seq order is what keeps the queue cheap: a
+// wheel slot that the serial engine fills as a sorted run (every slot under
+// Fixed delays) stays a sorted run on every shard instead of turning into a
+// heap at the first routed event whose seq falls between two local ones.
 
-// ShardStagedView is one staged schedule call as the shard worker ships
-// it: the merge key (TrigT, TrigSeq), the event's own fields, and the
-// global node whose shard must execute it.
-type ShardStagedView struct {
-	TrigT   float64
-	TrigSeq uint64
-	T       float64
-	Kind    uint8
-	Src     graph.NodeID
-	Dst     graph.NodeID
-	Msg     Msg
-	Owner   graph.NodeID
+// ShardEvent is one event crossing a shard boundary: a staged call whose
+// owner lives on another shard, as ShardLog hands it out for framing (Seq
+// not yet granted), or a routed event as ShardAdmit takes it in.
+type ShardEvent struct {
+	Seq  uint64
+	T    float64
+	Kind uint8
+	Src  graph.NodeID
+	Dst  graph.NodeID
+	Msg  Msg
+}
+
+// Owner is the node whose handler runs the event, hence the shard it is
+// routed to.
+func (e *ShardEvent) Owner() graph.NodeID {
+	if e.Kind == evDeliver {
+		return e.Dst
+	}
+	return e.Src
+}
+
+// ShardRun is one run of an OPEN's grants: Len consecutive seqs from Start.
+type ShardRun struct {
+	Start uint64
+	Len   uint32
+}
+
+// ShardError is a shard-protocol record its receiver refuses instead of
+// panicking on: an OPEN whose grant runs do not cover the staged log or
+// whose inbound event belongs to another shard or runs along a non-edge,
+// or a FLUSH whose remote call is indexed past its group. A corrupt socket
+// message surfaces as one.
+type ShardError struct {
+	Record string // the malformed record, e.g. "OPEN inbound event"
+	Reason string
+}
+
+func (e *ShardError) Error() string {
+	return "shard protocol: malformed " + e.Record + ": " + e.Reason
 }
 
 // BeginShard flips the engine into shard-staged mode. The Sim must have
@@ -91,72 +129,119 @@ func (s *Sim) ShardRunWindow(wStart float64) {
 // (staged-but-ungranted events are the coordinator's to account for).
 func (s *Sim) ShardPendingMinT() (float64, bool) { return s.events.minT() }
 
-// ShardStagedCount returns the staged-log length since the last flush.
-func (s *Sim) ShardStagedCount() int { return len(s.wctx[0].staged) }
-
-// ShardStaged returns staged entry i. Entries are sorted by (TrigT,
-// TrigSeq): windows process events in that order and a single event's
-// calls share its key in call order.
-func (s *Sim) ShardStaged(i int) ShardStagedView {
-	se := &s.wctx[0].staged[i]
-	return ShardStagedView{
-		TrigT:   se.trigT,
-		TrigSeq: se.trigSeq,
-		T:       se.ev.t,
-		Kind:    se.ev.kind,
-		Src:     se.ev.src,
-		Dst:     se.ev.dst,
-		Msg:     se.ev.msg,
-		Owner:   ownerOf(&se.ev),
+// ShardLog walks the staged log for a FLUSH, one triggering event at a
+// time and in log order, which is (trigT, trigSeq) order: windows process
+// events in that order and a single event's calls share its key. group
+// receives each trigger's key and the number of schedule calls it issued;
+// remote then receives each of those calls whose owner lives on another
+// shard, with its index within the group (ev is valid only during the
+// call). ShardLog returns the minimum timestamp of the calls that stay
+// local, +Inf when none do.
+func (s *Sim) ShardLog(group func(trigT float64, trigSeq uint64, count int), remote func(idx int, ev *ShardEvent)) float64 {
+	staged := s.wctx[0].staged
+	localMin := math.Inf(1)
+	var out ShardEvent
+	for lo := 0; lo < len(staged); {
+		key := &staged[lo]
+		hi := lo + 1
+		for hi < len(staged) && staged[hi].trigT == key.trigT && staged[hi].trigSeq == key.trigSeq {
+			hi++
+		}
+		group(key.trigT, key.trigSeq, hi-lo)
+		for i := lo; i < hi; i++ {
+			ev := &staged[i].ev
+			if s.localNode(ownerOf(ev)) {
+				localMin = min(localMin, ev.t)
+				continue
+			}
+			out = ShardEvent{T: ev.t, Kind: ev.kind, Src: ev.src, Dst: ev.dst, Msg: ev.msg}
+			remote(i-lo, &out)
+		}
+		lo = hi
 	}
+	return localMin
 }
 
-// ShardGrant applies the coordinator's seq grants, aligned by index with
-// the staged log: local entries enter the queue with their granted seq;
-// remote entries (already extracted as frames, remote[i] true) are
-// dropped — their grant is consumed by the destination shard's
-// ShardInject. The log resets for the next window.
-func (s *Sim) ShardGrant(seqs []uint64, remote []bool) {
+// ShardAdmit applies one OPEN. The grant runs, read in order, hand the
+// staged log its seqs entry by entry; inbound holds the remote-born events
+// routed here, in ascending seq. The local entries and the inbound events
+// enter the queue as one merge by seq, so every wheel slot receives its
+// keys in the order the serial engine pushed them. Remote entries only
+// consume their seq: the destination shard admits them. The staged log
+// resets for the next window.
+//
+// A grant total other than the staged count, or an inbound event of an
+// unknown kind, owned by another shard or along a non-edge, is a
+// *ShardError; the engine is unusable after one.
+func (s *Sim) ShardAdmit(runs []ShardRun, inbound []ShardEvent) error {
 	staged := s.wctx[0].staged
-	if len(seqs) != len(staged) || len(remote) != len(staged) {
-		panic(fmt.Sprintf("async: grant of %d/%d seqs for %d staged entries",
-			len(seqs), len(remote), len(staged)))
+	total := 0
+	for _, r := range runs {
+		total += int(r.Len)
 	}
+	if total != len(staged) {
+		return &ShardError{Record: "OPEN grant runs",
+			Reason: fmt.Sprintf("%d seqs granted for %d staged calls", total, len(staged))}
+	}
+	in, run := 0, -1
+	var next uint64
+	var left uint32
 	for i := range staged {
-		if remote[i] {
+		for left == 0 {
+			run++
+			next, left = runs[run].Start, runs[run].Len
+		}
+		seq := next
+		next, left = next+1, left-1
+		ev := &staged[i].ev
+		if !s.localNode(ownerOf(ev)) {
 			continue
 		}
-		ev := &staged[i].ev
-		ev.seq = seqs[i]
+		for ; in < len(inbound) && inbound[in].Seq < seq; in++ {
+			if err := s.admitInbound(&inbound[in]); err != nil {
+				return err
+			}
+		}
+		ev.seq = seq
 		s.events.push(ev)
 	}
+	for ; in < len(inbound); in++ {
+		if err := s.admitInbound(&inbound[in]); err != nil {
+			return err
+		}
+	}
 	s.wctx[0].staged = staged[:0]
+	return nil
 }
 
-// ShardInject admits one remote-born event routed to this shard. The
-// local link id is recomputed here: a delivery's forward link lives on
-// the sender's shard, so the event instead carries the complement of the
-// local back link (dst→src), which step recognizes by sign; an
-// ack-return's forward link (src→dst) is local to this shard, the
-// original sender's.
-func (s *Sim) ShardInject(seq uint64, t float64, kind uint8, src, dst graph.NodeID, m Msg) {
-	var link graph.LinkID
-	switch kind {
-	case evDeliver:
-		back := s.g.LinkBetween(dst, src)
-		if back < 0 {
-			panic(fmt.Sprintf("async: remote delivery %d->%d along a non-edge", src, dst))
-		}
-		link = ^back
-	case evAckArrive:
-		link = s.g.LinkBetween(src, dst)
-		if link < 0 {
-			panic(fmt.Sprintf("async: remote ack %d->%d along a non-edge", src, dst))
-		}
-	default:
-		panic(fmt.Sprintf("async: remote event of unknown kind %d", kind))
+// admitInbound queues one remote-born event. The local link id is
+// recomputed here: a delivery's forward link lives on the sender's shard,
+// so the event instead carries the complement of the local back link
+// (dst→src), which step recognizes by sign; an ack-return's forward link
+// (src→dst) is local to this shard, the original sender's.
+func (s *Sim) admitInbound(e *ShardEvent) error {
+	if e.Kind != evDeliver && e.Kind != evAckArrive {
+		return &ShardError{Record: "OPEN inbound event", Reason: fmt.Sprintf("unknown kind %d", e.Kind)}
 	}
-	s.events.push(&event{t: t, seq: seq, link: link, src: src, dst: dst, kind: kind, msg: m})
+	owner := e.Owner()
+	if !s.localNode(owner) {
+		return &ShardError{Record: "OPEN inbound event",
+			Reason: fmt.Sprintf("node %d is not owned by the shard hosting [%d, %d)", owner, s.nodeBase, s.nodeBase+graph.NodeID(s.g.NLocal()))}
+	}
+	var link graph.LinkID
+	if e.Kind == evDeliver {
+		link = s.g.LinkBetween(e.Dst, e.Src)
+	} else {
+		link = s.g.LinkBetween(e.Src, e.Dst)
+	}
+	if link < 0 {
+		return &ShardError{Record: "OPEN inbound event", Reason: fmt.Sprintf("%d->%d is a non-edge", e.Src, e.Dst)}
+	}
+	if e.Kind == evDeliver {
+		link = ^link
+	}
+	s.events.push(&event{t: e.T, seq: e.Seq, link: link, src: e.Src, dst: e.Dst, kind: e.Kind, msg: e.Msg})
+	return nil
 }
 
 // ShardRawOutputs visits every local node that produced an output, with

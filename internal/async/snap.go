@@ -505,7 +505,7 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			}
 			// The dense LinkID is recomputed against this engine's graph view; a
 			// delivery whose sender is remote carries the complement of the local
-			// back link instead (see ShardInject).
+			// back link instead (see admitInbound).
 			remoteSrc := ev.kind == evDeliver && !s.localNode(ev.src)
 			if remoteSrc {
 				ev.link = s.g.LinkBetween(ev.dst, ev.src)

@@ -65,7 +65,7 @@ func Encode(v any) (wire.Body, bool) {
 	case int:
 		return wire.Body{Kind: kindInt, A: int64(x)}, true
 	case int64:
-		return wire.Body{Kind: kindInt64, A: x}, true
+		return Int64(x), true
 	case bool:
 		return wire.Body{Kind: kindBool, A: wire.FromBool(x)}, true
 	case graph.NodeID:
@@ -73,6 +73,10 @@ func Encode(v any) (wire.Body, bool) {
 	}
 	return wire.Body{}, false
 }
+
+// Int64 is the body Encode(x) returns for an int64 x, built without
+// boxing x into an interface: the allocation-free way to output one.
+func Int64(x int64) wire.Body { return wire.Body{Kind: kindInt64, A: x} }
 
 // primDecode decodes the reserved primitive kinds.
 func primDecode(b wire.Body) (any, bool) {

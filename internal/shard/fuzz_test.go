@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"bytes"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/async"
@@ -87,4 +91,144 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzShardLogRoundTrip drives the window codecs: a FLUSH of random group
+// shapes — groups all local, all remote or mixed, frames with and without
+// segments, an empty log, a local minimum of +Inf — must decode to what was
+// encoded, and so must the OPEN a coordinator would answer it with (one
+// grant run per group, each remote call routed back with its seq). Every
+// strict prefix and a trailing byte must fail through finish, never panic.
+func FuzzShardLogRoundTrip(f *testing.F) {
+	f.Add(uint64(1), uint8(0), true)   // empty log, nothing local
+	f.Add(uint64(2), uint8(0), false)  // empty log, a local minimum
+	f.Add(uint64(3), uint8(5), true)   // groups that are all remote
+	f.Add(uint64(4), uint8(40), false) // many mixed groups
+	f.Fuzz(func(t *testing.T, seed uint64, groups uint8, noLocal bool) {
+		rng := rand.New(rand.NewPCG(seed, uint64(groups)))
+		var arena wire.Arena
+		frames := wire.NewEnc(&arena)
+		in := flushMsg{
+			hasMin:   rng.IntN(2) == 0,
+			minT:     rng.Float64() * 10,
+			execNs:   rng.Uint64(),
+			steps:    rng.Uint64(),
+			localMin: math.Inf(1),
+		}
+		if !noLocal {
+			in.localMin = rng.Float64() * 10
+		}
+		for gi := 0; gi < int(groups); gi++ {
+			g := logGroup{trigT: float64(gi / 3), trigSeq: rng.Uint64(), count: 1 + uint32(rng.IntN(6))}
+			for idx := uint32(0); idx < g.count; idx++ {
+				if !noLocal && rng.IntN(2) == 0 {
+					continue
+				}
+				m := async.Msg{Proto: async.Proto(rng.IntN(4)), Stage: rng.IntN(3),
+					Body: wire.Body{Kind: wire.Kind(1 + rng.IntN(9)), A: rng.Int64(), B: rng.Int64()}}
+				if rng.IntN(4) == 0 {
+					seg, w := arena.Alloc(1 + rng.IntN(5))
+					for i := range w {
+						w[i] = rng.Int32()
+					}
+					m.Body.Seg = seg
+				}
+				lo := frames.Len()
+				encodeEventFrame(frames, uint8(1+rng.IntN(2)), graph.NodeID(rng.IntN(100)), graph.NodeID(rng.IntN(100)), m)
+				g.remotes++
+				in.remotes = append(in.remotes, logRemote{idx: idx, evT: rng.Float64() * 10,
+					owner: graph.NodeID(rng.IntN(100)), frame: frames.Bytes()[lo:]})
+			}
+			in.groups = append(in.groups, g)
+		}
+
+		var enc wire.Enc
+		encodeFlush(&enc, &in)
+		var out flushMsg
+		d := wire.NewDec(enc.Bytes(), nil)
+		if err := decodeFlush(d, &out); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish(d, "FLUSH"); err != nil {
+			t.Fatal(err)
+		}
+		if out.hasMin != in.hasMin || out.minT != in.minT || out.execNs != in.execNs || out.steps != in.steps ||
+			out.localMin != in.localMin || !slices.Equal(out.groups, in.groups) ||
+			!slices.EqualFunc(out.remotes, in.remotes, func(a, b logRemote) bool {
+				return a.idx == b.idx && a.evT == b.evT && a.owner == b.owner && bytes.Equal(a.frame, b.frame)
+			}) {
+			t.Fatalf("FLUSH round trip:\n got %+v\nwant %+v", out, in)
+		}
+		rejects(t, "FLUSH", enc.Bytes(), func(d *wire.Dec) error { return decodeFlush(d, &out) })
+
+		// The OPEN: one grant run per group from a random base, and every
+		// remote call routed back at its group's start plus its index.
+		var (
+			runs    []async.ShardRun
+			inbound wire.Enc
+			want    []async.ShardEvent
+		)
+		next, rs := rng.Uint64()>>1, in.remotes
+		for _, g := range in.groups {
+			runs = append(runs, async.ShardRun{Start: next, Len: g.count})
+			for _, r := range rs[:g.remotes] {
+				appendInbound(&inbound, next+uint64(r.idx), r.evT, r.frame)
+				ev := async.ShardEvent{Seq: next + uint64(r.idx), T: r.evT}
+				ev.Kind, ev.Src, ev.Dst, ev.Msg = decodeEventFrame(wire.NewDec(r.frame, &arena))
+				want = append(want, ev)
+			}
+			next += uint64(g.count)
+			rs = rs[g.remotes:]
+		}
+		snap := rng.IntN(2) == 0
+		enc.Reset()
+		encodeOpen(&enc, in.minT, runs, len(want), inbound.Bytes(), snap)
+		var open openMsg
+		var da wire.Arena
+		d = wire.NewDec(enc.Bytes(), &da)
+		decodeOpen(d, &open)
+		if err := finish(d, "OPEN"); err != nil {
+			t.Fatal(err)
+		}
+		if open.wStart != in.minT || open.snap != snap || !slices.Equal(open.runs, runs) || len(open.inbound) != len(want) {
+			t.Fatalf("OPEN round trip: wStart %g snap %v runs %v, %d inbound; want %g %v %v, %d",
+				open.wStart, open.snap, open.runs, len(open.inbound), in.minT, snap, runs, len(want))
+		}
+		for i, got := range open.inbound {
+			w := want[i]
+			if !slices.Equal(da.Data(got.Msg.Body.Seg), arena.Data(w.Msg.Body.Seg)) {
+				t.Fatalf("inbound %d: segment words differ", i)
+			}
+			got.Msg.Body.Seg, w.Msg.Body.Seg = wire.Seg{}, wire.Seg{}
+			if got != w {
+				t.Fatalf("inbound %d = %+v, want %+v", i, got, w)
+			}
+		}
+		rejects(t, "OPEN", enc.Bytes(), func(d *wire.Dec) error { decodeOpen(d, &open); return nil })
+	})
+}
+
+// rejects checks that decode fails on every strict prefix of payload (a
+// sample of them when it is long) and on payload plus a trailing byte.
+func rejects(t *testing.T, what string, payload []byte, decode func(*wire.Dec) error) {
+	t.Helper()
+	cuts := []int{0, len(payload) / 2, len(payload) - 1}
+	if len(payload) <= 256 {
+		cuts = cuts[:0]
+		for n := 0; n < len(payload); n++ {
+			cuts = append(cuts, n)
+		}
+	}
+	for _, n := range cuts {
+		var a wire.Arena
+		d := wire.NewDec(payload[:n], &a)
+		if err := decode(d); err == nil && finish(d, what) == nil {
+			t.Fatalf("%s decode of a %d/%d-byte prefix succeeded", what, n, len(payload))
+		}
+	}
+	var a wire.Arena
+	d := wire.NewDec(append(payload[:len(payload):len(payload)], 0), &a)
+	if err := decode(d); err == nil && finish(d, what) == nil {
+		t.Fatalf("%s decode with a trailing byte succeeded", what)
+	}
 }

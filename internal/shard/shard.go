@@ -219,33 +219,22 @@ type workerConn struct {
 	buf  []byte // receive buffer, reused across windows
 	dec  wire.Dec
 
-	// Decoded current flush.
-	hasMin  bool
-	minT    float64
-	execNs  uint64
-	steps   uint64
-	entries []flushEntry
+	// The current FLUSH, decoded; its frames view buf.
+	flush flushMsg
 
-	// OPEN under construction: grants and routed inbound records accumulate
-	// side by side during the merge, then open assembles the message.
-	grants  []uint64
-	inbound wire.Enc
-	inCount uint32
-	open    wire.Enc
+	// OPEN under construction: grant runs and routed inbound records
+	// accumulate side by side during the merge, then writeOpen assembles
+	// the message. remoteCur walks flush.remotes as the merge emits this
+	// worker's groups.
+	runs      []async.ShardRun
+	inbound   wire.Enc
+	inCount   int
+	remoteCur int
+	open      wire.Enc
 
 	// err is an in-process worker's failure, stored by its goroutine before
 	// it closes the socket and loaded here once the coordinator's read fails.
 	err atomic.Pointer[error]
-}
-
-// flushEntry is one staged schedule call as received; frame views the
-// connection's receive buffer and is copied during routing.
-type flushEntry struct {
-	trigT   float64
-	trigSeq uint64
-	evT     float64
-	owner   graph.NodeID
-	frame   []byte // nil for local entries
 }
 
 func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
@@ -389,10 +378,9 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 			if err := c.readFlush(&c.conns[i]); err != nil {
 				return nil, c.workerError(err)
 			}
-			if c.conns[i].execNs > maxExec {
-				maxExec = c.conns[i].execNs
-			}
-			totalSteps += c.conns[i].steps
+			f := &c.conns[i].flush
+			maxExec = max(maxExec, f.execNs)
+			totalSteps += f.steps
 		}
 		if first {
 			c.stats.StartupNs = int64(time.Since(t0))
@@ -489,92 +477,75 @@ func (c *coord) readFlush(wc *workerConn) error {
 	if typ != msgFlush {
 		return fmt.Errorf("shard: expected FLUSH, got message type %d", typ)
 	}
-	d := &wc.dec
-	d.Reset(payload, nil)
-	wc.hasMin = d.Bool()
-	wc.minT = d.F64()
-	wc.execNs = d.U64()
-	wc.steps = d.U64()
-	wc.entries = wc.entries[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		e := flushEntry{
-			trigT:   d.F64(),
-			trigSeq: d.U64(),
-			evT:     d.F64(),
-			owner:   graph.NodeID(d.I32()),
-		}
-		if d.Bool() {
-			e.frame = d.SkipBlob()
-		}
-		wc.entries = append(wc.entries, e)
+	wc.dec.Reset(payload, nil)
+	if err := decodeFlush(&wc.dec, &wc.flush); err != nil {
+		return err
 	}
-	return finish(d, "FLUSH")
+	return finish(&wc.dec, "FLUSH")
 }
 
-// merge k-way merges the flushed logs by (trigT, trigSeq) — the serial
-// engine's schedule-call order — granting seqs in merge order and routing
-// remote entries' frames to their destination shard. Returns the next
-// window's start (the global minimum pending timestamp) and whether any
-// event is pending anywhere.
+// merge k-way merges the flushed groups by (trigT, trigSeq) — the serial
+// engine's schedule-call order — granting each group its count of
+// consecutive seqs in merge order and routing its remote calls' frames to
+// their destination shard, each with its group's start plus its index.
+// Returns the next window's start (the global minimum pending timestamp)
+// and whether any event is pending anywhere.
 func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 	for i := range c.conns {
 		wc := &c.conns[i]
-		wc.grants = wc.grants[:0]
+		wc.runs = wc.runs[:0]
 		wc.inbound.Reset()
-		wc.inCount = 0
+		wc.inCount, wc.remoteCur = 0, 0
 	}
 	wStart = math.Inf(1)
 	async.MergeRuns(c.mergeCur, len(c.conns),
-		func(i int) []flushEntry { return c.conns[i].entries },
-		entryLess,
-		func(from int, e *flushEntry) bool {
-			seq := *nextSeq
-			*nextSeq++
-			c.conns[from].grants = append(c.conns[from].grants, seq)
-			wStart = min(wStart, e.evT)
-			if e.frame == nil {
-				return true
+		func(i int) []logGroup { return c.conns[i].flush.groups },
+		groupLess,
+		func(from int, g *logGroup) bool {
+			wc := &c.conns[from]
+			start := *nextSeq
+			*nextSeq += uint64(g.count)
+			if n := len(wc.runs); n > 0 && wc.runs[n-1].Start+uint64(wc.runs[n-1].Len) == start {
+				wc.runs[n-1].Len += g.count
+			} else {
+				wc.runs = append(wc.runs, async.ShardRun{Start: start, Len: g.count})
 			}
-			dst := &c.conns[c.part.Owner(e.owner)]
-			dst.inbound.U64(seq)
-			dst.inbound.F64(e.evT)
-			mark := dst.inbound.BeginBlob()
-			dst.inbound.Raw(e.frame)
-			dst.inbound.EndBlob(mark)
-			dst.inCount++
-			c.stats.Frames++
-			c.stats.FrameBytes += uint64(len(e.frame))
+			rs := wc.flush.remotes[wc.remoteCur : wc.remoteCur+int(g.remotes)]
+			wc.remoteCur += int(g.remotes)
+			for i := range rs {
+				r := &rs[i]
+				wStart = min(wStart, r.evT)
+				dst := &c.conns[c.part.Owner(r.owner)]
+				appendInbound(&dst.inbound, start+uint64(r.idx), r.evT, r.frame)
+				dst.inCount++
+				c.stats.Frames++
+				c.stats.FrameBytes += uint64(len(r.frame))
+			}
 			return true
 		})
 	for i := range c.conns {
-		if wc := &c.conns[i]; wc.hasMin {
-			wStart = min(wStart, wc.minT)
+		f := &c.conns[i].flush
+		wStart = min(wStart, f.localMin)
+		if f.hasMin {
+			wStart = min(wStart, f.minT)
 		}
 	}
 	return wStart, !math.IsInf(wStart, 1)
 }
 
-func entryLess(a, b *flushEntry) bool {
+func groupLess(a, b *logGroup) bool {
 	if a.trigT != b.trigT {
 		return a.trigT < b.trigT
 	}
 	return a.trigSeq < b.trigSeq
 }
 
-// writeOpen sends one worker its grants and routed inbound events, plus
-// the snapshot flag requesting an engine frame before the window runs.
+// writeOpen sends one worker its grant runs and routed inbound events,
+// plus the snapshot flag requesting an engine frame before the window runs.
 func (c *coord) writeOpen(wc *workerConn, wStart float64, snap bool) error {
-	out := &wc.open
-	out.Reset()
-	out.F64(wStart)
-	out.U32(uint32(len(wc.grants)))
-	for _, s := range wc.grants {
-		out.U64(s)
-	}
-	out.U32(wc.inCount)
-	out.Raw(wc.inbound.Bytes())
-	out.Bool(snap)
-	return writeMsg(wc.w, msgOpen, out.Bytes())
+	wc.open.Reset()
+	encodeOpen(&wc.open, wStart, wc.runs, wc.inCount, wc.inbound.Bytes(), snap)
+	return writeMsg(wc.w, msgOpen, wc.open.Bytes())
 }
 
 // collectSnapshot reads one engine frame per worker (the response to a

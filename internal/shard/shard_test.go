@@ -3,7 +3,10 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
 	"strings"
@@ -103,7 +106,9 @@ func compareResults(t *testing.T, got, want async.Result) {
 // TestShardMatrix is the byte-identity matrix: adversaries × graphs ×
 // seeds × shard counts, every sharded run (in-process workers over real
 // unix sockets) compared DeepEqual — outputs, counters, PerProto, and the
-// full delivery trace — against the serial engine.
+// full delivery trace — against the serial engine. K=3 cuts unevenly, so
+// its FLUSH groups mix local and remote calls, some are all remote, and a
+// worker can stage no local call in a window.
 func TestShardMatrix(t *testing.T) {
 	graphs := []struct {
 		spec string
@@ -137,7 +142,7 @@ func TestShardMatrix(t *testing.T) {
 					KeepTrace: true,
 				}
 				want := serialRun(t, cfg)
-				for _, k := range []int{1, 2, 4} {
+				for _, k := range []int{1, 2, 3, 4} {
 					cfg := cfg
 					cfg.Shards = k
 					t.Run(fmt.Sprintf("%s/%s/seed=%d/k=%d", gr.spec, adv, seed, k), func(t *testing.T) {
@@ -435,4 +440,111 @@ func TestReadResultRejectsUnknownOutputKind(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kind 4660") {
 		t.Fatalf("readResult of an unregistered output kind: err %v, want a kind-4660 error", err)
 	}
+}
+
+// firstFlush serves shard 0 of a two-way cut of cycle:8 — a flood from
+// node 3 under fixed:1 — over a pipe, playing the coordinator up to the
+// worker's first FLUSH, which it returns decoded: one group, node 3's Init,
+// whose second call (3→4) is remote. done yields serveWorker's result.
+func firstFlush(t *testing.T) (w *bufio.Writer, flush *flushMsg, done <-chan error) {
+	t.Helper()
+	coordEnd, workerEnd := net.Pipe()
+	t.Cleanup(func() { coordEnd.Close() })
+	errc := make(chan error, 1)
+	go func() {
+		defer workerEnd.Close()
+		errc <- serveWorker(workerEnd, 0, nil, false)
+	}()
+	r := bufio.NewReader(coordEnd)
+	w = bufio.NewWriter(coordEnd)
+	if typ, _, err := readMsg(r, nil); err != nil || typ != msgJoin {
+		t.Fatalf("JOIN: type %d, %v", typ, err)
+	}
+	hcfg, err := json.Marshal(&hello{GraphSpec: "cycle:8", Cuts: []graph.NodeID{0, 4, 8},
+		Adversary: "fixed:1", Workload: "flood", Sources: []graph.NodeID{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeMsg(w, msgHello, hcfg); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readMsg(r, nil)
+	if err != nil || typ != msgFlush {
+		t.Fatalf("FLUSH: type %d, %v", typ, err)
+	}
+	flush = new(flushMsg)
+	d := wire.NewDec(payload, nil)
+	if err := decodeFlush(d, flush); err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(d, "FLUSH"); err != nil {
+		t.Fatal(err)
+	}
+	if len(flush.groups) != 1 || flush.groups[0].count != 2 || len(flush.remotes) != 1 || flush.remotes[0].idx != 1 {
+		t.Fatalf("first FLUSH %+v, want node 3's two calls with the second remote", flush)
+	}
+	return w, flush, errc
+}
+
+// TestShardMalformedOpen: a corrupt OPEN, or a corrupt FLUSH at the
+// coordinator, is a *async.ShardError naming what is wrong — never a
+// panic in the worker or the coordinator.
+func TestShardMalformedOpen(t *testing.T) {
+	// reframe rewrites the remote 3→4 delivery's endpoints.
+	reframe := func(flush *flushMsg, src, dst graph.NodeID) []byte {
+		var a wire.Arena
+		kind, _, _, m := decodeEventFrame(wire.NewDec(flush.remotes[0].frame, &a))
+		e := wire.NewEnc(&a)
+		encodeEventFrame(e, kind, src, dst, m)
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name    string
+		runs    []async.ShardRun
+		inbound func(*flushMsg) []byte // one routed frame, or nil
+		reason  string
+	}{
+		{"grant total", []async.ShardRun{{Start: 0, Len: 3}}, nil, "3 seqs granted for 2 staged calls"},
+		{"non-edge", []async.ShardRun{{Start: 0, Len: 2}},
+			func(f *flushMsg) []byte { return reframe(f, 6, 1) }, "6->1 is a non-edge"},
+		{"foreign node", []async.ShardRun{{Start: 0, Len: 2}},
+			func(f *flushMsg) []byte { return f.remotes[0].frame }, "node 4 is not owned"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, flush, done := firstFlush(t)
+			var in wire.Enc
+			n := 0
+			if tc.inbound != nil {
+				appendInbound(&in, 2, 1, tc.inbound(flush))
+				n = 1
+			}
+			var open wire.Enc
+			encodeOpen(&open, 1, tc.runs, n, in.Bytes(), false)
+			if err := writeMsg(w, msgOpen, open.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			err := <-done
+			var se *async.ShardError
+			if !errors.As(err, &se) || !strings.Contains(se.Reason, tc.reason) {
+				t.Fatalf("worker returned %v, want a *async.ShardError about %q", err, tc.reason)
+			}
+		})
+	}
+
+	t.Run("remote index", func(t *testing.T) {
+		_, flush, _ := firstFlush(t)
+		flush.remotes[0].idx = flush.groups[0].count // one past the group
+		var e wire.Enc
+		encodeFlush(&e, flush)
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := writeMsg(bw, msgFlush, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		err := (&coord{}).readFlush(&workerConn{r: bufio.NewReader(&buf)})
+		var se *async.ShardError
+		if !errors.As(err, &se) || !strings.Contains(se.Reason, "index 2 of a 2-call group") {
+			t.Fatalf("readFlush returned %v, want a *async.ShardError about the index", err)
+		}
+	})
 }

@@ -170,49 +170,28 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		sim.ShardInit()
 	}
 
-	// The window loop. remote stays aligned with the staged log between
-	// flush and grant; enc carries every message this worker sends and dec
-	// every one it receives, both reused across windows.
+	// The window loop. enc carries every message this worker sends, dec
+	// every one it receives; frames holds one FLUSH's event frames until
+	// encodeFlush copies them in. All of them, and flush and open, are
+	// reused across windows.
 	var (
 		enc    = wire.NewEnc(sim.Arena())
+		frames = wire.NewEnc(sim.Arena())
 		dec    wire.Dec
-		seqs   []uint64
-		remote []bool
+		flush  flushMsg
+		open   openMsg
 		inBuf  []byte
 	)
 	// The first flush's exec time covers startup + graph build + Init so
 	// the coordinator can report startup separately from steady windows.
 	execNs := uint64(time.Since(startNs))
 	for {
-		// FLUSH: wheel minimum, exec time, then the staged log.
+		flush.minT, flush.hasMin = sim.ShardPendingMinT()
+		flush.execNs = execNs
+		flush.steps = sim.ShardSteps()
+		stageFlush(sim, &flush, frames)
 		enc.Reset()
-		minT, hasMin := sim.ShardPendingMinT()
-		enc.Bool(hasMin)
-		enc.F64(minT)
-		enc.U64(execNs)
-		enc.U64(sim.ShardSteps())
-		n := sim.ShardStagedCount()
-		enc.U32(uint32(n))
-		remote = remote[:0]
-		for i := 0; i < n; i++ {
-			v := sim.ShardStaged(i)
-			isRemote := part.Owner(v.Owner) != idx
-			remote = append(remote, isRemote)
-			enc.F64(v.TrigT)
-			enc.U64(v.TrigSeq)
-			enc.F64(v.T)
-			enc.I32(int32(v.Owner))
-			enc.Bool(isRemote)
-			if isRemote {
-				mark := enc.BeginBlob()
-				encodeEventFrame(enc, v.Kind, v.Src, v.Dst, v.Msg)
-				enc.EndBlob(mark)
-				// The frame now owns the payload; the local segment's
-				// lifecycle ends here, exactly where the serial engine's
-				// ack-side Release would have been reached remotely.
-				sim.Arena().Release(v.Msg.Body.Seg)
-			}
-		}
+		encodeFlush(enc, &flush)
 		if err := writeMsg(w, msgFlush, enc.Bytes()); err != nil {
 			return err
 		}
@@ -229,32 +208,15 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 			return fmt.Errorf("shard: worker expected OPEN/FINISH, got message type %d", typ)
 		}
 		dec.Reset(payload, sim.Arena())
-		wStart := dec.F64()
-		seqs = seqs[:0]
-		for i, ng := 0, int(dec.U32()); i < ng && !dec.Failed(); i++ {
-			seqs = append(seqs, dec.U64())
-		}
-		if dec.Failed() {
-			return finish(&dec, "OPEN")
-		}
-		sim.ShardGrant(seqs, remote)
-		for i, ni := 0, int(dec.U32()); i < ni; i++ {
-			seq := dec.U64()
-			t := dec.F64()
-			end := dec.BeginBlob()
-			kind, src, dst, m := decodeEventFrame(&dec)
-			dec.EndBlob(end)
-			if dec.Failed() {
-				return finish(&dec, "OPEN")
-			}
-			sim.ShardInject(seq, t, kind, src, dst, m)
-		}
-		snap := dec.Bool()
+		decodeOpen(&dec, &open)
 		if err := finish(&dec, "OPEN"); err != nil {
 			return err
 		}
-		if snap {
-			// Grants applied, inbound injected: the staged log is empty and
+		if err := sim.ShardAdmit(open.runs, open.inbound); err != nil {
+			return fmt.Errorf("shard: worker %d: %w", idx, err)
+		}
+		if open.snap {
+			// Grants applied, inbound admitted: the staged log is empty and
 			// every pending event sits in the queue — serialize and ship the
 			// engine frame before running the window.
 			enc.Reset()
@@ -266,7 +228,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 			}
 		}
 		t0 := time.Now()
-		sim.ShardRunWindow(wStart)
+		sim.ShardRunWindow(open.wStart)
 		execNs = uint64(time.Since(t0))
 	}
 
@@ -317,6 +279,29 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		async.EncodeTraceEntry(enc, &res.Trace[i])
 	}
 	return writeMsg(w, msgResult, enc.Bytes())
+}
+
+// stageFlush fills f's staged log from the engine's: one group per
+// triggering event, and for each call bound for another shard its event
+// frame, written into frames. A frame's view stays valid as frames grows
+// (growing copies to a new array and leaves the old one as it was) until
+// the next stageFlush resets frames. Writing a frame ends the local
+// segment's lifecycle: the frame now owns the payload, exactly where the
+// serial engine's ack-side Release would have been reached remotely.
+func stageFlush(sim *async.Sim, f *flushMsg, frames *wire.Enc) {
+	f.groups, f.remotes = f.groups[:0], f.remotes[:0]
+	frames.Reset()
+	f.localMin = sim.ShardLog(
+		func(trigT float64, trigSeq uint64, count int) {
+			f.groups = append(f.groups, logGroup{trigT: trigT, trigSeq: trigSeq, count: uint32(count)})
+		},
+		func(idx int, ev *async.ShardEvent) {
+			lo := frames.Len()
+			encodeEventFrame(frames, ev.Kind, ev.Src, ev.Dst, ev.Msg)
+			sim.Arena().Release(ev.Msg.Body.Seg)
+			f.groups[len(f.groups)-1].remotes++
+			f.remotes = append(f.remotes, logRemote{idx: uint32(idx), evT: ev.T, owner: ev.Owner(), frame: frames.Bytes()[lo:]})
+		})
 }
 
 func sortedProtos(pp map[async.Proto]uint64) []async.Proto {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -89,7 +90,7 @@ func (f *floodNode) Init(n *async.Node) {
 		return
 	}
 	f.seen = true
-	n.Output(int64(n.ID()))
+	n.OutputBody(outval.Int64(int64(n.ID())))
 	for _, nb := range n.Neighbors() {
 		n.Send(nb.Node, async.Msg{Proto: floodProto, Body: wire.Tag(1)})
 	}
@@ -107,7 +108,7 @@ func (f *floodNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 		return
 	}
 	f.seen = true
-	n.Output(int64(from))
+	n.OutputBody(outval.Int64(int64(from)))
 	for _, nb := range n.Neighbors() {
 		n.Send(nb.Node, async.Msg{Proto: floodProto, Body: wire.Tag(1)})
 	}
@@ -129,7 +130,7 @@ func (b *bfsNode) Init(n *async.Node) {
 		return
 	}
 	b.have, b.dist = true, 0
-	n.Output(int64(0))
+	n.OutputBody(outval.Int64(0))
 	for _, nb := range n.Neighbors() {
 		n.Send(nb.Node, async.Msg{Proto: bfsProto, Body: wire.Body{Kind: 1, A: 0}})
 	}
@@ -153,7 +154,7 @@ func (b *bfsNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 		return
 	}
 	b.have, b.dist = true, nd
-	n.Output(nd)
+	n.OutputBody(outval.Int64(nd))
 	for _, nb := range n.Neighbors() {
 		n.Send(nb.Node, async.Msg{Proto: bfsProto, Body: wire.Body{Kind: 1, A: nd}})
 	}
@@ -190,7 +191,7 @@ func (s *segFloodNode) Init(n *async.Node) {
 		return
 	}
 	s.seen = true
-	n.Output(int64(n.ID()))
+	n.OutputBody(outval.Int64(int64(n.ID())))
 	s.relay(n)
 }
 
@@ -213,7 +214,7 @@ func (s *segFloodNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 		return
 	}
 	s.seen = true
-	n.Output(sum + m.Body.A)
+	n.OutputBody(outval.Int64(sum + m.Body.A))
 	s.relay(n)
 }
 
