@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
@@ -228,18 +229,21 @@ var (
 // NewBFS returns the synchronous (multi-)source BFS algorithm of
 // Corollary 1.2 for use with RunSync or any synchronizer.
 func NewBFS(sources []NodeID) func(NodeID) Algorithm {
-	return func(NodeID) Algorithm { return &apps.BFS{Sources: sources} }
+	var sl slab.Objects[apps.BFS]
+	return func(NodeID) Algorithm { return sl.Alloc(apps.BFS{Sources: sources}) }
 }
 
 // NewFlood returns the flooding broadcast (each node outputs its hop
 // distance from the source).
 func NewFlood(source NodeID) func(NodeID) Algorithm {
-	return func(NodeID) Algorithm { return &apps.Flood{Source: source} }
+	var sl slab.Objects[apps.Flood]
+	return func(NodeID) Algorithm { return sl.Alloc(apps.Flood{Source: source}) }
 }
 
 // NewEcho returns the flood-and-echo algorithm (the root outputs n).
 func NewEcho(root NodeID) func(NodeID) Algorithm {
-	return func(NodeID) Algorithm { return &apps.Echo{Root: root} }
+	var sl slab.Objects[apps.Echo]
+	return func(NodeID) Algorithm { return sl.Alloc(apps.Echo{Root: root}) }
 }
 
 // NewLeaderElection returns the §6 epoch algorithm plus the pulse bound it
@@ -251,7 +255,8 @@ func NewLeaderElection(g *Graph) (func(NodeID) Algorithm, int) {
 	}
 	layered := cover.BuildLayered(g, d, nil)
 	spans := apps.LeaderSpansAll(g, layered)
-	mk := func(NodeID) Algorithm { return &apps.Leader{Covers: layered, SpansAll: spans} }
+	var sl slab.Objects[apps.Leader]
+	mk := func(NodeID) Algorithm { return sl.Alloc(apps.Leader{Covers: layered, SpansAll: spans}) }
 	res := syncrun.New(g, mk).Run()
 	return mk, res.Rounds + 2
 }
@@ -264,7 +269,8 @@ func NewMST(g *Graph) (func(NodeID) Algorithm, int) {
 	for i := range weights {
 		weights[i] = g.Weight(graph.EdgeID(i))
 	}
-	mk := func(NodeID) Algorithm { return &apps.MST{Barrier: tree, Weights: weights} }
+	var sl slab.Objects[apps.MST]
+	mk := func(NodeID) Algorithm { return sl.Alloc(apps.MST{Barrier: tree, Weights: weights}) }
 	res := syncrun.New(g, mk).Run()
 	return mk, res.Rounds + 2
 }

@@ -2,7 +2,10 @@ package dsync
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -136,6 +139,71 @@ func TestPublicAPISnapshotReplay(t *testing.T) {
 		}
 		if got := replayer.Run(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("replay %d diverged from the uninterrupted synchronized run", i)
+		}
+	}
+}
+
+// TestFactoryAllocsPerChunk pins every shipped handler factory at
+// O(n/4096) allocations for n handlers: each carves its handlers from a
+// slab instead of making one heap object per node.
+func TestFactoryAllocsPerChunk(t *testing.T) {
+	g := WithRandomWeights(Grid(4, 4), 3)
+	leader, _ := NewLeaderElection(g)
+	mst, _ := NewMST(g)
+	bfs, flood, echo := NewBFS([]NodeID{0}), NewFlood(0), NewEcho(0)
+	factories := map[string]func(NodeID) any{
+		"bfs":    func(v NodeID) any { return bfs(v) },
+		"flood":  func(v NodeID) any { return flood(v) },
+		"echo":   func(v NodeID) any { return echo(v) },
+		"leader": func(v NodeID) any { return leader(v) },
+		"mst":    func(v NodeID) any { return mst(v) },
+	}
+	for _, name := range shard.Workloads() {
+		mk, err := shard.NewWorkload(name, shard.WorkloadConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		factories["shard/"+name] = func(v NodeID) any { return mk(v) }
+	}
+	const n = 1 << 15
+	hs := make([]any, n) // a run holds its handlers, and so their chunks
+	for name, mk := range factories {
+		allocs := testing.AllocsPerRun(3, func() {
+			for v := range n {
+				hs[v] = mk(NodeID(v))
+			}
+		})
+		if limit := n/4096 + 16; allocs > float64(limit) {
+			t.Errorf("%s: %.0f allocations for %d handlers, want at most %d", name, allocs, n, limit)
+		}
+	}
+}
+
+// TestFactoryConcurrentCarve builds handlers from one factory on several
+// goroutines at once, as speculative clone targets and core's batches do:
+// the slab hands every call its own handler.
+func TestFactoryConcurrentCarve(t *testing.T) {
+	mk := NewBFS([]NodeID{0})
+	const workers, each = 4, 5000
+	got := make([][]Algorithm, workers)
+	var wg sync.WaitGroup
+	for k := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range each {
+				got[k] = append(got[k], mk(NodeID(v)))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[Algorithm]bool{}
+	for _, hs := range got {
+		for _, h := range hs {
+			if seen[h] {
+				t.Fatal("two calls received the same handler")
+			}
+			seen[h] = true
 		}
 	}
 }

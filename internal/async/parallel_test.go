@@ -3,6 +3,7 @@ package async
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -162,6 +163,24 @@ func TestBoundedLagAutoMode(t *testing.T) {
 	}
 	want := New(g, Fixed{D: 1}, mk()).WithMode(ModeSingle).Run()
 	got := New(g, Fixed{D: 1}, mk()).WithMode(ModeAuto).Run()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("ModeAuto Result differs from serial")
+	}
+}
+
+// TestAutoModeClampsPool: with more workers configured than CPUs, ModeAuto
+// runs on the GOMAXPROCS-clamped pool it reasoned about — two shards here,
+// not eight — and still reproduces the serial Result.
+func TestAutoModeClampsPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := graph.RandomConnected(80, 2100, 5)
+	mk := func(graph.NodeID) Handler { return &floodHandler{} }
+	want := New(g, Fixed{D: 1}, mk).WithMode(ModeSingle).KeepTrace().Run()
+	s := New(g, Fixed{D: 1}, mk).WithWorkers(8).KeepTrace()
+	got := s.Run()
+	if len(s.shards) != 2 {
+		t.Fatalf("Auto ran %d shards at GOMAXPROCS=2 with 8 workers configured, want 2", len(s.shards))
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("ModeAuto Result differs from serial")
 	}

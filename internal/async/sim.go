@@ -110,6 +110,7 @@ type Sim struct {
 	mode        ExecutionMode
 	workers     int
 	minParallel int
+	pool        int // the pool Run resolved: 1 unless a parallel mode runs
 
 	events  eventQueue   // ModeSingle and shard-staged event store
 	shards  []eventQueue // parallel-mode per-worker event stores, by owner node
@@ -325,9 +326,9 @@ const defaultMinParallel = 128
 func (s *Sim) WithMode(m ExecutionMode) *Sim { s.mode = m; return s }
 
 // WithWorkers caps the parallel worker pool (default GOMAXPROCS, capped by
-// execpolicy.MaxWorkers). ModeAuto additionally clamps the pool to
-// GOMAXPROCS; a forced parallel mode keeps an oversubscribed count (tests
-// force 4 workers on 1 CPU to exercise the concurrent paths).
+// execpolicy.MaxWorkers). ModeAuto additionally clamps the pool it runs
+// with to GOMAXPROCS; a forced parallel mode keeps an oversubscribed count
+// (tests force 4 workers on 1 CPU to exercise the concurrent paths).
 func (s *Sim) WithWorkers(k int) *Sim {
 	execpolicy.ValidateWorkers("async", k)
 	s.workers = k
@@ -505,8 +506,9 @@ func (s *Sim) Run() Result {
 	}
 	s.running = true
 	mode := s.mode
+	s.pool = s.workers
 	if mode == ModeAuto {
-		mode = ModeSingle
+		mode, s.pool = ModeSingle, execpolicy.AutoWorkers(s.workers)
 		if execpolicy.AsyncAuto(s.workers, s.g.Links(), s.lookahead, false) == execpolicy.AsyncWindows {
 			mode = ModeMulti
 		}
@@ -518,6 +520,9 @@ func (s *Sim) Run() Result {
 		// supports. SpecStats records the downgrade.
 		s.specStats.FellBack = true
 		mode = ModeMulti
+	}
+	if mode == ModeSingle {
+		s.pool = 1
 	}
 	switch mode {
 	case ModeMulti:
@@ -569,7 +574,7 @@ func (s *Sim) initHandlers() {
 // exact floating-point arithmetic too, since fl(t+d) is monotone in t and d
 // — and its barrier is mergeWindow; ModeSpec's are in spec.go.
 func (s *Sim) runWindows(round func(k int, wStart float64), barrier func(wStart float64) int) {
-	w := max(s.workers, 1)
+	w := s.pool
 	s.ensureWindowState(w)
 	s.sharded = true
 	defer func() {
@@ -777,7 +782,11 @@ func (s *Sim) result() Result {
 	if s.denseOut {
 		res.OutBodies, res.OutSet, res.Outputs = s.out.Dense(true)
 	} else {
-		res.Outputs = s.out.Map(s.nodeBase)
+		w := 1
+		if s.pool > 1 && len(s.handlers) >= s.minParallel {
+			w = s.pool
+		}
+		res.Outputs = s.out.Map(s.nodeBase, w)
 	}
 	return res
 }

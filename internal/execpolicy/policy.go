@@ -66,12 +66,12 @@ func ValidateWorkers(engine string, k int) {
 	}
 }
 
-// autoWorkers is the worker count Auto-mode decisions reason with: the
-// configured pool clamped to GOMAXPROCS. An explicitly forced parallel
-// mode keeps its configured (possibly oversubscribed) pool — tests rely on
-// forcing 4 workers on 1 CPU — but Auto never volunteers more workers than
-// there are CPUs to run them.
-func autoWorkers(configured int) int {
+// AutoWorkers is the worker count Auto-mode decisions reason with and the
+// pool an Auto run then uses: the configured pool clamped to GOMAXPROCS.
+// An explicitly forced parallel mode keeps its configured (possibly
+// oversubscribed) pool — tests rely on forcing 4 workers on 1 CPU — but
+// Auto never volunteers more workers than there are CPUs to run them.
+func AutoWorkers(configured int) int {
 	if p := runtime.GOMAXPROCS(0); configured > p {
 		return p
 	}
@@ -106,7 +106,7 @@ const (
 // The fourth parameter, whether the handlers are cloneable, is ignored: it
 // stays in the signature because the benchmark module still passes it.
 func AsyncAuto(workers, links int, lookahead float64, _ bool) AsyncChoice {
-	if autoWorkers(workers) <= 1 || links < autoMultiLinks {
+	if AutoWorkers(workers) <= 1 || links < autoMultiLinks {
 		return AsyncSerial
 	}
 	if lookahead >= autoMinLookahead {
@@ -121,7 +121,7 @@ func AsyncAuto(workers, links int, lookahead float64, _ bool) AsyncChoice {
 // LockstepMulti reports whether the lockstep runner's Auto mode should use
 // its worker pool for a graph of n nodes.
 func LockstepMulti(workers, nodes int) bool {
-	return autoWorkers(workers) > 1 && nodes >= autoMultiNodes
+	return AutoWorkers(workers) > 1 && nodes >= autoMultiNodes
 }
 
 // maxShards caps multi-process sharded runs: each shard is a whole OS

@@ -42,10 +42,10 @@ func TestValidateWorkers(t *testing.T) {
 
 func TestAutoWorkers(t *testing.T) {
 	withProcs(2, func() {
-		if w := autoWorkers(8); w != 2 {
+		if w := AutoWorkers(8); w != 2 {
 			t.Fatalf("AutoWorkers must clamp an oversubscribed pool to GOMAXPROCS, got %d", w)
 		}
-		if w := autoWorkers(1); w != 1 {
+		if w := AutoWorkers(1); w != 1 {
 			t.Fatalf("AutoWorkers(1) = %d", w)
 		}
 	})

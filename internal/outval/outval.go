@@ -183,7 +183,12 @@ func (t *Table) Reset() {
 }
 
 // Map materializes every set slot's decoded value, keyed by base + slot.
-func (t *Table) Map(base graph.NodeID) map[graph.NodeID]any {
+// With w > 1, w goroutines decode contiguous slot ranges into a per-slot
+// scratch column first and the map is filled from it afterwards; w = 1
+// decodes straight into the map. Decoders must be safe to call
+// concurrently (they are pure functions of the body); a decode panic
+// reaches the caller either way.
+func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
 	n := 0
 	for _, has := range t.has {
 		if has {
@@ -192,9 +197,37 @@ func (t *Table) Map(base graph.NodeID) map[graph.NodeID]any {
 	}
 	out := make(map[graph.NodeID]any, n)
 	bodies, boxed := loaded(&t.bodies), loaded(&t.boxed)
+	if w <= 1 {
+		for i, has := range t.has {
+			if has {
+				out[base+graph.NodeID(i)] = decodeSlot(at(bodies, i), at(boxed, i))
+			}
+		}
+		return out
+	}
+	vals, panics := make([]any, len(t.has)), make([]any, w)
+	var wg sync.WaitGroup
+	for k := range w {
+		wg.Add(1)
+		go func(k, lo, hi int) {
+			defer wg.Done()
+			defer func() { panics[k] = recover() }()
+			for i := lo; i < hi; i++ {
+				if t.has[i] {
+					vals[i] = decodeSlot(at(bodies, i), at(boxed, i))
+				}
+			}
+		}(k, k*len(vals)/w, (k+1)*len(vals)/w)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for i, has := range t.has {
 		if has {
-			out[base+graph.NodeID(i)] = decodeSlot(at(bodies, i), at(boxed, i))
+			out[base+graph.NodeID(i)] = vals[i]
 		}
 	}
 	return out

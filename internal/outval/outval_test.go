@@ -88,14 +88,14 @@ func TestTableOverwrite(t *testing.T) {
 		if step.set() {
 			firsts++
 		}
-		if got := tb.Map(10)[11]; got != step.want || !tb.Has(1) {
+		if got := tb.Map(10, 1)[11]; got != step.want || !tb.Has(1) {
 			t.Fatalf("slot 1 reads %v (has %v), want %v", got, tb.Has(1), step.want)
 		}
 	}
 	if firsts != 1 {
 		t.Fatalf("first output reported %d times, want once", firsts)
 	}
-	if m := tb.Map(10); len(m) != 1 {
+	if m := tb.Map(10, 1); len(m) != 1 {
 		t.Fatalf("map has %d entries, want 1: %v", len(m), m)
 	}
 }
@@ -122,11 +122,57 @@ func filled() *Table {
 	return tb
 }
 
+// TestTableMapFanOut: every pool size decodes the same map as the inline
+// loop, pools wider than the table (empty ranges) included, and a decoder
+// panic on a worker reaches the caller.
+func TestTableMapFanOut(t *testing.T) {
+	tb := filled()
+	want := tb.Map(10, 1)
+	for _, w := range []int{2, 3, 6, 8} {
+		if got := tb.Map(10, w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Map with %d workers = %v, want %v", w, got, want)
+		}
+	}
+	var bad Table
+	bad.Init(4)
+	bad.SetBody(3, wire.Body{Kind: 0x7E55})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a fanned-out Map of an unregistered kind should panic")
+		}
+	}()
+	bad.Map(0, 2)
+}
+
+// TestTableMapFanOutAllocs pins a fanned-out Map at one box per output
+// plus a constant beyond the result map's own tables: the scratch column
+// and the workers do not grow with the outputs.
+func TestTableMapFanOutAllocs(t *testing.T) {
+	const n = 1 << 14
+	var tb Table
+	tb.Init(n)
+	for i := range n {
+		tb.SetBody(i, Int64(int64(1000+i))) // past the runtime's cached small ints
+	}
+	tables := testing.AllocsPerRun(3, func() {
+		m := make(map[graph.NodeID]any, n)
+		for i := range n {
+			m[graph.NodeID(i)] = nil
+		}
+	})
+	fanned := testing.AllocsPerRun(3, func() { tb.Map(0, 4) })
+	const slack = 16
+	if extra := fanned - tables - n; extra > slack {
+		t.Fatalf("fanned-out Map of %d outputs made %.0f allocations: %.0f beyond a box each and the map's %.0f, want at most %d",
+			n, fanned, extra, tables, slack)
+	}
+}
+
 // TestTableDenseMatchesMap: both dense forms — aliased and owned — decode
 // to the map materialization, and only the owned one survives Reset.
 func TestTableDenseMatchesMap(t *testing.T) {
 	tb := filled()
-	want := tb.Map(0)
+	want := tb.Map(0, 1)
 	for _, own := range []bool{false, true} {
 		bodies, set, boxed := tb.Dense(own)
 		if len(boxed) != 1 || boxed[2] != 3.5 {
@@ -172,7 +218,7 @@ func TestTableFrameRecords(t *testing.T) {
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
 		t.Fatalf("load: err %v, %d bytes left", err, d.Remaining())
 	}
-	if got, want := back.Map(0), tb.Map(0); !reflect.DeepEqual(got, want) {
+	if got, want := back.Map(0, 1), tb.Map(0, 1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: %v, want %v", got, want)
 	}
 
@@ -212,7 +258,7 @@ func TestTableResetKeepsSlabs(t *testing.T) {
 		t.Fatalf("Reset + refill allocated %.0f times, want 0", allocs)
 	}
 	tb.Reset()
-	if tb.Has(0) || len(tb.Map(0)) != 0 {
+	if tb.Has(0) || len(tb.Map(0, 1)) != 0 {
 		t.Fatal("Reset left an output behind")
 	}
 }
@@ -239,7 +285,7 @@ func TestTableConcurrentFirstWrites(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	m := tb.Map(0)
+	m := tb.Map(0, 1)
 	for i := range workers * per {
 		want := any(i)
 		if i%3 == 0 {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/outval"
+	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -48,20 +49,23 @@ func NewWorkload(name string, cfg WorkloadConfig) (func(id graph.NodeID) async.H
 	}
 	switch name {
 	case "flood":
+		var sl slab.Objects[floodNode]
 		return func(id graph.NodeID) async.Handler {
-			return &floodNode{root: isSrc(id)}
+			return sl.Alloc(floodNode{root: isSrc(id)})
 		}, nil
 	case "bfs":
+		var sl slab.Objects[bfsNode]
 		return func(id graph.NodeID) async.Handler {
-			return &bfsNode{root: isSrc(id)}
+			return sl.Alloc(bfsNode{root: isSrc(id)})
 		}, nil
 	case "segflood":
 		w := cfg.SegWords
 		if w <= 0 {
 			w = 48
 		}
+		var sl slab.Objects[segFloodNode]
 		return func(id graph.NodeID) async.Handler {
-			return &segFloodNode{root: isSrc(id), words: w}
+			return sl.Alloc(segFloodNode{root: isSrc(id), words: w})
 		}, nil
 	}
 	return nil, fmt.Errorf("shard: unknown workload %q", name)

@@ -1,10 +1,14 @@
 // Package slab carves many small, growable slices out of shared chunks, so
 // a run that builds one value per node — route tables, module rows, core
-// queues — allocates a handful of chunks rather than one backing array per
-// node.
+// queues, handlers — allocates a handful of chunks rather than one backing
+// array or object per node.
 package slab
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+	"weak"
+)
 
 // Slab hands out slices from shared chunks: a slice that outgrows its
 // capacity moves to a carved one twice the size, leaving the old one behind
@@ -45,4 +49,36 @@ func Push[T any](sl *Slab[T], s []T, x T) []T { return append(sl.Grow(s, 1), x) 
 // Assign sets dst to a copy of src, growing it from sl.
 func Assign[T any](sl *Slab[T], dst, src []T) []T {
 	return append(sl.Grow(dst[:0], len(src)), src...)
+}
+
+// Objects hands out single values carved from shared chunks, for a handler
+// factory that outlives the runs it builds for. Unlike a Slab it holds its
+// current chunk only weakly: a chunk lives exactly as long as some value
+// carved from it, so a factory between runs pins no memory. A chunk that
+// died restarts the size ramp, so each run's chunks double from one value
+// up to 4096 again. Alloc locks, as Carve does. T must not be zero-sized.
+// The zero Objects is ready to use.
+type Objects[T any] struct {
+	mu         sync.Mutex
+	head       weak.Pointer[T] // the current chunk's first value
+	size, used int
+}
+
+// Alloc returns a pointer to a copy of v.
+func (o *Objects[T]) Alloc(v T) *T {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	head := o.head.Value()
+	if head == nil {
+		o.size = 0
+	}
+	if head == nil || o.used == o.size {
+		o.size = min(max(2*o.size, 1), 1<<12)
+		chunk := make([]T, o.size)
+		head, o.head, o.used = &chunk[0], weak.Make(&chunk[0]), 0
+	}
+	x := &unsafe.Slice(head, o.size)[o.used]
+	*x = v
+	o.used++
+	return x
 }

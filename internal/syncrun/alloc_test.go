@@ -64,7 +64,8 @@ func TestZeroSteadyStateAllocsPerMessage(t *testing.T) {
 // message, runner construction and the Outputs map included. The send
 // logs and the inbox array are sized by the peak pulse and reused, so the
 // figure is a couple of 56-byte records per message of the peak pulse plus
-// per-node state (about 119 B). Per-receiver chains in one growing pool
+// per-node state (about 119 B; Multi about 123 B, the extra being the
+// fanned-out decode's per-slot column). Per-receiver chains in one growing pool
 // allocated about 310 B/message (Single) and 500 B/message (Multi, three
 // workers) here.
 func TestLockstepBytesPerMessage(t *testing.T) {

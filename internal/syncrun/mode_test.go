@@ -2,6 +2,8 @@ package syncrun
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -191,6 +193,65 @@ func TestInPlaceBatchSafety(t *testing.T) {
 				t.Fatalf("%s: node %d saw batches %v, want %v", mode, v, hs[v].got, clean[v].got)
 			}
 		}
+	}
+}
+
+// TestSealSplitMatchesOneRange steps a Single runner, whose seal is one
+// receiver range, beside a Multi runner whose every seal splits into three
+// word-aligned ranges, and requires the same pulse buffer after every
+// seal: inbox, cursors, epochs, activation bitmap and count. The graphs
+// span one bitmap word (two empty ranges), two (one empty), and several
+// (uneven ranges).
+func TestSealSplitMatchesOneRange(t *testing.T) {
+	for _, spec := range []string{"path:40", "star:100", "grid:13x17", "er:n=300,m=900,seed=3", "pa:n=260,m=2,seed=5"} {
+		g := specGraph(spec)
+		mk := func(graph.NodeID) Handler { return &scribbler{} }
+		one := New(g, mk).WithMode(ModeSingle)
+		split := New(g, mk).WithMode(ModeMulti).WithWorkers(3).WithMinParallel(1)
+		one.start()
+		split.start()
+		for p := 0; ; p++ {
+			a, b := &one.buf, &split.buf
+			switch {
+			case !slices.Equal(a.in, b.in):
+				t.Fatalf("%s pulse %d: inbox differs", spec, p)
+			case !slices.Equal(a.lo, b.lo) || !slices.Equal(a.hi, b.hi):
+				t.Fatalf("%s pulse %d: batch cursors differ", spec, p)
+			case !slices.Equal(a.ep, b.ep) || a.epoch != b.epoch:
+				t.Fatalf("%s pulse %d: epochs differ", spec, p)
+			case !slices.Equal(a.bits, b.bits) || a.active != b.active:
+				t.Fatalf("%s pulse %d: activation set differs (%d vs %d active)", spec, p, a.active, b.active)
+			}
+			more := one.stepPulse()
+			if split.stepPulse() != more {
+				t.Fatalf("%s pulse %d: one runner quiesced before the other", spec, p)
+			}
+			if !more {
+				break
+			}
+		}
+		if len(one.ranges) != 1 || len(split.ranges) != 3 {
+			t.Fatalf("%s: sealed with %d and %d ranges, want 1 and 3", spec, len(one.ranges), len(split.ranges))
+		}
+	}
+}
+
+// TestAutoModeClampsPool: with more workers configured than CPUs, ModeAuto
+// runs on the GOMAXPROCS-clamped pool it reasoned about — two sinks and
+// two seal ranges here, not eight — and still reproduces Single's Result.
+func TestAutoModeClampsPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := specGraph("er:n=3000,m=9000,seed=2")
+	mk := func(graph.NodeID) Handler { return &benchBFS{} }
+	want := New(g, mk).WithMode(ModeSingle).KeepTrace().Run()
+	r := New(g, mk).WithWorkers(8).KeepTrace()
+	got := r.Run()
+	if len(r.sinks) != 2 || len(r.ranges) != 2 {
+		t.Fatalf("Auto ran %d sinks and %d seal ranges at GOMAXPROCS=2 with 8 workers configured, want 2 and 2",
+			len(r.sinks), len(r.ranges))
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("ModeAuto Result differs from Single")
 	}
 }
 

@@ -218,9 +218,9 @@ func (r *Runner) restoreFailed() {
 // calls to checkpoint at any pulse, then FinishResult once it returns
 // false.
 func (r *Runner) RunPulses(n int) bool {
-	mode := r.start()
+	r.start()
 	for ; n > 0; n-- {
-		if !r.stepPulse(mode) {
+		if !r.stepPulse() {
 			return false
 		}
 	}

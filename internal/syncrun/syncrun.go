@@ -19,16 +19,20 @@
 // per-node state) and handed to the handler in place. The activation set
 // is a bitmap iterated in node-index order, and the CONGEST
 // one-message-per-link-per-pulse guard is a flat pulse-stamp array indexed
-// by the graph's dense LinkID. Because the logs drain in serial send order
-// (active nodes in ascending index order, each sending at most once per
-// neighbor) and the scatter is stable, every batch is sorted by sender.
+// by the graph's dense LinkID. Because the logs are read in serial send
+// order (active nodes in ascending index order, each sending at most once
+// per neighbor) and the scatter is stable, every batch is sorted by sender.
 //
 // Runner supports three execution modes. Single steps the activation set
 // on one goroutine into one send log. Multi shards it across a worker
-// pool, one log per worker; the logs drain in shard order, which
-// reproduces Single's send order exactly — Result (outputs, T, M, trace)
-// is byte-identical across modes. Auto picks Multi for graphs large enough
-// to amortize the pool.
+// pool, one log per worker, read in shard order, which reproduces Single's
+// send order exactly. Multi also runs the barrier on the pool: the seal
+// splits the receivers into word-aligned ranges, one per worker, each of
+// which counts and scatters its own receivers' messages in that order, and
+// the Result's output map decodes by slot range. Single is the one-range
+// case of the same code, so Result (outputs, T, M, trace) is
+// byte-identical across modes. Auto picks Multi for graphs large enough to
+// amortize the pool, and runs it with the pool clamped to GOMAXPROCS.
 package syncrun
 
 import (
@@ -280,12 +284,17 @@ type pulseBuf struct {
 	active int // number of set bits
 }
 
-func (b *pulseBuf) activate(v graph.NodeID) {
+func (b *pulseBuf) activate(v graph.NodeID) { b.active += b.mark(v) }
+
+// mark sets v's activation bit and returns 1 if it was clear. The seal's
+// range workers sum these privately instead of sharing the active count.
+func (b *pulseBuf) mark(v graph.NodeID) int {
 	w, m := uint(v)>>6, uint64(1)<<(uint(v)&63)
-	if b.bits[w]&m == 0 {
-		b.bits[w] |= m
-		b.active++
+	if b.bits[w]&m != 0 {
+		return 0
 	}
+	b.bits[w] |= m
+	return 1
 }
 
 // batch returns node v's deliveries in place, its capacity clipped so a
@@ -318,10 +327,12 @@ type Runner struct {
 	mode        ExecutionMode
 	workers     int
 	minParallel int
+	pool        int // the pool start resolved: 1 unless the mode is Multi
 
-	pulse int
-	buf   pulseBuf   // this pulse's deliveries; between pulses, the next's
-	sinks []sendSink // send logs: one, or one per worker once Multi fans out
+	pulse  int
+	buf    pulseBuf    // this pulse's deliveries; between pulses, the next's
+	sinks  []sendSink  // send logs: one, or one per worker once Multi fans out
+	ranges []sealRange // the seal's receiver ranges: one, or one per worker
 
 	// started marks that Init ran (or was skipped on a resumed run); done
 	// marks quiescence; resumed marks state loaded from a snapshot, whose
@@ -399,9 +410,9 @@ func (r *Runner) WithDenseOutputs() *Runner { r.denseOut = true; return r }
 func (r *Runner) WithMode(m ExecutionMode) *Runner { r.mode = m; return r }
 
 // WithWorkers caps the Multi-mode worker pool (default GOMAXPROCS, capped
-// by execpolicy.MaxWorkers). ModeAuto additionally clamps the pool to
-// GOMAXPROCS; a forced ModeMulti keeps an oversubscribed count (tests
-// force several workers on 1 CPU to exercise the concurrent path).
+// by execpolicy.MaxWorkers). ModeAuto additionally clamps the pool it runs
+// with to GOMAXPROCS; a forced ModeMulti keeps an oversubscribed count
+// (tests force several workers on 1 CPU to exercise the concurrent path).
 func (r *Runner) WithWorkers(k int) *Runner {
 	execpolicy.ValidateWorkers("syncrun", k)
 	r.workers = k
@@ -425,23 +436,24 @@ func (r *Runner) Handler(v graph.NodeID) Handler { return r.handlers[v] }
 
 // Run executes to quiescence and returns measurements.
 func (r *Runner) Run() Result {
-	mode := r.start()
-	for r.stepPulse(mode) {
+	r.start()
+	for r.stepPulse() {
 	}
 	return r.finish()
 }
 
-// start resolves the execution mode and runs pulse 0 (Init) on the first
-// call — unless the runner resumed from a snapshot, whose pulse 0 already
-// happened in the interrupted run.
-func (r *Runner) start() ExecutionMode {
-	mode := r.mode
-	if mode == ModeAuto {
-		if execpolicy.LockstepMulti(r.workers, r.g.N()) {
-			mode = ModeMulti
-		} else {
-			mode = ModeSingle
-		}
+// start resolves the execution mode into the pool the run steps, seals and
+// decodes with, then runs pulse 0 (Init) on the first call — unless the
+// runner resumed from a snapshot, whose pulse 0 already happened in the
+// interrupted run.
+func (r *Runner) start() {
+	switch {
+	case r.mode == ModeMulti:
+		r.pool = r.workers
+	case r.mode == ModeAuto && execpolicy.LockstepMulti(r.workers, r.g.N()):
+		r.pool = execpolicy.AutoWorkers(r.workers)
+	default:
+		r.pool = 1
 	}
 	if !r.started {
 		r.started = true
@@ -453,13 +465,21 @@ func (r *Runner) start() ExecutionMode {
 			r.seal()
 		}
 	}
-	return mode
+}
+
+// fanWidth is how many workers a barrier phase over `size` items uses: the
+// whole pool once size reaches the parallel threshold, else one (inline).
+func (r *Runner) fanWidth(size int) int {
+	if size >= r.minParallel {
+		return r.pool
+	}
+	return 1
 }
 
 // stepPulse advances the clock and executes one pulse, reporting false
 // once the network is quiet (the clock still advances past the final
 // pulse, preserving Rounds = pulse-1).
-func (r *Runner) stepPulse(mode ExecutionMode) bool {
+func (r *Runner) stepPulse() bool {
 	if r.done {
 		return false
 	}
@@ -471,8 +491,8 @@ func (r *Runner) stepPulse(mode ExecutionMode) bool {
 		r.done = true
 		return false
 	}
-	if mode == ModeMulti && r.buf.active >= r.minParallel && r.workers > 1 {
-		r.stepParallel()
+	if w := r.fanWidth(r.buf.active); w > 1 {
+		r.stepParallel(w)
 	} else {
 		r.stepSerial()
 	}
@@ -491,7 +511,7 @@ func (r *Runner) finish() Result {
 	if r.denseOut {
 		res.OutBodies, res.OutSet, res.Outputs = r.out.Dense(false)
 	} else {
-		res.Outputs = r.out.Map(0)
+		res.Outputs = r.out.Map(0, r.fanWidth(r.g.N()))
 	}
 	return res
 }
@@ -526,18 +546,18 @@ func (r *Runner) stepNode(v graph.NodeID, sinkIdx int32) {
 	}
 }
 
-// stepParallel runs one pulse on the worker pool: contiguous shards of the
+// stepParallel runs one pulse on w workers: contiguous shards of the
 // (index-ordered) activation set step concurrently, worker k staging its
-// sends in sink k; the seal drains the sinks in shard order, reproducing
+// sends in sink k; the seal reads the sinks in shard order, reproducing
 // serial order.
-func (r *Runner) stepParallel() {
+func (r *Runner) stepParallel(w int) {
 	ids := r.activeIDs[:0]
-	for w, word := range r.buf.bits {
+	for i, word := range r.buf.bits {
 		if word == 0 {
 			continue
 		}
-		r.buf.bits[w] = 0
-		base := w << 6
+		r.buf.bits[i] = 0
+		base := i << 6
 		for word != 0 {
 			ids = append(ids, graph.NodeID(base+bits.TrailingZeros64(word)))
 			word &= word - 1
@@ -545,27 +565,45 @@ func (r *Runner) stepParallel() {
 	}
 	r.activeIDs = ids
 	r.buf.active = 0
+	w = min(w, len(ids))
+	if len(r.sinks) < w {
+		r.sinks = append(r.sinks, make([]sendSink, w-len(r.sinks))...)
+	}
+	r.fanOut(stepPhase, w)
+}
 
-	w := min(r.workers, len(ids))
+// A phase names the work fanOut splits across the pool.
+type phase uint8
+
+const (
+	stepPhase    phase = iota // step shard k of the activation set
+	countPhase                // count and activate seal range k
+	scatterPhase              // place seal range k's batches
+)
+
+// fanOut runs phase ph's parts 0..w-1, inline when w is 1 and on one
+// goroutine each otherwise, and re-raises the first worker panic in worker
+// order.
+func (r *Runner) fanOut(ph phase, w int) {
+	if w == 1 {
+		r.runPart(ph, 0, 1)
+		return
+	}
 	if len(r.workerPanics) < w {
-		r.sinks = append(r.sinks, make([]sendSink, r.workers-len(r.sinks))...)
-		r.workerPanics = make([]any, r.workers)
+		r.workerPanics = make([]any, w)
 	}
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
-		lo, hi := k*len(ids)/w, (k+1)*len(ids)/w
 		wg.Add(1)
-		go func(k int, shard []graph.NodeID) {
+		go func(k int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					r.workerPanics[k] = p
 				}
 			}()
-			for _, v := range shard {
-				r.stepNode(v, int32(k))
-			}
-		}(k, ids[lo:hi])
+			r.runPart(ph, k, w)
+		}(k)
 	}
 	wg.Wait()
 	for k := 0; k < w; k++ {
@@ -575,43 +613,141 @@ func (r *Runner) stepParallel() {
 	}
 }
 
+// runPart runs part k of w of phase ph.
+func (r *Runner) runPart(ph phase, k, w int) {
+	switch ph {
+	case stepPhase:
+		ids := r.activeIDs
+		for _, v := range ids[k*len(ids)/w : (k+1)*len(ids)/w] {
+			r.stepNode(v, int32(k))
+		}
+	case countPhase:
+		r.ranges[k].count(r)
+	case scatterPhase:
+		r.ranges[k].scatter(r)
+	}
+}
+
 // seal closes a pulse (or Init) at the barrier: it counting-sorts the
 // staged sends by receiver into the buffer as the next pulse's batches.
-// The sinks drain in order — the serial application order. A first pass
-// counts each receiver's messages, activates both endpoints and does the
-// M, T and trace accounting; a walk of the activation bitmap gives each
-// receiver a contiguous range in ascending node order; a stable scatter
-// then fills the ranges, so every batch stays sorted by sender.
+// The sinks are read in order, which is the serial application order. A
+// serial pre-pass books M, T and the trace. The receivers then split into
+// contiguous ranges of whole bitmap words, one per worker (a single range
+// unless the pulse is past the parallel threshold of a Multi run), so no
+// two workers write the same bits word or lo/hi/ep entry. Each range's
+// worker walks every send in order twice: first counting its receivers'
+// messages and activating its senders and receivers, then — once a prefix
+// sum over the range totals has given each range its base in the inbox —
+// assigning its receivers contiguous ranges in ascending node order and
+// scattering its messages stably, so every batch stays sorted by sender
+// and the buffer is the same for any number of ranges.
 func (r *Runner) seal() {
 	b := &r.buf
 	b.refill()
+	msgs := 0
 	for k := range r.sinks {
 		s := &r.sinks[k]
 		for _, c := range s.log[:s.used] {
-			for i := range c {
-				rec := &c[i]
-				if b.ep[rec.to] != b.epoch {
-					b.ep[rec.to], b.lo[rec.to] = b.epoch, 0
-					b.activate(rec.to)
-				}
-				b.lo[rec.to]++
-				b.activate(rec.from)
-				if r.keepTrace {
-					// A seg-carrying trace Body keeps only the handle; its
-					// storage is recycled after delivery, so traces of seg
-					// traffic are compared by handle, not resolved afterwards.
-					r.trace = append(r.trace, TraceEntry{Pulse: r.pulse, From: rec.from, To: rec.to, Body: rec.body})
-				}
+			msgs += len(c)
+			if !r.keepTrace {
+				continue
 			}
-			r.msgs += uint64(len(c))
+			for i := range c {
+				// A seg-carrying trace Body keeps only the handle; its
+				// storage is recycled after delivery, so traces of seg
+				// traffic are compared by handle, not resolved afterwards.
+				r.trace = append(r.trace, TraceEntry{Pulse: r.pulse, From: c[i].from, To: c[i].to, Body: c[i].body})
+			}
 		}
 		if s.newOut && r.pulse > r.lastOut {
 			r.lastOut = r.pulse
 		}
 	}
+	r.msgs += uint64(msgs)
+
+	w := r.fanWidth(msgs)
+	if len(r.ranges) < w {
+		r.ranges = make([]sealRange, w)
+	}
+	words := len(b.bits)
+	for k := range w {
+		r.ranges[k] = sealRange{w0: k * words / w, w1: (k + 1) * words / w}
+	}
+	r.fanOut(countPhase, w)
 	var off int32
-	for w, word := range b.bits {
-		for base := w << 6; word != 0; word &= word - 1 {
+	for k := range w {
+		rg := &r.ranges[k]
+		rg.base, off = off, off+rg.msgs
+		b.active += rg.active
+	}
+	if int(off) > cap(b.in) {
+		b.in = make([]Incoming, 0, max(int(off), 2*cap(b.in)))
+	}
+	b.in = b.in[:off]
+	r.fanOut(scatterPhase, w)
+
+	for k := range r.sinks {
+		s := &r.sinks[k]
+		for j, c := range s.log[:s.used] {
+			s.log[j] = c[:0]
+		}
+		s.used, s.newOut = 0, false
+	}
+}
+
+// sealRange is one seal worker's share of the receivers: the nodes of
+// bitmap words [w0, w1), the messages they receive, the nodes it
+// activated, and its base offset in the inbox.
+type sealRange struct {
+	w0, w1     int
+	msgs, base int32
+	active     int
+}
+
+// nodes returns the range's first node and its node count.
+func (rg *sealRange) nodes(n int) (graph.NodeID, uint32) {
+	lo := rg.w0 << 6
+	return graph.NodeID(lo), uint32(max(min(rg.w1<<6, n)-lo, 0))
+}
+
+// count walks every send in serial order, counting the messages to the
+// range's receivers in their lo cursors and activating the range's
+// receivers and senders.
+func (rg *sealRange) count(r *Runner) {
+	b := &r.buf
+	lo, n := rg.nodes(len(b.lo))
+	var msgs int32
+	active := 0
+	for k := range r.sinks {
+		s := &r.sinks[k]
+		for _, c := range s.log[:s.used] {
+			for i := range c {
+				rec := &c[i]
+				if uint32(rec.to-lo) < n {
+					if b.ep[rec.to] != b.epoch {
+						b.ep[rec.to], b.lo[rec.to] = b.epoch, 0
+						active += b.mark(rec.to)
+					}
+					b.lo[rec.to]++
+					msgs++
+				}
+				if uint32(rec.from-lo) < n {
+					active += b.mark(rec.from)
+				}
+			}
+		}
+	}
+	rg.msgs, rg.active = msgs, active
+}
+
+// scatter gives each of the range's receivers its contiguous inbox range,
+// in ascending node order from the range's base, then places the range's
+// messages in serial send order.
+func (rg *sealRange) scatter(r *Runner) {
+	b := &r.buf
+	off := rg.base
+	for w := rg.w0; w < rg.w1; w++ {
+		for word, base := b.bits[w], w<<6; word != 0; word &= word - 1 {
 			if v := base + bits.TrailingZeros64(word); b.ep[v] == b.epoch {
 				cnt := b.lo[v]
 				b.lo[v], b.hi[v] = off, off
@@ -619,20 +755,17 @@ func (r *Runner) seal() {
 			}
 		}
 	}
-	if int(off) > cap(b.in) {
-		b.in = make([]Incoming, 0, max(int(off), 2*cap(b.in)))
-	}
-	b.in = b.in[:off]
+	lo, n := rg.nodes(len(b.lo))
 	for k := range r.sinks {
 		s := &r.sinks[k]
-		for j, c := range s.log[:s.used] {
+		for _, c := range s.log[:s.used] {
 			for i := range c {
 				rec := &c[i]
-				b.in[b.hi[rec.to]] = Incoming{From: rec.from, Body: rec.body}
-				b.hi[rec.to]++
+				if uint32(rec.to-lo) < n {
+					b.in[b.hi[rec.to]] = Incoming{From: rec.from, Body: rec.body}
+					b.hi[rec.to]++
+				}
 			}
-			s.log[j] = c[:0]
 		}
-		s.used, s.newOut = 0, false
 	}
 }
