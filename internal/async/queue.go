@@ -12,36 +12,52 @@ package async
 //
 // The 96-byte event payloads live in a slab of fixed-size chunks and never
 // move while queued; slots order 24-byte keys {t, seq, idx} into it, so a
-// sift or a migration moves keys only. Chunks (not one doubling slice) keep
-// retained memory at peak occupancy and payload addresses stable, which
-// lets the executors process a popped event in place (see popBefore).
+// sort, a sift or a migration moves keys only. Chunks (not one doubling
+// slice) keep retained memory at peak occupancy and payload addresses
+// stable, which lets the executors process a popped event in place (see
+// popBefore).
 //
-// A slot is one key slice in one of two shapes (see cqSlot): a sorted run
-// read through a head cursor while pushes arrive in (t, seq) order — the
-// only shape Fixed ever produces — or, from the first out-of-order push
-// until it next drains, a binary min-heap, hand-rolled because
-// container/heap boxes every pushed element into an `any`.
+// A slot is one key slice (see cqSlot) in one of three shapes:
+//   - A wheel slot ahead of the clock is a bag: pushes append, and a flag
+//     records whether one arrived out of (t, seq) order. Under a diffuse
+//     adversary a slot collects thousands of keys before the clock reads
+//     any of them, so advance sorts a flagged bag once, when the clock
+//     reaches its tick, and from then on reads it as a sorted run through
+//     a head cursor. Under Fixed the flag never rises and nothing sorts.
+//   - A push at or before the clock's own tick cannot join the current
+//     slot's run without reordering it, so it goes to the straggler slot
+//     instead. The straggler slot and the overflow store are sorted runs
+//     while their pushes arrive in (t, seq) order and, from the first
+//     out-of-order push until they next drain, binary min-heaps,
+//     hand-rolled because container/heap boxes every element into an
+//     `any`. Stragglers are the few events whose delay ends inside the
+//     current tick, so their heap stays small and a push costs O(log n)
+//     even when every delay is that short.
 //
 // Pop order is exactly the seed heap's (t, seq) order: tick(t) is a
-// monotone function of t, slots are drained in tick order, and each slot
-// orders its events by (t, seq).
+// monotone function of t, wheel slots are reached in tick order, the clock
+// does not leave a tick while the straggler slot holds events, and the
+// next event is the smaller of the straggler slot's and the current slot's
+// minimum.
 type eventQueue struct {
 	chunks []*[cqChunk]event
 	freed  []uint32 // released slab indices, reused before fresh ones
 	fresh  uint32   // slab indices below this were handed out since reset
 	held   uint32   // 1 + the slab index of the last popped event; 0: none
 	size   int
-	cur    int64 // current tick; all queued events have tick >= cur
+	cur    int64  // current tick; wheel and overflow events have tick >= cur
+	late   cqSlot // the straggler slot: events with tick <= cur when pushed
 	// The wheel, then the overflow store. Last, so that in a []eventQueue
-	// the words a draining worker writes (the scalars above, the current
-	// slot's cursor) border only a neighbour's overflow store, which no
-	// one touches while workers drain.
+	// the words a draining worker writes (the scalars and the straggler
+	// slot above, the current slot's cursor) border only a neighbour's
+	// overflow store, which no one touches while workers drain.
 	slots [cqBuckets + 1]cqSlot
 }
 
 // cqBuckets is the wheel resolution (a power of two so the slot index is a
-// mask). 256 slots over the unit delay range keeps slots near-singleton
-// for diffuse adversaries while costing 10KB of slot headers.
+// mask): 256 ticks per unit delay, 10KB of slot headers. Under a diffuse
+// adversary a slot holds n/256 keys, which is why they are sorted once
+// per tick rather than kept in order per push.
 const cqBuckets = 256
 
 // cqChunk is the slab chunk size in events (24KB per chunk).
@@ -58,19 +74,44 @@ type evKey struct {
 
 func (a evKey) less(b evKey) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) }
 
-// cqSlot holds the keys of one tick (or of everything past the horizon).
-// While !heaped, keys[head:] is a sorted run; once heaped, head is 0 and
-// keys is a binary min-heap. Either way keys[head] is the minimum.
+// cqSlot holds the keys of one tick, of the stragglers, or of everything
+// past the horizon. A wheel slot is a bag (keys[head:] in push order,
+// unsorted if some push came out of order) until the clock reaches it, and
+// a sorted run keys[head:] after. The straggler slot and the overflow
+// store take pushes through push: a sorted run while !heaped; once heaped,
+// head is 0 and keys is a binary min-heap. In a run or a heap, keys[head]
+// is the minimum.
 type cqSlot struct {
-	keys   []evKey
-	head   int
-	heaped bool
+	keys     []evKey
+	head     int
+	heaped   bool
+	unsorted bool
 }
 
 func (s *cqSlot) len() int { return len(s.keys) - s.head }
 
 func (s *cqSlot) min() evKey { return s.keys[s.head] }
 
+// add appends k to a bag. A run handed over from the overflow store may
+// still carry its consumed prefix; the bag keeps it until it drains,
+// which every wheel slot does before the clock leaves its tick.
+func (s *cqSlot) add(k evKey) {
+	if n := len(s.keys); n > s.head && k.less(s.keys[n-1]) {
+		s.unsorted = true
+	}
+	s.keys = append(s.keys, k)
+}
+
+// sort makes a bag a sorted run.
+func (s *cqSlot) sort() {
+	if s.unsorted {
+		sortKeys(s.keys[s.head:])
+		s.unsorted = false
+	}
+}
+
+// push adds k to a run, or to the heap the run becomes at the first
+// out-of-order key.
 func (s *cqSlot) push(k evKey) {
 	n := len(s.keys)
 	if !s.heaped {
@@ -98,7 +139,8 @@ func (s *cqSlot) push(k evKey) {
 	}
 }
 
-// pop removes the minimum key; a slot that drains is a run again.
+// pop removes the minimum key of a run or a heap; a slot that drains is
+// an empty run again.
 func (s *cqSlot) pop() evKey {
 	top := s.min()
 	if !s.heaped {
@@ -109,9 +151,17 @@ func (s *cqSlot) pop() evKey {
 	}
 	n := len(s.keys) - 1
 	s.keys[0] = s.keys[n]
-	h := s.keys[:n]
-	s.keys, s.heaped = h, n > 0
-	for i := 0; ; {
+	s.keys, s.heaped = s.keys[:n], n > 0
+	siftDown(s.keys, 0)
+	return top
+}
+
+func (s *cqSlot) reset() { s.keys, s.head, s.heaped, s.unsorted = s.keys[:0], 0, false, false }
+
+// siftDown moves h[i] down until h is a binary min-heap again below i.
+func siftDown(h []evKey, i int) {
+	n := len(h)
+	for {
 		l, r := 2*i+1, 2*i+2
 		least := i
 		if l < n && h[l].less(h[least]) {
@@ -121,14 +171,99 @@ func (s *cqSlot) pop() evKey {
 			least = r
 		}
 		if least == i {
-			return top
+			return
 		}
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 }
 
-func (s *cqSlot) reset() { s.keys, s.head, s.heaped = s.keys[:0], 0, false }
+// sortKeys sorts keys by (t, seq). It is typed rather than slices.SortFunc
+// because the per-compare indirect call was half the sort's cost on a
+// dense wheel.
+func sortKeys(keys []evKey) {
+	depth := 0
+	for n := len(keys); n > 0; n >>= 1 {
+		depth += 2
+	}
+	quickSortKeys(keys, depth)
+}
+
+// quickSortKeys is an introsort: median-of-three quicksort down to 16
+// keys, insertion sort below, and heapsort once depth partitions have not
+// finished a range, so adversarial keys cannot make it quadratic.
+func quickSortKeys(a []evKey, depth int) {
+	for len(a) > 16 {
+		if depth == 0 {
+			heapSortKeys(a)
+			return
+		}
+		depth--
+		p := partitionKeys(a)
+		// Recurse into the smaller side, loop on the larger: O(log n) stack.
+		if p < len(a)-p {
+			quickSortKeys(a[:p], depth)
+			a = a[p+1:]
+		} else {
+			quickSortKeys(a[p+1:], depth)
+			a = a[:p]
+		}
+	}
+	for i := 1; i < len(a); i++ {
+		k, j := a[i], i
+		for ; j > 0 && k.less(a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = k
+	}
+}
+
+// partitionKeys partitions a (len >= 3) around the median of its first,
+// middle and last keys and returns the pivot's final index: a[:p] <= a[p]
+// <= a[p+1:].
+func partitionKeys(a []evKey) int {
+	n, m := len(a), len(a)/2
+	if a[m].less(a[0]) {
+		a[0], a[m] = a[m], a[0]
+	}
+	if a[n-1].less(a[m]) {
+		a[m], a[n-1] = a[n-1], a[m]
+		if a[m].less(a[0]) {
+			a[0], a[m] = a[m], a[0]
+		}
+	}
+	// a[0] <= pivot <= a[n-1] bound both scans; the pivot waits at n-2.
+	a[m], a[n-2] = a[n-2], a[m]
+	p := a[n-2]
+	i, j := 0, n-2
+	for {
+		for i++; a[i].less(p); i++ {
+		}
+		for j--; p.less(a[j]); j-- {
+		}
+		if i >= j {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+	}
+	a[i], a[n-2] = a[n-2], a[i]
+	return i
+}
+
+// heapSortKeys sorts a through siftDown: the min-heap yields a descending
+// array, which is then reversed.
+func heapSortKeys(a []evKey) {
+	for i := len(a)/2 - 1; i >= 0; i-- {
+		siftDown(a, i)
+	}
+	for end := len(a) - 1; end > 0; end-- {
+		a[0], a[end] = a[end], a[0]
+		siftDown(a[:end], 0)
+	}
+	for i, j := 0, len(a)-1; i < j; i, j = i+1, j-1 {
+		a[i], a[j] = a[j], a[i]
+	}
+}
 
 func (q *eventQueue) at(idx uint32) *event { return &q.chunks[idx/cqChunk][idx%cqChunk] }
 
@@ -145,17 +280,18 @@ func (q *eventQueue) push(ev *event) {
 	}
 	*q.at(idx) = *ev
 	q.size++
-	tick := cqTick(ev.t)
-	if tick < q.cur {
-		// Floating-point underflow of tick vs. the clock's own tick; the
-		// event still pops in (t,seq) order from the current slot.
-		tick = q.cur
+	k := evKey{t: ev.t, seq: ev.seq, idx: idx}
+	switch tick := cqTick(ev.t); {
+	case tick <= q.cur:
+		// The clock's own tick, or an earlier one (floating-point
+		// underflow of tick vs. the clock, or a re-pushed pop): the
+		// current slot is a run being read, so the key waits beside it.
+		q.late.push(k)
+	case tick < q.cur+cqBuckets:
+		q.slots[tick&(cqBuckets-1)].add(k)
+	default: // beyond the horizon
+		q.slots[cqBuckets].push(k)
 	}
-	slot := cqBuckets // beyond the horizon: the overflow store
-	if tick < q.cur+cqBuckets {
-		slot = int(tick & (cqBuckets - 1))
-	}
-	q.slots[slot].push(evKey{t: ev.t, seq: ev.seq, idx: idx})
 }
 
 func (q *eventQueue) empty() bool { return q.size == 0 }
@@ -174,14 +310,23 @@ func (q *eventQueue) pop() *event {
 // refuses a queued event.
 const maxEventTime = float64(1<<63) * 2
 
-// advance moves the clock to the next non-empty slot. The caller must hold
-// size > 0. It returns the slot, which is non-empty.
+// advance moves the clock to the first tick that holds an event, sorting
+// that tick's bag on arrival, and returns the slot holding the earliest
+// event: the current slot or the straggler slot. The caller must hold
+// size > 0.
 func (q *eventQueue) advance() *cqSlot {
 	o := &q.slots[cqBuckets]
 	for {
 		slot := &q.slots[q.cur&(cqBuckets-1)]
 		if slot.len() > 0 {
+			slot.sort()
+			if q.late.len() > 0 && q.late.min().less(slot.min()) {
+				return &q.late
+			}
 			return slot
+		}
+		if q.late.len() > 0 {
+			return &q.late
 		}
 		if q.size == o.len() {
 			// Nothing on the wheel: jump straight to the first overflow tick.
@@ -190,10 +335,11 @@ func (q *eventQueue) advance() *cqSlot {
 			q.cur++
 		}
 		// Overflow events that entered the horizon move onto the wheel.
-		// Their ticks are beyond the clock, so nothing is clamped, and a
-		// slot they enter is empty: its last tenant, 256 ticks earlier, is
+		// Their ticks are at or beyond the clock, so nothing is clamped, and
+		// a slot they enter is empty: its last tenant, 256 ticks earlier, is
 		// behind the clock. A run of one tick — every time unit of a
-		// Fixed{1} run — therefore changes hands as a slice, not key by key.
+		// Fixed{1} run — therefore changes hands as a slice, not key by key,
+		// and arrives sorted.
 		if !o.heaped && o.len() > 0 {
 			tick := cqTick(o.min().t)
 			slot := &q.slots[tick&(cqBuckets-1)]
@@ -206,7 +352,7 @@ func (q *eventQueue) advance() *cqSlot {
 			if tick >= q.cur+cqBuckets {
 				break
 			}
-			q.slots[tick&(cqBuckets-1)].push(o.pop())
+			q.slots[tick&(cqBuckets-1)].add(o.pop())
 		}
 	}
 }
@@ -217,11 +363,6 @@ func (q *eventQueue) advance() *cqSlot {
 // until its next pop from this queue, which is what frees it: pushes in
 // between neither move nor reuse it. The bounded-lag executor drains each
 // shard's window [wStart, wStart+lookahead) with it.
-//
-// The earliest event is always in the first non-empty slot at or after cur:
-// tick(t) is monotone in t, slots hold only events of their own tick (or
-// events clamped INTO the then-current slot, which are even earlier), and
-// every overflow event's timestamp lies beyond the whole wheel horizon.
 func (q *eventQueue) popBefore(limit float64) *event {
 	if q.size == 0 {
 		return nil
@@ -253,6 +394,7 @@ func (q *eventQueue) minT() (float64, bool) {
 // every slab chunk for the next run. Events are pointer-free values, so
 // the retained chunks pin nothing.
 func (q *eventQueue) reset() {
+	q.late.reset()
 	for i := range q.slots {
 		q.slots[i].reset()
 	}
@@ -264,6 +406,9 @@ func (q *eventQueue) reset() {
 // serialization; restore re-pushes, and pop order depends only on the
 // events' own (t, seq) keys, not on insertion order).
 func (q *eventQueue) forEach(fn func(*event)) {
+	for _, k := range q.late.keys[q.late.head:] {
+		fn(q.at(k.idx))
+	}
 	for i := range q.slots {
 		s := &q.slots[i]
 		for _, k := range s.keys[s.head:] {

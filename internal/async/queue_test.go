@@ -1,8 +1,10 @@
 package async
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -84,38 +86,47 @@ func TestEventQueueOverflow(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueuePushPop prices the queue's three regimes separately,
-// each as a hold pattern (one push per pop over a standing population):
-// inorder is Fixed's shape, every push in (t, seq) order into the slot
-// behind the one draining; random spreads SeededRandom-style delays over
-// every slot, out of order; horizon is Fixed{1}'s shape, every push at
-// cur+cqBuckets, through the overflow store and its migration.
+// BenchmarkEventQueuePushPop prices the queue's regimes separately, each
+// as a hold pattern (one push per pop over a standing population): inorder
+// is Fixed's shape, every push in (t, seq) order into the slot behind the
+// one draining; random spreads SeededRandom-style delays over every slot,
+// out of order, at about two keys per slot; dense is the same delays over
+// flood-random's standing population (~1 000 keys per slot, so bags are
+// sorted on arrival); near puts every delay in (0, 1/512], so most pushes
+// land in the clock's own tick, the straggler slot; horizon is Fixed{1}'s
+// shape, every push at cur+cqBuckets, through the overflow store and its
+// migration.
 func BenchmarkEventQueuePushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	random := make([]float64, 1024)
+	near := make([]float64, 1024)
 	for i := range random {
 		random[i] = rng.Float64()*0.999 + 0.001
+		near[i] = random[i] / 512
 	}
 	for _, bc := range []struct {
-		name   string
-		delays []float64
+		name     string
+		delays   []float64
+		standing int
 	}{
-		{"inorder", []float64{1.0 / cqBuckets}},
-		{"random", random},
-		{"horizon", []float64{1}},
+		{"inorder", []float64{1.0 / cqBuckets}, 512},
+		{"random", random, 512},
+		{"dense", random, 1 << 18},
+		{"near", near, 1 << 14},
+		{"horizon", []float64{1}, 512},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var q eventQueue
 			ev := event{kind: evDeliver}
 			mask := len(bc.delays) - 1 // lengths are powers of two
-			for i := 0; i < 512; i++ {
+			for i := 0; i < bc.standing; i++ {
 				ev.t, ev.seq = bc.delays[i&mask], uint64(i)
 				q.push(&ev)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.t, ev.seq = q.pop().t+bc.delays[i&mask], uint64(512+i)
+				ev.t, ev.seq = q.pop().t+bc.delays[i&mask], uint64(bc.standing+i)
 				q.push(&ev)
 			}
 		})
@@ -201,49 +212,186 @@ func TestEventQueueReset(t *testing.T) {
 	}
 }
 
-// TestSlotRunToHeap pins the slot's two shapes and the switch between
-// them: in-order pushes keep a sorted run read through the head cursor; the
-// first out-of-order push into a half-drained run compacts the unread tail
-// to the front and heaps it; draining makes it a run again.
-func TestSlotRunToHeap(t *testing.T) {
-	var s cqSlot
-	for i := 0; i < 10; i++ {
-		s.push(evKey{t: 1, seq: uint64(10 + i), idx: uint32(i)})
-	}
-	for i := 0; i < 4; i++ {
-		if k := s.pop(); k.seq != uint64(10+i) {
-			t.Fatalf("run pop %d = seq %d", i, k.seq)
+// TestSlotShapes pins the three slot shapes and the moves between them.
+func TestSlotShapes(t *testing.T) {
+	const tick = 1.0 / cqBuckets
+	keyTs := func(ks []evKey) []float64 {
+		var ts []float64
+		for _, k := range ks {
+			ts = append(ts, k.t/tick)
 		}
-	}
-	if s.heaped || s.head != 4 || len(s.keys) != 10 {
-		t.Fatalf("in-order pushes left heaped=%v head=%d len=%d, want a run read to 4 of 10", s.heaped, s.head, len(s.keys))
-	}
-	s.push(evKey{t: 1, seq: 3, idx: 99}) // earlier than everything unread
-	if !s.heaped || s.head != 0 || len(s.keys) != 7 {
-		t.Fatalf("out-of-order push left heaped=%v head=%d len=%d, want a heap of 7", s.heaped, s.head, len(s.keys))
-	}
-	s.push(evKey{t: 1, seq: 16, idx: 98}) // in order again, but a heap stays a heap
-	for _, want := range []uint64{3, 14, 15, 16, 16, 17, 18, 19} {
-		if k := s.pop(); k.seq != want {
-			t.Fatalf("heap pop = seq %d, want %d", k.seq, want)
-		}
-	}
-	if s.heaped || s.len() != 0 || s.head != 0 {
-		t.Fatalf("drained slot heaped=%v head=%d len=%d, want an empty run", s.heaped, s.head, len(s.keys))
+		return ts
 	}
 
-	// A run that never quite drains reuses its consumed prefix instead of
-	// growing: the overflow store under staggered unit delays.
-	s = cqSlot{}
-	s.push(evKey{seq: 0})
-	for i := uint64(1); i < 10000; i++ {
-		s.push(evKey{seq: i})
-		if k := s.pop(); k.seq != i-1 {
-			t.Fatalf("hold pop = seq %d, want %d", k.seq, i-1)
+	// A wheel slot ahead of the clock is a bag: pushes append in arrival
+	// order, nothing sifts, and the flag records the first one out of
+	// order. The clock's arrival sorts it once; from then on a push at or
+	// below the clock's tick goes to the straggler slot and the current
+	// run is read as it was sorted.
+	t.Run("bag-and-stragglers", func(t *testing.T) {
+		var q eventQueue
+		pushed := []float64{3.9, 3.1, 3.5, 3.2, 3.7}
+		for i, x := range pushed {
+			q.push(&event{t: x * tick, seq: uint64(i)})
 		}
+		bag := &q.slots[3]
+		if !bag.unsorted || bag.heaped || !slices.Equal(keyTs(bag.keys), pushed) {
+			t.Fatalf("bag unsorted=%v heaped=%v keys %v, want the push order %v", bag.unsorted, bag.heaped, keyTs(bag.keys), pushed)
+		}
+		var in eventQueue
+		in.push(&event{t: 3.1 * tick, seq: 0})
+		in.push(&event{t: 3.1 * tick, seq: 1})
+		if in.slots[3].unsorted {
+			t.Fatal("in-order pushes flagged the bag")
+		}
+
+		if mt, _ := q.minT(); mt != 3.1*tick || q.cur != 3 {
+			t.Fatalf("minT = %g at tick %d, want 3.1 ticks at tick 3", mt/tick, q.cur)
+		}
+		sorted := []float64{3.1, 3.2, 3.5, 3.7, 3.9}
+		if bag.unsorted || bag.heaped || !slices.Equal(keyTs(bag.keys), sorted) {
+			t.Fatalf("reached bag unsorted=%v heaped=%v keys %v, want the run %v", bag.unsorted, bag.heaped, keyTs(bag.keys), sorted)
+		}
+		if ev := q.pop(); ev.t != 3.1*tick {
+			t.Fatalf("first pop at %g ticks", ev.t/tick)
+		}
+		// The clock's own tick, below the run's next key; a clamp from an
+		// earlier tick; the clock's own tick again, above the run's end.
+		q.push(&event{t: 3.15 * tick, seq: 10})
+		q.push(&event{t: 2.5 * tick, seq: 11})
+		q.push(&event{t: 3.95 * tick, seq: 12})
+		if q.late.len() != 3 || !q.late.heaped {
+			t.Fatalf("straggler slot holds %d keys (heaped=%v), want the three pushes as a heap", q.late.len(), q.late.heaped)
+		}
+		if bag.head != 1 || bag.unsorted || !slices.Equal(keyTs(bag.keys), sorted) {
+			t.Fatalf("stragglers touched the current run: head=%d unsorted=%v keys %v", bag.head, bag.unsorted, keyTs(bag.keys))
+		}
+		for _, want := range []float64{2.5, 3.15, 3.2, 3.5, 3.7, 3.9, 3.95} {
+			if ev := q.pop(); ev.t != want*tick {
+				t.Fatalf("pop at %g ticks, want %g", ev.t/tick, want)
+			}
+		}
+		if !q.empty() || q.late.len() != 0 || q.late.heaped || bag.len() != 0 || bag.head != 0 {
+			t.Fatalf("drained queue: late %d heaped=%v, bag %d head %d", q.late.len(), q.late.heaped, bag.len(), bag.head)
+		}
+	})
+
+	// The overflow store is a run while pushes arrive in order, a heap from
+	// the first one out of order, and a run again once it drains.
+	t.Run("overflow-run-heap-run", func(t *testing.T) {
+		var q eventQueue
+		o := &q.slots[cqBuckets]
+		for i, x := range []float64{1.5, 1.75, 2} {
+			q.push(&event{t: x, seq: uint64(i)})
+		}
+		if o.heaped || o.len() != 3 {
+			t.Fatalf("in-order overflow: heaped=%v len=%d, want a run of 3", o.heaped, o.len())
+		}
+		q.push(&event{t: 1.25, seq: 3})
+		if !o.heaped || o.len() != 4 {
+			t.Fatalf("out-of-order overflow: heaped=%v len=%d, want a heap of 4", o.heaped, o.len())
+		}
+		for _, want := range []float64{1.25, 1.5, 1.75, 2} {
+			if ev := q.pop(); ev.t != want {
+				t.Fatalf("pop at %g, want %g", ev.t, want)
+			}
+		}
+		if o.heaped || o.len() != 0 {
+			t.Fatalf("drained overflow: heaped=%v len=%d, want an empty run", o.heaped, o.len())
+		}
+	})
+
+	// The run/heap slot itself: in-order pushes keep a sorted run read
+	// through the head cursor; the first out-of-order push into a
+	// half-drained run compacts the unread tail to the front and heaps it;
+	// draining makes it a run again.
+	t.Run("run-to-heap", func(t *testing.T) {
+		var s cqSlot
+		for i := 0; i < 10; i++ {
+			s.push(evKey{t: 1, seq: uint64(10 + i), idx: uint32(i)})
+		}
+		for i := 0; i < 4; i++ {
+			if k := s.pop(); k.seq != uint64(10+i) {
+				t.Fatalf("run pop %d = seq %d", i, k.seq)
+			}
+		}
+		if s.heaped || s.head != 4 || len(s.keys) != 10 {
+			t.Fatalf("in-order pushes left heaped=%v head=%d len=%d, want a run read to 4 of 10", s.heaped, s.head, len(s.keys))
+		}
+		s.push(evKey{t: 1, seq: 3, idx: 99}) // earlier than everything unread
+		if !s.heaped || s.head != 0 || len(s.keys) != 7 {
+			t.Fatalf("out-of-order push left heaped=%v head=%d len=%d, want a heap of 7", s.heaped, s.head, len(s.keys))
+		}
+		s.push(evKey{t: 1, seq: 16, idx: 98}) // in order again, but a heap stays a heap
+		for _, want := range []uint64{3, 14, 15, 16, 16, 17, 18, 19} {
+			if k := s.pop(); k.seq != want {
+				t.Fatalf("heap pop = seq %d, want %d", k.seq, want)
+			}
+		}
+		if s.heaped || s.len() != 0 || s.head != 0 {
+			t.Fatalf("drained slot heaped=%v head=%d len=%d, want an empty run", s.heaped, s.head, len(s.keys))
+		}
+
+		// A run that never quite drains reuses its consumed prefix instead
+		// of growing: the overflow store under staggered unit delays.
+		s = cqSlot{}
+		s.push(evKey{seq: 0})
+		for i := uint64(1); i < 10000; i++ {
+			s.push(evKey{seq: i})
+			if k := s.pop(); k.seq != i-1 {
+				t.Fatalf("hold pop = seq %d, want %d", k.seq, i-1)
+			}
+		}
+		if s.heaped || cap(s.keys) > 8 {
+			t.Fatalf("never-draining run: heaped=%v cap=%d, want a run of bounded capacity", s.heaped, cap(s.keys))
+		}
+	})
+}
+
+// TestSortKeys checks the typed introsort against slices.SortFunc on the
+// input orders quicksort variants are known to trip on, at sizes on both
+// sides of the insertion-sort cutoff, and with the depth cap forced so the
+// heapsort fallback runs on whole ranges and on partitions.
+func TestSortKeys(t *testing.T) {
+	cmpKeys := func(a, b evKey) int {
+		if a.less(b) {
+			return -1
+		}
+		if b.less(a) {
+			return 1
+		}
+		return 0
 	}
-	if s.heaped || cap(s.keys) > 8 {
-		t.Fatalf("never-draining run: heaped=%v cap=%d, want a run of bounded capacity", s.heaped, cap(s.keys))
+	rng := rand.New(rand.NewSource(3))
+	inputs := map[string]func(i, n int) evKey{
+		"random":     func(i, n int) evKey { return evKey{t: rng.Float64()} },
+		"sorted":     func(i, n int) evKey { return evKey{t: float64(i)} },
+		"reversed":   func(i, n int) evKey { return evKey{t: float64(n - i)} },
+		"equal-t":    func(i, n int) evKey { return evKey{t: 1, seq: uint64(rng.Intn(n))} },
+		"organ-pipe": func(i, n int) evKey { return evKey{t: float64(min(i, n-1-i))} },
+		"few-values": func(i, n int) evKey { return evKey{t: float64(rng.Intn(4))} },
+	}
+	for name, gen := range inputs {
+		for _, n := range []int{0, 1, 2, 15, 16, 17, 100, 1000, 4096} {
+			for _, depth := range []int{-1, 0, 1} { // -1: sortKeys's own cap
+				keys := make([]evKey, n)
+				for i := range keys {
+					keys[i] = gen(i, n)
+					keys[i].seq = keys[i].seq<<32 | uint64(i) // every key distinct
+					keys[i].idx = uint32(i)
+				}
+				want := slices.Clone(keys)
+				slices.SortFunc(want, cmpKeys)
+				if depth < 0 {
+					sortKeys(keys)
+				} else {
+					quickSortKeys(keys, depth)
+				}
+				if !slices.Equal(keys, want) {
+					t.Fatalf("%s n=%d depth=%d: typed sort differs from slices.SortFunc", name, n, depth)
+				}
+			}
+		}
 	}
 }
 
@@ -338,10 +486,14 @@ func (m *qModel) check() {
 		}
 		seen[idx] = true
 	}
-	for i := range q.slots {
-		for _, k := range q.slots[i].keys[q.slots[i].head:] {
+	queued := func(s *cqSlot) {
+		for _, k := range s.keys[s.head:] {
 			claim(k.idx, "queued")
 		}
+	}
+	queued(&q.late)
+	for i := range q.slots {
+		queued(&q.slots[i])
 	}
 	for _, idx := range q.freed {
 		claim(idx, "free list")
@@ -354,6 +506,64 @@ func (m *qModel) check() {
 	}
 	if int(q.fresh) > len(q.chunks)*cqChunk {
 		m.t.Fatalf("fresh %d beyond %d chunks", q.fresh, len(q.chunks))
+	}
+	m.checkShapes()
+}
+
+// checkShapes asserts each slot's shape and the tick range of its keys:
+// stragglers at or below the clock's tick, wheel slot i only tick ≡ i in
+// [cur, cur+cqBuckets), the overflow store only beyond that; a heap is a
+// valid heap, and a run or an unflagged bag is sorted.
+func (m *qModel) checkShapes() {
+	q := &m.q
+	// slot: a wheel index, cqBuckets for the overflow store, -1 for the
+	// straggler slot.
+	shape := func(slot int) {
+		s, lo, hi := &q.late, int64(math.MinInt64), q.cur
+		switch {
+		case slot == cqBuckets:
+			s, lo, hi = &q.slots[slot], q.cur+cqBuckets, math.MaxInt64
+		case slot >= 0:
+			s, lo, hi = &q.slots[slot], q.cur, q.cur+cqBuckets-1
+		}
+		bag := slot >= 0 && slot < cqBuckets
+		name := func() string {
+			switch {
+			case slot < 0:
+				return "straggler slot"
+			case bag:
+				return fmt.Sprint("wheel slot ", slot)
+			}
+			return "overflow store"
+		}
+		ks := s.keys[s.head:]
+		for _, k := range ks {
+			tick := cqTick(k.t)
+			if tick < lo || tick > hi || (bag && int(tick&(cqBuckets-1)) != slot) {
+				m.t.Fatalf("%s holds a key of tick %d, clock at %d", name(), tick, q.cur)
+			}
+		}
+		switch {
+		case s.heaped && (bag || s.head != 0 || s.unsorted):
+			m.t.Fatalf("%s heaped with head=%d unsorted=%v", name(), s.head, s.unsorted)
+		case s.unsorted && !bag:
+			m.t.Fatalf("%s flagged as an unsorted bag", name())
+		case s.heaped:
+			for i := 1; i < len(ks); i++ {
+				if ks[i].less(ks[(i-1)/2]) {
+					m.t.Fatalf("%s violates the heap order at %d", name(), i)
+				}
+			}
+		case !s.unsorted:
+			for i := 1; i < len(ks); i++ {
+				if ks[i].less(ks[i-1]) {
+					m.t.Fatalf("%s is an unsorted run at %d", name(), i)
+				}
+			}
+		}
+	}
+	for slot := -1; slot <= cqBuckets; slot++ {
+		shape(slot)
 	}
 }
 
@@ -403,8 +613,8 @@ var queueProgs = map[string][]byte{
 	// All of time t+1 pushed while time t drains: runs only, on the wheel
 	// and in the overflow store.
 	"fixed": {0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 4, 0, 0, 0, 4, 255, 0, 0, 0, 0, 4, 255, 4, 255},
-	// In-order pushes into one slot, half drained, then an earlier event:
-	// the run→heap switch with head > 0.
+	// In-order pushes into the clock's own tick (the straggler slot), half
+	// drained, then an earlier event: the run→heap switch with head > 0.
 	"run-to-heap": {2, 9, 2, 19, 2, 29, 2, 39, 2, 49, 2, 59, 4, 1, 3, 0, 2, 4, 3, 9, 4, 255},
 	// Pushes behind the clock after it advanced past empty slots.
 	"clamped": {1, 200, 1, 100, 4, 255, 3, 255, 3, 10, 5, 0, 3, 128, 4, 255, 4, 255},
@@ -414,6 +624,19 @@ var queueProgs = map[string][]byte{
 	// A beyond-horizon run spanning two ticks must not move onto the wheel
 	// as one slice: 1.0 and 1.5 queued, 1.0 popped, then 1.2 arrives.
 	"overflow-run-two-ticks": {0, 0, 7, 32, 4, 64, 1, 50, 4, 255},
+	// Out-of-order pushes into tick 11's bag, the clock reaching it (one
+	// sort), two pops, then stragglers into the half-drained run: one below
+	// its next key, one at the clock, one clamped from far below.
+	"straggler-half-drained": {2, 127, 4, 0, 1, 10, 2, 191, 4, 0, 1, 9, 1, 9, 1, 9, 1, 9, 4, 9, 2, 10, 3, 0, 3, 200, 4, 255},
+	// Clamps from ticks below the clock while the current run is half
+	// read and a later bag waits: the straggler slot goes run→heap and
+	// drains before the clock moves on.
+	"clamp-below-clock": {1, 100, 1, 100, 1, 100, 4, 32, 1, 5, 3, 40, 3, 8, 3, 16, 5, 0, 4, 255, 4, 255},
+	// Overflow keys over two ticks: the first migrates key by key, the
+	// second's run is handed to its wheel slot with a consumed prefix, and
+	// a direct push then lands below it, so the bag is flagged and sorted
+	// on arrival.
+	"overflow-into-bag": {2, 191, 4, 0, 0, 0, 7, 8, 2, 127, 4, 0, 1, 31, 4, 8, 1, 254, 1, 254, 4, 255},
 	// Pop a window, roll part of it back, pop again.
 	"rollback": {1, 10, 1, 20, 1, 30, 1, 40, 0, 0, 4, 255, 6, 2, 1, 5, 4, 255, 6, 3, 5, 0, 4, 255},
 }
