@@ -15,7 +15,7 @@ test: build
 	go test ./...
 
 race:
-	go test -race ./internal/outval/ ./internal/async/ ./internal/syncrun/ ./internal/apps/ ./internal/bench/ ./internal/core/ ./internal/shard/
+	go test -race ./internal/outval/ ./internal/async/ ./internal/syncrun/ ./internal/apps/ ./internal/bench/ ./internal/core/ ./internal/shard/ ./internal/reg/ ./internal/gather/ ./internal/abfs/
 
 fmt:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -23,10 +23,9 @@ fmt:
 vet:
 	go vet ./...
 
-# benchmark/ is its own module, so `go vet ./...` and `go test ./...` at
-# the root never compile it. Its decorators wrap core.NewNodeHandler,
-# async.Mux's state-plane methods and execpolicy.AsyncAuto; this target is
-# what notices a change to that surface before the benchmark pipeline does.
+# benchmark/ is its own module, out of reach of root `go vet`/`go test`.
+# This catches changes to what it wraps: core.NewNodeHandler, AsyncAuto,
+# the Mux's state plane and Mux.Rebind (called once per handler built).
 bench-check:
 	cd benchmark && go vet ./... && go test ./...
 

@@ -106,28 +106,25 @@ func (cg *checkGlue) LoadState(d *wire.Dec) {
 	cg.frontier = d.Bool()
 }
 
-// CloneModuleInto implements async.ModuleState. The node handle travels
-// too: a speculative clone is never Started, and its onSourceDone needs it.
+// CloneModuleInto implements async.ModuleState.
 func (cg *checkGlue) CloneModuleInto(dst async.Module) {
 	d := dst.(*checkGlue)
-	d.srcDone, d.frontier, d.node = cg.srcDone, cg.frontier, cg.node
+	d.srcDone, d.frontier = cg.srcDone, cg.frontier
 }
 
-// Rebind implements async.Rebinder: on a restored engine Start does not
-// run again, so re-capture the node handle onSourceDone needs.
+// Rebind implements async.Rebinder: the engine hands the glue its node when
+// it builds the stack, so onSourceDone can mark done even before Start.
 func (cg *checkGlue) Rebind(n *async.Node) { cg.node = n }
 
-// Start implements async.Module.
+// Start implements async.Module. A source's done mark comes from
+// onSourceDone, which may already have run (an isolated source's echo
+// completes inside the algorithm's own Start).
 func (cg *checkGlue) Start(n *async.Node) {
-	cg.node = n
 	if !cg.isSource {
 		cg.gm.MarkDone(n, 0)
 		return
 	}
 	cg.gm.Begin(n, 0)
-	if cg.srcDone { // echo finished before Start ordering (tiny graphs)
-		cg.gm.MarkDone(n, 0)
-	}
 }
 
 // Recv implements async.Module (the glue owns no wire traffic).
@@ -143,9 +140,7 @@ func (cg *checkGlue) Ack(*async.Node, graph.NodeID, async.Msg) {}
 func (cg *checkGlue) onSourceDone(frontier bool) {
 	cg.srcDone = true
 	cg.frontier = frontier
-	if cg.node != nil {
-		cg.gm.MarkDone(cg.node, 0)
-	}
+	cg.gm.MarkDone(cg.node, 0)
 }
 
 // NeighborhoodDone is the gather callback for this node: the τ-ball is

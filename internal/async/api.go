@@ -82,8 +82,8 @@ type Handler interface {
 //     should not opt in — a discarded clone's unsent segments are not
 //     released until the next Sim.Reset.
 //
-// The engine may call mk (to build clone targets, at most once per node)
-// and CloneStateInto concurrently for different nodes.
+// The engine may call mk and Rebind (to build clone targets, at most once
+// per node) and CloneStateInto concurrently for different nodes.
 type stateCloner interface {
 	Handler
 	// CloneStateInto copies the receiver's mutable state into dst, reusing

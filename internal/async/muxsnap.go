@@ -19,16 +19,11 @@ type StateCodecProbe interface {
 	StateCodecOK() bool
 }
 
-// Rebinder is an optional handler/module interface for state restore:
-// Sim.Restore calls Rebind on every node's handler immediately before that
-// node's LoadState, whether or not the snapshotted run had started. A
-// module that learns its node lazily (Start, its first callback) and lays
-// its state out by that node's position in shared tables binds here, so
-// LoadState on a freshly built engine can size and validate what it
-// reads; a module that caches the *Node during Start re-captures it here,
-// because Start does not run again on a resumed engine. Restore keeps the
-// handlers an engine already has, so Rebind also runs on handlers that are
-// bound: it must be idempotent, a no-op on a live handler.
+// Rebinder is an optional handler/module interface for handlers that need
+// their *Node before any callback: the engine calls Rebind exactly once on
+// every handler it builds (New, Reset, and ModeSpec's clone targets),
+// before Init and before any Restore loads state into it. A module that
+// lays its state out by its node's position in shared tables binds here.
 type Rebinder interface {
 	Rebind(n *Node)
 }

@@ -274,9 +274,8 @@ type Result struct {
 	Trace []TraceEntry
 }
 
-// New builds a simulation on g (a whole graph or a Subrange view). mk is
-// called once per node, in ascending node order, to create that node's
-// Handler.
+// New builds a simulation on g (a whole graph or a Subrange view), calling
+// mk for each node in ascending order and binding the result (Rebinder).
 func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
 	s := &Sim{
 		g:           g,
@@ -299,9 +298,19 @@ func New(g *graph.Graph, adv Adversary, mk func(id graph.NodeID) Handler) *Sim {
 	for i := 0; i < g.NLocal(); i++ {
 		id := s.nodeBase + graph.NodeID(i)
 		s.nodes[i] = Node{id: id, sim: s}
-		s.handlers[i] = mk(id)
+		s.handlers[i] = s.build(mk, graph.NodeID(i))
 	}
 	return s
+}
+
+// build constructs local node i's handler with mk and binds it to its node:
+// the one place the engine calls Rebind.
+func (s *Sim) build(mk func(id graph.NodeID) Handler, i graph.NodeID) Handler {
+	h := mk(s.nodeBase + i)
+	if rb, ok := h.(Rebinder); ok {
+		rb.Rebind(&s.nodes[i])
+	}
+	return h
 }
 
 // li maps a global node id to its slot in the per-node arrays (identity
@@ -450,7 +459,7 @@ func (s *Sim) Reset(adv Adversary, mk func(id graph.NodeID) Handler) {
 	// previous run alive and pace the heap by both.
 	clear(s.handlers)
 	for i := range s.handlers {
-		s.handlers[i] = mk(s.nodeBase + graph.NodeID(i))
+		s.handlers[i] = s.build(mk, graph.NodeID(i))
 	}
 }
 

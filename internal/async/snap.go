@@ -60,14 +60,14 @@ func (s *Sim) Snapshot() ([]byte, error) {
 // Restore loads a Snapshot frame into this engine, which must have been
 // built over the same graph, adversary, and handler constructor as the
 // snapshotted one (validated against the frame header). Any existing run
-// state is discarded first. The engine keeps the handlers it has: each
-// node's Rebind and LoadState replace that handler's state (see
-// wire.StateCodec), so a handle restored into repeatedly — the
-// checkpoint-and-rewind loop — builds its handlers once. After a
-// successful restore the next Run (any mode) or RunSteps continues the
-// interrupted run; on error the engine is left reset and reusable, with no
-// arena segments leaked and its handlers rebuilt through the constructor,
-// since a partial decode may have loaded some of them.
+// state is discarded first. The engine keeps its handlers: each node's
+// LoadState replaces that handler's state (see wire.StateCodec), so a
+// handle restored into repeatedly — the checkpoint-and-rewind loop — builds
+// its handlers once. After a successful restore the next Run (any mode) or
+// RunSteps continues the interrupted run; on error the engine is left reset
+// and reusable, with no arena segments leaked and its handlers rebuilt
+// through the constructor, since a partial decode may have loaded some of
+// them.
 func (s *Sim) Restore(data []byte) error {
 	payload, err := wire.OpenSnapshot(data)
 	if err != nil {
@@ -369,12 +369,6 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			end := d.BeginBlob()
 			if d.Failed() {
 				break
-			}
-			// Bind before load (see Rebinder): on a freshly built engine no
-			// callback has told the handler which node it serves yet; on a
-			// live one the handler is already bound and this is a no-op.
-			if rb, ok := s.handlers[li].(Rebinder); ok {
-				rb.Rebind(&s.nodes[li])
 			}
 			sc.LoadState(d)
 			d.EndBlob(end)

@@ -213,7 +213,7 @@ func (s *Sim) specHandlerFor(v graph.NodeID) Handler {
 	if s.specCloneEp[v] != s.specRoundEp {
 		cl := s.specClones[v]
 		if cl == nil {
-			cl = s.specMk(v)
+			cl = s.build(s.specMk, v)
 			s.specClones[v] = cl
 		}
 		s.handlers[v].(stateCloner).CloneStateInto(cl)

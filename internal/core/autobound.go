@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/syncrun"
@@ -82,8 +80,7 @@ func tryBound(g *graph.Graph, bound int, adv async.Adversary,
 		if r == nil {
 			return
 		}
-		msg, isStr := r.(string)
-		if !isStr || !strings.Contains(msg, "bound too small") {
+		if _, ok := r.(boundTooSmall); !ok {
 			panic(r)
 		}
 		// Bill the aborted attempt: the simulation unwinds, but its

@@ -163,6 +163,39 @@ func syncBFSWorkload(t testing.TB) Config {
 
 func mkBFS0(graph.NodeID) syncrun.Handler { return &apps.BFS{Sources: []graph.NodeID{0}} }
 
+// TestNodeHandlerStacks builds every node's stack through NewNodeHandler,
+// as the benchmark's traced phase does: one one-slot batch per node, bound
+// to its node when the engine builds it. The run must equal Synchronize's,
+// trace included, and a Snapshot taken halfway must restore into a fresh
+// engine of such stacks that never started and finish identically.
+func TestNodeHandlerStacks(t *testing.T) {
+	cfg := syncBFSWorkload(t)
+	cfg.Layered = BuildLayeredFor(cfg.Graph, cfg.Bound)
+	want := newSynchronizedSim(cfg, mkBFS0).KeepTrace().Run()
+	sched := NewSchedule(cfg.Bound)
+	build := func() *async.Sim {
+		return async.New(cfg.Graph, cfg.Adversary, func(id graph.NodeID) async.Handler {
+			return NewNodeHandler(sched, cfg.Layered, mkBFS0(id))
+		}).WithMode(async.ModeSingle).KeepTrace()
+	}
+	if got := build().Run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a run of NewNodeHandler stacks differs from Synchronize's")
+	}
+	run := build()
+	run.RunSteps((want.Msgs + want.Acks) / 2)
+	frame, err := run.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := build()
+	if err := fresh.Restore(frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a fresh engine restored from the halfway frame finished differently")
+	}
+}
+
 // TestMuxCloneSteadyStateAllocs pins the point of the flat layout: once a
 // clone target has been through one round, cloning a mid-run synchronizer
 // node into it is copies into retained capacity — zero allocations.
@@ -175,7 +208,7 @@ func TestMuxCloneSteadyStateAllocs(t *testing.T) {
 	for v := 0; v < cfg.Graph.N(); v++ {
 		id := graph.NodeID(v)
 		from, to := src.Handler(id).(stateCloner), dst.Handler(id)
-		from.CloneStateInto(to) // first touch binds the target and sizes its slices
+		from.CloneStateInto(to) // first touch sizes the target's slices
 		if avg := testing.AllocsPerRun(10, func() { from.CloneStateInto(to) }); avg != 0 {
 			t.Fatalf("node %d: steady-state Mux clone allocates %.1f times, want 0", v, avg)
 		}

@@ -149,7 +149,8 @@ func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 // one registration module and one barrier module per cover level in use.
 // It is the one-node batch of the constructor a synchronized run builds
 // all its stacks with (stacks.go). Callers may register additional modules
-// on unused protos of the returned Mux before the simulation starts.
+// on unused protos of the returned Mux before the handler constructor
+// returns it.
 func NewNodeHandler(sched *Schedule, layered *cover.Layered, algo syncrun.Handler) *async.Mux {
 	return newStacks(sched, layered, 1, 0).stack(0, algo)
 }

@@ -22,8 +22,8 @@ const firstCoverLevel = 5
 // every Mux and module is a copy of one async.NewMux, reg.New or
 // gather.New value (so the copies share those values' slabs), and the cores
 // grow their run state from the batch's own slabs. Slot i hosts node
-// base+i; a one-slot batch — NewNodeHandler's — hosts whichever node
-// starts it. The batch is also every module's callbacks, routing each call
+// base+i; a one-slot batch — NewNodeHandler's — hosts the node the engine
+// binds it to. The batch is also every module's callbacks, routing each call
 // to the core of the node it carries.
 type stacks struct {
 	sched   *Schedule

@@ -374,6 +374,18 @@ func (c *nodeCore) takeBatch(pulse int) []syncrun.Incoming {
 	return batch
 }
 
+// boundTooSmall is the panic value of a run whose algorithm still sends at
+// the pulse bound: the one abort SynchronizeUnknownBound recovers from, by
+// type, to retry with a doubled bound.
+type boundTooSmall struct {
+	node  graph.NodeID
+	pulse int
+}
+
+func (e boundTooSmall) Error() string {
+	return fmt.Sprintf("core: node %d sent at pulse %d = bound — bound too small", e.node, e.pulse)
+}
+
 // evaluate runs the synchronous algorithm's pulse p (Go-Ahead(p) arrived:
 // every pulse <= p-1 message is in hand, Lemma 5.1).
 func (c *nodeCore) evaluate(n *async.Node, p int) {
@@ -386,7 +398,7 @@ func (c *nodeCore) evaluate(n *async.Node, p int) {
 	c.algo.Pulse(c.newAPI(n, v, false), p, c.takeBatch(p-1))
 	if v.sentAny {
 		if p == c.sched.B {
-			panic(fmt.Sprintf("core: node %d sent at pulse %d = bound — bound too small", n.ID(), p))
+			panic(boundTooSmall{node: n.ID(), pulse: p})
 		}
 		if c.vn(p+1) == nil {
 			c.createVnode(n, p+1, -1, true)

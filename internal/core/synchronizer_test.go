@@ -322,7 +322,7 @@ func TestBoundTooSmallPanics(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("expected panic for undersized bound")
-		} else if _, ok := r.(string); !ok {
+		} else if _, ok := r.(boundTooSmall); !ok {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()

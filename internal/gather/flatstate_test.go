@@ -26,12 +26,13 @@ func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	t.Helper()
 	want := saveModule(m)
 	clone := New(m.proto, m.cov, m.cb, nil)
+	clone.bind(id) // what Rebind does when the engine builds a clone target
 	m.CloneModuleInto(clone)
 	if !bytes.Equal(saveModule(clone), want) {
 		t.Fatalf("node %d: clone differs from source", id)
 	}
 	loaded := New(m.proto, m.cov, m.cb, nil)
-	loaded.bind(id) // what Rebind does ahead of LoadState on a restored engine
+	loaded.bind(id)
 	d := wire.NewDec(want, nil)
 	loaded.LoadState(d)
 	if err := d.Err(); err != nil || d.Remaining() != 0 {

@@ -83,7 +83,7 @@ type Module struct {
 	stageOf func(session int) int
 	run     *run
 
-	// Node binding: derived from (cov, me) on first use, never serialized.
+	// Node binding: derived from (cov, me) at Rebind, never serialized.
 	bound   bool
 	me      graph.NodeID
 	trees   []treeRef // cov.TreeOf(me), ascending by cluster
@@ -122,7 +122,7 @@ var _ async.Rebinder = (*Module)(nil)
 // (nil = all zero).
 //
 // A run that hosts the module on many nodes builds them as copies of one
-// New value, taken before any of them starts: the copies share its
+// New value, taken before any of them is bound: the copies share its
 // callbacks — which tell the nodes apart by the *async.Node each call
 // carries — and its slabs, from which each copy binds its node's layout
 // and grows its rows. The run then allocates module state per run, not
@@ -135,12 +135,8 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 }
 
 // bind fixes the node this module serves and derives its layout into the
-// run's slabs. The constructor has no node id, so every entry point binds
-// on first use.
+// run's slabs.
 func (m *Module) bind(me graph.NodeID) {
-	if m.bound {
-		return
-	}
 	m.bound = true
 	m.me = me
 	ids := m.cov.TreeOf(me)
@@ -163,10 +159,10 @@ func (m *Module) bind(me graph.NodeID) {
 }
 
 // Start implements async.Module.
-func (m *Module) Start(n *async.Node) { m.bind(n.ID()) }
+func (*Module) Start(*async.Node) {}
 
-// Rebind implements async.Rebinder: a restored module learns its node here,
-// ahead of LoadState.
+// Rebind implements async.Rebinder: the engine binds the module to its node
+// once, when it builds the handler.
 func (m *Module) Rebind(n *async.Node) { m.bind(n.ID()) }
 
 // Ack implements async.Module.
@@ -214,7 +210,6 @@ func (m *Module) rec(slot, ci int) int { return slot*m.stride + int(m.trees[ci].
 // as locally done. Idempotent. Every tree participant must eventually call
 // Begin (or MarkDone) for every session, or convergecasts stall.
 func (m *Module) Begin(n *async.Node, session int) {
-	m.bind(n.ID())
 	slot := m.slot(session)
 	if m.sess[slot].began {
 		return
@@ -255,7 +250,6 @@ func (m *Module) MarkDone(n *async.Node, session int) {
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
-	m.bind(n.ID())
 	c, session := decPayload(msg.Body)
 	ci := m.clusterIndex(c)
 	slot := m.slot(session)

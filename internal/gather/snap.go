@@ -7,14 +7,9 @@ import (
 )
 
 // CloneModuleInto implements async.ModuleState: the run state is two flat
-// slices, so a clone is two copies into dst's retained capacity. A target
-// that does not know its node yet shares the source's layout, which is
-// read-only once bound.
+// slices, so a clone is two copies into dst's retained capacity.
 func (m *Module) CloneModuleInto(dst async.Module) {
 	d := dst.(*Module)
-	if m.bound && !d.bound {
-		d.bound, d.me, d.trees, d.stride, d.nMember = true, m.me, m.trees, m.stride, m.nMember
-	}
 	d.sess = slab.Assign(&d.run.sess, d.sess, m.sess)
 	d.st = slab.Assign(&d.run.bytes, d.st, m.st)
 }
@@ -36,9 +31,8 @@ func (m *Module) SaveState(e *wire.Enc) {
 	e.Raw(m.st)
 }
 
-// LoadState implements wire.StateCodec. The module must know its node
-// (Rebind runs first on a restored engine): the rows are only meaningful
-// against that node's layout.
+// LoadState implements wire.StateCodec. The module must know its node: the
+// rows are only meaningful against that node's layout.
 func (m *Module) LoadState(d *wire.Dec) {
 	n := int(d.U32())
 	m.sess = m.sess[:0]

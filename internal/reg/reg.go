@@ -128,7 +128,7 @@ type Module struct {
 	stageOf func(session int) int
 	run     *run
 
-	// Node binding: derived from (cov, me) on first use, never serialized.
+	// Node binding: derived from (cov, me) at Rebind, never serialized.
 	bound   bool
 	me      graph.NodeID
 	trees   []treeRef // cov.TreeOf(me), ascending by cluster
@@ -157,7 +157,7 @@ var _ async.Rebinder = (*Module)(nil)
 // scheduling stage (Lemma 2.5); pass nil for all-stage-zero.
 //
 // A run that hosts the module on many nodes builds them as copies of one
-// New value, taken before any of them starts: the copies share its
+// New value, taken before any of them is bound: the copies share its
 // callbacks — which tell the nodes apart by the *async.Node each call
 // carries — and its slabs, from which each copy binds its node's layout
 // and grows its rows. The run then allocates module state per run, not
@@ -170,12 +170,8 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 }
 
 // bind fixes the node this module serves and derives its layout into the
-// run's slabs. The constructor has no node id, so every entry point binds
-// on first use.
+// run's slabs.
 func (m *Module) bind(me graph.NodeID) {
-	if m.bound {
-		return
-	}
 	m.bound = true
 	m.me = me
 	ids := m.cov.TreeOf(me)
@@ -199,10 +195,10 @@ func (m *Module) bind(me graph.NodeID) {
 }
 
 // Start implements async.Module.
-func (m *Module) Start(n *async.Node) { m.bind(n.ID()) }
+func (*Module) Start(*async.Node) {}
 
-// Rebind implements async.Rebinder: a restored module learns its node here,
-// ahead of LoadState.
+// Rebind implements async.Rebinder: the engine binds the module to its node
+// once, when it builds the handler.
 func (m *Module) Rebind(n *async.Node) { m.bind(n.ID()) }
 
 // Ack implements async.Module.
@@ -231,8 +227,7 @@ func (m *Module) treeIndex(c cover.ClusterID) int {
 
 // rec returns the offset in st of (c, session)'s record plus its cluster
 // index and slot, opening the session's row on first sight.
-func (m *Module) rec(n *async.Node, c cover.ClusterID, session int) (r, slot, ci int) {
-	m.bind(n.ID())
+func (m *Module) rec(c cover.ClusterID, session int) (r, slot, ci int) {
 	ci = m.treeIndex(c)
 	if ci < 0 {
 		panic(fmt.Sprintf("reg: node %d is not on the tree of cluster %d", m.me, c))
@@ -292,7 +287,7 @@ func (m *Module) send(n *async.Node, to graph.NodeID, kind wire.Kind, slot, ci i
 // Register starts this node's registration in cluster c for the session.
 // The node must be a tree node of c. Callbacks.Registered fires when done.
 func (m *Module) Register(n *async.Node, c cover.ClusterID, session int) {
-	r, slot, ci := m.rec(n, c, session)
+	r, slot, ci := m.rec(c, session)
 	if m.local(r) != idle {
 		panic(fmt.Sprintf("reg: node %d double-registers in cluster %d session %d", n.ID(), c, session))
 	}
@@ -319,7 +314,7 @@ func (m *Module) invokeRUp(n *async.Node, slot, ci int) {
 // Deregister ends this node's participation; Callbacks.GoAhead fires when
 // the cluster's Go-Ahead arrives.
 func (m *Module) Deregister(n *async.Node, c cover.ClusterID, session int) {
-	r, slot, ci := m.rec(n, c, session)
+	r, slot, ci := m.rec(c, session)
 	if m.local(r) != registered {
 		panic(fmt.Sprintf("reg: node %d deregisters in cluster %d session %d without being registered", n.ID(), c, session))
 	}
@@ -330,7 +325,7 @@ func (m *Module) Deregister(n *async.Node, c cover.ClusterID, session int) {
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 	c, session := decPayload(msg.Body)
-	_, slot, ci := m.rec(n, c, session)
+	_, slot, ci := m.rec(c, session)
 	switch msg.Body.Kind {
 	case kindRegUp:
 		m.onRegUp(n, from, slot, ci)
@@ -446,9 +441,6 @@ func (m *Module) runG(n *async.Node, slot, ci int) {
 // LocalDone reports whether this node's client in (c, session) has been
 // freed (received its Go-Ahead). Tests use it for final-state checks.
 func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
-	if !m.bound {
-		return false
-	}
 	slot, ci := m.lookup(session), m.treeIndex(c)
 	return slot >= 0 && ci >= 0 && m.local(m.at(slot, ci)) == free
 }

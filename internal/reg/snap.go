@@ -8,13 +8,9 @@ import (
 )
 
 // CloneModuleInto implements async.ModuleState: three flat slices, three
-// copies into dst's retained capacity. A target that does not know its
-// node yet shares the source's layout, which is read-only once bound.
+// copies into dst's retained capacity.
 func (m *Module) CloneModuleInto(dst async.Module) {
 	d := dst.(*Module)
-	if m.bound && !d.bound {
-		d.bound, d.me, d.trees, d.rowInit = true, m.me, m.trees, m.rowInit
-	}
 	d.sessions = slab.Assign(&d.run.sessions, d.sessions, m.sessions)
 	d.st = slab.Assign(&d.run.bytes, d.st, m.st)
 	d.inv = slab.Assign(&d.run.invs, d.inv, m.inv)
@@ -38,9 +34,8 @@ func (m *Module) SaveState(e *wire.Enc) {
 	}
 }
 
-// LoadState implements wire.StateCodec. The module must know its node
-// (Rebind runs first on a restored engine): the rows are only meaningful
-// against that node's layout.
+// LoadState implements wire.StateCodec. The module must know its node: the
+// rows are only meaningful against that node's layout.
 func (m *Module) LoadState(d *wire.Dec) {
 	n := int(d.U32())
 	m.sessions, m.st, m.inv = m.sessions[:0], m.st[:0], m.inv[:0]

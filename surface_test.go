@@ -58,23 +58,7 @@ func TestInternalSurface(t *testing.T) {
 	}
 
 	used := map[string]bool{} // "pkg.Name"
-	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkGoFiles(t, fset, false, func(path string, f *ast.File) {
 		own := ""
 		if rel, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/"); ok {
 			own = rel
@@ -100,11 +84,7 @@ func TestInternalSurface(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Close the used set over declarations: a type a caller receives from a
 	// used name is reachable even when the caller never spells it.
@@ -150,6 +130,36 @@ func TestInternalSurface(t *testing.T) {
 		case used[key]:
 			t.Errorf("surface allowlist entry %s is now used outside internal/%s: remove it", key, pkg)
 		}
+	}
+}
+
+// walkGoFiles parses every .go file of the repository outside hidden and
+// testdata directories, test files when tests is set and the others when it
+// is not, and hands each to fn.
+func walkGoFiles(t *testing.T, fset *token.FileSet, tests bool, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
