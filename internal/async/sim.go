@@ -3,7 +3,6 @@ package async
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
@@ -396,34 +395,28 @@ func (s *Sim) Handler(v graph.NodeID) Handler { return s.handlers[s.li(v)] }
 // Graph returns the simulated topology.
 func (s *Sim) Graph() *graph.Graph { return s.g }
 
-// Stats snapshots the costs accrued so far: the current simulation time
-// and the message/ack counters, with the per-protocol breakdown
-// materialized as a map. In ModeSingle the snapshot is exact at any point.
-// In the parallel modes the counters are the committed prefix — everything
-// up to the last window barrier (ModeMulti) or the last committed event
-// (ModeSpec, whose commit walk replays the serial engine exactly, making
-// a post-panic snapshot identical to the serial one). Calling Stats while
-// a parallel window or speculative round is actually in flight — possible
-// only from another goroutine or from inside a handler — panics instead of
-// returning numbers that are stale by an unknowable in-flight amount.
-// core.SynchronizeUnknownBound bills doubling attempts that abort before
-// Run returns (Theorem 5.4's Σ 2^t accounting) from this snapshot; serial
-// event order defines an aborted attempt's cost, which both the serial
-// engine and the speculative commit walk provide.
-func (s *Sim) Stats() (now float64, msgs, acks uint64, perProto map[Proto]uint64) {
+// PartialResult returns the costs accrued so far as a Result: Time is the
+// current simulation time, and the message, ack and fault counters and the
+// per-protocol breakdown are filled in; outputs and the trace are not. In
+// ModeSingle the counters are exact at any point. In the parallel modes
+// they are the committed prefix — everything up to the last window barrier
+// (ModeMulti) or the last committed event (ModeSpec, whose commit walk
+// replays the serial engine exactly, making a post-panic snapshot identical
+// to the serial one). Calling it while a parallel window or speculative
+// round is actually in flight — possible only from another goroutine or
+// from inside a handler — panics instead of returning numbers that are
+// stale by an unknowable in-flight amount. core.SynchronizeUnknownBound
+// bills doubling attempts that abort before Run returns (Theorem 5.4's
+// Σ 2^t accounting) from it; serial event order defines an aborted
+// attempt's cost, which both the serial engine and the speculative commit
+// walk provide.
+func (s *Sim) PartialResult() Result {
 	if s.inWindow {
-		panic("async: Stats called while a parallel window is in flight; mid-run snapshots are defined only between barriers (or any time in ModeSingle)")
+		panic("async: PartialResult called while a parallel window is in flight; mid-run snapshots are defined only between barriers (or any time in ModeSingle)")
 	}
-	return s.direct.now, s.direct.msgs, s.direct.acks, s.perProtoMap()
-}
-
-// FaultStats snapshots the fault-plane counters, under the same
-// committed-prefix contract as Stats.
-func (s *Sim) FaultStats() (dropped, retrans, undeliverable uint64) {
-	if s.inWindow {
-		panic("async: FaultStats called while a parallel window is in flight")
-	}
-	return s.direct.dropped, s.direct.retrans, s.direct.undeliv
+	l := &s.direct.ledger
+	return Result{Time: l.now, Msgs: l.msgs, Acks: l.acks, PerProto: s.perProtoMap(),
+		Dropped: l.dropped, Retrans: l.retrans, Undeliverable: l.undeliv}
 }
 
 func (s *Sim) perProtoMap() map[Proto]uint64 {
@@ -487,9 +480,6 @@ func (s *Sim) resetRun() {
 	s.direct.reset()
 	for k := range s.wctx {
 		s.wctx[k].reset()
-	}
-	for k := range s.workerPanics {
-		s.workerPanics[k] = nil
 	}
 	// Clear speculative state. The round epoch is deliberately NOT reset —
 	// it must never repeat, so the per-node epoch arrays (specCloneEp and
@@ -610,9 +600,11 @@ func (s *Sim) runWindows(round func(k int, wStart float64), barrier func(wStart 
 	// therefore stays on the inline staging path — same merge, same
 	// results, no per-event goroutine barrier.
 	prev := 0
+	var wStart float64
+	part := func(k int) { round(k, wStart) }
 	for {
-		wStart, ok := s.minShardT()
-		if !ok {
+		var ok bool
+		if wStart, ok = s.minShardT(); !ok {
 			return
 		}
 		if wStart < s.direct.now {
@@ -624,25 +616,7 @@ func (s *Sim) runWindows(round func(k int, wStart float64), barrier func(wStart 
 				round(k, wStart)
 			}
 		} else {
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					defer func() {
-						if p := recover(); p != nil {
-							s.workerPanics[k] = p
-						}
-					}()
-					round(k, wStart)
-				}(k)
-			}
-			wg.Wait()
-			for k := 0; k < w; k++ {
-				if p := s.workerPanics[k]; p != nil {
-					panic(p)
-				}
-			}
+			execpolicy.FanOut(w, s.workerPanics, part)
 		}
 		prev = barrier(wStart)
 		s.inWindow = false

@@ -151,7 +151,7 @@ func TestSpecHorizonValidation(t *testing.T) {
 
 // TestSpecPanicSerialEquivalent pins the speculative panic contract: a
 // handler panic surfaces from Run with the serial panic value, and the
-// post-panic Stats snapshot — the committed prefix — equals the serial
+// post-panic PartialResult — the committed prefix — equals the serial
 // engine's at its point of death. (The commit walk certifies the panic in
 // serial order before re-raising it, replaying the partial effects.)
 func TestSpecPanicSerialEquivalent(t *testing.T) {
@@ -159,28 +159,27 @@ func TestSpecPanicSerialEquivalent(t *testing.T) {
 	mkBoom := func() func(graph.NodeID) Handler {
 		return func(graph.NodeID) Handler { return &panicAt{trigger: 20} }
 	}
-	run := func(s *Sim) (p any, now float64, msgs, acks uint64, pp map[Proto]uint64) {
+	run := func(s *Sim) (p any, res Result) {
 		defer func() {
 			p = recover()
-			now, msgs, acks, pp = s.Stats()
+			res = s.PartialResult()
 		}()
 		s.Run()
 		return
 	}
 	serial := New(g, SeededRandom{Seed: 4}, mkBoom()).WithMode(ModeSingle)
-	sp, snow, smsgs, sacks, spp := run(serial)
+	sp, sres := run(serial)
 	if sp == nil {
 		t.Fatal("serial run did not panic")
 	}
 	spec := New(g, SeededRandom{Seed: 4}, mkBoom()).WithMode(ModeSpec).
 		WithWorkers(4).WithMinParallel(1).WithSpecHorizon(1)
-	gp, gnow, gmsgs, gacks, gpp := run(spec)
+	gp, gres := run(spec)
 	if !reflect.DeepEqual(sp, gp) {
 		t.Fatalf("panic values differ: serial %v, spec %v", sp, gp)
 	}
-	if snow != gnow || smsgs != gmsgs || sacks != gacks || !reflect.DeepEqual(spp, gpp) {
-		t.Fatalf("post-panic Stats differ: serial (%g,%d,%d,%v), spec (%g,%d,%d,%v)",
-			snow, smsgs, sacks, spp, gnow, gmsgs, gacks, gpp)
+	if !reflect.DeepEqual(sres, gres) {
+		t.Fatalf("post-panic PartialResult differs: serial %+v, spec %+v", sres, gres)
 	}
 }
 
@@ -209,7 +208,7 @@ func TestResetAfterMidSpecPanic(t *testing.T) {
 	}
 }
 
-// statsProbe calls Sim.Stats from inside a handler callback and records
+// statsProbe calls Sim.PartialResult from inside a handler callback and records
 // whether the mid-window guard fired, then floods normally so the run
 // terminates. The flag is atomic: in the parallel modes many workers'
 // probes fire concurrently.
@@ -226,7 +225,7 @@ func (h *statsProbe) Recv(n *Node, from graph.NodeID, m Msg) {
 				h.panicked.Store(true)
 			}
 		}()
-		(*h.sim).Stats()
+		(*h.sim).PartialResult()
 	}()
 	h.floodHandler.Recv(n, from, m)
 }
@@ -237,7 +236,7 @@ func (h *statsProbe) CloneStateInto(dst Handler) {
 	d.seen = h.seen
 }
 
-// TestStatsMidWindowGuard: Stats called while a parallel window or
+// TestStatsMidWindowGuard: PartialResult called while a parallel window or
 // speculative round is in flight must panic instead of returning counters
 // that are stale by an unknowable amount; in ModeSingle the same call is a
 // well-defined snapshot and must not panic.
@@ -250,10 +249,10 @@ func TestStatsMidWindowGuard(t *testing.T) {
 		sim = New(g, Fixed{D: 1}, mk).WithMode(mode).WithWorkers(2).WithMinParallel(1)
 		sim.Run()
 		if mode == ModeSingle && panicked.Load() {
-			t.Fatal("ModeSingle: mid-run Stats should be a valid snapshot, not a panic")
+			t.Fatal("ModeSingle: mid-run PartialResult should be a valid snapshot, not a panic")
 		}
 		if mode != ModeSingle && !panicked.Load() {
-			t.Fatalf("%s: Stats inside an in-flight window should panic", mode)
+			t.Fatalf("%s: PartialResult inside an in-flight window should panic", mode)
 		}
 	}
 }

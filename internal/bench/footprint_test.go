@@ -109,9 +109,9 @@ var stackBytePins = []struct {
 	spec       string
 	sync, abfs float64
 }{
-	{"grid:40x40", 8663, 4446},
-	{"er:n=2000,m=8000,seed=3", 5438, 8032},
-	{"pa:n=2000,m=3,seed=7", 3998, 6928},
+	{"grid:40x40", 8159, 4038},
+	{"er:n=2000,m=8000,seed=3", 5072, 7640},
+	{"pa:n=2000,m=3,seed=7", 3720, 6524},
 }
 
 func TestStackBytePins(t *testing.T) {

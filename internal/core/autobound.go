@@ -17,7 +17,7 @@ import (
 // the final outputs are unchanged.
 //
 // Accounting covers every attempt, not just the winner: a failed attempt's
-// costs are snapshotted from the simulator (Sim.Stats) before its state
+// costs are snapshotted from the simulator (Sim.PartialResult) before its state
 // unwinds, and PerProto merges across attempts, so the reported totals are
 // the Σ 2^t sum the theorem prices. Time sums each attempt's elapsed
 // simulation time (the failed attempts' full span plus the final attempt's
@@ -86,11 +86,7 @@ func tryBound(g *graph.Graph, bound int, adv async.Adversary,
 		// Bill the aborted attempt: the simulation unwinds, but its
 		// counters are still readable. Time is the span the attempt ran
 		// (every event up to the abort really happened).
-		now, msgs, acks, perProto := sim.Stats()
-		dropped, retrans, undeliv := sim.FaultStats()
-		res = async.Result{Time: now, Msgs: msgs, Acks: acks, PerProto: perProto,
-			Dropped: dropped, Retrans: retrans, Undeliverable: undeliv}
-		ok = false
+		res, ok = sim.PartialResult(), false
 	}()
 	res = sim.Run()
 	return res, watchdogReport(sim, &res, bound), true

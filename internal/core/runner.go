@@ -118,7 +118,7 @@ func NewSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 
 // newSynchronizedSim assembles the synchronizer stack without running it.
 // SynchronizeUnknownBound keeps the sim handle so an attempt that aborts
-// mid-run (pulse bound exceeded) can still be billed via Sim.Stats.
+// mid-run (pulse bound exceeded) can still be billed via Sim.PartialResult.
 func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *async.Sim {
 	if cfg.Graph == nil {
 		panic("core: Config.Graph is nil")

@@ -1,6 +1,7 @@
 // Package execpolicy centralizes the execution-policy decisions the two
-// engines share: worker-count defaults and validation, and the Auto-mode
-// heuristics that pick between serial and parallel execution. Keeping them
+// engines share: worker-count defaults and validation, the Auto-mode
+// heuristics that pick between serial and parallel execution, and the one
+// worker fan-out both pools run on. Keeping them
 // in one place stops the async engine and the lockstep runner from
 // drifting apart — both engines' WithWorkers validation, their GOMAXPROCS
 // clamps, and their "is parallelism worth the coordination?" thresholds
@@ -13,6 +14,7 @@ package execpolicy
 import (
 	"fmt"
 	"runtime"
+	"sync"
 )
 
 // maxWorkers caps every worker pool: beyond ~16 workers the merge and
@@ -167,4 +169,31 @@ func AutoShards(procs, links int) int {
 		k = 1
 	}
 	return k
+}
+
+// FanOut runs part(k) for k = 0..w-1, inline when w is 1 and on one
+// goroutine each otherwise, and re-raises the first worker panic in worker
+// order. panics is the caller's scratch, at least w long, so a pool that
+// fans out every pulse or window allocates no slice for it; every call
+// overwrites its first w entries. Callers build part once per run.
+func FanOut(w int, panics []any, part func(k int)) {
+	if w == 1 {
+		part(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := range w {
+		go func() {
+			defer wg.Done()
+			defer func() { panics[k] = recover() }()
+			part(k)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics[:w] {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

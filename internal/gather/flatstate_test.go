@@ -25,14 +25,14 @@ func saveModule(m *Module) []byte {
 func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	t.Helper()
 	want := saveModule(m)
-	clone := New(m.proto, m.cov, m.cb, nil)
-	clone.bind(id) // what Rebind does when the engine builds a clone target
+	clone := &Module{lv: m.lv, t: m.lv.NewTable()}
+	clone.t.Bind(id) // what Rebind does when the engine builds a clone target
 	m.CloneModuleInto(clone)
 	if !bytes.Equal(saveModule(clone), want) {
 		t.Fatalf("node %d: clone differs from source", id)
 	}
-	loaded := New(m.proto, m.cov, m.cb, nil)
-	loaded.bind(id)
+	loaded := &Module{lv: m.lv, t: m.lv.NewTable()}
+	loaded.t.Bind(id)
 	d := wire.NewDec(want, nil)
 	loaded.LoadState(d)
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
@@ -41,9 +41,9 @@ func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	if !bytes.Equal(saveModule(loaded), want) {
 		t.Fatalf("node %d: save+load differs from source", id)
 	}
-	if len(m.sess) > 0 {
+	if len(m.t.Sess) > 0 {
 		d := wire.NewDec(want, nil)
-		New(m.proto, m.cov, m.cb, nil).LoadState(d)
+		(&Module{lv: m.lv, t: m.lv.NewTable()}).LoadState(d)
 		if d.Err() == nil {
 			t.Fatalf("node %d: a module that does not know its node accepted session rows", id)
 		}
@@ -83,8 +83,8 @@ func TestGatherWideStar(t *testing.T) {
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("only %d/%d nodes finished gathering", len(res.Outputs), g.N())
 	}
-	if mods[0].stride != 1+10 {
-		t.Fatalf("hub record is %d bytes, want a flags byte plus 10 bytes of child bits", mods[0].stride)
+	if got := mods[0].t.Stride(); got != 1+10 {
+		t.Fatalf("hub record is %d bytes, want a flags byte plus 10 bytes of child bits", got)
 	}
 }
 
@@ -140,11 +140,11 @@ func TestGatherSessionFirstSeenByRecv(t *testing.T) {
 	})
 	sim.RunSteps(2) // node 0's report (and the far end's first flood hop) delivered
 	m := mods[1]
-	slot := m.lookup(3)
-	if slot < 0 || m.sess[slot].began {
+	slot := m.t.Lookup(3)
+	if slot < 0 || m.sess(slot).began {
 		t.Fatalf("node 1: session 3 slot %d, want one opened by Recv and not yet begun", slot)
 	}
-	if m.st[m.rec(slot, 0)+1]&1 == 0 {
+	if m.t.Rows[m.t.At(slot, 0)+1]&1 == 0 {
 		t.Fatal("node 1: child 0's report was not recorded")
 	}
 	res := stepGather(t, sim, mods, 7)

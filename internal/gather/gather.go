@@ -15,12 +15,11 @@ package gather
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
+	"repro/internal/ctree"
 	"repro/internal/graph"
-	"repro/internal/slab"
 	"repro/internal/wire"
 )
 
@@ -32,19 +31,11 @@ type Callbacks interface {
 }
 
 // Wire kinds of gather traffic (namespace: this module's proto). Every
-// payload carries A = cluster, B = session.
+// payload carries A = cluster, B = session (ctree.Table.Send).
 const (
 	kindDoneUp wire.Kind = iota + 1
 	kindConfirmDown
 )
-
-func encPayload(k wire.Kind, c cover.ClusterID, session int) wire.Body {
-	return wire.Body{Kind: k, A: int64(c), B: int64(session)}
-}
-
-func decPayload(b wire.Body) (cover.ClusterID, int) {
-	return cover.ClusterID(b.A), int(b.B)
-}
 
 // Per-(session, cluster) convergecast flags; the cluster's record is this
 // byte followed by one childDone bit per tree child.
@@ -55,9 +46,8 @@ const (
 	fConfirmed
 )
 
-// sessionState is the per-session callback state of this node.
-type sessionState struct {
-	id        int
+// session is the per-session callback state of this node.
+type session struct {
 	confirmed int32 // clusters containing me that confirmed
 	began     bool
 	markedAll bool
@@ -66,52 +56,20 @@ type sessionState struct {
 
 // Module is the per-node gather engine for one cover.
 //
-// All run state lives in two flat slices. A session gets a compact slot
-// the first time this node hears of it (sessions are sparse in id space —
-// the synchronizer's barrier sessions are 2p and 2p+1 for a handful of
-// pulses p — so slots, never raw ids, index the state). Slot s owns row
-// st[s*stride:(s+1)*stride], which holds one record per cluster tree this
-// node participates in, in cov.TreeOf(me) order: a flags byte, then one
-// childDone bit per entry of that cluster's ChildrenOf(me). Cloning the
-// module is therefore two copies, and a snapshot is the slices as they
-// stand. Code below addresses records by offset and never holds a
-// sub-slice across a callback: callbacks can open sessions, which grows st.
+// Run state is one ctree.Table whose per-session record is the callback
+// state above: a row per session, and in it one record per cluster tree
+// this node is on — a flags byte, then one childDone bit per tree child.
+// Code addresses records by offset and never holds a sub-slice across a
+// callback: callbacks can open sessions, which grows the rows.
 type Module struct {
-	proto   async.Proto
-	cov     *cover.Cover
-	cb      Callbacks
-	stageOf func(session int) int
-	run     *run
-
-	// Node binding: derived from (cov, me) at Rebind, never serialized.
-	bound   bool
-	me      graph.NodeID
-	trees   []treeRef // cov.TreeOf(me), ascending by cluster
-	stride  int       // row length in bytes
-	nMember int       // len(cov.MemberOf(me))
-
-	sess []sessionState // by slot, in first-sight order
-	st   []byte         // len(sess) rows
+	lv *level
+	t  ctree.Table[session]
 }
 
-// treeRef is this node's place on one cluster tree, resolved once at bind
-// so no event searches the cluster tree again: the record's offset in a
-// row, membership, and the tree parent and children the convergecast and
-// the broadcast travel to.
-type treeRef struct {
-	id       cover.ClusterID
-	off      int32          // record offset in a row
-	member   bool           // me is a member (terminal) of the cluster
-	parent   graph.NodeID   // -1 at the root
-	children []graph.NodeID // ascending; the cluster tree's own storage
-}
-
-// run holds the slabs every copy of one New value carves from: the node
-// layouts at bind, and the session table and rows as they grow.
-type run struct {
-	trees slab.Slab[treeRef]
-	bytes slab.Slab[byte]
-	sess  slab.Slab[sessionState]
+// level is the configuration every copy of one New value shares.
+type level struct {
+	ctree.Level[session]
+	cb Callbacks
 }
 
 var _ async.Module = (*Module)(nil)
@@ -128,34 +86,14 @@ var _ async.Rebinder = (*Module)(nil)
 // and grows its rows. The run then allocates module state per run, not
 // per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
-	if stageOf == nil {
-		stageOf = func(int) int { return 0 }
+	lv := &level{cb: cb}
+	lv.Level = ctree.Level[session]{
+		Proto: proto, Cov: cov, StageOf: stageOf,
+		RecLen:  func(children int) int { return 1 + (children+7)/8 },
+		SaveRec: saveSession,
+		LoadRec: loadSession,
 	}
-	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, run: &run{}}
-}
-
-// bind fixes the node this module serves and derives its layout into the
-// run's slabs.
-func (m *Module) bind(me graph.NodeID) {
-	m.bound = true
-	m.me = me
-	ids := m.cov.TreeOf(me)
-	member := m.cov.MemberOf(me)
-	m.nMember = len(member)
-	m.trees = m.run.trees.Carve(len(ids))
-	for _, cid := range ids {
-		cl := m.cov.Cluster(cid)
-		t := treeRef{id: cid, off: int32(m.stride), parent: -1, children: cl.ChildrenOf(me)}
-		if len(member) > 0 && member[0] == cid { // both lists ascend
-			t.member = true
-			member = member[1:]
-		}
-		if cl.Root != me {
-			t.parent, _ = cl.ParentOf(me)
-		}
-		m.trees = append(m.trees, t)
-		m.stride += 1 + (len(t.children)+7)/8
-	}
+	return &Module{lv: lv, t: lv.NewTable()}
 }
 
 // Start implements async.Module.
@@ -163,68 +101,34 @@ func (*Module) Start(*async.Node) {}
 
 // Rebind implements async.Rebinder: the engine binds the module to its node
 // once, when it builds the handler.
-func (m *Module) Rebind(n *async.Node) { m.bind(n.ID()) }
+func (m *Module) Rebind(n *async.Node) { m.t.Bind(n.ID()) }
 
 // Ack implements async.Module.
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-// lookup returns the session's slot, or -1. Recent sessions are the live
-// ones, so the scan runs newest first.
-func (m *Module) lookup(session int) int {
-	for s := len(m.sess) - 1; s >= 0; s-- {
-		if m.sess[s].id == session {
-			return s
-		}
-	}
-	return -1
-}
-
-// slot returns the session's slot, opening a zeroed row on first sight.
-func (m *Module) slot(session int) int {
-	if s := m.lookup(session); s >= 0 {
-		return s
-	}
-	m.sess = slab.Push(&m.run.sess, m.sess, sessionState{id: session})
-	n := len(m.st)
-	m.st = m.run.bytes.Grow(m.st, m.stride)[:n+m.stride]
-	clear(m.st[n:])
-	return len(m.sess) - 1
-}
-
-// clusterIndex returns c's position in trees; gather traffic only travels
-// along cluster trees, so a miss is a routing bug.
-func (m *Module) clusterIndex(c cover.ClusterID) int {
-	for ci := range m.trees {
-		if m.trees[ci].id == c {
-			return ci
-		}
-	}
-	panic(fmt.Sprintf("gather: node %d is not on the tree of cluster %d", m.me, c))
-}
-
-// rec returns the offset of (slot, ci)'s record in st.
-func (m *Module) rec(slot, ci int) int { return slot*m.stride + int(m.trees[ci].off) }
+// sess returns the slot's callback state; valid until the table next grows.
+func (m *Module) sess(slot int) *session { return &m.t.Sess[slot].Rec }
 
 // Begin announces the session at this node: every cluster tree this node
 // participates in becomes live here. Nonterminal nodes (pure relays) count
 // as locally done. Idempotent. Every tree participant must eventually call
 // Begin (or MarkDone) for every session, or convergecasts stall.
 func (m *Module) Begin(n *async.Node, session int) {
-	slot := m.slot(session)
-	if m.sess[slot].began {
+	slot := m.t.Slot(session)
+	if m.sess(slot).began {
 		return
 	}
-	m.sess[slot].began = true
-	for ci := range m.trees {
+	m.sess(slot).began = true
+	for ci := range m.t.Trees {
 		f := fBegan
-		if !m.trees[ci].member {
+		if !m.t.Trees[ci].Member {
 			f |= fLocalDone // nonterminals have no process to finish
 		}
-		m.st[m.rec(slot, ci)] |= f
+		m.t.Rows[m.t.At(slot, ci)] |= f
 		m.maybeReport(n, slot, ci)
 	}
 	// A node in no cluster at all has a trivially-done neighborhood.
-	if m.nMember == 0 {
+	if m.t.Members == 0 {
 		m.maybeFire(n, slot)
 	}
 }
@@ -233,16 +137,16 @@ func (m *Module) Begin(n *async.Node, session int) {
 // finished. Implies Begin.
 func (m *Module) MarkDone(n *async.Node, session int) {
 	m.Begin(n, session)
-	slot := m.slot(session)
-	if m.sess[slot].markedAll {
+	slot := m.t.Slot(session)
+	if m.sess(slot).markedAll {
 		return
 	}
-	m.sess[slot].markedAll = true
-	for ci := range m.trees {
-		if !m.trees[ci].member {
+	m.sess(slot).markedAll = true
+	for ci := range m.t.Trees {
+		if !m.t.Trees[ci].Member {
 			continue
 		}
-		m.st[m.rec(slot, ci)] |= fLocalDone
+		m.t.Rows[m.t.At(slot, ci)] |= fLocalDone
 		m.maybeReport(n, slot, ci)
 	}
 	m.maybeFire(n, slot)
@@ -250,16 +154,11 @@ func (m *Module) MarkDone(n *async.Node, session int) {
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
-	c, session := decPayload(msg.Body)
-	ci := m.clusterIndex(c)
-	slot := m.slot(session)
+	slot, ci := m.t.Recv(msg.Body)
 	switch msg.Body.Kind {
 	case kindDoneUp:
-		i, ok := slices.BinarySearch(m.trees[ci].children, from)
-		if !ok {
-			panic(fmt.Sprintf("gather: node %d got a report from non-child %d in cluster %d", m.me, from, c))
-		}
-		m.st[m.rec(slot, ci)+1+i/8] |= 1 << uint(i%8)
+		i := m.t.Child(ci, from)
+		m.t.Rows[m.t.At(slot, ci)+1+i/8] |= 1 << uint(i%8)
 		m.maybeReport(n, slot, ci)
 	case kindConfirmDown:
 		m.confirm(n, slot, ci)
@@ -272,40 +171,38 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 // confirmation broadcast at the root) once this node is locally done, has
 // begun, and has heard from every tree child.
 func (m *Module) maybeReport(n *async.Node, slot, ci int) {
-	r := m.rec(slot, ci)
-	if f := m.st[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
+	r := m.t.At(slot, ci)
+	if f := m.t.Rows[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
 		return
 	}
-	t := &m.trees[ci]
-	for i := range t.children {
-		if m.st[r+1+i/8]&(1<<uint(i%8)) == 0 {
+	t := &m.t.Trees[ci]
+	for i := range t.Children {
+		if m.t.Rows[r+1+i/8]&(1<<uint(i%8)) == 0 {
 			return
 		}
 	}
-	m.st[r] |= fReported
-	if t.parent < 0 {
+	m.t.Rows[r] |= fReported
+	if t.Parent < 0 {
 		m.confirm(n, slot, ci)
 		return
 	}
-	session := m.sess[slot].id
-	n.Send(t.parent, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindDoneUp, t.id, session)})
+	m.t.Send(n, t.Parent, kindDoneUp, slot, ci)
 }
 
 // confirm marks the cluster complete at this node and forwards the
 // broadcast to tree children.
 func (m *Module) confirm(n *async.Node, slot, ci int) {
-	r := m.rec(slot, ci)
-	if m.st[r]&fConfirmed != 0 {
+	r := m.t.At(slot, ci)
+	if m.t.Rows[r]&fConfirmed != 0 {
 		return
 	}
-	m.st[r] |= fConfirmed
-	t := &m.trees[ci]
-	session := m.sess[slot].id
-	for _, ch := range t.children {
-		n.Send(ch, async.Msg{Proto: m.proto, Stage: m.stageOf(session), Body: encPayload(kindConfirmDown, t.id, session)})
+	m.t.Rows[r] |= fConfirmed
+	t := &m.t.Trees[ci]
+	for _, ch := range t.Children {
+		m.t.Send(n, ch, kindConfirmDown, slot, ci)
 	}
-	if t.member {
-		m.sess[slot].confirmed++
+	if t.Member {
+		m.sess(slot).confirmed++
 		m.maybeFire(n, slot)
 	}
 }
@@ -314,24 +211,24 @@ func (m *Module) confirm(n *async.Node, slot, ci int) {
 // confirmed and the local process finished (a member's own completion is
 // part of "everyone within distance d is done").
 func (m *Module) maybeFire(n *async.Node, slot int) {
-	ns := &m.sess[slot]
+	ns := m.sess(slot)
 	if ns.fired {
 		return
 	}
-	if m.nMember > 0 && (!ns.markedAll || int(ns.confirmed) < m.nMember) {
+	if m.t.Members > 0 && (!ns.markedAll || ns.confirmed < m.t.Members) {
 		return
 	}
-	if m.nMember == 0 && !ns.began {
+	if m.t.Members == 0 && !ns.began {
 		return
 	}
 	ns.fired = true
-	m.cb.NeighborhoodDone(n, ns.id)
+	m.lv.cb.NeighborhoodDone(n, m.t.Sess[slot].ID)
 }
 
 // Done reports whether the session's NeighborhoodDone fired at this node.
 func (m *Module) Done(session int) bool {
-	s := m.lookup(session)
-	return s >= 0 && m.sess[s].fired
+	s := m.t.Lookup(session)
+	return s >= 0 && m.sess(s).fired
 }
 
 // stagedGather runs Theorem 3.2's staged gather: stage i learns that the

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/execpolicy"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
@@ -205,26 +206,14 @@ func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
 		}
 		return out
 	}
-	vals, panics := make([]any, len(t.has)), make([]any, w)
-	var wg sync.WaitGroup
-	for k := range w {
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			defer func() { panics[k] = recover() }()
-			for i := lo; i < hi; i++ {
-				if t.has[i] {
-					vals[i] = decodeSlot(at(bodies, i), at(boxed, i))
-				}
+	vals := make([]any, len(t.has))
+	execpolicy.FanOut(w, make([]any, w), func(k int) {
+		for i := k * len(vals) / w; i < (k+1)*len(vals)/w; i++ {
+			if t.has[i] {
+				vals[i] = decodeSlot(at(bodies, i), at(boxed, i))
 			}
-		}(k, k*len(vals)/w, (k+1)*len(vals)/w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
 		}
-	}
+	})
 	for i, has := range t.has {
 		if has {
 			out[base+graph.NodeID(i)] = vals[i]

@@ -8,20 +8,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestPayloadCodecRoundTrips covers every wave-registration kind.
-func TestPayloadCodecRoundTrips(t *testing.T) {
-	for _, k := range []wire.Kind{kindRegUp, kindRegDone, kindDeregUp, kindGoAhead} {
-		b := encPayload(k, 17, 3)
-		if b.Kind != k {
-			t.Fatalf("kind = %d, want %d", b.Kind, k)
-		}
-		c, s := decPayload(b)
-		if c != 17 || s != 3 {
-			t.Fatalf("round trip: (%d, %d)", c, s)
-		}
-	}
-}
-
 // TestNaiveCodecRoundTrips covers every naive-scheme kind, origin included.
 func TestNaiveCodecRoundTrips(t *testing.T) {
 	for _, k := range []wire.Kind{nkReg, nkRegAck, nkDereg, nkDeregAck, nkGo} {

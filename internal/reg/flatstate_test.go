@@ -21,14 +21,14 @@ func saveModule(m *Module) []byte {
 func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	t.Helper()
 	want := saveModule(m)
-	clone := New(m.proto, m.cov, m.cb, nil)
-	clone.bind(id) // what Rebind does when the engine builds a clone target
+	clone := &Module{lv: m.lv, t: m.lv.NewTable()}
+	clone.t.Bind(id) // what Rebind does when the engine builds a clone target
 	m.CloneModuleInto(clone)
 	if !bytes.Equal(saveModule(clone), want) {
 		t.Fatalf("node %d: clone differs from source", id)
 	}
-	loaded := New(m.proto, m.cov, m.cb, nil)
-	loaded.bind(id)
+	loaded := &Module{lv: m.lv, t: m.lv.NewTable()}
+	loaded.t.Bind(id)
 	d := wire.NewDec(want, nil)
 	loaded.LoadState(d)
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
@@ -37,9 +37,9 @@ func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	if !bytes.Equal(saveModule(loaded), want) {
 		t.Fatalf("node %d: save+load differs from source", id)
 	}
-	if len(m.sessions) > 0 {
+	if len(m.t.Sess) > 0 {
 		d := wire.NewDec(want, nil)
-		New(m.proto, m.cov, m.cb, nil).LoadState(d)
+		(&Module{lv: m.lv, t: m.lv.NewTable()}).LoadState(d)
 		if d.Err() == nil {
 			t.Fatalf("node %d: a module that does not know its node accepted session rows", id)
 		}
@@ -83,7 +83,7 @@ func TestRegWideStarCopies(t *testing.T) {
 	if !sawInvokers {
 		t.Fatal("no stop caught a waiting invoker; the case no longer covers that list")
 	}
-	if got := len(mods[0].rowInit); got != 1+70 {
+	if got := mods[0].t.Stride(); got != 1+70 {
 		t.Fatalf("hub record is %d bytes, want a head byte plus 70 edge marks", got)
 	}
 	for id, m := range mods {

@@ -23,10 +23,10 @@ package reg
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
+	"repro/internal/ctree"
 	"repro/internal/graph"
 	"repro/internal/slab"
 	"repro/internal/wire"
@@ -53,23 +53,13 @@ const (
 )
 
 // Wire kinds of registration traffic (namespace: this module's proto).
-// Every payload carries A = cluster, B = session.
+// Every payload carries A = cluster, B = session (ctree.Table.Send).
 const (
 	kindRegUp wire.Kind = iota + 1
 	kindRegDone
 	kindDeregUp
 	kindGoAhead
 )
-
-// encPayload encodes one registration message.
-func encPayload(k wire.Kind, c cover.ClusterID, session int) wire.Body {
-	return wire.Body{Kind: k, A: int64(c), B: int64(session)}
-}
-
-// decPayload decodes the cluster and session words.
-func decPayload(b wire.Body) (cover.ClusterID, int) {
-	return cover.ClusterID(b.A), int(b.B)
-}
 
 // Callbacks receives client-visible events.
 type Callbacks interface {
@@ -101,52 +91,25 @@ type invoker struct {
 	child graph.NodeID
 }
 
-// treeRef is this node's place on one cluster tree, resolved once at bind
-// so no event searches the cluster tree again: the record's offset in a
-// row, the tree parent, and the children the edge marks follow.
-type treeRef struct {
-	id       cover.ClusterID
-	off      int32          // record offset in a row; the record is 1+len(children) bytes
-	parent   graph.NodeID   // -1 at the root
-	children []graph.NodeID // ascending; the cluster tree's own storage
-}
-
 // Module is the per-node registration engine for one cover. It implements
 // async.Module; route one Proto to it.
 //
-// Run state is flat, laid out like gather's: a session gets a compact slot
-// on first sight (never its raw id — at cover level 5 the sessions are
-// every odd pulse), slot s owns row st[s*stride:(s+1)*stride], and a row
-// holds one record per cluster tree this node is on, in cov.TreeOf(me)
-// order. A new row starts as rowInit (roots are born finished). Code
-// addresses records by offset and re-derives it after every callback:
-// callbacks can open sessions, which grows st.
+// Run state is one ctree.Table: a row per session, and in it one record
+// per cluster tree this node is on. A new row starts zeroed but for the
+// roots' heads (roots are born finished). Code addresses records by offset
+// and re-derives it after every callback: callbacks can open sessions,
+// which grows the rows.
 type Module struct {
-	proto   async.Proto
-	cov     *cover.Cover
-	cb      Callbacks
-	stageOf func(session int) int
-	run     *run
-
-	// Node binding: derived from (cov, me) at Rebind, never serialized.
-	bound   bool
-	me      graph.NodeID
-	trees   []treeRef // cov.TreeOf(me), ascending by cluster
-	rowInit []byte    // a fresh row; len(rowInit) is the row stride
-
-	sessions []int // slot -> session id, in first-sight order
-	st       []byte
-	inv      []invoker
+	lv  *level
+	t   ctree.Table[struct{}]
+	inv []invoker
 }
 
-// run holds the slabs every copy of one New value carves from: the node
-// layouts at bind, and the session table, rows and invoker lists as they
-// grow.
-type run struct {
-	trees    slab.Slab[treeRef]
-	bytes    slab.Slab[byte]
-	sessions slab.Slab[int]
-	invs     slab.Slab[invoker]
+// level is the configuration every copy of one New value shares.
+type level struct {
+	ctree.Level[struct{}]
+	cb   Callbacks
+	invs slab.Slab[invoker]
 }
 
 var _ async.Module = (*Module)(nil)
@@ -163,35 +126,13 @@ var _ async.Rebinder = (*Module)(nil)
 // and grows its rows. The run then allocates module state per run, not
 // per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
-	if stageOf == nil {
-		stageOf = func(int) int { return 0 }
+	lv := &level{cb: cb}
+	lv.Level = ctree.Level[struct{}]{
+		Proto: proto, Cov: cov, StageOf: stageOf,
+		RecLen:   func(children int) int { return 1 + children },
+		RootHead: uint8(idle) | fFinished, // the root is always finished
 	}
-	return &Module{proto: proto, cov: cov, cb: cb, stageOf: stageOf, run: &run{}}
-}
-
-// bind fixes the node this module serves and derives its layout into the
-// run's slabs.
-func (m *Module) bind(me graph.NodeID) {
-	m.bound = true
-	m.me = me
-	ids := m.cov.TreeOf(me)
-	m.trees = m.run.trees.Carve(len(ids))
-	stride := 0
-	for _, cid := range ids {
-		cl := m.cov.Cluster(cid)
-		t := treeRef{id: cid, off: int32(stride), parent: -1, children: cl.ChildrenOf(me)}
-		if cl.Root != me {
-			t.parent, _ = cl.ParentOf(me)
-		}
-		m.trees = append(m.trees, t)
-		stride += 1 + len(t.children)
-	}
-	m.rowInit = m.run.bytes.Carve(stride)[:stride]
-	for _, t := range m.trees {
-		if t.parent < 0 {
-			m.rowInit[t.off] = uint8(idle) | fFinished // the root is always finished
-		}
-	}
+	return &Module{lv: lv, t: lv.NewTable()}
 }
 
 // Start implements async.Module.
@@ -199,57 +140,17 @@ func (*Module) Start(*async.Node) {}
 
 // Rebind implements async.Rebinder: the engine binds the module to its node
 // once, when it builds the handler.
-func (m *Module) Rebind(n *async.Node) { m.bind(n.ID()) }
+func (m *Module) Rebind(n *async.Node) { m.t.Bind(n.ID()) }
 
 // Ack implements async.Module.
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-// lookup returns the session's slot, or -1. Recent sessions are the live
-// ones, so the scan runs newest first.
-func (m *Module) lookup(session int) int {
-	for s := len(m.sessions) - 1; s >= 0; s-- {
-		if m.sessions[s] == session {
-			return s
-		}
-	}
-	return -1
-}
-
-// treeIndex returns c's position in trees, or -1.
-func (m *Module) treeIndex(c cover.ClusterID) int {
-	for ci := range m.trees {
-		if m.trees[ci].id == c {
-			return ci
-		}
-	}
-	return -1
-}
-
-// rec returns the offset in st of (c, session)'s record plus its cluster
-// index and slot, opening the session's row on first sight.
-func (m *Module) rec(c cover.ClusterID, session int) (r, slot, ci int) {
-	ci = m.treeIndex(c)
-	if ci < 0 {
-		panic(fmt.Sprintf("reg: node %d is not on the tree of cluster %d", m.me, c))
-	}
-	slot = m.lookup(session)
-	if slot < 0 {
-		slot = len(m.sessions)
-		m.sessions = slab.Push(&m.run.sessions, m.sessions, session)
-		m.st = append(m.run.bytes.Grow(m.st, len(m.rowInit)), m.rowInit...)
-	}
-	return m.at(slot, ci), slot, ci
-}
-
-// at returns the offset of (slot, ci)'s record in st.
-func (m *Module) at(slot, ci int) int { return slot*len(m.rowInit) + int(m.trees[ci].off) }
-
 // ord returns (slot, ci)'s record ordinal, the key invokers carry.
-func (m *Module) ord(slot, ci int) int32 { return int32(slot*len(m.trees) + ci) }
+func (m *Module) ord(slot, ci int) int32 { return int32(slot*len(m.t.Trees) + ci) }
 
-func (m *Module) local(r int) localState { return localState(m.st[r] & localMask) }
+func (m *Module) local(r int) localState { return localState(m.t.Rows[r] & localMask) }
 
-func (m *Module) setLocal(r int, l localState) { m.st[r] = m.st[r]&^localMask | uint8(l) }
+func (m *Module) setLocal(r int, l localState) { m.t.Rows[r] = m.t.Rows[r]&^localMask | uint8(l) }
 
 // anyDirty reports whether some child edge of record r is still dirty.
 func (m *Module) anyDirty(r, ci int) bool {
@@ -261,39 +162,31 @@ func (m *Module) anyDirty(r, ci int) bool {
 	return false
 }
 
-// marks returns record r's child-edge marks; valid until st next grows.
+// marks returns record r's child-edge marks; valid until the rows next grow.
 func (m *Module) marks(r, ci int) []byte {
-	return m.st[r+1 : r+1+len(m.trees[ci].children)]
+	return m.t.Rows[r+1 : r+1+len(m.t.Trees[ci].Children)]
 }
 
-func (m *Module) isRoot(ci int) bool { return m.trees[ci].parent < 0 }
+func (m *Module) isRoot(ci int) bool { return m.t.Trees[ci].Parent < 0 }
 
 func (m *Module) parent(ci int) graph.NodeID {
 	if m.isRoot(ci) {
-		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", m.me, m.trees[ci].id))
+		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", m.t.Me(), m.t.Trees[ci].ID))
 	}
-	return m.trees[ci].parent
-}
-
-func (m *Module) send(n *async.Node, to graph.NodeID, kind wire.Kind, slot, ci int) {
-	session := m.sessions[slot]
-	n.Send(to, async.Msg{
-		Proto: m.proto,
-		Stage: m.stageOf(session),
-		Body:  encPayload(kind, m.trees[ci].id, session),
-	})
+	return m.t.Trees[ci].Parent
 }
 
 // Register starts this node's registration in cluster c for the session.
 // The node must be a tree node of c. Callbacks.Registered fires when done.
 func (m *Module) Register(n *async.Node, c cover.ClusterID, session int) {
-	r, slot, ci := m.rec(c, session)
+	slot, ci := m.t.Open(c, session)
+	r := m.t.At(slot, ci)
 	if m.local(r) != idle {
 		panic(fmt.Sprintf("reg: node %d double-registers in cluster %d session %d", n.ID(), c, session))
 	}
-	if m.st[r]&fFinished != 0 {
+	if m.t.Rows[r]&fFinished != 0 {
 		m.setLocal(r, registered)
-		m.cb.Registered(n, c, session)
+		m.lv.cb.Registered(n, c, session)
 		return
 	}
 	m.setLocal(r, registering)
@@ -303,18 +196,19 @@ func (m *Module) Register(n *async.Node, c cover.ClusterID, session int) {
 // invokeRUp sends (or relies on an already in-flight) R invocation to the
 // parent, marking the parent edge dirty.
 func (m *Module) invokeRUp(n *async.Node, slot, ci int) {
-	r := m.at(slot, ci)
-	if m.st[r]&fPending != 0 {
+	r := m.t.At(slot, ci)
+	if m.t.Rows[r]&fPending != 0 {
 		return // an R(me) is already traveling; its completion serves all
 	}
-	m.st[r] |= fPending | fUpDirty
-	m.send(n, m.parent(ci), kindRegUp, slot, ci)
+	m.t.Rows[r] |= fPending | fUpDirty
+	m.t.Send(n, m.parent(ci), kindRegUp, slot, ci)
 }
 
 // Deregister ends this node's participation; Callbacks.GoAhead fires when
 // the cluster's Go-Ahead arrives.
 func (m *Module) Deregister(n *async.Node, c cover.ClusterID, session int) {
-	r, slot, ci := m.rec(c, session)
+	slot, ci := m.t.Open(c, session)
+	r := m.t.At(slot, ci)
 	if m.local(r) != registered {
 		panic(fmt.Sprintf("reg: node %d deregisters in cluster %d session %d without being registered", n.ID(), c, session))
 	}
@@ -324,8 +218,7 @@ func (m *Module) Deregister(n *async.Node, c cover.ClusterID, session int) {
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
-	c, session := decPayload(msg.Body)
-	_, slot, ci := m.rec(c, session)
+	slot, ci := m.t.Recv(msg.Body)
 	switch msg.Body.Kind {
 	case kindRegUp:
 		m.onRegUp(n, from, slot, ci)
@@ -342,30 +235,26 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 
 // childMark returns the offset of child's edge mark in record (slot, ci).
 func (m *Module) childMark(slot, ci int, child graph.NodeID) int {
-	i, ok := slices.BinarySearch(m.trees[ci].children, child)
-	if !ok {
-		panic(fmt.Sprintf("reg: node %d heard from non-child %d in cluster %d", m.me, child, m.trees[ci].id))
-	}
-	return m.at(slot, ci) + 1 + i
+	return m.t.At(slot, ci) + 1 + m.t.Child(ci, child)
 }
 
 func (m *Module) onRegUp(n *async.Node, child graph.NodeID, slot, ci int) {
-	m.st[m.childMark(slot, ci, child)] = uint8(markDirty)
-	if m.st[m.at(slot, ci)]&fFinished != 0 {
-		m.send(n, child, kindRegDone, slot, ci)
+	m.t.Rows[m.childMark(slot, ci, child)] = uint8(markDirty)
+	if m.t.Rows[m.t.At(slot, ci)]&fFinished != 0 {
+		m.t.Send(n, child, kindRegDone, slot, ci)
 		return
 	}
-	m.inv = slab.Push(&m.run.invs, m.inv, invoker{ord: m.ord(slot, ci), child: child})
+	m.inv = slab.Push(&m.lv.invs, m.inv, invoker{ord: m.ord(slot, ci), child: child})
 	m.invokeRUp(n, slot, ci)
 }
 
 func (m *Module) onRegDone(n *async.Node, slot, ci int) {
-	r := m.at(slot, ci)
-	m.st[r] = m.st[r]&^fPending | fFinished
+	r := m.t.At(slot, ci)
+	m.t.Rows[r] = m.t.Rows[r]&^fPending | fFinished
 	ord, kept := m.ord(slot, ci), 0
 	for _, iv := range m.inv {
 		if iv.ord == ord {
-			m.send(n, iv.child, kindRegDone, slot, ci)
+			m.t.Send(n, iv.child, kindRegDone, slot, ci)
 		} else {
 			m.inv[kept] = iv
 			kept++
@@ -374,16 +263,16 @@ func (m *Module) onRegDone(n *async.Node, slot, ci int) {
 	m.inv = m.inv[:kept]
 	if m.local(r) == registering {
 		m.setLocal(r, registered)
-		m.cb.Registered(n, m.trees[ci].id, m.sessions[slot])
+		m.lv.cb.Registered(n, m.t.Trees[ci].ID, m.t.Sess[slot].ID)
 	}
 }
 
 func (m *Module) onDeregUp(n *async.Node, child graph.NodeID, slot, ci int) {
 	mark := m.childMark(slot, ci, child)
-	if edgeMark(m.st[mark]) != markDirty {
+	if edgeMark(m.t.Rows[mark]) != markDirty {
 		panic(fmt.Sprintf("reg: node %d got DeregUp on non-dirty edge from %d", n.ID(), child))
 	}
-	m.st[mark] = uint8(markWaiting)
+	m.t.Rows[mark] = uint8(markWaiting)
 	if m.isRoot(ci) {
 		m.maybeIssueGo(n, slot, ci)
 		return
@@ -393,7 +282,7 @@ func (m *Module) onDeregUp(n *async.Node, child graph.NodeID, slot, ci int) {
 
 // runD is the deregistration wave step D(me).
 func (m *Module) runD(n *async.Node, slot, ci int) {
-	r := m.at(slot, ci)
+	r := m.t.At(slot, ci)
 	if m.anyDirty(r, ci) {
 		return
 	}
@@ -406,16 +295,16 @@ func (m *Module) runD(n *async.Node, slot, ci int) {
 		m.maybeIssueGo(n, slot, ci)
 		return
 	}
-	if m.st[r]&fUpDirty == 0 {
+	if m.t.Rows[r]&fUpDirty == 0 {
 		panic(fmt.Sprintf("reg: D at node %d with non-dirty parent edge", n.ID()))
 	}
-	m.st[r] &^= fUpDirty | fFinished
-	m.send(n, m.parent(ci), kindDeregUp, slot, ci)
+	m.t.Rows[r] &^= fUpDirty | fFinished
+	m.t.Send(n, m.parent(ci), kindDeregUp, slot, ci)
 }
 
 // maybeIssueGo is the root's Go-Ahead trigger.
 func (m *Module) maybeIssueGo(n *async.Node, slot, ci int) {
-	if m.anyDirty(m.at(slot, ci), ci) {
+	if m.anyDirty(m.t.At(slot, ci), ci) {
 		return
 	}
 	m.runG(n, slot, ci)
@@ -424,16 +313,16 @@ func (m *Module) maybeIssueGo(n *async.Node, slot, ci int) {
 // runG is the Go-Ahead wave step G(me): free the local client if it is
 // waiting, then forward through waiting child edges (consuming the marks).
 func (m *Module) runG(n *async.Node, slot, ci int) {
-	if r := m.at(slot, ci); m.local(r) == deregistered {
+	if r := m.t.At(slot, ci); m.local(r) == deregistered {
 		m.setLocal(r, free)
-		m.cb.GoAhead(n, m.trees[ci].id, m.sessions[slot])
+		m.lv.cb.GoAhead(n, m.t.Trees[ci].ID, m.t.Sess[slot].ID)
 	}
-	r := m.at(slot, ci) // the callback may have grown st
-	children := m.trees[ci].children
+	r := m.t.At(slot, ci) // the callback may have grown the rows
+	children := m.t.Trees[ci].Children
 	for i, mark := range m.marks(r, ci) {
 		if edgeMark(mark) == markWaiting {
-			m.st[r+1+i] = uint8(markNone)
-			m.send(n, children[i], kindGoAhead, slot, ci)
+			m.t.Rows[r+1+i] = uint8(markNone)
+			m.t.Send(n, children[i], kindGoAhead, slot, ci)
 		}
 	}
 }
@@ -441,6 +330,6 @@ func (m *Module) runG(n *async.Node, slot, ci int) {
 // LocalDone reports whether this node's client in (c, session) has been
 // freed (received its Go-Ahead). Tests use it for final-state checks.
 func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
-	slot, ci := m.lookup(session), m.treeIndex(c)
-	return slot >= 0 && ci >= 0 && m.local(m.at(slot, ci)) == free
+	slot, ci := m.t.Lookup(session), m.t.Index(c)
+	return slot >= 0 && ci >= 0 && m.local(m.t.At(slot, ci)) == free
 }

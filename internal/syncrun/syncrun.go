@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
@@ -354,9 +353,13 @@ type Runner struct {
 	trace     []TraceEntry
 	keepTrace bool
 
-	// Multi-mode state, allocated on first parallel pulse.
+	// Multi-mode state, allocated on first parallel pulse. part is runPart,
+	// bound once; ph and parts are the fan-out it runs.
 	activeIDs    []graph.NodeID
 	workerPanics []any
+	part         func(k int)
+	ph           phase
+	parts        int
 
 	// arena backs Body.Seg segments; delivered segments return to it after
 	// the receiving pulse's batch is processed.
@@ -384,6 +387,7 @@ func New(g *graph.Graph, mk func(id graph.NodeID) Handler) *Runner {
 		workers:     execpolicy.DefaultWorkers(),
 		minParallel: defaultMinParallel,
 	}
+	r.part = r.runPart
 	r.out.Init(g.N())
 	for i := 0; i < g.N(); i++ {
 		id := graph.NodeID(i)
@@ -581,41 +585,19 @@ const (
 	scatterPhase              // place seal range k's batches
 )
 
-// fanOut runs phase ph's parts 0..w-1, inline when w is 1 and on one
-// goroutine each otherwise, and re-raises the first worker panic in worker
-// order.
+// fanOut runs phase ph's parts 0..w-1 through execpolicy.FanOut.
 func (r *Runner) fanOut(ph phase, w int) {
-	if w == 1 {
-		r.runPart(ph, 0, 1)
-		return
-	}
 	if len(r.workerPanics) < w {
 		r.workerPanics = make([]any, w)
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					r.workerPanics[k] = p
-				}
-			}()
-			r.runPart(ph, k, w)
-		}(k)
-	}
-	wg.Wait()
-	for k := 0; k < w; k++ {
-		if p := r.workerPanics[k]; p != nil {
-			panic(p)
-		}
-	}
+	r.ph, r.parts = ph, w
+	execpolicy.FanOut(w, r.workerPanics, r.part)
 }
 
-// runPart runs part k of w of phase ph.
-func (r *Runner) runPart(ph phase, k, w int) {
-	switch ph {
+// runPart runs part k of the current fan-out.
+func (r *Runner) runPart(k int) {
+	w := r.parts
+	switch r.ph {
 	case stepPhase:
 		ids := r.activeIDs
 		for _, v := range ids[k*len(ids)/w : (k+1)*len(ids)/w] {
