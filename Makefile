@@ -15,7 +15,7 @@ test: build
 	go test ./...
 
 race:
-	go test -race ./internal/outval/ ./internal/async/ ./internal/syncrun/ ./internal/apps/ ./internal/bench/ ./internal/core/ ./internal/shard/ ./internal/ctree/ ./internal/reg/ ./internal/gather/ ./internal/abfs/
+	go test -race ./internal/wire/ ./internal/slab/ ./internal/outval/ ./internal/async/ ./internal/syncrun/ ./internal/apps/ ./internal/bench/ ./internal/core/ ./internal/shard/ ./internal/ctree/ ./internal/reg/ ./internal/gather/ ./internal/abfs/
 
 fmt:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi

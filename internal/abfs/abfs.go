@@ -72,7 +72,7 @@ type checkGlue struct {
 }
 
 var _ async.Module = (*checkGlue)(nil)
-var _ async.ModuleState = (*checkGlue)(nil)
+var _ wire.StateCodec = (*checkGlue)(nil)
 var _ async.Rebinder = (*checkGlue)(nil)
 
 // checkBatch is the checking stage of one batch of synchronizer stacks:
@@ -104,12 +104,6 @@ func (cg *checkGlue) SaveState(e *wire.Enc) {
 func (cg *checkGlue) LoadState(d *wire.Dec) {
 	cg.srcDone = d.Bool()
 	cg.frontier = d.Bool()
-}
-
-// CloneModuleInto implements async.ModuleState.
-func (cg *checkGlue) CloneModuleInto(dst async.Module) {
-	d := dst.(*checkGlue)
-	d.srcDone, d.frontier = cg.srcDone, cg.frontier
 }
 
 // Rebind implements async.Rebinder: the engine hands the glue its node when

@@ -15,7 +15,9 @@ import (
 // Covers, Barrier, Weights, callbacks) stay out of the stream — the
 // restoring side rebuilds handlers with the same constructor, so only the
 // run-varying state travels. Maps are written in sorted key order so the
-// frame bytes are a pure function of the logical state.
+// frame bytes are a pure function of the logical state. A map is sized
+// from its decoded count only up to the bytes left, since every entry
+// takes at least one: a corrupted count must not allocate past the input.
 
 var (
 	_ wire.StateCodec = (*Flood)(nil)
@@ -38,11 +40,17 @@ func saveNodeSet(e *wire.Enc, set map[graph.NodeID]bool) {
 	}
 }
 
+// loadNodeSet reads a saveNodeSet list, refusing keys that do not ascend
+// strictly so that every list it accepts saves back identically.
 func loadNodeSet(d *wire.Dec) map[graph.NodeID]bool {
 	n := int(d.U32())
-	set := make(map[graph.NodeID]bool, n)
-	for i := 0; i < n && !d.Failed(); i++ {
-		set[graph.NodeID(d.I32())] = true
+	set := make(map[graph.NodeID]bool, min(n, d.Remaining()))
+	for i, prev := 0, graph.NodeID(0); i < n && !d.Failed(); i++ {
+		v := graph.NodeID(d.I32())
+		if i > 0 && v <= prev {
+			d.Fail("apps: node set key %d after %d", v, prev)
+		}
+		set[v], prev = true, v
 	}
 	return set
 }
@@ -74,12 +82,19 @@ func (s *sendQueue) saveState(e *wire.Enc) {
 	}
 }
 
+// loadState reads a saveState queue, refusing targets that do not ascend
+// strictly or hold no message, so that every queue it accepts saves back
+// identically.
 func (s *sendQueue) loadState(d *wire.Dec) {
 	s.q = nil
 	nTargets := int(d.U32())
-	for i := 0; i < nTargets && !d.Failed(); i++ {
+	for i, prev := 0, graph.NodeID(0); i < nTargets && !d.Failed(); i++ {
 		to := graph.NodeID(d.I32())
 		cnt := int(d.U32())
+		if (i > 0 && to <= prev) || cnt == 0 {
+			d.Fail("apps: send queue target %d after %d with %d messages", to, prev, cnt)
+		}
+		prev = to
 		for j := 0; j < cnt && !d.Failed(); j++ {
 			b := d.Body()
 			if !d.Failed() {
@@ -200,7 +215,7 @@ func (h *Leader) LoadState(d *wire.Dec) {
 	h.candidate = d.Bool()
 	h.done = d.Bool()
 	n := int(d.U32())
-	h.st = make(map[lcKey]*leadState, n)
+	h.st = make(map[lcKey]*leadState, min(n, d.Remaining()))
 	for i := 0; i < n && !d.Failed(); i++ {
 		k := lcKey{level: d.Int(), cluster: cover.ClusterID(d.I64())}
 		st := &leadState{
@@ -281,12 +296,12 @@ func (h *MST) LoadState(d *wire.Dec) {
 	h.fragDone = d.Bool()
 
 	nPhases := int(d.U32())
-	h.st = make(map[int]*mstPhase, nPhases)
+	h.st = make(map[int]*mstPhase, min(nPhases, d.Remaining()))
 	for i := 0; i < nPhases && !d.Failed(); i++ {
 		k := d.Int()
 		st := &mstPhase{sentConnect: -1}
 		nTests := int(d.U32())
-		st.tests = make(map[graph.NodeID]graph.NodeID, nTests)
+		st.tests = make(map[graph.NodeID]graph.NodeID, min(nTests, d.Remaining()))
 		for j := 0; j < nTests && !d.Failed(); j++ {
 			nb := graph.NodeID(d.I32())
 			st.tests[nb] = graph.NodeID(d.I32())
@@ -311,7 +326,7 @@ func (h *MST) LoadState(d *wire.Dec) {
 	}
 
 	nBars := int(d.U32())
-	h.bar = make(map[int]*mstBarrier, nBars)
+	h.bar = make(map[int]*mstBarrier, min(nBars, d.Remaining()))
 	for i := 0; i < nBars && !d.Failed(); i++ {
 		k := d.Int()
 		b := &mstBarrier{

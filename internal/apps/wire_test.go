@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cover"
@@ -99,4 +100,71 @@ func FuzzMSTEdgeCodec(f *testing.F) {
 			t.Fatalf("round trip: (%d, %+v) vs (%d, %+v)", gotPhase, gotE, phase, e)
 		}
 	})
+}
+
+// TestStateCodecRefusesNonCanonicalLists: a node set or send queue whose
+// keys do not ascend strictly, or a queue target holding no message, is
+// not what SaveState writes, so LoadState must refuse it rather than
+// accept bytes it would save back differently.
+func TestStateCodecRefusesNonCanonicalLists(t *testing.T) {
+	frame := func(ids ...int32) []byte {
+		var e wire.Enc
+		e.U32(uint32(len(ids)))
+		for _, v := range ids {
+			e.I32(v)
+		}
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		ok   bool
+	}{
+		{"ascending", frame(3, 5), true},
+		{"descending", frame(5, 3), false},
+		{"duplicate", frame(3, 3), false},
+	} {
+		d := wire.NewDec(tc.b, nil)
+		loadNodeSet(d)
+		if (d.Err() == nil) != tc.ok {
+			t.Errorf("node set %s: err %v", tc.name, d.Err())
+		}
+	}
+	queue := func(targets ...int32) []byte {
+		var e wire.Enc
+		e.U32(uint32(len(targets)))
+		for _, to := range targets {
+			e.I32(to)
+			if to < 0 {
+				e.U32(0)
+				continue
+			}
+			e.U32(1)
+			e.Body(wire.Tag(1))
+		}
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		ok   bool
+	}{
+		{"ascending", queue(1, 4), true},
+		{"descending", queue(4, 1), false},
+		{"empty target", queue(-1), false},
+	} {
+		var q sendQueue
+		d := wire.NewDec(tc.b, nil)
+		q.loadState(d)
+		if (d.Err() == nil) != tc.ok {
+			t.Errorf("send queue %s: err %v", tc.name, d.Err())
+		}
+		if tc.ok {
+			var e wire.Enc
+			q.saveState(&e)
+			if !bytes.Equal(e.Bytes(), tc.b) {
+				t.Errorf("send queue %s: saves back differently", tc.name)
+			}
+		}
+	}
 }

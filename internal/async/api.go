@@ -43,6 +43,14 @@ type Msg struct {
 // Handler is an event-driven node program. One Handler instance exists per
 // node; it holds all per-node state. Handlers run only inside simulator
 // callbacks, so they need no locking.
+//
+// A handler that also implements wire.StateCodec (and passes its
+// StateCodecProbe, if it has one) can be checkpointed and run under
+// ModeSpec, which copies it into a per-round clone built by the same mk
+// through SaveState and LoadState (see spec.go). The clone's codec runs
+// without an arena, so a Body in the state carries its segment handle and
+// the clone shares the original's segments. The engine may call mk,
+// Rebind and that copy concurrently for different nodes.
 type Handler interface {
 	// Init runs once at time 0, before any message is delivered.
 	Init(n *Node)
@@ -52,43 +60,6 @@ type Handler interface {
 	// sent message returns to the sender (i.e. the message is known
 	// delivered). Pulse-safety logic in the synchronizer depends on this.
 	Ack(n *Node, to graph.NodeID, m Msg)
-}
-
-// stateCloner is the opt-in contract for speculative execution (ModeSpec).
-// A handler that implements it can be run optimistically past the safe
-// window: each round the engine copies its state into a clone, lets the
-// clone execute events whose order is not yet certain, and either promotes
-// the clone at the round barrier or discards it and repairs from the
-// committed original. Handlers that do not implement stateCloner silently
-// fall back to the conservative bounded-lag executor (Result.SpecStats
-// reports the fallback), so opting in is purely a performance feature.
-//
-// CloneStateInto must copy the receiver's complete mutable state into dst.
-// dst is always a handler built by the same mk function for the same node,
-// so implementations may type-assert it; per-node immutable configuration
-// set by mk is already present in dst (copying it again is harmless). The
-// copy should reuse dst's existing capacity (maps via clear-and-refill,
-// slices via truncate-and-append): the engine ping-pongs two instances per
-// node across rounds, so a capacity-reusing copy makes steady-state
-// speculation allocation-free.
-//
-// Two sharp edges:
-//
-//   - Embedding: a handler that embeds another handler type inherits its
-//     CloneStateInto via method promotion, which copies only the embedded
-//     part — and its dst type assertion will fail loudly at the outer type.
-//     Wrapper handlers must implement CloneStateInto themselves.
-//   - Arena segments: a handler that retains arena segments across events
-//     should not opt in — a discarded clone's unsent segments are not
-//     released until the next Sim.Reset.
-//
-// The engine may call mk and Rebind (to build clone targets, at most once
-// per node) and CloneStateInto concurrently for different nodes.
-type stateCloner interface {
-	Handler
-	// CloneStateInto copies the receiver's mutable state into dst, reusing
-	// dst's capacity where possible.
-	CloneStateInto(dst Handler)
 }
 
 // NopAck can be embedded by handlers that do not care about acks.

@@ -37,7 +37,8 @@ func (h *benchFlood) Recv(n *Node, from graph.NodeID, m Msg) {
 	n.Output(0)
 }
 
-func (h *benchFlood) CloneStateInto(dst Handler) { dst.(*benchFlood).seen = h.seen }
+func (h *benchFlood) SaveState(e *wire.Enc) { e.Bool(h.seen) }
+func (h *benchFlood) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 
 // BenchmarkSimFlood measures the full simulator hot path — send, outbox,
 // event push/pop, deliver, ack — via a flood broadcast. The interesting

@@ -50,9 +50,14 @@ func (h *segSpray) Recv(n *Node, from graph.NodeID, m Msg) {
 	}
 }
 
-func (h *segSpray) CloneStateInto(dst Handler) {
-	d := dst.(*segSpray)
-	d.sent, d.sum = h.sent, h.sum
+func (h *segSpray) SaveState(e *wire.Enc) {
+	e.Bool(h.sent)
+	e.I64(h.sum)
+}
+
+func (h *segSpray) LoadState(d *wire.Dec) {
+	h.sent = d.Bool()
+	h.sum = d.I64()
 }
 
 // stripSegHandles zeroes the arena segment handles inside a Result's

@@ -1,22 +1,29 @@
 package async
 
-import (
-	"fmt"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // StateCodecProbe is an optional refinement for composite handlers whose
 // state-plane support depends on their runtime composition: a Mux is only
-// as serializable and cloneable as the modules registered on it, which the
-// type system cannot see. The engine consults the probe before trusting a
-// handler's wire.StateCodec or stateCloner methods — a failing probe turns
-// Snapshot into a clean error and ModeSpec into the conservative fallback
-// instead of a panic inside SaveState or CloneStateInto.
+// as serializable as the modules registered on it, which the type system
+// cannot see. The engine consults the probe before trusting a handler's
+// wire.StateCodec methods, for a Snapshot and for ModeSpec's per-round
+// clones alike — a failing probe turns Snapshot into a clean error and
+// ModeSpec into the conservative fallback instead of a panic inside
+// SaveState.
 type StateCodecProbe interface {
 	// StateCodecOK reports whether the handler's complete state is
-	// serializable (and, for a stateCloner, cloneable) right now.
+	// serializable right now.
 	StateCodecOK() bool
+}
+
+// codecOf returns v's state codec, or false if v has none or fails its
+// StateCodecProbe.
+func codecOf(v any) (wire.StateCodec, bool) {
+	sc, ok := v.(wire.StateCodec)
+	if pr, probed := v.(StateCodecProbe); ok && probed && !pr.StateCodecOK() {
+		return nil, false
+	}
+	return sc, ok
 }
 
 // Rebinder is an optional handler/module interface for handlers that need
@@ -28,64 +35,36 @@ type Rebinder interface {
 	Rebind(n *Node)
 }
 
-// ModuleState is the state-plane contract of a Mux module: the codec the
-// snapshot plane reads and writes, plus a direct copy for ModeSpec's
-// per-round clones. LoadState replaces the module's state rather than
-// filling in a fresh module: Sim.Restore loads into the modules a run
-// already has, mid-run or finished (see wire.StateCodec). CloneModuleInto
-// must leave dst — the same module of a Mux built by the same constructor
-// for the same node — holding a copy of the receiver's complete mutable
-// state that shares no mutable memory with it, reusing dst's capacity; it
-// must be equivalent to LoadState(SaveState).
-type ModuleState interface {
-	wire.StateCodec
-	CloneModuleInto(dst Module)
-}
-
 var (
 	_ wire.StateCodec = (*Mux)(nil)
 	_ StateCodecProbe = (*Mux)(nil)
-	_ stateCloner     = (*Mux)(nil)
 	_ Rebinder        = (*Mux)(nil)
 )
 
 // StateCodecOK implements StateCodecProbe: every registered module must
-// implement ModuleState (and pass its own probe, if it has one).
+// implement wire.StateCodec (and pass its own probe, if it has one). A
+// module's LoadState replaces its state rather than filling in a fresh
+// module: Sim.Restore loads into the modules a run already has, and
+// ModeSpec into clone targets that ran earlier rounds.
 func (x *Mux) StateCodecOK() bool {
 	for i := range x.routes {
-		r := &x.routes[i]
-		if !r.first {
-			continue
-		}
-		if _, ok := r.mod.(ModuleState); !ok {
-			return false
-		}
-		if pr, ok := r.mod.(StateCodecProbe); ok && !pr.StateCodecOK() {
+		if _, ok := codecOf(x.routes[i].mod); x.routes[i].first && !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// moduleState returns the unique module at route i's ModuleState. Callers
-// gate on StateCodecOK, so a module without one is a programming error.
-func (x *Mux) moduleState(i int) ModuleState {
-	ms, ok := x.routes[i].mod.(ModuleState)
-	if !ok {
-		panic(fmt.Sprintf("async: module %T does not implement ModuleState", x.routes[i].mod))
-	}
-	return ms
-}
-
 // SaveState implements wire.StateCodec: each unique module's state rides
-// in its own blob, in registration order.
+// in its own blob, in registration order. Callers gate on StateCodecOK, so
+// a module without a codec is a programming error.
 func (x *Mux) SaveState(e *wire.Enc) {
 	for i := range x.routes {
 		if !x.routes[i].first {
 			continue
 		}
 		mark := e.BeginBlob()
-		x.moduleState(i).SaveState(e)
+		x.routes[i].mod.(wire.StateCodec).SaveState(e)
 		e.EndBlob(mark)
 	}
 }
@@ -98,9 +77,9 @@ func (x *Mux) LoadState(d *wire.Dec) {
 		if !r.first {
 			continue
 		}
-		ms, ok := r.mod.(ModuleState)
+		ms, ok := r.mod.(wire.StateCodec)
 		if !ok {
-			d.Fail("async: module %T does not implement ModuleState", r.mod)
+			d.Fail("async: module %T does not implement wire.StateCodec", r.mod)
 			return
 		}
 		end := d.BeginBlob()
@@ -124,20 +103,10 @@ func (x *Mux) Rebind(n *Node) {
 	}
 }
 
-// CloneStateInto implements stateCloner: module by module, each copying
-// its own state straight into its counterpart in dst. This runs once per
-// touched node per speculative round, so it is the synchronizer stack's
-// hot path under ModeSpec; the modules keep their state in flat slices
-// precisely so that this is a handful of copies into dst's retained
-// capacity.
+// CloneStateInto copies x's state into dst, a Mux built by the same
+// constructor for the same node, through the codec copy ModeSpec's clones
+// use (stateCopy). The engine does not call it.
 func (x *Mux) CloneStateInto(dst Handler) {
-	dx, ok := dst.(*Mux)
-	if !ok || len(dx.routes) != len(x.routes) {
-		panic(fmt.Sprintf("async: Mux clone target %T was not built by the same constructor", dst))
-	}
-	for i := range x.routes {
-		if x.routes[i].first {
-			x.moduleState(i).CloneModuleInto(dx.routes[i].mod)
-		}
-	}
+	var c stateCopy
+	c.copy(x, dst.(*Mux))
 }

@@ -47,15 +47,23 @@ func (h *multiFlood) Recv(n *Node, _ graph.NodeID, m Msg) {
 	n.Output(len(h.seen))
 }
 
-func (h *multiFlood) CloneStateInto(dst Handler) {
-	d := dst.(*multiFlood)
-	d.k = h.k
-	if d.seen == nil && h.seen != nil {
-		d.seen = make(map[Proto]bool, len(h.seen))
+// SaveState implements wire.StateCodec: one flag per proto 10…10+k-1.
+func (h *multiFlood) SaveState(e *wire.Enc) {
+	for i := range h.k {
+		e.Bool(h.seen[Proto(10+i)])
 	}
-	clear(d.seen)
-	for p := range h.seen {
-		d.seen[p] = true
+}
+
+// LoadState implements wire.StateCodec.
+func (h *multiFlood) LoadState(d *wire.Dec) {
+	if h.seen == nil {
+		h.seen = make(map[Proto]bool)
+	}
+	clear(h.seen)
+	for i := range h.k {
+		if d.Bool() {
+			h.seen[Proto(10+i)] = true
+		}
 	}
 }
 
@@ -323,14 +331,6 @@ func (h *panicAt) Recv(n *Node, from graph.NodeID, m Msg) {
 		panic("boom")
 	}
 	h.floodHandler.Recv(n, from, m)
-}
-
-// CloneStateInto must be overridden: the promoted floodHandler method would
-// type-assert dst to *floodHandler and miss the trigger field.
-func (h *panicAt) CloneStateInto(dst Handler) {
-	d := dst.(*panicAt)
-	d.trigger = h.trigger
-	d.seen = h.seen
 }
 
 // TestResetAfterMidWindowPanic pins the recoverable-panic contract the

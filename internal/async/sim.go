@@ -34,9 +34,10 @@ const (
 	// adaptive horizon, running cloned handlers and logging their effects;
 	// a serial commit walk at the round barrier replays the effects in
 	// global (t, seq) order through the serial engine's own code path,
-	// detects stragglers, and rolls back only the poisoned suffix. Requires
-	// every handler to implement stateCloner; otherwise the run falls back
-	// to ModeMulti (see SpecStats.FellBack).
+	// detects stragglers, and rolls back only the poisoned suffix. Clones
+	// are copied through the handlers' wire.StateCodec, so every handler
+	// must implement it (and pass its StateCodecProbe); otherwise the run
+	// falls back to ModeMulti (see SpecStats.FellBack).
 	ModeSpec
 )
 
@@ -194,7 +195,8 @@ type Sim struct {
 // Rejected/Executed is the rollback rate; the benchmark module reports
 // Committed/Executed as async.spec.commit_ratio. FellBack reports that a
 // ModeSpec run used the bounded-lag executor instead because at least one
-// handler does not implement stateCloner.
+// handler has no wire.StateCodec to copy its clones through, or fails its
+// StateCodecProbe.
 type SpecStats struct {
 	Rounds    uint64
 	Executed  uint64
@@ -512,10 +514,10 @@ func (s *Sim) Run() Result {
 			mode = ModeMulti
 		}
 	}
-	if mode == ModeSpec && !s.handlersCloneable() {
-		// Opting in is per-handler (stateCloner); a stack that cannot be
-		// cloned gets the conservative executor, not an error — callers can
-		// force -mode=spec fleet-wide and let each workload take what it
+	if mode == ModeSpec && !s.handlersCopyable() {
+		// Opting in is per-handler (wire.StateCodec); a stack that cannot
+		// be copied gets the conservative executor, not an error — callers
+		// can force ModeSpec fleet-wide and let each workload take what it
 		// supports. SpecStats records the downgrade.
 		s.specStats.FellBack = true
 		mode = ModeMulti
@@ -537,14 +539,12 @@ func (s *Sim) Run() Result {
 	return s.result()
 }
 
-// handlersCloneable reports whether every handler opted into speculative
-// execution. O(n) type assertions; called once per forced ModeSpec Run.
-func (s *Sim) handlersCloneable() bool {
+// handlersCopyable reports whether every handler's state can be copied
+// through its codec, as speculative execution does. O(n) type assertions;
+// called once per forced ModeSpec Run.
+func (s *Sim) handlersCopyable() bool {
 	for _, h := range s.handlers {
-		if _, ok := h.(stateCloner); !ok {
-			return false
-		}
-		if pr, ok := h.(StateCodecProbe); ok && !pr.StateCodecOK() {
+		if _, ok := codecOf(h); !ok {
 			return false
 		}
 	}
@@ -820,6 +820,8 @@ type execCtx struct {
 	specLog   []specExec
 	specCur   event
 	specPanic any
+	// clone copies committed handlers into their per-round clones.
+	clone stateCopy
 
 	// replay (direct context, commit walk only): when replayOn is set,
 	// invokeRecv/invokeAck apply this logged op sequence instead of calling

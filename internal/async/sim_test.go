@@ -35,7 +35,8 @@ func (h *floodHandler) Recv(n *Node, _ graph.NodeID, m Msg) {
 	}
 }
 
-func (h *floodHandler) CloneStateInto(dst Handler) { dst.(*floodHandler).seen = h.seen }
+func (h *floodHandler) SaveState(e *wire.Enc) { e.Bool(h.seen) }
+func (h *floodHandler) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 
 func runFlood(g *graph.Graph, adv Adversary) Result {
 	s := New(g, adv, func(graph.NodeID) Handler { return &floodHandler{} })

@@ -171,12 +171,9 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		if err := s.out.Save(e, i); err != nil {
 			return fmt.Errorf("async: node %d: %w", id, err)
 		}
-		sc, ok := s.handlers[i].(wire.StateCodec)
+		sc, ok := codecOf(s.handlers[i])
 		if !ok {
-			return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; engine state cannot be snapshotted", s.handlers[i], id)
-		}
-		if pr, ok := s.handlers[i].(StateCodecProbe); ok && !pr.StateCodecOK() {
-			return fmt.Errorf("async: handler %T of node %d hosts a module without a state codec; engine state cannot be snapshotted", s.handlers[i], id)
+			return fmt.Errorf("async: handler %T of node %d has no wire.StateCodec, or hosts a module without one; engine state cannot be snapshotted", s.handlers[i], id)
 		}
 		mark := e.BeginBlob()
 		sc.SaveState(e)

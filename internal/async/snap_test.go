@@ -13,10 +13,10 @@ import (
 )
 
 // snapRelax is the round-trip test workload: multi-source BFS by monotone
-// relaxation. It implements both wire.StateCodec (snapshot/restore) and
-// stateCloner (ModeSpec), so a snapshot taken mid-run can be resumed under
-// every execution mode. root is config — the handler constructor rebuilds
-// it — so only the mutable pair (have, dist) serializes.
+// relaxation. Its wire.StateCodec serves snapshot/restore and ModeSpec's
+// clones alike, so a snapshot taken mid-run can be resumed under every
+// execution mode. root is config — the handler constructor rebuilds it —
+// so only the mutable pair (have, dist) serializes.
 type snapRelax struct {
 	NopAck
 	root bool
@@ -55,11 +55,6 @@ func (h *snapRelax) SaveState(e *wire.Enc) {
 func (h *snapRelax) LoadState(d *wire.Dec) {
 	h.have = d.Bool()
 	h.dist = d.I64()
-}
-
-func (h *snapRelax) CloneStateInto(dst Handler) {
-	o := dst.(*snapRelax)
-	o.have, o.dist = h.have, h.dist
 }
 
 func mkRelax(id graph.NodeID) Handler { return &snapRelax{root: id == 0} }
@@ -325,8 +320,8 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Errorf("shard engine refused a whole-graph frame: %v", err)
 	}
 
-	// floodHandler clones but does not codec: Snapshot must refuse it.
-	nc := New(g, adv, func(graph.NodeID) Handler { return &floodHandler{} })
+	// plainFlood has no codec: Snapshot must refuse it.
+	nc := New(g, adv, func(graph.NodeID) Handler { return &plainFlood{} })
 	nc.RunSteps(5)
 	if _, err := nc.Snapshot(); err == nil {
 		t.Error("Snapshot accepted a handler without wire.StateCodec")
@@ -539,4 +534,35 @@ func sealPayload(p []byte) []byte {
 	e := wire.NewSnapshotEnc(nil, len(p))
 	e.Raw(p)
 	return e.Seal()
+}
+
+// TestSnapshotRejectsFlagByte: a flag byte other than 0 or 1 — here the
+// header's Init-ran flag — fails Restore instead of reading as true, and
+// the failed restore leaks no segment.
+func TestSnapshotRejectsFlagByte(t *testing.T) {
+	g := graph.RandomConnected(16, 36, 6)
+	adv := Fixed{D: 1}
+	a := New(g, adv, mkRelax)
+	a.RunSteps(10)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := append([]byte(nil), payload...)
+	inited := 4 + 4 + len(adv.Name()) + 8 + 1 // node count, adversary, lookahead, traced
+	if p[inited] != 1 {
+		t.Fatalf("Init-ran flag at offset %d is %d, want 1", inited, p[inited])
+	}
+	p[inited] = 2
+	b := New(g, adv, mkRelax)
+	if err := b.Restore(sealPayload(p)); err == nil || !strings.Contains(err.Error(), "flag byte 2") {
+		t.Fatalf("restore of a frame with flag byte 2: err %v, want a flag-byte error", err)
+	}
+	if live := b.arena.Live(); live != 0 {
+		t.Fatalf("refused restore leaked %d arena segments", live)
+	}
 }

@@ -1,9 +1,11 @@
 package async
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 // This file is the speculative executor (ModeSpec). The bounded-lag
@@ -21,11 +23,13 @@ import (
 //
 //   - Speculative phase (parallel): each worker pops its shard in (t, seq)
 //     order and invokes ONLY the handler callback, on a per-node clone
-//     (stateCloner) built from the committed handler at first touch. The
-//     callback's Send/Output calls are logged as specOps; nothing in the
-//     engine — outboxes, txSeq, counters, trace, arena lifecycle, seq
-//     assignment — is touched. The one piece of engine state a handler can
-//     observe, its own HasOutput, is served from a per-round overlay.
+//     copied from the committed handler at first touch through its
+//     wire.StateCodec (SaveState, then LoadState into the clone, via the
+//     worker's retained stateCopy). The callback's Send/Output calls are
+//     logged as specOps; nothing in the engine — outboxes, txSeq,
+//     counters, trace, arena lifecycle, seq assignment — is touched. The
+//     one piece of engine state a handler can observe, its own HasOutput,
+//     is served from a per-round overlay.
 //
 //   - Commit walk (serial): merge the workers' logs by (t, seq) through
 //     MergeRuns, the same k-way merge every barrier uses, and step each
@@ -189,9 +193,9 @@ func (s *Sim) specWorker(k int, hEnd float64) {
 		// clone is untouched, so pass 1/2 of specFinishRound skip it.
 		switch ev.kind {
 		case evDeliver:
-			s.specHandlerFor(v).Recv(&s.nodes[v], ev.src, ev.msg)
+			s.specHandlerFor(c, v).Recv(&s.nodes[v], ev.src, ev.msg)
 		case evAckArrive:
-			s.specHandlerFor(v).Ack(&s.nodes[v], ev.dst, ev.msg)
+			s.specHandlerFor(c, v).Ack(&s.nodes[v], ev.dst, ev.msg)
 		}
 		c.specLog = append(c.specLog, specExec{ev: *ev, opEnd: int32(len(c.specOps))})
 	}
@@ -206,20 +210,44 @@ func (c *execCtx) opStart(i int) int32 {
 }
 
 // specHandlerFor returns node v's per-round clone, refreshing it from the
-// committed handler on first touch. Clone targets are built lazily with
-// the stored mk and ping-ponged with the committed instance on promotion,
-// so a node pays one construction ever, then only CloneStateInto copies.
-func (s *Sim) specHandlerFor(v graph.NodeID) Handler {
+// committed handler on first touch through worker context c's stateCopy.
+// Clone targets are built lazily with the stored mk and ping-ponged with
+// the committed instance on promotion, so a node pays one construction
+// ever, then only codec copies.
+func (s *Sim) specHandlerFor(c *execCtx, v graph.NodeID) Handler {
 	if s.specCloneEp[v] != s.specRoundEp {
 		cl := s.specClones[v]
 		if cl == nil {
 			cl = s.build(s.specMk, v)
 			s.specClones[v] = cl
 		}
-		s.handlers[v].(stateCloner).CloneStateInto(cl)
+		c.clone.copy(s.handlers[v].(wire.StateCodec), cl.(wire.StateCodec))
 		s.specCloneEp[v] = s.specRoundEp
 	}
 	return s.specClones[v]
+}
+
+// stateCopy is a retained encoder and decoder pair that copies handler
+// state through its wire.StateCodec. Neither has an arena, so a Body in
+// the state travels as its raw image: the copy shares the original's
+// segment handles exactly, never carving new segments. With the state
+// codecs' flat layouts, a warmed stateCopy copies without allocating.
+type stateCopy struct {
+	e wire.Enc
+	d wire.Dec
+}
+
+// copy replaces dst's state with src's. Both must have been built by the
+// same constructor for the same node; a stream dst does not read back
+// exactly is a codec bug, and panics.
+func (c *stateCopy) copy(src, dst wire.StateCodec) {
+	c.e.Reset()
+	src.SaveState(&c.e)
+	c.d.Reset(c.e.Bytes(), nil)
+	dst.LoadState(&c.d)
+	if err := c.d.Err(); err != nil || c.d.Remaining() != 0 {
+		panic(fmt.Sprintf("async: copying %T through its state codec: %v (%d bytes unread)", src, err, c.d.Remaining()))
+	}
 }
 
 // specTouchOut tracks a speculative Output call in the per-round overlay,

@@ -88,7 +88,7 @@ func TestSpecWorkerSweep(t *testing.T) {
 	}
 }
 
-// plainFlood is floodHandler without stateCloner: a deliberately
+// plainFlood is floodHandler without a wire.StateCodec: a deliberately
 // speculation-ineligible workload for the fallback test.
 type plainFlood struct {
 	seen bool
@@ -230,12 +230,6 @@ func (h *statsProbe) Recv(n *Node, from graph.NodeID, m Msg) {
 	h.floodHandler.Recv(n, from, m)
 }
 
-func (h *statsProbe) CloneStateInto(dst Handler) {
-	d := dst.(*statsProbe)
-	d.sim, d.panicked = h.sim, h.panicked
-	d.seen = h.seen
-}
-
 // TestStatsMidWindowGuard: PartialResult called while a parallel window or
 // speculative round is in flight must panic instead of returning counters
 // that are stale by an unknowable amount; in ModeSingle the same call is a
@@ -299,7 +293,8 @@ func (h *pingChain) Ack(n *Node, to graph.NodeID, m Msg) {
 	}
 }
 
-func (h *pingChain) CloneStateInto(dst Handler) { dst.(*pingChain).remaining = h.remaining }
+func (h *pingChain) SaveState(e *wire.Enc) { e.Int(h.remaining) }
+func (h *pingChain) LoadState(d *wire.Dec) { h.remaining = d.Int() }
 
 // TestSpecRollbackSteadyStateAllocs is the rollback-path alloc regression:
 // once the spec structures are warm, a rolled-back-and-retried event must

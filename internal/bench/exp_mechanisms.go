@@ -30,11 +30,10 @@ func (c *regClient) Start(n *async.Node) {
 func (c *regClient) Recv(*async.Node, graph.NodeID, async.Msg) {}
 func (c *regClient) Ack(*async.Node, graph.NodeID, async.Msg)  {}
 
-// The client keeps no run state of its own, so its async.ModuleState is
+// The client keeps no run state of its own, so its wire.StateCodec is
 // empty; having one lets the Mux hosting it snapshot and run under ModeSpec.
-func (c *regClient) SaveState(*wire.Enc)          {}
-func (c *regClient) LoadState(*wire.Dec)          {}
-func (c *regClient) CloneModuleInto(async.Module) {}
+func (c *regClient) SaveState(*wire.Enc) {}
+func (c *regClient) LoadState(*wire.Dec) {}
 
 // Registered implements reg.Callbacks.
 func (c *regClient) Registered(n *async.Node, cid cover.ClusterID, s int) {
@@ -279,19 +278,6 @@ func (h *floodK) Recv(n *async.Node, _ graph.NodeID, m async.Msg) {
 
 func (h *floodK) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
-func (h *floodK) CloneStateInto(dst async.Handler) {
-	d := dst.(*floodK)
-	d.k = h.k
-	d.staged = h.staged
-	if d.seen == nil && h.seen != nil {
-		d.seen = make(map[async.Proto]bool, len(h.seen))
-	}
-	clear(d.seen)
-	for p := range h.seen {
-		d.seen[p] = true
-	}
-}
-
 // e11StagePipelining measures the composition machinery of §2.2: k
 // simultaneous floods share every link of a path. Round-robin multiplexing
 // (Cor 2.3) pipelines them in ≈ D + k time rather than k·D; stage
@@ -332,10 +318,9 @@ func (c *gatherBench) Start(n *async.Node)                       { c.mod.MarkDon
 func (c *gatherBench) Recv(*async.Node, graph.NodeID, async.Msg) {}
 func (c *gatherBench) Ack(*async.Node, graph.NodeID, async.Msg)  {}
 
-// Stateless, like regClient: an empty async.ModuleState.
-func (c *gatherBench) SaveState(*wire.Enc)          {}
-func (c *gatherBench) LoadState(*wire.Dec)          {}
-func (c *gatherBench) CloneModuleInto(async.Module) {}
+// Stateless, like regClient: an empty wire.StateCodec.
+func (c *gatherBench) SaveState(*wire.Enc) {}
+func (c *gatherBench) LoadState(*wire.Dec) {}
 
 // NeighborhoodDone implements gather.Callbacks.
 func (c *gatherBench) NeighborhoodDone(n *async.Node, _ int) { n.Output(true) }

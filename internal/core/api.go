@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
-	"repro/internal/pulse"
 	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
@@ -45,10 +44,11 @@ func (c *congestStamp) mark(n *async.Node, to graph.NodeID, epoch int32, who str
 }
 
 // captureAPI adapts the asynchronous node to the synchronous algorithm's
-// API. During Init it captures sends into the originator buffer; during
-// Pulse it releases them as pulse-tagged algorithm messages.
+// API: the embedded node serves everything but Send, which it shadows.
+// During Init it captures sends into the originator buffer; during Pulse
+// it releases them as pulse-tagged algorithm messages.
 type captureAPI struct {
-	n       *async.Node
+	*async.Node
 	core    *nodeCore
 	vn      *vnode // nil while capturing Init
 	capture bool
@@ -65,27 +65,16 @@ func (c *nodeCore) newAPI(n *async.Node, vn *vnode, capture bool) *captureAPI {
 	if c.cs.stamp == nil {
 		c.cs.stamp = c.st.stamps.Carve(n.Degree())[:n.Degree()]
 	}
-	c.api = captureAPI{n: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
+	c.api = captureAPI{Node: n, core: c, vn: vn, capture: capture, epoch: c.cs.begin(n.Degree())}
 	return &c.api
 }
 
-func (a *captureAPI) ID() graph.NodeID            { return a.n.ID() }
-func (a *captureAPI) Neighbors() []graph.Neighbor { return a.n.Neighbors() }
-func (a *captureAPI) Degree() int                 { return a.n.Degree() }
-func (a *captureAPI) Output(v any)                { a.n.Output(v) }
-func (a *captureAPI) OutputBody(b wire.Body)      { a.n.OutputBody(b) }
-func (a *captureAPI) HasOutput() bool             { return a.n.HasOutput() }
-func (a *captureAPI) Arena() *wire.Arena          { return a.n.Arena() }
-
 func (a *captureAPI) Send(to graph.NodeID, body wire.Body) {
-	a.core.cs.mark(a.n, to, a.epoch, "synchronizer")
+	a.core.cs.mark(a.Node, to, a.epoch, "synchronizer")
 	if a.capture {
 		a.core.initSends = slab.Push(&a.core.st.sends, a.core.initSends, capturedSend{to: to, body: body})
 		return
 	}
 	a.vn.sentAny = true
-	a.core.sendAlgo(a.n, a.vn, to, body)
+	a.core.sendAlgo(a.Node, a.vn, to, body)
 }
-
-func prevOf(p int) int   { return pulse.Prev(p) }
-func prevPrev(p int) int { return pulse.Prev2(p) }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Tests for the flat synchronizer state: the direct clone path must be
-// indistinguishable from the codec it replaced, cost nothing in steady
+// Tests for the flat synchronizer state: ModeSpec's codec clone must be a
+// real copy that equals a snapshot's save+load, cost nothing in steady
 // state, and the serial handler path must not allocate more than it did
 // when the state lived in maps.
 
@@ -70,14 +70,16 @@ func stackCases(t testing.TB) []stackCase {
 	return cases
 }
 
-// TestCloneEqualsSaveLoad is the property the direct clone path rests on:
-// at every k-th event of a synchronized run, for every node,
+// TestCloneEqualsSaveLoad is the property ModeSpec's clones rest on: at
+// every k-th event of a synchronized run, for every node,
 //
 //	SaveState(clone) == SaveState(source) == SaveState(load(save(source)))
 //
-// byte for byte. Then the source and the restored copy each run one more
-// event and must still agree, while the clones — which share no memory
-// with the source if the copy is a real copy — must not have moved.
+// byte for byte, where the clone is Mux.CloneStateInto — the arena-less
+// codec copy the engine makes — into a target reused stop after stop.
+// Then the source and the restored copy each run one more event and must
+// still agree, while the clones — which share no memory with the source if
+// the copy is a real copy — must not have moved.
 func TestCloneEqualsSaveLoad(t *testing.T) {
 	for _, tc := range stackCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,7 +107,7 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 				for v := 0; v < tc.g.N(); v++ {
 					id := graph.NodeID(v)
 					want[v] = saveHandler(t, src.Handler(id))
-					src.Handler(id).(stateCloner).CloneStateInto(clones.Handler(id))
+					src.Handler(id).(*async.Mux).CloneStateInto(clones.Handler(id))
 					if got := saveHandler(t, clones.Handler(id)); !bytes.Equal(got, want[v]) {
 						t.Fatalf("stop %d node %d: clone differs from source (%d vs %d bytes)", stop, v, len(got), len(want[v]))
 					}
@@ -142,7 +144,7 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 			fresh := newSynchronizedSim(cfg, tc.mk)
 			for v := 0; v < tc.g.N(); v++ {
 				id := graph.NodeID(v)
-				fresh.Handler(id).(stateCloner).CloneStateInto(clones.Handler(id))
+				fresh.Handler(id).(*async.Mux).CloneStateInto(clones.Handler(id))
 				if !bytes.Equal(saveHandler(t, clones.Handler(id)), saveHandler(t, fresh.Handler(id))) {
 					t.Fatalf("node %d: cloning a fresh handler into a used target left old state behind", v)
 				}
@@ -197,19 +199,33 @@ func TestNodeHandlerStacks(t *testing.T) {
 }
 
 // TestMuxCloneSteadyStateAllocs pins the point of the flat layout: once a
-// clone target has been through one round, cloning a mid-run synchronizer
-// node into it is copies into retained capacity — zero allocations.
+// clone target has been through one round, the engine's codec clone of a
+// mid-run synchronizer node into it — SaveState into an arena-less Enc,
+// LoadState from an arena-less Dec, both retained as each speculative
+// worker retains its pair — loads into retained capacity: zero
+// allocations.
 func TestMuxCloneSteadyStateAllocs(t *testing.T) {
 	cfg := syncBFSWorkload(t)
 	ref := Synchronize(cfg, mkBFS0)
 	src := newSynchronizedSim(cfg, mkBFS0)
 	src.RunSteps((ref.Msgs + ref.Acks) / 2)
 	dst := newSynchronizedSim(cfg, mkBFS0)
+	var e wire.Enc
+	var d wire.Dec
 	for v := 0; v < cfg.Graph.N(); v++ {
 		id := graph.NodeID(v)
-		from, to := src.Handler(id).(stateCloner), dst.Handler(id)
-		from.CloneStateInto(to) // first touch sizes the target's slices
-		if avg := testing.AllocsPerRun(10, func() { from.CloneStateInto(to) }); avg != 0 {
+		from, to := src.Handler(id).(wire.StateCodec), dst.Handler(id).(wire.StateCodec)
+		clone := func() {
+			e.Reset()
+			from.SaveState(&e)
+			d.Reset(e.Bytes(), nil)
+			to.LoadState(&d)
+		}
+		clone() // first touch sizes the target's slices
+		if err := d.Err(); err != nil || d.Remaining() != 0 {
+			t.Fatalf("node %d: clone: %v (%d bytes unread)", v, err, d.Remaining())
+		}
+		if avg := testing.AllocsPerRun(10, clone); avg != 0 {
 			t.Fatalf("node %d: steady-state Mux clone allocates %.1f times, want 0", v, avg)
 		}
 	}
@@ -289,7 +305,3 @@ func TestCheckpointAllocs(t *testing.T) {
 		}
 	}
 }
-
-// stateCloner is the method the async engine's speculative executor
-// requires of every handler.
-type stateCloner interface{ CloneStateInto(async.Handler) }

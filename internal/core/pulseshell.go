@@ -61,7 +61,7 @@ func (s *pulseShell) Init(n *async.Node) { s.runPulse(n, 0) }
 // algorithm only queues sends, so no evaluation starts inside another.
 func (s *pulseShell) runPulse(n *async.Node, p int) {
 	s.pulse = p
-	s.api = shellAPI{n: n, s: s, pulse: p, epoch: s.cs.begin(n.Degree())}
+	s.api = shellAPI{Node: n, s: s, pulse: p, epoch: s.cs.begin(n.Degree())}
 	if p == 0 {
 		s.algo.Init(&s.api)
 	} else {
@@ -93,9 +93,10 @@ func (s *pulseShell) Ack(n *async.Node, _ graph.NodeID, m async.Msg) {
 	s.proto.checkSafe(n, p)
 }
 
-// shellAPI is the synchronous API bound to one pulse of a baseline node.
+// shellAPI is the synchronous API bound to one pulse of a baseline node:
+// the embedded node serves everything but Send, which it shadows.
 type shellAPI struct {
-	n     *async.Node
+	*async.Node
 	s     *pulseShell
 	pulse int
 	epoch int32
@@ -103,18 +104,10 @@ type shellAPI struct {
 
 var _ syncrun.API = (*shellAPI)(nil)
 
-func (x *shellAPI) ID() graph.NodeID            { return x.n.ID() }
-func (x *shellAPI) Neighbors() []graph.Neighbor { return x.n.Neighbors() }
-func (x *shellAPI) Degree() int                 { return x.n.Degree() }
-func (x *shellAPI) Output(v any)                { x.n.Output(v) }
-func (x *shellAPI) OutputBody(b wire.Body)      { x.n.OutputBody(b) }
-func (x *shellAPI) HasOutput() bool             { return x.n.HasOutput() }
-func (x *shellAPI) Arena() *wire.Arena          { return x.n.Arena() }
-
 func (x *shellAPI) Send(to graph.NodeID, body wire.Body) {
-	x.s.cs.mark(x.n, to, x.epoch, x.s.who)
+	x.s.cs.mark(x.Node, to, x.epoch, x.s.who)
 	x.s.sendAcked[x.pulse]++
-	x.n.Send(to, async.Msg{Proto: protoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
+	x.Node.Send(to, async.Msg{Proto: protoAlgo, Stage: x.pulse, Body: frameAlgo(x.pulse, body)})
 }
 
 // runBaseline runs one baseline-synchronized handler per node; a nil

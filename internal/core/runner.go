@@ -26,8 +26,9 @@ type Config struct {
 	// Mode selects the asynchronous engine's execution mode (default
 	// ModeAuto). Results are byte-identical across modes; the parallel
 	// modes only change wall-clock. Every module of the stack implements
-	// async.ModuleState, so ModeSpec runs the synchronizer speculatively
-	// like any other cloneable workload.
+	// wire.StateCodec, so ModeSpec copies its clones through the codec and
+	// runs the synchronizer speculatively, provided the algorithm has a
+	// codec too.
 	Mode async.ExecutionMode
 	// Workers caps the engine's parallel worker pool (0 = engine default;
 	// negative panics).

@@ -15,8 +15,8 @@ import (
 // handler serializes its complete mutable run state — the embedded
 // synchronous algorithm first (as a blob, via its own wire.StateCodec),
 // then the synchronizer's own bookkeeping — so the engine state plane can
-// checkpoint and resume any synchronized run. The synchronizer core also
-// copies itself directly (CloneModuleInto) for ModeSpec's per-round clones.
+// checkpoint and resume any synchronized run. ModeSpec copies the stack
+// into its per-round clones through the same codecs.
 //
 // The congestStamp deliberately stays out of every frame: its epoch
 // counter only ever grows and stamps are compared for equality, so a
@@ -37,10 +37,8 @@ var (
 // --- shared helpers --------------------------------------------------------
 
 func algoCodecOK(algo syncrun.Handler) bool {
-	if _, ok := algo.(wire.StateCodec); !ok {
-		return false
-	}
-	return true
+	_, ok := algo.(wire.StateCodec)
+	return ok
 }
 
 func saveAlgoState(e *wire.Enc, algo syncrun.Handler) {
@@ -90,35 +88,9 @@ func loadIncoming(d *wire.Dec, batch []syncrun.Incoming) []syncrun.Incoming {
 
 // --- nodeCore --------------------------------------------------------------
 
-var _ async.ModuleState = (*nodeCore)(nil)
-
 // StateCodecOK implements async.StateCodecProbe: the core is serializable
 // iff the embedded algorithm is.
 func (c *nodeCore) StateCodecOK() bool { return algoCodecOK(c.algo) }
-
-// CloneModuleInto implements async.ModuleState: the flat run state copies
-// straight across. Only the embedded algorithm goes through its codec — a
-// few bytes, via a frame and decoder this core retains — because
-// wire.StateCodec is the one state contract algorithms (and decorators
-// wrapped around them) are asked to implement.
-func (c *nodeCore) CloneModuleInto(dst async.Module) {
-	d := dst.(*nodeCore)
-	c.algoBuf.Reset()
-	saveAlgoState(&c.algoBuf, c.algo)
-	c.algoDec.Reset(c.algoBuf.Bytes(), nil)
-	loadAlgoState(&c.algoDec, d.algo)
-	if err := c.algoDec.Err(); err != nil {
-		panic(fmt.Sprintf("core: cloning %T through its state codec: %v", c.algo, err))
-	}
-	d.started = c.started
-	d.originator = c.originator
-	d.barrierRegWait = c.barrierRegWait
-	d.initSends = slab.Assign(&d.st.sends, d.initSends, c.initSends)
-	d.vnodes = slab.Assign(&d.st.vnodes, d.vnodes, c.vnodes)
-	d.qs = slab.Assign(&d.st.qs, d.qs, c.qs)
-	d.ready = slab.Assign(&d.st.ready, d.ready, c.ready)
-	d.recvd = slab.Assign(&d.st.recvd, d.recvd, c.recvd)
-}
 
 // SaveState implements wire.StateCodec: a linear walk of the flat state.
 func (c *nodeCore) SaveState(e *wire.Enc) {
@@ -361,7 +333,7 @@ func (gm *gammaNode) LoadState(d *wire.Dec) {
 		gm.safe[p] = d.Bool()
 	}
 	n := int(d.U32())
-	gm.ph = make(map[gKey]*gammaPhase, n)
+	gm.ph = make(map[gKey]*gammaPhase, min(n, d.Remaining()))
 	for i := 0; i < n && !d.Failed(); i++ {
 		k := gKey{cluster: d.Int(), pulse: d.Int()}
 		st := &gammaPhase{

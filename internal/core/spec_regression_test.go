@@ -17,11 +17,11 @@ func (h *bfsAlgo) SaveState(e *wire.Enc) { e.Int(h.dist) }
 func (h *bfsAlgo) LoadState(d *wire.Dec) { h.dist = d.Int() }
 
 // TestSynchronizerSpecNoFallback is the regression guard for the state
-// plane's StateCloner: the full synchronizer stack (node core + per-level
-// register and gather modules under one Mux) snapshots through its wire
-// codecs, which double as the speculative executor's clone path. ModeSpec
-// must therefore actually speculate — a FellBack downgrade means some
-// module lost its codec or the Mux stopped advertising cloneability.
+// plane's one copy contract: the full synchronizer stack (node core +
+// per-level register and gather modules under one Mux) snapshots through
+// its wire codecs, which are also the speculative executor's clone path.
+// ModeSpec must therefore actually speculate — a FellBack downgrade means
+// some module lost its codec or the Mux's StateCodecProbe fails.
 func TestSynchronizerSpecNoFallback(t *testing.T) {
 	g := graph.RandomConnected(30, 70, 6)
 	mk := func(graph.NodeID) syncrun.Handler { return &bfsAlgo{src: 0} }
@@ -36,7 +36,7 @@ func TestSynchronizerSpecNoFallback(t *testing.T) {
 
 	st := sim.SpecStats()
 	if st.FellBack {
-		t.Fatal("ModeSpec fell back: the synchronizer stack no longer advertises StateCloner")
+		t.Fatal("ModeSpec fell back: the synchronizer stack is no longer copyable through its state codec")
 	}
 	if st.Executed == 0 {
 		t.Fatal("ModeSpec executed no speculative rounds on a synchronized run")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/gather"
 	"repro/internal/graph"
+	"repro/internal/pulse"
 	"repro/internal/reg"
 	"repro/internal/slab"
 	"repro/internal/syncrun"
@@ -20,9 +21,9 @@ import (
 // Run state is flat: vnodes sorted by pulse, one pool of q-states that
 // vnodes index into, and two small arrival-ordered lists (ready, recvd)
 // whose entries are removed once consumed. Nothing here is a map or a
-// per-vnode allocation, so the speculative executor's per-round clone
-// (CloneModuleInto) is a handful of copies, and every slice grows from
-// the batch's slabs (stacks.go).
+// per-vnode allocation, so the codec (snap.go) is a linear walk that loads
+// into retained capacity, and every slice grows from the batch's slabs
+// (stacks.go).
 type nodeCore struct {
 	st      *stacks
 	sched   *Schedule
@@ -45,13 +46,9 @@ type nodeCore struct {
 	barrierRegWait int
 	cs             congestStamp
 
-	// Scratch, not state: the API and batch handed to Init and Pulse, and
-	// the frame the embedded algorithm is cloned through (see
-	// CloneModuleInto).
-	api     captureAPI
-	batch   []syncrun.Incoming
-	algoBuf wire.Enc
-	algoDec wire.Dec
+	// Scratch, not state: the API and batch handed to Init and Pulse.
+	api   captureAPI
+	batch []syncrun.Incoming
 }
 
 type capturedSend struct {
@@ -410,14 +407,14 @@ func (c *nodeCore) evaluate(n *async.Node, p int) {
 // Registered is reg.Callbacks' call for this node: one cluster of a wave
 // session confirmed; when the last does, the gated q-report is released.
 func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
-	p := prevPrev(session)
+	p := pulse.Prev2(session)
 	qs := &c.qs[c.qi(p, session)]
 	qs.regOutstanding--
 	if qs.regOutstanding > 0 {
 		return
 	}
 	qs.registered = true
-	q := prevOf(session)
+	q := pulse.Prev(session)
 	gate := c.qi(p, q)
 	c.qs[gate].gateOutstanding--
 	if c.qs[gate].gateOutstanding == 0 {
@@ -428,7 +425,7 @@ func (c *nodeCore) Registered(n *async.Node, _ cover.ClusterID, session int) {
 // GoAhead is reg.Callbacks' call for this node: one cluster's Go-Ahead for
 // a wave session; when the last arrives, GA(session) flows down the forest.
 func (c *nodeCore) GoAhead(n *async.Node, _ cover.ClusterID, session int) {
-	p := prevPrev(session)
+	p := pulse.Prev2(session)
 	qs := &c.qs[c.qi(p, session)]
 	qs.gaOutstanding--
 	if qs.gaOutstanding > 0 {

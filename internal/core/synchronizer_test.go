@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/pulse"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
@@ -286,7 +287,7 @@ func TestScheduleTables(t *testing.T) {
 			continue
 		}
 		found := false
-		for _, rp := range s.RegisterSessions(prevPrev(p), prevOf(p)) {
+		for _, rp := range s.RegisterSessions(pulse.Prev2(p), pulse.Prev(p)) {
 			if rp == p {
 				found = true
 			}

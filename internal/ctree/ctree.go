@@ -193,13 +193,6 @@ func body(k wire.Kind, c cover.ClusterID, session int) wire.Body {
 	return wire.Body{Kind: k, A: int64(c), B: int64(session)}
 }
 
-// CloneInto copies the session table and rows into dst's retained
-// capacity.
-func (t *Table[S]) CloneInto(dst *Table[S]) {
-	dst.Sess = slab.Assign(&dst.lv.sess, dst.Sess, t.Sess)
-	dst.Rows = slab.Assign(&dst.lv.bytes, dst.Rows, t.Rows)
-}
-
 // Reset empties the session table and rows.
 func (t *Table[S]) Reset() { t.Sess, t.Rows = t.Sess[:0], t.Rows[:0] }
 

@@ -36,8 +36,8 @@ func (gatherClient) NeighborhoodDone(*async.Node, int) {}
 // new copy of the module's New value bound to the same node.
 type wideStar struct {
 	sim   *async.Sim
-	live  func(id graph.NodeID) async.ModuleState
-	fresh func(id graph.NodeID) async.ModuleState
+	live  func(id graph.NodeID) wire.StateCodec
+	fresh func(id graph.NodeID) wire.StateCodec
 }
 
 // newWideStar hosts copies of proto on g, calls start at each node's Start,
@@ -45,7 +45,7 @@ type wideStar struct {
 func newWideStar[M any, PM interface {
 	*M
 	async.Module
-	async.ModuleState
+	wire.StateCodec
 	async.Rebinder
 }](g *graph.Graph, proto PM, mods []M, start func(n *async.Node, m PM)) *wideStar {
 	nodes := make([]*async.Node, g.N())
@@ -59,8 +59,8 @@ func newWideStar[M any, PM interface {
 	})
 	return &wideStar{
 		sim:  sim,
-		live: func(id graph.NodeID) async.ModuleState { return PM(&mods[id]) },
-		fresh: func(id graph.NodeID) async.ModuleState {
+		live: func(id graph.NodeID) wire.StateCodec { return PM(&mods[id]) },
+		fresh: func(id graph.NodeID) wire.StateCodec {
 			m := PM(new(M))
 			*m = *proto
 			m.Rebind(nodes[id])
@@ -97,7 +97,7 @@ func fuzzStars() []*wideStar {
 // (registration) or leaf (gather), and a path end or leaf.
 var fuzzNodes = []graph.NodeID{0, 1, 2}
 
-func saveState(m async.ModuleState) []byte {
+func saveState(m wire.StateCodec) []byte {
 	var e wire.Enc
 	m.SaveState(&e)
 	return append([]byte(nil), e.Bytes()...)

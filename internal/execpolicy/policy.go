@@ -89,9 +89,10 @@ const (
 	// AsyncWindows: conservative bounded-lag windows on a worker pool.
 	AsyncWindows
 	// AsyncSpec: speculative rounds past the safe window (requires every
-	// handler to implement async.StateCloner). AsyncAuto does not return
-	// it: on every measured workload speculation ran slower than serial.
-	// The choice stays nameable for callers that map choices to modes.
+	// handler to implement wire.StateCodec, which its clones are copied
+	// through). AsyncAuto does not return it: on every measured workload
+	// speculation ran slower than serial. The choice stays nameable for
+	// callers that map choices to modes.
 	AsyncSpec
 )
 

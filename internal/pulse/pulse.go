@@ -54,21 +54,12 @@ func Prev2(p int) int { return Prev(Prev(p)) }
 //	p − prev(prev(p))  ≤ 9·2^ℓ(p)
 //
 // hostDistBound returns 3·2^ℓ(p) (the distance from a node of pulse p to
-// its host, Lemma 4.7(c)); host2DistBound returns 9·2^ℓ(p) (to the host's
-// host, Lemma 4.7(d)). Both panic for p = 0, whose host is itself.
+// its host, Lemma 4.7(c)). It panics for p = 0, whose host is itself.
 func hostDistBound(p int) int {
 	if p <= 0 {
 		panic("pulse: HostDistBound needs p > 0")
 	}
 	return 3 << uint(level(p))
-}
-
-// host2DistBound returns 9·2^ℓ(p); see hostDistBound.
-func host2DistBound(p int) int {
-	if p <= 0 {
-		panic("pulse: Host2DistBound needs p > 0")
-	}
-	return 9 << uint(level(p))
 }
 
 // CoverLevel returns ℓ(p)+5: registrations for pulse p use clusters of the

@@ -113,7 +113,7 @@ type level struct {
 }
 
 var _ async.Module = (*Module)(nil)
-var _ async.ModuleState = (*Module)(nil)
+var _ wire.StateCodec = (*Module)(nil)
 var _ async.Rebinder = (*Module)(nil)
 
 // New creates the per-node module. stageOf maps a session to the link

@@ -3,19 +3,10 @@ package reg
 import (
 	"slices"
 
-	"repro/internal/async"
 	"repro/internal/graph"
 	"repro/internal/slab"
 	"repro/internal/wire"
 )
-
-// CloneModuleInto implements async.ModuleState: the table, then the
-// invoker list, copied into dst's retained capacity.
-func (m *Module) CloneModuleInto(dst async.Module) {
-	d := dst.(*Module)
-	m.t.CloneInto(&d.t)
-	d.inv = slab.Assign(&d.lv.invs, d.inv, m.inv)
-}
 
 // SaveState implements wire.StateCodec: the table (session ids, then the
 // rows verbatim), then the waiting invokers in arrival order.

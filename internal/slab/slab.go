@@ -46,11 +46,6 @@ func (sl *Slab[T]) Grow(s []T, n int) []T {
 // Push appends x to s, growing it from sl.
 func Push[T any](sl *Slab[T], s []T, x T) []T { return append(sl.Grow(s, 1), x) }
 
-// Assign sets dst to a copy of src, growing it from sl.
-func Assign[T any](sl *Slab[T], dst, src []T) []T {
-	return append(sl.Grow(dst[:0], len(src)), src...)
-}
-
 // Objects hands out single values carved from shared chunks, for a handler
 // factory that outlives the runs it builds for. Unlike a Slab it holds its
 // current chunk only weakly: a chunk lives exactly as long as some value

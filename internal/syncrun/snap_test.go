@@ -262,3 +262,28 @@ func TestLockstepSnapshotErrors(t *testing.T) {
 		t.Error("Snapshot accepted a handler without wire.StateCodec")
 	}
 }
+
+// TestLockstepRestoreRejectsFlagByte: a flag byte other than 0 or 1 — here
+// the header's Init-ran flag — fails Restore instead of reading as true.
+func TestLockstepRestoreRejectsFlagByte(t *testing.T) {
+	g := graph.Path(9)
+	a := New(g, mkCodecBFS)
+	a.RunPulses(2)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Clone(payload)
+	const inited = 4 + 1 // node count, traced
+	if p[inited] != 1 {
+		t.Fatalf("Init-ran flag at offset %d is %d, want 1", inited, p[inited])
+	}
+	p[inited] = 2
+	if err := New(g, mkCodecBFS).Restore(sealPayload(p)); err == nil || !strings.Contains(err.Error(), "flag byte 2") {
+		t.Fatalf("restore of a frame with flag byte 2: err %v, want a flag-byte error", err)
+	}
+}

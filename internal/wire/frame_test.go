@@ -75,3 +75,39 @@ func TestBodySegRoundTrip(t *testing.T) {
 		t.Fatal("zero Body does not encode to zero bytes")
 	}
 }
+
+// TestBoolRejectsOtherBytes: a flag byte is 0 or 1, so any other byte
+// fails the decoder instead of reading as true.
+func TestBoolRejectsOtherBytes(t *testing.T) {
+	for _, tc := range []struct {
+		b    byte
+		want bool
+		ok   bool
+	}{{0, false, true}, {1, true, true}, {2, false, false}, {0xff, false, false}} {
+		d := NewDec([]byte{tc.b}, nil)
+		if got := d.Bool(); got != tc.want || (d.Err() == nil) != tc.ok {
+			t.Errorf("byte %d: Bool() = %v, err %v; want %v, ok=%v", tc.b, got, d.Err(), tc.want, tc.ok)
+		}
+	}
+}
+
+// TestBodyWithoutArenaKeepsHandle: an Enc and a Dec without an arena carry
+// a Body's raw image, segment handle verbatim — the copy shares the
+// original's segment and carves nothing.
+func TestBodyWithoutArenaKeepsHandle(t *testing.T) {
+	var a Arena
+	seg, _ := a.Alloc(6)
+	b := Body{Kind: 5, A: 9, Seg: seg}
+	var e Enc
+	e.Body(b)
+	if !bytes.Equal(e.Bytes(), appendBody(nil, b)) {
+		t.Fatal("arena-less Enc.Body is not the raw image")
+	}
+	d := NewDec(e.Bytes(), nil)
+	if got := d.Body(); got != b || d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("arena-less Dec.Body = %+v (err %v), want %+v", got, d.Err(), b)
+	}
+	if a.Live() != 1 {
+		t.Fatalf("arena holds %d live segments, want the original's 1", a.Live())
+	}
+}

@@ -24,6 +24,14 @@ import (
 // LoadState implementations therefore contain no error plumbing, yet a
 // truncated or corrupted frame surfaces as a clean error, never a panic or
 // a type confusion.
+//
+// The arena decides what a Body carries. An Enc or Dec with an arena
+// inlines a segment's words and re-homes them on decode — the form that
+// outlives the process (snapshots, shard frames). One without an arena
+// carries the Body's raw image, segment handle verbatim, as RawBody does:
+// the form of an in-process state copy (ModeSpec's per-round clones),
+// where the copy must share the original's segments rather than carve new
+// ones.
 
 // Enc is the snapshot encoder: an append-based buffer plus the arena
 // segment-carrying Bodies resolve against.
@@ -33,7 +41,7 @@ type Enc struct {
 }
 
 // NewEnc returns an encoder whose Body calls resolve segments against a
-// (nil is fine for streams that carry no segment-inlined bodies).
+// (nil: Body writes the handle image, as RawBody does).
 func NewEnc(a *Arena) *Enc { return &Enc{arena: a} }
 
 // Reset empties the encoder, keeping its buffer capacity.
@@ -88,8 +96,15 @@ func (e *Enc) Str(s string) {
 
 // Body appends b in frame form: the raw image with its segment words
 // inlined (appendBodySeg). Decode with Dec.Body, which re-homes the
-// segment into the receiving arena.
-func (e *Enc) Body(b Body) { e.buf = appendBodySeg(e.buf, b, e.arena) }
+// segment into the receiving arena. Without an arena it appends the raw
+// image alone, segment handle verbatim (see RawBody).
+func (e *Enc) Body(b Body) {
+	if e.arena == nil {
+		e.RawBody(b)
+		return
+	}
+	e.buf = appendBodySeg(e.buf, b, e.arena)
+}
 
 // Raw appends pre-encoded bytes verbatim: flat state rows (reg, gather)
 // and frames the shard coordinator routes without decoding.
@@ -131,13 +146,13 @@ type Dec struct {
 }
 
 // NewDec returns a decoder over b whose Body calls re-home segments into a
-// (nil is fine for streams without segment-inlined bodies).
+// (nil: Body reads the handle image, as RawBody does).
 func NewDec(b []byte, a *Arena) *Dec { return &Dec{b: b, arena: a} }
 
 // Reset rearms the decoder over b, clearing the sticky error — the
 // allocation-free form of NewDec for callers that decode on a hot path
-// (the synchronizer core clones its embedded algorithm through a retained
-// Enc/Dec pair).
+// (each speculative worker clones handlers through a retained Enc/Dec
+// pair).
 func (d *Dec) Reset(b []byte, a *Arena) {
 	*d = Dec{b: b, arena: a}
 }
@@ -193,8 +208,15 @@ func (d *Dec) U8() uint8 {
 	return v
 }
 
-// Bool reads a Bool-encoded byte.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// Bool reads a Bool-encoded byte. Any byte but 0 and 1 fails d, so every
+// frame a LoadState accepts saves back identically.
+func (d *Dec) Bool() bool {
+	b := d.U8()
+	if b > 1 {
+		d.Fail("flag byte %d at offset %d", b, d.off-1)
+	}
+	return b == 1
+}
 
 // U32 reads a little-endian uint32.
 func (d *Dec) U32() uint32 {
@@ -259,8 +281,11 @@ func (d *Dec) Raw(n int) []byte {
 // decoder's arena. A caller whose restore fails resets the arena, so the
 // segment does not leak. A frame whose declared segment length exceeds the
 // remaining input (or the arena's class bound) fails cleanly before any
-// allocation.
+// allocation. Without an arena it reads the raw image (see RawBody).
 func (d *Dec) Body() Body {
+	if d.arena == nil {
+		return d.RawBody()
+	}
 	if !d.need(bodyWireSize) {
 		return Body{}
 	}
