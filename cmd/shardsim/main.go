@@ -30,10 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	dsync "repro"
@@ -123,13 +124,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "time=%.3f quiesce=%.3f msgs=%d acks=%d events=%d outputs=%d\n",
 		res.Time, res.QuiesceTime, res.Msgs, res.Acks, st.TotalEvents, len(res.Outputs))
-	protos := make([]int, 0, len(res.PerProto))
-	for p := range res.PerProto {
-		protos = append(protos, int(p))
-	}
-	sort.Ints(protos)
-	for _, p := range protos {
-		fmt.Fprintf(stdout, "  proto %d: %d msgs\n", p, res.PerProto[async.Proto(p)])
+	for _, p := range slices.Sorted(maps.Keys(res.PerProto)) {
+		fmt.Fprintf(stdout, "  proto %d: %d msgs\n", p, res.PerProto[p])
 	}
 	fmt.Fprintf(stdout, "windows=%d frames=%d frameKB=%d\n", st.Windows, st.Frames, st.FrameBytes>>10)
 	if st.Snapshots > 0 {

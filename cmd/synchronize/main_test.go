@@ -38,6 +38,13 @@ func TestRunMatrix(t *testing.T) {
 			}
 		})
 	}
+	// A repeated source would join its node twice: refused, naming the id.
+	t.Run("grid:6x8/abfs/repeated-source", func(t *testing.T) {
+		code, out, errOut := runCLI("-algo", "abfs", "-graph", "grid:6x8", "-sources", "0,0")
+		if code != 2 || out != "" || !strings.Contains(errOut, "source 0 is listed twice") {
+			t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+		}
+	})
 }
 
 // A fault that starves a source's echo is reported as a mismatch (exit 1),

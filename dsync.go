@@ -17,6 +17,7 @@ package dsync
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -147,13 +148,17 @@ func ParseModes(s string) (ExecutionMode, AsyncExecutionMode, error) {
 	return 0, 0, fmt.Errorf("unknown mode %q (want auto|single|multi)", s)
 }
 
-// ParseSources parses a comma-separated list of node ids, each in [0, n).
+// ParseSources parses a comma-separated list of distinct node ids, each in
+// [0, n).
 func ParseSources(s string, n int) ([]NodeID, error) {
 	var out []NodeID
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 0 || v >= n {
 			return nil, fmt.Errorf("bad source %q (need 0..%d)", part, n-1)
+		}
+		if slices.Contains(out, NodeID(v)) {
+			return nil, fmt.Errorf("source %d is listed twice", v)
 		}
 		out = append(out, NodeID(v))
 	}

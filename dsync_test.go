@@ -2,6 +2,7 @@ package dsync
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -205,5 +206,22 @@ func TestFactoryConcurrentCarve(t *testing.T) {
 			}
 			seen[h] = true
 		}
+	}
+}
+
+// TestParseSources: a source list is distinct ids in range. A repeated id
+// would start the BFS twice at one node and run a different execution, so
+// it is refused with an error naming the id.
+func TestParseSources(t *testing.T) {
+	if got, err := ParseSources("0, 7,3", 8); err != nil || !reflect.DeepEqual(got, []NodeID{0, 7, 3}) {
+		t.Fatalf("ParseSources(0, 7,3) = %v, %v", got, err)
+	}
+	for _, s := range []string{"8", "-1", "x", "", "0,0", "3,1,3"} {
+		if _, err := ParseSources(s, 8); err == nil {
+			t.Errorf("ParseSources(%q) accepted", s)
+		}
+	}
+	if _, err := ParseSources("3,1,3", 8); err == nil || !strings.Contains(err.Error(), "source 3") {
+		t.Errorf("ParseSources(3,1,3): %v, want an error naming source 3", err)
 	}
 }

@@ -2,6 +2,8 @@ package apps
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
@@ -293,7 +295,7 @@ func (h *MST) onDecision(n syncrun.API, m mstDecision) {
 	st.decided = true
 	st.decision = m.Best
 	st.decisionNon = m.Best.None
-	for _, nb := range sortedKeys(h.treeNbrs) {
+	for _, nb := range slices.Sorted(maps.Keys(h.treeNbrs)) {
 		if nb != h.parent {
 			h.out.Send(nb, encMSTEdge(kindMSTDecision, m.Phase, m.Best))
 		}
@@ -323,15 +325,13 @@ func (h *MST) startMerge(n syncrun.API, k int) {
 	if st.sentConnect >= 0 {
 		h.treeNbrs[st.sentConnect] = true
 	}
-	for _, from := range sortedKeys(st.connectIn) {
-		h.treeNbrs[from] = true
-	}
+	maps.Copy(h.treeNbrs, st.connectIn)
 	core := st.sentConnect >= 0 && st.connectIn[st.sentConnect]
 	if core && n.ID() > st.sentConnect {
 		// New leader of the merged fragment.
 		h.frag = n.ID()
 		h.parent = -1
-		for _, nb := range sortedKeys(h.treeNbrs) {
+		for _, nb := range slices.Sorted(maps.Keys(h.treeNbrs)) {
 			h.out.Send(nb, wire.Body{Kind: kindMSTNewFrag, A: int64(k), B: int64(h.frag)})
 		}
 		h.barrier(2*k + 1).ready = true
@@ -356,7 +356,7 @@ func (h *MST) onNewFrag(n syncrun.API, from graph.NodeID, m mstNewFrag) {
 func (h *MST) applyNewFrag(n syncrun.API, from graph.NodeID, m mstNewFrag) {
 	h.frag = m.Frag
 	h.parent = from
-	for _, nb := range sortedKeys(h.treeNbrs) {
+	for _, nb := range slices.Sorted(maps.Keys(h.treeNbrs)) {
 		if nb != from {
 			h.out.Send(nb, wire.Body{Kind: kindMSTNewFrag, A: int64(m.Phase), B: int64(m.Frag)})
 		}
@@ -372,19 +372,4 @@ func (h *MST) result(n syncrun.API) MSTResult {
 		}
 	}
 	return MSTResult{Frag: h.frag, Parent: h.parent, TreeNeighbors: nbrs}
-}
-
-// sortedKeys returns the keys of a node-set in ascending order, for
-// deterministic send ordering.
-func sortedKeys(set map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

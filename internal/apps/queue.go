@@ -1,7 +1,8 @@
 package apps
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/syncrun"
@@ -32,12 +33,7 @@ func (s *sendQueue) Flush(n syncrun.API) {
 	if len(s.q) == 0 {
 		return
 	}
-	targets := make([]graph.NodeID, 0, len(s.q))
-	for to := range s.q {
-		targets = append(targets, to)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	for _, to := range targets {
+	for _, to := range slices.Sorted(maps.Keys(s.q)) {
 		buf := s.q[to]
 		n.Send(to, buf[0])
 		if len(buf) == 1 {

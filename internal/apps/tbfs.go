@@ -26,14 +26,13 @@ type TBFS struct {
 	OnSourceDone func(frontier bool)
 
 	dist     int
-	parent   graph.NodeID
+	parent   graph.NodeID // join sent a join or probe to every other neighbor
 	src      graph.NodeID
 	pending  int  // unanswered joins/probes
 	children int  // accepted children yet to report
 	frontier bool // some node beyond τ exists below/next to us
 	reported bool
 	isSource bool
-	probed   map[graph.NodeID]bool // neighbors we sent joins/probes to
 	out      sendQueue
 }
 
@@ -58,7 +57,6 @@ func (h *TBFS) Init(n syncrun.API) {
 	h.dist = -1
 	h.parent = -1
 	h.src = -1
-	h.probed = make(map[graph.NodeID]bool)
 	for _, s := range h.Sources {
 		if n.ID() == s {
 			h.isSource = true
@@ -81,7 +79,6 @@ func (h *TBFS) join(n syncrun.API, d int, parent, src graph.NodeID) {
 				continue
 			}
 			h.out.Send(nb.Node, wire.Body{Kind: kindTBFSJoin, A: int64(src)})
-			h.probed[nb.Node] = true
 			h.pending++
 		}
 	} else {
@@ -90,7 +87,6 @@ func (h *TBFS) join(n syncrun.API, d int, parent, src graph.NodeID) {
 				continue
 			}
 			h.out.Send(nb.Node, wire.Tag(kindTBFSProbe))
-			h.probed[nb.Node] = true
 			h.pending++
 		}
 	}
@@ -109,7 +105,7 @@ func (h *TBFS) Pulse(n syncrun.API, p int, recvd []syncrun.Incoming) {
 			h.pending--
 		case kindTBFSProbe:
 			if h.dist >= 0 {
-				if h.probed[in.From] {
+				if in.From != h.parent {
 					h.pending-- // crossing probe answers ours
 				} else {
 					h.out.Send(in.From, wire.Body{Kind: kindTBFSProbeReply, A: wire.FromBool(true)})
@@ -138,7 +134,7 @@ func (h *TBFS) Pulse(n syncrun.API, p int, recvd []syncrun.Incoming) {
 func (h *TBFS) onJoin(n syncrun.API, from graph.NodeID, src graph.NodeID, p int) {
 	if h.dist >= 0 {
 		// Already reached. A crossing join answers ours; otherwise reject.
-		if h.probed[from] {
+		if from != h.parent {
 			h.pending--
 		} else {
 			h.out.Send(from, wire.Tag(kindTBFSReject))

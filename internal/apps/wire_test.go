@@ -102,32 +102,110 @@ func FuzzMSTEdgeCodec(f *testing.F) {
 	})
 }
 
-// TestStateCodecRefusesNonCanonicalLists: a node set or send queue whose
-// keys do not ascend strictly, or a queue target holding no message, is
+// TestStateCodecRefusesNonCanonicalLists: a map whose keys do not ascend
+// strictly — a node set, a Leader's or an MST's per-phase state, an MST
+// phase's tests, a send queue — or a queue target holding no message, is
 // not what SaveState writes, so LoadState must refuse it rather than
 // accept bytes it would save back differently.
 func TestStateCodecRefusesNonCanonicalLists(t *testing.T) {
-	frame := func(ids ...int32) []byte {
-		var e wire.Enc
-		e.U32(uint32(len(ids)))
-		for _, v := range ids {
+	ids := func(e *wire.Enc, vs []int32) {
+		e.U32(uint32(len(vs)))
+		for _, v := range vs {
 			e.I32(v)
 		}
+	}
+	leader := func(levels ...int) []byte {
+		var e wire.Enc
+		e.Int(1)
+		e.Bool(true)
+		e.Bool(false)
+		e.U32(uint32(len(levels)))
+		for _, l := range levels {
+			e.Int(l)
+			e.I64(7)
+			e.Int(2)
+			e.I32(3)
+			e.Bool(true)
+			e.Bool(true)
+			e.Bool(false)
+		}
+		e.U32(0) // send queue
 		return e.Bytes()
+	}
+	type mstFrame struct {
+		treeNbrs, tests []int32
+		phases, bars    []int
+	}
+	mst := func(f mstFrame) []byte {
+		var e wire.Enc
+		e.I32(2)
+		e.I32(-1)
+		ids(&e, f.treeNbrs)
+		e.Int(1)
+		e.Bool(false)
+		e.U32(uint32(len(f.phases)))
+		for _, k := range f.phases {
+			e.Int(k)
+			e.U32(uint32(len(f.tests)))
+			for _, nb := range f.tests {
+				e.I32(nb)
+				e.I32(nb + 10)
+			}
+			e.Int(0)
+			saveMSTEdge(&e, mstEdge{None: true})
+			e.Bool(false)
+			e.Bool(false)
+			saveMSTEdge(&e, mstEdge{None: true})
+			e.Bool(false)
+			e.I32(-1)
+			ids(&e, f.treeNbrs) // connectIn
+			e.Bool(false)
+			e.Bool(false)
+		}
+		e.U32(uint32(len(f.bars)))
+		for _, b := range f.bars {
+			e.Int(b)
+			e.Int(1)
+			e.Bool(true)
+			e.Bool(false)
+			e.Bool(false)
+		}
+		e.U32(0) // send queue
+		return e.Bytes()
+	}
+	ok := mstFrame{treeNbrs: []int32{3, 5}, tests: []int32{1, 4}, phases: []int{1, 2}, bars: []int{2, 3}}
+	with := func(edit func(*mstFrame)) []byte {
+		f := ok
+		edit(&f)
+		return mst(f)
 	}
 	for _, tc := range []struct {
 		name string
+		h    wire.StateCodec
 		b    []byte
 		ok   bool
 	}{
-		{"ascending", frame(3, 5), true},
-		{"descending", frame(5, 3), false},
-		{"duplicate", frame(3, 3), false},
+		{"leader ascending", &Leader{}, leader(2, 5), true},
+		{"leader descending", &Leader{}, leader(5, 2), false},
+		{"leader repeated key", &Leader{}, leader(5, 5), false},
+		{"mst ascending", &MST{}, mst(ok), true},
+		{"mst node set descending", &MST{}, with(func(f *mstFrame) { f.treeNbrs = []int32{5, 3} }), false},
+		{"mst node set repeated", &MST{}, with(func(f *mstFrame) { f.treeNbrs = []int32{3, 3} }), false},
+		{"mst phases descending", &MST{}, with(func(f *mstFrame) { f.phases = []int{2, 1} }), false},
+		{"mst tests descending", &MST{}, with(func(f *mstFrame) { f.tests = []int32{4, 1} }), false},
+		{"mst bars descending", &MST{}, with(func(f *mstFrame) { f.bars = []int{3, 2} }), false},
 	} {
 		d := wire.NewDec(tc.b, nil)
-		loadNodeSet(d)
+		tc.h.LoadState(d)
 		if (d.Err() == nil) != tc.ok {
-			t.Errorf("node set %s: err %v", tc.name, d.Err())
+			t.Errorf("%s: err %v", tc.name, d.Err())
+		}
+		if tc.ok {
+			var e wire.Enc
+			tc.h.SaveState(&e)
+			if d.Remaining() != 0 || !bytes.Equal(e.Bytes(), tc.b) {
+				t.Errorf("%s: saves back differently", tc.name)
+			}
 		}
 	}
 	queue := func(targets ...int32) []byte {

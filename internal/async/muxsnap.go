@@ -63,9 +63,7 @@ func (x *Mux) SaveState(e *wire.Enc) {
 		if !x.routes[i].first {
 			continue
 		}
-		mark := e.BeginBlob()
-		x.routes[i].mod.(wire.StateCodec).SaveState(e)
-		e.EndBlob(mark)
+		e.Nested(x.routes[i].mod.(wire.StateCodec))
 	}
 }
 
@@ -82,13 +80,7 @@ func (x *Mux) LoadState(d *wire.Dec) {
 			d.Fail("async: module %T does not implement wire.StateCodec", r.mod)
 			return
 		}
-		end := d.BeginBlob()
-		if d.Failed() {
-			return
-		}
-		ms.LoadState(d)
-		d.EndBlob(end)
-		if d.Failed() {
+		if d.Nested(ms); d.Failed() {
 			return
 		}
 	}

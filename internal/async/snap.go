@@ -175,9 +175,7 @@ func (s *Sim) encodeEngine(e *wire.Enc) error {
 		if !ok {
 			return fmt.Errorf("async: handler %T of node %d has no wire.StateCodec, or hosts a module without one; engine state cannot be snapshotted", s.handlers[i], id)
 		}
-		mark := e.BeginBlob()
-		sc.SaveState(e)
-		e.EndBlob(mark)
+		e.Nested(sc)
 	}
 
 	// Links: every locally-owned directed link with non-default state,
@@ -363,12 +361,7 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			if !ok {
 				return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", s.handlers[li], id)
 			}
-			end := d.BeginBlob()
-			if d.Failed() {
-				break
-			}
-			sc.LoadState(d)
-			d.EndBlob(end)
+			d.Nested(sc)
 		}
 
 		ld := wire.NewDec(d.SkipBlob(), &s.arena)

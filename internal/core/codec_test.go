@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
@@ -47,4 +50,58 @@ func TestFrameAlgoRejectsSegments(t *testing.T) {
 	var a wire.Arena
 	seg, _ := a.Alloc(4)
 	frameAlgo(1, wire.Body{Kind: 1, Seg: seg})
+}
+
+// TestGammaStateRefusesNonCanonicalKeys: γ's per-(cluster, pulse) state is
+// written in ascending key order, so LoadState must refuse entries that
+// descend in either key component or repeat a key, rather than accept a
+// frame it would save back differently.
+func TestGammaStateRefusesNonCanonicalKeys(t *testing.T) {
+	g, err := graph.FromSpec("path:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := newGammaPartition(g)
+	mk := func() *gammaNode { return newGamma(&apps.BFS{Sources: []graph.NodeID{0}}, 2, part) }
+	save := func(gm *gammaNode) []byte {
+		var e wire.Enc
+		gm.SaveState(&e)
+		return e.Bytes()
+	}
+	gm := mk()
+	base := save(gm) // ends with the empty map's count
+	for i, k := range []gKey{{0, 5}, {1, 2}, {1, 3}} {
+		*gm.phase(k.cluster, k.pulse) = gammaPhase{p1Count: i + 1, cSafe: true, extSafe: 2}
+	}
+	full := save(gm)
+	head, sz := base[:len(base)-4], (len(full)-len(base))/3
+	entry := func(i int) []byte { return full[len(base)+i*sz : len(base)+(i+1)*sz] }
+	frame := func(order ...int) []byte {
+		b := append(append([]byte(nil), head...), byte(len(order)), 0, 0, 0)
+		for _, i := range order {
+			b = append(b, entry(i)...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		order []int
+		ok    bool
+	}{
+		{"ascending", []int{0, 1, 2}, true},
+		{"cluster descends", []int{1, 0, 2}, false},
+		{"pulse descends", []int{0, 2, 1}, false},
+		{"repeated key", []int{0, 2, 2}, false},
+	} {
+		b := frame(tc.order...)
+		d := wire.NewDec(b, nil)
+		gm := mk()
+		gm.LoadState(d)
+		if (d.Err() == nil) != tc.ok {
+			t.Errorf("%s: err %v", tc.name, d.Err())
+		}
+		if tc.ok && (d.Remaining() != 0 || !bytes.Equal(save(gm), b)) {
+			t.Errorf("%s: saves back differently", tc.name)
+		}
+	}
 }

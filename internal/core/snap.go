@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"repro/internal/async"
 	"repro/internal/graph"
@@ -13,8 +13,7 @@ import (
 
 // State codecs for the synchronizer stack and the α/β/γ baselines. Each
 // handler serializes its complete mutable run state — the embedded
-// synchronous algorithm first (as a blob, via its own wire.StateCodec),
-// then the synchronizer's own bookkeeping — so the engine state plane can
+// synchronous algorithm first (wire.Enc.Nested), then the synchronizer's own bookkeeping — so the engine state plane can
 // checkpoint and resume any synchronized run. ModeSpec copies the stack
 // into its per-round clones through the same codecs.
 //
@@ -46,9 +45,7 @@ func saveAlgoState(e *wire.Enc, algo syncrun.Handler) {
 	if !ok {
 		panic(fmt.Sprintf("core: synchronized algorithm %T does not implement wire.StateCodec", algo))
 	}
-	mark := e.BeginBlob()
-	sc.SaveState(e)
-	e.EndBlob(mark)
+	e.Nested(sc)
 }
 
 func loadAlgoState(d *wire.Dec, algo syncrun.Handler) {
@@ -57,12 +54,7 @@ func loadAlgoState(d *wire.Dec, algo syncrun.Handler) {
 		d.Fail("core: synchronized algorithm %T does not implement wire.StateCodec", algo)
 		return
 	}
-	end := d.BeginBlob()
-	if d.Failed() {
-		return
-	}
-	sc.LoadState(d)
-	d.EndBlob(end)
+	d.Nested(sc)
 }
 
 func saveIncoming(e *wire.Enc, batch []syncrun.Incoming) {
@@ -290,6 +282,10 @@ func (b *betaNode) LoadState(d *wire.Dec) {
 
 // --- gamma -----------------------------------------------------------------
 
+func (a gKey) cmp(b gKey) int {
+	return cmp.Or(cmp.Compare(a.cluster, b.cluster), cmp.Compare(a.pulse, b.pulse))
+}
+
 // SaveState implements wire.StateCodec.
 func (gm *gammaNode) SaveState(e *wire.Enc) {
 	saveAlgoState(e, gm.algo)
@@ -299,19 +295,7 @@ func (gm *gammaNode) SaveState(e *wire.Enc) {
 		e.Int(gm.sendAcked[p])
 		e.Bool(gm.safe[p])
 	}
-	keys := make([]gKey, 0, len(gm.ph))
-	for k := range gm.ph {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].cluster != keys[j].cluster {
-			return keys[i].cluster < keys[j].cluster
-		}
-		return keys[i].pulse < keys[j].pulse
-	})
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		st := gm.ph[k]
+	wire.SaveMap(e, gm.ph, gKey.cmp, func(e *wire.Enc, k gKey, st *gammaPhase) {
 		e.Int(k.cluster)
 		e.Int(k.pulse)
 		e.Int(st.p1Count)
@@ -320,7 +304,7 @@ func (gm *gammaNode) SaveState(e *wire.Enc) {
 		e.Int(st.extSafe)
 		e.Int(st.p2Count)
 		e.Bool(st.p2Sent)
-	}
+	})
 }
 
 // LoadState implements wire.StateCodec.
@@ -332,11 +316,8 @@ func (gm *gammaNode) LoadState(d *wire.Dec) {
 		gm.sendAcked[p] = d.Int()
 		gm.safe[p] = d.Bool()
 	}
-	n := int(d.U32())
-	gm.ph = make(map[gKey]*gammaPhase, min(n, d.Remaining()))
-	for i := 0; i < n && !d.Failed(); i++ {
-		k := gKey{cluster: d.Int(), pulse: d.Int()}
-		st := &gammaPhase{
+	gm.ph = wire.LoadMap(d, gKey.cmp, func(d *wire.Dec) (gKey, *gammaPhase) {
+		return gKey{cluster: d.Int(), pulse: d.Int()}, &gammaPhase{
 			p1Count: d.Int(),
 			p1Sent:  d.Bool(),
 			cSafe:   d.Bool(),
@@ -344,8 +325,5 @@ func (gm *gammaNode) LoadState(d *wire.Dec) {
 			p2Count: d.Int(),
 			p2Sent:  d.Bool(),
 		}
-		if !d.Failed() {
-			gm.ph[k] = st
-		}
-	}
+	})
 }

@@ -9,10 +9,12 @@ import (
 	"repro/internal/wire"
 )
 
-// fuzzStacks are the StackMaker stacks FuzzStackLoadState loads into: the
+// fuzzStacks are the stacks FuzzStackLoadState loads into: the
 // synchronizer core with its registration and barrier modules around BFS,
-// and abfs' checking stage (TBFS plus the glue and its gather module).
-var fuzzStacks = []string{"sync-bfs", "abfs-tbfs"}
+// Leader and MST (whose per-level and per-phase state sits in maps), the γ
+// baseline (its per-(cluster, pulse) map) and abfs' checking stage (TBFS
+// plus the glue and its gather module).
+var fuzzStacks = []string{"sync-bfs", "sync-leader", "sync-mst", "gamma", "abfs-tbfs"}
 
 func saveStack(h async.Handler) []byte {
 	var e wire.Enc

@@ -2,7 +2,8 @@ package reg
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -193,12 +194,7 @@ func (m *NaiveModule) handleGo(n *async.Node, p naivePayload, st *naiveState) {
 		st.local = free
 		m.cb.GoAhead(n, p.Cluster, p.Session)
 	}
-	var outs []graph.NodeID
-	for ch := range st.downRoutes {
-		outs = append(outs, ch)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	for _, ch := range outs {
+	for _, ch := range slices.Sorted(maps.Keys(st.downRoutes)) {
 		m.send(n, ch, naivePayload{Kind: nkGo, Cluster: p.Cluster, Session: p.Session})
 	}
 }

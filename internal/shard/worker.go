@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -259,7 +261,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	enc.U64(uint64(engineHeap))
 	enc.U64(uint64(heapMB))
 	enc.U32(uint32(len(res.PerProto)))
-	for _, p := range sortedProtos(res.PerProto) {
+	for _, p := range slices.Sorted(maps.Keys(res.PerProto)) {
 		enc.I32(int32(p))
 		enc.U64(res.PerProto[p])
 	}
@@ -302,17 +304,4 @@ func stageFlush(sim *async.Sim, f *flushMsg, frames *wire.Enc) {
 			f.groups[len(f.groups)-1].remotes++
 			f.remotes = append(f.remotes, logRemote{idx: uint32(idx), evT: ev.T, owner: ev.Owner(), frame: frames.Bytes()[lo:]})
 		})
-}
-
-func sortedProtos(pp map[async.Proto]uint64) []async.Proto {
-	out := make([]async.Proto, 0, len(pp))
-	for p := range pp {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

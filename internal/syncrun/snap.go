@@ -48,9 +48,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("syncrun: handler %T of node %d does not implement wire.StateCodec; runner state cannot be snapshotted", r.handlers[i], i)
 		}
-		mark := e.BeginBlob()
-		sc.SaveState(e)
-		e.EndBlob(mark)
+		e.Nested(sc)
 	}
 
 	// Next pulse's pending deliveries, as per-receiver batches in receiver
@@ -130,12 +128,7 @@ func (r *Runner) Restore(data []byte) error {
 			r.restoreFailed()
 			return fmt.Errorf("syncrun: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", r.handlers[i], i)
 		}
-		end := d.BeginBlob()
-		if d.Failed() {
-			break
-		}
-		sc.LoadState(d)
-		d.EndBlob(end)
+		d.Nested(sc)
 	}
 
 	nChains := int(d.U32())
