@@ -95,15 +95,14 @@ func (b *checkBatch) NeighborhoodDone(n *async.Node, session int) {
 // SaveState implements wire.StateCodec. The TBFS handler and the gather
 // module serialize themselves via their own codecs in the enclosing Mux;
 // the glue's own mutable state is just the source-echo verdict.
-func (cg *checkGlue) SaveState(e *wire.Enc) {
-	e.Bool(cg.srcDone)
-	e.Bool(cg.frontier)
-}
+func (cg *checkGlue) SaveState(e *wire.Enc) { cg.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (cg *checkGlue) LoadState(d *wire.Dec) {
-	cg.srcDone = d.Bool()
-	cg.frontier = d.Bool()
+func (cg *checkGlue) LoadState(d *wire.Dec) { cg.state(d.Coder()) }
+
+func (cg *checkGlue) state(c *wire.Coder) {
+	c.Bool(&cg.srcDone)
+	c.Bool(&cg.frontier)
 }
 
 // Rebind implements async.Rebinder: the engine hands the glue its node when

@@ -95,7 +95,7 @@ func (h *Leader) Pulse(n syncrun.API, p int, recvd []syncrun.Incoming) {
 		switch in.Body.Kind {
 		case kindLeadUp:
 			m := decLeadUp(in.Body)
-			st := h.state(m.Level, m.Cluster)
+			st := h.entry(m.Level, m.Cluster)
 			st.reports++
 			if m.Min < st.minSeen {
 				st.minSeen = m.Min
@@ -110,7 +110,7 @@ func (h *Leader) Pulse(n syncrun.API, p int, recvd []syncrun.Incoming) {
 	h.out.Flush(n)
 }
 
-func (h *Leader) state(level int, c cover.ClusterID) *leadState {
+func (h *Leader) entry(level int, c cover.ClusterID) *leadState {
 	k := lcKey{level: level, cluster: c}
 	st := h.st[k]
 	if st == nil {
@@ -132,7 +132,7 @@ func (h *Leader) enterEpoch(n syncrun.API, i int) {
 	h.epoch = i
 	cov := h.Covers.Level(i)
 	for _, cid := range cov.TreeOf(n.ID()) {
-		st := h.state(i, cid)
+		st := h.entry(i, cid)
 		st.began = true
 		if h.candidate && cov.Cluster(cid).Has(n.ID()) && n.ID() < st.minSeen {
 			st.minSeen = n.ID()
@@ -174,7 +174,7 @@ func (h *Leader) deliverVerdict(n syncrun.API, v leadDown) {
 	if !cl.Has(n.ID()) {
 		return // pure relay
 	}
-	h.state(v.Level, v.Cluster).verdictIn = true
+	h.entry(v.Level, v.Cluster).verdictIn = true
 	if v.IsLeader && !h.done {
 		h.done = true
 		n.Output(v.Min)
@@ -187,7 +187,7 @@ func (h *Leader) deliverVerdict(n syncrun.API, v leadDown) {
 	}
 	cov := h.Covers.Level(v.Level)
 	for _, cid := range cov.MemberOf(n.ID()) {
-		if !h.state(v.Level, cid).verdictIn {
+		if !h.entry(v.Level, cid).verdictIn {
 			return
 		}
 	}

@@ -14,7 +14,8 @@ import (
 // handler. Configuration fields set by the constructor (Sources, Threshold,
 // Covers, Barrier, Weights, callbacks) stay out of the stream — the
 // restoring side rebuilds handlers with the same constructor, so only the
-// run-varying state travels. Maps go through wire.SaveMap/LoadMap.
+// run-varying state travels. Each type codes its state once, in a state
+// method its SaveState and LoadState both run through a wire.Coder.
 
 var (
 	_ wire.StateCodec = (*Flood)(nil)
@@ -27,110 +28,83 @@ var (
 
 // --- shared helpers --------------------------------------------------------
 
-// putNode and getNode are the entry codec of a node-membership set (every
-// stored value is true): the key alone.
-func putNode(e *wire.Enc, v graph.NodeID, _ bool) { e.I32(int32(v)) }
-
-func getNode(d *wire.Dec) (graph.NodeID, bool) { return graph.NodeID(d.I32()), true }
-
-// saveState writes the queue's pending messages per target.
-func (s *sendQueue) saveState(e *wire.Enc) {
-	wire.SaveMap(e, s.q, cmp.Compare, func(e *wire.Enc, to graph.NodeID, buf []wire.Body) {
-		e.I32(int32(to))
-		e.U32(uint32(len(buf)))
-		for _, b := range buf {
-			e.Body(b)
-		}
-	})
+// nodeSet codes an entry of a node-membership set (every stored value is
+// true): the key alone.
+func nodeSet(c *wire.Coder, v *graph.NodeID, in *bool) {
+	wire.ID(c, v)
+	*in = true
 }
 
-// loadState reads a saveState queue, refusing a target that holds no
-// message, so that every queue it accepts saves back identically.
-func (s *sendQueue) loadState(d *wire.Dec) {
-	s.q = wire.LoadMap(d, cmp.Compare, func(d *wire.Dec) (graph.NodeID, []wire.Body) {
-		to := graph.NodeID(d.I32())
-		cnt := int(d.U32())
-		if cnt == 0 {
-			d.Fail("apps: send queue target %d holds no message", to)
+// state codes the queue's pending messages per target. A load refuses a
+// target that holds no message, so that every queue it accepts saves back
+// identically.
+func (s *sendQueue) state(c *wire.Coder) {
+	wire.Map(c, &s.q, cmp.Compare, func(c *wire.Coder, to *graph.NodeID, buf *[]wire.Body) {
+		wire.ID(c, to)
+		if wire.List(c, buf, nil, (*wire.Coder).Body); c.Loading() && len(*buf) == 0 {
+			c.Fail("apps: send queue target %d holds no message", *to)
 		}
-		var buf []wire.Body
-		for j := 0; j < cnt && !d.Failed(); j++ {
-			buf = append(buf, d.Body())
-		}
-		return to, buf
 	})
 }
 
 // --- Flood -----------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (h *Flood) SaveState(e *wire.Enc) { e.Bool(h.seen) }
+func (h *Flood) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *Flood) LoadState(d *wire.Dec) { h.seen = d.Bool() }
+func (h *Flood) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *Flood) state(c *wire.Coder) { c.Bool(&h.seen) }
 
 // --- Echo ------------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (h *Echo) SaveState(e *wire.Enc) {
-	e.I32(int32(h.parent))
-	e.Bool(h.joined)
-	e.Int(h.pending)
-	e.Int(h.count)
-}
+func (h *Echo) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *Echo) LoadState(d *wire.Dec) {
-	h.parent = graph.NodeID(d.I32())
-	h.joined = d.Bool()
-	h.pending = d.Int()
-	h.count = d.Int()
+func (h *Echo) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *Echo) state(c *wire.Coder) {
+	wire.ID(c, &h.parent)
+	c.Bool(&h.joined)
+	c.Int(&h.pending)
+	c.Int(&h.count)
 }
 
 // --- BFS -------------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (h *BFS) SaveState(e *wire.Enc) {
-	e.Bool(h.set)
-	e.Int(h.res.Dist)
-	e.I32(int32(h.res.Parent))
-	e.I32(int32(h.res.Source))
-}
+func (h *BFS) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *BFS) LoadState(d *wire.Dec) {
-	h.set = d.Bool()
-	h.res.Dist = d.Int()
-	h.res.Parent = graph.NodeID(d.I32())
-	h.res.Source = graph.NodeID(d.I32())
+func (h *BFS) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *BFS) state(c *wire.Coder) {
+	c.Bool(&h.set)
+	c.Int(&h.res.Dist)
+	wire.ID(c, &h.res.Parent)
+	wire.ID(c, &h.res.Source)
 }
 
 // --- TBFS ------------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (h *TBFS) SaveState(e *wire.Enc) {
-	e.Int(h.dist)
-	e.I32(int32(h.parent))
-	e.I32(int32(h.src))
-	e.Int(h.pending)
-	e.Int(h.children)
-	e.Bool(h.frontier)
-	e.Bool(h.reported)
-	e.Bool(h.isSource)
-	h.out.saveState(e)
-}
+func (h *TBFS) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *TBFS) LoadState(d *wire.Dec) {
-	h.dist = d.Int()
-	h.parent = graph.NodeID(d.I32())
-	h.src = graph.NodeID(d.I32())
-	h.pending = d.Int()
-	h.children = d.Int()
-	h.frontier = d.Bool()
-	h.reported = d.Bool()
-	h.isSource = d.Bool()
-	h.out.loadState(d)
+func (h *TBFS) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *TBFS) state(c *wire.Coder) {
+	c.Int(&h.dist)
+	wire.ID(c, &h.parent)
+	wire.ID(c, &h.src)
+	c.Int(&h.pending)
+	c.Int(&h.children)
+	c.Bool(&h.frontier)
+	c.Bool(&h.reported)
+	c.Bool(&h.isSource)
+	h.out.state(c)
 }
 
 // --- Leader ----------------------------------------------------------------
@@ -140,132 +114,82 @@ func (a lcKey) cmp(b lcKey) int {
 }
 
 // SaveState implements wire.StateCodec.
-func (h *Leader) SaveState(e *wire.Enc) {
-	e.Int(h.epoch)
-	e.Bool(h.candidate)
-	e.Bool(h.done)
-	wire.SaveMap(e, h.st, lcKey.cmp, func(e *wire.Enc, k lcKey, st *leadState) {
-		e.Int(k.level)
-		e.I64(int64(k.cluster))
-		e.Int(st.reports)
-		e.I32(int32(st.minSeen))
-		e.Bool(st.sent)
-		e.Bool(st.began)
-		e.Bool(st.verdictIn)
-	})
-	h.out.saveState(e)
-}
+func (h *Leader) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *Leader) LoadState(d *wire.Dec) {
-	h.epoch = d.Int()
-	h.candidate = d.Bool()
-	h.done = d.Bool()
-	h.st = wire.LoadMap(d, lcKey.cmp, func(d *wire.Dec) (lcKey, *leadState) {
-		return lcKey{level: d.Int(), cluster: cover.ClusterID(d.I64())}, &leadState{
-			reports:   d.Int(),
-			minSeen:   graph.NodeID(d.I32()),
-			sent:      d.Bool(),
-			began:     d.Bool(),
-			verdictIn: d.Bool(),
-		}
+func (h *Leader) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *Leader) state(c *wire.Coder) {
+	c.Int(&h.epoch)
+	c.Bool(&h.candidate)
+	c.Bool(&h.done)
+	wire.Map(c, &h.st, lcKey.cmp, func(c *wire.Coder, k *lcKey, p **leadState) {
+		c.Int(&k.level)
+		cluster := int64(k.cluster) // a cluster id travels in 64 bits
+		c.I64(&cluster)
+		k.cluster = cover.ClusterID(cluster)
+		st := wire.Alloc(p)
+		c.Int(&st.reports)
+		wire.ID(c, &st.minSeen)
+		c.Bool(&st.sent)
+		c.Bool(&st.began)
+		c.Bool(&st.verdictIn)
 	})
-	h.out.loadState(d)
+	h.out.state(c)
 }
 
 // --- MST -------------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (h *MST) SaveState(e *wire.Enc) {
-	e.I32(int32(h.frag))
-	e.I32(int32(h.parent))
-	wire.SaveMap(e, h.treeNbrs, cmp.Compare, putNode)
-	e.Int(h.phase)
-	e.Bool(h.fragDone)
-	wire.SaveMap(e, h.st, cmp.Compare, func(e *wire.Enc, k int, st *mstPhase) {
-		e.Int(k)
-		wire.SaveMap(e, st.tests, cmp.Compare, func(e *wire.Enc, nb, frag graph.NodeID) {
-			e.I32(int32(nb))
-			e.I32(int32(frag))
-		})
-		e.Int(st.moeReports)
-		saveMSTEdge(e, st.best)
-		e.Bool(st.reported)
-		e.Bool(st.decided)
-		saveMSTEdge(e, st.decision)
-		e.Bool(st.decisionNon)
-		e.I32(int32(st.sentConnect))
-		wire.SaveMap(e, st.connectIn, cmp.Compare, putNode)
-		e.Bool(st.merged)
-		e.Bool(st.pendingNF != nil)
-		if st.pendingNF != nil {
-			e.Int(st.pendingNF.Phase)
-			e.I32(int32(st.pendingNF.Frag))
-			e.I32(int32(st.pendingNFFrom))
-		}
-	})
-	wire.SaveMap(e, h.bar, cmp.Compare, func(e *wire.Enc, k int, b *mstBarrier) {
-		e.Int(k)
-		e.Int(b.reports)
-		e.Bool(b.sent)
-		e.Bool(b.ready)
-		e.Bool(b.done)
-	})
-	h.out.saveState(e)
-}
+func (h *MST) SaveState(e *wire.Enc) { h.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (h *MST) LoadState(d *wire.Dec) {
-	h.frag = graph.NodeID(d.I32())
-	h.parent = graph.NodeID(d.I32())
-	h.treeNbrs = wire.LoadMap(d, cmp.Compare, getNode)
-	h.phase = d.Int()
-	h.fragDone = d.Bool()
-	h.st = wire.LoadMap(d, cmp.Compare, func(d *wire.Dec) (int, *mstPhase) {
-		k := d.Int()
-		st := &mstPhase{
-			tests: wire.LoadMap(d, cmp.Compare, func(d *wire.Dec) (graph.NodeID, graph.NodeID) {
-				return graph.NodeID(d.I32()), graph.NodeID(d.I32())
-			}),
-			moeReports:  d.Int(),
-			best:        loadMSTEdge(d),
-			reported:    d.Bool(),
-			decided:     d.Bool(),
-			decision:    loadMSTEdge(d),
-			decisionNon: d.Bool(),
-			sentConnect: graph.NodeID(d.I32()),
-			connectIn:   wire.LoadMap(d, cmp.Compare, getNode),
-			merged:      d.Bool(),
-		}
-		if d.Bool() {
-			st.pendingNF = &mstNewFrag{Phase: d.Int(), Frag: graph.NodeID(d.I32())}
-			st.pendingNFFrom = graph.NodeID(d.I32())
-		}
-		return k, st
-	})
-	h.bar = wire.LoadMap(d, cmp.Compare, func(d *wire.Dec) (int, *mstBarrier) {
-		return d.Int(), &mstBarrier{
-			reports: d.Int(),
-			sent:    d.Bool(),
-			ready:   d.Bool(),
-			done:    d.Bool(),
+func (h *MST) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+
+func (h *MST) state(c *wire.Coder) {
+	wire.ID(c, &h.frag)
+	wire.ID(c, &h.parent)
+	wire.Map(c, &h.treeNbrs, cmp.Compare, nodeSet)
+	c.Int(&h.phase)
+	c.Bool(&h.fragDone)
+	wire.Map(c, &h.st, cmp.Compare, func(c *wire.Coder, k *int, p **mstPhase) {
+		c.Int(k)
+		st := wire.Alloc(p)
+		wire.Map(c, &st.tests, cmp.Compare, func(c *wire.Coder, nb, frag *graph.NodeID) {
+			wire.ID(c, nb)
+			wire.ID(c, frag)
+		})
+		c.Int(&st.moeReports)
+		st.best.state(c)
+		c.Bool(&st.reported)
+		c.Bool(&st.decided)
+		st.decision.state(c)
+		c.Bool(&st.decisionNon)
+		wire.ID(c, &st.sentConnect)
+		wire.Map(c, &st.connectIn, cmp.Compare, nodeSet)
+		c.Bool(&st.merged)
+		pending := st.pendingNF != nil
+		if c.Bool(&pending); pending {
+			nf := wire.Alloc(&st.pendingNF)
+			c.Int(&nf.Phase)
+			wire.ID(c, &nf.Frag)
+			wire.ID(c, &st.pendingNFFrom)
 		}
 	})
-	h.out.loadState(d)
+	wire.Map(c, &h.bar, cmp.Compare, func(c *wire.Coder, k *int, p **mstBarrier) {
+		c.Int(k)
+		b := wire.Alloc(p)
+		c.Int(&b.reports)
+		c.Bool(&b.sent)
+		c.Bool(&b.ready)
+		c.Bool(&b.done)
+	})
+	h.out.state(c)
 }
 
-func saveMSTEdge(e *wire.Enc, m mstEdge) {
-	e.I64(m.W)
-	e.I32(int32(m.U))
-	e.I32(int32(m.V))
-	e.Bool(m.None)
-}
-
-func loadMSTEdge(d *wire.Dec) mstEdge {
-	return mstEdge{
-		W:    d.I64(),
-		U:    graph.NodeID(d.I32()),
-		V:    graph.NodeID(d.I32()),
-		None: d.Bool(),
-	}
+func (m *mstEdge) state(c *wire.Coder) {
+	c.I64(&m.W)
+	wire.ID(c, &m.U)
+	wire.ID(c, &m.V)
+	c.Bool(&m.None)
 }

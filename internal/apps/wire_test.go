@@ -138,6 +138,7 @@ func TestStateCodecRefusesNonCanonicalLists(t *testing.T) {
 	}
 	mst := func(f mstFrame) []byte {
 		var e wire.Enc
+		none := mstEdge{None: true}
 		e.I32(2)
 		e.I32(-1)
 		ids(&e, f.treeNbrs)
@@ -152,10 +153,10 @@ func TestStateCodecRefusesNonCanonicalLists(t *testing.T) {
 				e.I32(nb + 10)
 			}
 			e.Int(0)
-			saveMSTEdge(&e, mstEdge{None: true})
+			none.state(e.Coder())
 			e.Bool(false)
 			e.Bool(false)
-			saveMSTEdge(&e, mstEdge{None: true})
+			none.state(e.Coder())
 			e.Bool(false)
 			e.I32(-1)
 			ids(&e, f.treeNbrs) // connectIn
@@ -233,13 +234,13 @@ func TestStateCodecRefusesNonCanonicalLists(t *testing.T) {
 	} {
 		var q sendQueue
 		d := wire.NewDec(tc.b, nil)
-		q.loadState(d)
+		q.state(d.Coder())
 		if (d.Err() == nil) != tc.ok {
 			t.Errorf("send queue %s: err %v", tc.name, d.Err())
 		}
 		if tc.ok {
 			var e wire.Enc
-			q.saveState(&e)
+			q.state(e.Coder())
 			if !bytes.Equal(e.Bytes(), tc.b) {
 				t.Errorf("send queue %s: saves back differently", tc.name)
 			}

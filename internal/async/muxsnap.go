@@ -55,21 +55,17 @@ func (x *Mux) StateCodecOK() bool {
 	return true
 }
 
-// SaveState implements wire.StateCodec: each unique module's state rides
-// in its own blob, in registration order. Callers gate on StateCodecOK, so
-// a module without a codec is a programming error.
-func (x *Mux) SaveState(e *wire.Enc) {
-	for i := range x.routes {
-		if !x.routes[i].first {
-			continue
-		}
-		e.Nested(x.routes[i].mod.(wire.StateCodec))
-	}
-}
+// SaveState implements wire.StateCodec.
+func (x *Mux) SaveState(e *wire.Enc) { x.state(e.Coder()) }
 
-// LoadState implements wire.StateCodec. The restoring Mux must have been
-// built by the same constructor, so the registration order matches.
-func (x *Mux) LoadState(d *wire.Dec) {
+// LoadState implements wire.StateCodec.
+func (x *Mux) LoadState(d *wire.Dec) { x.state(d.Coder()) }
+
+// state codes each unique module's state in its own blob, in registration
+// order. The restoring Mux must have been built by the same constructor, so
+// the registration order matches. Savers gate on StateCodecOK, so there a
+// module without a codec is a programming error.
+func (x *Mux) state(c *wire.Coder) {
 	for i := range x.routes {
 		r := &x.routes[i]
 		if !r.first {
@@ -77,10 +73,10 @@ func (x *Mux) LoadState(d *wire.Dec) {
 		}
 		ms, ok := r.mod.(wire.StateCodec)
 		if !ok {
-			d.Fail("async: module %T does not implement wire.StateCodec", r.mod)
+			c.Fail("async: module %T does not implement wire.StateCodec", r.mod)
 			return
 		}
-		if d.Nested(ms); d.Failed() {
+		if c.Nested(ms); c.Failed() {
 			return
 		}
 	}

@@ -43,8 +43,9 @@ func (h *e18Flood) Recv(n *async.Node, _ graph.NodeID, m async.Msg) {
 	}
 }
 
-func (h *e18Flood) SaveState(e *wire.Enc) { e.Bool(h.seen) }
-func (h *e18Flood) LoadState(d *wire.Dec) { h.seen = d.Bool() }
+func (h *e18Flood) SaveState(e *wire.Enc) { h.state(e.Coder()) }
+func (h *e18Flood) LoadState(d *wire.Dec) { h.state(d.Coder()) }
+func (h *e18Flood) state(c *wire.Coder)   { c.Bool(&h.seen) }
 
 // e18SnapshotOverheads prices the state plane: the same flood runs
 // uninterrupted (base) and checkpointed at three interval fractions of its

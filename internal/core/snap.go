@@ -2,20 +2,19 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 
 	"repro/internal/async"
-	"repro/internal/graph"
-	"repro/internal/slab"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
 )
 
 // State codecs for the synchronizer stack and the α/β/γ baselines. Each
-// handler serializes its complete mutable run state — the embedded
-// synchronous algorithm first (wire.Enc.Nested), then the synchronizer's own bookkeeping — so the engine state plane can
-// checkpoint and resume any synchronized run. ModeSpec copies the stack
-// into its per-round clones through the same codecs.
+// handler codes its complete mutable run state once, in a state method its
+// SaveState and LoadState both run through a wire.Coder — the embedded
+// synchronous algorithm first (Coder.Nested), then the synchronizer's own
+// bookkeeping — so the engine state plane can checkpoint and resume any
+// synchronized run. ModeSpec copies the stack into its per-round clones
+// through the same codecs.
 //
 // The congestStamp deliberately stays out of every frame: its epoch
 // counter only ever grows and stamps are compared for equality, so a
@@ -40,42 +39,20 @@ func algoCodecOK(algo syncrun.Handler) bool {
 	return ok
 }
 
-func saveAlgoState(e *wire.Enc, algo syncrun.Handler) {
+// algoState codes the synchronized algorithm's state as a nested blob.
+func algoState(c *wire.Coder, algo syncrun.Handler) {
 	sc, ok := algo.(wire.StateCodec)
 	if !ok {
-		panic(fmt.Sprintf("core: synchronized algorithm %T does not implement wire.StateCodec", algo))
-	}
-	e.Nested(sc)
-}
-
-func loadAlgoState(d *wire.Dec, algo syncrun.Handler) {
-	sc, ok := algo.(wire.StateCodec)
-	if !ok {
-		d.Fail("core: synchronized algorithm %T does not implement wire.StateCodec", algo)
+		c.Fail("core: synchronized algorithm %T does not implement wire.StateCodec", algo)
 		return
 	}
-	d.Nested(sc)
+	c.Nested(sc)
 }
 
-func saveIncoming(e *wire.Enc, batch []syncrun.Incoming) {
-	e.U32(uint32(len(batch)))
-	for _, in := range batch {
-		e.I32(int32(in.From))
-		e.Body(in.Body)
-	}
-}
-
-// loadIncoming reads a saveIncoming batch into batch's capacity.
-func loadIncoming(d *wire.Dec, batch []syncrun.Incoming) []syncrun.Incoming {
-	n := int(d.U32())
-	batch = batch[:0]
-	for i := 0; i < n && !d.Failed(); i++ {
-		in := syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}
-		if !d.Failed() {
-			batch = append(batch, in)
-		}
-	}
-	return batch
+// incoming codes one message of a pulse batch.
+func incoming(c *wire.Coder, in *syncrun.Incoming) {
+	wire.ID(c, &in.From)
+	c.Body(&in.Body)
 }
 
 // --- nodeCore --------------------------------------------------------------
@@ -84,138 +61,72 @@ func loadIncoming(d *wire.Dec, batch []syncrun.Incoming) []syncrun.Incoming {
 // iff the embedded algorithm is.
 func (c *nodeCore) StateCodecOK() bool { return algoCodecOK(c.algo) }
 
-// SaveState implements wire.StateCodec: a linear walk of the flat state.
-func (c *nodeCore) SaveState(e *wire.Enc) {
-	saveAlgoState(e, c.algo)
-	e.Bool(c.started)
-	e.Bool(c.originator)
-	e.U32(uint32(len(c.initSends)))
-	for _, s := range c.initSends {
-		e.I32(int32(s.to))
-		e.Body(s.body)
-	}
-	e.Int(c.barrierRegWait)
-
-	e.U32(uint32(len(c.vnodes)))
-	for i := range c.vnodes {
-		v := &c.vnodes[i]
-		e.I32(v.pulse)
-		e.I32(int32(v.parentPhys))
-		e.Bool(v.parentSelf)
-		e.Bool(v.hasParent)
-		e.Bool(v.evaluated)
-		e.Bool(v.sentAny)
-		e.Bool(v.selfChild)
-		e.I32(v.outstandingReplies)
-		e.I32(v.childPhys)
-		e.I32(v.qoff)
-	}
-	e.U32(uint32(len(c.qs)))
-	for i := range c.qs {
-		st := &c.qs[i]
-		e.I32(st.reports)
-		e.I32(st.gateOutstanding)
-		e.I32(st.regOutstanding)
-		e.I32(st.gaOutstanding)
-		e.Bool(st.registered)
-		e.Bool(st.anyReady)
-		e.Bool(st.resolved)
-		e.Bool(st.ready)
-		e.Bool(st.forwarded)
-		e.Bool(st.readySelf)
-	}
-	e.U32(uint32(len(c.ready)))
-	for _, r := range c.ready {
-		e.I32(r.qi)
-		e.I32(int32(r.child))
-	}
-	e.U32(uint32(len(c.recvd)))
-	for _, m := range c.recvd {
-		e.I32(m.pulse)
-		e.I32(int32(m.in.From))
-		e.Body(m.in.Body)
-	}
-}
+// SaveState implements wire.StateCodec.
+func (c *nodeCore) SaveState(e *wire.Enc) { c.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (c *nodeCore) LoadState(d *wire.Dec) {
-	loadAlgoState(d, c.algo)
-	c.started = d.Bool()
-	c.originator = d.Bool()
-	c.initSends = c.initSends[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		s := capturedSend{to: graph.NodeID(d.I32()), body: d.Body()}
-		if !d.Failed() {
-			c.initSends = slab.Push(&c.st.sends, c.initSends, s)
-		}
-	}
-	c.barrierRegWait = d.Int()
+func (c *nodeCore) LoadState(d *wire.Dec) { c.state(d.Coder()) }
 
-	c.vnodes = c.vnodes[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		v := vnode{
-			pulse:              d.I32(),
-			parentPhys:         graph.NodeID(d.I32()),
-			parentSelf:         d.Bool(),
-			hasParent:          d.Bool(),
-			evaluated:          d.Bool(),
-			sentAny:            d.Bool(),
-			selfChild:          d.Bool(),
-			outstandingReplies: d.I32(),
-			childPhys:          d.I32(),
-			qoff:               d.I32(),
+// state codes the flat state in one linear walk. A load refuses vnodes
+// whose pulses do not ascend within the bound or whose q-states were not
+// loaded, and ready children on q-states past the pool; one that fails
+// leaves no vnode pointing past the pool.
+func (c *nodeCore) state(w *wire.Coder) {
+	algoState(w, c.algo)
+	w.Bool(&c.started)
+	w.Bool(&c.originator)
+	wire.List(w, &c.initSends, &c.st.sends, func(w *wire.Coder, s *capturedSend) {
+		wire.ID(w, &s.to)
+		w.Body(&s.body)
+	})
+	w.Int(&c.barrierRegWait)
+
+	prev := int32(-1)
+	wire.List(w, &c.vnodes, &c.st.vnodes, func(w *wire.Coder, v *vnode) {
+		w.I32(&v.pulse)
+		wire.ID(w, &v.parentPhys)
+		w.Bool(&v.parentSelf)
+		w.Bool(&v.hasParent)
+		w.Bool(&v.evaluated)
+		w.Bool(&v.sentAny)
+		w.Bool(&v.selfChild)
+		w.I32(&v.outstandingReplies)
+		w.I32(&v.childPhys)
+		w.I32(&v.qoff)
+		if w.Loading() && (v.pulse <= prev || int(v.pulse) > c.sched.B) {
+			w.Fail("core: vnode has pulse %d after %d (bound %d, pulses must ascend)", v.pulse, prev, c.sched.B)
 		}
-		if d.Failed() {
-			break
-		}
-		if v.pulse < 0 || int(v.pulse) > c.sched.B || (i > 0 && v.pulse <= c.vnodes[i-1].pulse) {
-			d.Fail("core: vnode %d has pulse %d (bound %d, pulses must ascend)", i, v.pulse, c.sched.B)
-			break
-		}
-		c.vnodes = slab.Push(&c.st.vnodes, c.vnodes, v)
-	}
-	c.qs = c.qs[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		st := qstate{
-			reports:         d.I32(),
-			gateOutstanding: d.I32(),
-			regOutstanding:  d.I32(),
-			gaOutstanding:   d.I32(),
-			registered:      d.Bool(),
-			anyReady:        d.Bool(),
-			resolved:        d.Bool(),
-			ready:           d.Bool(),
-			forwarded:       d.Bool(),
-			readySelf:       d.Bool(),
-		}
-		if !d.Failed() {
-			c.qs = slab.Push(&c.st.qs, c.qs, st)
-		}
-	}
-	for i := range c.vnodes {
-		v := &c.vnodes[i]
-		if v.qoff < 0 || int(v.qoff)+len(c.sched.Tracked(int(v.pulse))) > len(c.qs) {
-			d.Fail("core: vnode of pulse %d claims q-states from %d, only %d loaded", v.pulse, v.qoff, len(c.qs))
-		}
-	}
-	c.ready = c.ready[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		r := readyRef{qi: d.I32(), child: graph.NodeID(d.I32())}
-		if !d.Failed() && (r.qi < 0 || int(r.qi) >= len(c.qs)) {
-			d.Fail("core: ready child %d refers to q-state %d of %d", r.child, r.qi, len(c.qs))
-		}
-		if !d.Failed() {
-			c.ready = slab.Push(&c.st.ready, c.ready, r)
+		prev = v.pulse
+	})
+	wire.List(w, &c.qs, &c.st.qs, func(w *wire.Coder, st *qstate) {
+		w.I32(&st.reports)
+		w.I32(&st.gateOutstanding)
+		w.I32(&st.regOutstanding)
+		w.I32(&st.gaOutstanding)
+		w.Bool(&st.registered)
+		w.Bool(&st.anyReady)
+		w.Bool(&st.resolved)
+		w.Bool(&st.ready)
+		w.Bool(&st.forwarded)
+		w.Bool(&st.readySelf)
+	})
+	for _, v := range c.vnodes {
+		if w.Loading() && (v.qoff < 0 || int(v.qoff)+len(c.sched.Tracked(int(v.pulse))) > len(c.qs)) {
+			w.Fail("core: vnode of pulse %d claims q-states from %d, only %d loaded", v.pulse, v.qoff, len(c.qs))
 		}
 	}
-	c.recvd = c.recvd[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		m := pendingMsg{pulse: d.I32(), in: syncrun.Incoming{From: graph.NodeID(d.I32()), Body: d.Body()}}
-		if !d.Failed() {
-			c.recvd = slab.Push(&c.st.recvd, c.recvd, m)
+	wire.List(w, &c.ready, &c.st.ready, func(w *wire.Coder, r *readyRef) {
+		w.I32(&r.qi)
+		wire.ID(w, &r.child)
+		if w.Loading() && (r.qi < 0 || int(r.qi) >= len(c.qs)) {
+			w.Fail("core: ready child %d refers to q-state %d of %d", r.child, r.qi, len(c.qs))
 		}
-	}
-	if d.Failed() { // never leave vnodes pointing past the q-state pool
+	})
+	wire.List(w, &c.recvd, &c.st.recvd, func(w *wire.Coder, m *pendingMsg) {
+		w.I32(&m.pulse)
+		incoming(w, &m.in)
+	})
+	if w.Failed() { // never leave vnodes pointing past the q-state pool
 		c.vnodes, c.qs, c.ready, c.recvd = c.vnodes[:0], c.qs[:0], c.ready[:0], c.recvd[:0]
 	}
 }
@@ -225,58 +136,43 @@ func (c *nodeCore) LoadState(d *wire.Dec) {
 // StateCodecOK implements async.StateCodecProbe for every baseline.
 func (s *pulseShell) StateCodecOK() bool { return algoCodecOK(s.algo) }
 
-// SaveState implements wire.StateCodec. The bound-indexed slices are fixed
-// length (bound+1, set at construction), so only the entries travel.
-func (a *alphaNode) SaveState(e *wire.Enc) {
-	saveAlgoState(e, a.algo)
-	e.Int(a.pulse)
-	for p := range a.recvd {
-		saveIncoming(e, a.recvd[p])
-		e.Int(a.safeCnt[p])
-		e.Int(a.sendAcked[p])
-		e.Bool(a.selfSafe[p])
-		e.Bool(a.sentSafe[p])
-	}
-}
+// SaveState implements wire.StateCodec.
+func (a *alphaNode) SaveState(e *wire.Enc) { a.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (a *alphaNode) LoadState(d *wire.Dec) {
-	loadAlgoState(d, a.algo)
-	a.pulse = d.Int()
+func (a *alphaNode) LoadState(d *wire.Dec) { a.state(d.Coder()) }
+
+// state codes the pulse and the bound-indexed slices' entries: the slices
+// are fixed length (bound+1, set at construction).
+func (a *alphaNode) state(c *wire.Coder) {
+	algoState(c, a.algo)
+	c.Int(&a.pulse)
 	for p := range a.recvd {
-		a.recvd[p] = loadIncoming(d, a.recvd[p])
-		a.safeCnt[p] = d.Int()
-		a.sendAcked[p] = d.Int()
-		a.selfSafe[p] = d.Bool()
-		a.sentSafe[p] = d.Bool()
+		wire.List(c, &a.recvd[p], nil, incoming)
+		c.Int(&a.safeCnt[p])
+		c.Int(&a.sendAcked[p])
+		c.Bool(&a.selfSafe[p])
+		c.Bool(&a.sentSafe[p])
 	}
 }
 
 // --- beta ------------------------------------------------------------------
 
 // SaveState implements wire.StateCodec.
-func (b *betaNode) SaveState(e *wire.Enc) {
-	saveAlgoState(e, b.algo)
-	e.Int(b.pulse)
-	for p := range b.recvd {
-		saveIncoming(e, b.recvd[p])
-		e.Int(b.sendAcked[p])
-		e.Bool(b.selfSafe[p])
-		e.Int(b.childSafe[p])
-		e.Bool(b.reportSent[p])
-	}
-}
+func (b *betaNode) SaveState(e *wire.Enc) { b.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (b *betaNode) LoadState(d *wire.Dec) {
-	loadAlgoState(d, b.algo)
-	b.pulse = d.Int()
+func (b *betaNode) LoadState(d *wire.Dec) { b.state(d.Coder()) }
+
+func (b *betaNode) state(c *wire.Coder) {
+	algoState(c, b.algo)
+	c.Int(&b.pulse)
 	for p := range b.recvd {
-		b.recvd[p] = loadIncoming(d, b.recvd[p])
-		b.sendAcked[p] = d.Int()
-		b.selfSafe[p] = d.Bool()
-		b.childSafe[p] = d.Int()
-		b.reportSent[p] = d.Bool()
+		wire.List(c, &b.recvd[p], nil, incoming)
+		c.Int(&b.sendAcked[p])
+		c.Bool(&b.selfSafe[p])
+		c.Int(&b.childSafe[p])
+		c.Bool(&b.reportSent[p])
 	}
 }
 
@@ -287,43 +183,28 @@ func (a gKey) cmp(b gKey) int {
 }
 
 // SaveState implements wire.StateCodec.
-func (gm *gammaNode) SaveState(e *wire.Enc) {
-	saveAlgoState(e, gm.algo)
-	e.Int(gm.pulse)
-	for p := range gm.recvd {
-		saveIncoming(e, gm.recvd[p])
-		e.Int(gm.sendAcked[p])
-		e.Bool(gm.safe[p])
-	}
-	wire.SaveMap(e, gm.ph, gKey.cmp, func(e *wire.Enc, k gKey, st *gammaPhase) {
-		e.Int(k.cluster)
-		e.Int(k.pulse)
-		e.Int(st.p1Count)
-		e.Bool(st.p1Sent)
-		e.Bool(st.cSafe)
-		e.Int(st.extSafe)
-		e.Int(st.p2Count)
-		e.Bool(st.p2Sent)
-	})
-}
+func (gm *gammaNode) SaveState(e *wire.Enc) { gm.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (gm *gammaNode) LoadState(d *wire.Dec) {
-	loadAlgoState(d, gm.algo)
-	gm.pulse = d.Int()
+func (gm *gammaNode) LoadState(d *wire.Dec) { gm.state(d.Coder()) }
+
+func (gm *gammaNode) state(c *wire.Coder) {
+	algoState(c, gm.algo)
+	c.Int(&gm.pulse)
 	for p := range gm.recvd {
-		gm.recvd[p] = loadIncoming(d, gm.recvd[p])
-		gm.sendAcked[p] = d.Int()
-		gm.safe[p] = d.Bool()
+		wire.List(c, &gm.recvd[p], nil, incoming)
+		c.Int(&gm.sendAcked[p])
+		c.Bool(&gm.safe[p])
 	}
-	gm.ph = wire.LoadMap(d, gKey.cmp, func(d *wire.Dec) (gKey, *gammaPhase) {
-		return gKey{cluster: d.Int(), pulse: d.Int()}, &gammaPhase{
-			p1Count: d.Int(),
-			p1Sent:  d.Bool(),
-			cSafe:   d.Bool(),
-			extSafe: d.Int(),
-			p2Count: d.Int(),
-			p2Sent:  d.Bool(),
-		}
+	wire.Map(c, &gm.ph, gKey.cmp, func(c *wire.Coder, k *gKey, p **gammaPhase) {
+		c.Int(&k.cluster)
+		c.Int(&k.pulse)
+		st := wire.Alloc(p)
+		c.Int(&st.p1Count)
+		c.Bool(&st.p1Sent)
+		c.Bool(&st.cSafe)
+		c.Int(&st.extSafe)
+		c.Int(&st.p2Count)
+		c.Bool(&st.p2Sent)
 	})
 }

@@ -55,9 +55,8 @@ type Level[S any] struct {
 	// RootHead is the head byte of a fresh record at the cluster root
 	// (every other fresh record is zero).
 	RootHead uint8
-	// SaveRec and LoadRec code S after the session id; nil for none.
-	SaveRec func(*wire.Enc, *S)
-	LoadRec func(*wire.Dec, *S)
+	// Rec codes S after the session id; nil for none.
+	Rec func(*wire.Coder, *S)
 
 	trees slab.Slab[Tree]
 	bytes slab.Slab[byte]
@@ -196,39 +195,24 @@ func body(k wire.Kind, c cover.ClusterID, session int) wire.Body {
 // Reset empties the session table and rows.
 func (t *Table[S]) Reset() { t.Sess, t.Rows = t.Sess[:0], t.Rows[:0] }
 
-// Save writes the session table in slot order, then the rows verbatim. The
-// level's configuration is reconstructed by the module's constructor, and
-// the row layout derives from (cover, node); none of it travels.
-func (t *Table[S]) Save(e *wire.Enc) {
-	e.U32(uint32(len(t.Sess)))
-	for i := range t.Sess {
-		e.Int(t.Sess[i].ID)
-		if t.lv.SaveRec != nil {
-			t.lv.SaveRec(e, &t.Sess[i].Rec)
+// State codes the session table in slot order, each id followed by its
+// record, then the rows verbatim. The level's configuration is
+// reconstructed by the module's constructor, and the row layout derives
+// from (cover, node); none of it travels. A load needs the table to know
+// its node, since the rows are only meaningful against that node's layout;
+// one that fails leaves the table empty.
+func (t *Table[S]) State(c *wire.Coder) {
+	wire.List(c, &t.Sess, &t.lv.sess, func(c *wire.Coder, s *Session[S]) {
+		c.Int(&s.ID)
+		if t.lv.Rec != nil {
+			t.lv.Rec(c, &s.Rec)
 		}
+	})
+	if c.Loading() && len(t.Sess) > 0 && !t.bound {
+		c.Fail("ctree: state for %d sessions loaded into a table that does not know its node", len(t.Sess))
 	}
-	e.Raw(t.Rows)
-}
-
-// Load replaces the table with what Save wrote. The table must know its
-// node: the rows are only meaningful against that node's layout. On failure
-// the table is left empty.
-func (t *Table[S]) Load(d *wire.Dec) {
-	n := int(d.U32())
-	t.Reset()
-	if n > 0 && !t.bound {
-		d.Fail("ctree: state for %d sessions loaded into a table that does not know its node", n)
-		return
-	}
-	for i := 0; i < n && !d.Failed(); i++ {
-		t.Sess = slab.Push(&t.lv.sess, t.Sess, Session[S]{ID: d.Int()})
-		if t.lv.LoadRec != nil { // in place: a local would escape through the call
-			t.lv.LoadRec(d, &t.Sess[i].Rec)
-		}
-	}
-	rows := d.Raw(len(t.Sess) * int(t.stride))
-	t.Rows = append(t.lv.bytes.Grow(t.Rows, len(rows)), rows...)
-	if d.Failed() { // never leave rows and session table out of step
+	c.Raw(&t.Rows, len(t.Sess)*int(t.stride), &t.lv.bytes)
+	if c.Failed() { // never leave rows and session table out of step
 		t.Reset()
 	}
 }

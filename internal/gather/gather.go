@@ -89,9 +89,8 @@ func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) in
 	lv := &level{cb: cb}
 	lv.Level = ctree.Level[session]{
 		Proto: proto, Cov: cov, StageOf: stageOf,
-		RecLen:  func(children int) int { return 1 + (children+7)/8 },
-		SaveRec: saveSession,
-		LoadRec: loadSession,
+		RecLen: func(children int) int { return 1 + (children+7)/8 },
+		Rec:    sessionState,
 	}
 	return &Module{lv: lv, t: lv.NewTable()}
 }

@@ -4,20 +4,15 @@ import "repro/internal/wire"
 
 // SaveState implements wire.StateCodec: the session table in slot order,
 // each id followed by its callback state, then the rows verbatim.
-func (m *Module) SaveState(e *wire.Enc) { m.t.Save(e) }
+func (m *Module) SaveState(e *wire.Enc) { m.t.State(e.Coder()) }
 
 // LoadState implements wire.StateCodec. A frame that fails leaves the
 // module empty.
-func (m *Module) LoadState(d *wire.Dec) { m.t.Load(d) }
+func (m *Module) LoadState(d *wire.Dec) { m.t.State(d.Coder()) }
 
-func saveSession(e *wire.Enc, s *session) {
-	e.I32(s.confirmed)
-	e.Bool(s.began)
-	e.Bool(s.markedAll)
-	e.Bool(s.fired)
-}
-
-func loadSession(d *wire.Dec, s *session) {
-	s.confirmed = d.I32()
-	s.began, s.markedAll, s.fired = d.Bool(), d.Bool(), d.Bool()
+func sessionState(c *wire.Coder, s *session) {
+	c.I32(&s.confirmed)
+	c.Bool(&s.began)
+	c.Bool(&s.markedAll)
+	c.Bool(&s.fired)
 }

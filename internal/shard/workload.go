@@ -102,10 +102,12 @@ func (f *floodNode) Init(n *async.Node) {
 
 // SaveState implements wire.StateCodec (root is config, rebuilt by the
 // workload factory on every process).
-func (f *floodNode) SaveState(e *wire.Enc) { e.Bool(f.seen) }
+func (f *floodNode) SaveState(e *wire.Enc) { f.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (f *floodNode) LoadState(d *wire.Dec) { f.seen = d.Bool() }
+func (f *floodNode) LoadState(d *wire.Dec) { f.state(d.Coder()) }
+
+func (f *floodNode) state(c *wire.Coder) { c.Bool(&f.seen) }
 
 func (f *floodNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	if f.seen {
@@ -141,15 +143,14 @@ func (b *bfsNode) Init(n *async.Node) {
 }
 
 // SaveState implements wire.StateCodec.
-func (b *bfsNode) SaveState(e *wire.Enc) {
-	e.Bool(b.have)
-	e.I64(b.dist)
-}
+func (b *bfsNode) SaveState(e *wire.Enc) { b.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (b *bfsNode) LoadState(d *wire.Dec) {
-	b.have = d.Bool()
-	b.dist = d.I64()
+func (b *bfsNode) LoadState(d *wire.Dec) { b.state(d.Coder()) }
+
+func (b *bfsNode) state(c *wire.Coder) {
+	c.Bool(&b.have)
+	c.I64(&b.dist)
 }
 
 func (b *bfsNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
@@ -200,10 +201,12 @@ func (s *segFloodNode) Init(n *async.Node) {
 }
 
 // SaveState implements wire.StateCodec (words is config).
-func (s *segFloodNode) SaveState(e *wire.Enc) { e.Bool(s.seen) }
+func (s *segFloodNode) SaveState(e *wire.Enc) { s.state(e.Coder()) }
 
 // LoadState implements wire.StateCodec.
-func (s *segFloodNode) LoadState(d *wire.Dec) { s.seen = d.Bool() }
+func (s *segFloodNode) LoadState(d *wire.Dec) { s.state(d.Coder()) }
+
+func (s *segFloodNode) state(c *wire.Coder) { c.Bool(&s.seen) }
 
 func (s *segFloodNode) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	w := n.Arena().Data(m.Body.Seg)

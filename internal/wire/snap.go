@@ -3,9 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 )
 
 // Snapshot codec: the byte plane engine and protocol state serializes
@@ -40,6 +38,7 @@ import (
 type Enc struct {
 	buf   []byte
 	arena *Arena
+	c     Coder
 }
 
 // NewEnc returns an encoder whose Body calls resolve segments against a
@@ -145,6 +144,7 @@ type Dec struct {
 	arena  *Arena
 	failed bool
 	reason string
+	c      Coder
 }
 
 // NewDec returns a decoder over b whose Body calls re-home segments into a
@@ -397,38 +397,6 @@ func (d *Dec) Nested(sc StateCodec) {
 	}
 	sc.LoadState(d)
 	d.EndBlob(end)
-}
-
-// SaveMap writes m as a count and then its entries in ascending cmp order
-// of their keys, each through put, so the bytes are a pure function of the
-// map's contents.
-func SaveMap[K comparable, V any](e *Enc, m map[K]V, cmp func(a, b K) int, put func(e *Enc, k K, v V)) {
-	e.U32(uint32(len(m)))
-	for _, k := range slices.SortedFunc(maps.Keys(m), cmp) {
-		put(e, k, m[k])
-	}
-}
-
-// LoadMap reads a SaveMap map, each entry through get, into a new map. It
-// fails d on a key that does not ascend strictly, so every map it accepts
-// saves back identically, and inserts nothing once d has failed. The map
-// is sized from the count only up to the bytes left, since every entry
-// takes at least one: a corrupted count must not allocate past the input.
-func LoadMap[K comparable, V any](d *Dec, cmp func(a, b K) int, get func(d *Dec) (K, V)) map[K]V {
-	n := int(d.U32())
-	m := make(map[K]V, min(n, d.Remaining()))
-	var prev K
-	for i := 0; i < n && !d.failed; i++ {
-		k, v := get(d)
-		if i > 0 && cmp(prev, k) >= 0 {
-			d.Fail("map key %v after %v", k, prev)
-		}
-		if d.failed {
-			break
-		}
-		m[k], prev = v, k
-	}
-	return m
 }
 
 // StateCodec is the per-protocol state contract of the snapshot plane:
