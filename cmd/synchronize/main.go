@@ -94,7 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *algo == "abfs" {
 		fmt.Fprintf(stdout, "algo=abfs graph=%s n=%d m=%d D=%s sources=%v\n", *spec, g.N(), g.M(), diam, srcs)
 		sres := dsync.RunSyncMode(g, syncMode, dsync.NewBFS(srcs))
-		res := dsync.AsyncBFSMode(g, srcs, adv, asyncMode)
+		res, err := dsync.AsyncBFSMode(g, srcs, adv, asyncMode)
+		if err != nil {
+			return fail(err)
+		}
 		match := !res.Stalled && len(res.Outputs) == len(sres.Outputs)
 		for v, want := range sres.Outputs {
 			d, ok := abfsDist(res.Outputs[v], v, srcs)

@@ -16,6 +16,7 @@
 package dsync
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -148,21 +149,36 @@ func ParseModes(s string) (ExecutionMode, AsyncExecutionMode, error) {
 	return 0, 0, fmt.Errorf("unknown mode %q (want auto|single|multi)", s)
 }
 
-// ParseSources parses a comma-separated list of distinct node ids, each in
-// [0, n).
+// ParseSources parses a comma-separated list of node ids for a graph of n
+// nodes, and checks it as AsyncBFS does.
 func ParseSources(s string, n int) ([]NodeID, error) {
 	var out []NodeID
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 0 || v >= n {
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
+		if err != nil {
 			return nil, fmt.Errorf("bad source %q (need 0..%d)", part, n-1)
-		}
-		if slices.Contains(out, NodeID(v)) {
-			return nil, fmt.Errorf("source %d is listed twice", v)
 		}
 		out = append(out, NodeID(v))
 	}
-	return out, nil
+	return out, checkSources(out, n)
+}
+
+// checkSources refuses an empty source list, an id outside [0, n) and a
+// repeated id: a repeated source would start the BFS twice at one node and
+// run a different execution.
+func checkSources(sources []NodeID, n int) error {
+	if len(sources) == 0 {
+		return errors.New("no source")
+	}
+	for i, v := range sources {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("source %d out of range (need 0..%d)", v, n-1)
+		}
+		if slices.Contains(sources[:i], v) {
+			return fmt.Errorf("source %d is listed twice", v)
+		}
+	}
+	return nil
 }
 
 // RunSync executes an event-driven synchronous algorithm in lockstep rounds
@@ -295,14 +311,18 @@ func AsyncMST(g *Graph, adv Adversary) AsyncResult {
 }
 
 // AsyncBFS runs the complete asynchronous (multi-)source BFS of Theorems
-// 4.23/4.24: Õ(D1) time, Õ(m) messages, no prior knowledge of D.
-func AsyncBFS(g *Graph, sources []NodeID, adv Adversary) abfs.FullResult {
-	return abfs.Full(g, sources, adv)
+// 4.23/4.24: Õ(D1) time, Õ(m) messages, no prior knowledge of D. It
+// refuses an empty, out-of-range or repeated source.
+func AsyncBFS(g *Graph, sources []NodeID, adv Adversary) (abfs.FullResult, error) {
+	return AsyncBFSMode(g, sources, adv, AsyncModeAuto)
 }
 
 // AsyncBFSMode is AsyncBFS with an explicit engine execution mode.
-func AsyncBFSMode(g *Graph, sources []NodeID, adv Adversary, mode AsyncExecutionMode) abfs.FullResult {
-	return abfs.FullMode(g, sources, adv, mode)
+func AsyncBFSMode(g *Graph, sources []NodeID, adv Adversary, mode AsyncExecutionMode) (abfs.FullResult, error) {
+	if err := checkSources(sources, g.N()); err != nil {
+		return abfs.FullResult{}, err
+	}
+	return abfs.FullMode(g, sources, adv, mode), nil
 }
 
 // State plane: a SynchronizedRun steps the synchronizer stack event by

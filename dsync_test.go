@@ -79,7 +79,10 @@ func TestPublicAPILeaderAndMST(t *testing.T) {
 
 func TestPublicAPIAsyncBFS(t *testing.T) {
 	g := specGraph(t, "cycle:12")
-	res := AsyncBFS(g, []NodeID{0}, RandomDelays(9))
+	res, err := AsyncBFS(g, []NodeID{0}, RandomDelays(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("outputs %d, want %d", len(res.Outputs), g.N())
 	}
@@ -111,8 +114,11 @@ func TestPublicAPIAsyncModes(t *testing.T) {
 	if !reflect.DeepEqual(serial, multi) {
 		t.Fatal("SynchronizeMode results differ across async execution modes")
 	}
-	bfsSerial := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeSingle)
-	bfsMulti := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeMulti)
+	bfsSerial, err1 := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeSingle)
+	bfsMulti, err2 := AsyncBFSMode(g, []NodeID{0}, RandomDelays(4), AsyncModeMulti)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if !reflect.DeepEqual(bfsSerial, bfsMulti) {
 		t.Fatal("AsyncBFSMode results differ across async execution modes")
 	}
@@ -223,5 +229,20 @@ func TestParseSources(t *testing.T) {
 	}
 	if _, err := ParseSources("3,1,3", 8); err == nil || !strings.Contains(err.Error(), "source 3") {
 		t.Errorf("ParseSources(3,1,3): %v, want an error naming source 3", err)
+	}
+}
+
+// TestAsyncBFSRefusesBadSources: the library entry points check a source
+// list as ParseSources does, so a repeated source cannot run a different
+// execution.
+func TestAsyncBFSRefusesBadSources(t *testing.T) {
+	g := Grid(6, 8)
+	for _, srcs := range [][]NodeID{{0, 0}, {}, nil, {48}, {-1}, {3, 1, 3}} {
+		if _, err := AsyncBFS(g, srcs, RandomDelays(1)); err == nil {
+			t.Errorf("AsyncBFS(%v) accepted", srcs)
+		}
+		if _, err := AsyncBFSMode(g, srcs, RandomDelays(1), AsyncModeSingle); err == nil {
+			t.Errorf("AsyncBFSMode(%v) accepted", srcs)
+		}
 	}
 }

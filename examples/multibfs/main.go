@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	dsync "repro"
 )
@@ -23,13 +24,19 @@ func main() {
 	}
 	for _, sources := range sets {
 		d1 := g.BallRadius(sources)
-		res := dsync.AsyncBFS(g, sources, dsync.RandomDelays(3))
+		res, err := dsync.AsyncBFS(g, sources, dsync.RandomDelays(3))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("replicas=%d D1=%2d -> iterations=%d time=%8.1f msgs=%d\n",
 			len(sources), d1, res.Iterations, res.Time, res.Msgs)
 	}
 
 	// Show a few assignments from the last run.
-	res := dsync.AsyncBFS(g, sets[3], dsync.RandomDelays(3))
+	res, err := dsync.AsyncBFS(g, sets[3], dsync.RandomDelays(3))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, v := range []int{4, 36, 44, 76} {
 		if out, ok := res.Outputs[dsync.NodeID(v)].(dsync.TBFSResult); ok {
 			fmt.Printf("rack %2d -> replica %2d at distance %d\n", v, out.Source, out.Dist)

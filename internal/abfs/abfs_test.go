@@ -88,7 +88,7 @@ func TestFullBFS(t *testing.T) {
 		{"er24-multi", graph.RandomConnected(24, 55, 5), []graph.NodeID{0, 13}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Full(tc.g, tc.sources, async.SeededRandom{Seed: 3})
+			res := FullMode(tc.g, tc.sources, async.SeededRandom{Seed: 3}, async.ModeAuto)
 			dist, _ := tc.g.MultiBFS(tc.sources)
 			d1 := tc.g.BallRadius(tc.sources)
 			if res.FinalThreshold < d1 {
@@ -116,7 +116,7 @@ func TestFullBFS(t *testing.T) {
 
 func TestFullBFSIterationCount(t *testing.T) {
 	g := graph.Path(30)
-	res := Full(g, []graph.NodeID{0}, async.Fixed{D: 1})
+	res := FullMode(g, []graph.NodeID{0}, async.Fixed{D: 1}, async.ModeAuto)
 	// D1 = 29: thresholds 1,2,4,8,16,32 -> 6 iterations.
 	if res.Iterations != 6 {
 		t.Fatalf("iterations = %d, want 6", res.Iterations)

@@ -19,7 +19,7 @@ func BenchmarkFullBFS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Full(g, []graph.NodeID{0}, async.SeededRandom{Seed: 5})
+		res := FullMode(g, []graph.NodeID{0}, async.SeededRandom{Seed: 5}, async.ModeAuto)
 		if len(res.Outputs) != g.N() {
 			b.Fatal("incomplete")
 		}

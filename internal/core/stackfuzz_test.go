@@ -13,10 +13,12 @@ import (
 
 // fuzzStacks are the stacks FuzzStackLoadState loads into: the
 // synchronizer core with its registration and barrier modules around BFS,
-// Leader and MST (whose per-level and per-phase state sits in maps), the γ
-// baseline (its per-(cluster, pulse) map) and abfs' checking stage (TBFS
-// plus the glue and its gather module).
-var fuzzStacks = []string{"sync-bfs", "sync-leader", "sync-mst", "gamma", "abfs-tbfs"}
+// Leader and MST (whose per-level and per-phase state sits in maps), the
+// α, β and γ baselines (γ's per-(cluster, pulse) map), abfs' checking
+// stage (TBFS plus the glue and its gather module) and the three shard
+// workloads' nodes.
+var fuzzStacks = []string{"sync-bfs", "sync-leader", "sync-mst", "alpha", "beta", "gamma", "abfs-tbfs",
+	"shard-flood", "shard-bfs", "shard-segflood"}
 
 func saveStack(h async.Handler) []byte {
 	var e wire.Enc

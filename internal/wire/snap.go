@@ -21,7 +21,7 @@ import (
 // Enc is append-only and infallible. Dec carries a sticky error: the first
 // short read or failed validation latches, every later read returns the
 // zero value, and the caller checks Err() once at the end — per-protocol
-// LoadState implementations therefore contain no error plumbing, yet a
+// state methods therefore contain no error plumbing, yet a
 // truncated or corrupted frame surfaces as a clean error, never a panic or
 // a type confusion.
 //
@@ -170,7 +170,7 @@ func (d *Dec) Err() error {
 // Failed reports whether the sticky error has latched.
 func (d *Dec) Failed() bool { return d.failed }
 
-// Fail latches a validation error (used by LoadState implementations for
+// Fail latches a validation error (Coder.Fail in a state method, for
 // semantic checks the raw codec cannot see: out-of-range ids, impossible
 // counts). The first failure wins.
 func (d *Dec) Fail(format string, args ...any) {
@@ -404,15 +404,16 @@ func (d *Dec) Nested(sc StateCodec) {
 // syncrun Handler, a Mux module — implements it to become checkpointable.
 // SaveState appends the complete mutable state; LoadState reads exactly
 // that stream back into the receiver, replacing (not merging with) its
-// current state: every mutable field is overwritten or cleared, maps
-// clear-and-refill, slices truncate-and-append. The receiver need not be
-// fresh — async.Sim.Restore loads into the handlers a run already has,
-// whatever state they reached — and must end identical to the saved
-// instance either way. Immutable per-node configuration (ids, topology,
-// bounds) is already present in the receiver — both calls run on instances
-// built by the same constructor — and stays out of the stream. LoadState
-// reports corruption via the decoder's sticky error (Dec.Fail for semantic
-// checks); it must not panic on malformed input.
+// current state. Both are one-line wrappers that run the type's one state
+// method through e.Coder() or d.Coder(), so they cannot disagree (see
+// Coder). The receiver need not be fresh — async.Sim.Restore loads into
+// the handlers a run already has, whatever state they reached — and must
+// end identical to the saved instance either way. Immutable per-node
+// configuration (ids, topology, bounds) is already present in the
+// receiver — both calls run on instances built by the same constructor —
+// and stays out of the stream. LoadState reports corruption via the
+// decoder's sticky error (Coder.Fail for semantic checks); it must not
+// panic on malformed input.
 type StateCodec interface {
 	SaveState(e *Enc)
 	LoadState(d *Dec)
