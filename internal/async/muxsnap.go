@@ -63,8 +63,8 @@ func (x *Mux) LoadState(d *wire.Dec) { x.state(d.Coder()) }
 
 // state codes each unique module's state in its own blob, in registration
 // order. The restoring Mux must have been built by the same constructor, so
-// the registration order matches. Savers gate on StateCodecOK, so there a
-// module without a codec is a programming error.
+// the registration order matches. Savers gate on StateCodecOK, so a save
+// that meets a module without a codec is a programming error and panics.
 func (x *Mux) state(c *wire.Coder) {
 	for i := range x.routes {
 		r := &x.routes[i]

@@ -189,15 +189,18 @@ func (d *Dec) Remaining() int {
 	return len(d.b) - d.off
 }
 
+// need reports whether n more bytes can be read, failing d when they
+// cannot. It inlines into every read; the failure is out of line.
 func (d *Dec) need(n int) bool {
-	if d.failed {
-		return false
+	if !d.failed && len(d.b)-d.off >= n {
+		return true
 	}
-	if len(d.b)-d.off < n {
-		d.Fail("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.b))
-		return false
-	}
-	return true
+	d.truncated(n)
+	return false
+}
+
+func (d *Dec) truncated(n int) {
+	d.Fail("truncated: need %d bytes at offset %d of %d", n, d.off, len(d.b))
 }
 
 // U8 reads one byte.
@@ -213,7 +216,11 @@ func (d *Dec) U8() uint8 {
 // Bool reads a Bool-encoded byte. Any byte but 0 and 1 fails d, so every
 // frame a LoadState accepts saves back identically.
 func (d *Dec) Bool() bool {
-	b := d.U8()
+	if !d.need(1) {
+		return false
+	}
+	b := d.b[d.off]
+	d.off++
 	if b > 1 {
 		d.Fail("flag byte %d at offset %d", b, d.off-1)
 	}
