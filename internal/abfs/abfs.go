@@ -276,10 +276,11 @@ type FullResult struct {
 // FullMode runs the complete asynchronous (multi-source) BFS of Theorems
 // 4.23/4.24 in an engine execution mode: thresholds 1, 2, 4, … until the
 // Approach-2 frontier convergecast reports no unreached neighbor anywhere.
-// The sources must be distinct ids of g (dsync.AsyncBFS checks). One simulation
-// engine serves every doubling iteration (rearmed with Sim.Reset between
-// them), and intermediate iterations run with dense outputs — only the
-// winning iteration's outputs are decoded into the result map.
+// The sources must be distinct ids of g (dsync.AsyncBFS checks). One
+// simulation engine serves every doubling iteration (rearmed with
+// Sim.Reset between them), and intermediate iterations run with dense
+// outputs — only the winning iteration's outputs are decoded into the
+// result map.
 func FullMode(g *graph.Graph, sources []graph.NodeID, adv async.Adversary,
 	mode async.ExecutionMode) FullResult {
 	out := FullResult{}

@@ -18,11 +18,8 @@ func (m *Module) LoadState(d *wire.Dec) { m.state(d.Coder()) }
 // empty.
 func (m *Module) state(c *wire.Coder) {
 	m.t.State(c)
-	for slot := range m.t.Sess {
+	for slot := 0; c.Loading() && !c.Failed() && slot < len(m.t.Sess); slot++ {
 		for ci, tr := range m.t.Trees {
-			if !c.Loading() || c.Failed() {
-				break
-			}
 			r := m.t.At(slot, ci)
 			if m.local(r) > free {
 				c.Fail("reg: cluster %d session %d has local state %d", tr.ID, m.t.Sess[slot].ID, m.local(r))

@@ -22,7 +22,7 @@ import (
 //   - a nested codec consumes its blob exactly (Nested);
 //   - nothing is appended or inserted once the decoder has failed.
 //
-// Checks a codec alone can see (an id out of range, a pulse past the
+// Checks the framing cannot see (an id out of range, a pulse past the
 // bound) go through Fail, guarded by Loading. A Coder is a field of its Enc
 // or Dec, so taking one allocates nothing.
 type Coder struct {
