@@ -40,6 +40,7 @@ import (
 	dsync "repro"
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/shard"
 )
 
@@ -123,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*faults, res.Dropped, res.Retrans, res.Undeliverable)
 	}
 	fmt.Fprintf(stdout, "time=%.3f quiesce=%.3f msgs=%d acks=%d events=%d outputs=%d\n",
-		res.Time, res.QuiesceTime, res.Msgs, res.Acks, st.TotalEvents, len(res.Outputs))
+		res.Time, res.QuiesceTime, res.Msgs, res.Acks, st.TotalEvents, outval.Count(res.OutSet))
 	for _, p := range slices.Sorted(maps.Keys(res.PerProto)) {
 		fmt.Fprintf(stdout, "  proto %d: %d msgs\n", p, res.PerProto[p])
 	}
@@ -156,8 +157,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "VERIFY FAILED: sharded result diverges from the serial engine\n"+
 				"  sharded: time=%v msgs=%d acks=%d outputs=%d\n"+
 				"  serial:  time=%v msgs=%d acks=%d outputs=%d\n",
-				res.Time, res.Msgs, res.Acks, len(res.Outputs),
-				want.Time, want.Msgs, want.Acks, len(want.Outputs))
+				res.Time, res.Msgs, res.Acks, outval.Count(res.OutSet),
+				want.Time, want.Msgs, want.Acks, outval.Count(want.OutSet))
 			return 1
 		}
 		fmt.Fprintln(stdout, "verify: OK — byte-identical to the serial single-process engine")
@@ -166,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // serialReference runs the same (graph, adversary, workload) through the
-// serial engine.
+// serial engine, with outputs in the dense form shard.Run reports.
 func serialReference(cfg shard.Config) (async.Result, error) {
 	g, err := graph.FromSpec(cfg.GraphSpec)
 	if err != nil {
@@ -185,7 +186,7 @@ func serialReference(cfg shard.Config) (async.Result, error) {
 	if err != nil {
 		return async.Result{}, err
 	}
-	sim := async.New(g, a, mk).WithMode(async.ModeSingle)
+	sim := async.New(g, a, mk).WithMode(async.ModeSingle).DenseOutputs()
 	if cfg.KeepTrace {
 		sim.KeepTrace()
 	}

@@ -39,7 +39,7 @@ const (
 
 // Output kinds: fixed-size per-node results encoded as typed Bodies so the
 // engines store them in their dense output arrays (no interface boxing at
-// Output time; outval.Decode materializes the structs only at the Result
+// Output time; outval decodes the structs only at the Result
 // boundary). Output kinds share one global namespace across packages —
 // outval's registry — so they live in a high range of their own.
 const (

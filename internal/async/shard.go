@@ -88,13 +88,11 @@ func (e *ShardError) Error() string {
 
 // BeginShard flips the engine into shard-staged mode. The Sim must have
 // been built over the shard's Subrange view (or the whole graph when
-// K=1). Incompatible with Run, DenseOutputs, and the speculative mode.
+// K=1). Incompatible with Run and the speculative mode; the output form
+// (DenseOutputs) does not apply, as outputs leave through ShardRawOutputs.
 func (s *Sim) BeginShard() {
 	if s.running {
 		panic("async: BeginShard on a running engine")
-	}
-	if s.denseOut {
-		panic("async: shard mode transports outputs as typed bodies; DenseOutputs is unsupported")
 	}
 	s.running = true
 	s.shardMode = true
@@ -244,20 +242,15 @@ func (s *Sim) admitInbound(e *ShardEvent) error {
 	return nil
 }
 
-// ShardRawOutputs visits every local node that produced an output, with
-// its outval-encoded body — the form the RESULT message transports, so
-// the coordinator's decode reproduces the serial engine's decoded map bit
-// for bit. Outputs that outval cannot encode (the boxed escape slot) and
-// segment-carrying bodies have no cross-process representation and error
-// out.
+// ShardRawOutputs visits every local node that produced an output, in
+// ascending id, with its outval-encoded body — the form the RESULT message
+// transports, so the coordinator's dense merge holds the serial engine's
+// bodies bit for bit. Outputs that outval cannot encode (the boxed escape
+// slot) have no cross-process representation and error out; the
+// coordinator refuses a segment-carrying body, whose handle does not
+// outlive this engine's arena.
 func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body) error) error {
-	err := s.out.Each(func(i int, b wire.Body) error {
-		id := s.nodeBase + graph.NodeID(i)
-		if b.Seg.Len() != 0 {
-			return fmt.Errorf("node %d output a segment-carrying body; segments do not outlive a shard run", id)
-		}
-		return fn(id, b)
-	})
+	err := s.out.Each(func(i int, b wire.Body) error { return fn(s.nodeBase+graph.NodeID(i), b) })
 	if err != nil {
 		return fmt.Errorf("async: shard hosting nodes from %d: %w", s.nodeBase, err)
 	}

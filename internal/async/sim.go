@@ -266,9 +266,9 @@ type Result struct {
 	// everything else is in OutBodies.
 	Outputs map[graph.NodeID]any
 	// OutBodies/OutSet are the dense typed outputs, populated only with
-	// DenseOutputs: OutSet[v] reports whether node v output, OutBodies[v]
-	// is its outval-encoded value. Finishing a run in this mode allocates
-	// two slices, not one interface box per node.
+	// DenseOutputs and by the shard coordinator: OutSet[v] reports whether
+	// node v output, OutBodies[v] is its outval-encoded value. Finishing a
+	// run in this form allocates two slices, not one interface box per node.
 	OutBodies []wire.Body
 	OutSet    []bool
 	// Trace lists every delivered message (only with KeepTrace).
@@ -383,7 +383,7 @@ func (s *Sim) KeepTrace() *Sim { s.keepTrace = true; return s }
 // DenseOutputs makes Run return outputs as the dense OutBodies/OutSet pair
 // instead of materializing the Outputs map — O(1) allocations at the
 // finish line instead of one interface box per node. Callers decode with
-// outval.Decode; non-encodable legacy outputs still surface in the map.
+// Result.DecodedOutputs; non-encodable legacy outputs still surface in the map.
 func (s *Sim) DenseOutputs() *Sim { s.denseOut = true; return s }
 
 // SetMaxEvents caps the number of processed events; exceeding it panics
@@ -762,9 +762,12 @@ func (s *Sim) result() Result {
 	if s.keepTrace {
 		res.Trace = append([]TraceEntry(nil), l.trace...)
 	}
-	if s.denseOut {
+	switch {
+	case s.shardMode:
+		// Outputs leave a shard engine only through ShardRawOutputs.
+	case s.denseOut:
 		res.OutBodies, res.OutSet, res.Outputs = s.out.Dense(true)
-	} else {
+	default:
 		w := 1
 		if s.pool > 1 && len(s.handlers) >= s.minParallel {
 			w = s.pool

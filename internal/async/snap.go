@@ -106,8 +106,9 @@ func (s *Sim) RunSteps(n uint64) bool {
 
 // FinishResult materializes the Result of a stepped run after RunSteps
 // reached quiescence — or, on a shard engine after the coordinator's FINISH,
-// this shard's slice of the run: counters and outputs cover local nodes
-// only, and the coordinator merges across shards.
+// this shard's slice of the run: counters cover local nodes only, and the
+// coordinator merges across shards. A shard engine's Result carries no
+// outputs; they leave the engine only through ShardRawOutputs.
 func (s *Sim) FinishResult() Result {
 	if !s.events.empty() {
 		panic("async: FinishResult before quiescence")

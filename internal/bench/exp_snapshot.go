@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -151,8 +152,8 @@ func e18SnapshotOverheads(c *expCtx) {
 				})
 			} else {
 				rows = append(rows, row{
-					cols: []any{name, len(rep.Result.Outputs), "-", "-", "-", "-", wallMs, wallMs, "-", "-", true},
-					rec: record{"graph": name, "outputs": len(rep.Result.Outputs),
+					cols: []any{name, outval.Count(rep.Result.OutSet), "-", "-", "-", "-", wallMs, wallMs, "-", "-", true},
+					rec: record{"graph": name, "outputs": outval.Count(rep.Result.OutSet),
 						"shards": rep.Stats.Shards, "windows": rep.Stats.Windows,
 						"restoreMs": wallMs, "det": true},
 				})

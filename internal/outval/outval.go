@@ -4,7 +4,7 @@
 // the time (int, int64, bool, graph.NodeID) encode into reserved kinds
 // handled here; algorithm packages register decoders for their own
 // fixed-size result structs (apps.BFSResult, abfs.Unreachable, …) under
-// kinds of their choosing, and Decode dispatches on the Kind tag when a
+// kinds of their choosing, and decode dispatches on the Kind tag when a
 // Result boundary materializes user-facing values.
 //
 // Table is the one output column both engines (async.Sim and
@@ -94,11 +94,11 @@ func primDecode(b wire.Body) (any, bool) {
 	return nil, false
 }
 
-// Decode materializes the user-facing value of an output Body: reserved
+// decode materializes the user-facing value of an output Body: reserved
 // primitive kinds decode here, registered kinds dispatch to their decoder,
 // and an unknown kind panics — an output Body reaching a Result boundary
 // without a decoder is a wiring bug, not data.
-func Decode(b wire.Body) any {
+func decode(b wire.Body) any {
 	if v, ok := primDecode(b); ok {
 		return v
 	}
@@ -120,7 +120,7 @@ func Known(k wire.Kind) bool {
 // decodes, the zero body means the value lives in the boxed escape.
 func decodeSlot(b wire.Body, boxed any) any {
 	if b.Kind != 0 {
-		return Decode(b)
+		return decode(b)
 	}
 	return boxed
 }
@@ -190,13 +190,7 @@ func (t *Table) Reset() {
 // concurrently (they are pure functions of the body); a decode panic
 // reaches the caller either way.
 func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
-	n := 0
-	for _, has := range t.has {
-		if has {
-			n++
-		}
-	}
-	out := make(map[graph.NodeID]any, n)
+	out := make(map[graph.NodeID]any, Count(t.has))
 	bodies, boxed := loaded(&t.bodies), loaded(&t.boxed)
 	if w <= 1 {
 		for i, has := range t.has {
@@ -252,13 +246,24 @@ func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool, boxed map[graph
 
 // DecodeDense materializes the decoded output map of a Dense triple.
 func DecodeDense(bodies []wire.Body, set []bool, boxed map[graph.NodeID]any) map[graph.NodeID]any {
-	out := make(map[graph.NodeID]any)
+	out := make(map[graph.NodeID]any, Count(set))
 	for i, has := range set {
 		if has {
 			out[graph.NodeID(i)] = decodeSlot(bodies[i], boxed[graph.NodeID(i)])
 		}
 	}
 	return out
+}
+
+// Count is the number of set slots in a has-bit column.
+func Count(set []bool) int {
+	n := 0
+	for _, has := range set {
+		if has {
+			n++
+		}
+	}
+	return n
 }
 
 // Each calls fn with every set slot's typed body in slot order, stopping at

@@ -21,7 +21,7 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		if b.Kind == 0 {
 			t.Fatalf("Encode(%v) produced zero Kind", v)
 		}
-		if got := Decode(b); got != v {
+		if got := decode(b); got != v {
 			t.Fatalf("round trip %v (%T) -> %v (%T)", v, v, got, got)
 		}
 	}
@@ -44,7 +44,7 @@ func init() {
 }
 
 func TestRegisteredDecode(t *testing.T) {
-	got := Decode(wire.Body{Kind: kindTestOut, A: 3, B: -9})
+	got := decode(wire.Body{Kind: kindTestOut, A: 3, B: -9})
 	if got != (testOut{A: 3, B: -9}) {
 		t.Fatalf("registered decode = %v", got)
 	}
@@ -56,7 +56,7 @@ func TestDecodeUnknownKindPanics(t *testing.T) {
 			t.Fatal("Decode of unregistered kind should panic")
 		}
 	}()
-	Decode(wire.Body{Kind: 0x7999})
+	decode(wire.Body{Kind: 0x7999})
 }
 
 func TestRegisterReservedPanics(t *testing.T) {
@@ -144,9 +144,10 @@ func TestTableMapFanOut(t *testing.T) {
 	bad.Map(0, 2)
 }
 
-// TestTableMapFanOutAllocs pins a fanned-out Map at one box per output
-// plus a constant beyond the result map's own tables: the scratch column
-// and the workers do not grow with the outputs.
+// TestTableMapFanOutAllocs pins a fanned-out Map, and DecodeDense, at one
+// box per output plus a constant beyond the result map's own tables: the
+// scratch column and the workers do not grow with the outputs, and both
+// maps are sized once from the count of set slots.
 func TestTableMapFanOutAllocs(t *testing.T) {
 	const n = 1 << 14
 	var tb Table
@@ -165,6 +166,12 @@ func TestTableMapFanOutAllocs(t *testing.T) {
 	if extra := fanned - tables - n; extra > slack {
 		t.Fatalf("fanned-out Map of %d outputs made %.0f allocations: %.0f beyond a box each and the map's %.0f, want at most %d",
 			n, fanned, extra, tables, slack)
+	}
+	bodies, set, _ := tb.Dense(false)
+	dense := testing.AllocsPerRun(3, func() { DecodeDense(bodies, set, nil) })
+	if extra := dense - tables - n; extra > slack {
+		t.Fatalf("DecodeDense of %d outputs made %.0f allocations: %.0f beyond a box each and the map's %.0f, want at most %d",
+			n, dense, extra, tables, slack)
 	}
 }
 

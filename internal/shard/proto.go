@@ -89,11 +89,12 @@ const (
 // stays far below this, so anything larger is a corrupt stream.
 const maxMsgLen = 1 << 31
 
+// writeMsg sends one message. The header is built in w's own buffer (a
+// local array would escape through the io.Writer call), so sending costs
+// no allocation.
 func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(append(w.AvailableBuffer(), typ), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -102,12 +103,19 @@ func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
 	return w.Flush()
 }
 
+// readMsg receives one message into buf, growing it if needed. The header
+// is read in place from r's buffer; like io.ReadFull, a clean close before
+// it is io.EOF and a close inside it io.ErrUnexpectedEOF.
 func readMsg(r *bufio.Reader, buf []byte) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(5)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:])
+	r.Discard(5)
 	if n > maxMsgLen {
 		return 0, nil, fmt.Errorf("shard: oversized %d-byte message", n)
 	}
@@ -118,7 +126,7 @@ func readMsg(r *bufio.Reader, buf []byte) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], buf, nil
+	return typ, buf, nil
 }
 
 // finish closes the decode of one received message: the decoder's sticky

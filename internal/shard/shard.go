@@ -424,7 +424,8 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 			return nil, c.workerError(err)
 		}
 	}
-	rep = &Report{Cuts: c.part.Cuts(), Shards: make([]ShardInfo, k)}
+	rep = &Report{Cuts: c.part.Cuts(), Shards: make([]ShardInfo, k), Result: async.Result{
+		OutSet: make([]bool, full.N()), OutBodies: make([]wire.Body, full.N())}}
 	var traces [][]async.TraceEntry
 	for i := range c.conns {
 		if err := c.readResult(&c.conns[i], rep, i, &traces); err != nil {
@@ -616,22 +617,9 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 		}
 		res.PerProto[p] += n
 	}
-	for od := wire.NewDec(d.SkipBlob(), nil); od.Remaining() > 0; {
-		id := graph.NodeID(od.I32())
-		b := od.RawBody()
-		if od.Failed() {
-			return finish(od, "RESULT outputs")
-		}
-		if res.Outputs == nil {
-			res.Outputs = make(map[graph.NodeID]any)
-		}
-		if _, dup := res.Outputs[id]; dup {
-			return fmt.Errorf("shard: node %d reported an output from two shards", id)
-		}
-		if !outval.Known(b.Kind) {
-			return fmt.Errorf("shard: node %d reported an output of kind %d, which no decoder is registered for", id, b.Kind)
-		}
-		res.Outputs[id] = outval.Decode(b)
+	lo, hi := c.part.Range(idx)
+	if err := decodeOutputs(d.SkipBlob(), lo, hi, res.OutSet, res.OutBodies); err != nil {
+		return err
 	}
 	nt := int(d.U32())
 	tr := make([]async.TraceEntry, 0, min(nt, d.Remaining())) // a record is more than a byte
@@ -642,6 +630,36 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 		*traces = append(*traces, tr)
 	}
 	return finish(d, "RESULT")
+}
+
+// decodeOutputs writes a RESULT's output records — (id, raw body) pairs,
+// ids ascending as ShardRawOutputs walks its slots — into the run's dense
+// output columns, still typed. It refuses, as a *async.ShardError naming
+// the node, any record the worker owning [lo, hi) could not have sent: an
+// id outside that range or not above the one before (so no node outputs
+// twice, across shards too), a kind no decoder knows, or a segment, which
+// does not outlive the worker's arena.
+func decodeOutputs(blob []byte, lo, hi graph.NodeID, set []bool, bodies []wire.Body) error {
+	d := wire.NewDec(blob, nil)
+	for prev := lo - 1; d.Remaining() > 0; {
+		id, b := graph.NodeID(d.I32()), d.RawBody()
+		var reason string
+		switch {
+		case d.Failed():
+			return finish(d, "RESULT outputs")
+		case id <= prev || id >= hi:
+			reason = fmt.Sprintf("outside (%d, %d): ids ascend within the worker's nodes [%d, %d)", prev, hi, lo, hi)
+		case !outval.Known(b.Kind):
+			reason = fmt.Sprintf("kind %d, which no decoder is registered for", b.Kind)
+		case b.Seg != (wire.Seg{}):
+			reason = "a segment handle, which does not outlive the worker's arena"
+		default:
+			set[id], bodies[id], prev = true, b, id
+			continue
+		}
+		return &async.ShardError{Record: "RESULT output", Reason: fmt.Sprintf("node %d: %s", id, reason)}
+	}
+	return nil
 }
 
 // mergeTraces k-way merges per-shard delivery traces by (T, Seq); shards

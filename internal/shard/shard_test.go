@@ -6,14 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -26,7 +30,8 @@ func TestMain(m *testing.M) {
 }
 
 // serialRun executes cfg's workload through the single-process serial
-// engine — the byte-identity reference every sharded run is held to.
+// engine — the byte-identity reference every sharded run is held to. Its
+// outputs are in the dense form the coordinator reports.
 func serialRun(t testing.TB, cfg Config) async.Result {
 	t.Helper()
 	g, err := graph.FromSpec(cfg.GraphSpec)
@@ -46,7 +51,7 @@ func serialRun(t testing.TB, cfg Config) async.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := async.New(g, adv, mk).WithMode(async.ModeSingle)
+	sim := async.New(g, adv, mk).WithMode(async.ModeSingle).DenseOutputs()
 	if cfg.KeepTrace {
 		sim.KeepTrace()
 	}
@@ -76,6 +81,15 @@ func compareResults(t *testing.T, got, want async.Result) {
 	}
 	if !reflect.DeepEqual(got.PerProto, want.PerProto) {
 		t.Errorf("PerProto = %v, want %v", got.PerProto, want.PerProto)
+	}
+	if !slices.Equal(got.OutSet, want.OutSet) || !slices.Equal(got.OutBodies, want.OutBodies) {
+		t.Errorf("dense outputs diverge: %d of %d slots set, want %d of %d",
+			outval.Count(got.OutSet), len(got.OutSet), outval.Count(want.OutSet), len(want.OutSet))
+		for v := range min(len(got.OutSet), len(want.OutSet), len(got.OutBodies), len(want.OutBodies)) {
+			if got.OutSet[v] != want.OutSet[v] || got.OutBodies[v] != want.OutBodies[v] {
+				t.Errorf("  node %d: got %v %+v, want %v %+v", v, got.OutSet[v], got.OutBodies[v], want.OutSet[v], want.OutBodies[v])
+			}
+		}
 	}
 	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
 		t.Errorf("Outputs diverge: %d entries vs %d", len(got.Outputs), len(want.Outputs))
@@ -435,10 +449,138 @@ func TestReadResultRejectsUnknownOutputKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := &workerConn{r: bufio.NewReader(&buf)}
-	rep := &Report{Shards: make([]ShardInfo, 1)}
-	err := (&coord{}).readResult(wc, rep, 0, nil)
+	g, err := graph.FromSpec("cycle:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{Shards: make([]ShardInfo, 1), Result: async.Result{
+		OutSet: make([]bool, g.N()), OutBodies: make([]wire.Body, g.N())}}
+	err = (&coord{part: graph.PartitionContiguous(g, 1)}).readResult(wc, rep, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "kind 4660") {
 		t.Fatalf("readResult of an unregistered output kind: err %v, want a kind-4660 error", err)
+	}
+}
+
+// TestResultOutputsRefuseHostileBodies feeds decodeOutputs the records a
+// worker owning [4, 8) of a 12-node graph could not have sent. Each must
+// fail as a *async.ShardError naming the node, without a panic and without
+// touching another shard's slots; the records ShardRawOutputs does send
+// land in the dense columns as they are.
+func TestResultOutputsRefuseHostileBodies(t *testing.T) {
+	const lo, hi, n = 4, 8, 12
+	ok := outval.Int64(7)
+	var arena wire.Arena
+	seg, _ := arena.Alloc(2)
+	type rec struct {
+		id graph.NodeID
+		b  wire.Body
+	}
+	blob := func(recs ...rec) []byte {
+		e := wire.NewEnc(nil)
+		for _, r := range recs {
+			e.I32(int32(r.id))
+			e.RawBody(r.b)
+		}
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		recs []rec
+		node string
+	}{
+		{"past range", []rec{{5, ok}, {9, ok}}, "node 9: outside (5, 8)"},
+		{"below range", []rec{{1, ok}}, "node 1: outside (3, 8)"},
+		{"descending", []rec{{6, ok}, {5, ok}}, "node 5: outside (6, 8)"},
+		{"repeated", []rec{{5, ok}, {5, ok}}, "node 5: outside (5, 8)"},
+		{"unknown kind", []rec{{5, wire.Body{Kind: 0x1234}}}, "node 5: kind 4660"},
+		{"segment", []rec{{6, wire.Body{Kind: ok.Kind, A: 7, Seg: seg}}}, "node 6: a segment handle"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set, bodies := make([]bool, n), make([]wire.Body, n)
+			err := decodeOutputs(blob(tc.recs...), lo, hi, set, bodies)
+			var se *async.ShardError
+			if !errors.As(err, &se) || !strings.Contains(se.Reason, tc.node) {
+				t.Fatalf("decodeOutputs returned %v, want a *async.ShardError about %q", err, tc.node)
+			}
+			for v := range set {
+				if set[v] && (v < lo || v >= hi) {
+					t.Errorf("slot %d, outside the sender's range, was written", v)
+				}
+			}
+		})
+	}
+	set, bodies := make([]bool, n), make([]wire.Body, n)
+	if err := decodeOutputs(blob(rec{4, ok}, rec{7, ok}), lo, hi, set, bodies); err != nil {
+		t.Fatal(err)
+	}
+	for v := range set {
+		if want := v == 4 || v == 7; set[v] != want || (want && bodies[v] != ok) {
+			t.Errorf("slot %d: set %v body %+v", v, set[v], bodies[v])
+		}
+	}
+}
+
+// TestCoordinatorAllocsIndependentOfN pins the coordinator's allocations
+// for a process-launched flood: outputs merge into two dense columns
+// sized once, and frame headers cost nothing, so going from 4 096 to
+// 32 768 nodes adds under 1 % of the larger n (the windows grow with the
+// diameter) and each run stays under 1 000.
+func TestCoordinatorAllocsIndependentOfN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	allocs := func(spec string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Run(Config{GraphSpec: spec, Shards: 2, Workload: "flood", Adversary: "fixed:1", Launch: LaunchProcess})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := outval.Count(rep.Result.OutSet), len(rep.Result.OutSet); got != want {
+			t.Fatalf("%s: %d of %d nodes output", spec, got, want)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := allocs("grid3d:16x16x16"), allocs("grid3d:32x32x32")
+	t.Logf("coordinator allocations: %d at n=4096, %d at n=32768", small, large)
+	if small >= 1000 || large >= 1000 {
+		t.Errorf("coordinator made %d and %d allocations, want < 1000 each", small, large)
+	}
+	if d := max(small, large) - min(small, large); d >= 32768/100 {
+		t.Errorf("coordinator allocations differ by %d between n=4096 and n=32768, want < 327", d)
+	}
+}
+
+// TestMsgHeadersDoNotAllocate: a writeMsg → readMsg round trip through a
+// retained bufio pair and receive buffer makes no allocation.
+func TestMsgHeadersDoNotAllocate(t *testing.T) {
+	var pipe bytes.Buffer
+	w, r := bufio.NewWriter(&pipe), bufio.NewReader(&pipe)
+	payload, buf := []byte("window"), make([]byte, 0, 16)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := writeMsg(w, msgFlush, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, err := readMsg(r, buf)
+		if err != nil || typ != msgFlush || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: type %d payload %q, %v", typ, got, err)
+		}
+	}); got != 0 {
+		t.Errorf("header round trip allocates %v times, want 0", got)
+	}
+}
+
+// TestReadMsgShortHeader: a stream that ends before a header is io.EOF,
+// one that ends inside it io.ErrUnexpectedEOF, as with io.ReadFull.
+func TestReadMsgShortHeader(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want error
+	}{{"", io.EOF}, {"\x03\x01", io.ErrUnexpectedEOF}} {
+		if _, _, err := readMsg(bufio.NewReader(strings.NewReader(tc.in)), nil); err != tc.want {
+			t.Errorf("readMsg(%q) = %v, want %v", tc.in, err, tc.want)
+		}
 	}
 }
 

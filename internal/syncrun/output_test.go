@@ -59,7 +59,7 @@ func TestDenseOutputs(t *testing.T) {
 		if !res.OutSet[v] {
 			t.Fatalf("node %d missing from OutSet", v)
 		}
-		if got := outval.Decode(res.OutBodies[v]); got != v {
+		if got := outval.DecodeDense(res.OutBodies, res.OutSet, res.Outputs)[graph.NodeID(v)]; got != v {
 			t.Fatalf("node %d dense output = %v, want %d", v, got, v)
 		}
 	}

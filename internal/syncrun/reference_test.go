@@ -39,7 +39,9 @@ func (n refNode) Neighbors() []graph.Neighbor { return n.r.g.Neighbors(n.id) }
 func (n refNode) Degree() int                 { return len(n.Neighbors()) }
 func (n refNode) Arena() *wire.Arena          { return &n.r.arena }
 func (n refNode) Output(v any)                { n.output(v) }
-func (n refNode) OutputBody(b wire.Body)      { n.output(outval.Decode(b)) }
+func (n refNode) OutputBody(b wire.Body) {
+	n.output(outval.DecodeDense([]wire.Body{b}, []bool{true}, nil)[0])
+}
 
 func (n refNode) HasOutput() bool {
 	_, ok := n.r.res.Outputs[n.id]

@@ -407,7 +407,7 @@ func (r *Runner) KeepTrace() *Runner { r.keepTrace = true; return r }
 // WithDenseOutputs makes Run return outputs as the dense OutBodies/OutSet
 // pair instead of materializing the Outputs map — O(1) allocations at the
 // finish line instead of one interface box per node. Callers decode with
-// outval.Decode; non-encodable legacy outputs still surface in the map.
+// outval.DecodeDense; non-encodable legacy outputs still surface in the map.
 func (r *Runner) WithDenseOutputs() *Runner { r.denseOut = true; return r }
 
 // WithMode selects the execution mode (default ModeAuto).
