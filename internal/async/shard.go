@@ -249,8 +249,8 @@ func (s *Sim) admitInbound(e *ShardEvent) error {
 // slot) have no cross-process representation and error out; the
 // coordinator refuses a segment-carrying body, whose handle does not
 // outlive this engine's arena.
-func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body) error) error {
-	err := s.out.Each(func(i int, b wire.Body) error { return fn(s.nodeBase+graph.NodeID(i), b) })
+func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body)) error {
+	err := s.out.Each(func(i int, b wire.Body) { fn(s.nodeBase+graph.NodeID(i), b) })
 	if err != nil {
 		return fmt.Errorf("async: shard hosting nodes from %d: %w", s.nodeBase, err)
 	}

@@ -266,10 +266,9 @@ func Count(set []bool) int {
 	return n
 }
 
-// Each calls fn with every set slot's typed body in slot order, stopping at
-// the first error. A boxed slot has no encoded form and ends the walk with
-// an error.
-func (t *Table) Each(fn func(i int, b wire.Body) error) error {
+// Each calls fn with every set slot's typed body in slot order. A boxed
+// slot has no encoded form and ends the walk with an error.
+func (t *Table) Each(fn func(i int, b wire.Body)) error {
 	for i, has := range t.has {
 		if !has {
 			continue
@@ -278,9 +277,7 @@ func (t *Table) Each(fn func(i int, b wire.Body) error) error {
 		if err != nil {
 			return err
 		}
-		if err := fn(i, b); err != nil {
-			return err
-		}
+		fn(i, b)
 	}
 	return nil
 }

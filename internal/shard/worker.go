@@ -267,10 +267,9 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	}
 	// Outputs ride in a blob: their count is known only after the visit.
 	mark := enc.BeginBlob()
-	err = sim.ShardRawOutputs(func(id graph.NodeID, b wire.Body) error {
+	err = sim.ShardRawOutputs(func(id graph.NodeID, b wire.Body) {
 		enc.I32(int32(id))
 		enc.RawBody(b)
-		return nil
 	})
 	if err != nil {
 		return err
