@@ -18,6 +18,7 @@ package dsync
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -219,15 +220,14 @@ func SynchronizeWithCovers(g *Graph, bound int, adv Adversary, l *Layered,
 	return core.Synchronize(core.Config{Graph: g, Bound: bound, Adversary: adv, Layered: l}, mk)
 }
 
-// BuildCovers constructs the layered sparse covers the synchronizer needs
-// for the given pulse bound (the synchronizer's initialization). Results
-// are memoized per (graph, cover radius) and the returned value may be
-// shared with concurrent runs — treat it as immutable. ResetCoverCache
-// drops the memoized covers.
+// BuildCovers returns the cover levels the synchronizer's pulses register
+// on for the given bound, each built once per (graph, level) and read in
+// place by every run on the graph — treat it as immutable. Level(j) panics
+// for the lower levels, which no synchronized run reads.
 func BuildCovers(g *Graph, bound int) *Layered { return core.BuildLayeredFor(g, bound) }
 
-// ResetCoverCache releases every layered cover memoized by BuildCovers /
-// Synchronize, for long-lived processes that sweep many graphs.
+// ResetCoverCache releases every cover level cached per (graph, level), for
+// long-lived processes that sweep many graphs.
 func ResetCoverCache() { core.ResetCoverCache() }
 
 // SynchronizeUnknownBound is the Theorem 5.4 setting — no bound on T(A) is
@@ -274,7 +274,7 @@ func NewLeaderElection(g *Graph) (func(NodeID) Algorithm, int) {
 	if d < 1 {
 		d = 1
 	}
-	layered := cover.BuildLayered(g, d, nil)
+	layered := core.CoverLevels(g, 0, bits.Len(uint(d-1))) // up to radius ≥ d
 	spans := apps.LeaderSpansAll(g, layered)
 	var sl slab.Objects[apps.Leader]
 	mk := func(NodeID) Algorithm { return sl.Alloc(apps.Leader{Covers: layered, SpansAll: spans}) }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/cover"
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/outval"
@@ -150,9 +149,6 @@ type config struct {
 	Sources   []graph.NodeID
 	Threshold int
 	Adversary async.Adversary
-	// Layered covers; nil builds them (they must reach the synchronizer's
-	// level for bound 2·Threshold+4 and the checking level ⌈log₂τ⌉).
-	Layered *cover.Layered
 	// Mode selects the asynchronous engine's execution mode (default
 	// ModeAuto); results are byte-identical across modes.
 	Mode async.ExecutionMode
@@ -190,7 +186,7 @@ func thresholdedOn(sim *async.Sim, cfg config, dense bool) (result, *async.Sim) 
 	if adv == nil {
 		adv = async.SeededRandom{Seed: 1}
 	}
-	mk := IterationStacks(cfg.Graph, cfg.Sources, cfg.Threshold, cfg.Layered)
+	mk := IterationStacks(cfg.Graph, cfg.Sources, cfg.Threshold)
 	if sim == nil {
 		sim = async.New(cfg.Graph, adv, mk).WithMode(cfg.Mode)
 		if dense {
@@ -219,21 +215,15 @@ func thresholdedOn(sim *async.Sim, cfg config, dense bool) (result, *async.Sim) 
 // iteration from sources on g: every node's synchronizer stack around a
 // TBFS, with the checking stage's gather module and glue beside it, all
 // built batch by batch like any synchronized run's stacks (core.Extra).
-// layered nil builds the covers; given, they must reach the synchronizer's
-// level for bound 2τ+6 and the checking level ⌈log₂τ⌉.
-func IterationStacks(g *graph.Graph, sources []graph.NodeID, tau int, layered *cover.Layered) func(graph.NodeID) async.Handler {
+// The synchronizer's levels for bound 2τ+6 and the checking level ⌈log₂τ⌉
+// come from the level cache.
+func IterationStacks(g *graph.Graph, sources []graph.NodeID, tau int) func(graph.NodeID) async.Handler {
 	if len(sources) == 0 {
 		panic("abfs: no sources")
 	}
 	bound := pulseBound(tau)
-	if layered == nil {
-		layered = core.BuildLayeredFor(g, bound)
-	}
-	lvl := checkLevel(tau)
-	if lvl > layered.MaxLevel() {
-		panic(fmt.Sprintf("abfs: covers reach level %d, checking needs %d", layered.MaxLevel(), lvl))
-	}
-	checkCov := layered.Level(lvl)
+	layered := core.BuildLayeredFor(g, bound)
+	checkCov := core.CoverLevel(g, checkLevel(tau))
 	isSource := make([]bool, g.N())
 	for _, s := range sources {
 		isSource[s] = true

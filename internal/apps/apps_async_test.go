@@ -51,7 +51,7 @@ func TestCorollary12MultiSource(t *testing.T) {
 func TestCorollary13AsyncLeaderElection(t *testing.T) {
 	g := graph.Grid(4, 5)
 	d := g.Diameter()
-	layered := cover.BuildLayered(g, d, nil)
+	layered := cover.BuildLayered(g, d)
 	spans := apps.LeaderSpansAll(g, layered)
 	mk := func(graph.NodeID) syncrun.Handler {
 		return &apps.Leader{Covers: layered, SpansAll: spans}

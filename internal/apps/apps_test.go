@@ -74,7 +74,7 @@ func mkLeader(g *graph.Graph) (func(graph.NodeID) syncrun.Handler, *cover.Layere
 	if d < 1 {
 		d = 1
 	}
-	layered := cover.BuildLayered(g, d, nil)
+	layered := cover.BuildLayered(g, d)
 	spans := LeaderSpansAll(g, layered)
 	return func(graph.NodeID) syncrun.Handler {
 		return &Leader{Covers: layered, SpansAll: spans}

@@ -131,13 +131,13 @@ func (h *Leader) enterEpoch(n syncrun.API, i int) {
 	}
 	h.epoch = i
 	cov := h.Covers.Level(i)
-	for _, cid := range cov.TreeOf(n.ID()) {
-		st := h.entry(i, cid)
+	for _, r := range cov.Refs(n.ID()) {
+		st := h.entry(i, r.ID)
 		st.began = true
-		if h.candidate && cov.Cluster(cid).Has(n.ID()) && n.ID() < st.minSeen {
+		if h.candidate && r.Member && n.ID() < st.minSeen {
 			st.minSeen = n.ID()
 		}
-		h.maybeReport(n, i, cid, st)
+		h.maybeReport(n, i, r.ID, st)
 	}
 }
 
@@ -148,7 +148,7 @@ func (h *Leader) maybeReport(n syncrun.API, level int, cid cover.ClusterID, st *
 		return
 	}
 	cl := h.Covers.Level(level).Cluster(cid)
-	if st.reports < len(cl.ChildrenOf(n.ID())) {
+	if st.reports < len(cl.Tree.ChildrenOf(n.ID())) {
 		return
 	}
 	st.sent = true
@@ -159,7 +159,7 @@ func (h *Leader) maybeReport(n syncrun.API, level int, cid cover.ClusterID, st *
 		})
 		return
 	}
-	par, _ := cl.ParentOf(n.ID())
+	par, _ := cl.Tree.ParentOf(n.ID())
 	h.out.Send(par, encLeadUp(leadUp{Level: level, Cluster: cid, Min: st.minSeen}))
 }
 
@@ -168,7 +168,7 @@ func (h *Leader) maybeReport(n syncrun.API, level int, cid cover.ClusterID, st *
 // cluster of the current level has reported its verdict.
 func (h *Leader) deliverVerdict(n syncrun.API, v leadDown) {
 	cl := h.Covers.Level(v.Level).Cluster(v.Cluster)
-	for _, ch := range cl.ChildrenOf(n.ID()) {
+	for _, ch := range cl.Tree.ChildrenOf(n.ID()) {
 		h.out.Send(ch, encLeadDown(v))
 	}
 	if !cl.Has(n.ID()) {

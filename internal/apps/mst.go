@@ -202,11 +202,11 @@ func (h *MST) maybeBarrierReport(n syncrun.API, seq int) {
 	if b.sent || !b.ready || !h.out.Empty() {
 		return
 	}
-	if b.reports < len(h.Barrier.ChildrenOf(n.ID())) {
+	if b.reports < len(h.Barrier.Tree.ChildrenOf(n.ID())) {
 		return
 	}
 	b.sent = true
-	if par, ok := h.Barrier.ParentOf(n.ID()); ok {
+	if par, ok := h.Barrier.Tree.ParentOf(n.ID()); ok {
 		h.out.Send(par, wire.Body{Kind: kindMSTBarUp, A: int64(seq)})
 		return
 	}
@@ -219,7 +219,7 @@ func (h *MST) onBarrierRelease(n syncrun.API, seq int) {
 		return
 	}
 	b.done = true
-	for _, ch := range h.Barrier.ChildrenOf(n.ID()) {
+	for _, ch := range h.Barrier.Tree.ChildrenOf(n.ID()) {
 		h.out.Send(ch, wire.Body{Kind: kindMSTBarDown, A: int64(seq)})
 	}
 	k := seq / 2

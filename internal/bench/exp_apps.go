@@ -153,7 +153,7 @@ func e5LeaderElection(c *expCtx) {
 		tc := cases[i]
 		g := tc.mk()
 		d := g.Diameter()
-		layered := cover.BuildLayered(g, d, nil)
+		layered := cover.BuildLayered(g, d)
 		spans := apps.LeaderSpansAll(g, layered)
 		mk := func(graph.NodeID) syncrun.Handler {
 			return &apps.Leader{Covers: layered, SpansAll: spans}

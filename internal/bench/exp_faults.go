@@ -108,7 +108,7 @@ func e17RepairCost(g *graph.Graph, fs *async.FaultSchedule) (repairMs, rebuildMs
 	if len(faulted) == 0 {
 		return 0, 0, 1, true
 	}
-	base := cover.BuildLayered(g, d, nil)
+	base := cover.BuildLayered(g, d)
 	t0 := time.Now()
 	repaired, stats := cover.RepairLayered(base, faulted)
 	repairMs = float64(time.Since(t0).Microseconds()) / 1000
@@ -120,7 +120,7 @@ func e17RepairCost(g *graph.Graph, fs *async.FaultSchedule) (repairMs, rebuildMs
 		alive[v] = false
 	}
 	t1 := time.Now()
-	rebuilt := cover.BuildLayeredMasked(g, d, nil, alive)
+	rebuilt := cover.BuildLayeredMasked(g, d, alive)
 	rebuildMs = float64(time.Since(t1).Microseconds()) / 1000
 	det = reflect.DeepEqual(repaired, rebuilt)
 	var total, reused int

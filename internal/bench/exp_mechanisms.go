@@ -204,7 +204,7 @@ type coverQuality struct {
 // measureCoverQuality builds the sparse d-cover of g and measures the E10
 // quality metrics.
 func measureCoverQuality(g *graph.Graph, d int) coverQuality {
-	cov := cover.Build(g, d, nil)
+	cov := cover.Build(g, d)
 	q := coverQuality{Clusters: len(cov.Clusters)}
 	cong := map[[2]graph.NodeID]int{}
 	for _, cl := range cov.Clusters {
@@ -340,7 +340,7 @@ func e12GatherCost(c *expCtx) {
 		tc := graphs[i/len(ds)]
 		d := ds[i%len(ds)]
 		g := tc.mk()
-		cov := cover.Build(g, d, nil)
+		cov := cover.Build(g, d)
 		budget := uint64(0)
 		for _, cl := range cov.Clusters {
 			budget += uint64(2 * cl.Tree.Size())

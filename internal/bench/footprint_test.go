@@ -107,15 +107,23 @@ func TestGeneratorAllocPins(t *testing.T) {
 // graphs, and every stack kept 98 B/node more while its core held its own
 // scratch encoder and decoder for ModeSpec clones. The abfs iteration kept
 // 3 940, 7 546 and 6 430 B/node while TBFS held a per-node map of the
-// neighbors it had probed. The test fails at >10% growth, like the
-// footprint pins above.
+// neighbors it had probed. Reading the tree refs in place, where reg and
+// gather each copied them out of the cover, moved the pins 8 061 → 7 323,
+// 4 978 → 4 313 and 3 626 → 3 127 B/node (synchronized BFS) and 3 892 →
+// 3 417, 7 389 → 6 641 and 6 277 → 5 529 B/node (abfs iteration). The
+// test fails at >10% growth, like the footprint pins above.
 var stackBytePins = []struct {
 	spec       string
 	sync, abfs float64
 }{
-	{"grid:40x40", 8061, 3892},
-	{"er:n=2000,m=8000,seed=3", 4978, 7389},
-	{"pa:n=2000,m=3,seed=7", 3626, 6277},
+	{"grid:40x40", 7323, 3417},
+	{"er:n=2000,m=8000,seed=3", 4313, 6641},
+	{"pa:n=2000,m=3,seed=7", 3127, 5529},
+}
+
+// bfsBound is the pulse bound a synchronized BFS from node 0 needs on g.
+func bfsBound(g *graph.Graph) int {
+	return syncrun.New(g, func(graph.NodeID) syncrun.Handler { return &apps.BFS{Sources: []graph.NodeID{0}} }).Run().Rounds + 2
 }
 
 func TestStackBytePins(t *testing.T) {
@@ -128,15 +136,53 @@ func TestStackBytePins(t *testing.T) {
 	for _, pin := range stackBytePins {
 		g := mustSpec(pin.spec)
 		bfs := func(graph.NodeID) syncrun.Handler { return &apps.BFS{Sources: []graph.NodeID{0}} }
-		bound := syncrun.New(g, bfs).Run().Rounds + 2
+		bound := bfsBound(g)
 		cfg := core.Config{Graph: g, Bound: bound, Layered: core.BuildLayeredFor(g, bound), Mode: async.ModeSingle}
 		sync := stackBytesPerNode(core.NewSynchronizedSim(cfg, bfs))
 		iter := stackBytesPerNode(async.New(g, async.SeededRandom{Seed: 1},
-			abfs.IterationStacks(g, []graph.NodeID{0}, 4, nil)).WithMode(async.ModeSingle))
+			abfs.IterationStacks(g, []graph.NodeID{0}, 4)).WithMode(async.ModeSingle))
 		t.Logf("%s: synchronized BFS %.0f B/node, abfs iteration %.0f B/node", pin.spec, sync, iter)
 		if sync > pin.sync*footprintHeadroom || iter > pin.abfs*footprintHeadroom {
 			t.Errorf("%s: stacks keep %.0f B/node (synchronized BFS, pin %.0f) and %.0f B/node (abfs iteration, pin %.0f); +10%% ceiling",
 				pin.spec, sync, pin.sync, iter, pin.abfs)
+		}
+	}
+}
+
+// Pinned settled bytes per node of the cover levels core.BuildLayeredFor
+// returns for the stackBytePins graphs and their BFS bounds (Go 1.24,
+// linux/amd64): levels 5 up to ℓ(bound)+5, each with its per-node member
+// and tree-ref columns. While BuildLayeredFor built every level from 0 and
+// the covers kept a per-node list of tree cluster ids, the same call kept
+// 1 563, 1 310 and 1 154 B/node. The test fails at >10% growth.
+var coverBytePins = []struct {
+	spec  string
+	bytes float64
+}{
+	{"grid:40x40", 633},
+	{"er:n=2000,m=8000,seed=3", 588},
+	{"pa:n=2000,m=3,seed=7", 440},
+}
+
+func TestCoverBytePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("footprint probe")
+	}
+	if raceEnabled {
+		t.Skip("race shadow state inflates allocation sizes; pins hold on uninstrumented builds")
+	}
+	defer core.ResetCoverCache()
+	for _, pin := range coverBytePins {
+		g := mustSpec(pin.spec)
+		bound := bfsBound(g)
+		core.ResetCoverCache()
+		before := settledHeap()
+		l := core.BuildLayeredFor(g, bound)
+		got := float64(int64(settledHeap())-int64(before)) / float64(g.N())
+		runtime.KeepAlive(l)
+		t.Logf("%s: covers for bound %d keep %.0f B/node", pin.spec, bound, got)
+		if got > pin.bytes*footprintHeadroom {
+			t.Errorf("%s: covers for bound %d keep %.0f B/node, pin %.0f; +10%% ceiling", pin.spec, bound, got, pin.bytes)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func synchronizeUnknownBoundWatched(g *graph.Graph, adv async.Adversary,
 // what an aborted attempt cost.
 func tryBound(g *graph.Graph, bound int, adv async.Adversary,
 	mk func(id graph.NodeID) syncrun.Handler) (res async.Result, rep StallReport, ok bool) {
-	sim := newSynchronizedSim(Config{Graph: g, Bound: bound, Adversary: adv, Mode: async.ModeSingle}, mk)
+	sim := NewSynchronizedSim(Config{Graph: g, Bound: bound, Adversary: adv, Mode: async.ModeSingle}, mk)
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -53,11 +53,11 @@ func (b *betaNode) maybeReport(n *async.Node, p int) {
 	if b.reportSent[p] || !b.selfSafe[p] {
 		return
 	}
-	if b.childSafe[p] < len(b.tree.ChildrenOf(n.ID())) {
+	if b.childSafe[p] < len(b.tree.Tree.ChildrenOf(n.ID())) {
 		return
 	}
 	b.reportSent[p] = true
-	if par, ok := b.tree.ParentOf(n.ID()); ok {
+	if par, ok := b.tree.Tree.ParentOf(n.ID()); ok {
 		n.Send(par, async.Msg{Proto: protoBetaTree, Stage: p, Body: wire.Body{Kind: kindBetaSafeUp, A: int64(p)}})
 		return
 	}
@@ -69,7 +69,7 @@ func (b *betaNode) advance(n *async.Node, next int) {
 	if next > b.bound {
 		return
 	}
-	for _, ch := range b.tree.ChildrenOf(n.ID()) {
+	for _, ch := range b.tree.Tree.ChildrenOf(n.ID()) {
 		n.Send(ch, async.Msg{Proto: protoBetaTree, Stage: next, Body: wire.Body{Kind: kindBetaAdvance, A: int64(next)}})
 	}
 	b.runPulse(n, next)

@@ -43,7 +43,7 @@ func stackCases(t testing.TB) []stackCase {
 			t.Fatal(err)
 		}
 		far := graph.NodeID(g.N() - 1)
-		layered := cover.BuildLayered(g, g.Diameter(), nil)
+		layered := cover.BuildLayered(g, g.Diameter())
 		spans := apps.LeaderSpansAll(g, layered)
 		wg := graph.WithRandomWeights(g, 5)
 		weights := make([]int64, wg.M())
@@ -87,9 +87,9 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 			ref := Synchronize(cfg, tc.mk)
 			stride := (ref.Msgs+ref.Acks)/12 + 1
 
-			src := newSynchronizedSim(cfg, tc.mk)
-			restored := newSynchronizedSim(cfg, tc.mk)
-			clones := newSynchronizedSim(cfg, tc.mk) // never run: its handlers are clone targets
+			src := NewSynchronizedSim(cfg, tc.mk)
+			restored := NewSynchronizedSim(cfg, tc.mk)
+			clones := NewSynchronizedSim(cfg, tc.mk) // never run: its handlers are clone targets
 			want := make([][]byte, tc.g.N())
 			loads := 0
 			for stop := 0; ; stop++ {
@@ -141,7 +141,7 @@ func TestCloneEqualsSaveLoad(t *testing.T) {
 
 			// A clone target is reused round after round: cloning a younger,
 			// smaller state into it must leave nothing of the old one behind.
-			fresh := newSynchronizedSim(cfg, tc.mk)
+			fresh := NewSynchronizedSim(cfg, tc.mk)
 			for v := 0; v < tc.g.N(); v++ {
 				id := graph.NodeID(v)
 				fresh.Handler(id).(*async.Mux).CloneStateInto(clones.Handler(id))
@@ -173,7 +173,7 @@ func mkBFS0(graph.NodeID) syncrun.Handler { return &apps.BFS{Sources: []graph.No
 func TestNodeHandlerStacks(t *testing.T) {
 	cfg := syncBFSWorkload(t)
 	cfg.Layered = BuildLayeredFor(cfg.Graph, cfg.Bound)
-	want := newSynchronizedSim(cfg, mkBFS0).KeepTrace().Run()
+	want := NewSynchronizedSim(cfg, mkBFS0).KeepTrace().Run()
 	sched := NewSchedule(cfg.Bound)
 	build := func() *async.Sim {
 		return async.New(cfg.Graph, cfg.Adversary, func(id graph.NodeID) async.Handler {
@@ -207,9 +207,9 @@ func TestNodeHandlerStacks(t *testing.T) {
 func TestMuxCloneSteadyStateAllocs(t *testing.T) {
 	cfg := syncBFSWorkload(t)
 	ref := Synchronize(cfg, mkBFS0)
-	src := newSynchronizedSim(cfg, mkBFS0)
+	src := NewSynchronizedSim(cfg, mkBFS0)
 	src.RunSteps((ref.Msgs + ref.Acks) / 2)
-	dst := newSynchronizedSim(cfg, mkBFS0)
+	dst := NewSynchronizedSim(cfg, mkBFS0)
 	var e wire.Enc
 	var d wire.Dec
 	for v := 0; v < cfg.Graph.N(); v++ {
@@ -275,7 +275,7 @@ func TestCheckpointAllocs(t *testing.T) {
 		cfg := Config{Graph: g, Bound: g.Diameter() + 2, Adversary: async.SeededRandom{Seed: 1}, Mode: async.ModeSingle}
 		cfg.Layered = BuildLayeredFor(g, cfg.Bound)
 		ref := Synchronize(cfg, mkBFS0)
-		run := newSynchronizedSim(cfg, mkBFS0)
+		run := NewSynchronizedSim(cfg, mkBFS0)
 		run.RunSteps((ref.Msgs + ref.Acks) / 2)
 		frame, err := run.Snapshot()
 		if err != nil {

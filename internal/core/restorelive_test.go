@@ -42,7 +42,7 @@ func liveStack(t testing.TB, name string, g *graph.Graph, adv async.Adversary) f
 	case "sync-bfs":
 		mk = synchronized(bfs)
 	case "sync-leader":
-		layered := cover.BuildLayered(g, max(g.Diameter(), 1), nil)
+		layered := cover.BuildLayered(g, max(g.Diameter(), 1))
 		spans := apps.LeaderSpansAll(g, layered)
 		mk = synchronized(func(graph.NodeID) syncrun.Handler { return &apps.Leader{Covers: layered, SpansAll: spans} })
 	case "sync-mst":
@@ -59,7 +59,7 @@ func liveStack(t testing.TB, name string, g *graph.Graph, adv async.Adversary) f
 	case "gamma":
 		mk = core.GammaHandlers(g, boundOf(bfs), bfs)
 	case "abfs-tbfs":
-		mk = abfs.IterationStacks(g, []graph.NodeID{0, graph.NodeID(g.N() - 1)}, 2, nil)
+		mk = abfs.IterationStacks(g, []graph.NodeID{0, graph.NodeID(g.N() - 1)}, 2)
 	case "shard-flood", "shard-bfs", "shard-segflood":
 		var err error
 		if mk, err = shard.NewWorkload(name[len("shard-"):], shard.WorkloadConfig{SegWords: 5}); err != nil {

@@ -35,70 +35,77 @@ type Config struct {
 	Workers int
 }
 
-// coverCache memoizes BuildLayeredFor results. Covers are deterministic in
-// (graph, radius) and immutable once built, so repeated trials on the same
-// graph — the common shape of every experiment sweep — reuse one build.
-// Entries key on the graph pointer plus the cover radius; a small FIFO
-// bound keeps long-running sweeps over many graphs from pinning them all.
-type coverCacheKey struct {
-	g      *graph.Graph
-	radius int
-}
-
-var coverCache = struct {
+// levelCache holds one cover level per (graph, level), built once on its
+// first request (concurrent requests wait for that build) and immutable
+// after, so every run on a graph — sweep trials, abfs iterations, leader
+// election and the synchronizer — reads the same levels in place.
+var levelCache = struct {
 	sync.Mutex
-	entries map[coverCacheKey]*cover.Layered
-	order   []coverCacheKey
-}{entries: make(map[coverCacheKey]*cover.Layered)}
+	graphs map[*graph.Graph][]*cachedLevel // by level
+	order  []*graph.Graph                  // first seen first
+}{graphs: make(map[*graph.Graph][]*cachedLevel)}
 
-const coverCacheCap = 64
-
-// ResetCoverCache drops every memoized layered cover, releasing the graphs
-// and covers it pins. Long-lived processes sweeping many graphs can call
-// it between sweeps.
-func ResetCoverCache() {
-	coverCache.Lock()
-	coverCache.entries = make(map[coverCacheKey]*cover.Layered)
-	coverCache.order = nil
-	coverCache.Unlock()
+type cachedLevel struct {
+	once sync.Once
+	cov  *cover.Cover
 }
 
-// BuildLayeredFor constructs the layered covers the synchronizer needs for
-// pulse bound b on g. Building them is the synchronizer's initialization
-// (§4.6 / Theorem 4.22 do it asynchronously; this implementation builds
-// them centrally and reports their cost separately — see DESIGN.md).
-// Results are memoized per (graph, radius) — graphs are immutable and
-// covers are immutable after construction, so the cached value is safe to
-// share across concurrent runs (the parallel experiment harness relies on
-// this).
-func BuildLayeredFor(g *graph.Graph, b int) *cover.Layered {
-	sched := NewSchedule(b)
-	radius := 1 << uint(sched.MaxCoverLevel)
-	key := coverCacheKey{g: g, radius: radius}
-	coverCache.Lock()
-	if l, ok := coverCache.entries[key]; ok {
-		coverCache.Unlock()
-		return l
-	}
-	coverCache.Unlock()
-	// Build outside the lock: cover construction dominates and must not
-	// serialize independent graphs. A concurrent duplicate build of the
-	// same key is deterministic, so last-write-wins is harmless.
-	l := cover.BuildLayered(g, radius, nil)
-	coverCache.Lock()
-	if cached, ok := coverCache.entries[key]; ok {
-		l = cached
-	} else {
-		if len(coverCache.order) >= coverCacheCap {
-			oldest := coverCache.order[0]
-			coverCache.order = coverCache.order[1:]
-			delete(coverCache.entries, oldest)
+// levelCacheGraphs bounds the cache by graph: the levels of the graphs seen
+// last are kept, so a sweep over at most this many graphs rebuilds none.
+const levelCacheGraphs = 64
+
+// ResetCoverCache drops every cached cover level, releasing the graphs and
+// covers it pins. Long-lived processes sweeping many graphs can call it
+// between sweeps.
+func ResetCoverCache() {
+	levelCache.Lock()
+	levelCache.graphs = make(map[*graph.Graph][]*cachedLevel)
+	levelCache.order = nil
+	levelCache.Unlock()
+}
+
+// CoverLevel returns the sparse 2^j-cover of g from the level cache,
+// building it on first request.
+func CoverLevel(g *graph.Graph, j int) *cover.Cover {
+	levelCache.Lock()
+	levels, ok := levelCache.graphs[g]
+	if !ok {
+		if len(levelCache.order) == levelCacheGraphs {
+			delete(levelCache.graphs, levelCache.order[0])
+			levelCache.order = levelCache.order[1:]
 		}
-		coverCache.entries[key] = l
-		coverCache.order = append(coverCache.order, key)
+		levelCache.order = append(levelCache.order, g)
 	}
-	coverCache.Unlock()
+	for len(levels) <= j {
+		levels = append(levels, new(cachedLevel))
+	}
+	levelCache.graphs[g] = levels
+	l := levels[j]
+	levelCache.Unlock()
+	// Build outside the lock: cover construction dominates and must not
+	// serialize independent levels or graphs.
+	l.once.Do(func() { l.cov = cover.Build(g, 1<<uint(j)) })
+	return l.cov
+}
+
+// CoverLevels returns levels lo..hi of g's layered cover from the level
+// cache; the Layered's levels below lo stay nil (see cover.Layered.Level).
+func CoverLevels(g *graph.Graph, lo, hi int) *cover.Layered {
+	l := &cover.Layered{Levels: make([]*cover.Cover, hi+1)}
+	for j := lo; j <= hi; j++ {
+		l.Levels[j] = CoverLevel(g, j)
+	}
 	return l
+}
+
+// BuildLayeredFor returns the cover levels the synchronizer needs for pulse
+// bound b on g: firstCoverLevel up to ℓ(b)+5, the only ones a pulse
+// registers on, from the level cache. Building them is the synchronizer's
+// initialization (§4.6 / Theorem 4.22 do it asynchronously; this
+// implementation builds them centrally and reports their cost separately —
+// see DESIGN.md).
+func BuildLayeredFor(g *graph.Graph, b int) *cover.Layered {
+	return CoverLevels(g, firstCoverLevel, NewSchedule(b).MaxCoverLevel)
 }
 
 // Synchronize runs the synchronous algorithm produced by mk under the
@@ -106,21 +113,16 @@ func BuildLayeredFor(g *graph.Graph, b int) *cover.Layered {
 // run's measurements. The outputs are exactly those of the synchronous
 // execution (Theorem 5.2).
 func Synchronize(cfg Config, mk func(id graph.NodeID) syncrun.Handler) async.Result {
-	return newSynchronizedSim(cfg, mk).Run()
+	return NewSynchronizedSim(cfg, mk).Run()
 }
 
 // NewSynchronizedSim assembles the synchronizer stack without running it,
 // returning the engine handle for stepwise execution and the state plane:
 // RunSteps / Snapshot / Restore / FinishResult (or plain Run). This is the
-// root package's checkpointable synchronized run.
+// root package's checkpointable synchronized run; SynchronizeUnknownBound
+// keeps the handle so an attempt that aborts mid-run (pulse bound
+// exceeded) can still be billed via Sim.PartialResult.
 func NewSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *async.Sim {
-	return newSynchronizedSim(cfg, mk)
-}
-
-// newSynchronizedSim assembles the synchronizer stack without running it.
-// SynchronizeUnknownBound keeps the sim handle so an attempt that aborts
-// mid-run (pulse bound exceeded) can still be billed via Sim.PartialResult.
-func newSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *async.Sim {
 	if cfg.Graph == nil {
 		panic("core: Config.Graph is nil")
 	}

@@ -31,7 +31,7 @@ func TestSynchronizerSpecNoFallback(t *testing.T) {
 
 	specCfg := cfg
 	specCfg.Mode = async.ModeSpec
-	sim := newSynchronizedSim(specCfg, mk)
+	sim := NewSynchronizedSim(specCfg, mk)
 	got := sim.Run()
 
 	st := sim.SpecStats()
@@ -58,14 +58,14 @@ func TestSynchronizedSnapshotSpecMatrix(t *testing.T) {
 	want := Synchronize(cfg, mk)
 
 	for _, k := range []uint64{0, 1, 40, 200, 1000, 5000} {
-		a := newSynchronizedSim(cfg, mk)
+		a := NewSynchronizedSim(cfg, mk)
 		a.RunSteps(k)
 		snap, err := a.Snapshot()
 		if err != nil {
 			t.Fatalf("snapshot at event %d: %v", k, err)
 		}
 		for _, mode := range []async.ExecutionMode{async.ModeSingle, async.ModeMulti, async.ModeSpec} {
-			b := newSynchronizedSim(cfg, mk)
+			b := NewSynchronizedSim(cfg, mk)
 			if err := b.Restore(snap); err != nil {
 				t.Fatalf("restore at event %d: %v", k, err)
 			}

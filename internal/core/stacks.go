@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/async"
@@ -90,7 +89,6 @@ func (st *stacks) stack(i int, algo syncrun.Handler) *async.Mux {
 	*c = nodeCore{
 		st:      st,
 		sched:   st.sched,
-		layered: st.layered,
 		algo:    algo,
 		regMods: st.regs[i*levels : (i+1)*levels],
 		barMods: st.bars[i*levels : (i+1)*levels],
@@ -147,10 +145,6 @@ type Extra func(nodes int) func(id graph.NodeID, algo syncrun.Handler, mux *asyn
 // be nil). layered must reach sched's cover levels.
 func StackMaker(g *graph.Graph, sched *Schedule, layered *cover.Layered,
 	mk func(id graph.NodeID) syncrun.Handler, extra Extra) func(id graph.NodeID) async.Handler {
-	if layered.MaxLevel() < sched.MaxCoverLevel {
-		panic(fmt.Sprintf("core: layered covers reach level %d, need %d",
-			layered.MaxLevel(), sched.MaxCoverLevel))
-	}
 	b := &batcher{sched: sched, layered: layered, n: g.NLocal(), base: g.NodeBase(), extra: extra}
 	return func(id graph.NodeID) async.Handler { return b.handler(id, mk(id)) }
 }

@@ -25,10 +25,9 @@ import (
 // into retained capacity, and every slice grows from the batch's slabs
 // (stacks.go).
 type nodeCore struct {
-	st      *stacks
-	sched   *Schedule
-	layered *cover.Layered
-	algo    syncrun.Handler
+	st    *stacks
+	sched *Schedule
+	algo  syncrun.Handler
 
 	// Per-cover-level modules from firstCoverLevel up, in the batch's
 	// slices (see reg and bar).
@@ -262,7 +261,7 @@ func (c *nodeCore) tryResolve(n *async.Node, p, qi int) {
 // of the pulse-p vnode (p = prev2(s)).
 func (c *nodeCore) registerSession(n *async.Node, p, s int) {
 	lvl := c.sched.CoverLevel(s)
-	ids := c.layered.Level(lvl).MemberOf(n.ID())
+	ids := c.st.layered.Level(lvl).MemberOf(n.ID())
 	if len(ids) == 0 {
 		panic(fmt.Sprintf("core: node %d is in no cluster at level %d", n.ID(), lvl))
 	}
@@ -293,7 +292,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, p, q, qi int) {
 		return
 	}
 	lvl := c.sched.CoverLevel(q)
-	ids := c.layered.Level(lvl).MemberOf(n.ID())
+	ids := c.st.layered.Level(lvl).MemberOf(n.ID())
 	qs.gaOutstanding = int32(len(ids))
 	for _, cid := range ids {
 		c.reg(lvl).Deregister(n, cid, q)

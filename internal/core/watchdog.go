@@ -95,7 +95,7 @@ func watchdogReport(sim *async.Sim, res *async.Result, bound int) StallReport {
 // synchronized execution and inspects every node's pulse frontier after
 // quiescence.
 func SynchronizeWatched(cfg Config, mk func(id graph.NodeID) syncrun.Handler) (async.Result, StallReport) {
-	sim := newSynchronizedSim(cfg, mk)
+	sim := NewSynchronizedSim(cfg, mk)
 	res := sim.Run()
 	return res, watchdogReport(sim, &res, cfg.Bound)
 }

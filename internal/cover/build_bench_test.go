@@ -15,7 +15,7 @@ func benchCoverBuild(b *testing.B, g *graph.Graph, d int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g, d, nil)
+		Build(g, d)
 	}
 }
 

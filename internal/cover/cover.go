@@ -9,14 +9,16 @@ package cover
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/decomp"
 	"repro/internal/graph"
 )
 
 // ClusterID identifies a cluster within one Cover. 32-bit, matching the
-// graph plane's compact ids: the per-node memberOf/treeOf/home tables are
+// graph plane's compact ids: the per-node member, ref and home columns are
 // the dominant cover footprint at scale.
 type ClusterID int32
 
@@ -44,49 +46,81 @@ func (c *Cluster) Has(v graph.NodeID) bool {
 	return i < len(c.Members) && c.Members[i] == v
 }
 
-// ParentOf returns v's parent in the cluster tree; ok=false at the root.
-func (c *Cluster) ParentOf(v graph.NodeID) (graph.NodeID, bool) {
-	return c.Tree.ParentOf(v)
-}
-
-// ChildrenOf returns v's children in the cluster tree (ascending); the
-// returned slice must not be mutated.
-func (c *Cluster) ChildrenOf(v graph.NodeID) []graph.NodeID {
-	return c.Tree.ChildrenOf(v)
-}
-
 // Cover is a sparse d-cover: a set of clusters such that every node is in
 // O(log n) clusters and every node's d-ball is fully inside at least one
-// cluster.
+// cluster. It is immutable once built, and every stack on the level reads
+// its per-node columns in place.
 type Cover struct {
 	// D is the covered radius: any two nodes at distance <= D share a
 	// cluster.
 	D        int
 	Clusters []*Cluster
-	// memberOf[v] lists clusters that contain v as a member.
-	memberOf [][]ClusterID
-	// treeOf[v] lists clusters whose tree v participates in (superset of
-	// memberOf: Steiner nonterminals relay but are not covered).
-	treeOf [][]ClusterID
+	// Per-node columns, CSR by node, ascending by cluster id within a node:
+	// v's member clusters are memberIDs[memberOff[v]:memberOff[v+1]], and
+	// its refs, one per cluster tree it is on (Steiner nonterminals relay
+	// but are not members), are refs[refOff[v]:refOff[v+1]]. kids holds
+	// every ref's tree children.
+	memberOff []int32
+	memberIDs []ClusterID
+	refOff    []int32
+	refs      []Ref
+	kids      []graph.NodeID
 	// home[v] is a cluster guaranteed to contain Ball(v, D).
 	home []ClusterID
 
 	// Retained for repair: the fault-independent base decomposition, the
-	// covered node set, the alive mask this cover was built under (nil =
-	// no faults), and the graph.
+	// alive mask this cover was built under (nil = no faults), and the
+	// graph.
 	g     *graph.Graph
 	dec   *decomp.Decomposition
-	inS   []bool
 	alive []bool
+
+	layouts sync.Map // bits per child → RecordStarts' column
+}
+
+// Ref is a node's place on one cluster tree of its cover: what a message on
+// that tree needs at the node, resolved once when the cover is built.
+type Ref struct {
+	ID         ClusterID
+	Parent     graph.NodeID // -1 at the cluster root
+	kid0, kid1 int32        // the node's tree children are the cover's kids[kid0:kid1]
+	Member     bool         // the node is a member (terminal) of the cluster
 }
 
 // MemberOf returns the clusters containing v, ascending by id. Do not
 // mutate.
-func (c *Cover) MemberOf(v graph.NodeID) []ClusterID { return c.memberOf[v] }
+func (c *Cover) MemberOf(v graph.NodeID) []ClusterID {
+	return c.memberIDs[c.memberOff[v]:c.memberOff[v+1]]
+}
 
-// TreeOf returns the clusters whose tree v participates in, ascending by
-// id. Do not mutate.
-func (c *Cover) TreeOf(v graph.NodeID) []ClusterID { return c.treeOf[v] }
+// Refs returns v's refs, one per cluster tree v is on, ascending by
+// cluster id. Do not mutate.
+func (c *Cover) Refs(v graph.NodeID) []Ref { return c.refs[c.refOff[v]:c.refOff[v+1]] }
+
+// FirstRef returns the index of Refs(v)[0] among all the cover's refs, the
+// index RecordStarts' column is by.
+func (c *Cover) FirstRef(v graph.NodeID) int { return int(c.refOff[v]) }
+
+// Children returns the tree children of the node r belongs to, ascending.
+// Do not mutate.
+func (c *Cover) Children(r Ref) []graph.NodeID { return c.kids[r.kid0:r.kid1] }
+
+// RecordStarts lays out rows of one record per ref, as ctree's tables do:
+// a head byte, then bits bits per tree child in whole bytes. col[i] sums
+// the lengths of refs 0..i-1, so v's row spans col[FirstRef(v)] up to
+// col[FirstRef(v)+len(Refs(v))]. Built on the first call for bits and
+// shared after, so modules built one node at a time do not each rebuild it.
+func (c *Cover) RecordStarts(bits int) []int32 {
+	if col, ok := c.layouts.Load(bits); ok {
+		return col.([]int32)
+	}
+	col := make([]int32, len(c.refs)+1)
+	for i, r := range c.refs {
+		col[i+1] = col[i] + 1 + ((r.kid1-r.kid0)*int32(bits)+7)/8
+	}
+	got, _ := c.layouts.LoadOrStore(bits, col)
+	return got.([]int32)
+}
 
 // Home returns a cluster whose member set contains every node within
 // distance D of v (the strengthened covering property of Definition 2.1).
@@ -95,24 +129,12 @@ func (c *Cover) Home(v graph.NodeID) ClusterID { return c.home[v] }
 // Cluster returns the cluster with the given id.
 func (c *Cover) Cluster(id ClusterID) *Cluster { return c.Clusters[id] }
 
-// MaxTreeDepth returns the deepest cluster tree in the cover.
-func (c *Cover) MaxTreeDepth() int {
-	max := 0
-	for _, cl := range c.Clusters {
-		if d := cl.Tree.Depth(); d > max {
-			max = d
-		}
-	}
-	return max
+// Build constructs a sparse d-cover of g by Theorem 4.21. Deterministic.
+func Build(g *graph.Graph, d int) *Cover {
+	return buildMasked(g, d, nil)
 }
 
-// Build constructs a sparse d-cover of the nodes in s (nil = all nodes) by
-// Theorem 4.21. Deterministic.
-func Build(g *graph.Graph, d int, s []graph.NodeID) *Cover {
-	return buildMasked(g, d, s, nil)
-}
-
-// buildMasked constructs the sparse d-cover of the alive nodes of s.
+// buildMasked constructs the sparse d-cover of the alive nodes.
 // alive (nil = no faults) masks the *expansion* only: the base
 // decomposition is computed over the full set — it is fault-independent,
 // which is what lets repair patch a faulted cover incrementally instead
@@ -121,25 +143,15 @@ func Build(g *graph.Graph, d int, s []graph.NodeID) *Cover {
 // whose seeds all died disappear. Separation only improves under a mask
 // (masked distances dominate true distances), so the cover properties
 // hold over the alive subgraph. Deterministic.
-func buildMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Cover {
+func buildMasked(g *graph.Graph, d int, alive []bool) *Cover {
 	if d < 1 {
 		panic(fmt.Sprintf("cover: d must be >= 1, got %d", d))
 	}
 	if alive != nil && len(alive) != g.N() {
 		panic(fmt.Sprintf("cover: alive mask has %d entries for %d nodes", len(alive), g.N()))
 	}
-	dec := decomp.Build(g, 2*d+1, s)
-	inS := make([]bool, g.N())
-	if s == nil {
-		for i := range inS {
-			inS[i] = true
-		}
-	} else {
-		for _, v := range s {
-			inS[v] = true
-		}
-	}
-	cov := &Cover{D: d, g: g, dec: dec, inS: inS, alive: alive}
+	dec := decomp.Build(g, 2*d+1, nil)
+	cov := &Cover{D: d, g: g, dec: dec, alive: alive}
 	// One epoch-stamped BFS scratch serves every cluster expansion.
 	ex := newExpander(g, d)
 	for _, colorClusters := range dec.Colors {
@@ -148,12 +160,12 @@ func buildMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Cover {
 			if len(seeds) == 0 {
 				continue // every seed died; the cluster is gone
 			}
-			cl := ex.expand(dc, inS, alive, seeds)
+			cl := ex.expand(dc, alive, seeds)
 			cl.ID = ClusterID(len(cov.Clusters))
 			cov.Clusters = append(cov.Clusters, cl)
 		}
 	}
-	cov.reindex()
+	cov.reindex(g.N())
 	return cov
 }
 
@@ -172,27 +184,53 @@ func aliveSeeds(members []graph.NodeID, alive []bool) []graph.NodeID {
 	return out
 }
 
-// reindex rebuilds the per-node lookup tables from the cluster list.
-// Clusters are scanned in ascending ID order, so every per-node list
-// comes out ascending; home is written from each cluster's seeds —
-// every covered node seeds exactly one decomposition cluster.
-func (c *Cover) reindex() {
-	n := c.g.N()
-	c.memberOf = make([][]ClusterID, n)
-	c.treeOf = make([][]ClusterID, n)
-	c.home = make([]ClusterID, n)
-	for i := range c.home {
-		c.home[i] = -1
+// reindex builds the per-node columns from the cluster list: one pass
+// counts, one fills. Clusters are scanned in ascending id order, so every
+// node's lists come out ascending. home[v] is the cluster v seeds — every
+// covered node seeds exactly one decomposition cluster — or, in a
+// hand-built cover, the first cluster listing v as a member.
+func (c *Cover) reindex(n int) {
+	c.memberOff, c.refOff = make([]int32, n+1), make([]int32, n+1)
+	kids := 0
+	for i, cl := range c.Clusters {
+		if cl.ID != ClusterID(i) {
+			panic(fmt.Sprintf("cover: cluster %d has ID %d", i, cl.ID))
+		}
+		for _, v := range cl.Members {
+			c.memberOff[v+1]++
+		}
+		for _, v := range cl.Tree.Nodes() {
+			c.refOff[v+1]++
+		}
+		kids += cl.Tree.Size() - 1
 	}
+	for v := range n {
+		c.memberOff[v+1] += c.memberOff[v]
+		c.refOff[v+1] += c.refOff[v]
+	}
+	c.memberIDs, c.refs = make([]ClusterID, c.memberOff[n]), make([]Ref, c.refOff[n])
+	c.kids = make([]graph.NodeID, 0, kids)
+	c.home = slices.Repeat([]ClusterID{-1}, n)
+	memberAt, refAt := slices.Clone(c.memberOff), slices.Clone(c.refOff)
 	for _, cl := range c.Clusters {
 		for _, v := range cl.Members {
-			c.memberOf[v] = append(c.memberOf[v], cl.ID)
+			c.memberIDs[memberAt[v]] = cl.ID
+			memberAt[v]++
 		}
-		for _, tv := range cl.Tree.Nodes() {
-			c.treeOf[tv] = append(c.treeOf[tv], cl.ID)
+		for _, v := range cl.Tree.Nodes() {
+			parent, _ := cl.Tree.ParentOf(v) // -1 at the root
+			kid0 := int32(len(c.kids))
+			c.kids = append(c.kids, cl.Tree.ChildrenOf(v)...)
+			c.refs[refAt[v]] = Ref{ID: cl.ID, Parent: parent, kid0: kid0, kid1: int32(len(c.kids)), Member: cl.Has(v)}
+			refAt[v]++
 		}
 		for _, v := range cl.Seeds {
 			c.home[v] = cl.ID
+		}
+	}
+	for v, h := range c.home {
+		if h < 0 && c.memberOff[v] < c.memberOff[v+1] {
+			c.home[v] = c.memberIDs[c.memberOff[v]]
 		}
 	}
 }
@@ -209,20 +247,17 @@ func newExpander(g *graph.Graph, d int) *expander {
 	return &expander{d: d, bfs: decomp.NewBFSScratch(g)}
 }
 
-// expand grows dc to its d-neighborhood among the alive nodes of s,
+// expand grows dc to its d-neighborhood among the alive nodes,
 // extending the Steiner tree along BFS paths (through alive relay nodes
 // in G). seeds must be dc's alive members, ascending. The cloned base
 // tree keeps dead members and Steiner nodes as nonterminal relics —
 // identically in full builds, masked builds, and repairs, which is what
 // makes repaired clusters byte-equal to from-scratch ones.
-func (ex *expander) expand(dc *decomp.Cluster, inS, alive []bool, seeds []graph.NodeID) *Cluster {
+func (ex *expander) expand(dc *decomp.Cluster, alive []bool, seeds []graph.NodeID) *Cluster {
 	tree := dc.Tree.Clone()
 	visited := ex.bfs.Run(seeds, ex.d, alive)
 	members := append([]graph.NodeID(nil), seeds...)
 	for _, v := range visited[len(seeds):] {
-		if !inS[v] {
-			continue // only cover nodes of the target set
-		}
 		members = append(members, v)
 		ex.attachPath(tree, v)
 	}
@@ -249,28 +284,28 @@ func (ex *expander) attachPath(tree *decomp.Tree, v graph.NodeID) {
 	}
 }
 
-// Layered is a layered sparse d-cover: sparse 2^j-covers for all
-// j in 0..⌈log₂ d⌉ (§2.1).
+// Layered is a layered sparse cover (§2.1): Levels[j] is a sparse
+// 2^j-cover. One taken from a level cache (core.CoverLevels) may leave the
+// levels its reader does not need nil.
 type Layered struct {
-	// Levels[j] is a sparse 2^j-cover.
 	Levels []*Cover
 }
 
-// BuildLayered constructs the layered sparse cover up to radius d.
-func BuildLayered(g *graph.Graph, d int, s []graph.NodeID) *Layered {
-	return BuildLayeredMasked(g, d, s, nil)
+// BuildLayered constructs every level of the layered cover up to radius d.
+func BuildLayered(g *graph.Graph, d int) *Layered {
+	return BuildLayeredMasked(g, d, nil)
 }
 
 // BuildLayeredMasked constructs the layered sparse cover of the alive
-// nodes of s (see buildMasked).
-func BuildLayeredMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *Layered {
+// nodes (see buildMasked).
+func BuildLayeredMasked(g *graph.Graph, d int, alive []bool) *Layered {
 	if d < 1 {
 		panic(fmt.Sprintf("cover: layered d must be >= 1, got %d", d))
 	}
 	var levels []*Cover
 	for j := 0; ; j++ {
 		r := 1 << uint(j)
-		levels = append(levels, buildMasked(g, r, s, alive))
+		levels = append(levels, buildMasked(g, r, alive))
 		if r >= d {
 			break
 		}
@@ -278,13 +313,14 @@ func BuildLayeredMasked(g *graph.Graph, d int, s []graph.NodeID, alive []bool) *
 	return &Layered{Levels: levels}
 }
 
-// Level returns the sparse 2^j-cover; panics when j exceeds what was built.
+// Level returns the sparse 2^j-cover. It panics for a level that was not
+// built: one past MaxLevel, or one a cached Layered left nil.
 func (l *Layered) Level(j int) *Cover {
-	if j < 0 || j >= len(l.Levels) {
-		panic(fmt.Sprintf("cover: level %d not built (have %d)", j, len(l.Levels)))
+	if j < 0 || j >= len(l.Levels) || l.Levels[j] == nil {
+		panic(fmt.Sprintf("cover: level %d not built (have up to %d)", j, len(l.Levels)-1))
 	}
 	return l.Levels[j]
 }
 
-// MaxLevel returns the largest built level index.
+// MaxLevel returns the largest level index.
 func (l *Layered) MaxLevel() int { return len(l.Levels) - 1 }

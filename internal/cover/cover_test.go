@@ -2,6 +2,7 @@ package cover
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -78,12 +79,16 @@ func checkCover(t *testing.T, g *graph.Graph, c *Cover) {
 		}
 	}
 
-	// treeOf ⊇ memberOf.
+	// Refs ⊇ members, and the member flags are exactly the members.
 	for v := 0; v < n; v++ {
-		for _, id := range c.MemberOf(graph.NodeID(v)) {
-			if !contains(c.TreeOf(graph.NodeID(v)), id) {
-				t.Fatalf("node %d member of %d but not in its tree list", v, id)
+		var flagged []ClusterID
+		for _, r := range c.Refs(graph.NodeID(v)) {
+			if r.Member {
+				flagged = append(flagged, r.ID)
 			}
+		}
+		if !slices.Equal(flagged, c.MemberOf(graph.NodeID(v))) {
+			t.Fatalf("node %d: member refs %v, members %v", v, flagged, c.MemberOf(graph.NodeID(v)))
 		}
 	}
 }
@@ -127,7 +132,7 @@ func TestCoverFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkCover(t, tc.g, Build(tc.g, tc.d, nil))
+			checkCover(t, tc.g, Build(tc.g, tc.d))
 		})
 	}
 }
@@ -136,7 +141,7 @@ func TestCoverFamilies(t *testing.T) {
 // cluster.
 func TestPairCovering(t *testing.T) {
 	g := graph.Grid(6, 6)
-	c := Build(g, 2, nil)
+	c := Build(g, 2)
 	for u := 0; u < g.N(); u++ {
 		du := g.BFS(graph.NodeID(u))
 		for v := u + 1; v < g.N(); v++ {
@@ -157,42 +162,9 @@ func TestPairCovering(t *testing.T) {
 	}
 }
 
-func TestCoverOnSubset(t *testing.T) {
-	g := graph.Grid(8, 8)
-	// Only the left half is "alive".
-	var s []graph.NodeID
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			s = append(s, graph.NodeID(r*8+c))
-		}
-	}
-	cov := Build(g, 3, s)
-	inS := make(map[graph.NodeID]bool)
-	for _, v := range s {
-		inS[v] = true
-	}
-	for _, cl := range cov.Clusters {
-		for _, v := range cl.Members {
-			if !inS[v] {
-				t.Fatalf("cover cluster contains non-subset node %d", v)
-			}
-		}
-	}
-	// Every subset node still has a home covering its subset-restricted
-	// d-ball (distances in G).
-	for _, v := range s {
-		cl := cov.Cluster(cov.Home(v))
-		for _, u := range g.Ball(v, 3) {
-			if inS[u] && !cl.Has(u) {
-				t.Fatalf("home of %d misses subset node %d", v, u)
-			}
-		}
-	}
-}
-
 func TestLayered(t *testing.T) {
 	g := graph.Grid(6, 6)
-	l := BuildLayered(g, 8, nil)
+	l := BuildLayered(g, 8)
 	if l.MaxLevel() != 3 {
 		t.Fatalf("MaxLevel = %d, want 3 (covers 1,2,4,8)", l.MaxLevel())
 	}
@@ -206,7 +178,7 @@ func TestLayered(t *testing.T) {
 }
 
 func TestLayeredLevelPanics(t *testing.T) {
-	l := BuildLayered(graph.Path(8), 2, nil)
+	l := BuildLayered(graph.Path(8), 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range level")
@@ -215,17 +187,9 @@ func TestLayeredLevelPanics(t *testing.T) {
 	l.Level(10)
 }
 
-func TestMaxTreeDepth(t *testing.T) {
-	g := graph.Path(32)
-	c := Build(g, 4, nil)
-	if c.MaxTreeDepth() <= 0 {
-		t.Fatal("MaxTreeDepth must be positive for a path cover")
-	}
-}
-
 func TestCoverDeterminism(t *testing.T) {
 	g := graph.RandomConnected(50, 110, 31)
-	a, b := Build(g, 3, nil), Build(g, 3, nil)
+	a, b := Build(g, 3), Build(g, 3)
 	if len(a.Clusters) != len(b.Clusters) {
 		t.Fatal("cluster counts differ")
 	}

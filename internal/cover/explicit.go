@@ -14,30 +14,8 @@ import (
 // a member; callers are responsible for the covering property if they rely
 // on it.
 func NewExplicit(n, d int, clusters []*Cluster) *Cover {
-	cov := &Cover{
-		D:        d,
-		Clusters: clusters,
-		memberOf: make([][]ClusterID, n),
-		treeOf:   make([][]ClusterID, n),
-		home:     make([]ClusterID, n),
-	}
-	for i := range cov.home {
-		cov.home[i] = -1
-	}
-	for i, cl := range clusters {
-		if cl.ID != ClusterID(i) {
-			panic(fmt.Sprintf("cover: explicit cluster %d has ID %d", i, cl.ID))
-		}
-		for _, v := range cl.Members {
-			cov.memberOf[v] = append(cov.memberOf[v], cl.ID)
-			if cov.home[v] < 0 {
-				cov.home[v] = cl.ID
-			}
-		}
-		for _, tv := range cl.Tree.Nodes() {
-			cov.treeOf[tv] = append(cov.treeOf[tv], cl.ID)
-		}
-	}
+	cov := &Cover{D: d, Clusters: clusters}
+	cov.reindex(n)
 	return cov
 }
 

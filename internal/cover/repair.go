@@ -73,7 +73,7 @@ func repair(base *Cover, faulted []graph.NodeID) (*Cover, RepairStats) {
 	dirty := decomp.NewBFSScratch(g)
 	dirty.Run(eff, base.D, base.alive)
 
-	out := &Cover{D: base.D, g: g, dec: base.dec, inS: base.inS, alive: newAlive}
+	out := &Cover{D: base.D, g: g, dec: base.dec, alive: newAlive}
 	ex := newExpander(g, base.D)
 	cursor := 0
 	for _, colorClusters := range base.dec.Colors {
@@ -108,13 +108,13 @@ func repair(base *Cover, faulted []graph.NodeID) (*Cover, RepairStats) {
 				st.Dropped++
 				continue
 			}
-			cl := ex.expand(dc, base.inS, newAlive, seeds)
+			cl := ex.expand(dc, newAlive, seeds)
 			cl.ID = ClusterID(len(out.Clusters))
 			out.Clusters = append(out.Clusters, cl)
 			st.Rebuilt++
 		}
 	}
-	out.reindex()
+	out.reindex(g.N())
 	return out, st
 }
 

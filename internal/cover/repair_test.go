@@ -56,7 +56,7 @@ func TestRepairGolden(t *testing.T) {
 		for seed := uint64(1); seed <= 2; seed++ {
 			t.Run(tc.name, func(t *testing.T) {
 				n := tc.g.N()
-				base := Build(tc.g, tc.d, nil)
+				base := Build(tc.g, tc.d)
 				faulted := faultPick(n, tc.faults, seed)
 				rep, st := repair(base, faulted)
 				if st.Faulted != tc.faults {
@@ -69,7 +69,7 @@ func TestRepairGolden(t *testing.T) {
 				if st.Rebuilt+st.Dropped != st.Dirty {
 					t.Fatalf("rebuilt %d + dropped %d != dirty %d", st.Rebuilt, st.Dropped, st.Dirty)
 				}
-				scratch := buildMasked(tc.g, tc.d, nil, aliveMask(n, faulted))
+				scratch := buildMasked(tc.g, tc.d, aliveMask(n, faulted))
 				if !reflect.DeepEqual(rep, scratch) {
 					t.Fatalf("repaired cover differs from from-scratch masked build (%d vs %d clusters)",
 						len(rep.Clusters), len(scratch.Clusters))
@@ -85,13 +85,13 @@ func TestRepairGolden(t *testing.T) {
 func TestRepairChainedGolden(t *testing.T) {
 	g := graph.Grid(9, 11)
 	n := g.N()
-	base := Build(g, 2, nil)
+	base := Build(g, 2)
 	r1 := faultPick(n, 4, 3)
 	rep1, _ := repair(base, r1)
 	r2 := faultPick(n, 4, 9)
 	rep2, st := repair(rep1, r2)
 	all := append(append([]graph.NodeID(nil), r1...), r2...)
-	scratch := buildMasked(g, 2, nil, aliveMask(n, all))
+	scratch := buildMasked(g, 2, aliveMask(n, all))
 	if !reflect.DeepEqual(rep2, scratch) {
 		t.Fatalf("chained repair differs from from-scratch build")
 	}
@@ -112,13 +112,13 @@ func TestRepairChainedGolden(t *testing.T) {
 func TestRepairLayeredGolden(t *testing.T) {
 	g := graph.Grid(8, 8)
 	n := g.N()
-	base := BuildLayered(g, 4, nil)
+	base := BuildLayered(g, 4)
 	faulted := faultPick(n, 3, 5)
 	rep, stats := RepairLayered(base, faulted)
 	if len(stats) != len(base.Levels) {
 		t.Fatalf("stats for %d levels, want %d", len(stats), len(base.Levels))
 	}
-	scratch := BuildLayeredMasked(g, 4, nil, aliveMask(n, faulted))
+	scratch := BuildLayeredMasked(g, 4, aliveMask(n, faulted))
 	if !reflect.DeepEqual(rep, scratch) {
 		t.Fatalf("repaired layered cover differs from from-scratch build")
 	}
@@ -129,7 +129,7 @@ func TestRepairLayeredGolden(t *testing.T) {
 // certificate.
 func TestRepairIsIncremental(t *testing.T) {
 	g := graph.Path(256)
-	base := Build(g, 2, nil)
+	base := Build(g, 2)
 	_, st := repair(base, []graph.NodeID{17})
 	if st.Reused == 0 {
 		t.Fatalf("single fault rebuilt every one of %d clusters", len(base.Clusters))
@@ -144,7 +144,7 @@ func TestRepairIsIncremental(t *testing.T) {
 // cover itself, all clusters reused.
 func TestRepairNoOp(t *testing.T) {
 	g := graph.Path(32)
-	base := Build(g, 2, nil)
+	base := Build(g, 2)
 	rep1, _ := repair(base, []graph.NodeID{5})
 	rep2, st := repair(rep1, []graph.NodeID{5, 5})
 	if rep2 != rep1 {
@@ -163,7 +163,7 @@ func TestMaskedCoverProperties(t *testing.T) {
 	n := g.N()
 	faulted := faultPick(n, 6, 11)
 	alive := aliveMask(n, faulted)
-	cov := buildMasked(g, 2, nil, alive)
+	cov := buildMasked(g, 2, alive)
 	for v := 0; v < n; v++ {
 		if !alive[v] {
 			if cov.Home(graph.NodeID(v)) != -1 {

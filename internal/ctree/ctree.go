@@ -6,12 +6,12 @@
 // A session gets a compact slot on first sight (never its raw id — the
 // synchronizer's sessions are sparse in id space), slot s owns row
 // Rows[s*stride:(s+1)*stride], and a row holds one record per cluster tree
-// the node is on, in cov.TreeOf(me) order. A record is a head byte followed
-// by whatever the module keeps per tree child; its length comes from the
-// Level. Cloning a table is two copies, and a snapshot is the session table
-// and the rows as they stand. Code addresses records by offset and never
-// holds a sub-slice across a callback: callbacks can open sessions, which
-// grows Rows.
+// the node is on, in cov.Refs(me) order. A record is a head byte followed
+// by whatever the module keeps per tree child. The refs and the record
+// offsets are the cover's, read in place, and a snapshot is the session
+// table and the rows as they stand. Code addresses records by offset and
+// never holds a sub-slice across a callback: callbacks can open sessions,
+// which grows Rows.
 package ctree
 
 import (
@@ -25,16 +25,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Tree is the node's place on one cluster tree, resolved once at bind so no
-// event searches the cluster tree again.
-type Tree struct {
-	ID       cover.ClusterID
-	Off      int32          // record offset in a row
-	Member   bool           // the node is a member (terminal) of the cluster
-	Parent   graph.NodeID   // -1 at the root
-	Children []graph.NodeID // ascending; the cluster tree's own storage
-}
-
 // Session is one slot of the session table: the session id and the
 // module's per-session record S.
 type Session[S any] struct {
@@ -43,64 +33,53 @@ type Session[S any] struct {
 }
 
 // Level is the configuration every node's table on one cover level shares,
-// and the slabs those tables carve from: the tree refs at bind, and the
-// session tables and rows as they grow. A module keeps one Level per cover
-// level, behind one pointer, and never copies it per node.
+// and the slabs those tables grow their session tables and rows from. A
+// module keeps one Level per cover level, behind one pointer, and never
+// copies it per node.
 type Level[S any] struct {
 	Proto   async.Proto
 	Cov     *cover.Cover
 	StageOf func(session int) int // link scheduling stage of a session (Lemma 2.5); nil for zero
-	// RecLen is the record length of a tree node with that many children.
-	RecLen func(children int) int
+	// ChildBits is what a record keeps per tree child: a record is a head
+	// byte, then ChildBits bits per child in whole bytes.
+	ChildBits int
 	// RootHead is the head byte of a fresh record at the cluster root
 	// (every other fresh record is zero).
 	RootHead uint8
 	// Rec codes S after the session id; nil for none.
 	Rec func(*wire.Coder, *S)
 
-	trees slab.Slab[Tree]
-	bytes slab.Slab[byte]
-	sess  slab.Slab[Session[S]]
+	starts []int32 // Cov.RecordStarts(ChildBits)
+	bytes  slab.Slab[byte]
+	sess   slab.Slab[Session[S]]
 }
 
-// NewTable returns an unbound table on lv.
-func (lv *Level[S]) NewTable() Table[S] { return Table[S]{lv: lv} }
+// NewTable returns an unbound table on lv, fixing lv's record layout.
+func (lv *Level[S]) NewTable() Table[S] {
+	lv.starts = lv.Cov.RecordStarts(lv.ChildBits)
+	return Table[S]{lv: lv, me: -1}
+}
 
 // Table is one node's sessions × cluster-tree records on one cover.
 type Table[S any] struct {
 	lv      *Level[S]
-	me      graph.NodeID
-	bound   bool
-	stride  int32 // row length in bytes
-	Members int32 // len(cov.MemberOf(me))
-	Trees   []Tree
+	me      graph.NodeID // -1 until bound
+	first   int32        // index of Trees[0] among the cover's refs
+	stride  int32        // row length in bytes
+	Members int32        // len(cov.MemberOf(me))
+	Trees   []cover.Ref  // cov.Refs(me), read in place
 	Sess    []Session[S] // by slot, in first-sight order
 	Rows    []byte       // len(Sess) rows
 }
 
-// Bind fixes the node the table serves and derives its tree refs into the
-// level's slabs. The engine binds each handler once, when it builds it.
+// Bind fixes the node the table serves and points it at the node's refs on
+// the cover. The engine binds each handler once, when it builds it.
 func (t *Table[S]) Bind(me graph.NodeID) {
-	t.bound, t.me = true, me
-	ids := t.lv.Cov.TreeOf(me)
-	member := t.lv.Cov.MemberOf(me)
-	t.Members = int32(len(member))
-	t.Trees = t.lv.trees.Carve(len(ids))
-	stride := 0
-	for _, cid := range ids {
-		cl := t.lv.Cov.Cluster(cid)
-		tr := Tree{ID: cid, Off: int32(stride), Parent: -1, Children: cl.ChildrenOf(me)}
-		if len(member) > 0 && member[0] == cid { // both lists ascend
-			tr.Member = true
-			member = member[1:]
-		}
-		if cl.Root != me {
-			tr.Parent, _ = cl.ParentOf(me)
-		}
-		t.Trees = append(t.Trees, tr)
-		stride += t.lv.RecLen(len(tr.Children))
-	}
-	t.stride = int32(stride)
+	cov := t.lv.Cov
+	t.me, t.Trees = me, cov.Refs(me)
+	t.first = int32(cov.FirstRef(me))
+	t.Members = int32(len(cov.MemberOf(me)))
+	t.stride = t.lv.starts[int(t.first)+len(t.Trees)] - t.lv.starts[t.first]
 }
 
 // Me returns the node the table is bound to.
@@ -130,9 +109,9 @@ func (t *Table[S]) Slot(session int) int {
 	t.Rows = t.lv.bytes.Grow(t.Rows, stride)[:n+stride]
 	clear(t.Rows[n:])
 	if t.lv.RootHead != 0 {
-		for _, tr := range t.Trees {
+		for ci, tr := range t.Trees {
 			if tr.Parent < 0 {
-				t.Rows[n+int(tr.Off)] = t.lv.RootHead
+				t.Rows[n+t.off(ci)] = t.lv.RootHead
 			}
 		}
 	}
@@ -165,12 +144,21 @@ func (t *Table[S]) Recv(b wire.Body) (slot, ci int) {
 	return t.Open(cover.ClusterID(b.A), int(b.B))
 }
 
+// off returns tree ci's record offset in a row.
+func (t *Table[S]) off(ci int) int {
+	return int(t.lv.starts[int(t.first)+ci] - t.lv.starts[t.first])
+}
+
 // At returns the offset of (slot, ci)'s record in Rows.
-func (t *Table[S]) At(slot, ci int) int { return slot*int(t.stride) + int(t.Trees[ci].Off) }
+func (t *Table[S]) At(slot, ci int) int { return slot*int(t.stride) + t.off(ci) }
+
+// Children returns the node's children on tree ci, ascending: the cover's
+// own storage.
+func (t *Table[S]) Children(ci int) []graph.NodeID { return t.lv.Cov.Children(t.Trees[ci]) }
 
 // Child returns child's position in tree ci's children.
 func (t *Table[S]) Child(ci int, child graph.NodeID) int {
-	i, ok := slices.BinarySearch(t.Trees[ci].Children, child)
+	i, ok := slices.BinarySearch(t.Children(ci), child)
 	if !ok {
 		panic(fmt.Sprintf("ctree: node %d heard from non-child %d in cluster %d", t.me, child, t.Trees[ci].ID))
 	}
@@ -208,7 +196,7 @@ func (t *Table[S]) State(c *wire.Coder) {
 			t.lv.Rec(c, &s.Rec)
 		}
 	})
-	if c.Loading() && len(t.Sess) > 0 && !t.bound {
+	if c.Loading() && len(t.Sess) > 0 && t.me < 0 {
 		c.Fail("ctree: state for %d sessions loaded into a table that does not know its node", len(t.Sess))
 	}
 	c.Raw(&t.Rows, len(t.Sess)*int(t.stride), &t.lv.bytes)

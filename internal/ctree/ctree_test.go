@@ -16,7 +16,7 @@ func starLevel(leaves int) *Level[struct{}] {
 		panic(err)
 	}
 	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, 0)})
-	return &Level[struct{}]{Cov: cov, RecLen: func(children int) int { return 1 + children }}
+	return &Level[struct{}]{Cov: cov, ChildBits: 8}
 }
 
 // TestPayloadCodecRoundTrips: every kind a module sends resolves, through

@@ -29,7 +29,7 @@ func (p *bodyProbe) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	if slot < 0 || ci < 0 || s != 0 {
 		p.tb.Fatalf("node %d: kind %d body (cluster %d, session %d) resolved to slot %d, tree %d", n.ID(), b.Kind, c, s, slot, ci)
 	}
-	if tr := tab.Trees[ci]; tr.Parent != from && !slices.Contains(tr.Children, from) {
+	if tr := tab.Trees[ci]; tr.Parent != from && !slices.Contains(tab.Children(ci), from) {
 		p.tb.Fatalf("node %d: kind %d body names cluster %d, whose tree does not join it to sender %d", n.ID(), b.Kind, c, from)
 	}
 	p.kinds[b.Kind]++
@@ -41,7 +41,7 @@ func (p *bodyProbe) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 // receiver to the cluster and session it names.
 func TestPayloadCodecRoundTrips(t *testing.T) {
 	g := graph.Path(20)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	w := &world{}
 	kinds, clusters := map[wire.Kind]int{}, map[cover.ClusterID]bool{}
 	sim := async.New(g, async.SeededRandom{Seed: 2}, func(id graph.NodeID) async.Handler {

@@ -82,15 +82,15 @@ var _ async.Rebinder = (*Module)(nil)
 // A run that hosts the module on many nodes builds them as copies of one
 // New value, taken before any of them is bound: the copies share its
 // callbacks — which tell the nodes apart by the *async.Node each call
-// carries — and its slabs, from which each copy binds its node's layout
-// and grows its rows. The run then allocates module state per run, not
-// per node.
+// carries — and its slabs, from which each copy grows its rows (the row
+// layout is the cover's, read in place). The run then allocates module
+// state per run, not per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
 	lv := &level{cb: cb}
 	lv.Level = ctree.Level[session]{
 		Proto: proto, Cov: cov, StageOf: stageOf,
-		RecLen: func(children int) int { return 1 + (children+7)/8 },
-		Rec:    sessionState,
+		ChildBits: 1, // one childDone bit per child
+		Rec:       sessionState,
 	}
 	return &Module{lv: lv, t: lv.NewTable()}
 }
@@ -175,7 +175,7 @@ func (m *Module) maybeReport(n *async.Node, slot, ci int) {
 		return
 	}
 	t := &m.t.Trees[ci]
-	for i := range t.Children {
+	for i := range m.t.Children(ci) {
 		if m.t.Rows[r+1+i/8]&(1<<uint(i%8)) == 0 {
 			return
 		}
@@ -197,7 +197,7 @@ func (m *Module) confirm(n *async.Node, slot, ci int) {
 	}
 	m.t.Rows[r] |= fConfirmed
 	t := &m.t.Trees[ci]
-	for _, ch := range t.Children {
+	for _, ch := range m.t.Children(ci) {
 		m.t.Send(n, ch, kindConfirmDown, slot, ci)
 	}
 	if t.Member {

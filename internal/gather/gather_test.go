@@ -89,7 +89,7 @@ func (c *gclient) NeighborhoodDone(n *async.Node, session int) {
 
 func runGather(t *testing.T, g *graph.Graph, d int, adv async.Adversary) *world {
 	t.Helper()
-	cov := cover.Build(g, d, nil)
+	cov := cover.Build(g, d)
 	w := &world{}
 	sim := async.New(g, adv, func(id graph.NodeID) async.Handler {
 		cl := &gclient{w: w}
@@ -153,7 +153,7 @@ func TestGatherTheorem31(t *testing.T) {
 func TestGatherMessageBound(t *testing.T) {
 	g := graph.Grid(7, 7)
 	d := 2
-	cov := cover.Build(g, d, nil)
+	cov := cover.Build(g, d)
 	w := &world{}
 	sim := async.New(g, async.Fixed{D: 1}, func(id graph.NodeID) async.Handler {
 		cl := &gclient{w: w}
@@ -184,7 +184,7 @@ type chainWorld struct {
 func TestGatherChainTheorem32(t *testing.T) {
 	g := graph.Path(40)
 	d, l := 2, 3
-	cov := cover.Build(g, d, nil)
+	cov := cover.Build(g, d)
 	w := &world{}
 	sim := async.New(g, async.SeededRandom{Seed: 5}, func(id graph.NodeID) async.Handler {
 		cl := &gclient{w: w, useChain: true}
@@ -212,7 +212,7 @@ func TestGatherChainTheorem32(t *testing.T) {
 func TestGatherChainAdversaries(t *testing.T) {
 	g := graph.Grid(5, 5)
 	d, l := 1, 4
-	cov := cover.Build(g, d, nil)
+	cov := cover.Build(g, d)
 	for _, adv := range async.StandardAdversaries(g.N(), 2) {
 		w := &world{}
 		sim := async.New(g, adv, func(id graph.NodeID) async.Handler {
@@ -240,7 +240,7 @@ func TestGatherChainAdversaries(t *testing.T) {
 
 func TestDoneQuery(t *testing.T) {
 	g := graph.Path(6)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	var mods []*Module
 	w := &world{}
 	sim := async.New(g, async.Fixed{D: 1}, func(id graph.NodeID) async.Handler {

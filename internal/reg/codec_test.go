@@ -30,7 +30,7 @@ func (p *bodyProbe) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	if slot < 0 || ci < 0 {
 		p.tb.Fatalf("node %d: kind %d body (cluster %d, session %d) resolved to slot %d, tree %d", n.ID(), b.Kind, c, s, slot, ci)
 	}
-	if tr := tab.Trees[ci]; tr.Parent != from && !slices.Contains(tr.Children, from) {
+	if tr := tab.Trees[ci]; tr.Parent != from && !slices.Contains(tab.Children(ci), from) {
 		p.tb.Fatalf("node %d: kind %d body names cluster %d, whose tree does not join it to sender %d", n.ID(), b.Kind, c, from)
 	}
 	p.kinds[b.Kind]++
@@ -43,7 +43,7 @@ func (p *bodyProbe) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 // receives resolves on the receiver to the cluster and session it names.
 func TestPayloadCodecRoundTrips(t *testing.T) {
 	g := graph.Path(20)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	sessions := []int{3, 1 << 40}
 	w := &world{}
 	kinds, clusters, seen := map[wire.Kind]int{}, map[cover.ClusterID]bool{}, map[int]bool{}

@@ -156,7 +156,7 @@ func (m *NaiveModule) handleReg(n *async.Node, p naivePayload, st *naiveState) {
 		}
 		return
 	}
-	par, _ := cl.ParentOf(n.ID())
+	par, _ := cl.Tree.ParentOf(n.ID())
 	m.send(n, par, p)
 }
 
@@ -172,7 +172,7 @@ func (m *NaiveModule) handleDereg(n *async.Node, p naivePayload, st *naiveState)
 		m.rootCheckGo(n, p, st)
 		return
 	}
-	par, _ := cl.ParentOf(n.ID())
+	par, _ := cl.Tree.ParentOf(n.ID())
 	m.send(n, par, p)
 }
 
@@ -229,7 +229,7 @@ func (m *NaiveModule) nextHopDown(n *async.Node, p naivePayload) graph.NodeID {
 	cl := m.cov.Cluster(p.Cluster)
 	v := p.Origin
 	for {
-		par, ok := cl.ParentOf(v)
+		par, ok := cl.Tree.ParentOf(v)
 		if !ok {
 			panic(fmt.Sprintf("reg: naive route-down from %d missed origin %d", n.ID(), p.Origin))
 		}

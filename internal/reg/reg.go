@@ -73,7 +73,7 @@ type Callbacks interface {
 
 // Record layout of one (session, cluster): a head byte — the local client
 // state in the low bits plus the three flags below — followed by one
-// edgeMark byte per tree child, in ChildrenOf(me) order.
+// edgeMark byte per tree child, in ctree.Table.Children order.
 const (
 	localMask uint8 = 0x07
 	fFinished uint8 = 0x08
@@ -122,15 +122,15 @@ var _ async.Rebinder = (*Module)(nil)
 // A run that hosts the module on many nodes builds them as copies of one
 // New value, taken before any of them is bound: the copies share its
 // callbacks — which tell the nodes apart by the *async.Node each call
-// carries — and its slabs, from which each copy binds its node's layout
-// and grows its rows. The run then allocates module state per run, not
-// per node.
+// carries — and its slabs, from which each copy grows its rows (the row
+// layout is the cover's, read in place). The run then allocates module
+// state per run, not per node.
 func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
 	lv := &level{cb: cb}
 	lv.Level = ctree.Level[struct{}]{
 		Proto: proto, Cov: cov, StageOf: stageOf,
-		RecLen:   func(children int) int { return 1 + children },
-		RootHead: uint8(idle) | fFinished, // the root is always finished
+		ChildBits: 8,                       // one edgeMark byte per child
+		RootHead:  uint8(idle) | fFinished, // the root is always finished
 	}
 	return &Module{lv: lv, t: lv.NewTable()}
 }
@@ -164,7 +164,7 @@ func (m *Module) anyDirty(r, ci int) bool {
 
 // marks returns record r's child-edge marks; valid until the rows next grow.
 func (m *Module) marks(r, ci int) []byte {
-	return m.t.Rows[r+1 : r+1+len(m.t.Trees[ci].Children)]
+	return m.t.Rows[r+1 : r+1+len(m.t.Children(ci))]
 }
 
 func (m *Module) isRoot(ci int) bool { return m.t.Trees[ci].Parent < 0 }
@@ -318,7 +318,7 @@ func (m *Module) runG(n *async.Node, slot, ci int) {
 		m.lv.cb.GoAhead(n, m.t.Trees[ci].ID, m.t.Sess[slot].ID)
 	}
 	r := m.t.At(slot, ci) // the callback may have grown the rows
-	children := m.t.Trees[ci].Children
+	children := m.t.Children(ci)
 	for i, mark := range m.marks(r, ci) {
 		if edgeMark(mark) == markWaiting {
 			m.t.Rows[r+1+i] = uint8(markNone)

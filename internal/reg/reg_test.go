@@ -218,7 +218,7 @@ func allMembersSessions(cov *cover.Cover, n int) map[graph.NodeID]map[int][]cove
 
 func TestWaveRegistrationAllAdversaries(t *testing.T) {
 	g := graph.Grid(5, 6)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	sessions := allMembersSessions(cov, g.N())
 	for _, adv := range async.StandardAdversaries(g.N(), 3) {
 		t.Run(adv.Name(), func(t *testing.T) {
@@ -229,7 +229,7 @@ func TestWaveRegistrationAllAdversaries(t *testing.T) {
 
 func TestWaveRegistrationSeedSweep(t *testing.T) {
 	g := graph.RandomConnected(40, 90, 8)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	sessions := allMembersSessions(cov, g.N())
 	for seed := uint64(1); seed <= 12; seed++ {
 		runScenario(t, g, cov, sessions, async.SeededRandom{Seed: seed}, false)
@@ -238,7 +238,7 @@ func TestWaveRegistrationSeedSweep(t *testing.T) {
 
 func TestWaveMultiSession(t *testing.T) {
 	g := graph.Path(20)
-	cov := cover.Build(g, 2, nil)
+	cov := cover.Build(g, 2)
 	sessions := make(map[graph.NodeID]map[int][]cover.ClusterID)
 	for v := 0; v < g.N(); v++ {
 		ids := cov.MemberOf(graph.NodeID(v))

@@ -40,7 +40,7 @@ func (m *Module) state(c *wire.Coder) {
 		case iv.ord < 0 || int(iv.ord) >= records:
 			c.Fail("reg: invoker on record %d of %d", iv.ord, records)
 		default:
-			if _, ok := slices.BinarySearch(m.t.Trees[int(iv.ord)%len(m.t.Trees)].Children, iv.child); !ok {
+			if _, ok := slices.BinarySearch(m.t.Children(int(iv.ord)%len(m.t.Trees)), iv.child); !ok {
 				c.Fail("reg: invoker %d is no child on record %d", iv.child, iv.ord)
 			}
 		}

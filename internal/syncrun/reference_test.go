@@ -134,7 +134,7 @@ func refApps(g *graph.Graph) map[string]func() (*graph.Graph, func(graph.NodeID)
 			}
 		},
 		"leader": func() (*graph.Graph, func(graph.NodeID) syncrun.Handler) {
-			layered := cover.BuildLayered(g, max(g.Diameter(), 1), nil)
+			layered := cover.BuildLayered(g, max(g.Diameter(), 1))
 			spans := apps.LeaderSpansAll(g, layered)
 			return g, func(graph.NodeID) syncrun.Handler {
 				return &apps.Leader{Covers: layered, SpansAll: spans}
