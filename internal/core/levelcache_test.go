@@ -70,4 +70,9 @@ func TestCoverLevelsShared(t *testing.T) {
 	}
 	wg.Wait()
 	checkShared(got...)
+	for i, b := range bounds {
+		if top := core.NewSchedule(b).MaxCoverLevel; got[i].MaxLevel() != top {
+			t.Errorf("bound %d: covers reach level %d, the schedule's top is %d", b, got[i].MaxLevel(), top)
+		}
+	}
 }

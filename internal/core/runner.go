@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/async"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/pulse"
 	"repro/internal/syncrun"
 )
 
@@ -99,13 +101,18 @@ func CoverLevels(g *graph.Graph, lo, hi int) *cover.Layered {
 }
 
 // BuildLayeredFor returns the cover levels the synchronizer needs for pulse
-// bound b on g: firstCoverLevel up to ℓ(b)+5, the only ones a pulse
-// registers on, from the level cache. Building them is the synchronizer's
-// initialization (§4.6 / Theorem 4.22 do it asynchronously; this
-// implementation builds them centrally and reports their cost separately —
-// see DESIGN.md).
+// bound b on g, from the level cache: firstCoverLevel up to the highest
+// ℓ(p)+5 over p in [1, b], the only ones a pulse registers on. Building them
+// is the synchronizer's initialization (§4.6 / Theorem 4.22 do it
+// asynchronously; this implementation builds them centrally and reports
+// their cost separately — see DESIGN.md).
 func BuildLayeredFor(g *graph.Graph, b int) *cover.Layered {
-	return CoverLevels(g, firstCoverLevel, NewSchedule(b).MaxCoverLevel)
+	if b < 1 {
+		panic(fmt.Sprintf("core: pulse bound must be >= 1, got %d", b))
+	}
+	// ℓ(p) is p's count of trailing zero bits, highest at the largest power
+	// of two up to b.
+	return CoverLevels(g, firstCoverLevel, pulse.CoverLevel(1<<(bits.Len(uint(b))-1)))
 }
 
 // Synchronize runs the synchronous algorithm produced by mk under the
