@@ -285,7 +285,7 @@ func NewLeaderElection(g *Graph) (func(NodeID) Algorithm, int) {
 // NewMST returns the Borůvka-style MST algorithm plus its pulse bound.
 // Edge weights must be distinct (WithRandomWeights).
 func NewMST(g *Graph) (func(NodeID) Algorithm, int) {
-	tree := cover.BFSTreeCluster(g, 0)
+	tree := cover.BFSTree(g, 0)
 	weights := make([]int64, g.M())
 	for i := range weights {
 		weights[i] = g.Weight(graph.EdgeID(i))

@@ -75,7 +75,7 @@ func TestCorollary13AsyncLeaderElection(t *testing.T) {
 // Corollary 1.4, with the documented Borůvka substitution for Elkin'20).
 func TestCorollary14AsyncMST(t *testing.T) {
 	g := graph.WithRandomWeights(graph.RandomConnected(24, 60, 3), 9)
-	tree := cover.BFSTreeCluster(g, 0)
+	tree := cover.BFSTree(g, 0)
 	weights := make([]int64, g.M())
 	for i := range weights {
 		weights[i] = g.Weight(graph.EdgeID(i))

@@ -125,7 +125,7 @@ func TestLeaderComplexityShape(t *testing.T) {
 }
 
 func mkMST(g *graph.Graph) func(graph.NodeID) syncrun.Handler {
-	tree := cover.BFSTreeCluster(g, 0)
+	tree := cover.BFSTree(g, 0)
 	weights := make([]int64, g.M())
 	for i := range weights {
 		weights[i] = g.Weight(graph.EdgeID(i))

@@ -147,31 +147,32 @@ func (h *Leader) maybeReport(n syncrun.API, level int, cid cover.ClusterID, st *
 	if st.sent || !st.began {
 		return
 	}
-	cl := h.Covers.Level(level).Cluster(cid)
-	if st.reports < len(cl.Tree.ChildrenOf(n.ID())) {
+	cov := h.Covers.Level(level)
+	r := cov.Ref(n.ID(), cid)
+	if st.reports < len(cov.Children(r)) {
 		return
 	}
 	st.sent = true
-	if cl.Root == n.ID() {
+	if r.Parent < 0 {
 		h.deliverVerdict(n, leadDown{
 			Level: level, Cluster: cid, Min: st.minSeen,
 			IsLeader: h.SpansAll[level][cid],
 		})
 		return
 	}
-	par, _ := cl.Tree.ParentOf(n.ID())
-	h.out.Send(par, encLeadUp(leadUp{Level: level, Cluster: cid, Min: st.minSeen}))
+	h.out.Send(r.Parent, encLeadUp(leadUp{Level: level, Cluster: cid, Min: st.minSeen}))
 }
 
 // deliverVerdict handles the broadcast at one tree node: forward to tree
 // children, consume locally, and advance the epoch when every member
 // cluster of the current level has reported its verdict.
 func (h *Leader) deliverVerdict(n syncrun.API, v leadDown) {
-	cl := h.Covers.Level(v.Level).Cluster(v.Cluster)
-	for _, ch := range cl.Tree.ChildrenOf(n.ID()) {
+	cov := h.Covers.Level(v.Level)
+	r := cov.Ref(n.ID(), v.Cluster)
+	for _, ch := range cov.Children(r) {
 		h.out.Send(ch, encLeadDown(v))
 	}
-	if !cl.Has(n.ID()) {
+	if !r.Member {
 		return // pure relay
 	}
 	h.entry(v.Level, v.Cluster).verdictIn = true
@@ -185,7 +186,6 @@ func (h *Leader) deliverVerdict(n syncrun.API, v leadDown) {
 	if h.done || v.Level != h.epoch {
 		return
 	}
-	cov := h.Covers.Level(v.Level)
 	for _, cid := range cov.MemberOf(n.ID()) {
 		if !h.entry(v.Level, cid).verdictIn {
 			return

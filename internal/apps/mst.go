@@ -28,9 +28,10 @@ import (
 // mixed-phase traffic. A fragment whose MOE search finds no outgoing edge
 // spans the graph: every node outputs and the algorithm quiesces.
 type MST struct {
-	// Barrier is the global BFS-tree used for phase barriers (built once,
-	// like β's tree; its construction is initialization).
-	Barrier *cover.Cluster
+	// Barrier is the global BFS tree, a one-cluster cover, used for phase
+	// barriers (built once, like β's tree; its construction is
+	// initialization).
+	Barrier *cover.Cover
 	// Weights maps edge IDs to weights (local knowledge: a node only ever
 	// reads its incident edges). Weights must be distinct.
 	Weights []int64
@@ -202,12 +203,13 @@ func (h *MST) maybeBarrierReport(n syncrun.API, seq int) {
 	if b.sent || !b.ready || !h.out.Empty() {
 		return
 	}
-	if b.reports < len(h.Barrier.Tree.ChildrenOf(n.ID())) {
+	r := h.Barrier.Ref(n.ID(), 0)
+	if b.reports < len(h.Barrier.Children(r)) {
 		return
 	}
 	b.sent = true
-	if par, ok := h.Barrier.Tree.ParentOf(n.ID()); ok {
-		h.out.Send(par, wire.Body{Kind: kindMSTBarUp, A: int64(seq)})
+	if r.Parent >= 0 {
+		h.out.Send(r.Parent, wire.Body{Kind: kindMSTBarUp, A: int64(seq)})
 		return
 	}
 	h.onBarrierRelease(n, seq) // root: broadcast and advance locally
@@ -219,7 +221,7 @@ func (h *MST) onBarrierRelease(n syncrun.API, seq int) {
 		return
 	}
 	b.done = true
-	for _, ch := range h.Barrier.Tree.ChildrenOf(n.ID()) {
+	for _, ch := range h.Barrier.Children(h.Barrier.Ref(n.ID(), 0)) {
 		h.out.Send(ch, wire.Body{Kind: kindMSTBarDown, A: int64(seq)})
 	}
 	k := seq / 2

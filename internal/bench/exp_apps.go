@@ -184,7 +184,7 @@ func e6MST(c *expCtx) {
 	t.emit(c.jobs(len(cases), func(i int) []row {
 		tc := cases[i]
 		g := tc.mk()
-		tree := cover.BFSTreeCluster(g, 0)
+		tree := cover.BFSTree(g, 0)
 		weights := make([]int64, g.M())
 		for j := range weights {
 			weights[j] = g.Weight(graph.EdgeID(j))

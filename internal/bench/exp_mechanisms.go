@@ -56,8 +56,7 @@ func e7RegistrationCongestion(c *expCtx) {
 	t.emit(c.jobs(len(cases), func(i int) []row {
 		tc := cases[i]
 		g := graph.StarOfPaths(tc.deg, tc.plen)
-		cl := cover.BFSTreeCluster(g, 0)
-		cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cl})
+		cov := cover.BFSTree(g, 0)
 		rows := make([]row, 0, 2)
 		// One engine serves both schemes: the second run rearms it with
 		// Reset, reusing the event wheel, outboxes, and arena.
@@ -208,15 +207,13 @@ func measureCoverQuality(g *graph.Graph, d int) coverQuality {
 	q := coverQuality{Clusters: len(cov.Clusters)}
 	cong := map[[2]graph.NodeID]int{}
 	for _, cl := range cov.Clusters {
-		if dep := cl.Tree.Depth(); dep > q.MaxDepth {
-			q.MaxDepth = dep
-		}
-		for _, e := range cl.Tree.Edges() {
-			key := e
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
+		q.MaxDepth = max(q.MaxDepth, cl.Height)
+	}
+	for v := range graph.NodeID(g.N()) {
+		for _, r := range cov.Refs(v) {
+			if r.Parent >= 0 {
+				cong[[2]graph.NodeID{min(v, r.Parent), max(v, r.Parent)}]++
 			}
-			cong[key]++
 		}
 	}
 	for _, n := range cong {
@@ -343,7 +340,7 @@ func e12GatherCost(c *expCtx) {
 		cov := cover.Build(g, d)
 		budget := uint64(0)
 		for _, cl := range cov.Clusters {
-			budget += uint64(2 * cl.Tree.Size())
+			budget += uint64(2 * len(cl.Nodes))
 		}
 		sim := async.New(g, c.adv(3), func(id graph.NodeID) async.Handler {
 			gb := &gatherBench{}

@@ -16,7 +16,7 @@ import (
 // overhead Θ(n) per pulse.
 type betaNode struct {
 	pulseShell
-	tree *cover.Cluster
+	tree *cover.Cover // a one-cluster cover: the BFS tree is cluster 0
 
 	selfSafe   []bool
 	childSafe  []int // pulse -> children subtrees reported safe
@@ -26,9 +26,9 @@ type betaNode struct {
 const protoBetaTree async.Proto = 4
 
 // newBeta builds the β-synchronized handler for one node; tree is the
-// shared BFS-tree cluster (its construction is β's initialization, which
+// shared BFS-tree cover (its construction is β's initialization, which
 // Appendix A ignores in the overhead accounting).
-func newBeta(algo syncrun.Handler, bound int, tree *cover.Cluster) *betaNode {
+func newBeta(algo syncrun.Handler, bound int, tree *cover.Cover) *betaNode {
 	b := &betaNode{
 		tree:       tree,
 		selfSafe:   make([]bool, bound+1),
@@ -53,12 +53,13 @@ func (b *betaNode) maybeReport(n *async.Node, p int) {
 	if b.reportSent[p] || !b.selfSafe[p] {
 		return
 	}
-	if b.childSafe[p] < len(b.tree.Tree.ChildrenOf(n.ID())) {
+	r := b.tree.Ref(n.ID(), 0)
+	if b.childSafe[p] < len(b.tree.Children(r)) {
 		return
 	}
 	b.reportSent[p] = true
-	if par, ok := b.tree.Tree.ParentOf(n.ID()); ok {
-		n.Send(par, async.Msg{Proto: protoBetaTree, Stage: p, Body: wire.Body{Kind: kindBetaSafeUp, A: int64(p)}})
+	if r.Parent >= 0 {
+		n.Send(r.Parent, async.Msg{Proto: protoBetaTree, Stage: p, Body: wire.Body{Kind: kindBetaSafeUp, A: int64(p)}})
 		return
 	}
 	// Root: the whole network is safe for p; advance everyone.
@@ -69,7 +70,7 @@ func (b *betaNode) advance(n *async.Node, next int) {
 	if next > b.bound {
 		return
 	}
-	for _, ch := range b.tree.Tree.ChildrenOf(n.ID()) {
+	for _, ch := range b.tree.Children(b.tree.Ref(n.ID(), 0)) {
 		n.Send(ch, async.Msg{Proto: protoBetaTree, Stage: next, Body: wire.Body{Kind: kindBetaAdvance, A: int64(next)}})
 	}
 	b.runPulse(n, next)
@@ -96,6 +97,6 @@ func SynchronizeBeta(g *graph.Graph, bound int, adv async.Adversary,
 
 // betaHandlers returns the handler constructor of a β-synchronized run on g.
 func betaHandlers(g *graph.Graph, bound int, mk func(id graph.NodeID) syncrun.Handler) func(id graph.NodeID) async.Handler {
-	tree := cover.BFSTreeCluster(g, 0)
+	tree := cover.BFSTree(g, 0)
 	return func(id graph.NodeID) async.Handler { return newBeta(mk(id), bound, tree) }
 }

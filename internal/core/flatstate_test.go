@@ -50,7 +50,7 @@ func stackCases(t testing.TB) []stackCase {
 		for i := range weights {
 			weights[i] = wg.Weight(graph.EdgeID(i))
 		}
-		tree := cover.BFSTreeCluster(wg, 0)
+		tree := cover.BFSTree(wg, 0)
 		for _, ac := range []struct {
 			name string
 			g    *graph.Graph

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/async"
-	"repro/internal/decomp"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/syncrun"
 	"repro/internal/wire"
@@ -48,44 +48,24 @@ type gammaPhase struct {
 // clusters with Steiner trees, plus one designated edge per adjacent
 // cluster pair. All per-node state is dense and node-indexed.
 type gammaPartition struct {
-	clusters []*decomp.Cluster
-	// clusterOf[v] is the cluster index of member v.
-	clusterOf []int32
-	// treesOf[v] lists the cluster indices whose Steiner tree v
-	// participates in.
-	treesOf [][]int32
+	// cov's clusters partition the nodes: Home(v) is v's cluster, and v's
+	// refs are the cluster trees it serves.
+	cov *cover.Cover
 	// designated[v] lists peers v exchanges CLUSTER-SAFE with.
 	designated [][]graph.NodeID
 }
 
 // newGammaPartition builds the clustering (γ's initialization).
 func newGammaPartition(g *graph.Graph) *gammaPartition {
-	dec := decomp.Build(g, 1, nil)
-	p := &gammaPartition{
-		clusterOf:  make([]int32, g.N()),
-		treesOf:    make([][]int32, g.N()),
-		designated: make([][]graph.NodeID, g.N()),
-	}
-	p.clusters = dec.Clusters()
-	for i, c := range p.clusters {
-		for _, v := range c.Members {
-			p.clusterOf[v] = int32(i)
-		}
-		for _, tv := range c.Tree.Nodes() {
-			p.treesOf[tv] = append(p.treesOf[tv], int32(i))
-		}
-	}
-	seen := make(map[[2]int32]bool)
+	p := &gammaPartition{cov: cover.Build(g, 0), designated: make([][]graph.NodeID, g.N())}
+	seen := make(map[[2]cover.ClusterID]bool)
 	for ei := 0; ei < g.M(); ei++ {
 		e := g.Edge(graph.EdgeID(ei))
-		a, b := p.clusterOf[e.U], p.clusterOf[e.V]
+		a, b := p.cov.Home(e.U), p.cov.Home(e.V)
 		if a == b {
 			continue
 		}
-		key := [2]int32{a, b}
-		if a > b {
-			key = [2]int32{b, a}
-		}
+		key := [2]cover.ClusterID{min(a, b), max(a, b)}
 		if seen[key] {
 			continue
 		}
@@ -106,7 +86,7 @@ func (p *gammaPartition) DesignatedEdgeCount() int {
 }
 
 // ClusterCount returns the number of clusters.
-func (p *gammaPartition) ClusterCount() int { return len(p.clusters) }
+func (p *gammaPartition) ClusterCount() int { return len(p.cov.Clusters) }
 
 const protoGammaTree async.Proto = 5
 
@@ -136,10 +116,9 @@ func (gm *gammaNode) phase(c, p int) *gammaPhase {
 	return st
 }
 
-func (gm *gammaNode) tree(c int) *decomp.Tree { return gm.part.clusters[c].Tree }
-
-func (gm *gammaNode) isMember(n *async.Node, c int) bool {
-	return gm.part.clusterOf[n.ID()] == int32(c)
+// ref returns this node's ref on cluster c's tree.
+func (gm *gammaNode) ref(n *async.Node, c int) cover.Ref {
+	return gm.part.cov.Ref(n.ID(), cover.ClusterID(c))
 }
 
 func (gm *gammaNode) checkSafe(n *async.Node, p int) {
@@ -150,8 +129,8 @@ func (gm *gammaNode) checkSafe(n *async.Node, p int) {
 	// Kick the convergecast in every tree this node serves: members gate
 	// on their own safety, pure relays (Steiner nonterminals) just needed
 	// a trigger to report their (empty) subtrees for pulse p.
-	for _, c := range gm.part.treesOf[n.ID()] {
-		gm.maybeP1(n, int(c), p)
+	for _, r := range gm.part.cov.Refs(n.ID()) {
+		gm.maybeP1(n, int(r.ID), p)
 	}
 }
 
@@ -161,15 +140,16 @@ func (gm *gammaNode) maybeP1(n *async.Node, c, p int) {
 	if st.p1Sent {
 		return
 	}
-	if gm.isMember(n, c) && !gm.safe[p] {
+	r := gm.ref(n, c)
+	if r.Member && !gm.safe[p] {
 		return
 	}
-	if st.p1Count < len(gm.tree(c).ChildrenOf(n.ID())) {
+	if st.p1Count < len(gm.part.cov.Children(r)) {
 		return
 	}
 	st.p1Sent = true
-	if par, ok := gm.tree(c).ParentOf(n.ID()); ok {
-		n.Send(par, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaP1Up, c, p)})
+	if r.Parent >= 0 {
+		n.Send(r.Parent, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaP1Up, c, p)})
 		return
 	}
 	gm.onClusterSafe(n, c, p)
@@ -179,10 +159,11 @@ func (gm *gammaNode) maybeP1(n *async.Node, c, p int) {
 func (gm *gammaNode) onClusterSafe(n *async.Node, c, p int) {
 	st := gm.phase(c, p)
 	st.cSafe = true
-	for _, ch := range gm.tree(c).ChildrenOf(n.ID()) {
+	r := gm.ref(n, c)
+	for _, ch := range gm.part.cov.Children(r) {
 		n.Send(ch, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaClusterSafe, c, p)})
 	}
-	if gm.isMember(n, c) {
+	if r.Member {
 		for _, peer := range gm.part.designated[n.ID()] {
 			n.Send(peer, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaCSafe, 0, p)})
 		}
@@ -196,15 +177,16 @@ func (gm *gammaNode) maybeP2(n *async.Node, c, p int) {
 	if st.p2Sent || !st.cSafe {
 		return
 	}
-	if gm.isMember(n, c) && st.extSafe < len(gm.part.designated[n.ID()]) {
+	r := gm.ref(n, c)
+	if r.Member && st.extSafe < len(gm.part.designated[n.ID()]) {
 		return
 	}
-	if st.p2Count < len(gm.tree(c).ChildrenOf(n.ID())) {
+	if st.p2Count < len(gm.part.cov.Children(r)) {
 		return
 	}
 	st.p2Sent = true
-	if par, ok := gm.tree(c).ParentOf(n.ID()); ok {
-		n.Send(par, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaP2Up, c, p)})
+	if r.Parent >= 0 {
+		n.Send(r.Parent, async.Msg{Proto: protoGammaTree, Stage: p, Body: encGamma(kindGammaP2Up, c, p)})
 		return
 	}
 	gm.broadcastAdvance(n, c, p+1)
@@ -214,10 +196,11 @@ func (gm *gammaNode) broadcastAdvance(n *async.Node, c, next int) {
 	if next > gm.bound {
 		return
 	}
-	for _, ch := range gm.tree(c).ChildrenOf(n.ID()) {
+	r := gm.ref(n, c)
+	for _, ch := range gm.part.cov.Children(r) {
 		n.Send(ch, async.Msg{Proto: protoGammaTree, Stage: next, Body: encGamma(kindGammaAdvance, c, next)})
 	}
-	if gm.isMember(n, c) {
+	if r.Member {
 		gm.runPulse(n, next)
 	}
 }
@@ -231,7 +214,7 @@ func (gm *gammaNode) recvSafety(n *async.Node, _ graph.NodeID, m async.Msg) {
 	case kindGammaClusterSafe:
 		gm.onClusterSafe(n, cluster, pulse)
 	case kindGammaCSafe:
-		c := int(gm.part.clusterOf[n.ID()])
+		c := int(gm.part.cov.Home(n.ID()))
 		gm.phase(c, pulse).extSafe++
 		gm.maybeP2(n, c, pulse)
 	case kindGammaP2Up:

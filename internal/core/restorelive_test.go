@@ -46,7 +46,7 @@ func liveStack(t testing.TB, name string, g *graph.Graph, adv async.Adversary) f
 		spans := apps.LeaderSpansAll(g, layered)
 		mk = synchronized(func(graph.NodeID) syncrun.Handler { return &apps.Leader{Covers: layered, SpansAll: spans} })
 	case "sync-mst":
-		tree := cover.BFSTreeCluster(g, 0)
+		tree := cover.BFSTree(g, 0)
 		weights := make([]int64, g.M())
 		for i := range weights {
 			weights[i] = g.Weight(graph.EdgeID(i))

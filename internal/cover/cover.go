@@ -8,6 +8,7 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,16 +24,16 @@ import (
 type ClusterID int32
 
 // Cluster is one cover cluster: member nodes plus a rooted cluster tree
-// (weak: the tree may pass through non-member Steiner nodes).
+// (weak: the tree may pass through non-member Steiner nodes). Stacks read
+// the tree through the cover's refs (Cover.Ref, Refs, Children).
 type Cluster struct {
 	ID      ClusterID
-	Root    graph.NodeID
 	Members []graph.NodeID // ascending
 	// Seeds are the decomposition-cluster members the d-expansion grew
 	// from (the alive ones, under a masked build) — ascending. repair's
 	// dirty certificate tests fault distance against this set.
 	Seeds []graph.NodeID
-	Tree  *decomp.Tree
+	decomp.Steiner
 
 	// base is the decomposition cluster this cover cluster expands;
 	// repair walks the decomposition in build order and matches reusable
@@ -101,6 +102,17 @@ func (c *Cover) Refs(v graph.NodeID) []Ref { return c.refs[c.refOff[v]:c.refOff[
 // index RecordStarts' column is by.
 func (c *Cover) FirstRef(v graph.NodeID) int { return int(c.refOff[v]) }
 
+// Ref returns v's ref on the tree of cluster id. It panics when v is not
+// on that tree.
+func (c *Cover) Ref(v graph.NodeID, id ClusterID) Ref {
+	refs := c.Refs(v)
+	i, ok := slices.BinarySearchFunc(refs, id, func(r Ref, id ClusterID) int { return cmp.Compare(r.ID, id) })
+	if !ok {
+		panic(fmt.Sprintf("cover: node %d is not on cluster %d's tree", v, id))
+	}
+	return refs[i]
+}
+
 // Children returns the tree children of the node r belongs to, ascending.
 // Do not mutate.
 func (c *Cover) Children(r Ref) []graph.NodeID { return c.kids[r.kid0:r.kid1] }
@@ -126,10 +138,9 @@ func (c *Cover) RecordStarts(bits int) []int32 {
 // distance D of v (the strengthened covering property of Definition 2.1).
 func (c *Cover) Home(v graph.NodeID) ClusterID { return c.home[v] }
 
-// Cluster returns the cluster with the given id.
-func (c *Cover) Cluster(id ClusterID) *Cluster { return c.Clusters[id] }
-
 // Build constructs a sparse d-cover of g by Theorem 4.21. Deterministic.
+// At d = 0 the clusters are the decomposition's own (k = 1): a partition
+// of the nodes, each with its Steiner tree.
 func Build(g *graph.Graph, d int) *Cover {
 	return buildMasked(g, d, nil)
 }
@@ -144,13 +155,13 @@ func Build(g *graph.Graph, d int) *Cover {
 // (masked distances dominate true distances), so the cover properties
 // hold over the alive subgraph. Deterministic.
 func buildMasked(g *graph.Graph, d int, alive []bool) *Cover {
-	if d < 1 {
-		panic(fmt.Sprintf("cover: d must be >= 1, got %d", d))
+	if d < 0 {
+		panic(fmt.Sprintf("cover: d must be >= 0, got %d", d))
 	}
 	if alive != nil && len(alive) != g.N() {
 		panic(fmt.Sprintf("cover: alive mask has %d entries for %d nodes", len(alive), g.N()))
 	}
-	dec := decomp.Build(g, 2*d+1, nil)
+	dec := decomp.Build(g, 2*d+1)
 	cov := &Cover{D: d, g: g, dec: dec, alive: alive}
 	// One epoch-stamped BFS scratch serves every cluster expansion.
 	ex := newExpander(g, d)
@@ -165,6 +176,33 @@ func buildMasked(g *graph.Graph, d int, alive []bool) *Cover {
 			cov.Clusters = append(cov.Clusters, cl)
 		}
 	}
+	cov.reindex(g.N())
+	return cov
+}
+
+// BFSTree returns a one-cluster cover whose tree is g's BFS tree from
+// root, each node's parent its first neighbor one hop closer to root. Every
+// node is a member; β and the MST barrier run on it.
+func BFSTree(g *graph.Graph, root graph.NodeID) *Cover {
+	dist := g.BFS(root)
+	nodes := make([]graph.NodeID, g.N())
+	parents := make([]graph.NodeID, g.N())
+	height := 0
+	for v := range nodes {
+		if dist[v] < 0 {
+			panic(fmt.Sprintf("cover: BFSTree on graph disconnected at %d", v))
+		}
+		nodes[v], parents[v] = graph.NodeID(v), -1
+		for _, nb := range g.Neighbors(graph.NodeID(v)) {
+			if dist[nb.Node] == dist[v]-1 {
+				parents[v] = nb.Node
+				break
+			}
+		}
+		height = max(height, dist[v])
+	}
+	cl := &Cluster{Members: nodes, Seeds: nodes, Steiner: decomp.Steiner{Root: root, Nodes: nodes, Parents: parents, Height: height}}
+	cov := &Cover{D: g.N() - 1, Clusters: []*Cluster{cl}}
 	cov.reindex(g.N())
 	return cov
 }
@@ -186,9 +224,9 @@ func aliveSeeds(members []graph.NodeID, alive []bool) []graph.NodeID {
 
 // reindex builds the per-node columns from the cluster list: one pass
 // counts, one fills. Clusters are scanned in ascending id order, so every
-// node's lists come out ascending. home[v] is the cluster v seeds — every
-// covered node seeds exactly one decomposition cluster — or, in a
-// hand-built cover, the first cluster listing v as a member.
+// node's lists come out ascending. It is the one place tree children are
+// derived: from each cluster's stored parents, ascending. home[v] is the
+// cluster v seeds; every covered node seeds exactly one.
 func (c *Cover) reindex(n int) {
 	c.memberOff, c.refOff = make([]int32, n+1), make([]int32, n+1)
 	kids := 0
@@ -199,38 +237,56 @@ func (c *Cover) reindex(n int) {
 		for _, v := range cl.Members {
 			c.memberOff[v+1]++
 		}
-		for _, v := range cl.Tree.Nodes() {
+		for _, v := range cl.Nodes {
 			c.refOff[v+1]++
 		}
-		kids += cl.Tree.Size() - 1
+		kids += len(cl.Nodes) - 1
 	}
 	for v := range n {
 		c.memberOff[v+1] += c.memberOff[v]
 		c.refOff[v+1] += c.refOff[v]
 	}
 	c.memberIDs, c.refs = make([]ClusterID, c.memberOff[n]), make([]Ref, c.refOff[n])
-	c.kids = make([]graph.NodeID, 0, kids)
+	c.kids = make([]graph.NodeID, kids)
 	c.home = slices.Repeat([]ClusterID{-1}, n)
 	memberAt, refAt := slices.Clone(c.memberOff), slices.Clone(c.refOff)
+	// at[v] is v's position in the cluster being indexed. off[i] first
+	// counts node i's children, then ends, then (filled back to front)
+	// starts their run in kids; off[len] ends the cluster's last run.
+	at := make([]int32, n)
+	var off []int32
+	end := int32(0)
 	for _, cl := range c.Clusters {
 		for _, v := range cl.Members {
 			c.memberIDs[memberAt[v]] = cl.ID
 			memberAt[v]++
 		}
-		for _, v := range cl.Tree.Nodes() {
-			parent, _ := cl.Tree.ParentOf(v) // -1 at the root
-			kid0 := int32(len(c.kids))
-			c.kids = append(c.kids, cl.Tree.ChildrenOf(v)...)
-			c.refs[refAt[v]] = Ref{ID: cl.ID, Parent: parent, kid0: kid0, kid1: int32(len(c.kids)), Member: cl.Has(v)}
+		for i, v := range cl.Nodes {
+			at[v] = int32(i)
+		}
+		off = append(off[:0], make([]int32, len(cl.Nodes)+1)...)
+		for _, p := range cl.Parents {
+			if p >= 0 {
+				off[at[p]]++
+			}
+		}
+		for i := range cl.Nodes {
+			end += off[i]
+			off[i] = end
+		}
+		off[len(cl.Nodes)] = end
+		for i := len(cl.Nodes) - 1; i >= 0; i-- {
+			if p := cl.Parents[i]; p >= 0 {
+				off[at[p]]--
+				c.kids[off[at[p]]] = cl.Nodes[i]
+			}
+		}
+		for i, v := range cl.Nodes {
+			c.refs[refAt[v]] = Ref{ID: cl.ID, Parent: cl.Parents[i], kid0: off[i], kid1: off[i+1], Member: cl.Has(v)}
 			refAt[v]++
 		}
 		for _, v := range cl.Seeds {
 			c.home[v] = cl.ID
-		}
-	}
-	for v, h := range c.home {
-		if h < 0 && c.memberOff[v] < c.memberOff[v+1] {
-			c.home[v] = c.memberIDs[c.memberOff[v]]
 		}
 	}
 }
@@ -249,12 +305,12 @@ func newExpander(g *graph.Graph, d int) *expander {
 
 // expand grows dc to its d-neighborhood among the alive nodes,
 // extending the Steiner tree along BFS paths (through alive relay nodes
-// in G). seeds must be dc's alive members, ascending. The cloned base
+// in G). seeds must be dc's alive members, ascending. The regrown base
 // tree keeps dead members and Steiner nodes as nonterminal relics —
 // identically in full builds, masked builds, and repairs, which is what
 // makes repaired clusters byte-equal to from-scratch ones.
 func (ex *expander) expand(dc *decomp.Cluster, alive []bool, seeds []graph.NodeID) *Cluster {
-	tree := dc.Tree.Clone()
+	tree := decomp.GrowFrom(dc.Steiner)
 	visited := ex.bfs.Run(seeds, ex.d, alive)
 	members := append([]graph.NodeID(nil), seeds...)
 	for _, v := range visited[len(seeds):] {
@@ -262,7 +318,7 @@ func (ex *expander) expand(dc *decomp.Cluster, alive []bool, seeds []graph.NodeI
 		ex.attachPath(tree, v)
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return &Cluster{Root: tree.Root, Members: members, Seeds: seeds, Tree: tree.Finalize(), base: dc}
+	return &Cluster{Members: members, Seeds: seeds, Steiner: tree.Finish(), base: dc}
 }
 
 // attachPath splices the BFS path from v back to the tree into the tree.

@@ -27,7 +27,7 @@ func checkCover(t *testing.T, g *graph.Graph, c *Cover) {
 		if id < 0 {
 			t.Fatalf("node %d has no home cluster", v)
 		}
-		cl := c.Cluster(id)
+		cl := c.Clusters[id]
 		for _, u := range g.Ball(graph.NodeID(v), c.D) {
 			if !cl.Has(u) {
 				t.Fatalf("home of %d misses %d (dist <= %d)", v, u, c.D)
@@ -41,35 +41,26 @@ func checkCover(t *testing.T, g *graph.Graph, c *Cover) {
 	// Tree sanity: spans members; parent edges are graph edges; radius
 	// O(D·log³n).
 	bound := 3*c.D*logn*logn*logn + 4*c.D + 8
+	cong := make(map[[2]graph.NodeID]int) // each edge in O(log⁴n) cluster trees
 	for _, cl := range c.Clusters {
+		checkStoredTree(t, cl)
 		for _, v := range cl.Members {
-			if !cl.Tree.Has(v) {
+			if _, ok := slices.BinarySearch(cl.Nodes, v); !ok {
 				t.Fatalf("cluster %d member %d missing from tree", cl.ID, v)
 			}
 		}
-		for _, child := range cl.Tree.Nodes() {
-			par, ok := cl.Tree.ParentOf(child)
-			if !ok {
+		for i, child := range cl.Nodes {
+			par := cl.Parents[i]
+			if par < 0 {
 				continue
 			}
 			if g.EdgeBetween(child, par) < 0 {
 				t.Fatalf("tree edge {%d,%d} not in graph", child, par)
 			}
+			cong[[2]graph.NodeID{min(child, par), max(child, par)}]++
 		}
-		if d := cl.Tree.Depth(); d > bound {
-			t.Fatalf("cluster %d tree depth %d > bound %d", cl.ID, d, bound)
-		}
-	}
-
-	// Edge congestion: each edge in O(log⁴n) cluster trees.
-	cong := make(map[[2]graph.NodeID]int)
-	for _, cl := range c.Clusters {
-		for _, e := range cl.Tree.Edges() {
-			key := e
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			cong[key]++
+		if cl.Height > bound {
+			t.Fatalf("cluster %d tree depth %d > bound %d", cl.ID, cl.Height, bound)
 		}
 	}
 	congBound := logn*logn*logn*logn + 8
@@ -150,7 +141,7 @@ func TestPairCovering(t *testing.T) {
 			}
 			shared := false
 			for _, id := range c.MemberOf(graph.NodeID(u)) {
-				if c.Cluster(id).Has(graph.NodeID(v)) {
+				if c.Clusters[id].Has(graph.NodeID(v)) {
 					shared = true
 					break
 				}

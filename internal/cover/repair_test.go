@@ -175,7 +175,7 @@ func TestMaskedCoverProperties(t *testing.T) {
 		if id < 0 {
 			t.Fatalf("alive node %d has no home cluster", v)
 		}
-		cl := cov.Cluster(id)
+		cl := cov.Clusters[id]
 		for _, u := range maskedBall(g, graph.NodeID(v), cov.D, alive) {
 			if !cl.Has(u) {
 				t.Fatalf("home of %d misses alive node %d within masked distance %d", v, u, cov.D)

@@ -15,7 +15,7 @@ func starLevel(leaves int) *Level[struct{}] {
 	if err != nil {
 		panic(err)
 	}
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, 0)})
+	cov := cover.BFSTree(g, 0)
 	return &Level[struct{}]{Cov: cov, ChildBits: 8}
 }
 

@@ -75,7 +75,7 @@ func newWideStar[M any, PM interface {
 func fuzzStars() []*wideStar {
 	rg := graph.StarOfPaths(70, 2)
 	rc := &regClient{mods: make([]reg.Module, rg.N())}
-	rcov := cover.NewExplicit(rg.N(), rg.N(), []*cover.Cluster{cover.BFSTreeCluster(rg, 0)})
+	rcov := cover.BFSTree(rg, 0)
 	regs := newWideStar(rg, reg.New(1, rcov, rc, nil), rc.mods, func(n *async.Node, m *reg.Module) {
 		m.Register(n, 0, 0)
 		m.Register(n, 0, 5)
@@ -84,7 +84,7 @@ func fuzzStars() []*wideStar {
 	if err != nil {
 		panic(err)
 	}
-	gcov := cover.NewExplicit(gg.N(), gg.N(), []*cover.Cluster{cover.BFSTreeCluster(gg, 0)})
+	gcov := cover.BFSTree(gg, 0)
 	gathers := newWideStar(gg, gather.New(1, gcov, gatherClient{}, nil), make([]gather.Module, gg.N()),
 		func(n *async.Node, m *gather.Module) {
 			m.Begin(n, 1)

@@ -16,7 +16,7 @@ func benchBuild(b *testing.B, g *graph.Graph, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g, k, nil)
+		Build(g, k)
 	}
 }
 

@@ -14,72 +14,75 @@
 //
 // Builder state is dense and node-indexed — labels live in [0, n) so
 // per-label state is slice-indexed, and the per-grow-step BFS uses
-// epoch-stamped scratch buffers owned by the builder — while each Tree is
-// sparse at every phase: build-phase membership is a flat open-addressed
-// index over the tree's own nodes, so a growing tree costs O(tree size),
-// not O(n), and many clusters can grow at once on a ten-million-node graph
-// without multiplying dense arrays. No Go maps are allocated anywhere on
-// the build path.
+// epoch-stamped scratch buffers owned by the builder — while each growing
+// Tree is sparse: its membership is a flat open-addressed index over the
+// tree's own nodes, so a growing tree costs O(tree size), not O(n), and
+// many clusters can grow at once on a ten-million-node graph without
+// multiplying dense arrays. No Go maps are allocated anywhere on the build
+// path.
 package decomp
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
 )
 
-// Tree is a rooted Steiner tree in G. Terminals are the cluster's member
+// Steiner is a finished Steiner tree in G, the one form a cluster keeps
+// its tree in: 8 B per tree node. Terminals are the cluster's member
 // nodes; the tree may route through non-member (nonterminal) nodes.
-//
-// The representation has two phases, both O(tree size). While building,
-// membership is a flat open-addressed index from node id to the node's
-// position in the insertion-ordered node list, with depth/parent stored
-// by position (allocated lazily on the first Attach, so singleton trees
-// cost one struct) — O(1) expected Has and Attach with no dense per-graph
-// arrays, so a partition growing many trees at once retains memory
-// proportional to the sum of tree sizes, not clusters × n. Finalize packs
-// the compact form: the sorted node list plus parallel depth/parent arrays
-// and CSR child lists indexed by position. Post-finalize accessors resolve
-// a node to its position by binary search (O(log size)). Mutation (Attach)
-// is only legal before Finalize; ChildrenOf, Nodes, and Edges only after.
-type Tree struct {
-	Root graph.NodeID
-
-	n      int
-	size   int
-	height int32
-	final  bool
-
-	// nodes lists the tree's nodes: insertion order until Finalize sorts
-	// it ascending. nil while the tree is the root singleton.
-	nodes []graph.NodeID
-
-	// Build phase, parallel to nodes by insertion position; released by
-	// Finalize. bdepth[i]/bparent[i] are the depth and parent node id of
-	// nodes[i] (-1 at the root). htab is the open-addressed membership
-	// index: linear probing over packed (node, position) words at ≤50%
-	// load — a flat slice, not a Go map.
-	bdepth  []int32
-	bparent []int32
-	htab    []int64 // (node << 32) | uint32(position); -1 = empty
-
-	// Finalized compact state, parallel to nodes (positions 0..size-1).
-	// The children of the node at position i are
-	// childList[childOff[i]:childOff[i+1]], ascending.
-	cdepth    []int32
-	cparent   []graph.NodeID // -1 at the root
-	childOff  []int32
-	childList []graph.NodeID
+type Steiner struct {
+	Root    graph.NodeID
+	Nodes   []graph.NodeID // ascending
+	Parents []graph.NodeID // Parents[i] is Nodes[i]'s parent, -1 at Root
+	Height  int            // the largest depth of a node
 }
 
-// NewTree returns the singleton tree {root} over a graph of n nodes.
-func NewTree(n int, root graph.NodeID) *Tree {
-	if root < 0 || int(root) >= n {
-		panic(fmt.Sprintf("decomp: tree root %d out of range [0,%d)", root, n))
+// Tree builds one Steiner tree: a Tree holding only its root, or
+// GrowFrom, starts it; Attach grows it, and Finish returns its stored form.
+//
+// Membership is a flat open-addressed index from node id to the node's
+// insertion position (allocated on the first Attach, so a singleton costs
+// one struct): O(1) expected Has and Attach with no dense per-graph
+// arrays, so a partition growing many trees at once retains memory
+// proportional to the sum of tree sizes, not clusters × n.
+type Tree struct {
+	root   graph.NodeID
+	height int32
+
+	// ents lists the tree's nodes with their parents in insertion order,
+	// and depth their depths, -1 for a seeded node not yet asked for.
+	// htab is the membership index: linear probing over packed (node,
+	// position) words at ≤50% load — a flat slice, not a Go map.
+	ents  []treeEnt
+	depth []int32
+	htab  []int64 // (node << 32) | uint32(position); -1 = empty
+}
+
+type treeEnt struct{ node, parent graph.NodeID }
+
+// GrowFrom returns a builder seeded with a stored tree, ready for further
+// Attach calls (cover expansion grows decomposition trees this way).
+func GrowFrom(s Steiner) *Tree {
+	t := &Tree{root: s.Root, height: int32(s.Height)}
+	if len(s.Nodes) == 1 {
+		return t
 	}
-	return &Tree{Root: root, n: n, size: 1}
+	t.ents = make([]treeEnt, len(s.Nodes))
+	t.depth = slices.Repeat([]int32{-1}, len(s.Nodes))
+	t.htab = newTable(len(s.Nodes))
+	for i, v := range s.Nodes {
+		t.ents[i] = treeEnt{v, s.Parents[i]}
+		if v == s.Root {
+			t.depth[i] = 0
+		}
+		t.hplace(v, int32(i))
+	}
+	return t
 }
 
 // hmix scrambles a node id into a table slot seed (variant of the 32-bit
@@ -93,8 +96,17 @@ func hmix(key uint32) uint32 {
 	return key
 }
 
-// hfind returns v's position in the build-phase index, or -1. The table is
-// never full (load ≤ 50%), so probing terminates at an empty slot.
+// newTable returns an empty index with room for size nodes at ≤50% load.
+func newTable(size int) []int64 {
+	tcap := 16
+	for tcap < 2*size {
+		tcap *= 2
+	}
+	return slices.Repeat([]int64{-1}, tcap)
+}
+
+// hfind returns v's position, or -1. The table is never full (load ≤ 50%),
+// so probing terminates at an empty slot.
 func (t *Tree) hfind(v graph.NodeID) int32 {
 	mask := uint32(len(t.htab) - 1)
 	for i := hmix(uint32(v)) & mask; ; i = (i + 1) & mask {
@@ -121,12 +133,9 @@ func (t *Tree) hplace(v graph.NodeID, pos int32) {
 // hinsert records v at position pos, doubling the table when load would
 // exceed 50%.
 func (t *Tree) hinsert(v graph.NodeID, pos int32) {
-	if 2*(len(t.nodes)+1) > len(t.htab) {
+	if 2*(len(t.ents)+1) > len(t.htab) {
 		old := t.htab
-		t.htab = make([]int64, 2*len(old))
-		for i := range t.htab {
-			t.htab[i] = -1
-		}
+		t.htab = newTable(len(t.ents) + 1)
 		for _, e := range old {
 			if e >= 0 {
 				t.hplace(graph.NodeID(e>>32), int32(uint32(e)))
@@ -136,27 +145,23 @@ func (t *Tree) hinsert(v graph.NodeID, pos int32) {
 	t.hplace(v, pos)
 }
 
-// grow allocates the build-phase arrays on the first Attach.
-func (t *Tree) grow() {
-	t.nodes = append(make([]graph.NodeID, 0, 8), t.Root)
-	t.bdepth = append(make([]int32, 0, 8), 0)
-	t.bparent = append(make([]int32, 0, 8), -1)
-	t.htab = make([]int64, 16)
-	for i := range t.htab {
-		t.htab[i] = -1
+// depthAt returns the depth of the node at position i, resolving a seeded
+// node's depth, and its ancestors', from its parent chain.
+func (t *Tree) depthAt(i int32) int32 {
+	if t.depth[i] < 0 {
+		t.depth[i] = t.depthAt(t.hfind(t.ents[i].parent)) + 1
 	}
-	t.hplace(t.Root, 0)
+	return t.depth[i]
 }
 
 // Attach adds child to the tree under parent. The parent must already be a
-// tree node and the child must not be; calling Attach after Finalize
-// panics (Clone an unfinalized copy to mutate further).
+// tree node and the child must not be.
 func (t *Tree) Attach(child, parent graph.NodeID) {
-	if t.final {
-		panic("decomp: Attach after Finalize")
-	}
 	if t.htab == nil {
-		t.grow()
+		t.ents = append(make([]treeEnt, 0, 8), treeEnt{t.root, -1})
+		t.depth = append(make([]int32, 0, 8), 0)
+		t.htab = newTable(1)
+		t.hplace(t.root, 0)
 	}
 	pi := t.hfind(parent)
 	if pi < 0 {
@@ -165,245 +170,37 @@ func (t *Tree) Attach(child, parent graph.NodeID) {
 	if t.hfind(child) >= 0 {
 		panic(fmt.Sprintf("decomp: Attach child %d already in tree", child))
 	}
-	d := t.bdepth[pi] + 1
-	t.hinsert(child, int32(len(t.nodes)))
-	t.nodes = append(t.nodes, child)
-	t.bdepth = append(t.bdepth, d)
-	t.bparent = append(t.bparent, int32(parent))
-	t.size++
-	if d > t.height {
-		t.height = d
-	}
-}
-
-// Finalize sorts the node list, packs the compact position-indexed
-// depth/parent/child arrays, and releases the O(n) build scratch. It is
-// idempotent and returns the tree for chaining. Builders call it once
-// construction is done; afterwards the tree is immutable and safe for
-// concurrent readers.
-func (t *Tree) Finalize() *Tree {
-	if t.final {
-		return t
-	}
-	t.final = true
-	if t.size == 1 {
-		t.bdepth, t.bparent, t.htab = nil, nil, nil
-		return t
-	}
-	// Sort positions by node id, then pack the compact arrays through the
-	// permutation.
-	perm := make([]int32, t.size)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool { return t.nodes[perm[a]] < t.nodes[perm[b]] })
-	sorted := make([]graph.NodeID, t.size)
-	t.cdepth = make([]int32, t.size)
-	t.cparent = make([]graph.NodeID, t.size)
-	t.childOff = make([]int32, t.size+1)
-	for i, p := range perm {
-		sorted[i] = t.nodes[p]
-		t.cdepth[i] = t.bdepth[p]
-		t.cparent[i] = graph.NodeID(t.bparent[p])
-	}
-	t.nodes = sorted
-	// ppos[i] is the position of node i's parent; counting children per
-	// parent position, then prefix sums, then a fill in ascending node
-	// order so every child list comes out ascending.
-	ppos := make([]int32, t.size)
-	for i := 0; i < t.size; i++ {
-		p := t.cparent[i]
-		if p < 0 {
-			ppos[i] = -1
-			continue
-		}
-		pp := int32(t.pos(p))
-		ppos[i] = pp
-		t.childOff[pp+1]++
-	}
-	for i := 0; i < t.size; i++ {
-		t.childOff[i+1] += t.childOff[i]
-	}
-	t.childList = make([]graph.NodeID, t.size-1)
-	next := make([]int32, t.size)
-	copy(next, t.childOff[:t.size])
-	for i, v := range t.nodes {
-		if pp := ppos[i]; pp >= 0 {
-			t.childList[next[pp]] = v
-			next[pp]++
-		}
-	}
-	t.bdepth, t.bparent, t.htab = nil, nil, nil
-	return t
-}
-
-// pos returns v's position in the sorted node list, or -1 when v is not in
-// the tree. Valid once nodes is sorted (Finalize).
-func (t *Tree) pos(v graph.NodeID) int {
-	lo, hi := 0, len(t.nodes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.nodes[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t.nodes) && t.nodes[lo] == v {
-		return lo
-	}
-	return -1
-}
-
-// Clone returns an unfinalized deep copy, ready for further Attach calls
-// (cover expansion grows decomposition trees this way). Cloning a
-// finalized tree re-expands the compact arrays into build form — still
-// O(tree size), never O(n).
-func (t *Tree) Clone() *Tree {
-	out := &Tree{Root: t.Root, n: t.n, size: t.size, height: t.height}
-	if t.size == 1 {
-		return out
-	}
-	out.nodes = append([]graph.NodeID(nil), t.nodes...)
-	if t.final {
-		out.bdepth = append([]int32(nil), t.cdepth...)
-		out.bparent = make([]int32, t.size)
-		for i, p := range t.cparent {
-			out.bparent[i] = int32(p)
-		}
-	} else {
-		out.bdepth = append([]int32(nil), t.bdepth...)
-		out.bparent = append([]int32(nil), t.bparent...)
-	}
-	tcap := 16
-	for tcap < 2*t.size {
-		tcap *= 2
-	}
-	out.htab = make([]int64, tcap)
-	for i := range out.htab {
-		out.htab[i] = -1
-	}
-	for i, v := range out.nodes {
-		out.hplace(v, int32(i))
-	}
-	return out
+	d := t.depthAt(pi) + 1
+	t.hinsert(child, int32(len(t.ents)))
+	t.ents = append(t.ents, treeEnt{child, parent})
+	t.depth = append(t.depth, d)
+	t.height = max(t.height, d)
 }
 
 // Has reports whether v participates in the tree (as terminal or Steiner
 // node).
 func (t *Tree) Has(v graph.NodeID) bool {
-	if t.final {
-		if t.size == 1 {
-			return v == t.Root
-		}
-		return t.pos(v) >= 0
-	}
 	if t.htab == nil {
-		return v == t.Root
+		return v == t.root
 	}
 	return t.hfind(v) >= 0
 }
 
-// Size returns the number of tree nodes.
-func (t *Tree) Size() int { return t.size }
-
-// Depth returns the height of the tree (max depth over nodes), cached at
-// construction.
-func (t *Tree) Depth() int { return int(t.height) }
-
-// DepthAt returns v's hop distance from the root, or -1 when v is not in
-// the tree.
-func (t *Tree) DepthAt(v graph.NodeID) int {
-	if t.final {
-		if t.size == 1 {
-			if v == t.Root {
-				return 0
-			}
-			return -1
-		}
-		i := t.pos(v)
-		if i < 0 {
-			return -1
-		}
-		return int(t.cdepth[i])
+// Finish returns the tree's stored form, both columns in one allocation.
+// The builder must not be used after.
+func (t *Tree) Finish() Steiner {
+	ents := t.ents
+	if ents == nil {
+		ents = []treeEnt{{t.root, -1}}
 	}
-	if t.htab == nil {
-		if v == t.Root {
-			return 0
-		}
-		return -1
+	slices.SortFunc(ents, func(a, b treeEnt) int { return cmp.Compare(a.node, b.node) })
+	size := len(ents)
+	col := make([]graph.NodeID, 2*size)
+	s := Steiner{Root: t.root, Nodes: col[:size:size], Parents: col[size:], Height: int(t.height)}
+	for i, e := range ents {
+		s.Nodes[i], s.Parents[i] = e.node, e.parent
 	}
-	i := t.hfind(v)
-	if i < 0 {
-		return -1
-	}
-	return int(t.bdepth[i])
-}
-
-// ParentOf returns v's parent in the tree; ok=false at the root and for
-// nodes outside the tree.
-func (t *Tree) ParentOf(v graph.NodeID) (graph.NodeID, bool) {
-	if t.final {
-		if t.size == 1 {
-			return -1, false
-		}
-		i := t.pos(v)
-		if i < 0 || t.cparent[i] < 0 {
-			return -1, false
-		}
-		return t.cparent[i], true
-	}
-	if t.htab == nil {
-		return -1, false
-	}
-	i := t.hfind(v)
-	if i < 0 || t.bparent[i] < 0 {
-		return -1, false
-	}
-	return graph.NodeID(t.bparent[i]), true
-}
-
-// ChildrenOf returns v's children in ascending order. Requires Finalize;
-// the returned slice must not be mutated.
-func (t *Tree) ChildrenOf(v graph.NodeID) []graph.NodeID {
-	if !t.final {
-		panic("decomp: ChildrenOf before Finalize")
-	}
-	if t.childOff == nil {
-		return nil
-	}
-	i := t.pos(v)
-	if i < 0 {
-		return nil
-	}
-	return t.childList[t.childOff[i]:t.childOff[i+1]]
-}
-
-// Nodes returns all tree nodes in ascending order. Requires Finalize; the
-// returned slice must not be mutated.
-func (t *Tree) Nodes() []graph.NodeID {
-	if !t.final {
-		panic("decomp: Nodes before Finalize")
-	}
-	if t.nodes == nil {
-		return []graph.NodeID{t.Root}
-	}
-	return t.nodes
-}
-
-// Edges returns the (parent, child) tree edges, sorted by parent then
-// child. Requires Finalize.
-func (t *Tree) Edges() [][2]graph.NodeID {
-	if !t.final {
-		panic("decomp: Edges before Finalize")
-	}
-	out := make([][2]graph.NodeID, 0, t.size-1)
-	for i := range t.nodes {
-		for _, c := range t.childList[t.childOff[i]:t.childOff[i+1]] {
-			out = append(out, [2]graph.NodeID{t.nodes[i], c})
-		}
-	}
-	return out
+	return s
 }
 
 // Cluster is one decomposition cluster: a set of member (terminal) nodes
@@ -415,8 +212,8 @@ type Cluster struct {
 	Color int
 	// Members lists terminal nodes in ascending order.
 	Members []graph.NodeID
-	// Tree spans Members (and possibly nonterminals).
-	Tree *Tree
+	// Steiner spans Members (and possibly nonterminals).
+	Steiner
 }
 
 // Decomposition is the output of Build.
@@ -426,36 +223,14 @@ type Decomposition struct {
 	Colors [][]*Cluster
 }
 
-// Clusters returns all clusters across colors.
-func (d *Decomposition) Clusters() []*Cluster {
-	var out []*Cluster
-	for _, cs := range d.Colors {
-		out = append(out, cs...)
-	}
-	return out
-}
-
-// Build computes a k-separated weak-diameter network decomposition of the
-// nodes in S (nil means all nodes). Deterministic.
-func Build(g *graph.Graph, k int, s []graph.NodeID) *Decomposition {
+// Build computes a k-separated weak-diameter network decomposition of all
+// of g's nodes. Deterministic.
+func Build(g *graph.Graph, k int) *Decomposition {
 	if k < 1 {
 		panic(fmt.Sprintf("decomp: k must be >= 1, got %d", k))
 	}
-	living := make([]bool, g.N())
-	remaining := 0
-	if s == nil {
-		for i := range living {
-			living[i] = true
-		}
-		remaining = g.N()
-	} else {
-		for _, v := range s {
-			if !living[v] {
-				living[v] = true
-				remaining++
-			}
-		}
-	}
+	living := slices.Repeat([]bool{true}, g.N())
+	remaining := g.N()
 	d := &Decomposition{K: k}
 	st := newPhaseState(g, k)
 	maxColors := 4*bits.Len(uint(g.N())) + 4
@@ -550,7 +325,7 @@ func (st *phaseState) onePartition(living []bool) []*Cluster {
 			nLiving++
 			st.label[v] = uint32(v)
 			st.memberCount[v] = 1
-			st.trees[v] = NewTree(st.n, graph.NodeID(v))
+			st.trees[v] = &Tree{root: graph.NodeID(v)}
 		} else {
 			st.memberCount[v] = 0
 			st.trees[v] = nil
@@ -591,7 +366,7 @@ func (st *phaseState) onePartition(living []bool) []*Cluster {
 		clusters = append(clusters, &Cluster{
 			Label:   uint64(pairs[i].label),
 			Members: mem,
-			Tree:    st.trees[pairs[i].label].Finalize(),
+			Steiner: st.trees[pairs[i].label].Finish(),
 		})
 		i = j
 	}

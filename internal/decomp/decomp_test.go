@@ -2,10 +2,21 @@ package decomp
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// Clusters returns all clusters across colors.
+func (d *Decomposition) Clusters() []*Cluster {
+	var out []*Cluster
+	for _, cs := range d.Colors {
+		out = append(out, cs...)
+	}
+	return out
+}
 
 // checkDecomposition validates every guarantee of Theorem 4.20 on g.
 func checkDecomposition(t *testing.T, g *graph.Graph, k int, d *Decomposition) {
@@ -47,49 +58,46 @@ func checkDecomposition(t *testing.T, g *graph.Graph, k int, d *Decomposition) {
 		}
 	}
 
-	// Tree validity: spans members, parent edges are graph edges, depths
-	// consistent, radius O(k·log³n).
+	// Tree validity: spans members, parent edges are graph edges, every
+	// parent chain reaches the root, radius O(k·log³n).
 	radiusBound := 3 * k * logn * logn * logn
 	if radiusBound < 4*k {
 		radiusBound = 4 * k
 	}
 	for _, c := range d.Clusters() {
-		tr := c.Tree
+		depth := treeDepths(t, c.Steiner)
 		for _, v := range c.Members {
-			if !tr.Has(v) {
+			if _, ok := depth[v]; !ok {
 				t.Fatalf("member %d missing from tree", v)
 			}
 		}
-		for _, child := range tr.Nodes() {
-			par, ok := tr.ParentOf(child)
-			if !ok {
+		height := 0
+		for i, child := range c.Nodes {
+			height = max(height, depth[child])
+			par := c.Parents[i]
+			if par < 0 {
 				continue
 			}
 			if g.EdgeBetween(child, par) < 0 {
 				t.Fatalf("tree edge {%d,%d} not a graph edge", child, par)
 			}
-			if tr.DepthAt(child) != tr.DepthAt(par)+1 {
-				t.Fatalf("depth inconsistency at %d", child)
-			}
 		}
-		if tr.DepthAt(tr.Root) != 0 {
-			t.Fatal("root depth nonzero")
+		if height != c.Height {
+			t.Fatalf("tree height %d, stored %d", height, c.Height)
 		}
-		if tr.Depth() > radiusBound {
+		if c.Height > radiusBound {
 			t.Fatalf("tree radius %d exceeds bound %d (k=%d, n=%d)",
-				tr.Depth(), radiusBound, k, n)
+				c.Height, radiusBound, k, n)
 		}
 	}
 
 	// Edge congestion: each edge in O(log⁴ n) Steiner trees.
 	cong := make(map[[2]graph.NodeID]int)
 	for _, c := range d.Clusters() {
-		for _, e := range c.Tree.Edges() {
-			key := e
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
+		for i, v := range c.Nodes {
+			if p := c.Parents[i]; p >= 0 {
+				cong[[2]graph.NodeID{min(v, p), max(v, p)}]++
 			}
-			cong[key]++
 		}
 	}
 	congBound := logn*logn*logn*logn + 8
@@ -117,7 +125,7 @@ func TestDecompositionFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := Build(tc.g, tc.k, nil)
+			d := Build(tc.g, tc.k)
 			checkDecomposition(t, tc.g, tc.k, d)
 		})
 	}
@@ -126,38 +134,14 @@ func TestDecompositionFamilies(t *testing.T) {
 func TestDecompositionLargerK(t *testing.T) {
 	g := graph.Grid(10, 10)
 	for _, k := range []int{1, 2, 5, 9, 21} {
-		d := Build(g, k, nil)
+		d := Build(g, k)
 		checkDecomposition(t, g, k, d)
-	}
-}
-
-func TestDecompositionSubset(t *testing.T) {
-	g := graph.Grid(9, 9)
-	// Cluster only the even nodes.
-	var s []graph.NodeID
-	for v := 0; v < g.N(); v += 2 {
-		s = append(s, graph.NodeID(v))
-	}
-	d := Build(g, 3, s)
-	clustered := make(map[graph.NodeID]bool)
-	for _, c := range d.Clusters() {
-		for _, v := range c.Members {
-			clustered[v] = true
-		}
-	}
-	if len(clustered) != len(s) {
-		t.Fatalf("clustered %d of %d subset nodes", len(clustered), len(s))
-	}
-	for v := range clustered {
-		if v%2 != 0 {
-			t.Fatalf("non-subset node %d clustered", v)
-		}
 	}
 }
 
 func TestDecompositionDeterminism(t *testing.T) {
 	g := graph.RandomConnected(60, 140, 4)
-	a, b := Build(g, 3, nil), Build(g, 3, nil)
+	a, b := Build(g, 3), Build(g, 3)
 	ca, cb := a.Clusters(), b.Clusters()
 	if len(ca) != len(cb) {
 		t.Fatal("cluster counts differ")
@@ -173,7 +157,7 @@ func TestFirstColorClustersHalf(t *testing.T) {
 	// Invariant (III) aggregated: the first color must keep >= half the
 	// nodes alive.
 	for _, g := range []*graph.Graph{graph.Grid(8, 8), graph.Cycle(64), graph.RandomConnected(100, 250, 9)} {
-		d := Build(g, 3, nil)
+		d := Build(g, 3)
 		first := 0
 		for _, c := range d.Colors[0] {
 			first += len(c.Members)
@@ -186,20 +170,42 @@ func TestFirstColorClustersHalf(t *testing.T) {
 
 func TestTreeHelperMethods(t *testing.T) {
 	g := graph.Path(8)
-	d := Build(g, 2, nil)
+	d := Build(g, 2)
 	c := d.Clusters()[0]
-	nodes := c.Tree.Nodes()
-	if len(nodes) == 0 || !c.Tree.Has(c.Tree.Root) {
-		t.Fatal("tree nodes/Has broken")
+	if !slices.IsSorted(c.Nodes) || !slices.Contains(c.Nodes, c.Root) {
+		t.Fatalf("tree nodes %v: not sorted or missing root %d", c.Nodes, c.Root)
 	}
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i-1] >= nodes[i] {
-			t.Fatal("Nodes not sorted")
+	treeDepths(t, c.Steiner)
+	if got := GrowFrom(c.Steiner).Finish(); !reflect.DeepEqual(got, c.Steiner) {
+		t.Fatalf("GrowFrom(s).Finish() = %+v, want %+v", got, c.Steiner)
+	}
+}
+
+// treeDepths returns every tree node's hop distance from the root, found by
+// walking its parent chain in the stored form; a chain that leaves the tree
+// or does not end at the root fails the test.
+func treeDepths(t *testing.T, s Steiner) map[graph.NodeID]int {
+	t.Helper()
+	parent := make(map[graph.NodeID]graph.NodeID, len(s.Nodes))
+	for i, v := range s.Nodes {
+		parent[v] = s.Parents[i]
+	}
+	if parent[s.Root] != -1 {
+		t.Fatalf("root %d has parent %d", s.Root, parent[s.Root])
+	}
+	depth := make(map[graph.NodeID]int, len(s.Nodes))
+	for _, v := range s.Nodes {
+		d := 0
+		for w := v; w != s.Root; d++ {
+			p, ok := parent[w]
+			if !ok || p < 0 || d >= len(s.Nodes) {
+				t.Fatalf("parent chain from %d does not reach root %d", v, s.Root)
+			}
+			w = p
 		}
+		depth[v] = d
 	}
-	if len(c.Tree.Edges()) != len(nodes)-1 {
-		t.Fatalf("tree has %d edges for %d nodes", len(c.Tree.Edges()), len(nodes))
-	}
+	return depth
 }
 
 func TestBuildPanicsOnBadK(t *testing.T) {
@@ -208,7 +214,7 @@ func TestBuildPanicsOnBadK(t *testing.T) {
 			t.Fatal("expected panic for k=0")
 		}
 	}()
-	Build(graph.Path(4), 0, nil)
+	Build(graph.Path(4), 0)
 }
 
 // specGraph builds a test topology from a graph.FromSpec string.

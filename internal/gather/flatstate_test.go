@@ -62,7 +62,7 @@ func stepGather(t *testing.T, sim *async.Sim, mods []*Module, stride uint64) asy
 // childDone bits span ten bytes of the record.
 func TestGatherWideStar(t *testing.T) {
 	g := specGraph("star:80")
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, 0)})
+	cov := cover.BFSTree(g, 0)
 	w := &world{}
 	mods := make([]*Module, g.N())
 	sim := async.New(g, async.SeededRandom{Seed: 4}, func(id graph.NodeID) async.Handler {
@@ -122,7 +122,7 @@ func (c *lateClient) NeighborhoodDone(n *async.Node, _ int) { n.Output(true) }
 func TestGatherSessionFirstSeenByRecv(t *testing.T) {
 	g := graph.Path(12)
 	far := graph.NodeID(g.N() - 1)
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, far)})
+	cov := cover.BFSTree(g, far)
 	mods := make([]*Module, g.N())
 	sim := async.New(g, async.Fixed{D: 1}, func(id graph.NodeID) async.Handler {
 		cl := &lateClient{start: far}

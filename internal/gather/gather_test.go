@@ -168,7 +168,7 @@ func TestGatherMessageBound(t *testing.T) {
 	// sum over clusters of |tree|-1.
 	budget := uint64(0)
 	for _, cl := range cov.Clusters {
-		budget += uint64(2 * cl.Tree.Size())
+		budget += uint64(2 * len(cl.Nodes))
 	}
 	if res.PerProto[protoGather] > budget {
 		t.Fatalf("gather used %d messages, budget %d", res.PerProto[protoGather], budget)

@@ -48,7 +48,7 @@ func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 // copy must equal it.
 func TestRegWideStarCopies(t *testing.T) {
 	g := graph.StarOfPaths(70, 2)
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cover.BFSTreeCluster(g, 0)})
+	cov := cover.BFSTree(g, 0)
 	w := &world{expected: 2 * g.N()}
 	mods := make([]*Module, g.N())
 	clients := make([]*client, g.N())

@@ -146,8 +146,8 @@ func (m *NaiveModule) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 }
 
 func (m *NaiveModule) handleReg(n *async.Node, p naivePayload, st *naiveState) {
-	cl := m.cov.Cluster(p.Cluster)
-	if cl.Root == n.ID() {
+	r := m.cov.Ref(n.ID(), p.Cluster)
+	if r.Parent < 0 {
 		st.regs++
 		if p.Origin == n.ID() {
 			m.finishReg(n, p, st)
@@ -156,13 +156,12 @@ func (m *NaiveModule) handleReg(n *async.Node, p naivePayload, st *naiveState) {
 		}
 		return
 	}
-	par, _ := cl.Tree.ParentOf(n.ID())
-	m.send(n, par, p)
+	m.send(n, r.Parent, p)
 }
 
 func (m *NaiveModule) handleDereg(n *async.Node, p naivePayload, st *naiveState) {
-	cl := m.cov.Cluster(p.Cluster)
-	if cl.Root == n.ID() {
+	r := m.cov.Ref(n.ID(), p.Cluster)
+	if r.Parent < 0 {
 		st.deregs++
 		if p.Origin == n.ID() {
 			m.finishDereg(n, p, st)
@@ -172,8 +171,7 @@ func (m *NaiveModule) handleDereg(n *async.Node, p naivePayload, st *naiveState)
 		m.rootCheckGo(n, p, st)
 		return
 	}
-	par, _ := cl.Tree.ParentOf(n.ID())
-	m.send(n, par, p)
+	m.send(n, r.Parent, p)
 }
 
 // rootCheckGo issues the broadcast when registrations match
@@ -226,11 +224,10 @@ func (m *NaiveModule) finishDereg(*async.Node, naivePayload, *naiveState) {
 // nextHopDown returns this node's child on the tree path toward the
 // origin.
 func (m *NaiveModule) nextHopDown(n *async.Node, p naivePayload) graph.NodeID {
-	cl := m.cov.Cluster(p.Cluster)
 	v := p.Origin
 	for {
-		par, ok := cl.Tree.ParentOf(v)
-		if !ok {
+		par := m.cov.Ref(v, p.Cluster).Parent
+		if par < 0 {
 			panic(fmt.Sprintf("reg: naive route-down from %d missed origin %d", n.ID(), p.Origin))
 		}
 		if par == n.ID() {

@@ -256,8 +256,7 @@ func TestWaveMultiSession(t *testing.T) {
 func TestWaveSubsetOfClients(t *testing.T) {
 	// Only a few nodes register; relays must still carry the waves.
 	g := graph.Path(24)
-	cl := cover.BFSTreeCluster(graph.Path(24), 0)
-	cov := cover.NewExplicit(24, 23, []*cover.Cluster{cl})
+	cov := cover.BFSTree(graph.Path(24), 0)
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		5:  {0: {0}},
 		11: {0: {0}},
@@ -274,8 +273,7 @@ func TestWaveSubsetOfClients(t *testing.T) {
 // and seeds to hit many interleavings.
 func TestCrossingRegistration(t *testing.T) {
 	g := graph.Path(6)
-	cl := cover.BFSTreeCluster(graph.Path(6), 0)
-	cov := cover.NewExplicit(6, 5, []*cover.Cluster{cl})
+	cov := cover.BFSTree(graph.Path(6), 0)
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		2: {0: {0}},
 		5: {0: {0}},
@@ -294,8 +292,7 @@ func TestCrossingRegistration(t *testing.T) {
 func TestWaveStarOfPaths(t *testing.T) {
 	// Deep congestion topology (the E7 workload) at small scale.
 	g := graph.StarOfPaths(4, 6)
-	cl := cover.BFSTreeCluster(g, 0)
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cl})
+	cov := cover.BFSTree(g, 0)
 	sessions := make(map[graph.NodeID]map[int][]cover.ClusterID)
 	for v := 0; v < g.N(); v++ {
 		sessions[graph.NodeID(v)] = map[int][]cover.ClusterID{0: {0}}
@@ -307,8 +304,7 @@ func TestWaveStarOfPaths(t *testing.T) {
 
 func TestNaiveRegistration(t *testing.T) {
 	g := graph.StarOfPaths(3, 4)
-	cl := cover.BFSTreeCluster(g, 0)
-	cov := cover.NewExplicit(g.N(), g.N(), []*cover.Cluster{cl})
+	cov := cover.BFSTree(g, 0)
 	sessions := make(map[graph.NodeID]map[int][]cover.ClusterID)
 	for v := 0; v < g.N(); v++ {
 		sessions[graph.NodeID(v)] = map[int][]cover.ClusterID{0: {0}}
@@ -320,8 +316,7 @@ func TestNaiveRegistration(t *testing.T) {
 
 func TestRootAsClient(t *testing.T) {
 	g := graph.Path(8)
-	cl := cover.BFSTreeCluster(graph.Path(8), 0)
-	cov := cover.NewExplicit(8, 7, []*cover.Cluster{cl})
+	cov := cover.BFSTree(graph.Path(8), 0)
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		0: {0: {0}}, // the root itself registers
 		7: {0: {0}},
@@ -333,8 +328,7 @@ func TestRootAsClient(t *testing.T) {
 
 func TestDoubleRegisterPanics(t *testing.T) {
 	g := graph.Path(3)
-	cl := cover.BFSTreeCluster(graph.Path(3), 0)
-	cov := cover.NewExplicit(3, 2, []*cover.Cluster{cl})
+	cov := cover.BFSTree(graph.Path(3), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double register")
@@ -375,8 +369,7 @@ func (d *doubleReg) Ack(*async.Node, graph.NodeID, async.Msg)  {}
 // messages are O(ops · h).
 func TestMessageProportionality(t *testing.T) {
 	g := graph.Path(32)
-	cl := cover.BFSTreeCluster(graph.Path(32), 0)
-	cov := cover.NewExplicit(32, 31, []*cover.Cluster{cl})
+	cov := cover.BFSTree(graph.Path(32), 0)
 	sessions := map[graph.NodeID]map[int][]cover.ClusterID{
 		31: {0: {0}}, 15: {0: {0}}, 7: {0: {0}},
 	}

@@ -142,7 +142,7 @@ func refApps(g *graph.Graph) map[string]func() (*graph.Graph, func(graph.NodeID)
 		},
 		"mst": func() (*graph.Graph, func(graph.NodeID) syncrun.Handler) {
 			wg := graph.WithRandomWeights(g, 11)
-			tree := cover.BFSTreeCluster(wg, 0)
+			tree := cover.BFSTree(wg, 0)
 			weights := make([]int64, wg.M())
 			for i := range weights {
 				weights[i] = wg.Weight(graph.EdgeID(i))
