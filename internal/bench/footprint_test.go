@@ -14,14 +14,16 @@ import (
 
 // Pinned resident footprints on grid3d:32x32x32 (n=32768, 190464 directed
 // links), measured by the retainedBytes probe after one completed flood.
-// The pins are the values the compact 32-bit layout shipped with
-// (CHANGES.md, "Ten-million-node substrate"); the tests fail at >10%
+// The async and lockstep pins are the values the compact 32-bit layout
+// shipped with (CHANGES.md, "Ten-million-node substrate"); the graph pin
+// is the 14.75 B/link measured once the CSR entry lost its link id and the
+// edge table its endpoint columns (20.69 before). The tests fail at >10%
 // growth so a regression in any per-link or per-node table is caught
 // before it multiplies by ten million nodes. If a deliberate layout
 // change moves a number, re-measure with E16 and update the pin in the
 // same commit.
 const (
-	pinGraphBytesPerLink = 20.8  // CSR: target+link+reverse+weights+offsets
+	pinGraphBytesPerLink = 14.8  // 8 B target+edge id, 4 B reverse link, 4 B edge link per edge, offsets
 	pinAsyncBytesPerLink = 28.4  // outboxes, seq stamps, wheel, busy/boxes
 	pinSyncBytesPerNode  = 101.0 // pulse-buffer cursors, stamps, bitmaps
 
@@ -69,6 +71,39 @@ func TestFootprintPins(t *testing.T) {
 	if got := float64(gBytes+aBytes) / links; got*1.8 > preCompactBytesPerLink {
 		t.Errorf("graph+async retain %.2f B/link; 1.8x bar requires <= %.2f",
 			got, preCompactBytesPerLink/1.8)
+	}
+}
+
+// TestGraphFootprintMatchesProbe holds graph.Footprint, the closed-form
+// byte count shard workers report as their graph plane, to the settled-heap
+// probe within 1%, on a whole graph and on its one-shard Subrange view:
+// Footprint's per-column sizes are kept by hand, so a column added, dropped
+// or resized without it fails here.
+func TestGraphFootprintMatchesProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("footprint probe")
+	}
+	if raceEnabled {
+		t.Skip("race shadow state inflates allocation sizes; pins hold on uninstrumented builds")
+	}
+	for _, spec := range []string{"grid3d:32x32x32", "er:n=50000,m=200000,seed=3", "pa:n=50000,m=4,seed=7"} {
+		g := mustSpec(spec)
+		probe, err := graphRetainedBytes(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub *graph.Graph
+		subProbe := retainedBytes(func() any { sub = g.Subrange(0, graph.NodeID(g.N())); return sub })
+		for _, c := range []struct {
+			name         string
+			probe, exact int64
+		}{{"whole", probe, g.Footprint()}, {"Subrange", subProbe, sub.Footprint()}} {
+			t.Logf("%s %s: probe %d B, Footprint %d B", spec, c.name, c.probe, c.exact)
+			if d := c.probe - c.exact; d < 0 || float64(d) > 0.01*float64(c.exact) {
+				t.Errorf("%s %s: probe retains %d B, Footprint() says %d B; want agreement within 1%%",
+					spec, c.name, c.probe, c.exact)
+			}
+		}
 	}
 }
 

@@ -47,20 +47,19 @@ type Edge struct {
 	Weight int64
 }
 
-// Neighbor is one adjacency entry: the node on the other side of Edge,
-// plus the dense id of the directed link toward it.
+// Neighbor is one adjacency entry: the node on the other side of Edge.
+// Entry i of v's row is the directed link LinkOffset(v)+i.
 type Neighbor struct {
 	Node NodeID
 	Edge EdgeID
-	Link LinkID
 }
 
 // Graph is an immutable undirected graph, built by a generator or FromSpec.
 //
-// Storage is struct-of-arrays: the edge table is two NodeID columns plus a
-// weight column that stays nil while every weight is zero, and adjacency
-// lives in one flat CSR slice (12 bytes per directed link) addressed by
-// int32 offsets.
+// Storage is struct-of-arrays: adjacency lives in one flat CSR slice (8
+// bytes per directed link) addressed by int32 offsets, beside a 4-byte
+// reverse-link column. The edge table holds each edge's link out of its
+// smaller endpoint and a weight column that stays nil while all are zero.
 type Graph struct {
 	n int
 
@@ -73,9 +72,9 @@ type Graph struct {
 	nodeBase NodeID
 	nLocal   int
 
-	// Edge table. weights is nil while every weight is zero.
-	edgeU, edgeV []NodeID
-	weights      []int64
+	// Edge table: edge e's link out of its smaller endpoint, and weights.
+	edgeLink []LinkID
+	weights  []int64
 
 	// CSR arrays. Node v's adjacency row is
 	// flat[off[v-nodeBase]:off[v-nodeBase+1]], so the LinkID of adjacency
@@ -107,21 +106,21 @@ func (g *Graph) NodeBase() NodeID { return g.nodeBase }
 func (g *Graph) Sub() bool { return g.sub }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.edgeU) }
+func (g *Graph) M() int { return len(g.edgeLink) }
 
 // Links returns the number of directed links (2·M).
 func (g *Graph) Links() int { return len(g.flat) }
 
 // Edge returns edge e.
 func (g *Graph) Edge(e EdgeID) Edge {
-	return Edge{U: g.edgeU[e], V: g.edgeV[e], Weight: g.Weight(e)}
+	return Edge{U: g.EdgeU(e), V: g.EdgeV(e), Weight: g.Weight(e)}
 }
 
 // EdgeU returns the smaller endpoint of edge e.
-func (g *Graph) EdgeU(e EdgeID) NodeID { return g.edgeU[e] }
+func (g *Graph) EdgeU(e EdgeID) NodeID { return g.flat[g.rev[g.edgeLink[e]]].Node }
 
 // EdgeV returns the larger endpoint of edge e.
-func (g *Graph) EdgeV(e EdgeID) NodeID { return g.edgeV[e] }
+func (g *Graph) EdgeV(e EdgeID) NodeID { return g.flat[g.edgeLink[e]].Node }
 
 // Weight returns the weight of edge e (0 when the graph is unweighted).
 func (g *Graph) Weight(e EdgeID) int64 {
@@ -134,9 +133,9 @@ func (g *Graph) Weight(e EdgeID) int64 {
 // Weighted reports whether any edge carries a nonzero weight.
 func (g *Graph) Weighted() bool { return g.weights != nil }
 
-// Neighbors returns the adjacency list of v in ascending node order. Each
-// entry carries the directed LinkID v→entry.Node. The returned slice must
-// not be mutated.
+// Neighbors returns the adjacency list of v in ascending node order; entry
+// i is the directed link LinkOffset(v)+i. The returned slice must not be
+// mutated.
 func (g *Graph) Neighbors(v NodeID) []Neighbor {
 	v -= g.nodeBase
 	return g.flat[g.off[v]:g.off[v+1]]
@@ -150,11 +149,12 @@ func (g *Graph) Degree(v NodeID) int {
 
 // Other returns the endpoint of edge e that is not v.
 func (g *Graph) Other(e EdgeID, v NodeID) NodeID {
-	if g.edgeU[e] == v {
-		return g.edgeV[e]
+	u, w := g.EdgeU(e), g.EdgeV(e)
+	if u == v {
+		return w
 	}
-	if g.edgeV[e] == v {
-		return g.edgeU[e]
+	if w == v {
+		return u
 	}
 	panic(fmt.Sprintf("graph: node %d not on edge %d", v, e))
 }
@@ -196,8 +196,8 @@ func (g *Graph) EdgeBetween(u, v NodeID) EdgeID {
 }
 
 // LinkBetween returns the dense id of the directed link u→v, or -1 if
-// {u,v} is not an edge. O(log degree); hot paths that already hold a
-// Neighbor entry should use its Link field instead.
+// {u,v} is not an edge. O(log degree); hot paths that already hold an
+// entry's row position i should use LinkOffset(u)+i instead.
 func (g *Graph) LinkBetween(u, v NodeID) LinkID {
 	i := g.NeighborIndex(u, v)
 	if i < 0 {

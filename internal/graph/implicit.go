@@ -12,7 +12,7 @@ import "fmt"
 //
 // EdgeIDs follow the enumeration order of the generator; adjacency rows
 // are ascending by neighbor id. The golden tests pin every generator's CSR
-// byte-identical (same EdgeIDs, same LinkIDs, same rev table) against a
+// byte-identical (same EdgeIDs, LinkIDs, rev and edge-link tables) against a
 // naive materializing builder.
 
 // buildCSR assembles a graph from one exact edge enumeration. n and m are
@@ -31,11 +31,11 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 		return nil, fmt.Errorf("graph: edge count %d outside [0, %d] (2m directed links must fit 32-bit LinkID space)", m, int64(maxEdges))
 	}
 	g := &Graph{n: int(n)}
-	g.edgeU = make([]NodeID, 0, m)
-	g.edgeV = make([]NodeID, 0, m)
 	g.off = make([]int32, n+1)
-	// Pass 1: record the edge table and count degrees (off holds counts,
-	// shifted one slot right so the prefix sum can run in place).
+	// Pass 1: park each edge's endpoints in rev, which pass 3 overwrites,
+	// and count degrees (off holds counts, shifted one slot right so the
+	// prefix sum can run in place).
+	g.rev = make([]LinkID, 0, 2*m)
 	edges(func(u, v NodeID) {
 		if u == v {
 			panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -46,13 +46,12 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 		if u > v {
 			u, v = v, u
 		}
-		g.edgeU = append(g.edgeU, u)
-		g.edgeV = append(g.edgeV, v)
+		g.rev = append(g.rev, LinkID(u), LinkID(v))
 		g.off[u+1]++
 		g.off[v+1]++
 	})
-	if int64(len(g.edgeU)) != m {
-		panic(fmt.Sprintf("graph: generator emitted %d edges, promised %d", len(g.edgeU), m))
+	if int64(len(g.rev)) != 2*m {
+		panic(fmt.Sprintf("graph: generator emitted %d edges, promised %d", len(g.rev)/2, m))
 	}
 	for v := int64(0); v < n; v++ {
 		g.off[v+1] += g.off[v]
@@ -61,8 +60,8 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 	g.flat = make([]Neighbor, 2*m)
 	cursor := make([]int32, n)
 	copy(cursor, g.off[:n])
-	for e := range g.edgeU {
-		u, v := g.edgeU[e], g.edgeV[e]
+	for e := int64(0); e < m; e++ {
+		u, v := NodeID(g.rev[2*e]), NodeID(g.rev[2*e+1])
 		g.flat[cursor[u]] = Neighbor{Node: v, Edge: EdgeID(e)}
 		cursor[u]++
 		g.flat[cursor[v]] = Neighbor{Node: u, Edge: EdgeID(e)}
@@ -73,26 +72,25 @@ func buildCSR(n, m int64, lex bool, edges func(emit func(u, v NodeID))) (*Graph,
 			sortNeighborsByNode(g.flat[g.off[v]:g.off[v+1]])
 		}
 	}
-	for i := range g.flat {
-		g.flat[i].Link = LinkID(i)
-	}
-	// Simplicity check: a duplicate edge lands as two equal consecutive
-	// targets in a sorted row.
+	// Pass 3: walk the rows in ascending source order. An edge's first link
+	// leaves its smaller endpoint and goes in edgeLink; its second is that
+	// link's reverse. A duplicate edge shows as two equal targets in a row.
+	g.edgeLink = make([]LinkID, m)
 	for v := int64(0); v < n; v++ {
-		row := g.flat[g.off[v]:g.off[v+1]]
-		for i := 1; i < len(row); i++ {
-			if row[i].Node <= row[i-1].Node {
-				if row[i].Node == row[i-1].Node {
-					panic(fmt.Sprintf("graph: parallel edge {%d,%d}", v, row[i].Node))
+		for l := g.off[v]; l < g.off[v+1]; l++ {
+			nb := g.flat[l]
+			if l > g.off[v] && nb.Node <= g.flat[l-1].Node {
+				if nb.Node == g.flat[l-1].Node {
+					panic(fmt.Sprintf("graph: parallel edge {%d,%d}", v, nb.Node))
 				}
 				panic(fmt.Sprintf("graph: generator emitted unsorted row at node %d", v))
 			}
-		}
-	}
-	g.rev = make([]LinkID, 2*m)
-	for v := int64(0); v < n; v++ {
-		for _, nb := range g.flat[g.off[v]:g.off[v+1]] {
-			g.rev[nb.Link] = g.LinkBetween(nb.Node, NodeID(v))
+			if int64(nb.Node) > v {
+				g.edgeLink[nb.Edge] = LinkID(l)
+			} else {
+				first := g.edgeLink[nb.Edge]
+				g.rev[l], g.rev[first] = first, LinkID(l)
+			}
 		}
 	}
 	return g, nil

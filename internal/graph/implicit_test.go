@@ -9,13 +9,16 @@ import (
 
 // naiveGraph is the golden tests' reference builder, sharing no code with
 // buildCSR: per-node adjacency lists grown by AddEdge, a map-based
-// parallel-edge check, a sort.Slice per row and a linear-scan reverse-link
-// table at Finalize.
+// parallel-edge check, a sort.Slice per row and linear-scan reverse-link
+// and edge-link tables at Finalize. It keeps its own endpoint columns u, v
+// so assertSameCSR can check the graph's derived edge accessors against
+// them.
 type naiveGraph struct {
 	n    int
 	u, v []NodeID
 	w    []int64
 	adj  [][]Neighbor
+	g    *Graph // set by Finalize
 }
 
 func newNaive(n int) *naiveGraph {
@@ -45,8 +48,8 @@ func (b *naiveGraph) AddEdge(u, v NodeID, w int64) {
 	b.adj[v] = append(b.adj[v], Neighbor{Node: u, Edge: id})
 }
 
-// Finalize flattens the sorted rows into a Graph.
-func (b *naiveGraph) Finalize() *Graph {
+// Finalize flattens the sorted rows into b.g and returns b.
+func (b *naiveGraph) Finalize() *naiveGraph {
 	seen := make(map[[2]NodeID]bool, len(b.u))
 	for e := range b.u {
 		key := [2]NodeID{b.u[e], b.v[e]}
@@ -55,7 +58,7 @@ func (b *naiveGraph) Finalize() *Graph {
 		}
 		seen[key] = true
 	}
-	g := &Graph{n: b.n, edgeU: b.u, edgeV: b.v, off: make([]int32, b.n+1)}
+	g := &Graph{n: b.n, off: make([]int32, b.n+1)}
 	for _, w := range b.w {
 		if w != 0 {
 			g.weights = b.w
@@ -65,27 +68,34 @@ func (b *naiveGraph) Finalize() *Graph {
 	for v, row := range b.adj {
 		sort.Slice(row, func(i, j int) bool { return row[i].Node < row[j].Node })
 		g.off[v] = int32(len(g.flat))
-		for _, nb := range row {
-			nb.Link = LinkID(len(g.flat))
-			g.flat = append(g.flat, nb)
-		}
+		g.flat = append(g.flat, row...)
 	}
 	g.off[b.n] = int32(len(g.flat))
-	g.rev = make([]LinkID, len(g.flat))
-	for v := 0; v < b.n; v++ {
-		for _, nb := range g.flat[g.off[v]:g.off[v+1]] {
-			for _, back := range g.flat[g.off[nb.Node]:g.off[nb.Node+1]] {
-				if back.Node == NodeID(v) {
-					g.rev[nb.Link] = back.Link
-				}
+	// link returns the position of u→v in the flat rows by linear scan.
+	link := func(u, v NodeID) LinkID {
+		for l := g.off[u]; l < g.off[u+1]; l++ {
+			if g.flat[l].Node == v {
+				return LinkID(l)
 			}
 		}
+		panic(fmt.Sprintf("naive: no link %d→%d", u, v))
 	}
-	return g
+	g.rev = make([]LinkID, len(g.flat))
+	for v := 0; v < b.n; v++ {
+		for l := g.off[v]; l < g.off[v+1]; l++ {
+			g.rev[l] = link(g.flat[l].Node, NodeID(v))
+		}
+	}
+	g.edgeLink = make([]LinkID, len(b.u))
+	for e := range b.u {
+		g.edgeLink[e] = link(b.u[e], b.v[e])
+	}
+	b.g = g
+	return b
 }
 
 // naive materializes n nodes and the unweighted edges add enumerates.
-func naive(n int, edges func(add func(u, v int))) *Graph {
+func naive(n int, edges func(add func(u, v int))) *naiveGraph {
 	b := newNaive(n)
 	edges(func(u, v int) { b.AddEdge(NodeID(u), NodeID(v), 0) })
 	return b.Finalize()
@@ -93,7 +103,7 @@ func naive(n int, edges func(add func(u, v int))) *Graph {
 
 // naiveGrid3D materializes the 3-D grid through the AddEdge path, emitting
 // edges in the same lexicographic order as the implicit builder.
-func naiveGrid3D(x, y, z int) *Graph {
+func naiveGrid3D(x, y, z int) *naiveGraph {
 	g := newNaive(x * y * z)
 	id := func(ix, iy, iz int) NodeID { return NodeID((ix*y+iy)*z + iz) }
 	for ix := 0; ix < x; ix++ {
@@ -116,7 +126,7 @@ func naiveGrid3D(x, y, z int) *Graph {
 
 // naivePowerLaw materializes the preferential-attachment graph by replaying
 // the shared sampling sequence through AddEdge.
-func naivePowerLaw(n, m int, seed uint64) *Graph {
+func naivePowerLaw(n, m int, seed uint64) *naiveGraph {
 	g := newNaive(n)
 	powerLawEdges(n, m, seed, func(u, v NodeID) { g.AddEdge(u, v, 0) })
 	return g.Finalize()
@@ -124,7 +134,7 @@ func naivePowerLaw(n, m int, seed uint64) *Graph {
 
 // naiveRingOfCliques materializes the ring of cliques through AddEdge in
 // the implicit builder's enumeration order.
-func naiveRingOfCliques(k, c int) *Graph {
+func naiveRingOfCliques(k, c int) *naiveGraph {
 	n := k * c
 	g := newNaive(n)
 	for u := 0; u < n; u++ {
@@ -144,7 +154,7 @@ func naiveRingOfCliques(k, c int) *Graph {
 
 // naiveRandomConnected is the materialized er: generator the implicit one
 // replaced: the same draws, a map of seen pairs, and AddEdge per edge.
-func naiveRandomConnected(n, m int, seed uint64) *Graph {
+func naiveRandomConnected(n, m int, seed uint64) *naiveGraph {
 	if maxM := n * (n - 1) / 2; m > maxM {
 		m = maxM
 	}
@@ -172,34 +182,54 @@ func naiveRandomConnected(n, m int, seed uint64) *Graph {
 	return g.Finalize()
 }
 
-// assertSameCSR checks that two graphs have byte-identical CSR: same edge
-// table and weights, same offsets, same adjacency entries (including
-// EdgeID and LinkID), and same reverse-link table.
-func assertSameCSR(t *testing.T, got, want *Graph) {
+// assertSameCSR checks that got has the naive builder's CSR byte for byte
+// (same offsets, adjacency entries, reverse-link and edge-link tables),
+// and that got's edge and link accessors agree with the naive builder's
+// own endpoint and weight columns.
+func assertSameCSR(t *testing.T, got *Graph, want *naiveGraph) {
 	t.Helper()
-	if got.N() != want.N() || got.M() != want.M() || got.Links() != want.Links() {
+	w := want.g
+	if got.N() != w.N() || got.M() != want.M() || got.Links() != w.Links() {
 		t.Fatalf("size mismatch: got n=%d m=%d links=%d, want n=%d m=%d links=%d",
-			got.N(), got.M(), got.Links(), want.N(), want.M(), want.Links())
+			got.N(), got.M(), got.Links(), w.N(), want.M(), w.Links())
 	}
-	if got.Weighted() != want.Weighted() {
-		t.Fatalf("weighted: got %v, want %v", got.Weighted(), want.Weighted())
+	if got.Weighted() != w.Weighted() {
+		t.Fatalf("weighted: got %v, want %v", got.Weighted(), w.Weighted())
 	}
-	for e := range got.edgeU {
-		if got.Edge(EdgeID(e)) != want.Edge(EdgeID(e)) {
-			t.Fatalf("edge %d: got %+v, want %+v", e, got.Edge(EdgeID(e)), want.Edge(EdgeID(e)))
+	for e := range want.u {
+		id, u, v := EdgeID(e), want.u[e], want.v[e]
+		if got.edgeLink[e] != w.edgeLink[e] {
+			t.Fatalf("edgeLink[%d]: got %d, want %d", e, got.edgeLink[e], w.edgeLink[e])
+		}
+		if got.EdgeU(id) != u || got.EdgeV(id) != v {
+			t.Fatalf("edge %d: EdgeU/EdgeV = %d/%d, want %d/%d", e, got.EdgeU(id), got.EdgeV(id), u, v)
+		}
+		if wantE := (Edge{U: u, V: v, Weight: want.w[e]}); got.Edge(id) != wantE {
+			t.Fatalf("edge %d: got %+v, want %+v", e, got.Edge(id), wantE)
+		}
+		if got.Other(id, u) != v || got.Other(id, v) != u {
+			t.Fatalf("edge %d {%d,%d}: Other = %d, %d", e, u, v, got.Other(id, u), got.Other(id, v))
+		}
+		if got.EdgeBetween(u, v) != id || got.EdgeBetween(v, u) != id {
+			t.Fatalf("edge %d {%d,%d}: EdgeBetween = %d, %d", e, u, v, got.EdgeBetween(u, v), got.EdgeBetween(v, u))
 		}
 	}
 	for v := 0; v <= got.N(); v++ {
-		if got.off[v] != want.off[v] {
-			t.Fatalf("off[%d]: got %d, want %d", v, got.off[v], want.off[v])
+		if got.off[v] != w.off[v] {
+			t.Fatalf("off[%d]: got %d, want %d", v, got.off[v], w.off[v])
 		}
 	}
 	for l := range got.flat {
-		if got.flat[l] != want.flat[l] {
-			t.Fatalf("flat[%d]: got %+v, want %+v", l, got.flat[l], want.flat[l])
+		if got.flat[l] != w.flat[l] {
+			t.Fatalf("flat[%d]: got %+v, want %+v", l, got.flat[l], w.flat[l])
 		}
-		if got.rev[l] != want.rev[l] {
-			t.Fatalf("rev[%d]: got %d, want %d", l, got.rev[l], want.rev[l])
+		if got.rev[l] != w.rev[l] {
+			t.Fatalf("rev[%d]: got %d, want %d", l, got.rev[l], w.rev[l])
+		}
+		r := got.ReverseLink(LinkID(l))
+		if got.ReverseLink(r) != LinkID(l) || got.LinkSrc(r) != got.LinkDst(LinkID(l)) {
+			t.Fatalf("link %d: reverse %d has reverse %d and source %d, want %d and %d",
+				l, r, got.ReverseLink(r), got.LinkSrc(r), l, got.LinkDst(LinkID(l)))
 		}
 	}
 }
@@ -241,11 +271,12 @@ func TestPowerLawGolden(t *testing.T) {
 	// Determinism in seed; sensitivity to it.
 	a, _ := powerLaw(50, 2, 11)
 	b, _ := powerLaw(50, 2, 11)
-	assertSameCSR(t, a, b)
+	assertSameCSR(t, a, naivePowerLaw(50, 2, 11))
+	assertSameCSR(t, b, naivePowerLaw(50, 2, 11))
 	c, _ := powerLaw(50, 2, 12)
 	same := true
-	for e := range a.edgeU {
-		if a.edgeU[e] != c.edgeU[e] {
+	for e := 0; e < a.M(); e++ {
+		if a.EdgeU(EdgeID(e)) != c.EdgeU(EdgeID(e)) {
 			same = false
 			break
 		}
@@ -555,7 +586,7 @@ func TestWithRandomWeightsGolden(t *testing.T) {
 }
 
 // catchBuild runs build and reports whether it panicked.
-func catchBuild(build func() *Graph) (g *Graph, panicked bool) {
+func catchBuild[T any](build func() T) (g T, panicked bool) {
 	defer func() { panicked = recover() != nil }()
 	return build(), false
 }
@@ -594,7 +625,7 @@ func FuzzBuildCSRVsNaive(f *testing.F) {
 			}
 			edges = append(edges, e)
 		}
-		want, wantPanic := catchBuild(func() *Graph {
+		want, wantPanic := catchBuild(func() *naiveGraph {
 			b := newNaive(n)
 			for _, e := range edges {
 				b.AddEdge(e[0], e[1], 0)

@@ -19,7 +19,7 @@ func TestLinkIndexing(t *testing.T) {
 				t.Fatalf("LinkOffset(%d) = %d, want %d", v, got, next)
 			}
 			for i, nb := range g.Neighbors(NodeID(v)) {
-				l := nb.Link
+				l := g.LinkOffset(NodeID(v)) + LinkID(i)
 				if int(l) != next {
 					t.Fatalf("node %d entry %d: link %d, want dense %d", v, i, l, next)
 				}

@@ -21,7 +21,7 @@ func (g *Graph) KruskalMST() []EdgeID {
 	uf := newUnionFind(g.n)
 	out := make([]EdgeID, 0, g.n-1)
 	for _, id := range ids {
-		if uf.Union(int(g.edgeU[id]), int(g.edgeV[id])) {
+		if uf.Union(int(g.EdgeU(id)), int(g.EdgeV(id))) {
 			out = append(out, id)
 		}
 	}
@@ -49,7 +49,7 @@ func (g *Graph) IsSpanningTree(edges []EdgeID) bool {
 	}
 	uf := newUnionFind(g.n)
 	for _, id := range edges {
-		if !uf.Union(int(g.edgeU[id]), int(g.edgeV[id])) {
+		if !uf.Union(int(g.EdgeU(id)), int(g.EdgeV(id))) {
 			return false
 		}
 	}

@@ -187,7 +187,6 @@ func (g *Graph) Subrange(lo, hi NodeID) *Graph {
 	}
 	rev := make([]LinkID, len(flat))
 	for i := range flat {
-		flat[i].Link = LinkID(i)
 		if d := flat[i].Node; d >= lo && d < hi {
 			rev[i] = g.rev[int32(i)+base] - LinkID(base)
 		} else {
@@ -232,6 +231,6 @@ func (g *Graph) BoundaryLinks() []BoundaryLink {
 // when in-process workers share one heap and a settled-heap probe would
 // measure their neighbors too.
 func (g *Graph) Footprint() int64 {
-	return int64(len(g.flat))*12 + int64(len(g.off))*4 + int64(len(g.rev))*4 +
-		int64(len(g.edgeU))*4 + int64(len(g.edgeV))*4 + int64(len(g.weights))*8
+	return int64(len(g.flat))*8 + int64(len(g.off))*4 + int64(len(g.rev))*4 +
+		int64(len(g.edgeLink))*4 + int64(len(g.weights))*8
 }

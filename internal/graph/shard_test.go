@@ -93,28 +93,27 @@ func TestSubrangeView(t *testing.T) {
 					t.Fatalf("%s shard %d: LinkOffset(%d) local+shift = %d, want %d", spec, s, v, got, want)
 				}
 				for i, nb := range sub.Neighbors(v) {
-					wnb := g.Neighbors(v)[i]
-					if nb.Node != wnb.Node || int(nb.Link)+shift != int(wnb.Link) {
-						t.Fatalf("%s shard %d: Neighbors(%d)[%d] = %+v, want node %d link %d",
-							spec, s, v, i, nb, wnb.Node, int(wnb.Link)-shift)
+					l, wl := sub.LinkOffset(v)+LinkID(i), g.LinkOffset(v)+LinkID(i)
+					if wnb := g.Neighbors(v)[i]; nb != wnb {
+						t.Fatalf("%s shard %d: Neighbors(%d)[%d] = %+v, want %+v", spec, s, v, i, nb, wnb)
 					}
-					if got := sub.LinkBetween(v, nb.Node); got != nb.Link {
-						t.Fatalf("%s shard %d: LinkBetween(%d,%d) = %d, want %d", spec, s, v, nb.Node, got, nb.Link)
+					if got := sub.LinkBetween(v, nb.Node); got != l {
+						t.Fatalf("%s shard %d: LinkBetween(%d,%d) = %d, want %d", spec, s, v, nb.Node, got, l)
 					}
-					if got := sub.LinkSrc(nb.Link); got != v {
-						t.Fatalf("%s shard %d: LinkSrc(%d) = %d, want %d", spec, s, nb.Link, got, v)
+					if got := sub.LinkSrc(l); got != v {
+						t.Fatalf("%s shard %d: LinkSrc(%d) = %d, want %d", spec, s, l, got, v)
 					}
-					if got := sub.LinkDst(nb.Link); got != nb.Node {
-						t.Fatalf("%s shard %d: LinkDst(%d) = %d, want %d", spec, s, nb.Link, got, nb.Node)
+					if got := sub.LinkDst(l); got != nb.Node {
+						t.Fatalf("%s shard %d: LinkDst(%d) = %d, want %d", spec, s, l, got, nb.Node)
 					}
-					rv := sub.ReverseLink(nb.Link)
+					rv := sub.ReverseLink(l)
 					if nb.Node >= lo && nb.Node < hi {
-						if int(rv)+shift != int(g.ReverseLink(wnb.Link)) {
+						if int(rv)+shift != int(g.ReverseLink(wl)) {
 							t.Fatalf("%s shard %d: ReverseLink(%d) = %d, want %d",
-								spec, s, nb.Link, rv, int(g.ReverseLink(wnb.Link))-shift)
+								spec, s, l, rv, int(g.ReverseLink(wl))-shift)
 						}
 					} else if rv != -1 {
-						t.Fatalf("%s shard %d: boundary ReverseLink(%d) = %d, want -1", spec, s, nb.Link, rv)
+						t.Fatalf("%s shard %d: boundary ReverseLink(%d) = %d, want -1", spec, s, l, rv)
 					}
 				}
 			}
@@ -128,9 +127,9 @@ func TestSubrangeView(t *testing.T) {
 			if b := sub.BoundaryLinks(); len(b) != nb {
 				t.Fatalf("%s shard %d: %d boundary entries, %d rev=-1 links", spec, s, len(b), nb)
 			}
-			// Exact closed-form footprint: 12 B per flat entry + the 4 B
-			// reverse table + the offset column.
-			want := int64(sub.Links())*16 + int64(sub.NLocal()+1)*4
+			// Exact closed-form footprint: the 8 B flat entry and the 4 B
+			// reverse link per local link, plus the offset column.
+			want := int64(sub.Links())*12 + int64(sub.NLocal()+1)*4
 			if got := sub.Footprint(); got != want {
 				t.Fatalf("%s shard %d: Footprint() = %d, want %d", spec, s, got, want)
 			}
