@@ -192,9 +192,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		flush.execNs = execNs
 		flush.steps = sim.ShardSteps()
 		stageFlush(sim, &flush, frames)
-		enc.Reset()
-		encodeFlush(enc, &flush)
-		if err := writeMsg(w, msgFlush, enc.Bytes()); err != nil {
+		if err := writeFlush(w, enc, &flush); err != nil {
 			return err
 		}
 
@@ -280,6 +278,13 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		async.EncodeTraceEntry(enc, &res.Trace[i])
 	}
 	return writeMsg(w, msgResult, enc.Bytes())
+}
+
+// writeFlush sends one FLUSH, coded into enc.
+func writeFlush(w *bufio.Writer, enc *wire.Enc, f *flushMsg) error {
+	enc.Reset()
+	encodeFlush(enc, f)
+	return writeMsg(w, msgFlush, enc.Bytes())
 }
 
 // stageFlush fills f's staged log from the engine's: one group per
