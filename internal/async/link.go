@@ -165,39 +165,69 @@ func (sq *stageQueue) pop(sl *outboxSlab) Msg {
 	return m
 }
 
-// encode writes the outbox's scheduling state as a snapshot carries it:
-// the stages ascending, each with its cursor position, its rotation and
-// every protocol's pending bodies in FIFO order. The decoder in snap.go
-// rebuilds exactly this, drained rotation slots included, because the
-// rotation's first-appearance order decides future injection order.
-func (o *outbox) encode(e *wire.Enc) {
+// code codes the outbox's scheduling state as a snapshot carries it: the
+// stages ascending, each with its cursor position, its rotation and every
+// protocol's pending bodies in FIFO order. Loading into an empty outbox
+// rebuilds exactly this from sl, drained rotation slots included, because
+// the rotation's first-appearance order decides future injection order;
+// unless keep is set it skips the bodies (a link another engine owns).
+func (o *outbox) code(c *wire.Coder, sl *outboxSlab, keep bool) {
 	n := 0
 	for sq := o.stages; sq != nil; sq = sq.up {
 		n++
 	}
-	e.U32(uint32(n))
-	for sq := o.stages; sq != nil; sq = sq.up {
-		e.I64(int64(sq.stage))
-		cur, np := 0, 0
+	at, prev := &o.stages, (*stageQueue)(nil)
+	for si, n := 0, c.Count(n); si < n && !c.Failed(); si++ {
+		if c.Loading() {
+			*at = sl.stages.get()
+		}
+		sq := *at
+		cur, np := uint32(0), 0
 		for pf := sq.protos; pf != nil; pf = pf.next {
 			if pf == sq.cur {
-				cur = np
+				cur = uint32(np)
 			}
 			np++
 		}
-		e.U32(uint32(cur))
-		e.U32(uint32(np))
-		for pf := sq.protos; pf != nil; pf = pf.next {
-			e.I32(int32(pf.proto))
+		c.Int(&sq.stage)
+		c.U32(&cur)
+		np = c.Count(np)
+		if c.Loading() && prev != nil && sq.stage <= prev.stage {
+			c.Fail("outbox stages out of order (%d after %d)", sq.stage, prev.stage)
+		} else if c.Loading() && (int(cur) >= max(np, 1)) {
+			c.Fail("outbox stage %d rotation cursor %d outside %d protos", sq.stage, cur, np)
+		}
+		pf := sq.protos
+		for pi := 0; pi < np && !c.Failed(); pi, pf = pi+1, pf.next {
+			if c.Loading() {
+				if pf = sq.addProto(sl, 0); pi == int(cur) {
+					sq.cur = pf
+				}
+			}
+			wire.ID(c, &pf.proto)
 			k := 0
 			for mn := pf.head; mn != nil; mn = mn.next {
 				k++
 			}
-			e.U32(uint32(k))
-			for mn := pf.head; mn != nil; mn = mn.next {
-				e.Body(mn.m.Body)
+			mn := pf.head
+			for mi, k := 0, c.Count(k); mi < k && !c.Failed(); mi++ {
+				switch {
+				case !c.Loading():
+					c.Body(&mn.m.Body)
+					mn = mn.next
+				case !keep:
+					c.SkipBody()
+				default:
+					m := Msg{Proto: pf.proto, Stage: sq.stage}
+					if c.Body(&m.Body); !c.Failed() {
+						pf.append(sl, m)
+						sq.queued++
+						o.queued++
+					}
+				}
 			}
 		}
+		at, prev = &sq.up, sq
 	}
 }
 

@@ -138,18 +138,27 @@ func (p *outboxPair) reset() {
 	p.ref = refLink{}
 }
 
-// check compares the rotation state a snapshot would write.
+// check compares the rotation state a snapshot would write, and that the
+// model's bytes load into an outbox that writes them back.
 func (p *outboxPair) check() {
 	p.t.Helper()
-	var got, want wire.Enc
+	var got, want, back wire.Enc
 	if ob := p.boxes[0]; ob == nil {
 		got.U32(0)
 	} else {
-		ob.encode(&got)
+		ob.code(got.Coder(), nil, false)
 	}
 	p.ref.encode(&want)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		p.t.Fatalf("snapshot state differs from the model:\n got  %x\n want %x", got.Bytes(), want.Bytes())
+	}
+	var sl outboxSlab
+	ob, d := sl.boxes.get(), wire.NewDec(want.Bytes(), nil)
+	if ob.code(d.Coder(), &sl, true); d.Err() != nil || d.Remaining() != 0 {
+		p.t.Fatalf("loading the model's state: %v, %d bytes left", d.Err(), d.Remaining())
+	}
+	if ob.code(back.Coder(), nil, false); !bytes.Equal(back.Bytes(), want.Bytes()) {
+		p.t.Fatalf("loaded state writes back differently:\n got  %x\n want %x", back.Bytes(), want.Bytes())
 	}
 }
 

@@ -3,11 +3,11 @@ package async
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -49,7 +49,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("async: Snapshot on a shard engine (the coordinator snapshots at FLUSH barriers)")
 	}
 	e := wire.NewSnapshotEnc(&s.arena, s.lastFrame+s.lastFrame/8)
-	if err := s.encodeEngine(&e.Enc); err != nil {
+	if err := s.frame(e.Coder(), nil); err != nil {
 		return nil, err
 	}
 	frame := e.Seal()
@@ -74,7 +74,7 @@ func (s *Sim) Restore(data []byte) error {
 		return err
 	}
 	s.resetRun()
-	if err := s.decodeEngine([][]byte{payload}); err != nil {
+	if err := s.loadFrames([][]byte{payload}); err != nil {
 		s.Reset(s.adv, s.specMk) // releases everything the partial decode carved
 		return err
 	}
@@ -125,166 +125,28 @@ func (s *Sim) ShardSnapshotFrame(e *wire.Enc) error {
 	if n := len(s.wctx[0].staged); n != 0 {
 		return fmt.Errorf("async: shard snapshot with %d staged-but-ungranted events", n)
 	}
-	return s.encodeEngine(e)
+	return s.frame(e.Coder(), nil)
 }
 
 // ShardRestoreFrames loads this shard's share of a distributed snapshot —
 // all K_old engine frames, whatever K the resumed run uses — into a freshly
 // built shard engine (after BeginShard, instead of ShardInit). On error the
 // engine is unusable; the coordinator aborts the resume.
-func (s *Sim) ShardRestoreFrames(frames [][]byte) error { return s.decodeEngine(frames) }
+func (s *Sim) ShardRestoreFrames(frames [][]byte) error { return s.loadFrames(frames) }
 
-// encodeEngine appends the engine's state sections: header, counters,
-// nodes (output + handler state), links (busy/txSeq/outbox), events, and
-// trace.
-func (s *Sim) encodeEngine(e *wire.Enc) error {
-	// Header: enough to reject a restore into a mismatched engine.
-	e.U32(uint32(s.g.N()))
-	e.Str(s.adv.Name())
-	e.F64(s.lookahead)
-	e.Bool(s.keepTrace)
-	// Whether Init already ran (false only for a pre-run snapshot, whose
-	// restore must still run Init rather than resume).
-	e.Bool(s.running || s.resumed)
-
-	// Counters.
-	lg := &s.direct.ledger
-	e.F64(lg.now)
-	e.F64(lg.lastOut)
-	e.U64(s.eventSq)
-	e.U64(lg.steps)
-	e.U64(lg.msgs)
-	e.U64(lg.acks)
-	e.U64(lg.dropped)
-	e.U64(lg.retrans)
-	e.U64(lg.undeliv)
-	e.I64(int64(lg.outCount))
-	e.U32(uint32(len(lg.perProto)))
-	for _, n := range lg.perProto {
-		e.U64(n)
-	}
-
-	// Nodes: output record plus handler state, keyed by global id.
-	e.U32(uint32(s.g.NLocal()))
-	for i := 0; i < s.g.NLocal(); i++ {
-		id := s.nodeBase + graph.NodeID(i)
-		e.I32(int32(id))
-		if err := s.out.Save(e, i); err != nil {
-			return fmt.Errorf("async: node %d: %w", id, err)
-		}
-		sc, ok := codecOf(s.handlers[i])
-		if !ok {
-			return fmt.Errorf("async: handler %T of node %d has no wire.StateCodec, or hosts a module without one; engine state cannot be snapshotted", s.handlers[i], id)
-		}
-		e.Nested(sc)
-	}
-
-	// Links: every locally-owned directed link with non-default state,
-	// keyed by its (from, to) endpoints. The whole section rides in a blob
-	// with a trailing count because the filter runs inside the single pass.
-	mark := e.BeginBlob()
-	nLinks := 0
-	for i := 0; i < s.g.NLocal(); i++ {
-		from := s.nodeBase + graph.NodeID(i)
-		base := s.g.LinkOffset(from)
-		for j := 0; j < s.g.Degree(from); j++ {
-			l := base + graph.LinkID(j)
-			ob := s.boxes[l]
-			if !s.busy[l] && s.txSeq[l] == 0 && (ob == nil || ob.queued == 0) {
-				continue
-			}
-			nLinks++
-			e.I32(int32(from))
-			e.I32(int32(s.g.LinkDst(l)))
-			e.Bool(s.busy[l])
-			e.U32(s.txSeq[l])
-			if ob == nil || ob.queued == 0 {
-				// A drained outbox holds no live rotation state (empty front
-				// stages retire on their final pop), so only busy/txSeq carry.
-				e.U32(0)
-				continue
-			}
-			ob.encode(e)
-		}
-	}
-	e.EndBlob(mark)
-	e.U32(uint32(nLinks))
-
-	// Events, from whichever store holds them (serial queue, or the owner
-	// shards if the engine last ran a parallel mode — mutually exclusive),
-	// in (t, seq) order: queue order depends on how the events arrived, and
-	// the frame must not, so that a restored engine writes the same bytes
-	// back.
-	evs := s.snapEvs[:0]
-	collect := func(ev *event) { evs = append(evs, ev) }
-	s.events.forEach(collect)
-	for k := range s.shards {
-		s.shards[k].forEach(collect)
-	}
-	slices.SortFunc(evs, func(a, b *event) int {
-		if c := cmp.Compare(a.t, b.t); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	e.U32(uint32(len(evs)))
-	for _, ev := range evs {
-		e.U8(ev.kind)
-		e.U8(ev.attempt)
-		e.F64(ev.t)
-		e.U64(ev.seq)
-		e.I32(int32(ev.src))
-		e.I32(int32(ev.dst))
-		e.I32(int32(ev.msg.Proto))
-		e.I64(int64(ev.msg.Stage))
-		e.Body(ev.msg.Body)
-	}
-	clear(evs)
-	s.snapEvs = evs[:0]
-
-	// Trace.
-	e.U32(uint32(len(lg.trace)))
-	for i := range lg.trace {
-		EncodeTraceEntry(e, &lg.trace[i])
-	}
-	return nil
+// frameLoad is what a restore carries across the frames it reads.
+type frameLoad struct {
+	fi     int  // the frame being read
+	inited bool // whether Init ran, as frame 0 says
+	seen   []bool
+	nSeen  int
+	minT   float64 // the earliest event this engine keeps
 }
 
-// EncodeTraceEntry appends one delivery-trace record, the form both engine
-// frames and the shard protocol's RESULT message carry. Trace bodies are
-// record-only, never resolved again, so a segment travels as its handle
-// image.
-func EncodeTraceEntry(e *wire.Enc, te *TraceEntry) {
-	e.F64(te.T)
-	e.U64(te.Seq)
-	e.I32(int32(te.From))
-	e.I32(int32(te.To))
-	e.I32(int32(te.Msg.Proto))
-	e.I64(int64(te.Msg.Stage))
-	e.RawBody(te.Msg.Body)
-	e.U8(uint8(te.Kind))
-}
-
-// DecodeTraceEntry reads one EncodeTraceEntry record.
-func DecodeTraceEntry(d *wire.Dec) TraceEntry {
-	te := TraceEntry{T: d.F64(), Seq: d.U64(), From: graph.NodeID(d.I32()), To: graph.NodeID(d.I32())}
-	te.Msg.Proto = Proto(d.I32())
-	te.Msg.Stage = int(d.I64())
-	te.Msg.Body = d.RawBody()
-	te.Kind = TraceKind(d.U8())
-	return te
-}
-
-// localNode reports whether v is hosted by this engine.
-func (s *Sim) localNode(v graph.NodeID) bool {
-	i := int(v - s.nodeBase)
-	return i >= 0 && i < s.g.NLocal()
-}
-
-// decodeEngine reads a snapshot's encodeEngine frames into an engine whose
-// run state was just reset (its handlers keep theirs until LoadState
-// replaces it): the one frame of a Snapshot, or all K_old frames of a
-// distributed snapshot resumed at any shard count. Records are keyed by global id, so
+// loadFrames reads a snapshot's engine frames into an engine whose run
+// state was just reset (its handlers keep theirs until LoadState replaces
+// it): the one frame of a Snapshot, or all K_old frames of a distributed
+// snapshot resumed at any shard count. Records are keyed by global id, so
 // the engine keeps the node, link and event records whose owner it hosts
 // (links belong to their sender, events to the node whose handler they
 // invoke) and skips the rest without carving their segments. The additive
@@ -293,224 +155,16 @@ func (s *Sim) localNode(v graph.NodeID) bool {
 // sums counters back), and clocks take the maximum over frames — each
 // frame's ledger folds into the engine's as a window's does — which every
 // pending event's timestamp dominates (pending events all lie at or beyond
-// the last window boundary, which bounds every engine's clock from above).
-// On failure the caller resets the engine, which releases every segment the
-// partial decode carved.
-func (s *Sim) decodeEngine(frames [][]byte) error {
-	n := s.g.N()
-	inGraph := func(v graph.NodeID) bool { return v >= 0 && int(v) < n }
-	host := s.localNode(0)
-	seen := make([]bool, s.g.NLocal())
-	nSeen := 0
-	inited := false
+// the last window boundary, which bounds every engine's clock from above),
+// so an event before the restored clock is refused. On failure the caller
+// resets the engine, which releases every segment the partial load carved.
+func (s *Sim) loadFrames(frames [][]byte) error {
+	ld := frameLoad{seen: make([]bool, s.g.NLocal()), minT: math.Inf(1)}
 	for fi, frame := range frames {
+		ld.fi = fi
 		d := wire.NewDec(frame, &s.arena)
-		if fn := d.U32(); !d.Failed() && int(fn) != n {
-			return fmt.Errorf("async: snapshot of a %d-node graph restored into %d nodes", fn, n)
-		}
-		if name := d.Str(); !d.Failed() && name != s.adv.Name() {
-			return fmt.Errorf("async: snapshot under adversary %q restored under %q", name, s.adv.Name())
-		}
-		if la := d.F64(); !d.Failed() && la != s.lookahead {
-			return fmt.Errorf("async: snapshot lookahead %g, engine has %g", la, s.lookahead)
-		}
-		if kt := d.Bool(); !d.Failed() && kt != s.keepTrace {
-			return fmt.Errorf("async: snapshot traced=%v, engine traced=%v", kt, s.keepTrace)
-		}
-		if it := d.Bool(); fi == 0 {
-			inited = it
-		} else if !d.Failed() && it != inited {
-			return fmt.Errorf("async: snapshot frames disagree on whether Init ran (frame %d says %v)", fi, it)
-		}
-
-		l := ledger{now: d.F64(), lastOut: d.F64()}
-		s.eventSq = max(s.eventSq, d.U64())
-		l.steps, l.msgs, l.acks = d.U64(), d.U64(), d.U64()
-		l.dropped, l.retrans, l.undeliv = d.U64(), d.U64(), d.U64()
-		l.outCount = int(d.I64())
-		for i, np := 0, int(d.U32()); i < np && !d.Failed(); i++ {
-			l.perProto = bumpProtoBy(l.perProto, Proto(i), d.U64())
-		}
-		if !host {
-			l = ledger{now: l.now, lastOut: l.lastOut}
-		}
-		s.direct.fold(&l)
-
-		for i, nn := 0, int(d.U32()); i < nn && !d.Failed(); i++ {
-			id := graph.NodeID(d.I32())
-			if d.Failed() {
-				break
-			}
-			if !inGraph(id) {
-				d.Fail("node record %d outside the %d-node graph", id, n)
-				break
-			}
-			if !s.localNode(id) {
-				outval.SkipRecord(d)
-				d.SkipBlob()
-				continue
-			}
-			li := s.li(id)
-			if seen[li] {
-				d.Fail("node %d has two records", id)
-				break
-			}
-			seen[li] = true
-			nSeen++
-			s.out.Load(d, int(li))
-			sc, ok := s.handlers[li].(wire.StateCodec)
-			if !ok {
-				return fmt.Errorf("async: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", s.handlers[li], id)
-			}
-			d.Nested(sc)
-		}
-
-		ld := wire.NewDec(d.SkipBlob(), &s.arena)
-		for i, nl := 0, int(d.U32()); i < nl && !ld.Failed(); i++ {
-			from := graph.NodeID(ld.I32())
-			to := graph.NodeID(ld.I32())
-			busy := ld.Bool()
-			txSeq := ld.U32()
-			nStages := int(ld.U32())
-			if ld.Failed() {
-				break
-			}
-			if !inGraph(from) || !inGraph(to) {
-				ld.Fail("link record %d->%d outside the %d-node graph", from, to, n)
-				break
-			}
-			// Reconstruct the outbox structure verbatim — including drained
-			// protoFIFO rotation slots and the round-robin cursor — because the
-			// rotation's first-appearance order decides future injection order.
-			// A foreign link's record is walked the same way, bodies skipped.
-			// Local records are carved from the direct context's slab, as a
-			// queue built during Init would be.
-			local := s.localNode(from)
-			sl := &s.direct.obs
-			var ob *outbox
-			var tail *stageQueue
-			if local {
-				l := s.g.LinkBetween(from, to)
-				if l < 0 {
-					ld.Fail("link record %d->%d along a non-edge", from, to)
-					break
-				}
-				s.busy[l] = busy
-				s.txSeq[l] = txSeq
-				if ob = s.boxes[l]; ob == nil && nStages > 0 {
-					ob = sl.boxes.get()
-					s.boxes[l] = ob
-				}
-				if ob != nil {
-					tail = ob.stages
-					for tail != nil && tail.up != nil {
-						tail = tail.up
-					}
-				}
-			}
-			prevStage := 0
-			for si := 0; si < nStages && !ld.Failed(); si++ {
-				stage := int(ld.I64())
-				next := int(ld.U32())
-				nProtos := int(ld.U32())
-				if si > 0 && stage <= prevStage {
-					ld.Fail("link %d->%d stages out of order (%d after %d)", from, to, stage, prevStage)
-					break
-				}
-				prevStage = stage
-				if next < 0 || (nProtos > 0 && next >= nProtos) || (nProtos == 0 && next != 0) {
-					ld.Fail("link %d->%d stage %d rotation cursor %d outside %d protos", from, to, stage, next, nProtos)
-					break
-				}
-				var sq *stageQueue
-				if local {
-					sq = sl.stages.get()
-					sq.stage = stage
-					if tail == nil {
-						ob.stages = sq
-					} else {
-						tail.up = sq
-					}
-					tail = sq
-				}
-				for pi := 0; pi < nProtos && !ld.Failed(); pi++ {
-					proto := Proto(ld.I32())
-					nMsgs := int(ld.U32())
-					var pf *protoFIFO
-					if local {
-						pf = sq.addProto(sl, proto)
-						if pi == next {
-							sq.cur = pf
-						}
-					}
-					for mi := 0; mi < nMsgs && !ld.Failed(); mi++ {
-						if !local {
-							ld.SkipBody()
-							continue
-						}
-						pf.append(sl, Msg{Proto: proto, Stage: stage, Body: ld.Body()})
-						sq.queued++
-						ob.queued++
-					}
-				}
-			}
-		}
-		if err := ld.Err(); err != nil {
+		if err := s.frame(d.Coder(), &ld); err != nil {
 			return err
-		}
-
-		for i, ne := 0, int(d.U32()); i < ne && !d.Failed(); i++ {
-			var ev event
-			ev.kind = d.U8()
-			ev.attempt = d.U8()
-			ev.t = d.F64()
-			ev.seq = d.U64()
-			ev.src = graph.NodeID(d.I32())
-			ev.dst = graph.NodeID(d.I32())
-			ev.msg.Proto = Proto(d.I32())
-			ev.msg.Stage = int(d.I64())
-			if d.Failed() {
-				break
-			}
-			if ev.kind != evDeliver && ev.kind != evAckArrive && ev.kind != evRetrans {
-				d.Fail("event of unknown kind %d", ev.kind)
-				break
-			}
-			if !inGraph(ev.src) || !inGraph(ev.dst) {
-				d.Fail("event kind %d %d->%d outside the %d-node graph", ev.kind, ev.src, ev.dst, n)
-				break
-			}
-			if !s.localNode(ownerOf(&ev)) {
-				d.SkipBody()
-				continue
-			}
-			ev.msg.Body = d.Body()
-			if d.Failed() {
-				break
-			}
-			// The dense LinkID is recomputed against this engine's graph view; a
-			// delivery whose sender is remote carries the complement of the local
-			// back link instead (see admitInbound).
-			remoteSrc := ev.kind == evDeliver && !s.localNode(ev.src)
-			if remoteSrc {
-				ev.link = s.g.LinkBetween(ev.dst, ev.src)
-			} else {
-				ev.link = s.g.LinkBetween(ev.src, ev.dst)
-			}
-			if ev.link < 0 {
-				d.Fail("event kind %d %d->%d along a non-edge", ev.kind, ev.src, ev.dst)
-				break
-			}
-			if remoteSrc {
-				ev.link = ^ev.link
-			}
-			s.events.push(&ev)
-		}
-
-		for i, nt := 0, int(d.U32()); i < nt && !d.Failed(); i++ {
-			if te := DecodeTraceEntry(d); host && !d.Failed() {
-				s.direct.trace = append(s.direct.trace, te)
-			}
 		}
 		if err := d.Err(); err != nil {
 			return err
@@ -519,14 +173,329 @@ func (s *Sim) decodeEngine(frames [][]byte) error {
 			return fmt.Errorf("async: snapshot frame %d has %d trailing bytes", fi, d.Remaining())
 		}
 	}
-	if nSeen != len(seen) {
-		return fmt.Errorf("async: snapshot carries %d node records of the %d this engine hosts", nSeen, len(seen))
+	if ld.nSeen != len(ld.seen) {
+		return fmt.Errorf("async: snapshot carries %d node records of the %d this engine hosts", ld.nSeen, len(ld.seen))
+	}
+	if now := s.direct.now; !(ld.minT >= now) {
+		return fmt.Errorf("async: snapshot holds an event at t=%g, before the restored clock %g", ld.minT, now)
 	}
 	if len(frames) > 1 {
 		// Each frame's trace is a (T, Seq)-sorted run with globally unique keys.
 		tr := s.direct.trace
 		sort.Slice(tr, func(i, j int) bool { return TraceLess(&tr[i], &tr[j]) })
 	}
-	s.resumed = inited
+	s.resumed = ld.inited
 	return nil
 }
+
+// frameHeader is enough of an engine frame to reject a restore into a
+// mismatched engine.
+type frameHeader struct {
+	n         uint32
+	adv       string
+	lookahead float64
+	traced    bool
+	// inited is false only for a pre-run snapshot, whose restore must still
+	// run Init rather than resume.
+	inited bool
+}
+
+func (h *frameHeader) code(c *wire.Coder) {
+	c.U32(&h.n)
+	c.Str(&h.adv)
+	c.F64(&h.lookahead)
+	c.Bool(&h.traced)
+	c.Bool(&h.inited)
+}
+
+// frame codes one engine frame: header, ledger, nodes (output record and
+// handler state), links (busy flag, txSeq, outbox), events and trace.
+// Saving (ld nil) writes this engine's state; loading reads one frame of a
+// restore (see loadFrames).
+func (s *Sim) frame(c *wire.Coder, ld *frameLoad) error {
+	own := frameHeader{uint32(s.g.N()), s.adv.Name(), s.lookahead, s.keepTrace, s.running || s.resumed}
+	h := own
+	if h.code(c); c.Loading() && !c.Failed() {
+		switch {
+		case h.n != own.n:
+			return fmt.Errorf("async: snapshot of a %d-node graph restored into %d nodes", h.n, own.n)
+		case h.adv != own.adv:
+			return fmt.Errorf("async: snapshot under adversary %q restored under %q", h.adv, own.adv)
+		case h.lookahead != own.lookahead:
+			return fmt.Errorf("async: snapshot lookahead %g, engine has %g", h.lookahead, own.lookahead)
+		case h.traced != own.traced:
+			return fmt.Errorf("async: snapshot traced=%v, engine traced=%v", h.traced, own.traced)
+		case ld.fi == 0:
+			ld.inited = h.inited
+		case h.inited != ld.inited:
+			return fmt.Errorf("async: snapshot frames disagree on whether Init ran (frame %d says %v)", ld.fi, h.inited)
+		}
+	}
+
+	if !c.Loading() {
+		s.direct.ledger.code(c, &s.eventSq)
+	} else {
+		var l ledger
+		var sq uint64
+		l.code(c, &sq)
+		s.eventSq = max(s.eventSq, sq)
+		if !s.localNode(0) {
+			l = ledger{now: l.now, lastOut: l.lastOut}
+		}
+		s.direct.fold(&l)
+	}
+
+	// Nodes: output record plus handler state, keyed by global id.
+	for i, n := 0, c.Count(s.g.NLocal()); i < n && !c.Failed(); i++ {
+		id := s.nodeBase + graph.NodeID(i)
+		if wire.ID(c, &id); c.Loading() {
+			if c.Failed() {
+				break
+			}
+			if !s.inGraph(id) {
+				c.Fail("node record %d outside the %d-node graph", id, s.g.N())
+				break
+			}
+			if !s.localNode(id) {
+				var handler []byte
+				s.out.Record(c, -1)
+				c.Bytes(&handler)
+				continue
+			}
+			if ld.seen[s.li(id)] {
+				c.Fail("node %d has two records", id)
+				break
+			}
+			ld.seen[s.li(id)] = true
+			ld.nSeen++
+		}
+		li := s.li(id)
+		if err := s.out.Record(c, int(li)); err != nil {
+			return fmt.Errorf("async: node %d: %w", id, err)
+		}
+		sc, ok := codecOf(s.handlers[li])
+		if !ok {
+			return fmt.Errorf("async: handler %T of node %d has no wire.StateCodec, or hosts a module without one; engine state cannot be snapshotted or restored", s.handlers[li], id)
+		}
+		c.Nested(sc)
+	}
+
+	// Links: every locally-owned directed link with non-default state. The
+	// section is a blob with a trailing count, because saving filters the
+	// links inside the one pass that writes them.
+	nLinks := 0
+	c.Blob(func(c *wire.Coder) {
+		for ; c.More() && !c.Failed(); nLinks++ {
+			s.link(c, 0, -1)
+		}
+		for i := 0; i < s.g.NLocal() && !c.Loading(); i++ {
+			from := s.nodeBase + graph.NodeID(i)
+			base := s.g.LinkOffset(from)
+			for j := 0; j < s.g.Degree(from); j++ {
+				l := base + graph.LinkID(j)
+				if ob := s.boxes[l]; s.busy[l] || s.txSeq[l] != 0 || (ob != nil && ob.queued > 0) {
+					s.link(c, from, l)
+					nLinks++
+				}
+			}
+		}
+	})
+	count := uint32(nLinks)
+	if c.U32(&count); c.Loading() && !c.Failed() && int(count) != nLinks {
+		c.Fail("link section holds %d records, its count says %d", nLinks, count)
+	}
+
+	// Events, from whichever store holds them (serial queue, or the owner
+	// shards if the engine last ran a parallel mode — mutually exclusive),
+	// in (t, seq) order: queue order depends on how the events arrived, and
+	// the frame must not, so that a restored engine writes the same bytes
+	// back.
+	evs := s.snapEvs[:0]
+	if !c.Loading() {
+		collect := func(ev *event) { evs = append(evs, ev) }
+		s.events.forEach(collect)
+		for k := range s.shards {
+			s.shards[k].forEach(collect)
+		}
+		slices.SortFunc(evs, func(a, b *event) int {
+			if c := cmp.Compare(a.t, b.t); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
+	for i, n := 0, c.Count(len(evs)); i < n && !c.Failed(); i++ {
+		if !c.Loading() {
+			s.event(c, evs[i], nil)
+			continue
+		}
+		var ev event
+		s.event(c, &ev, ld)
+	}
+	clear(evs)
+	s.snapEvs = evs[:0]
+
+	// Trace. A load reads it into the trace's spare capacity and keeps it
+	// only on the engine hosting node 0.
+	tr := s.direct.trace
+	if c.Loading() {
+		tr = tr[len(tr):]
+	}
+	wire.List(c, &tr, nil, func(c *wire.Coder, te *TraceEntry) { te.Code(c) })
+	if c.Loading() && s.localNode(0) {
+		s.direct.trace = append(s.direct.trace, tr...)
+	}
+	return nil
+}
+
+// code codes the ledger's clocks and counters (not its trace) and the
+// engine's event sequence counter, which the frame carries among them.
+func (l *ledger) code(c *wire.Coder, eventSq *uint64) {
+	c.F64(&l.now)
+	c.F64(&l.lastOut)
+	c.U64(eventSq)
+	c.U64(&l.steps)
+	c.U64(&l.msgs)
+	c.U64(&l.acks)
+	c.U64(&l.dropped)
+	c.U64(&l.retrans)
+	c.U64(&l.undeliv)
+	c.Int(&l.outCount)
+	wire.List(c, &l.perProto, nil, (*wire.Coder).U64)
+}
+
+// link codes one link record, keyed by its (from, to) endpoints: the busy
+// flag, txSeq and the outbox. Saving, l is the link from sends on. Loading
+// (l < 0), a record whose sender this engine does not host is walked with
+// its bodies skipped.
+func (s *Sim) link(c *wire.Coder, from graph.NodeID, l graph.LinkID) {
+	to, busy, txSeq := graph.NodeID(-1), false, uint32(0)
+	if l >= 0 {
+		to, busy, txSeq = s.g.LinkDst(l), s.busy[l], s.txSeq[l]
+	}
+	wire.ID(c, &from)
+	wire.ID(c, &to)
+	c.Bool(&busy)
+	c.U32(&txSeq)
+	if !c.Loading() {
+		// A drained outbox holds no live rotation state (empty front stages
+		// retire on their final pop), so only busy/txSeq carry.
+		var drained outbox
+		ob := &drained
+		if b := s.boxes[l]; b != nil && b.queued > 0 {
+			ob = b
+		}
+		ob.code(c, nil, false)
+		return
+	}
+	local := s.localNode(from)
+	switch {
+	case c.Failed():
+		return
+	case !s.inGraph(from) || !s.inGraph(to):
+		c.Fail("link record %d->%d outside the %d-node graph", from, to, s.g.N())
+		return
+	case !local:
+	case s.g.LinkBetween(from, to) < 0:
+		c.Fail("link record %d->%d along a non-edge", from, to)
+		return
+	}
+	// Local records are carved from the direct context's slab, as a queue
+	// built during Init would be; a foreign one is walked through a record
+	// handed straight back.
+	sl := &s.direct.obs
+	ob := sl.boxes.get()
+	ob.code(c, sl, local)
+	if !local {
+		ob.free(sl)
+		return
+	}
+	l = s.g.LinkBetween(from, to)
+	if s.busy[l] || s.txSeq[l] != 0 || s.boxes[l] != nil {
+		c.Fail("link %d->%d has two records", from, to)
+	}
+	s.busy[l], s.txSeq[l] = busy, txSeq
+	if ob.stages == nil {
+		ob.free(sl)
+		return
+	}
+	s.boxes[l] = ob
+}
+
+// event codes one pending event record. Loading, ev is zero; the record
+// is checked and, when this engine hosts its owner, queued, with its dense
+// LinkID recomputed against this engine's graph view; otherwise its body
+// is skipped.
+func (s *Sim) event(c *wire.Coder, ev *event, ld *frameLoad) {
+	c.U8(&ev.kind)
+	c.U8(&ev.attempt)
+	c.F64(&ev.t)
+	c.U64(&ev.seq)
+	wire.ID(c, &ev.src)
+	wire.ID(c, &ev.dst)
+	wire.ID(c, &ev.msg.Proto)
+	c.Int(&ev.msg.Stage)
+	if !c.Loading() {
+		c.Body(&ev.msg.Body)
+		return
+	}
+	switch {
+	case c.Failed():
+		return
+	case ev.kind != evDeliver && ev.kind != evAckArrive && ev.kind != evRetrans:
+		c.Fail("event of unknown kind %d", ev.kind)
+		return
+	case !s.inGraph(ev.src) || !s.inGraph(ev.dst):
+		c.Fail("event kind %d %d->%d outside the %d-node graph", ev.kind, ev.src, ev.dst, s.g.N())
+		return
+	case math.IsNaN(ev.t) || math.IsInf(ev.t, 0):
+		c.Fail("event kind %d %d->%d at t=%g", ev.kind, ev.src, ev.dst, ev.t)
+		return
+	case !s.localNode(ownerOf(ev)):
+		c.SkipBody()
+		return
+	}
+	if c.Body(&ev.msg.Body); c.Failed() {
+		return
+	}
+	// A delivery whose sender is remote carries the complement of the local
+	// back link instead (see admitInbound).
+	remoteSrc := ev.kind == evDeliver && !s.localNode(ev.src)
+	if remoteSrc {
+		ev.link = s.g.LinkBetween(ev.dst, ev.src)
+	} else {
+		ev.link = s.g.LinkBetween(ev.src, ev.dst)
+	}
+	if ev.link < 0 {
+		c.Fail("event kind %d %d->%d along a non-edge", ev.kind, ev.src, ev.dst)
+		return
+	}
+	if remoteSrc {
+		ev.link = ^ev.link
+	}
+	ld.minT = min(ld.minT, ev.t)
+	s.events.push(ev)
+}
+
+// Code codes one delivery-trace record, the form both engine frames and
+// the shard protocol's RESULT message carry. Trace bodies are record-only,
+// never resolved again, so a segment travels as its handle image.
+func (te *TraceEntry) Code(c *wire.Coder) {
+	c.F64(&te.T)
+	c.U64(&te.Seq)
+	wire.ID(c, &te.From)
+	wire.ID(c, &te.To)
+	wire.ID(c, &te.Msg.Proto)
+	c.Int(&te.Msg.Stage)
+	c.RawBody(&te.Msg.Body)
+	c.U8((*uint8)(&te.Kind))
+}
+
+// localNode reports whether v is hosted by this engine.
+func (s *Sim) localNode(v graph.NodeID) bool {
+	i := int(v - s.nodeBase)
+	return i >= 0 && i < s.g.NLocal()
+}
+
+// inGraph reports whether v is a node of the whole graph.
+func (s *Sim) inGraph(v graph.NodeID) bool { return v >= 0 && int(v) < s.g.N() }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -308,7 +309,7 @@ func TestSnapshotErrors(t *testing.T) {
 		{"event-id-outside", shardOf(), [][]byte{patched(eventAt, 1<<20)}, "outside the 16-node graph"},
 		{"output-kind-unknown", New(g, adv, mkRelax), [][]byte{unknownKind}, "kind 4660, which no decoder"},
 	} {
-		if err := tc.sim.decodeEngine(tc.frames); err == nil {
+		if err := tc.sim.loadFrames(tc.frames); err == nil {
 			t.Errorf("%s: frame set accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -484,9 +485,10 @@ func (h *segRelay) Recv(n *Node, from graph.NodeID, m Msg) {
 func (h *segRelay) SaveState(e *wire.Enc) { e.Bool(h.seen) }
 func (h *segRelay) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 
-// FuzzSnapshotRoundTrip feeds arbitrary bytes to Restore: any input must
-// either restore an engine that runs to a clean finish or error without
-// panicking, and in both cases the arena must end with zero live
+// FuzzSnapshotRoundTrip feeds arbitrary bytes to Restore, as they come
+// and sealed as a payload (so they pass the container's checksum): any
+// input must either restore an engine that runs to a clean finish or error
+// without panicking, and in both cases the arena must end with zero live
 // segments.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	g := graph.RandomConnected(12, 26, 3)
@@ -498,35 +500,49 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	f.Add(valid[24:]) // the payload
 	f.Add(valid[:len(valid)/2])
 	f.Add(versionOneFrame(valid[24:])) // an intact frame from the previous SnapVersion
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New(g, adv, mkRelax)
-		if err := s.Restore(data); err != nil {
-			if live := s.arena.Live(); live != 0 {
-				t.Fatalf("failed restore leaked %d arena segments", live)
-			}
-			return
-		}
-		s.SetMaxEvents(1 << 20)
-		clean := func() (ok bool) {
-			// A forged-but-wellformed frame may decode into a state the
-			// engine rejects at run time (time going backwards, livelock
-			// ceilings); that guard firing is acceptable, corruption is
-			// not. Leak accounting only applies to runs that finish.
-			defer func() { ok = recover() == nil }()
-			s.WithMode(ModeSingle).Run()
-			return true
-		}()
-		if clean {
-			if live := s.arena.Live(); live != 0 {
-				t.Fatalf("restored run leaked %d arena segments", live)
-			}
+		for _, frame := range [][]byte{data, sealPayload(data)} {
+			restoreAndRun(t, New(g, adv, mkRelax), frame)
 		}
 	})
+}
+
+// restoreAndRun restores frame into s and, if it is accepted, runs s to
+// the end: any panic but the event ceiling's, or a segment left live, fails t.
+func restoreAndRun(t *testing.T, s *Sim, frame []byte) {
+	t.Helper()
+	if err := s.Restore(frame); err != nil {
+		if live := s.arena.Live(); live != 0 {
+			t.Fatalf("failed restore leaked %d arena segments", live)
+		}
+		return
+	}
+	s.SetMaxEvents(1 << 20)
+	clean := func() (ok bool) {
+		// A forged-but-wellformed frame may decode into a state that
+		// livelocks; the event ceiling firing is acceptable, any other
+		// panic is not. Leak accounting only applies to runs that finish.
+		defer func() {
+			if r := recover(); r != nil {
+				if msg, _ := r.(string); !strings.Contains(msg, "livelock") {
+					panic(r)
+				}
+			}
+		}()
+		s.WithMode(ModeSingle).Run()
+		return true
+	}()
+	if clean {
+		if live := s.arena.Live(); live != 0 {
+			t.Fatalf("restored run leaked %d arena segments", live)
+		}
+	}
 }
 
 // sealPayload seals an already-encoded (truncated or patched) payload.
@@ -564,5 +580,45 @@ func TestSnapshotRejectsFlagByte(t *testing.T) {
 	}
 	if live := b.arena.Live(); live != 0 {
 		t.Fatalf("refused restore leaked %d arena segments", live)
+	}
+}
+
+// TestSnapshotRejectsEventBeforeClock: a pending event's time must be
+// finite and no earlier than the restored clock, as every event the engine
+// queues is. A frame whose clock reads 2 and whose first event is patched
+// to t = 0.5, +Inf or NaN is refused, leak-free; before, t = 0.5 restored
+// and then panicked in Run ("time went backwards"), and t = +Inf ran to a
+// short result with the event still queued.
+func TestSnapshotRejectsEventBeforeClock(t *testing.T) {
+	g := graph.RandomConnected(12, 26, 3)
+	adv := Fixed{D: 1}
+	a := New(g, adv, mkRelax)
+	a.RunSteps(15)
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, eventAt := firstRecordOffsets(t, payload)
+	clockAt := 4 + 4 + len(adv.Name()) + 8 + 1 + 1 // past the header
+	patched := func(t0 float64) []byte {
+		p := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint64(p[clockAt:], math.Float64bits(2))
+		binary.LittleEndian.PutUint64(p[eventAt-16:], math.Float64bits(t0)) // kind, attempt, then t
+		return sealPayload(p)
+	}
+	if err := New(g, adv, mkRelax).Restore(patched(2)); err != nil {
+		t.Fatalf("an event at the clock was refused: %v", err)
+	}
+	for _, t0 := range []float64{0.5, math.Inf(1), math.NaN()} {
+		b := New(g, adv, mkRelax)
+		if err := b.Restore(patched(t0)); err == nil {
+			t.Errorf("restore accepted an event at t=%g against a clock of 2", t0)
+		} else if live := b.arena.Live(); live != 0 {
+			t.Errorf("refusing an event at t=%g leaked %d segments", t0, live)
+		}
 	}
 }

@@ -291,43 +291,40 @@ func (t *Table) typed(i int) (wire.Body, error) {
 	return b, nil
 }
 
-// Save appends slot i's frame record: the has-bit, then the typed body if
-// the slot is set. A boxed output has no record, so Save refuses it.
-func (t *Table) Save(e *wire.Enc, i int) error {
-	e.Bool(t.has[i])
-	if !t.has[i] {
+// Record codes slot i's frame record: the has-bit, then the typed body
+// if the slot is set. A boxed output has no record, so saving refuses it.
+// Loading refuses a kind no decoder knows (it would restore, then panic at
+// the Result boundary) and a segment, which no decoder reads and nothing
+// would release; loading into i < 0 skips the record, for a node another
+// engine hosts, without carving its segment.
+func (t *Table) Record(c *wire.Coder, i int) error {
+	var has bool
+	var b wire.Body
+	if !c.Loading() && t.has[i] {
+		var err error
+		if b, err = t.typed(i); err != nil {
+			return err
+		}
+		has = true
+	}
+	if c.Bool(&has); !has {
 		return nil
 	}
-	b, err := t.typed(i)
-	if err != nil {
-		return err
+	if i < 0 {
+		c.SkipBody()
+		return nil
 	}
-	e.Body(b)
-	return nil
-}
-
-// Load reads one Save record into slot i. A body of a kind no decoder
-// knows fails d: it would restore, then panic at the Result boundary.
-func (t *Table) Load(d *wire.Dec, i int) {
-	if !d.Bool() {
-		return
-	}
-	b := d.Body()
-	if d.Failed() {
-		return
+	if c.Body(&b); !c.Loading() || c.Failed() {
+		return nil
 	}
 	if !Known(b.Kind) {
-		d.Fail("slot %d output record has kind %d, which no decoder is registered for", i, b.Kind)
-		return
+		c.Fail("slot %d output record has kind %d, which no decoder is registered for", i, b.Kind)
+	} else if b.Seg != (wire.Seg{}) {
+		c.Fail("slot %d output record carries a segment", i)
+	} else {
+		t.SetBody(i, b)
 	}
-	t.SetBody(i, b)
-}
-
-// SkipRecord skips one Save record (a node another engine hosts).
-func SkipRecord(d *wire.Dec) {
-	if d.Bool() {
-		d.SkipBody()
-	}
+	return nil
 }
 
 // publish returns the slab p points to, allocating and publishing an

@@ -43,12 +43,14 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		}
 		m := async.Msg{Proto: async.Proto(proto), Stage: int(stage), Body: body}
 		enc := wire.NewEnc(&sa)
-		encodeEventFrame(enc, kind, graph.NodeID(src), graph.NodeID(dst), m)
+		codeEvent(enc.Coder(), &async.ShardEvent{Kind: kind, Src: graph.NodeID(src), Dst: graph.NodeID(dst), Msg: m})
 		frame := enc.Bytes()
 
 		var da wire.Arena
 		dec := wire.NewDec(frame, &da)
-		gotKind, gotSrc, gotDst, gotM := decodeEventFrame(dec)
+		var got async.ShardEvent
+		codeEvent(dec.Coder(), &got)
+		gotKind, gotSrc, gotDst, gotM := got.Kind, got.Src, got.Dst, got.Msg
 		if err := finish(dec, "event frame"); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -83,7 +85,7 @@ func FuzzShardFrameRoundTrip(f *testing.F) {
 		for _, cut := range []int{0, 20, len(frame) - 1} {
 			var ta wire.Arena
 			td := wire.NewDec(frame[:cut], &ta)
-			if decodeEventFrame(td); td.Err() == nil {
+			if codeEvent(td.Coder(), new(async.ShardEvent)); td.Err() == nil {
 				t.Fatalf("decode of %d/%d-byte prefix succeeded", cut, len(frame))
 			}
 			if ta.Live() != 0 {
@@ -134,7 +136,8 @@ func FuzzShardLogRoundTrip(f *testing.F) {
 					m.Body.Seg = seg
 				}
 				lo := frames.Len()
-				encodeEventFrame(frames, uint8(1+rng.IntN(2)), graph.NodeID(rng.IntN(100)), graph.NodeID(rng.IntN(100)), m)
+				codeEvent(frames.Coder(), &async.ShardEvent{Kind: uint8(1 + rng.IntN(2)),
+					Src: graph.NodeID(rng.IntN(100)), Dst: graph.NodeID(rng.IntN(100)), Msg: m})
 				g.remotes++
 				in.remotes = append(in.remotes, logRemote{idx: idx, evT: rng.Float64() * 10,
 					owner: graph.NodeID(rng.IntN(100)), frame: frames.Bytes()[lo:]})
@@ -143,10 +146,10 @@ func FuzzShardLogRoundTrip(f *testing.F) {
 		}
 
 		var enc wire.Enc
-		encodeFlush(&enc, &in)
+		in.code(enc.Coder())
 		var out flushMsg
 		d := wire.NewDec(enc.Bytes(), nil)
-		if err := decodeFlush(d, &out); err != nil {
+		if err := out.code(d.Coder()); err != nil {
 			t.Fatal(err)
 		}
 		if err := finish(d, "FLUSH"); err != nil {
@@ -159,42 +162,43 @@ func FuzzShardLogRoundTrip(f *testing.F) {
 			}) {
 			t.Fatalf("FLUSH round trip:\n got %+v\nwant %+v", out, in)
 		}
-		rejects(t, "FLUSH", enc.Bytes(), func(d *wire.Dec) error { return decodeFlush(d, &out) })
+		rejects(t, "FLUSH", enc.Bytes(), func(d *wire.Dec) error { return out.code(d.Coder()) })
 
 		// The OPEN: one grant run per group from a random base, and every
 		// remote call routed back at its group's start plus its index.
-		var (
-			runs    []async.ShardRun
-			inbound wire.Enc
-			want    []async.ShardEvent
-		)
+		sent := openMsg{wStart: in.minT, snap: rng.IntN(2) == 0}
+		var want []async.ShardEvent
 		next, rs := rng.Uint64()>>1, in.remotes
 		for _, g := range in.groups {
-			runs = append(runs, async.ShardRun{Start: next, Len: g.count})
+			sent.runs = append(sent.runs, async.ShardRun{Start: next, Len: g.count})
 			for _, r := range rs[:g.remotes] {
-				appendInbound(&inbound, next+uint64(r.idx), r.evT, r.frame)
+				sent.inbound = append(sent.inbound, routed{seq: next + uint64(r.idx), evT: r.evT, frame: r.frame})
 				ev := async.ShardEvent{Seq: next + uint64(r.idx), T: r.evT}
-				ev.Kind, ev.Src, ev.Dst, ev.Msg = decodeEventFrame(wire.NewDec(r.frame, &arena))
+				codeEvent(wire.NewDec(r.frame, &arena).Coder(), &ev)
 				want = append(want, ev)
 			}
 			next += uint64(g.count)
 			rs = rs[g.remotes:]
 		}
-		snap := rng.IntN(2) == 0
 		enc.Reset()
-		encodeOpen(&enc, in.minT, runs, len(want), inbound.Bytes(), snap)
+		sent.code(enc.Coder())
 		var open openMsg
 		var da wire.Arena
-		d = wire.NewDec(enc.Bytes(), &da)
-		decodeOpen(d, &open)
+		var evDec wire.Dec
+		d = wire.NewDec(enc.Bytes(), nil)
+		open.code(d.Coder())
 		if err := finish(d, "OPEN"); err != nil {
 			t.Fatal(err)
 		}
-		if open.wStart != in.minT || open.snap != snap || !slices.Equal(open.runs, runs) || len(open.inbound) != len(want) {
-			t.Fatalf("OPEN round trip: wStart %g snap %v runs %v, %d inbound; want %g %v %v, %d",
-				open.wStart, open.snap, open.runs, len(open.inbound), in.minT, snap, runs, len(want))
+		inbound, err := open.events(nil, &evDec, &da)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, got := range open.inbound {
+		if open.wStart != sent.wStart || open.snap != sent.snap || !slices.Equal(open.runs, sent.runs) || len(inbound) != len(want) {
+			t.Fatalf("OPEN round trip: wStart %g snap %v runs %v, %d inbound; want %g %v %v, %d",
+				open.wStart, open.snap, open.runs, len(inbound), sent.wStart, sent.snap, sent.runs, len(want))
+		}
+		for i, got := range inbound {
 			w := want[i]
 			if !slices.Equal(da.Data(got.Msg.Body.Seg), arena.Data(w.Msg.Body.Seg)) {
 				t.Fatalf("inbound %d: segment words differ", i)
@@ -204,7 +208,7 @@ func FuzzShardLogRoundTrip(f *testing.F) {
 				t.Fatalf("inbound %d = %+v, want %+v", i, got, w)
 			}
 		}
-		rejects(t, "OPEN", enc.Bytes(), func(d *wire.Dec) error { decodeOpen(d, &open); return nil })
+		rejects(t, "OPEN", enc.Bytes(), func(d *wire.Dec) error { open.code(d.Coder()); return nil })
 	})
 }
 

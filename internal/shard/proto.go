@@ -50,9 +50,10 @@
 // downstream. The worker admits its local calls and its inbound events as
 // one merge by seq, so each queue slot receives keys in serial push order.
 //
-// Every payload but HELLO's JSON is a wire.Enc stream read back with a
-// wire.Dec — the codec snapshots use, so a value has one byte form whether
-// it crosses a socket or a checkpoint. Bodies travel as raw images plus the
+// Every payload but HELLO's JSON is coded by one method per record run
+// through a wire.Coder, saving on one side and loading on the other — the
+// codec snapshots use, so a value has one byte form whether it crosses a
+// socket or a checkpoint. Bodies travel as raw images plus the
 // referenced arena segment's words (see wire.AppendBodySeg): serialization
 // is memcpy. Segments are re-homed into the receiving engine's arena on the
 // way in and released from the sender's on the way out, so each arena's
@@ -61,12 +62,14 @@ package shard
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -149,26 +152,15 @@ func finish(d *wire.Dec, what string) error {
 // The timestamp and granted seq travel in the enclosing envelope (the
 // FLUSH remote call / OPEN inbound record); the local LinkID deliberately does
 // not travel — link ids are shard-local, so the receiver recomputes its
-// own (see async.Sim.ShardAdmit).
-func encodeEventFrame(e *wire.Enc, kind uint8, src, to graph.NodeID, m async.Msg) {
-	e.U8(kind)
-	e.I32(int32(m.Proto))
-	e.I64(int64(m.Stage))
-	e.I32(int32(src))
-	e.I32(int32(to))
-	e.Body(m.Body)
-}
-
-// decodeEventFrame reads one event frame, re-homing any segment into d's
-// arena; a malformed frame latches d's sticky error.
-func decodeEventFrame(d *wire.Dec) (kind uint8, src, to graph.NodeID, m async.Msg) {
-	kind = d.U8()
-	m.Proto = async.Proto(d.I32())
-	m.Stage = int(d.I64())
-	src = graph.NodeID(d.I32())
-	to = graph.NodeID(d.I32())
-	m.Body = d.Body()
-	return kind, src, to, m
+// own (see async.Sim.ShardAdmit). Loading re-homes any segment into the
+// decoder's arena; a malformed frame latches its sticky error.
+func codeEvent(c *wire.Coder, ev *async.ShardEvent) {
+	c.U8(&ev.Kind)
+	wire.ID(c, &ev.Msg.Proto)
+	c.Int(&ev.Msg.Stage)
+	wire.ID(c, &ev.Src)
+	wire.ID(c, &ev.Dst)
+	c.Body(&ev.Msg.Body)
 }
 
 // flushMsg is one FLUSH: the worker's wheel minimum, the time its last
@@ -208,115 +200,182 @@ type logRemote struct {
 	frame []byte
 }
 
-func encodeFlush(e *wire.Enc, f *flushMsg) {
-	e.Bool(f.hasMin)
-	e.F64(f.minT)
-	e.U64(f.execNs)
-	e.U64(f.steps)
-	e.U32(uint32(len(f.groups)))
+// code codes one FLUSH. Loading reuses f's slices, and its frames view the
+// decoder's input. A remote call indexed past its group, or out of order
+// within it, is a *async.ShardError: its granted seq would fall in another
+// group's run. A short payload latches the decoder's sticky error for
+// finish to report.
+func (f *flushMsg) code(c *wire.Coder) (err error) {
+	c.Bool(&f.hasMin)
+	c.F64(&f.minT)
+	c.U64(&f.execNs)
+	c.U64(&f.steps)
 	rs := f.remotes
-	for _, g := range f.groups {
-		e.F64(g.trigT)
-		e.U64(g.trigSeq)
-		e.U32(g.count)
-		e.U32(g.remotes)
-		for _, r := range rs[:g.remotes] {
-			e.U32(r.idx)
-			e.F64(r.evT)
-			e.I32(int32(r.owner))
-			mark := e.BeginBlob()
-			e.Raw(r.frame)
-			e.EndBlob(mark)
-		}
-		rs = rs[g.remotes:]
+	if c.Loading() {
+		f.remotes = f.remotes[:0]
 	}
-	e.F64(f.localMin)
-}
-
-// decodeFlush reads one FLUSH into f, reusing its slices; frames view d's
-// buffer. A remote call indexed past its group, or out of order within it,
-// is a *async.ShardError: its granted seq would fall in another group's
-// run. A short payload latches d's sticky error for finish to report.
-func decodeFlush(d *wire.Dec, f *flushMsg) error {
-	f.hasMin = d.Bool()
-	f.minT = d.F64()
-	f.execNs = d.U64()
-	f.steps = d.U64()
-	f.groups, f.remotes = f.groups[:0], f.remotes[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		g := logGroup{trigT: d.F64(), trigSeq: d.U64(), count: d.U32(), remotes: d.U32()}
-		for j := uint32(0); j < g.remotes && !d.Failed(); j++ {
-			r := logRemote{idx: d.U32(), evT: d.F64(), owner: graph.NodeID(d.I32()), frame: d.SkipBlob()}
-			if d.Failed() {
-				break
+	wire.List(c, &f.groups, nil, func(c *wire.Coder, g *logGroup) {
+		c.F64(&g.trigT)
+		c.U64(&g.trigSeq)
+		c.U32(&g.count)
+		c.U32(&g.remotes)
+		for j := uint32(0); j < g.remotes && !c.Failed() && err == nil; j++ {
+			var r logRemote
+			if !c.Loading() {
+				r, rs = rs[0], rs[1:]
+			}
+			c.U32(&r.idx)
+			c.F64(&r.evT)
+			wire.ID(c, &r.owner)
+			if c.Bytes(&r.frame); !c.Loading() || c.Failed() {
+				continue
 			}
 			if r.idx >= g.count || (j > 0 && r.idx <= f.remotes[len(f.remotes)-1].idx) {
-				return &async.ShardError{Record: "FLUSH group", Reason: fmt.Sprintf(
+				err = &async.ShardError{Record: "FLUSH group", Reason: fmt.Sprintf(
 					"remote call at index %d of a %d-call group, after %d remote calls", r.idx, g.count, j)}
 			}
 			f.remotes = append(f.remotes, r)
 		}
-		f.groups = append(f.groups, g)
-	}
-	f.localMin = d.F64()
-	return nil
+	})
+	c.F64(&f.localMin)
+	return err
 }
 
-// openMsg is one OPEN as the worker applies it: the next window's start,
-// the grant runs covering its staged log, the events routed to it in
-// ascending seq, and whether to ship an engine frame before running.
-// Layout:
+// openMsg is one OPEN: the next window's start, the grant runs covering
+// the worker's staged log, the events routed to it in ascending seq, and
+// whether to ship an engine frame before running. Layout:
 //
 //	wStart f64 | nRuns u32 | nRuns × (start u64 | len u32)
 //	| nInbound u32 | nInbound × inbound | snap u8
 //	inbound: seq u64 | evT f64 | event frame blob
-//
-// The coordinator writes it with appendInbound and encodeOpen.
 type openMsg struct {
 	wStart  float64
 	runs    []async.ShardRun
-	inbound []async.ShardEvent
+	inbound []routed
 	snap    bool
 }
 
-// appendInbound appends one routed record to an OPEN's inbound section.
-func appendInbound(e *wire.Enc, seq uint64, evT float64, frame []byte) {
-	e.U64(seq)
-	e.F64(evT)
-	mark := e.BeginBlob()
-	e.Raw(frame)
-	e.EndBlob(mark)
+// routed is one event routed to a worker: its granted seq, its time and
+// its event frame, whose bytes the coordinator forwards from the FLUSH
+// that staged it.
+type routed struct {
+	seq   uint64
+	evT   float64
+	frame []byte
 }
 
-// encodeOpen writes one OPEN around n inbound records built by
-// appendInbound.
-func encodeOpen(e *wire.Enc, wStart float64, runs []async.ShardRun, n int, inbound []byte, snap bool) {
-	e.F64(wStart)
-	e.U32(uint32(len(runs)))
-	for _, r := range runs {
-		e.U64(r.Start)
-		e.U32(r.Len)
-	}
-	e.U32(uint32(n))
-	e.Raw(inbound)
-	e.Bool(snap)
+// code codes one OPEN. Loading reuses o's slices, and its frames view the
+// decoder's input (events decodes them).
+func (o *openMsg) code(c *wire.Coder) {
+	c.F64(&o.wStart)
+	wire.List(c, &o.runs, nil, func(c *wire.Coder, r *async.ShardRun) {
+		c.U64(&r.Start)
+		c.U32(&r.Len)
+	})
+	wire.List(c, &o.inbound, nil, func(c *wire.Coder, r *routed) {
+		c.U64(&r.seq)
+		c.F64(&r.evT)
+		c.Bytes(&r.frame)
+	})
+	c.Bool(&o.snap)
 }
 
-// decodeOpen reads one OPEN into o, reusing its slices and re-homing frame
-// segments into d's arena. A short or malformed payload latches d's sticky
-// error for finish to report.
-func decodeOpen(d *wire.Dec, o *openMsg) {
-	o.wStart = d.F64()
-	o.runs, o.inbound = o.runs[:0], o.inbound[:0]
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		o.runs = append(o.runs, async.ShardRun{Start: d.U64(), Len: d.U32()})
+// events decodes o's routed frames into evs (reused), re-homing their
+// segments into a through d. Each frame must decode exactly.
+func (o *openMsg) events(evs []async.ShardEvent, d *wire.Dec, a *wire.Arena) ([]async.ShardEvent, error) {
+	evs = evs[:0]
+	for _, r := range o.inbound {
+		ev := async.ShardEvent{Seq: r.seq, T: r.evT}
+		d.Reset(r.frame, a)
+		codeEvent(d.Coder(), &ev)
+		if err := finish(d, "OPEN event frame"); err != nil {
+			return evs, err
+		}
+		evs = append(evs, ev)
 	}
-	for i, n := 0, int(d.U32()); i < n && !d.Failed(); i++ {
-		ev := async.ShardEvent{Seq: d.U64(), T: d.F64()}
-		end := d.BeginBlob()
-		ev.Kind, ev.Src, ev.Dst, ev.Msg = decodeEventFrame(d)
-		d.EndBlob(end)
-		o.inbound = append(o.inbound, ev)
+	return evs, nil
+}
+
+// resultMsg is one RESULT: the worker's share of the run's counters, its
+// footprint, its outputs and its trace. Layout:
+//
+//	time f64 | quiesceTime f64 | msgs, acks, dropped, retrans, undeliverable u64
+//	| steps u64 | segLive u64 | nodes, links, boundary u32
+//	| graphBytes, engineBytes, heapMB u64 | nProtos u32 | nProtos × (proto i32 | msgs u64)
+//	| outputs blob | nTrace u32 | nTrace × trace entry
+//	output: id i32 | raw body, ids ascending
+type resultMsg struct {
+	// res carries the counters, PerProto and Trace. Loading, its OutSet and
+	// OutBodies are the run's dense columns, which the outputs go into.
+	res  async.Result
+	info ShardInfo
+	// outputs visits the worker's outputs (saving).
+	outputs func(func(graph.NodeID, wire.Body)) error
+	// lo and hi bound the ids a load accepts: the sending worker's nodes.
+	lo, hi graph.NodeID
+}
+
+// code codes one RESULT. Loading refuses, as a *async.ShardError naming
+// the node, any output record the worker owning [lo, hi) could not have
+// sent: an id outside that range or not above the one before (so no node
+// outputs twice, across shards too), a kind no decoder knows, or a
+// segment, which does not outlive the worker's arena.
+func (m *resultMsg) code(c *wire.Coder) (err error) {
+	r, si := &m.res, &m.info
+	c.F64(&r.Time)
+	c.F64(&r.QuiesceTime)
+	c.U64(&r.Msgs)
+	c.U64(&r.Acks)
+	c.U64(&r.Dropped)
+	c.U64(&r.Retrans)
+	c.U64(&r.Undeliverable)
+	c.U64(&si.Steps)
+	c.Int(&si.SegLive)
+	for _, p := range [...]*int{&si.Nodes, &si.Links, &si.Boundary} {
+		n := uint32(*p)
+		c.U32(&n)
+		*p = int(n)
 	}
-	o.snap = d.Bool()
+	c.I64(&si.GraphBytes)
+	c.I64(&si.EngineBytes)
+	c.I64(&si.HeapMB)
+	wire.Map(c, &r.PerProto, cmp.Compare[async.Proto], func(c *wire.Coder, p *async.Proto, n *uint64) {
+		wire.ID(c, p)
+		c.U64(n)
+	})
+	// Outputs ride in a blob: their count is known only after the visit.
+	c.Blob(func(c *wire.Coder) {
+		if !c.Loading() {
+			err = m.outputs(func(id graph.NodeID, b wire.Body) { codeOutput(c, &id, &b) })
+			return
+		}
+		for prev := m.lo - 1; c.More() && !c.Failed() && err == nil; {
+			var id graph.NodeID
+			var b wire.Body
+			codeOutput(c, &id, &b)
+			var reason string
+			switch {
+			case c.Failed():
+				return
+			case id <= prev || id >= m.hi:
+				reason = fmt.Sprintf("outside (%d, %d): ids ascend within the worker's nodes [%d, %d)", prev, m.hi, m.lo, m.hi)
+			case !outval.Known(b.Kind):
+				reason = fmt.Sprintf("kind %d, which no decoder is registered for", b.Kind)
+			case b.Seg != (wire.Seg{}):
+				reason = "a segment handle, which does not outlive the worker's arena"
+			default:
+				r.OutSet[id], r.OutBodies[id], prev = true, b, id
+				continue
+			}
+			err = &async.ShardError{Record: "RESULT output", Reason: fmt.Sprintf("node %d: %s", id, reason)}
+		}
+	})
+	wire.List(c, &r.Trace, nil, func(c *wire.Coder, te *async.TraceEntry) { te.Code(c) })
+	return err
+}
+
+// codeOutput codes one RESULT output record: the node and its body, raw.
+func codeOutput(c *wire.Coder, id *graph.NodeID, b *wire.Body) {
+	wire.ID(c, id)
+	c.RawBody(b)
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
-	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -222,15 +221,13 @@ type workerConn struct {
 	// The current FLUSH, decoded; its frames view buf.
 	flush flushMsg
 
-	// OPEN under construction: grant runs and routed inbound records
-	// accumulate side by side during the merge, then writeOpen assembles
-	// the message. remoteCur walks flush.remotes as the merge emits this
-	// worker's groups.
-	runs      []async.ShardRun
-	inbound   wire.Enc
-	inCount   int
+	// OPEN under construction: grant runs and routed events accumulate
+	// during the merge, then writeOpen codes the message into enc.
+	// remoteCur walks flush.remotes as the merge emits this worker's
+	// groups.
+	open      openMsg
 	remoteCur int
-	open      wire.Enc
+	enc       wire.Enc
 
 	// err is an in-process worker's failure, stored by its goroutine before
 	// it closes the socket and loaded here once the coordinator's read fails.
@@ -322,8 +319,10 @@ func (c *coord) run(full *graph.Graph) (rep *Report, err error) {
 			conn.Close()
 			return nil, c.workerError(fmt.Errorf("shard: bad JOIN handshake (%v)", merr))
 		}
-		idx := int(wire.NewDec(payload, nil).U32())
-		if idx < 0 || idx >= k || c.conns[idx].conn != nil {
+		var self uint32
+		wire.NewDec(payload, nil).Coder().U32(&self)
+		idx := int(self)
+		if idx >= k || c.conns[idx].conn != nil {
 			conn.Close()
 			return nil, fmt.Errorf("shard: worker joined with bad index %d", idx)
 		}
@@ -479,7 +478,7 @@ func (c *coord) readFlush(wc *workerConn) error {
 		return fmt.Errorf("shard: expected FLUSH, got message type %d", typ)
 	}
 	wc.dec.Reset(payload, nil)
-	if err := decodeFlush(&wc.dec, &wc.flush); err != nil {
+	if err := wc.flush.code(wc.dec.Coder()); err != nil {
 		return err
 	}
 	return finish(&wc.dec, "FLUSH")
@@ -494,9 +493,8 @@ func (c *coord) readFlush(wc *workerConn) error {
 func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 	for i := range c.conns {
 		wc := &c.conns[i]
-		wc.runs = wc.runs[:0]
-		wc.inbound.Reset()
-		wc.inCount, wc.remoteCur = 0, 0
+		wc.open.runs, wc.open.inbound = wc.open.runs[:0], wc.open.inbound[:0]
+		wc.remoteCur = 0
 	}
 	wStart = math.Inf(1)
 	async.MergeRuns(c.mergeCur, len(c.conns),
@@ -506,19 +504,18 @@ func (c *coord) merge(nextSeq *uint64) (wStart float64, pending bool) {
 			wc := &c.conns[from]
 			start := *nextSeq
 			*nextSeq += uint64(g.count)
-			if n := len(wc.runs); n > 0 && wc.runs[n-1].Start+uint64(wc.runs[n-1].Len) == start {
-				wc.runs[n-1].Len += g.count
+			if runs := wc.open.runs; len(runs) > 0 && runs[len(runs)-1].Start+uint64(runs[len(runs)-1].Len) == start {
+				runs[len(runs)-1].Len += g.count
 			} else {
-				wc.runs = append(wc.runs, async.ShardRun{Start: start, Len: g.count})
+				wc.open.runs = append(runs, async.ShardRun{Start: start, Len: g.count})
 			}
 			rs := wc.flush.remotes[wc.remoteCur : wc.remoteCur+int(g.remotes)]
 			wc.remoteCur += int(g.remotes)
 			for i := range rs {
 				r := &rs[i]
 				wStart = min(wStart, r.evT)
-				dst := &c.conns[c.part.Owner(r.owner)]
-				appendInbound(&dst.inbound, start+uint64(r.idx), r.evT, r.frame)
-				dst.inCount++
+				dst := &c.conns[c.part.Owner(r.owner)].open
+				dst.inbound = append(dst.inbound, routed{seq: start + uint64(r.idx), evT: r.evT, frame: r.frame})
 				c.stats.Frames++
 				c.stats.FrameBytes += uint64(len(r.frame))
 			}
@@ -544,9 +541,10 @@ func groupLess(a, b *logGroup) bool {
 // writeOpen sends one worker its grant runs and routed inbound events,
 // plus the snapshot flag requesting an engine frame before the window runs.
 func (c *coord) writeOpen(wc *workerConn, wStart float64, snap bool) error {
-	wc.open.Reset()
-	encodeOpen(&wc.open, wStart, wc.runs, wc.inCount, wc.inbound.Bytes(), snap)
-	return writeMsg(wc.w, msgOpen, wc.open.Bytes())
+	wc.open.wStart, wc.open.snap = wStart, snap
+	wc.enc.Reset()
+	wc.open.code(wc.enc.Coder())
+	return writeMsg(wc.w, msgOpen, wc.enc.Bytes())
 }
 
 // collectSnapshot reads one engine frame per worker (the response to a
@@ -590,74 +588,33 @@ func (c *coord) readResult(wc *workerConn, rep *Report, idx int, traces *[][]asy
 	if typ != msgResult {
 		return fmt.Errorf("shard: expected RESULT, got message type %d", typ)
 	}
-	d := &wc.dec
-	d.Reset(payload, nil)
-	res := &rep.Result
-	res.Time = max(res.Time, d.F64())
-	res.QuiesceTime = max(res.QuiesceTime, d.F64())
-	res.Msgs += d.U64()
-	res.Acks += d.U64()
-	res.Dropped += d.U64()
-	res.Retrans += d.U64()
-	res.Undeliverable += d.U64()
-	si := &rep.Shards[idx]
-	si.Steps = d.U64()
-	si.SegLive = int(d.U64())
-	si.Nodes = int(d.U32())
-	si.Links = int(d.U32())
-	si.Boundary = int(d.U32())
-	si.GraphBytes = int64(d.U64())
-	si.EngineBytes = int64(d.U64())
-	si.HeapMB = int64(d.U64())
-	for i, np := 0, int(d.U32()); i < np && !d.Failed(); i++ {
-		p := async.Proto(d.I32())
-		n := d.U64()
-		if res.PerProto == nil {
-			res.PerProto = make(map[async.Proto]uint64)
-		}
-		res.PerProto[p] += n
-	}
-	lo, hi := c.part.Range(idx)
-	if err := decodeOutputs(d.SkipBlob(), lo, hi, res.OutSet, res.OutBodies); err != nil {
+	m := resultMsg{res: async.Result{OutSet: rep.Result.OutSet, OutBodies: rep.Result.OutBodies}}
+	m.lo, m.hi = c.part.Range(idx)
+	wc.dec.Reset(payload, nil)
+	if err := m.code(wc.dec.Coder()); err != nil {
 		return err
 	}
-	nt := int(d.U32())
-	tr := make([]async.TraceEntry, 0, min(nt, d.Remaining())) // a record is more than a byte
-	for i := 0; i < nt && !d.Failed(); i++ {
-		tr = append(tr, async.DecodeTraceEntry(d))
+	if err := finish(&wc.dec, "RESULT"); err != nil {
+		return err
+	}
+	res := &rep.Result
+	res.Time = max(res.Time, m.res.Time)
+	res.QuiesceTime = max(res.QuiesceTime, m.res.QuiesceTime)
+	res.Msgs += m.res.Msgs
+	res.Acks += m.res.Acks
+	res.Dropped += m.res.Dropped
+	res.Retrans += m.res.Retrans
+	res.Undeliverable += m.res.Undeliverable
+	rep.Shards[idx] = m.info
+	if res.PerProto == nil && len(m.res.PerProto) > 0 {
+		res.PerProto = m.res.PerProto
+	} else {
+		for p, n := range m.res.PerProto {
+			res.PerProto[p] += n
+		}
 	}
 	if c.cfg.KeepTrace {
-		*traces = append(*traces, tr)
-	}
-	return finish(d, "RESULT")
-}
-
-// decodeOutputs writes a RESULT's output records — (id, raw body) pairs,
-// ids ascending as ShardRawOutputs walks its slots — into the run's dense
-// output columns, still typed. It refuses, as a *async.ShardError naming
-// the node, any record the worker owning [lo, hi) could not have sent: an
-// id outside that range or not above the one before (so no node outputs
-// twice, across shards too), a kind no decoder knows, or a segment, which
-// does not outlive the worker's arena.
-func decodeOutputs(blob []byte, lo, hi graph.NodeID, set []bool, bodies []wire.Body) error {
-	d := wire.NewDec(blob, nil)
-	for prev := lo - 1; d.Remaining() > 0; {
-		id, b := graph.NodeID(d.I32()), d.RawBody()
-		var reason string
-		switch {
-		case d.Failed():
-			return finish(d, "RESULT outputs")
-		case id <= prev || id >= hi:
-			reason = fmt.Sprintf("outside (%d, %d): ids ascend within the worker's nodes [%d, %d)", prev, hi, lo, hi)
-		case !outval.Known(b.Kind):
-			reason = fmt.Sprintf("kind %d, which no decoder is registered for", b.Kind)
-		case b.Seg != (wire.Seg{}):
-			reason = "a segment handle, which does not outlive the worker's arena"
-		default:
-			set[id], bodies[id], prev = true, b, id
-			continue
-		}
-		return &async.ShardError{Record: "RESULT output", Reason: fmt.Sprintf("node %d: %s", id, reason)}
+		*traces = append(*traces, m.res.Trace)
 	}
 	return nil
 }

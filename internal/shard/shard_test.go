@@ -461,7 +461,7 @@ func TestReadResultRejectsUnknownOutputKind(t *testing.T) {
 	}
 }
 
-// TestResultOutputsRefuseHostileBodies feeds decodeOutputs the records a
+// TestResultOutputsRefuseHostileBodies feeds readResult the records a
 // worker owning [4, 8) of a 12-node graph could not have sent. Each must
 // fail as a *async.ShardError naming the node, without a panic and without
 // touching another shard's slots; the records ShardRawOutputs does send
@@ -475,13 +475,25 @@ func TestResultOutputsRefuseHostileBodies(t *testing.T) {
 		id graph.NodeID
 		b  wire.Body
 	}
-	blob := func(recs ...rec) []byte {
+	// decodeOutputs hands the records, as the outputs blob of a RESULT the
+	// worker of shard 1 in cuts {0, 4, 8, 12} sends, to readResult.
+	decodeOutputs := func(recs []rec, set []bool, bodies []wire.Body) error {
 		e := wire.NewEnc(nil)
+		e.Raw(make([]byte, 2*8+7*8+3*4+3*8+4)) // counters, footprint, no per-proto counts
+		mark := e.BeginBlob()
 		for _, r := range recs {
 			e.I32(int32(r.id))
 			e.RawBody(r.b)
 		}
-		return e.Bytes()
+		e.EndBlob(mark)
+		e.U32(0) // trace
+		var buf bytes.Buffer
+		if err := writeMsg(bufio.NewWriter(&buf), msgResult, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		rep := &Report{Shards: make([]ShardInfo, 3), Result: async.Result{OutSet: set, OutBodies: bodies}}
+		return (&coord{part: graph.PartitionFromCuts([]graph.NodeID{0, lo, hi, n})}).readResult(
+			&workerConn{r: bufio.NewReader(&buf)}, rep, 1, nil)
 	}
 	for _, tc := range []struct {
 		name string
@@ -497,10 +509,10 @@ func TestResultOutputsRefuseHostileBodies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set, bodies := make([]bool, n), make([]wire.Body, n)
-			err := decodeOutputs(blob(tc.recs...), lo, hi, set, bodies)
+			err := decodeOutputs(tc.recs, set, bodies)
 			var se *async.ShardError
 			if !errors.As(err, &se) || !strings.Contains(se.Reason, tc.node) {
-				t.Fatalf("decodeOutputs returned %v, want a *async.ShardError about %q", err, tc.node)
+				t.Fatalf("readResult returned %v, want a *async.ShardError about %q", err, tc.node)
 			}
 			for v := range set {
 				if set[v] && (v < lo || v >= hi) {
@@ -510,7 +522,7 @@ func TestResultOutputsRefuseHostileBodies(t *testing.T) {
 		})
 	}
 	set, bodies := make([]bool, n), make([]wire.Body, n)
-	if err := decodeOutputs(blob(rec{4, ok}, rec{7, ok}), lo, hi, set, bodies); err != nil {
+	if err := decodeOutputs([]rec{{4, ok}, {7, ok}}, set, bodies); err != nil {
 		t.Fatal(err)
 	}
 	for v := range set {
@@ -616,7 +628,7 @@ func firstFlush(t *testing.T) (w *bufio.Writer, flush *flushMsg, done <-chan err
 	}
 	flush = new(flushMsg)
 	d := wire.NewDec(payload, nil)
-	if err := decodeFlush(d, flush); err != nil {
+	if err := flush.code(d.Coder()); err != nil {
 		t.Fatal(err)
 	}
 	if err := finish(d, "FLUSH"); err != nil {
@@ -635,9 +647,11 @@ func TestShardMalformedOpen(t *testing.T) {
 	// reframe rewrites the remote 3→4 delivery's endpoints.
 	reframe := func(flush *flushMsg, src, dst graph.NodeID) []byte {
 		var a wire.Arena
-		kind, _, _, m := decodeEventFrame(wire.NewDec(flush.remotes[0].frame, &a))
+		var ev async.ShardEvent
+		codeEvent(wire.NewDec(flush.remotes[0].frame, &a).Coder(), &ev)
+		ev.Src, ev.Dst = src, dst
 		e := wire.NewEnc(&a)
-		encodeEventFrame(e, kind, src, dst, m)
+		codeEvent(e.Coder(), &ev)
 		return e.Bytes()
 	}
 	for _, tc := range []struct {
@@ -654,14 +668,12 @@ func TestShardMalformedOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, flush, done := firstFlush(t)
-			var in wire.Enc
-			n := 0
+			msg := openMsg{wStart: 1, runs: tc.runs}
 			if tc.inbound != nil {
-				appendInbound(&in, 2, 1, tc.inbound(flush))
-				n = 1
+				msg.inbound = []routed{{seq: 2, evT: 1, frame: tc.inbound(flush)}}
 			}
 			var open wire.Enc
-			encodeOpen(&open, 1, tc.runs, n, in.Bytes(), false)
+			msg.code(open.Coder())
 			if err := writeMsg(w, msgOpen, open.Bytes()); err != nil {
 				t.Fatal(err)
 			}
@@ -677,7 +689,7 @@ func TestShardMalformedOpen(t *testing.T) {
 		_, flush, _ := firstFlush(t)
 		flush.remotes[0].idx = flush.groups[0].count // one past the group
 		var e wire.Enc
-		encodeFlush(&e, flush)
+		flush.code(e.Coder())
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
 		if err := writeMsg(bw, msgFlush, e.Bytes()); err != nil {

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"time"
 
@@ -99,7 +97,8 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	w := bufio.NewWriterSize(conn, 1<<16)
 
 	var join wire.Enc
-	join.U32(uint32(idx))
+	self := uint32(idx)
+	join.Coder().U32(&self)
 	if err := writeMsg(w, msgJoin, join.Bytes()); err != nil {
 		return err
 	}
@@ -173,16 +172,17 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 	}
 
 	// The window loop. enc carries every message this worker sends, dec
-	// every one it receives; frames holds one FLUSH's event frames until
-	// encodeFlush copies them in. All of them, and flush and open, are
-	// reused across windows.
+	// every one it receives and evDec each routed event frame; frames holds
+	// one FLUSH's event frames until writeFlush copies them in. All of them,
+	// and flush, open and inbound, are reused across windows.
 	var (
-		enc    = wire.NewEnc(sim.Arena())
-		frames = wire.NewEnc(sim.Arena())
-		dec    wire.Dec
-		flush  flushMsg
-		open   openMsg
-		inBuf  []byte
+		enc        = wire.NewEnc(sim.Arena())
+		frames     = wire.NewEnc(sim.Arena())
+		dec, evDec wire.Dec
+		flush      flushMsg
+		open       openMsg
+		inbound    []async.ShardEvent
+		inBuf      []byte
 	)
 	// The first flush's exec time covers startup + graph build + Init so
 	// the coordinator can report startup separately from steady windows.
@@ -207,12 +207,15 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		if typ != msgOpen {
 			return fmt.Errorf("shard: worker expected OPEN/FINISH, got message type %d", typ)
 		}
-		dec.Reset(payload, sim.Arena())
-		decodeOpen(&dec, &open)
+		dec.Reset(payload, nil)
+		open.code(dec.Coder())
 		if err := finish(&dec, "OPEN"); err != nil {
 			return err
 		}
-		if err := sim.ShardAdmit(open.runs, open.inbound); err != nil {
+		if inbound, err = open.events(inbound, &evDec, sim.Arena()); err != nil {
+			return err
+		}
+		if err := sim.ShardAdmit(open.runs, inbound); err != nil {
 			return fmt.Errorf("shard: worker %d: %w", idx, err)
 		}
 		if open.snap {
@@ -242,40 +245,14 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		engineHeap = settled - graphHeap
 		heapMB = (settled + (1 << 20) - 1) >> 20 // round up: a live process is never 0 MB
 	}
+	m := resultMsg{res: res, outputs: sim.ShardRawOutputs, info: ShardInfo{
+		Steps: sim.ShardSteps(), SegLive: sim.Arena().Live(),
+		Nodes: sub.NLocal(), Links: sub.Links(), Boundary: len(sub.BoundaryLinks()),
+		GraphBytes: sub.Footprint(), EngineBytes: engineHeap, HeapMB: heapMB,
+	}}
 	enc.Reset()
-	enc.F64(res.Time)
-	enc.F64(res.QuiesceTime)
-	enc.U64(res.Msgs)
-	enc.U64(res.Acks)
-	enc.U64(res.Dropped)
-	enc.U64(res.Retrans)
-	enc.U64(res.Undeliverable)
-	enc.U64(sim.ShardSteps())
-	enc.U64(uint64(sim.Arena().Live()))
-	enc.U32(uint32(sub.NLocal()))
-	enc.U32(uint32(sub.Links()))
-	enc.U32(uint32(len(sub.BoundaryLinks())))
-	enc.U64(uint64(sub.Footprint()))
-	enc.U64(uint64(engineHeap))
-	enc.U64(uint64(heapMB))
-	enc.U32(uint32(len(res.PerProto)))
-	for _, p := range slices.Sorted(maps.Keys(res.PerProto)) {
-		enc.I32(int32(p))
-		enc.U64(res.PerProto[p])
-	}
-	// Outputs ride in a blob: their count is known only after the visit.
-	mark := enc.BeginBlob()
-	err = sim.ShardRawOutputs(func(id graph.NodeID, b wire.Body) {
-		enc.I32(int32(id))
-		enc.RawBody(b)
-	})
-	if err != nil {
+	if err := m.code(enc.Coder()); err != nil {
 		return err
-	}
-	enc.EndBlob(mark)
-	enc.U32(uint32(len(res.Trace)))
-	for i := range res.Trace {
-		async.EncodeTraceEntry(enc, &res.Trace[i])
 	}
 	return writeMsg(w, msgResult, enc.Bytes())
 }
@@ -283,7 +260,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 // writeFlush sends one FLUSH, coded into enc.
 func writeFlush(w *bufio.Writer, enc *wire.Enc, f *flushMsg) error {
 	enc.Reset()
-	encodeFlush(enc, f)
+	f.code(enc.Coder())
 	return writeMsg(w, msgFlush, enc.Bytes())
 }
 
@@ -303,7 +280,7 @@ func stageFlush(sim *async.Sim, f *flushMsg, frames *wire.Enc) {
 		},
 		func(idx int, ev *async.ShardEvent) {
 			lo := frames.Len()
-			encodeEventFrame(frames, ev.Kind, ev.Src, ev.Dst, ev.Msg)
+			codeEvent(frames.Coder(), ev)
 			sim.Arena().Release(ev.Msg.Body.Seg)
 			f.groups[len(f.groups)-1].remotes++
 			f.remotes = append(f.remotes, logRemote{idx: uint32(idx), evT: ev.T, owner: ev.Owner(), frame: frames.Bytes()[lo:]})

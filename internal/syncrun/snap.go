@@ -2,7 +2,6 @@ package syncrun
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -27,70 +26,8 @@ import (
 // the pulse buffer as the next pulse's batches.
 func (r *Runner) Snapshot() ([]byte, error) {
 	se := wire.NewSnapshotEnc(&r.arena, 0)
-	e := &se.Enc
-	// Header.
-	e.U32(uint32(r.g.N()))
-	e.Bool(r.keepTrace)
-	e.Bool(r.started || r.resumed)
-
-	// Counters.
-	e.Int(r.pulse)
-	e.Int(r.lastOut)
-	e.U64(r.msgs)
-	e.Bool(r.done)
-
-	// Nodes: output record plus handler state, in index order.
-	for i := 0; i < r.g.N(); i++ {
-		if err := r.out.Save(e, i); err != nil {
-			return nil, fmt.Errorf("syncrun: node %d: %w", i, err)
-		}
-		sc, ok := r.handlers[i].(wire.StateCodec)
-		if !ok {
-			return nil, fmt.Errorf("syncrun: handler %T of node %d does not implement wire.StateCodec; runner state cannot be snapshotted", r.handlers[i], i)
-		}
-		e.Nested(sc)
-	}
-
-	// Next pulse's pending deliveries, as per-receiver batches in receiver
-	// order (batch order is the serial application order).
-	nChains := 0
-	for to := 0; to < r.g.N(); to++ {
-		if r.buf.ep[to] == r.buf.epoch {
-			nChains++
-		}
-	}
-	e.U32(uint32(nChains))
-	for to := 0; to < r.g.N(); to++ {
-		if r.buf.ep[to] != r.buf.epoch {
-			continue
-		}
-		e.I32(int32(to))
-		batch := r.buf.batch(graph.NodeID(to))
-		e.U32(uint32(len(batch)))
-		for _, in := range batch {
-			e.I32(int32(in.From))
-			e.Body(in.Body)
-		}
-	}
-
-	// Activation set, in index order off the bitmap.
-	e.U32(uint32(r.buf.active))
-	for w, word := range r.buf.bits {
-		base := w << 6
-		for word != 0 {
-			e.I32(int32(base + bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-
-	// Trace.
-	e.U32(uint32(len(r.trace)))
-	for i := range r.trace {
-		te := &r.trace[i]
-		e.Int(te.Pulse)
-		e.I32(int32(te.From))
-		e.I32(int32(te.To))
-		e.RawBody(te.Body)
+	if err := r.frame(se.Coder()); err != nil {
+		return nil, err
 	}
 	return se.Seal(), nil
 }
@@ -108,93 +45,140 @@ func (r *Runner) Restore(data []byte) error {
 		return err
 	}
 	d := wire.NewDec(payload, &r.arena)
-	if n := d.U32(); !d.Failed() && int(n) != r.g.N() {
-		return fmt.Errorf("syncrun: snapshot of a %d-node graph restored into %d nodes", n, r.g.N())
+	if err = r.frame(d.Coder()); err == nil {
+		err = d.Err()
 	}
-	if kt := d.Bool(); !d.Failed() && kt != r.keepTrace {
-		return fmt.Errorf("syncrun: snapshot traced=%v, runner traced=%v", kt, r.keepTrace)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("syncrun: snapshot frame has %d trailing bytes", d.Remaining())
 	}
-	inited := d.Bool()
+	if err != nil {
+		r.restoreFailed()
+	}
+	return err
+}
 
-	r.pulse = d.Int()
-	r.lastOut = d.Int()
-	r.msgs = d.U64()
-	r.done = d.Bool()
+// frame codes the runner's frame: header, counters, every node's output
+// record and handler state in index order, the next pulse's pending
+// deliveries as per-receiver chains in receiver order (batch order is the
+// serial application order), the activation set in index order, and the
+// trace. Loading, it refuses what the runner could not have written: a
+// pulse outside [0, maxRounds] or an output after it, a delivery from a
+// node that is not the receiver's neighbor, chains or active ids that do
+// not strictly ascend, a chain whose receiver is not active, and pending
+// work in a frame taken before Init or after quiescence.
+func (r *Runner) frame(c *wire.Coder) error {
+	n, traced, inited := uint32(r.g.N()), r.keepTrace, r.started || r.resumed
+	c.U32(&n)
+	c.Bool(&traced)
+	c.Bool(&inited)
+	if c.Loading() && !c.Failed() {
+		if int(n) != r.g.N() {
+			return fmt.Errorf("syncrun: snapshot of a %d-node graph restored into %d nodes", n, r.g.N())
+		}
+		if traced != r.keepTrace {
+			return fmt.Errorf("syncrun: snapshot traced=%v, runner traced=%v", traced, r.keepTrace)
+		}
+	}
 
-	for i := 0; i < r.g.N() && !d.Failed(); i++ {
-		r.out.Load(d, i)
+	c.Int(&r.pulse)
+	c.Int(&r.lastOut)
+	c.U64(&r.msgs)
+	c.Bool(&r.done)
+	if c.Loading() && !c.Failed() && (r.pulse < 0 || r.pulse > maxRounds || r.lastOut < 0 || r.lastOut > r.pulse) {
+		c.Fail("pulse %d with the last output at pulse %d", r.pulse, r.lastOut)
+	}
+
+	for i := 0; i < r.g.N() && !c.Failed(); i++ {
+		if err := r.out.Record(c, i); err != nil {
+			return fmt.Errorf("syncrun: node %d: %w", i, err)
+		}
 		sc, ok := r.handlers[i].(wire.StateCodec)
 		if !ok {
-			r.restoreFailed()
-			return fmt.Errorf("syncrun: handler %T of node %d does not implement wire.StateCodec; snapshot cannot be restored", r.handlers[i], i)
+			return fmt.Errorf("syncrun: handler %T of node %d does not implement wire.StateCodec; runner state cannot be snapshotted or restored", r.handlers[i], i)
 		}
-		d.Nested(sc)
+		c.Nested(sc)
 	}
 
-	nChains := int(d.U32())
-	for c := 0; c < nChains && !d.Failed(); c++ {
-		to := graph.NodeID(d.I32())
-		cnt := int(d.U32())
-		if d.Failed() {
-			break
+	b := &r.buf
+	chains := 0
+	for to := range r.g.N() {
+		if b.ep[to] == b.epoch {
+			chains++
 		}
-		if int(to) < 0 || int(to) >= r.g.N() {
-			d.Fail("delivery chain for node %d outside the graph", to)
-			break
+	}
+	to := graph.NodeID(-1)
+	for i, n := 0, c.Count(chains); i < n && !c.Failed(); i++ {
+		prev := to
+		for to++; !c.Loading() && b.ep[to] != b.epoch; to++ {
 		}
-		if r.buf.ep[to] == r.buf.epoch {
-			d.Fail("two delivery chains for node %d", to)
-			break
+		if wire.ID(c, &to); c.Loading() && !c.Failed() {
+			if to <= prev || int(to) >= r.g.N() {
+				c.Fail("delivery chain for node %d outside the graph or not above %d", to, prev)
+				break
+			}
+			lo := int32(len(b.in))
+			b.ep[to], b.lo[to], b.hi[to] = b.epoch, lo, lo
 		}
-		r.buf.ep[to], r.buf.lo[to] = r.buf.epoch, int32(len(r.buf.in))
-		for i := 0; i < cnt && !d.Failed(); i++ {
-			from := graph.NodeID(d.I32())
-			body := d.Body()
-			if !d.Failed() {
-				r.buf.in = append(r.buf.in, Incoming{From: from, Body: body})
+		batch := b.batch(to)
+		for j, n := 0, c.Count(len(batch)); j < n && !c.Failed(); j++ {
+			var in Incoming
+			if !c.Loading() {
+				in = batch[j]
+			}
+			wire.ID(c, &in.From)
+			if c.Loading() && !c.Failed() && (in.From < 0 || int(in.From) >= r.g.N() || r.g.LinkBetween(to, in.From) < 0) {
+				c.Fail("delivery from %d to %d along a non-edge", in.From, to)
+			}
+			if c.Body(&in.Body); c.Loading() && !c.Failed() {
+				b.in = append(b.in, in)
+				b.hi[to]++
 			}
 		}
-		r.buf.hi[to] = int32(len(r.buf.in))
 	}
 
-	nActive := int(d.U32())
-	for i := 0; i < nActive && !d.Failed(); i++ {
-		v := graph.NodeID(d.I32())
-		if int(v) < 0 || int(v) >= r.g.N() {
-			d.Fail("active node %d outside the graph", v)
-			break
+	v := graph.NodeID(-1)
+	for i, n := 0, c.Count(b.active); i < n && !c.Failed(); i++ {
+		prev := v
+		if !c.Loading() {
+			v = b.next(v)
 		}
-		r.buf.activate(v)
+		if wire.ID(c, &v); c.Loading() && !c.Failed() {
+			if v <= prev || int(v) >= r.g.N() {
+				c.Fail("active node %d outside the graph or not above %d", v, prev)
+				break
+			}
+			b.activate(v)
+		}
+	}
+	if c.Loading() && !c.Failed() {
+		for to := range r.g.N() {
+			if b.ep[to] == b.epoch && b.bits[to>>6]&(1<<(to&63)) == 0 {
+				c.Fail("delivery chain for node %d, which is not active", to)
+				break
+			}
+		}
+		if b.active > 0 && (!inited || r.done) {
+			c.Fail("%d active nodes in a frame taken before Init or after quiescence", b.active)
+		}
 	}
 
-	nTrace := int(d.U32())
-	for i := 0; i < nTrace && !d.Failed(); i++ {
-		var te TraceEntry
-		te.Pulse = d.Int()
-		te.From = graph.NodeID(d.I32())
-		te.To = graph.NodeID(d.I32())
-		te.Body = d.RawBody()
-		if !d.Failed() {
-			r.trace = append(r.trace, te)
-		}
+	wire.List(c, &r.trace, nil, func(c *wire.Coder, te *TraceEntry) {
+		c.Int(&te.Pulse)
+		wire.ID(c, &te.From)
+		wire.ID(c, &te.To)
+		c.RawBody(&te.Body)
+	})
+	if c.Loading() {
+		r.resumed = inited
 	}
-	if err := d.Err(); err != nil {
-		r.restoreFailed()
-		return err
-	}
-	if d.Remaining() != 0 {
-		r.restoreFailed()
-		return fmt.Errorf("syncrun: snapshot frame has %d trailing bytes", d.Remaining())
-	}
-	r.resumed = inited
 	return nil
 }
 
 // restoreFailed returns the runner to its pristine pre-Restore state after
-// a failed decode, releasing every segment the partial decode carved.
+// a failed load, releasing every segment the partial load carved.
 func (r *Runner) restoreFailed() {
 	r.pulse, r.lastOut, r.msgs = 0, 0, 0
-	r.done = false
+	r.done, r.resumed = false, false
 	r.out.Reset()
 	r.trace = r.trace[:0]
 	r.buf.refill()

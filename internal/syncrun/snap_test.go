@@ -144,13 +144,17 @@ var intKind = func() wire.Kind {
 // path2Frame writes by hand the frame of codecBFS on path:2 after Init:
 // node 0 has output 0 (encoded under outKind) and sent to node 1, whose
 // delivery chain is listed chains times.
-func path2Frame(chains int, outKind wire.Kind) []byte {
+func path2Frame(chains int, outKind wire.Kind) []byte { return path2FrameAt(chains, outKind, 0, 0) }
+
+// path2FrameAt is path2Frame at the given pulse, with the delivery's
+// sender replaced by sender.
+func path2FrameAt(chains int, outKind wire.Kind, pulse int, sender int32) []byte {
 	var arena wire.Arena
 	e := wire.NewSnapshotEnc(&arena, 0)
 	e.U32(2)      // nodes
 	e.Bool(false) // traced
 	e.Bool(true)  // Init ran
-	e.Int(0)      // pulse
+	e.Int(pulse)  // pulse
 	e.Int(0)      // T clock
 	e.U64(1)      // messages
 	e.Bool(false) // quiescent
@@ -168,7 +172,7 @@ func path2Frame(chains int, outKind wire.Kind) []byte {
 	for range chains {
 		e.I32(1) // receiver
 		e.U32(1)
-		e.I32(0) // sender
+		e.I32(sender)
 		e.Body(wire.Tag(1))
 	}
 	e.U32(2) // active: both endpoints
@@ -192,6 +196,26 @@ func TestLockstepRestoreRejectsDuplicateChain(t *testing.T) {
 	}
 	if err := New(g, mkCodecBFS).Restore(path2Frame(2, intKind)); err == nil {
 		t.Fatal("restore accepted a frame with two delivery chains for one node")
+	}
+}
+
+// TestLockstepRestoreRejectsBadDeliveries: a pending delivery's sender
+// must be a neighbor of its receiver, and the pulse clock is never
+// negative. Before, senders 7 and -5 (outside path:2) and 1 (the receiver
+// itself) restored and ran to the end, and pulse -3 finished with
+// Rounds -1 and node 1 outputting -2.
+func TestLockstepRestoreRejectsBadDeliveries(t *testing.T) {
+	g := graph.Path(2)
+	if err := New(g, mkCodecBFS).Restore(path2FrameAt(1, intKind, 0, 0)); err != nil {
+		t.Fatalf("the runner's own frame was refused: %v", err)
+	}
+	for _, sender := range []int32{7, -5, 1} {
+		if err := New(g, mkCodecBFS).Restore(path2FrameAt(1, intKind, 0, sender)); err == nil || !strings.Contains(err.Error(), "non-edge") {
+			t.Errorf("delivery from %d to 1: err %v, want a non-edge error", sender, err)
+		}
+	}
+	if err := New(g, mkCodecBFS).Restore(path2FrameAt(1, intKind, -3, 0)); err == nil || !strings.Contains(err.Error(), "pulse -3") {
+		t.Errorf("pulse -3: err %v, want a pulse error", err)
 	}
 }
 
@@ -286,4 +310,76 @@ func TestLockstepRestoreRejectsFlagByte(t *testing.T) {
 	if err := New(g, mkCodecBFS).Restore(sealPayload(p)); err == nil || !strings.Contains(err.Error(), "flag byte 2") {
 		t.Fatalf("restore of a frame with flag byte 2: err %v, want a flag-byte error", err)
 	}
+}
+
+// FuzzLockstepRestore feeds hostile payloads, sealed so they pass the
+// container's checksum, to Runner.Restore, seeded with codecBFS frames at
+// every pulse and their truncations. Any input must
+// either fail, leaving no segment live, or restore a runner that runs to
+// the end with no segment live. An accepted frame must snapshot back to
+// the very same bytes, so its chains and active ids strictly ascend; one
+// whose pending deliveries carry segments (which the runner's own frames
+// never do here) comes back with the segments re-carved at new arena
+// handles, so it must instead reach that form in one step. The one panic
+// allowed is the round cap, which a forged pulse near it can reach.
+func FuzzLockstepRestore(f *testing.F) {
+	g := graph.Grid(3, 4)
+	r := New(g, mkCodecBFS).KeepTrace()
+	for pulses := 0; ; pulses++ {
+		snap, err := r.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := wire.OpenSnapshot(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[:len(payload)*2/3])
+		if pulses > 0 && !r.RunPulses(1) {
+			break
+		}
+		r.RunPulses(0)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a snapshot"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := sealPayload(payload)
+		s := New(g, mkCodecBFS).KeepTrace()
+		if err := s.Restore(data); err != nil {
+			if live := s.arena.Live(); live != 0 {
+				t.Fatalf("failed restore leaked %d segments", live)
+			}
+			return
+		}
+		again, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := data
+		if s.arena.Live() != 0 {
+			b := New(g, mkCodecBFS).KeepTrace()
+			if err := b.Restore(again); err != nil {
+				t.Fatalf("the snapshot of an accepted frame is refused: %v", err)
+			}
+			want, again = again, nil
+			if again, err = b.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(again, want) {
+			t.Fatal("an accepted frame snapshots back differently")
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				if msg, _ := r.(string); !strings.Contains(msg, "rounds") {
+					panic(r)
+				}
+			}
+		}()
+		s.WithMode(ModeSingle).Run()
+		if live := s.arena.Live(); live != 0 {
+			t.Fatalf("restored run leaked %d segments", live)
+		}
+	})
 }

@@ -296,6 +296,18 @@ func (b *pulseBuf) mark(v graph.NodeID) int {
 	return 1
 }
 
+// next returns the first active node after v; one must exist.
+func (b *pulseBuf) next(v graph.NodeID) graph.NodeID {
+	i := int(v) + 1
+	w := i >> 6
+	for word := b.bits[w] >> (i & 63) << (i & 63); ; word = b.bits[w] {
+		if word != 0 {
+			return graph.NodeID(w<<6 + bits.TrailingZeros64(word))
+		}
+		w++
+	}
+}
+
 // batch returns node v's deliveries in place, its capacity clipped so a
 // handler's append cannot reach the next receiver's range. Nodes active
 // only because they sent get none: their epoch never reached this fill.

@@ -75,6 +75,33 @@ func (c *Coder) Bool(p *bool) {
 	}
 }
 
+// U32 codes a little-endian uint32.
+func (c *Coder) U32(p *uint32) {
+	if c.d != nil {
+		*p = c.d.U32()
+	} else {
+		c.e.U32(*p)
+	}
+}
+
+// U64 codes a little-endian uint64.
+func (c *Coder) U64(p *uint64) {
+	if c.d != nil {
+		*p = c.d.U64()
+	} else {
+		c.e.U64(*p)
+	}
+}
+
+// Str codes a length-prefixed string.
+func (c *Coder) Str(p *string) {
+	if c.d != nil {
+		*p = c.d.Str()
+	} else {
+		c.e.Str(*p)
+	}
+}
+
 // I32 codes a little-endian int32.
 func (c *Coder) I32(p *int32) {
 	if c.d != nil {
@@ -120,6 +147,59 @@ func (c *Coder) Body(p *Body) {
 	}
 }
 
+// RawBody codes a Body's raw image, segment handle verbatim (Enc.RawBody,
+// Dec.RawBody): the form of record-only bodies, never resolved again.
+func (c *Coder) RawBody(p *Body) {
+	if c.d != nil {
+		*p = c.d.RawBody()
+	} else {
+		c.e.RawBody(*p)
+	}
+}
+
+// SkipBody steps over a Body a load does not keep (a record another engine
+// owns) without carving its segment. Loading only.
+func (c *Coder) SkipBody() { c.d.SkipBody() }
+
+// Bytes codes *p as a length-prefixed byte string: a frame routed without
+// being read. Loading, *p views the input (Dec.SkipBlob); copy it to keep
+// it past the input.
+func (c *Coder) Bytes(p *[]byte) {
+	if c.d != nil {
+		*p = c.d.SkipBlob()
+	} else {
+		c.e.U32(uint32(len(*p)))
+		c.e.Raw(*p)
+	}
+}
+
+// Blob codes f's fields inside a length-prefixed blob, for a section whose
+// length is known only once it is written (a filtered walk, a visit).
+// Loading, f reads the blob's bytes and no further — More reports whether
+// any are left — and fails unless it consumes them exactly.
+func (c *Coder) Blob(f func(c *Coder)) {
+	if c.d == nil {
+		mark := c.e.BeginBlob()
+		f(c)
+		c.e.EndBlob(mark)
+		return
+	}
+	d := c.d
+	end := d.BeginBlob()
+	if d.failed {
+		return
+	}
+	all := d.b
+	d.b = d.b[:end]
+	f(c)
+	d.b = all
+	d.EndBlob(end)
+}
+
+// More reports whether a load has unread bytes left: of the input, or
+// inside a Blob of the blob. Saving, it is false.
+func (c *Coder) More() bool { return c.d != nil && c.d.Remaining() > 0 }
+
 // ID codes an int32-kinded id (graph.NodeID, cover.ClusterID) as I32.
 func ID[T ~int32](c *Coder, p *T) {
 	v := int32(*p)
@@ -150,9 +230,9 @@ func (c *Coder) Raw(p *[]byte, n int, sl *slab.Slab[byte]) {
 	}
 }
 
-// count codes a length: saving writes n, loading returns the count read,
-// failing on one past the bytes left.
-func (c *Coder) count(n int) int {
+// Count codes a length: saving writes n, loading returns the count read,
+// failing on one past the bytes left (every element takes at least one).
+func (c *Coder) Count(n int) int {
 	if c.d == nil {
 		c.e.U32(uint32(n))
 		return n
@@ -170,7 +250,7 @@ func (c *Coder) count(n int) int {
 // zero value, from sl when sl is non-nil, and loads it where it lies, so
 // no element is copied through a local. An element that fails is dropped.
 func List[T any](c *Coder, s *[]T, sl *slab.Slab[T], f func(*Coder, *T)) {
-	n := c.count(len(*s))
+	n := c.Count(len(*s))
 	if c.d == nil {
 		for i := range *s {
 			f(c, &(*s)[i])
@@ -218,13 +298,13 @@ func Map[K comparable, V any](c *Coder, m *map[K]V, cmp func(a, b K) int, f func
 			es = append(es, entry[K, V]{k, v})
 		}
 		slices.SortFunc(es, func(a, b entry[K, V]) int { return cmp(a.k, b.k) })
-		c.count(len(es))
+		c.Count(len(es))
 		for i := range es {
 			f(c, &es[i].k, &es[i].v)
 		}
 		return
 	}
-	n := c.count(0)
+	n := c.Count(0)
 	if *m = make(map[K]V, n); n == 0 {
 		return
 	}

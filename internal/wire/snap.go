@@ -298,12 +298,7 @@ func (d *Dec) Body() Body {
 	if !d.need(bodyWireSize) {
 		return Body{}
 	}
-	// Validate the declared segment length against the remaining input
-	// before decodeBodySeg allocates: Arena.Alloc panics past its class
-	// bound, and a corrupted length must surface as an error instead.
-	probe := decodeBody(d.b[d.off:])
-	if n := probe.Seg.Len(); n < 0 || n >= 1<<(maxClass-1) {
-		d.Fail("body segment of %d words out of range", n)
+	if d.segLen() < 0 {
 		return Body{}
 	}
 	b, used, err := decodeBodySeg(d.b[d.off:], d.arena)
@@ -321,10 +316,8 @@ func (d *Dec) SkipBody() []byte {
 	if !d.need(bodyWireSize) {
 		return nil
 	}
-	probe := decodeBody(d.b[d.off:])
-	n := probe.Seg.Len()
-	if n < 0 || n >= 1<<(maxClass-1) {
-		d.Fail("body segment of %d words out of range", n)
+	n := d.segLen()
+	if n < 0 {
 		return nil
 	}
 	total := bodyWireSize + 4*n
@@ -334,6 +327,22 @@ func (d *Dec) SkipBody() []byte {
 	raw := d.b[d.off : d.off+total]
 	d.off += total
 	return raw
+}
+
+// segLen returns the segment length the Body image at d's offset declares,
+// failing d (and returning -1) on one Enc.Body cannot have written: a
+// length past the arena's class bound, where Arena.Alloc would panic, or a
+// handle with no words that is not the zero Seg.
+func (d *Dec) segLen() int {
+	seg := decodeBody(d.b[d.off:]).Seg
+	if n := seg.Len(); n == 0 && seg != (Seg{}) {
+		d.Fail("body segment handle %+v with no words", seg)
+	} else if n < 0 || n >= 1<<(maxClass-1) {
+		d.Fail("body segment of %d words out of range", n)
+	} else {
+		return n
+	}
+	return -1
 }
 
 // RawBody decodes an Enc.RawBody image (segment handle verbatim).
