@@ -25,7 +25,7 @@ import (
 // (from, to) endpoint pair, and events carry (src, dst) with the dense
 // LinkID recomputed at restore against whatever graph view the restoring
 // engine holds. The K frames of a distributed snapshot can therefore be
-// read by any engine at any shard count: decodeEngine takes the whole frame
+// read by any engine at any shard count: loadFrames takes the whole frame
 // set and keeps the records whose owner it hosts — the basis of the shard
 // coordinator's distributed snapshot.
 //
@@ -216,33 +216,28 @@ func (s *Sim) frame(c *wire.Coder, ld *frameLoad) error {
 	own := frameHeader{uint32(s.g.N()), s.adv.Name(), s.lookahead, s.keepTrace, s.running || s.resumed}
 	h := own
 	if h.code(c); c.Loading() && !c.Failed() {
-		switch {
-		case h.n != own.n:
-			return fmt.Errorf("async: snapshot of a %d-node graph restored into %d nodes", h.n, own.n)
-		case h.adv != own.adv:
-			return fmt.Errorf("async: snapshot under adversary %q restored under %q", h.adv, own.adv)
-		case h.lookahead != own.lookahead:
-			return fmt.Errorf("async: snapshot lookahead %g, engine has %g", h.lookahead, own.lookahead)
-		case h.traced != own.traced:
-			return fmt.Errorf("async: snapshot traced=%v, engine traced=%v", h.traced, own.traced)
-		case ld.fi == 0:
+		if ld.fi == 0 {
 			ld.inited = h.inited
+		}
+		switch own.inited = h.inited; {
+		case h != own:
+			return fmt.Errorf("async: snapshot of %d nodes under %q, lookahead %g, traced=%v, restored into %d nodes under %q, lookahead %g, traced=%v",
+				h.n, h.adv, h.lookahead, h.traced, own.n, own.adv, own.lookahead, own.traced)
 		case h.inited != ld.inited:
 			return fmt.Errorf("async: snapshot frames disagree on whether Init ran (frame %d says %v)", ld.fi, h.inited)
 		}
 	}
 
-	if !c.Loading() {
-		s.direct.ledger.code(c, &s.eventSq)
-	} else {
-		var l ledger
-		var sq uint64
-		l.code(c, &sq)
-		s.eventSq = max(s.eventSq, sq)
+	l, sq := &s.direct.ledger, &s.eventSq
+	if c.Loading() {
+		l, sq = &ledger{}, new(uint64)
+	}
+	if l.code(c, sq); c.Loading() {
+		s.eventSq = max(s.eventSq, *sq)
 		if !s.localNode(0) {
-			l = ledger{now: l.now, lastOut: l.lastOut}
+			*l = ledger{now: l.now, lastOut: l.lastOut}
 		}
-		s.direct.fold(&l)
+		s.direct.fold(l)
 	}
 
 	// Nodes: output record plus handler state, keyed by global id.

@@ -63,11 +63,10 @@ func sealShardSnapshot(hdr *snapHeader, frames [][]byte) ([]byte, error) {
 		size += 4 + len(f)
 	}
 	e := wire.NewSnapshotEnc(nil, size)
-	e.U32(uint32(len(hb)))
-	e.Raw(hb)
-	for _, f := range frames {
-		e.U32(uint32(len(f)))
-		e.Raw(f)
+	c := e.Coder()
+	c.Bytes(&hb)
+	for i := range frames {
+		c.Bytes(&frames[i])
 	}
 	return e.Seal(), nil
 }

@@ -11,7 +11,8 @@ import (
 // saves, writing *p for every field it is handed; taken from a Dec
 // (Dec.Coder) it loads, setting *p. A StateCodec type so writes each field
 // once, in a state(c *Coder) method its SaveState and LoadState both call,
-// and its save and its load cannot disagree. The framing rules live here,
+// and its save and its load cannot disagree; engine frames and protocol
+// messages code each record the same way. The framing rules live here,
 // once:
 //
 //   - a flag byte is 0 or 1 (Bool);
@@ -19,7 +20,8 @@ import (
 //     takes at least one, so a hostile count neither sizes nor drives
 //     anything (List, Map);
 //   - map keys strictly ascend (Map);
-//   - a nested codec consumes its blob exactly (Nested);
+//   - a nested codec, or a section, consumes its blob exactly (Nested,
+//     Blob), and a section's load reads no byte past it;
 //   - nothing is appended or inserted once the decoder has failed.
 //
 // Checks the framing cannot see (an id out of range, a pulse past the
@@ -57,105 +59,49 @@ func (c *Coder) Fail(format string, args ...any) {
 	c.d.Fail(format, args...)
 }
 
-// U8 codes one byte.
-func (c *Coder) U8(p *uint8) {
+// code codes *p through save or load, the Enc and Dec methods of one
+// primitive.
+func code[T any](c *Coder, p *T, save func(*Enc, T), load func(*Dec) T) {
 	if c.d != nil {
-		*p = c.d.U8()
+		*p = load(c.d)
 	} else {
-		c.e.U8(*p)
+		save(c.e, *p)
 	}
 }
+
+// U8 codes one byte.
+func (c *Coder) U8(p *uint8) { code(c, p, (*Enc).U8, (*Dec).U8) }
 
 // Bool codes a flag as one byte; loading fails on any byte but 0 and 1.
-func (c *Coder) Bool(p *bool) {
-	if c.d != nil {
-		*p = c.d.Bool()
-	} else {
-		c.e.Bool(*p)
-	}
-}
+func (c *Coder) Bool(p *bool) { code(c, p, (*Enc).Bool, (*Dec).Bool) }
 
 // U32 codes a little-endian uint32.
-func (c *Coder) U32(p *uint32) {
-	if c.d != nil {
-		*p = c.d.U32()
-	} else {
-		c.e.U32(*p)
-	}
-}
+func (c *Coder) U32(p *uint32) { code(c, p, (*Enc).U32, (*Dec).U32) }
 
 // U64 codes a little-endian uint64.
-func (c *Coder) U64(p *uint64) {
-	if c.d != nil {
-		*p = c.d.U64()
-	} else {
-		c.e.U64(*p)
-	}
-}
+func (c *Coder) U64(p *uint64) { code(c, p, (*Enc).U64, (*Dec).U64) }
 
 // Str codes a length-prefixed string.
-func (c *Coder) Str(p *string) {
-	if c.d != nil {
-		*p = c.d.Str()
-	} else {
-		c.e.Str(*p)
-	}
-}
+func (c *Coder) Str(p *string) { code(c, p, (*Enc).Str, (*Dec).Str) }
 
 // I32 codes a little-endian int32.
-func (c *Coder) I32(p *int32) {
-	if c.d != nil {
-		*p = c.d.I32()
-	} else {
-		c.e.I32(*p)
-	}
-}
+func (c *Coder) I32(p *int32) { code(c, p, (*Enc).I32, (*Dec).I32) }
 
 // I64 codes a little-endian int64.
-func (c *Coder) I64(p *int64) {
-	if c.d != nil {
-		*p = c.d.I64()
-	} else {
-		c.e.I64(*p)
-	}
-}
+func (c *Coder) I64(p *int64) { code(c, p, (*Enc).I64, (*Dec).I64) }
 
 // Int codes an int as 64 bits.
-func (c *Coder) Int(p *int) {
-	if c.d != nil {
-		*p = c.d.Int()
-	} else {
-		c.e.Int(*p)
-	}
-}
+func (c *Coder) Int(p *int) { code(c, p, (*Enc).Int, (*Dec).Int) }
 
 // F64 codes a float64 as its IEEE-754 bit pattern.
-func (c *Coder) F64(p *float64) {
-	if c.d != nil {
-		*p = c.d.F64()
-	} else {
-		c.e.F64(*p)
-	}
-}
+func (c *Coder) F64(p *float64) { code(c, p, (*Enc).F64, (*Dec).F64) }
 
 // Body codes a message body (Enc.Body, Dec.Body).
-func (c *Coder) Body(p *Body) {
-	if c.d != nil {
-		*p = c.d.Body()
-	} else {
-		c.e.Body(*p)
-	}
-}
+func (c *Coder) Body(p *Body) { code(c, p, (*Enc).Body, (*Dec).Body) }
 
 // RawBody codes a Body's raw image, segment handle verbatim (Enc.RawBody,
 // Dec.RawBody): the form of record-only bodies, never resolved again.
-func (c *Coder) RawBody(p *Body) {
-	if c.d != nil {
-		*p = c.d.RawBody()
-	} else {
-		c.e.RawBody(*p)
-	}
-}
+func (c *Coder) RawBody(p *Body) { code(c, p, (*Enc).RawBody, (*Dec).RawBody) }
 
 // SkipBody steps over a Body a load does not keep (a record another engine
 // owns) without carving its segment. Loading only.
@@ -207,14 +153,16 @@ func ID[T ~int32](c *Coder, p *T) {
 	*p = T(v)
 }
 
-// Nested codes sc's state as a length-prefixed blob (Enc.Nested,
-// Dec.Nested); loading fails unless sc consumes the blob exactly.
+// Nested codes sc's state (SaveState, LoadState) as a Blob: loading fails
+// unless sc consumes the blob exactly.
 func (c *Coder) Nested(sc StateCodec) {
-	if c.d != nil {
-		c.d.Nested(sc)
-	} else {
-		c.e.Nested(sc)
-	}
+	c.Blob(func(c *Coder) {
+		if c.d != nil {
+			sc.LoadState(c.d)
+		} else {
+			sc.SaveState(c.e)
+		}
+	})
 }
 
 // Raw codes *p verbatim, without a count: loading reads n bytes, a length

@@ -39,16 +39,22 @@ func keys(ks ...int32) []byte {
 type every struct {
 	u8    uint8
 	flag  bool
+	u32   uint32
 	i32   int32
+	u64   uint64
 	i64   int64
 	n     int
 	f     float64
+	str   string
 	body  Body
+	raw   Body
 	id    nodeID
 	list  []Body
 	items []int32
 	sub   StateCodec
 	rows  []byte
+	frame []byte
+	sect  []int32
 }
 
 type nodeID int32
@@ -56,16 +62,33 @@ type nodeID int32
 func (v *every) state(c *Coder, sl *slab.Slab[int32], rows *slab.Slab[byte]) {
 	c.U8(&v.u8)
 	c.Bool(&v.flag)
+	c.U32(&v.u32)
 	c.I32(&v.i32)
+	c.U64(&v.u64)
 	c.I64(&v.i64)
 	c.Int(&v.n)
 	c.F64(&v.f)
+	c.Str(&v.str)
 	c.Body(&v.body)
+	c.RawBody(&v.raw)
 	ID(c, &v.id)
 	List(c, &v.list, nil, (*Coder).Body)
 	List(c, &v.items, sl, (*Coder).I32)
 	c.Nested(v.sub)
 	c.Raw(&v.rows, 3, rows)
+	c.Bytes(&v.frame)
+	// A section without a count: its blob's length bounds the load.
+	c.Blob(func(c *Coder) {
+		if c.Loading() {
+			v.sect = v.sect[:0]
+		}
+		for i := 0; i < len(v.sect) || c.More(); i++ {
+			if c.Loading() {
+				v.sect = append(v.sect, 0)
+			}
+			c.I32(&v.sect[i])
+		}
+	})
 }
 
 // TestCoderRoundTrip: every Coder method writes what the matching Enc
@@ -74,28 +97,38 @@ func (v *every) state(c *Coder, sl *slab.Slab[int32], rows *slab.Slab[byte]) {
 func TestCoderRoundTrip(t *testing.T) {
 	var sl slab.Slab[int32]
 	var rows slab.Slab[byte]
-	in := every{u8: 7, flag: true, i32: -3, i64: 1 << 40, n: -9, f: 2.5,
-		body: Body{Kind: 4, A: 5, B: 6}, id: 11, list: []Body{{Kind: 1}, {A: 2}},
-		items: []int32{8, 9, 10},
-		sub:   fixedCodec{save: 2, load: 2}, rows: []byte{1, 2, 3}}
+	in := every{u8: 7, flag: true, u32: 1 << 31, i32: -3, u64: 1 << 63, i64: 1 << 40, n: -9, f: 2.5, str: "adv",
+		body: Body{Kind: 4, A: 5, B: 6}, raw: Body{Kind: 5, Seg: Seg{off: 9, n: 2}}, id: 11,
+		list: []Body{{Kind: 1}, {A: 2}}, items: []int32{8, 9, 10},
+		sub: fixedCodec{save: 2, load: 2}, rows: []byte{1, 2, 3}, frame: []byte{4, 5}, sect: []int32{-1, 6}}
 	var e Enc
 	in.state(e.Coder(), &sl, &rows)
 
 	var want Enc
 	want.U8(7)
 	want.Bool(true)
+	want.U32(1 << 31)
 	want.I32(-3)
+	want.U64(1 << 63)
 	want.I64(1 << 40)
 	want.Int(-9)
 	want.F64(2.5)
+	want.Str("adv")
 	want.Body(in.body)
+	want.RawBody(in.raw)
 	want.I32(11)
 	want.U32(2)
 	want.Body(in.list[0])
 	want.Body(in.list[1])
 	want.Raw([]byte{3, 0, 0, 0, 8, 0, 0, 0, 9, 0, 0, 0, 10, 0, 0, 0})
-	want.Nested(fixedCodec{save: 2})
+	want.Raw([]byte{2, 0, 0, 0, 0, 0}) // the nested blob: its length, two zero bytes
 	want.Raw([]byte{1, 2, 3})
+	want.U32(2)
+	want.Raw([]byte{4, 5})
+	mark := want.BeginBlob()
+	want.I32(-1)
+	want.I32(6)
+	want.EndBlob(mark)
 	if !bytes.Equal(e.Bytes(), want.Bytes()) {
 		t.Fatalf("saved\n% x\nwant\n% x", e.Bytes(), want.Bytes())
 	}
@@ -309,13 +342,70 @@ func TestNestedRefusesMisreadBlob(t *testing.T) {
 	}
 }
 
+// TestBlobBoundsItsSection: a Blob section's load reads the blob's bytes
+// and no further — More turns false at its end, and a read past it fails
+// even when the bytes are there — and must consume them all.
+func TestBlobBoundsItsSection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reads int
+		ok    bool
+	}{
+		{"exact", 2, true},
+		{"under-read", 1, false},
+		{"over-read", 3, false},
+	} {
+		var e Enc
+		e.Coder().Blob(func(c *Coder) {
+			for v := int32(0); v < 2; v++ {
+				c.I32(&v)
+			}
+		})
+		e.U64(0) // bytes an over-read could reach
+		d := NewDec(e.Bytes(), nil)
+		more := 0
+		d.Coder().Blob(func(c *Coder) {
+			for i := 0; i < tc.reads; i++ {
+				if c.More() {
+					more++
+				}
+				var v int32
+				c.I32(&v)
+			}
+		})
+		if (d.Err() == nil) != tc.ok || more != min(tc.reads, 2) {
+			t.Errorf("%s: err %v, More true %d times", tc.name, d.Err(), more)
+		}
+		if tc.ok && d.Remaining() != 8 {
+			t.Errorf("%s: %d bytes left after the blob, want 8", tc.name, d.Remaining())
+		}
+	}
+}
+
+// TestBodyRefusesWordlessHandle: a Body image whose segment has no words
+// but a nonzero handle is one Enc.Body never writes (a handle with no
+// words is the zero Seg), so Body and SkipBody refuse it instead of
+// loading a body that saves back differently.
+func TestBodyRefusesWordlessHandle(t *testing.T) {
+	var e Enc
+	e.RawBody(Body{Kind: 1, Seg: Seg{off: 1 << 20}})
+	var a Arena
+	if d := NewDec(e.Bytes(), &a); d.Body() != (Body{}) || d.Err() == nil {
+		t.Errorf("Body accepted a wordless handle: err %v", d.Err())
+	}
+	if d := NewDec(e.Bytes(), &a); d.SkipBody() != nil || d.Err() == nil {
+		t.Errorf("SkipBody accepted a wordless handle: err %v", d.Err())
+	}
+}
+
 // TestCoderDoesNotAllocate: a save and a load through a retained Enc/Dec
 // pair cost no allocation — taking the coder, every scalar, a nested blob,
 // raw rows and lists refilled within their capacity.
 func TestCoderDoesNotAllocate(t *testing.T) {
 	var sl slab.Slab[int32]
 	var rows slab.Slab[byte]
-	v := every{list: []Body{{Kind: 1}, {A: 2}}, items: []int32{8, 9}, sub: fixedCodec{save: 8, load: 8}, rows: []byte{1, 2, 3}}
+	v := every{list: []Body{{Kind: 1}, {A: 2}}, items: []int32{8, 9}, sub: fixedCodec{save: 8, load: 8}, rows: []byte{1, 2, 3},
+		frame: []byte{4}, sect: []int32{5, 6}}
 	var e Enc
 	var d Dec
 	round := func() {

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "unsafe"
 
 // Cross-shard frame codec. A Body is 48 pointer-free scalar bytes, so a
 // frame is its raw in-memory image plus the referenced arena segment's
@@ -55,30 +52,16 @@ func appendBodySeg(dst []byte, b Body, a *Arena) []byte {
 	return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*len(w))...)
 }
 
-// decodeBodySeg decodes a frame written by appendBodySeg, re-homing the
-// segment into a: a fresh segment is carved from the receiving arena, the
-// wire words are copied in, and the returned Body's Seg points at the
-// local copy. Returns the body, the number of bytes consumed, and an
-// error on a short or malformed buffer.
-func decodeBodySeg(src []byte, a *Arena) (Body, int, error) {
-	if len(src) < bodyWireSize {
-		return Body{}, 0, fmt.Errorf("wire: frame truncated: %d bytes, body needs %d", len(src), bodyWireSize)
+// rehome decodes raw, one whole frame written by appendBodySeg, re-homing
+// its segment into a: a fresh segment is carved from the receiving arena,
+// the wire words are copied in, and the returned Body's Seg points at the
+// local copy.
+func rehome(raw []byte, a *Arena) Body {
+	b := decodeBody(raw)
+	if n := b.Seg.Len(); n > 0 {
+		seg, w := a.Alloc(n)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*n), raw[bodyWireSize:])
+		b.Seg = seg
 	}
-	b := decodeBody(src)
-	n := b.Seg.Len()
-	if n == 0 {
-		b.Seg = Seg{}
-		return b, bodyWireSize, nil
-	}
-	if n < 0 || len(src)-bodyWireSize < 4*n {
-		return Body{}, 0, fmt.Errorf("wire: frame truncated: segment of %d words needs %d bytes, have %d",
-			n, 4*n, len(src)-bodyWireSize)
-	}
-	seg, w := a.Alloc(n)
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 4*n), src[bodyWireSize:])
-	b.Seg = seg
-	return b, bodyWireSize + 4*n, nil
+	return b
 }
-
-// frameLen returns the encoded size of a frame carrying b.
-func frameLen(b Body) int { return bodyWireSize + 4*b.Seg.Len() }

@@ -34,12 +34,13 @@ func TestBodySegRoundTrip(t *testing.T) {
 			b.Seg = seg
 		}
 		enc := appendBodySeg(nil, b, &src)
-		if len(enc) != frameLen(b) {
-			t.Fatalf("n=%d: encoded %d bytes, FrameLen says %d", n, len(enc), frameLen(b))
+		if len(enc) != bodyWireSize+4*n {
+			t.Fatalf("n=%d: encoded %d bytes, want %d", n, len(enc), bodyWireSize+4*n)
 		}
-		got, used, err := decodeBodySeg(enc, &dst)
-		if err != nil || used != len(enc) {
-			t.Fatalf("n=%d: decode used %d/%d, err %v", n, used, len(enc), err)
+		d := NewDec(enc, &dst)
+		got := d.Body()
+		if err := d.Err(); err != nil || d.Remaining() != 0 {
+			t.Fatalf("n=%d: decode left %d/%d bytes, err %v", n, d.Remaining(), len(enc), err)
 		}
 		if got.Seg.Len() != n {
 			t.Fatalf("n=%d: re-homed seg has %d words", n, got.Seg.Len())
@@ -67,7 +68,7 @@ func TestBodySegRoundTrip(t *testing.T) {
 	b.Seg = seg
 	enc := appendBodySeg(nil, b, &src)
 	for _, cut := range []int{0, bodyWireSize - 1, bodyWireSize + 3, len(enc) - 1} {
-		if _, _, err := decodeBodySeg(enc[:cut], &dst); err == nil {
+		if d := NewDec(enc[:cut], &dst); d.Body() != (Body{}) || d.Err() == nil {
 			t.Fatalf("cut=%d: truncated frame decoded without error", cut)
 		}
 	}

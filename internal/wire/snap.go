@@ -295,19 +295,10 @@ func (d *Dec) Body() Body {
 	if d.arena == nil {
 		return d.RawBody()
 	}
-	if !d.need(bodyWireSize) {
-		return Body{}
+	if raw := d.SkipBody(); raw != nil {
+		return rehome(raw, d.arena)
 	}
-	if d.segLen() < 0 {
-		return Body{}
-	}
-	b, used, err := decodeBodySeg(d.b[d.off:], d.arena)
-	if err != nil {
-		d.Fail("%v", err)
-		return Body{}
-	}
-	d.off += used
-	return b
+	return Body{}
 }
 
 // SkipBody advances past an Enc.Body frame without re-homing its segment,
@@ -394,25 +385,6 @@ func (d *Dec) SkipBlob() []byte {
 	raw := d.b[d.off:end]
 	d.off = end
 	return raw
-}
-
-// Nested appends sc's state as a blob (BeginBlob/EndBlob), the frame
-// Dec.Nested reads back.
-func (e *Enc) Nested(sc StateCodec) {
-	mark := e.BeginBlob()
-	sc.SaveState(e)
-	e.EndBlob(mark)
-}
-
-// Nested loads sc's state from an Enc.Nested blob, failing d unless sc
-// consumes the blob exactly.
-func (d *Dec) Nested(sc StateCodec) {
-	end := d.BeginBlob()
-	if d.failed {
-		return
-	}
-	sc.LoadState(d)
-	d.EndBlob(end)
 }
 
 // StateCodec is the per-protocol state contract of the snapshot plane:
