@@ -383,34 +383,30 @@ func (s *Sim) link(c *wire.Coder, from graph.NodeID, l graph.LinkID) {
 		ob.code(c, nil, false)
 		return
 	}
-	local := s.localNode(from)
-	switch {
-	case c.Failed():
+	if c.Failed() {
 		return
-	case !s.inGraph(from) || !s.inGraph(to):
+	}
+	if !s.inGraph(from) || !s.inGraph(to) {
 		c.Fail("link record %d->%d outside the %d-node graph", from, to, s.g.N())
 		return
-	case !local:
-	case s.g.LinkBetween(from, to) < 0:
-		c.Fail("link record %d->%d along a non-edge", from, to)
-		return
+	}
+	if s.localNode(from) {
+		if l = s.g.LinkBetween(from, to); l < 0 {
+			c.Fail("link record %d->%d along a non-edge", from, to)
+			return
+		}
+		if s.busy[l] || s.txSeq[l] != 0 || s.boxes[l] != nil {
+			c.Fail("link %d->%d has two records", from, to)
+			return
+		}
+		s.busy[l], s.txSeq[l] = busy, txSeq
 	}
 	// Local records are carved from the direct context's slab, as a queue
-	// built during Init would be; a foreign one is walked through a record
-	// handed straight back.
+	// built during Init would be; a foreign one (l < 0) is walked through a
+	// record handed straight back.
 	sl := &s.direct.obs
 	ob := sl.boxes.get()
-	ob.code(c, sl, local)
-	if !local {
-		ob.free(sl)
-		return
-	}
-	l = s.g.LinkBetween(from, to)
-	if s.busy[l] || s.txSeq[l] != 0 || s.boxes[l] != nil {
-		c.Fail("link %d->%d has two records", from, to)
-	}
-	s.busy[l], s.txSeq[l] = busy, txSeq
-	if ob.stages == nil {
+	if ob.code(c, sl, l >= 0); l < 0 || ob.stages == nil {
 		ob.free(sl)
 		return
 	}

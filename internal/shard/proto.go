@@ -54,7 +54,7 @@
 // through a wire.Coder, saving on one side and loading on the other — the
 // codec snapshots use, so a value has one byte form whether it crosses a
 // socket or a checkpoint. Bodies travel as raw images plus the
-// referenced arena segment's words (see wire.AppendBodySeg): serialization
+// referenced arena segment's words (see wire.Enc.Body): serialization
 // is memcpy. Segments are re-homed into the receiving engine's arena on the
 // way in and released from the sender's on the way out, so each arena's
 // Live() count settles to zero exactly as in a single-process run.
