@@ -253,7 +253,7 @@ func (s *Sim) frame(c *wire.Coder, ld *frameLoad) error {
 			}
 			if !s.localNode(id) {
 				var handler []byte
-				s.out.Record(c, -1)
+				s.out.Record(c, -1) // skipping reports no error
 				c.Bytes(&handler)
 				continue
 			}

@@ -260,7 +260,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 // writeFlush sends one FLUSH, coded into enc.
 func writeFlush(w *bufio.Writer, enc *wire.Enc, f *flushMsg) error {
 	enc.Reset()
-	f.code(enc.Coder())
+	f.code(enc.Coder()) // only a load reports an error
 	return writeMsg(w, msgFlush, enc.Bytes())
 }
 
