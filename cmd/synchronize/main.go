@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	match := len(ares.Outputs) == len(sres.Outputs)
 	for v, want := range sres.Outputs {
-		match = match && fmt.Sprint(ares.Outputs[v]) == fmt.Sprint(want)
+		match = match && ares.Outputs[v] == want
 	}
 	fmt.Fprintf(stdout, "synchronous:  T(A)=%d rounds, M(A)=%d messages\n", sres.T, sres.M)
 	fmt.Fprintf(stdout, "asynchronous: time=%.1f, msgs=%d (+%d acks)\n", ares.Time, ares.Msgs, ares.Acks)

@@ -72,7 +72,8 @@ type (
 	Layered = cover.Layered
 	// BFSResult is the per-node BFS output.
 	BFSResult = apps.BFSResult
-	// MSTResult is the per-node MST output.
+	// MSTResult is the per-node MST output: the final fragment and the
+	// node's tree parent (-1 at the leader). The MST is the parent edges.
 	MSTResult = apps.MSTResult
 	// TBFSResult is what every node AsyncBFS reaches outputs (sources
 	// output their echo verdict instead).
@@ -304,7 +305,8 @@ func AsyncLeaderElection(g *Graph, adv Adversary) AsyncResult {
 }
 
 // AsyncMST computes the minimum spanning tree asynchronously
-// (Corollary 1.4). Every node outputs an MSTResult.
+// (Corollary 1.4). Every node outputs an MSTResult; the tree's edges are
+// the nodes' parent edges.
 func AsyncMST(g *Graph, adv Adversary) AsyncResult {
 	mk, bound := NewMST(g)
 	return Synchronize(g, bound, adv, mk)

@@ -63,13 +63,8 @@ func TestPublicAPILeaderAndMST(t *testing.T) {
 	mres := AsyncMST(g, RandomDelays(2))
 	edges := map[[2]NodeID]bool{}
 	for v := 0; v < g.N(); v++ {
-		out := mres.Outputs[NodeID(v)].(MSTResult)
-		for _, nb := range out.TreeNeighbors {
-			key := [2]NodeID{NodeID(v), nb}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			edges[key] = true
+		if u, p := NodeID(v), mres.Outputs[NodeID(v)].(MSTResult).Parent; p >= 0 {
+			edges[[2]NodeID{min(u, p), max(u, p)}] = true
 		}
 	}
 	if len(edges) != g.N()-1 {

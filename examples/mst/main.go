@@ -20,17 +20,13 @@ func main() {
 	gotEdges := map[[2]dsync.NodeID]bool{}
 	var leader dsync.NodeID = -1
 	for v := 0; v < g.N(); v++ {
-		out := res.Outputs[dsync.NodeID(v)].(dsync.MSTResult)
-		if out.Parent < 0 {
-			leader = dsync.NodeID(v)
+		u, p := dsync.NodeID(v), res.Outputs[dsync.NodeID(v)].(dsync.MSTResult).Parent
+		if p < 0 {
+			leader = u
+			continue
 		}
-		for _, nb := range out.TreeNeighbors {
-			key := [2]dsync.NodeID{dsync.NodeID(v), nb}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			gotEdges[key] = true
-		}
+		// The tree is the parent edges.
+		gotEdges[[2]dsync.NodeID{min(u, p), max(u, p)}] = true
 	}
 
 	// Verify against Kruskal.

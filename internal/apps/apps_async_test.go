@@ -97,12 +97,8 @@ func TestCorollary14AsyncMST(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: node %d missing MST output", adv.Name(), v)
 			}
-			for _, nb := range out.(apps.MSTResult).TreeNeighbors {
-				key := [2]graph.NodeID{graph.NodeID(v), nb}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
-				}
-				got[key] = true
+			if u, p := graph.NodeID(v), out.(apps.MSTResult).Parent; p >= 0 {
+				got[[2]graph.NodeID{min(u, p), max(u, p)}] = true
 			}
 		}
 		if len(got) != len(wantEdges) {

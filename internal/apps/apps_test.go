@@ -156,12 +156,8 @@ func checkMST(t *testing.T, g *graph.Graph, outputs map[graph.NodeID]any) {
 			}
 			leader = graph.NodeID(v)
 		}
-		for _, nb := range res.TreeNeighbors {
-			key := [2]graph.NodeID{graph.NodeID(v), nb}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			got[key] = true
+		if u := graph.NodeID(v); res.Parent >= 0 {
+			got[[2]graph.NodeID{min(u, res.Parent), max(u, res.Parent)}] = true
 		}
 	}
 	if leader < 0 {

@@ -46,14 +46,13 @@ type MST struct {
 	out      sendQueue
 }
 
-// MSTResult is the per-node output.
+// MSTResult is the per-node output. The MST is exactly the parent edges:
+// a node's tree neighbors are its parent and the nodes whose parent it is.
 type MSTResult struct {
 	// Frag is the final fragment ID (identical across nodes).
 	Frag graph.NodeID
 	// Parent is this node's MST-tree parent (-1 at the leader).
 	Parent graph.NodeID
-	// TreeNeighbors lists the MST edges incident to this node.
-	TreeNeighbors []graph.NodeID
 }
 
 type mstPhase struct {
@@ -305,7 +304,7 @@ func (h *MST) onDecision(n syncrun.API, m mstDecision) {
 	if m.Best.None {
 		// No outgoing edge: the fragment spans the graph. Output.
 		h.fragDone = true
-		n.Output(h.result(n))
+		n.OutputBody(encMSTOut(MSTResult{Frag: h.frag, Parent: h.parent}))
 	} else if m.Best.U == n.ID() {
 		st.sentConnect = m.Best.V
 		h.out.Send(m.Best.V, wire.Body{Kind: kindMSTConnect, A: int64(m.Phase)})
@@ -364,14 +363,4 @@ func (h *MST) applyNewFrag(n syncrun.API, from graph.NodeID, m mstNewFrag) {
 		}
 	}
 	h.barrier(2*m.Phase + 1).ready = true
-}
-
-func (h *MST) result(n syncrun.API) MSTResult {
-	nbrs := make([]graph.NodeID, 0, len(h.treeNbrs))
-	for _, nb := range n.Neighbors() {
-		if h.treeNbrs[nb.Node] {
-			nbrs = append(nbrs, nb.Node)
-		}
-	}
-	return MSTResult{Frag: h.frag, Parent: h.parent, TreeNeighbors: nbrs}
 }

@@ -49,6 +49,8 @@ const (
 	kindOutTBFS wire.Kind = 0x7E02
 	// kindOutTBFSSourceDone carries a TBFSSourceDone: A = frontier.
 	kindOutTBFSSourceDone wire.Kind = 0x7E03
+	// kindOutMST carries an MSTResult: A = fragment, B = parent.
+	kindOutMST wire.Kind = 0x7E04
 )
 
 func init() {
@@ -60,6 +62,9 @@ func init() {
 	})
 	outval.Register(kindOutTBFSSourceDone, func(b wire.Body) any {
 		return TBFSSourceDone{Frontier: wire.ToBool(b.A)}
+	})
+	outval.Register(kindOutMST, func(b wire.Body) any {
+		return MSTResult{Frag: graph.NodeID(b.A), Parent: graph.NodeID(b.B)}
 	})
 }
 
@@ -73,6 +78,10 @@ func encTBFSOut(r TBFSResult) wire.Body {
 
 func encTBFSSourceDone(r TBFSSourceDone) wire.Body {
 	return wire.Body{Kind: kindOutTBFSSourceDone, A: wire.FromBool(r.Frontier)}
+}
+
+func encMSTOut(r MSTResult) wire.Body {
+	return wire.Body{Kind: kindOutMST, A: int64(r.Frag), B: int64(r.Parent)}
 }
 
 // --- leader codec ----------------------------------------------------------

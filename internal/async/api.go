@@ -16,6 +16,7 @@ package async
 
 import (
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
 
@@ -118,11 +119,11 @@ func (n *Node) Send(to graph.NodeID, m Msg) { n.ctx().send(n.id, to, m) }
 // Output records this node's final output for the problem being solved.
 // The simulator's time-to-output clock stops when the last node outputs.
 // Calling Output again overwrites the value but does not move the clock
-// backwards. Primitive values (int, int64, bool, graph.NodeID) are stored
-// as typed wire.Body entries without boxing; anything else falls back to a
-// boxed escape slot. Algorithms with struct results should prefer
-// OutputBody with a registered outval decoder.
-func (n *Node) Output(v any) { n.ctx().setOutput(n.id, v) }
+// backwards. Output is the convenience for int, int64, bool and
+// graph.NodeID values, stored as typed wire.Body entries; any other value
+// panics. Struct results go through OutputBody with a registered outval
+// kind.
+func (n *Node) Output(v any) { n.OutputBody(outval.Encode(n.id, v)) }
 
 // OutputBody records this node's final output as a typed wire.Body —
 // the allocation-free path. The Kind must be non-zero and either one of

@@ -245,16 +245,10 @@ func (s *Sim) admitInbound(e *ShardEvent) error {
 // ShardRawOutputs visits every local node that produced an output, in
 // ascending id, with its outval-encoded body — the form the RESULT message
 // transports, so the coordinator's dense merge holds the serial engine's
-// bodies bit for bit. Outputs that outval cannot encode (the boxed escape
-// slot) have no cross-process representation and error out; the
-// coordinator refuses a segment-carrying body, whose handle does not
-// outlive this engine's arena.
-func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body)) error {
-	err := s.out.Each(func(i int, b wire.Body) { fn(s.nodeBase+graph.NodeID(i), b) })
-	if err != nil {
-		return fmt.Errorf("async: shard hosting nodes from %d: %w", s.nodeBase, err)
-	}
-	return nil
+// bodies bit for bit. The coordinator refuses a segment-carrying body,
+// whose handle does not outlive this engine's arena.
+func (s *Sim) ShardRawOutputs(fn func(id graph.NodeID, b wire.Body)) {
+	s.out.Each(func(i int, b wire.Body) { fn(s.nodeBase+graph.NodeID(i), b) })
 }
 
 // ShardSteps reports events processed so far (the coordinator sums and

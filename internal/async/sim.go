@@ -65,8 +65,7 @@ func (m ExecutionMode) String() string {
 // operations, no interface boxing, and no steady-state allocations.
 // Per-protocol message counts live in a flat slice indexed by Proto (the
 // map form exists only at the Result/Stats boundary), and node outputs are
-// stored as typed wire.Body values (outval encoding) rather than boxed
-// interfaces.
+// typed wire.Body values (outval encoding).
 // Variable-length segments come from a per-run arena and are recycled when
 // each message's lifecycle ends (after the sender's Ack callback).
 //
@@ -261,9 +260,8 @@ type Result struct {
 	// PerProto breaks Msgs down by protocol tag (materialized from the
 	// engine's dense counters at this boundary).
 	PerProto map[Proto]uint64
-	// Outputs maps node -> decoded output for nodes that called Output.
-	// With DenseOutputs it carries only the rare non-encodable values;
-	// everything else is in OutBodies.
+	// Outputs maps node -> decoded output for nodes that called Output
+	// (nil with DenseOutputs).
 	Outputs map[graph.NodeID]any
 	// OutBodies/OutSet are the dense typed outputs, populated only with
 	// DenseOutputs and by the shard coordinator: OutSet[v] reports whether
@@ -382,8 +380,8 @@ func (s *Sim) KeepTrace() *Sim { s.keepTrace = true; return s }
 
 // DenseOutputs makes Run return outputs as the dense OutBodies/OutSet pair
 // instead of materializing the Outputs map — O(1) allocations at the
-// finish line instead of one interface box per node. Callers decode with
-// Result.DecodedOutputs; non-encodable legacy outputs still surface in the map.
+// finish line instead of one interface box per node; Outputs stays nil.
+// Callers decode with Result.DecodedOutputs.
 func (s *Sim) DenseOutputs() *Sim { s.denseOut = true; return s }
 
 // SetMaxEvents caps the number of processed events; exceeding it panics
@@ -766,7 +764,7 @@ func (s *Sim) result() Result {
 	case s.shardMode:
 		// Outputs leave a shard engine only through ShardRawOutputs.
 	case s.denseOut:
-		res.OutBodies, res.OutSet, res.Outputs = s.out.Dense(true)
+		res.OutBodies, res.OutSet = s.out.Dense(true)
 	default:
 		w := 1
 		if s.pool > 1 && len(s.handlers) >= s.minParallel {
@@ -785,7 +783,7 @@ func (r *Result) DecodedOutputs() map[graph.NodeID]any {
 	if r.OutSet == nil {
 		return r.Outputs
 	}
-	return outval.DecodeDense(r.OutBodies, r.OutSet, r.Outputs)
+	return outval.DecodeDense(r.OutBodies, r.OutSet)
 }
 
 // execCtx is one execution context: the direct (apply-immediately) context
@@ -880,7 +878,6 @@ func (c *execCtx) reset() {
 	c.obs.reset()
 	c.curSeq = 0
 	c.staged = c.staged[:0]
-	clearSpecOps(c.specOps)
 	c.specOps = c.specOps[:0]
 	c.specLog = c.specLog[:0]
 	c.specPanic = nil
@@ -997,8 +994,6 @@ func (c *execCtx) applyOps(ev *event) {
 			c.send(owner, op.to, op.msg)
 		case opOutBody:
 			c.setOutputBody(op.to, op.msg.Body)
-		case opOutAny:
-			c.setOutput(op.to, op.val)
 		}
 	}
 	if c.replayPanic != nil {
@@ -1182,26 +1177,6 @@ func (c *execCtx) setOutputBody(id graph.NodeID, b wire.Body) {
 		return
 	}
 	if s.out.SetBody(int(s.li(id)), b) {
-		c.noteFirstOutput()
-	}
-}
-
-func (c *execCtx) setOutput(id graph.NodeID, v any) {
-	if b, ok := outval.Encode(v); ok {
-		c.setOutputBody(id, b)
-		return
-	}
-	s := c.s
-	if c.spec {
-		c.specOps = append(c.specOps, specOp{kind: opOutAny, to: id, val: v})
-		s.specTouchOut(id)
-		return
-	}
-	if c.swallow {
-		s.specOutSaved[id] = true
-		return
-	}
-	if s.out.SetBoxed(int(s.li(id)), v) {
 		c.noteFirstOutput()
 	}
 }

@@ -1,6 +1,8 @@
 package async
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -41,6 +43,31 @@ func (h *floodHandler) LoadState(d *wire.Dec) { h.seen = d.Bool() }
 func runFlood(g *graph.Graph, adv Adversary) Result {
 	s := New(g, adv, func(graph.NodeID) Handler { return &floodHandler{} })
 	return s.Run()
+}
+
+// stringOutHandler floods from node 0 and outputs a value Output has no
+// encoding for on every message.
+type stringOutHandler struct{ floodHandler }
+
+func (h *stringOutHandler) Recv(n *Node, _ graph.NodeID, _ Msg) { n.Output("x") }
+
+// TestOutputRefusesUnencodable: Output of a string panics in every mode,
+// naming the node, the type and OutputBody, the call that takes struct
+// results.
+func TestOutputRefusesUnencodable(t *testing.T) {
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti, ModeSpec} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"node 1", "string", "OutputBody"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("mode %v: panic %q does not name %q", mode, msg, want)
+					}
+				}
+			}()
+			New(graph.Path(2), Fixed{D: 1}, func(graph.NodeID) Handler { return &stringOutHandler{} }).WithMode(mode).Run()
+		}()
+	}
 }
 
 func TestFloodReachesEveryone(t *testing.T) {

@@ -89,16 +89,14 @@ type specOpKind uint8
 const (
 	opSend specOpKind = iota + 1
 	opOutBody
-	opOutAny
 )
 
 // specOp is one logged handler effect: a Send (to, msg) or an Output
-// (to = the node itself, payload in msg.Body or val).
+// (to = the node itself, payload in msg.Body).
 type specOp struct {
 	kind specOpKind
 	to   graph.NodeID
 	msg  Msg
-	val  any
 }
 
 // specExec records one speculatively executed event and the end of its op
@@ -360,7 +358,6 @@ func (s *Sim) specFinishRound() (committed int) {
 		s.specStats.Committed += uint64(n)
 		s.specStats.Rejected += uint64(len(c.specLog) - n)
 		c.specPanic = nil
-		clearSpecOps(c.specOps)
 		c.specOps = c.specOps[:0]
 		c.specLog = c.specLog[:0]
 	}
@@ -385,14 +382,4 @@ func (s *Sim) specSwallowReplay(v graph.NodeID, e *specExec) {
 		h.Ack(n, e.ev.dst, e.ev.msg)
 	}
 	n.ctxIdx = old
-}
-
-// clearSpecOps drops boxed output values so a truncated log's retained
-// capacity pins nothing.
-func clearSpecOps(ops []specOp) {
-	for i := range ops {
-		if ops[i].kind == opOutAny {
-			ops[i].val = nil
-		}
-	}
 }

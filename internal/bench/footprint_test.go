@@ -27,6 +27,13 @@ const (
 	pinAsyncBytesPerLink = 28.4  // outboxes, seq stamps, wheel, busy/boxes
 	pinSyncBytesPerNode  = 101.0 // pulse-buffer cursors, stamps, bitmaps
 
+	// The pa:n=50000,m=4,seed=7 row's engine pins, E16's 155.9 B/link and
+	// 657.3 B/node. On a low-diameter power-law graph nearly every link is
+	// in flight at once, and the event slab, slot keys, send sink and seal
+	// buffer keep that peak population for Reset.
+	pinPAAsyncBytesPerLink = 155.9
+	pinPASyncBytesPerNode  = 657.3
+
 	// preCompactBytesPerLink is the resident cost of the graph plane plus
 	// the async engine per directed link before the compact layout
 	// (≈52 B/link of 64-bit Neighbor/EdgeID graph tables + ≈48 B/link of
@@ -45,7 +52,7 @@ func TestFootprintPins(t *testing.T) {
 	}
 	const spec = "grid3d:32x32x32"
 	g := mustSpec(spec)
-	links, n := float64(g.Links()), float64(g.N())
+	links := float64(g.Links())
 
 	gBytes, err := graphRetainedBytes(spec)
 	if err != nil {
@@ -55,16 +62,8 @@ func TestFootprintPins(t *testing.T) {
 		t.Errorf("graph plane retains %.2f B/link, pin %.1f (+10%% ceiling %.1f)",
 			got, pinGraphBytesPerLink, pinGraphBytesPerLink*footprintHeadroom)
 	}
-	aBytes := asyncRetainedBytes(g)
-	if got := float64(aBytes) / links; got > pinAsyncBytesPerLink*footprintHeadroom {
-		t.Errorf("async engine retains %.2f B/link, pin %.1f (+10%% ceiling %.1f)",
-			got, pinAsyncBytesPerLink, pinAsyncBytesPerLink*footprintHeadroom)
-	}
-	sBytes := syncRetainedBytes(g)
-	if got := float64(sBytes) / n; got > pinSyncBytesPerNode*footprintHeadroom {
-		t.Errorf("lockstep engine retains %.2f B/node, pin %.1f (+10%% ceiling %.1f)",
-			got, pinSyncBytesPerNode, pinSyncBytesPerNode*footprintHeadroom)
-	}
+	aBytes := checkEnginePins(t, g, spec, pinAsyncBytesPerLink, pinSyncBytesPerNode)
+	checkEnginePins(t, mustSpec("pa:n=50000,m=4,seed=7"), "pa:n=50000,m=4,seed=7", pinPAAsyncBytesPerLink, pinPASyncBytesPerNode)
 
 	// The headline acceptance bar: graph + async engine resident bytes per
 	// directed link must stay at least 1.8x below the pre-compact layout.
@@ -72,6 +71,24 @@ func TestFootprintPins(t *testing.T) {
 		t.Errorf("graph+async retain %.2f B/link; 1.8x bar requires <= %.2f",
 			got, preCompactBytesPerLink/1.8)
 	}
+}
+
+// checkEnginePins holds the async engine's B/link and the lockstep
+// runner's B/node on g to their pins plus the headroom, and returns the
+// async engine's retained bytes.
+func checkEnginePins(t *testing.T, g *graph.Graph, spec string, asyncPin, syncPin float64) int64 {
+	t.Helper()
+	aBytes := asyncRetainedBytes(g)
+	if got := float64(aBytes) / float64(g.Links()); got > asyncPin*footprintHeadroom {
+		t.Errorf("%s: async engine retains %.2f B/link, pin %.1f (+10%% ceiling %.1f)",
+			spec, got, asyncPin, asyncPin*footprintHeadroom)
+	}
+	sBytes := syncRetainedBytes(g)
+	if got := float64(sBytes) / float64(g.N()); got > syncPin*footprintHeadroom {
+		t.Errorf("%s: lockstep engine retains %.2f B/node, pin %.1f (+10%% ceiling %.1f)",
+			spec, got, syncPin, syncPin*footprintHeadroom)
+	}
+	return aBytes
 }
 
 // TestGraphFootprintMatchesProbe holds graph.Footprint, the closed-form

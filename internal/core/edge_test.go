@@ -109,14 +109,14 @@ func TestSynchronizerSilentAlgorithm(t *testing.T) {
 	if res.PerProto[protoAlgo] != 0 {
 		t.Fatalf("silent algorithm sent %d algo messages", res.PerProto[protoAlgo])
 	}
-	if res.Outputs[3] != "quiet" {
+	if res.Outputs[3] != true {
 		t.Fatalf("output %v", res.Outputs[3])
 	}
 }
 
 type silentAlgo struct{}
 
-func (h *silentAlgo) Init(n syncrun.API)                         { n.Output("quiet") }
+func (h *silentAlgo) Init(n syncrun.API)                         { n.Output(true) }
 func (h *silentAlgo) Pulse(syncrun.API, int, []syncrun.Incoming) {}
 
 // specGraph builds a test topology from a graph.FromSpec string.

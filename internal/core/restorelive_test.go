@@ -3,7 +3,6 @@ package core_test
 import (
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/abfs"
@@ -82,12 +81,6 @@ func restoreLive(t testing.TB, name string, build func() *async.Sim, want async.
 		run.RunSteps(uint64(k1))
 	}
 	frame, err := run.Snapshot()
-	if err != nil && name == "sync-mst" && strings.Contains(err.Error(), "boxed") {
-		// An MSTResult carries a neighbor list, has no encoded form and is
-		// stored boxed, so an MST run checkpoints only until its first
-		// output.
-		return
-	}
 	if err != nil {
 		t.Fatalf("%s: snapshot at %d: %v", name, k1, err)
 	}

@@ -8,11 +8,9 @@
 // Result boundary materializes user-facing values.
 //
 // Table is the one output column both engines (async.Sim and
-// syncrun.Runner) hold: the has-bit per node, the typed bodies, a boxed
-// escape for values Encode cannot represent, the map and dense
-// materializations their Results return, and the per-node record their
-// snapshot frames carry. The slot format — a zero Kind marks a boxed slot,
-// both value slabs are allocated lazily — is known only here.
+// syncrun.Runner) hold: the has-bit per node, the typed bodies, the map
+// and dense materializations their Results return, and the per-node record
+// their snapshot frames carry.
 //
 // Registration happens in package init functions only; after init the
 // registry is read-only, so concurrent decodes (the parallel experiment
@@ -49,8 +47,8 @@ var decoders = map[wire.Kind]func(wire.Body) any{}
 
 // Register installs the decoder for one output kind. It must be called
 // from a package init function (the registry is lock-free by virtue of
-// init's happens-before edge); registering kind 0 (the boxed-slot marker),
-// a reserved kind or the same kind twice panics.
+// init's happens-before edge); registering kind 0, a reserved kind or the
+// same kind twice panics.
 func Register(k wire.Kind, dec func(wire.Body) any) {
 	if k == 0 || Known(k) {
 		panic(fmt.Sprintf("outval: output kind %d is zero, reserved for primitives or already registered", k))
@@ -58,24 +56,25 @@ func Register(k wire.Kind, dec func(wire.Body) any) {
 	decoders[k] = dec
 }
 
-// Encode converts the primitive output values the engines accept through
-// the legacy Output(any) path into a Body. The second return reports
-// whether v was encodable; callers fall back to boxed storage otherwise.
-func Encode(v any) (wire.Body, bool) {
+// Encode converts the value node id passed to the engines' Output(any)
+// convenience into its Body. Only int, int64, bool and graph.NodeID have
+// one; any other value panics, naming the node, the value's type and
+// OutputBody, the way to output a struct.
+func Encode(id graph.NodeID, v any) wire.Body {
 	switch x := v.(type) {
 	case int:
-		return wire.Body{Kind: kindInt, A: int64(x)}, true
+		return wire.Body{Kind: kindInt, A: int64(x)}
 	case int64:
-		return Int64(x), true
+		return Int64(x)
 	case bool:
-		return wire.Body{Kind: kindBool, A: wire.FromBool(x)}, true
+		return wire.Body{Kind: kindBool, A: wire.FromBool(x)}
 	case graph.NodeID:
-		return wire.Body{Kind: kindNode, A: int64(x)}, true
+		return wire.Body{Kind: kindNode, A: int64(x)}
 	}
-	return wire.Body{}, false
+	panic(fmt.Sprintf("outval: node %d output a %T; Output takes int, int64, bool or graph.NodeID, other values go through OutputBody with a registered output kind", id, v))
 }
 
-// Int64 is the body Encode(x) returns for an int64 x, built without
+// Int64 is the body Encode(id, x) returns for an int64 x, built without
 // boxing x into an interface: the allocation-free way to output one.
 func Int64(x int64) wire.Body { return wire.Body{Kind: kindInt64, A: x} }
 
@@ -109,33 +108,22 @@ func decode(b wire.Body) any {
 }
 
 // Known reports whether a body of kind k decodes: a reserved primitive kind
-// or a registered one. Kind 0, the boxed-slot marker, is not.
+// or a registered one. Kind 0 is not.
 func Known(k wire.Kind) bool {
 	_, prim := primDecode(wire.Body{Kind: k})
 	_, reg := decoders[k]
 	return prim || reg
 }
 
-// decodeSlot materializes one output slot: a typed body (non-zero Kind)
-// decodes, the zero body means the value lives in the boxed escape.
-func decodeSlot(b wire.Body, boxed any) any {
-	if b.Kind != 0 {
-		return decode(b)
-	}
-	return boxed
-}
-
-// Table is one engine's output column, one slot per hosted node. A slot
-// holds either a typed body (non-zero Kind) or, for values Encode cannot
-// represent, a boxed value with a zero body. Both value slabs are lazy —
-// allocated on the first output of their kind and published by atomic
-// pointer, so workers writing their own disjoint slots concurrently agree
-// on one slab. Only the 1-byte has-bit column is eager. Call Init before
-// use; Reset rearms the table and keeps its slabs.
+// Table is one engine's output column, one slot per hosted node. A set
+// slot holds a typed body (non-zero Kind). The body slab is lazy —
+// allocated on the first output and published by atomic pointer, so
+// workers writing their own disjoint slots concurrently agree on one slab.
+// Only the 1-byte has-bit column is eager. Call Init before use; Reset
+// rearms the table and keeps its slab.
 type Table struct {
 	has    []bool
 	bodies atomic.Pointer[[]wire.Body]
-	boxed  atomic.Pointer[[]any]
 	mu     sync.Mutex
 }
 
@@ -147,40 +135,21 @@ func (t *Table) Has(i int) bool { return t.has[i] }
 
 // SetBody stores the typed output b in slot i, replacing whatever the slot
 // held, and reports whether it is the slot's first output. A zero Kind
-// panics: it is the boxed marker, not a value.
+// panics: it is not a value.
 func (t *Table) SetBody(i int, b wire.Body) bool {
 	if b.Kind == 0 {
 		panic(fmt.Sprintf("outval: slot %d output a Body with zero Kind", i))
 	}
-	publish(&t.bodies, &t.mu, len(t.has))[i] = b
-	if boxed := loaded(&t.boxed); boxed != nil {
-		boxed[i] = nil
-	}
-	return t.mark(i)
-}
-
-// SetBoxed stores v in slot i's boxed escape, replacing whatever the slot
-// held, and reports whether it is the slot's first output. Engines call it
-// for the values Encode refuses.
-func (t *Table) SetBoxed(i int, v any) bool {
-	if bodies := loaded(&t.bodies); bodies != nil {
-		bodies[i] = wire.Body{}
-	}
-	publish(&t.boxed, &t.mu, len(t.has))[i] = v
-	return t.mark(i)
-}
-
-func (t *Table) mark(i int) bool {
+	t.slab()[i] = b
 	first := !t.has[i]
 	t.has[i] = true
 	return first
 }
 
-// Reset empties every slot, keeping both slabs for the next run.
+// Reset empties every slot, keeping the slab for the next run.
 func (t *Table) Reset() {
 	clear(t.has)
-	clear(loaded(&t.bodies))
-	clear(loaded(&t.boxed))
+	clear(t.loaded())
 }
 
 // Map materializes every set slot's decoded value, keyed by base + slot.
@@ -191,11 +160,11 @@ func (t *Table) Reset() {
 // reaches the caller either way.
 func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
 	out := make(map[graph.NodeID]any, Count(t.has))
-	bodies, boxed := loaded(&t.bodies), loaded(&t.boxed)
+	bodies := t.loaded()
 	if w <= 1 {
 		for i, has := range t.has {
 			if has {
-				out[base+graph.NodeID(i)] = decodeSlot(at(bodies, i), at(boxed, i))
+				out[base+graph.NodeID(i)] = decode(bodies[i])
 			}
 		}
 		return out
@@ -204,7 +173,7 @@ func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
 	execpolicy.FanOut(w, make([]any, w), func(k int) {
 		for i := k * len(vals) / w; i < (k+1)*len(vals)/w; i++ {
 			if t.has[i] {
-				vals[i] = decodeSlot(at(bodies, i), at(boxed, i))
+				vals[i] = decode(bodies[i])
 			}
 		}
 	})
@@ -217,12 +186,11 @@ func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
 }
 
 // Dense returns the table in the dense Result form, slot-indexed: set is
-// the has-bit column, bodies the typed values, and boxed the values of the
-// set slots whose body is zero (nil when there are none). With own the
-// slices are copies the caller may keep across Reset; otherwise they alias
-// the table. DecodeDense turns the triple into Map's form.
-func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool, boxed map[graph.NodeID]any) {
-	bodies, set = loaded(&t.bodies), t.has
+// the has-bit column, bodies the typed values. With own the slices are
+// copies the caller may keep across Reset; otherwise they alias the table.
+// DecodeDense turns the pair into Map's form.
+func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool) {
+	bodies, set = t.loaded(), t.has
 	switch {
 	case bodies == nil:
 		bodies = make([]wire.Body, len(t.has))
@@ -232,24 +200,15 @@ func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool, boxed map[graph
 	if own {
 		set = slices.Clone(set)
 	}
-	escapes := loaded(&t.boxed)
-	for i, has := range t.has {
-		if has && bodies[i].Kind == 0 {
-			if boxed == nil {
-				boxed = make(map[graph.NodeID]any)
-			}
-			boxed[graph.NodeID(i)] = at(escapes, i)
-		}
-	}
-	return bodies, set, boxed
+	return bodies, set
 }
 
-// DecodeDense materializes the decoded output map of a Dense triple.
-func DecodeDense(bodies []wire.Body, set []bool, boxed map[graph.NodeID]any) map[graph.NodeID]any {
+// DecodeDense materializes the decoded output map of a Dense pair.
+func DecodeDense(bodies []wire.Body, set []bool) map[graph.NodeID]any {
 	out := make(map[graph.NodeID]any, Count(set))
 	for i, has := range set {
 		if has {
-			out[graph.NodeID(i)] = decodeSlot(bodies[i], boxed[graph.NodeID(i)])
+			out[graph.NodeID(i)] = decode(bodies[i])
 		}
 	}
 	return out
@@ -266,56 +225,36 @@ func Count(set []bool) int {
 	return n
 }
 
-// Each calls fn with every set slot's typed body in slot order. A boxed
-// slot has no encoded form and ends the walk with an error.
-func (t *Table) Each(fn func(i int, b wire.Body)) error {
+// Each calls fn with every set slot's body in slot order.
+func (t *Table) Each(fn func(i int, b wire.Body)) {
+	bodies := t.loaded()
 	for i, has := range t.has {
-		if !has {
-			continue
+		if has {
+			fn(i, bodies[i])
 		}
-		b, err := t.typed(i)
-		if err != nil {
-			return err
-		}
-		fn(i, b)
 	}
-	return nil
 }
 
-// typed returns set slot i's body, or an error if the slot is boxed.
-func (t *Table) typed(i int) (wire.Body, error) {
-	b := at(loaded(&t.bodies), i)
-	if b.Kind == 0 {
-		return b, fmt.Errorf("outval: slot %d holds a boxed %T; only outval-encodable outputs have an encoded form", i, at(loaded(&t.boxed), i))
-	}
-	return b, nil
-}
-
-// Record codes slot i's frame record: the has-bit, then the typed body
-// if the slot is set. A boxed output has no record, so saving refuses it.
-// Loading refuses a kind no decoder knows (it would restore, then panic at
-// the Result boundary) and a segment, which no decoder reads and nothing
-// would release; loading into i < 0 skips the record, for a node another
-// engine hosts, without carving its segment.
-func (t *Table) Record(c *wire.Coder, i int) error {
+// Record codes slot i's frame record: the has-bit, then the body if the
+// slot is set. Loading refuses a kind no decoder knows (it would restore,
+// then panic at the Result boundary) and a segment, which no decoder reads
+// and nothing would release; loading into i < 0 skips the record, for a
+// node another engine hosts, without carving its segment.
+func (t *Table) Record(c *wire.Coder, i int) {
 	var has bool
 	var b wire.Body
 	if !c.Loading() && t.has[i] {
-		var err error
-		if b, err = t.typed(i); err != nil {
-			return err
-		}
-		has = true
+		b, has = t.loaded()[i], true
 	}
 	if c.Bool(&has); !has {
-		return nil
+		return
 	}
 	if i < 0 {
 		c.SkipBody()
-		return nil
+		return
 	}
 	if c.Body(&b); !c.Loading() || c.Failed() {
-		return nil
+		return
 	}
 	if !Known(b.Kind) {
 		c.Fail("slot %d output record has kind %d, which no decoder is registered for", i, b.Kind)
@@ -324,38 +263,29 @@ func (t *Table) Record(c *wire.Coder, i int) error {
 	} else {
 		t.SetBody(i, b)
 	}
-	return nil
 }
 
-// publish returns the slab p points to, allocating and publishing an
-// n-slot one on first use. The double-checked lock makes one allocation
-// win when workers race to the first output.
-func publish[T any](p *atomic.Pointer[[]T], mu *sync.Mutex, n int) []T {
-	if s := p.Load(); s != nil {
-		return *s
+// slab returns the body slab, allocating and publishing it on first use.
+// The double-checked lock makes one allocation win when workers race to
+// the first output.
+func (t *Table) slab() []wire.Body {
+	if s := t.loaded(); s != nil {
+		return s
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if s := p.Load(); s != nil {
-		return *s
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s := t.loaded(); s != nil {
+		return s
 	}
-	s := make([]T, n)
-	p.Store(&s)
+	s := make([]wire.Body, len(t.has))
+	t.bodies.Store(&s)
 	return s
 }
 
-// loaded returns the slab p points to, or nil before its first use.
-func loaded[T any](p *atomic.Pointer[[]T]) []T {
-	if s := p.Load(); s != nil {
+// loaded returns the body slab, or nil before the first output.
+func (t *Table) loaded() []wire.Body {
+	if s := t.bodies.Load(); s != nil {
 		return *s
 	}
 	return nil
-}
-
-// at reads s[i], or the zero value from a slab not yet allocated.
-func at[T any](s []T, i int) (v T) {
-	if s != nil {
-		v = s[i]
-	}
-	return v
 }

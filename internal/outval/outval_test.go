@@ -14,10 +14,7 @@ import (
 func TestPrimitiveRoundTrip(t *testing.T) {
 	cases := []any{int(0), int(42), int(-7), int64(1 << 40), true, false, graph.NodeID(13)}
 	for _, v := range cases {
-		b, ok := Encode(v)
-		if !ok {
-			t.Fatalf("Encode(%v) not encodable", v)
-		}
+		b := Encode(0, v)
 		if b.Kind == 0 {
 			t.Fatalf("Encode(%v) produced zero Kind", v)
 		}
@@ -27,11 +24,21 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonEncodable: a value Output cannot encode panics, naming the
+// node, the value's type and OutputBody.
 func TestNonEncodable(t *testing.T) {
 	for _, v := range []any{"string", 3.5, struct{ X int }{1}, nil} {
-		if _, ok := Encode(v); ok {
-			t.Fatalf("Encode(%v) unexpectedly encodable", v)
-		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"node 9", fmt.Sprintf("%T", v), "OutputBody"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("Encode(%v) panic %q does not name %q", v, msg, want)
+					}
+				}
+			}()
+			Encode(9, v)
+		}()
 	}
 }
 
@@ -68,8 +75,8 @@ func TestRegisterReservedPanics(t *testing.T) {
 	Register(kindInt, func(wire.Body) any { return nil })
 }
 
-// TestTableOverwrite: a slot moves typed → boxed → typed, reads back the
-// latest value each time, and reports its first output exactly once.
+// TestTableOverwrite: a slot moves between kinds, reads back the latest
+// value each time, and reports its first output exactly once.
 func TestTableOverwrite(t *testing.T) {
 	var tb Table
 	tb.Init(3)
@@ -82,7 +89,7 @@ func TestTableOverwrite(t *testing.T) {
 		want any
 	}{
 		{func() bool { return tb.SetBody(1, wire.Body{Kind: kindInt, A: 7}) }, 7},
-		{func() bool { return tb.SetBoxed(1, "seven") }, "seven"},
+		{func() bool { return tb.SetBody(1, Int64(-7)) }, int64(-7)},
 		{func() bool { return tb.SetBody(1, wire.Body{Kind: kindTestOut, A: 1, B: 2}) }, testOut{A: 1, B: 2}},
 	} {
 		if step.set() {
@@ -111,12 +118,12 @@ func TestTableZeroKindPanics(t *testing.T) {
 	tb.SetBody(0, wire.Body{A: 1})
 }
 
-// filled returns a table with typed, boxed and empty slots.
+// filled returns a table with set slots of several kinds and empty ones.
 func filled() *Table {
 	tb := &Table{}
 	tb.Init(6)
 	tb.SetBody(0, wire.Body{Kind: kindBool, A: 1})
-	tb.SetBoxed(2, 3.5)
+	tb.SetBody(2, Int64(1<<40))
 	tb.SetBody(3, wire.Body{Kind: kindTestOut, A: -1, B: 4})
 	tb.SetBody(5, wire.Body{Kind: kindNode, A: 2})
 	return tb
@@ -167,8 +174,8 @@ func TestTableMapFanOutAllocs(t *testing.T) {
 		t.Fatalf("fanned-out Map of %d outputs made %.0f allocations: %.0f beyond a box each and the map's %.0f, want at most %d",
 			n, fanned, extra, tables, slack)
 	}
-	bodies, set, _ := tb.Dense(false)
-	dense := testing.AllocsPerRun(3, func() { DecodeDense(bodies, set, nil) })
+	bodies, set := tb.Dense(false)
+	dense := testing.AllocsPerRun(3, func() { DecodeDense(bodies, set) })
 	if extra := dense - tables - n; extra > slack {
 		t.Fatalf("DecodeDense of %d outputs made %.0f allocations: %.0f beyond a box each and the map's %.0f, want at most %d",
 			n, dense, extra, tables, slack)
@@ -181,36 +188,29 @@ func TestTableDenseMatchesMap(t *testing.T) {
 	tb := filled()
 	want := tb.Map(0, 1)
 	for _, own := range []bool{false, true} {
-		bodies, set, boxed := tb.Dense(own)
-		if len(boxed) != 1 || boxed[2] != 3.5 {
-			t.Fatalf("own=%v: boxed = %v, want only slot 2", own, boxed)
-		}
-		if got := DecodeDense(bodies, set, boxed); !reflect.DeepEqual(got, want) {
+		if got := DecodeDense(tb.Dense(own)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("own=%v: dense decodes to %v, map is %v", own, got, want)
 		}
 	}
-	bodies, set, _ := tb.Dense(true)
+	bodies, set := tb.Dense(true)
 	tb.Reset()
 	if !set[0] || bodies[0].Kind != kindBool {
 		t.Fatal("owned dense slices changed when the table was reset")
 	}
 	var empty Table
 	empty.Init(2)
-	if bodies, set, boxed := empty.Dense(false); len(bodies) != 2 || len(set) != 2 || boxed != nil {
-		t.Fatalf("empty table's dense form: %d bodies, %d set, boxed %v", len(bodies), len(set), boxed)
+	if bodies, set := empty.Dense(false); len(bodies) != 2 || len(set) != 2 {
+		t.Fatalf("empty table's dense form: %d bodies, %d set", len(bodies), len(set))
 	}
 }
 
-// TestTableFrameRecords: Record round-trips every typed slot, refuses to
-// save a boxed one, and refuses to load a kind no decoder knows.
+// TestTableFrameRecords: Record round-trips every slot and refuses to
+// load a kind no decoder knows.
 func TestTableFrameRecords(t *testing.T) {
 	tb := filled()
-	tb.SetBody(2, wire.Body{Kind: kindInt64, A: 1 << 40}) // replace the boxed value
 	e := wire.NewEnc(nil)
 	for i := range 6 {
-		if err := tb.Record(e.Coder(), i); err != nil {
-			t.Fatal(err)
-		}
+		tb.Record(e.Coder(), i)
 	}
 	var back Table
 	back.Init(6)
@@ -220,20 +220,13 @@ func TestTableFrameRecords(t *testing.T) {
 		if i == 4 {
 			j = -1 // an empty record skips like any other
 		}
-		if err := back.Record(d.Coder(), j); err != nil {
-			t.Fatal(err)
-		}
+		back.Record(d.Coder(), j)
 	}
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
 		t.Fatalf("load: err %v, %d bytes left", err, d.Remaining())
 	}
 	if got, want := back.Map(0, 1), tb.Map(0, 1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: %v, want %v", got, want)
-	}
-
-	tb.SetBoxed(2, "boxed")
-	if err := tb.Record(wire.NewEnc(nil).Coder(), 2); err == nil || !strings.Contains(err.Error(), "boxed string") {
-		t.Fatalf("saving a boxed slot: err %v", err)
 	}
 
 	e = wire.NewEnc(nil)
@@ -248,18 +241,14 @@ func TestTableFrameRecords(t *testing.T) {
 	}
 }
 
-// TestTableResetKeepsSlabs: after Reset, refilling every slot of both
-// kinds allocates nothing.
+// TestTableResetKeepsSlabs: after Reset, refilling every slot allocates
+// nothing.
 func TestTableResetKeepsSlabs(t *testing.T) {
 	var tb Table
 	tb.Init(64)
 	fill := func() {
 		for i := range 64 {
-			if i%2 == 0 {
-				tb.SetBody(i, wire.Body{Kind: kindInt, A: int64(i)})
-			} else {
-				tb.SetBoxed(i, &tb)
-			}
+			tb.SetBody(i, wire.Body{Kind: kindInt, A: int64(i)})
 		}
 	}
 	fill()
@@ -272,9 +261,9 @@ func TestTableResetKeepsSlabs(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentFirstWrites: workers racing to the first output of
-// each kind agree on one slab, so every disjoint write survives (run it
-// under -race).
+// TestTableConcurrentFirstWrites: workers racing to the first output
+// agree on one slab, so every disjoint write survives (run it under
+// -race).
 func TestTableConcurrentFirstWrites(t *testing.T) {
 	const workers, per = 8, 32
 	var tb Table
@@ -286,7 +275,7 @@ func TestTableConcurrentFirstWrites(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < workers*per; i += workers {
 				if i%3 == 0 {
-					tb.SetBoxed(i, fmt.Sprint(i))
+					tb.SetBody(i, Int64(int64(i)))
 				} else {
 					tb.SetBody(i, wire.Body{Kind: kindInt, A: int64(i)})
 				}
@@ -298,7 +287,7 @@ func TestTableConcurrentFirstWrites(t *testing.T) {
 	for i := range workers * per {
 		want := any(i)
 		if i%3 == 0 {
-			want = fmt.Sprint(i)
+			want = int64(i)
 		}
 		if m[graph.NodeID(i)] != want {
 			t.Fatalf("slot %d reads %v, want %v", i, m[graph.NodeID(i)], want)

@@ -310,7 +310,7 @@ type resultMsg struct {
 	res  async.Result
 	info ShardInfo
 	// outputs visits the worker's outputs (saving).
-	outputs func(func(graph.NodeID, wire.Body)) error
+	outputs func(func(graph.NodeID, wire.Body))
 	// lo and hi bound the ids a load accepts: the sending worker's nodes.
 	lo, hi graph.NodeID
 }
@@ -346,7 +346,7 @@ func (m *resultMsg) code(c *wire.Coder) (err error) {
 	// Outputs ride in a blob: their count is known only after the visit.
 	c.Blob(func(c *wire.Coder) {
 		if !c.Loading() {
-			err = m.outputs(func(id graph.NodeID, b wire.Body) { codeOutput(c, &id, &b) })
+			m.outputs(func(id graph.NodeID, b wire.Body) { codeOutput(c, &id, &b) })
 			return
 		}
 		for prev := m.lo - 1; c.More() && !c.Failed() && err == nil; {

@@ -251,9 +251,7 @@ func serveWorker(conn net.Conn, idx int, full *graph.Graph, ownProcess bool) err
 		GraphBytes: sub.Footprint(), EngineBytes: engineHeap, HeapMB: heapMB,
 	}}
 	enc.Reset()
-	if err := m.code(enc.Coder()); err != nil {
-		return err
-	}
+	m.code(enc.Coder()) // only a load reports an error
 	return writeMsg(w, msgResult, enc.Bytes())
 }
 

@@ -1,7 +1,9 @@
 package syncrun
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,13 +11,13 @@ import (
 	"repro/internal/wire"
 )
 
-// typedOutAlgo outputs its distance through the typed path at pulse 1 and
-// node 0 additionally exercises the legacy boxed escape (a string).
+// typedOutAlgo outputs its distance through OutputBody; node 0 outputs
+// through the Output convenience (a bool).
 type typedOutAlgo struct{}
 
 func (typedOutAlgo) Init(n API) {
 	if n.ID() == 0 {
-		n.Output("root") // non-encodable: boxed escape slot
+		n.Output(true)
 		for _, nb := range n.Neighbors() {
 			n.Send(nb.Node, wire.Tag(1))
 		}
@@ -26,8 +28,7 @@ func (typedOutAlgo) Pulse(n API, p int, recvd []Incoming) {
 	if len(recvd) == 0 || n.HasOutput() {
 		return
 	}
-	b, _ := outval.Encode(p)
-	n.OutputBody(b)
+	n.OutputBody(outval.Encode(n.ID(), p))
 	for _, nb := range n.Neighbors() {
 		if nb.Node != recvd[0].From {
 			n.Send(nb.Node, wire.Tag(1))
@@ -35,37 +36,50 @@ func (typedOutAlgo) Pulse(n API, p int, recvd []Incoming) {
 	}
 }
 
-// TestTypedOutputs checks both storage paths decode correctly at the
+// TestTypedOutputs checks both output calls decode correctly at the
 // Result boundary in the default (map) mode.
 func TestTypedOutputs(t *testing.T) {
 	g := graph.Path(4)
 	res := New(g, func(graph.NodeID) Handler { return typedOutAlgo{} }).Run()
-	want := map[graph.NodeID]any{0: "root", 1: 1, 2: 2, 3: 3}
+	want := map[graph.NodeID]any{0: true, 1: 1, 2: 2, 3: 3}
 	if !reflect.DeepEqual(res.Outputs, want) {
 		t.Fatalf("outputs = %v, want %v", res.Outputs, want)
 	}
 }
 
-// TestDenseOutputs checks the dense mode: typed outputs land in
-// OutBodies/OutSet, only the legacy escape materializes in the map.
+// TestDenseOutputs checks the dense mode: every output lands in
+// OutBodies/OutSet and no map is built.
 func TestDenseOutputs(t *testing.T) {
 	g := graph.Path(4)
 	res := New(g, func(graph.NodeID) Handler { return typedOutAlgo{} }).
 		WithDenseOutputs().Run()
-	if len(res.Outputs) != 1 || res.Outputs[0] != "root" {
-		t.Fatalf("dense-mode map = %v, want only the legacy escape", res.Outputs)
+	if res.Outputs != nil {
+		t.Fatalf("dense-mode map = %v, want nil", res.Outputs)
 	}
-	for v := 1; v <= 3; v++ {
-		if !res.OutSet[v] {
-			t.Fatalf("node %d missing from OutSet", v)
+	want := map[graph.NodeID]any{0: true, 1: 1, 2: 2, 3: 3}
+	if got := outval.DecodeDense(res.OutBodies, res.OutSet); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dense outputs decode to %v, want %v", got, want)
+	}
+}
+
+// stringOutAlgo outputs a value Output has no encoding for.
+type stringOutAlgo struct{}
+
+func (stringOutAlgo) Init(n API)                 { n.Output("x") }
+func (stringOutAlgo) Pulse(API, int, []Incoming) {}
+
+// TestOutputRefusesUnencodable: Output of a string panics, naming the
+// node, the type and OutputBody, the call that takes struct results.
+func TestOutputRefusesUnencodable(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"node 0", "string", "OutputBody"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
 		}
-		if got := outval.DecodeDense(res.OutBodies, res.OutSet, res.Outputs)[graph.NodeID(v)]; got != v {
-			t.Fatalf("node %d dense output = %v, want %d", v, got, v)
-		}
-	}
-	if !res.OutSet[0] || res.OutBodies[0].Kind != 0 {
-		t.Fatal("legacy escape should appear in OutSet with a zero-kind body")
-	}
+	}()
+	New(graph.Path(2), func(graph.NodeID) Handler { return stringOutAlgo{} }).WithMode(ModeSingle).Run()
 }
 
 // TestDenseOutputsModeIdentical pins dense-output equality across the

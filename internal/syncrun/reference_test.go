@@ -40,7 +40,7 @@ func (n refNode) Degree() int                 { return len(n.Neighbors()) }
 func (n refNode) Arena() *wire.Arena          { return &n.r.arena }
 func (n refNode) Output(v any)                { n.output(v) }
 func (n refNode) OutputBody(b wire.Body) {
-	n.output(outval.DecodeDense([]wire.Body{b}, []bool{true}, nil)[0])
+	n.output(outval.DecodeDense([]wire.Body{b}, []bool{true})[0])
 }
 
 func (n refNode) HasOutput() bool {

@@ -136,10 +136,7 @@ func TestLockstepSnapshotFormatFrozen(t *testing.T) {
 }
 
 // intKind is the output kind the engines store a Go int under.
-var intKind = func() wire.Kind {
-	b, _ := outval.Encode(0)
-	return b.Kind
-}()
+var intKind = outval.Encode(0, 0).Kind
 
 // path2Frame writes by hand the frame of codecBFS on path:2 after Init:
 // node 0 has output 0 (encoded under outKind) and sent to node 1, whose

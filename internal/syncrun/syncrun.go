@@ -76,9 +76,10 @@ type API interface {
 	Send(to graph.NodeID, body wire.Body)
 	// Arena returns the run's segment arena for variable-length payloads.
 	Arena() *wire.Arena
-	// Output records this node's final output. Primitive values (int,
-	// int64, bool, graph.NodeID) are stored as typed wire.Body entries
-	// without boxing; anything else falls back to a boxed escape slot.
+	// Output records this node's final output: the convenience for int,
+	// int64, bool and graph.NodeID values, stored as typed wire.Body
+	// entries. Any other value panics; struct results go through
+	// OutputBody.
 	Output(v any)
 	// OutputBody records this node's final output as a typed wire.Body
 	// (non-zero Kind; outval decodes it at the Result boundary) — the
@@ -171,21 +172,13 @@ func (n *node) Send(to graph.NodeID, body wire.Body) {
 }
 
 // Output records this node's final output.
-func (n *node) Output(v any) {
-	if b, ok := outval.Encode(v); ok {
-		n.OutputBody(b)
-		return
-	}
-	n.noteOutput(n.run.out.SetBoxed(int(n.id), v))
-}
+func (n *node) Output(v any) { n.OutputBody(outval.Encode(n.id, v)) }
 
-// OutputBody records this node's final output as a typed wire.Body.
-func (n *node) OutputBody(b wire.Body) { n.noteOutput(n.run.out.SetBody(int(n.id), b)) }
-
-// noteOutput flags a first output in the node's sink; the seal advances
-// the T clock from the flag.
-func (n *node) noteOutput(first bool) {
-	if first {
+// OutputBody records this node's final output as a typed wire.Body. A
+// first output flags the node's sink; the seal advances the T clock from
+// the flag.
+func (n *node) OutputBody(b wire.Body) {
+	if n.run.out.SetBody(int(n.id), b) {
 		n.run.sinks[n.sinkIdx].newOut = true
 	}
 }
@@ -214,9 +207,7 @@ type Result struct {
 	Rounds int
 	// M is the paper's M(A): total messages sent.
 	M uint64
-	// Outputs maps node -> decoded output. With WithDenseOutputs it
-	// carries only the rare non-encodable values; everything else is in
-	// OutBodies.
+	// Outputs maps node -> decoded output (nil with WithDenseOutputs).
 	Outputs map[graph.NodeID]any
 	// OutBodies/OutSet are the dense typed outputs, populated only with
 	// WithDenseOutputs: OutSet[v] reports whether node v output,
@@ -418,8 +409,8 @@ func (r *Runner) KeepTrace() *Runner { r.keepTrace = true; return r }
 
 // WithDenseOutputs makes Run return outputs as the dense OutBodies/OutSet
 // pair instead of materializing the Outputs map — O(1) allocations at the
-// finish line instead of one interface box per node. Callers decode with
-// outval.DecodeDense; non-encodable legacy outputs still surface in the map.
+// finish line instead of one interface box per node; Outputs stays nil.
+// Callers decode with outval.DecodeDense.
 func (r *Runner) WithDenseOutputs() *Runner { r.denseOut = true; return r }
 
 // WithMode selects the execution mode (default ModeAuto).
@@ -525,7 +516,7 @@ func (r *Runner) finish() Result {
 		Trace:  r.trace,
 	}
 	if r.denseOut {
-		res.OutBodies, res.OutSet, res.Outputs = r.out.Dense(false)
+		res.OutBodies, res.OutSet = r.out.Dense(false)
 	} else {
 		res.Outputs = r.out.Map(0, r.fanWidth(r.g.N()))
 	}
