@@ -197,9 +197,10 @@ func TestFreshQueueAllocsOneSlicePerSlot(t *testing.T) {
 			q.pop()
 		}
 	})
-	// Per slot, append grows 1→2→4 keys; the slab is 1028 events in five
-	// chunks, their pointer slice, and a free list grown to match.
-	const slices, slab = 3 * (cqBuckets + 2), 5 + 4 + 12
+	// Per slot, append grows 1→2→4 keys; the slab is 1028 cells in five
+	// chunks and their pointer slice. The free list lives in the freed
+	// cells and allocates nothing.
+	const slices, slab = 3 * (cqBuckets + 2), 5 + 4
 	if got > slices+slab {
 		t.Fatalf("a fresh queue made %.0f allocations, want at most %d for the slots and %d for the slab", got, slices, slab)
 	}

@@ -204,7 +204,9 @@ func (o *outbox) code(c *wire.Coder, sl *outboxSlab, keep bool) {
 					sq.cur = pf
 				}
 			}
-			wire.ID(c, &pf.proto)
+			if wire.ID(c, &pf.proto); c.Loading() && (pf.proto < 0 || pf.proto > maxProto) {
+				c.Fail("outbox stage %d proto %d outside [0, %d]", sq.stage, pf.proto, maxProto)
+			}
 			k := 0
 			for mn := pf.head; mn != nil; mn = mn.next {
 				k++

@@ -3,6 +3,7 @@ package async
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -221,6 +222,22 @@ func TestOutboxModel(t *testing.T) {
 		script[i] = byte(x)
 	}
 	p.run(script)
+}
+
+// TestOutboxLoadRefusesWideProto: an outbox record whose proto a queued
+// event cannot hold fails the load; it would be injected as one.
+func TestOutboxLoadRefusesWideProto(t *testing.T) {
+	var sl outboxSlab
+	var boxes [1]*outbox
+	sl.queue(boxes[:], 0, Msg{Proto: maxProto + 1, Stage: 2, Body: wire.Tag(1)})
+	var e wire.Enc
+	boxes[0].code(e.Coder(), nil, false)
+	var into outboxSlab
+	d := wire.NewDec(e.Bytes(), nil)
+	into.boxes.get().code(d.Coder(), &into, true)
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "stage 2 proto 65536 outside [0, 65535]") {
+		t.Fatalf("loading an outbox with proto %d: %v", maxProto+1, err)
+	}
 }
 
 // FuzzOutboxVsReference drives the outbox and the model through the same

@@ -10,12 +10,14 @@ package async
 // (Fixed{1}, the adversary the paper's time bounds are stated against)
 // lands at tick cur+cqBuckets, one past the wheel.
 //
-// The 96-byte event payloads live in a slab of fixed-size chunks and never
-// move while queued; slots order 24-byte keys {t, seq, idx} into it, so a
-// sort, a sift or a migration moves keys only. Chunks (not one doubling
-// slice) keep retained memory at peak occupancy and payload addresses
-// stable, which lets the executors process a popped event in place (see
-// popBefore).
+// A queued event is split in two. Its 72-byte cell (evCell: everything but
+// t and seq) lives in a slab of fixed-size chunks and never moves while
+// queued; slots order 24-byte keys {t, seq, idx} into it, so a sort, a sift
+// or a migration moves keys only. Chunks (not one doubling slice) keep
+// retained memory at peak occupancy and cell addresses stable, which lets
+// the executors read a popped cell in place beside its key (see
+// popBefore). Free cells form a list threaded through their own stage
+// field, so the slab is the queue's whole payload store.
 //
 // A slot is one key slice (see cqSlot) in one of three shapes:
 //   - A wheel slot ahead of the clock is a bag: pushes append, and a flag
@@ -40,10 +42,10 @@ package async
 // next event is the smaller of the straggler slot's and the current slot's
 // minimum.
 type eventQueue struct {
-	chunks []*[cqChunk]event
-	freed  []uint32 // released slab indices, reused before fresh ones
-	fresh  uint32   // slab indices below this were handed out since reset
-	held   uint32   // 1 + the slab index of the last popped event; 0: none
+	chunks []*[cqChunk]evCell
+	free   uint32 // 1 + the first free slab index, reused before fresh ones; 0: none
+	fresh  uint32 // slab indices below this were handed out since reset
+	held   uint32 // 1 + the slab index of the last popped event; 0: none
 	size   int
 	cur    int64  // current tick; wheel and overflow events have tick >= cur
 	late   cqSlot // the straggler slot: events with tick <= cur when pushed
@@ -60,12 +62,12 @@ type eventQueue struct {
 // per tick rather than kept in order per push.
 const cqBuckets = 256
 
-// cqChunk is the slab chunk size in events (24KB per chunk).
+// cqChunk is the slab chunk size in cells (18KB per chunk).
 const cqChunk = 256
 
 func cqTick(t float64) int64 { return int64(t * cqBuckets) }
 
-// evKey orders one queued event; idx locates its payload in the slab.
+// evKey orders one queued event; idx locates its cell in the slab.
 type evKey struct {
 	t   float64
 	seq uint64
@@ -265,20 +267,20 @@ func heapSortKeys(a []evKey) {
 	}
 }
 
-func (q *eventQueue) at(idx uint32) *event { return &q.chunks[idx/cqChunk][idx%cqChunk] }
+func (q *eventQueue) at(idx uint32) *evCell { return &q.chunks[idx/cqChunk][idx%cqChunk] }
 
-// push copies *ev into the slab and queues it under its (t, seq).
+// push copies ev's cell into the slab and queues it under its (t, seq).
 func (q *eventQueue) push(ev *event) {
-	idx := q.fresh
-	if n := len(q.freed); n > 0 {
-		idx, q.freed = q.freed[n-1], q.freed[:n-1]
+	idx := q.free - 1
+	if q.free != 0 {
+		q.free = uint32(q.at(idx).stage)
 	} else {
-		if int(idx) == len(q.chunks)*cqChunk {
-			q.chunks = append(q.chunks, new([cqChunk]event))
+		if idx = q.fresh; int(idx) == len(q.chunks)*cqChunk {
+			q.chunks = append(q.chunks, new([cqChunk]evCell))
 		}
 		q.fresh++
 	}
-	*q.at(idx) = *ev
+	*q.at(idx) = ev.evCell
 	q.size++
 	k := evKey{t: ev.t, seq: ev.seq, idx: idx}
 	switch tick := cqTick(ev.t); {
@@ -298,7 +300,7 @@ func (q *eventQueue) empty() bool { return q.size == 0 }
 
 // pop removes the earliest event by (t, seq); see popBefore for the
 // returned cell's lifetime.
-func (q *eventQueue) pop() *event {
+func (q *eventQueue) pop() (evKey, *evCell) {
 	if q.size == 0 {
 		panic("async: pop from empty event queue")
 	}
@@ -358,26 +360,27 @@ func (q *eventQueue) advance() *cqSlot {
 }
 
 // popBefore removes the earliest event by (t, seq) if its timestamp is
-// strictly below limit and returns its slab cell; otherwise it leaves the
-// queue intact and returns nil. The cell is the caller's to read in place
-// until its next pop from this queue, which is what frees it: pushes in
-// between neither move nor reuse it. The bounded-lag executor drains each
-// shard's window [wStart, wStart+lookahead) with it.
-func (q *eventQueue) popBefore(limit float64) *event {
+// strictly below limit and returns its key and slab cell; otherwise it
+// leaves the queue intact and returns a nil cell. The cell is the caller's
+// to read in place until its next pop from this queue, which is what frees
+// it: pushes in between neither move nor reuse it. The bounded-lag
+// executor drains each shard's window [wStart, wStart+lookahead) with it.
+func (q *eventQueue) popBefore(limit float64) (evKey, *evCell) {
 	if q.size == 0 {
-		return nil
+		return evKey{}, nil
 	}
 	slot := q.advance()
 	if slot.min().t >= limit {
-		return nil
+		return evKey{}, nil
 	}
 	q.size--
 	if q.held != 0 {
-		q.freed = append(q.freed, q.held-1)
+		q.at(q.held - 1).stage = int(q.free)
+		q.free = q.held
 	}
-	idx := slot.pop().idx
-	q.held = idx + 1
-	return q.at(idx)
+	k := slot.pop()
+	q.held = k.idx + 1
+	return k, q.at(k.idx)
 }
 
 // minT reports the earliest queued timestamp without removing the event.
@@ -391,28 +394,27 @@ func (q *eventQueue) minT() (float64, bool) {
 }
 
 // reset empties the queue in place, keeping every slot's capacity and
-// every slab chunk for the next run. Events are pointer-free values, so
+// every slab chunk for the next run. Cells are pointer-free values, so
 // the retained chunks pin nothing.
 func (q *eventQueue) reset() {
 	q.late.reset()
 	for i := range q.slots {
 		q.slots[i].reset()
 	}
-	q.freed = q.freed[:0]
-	q.fresh, q.held, q.size, q.cur = 0, 0, 0, 0
+	q.free, q.fresh, q.held, q.size, q.cur = 0, 0, 0, 0, 0
 }
 
 // forEach visits every queued event in unspecified order (snapshot
 // serialization; restore re-pushes, and pop order depends only on the
 // events' own (t, seq) keys, not on insertion order).
-func (q *eventQueue) forEach(fn func(*event)) {
+func (q *eventQueue) forEach(fn func(evKey, *evCell)) {
 	for _, k := range q.late.keys[q.late.head:] {
-		fn(q.at(k.idx))
+		fn(k, q.at(k.idx))
 	}
 	for i := range q.slots {
 		s := &q.slots[i]
 		for _, k := range s.keys[s.head:] {
-			fn(q.at(k.idx))
+			fn(k, q.at(k.idx))
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
@@ -33,7 +35,7 @@ func TestEventQueueOrder(t *testing.T) {
 		push(rng.Float64()*0.999 + 0.001)
 	}
 	for !q.empty() {
-		ev := *q.pop()
+		ev := popEvent(&q)
 		if ev.t < now {
 			t.Fatalf("time went backwards: %g after %g", ev.t, now)
 		}
@@ -65,6 +67,13 @@ func TestEventQueueOrder(t *testing.T) {
 	}
 }
 
+// popEvent pops q's earliest event and reassembles it from its key and
+// cell.
+func popEvent(q *eventQueue) event {
+	k, c := q.pop()
+	return event{t: k.t, seq: k.seq, evCell: *c}
+}
+
 // TestEventQueueOverflow exercises the store for events beyond the
 // one-unit wheel horizon with out-of-order, far-out timestamps (only
 // reachable by adversaries that break the delay contract; the queue must
@@ -77,7 +86,7 @@ func TestEventQueueOverflow(t *testing.T) {
 	var last event
 	first := true
 	for !q.empty() {
-		ev := *q.pop()
+		ev := popEvent(&q)
 		if !first && evLess(ev, last) {
 			t.Fatalf("out of order: {t:%g seq:%d} after {t:%g seq:%d}",
 				ev.t, ev.seq, last.t, last.seq)
@@ -95,7 +104,8 @@ func TestEventQueueOverflow(t *testing.T) {
 // sorted on arrival); near puts every delay in (0, 1/512], so most pushes
 // land in the clock's own tick, the straggler slot; horizon is Fixed{1}'s
 // shape, every push at cur+cqBuckets, through the overflow store and its
-// migration.
+// migration. Each reports the queue's retained bytes per standing event:
+// its slab chunks and its slots' key capacity.
 func BenchmarkEventQueuePushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	random := make([]float64, 1024)
@@ -117,7 +127,7 @@ func BenchmarkEventQueuePushPop(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var q eventQueue
-			ev := event{kind: evDeliver}
+			ev := event{evCell: evCell{kind: evDeliver}}
 			mask := len(bc.delays) - 1 // lengths are powers of two
 			for i := 0; i < bc.standing; i++ {
 				ev.t, ev.seq = bc.delays[i&mask], uint64(i)
@@ -126,10 +136,53 @@ func BenchmarkEventQueuePushPop(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.t, ev.seq = q.pop().t+bc.delays[i&mask], uint64(bc.standing+i)
+				k, _ := q.pop()
+				ev.t, ev.seq = k.t+bc.delays[i&mask], uint64(bc.standing+i)
 				q.push(&ev)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(q.retainedBytes())/float64(bc.standing), "retained-B/event")
 		})
+	}
+}
+
+// retainedBytes is what q keeps between runs: its slab chunks and every
+// slot's key capacity.
+func (q *eventQueue) retainedBytes() uintptr {
+	n := uintptr(len(q.chunks)) * unsafe.Sizeof([cqChunk]evCell{})
+	for _, s := range append(q.slots[:], q.late) {
+		n += uintptr(cap(s.keys)) * unsafe.Sizeof(evKey{})
+	}
+	return n
+}
+
+// TestEventQueueLayout pins the sizes the slab and the slots are priced
+// at, a 72-byte cell and a 24-byte key, field by field.
+func TestEventQueueLayout(t *testing.T) {
+	var c evCell
+	var k evKey
+	for _, f := range []struct {
+		name      string
+		off, want uintptr
+		why       string
+	}{
+		{"link", unsafe.Offsetof(c.link), 0, "a 32-bit LinkID, complemented for a shard's remote-born delivery"},
+		{"src", unsafe.Offsetof(c.src), 4, "kept, not derived from the CSR: a pop reads no graph column"},
+		{"dst", unsafe.Offsetof(c.dst), 8, "kept for the same reason as src"},
+		{"kind", unsafe.Offsetof(c.kind), 12, "three values in one byte"},
+		{"attempt", unsafe.Offsetof(c.attempt), 13, "a retry count within the fault budget, one byte"},
+		{"proto", unsafe.Offsetof(c.proto), 14, "16 bits, closing the second word: send refuses a wider proto"},
+		{"stage", unsafe.Offsetof(c.stage), 16, "a full int: Msg.Stage crosses processes as an i64; on the free list, the next free cell"},
+		{"body", unsafe.Offsetof(c.body), 24, "48 bytes: two kinds, a framing int32, four words, a segment"},
+		{"cell size", unsafe.Sizeof(c), 72, "the slab's cost per queued event"},
+		{"key t", unsafe.Offsetof(k.t), 0, "the order's first word"},
+		{"key seq", unsafe.Offsetof(k.seq), 8, "the order's tie-break"},
+		{"key idx", unsafe.Offsetof(k.idx), 16, "the cell's 32-bit slab index, padded to the word"},
+		{"key size", unsafe.Sizeof(k), 24, "a slot's cost per queued event"},
+	} {
+		if f.off != f.want {
+			t.Errorf("%s at %d bytes, want %d (%s)", f.name, f.off, f.want, f.why)
+		}
 	}
 }
 
@@ -153,11 +206,11 @@ func TestEventQueuePopBefore(t *testing.T) {
 	limit := all[len(all)/3].t // boundary event: t >= limit stays queued
 	var before []event
 	for {
-		ev := q.popBefore(limit)
+		k, ev := q.popBefore(limit)
 		if ev == nil {
 			break
 		}
-		before = append(before, *ev)
+		before = append(before, event{t: k.t, seq: k.seq, evCell: *ev})
 	}
 	// minT on the remainder must report the first at-or-beyond-limit event.
 	if mt, ok := q.minT(); !ok || mt < limit {
@@ -173,7 +226,7 @@ func TestEventQueuePopBefore(t *testing.T) {
 		t.Fatalf("popBefore yielded %d events, want %d", len(before), i)
 	}
 	for ; i < len(all); i++ {
-		ev := *q.pop()
+		ev := popEvent(&q)
 		if ev.seq != all[i].seq || ev.t != all[i].t {
 			t.Fatalf("post-window pop %d = {t:%g seq:%d}, want {t:%g seq:%d}",
 				i, ev.t, ev.seq, all[i].t, all[i].seq)
@@ -204,7 +257,7 @@ func TestEventQueueReset(t *testing.T) {
 	}
 	last := -1.0
 	for !q.empty() {
-		ev := *q.pop()
+		ev := popEvent(&q)
 		if ev.t < last {
 			t.Fatalf("out of order after reset: %g after %g", ev.t, last)
 		}
@@ -252,7 +305,7 @@ func TestSlotShapes(t *testing.T) {
 		if bag.unsorted || bag.heaped || !slices.Equal(keyTs(bag.keys), sorted) {
 			t.Fatalf("reached bag unsorted=%v heaped=%v keys %v, want the run %v", bag.unsorted, bag.heaped, keyTs(bag.keys), sorted)
 		}
-		if ev := q.pop(); ev.t != 3.1*tick {
+		if ev := popEvent(&q); ev.t != 3.1*tick {
 			t.Fatalf("first pop at %g ticks", ev.t/tick)
 		}
 		// The clock's own tick, below the run's next key; a clamp from an
@@ -267,7 +320,7 @@ func TestSlotShapes(t *testing.T) {
 			t.Fatalf("stragglers touched the current run: head=%d unsorted=%v keys %v", bag.head, bag.unsorted, keyTs(bag.keys))
 		}
 		for _, want := range []float64{2.5, 3.15, 3.2, 3.5, 3.7, 3.9, 3.95} {
-			if ev := q.pop(); ev.t != want*tick {
+			if ev := popEvent(&q); ev.t != want*tick {
 				t.Fatalf("pop at %g ticks, want %g", ev.t/tick, want)
 			}
 		}
@@ -292,7 +345,7 @@ func TestSlotShapes(t *testing.T) {
 			t.Fatalf("out-of-order overflow: heaped=%v len=%d, want a heap of 4", o.heaped, o.len())
 		}
 		for _, want := range []float64{1.25, 1.5, 1.75, 2} {
-			if ev := q.pop(); ev.t != want {
+			if ev := popEvent(&q); ev.t != want {
 				t.Fatalf("pop at %g, want %g", ev.t, want)
 			}
 		}
@@ -416,28 +469,44 @@ func (m *qModel) push(ev event) {
 	m.check()
 }
 
-// pushNew queues a fresh event at time t whose payload echoes its key, so
-// a crossed slab index shows up as a payload mismatch.
+// pushNew queues a fresh event at time t.
 func (m *qModel) pushNew(t float64) {
-	ev := event{t: t, seq: m.seq, kind: evDeliver,
-		msg: Msg{Body: wire.Body{Kind: 1, A: int64(m.seq), B: int64(math.Float64bits(t))}}}
+	m.push(event{t: t, seq: m.seq, evCell: echoCell(t, m.seq)})
 	m.seq++
-	m.push(ev)
+}
+
+// echoCell is the cell pushNew gives the event (t, seq): every field
+// echoes the key, at its extreme values along the way, so a dropped field
+// or a crossed slab index shows up as a cell mismatch.
+func echoCell(t float64, seq uint64) evCell {
+	return evCell{
+		link:    ^graph.LinkID(seq), // a shard's complemented back link
+		src:     graph.NodeID(seq),
+		dst:     graph.NodeID(seq) + 1,
+		kind:    evDeliver + uint8(seq%3),
+		attempt: 255 - uint8(seq%2),
+		proto:   uint16(seq%2) * maxProto,
+		stage:   1<<40 + int(seq),
+		body:    wire.Body{Kind: 1, Sub: 2, P: -3, A: int64(seq), B: int64(math.Float64bits(t)), C: -1, D: math.MaxInt64},
+	}
 }
 
 func (m *qModel) popBefore(limit float64) bool {
-	ev := m.q.popBefore(limit)
+	k, ev := m.q.popBefore(limit)
 	if len(m.oracle) == 0 || m.oracle[0].t >= limit {
 		if ev != nil {
-			m.t.Fatalf("popBefore(%g) = {t:%g seq:%d}, want none", limit, ev.t, ev.seq)
+			m.t.Fatalf("popBefore(%g) = {t:%g seq:%d}, want none", limit, k.t, k.seq)
 		}
 		return false
 	}
-	if ev == nil || *ev != m.oracle[0] {
-		m.t.Fatalf("popBefore(%g) = %+v, want %+v", limit, ev, m.oracle[0])
+	if ev == nil {
+		m.t.Fatalf("popBefore(%g) = none, want %+v", limit, m.oracle[0])
 	}
-	m.now = ev.t
-	m.popped = append(m.popped, *ev)
+	if got := (event{t: k.t, seq: k.seq, evCell: *ev}); got != m.oracle[0] {
+		m.t.Fatalf("popBefore(%g) = %+v, want %+v", limit, got, m.oracle[0])
+	}
+	m.now = k.t
+	m.popped = append(m.popped, m.oracle[0])
 	m.oracle = m.oracle[1:]
 	m.check()
 	return true
@@ -463,17 +532,18 @@ func (m *qModel) reset() {
 
 // check asserts size accounting, that forEach visits exactly the queued
 // events, and that every slab index handed out since reset is in exactly
-// one place: queued once, on the free list once, or held as the latest pop.
+// one place: queued once, on the free list (threaded through the free
+// cells) once, or held as the latest pop.
 func (m *qModel) check() {
 	q := &m.q
 	if q.size != len(m.oracle) || q.empty() != (len(m.oracle) == 0) {
 		m.t.Fatalf("size %d (empty=%v), oracle holds %d", q.size, q.empty(), len(m.oracle))
 	}
 	visited := 0
-	q.forEach(func(ev *event) {
+	q.forEach(func(k evKey, c *evCell) {
 		visited++
-		if int64(ev.seq) != ev.msg.Body.A || int64(math.Float64bits(ev.t)) != ev.msg.Body.B {
-			m.t.Fatalf("slab cell of {t:%g seq:%d} carries another event's payload %+v", ev.t, ev.seq, ev.msg.Body)
+		if want := echoCell(k.t, k.seq); *c != want {
+			m.t.Fatalf("slab cell of {t:%g seq:%d} is %+v, want %+v", k.t, k.seq, *c, want)
 		}
 	})
 	if visited != q.size {
@@ -495,8 +565,8 @@ func (m *qModel) check() {
 	for i := range q.slots {
 		queued(&q.slots[i])
 	}
-	for _, idx := range q.freed {
-		claim(idx, "free list")
+	for f := q.free; f != 0; f = uint32(q.at(f - 1).stage) {
+		claim(f-1, "free list")
 	}
 	if q.held != 0 {
 		claim(q.held-1, "held")
@@ -647,7 +717,7 @@ func TestEventQueueModel(t *testing.T) {
 	}
 	// A long random mixture, enough to cross a slab chunk boundary, then the
 	// same program again after reset: the second cycle must fit in the
-	// first's slab and free list.
+	// first's chunks.
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		prog := make([]byte, 6000)
@@ -657,16 +727,15 @@ func TestEventQueueModel(t *testing.T) {
 		}
 		m := &qModel{t: t}
 		m.run(prog)
-		chunks, freeCap := len(m.q.chunks), cap(m.q.freed)
+		chunks := len(m.q.chunks)
 		if chunks < 2 {
 			t.Fatalf("program peaked within %d chunk(s); want it to cross a chunk boundary", chunks)
 		}
 		m.reset()
 		m.seq = 0
 		m.run(prog)
-		if len(m.q.chunks) != chunks || cap(m.q.freed) != freeCap {
-			t.Fatalf("second cycle grew the slab %d→%d chunks, free list cap %d→%d",
-				chunks, len(m.q.chunks), freeCap, cap(m.q.freed))
+		if len(m.q.chunks) != chunks {
+			t.Fatalf("second cycle grew the slab %d→%d chunks", chunks, len(m.q.chunks))
 		}
 	})
 }

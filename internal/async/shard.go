@@ -148,11 +148,11 @@ func (s *Sim) ShardLog(group func(trigT float64, trigSeq uint64, count int), rem
 		group(key.trigT, key.trigSeq, hi-lo)
 		for i := lo; i < hi; i++ {
 			ev := &staged[i].ev
-			if s.localNode(ownerOf(ev)) {
+			if s.localNode(ev.owner()) {
 				localMin = min(localMin, ev.t)
 				continue
 			}
-			out = ShardEvent{T: ev.t, Kind: ev.kind, Src: ev.src, Dst: ev.dst, Msg: ev.msg}
+			out = ShardEvent{T: ev.t, Kind: ev.kind, Src: ev.src, Dst: ev.dst, Msg: ev.msg()}
 			remote(i-lo, &out)
 		}
 		lo = hi
@@ -169,8 +169,8 @@ func (s *Sim) ShardLog(group func(trigT float64, trigSeq uint64, count int), rem
 // resets for the next window.
 //
 // A grant total other than the staged count, or an inbound event of an
-// unknown kind, owned by another shard or along a non-edge, is a
-// *ShardError; the engine is unusable after one.
+// unknown kind, with a proto above maxProto, owned by another shard or
+// along a non-edge, is a *ShardError; the engine is unusable after one.
 func (s *Sim) ShardAdmit(runs []ShardRun, inbound []ShardEvent) error {
 	staged := s.wctx[0].staged
 	total := 0
@@ -192,7 +192,7 @@ func (s *Sim) ShardAdmit(runs []ShardRun, inbound []ShardEvent) error {
 		seq := next
 		next, left = next+1, left-1
 		ev := &staged[i].ev
-		if !s.localNode(ownerOf(ev)) {
+		if !s.localNode(ev.owner()) {
 			continue
 		}
 		for ; in < len(inbound) && inbound[in].Seq < seq; in++ {
@@ -221,6 +221,9 @@ func (s *Sim) admitInbound(e *ShardEvent) error {
 	if e.Kind != evDeliver && e.Kind != evAckArrive {
 		return &ShardError{Record: "OPEN inbound event", Reason: fmt.Sprintf("unknown kind %d", e.Kind)}
 	}
+	if e.Msg.Proto < 0 || e.Msg.Proto > maxProto {
+		return &ShardError{Record: "OPEN inbound event", Reason: fmt.Sprintf("proto %d outside [0, %d]", e.Msg.Proto, maxProto)}
+	}
 	owner := e.Owner()
 	if !s.localNode(owner) {
 		return &ShardError{Record: "OPEN inbound event",
@@ -238,7 +241,7 @@ func (s *Sim) admitInbound(e *ShardEvent) error {
 	if e.Kind == evDeliver {
 		link = ^link
 	}
-	s.events.push(&event{t: e.T, seq: e.Seq, link: link, src: e.Src, dst: e.Dst, kind: e.Kind, msg: e.Msg})
+	s.events.push(&event{t: e.T, seq: e.Seq, evCell: newCell(e.Kind, link, e.Src, e.Dst, e.Msg, 0)})
 	return nil
 }
 

@@ -107,13 +107,12 @@ func TestShardAdmitOrder(t *testing.T) {
 	var got []uint64
 	prev := evKey{t: math.Inf(-1)}
 	for !s.events.empty() {
-		ev := s.events.pop()
-		k := evKey{t: ev.t, seq: ev.seq}
+		k, _ := s.events.pop()
 		if !prev.less(k) {
 			t.Fatalf("pop (%g, %d) after (%g, %d)", k.t, k.seq, prev.t, prev.seq)
 		}
 		prev = k
-		got = append(got, ev.seq)
+		got = append(got, k.seq)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("popped seqs %v, want %v", got, want)
@@ -152,6 +151,8 @@ func TestShardAdmitErrors(t *testing.T) {
 		{"non-edge", all, []ShardEvent{{Seq: 9, T: 1, Kind: evDeliver, Src: 5, Dst: 0}}, "non-edge"},
 		{"foreign owner", all, []ShardEvent{{Seq: 9, T: 1, Kind: evDeliver, Src: 3, Dst: 4}}, "not owned"},
 		{"unknown kind", all, []ShardEvent{{Seq: 9, T: 1, Kind: evRetrans, Src: 0, Dst: 1}}, "unknown kind"},
+		{"proto too wide", all, []ShardEvent{{Seq: 9, T: 1, Kind: evDeliver, Src: 7, Dst: 0, Msg: Msg{Proto: 1 << 16}}}, "proto 65536 outside [0, 65535]"},
+		{"negative proto", all, []ShardEvent{{Seq: 9, T: 1, Kind: evAckArrive, Src: 0, Dst: 7, Msg: Msg{Proto: -1}}}, "proto -1 outside"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := sprayShard(t).ShardAdmit(tc.runs, tc.inbound)

@@ -183,7 +183,7 @@ type Sim struct {
 	// State-plane scratch: the length of the last Snapshot frame, which
 	// sizes the next one's buffer, and the pending events it sorts.
 	lastFrame int
-	snapEvs   []*event
+	snapEvs   []evRef
 }
 
 // SpecStats is the speculative executor's round accounting: how many
@@ -642,8 +642,8 @@ func (s *Sim) ensureWindowState(w int) {
 // the serial engine's exactly.
 func (s *Sim) dealRestoredEvents() {
 	for !s.events.empty() {
-		ev := s.events.pop()
-		s.shards[int(ownerOf(ev))%len(s.shards)].push(ev)
+		k, ev := s.events.pop()
+		s.shards[int(ev.owner())%len(s.shards)].push(&event{t: k.t, seq: k.seq, evCell: *ev})
 	}
 }
 
@@ -894,23 +894,23 @@ type stagedEv struct {
 // a whole serial run, one worker's share of a window, or a shard engine's
 // window.
 func (c *execCtx) drain(q *eventQueue, end float64) {
-	for ev := q.popBefore(end); ev != nil; ev = q.popBefore(end) {
-		c.step(ev)
+	for k, ev := q.popBefore(end); ev != nil; k, ev = q.popBefore(end) {
+		c.step(k, ev)
 	}
 }
 
-// step executes one popped event against this context: the clock guard,
-// the event count and its livelock cap, then the event's mechanics and
-// handler. The cap reads the context's own count — the engine's total for
-// the direct context, one window's share for a worker, whose total the
-// barrier checks.
-func (c *execCtx) step(ev *event) {
+// step executes one popped event, key k and cell ev, against this
+// context: the clock guard, the event count and its livelock cap, then the
+// event's mechanics and handler. The cap reads the context's own count —
+// the engine's total for the direct context, one window's share for a
+// worker, whose total the barrier checks.
+func (c *execCtx) step(k evKey, ev *evCell) {
 	s := c.s
-	if ev.t < c.now {
-		panic(fmt.Sprintf("async: time went backwards: %g < %g", ev.t, c.now))
+	if k.t < c.now {
+		panic(fmt.Sprintf("async: time went backwards: %g < %g", k.t, c.now))
 	}
-	c.now = ev.t
-	c.curSeq = ev.seq
+	c.now = k.t
+	c.curSeq = k.seq
 	c.steps++
 	if c.steps > s.maxEvents {
 		panic(fmt.Sprintf("async: exceeded %d events at t=%g (livelock?)", s.maxEvents, c.now))
@@ -918,7 +918,7 @@ func (c *execCtx) step(ev *event) {
 	switch ev.kind {
 	case evDeliver:
 		if s.keepTrace {
-			c.trace = append(c.trace, TraceEntry{T: ev.t, Seq: ev.seq, From: ev.src, To: ev.dst, Msg: ev.msg})
+			c.trace = append(c.trace, TraceEntry{T: k.t, Seq: k.seq, From: ev.src, To: ev.dst, Msg: ev.msg()})
 		}
 		c.invokeRecv(ev)
 		// Ack travels back; its arrival frees the link.
@@ -933,10 +933,12 @@ func (c *execCtx) step(ev *event) {
 		} else {
 			back = ^back
 		}
-		d := s.adv.Delay(ev.dst, ev.src, uint64(s.txSeq[back]), ev.msg.Proto)
+		d := s.adv.Delay(ev.dst, ev.src, uint64(s.txSeq[back]), Proto(ev.proto))
 		s.bumpTx(back)
 		s.checkDelay(d)
-		c.schedule(&event{t: c.now + d, kind: evAckArrive, link: ev.link, src: ev.src, dst: ev.dst, msg: ev.msg})
+		ack := event{t: c.now + d, evCell: *ev}
+		ack.kind, ack.attempt = evAckArrive, 0
+		c.schedule(&ack)
 	case evAckArrive:
 		// ev.src is the original sender whose link is now free.
 		s.busy[ev.link] = false
@@ -944,12 +946,12 @@ func (c *execCtx) step(ev *event) {
 		c.invokeAck(ev)
 		// The ack ends the message's lifecycle; recycle any segment
 		// (receivers copy data out if they keep it). No-op without one.
-		s.arena.Release(ev.msg.Body.Seg)
+		s.arena.Release(ev.body.Seg)
 	case evRetrans:
 		// A backoff timer fired: retry the lost transmission. The link has
 		// stayed in flight since the original send, so the attempt re-enters
 		// at transmit, not send — no handler runs for this event.
-		s.transmit(c, ev.src, ev.dst, ev.link, ev.msg, ev.attempt)
+		s.transmit(c, ev.src, ev.dst, ev.link, ev.msg(), ev.attempt)
 	}
 }
 
@@ -958,25 +960,25 @@ func (c *execCtx) step(ev *event) {
 // already ran on the clone. Either way the surrounding step
 // mechanics (trace, counters, ack scheduling, seq assignment) execute the
 // serial engine's code on the serial engine's state.
-func (c *execCtx) invokeRecv(ev *event) {
+func (c *execCtx) invokeRecv(ev *evCell) {
 	if c.replayOn {
 		c.applyOps(ev)
 		return
 	}
 	s := c.s
 	d := s.li(ev.dst)
-	s.handlers[d].Recv(&s.nodes[d], ev.src, ev.msg)
+	s.handlers[d].Recv(&s.nodes[d], ev.src, ev.msg())
 }
 
 // invokeAck is invokeRecv's counterpart for ack-return events.
-func (c *execCtx) invokeAck(ev *event) {
+func (c *execCtx) invokeAck(ev *evCell) {
 	if c.replayOn {
 		c.applyOps(ev)
 		return
 	}
 	s := c.s
 	src := s.li(ev.src)
-	s.handlers[src].Ack(&s.nodes[src], ev.dst, ev.msg)
+	s.handlers[src].Ack(&s.nodes[src], ev.dst, ev.msg())
 }
 
 // applyOps replays a logged handler-effect sequence through this context.
@@ -985,8 +987,8 @@ func (c *execCtx) invokeAck(ev *event) {
 // happen in the identical order. A callback that panicked on the clone
 // panics here too, after its partial effects — the serial engine's exact
 // state at the point of death.
-func (c *execCtx) applyOps(ev *event) {
-	owner := ownerOf(ev)
+func (c *execCtx) applyOps(ev *evCell) {
+	owner := ev.owner()
 	for i := range c.replay {
 		op := &c.replay[i]
 		switch op.kind {
@@ -1006,6 +1008,9 @@ func (c *execCtx) send(from, to graph.NodeID, m Msg) {
 	l := s.g.LinkBetween(from, to)
 	if l < 0 {
 		panic(fmt.Sprintf("async: node %d sending to non-neighbor %d", from, to))
+	}
+	if m.Proto < 0 || m.Proto > maxProto {
+		panic(fmt.Sprintf("async: node %d sent proto %d, outside the [0, %d] an event holds", from, m.Proto, maxProto))
 	}
 	if c.spec {
 		// Speculative phase: log the intent, touch nothing. The commit walk
@@ -1056,7 +1061,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 	s.checkDelay(d)
 	td := c.now + d
 	if s.faults == nil || !s.faults.Lost(from, to, txs, td) {
-		c.schedule(&event{t: td, kind: evDeliver, link: l, src: from, dst: to, msg: m})
+		c.schedule(&event{t: td, evCell: newCell(evDeliver, l, from, to, m, 0)})
 		return
 	}
 	c.dropped++
@@ -1066,7 +1071,7 @@ func (s *Sim) transmit(c *execCtx, from, to graph.NodeID, l graph.LinkID, m Msg,
 	}
 	c.retrans++
 	b := s.faults.backoff(attempt, s.lookahead)
-	c.schedule(&event{t: c.now + b, kind: evRetrans, link: l, src: from, dst: to, msg: m, attempt: attempt + 1})
+	c.schedule(&event{t: c.now + b, evCell: newCell(evRetrans, l, from, to, m, attempt+1)})
 }
 
 // undeliverable abandons a message whose retransmit budget is exhausted:
@@ -1137,22 +1142,10 @@ func (s *Sim) schedule(ev *event) {
 		s.specNewMin = ev.t
 	}
 	if s.sharded {
-		s.shards[int(ownerOf(ev))%len(s.shards)].push(ev)
+		s.shards[int(ev.owner())%len(s.shards)].push(ev)
 	} else {
 		s.events.push(ev)
 	}
-}
-
-// ownerOf is the node whose handler the event invokes: deliveries run the
-// receiver, ack-returns run the original sender. Owner-sharding makes every
-// piece of state an event touches — the handler, the node's outgoing
-// outboxes and transmission counters, its output slot — private to one
-// worker within a window.
-func ownerOf(ev *event) graph.NodeID {
-	if ev.kind == evDeliver {
-		return ev.dst
-	}
-	return ev.src
 }
 
 // noteFirstOutput updates the time-to-output clock for a node's first
@@ -1228,17 +1221,47 @@ const (
 	evRetrans
 )
 
-// event is one scheduled occurrence. Field order packs the 32-bit ids, the
-// 1-byte kind, and the 1-byte retransmission attempt into one word, keeping
-// the struct at 96 bytes — the queue's slab holds these by value and its
-// wheel slots order 24-byte keys into it (queue.go).
+// event is one scheduled occurrence, its (t, seq) key and its cell, in the
+// transient form schedule, push and the staged, speculative and shard logs
+// use. A queued event is its key in a wheel slot plus its cell in the
+// queue's slab, where the executors read it in place (queue.go).
 type event struct {
-	t       float64
-	seq     uint64
+	t   float64
+	seq uint64
+	evCell
+}
+
+// evCell is an event without its key, 72 bytes: the 32-bit ids, the 1-byte
+// kind and retransmission attempt and the 16-bit proto share two words.
+type evCell struct {
 	link    graph.LinkID // the forward link src→dst
 	src     graph.NodeID // sender of the original message
 	dst     graph.NodeID // receiver of the original message
 	kind    uint8
-	attempt uint8 // evRetrans: attempt number of the retry it triggers
-	msg     Msg
+	attempt uint8  // evRetrans: attempt number of the retry it triggers
+	proto   uint16 // Msg.Proto; send refuses one above maxProto
+	stage   int    // Msg.Stage; on the queue's free list, 1 + the next free index
+	body    wire.Body
+}
+
+// maxProto is the largest Proto an event cell holds.
+const maxProto = math.MaxUint16
+
+// newCell packs m into a cell; m.Proto must lie in [0, maxProto].
+func newCell(kind uint8, l graph.LinkID, src, dst graph.NodeID, m Msg, attempt uint8) evCell {
+	return evCell{link: l, src: src, dst: dst, kind: kind, attempt: attempt, proto: uint16(m.Proto), stage: m.Stage, body: m.Body}
+}
+
+func (c *evCell) msg() Msg { return Msg{Proto: Proto(c.proto), Stage: c.stage, Body: c.body} }
+
+// owner is the node whose handler the event invokes: deliveries run the
+// receiver, ack-returns run the original sender. Owner-sharding makes every
+// piece of state an event touches — the handler, the node's outgoing
+// outboxes and transmission counters, its output slot — private to one
+// worker within a window.
+func (c *evCell) owner() graph.NodeID {
+	if c.kind == evDeliver {
+		return c.dst
+	}
+	return c.src
 }

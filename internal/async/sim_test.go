@@ -70,6 +70,36 @@ func TestOutputRefusesUnencodable(t *testing.T) {
 	}
 }
 
+// wideProtoHandler floods from node 0, and a node reached by the flood
+// answers once with a proto one past what an event cell holds.
+type wideProtoHandler struct{ floodHandler }
+
+func (h *wideProtoHandler) Recv(n *Node, from graph.NodeID, _ Msg) {
+	if !h.seen {
+		h.seen = true
+		n.Send(from, Msg{Proto: maxProto + 1, Body: wire.Tag(1)})
+	}
+}
+
+// TestSendRefusesWideProto: a Send whose proto a queued event cannot hold
+// panics in every mode, from a worker context too, naming the node, the
+// proto and the bound.
+func TestSendRefusesWideProto(t *testing.T) {
+	for _, mode := range []ExecutionMode{ModeSingle, ModeMulti, ModeSpec} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"node 1", "proto 65536", "65535"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("mode %v: panic %q does not name %q", mode, msg, want)
+					}
+				}
+			}()
+			New(graph.Path(2), Fixed{D: 1}, func(graph.NodeID) Handler { return &wideProtoHandler{} }).WithMode(mode).Run()
+		}()
+	}
+}
+
 func TestFloodReachesEveryone(t *testing.T) {
 	g := graph.RandomConnected(40, 90, 5)
 	for _, adv := range StandardAdversaries(g.N(), 7) {

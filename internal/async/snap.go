@@ -305,24 +305,23 @@ func (s *Sim) frame(c *wire.Coder, ld *frameLoad) error {
 	// back.
 	evs := s.snapEvs[:0]
 	if !c.Loading() {
-		collect := func(ev *event) { evs = append(evs, ev) }
+		collect := func(k evKey, ev *evCell) { evs = append(evs, evRef{k, ev}) }
 		s.events.forEach(collect)
 		for k := range s.shards {
 			s.shards[k].forEach(collect)
 		}
-		slices.SortFunc(evs, func(a, b *event) int {
-			if c := cmp.Compare(a.t, b.t); c != 0 {
+		slices.SortFunc(evs, func(a, b evRef) int {
+			if c := cmp.Compare(a.k.t, b.k.t); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.seq, b.seq)
+			return cmp.Compare(a.k.seq, b.k.seq)
 		})
 	}
 	for i, n := 0, c.Count(len(evs)); i < n && !c.Failed(); i++ {
-		if !c.Loading() {
-			s.event(c, evs[i], nil)
-			continue
-		}
 		var ev event
+		if !c.Loading() {
+			ev = event{t: evs[i].k.t, seq: evs[i].k.seq, evCell: *evs[i].c}
+		}
 		s.event(c, &ev, ld)
 	}
 	clear(evs)
@@ -411,6 +410,12 @@ func (s *Sim) link(c *wire.Coder, from graph.NodeID, l graph.LinkID) {
 	s.boxes[l] = ob
 }
 
+// evRef is a queued event as a frame collects it, its cell read in place.
+type evRef struct {
+	k evKey
+	c *evCell
+}
+
 // event codes one pending event record. Loading, ev is zero; the record
 // is checked and, when this engine hosts its owner, queued, with its dense
 // LinkID recomputed against this engine's graph view; otherwise its body
@@ -422,17 +427,22 @@ func (s *Sim) event(c *wire.Coder, ev *event, ld *frameLoad) {
 	c.U64(&ev.seq)
 	wire.ID(c, &ev.src)
 	wire.ID(c, &ev.dst)
-	wire.ID(c, &ev.msg.Proto)
-	c.Int(&ev.msg.Stage)
+	proto := Proto(ev.proto)
+	wire.ID(c, &proto)
+	c.Int(&ev.stage)
 	if !c.Loading() {
-		c.Body(&ev.msg.Body)
+		c.Body(&ev.body)
 		return
 	}
+	ev.proto = uint16(proto)
 	switch {
 	case c.Failed():
 		return
 	case ev.kind != evDeliver && ev.kind != evAckArrive && ev.kind != evRetrans:
 		c.Fail("event of unknown kind %d", ev.kind)
+		return
+	case proto < 0 || proto > maxProto:
+		c.Fail("event kind %d %d->%d carries proto %d, outside [0, %d]", ev.kind, ev.src, ev.dst, proto, maxProto)
 		return
 	case !s.inGraph(ev.src) || !s.inGraph(ev.dst):
 		c.Fail("event kind %d %d->%d outside the %d-node graph", ev.kind, ev.src, ev.dst, s.g.N())
@@ -440,11 +450,11 @@ func (s *Sim) event(c *wire.Coder, ev *event, ld *frameLoad) {
 	case math.IsNaN(ev.t) || math.IsInf(ev.t, 0):
 		c.Fail("event kind %d %d->%d at t=%g", ev.kind, ev.src, ev.dst, ev.t)
 		return
-	case !s.localNode(ownerOf(ev)):
+	case !s.localNode(ev.owner()):
 		c.SkipBody()
 		return
 	}
-	if c.Body(&ev.msg.Body); c.Failed() {
+	if c.Body(&ev.body); c.Failed() {
 		return
 	}
 	// A delivery whose sender is remote carries the complement of the local

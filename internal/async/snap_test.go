@@ -307,6 +307,7 @@ func TestSnapshotErrors(t *testing.T) {
 		{"node-id-outside", shardOf(), [][]byte{patched(nodeAt, 16)}, "node record 16 outside"},
 		{"link-id-outside", shardOf(), [][]byte{patched(linkAt, -1)}, "link record -1->"},
 		{"event-id-outside", shardOf(), [][]byte{patched(eventAt, 1<<20)}, "outside the 16-node graph"},
+		{"event-proto-wide", New(g, adv, mkRelax), [][]byte{patched(eventAt+8, 1<<16)}, "proto 65536, outside [0, 65535]"},
 		{"output-kind-unknown", New(g, adv, mkRelax), [][]byte{unknownKind}, "kind 4660, which no decoder"},
 	} {
 		if err := tc.sim.loadFrames(tc.frames); err == nil {

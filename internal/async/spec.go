@@ -179,23 +179,23 @@ func (s *Sim) specWorker(k int, hEnd float64) {
 	}()
 	q := &s.shards[k]
 	for {
-		ev := q.popBefore(hEnd)
+		key, ev := q.popBefore(hEnd)
 		if ev == nil {
 			return
 		}
-		c.specCur = *ev
-		v := ownerOf(ev)
+		c.specCur = event{t: key.t, seq: key.seq, evCell: *ev}
+		v := ev.owner()
 		// evRetrans runs no handler — it is pure engine mechanics (a new
 		// transmission attempt), which only the commit walk may perform. It
 		// still logs an empty-op entry so the walk merges it in order; the
 		// clone is untouched, so pass 1/2 of specFinishRound skip it.
 		switch ev.kind {
 		case evDeliver:
-			s.specHandlerFor(c, v).Recv(&s.nodes[v], ev.src, ev.msg)
+			s.specHandlerFor(c, v).Recv(&s.nodes[v], ev.src, ev.msg())
 		case evAckArrive:
-			s.specHandlerFor(c, v).Ack(&s.nodes[v], ev.dst, ev.msg)
+			s.specHandlerFor(c, v).Ack(&s.nodes[v], ev.dst, ev.msg())
 		}
-		c.specLog = append(c.specLog, specExec{ev: *ev, opEnd: int32(len(c.specOps))})
+		c.specLog = append(c.specLog, specExec{ev: c.specCur, opEnd: int32(len(c.specOps))})
 	}
 }
 
@@ -291,7 +291,7 @@ func (s *Sim) specCommitWalk() (cut bool, cutT float64) {
 				// cleanly, the panic is real.
 				c.replayPanic = w.specPanic
 			}
-			c.step(&e.ev)
+			c.step(evKey{t: e.ev.t, seq: e.ev.seq}, &e.ev.evCell)
 			return true
 		})
 	return cut, cutT
@@ -311,7 +311,7 @@ func (s *Sim) specFinishRound() (committed int) {
 			if c.specLog[i].ev.kind == evRetrans {
 				continue
 			}
-			s.specRejEp[ownerOf(&c.specLog[i].ev)] = round
+			s.specRejEp[c.specLog[i].ev.owner()] = round
 		}
 	}
 	// Pass 2: promote clean clones (pointer swap; the displaced handler is
@@ -328,7 +328,7 @@ func (s *Sim) specFinishRound() (committed int) {
 				// nil) clone.
 				continue
 			}
-			v := ownerOf(&e.ev)
+			v := e.ev.owner()
 			if s.specRejEp[v] == round {
 				s.specSwallowReplay(v, e)
 				s.specStats.Replayed++
@@ -377,9 +377,9 @@ func (s *Sim) specSwallowReplay(v graph.NodeID, e *specExec) {
 	h := s.handlers[v]
 	switch e.ev.kind {
 	case evDeliver:
-		h.Recv(n, e.ev.src, e.ev.msg)
+		h.Recv(n, e.ev.src, e.ev.msg())
 	case evAckArrive:
-		h.Ack(n, e.ev.dst, e.ev.msg)
+		h.Ack(n, e.ev.dst, e.ev.msg())
 	}
 	n.ctxIdx = old
 }

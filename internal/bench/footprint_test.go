@@ -14,24 +14,25 @@ import (
 
 // Pinned resident footprints on grid3d:32x32x32 (n=32768, 190464 directed
 // links), measured by the retainedBytes probe after one completed flood.
-// The async and lockstep pins are the values the compact 32-bit layout
-// shipped with (CHANGES.md, "Ten-million-node substrate"); the graph pin
-// is the 14.75 B/link measured once the CSR entry lost its link id and the
-// edge table its endpoint columns (20.69 before). The tests fail at >10%
+// The lockstep pin is the value the compact 32-bit layout shipped with
+// (CHANGES.md, "Ten-million-node substrate"); the async pin is E16's
+// figure with a queued event as a 24-byte key plus a 72-byte slab cell;
+// the graph pin is the 14.75 B/link measured once the CSR entry lost its
+// link id and the edge table its endpoint columns (20.69 before). The tests fail at >10%
 // growth so a regression in any per-link or per-node table is caught
 // before it multiplies by ten million nodes. If a deliberate layout
 // change moves a number, re-measure with E16 and update the pin in the
 // same commit.
 const (
 	pinGraphBytesPerLink = 14.8  // 8 B target+edge id, 4 B reverse link, 4 B edge link per edge, offsets
-	pinAsyncBytesPerLink = 28.4  // outboxes, seq stamps, wheel, busy/boxes
+	pinAsyncBytesPerLink = 24.8  // outboxes, seq stamps, wheel, busy/boxes
 	pinSyncBytesPerNode  = 101.0 // pulse-buffer cursors, stamps, bitmaps
 
-	// The pa:n=50000,m=4,seed=7 row's engine pins, E16's 155.9 B/link and
+	// The pa:n=50000,m=4,seed=7 row's engine pins, E16's 129.3 B/link and
 	// 657.3 B/node. On a low-diameter power-law graph nearly every link is
 	// in flight at once, and the event slab, slot keys, send sink and seal
 	// buffer keep that peak population for Reset.
-	pinPAAsyncBytesPerLink = 155.9
+	pinPAAsyncBytesPerLink = 129.3
 	pinPASyncBytesPerNode  = 657.3
 
 	// preCompactBytesPerLink is the resident cost of the graph plane plus
