@@ -39,7 +39,7 @@ type unreachable struct{}
 const kindOutUnreachable wire.Kind = 0x7D01
 
 func init() {
-	outval.Register(kindOutUnreachable, func(wire.Body) any { return unreachable{} })
+	outval.Register(kindOutUnreachable, func(wire.Body) unreachable { return unreachable{} })
 }
 
 // protoCheck carries the checking-stage gather (distinct from every proto

@@ -1,13 +1,44 @@
 package abfs
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/async"
 	"repro/internal/graph"
+	"repro/internal/outval"
+	"repro/internal/wire"
 )
+
+// TestUnreachableBoxes: the zero-size unreachable output decodes through
+// Map(0, 1), Map(0, 4) and DecodeDense to unreachable{}, and a value held
+// past its maps survives collection.
+func TestUnreachableBoxes(t *testing.T) {
+	var tb outval.Table
+	tb.Init(9)
+	for i := range 9 {
+		tb.SetBody(i, wire.Tag(kindOutUnreachable))
+	}
+	maps := []map[graph.NodeID]any{tb.Map(0, 1), tb.Map(0, 4), outval.DecodeDense(tb.Dense(false))}
+	for j, m := range maps {
+		for i := range 9 {
+			got := m[graph.NodeID(i)]
+			if _, ok := got.(unreachable); !ok || got != any(unreachable{}) || fmt.Sprint(got) != "{}" {
+				t.Fatalf("map %d slot %d: %v (%T), want unreachable{}", j, i, got, got)
+			}
+		}
+	}
+	held := maps[1][8]
+	maps = nil
+	runtime.GC()
+	runtime.GC()
+	if held != any(unreachable{}) {
+		t.Fatalf("held value reads %v after collection", held)
+	}
+}
 
 // checkThresholded validates Definition 4.2 semantics on the outputs.
 func checkThresholded(t *testing.T, g *graph.Graph, sources []graph.NodeID, tau int, res result) {

@@ -54,16 +54,16 @@ const (
 )
 
 func init() {
-	outval.Register(kindOutBFS, func(b wire.Body) any {
+	outval.Register(kindOutBFS, func(b wire.Body) BFSResult {
 		return BFSResult{Dist: int(b.A), Parent: graph.NodeID(b.B), Source: graph.NodeID(b.C)}
 	})
-	outval.Register(kindOutTBFS, func(b wire.Body) any {
+	outval.Register(kindOutTBFS, func(b wire.Body) TBFSResult {
 		return TBFSResult{Dist: int(b.A), Parent: graph.NodeID(b.B), Source: graph.NodeID(b.C)}
 	})
-	outval.Register(kindOutTBFSSourceDone, func(b wire.Body) any {
+	outval.Register(kindOutTBFSSourceDone, func(b wire.Body) TBFSSourceDone {
 		return TBFSSourceDone{Frontier: wire.ToBool(b.A)}
 	})
-	outval.Register(kindOutMST, func(b wire.Body) any {
+	outval.Register(kindOutMST, func(b wire.Body) MSTResult {
 		return MSTResult{Frag: graph.NodeID(b.A), Parent: graph.NodeID(b.B)}
 	})
 }

@@ -2,12 +2,66 @@ package apps
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/outval"
 	"repro/internal/wire"
 )
+
+// TestOutputKindsBox: every output kind apps registers, mixed in one
+// table, decodes through Map(0, 1), Map(0, 4) and DecodeDense to a value
+// equal to the result it encodes, of its type and printing the same, and
+// a value held past its maps survives collection.
+func TestOutputKindsBox(t *testing.T) {
+	var want []any
+	var bodies []wire.Body
+	for i := range 40 {
+		id, far := graph.NodeID(i), graph.NodeID(i<<12)
+		for _, o := range []struct {
+			v any
+			b wire.Body
+		}{
+			{BFSResult{Dist: i, Parent: id - 1, Source: far}, encBFSOut(BFSResult{Dist: i, Parent: id - 1, Source: far})},
+			{TBFSResult{Dist: -i, Parent: far, Source: id}, encTBFSOut(TBFSResult{Dist: -i, Parent: far, Source: id})},
+			{TBFSSourceDone{Frontier: i%2 == 0}, encTBFSSourceDone(TBFSSourceDone{Frontier: i%2 == 0})},
+			{MSTResult{Frag: far, Parent: id}, encMSTOut(MSTResult{Frag: far, Parent: id})},
+		} {
+			want, bodies = append(want, o.v), append(bodies, o.b)
+		}
+	}
+	var tb outval.Table
+	tb.Init(len(bodies))
+	for i, b := range bodies {
+		tb.SetBody(i, b)
+	}
+	maps := []map[graph.NodeID]any{tb.Map(0, 1), tb.Map(0, 4), outval.DecodeDense(tb.Dense(false))}
+	for j, m := range maps {
+		for i, w := range want {
+			got := m[graph.NodeID(i)]
+			var same bool
+			switch g := got.(type) {
+			case BFSResult, TBFSResult, TBFSSourceDone, MSTResult:
+				same = g == w
+			}
+			if !same || got != w || reflect.TypeOf(got) != reflect.TypeOf(w) || fmt.Sprint(got) != fmt.Sprint(w) {
+				t.Fatalf("map %d slot %d: %v (%T), want %v (%T)", j, i, got, got, w, w)
+			}
+		}
+	}
+	last := len(want) - 1
+	held := maps[2][graph.NodeID(last)]
+	maps = nil
+	runtime.GC()
+	runtime.GC()
+	if held != want[last] {
+		t.Fatalf("held value reads %v after collection, want %v", held, want[last])
+	}
+}
 
 // TestLeaderCodecRoundTrips covers both leader-election kinds.
 func TestLeaderCodecRoundTrips(t *testing.T) {

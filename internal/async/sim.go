@@ -266,7 +266,7 @@ type Result struct {
 	// OutBodies/OutSet are the dense typed outputs, populated only with
 	// DenseOutputs and by the shard coordinator: OutSet[v] reports whether
 	// node v output, OutBodies[v] is its outval-encoded value. Finishing a
-	// run in this form allocates two slices, not one interface box per node.
+	// run in this form allocates two slices and builds no map.
 	OutBodies []wire.Body
 	OutSet    []bool
 	// Trace lists every delivered message (only with KeepTrace).
@@ -379,9 +379,10 @@ func (s *Sim) WithMinParallel(k int) *Sim {
 func (s *Sim) KeepTrace() *Sim { s.keepTrace = true; return s }
 
 // DenseOutputs makes Run return outputs as the dense OutBodies/OutSet pair
-// instead of materializing the Outputs map — O(1) allocations at the
-// finish line instead of one interface box per node; Outputs stays nil.
-// Callers decode with Result.DecodedOutputs.
+// instead of materializing the Outputs map; Outputs stays nil. Neither
+// form allocates per node at the finish line: the map's values are boxed
+// in place in a few chunks per kind. The dense one still saves building
+// the map and its chunks. Callers decode with Result.DecodedOutputs.
 func (s *Sim) DenseOutputs() *Sim { s.denseOut = true; return s }
 
 // SetMaxEvents caps the number of processed events; exceeding it panics

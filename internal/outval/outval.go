@@ -1,11 +1,13 @@
 // Package outval owns how an engine stores and reads back node outputs.
 //
 // An output is a typed wire.Body. Primitive Go values the engines see all
-// the time (int, int64, bool, graph.NodeID) encode into reserved kinds
-// handled here; algorithm packages register decoders for their own
-// fixed-size result structs (apps.BFSResult, abfs.Unreachable, …) under
-// kinds of their choosing, and decode dispatches on the Kind tag when a
-// Result boundary materializes user-facing values.
+// the time (int, int64, bool, graph.NodeID) encode into reserved kinds;
+// algorithm packages register decoders for their own pointer-free result
+// structs (apps.BFSResult, abfs's unreachable, …) under kinds of their
+// choosing, and the primitives are registered the same way. A Result
+// boundary decodes each kind's values into a few shared chunks and boxes
+// them in place, so a decoded map costs the map and its chunks, not a box
+// per node; the dense form (Dense) still saves the map and the chunks.
 //
 // Table is the one output column both engines (async.Sim and
 // syncrun.Runner) hold: the has-bit per node, the typed bodies, the map
@@ -19,9 +21,12 @@ package outval
 
 import (
 	"fmt"
+	"math/bits"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/execpolicy"
 	"repro/internal/graph"
@@ -41,19 +46,73 @@ const (
 	kindNode wire.Kind = 0x7F04
 )
 
-// decoders maps registered output kinds to their decode funcs. Written
-// only during init (Register documents the contract); read concurrently.
-var decoders = map[wire.Kind]func(wire.Body) any{}
+// codecs maps registered output kinds to their decoders. Written only
+// during init (Register documents the contract); read concurrently.
+var codecs = map[wire.Kind]codec{}
+
+// codec decodes the set slots of its kind in [lo, hi) into chunks, one for
+// each set bit of their count n, and passes each value, boxed in place, to
+// put. A chunk of 2^j values of a 2^i- or 3·2^i-byte T is exactly an
+// allocator size class, so no rounding slack stays; a chunk is written
+// only before its boxes reach put.
+type codec func(bodies []wire.Body, set []bool, lo, hi int, put func(i int, v any))
+
+func init() {
+	Register(kindInt, func(b wire.Body) int { return int(b.A) })
+	Register(kindInt64, func(b wire.Body) int64 { return b.A })
+	Register(kindBool, func(b wire.Body) bool { return wire.ToBool(b.A) })
+	Register(kindNode, func(b wire.Body) graph.NodeID { return graph.NodeID(b.A) })
+}
 
 // Register installs the decoder for one output kind. It must be called
 // from a package init function (the registry is lock-free by virtue of
-// init's happens-before edge); registering kind 0, a reserved kind or the
-// same kind twice panics.
-func Register(k wire.Kind, dec func(wire.Body) any) {
-	if k == 0 || Known(k) {
-		panic(fmt.Sprintf("outval: output kind %d is zero, reserved for primitives or already registered", k))
+// init's happens-before edge). Registering kind 0, a kind already
+// registered (the primitives' included) or a T holding any pointer
+// panics: an interface holding a pointer-free T always points at the
+// value, which is what lets decoded values share a chunk.
+func Register[T any](k wire.Kind, dec func(wire.Body) T) {
+	if k == 0 || Known(k) || !pointerFree(reflect.TypeFor[T]()) {
+		panic(fmt.Sprintf("outval: output kind %d is zero or already registered, or its %v holds pointers", k, reflect.TypeFor[T]()))
 	}
-	decoders[k] = dec
+	var proto any = *new(T)
+	typ := (*[2]unsafe.Pointer)(unsafe.Pointer(&proto))[0]
+	codecs[k] = func(bodies []wire.Body, set []bool, lo, hi int, put func(int, any)) {
+		n := 0
+		for i := lo; i < hi; i++ {
+			if set[i] && bodies[i].Kind == k {
+				n++
+			}
+		}
+		var chunk []T
+		for i := lo; i < hi; i++ {
+			if set[i] && bodies[i].Kind == k {
+				if len(chunk) == cap(chunk) {
+					chunk = make([]T, 0, 1<<(bits.Len(uint(n))-1))
+					n -= cap(chunk)
+				}
+				chunk = append(chunk, dec(bodies[i]))
+				var v any // T's type word and the chunk value's address
+				*(*[2]unsafe.Pointer)(unsafe.Pointer(&v)) = [2]unsafe.Pointer{typ, unsafe.Pointer(&chunk[len(chunk)-1])}
+				put(i, v)
+			}
+		}
+	}
+}
+
+// pointerFree reports whether no value of type t holds a pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.Kind() <= reflect.Complex128
 }
 
 // Encode converts the value node id passed to the engines' Output(any)
@@ -78,41 +137,11 @@ func Encode(id graph.NodeID, v any) wire.Body {
 // boxing x into an interface: the allocation-free way to output one.
 func Int64(x int64) wire.Body { return wire.Body{Kind: kindInt64, A: x} }
 
-// primDecode decodes the reserved primitive kinds.
-func primDecode(b wire.Body) (any, bool) {
-	switch b.Kind {
-	case kindInt:
-		return int(b.A), true
-	case kindInt64:
-		return b.A, true
-	case kindBool:
-		return wire.ToBool(b.A), true
-	case kindNode:
-		return graph.NodeID(b.A), true
-	}
-	return nil, false
-}
-
-// decode materializes the user-facing value of an output Body: reserved
-// primitive kinds decode here, registered kinds dispatch to their decoder,
-// and an unknown kind panics — an output Body reaching a Result boundary
-// without a decoder is a wiring bug, not data.
-func decode(b wire.Body) any {
-	if v, ok := primDecode(b); ok {
-		return v
-	}
-	if dec, ok := decoders[b.Kind]; ok {
-		return dec(b)
-	}
-	panic(fmt.Sprintf("outval: no decoder registered for output kind %d", b.Kind))
-}
-
-// Known reports whether a body of kind k decodes: a reserved primitive kind
-// or a registered one. Kind 0 is not.
+// Known reports whether a body of kind k decodes: a primitive or a
+// registered kind. Kind 0 is not.
 func Known(k wire.Kind) bool {
-	_, prim := primDecode(wire.Body{Kind: k})
-	_, reg := decoders[k]
-	return prim || reg
+	_, ok := codecs[k]
+	return ok
 }
 
 // Table is one engine's output column, one slot per hosted node. A set
@@ -152,37 +181,53 @@ func (t *Table) Reset() {
 	clear(t.loaded())
 }
 
-// Map materializes every set slot's decoded value, keyed by base + slot.
-// With w > 1, w goroutines decode contiguous slot ranges into a per-slot
-// scratch column first and the map is filled from it afterwards; w = 1
-// decodes straight into the map. Decoders must be safe to call
-// concurrently (they are pure functions of the body); a decode panic
-// reaches the caller either way.
+// Map materializes every set slot's decoded value, keyed by base + slot,
+// each boxed in place in its kind's chunks (see codec): a call allocates
+// the map and the chunks, not a box per output, and a value the caller
+// keeps keeps its chunk alive. With w > 1, w goroutines decode contiguous
+// slot ranges, each into chunks of its own, through a per-slot scratch
+// column the map is filled from afterwards; w = 1 decodes straight into
+// the map. Decoders must be safe to call concurrently (they are pure
+// functions of the body); a decode panic reaches the caller either way.
 func (t *Table) Map(base graph.NodeID, w int) map[graph.NodeID]any {
-	out := make(map[graph.NodeID]any, Count(t.has))
-	bodies := t.loaded()
+	return decodeMap(t.loaded(), t.has, base, w)
+}
+
+func decodeMap(bodies []wire.Body, set []bool, base graph.NodeID, w int) map[graph.NodeID]any {
+	out := make(map[graph.NodeID]any, Count(set))
 	if w <= 1 {
-		for i, has := range t.has {
-			if has {
-				out[base+graph.NodeID(i)] = decode(bodies[i])
-			}
-		}
+		fill(bodies, set, 0, len(set), func(i int, v any) { out[base+graph.NodeID(i)] = v })
 		return out
 	}
-	vals := make([]any, len(t.has))
+	vals := make([]any, len(set))
 	execpolicy.FanOut(w, make([]any, w), func(k int) {
-		for i := k * len(vals) / w; i < (k+1)*len(vals)/w; i++ {
-			if t.has[i] {
-				vals[i] = decode(bodies[i])
-			}
-		}
+		fill(bodies, set, k*len(vals)/w, (k+1)*len(vals)/w, func(i int, v any) { vals[i] = v })
 	})
-	for i, has := range t.has {
+	for i, has := range set {
 		if has {
 			out[base+graph.NodeID(i)] = vals[i]
 		}
 	}
 	return out
+}
+
+// fill decodes the set slots in [lo, hi) kind by kind, passing each slot's
+// boxed value to put. An unregistered kind panics: an output Body reaching
+// a Result boundary without a decoder is a wiring bug, not data.
+func fill(bodies []wire.Body, set []bool, lo, hi int, put func(i int, v any)) {
+	kinds := make([]wire.Kind, 0, 4)
+	for i := lo; i < hi; i++ {
+		if set[i] && !slices.Contains(kinds, bodies[i].Kind) {
+			kinds = append(kinds, bodies[i].Kind)
+		}
+	}
+	for _, k := range kinds {
+		dec, ok := codecs[k]
+		if !ok {
+			panic(fmt.Sprintf("outval: no decoder registered for output kind %d", k))
+		}
+		dec(bodies, set, lo, hi, put)
+	}
 }
 
 // Dense returns the table in the dense Result form, slot-indexed: set is
@@ -203,15 +248,10 @@ func (t *Table) Dense(own bool) (bodies []wire.Body, set []bool) {
 	return bodies, set
 }
 
-// DecodeDense materializes the decoded output map of a Dense pair.
+// DecodeDense materializes the decoded output map of a Dense pair, the
+// way Map(0, 1) does.
 func DecodeDense(bodies []wire.Body, set []bool) map[graph.NodeID]any {
-	out := make(map[graph.NodeID]any, Count(set))
-	for i, has := range set {
-		if has {
-			out[graph.NodeID(i)] = decode(bodies[i])
-		}
-	}
-	return out
+	return decodeMap(bodies, set, 0, 1)
 }
 
 // Count is the number of set slots in a has-bit column.

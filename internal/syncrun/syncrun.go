@@ -408,9 +408,10 @@ const defaultMinParallel = 128
 func (r *Runner) KeepTrace() *Runner { r.keepTrace = true; return r }
 
 // WithDenseOutputs makes Run return outputs as the dense OutBodies/OutSet
-// pair instead of materializing the Outputs map — O(1) allocations at the
-// finish line instead of one interface box per node; Outputs stays nil.
-// Callers decode with outval.DecodeDense.
+// pair instead of materializing the Outputs map; Outputs stays nil.
+// Neither form allocates per node at the finish line: the map's values are
+// boxed in place in a few chunks per kind. The dense one still saves
+// building the map and its chunks. Callers decode with outval.DecodeDense.
 func (r *Runner) WithDenseOutputs() *Runner { r.denseOut = true; return r }
 
 // WithMode selects the execution mode (default ModeAuto).
