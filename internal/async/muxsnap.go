@@ -47,8 +47,8 @@ var (
 // module: Sim.Restore loads into the modules a run already has, and
 // ModeSpec into clone targets that ran earlier rounds.
 func (x *Mux) StateCodecOK() bool {
-	for i := range x.routes {
-		if _, ok := codecOf(x.routes[i].mod); x.routes[i].first && !ok {
+	for _, mod := range x.mods {
+		if _, ok := codecOf(mod); !ok {
 			return false
 		}
 	}
@@ -66,14 +66,10 @@ func (x *Mux) LoadState(d *wire.Dec) { x.state(d.Coder()) }
 // the registration order matches. Savers gate on StateCodecOK, so a save
 // that meets a module without a codec is a programming error and panics.
 func (x *Mux) state(c *wire.Coder) {
-	for i := range x.routes {
-		r := &x.routes[i]
-		if !r.first {
-			continue
-		}
-		ms, ok := r.mod.(wire.StateCodec)
+	for _, mod := range x.mods {
+		ms, ok := mod.(wire.StateCodec)
 		if !ok {
-			c.Fail("async: module %T does not implement wire.StateCodec", r.mod)
+			c.Fail("async: module %T does not implement wire.StateCodec", mod)
 			return
 		}
 		if c.Nested(ms); c.Failed() {
@@ -84,8 +80,8 @@ func (x *Mux) state(c *wire.Coder) {
 
 // Rebind implements Rebinder, forwarding to the modules that need it.
 func (x *Mux) Rebind(n *Node) {
-	for i := range x.routes {
-		if rb, ok := x.routes[i].mod.(Rebinder); ok && x.routes[i].first {
+	for _, mod := range x.mods {
+		if rb, ok := mod.(Rebinder); ok {
 			rb.Rebind(n)
 		}
 	}

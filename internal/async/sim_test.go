@@ -100,6 +100,30 @@ func TestSendRefusesWideProto(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesWideProto: the Mux dispatches through a table indexed
+// by proto, so Register refuses a proto outside what an event holds,
+// naming the proto and the bound.
+func TestRegisterRefusesWideProto(t *testing.T) {
+	for _, p := range []Proto{-1, maxProto + 1} {
+		wantPanic(t, func() { NewMux().Register(p, &idleMod{}) }, fmt.Sprintf("proto %d", p), "65535")
+	}
+}
+
+// wantPanic fails t unless f panics with a message naming every want.
+func wantPanic(t *testing.T, f func(), want ...string) {
+	t.Helper()
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}()
+	for _, w := range want {
+		if !strings.Contains(msg, w) {
+			t.Fatalf("panic %q does not name %q", msg, w)
+		}
+	}
+}
+
 func TestFloodReachesEveryone(t *testing.T) {
 	g := graph.RandomConnected(40, 90, 5)
 	for _, adv := range StandardAdversaries(g.N(), 7) {
@@ -351,6 +375,92 @@ func TestMuxRouting(t *testing.T) {
 		t.Fatalf("mux routing counts = %v", recvd)
 	}
 }
+
+// TestMuxCopiesShareTable: copies of one NewMux value that make the same
+// Register calls route alike, each to its own modules, a module registered
+// under two protos included, and start each distinct module once, in
+// registration order.
+func TestMuxCopiesShareTable(t *testing.T) {
+	proto := NewMux()
+	copies := []Mux{*proto, *proto, *proto}
+	for i := range copies {
+		x := &copies[i]
+		starts := &startLog{}
+		twice, last := &startMod{id: 0, log: starts}, &startMod{id: 1, log: starts}
+		x.Register(7, twice)
+		x.Register(3, last)
+		x.Register(9, twice)
+		if x.tab != proto.tab {
+			t.Fatalf("copy %d built its own table", i)
+		}
+		for _, r := range []struct {
+			p   Proto
+			mod Module
+		}{{7, twice}, {3, last}, {9, twice}, {0, nil}, {8, nil}, {100, nil}, {-1, nil}, {maxProto + 1, nil}} {
+			if got := x.Module(r.p); got != r.mod {
+				t.Fatalf("copy %d: Module(%d) = %v, want %v", i, r.p, got, r.mod)
+			}
+		}
+		x.Init(&Node{})
+		if len(starts.ids) != 2 || starts.ids[0] != 0 || starts.ids[1] != 1 {
+			t.Fatalf("copy %d started modules %v, want [0 1]", i, starts.ids)
+		}
+	}
+}
+
+// TestMuxCopyRepeatsRegistrations: a copy's Register calls must repeat the
+// first copy's. A call naming another proto, or another module where the
+// first copy named one again, panics; a proto only later calls name is
+// unregistered on a copy that made fewer calls; a repeated proto panics on
+// every copy.
+func TestMuxCopyRepeatsRegistrations(t *testing.T) {
+	proto := NewMux()
+	mod := func() Module { return &startMod{log: &startLog{}} } // zero-sized modules share an address
+	first := *proto
+	a, b := mod(), mod()
+	first.Register(1, a)
+	first.Register(2, a)
+	first.Register(5, b)
+
+	wantPanic(t, func() {
+		x := *proto
+		x.Register(1, mod())
+		x.Register(5, mod())
+	}, "call 1", "proto 5")
+	wantPanic(t, func() {
+		x := *proto
+		x.Register(1, mod())
+		x.Register(2, mod())
+	}, "call 1", "module")
+
+	prefix := *proto
+	prefix.Register(1, mod())
+	if prefix.Module(2) != nil || prefix.Module(5) != nil {
+		t.Fatal("a copy that registered a prefix routes a proto only later calls name")
+	}
+	wantPanic(t, func() { prefix.Recv(&Node{id: 4}, 0, Msg{Proto: 5}) }, "node 4", "unregistered proto 5")
+
+	wantPanic(t, func() {
+		x := *NewMux()
+		x.Register(1, a)
+		x.Register(1, b)
+	}, "proto 1 registered twice")
+	wantPanic(t, func() {
+		x := *proto
+		x.Register(1, mod())
+		x.Register(1, mod())
+	}, "proto 1 registered twice")
+}
+
+type startLog struct{ ids []int }
+
+type startMod struct {
+	idleMod
+	id  int
+	log *startLog
+}
+
+func (m *startMod) Start(*Node) { m.log.ids = append(m.log.ids, m.id) }
 
 type countMod struct {
 	p     Proto

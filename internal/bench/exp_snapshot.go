@@ -6,47 +6,9 @@ import (
 	"time"
 
 	"repro/internal/async"
-	"repro/internal/graph"
 	"repro/internal/outval"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
-
-// e18Flood is E18's workload: a single codec'd wave, so the engine state
-// the snapshot serializes is dominated by the engine planes (queue, links,
-// outputs, counters) rather than protocol payloads — the overhead being
-// priced is the state plane's, not the workload's.
-type e18Flood struct {
-	async.NopAck
-	root bool
-	seen bool
-}
-
-func (h *e18Flood) Init(n *async.Node) {
-	if !h.root {
-		return
-	}
-	h.seen = true
-	n.Output(int64(0))
-	for _, nb := range n.Neighbors() {
-		n.Send(nb.Node, async.Msg{Proto: 1, Body: wire.Tag(1)})
-	}
-}
-
-func (h *e18Flood) Recv(n *async.Node, _ graph.NodeID, m async.Msg) {
-	if h.seen {
-		return
-	}
-	h.seen = true
-	n.Output(int64(0))
-	for _, nb := range n.Neighbors() {
-		n.Send(nb.Node, m)
-	}
-}
-
-func (h *e18Flood) SaveState(e *wire.Enc) { h.state(e.Coder()) }
-func (h *e18Flood) LoadState(d *wire.Dec) { h.state(d.Coder()) }
-func (h *e18Flood) state(c *wire.Coder)   { c.Bool(&h.seen) }
 
 // e18SnapshotOverheads prices the state plane: the same flood runs
 // uninterrupted (base) and checkpointed at three interval fractions of its
@@ -71,7 +33,14 @@ func e18SnapshotOverheads(c *expCtx) {
 	if c.gspec != "" {
 		specs = append(specs, c.gspec)
 	}
-	mk := func(id graph.NodeID) async.Handler { return &e18Flood{root: id == 0} }
+	// The shard's flood from node 0: a single codec'd wave, so the engine
+	// planes (queue, links, outputs, counters) dominate the state a snapshot
+	// serializes, and the overhead priced is the state plane's, not the
+	// workload's.
+	mk, err := shard.NewWorkload("flood", shard.WorkloadConfig{})
+	if err != nil {
+		panic("bench: E18: " + err.Error())
+	}
 	t.emit(c.jobs(1, func(int) []row {
 		var rows []row
 		for _, spec := range specs {

@@ -164,17 +164,19 @@ func TestGeneratorAllocPins(t *testing.T) {
 // gather each copied them out of the cover, moved the pins 8 061 → 7 323,
 // 4 978 → 4 313 and 3 626 → 3 127 B/node (synchronized BFS) and 3 892 →
 // 3 417, 7 389 → 6 641 and 6 277 → 5 529 B/node (abfs iteration). Keeping
-// each cluster tree in one stored form moved them only to the measured
-// 7 318, 4 305 and 3 119 / 3 412, 6 633 and 5 521 B/node: the trees live in
-// the level cache, outside what a stack keeps. The test fails at >10%
-// growth, like the footprint pins above.
+// each cluster tree in one stored form moved them only to 7 318, 4 305
+// and 3 119 / 3 412, 6 633 and 5 521 B/node: the trees live in
+// the level cache, outside what a stack keeps. Sharing one dispatch table
+// per batch of Muxes, where each node kept its own route slice, moved them
+// to 6 973, 3 895 and 3 069 / 2 985, 6 263 and 5 151 B/node. The test
+// fails at >10% growth, like the footprint pins above.
 var stackBytePins = []struct {
 	spec       string
 	sync, abfs float64
 }{
-	{"grid:40x40", 7318, 3412},
-	{"er:n=2000,m=8000,seed=3", 4305, 6633},
-	{"pa:n=2000,m=3,seed=7", 3119, 5521},
+	{"grid:40x40", 6973, 2985},
+	{"er:n=2000,m=8000,seed=3", 3895, 6263},
+	{"pa:n=2000,m=3,seed=7", 3069, 5151},
 }
 
 // bfsBound is the pulse bound a synchronized BFS from node 0 needs on g.

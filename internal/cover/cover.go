@@ -315,29 +315,10 @@ func (ex *expander) expand(dc *decomp.Cluster, alive []bool, seeds []graph.NodeI
 	members := append([]graph.NodeID(nil), seeds...)
 	for _, v := range visited[len(seeds):] {
 		members = append(members, v)
-		ex.attachPath(tree, v)
+		ex.chain = tree.Splice(v, ex.bfs.Parent, ex.chain)
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	return &Cluster{Members: members, Seeds: seeds, Steiner: tree.Finish(), base: dc}
-}
-
-// attachPath splices the BFS path from v back to the tree into the tree.
-func (ex *expander) attachPath(tree *decomp.Tree, v graph.NodeID) {
-	ex.chain = ex.chain[:0]
-	w := v
-	for !tree.Has(w) {
-		ex.chain = append(ex.chain, w)
-		p := ex.bfs.Parent(w)
-		if p < 0 {
-			panic("cover: BFS path did not reach the cluster tree")
-		}
-		w = p
-	}
-	for i := len(ex.chain) - 1; i >= 0; i-- {
-		c := ex.chain[i]
-		tree.Attach(c, w)
-		w = c
-	}
 }
 
 // Layered is a layered sparse cover (§2.1): Levels[j] is a sparse

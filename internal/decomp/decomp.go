@@ -177,6 +177,26 @@ func (t *Tree) Attach(child, parent graph.NodeID) {
 	t.height = max(t.height, d)
 }
 
+// Splice attaches v to the tree along the path parent(v), parent(parent(v)),
+// ... up to the first tree node, rootward-first, and returns chain (scratch
+// for the path, reused across calls). A negative parent before the tree is
+// reached panics.
+func (t *Tree) Splice(v graph.NodeID, parent func(graph.NodeID) graph.NodeID, chain []graph.NodeID) []graph.NodeID {
+	chain = chain[:0]
+	w := v
+	for !t.Has(w) {
+		chain = append(chain, w)
+		if w = parent(w); w < 0 {
+			panic("decomp: BFS path did not reach the cluster tree")
+		}
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		t.Attach(chain[i], w)
+		w = chain[i]
+	}
+	return chain
+}
+
 // Has reports whether v participates in the tree (as terminal or Steiner
 // node).
 func (t *Tree) Has(v graph.NodeID) bool {
@@ -523,21 +543,5 @@ func (st *phaseState) absorb(u graph.NodeID, lab uint32) {
 	st.memberCount[st.label[u]]--
 	st.label[u] = lab
 	st.memberCount[lab]++
-	tree := st.trees[lab]
-	// Walk u -> parent(u) -> ... until a node already in the tree; collect
-	// the chain, then attach it rootward-first.
-	st.chain = st.chain[:0]
-	w := u
-	for !tree.Has(w) {
-		st.chain = append(st.chain, w)
-		if st.par[w] < 0 {
-			panic("decomp: BFS path did not reach the cluster tree")
-		}
-		w = graph.NodeID(st.par[w])
-	}
-	for i := len(st.chain) - 1; i >= 0; i-- {
-		c := st.chain[i]
-		tree.Attach(c, w)
-		w = c
-	}
+	st.chain = st.trees[lab].Splice(u, func(w graph.NodeID) graph.NodeID { return graph.NodeID(st.par[w]) }, st.chain)
 }

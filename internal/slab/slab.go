@@ -1,7 +1,7 @@
 // Package slab carves many small, growable slices out of shared chunks, so
-// a run that builds one value per node — route tables, module rows, core
-// queues, handlers — allocates a handful of chunks rather than one backing
-// array or object per node.
+// a run that builds one value per node — Mux module lists, module rows,
+// core queues, handlers — allocates a handful of chunks rather than one
+// backing array or object per node.
 package slab
 
 import (
