@@ -75,13 +75,11 @@ var _ wire.StateCodec = (*checkGlue)(nil)
 var _ async.Rebinder = (*checkGlue)(nil)
 
 // checkBatch is the checking stage of one batch of synchronizer stacks:
-// every node's glue and gather module, the modules copies of one
-// gather.New value so that they share its slabs, and their gather
-// callbacks, routed to the glue of the node each call carries.
+// every node's glue, and the gather callbacks of the batch's one
+// gather.NewLevel level, routed to the glue of the node each call carries.
 type checkBatch struct {
 	base  graph.NodeID
 	glues []checkGlue
-	gms   []gather.Module
 }
 
 var _ gather.Callbacks = (*checkBatch)(nil)
@@ -230,15 +228,14 @@ func IterationStacks(g *graph.Graph, sources []graph.NodeID, tau int) func(graph
 	}
 	base := g.NodeBase()
 	check := func(nodes int) func(graph.NodeID, syncrun.Handler, *async.Mux) {
-		b := &checkBatch{base: base, glues: make([]checkGlue, nodes), gms: make([]gather.Module, nodes)}
-		gm := gather.New(protoCheck, checkCov, b, nil)
+		b := &checkBatch{base: base, glues: make([]checkGlue, nodes)}
+		gms := gather.NewLevel(make([]gather.Module, nodes), protoCheck, checkCov, b, nil)
 		return func(id graph.NodeID, algo syncrun.Handler, mux *async.Mux) {
 			i := id - base
-			b.gms[i] = *gm
 			tb := algo.(*apps.TBFS)
-			b.glues[i] = checkGlue{tb: tb, gm: &b.gms[i], isSource: isSource[id]}
+			b.glues[i] = checkGlue{tb: tb, gm: &gms[i], isSource: isSource[id]}
 			tb.OnSourceDone = b.glues[i].onSourceDone
-			mux.Register(protoCheck, &b.gms[i])
+			mux.Register(protoCheck, &gms[i])
 			mux.Register(protoCheck+1, &b.glues[i])
 		}
 	}

@@ -153,9 +153,10 @@ func TestGeneratorAllocPins(t *testing.T) {
 
 // Pinned settled bytes per node of the synchronizer stacks after a
 // completed run, by stackBytesPerNode: a synchronized BFS from node 0
-// (core.NewSynchronizedSim) and one τ=4 iteration of the §4 BFS from node
-// 0 (abfs.IterationStacks), each on grid, er and pa (Go 1.24,
-// linux/amd64). Both build their stacks as one batch per run; before the
+// (core.NewSynchronizedSim), one τ=4 iteration of the §4 BFS from node 0
+// (abfs.IterationStacks), and the synchronized BFS on one-slot
+// core.NewNodeHandler stacks, as the benchmark's traced phase builds them,
+// each on grid, er and pa (Go 1.24, linux/amd64). Both build their stacks as one batch per run; before the
 // abfs iteration did, it kept 7 138, 10 042 and 9 489 B/node on these
 // graphs, and every stack kept 98 B/node more while its core held its own
 // scratch encoder and decoder for ModeSpec clones. The abfs iteration kept
@@ -168,15 +169,21 @@ func TestGeneratorAllocPins(t *testing.T) {
 // and 3 119 / 3 412, 6 633 and 5 521 B/node: the trees live in
 // the level cache, outside what a stack keeps. Sharing one dispatch table
 // per batch of Muxes, where each node kept its own route slice, moved them
-// to 6 973, 3 895 and 3 069 / 2 985, 6 263 and 5 151 B/node. The test
-// fails at >10% growth, like the footprint pins above.
+// to 6 973, 3 895 and 3 069 / 2 985, 6 263 and 5 151 B/node. Building
+// each cover level's modules in place, whose tables read the node's refs
+// from the cover where each module copied them and its row layout, moved
+// them to 6 469, 3 582 and 2 818 / 2 640, 5 917 and 4 805 B/node; with one
+// dispatch table per Schedule, where each one-slot stack built its own,
+// the one-slot stacks went 12 880 → 7 991, 8 400 → 4 858 and 7 119 →
+// 3 913 B/node. The test fails at >10% growth, like the footprint pins
+// above.
 var stackBytePins = []struct {
-	spec       string
-	sync, abfs float64
+	spec             string
+	sync, abfs, slot float64
 }{
-	{"grid:40x40", 6973, 2985},
-	{"er:n=2000,m=8000,seed=3", 3895, 6263},
-	{"pa:n=2000,m=3,seed=7", 3069, 5151},
+	{"grid:40x40", 6469, 2640, 7991},
+	{"er:n=2000,m=8000,seed=3", 3582, 5917, 4858},
+	{"pa:n=2000,m=3,seed=7", 2818, 4805, 3913},
 }
 
 // bfsBound is the pulse bound a synchronized BFS from node 0 needs on g.
@@ -199,10 +206,14 @@ func TestStackBytePins(t *testing.T) {
 		sync := stackBytesPerNode(core.NewSynchronizedSim(cfg, bfs))
 		iter := stackBytesPerNode(async.New(g, async.SeededRandom{Seed: 1},
 			abfs.IterationStacks(g, []graph.NodeID{0}, 4)).WithMode(async.ModeSingle))
-		t.Logf("%s: synchronized BFS %.0f B/node, abfs iteration %.0f B/node", pin.spec, sync, iter)
-		if sync > pin.sync*footprintHeadroom || iter > pin.abfs*footprintHeadroom {
-			t.Errorf("%s: stacks keep %.0f B/node (synchronized BFS, pin %.0f) and %.0f B/node (abfs iteration, pin %.0f); +10%% ceiling",
-				pin.spec, sync, pin.sync, iter, pin.abfs)
+		sched := core.NewSchedule(bound)
+		slot := stackBytesPerNode(async.New(g, async.SeededRandom{Seed: 1}, func(id graph.NodeID) async.Handler {
+			return core.NewNodeHandler(sched, cfg.Layered, bfs(id))
+		}).WithMode(async.ModeSingle))
+		t.Logf("%s: synchronized BFS %.0f B/node, abfs iteration %.0f B/node, one-slot stacks %.0f B/node", pin.spec, sync, iter, slot)
+		if sync > pin.sync*footprintHeadroom || iter > pin.abfs*footprintHeadroom || slot > pin.slot*footprintHeadroom {
+			t.Errorf("%s: stacks keep %.0f B/node (synchronized BFS, pin %.0f), %.0f B/node (abfs iteration, pin %.0f) and %.0f B/node (one-slot, pin %.0f); +10%% ceiling",
+				pin.spec, sync, pin.sync, iter, pin.abfs, slot, pin.slot)
 		}
 	}
 }

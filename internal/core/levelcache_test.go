@@ -16,8 +16,7 @@ import (
 // graph and hands every reader the same one. Layered covers for two bounds
 // share their common levels, a synchronized run builds no level below
 // FirstCoverLevel, and concurrent readers of overlapping bounds get
-// identical pointers while their runs read the levels' refs and record
-// layouts at once.
+// identical pointers while their runs read the levels' refs at once.
 func TestCoverLevelsShared(t *testing.T) {
 	g, err := graph.FromSpec("grid:9x11")
 	if err != nil {

@@ -158,9 +158,12 @@ func NewSynchronizedSim(cfg Config, mk func(id graph.NodeID) syncrun.Handler) *a
 // NewNodeHandler wires one node's synchronizer stack: the core engine plus
 // one registration module and one barrier module per cover level in use.
 // It is the one-node batch of the constructor a synchronized run builds
-// all its stacks with (stacks.go). Callers may register additional modules
-// on unused protos of the returned Mux before the handler constructor
-// returns it.
+// all its stacks with (stacks.go). Its Muxes share one dispatch table per
+// sched, so callers may register additional modules on unused protos of
+// the returned Mux before the handler constructor returns it only if every
+// call registers the same ones, in the same order (async.Mux).
 func NewNodeHandler(sched *Schedule, layered *cover.Layered, algo syncrun.Handler) *async.Mux {
-	return newStacks(sched, layered, 1, 0).stack(0, algo)
+	// A throwaway stack writes the table once; later copies only read it.
+	sched.nodeMuxOnce.Do(func() { newStacks(sched, layered, 1, 0, sched.nodeMux).stack(0, nil) })
+	return newStacks(sched, layered, 1, 0, sched.nodeMux).stack(0, algo)
 }

@@ -14,14 +14,16 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/async"
 	"repro/internal/pulse"
 )
 
 // Schedule precomputes every pulse-derived table the synchronizer needs for
 // a given pulse bound B (the algorithm may send at pulses 0..B-1; virtual
 // nodes exist for pulses 0..B). One Schedule is shared read-only by every
-// node of a run.
+// node of a run; only NewNodeHandler's dispatch table is written once.
 type Schedule struct {
 	// B is the pulse bound.
 	B int
@@ -42,6 +44,10 @@ type Schedule struct {
 	coverLevel []int
 	// MaxCoverLevel is the largest coverLevel.
 	MaxCoverLevel int
+	// nodeMux is the NewMux value NewNodeHandler's stacks copy, written
+	// once (nodeMuxOnce).
+	nodeMux     *async.Mux
+	nodeMuxOnce sync.Once
 }
 
 // NewSchedule builds the tables for pulse bound b >= 1.
@@ -55,6 +61,7 @@ func NewSchedule(b int) *Schedule {
 		regAt:      make(map[int64][]int),
 		isBarrier:  make([]bool, b+1),
 		coverLevel: make([]int, b+1),
+		nodeMux:    async.NewMux(),
 	}
 	for p := 1; p <= b; p++ {
 		p2 := pulse.Prev2(p)

@@ -93,8 +93,8 @@ func (c *nodeCore) state(w *wire.Coder) {
 		w.I32(&v.outstandingReplies)
 		w.I32(&v.childPhys)
 		w.I32(&v.qoff)
-		if w.Loading() && (v.pulse <= prev || int(v.pulse) > c.sched.B) {
-			w.Fail("core: vnode has pulse %d after %d (bound %d, pulses must ascend)", v.pulse, prev, c.sched.B)
+		if w.Loading() && (v.pulse <= prev || int(v.pulse) > c.st.sched.B) {
+			w.Fail("core: vnode has pulse %d after %d (bound %d, pulses must ascend)", v.pulse, prev, c.st.sched.B)
 		}
 		prev = v.pulse
 	})
@@ -111,7 +111,7 @@ func (c *nodeCore) state(w *wire.Coder) {
 		w.Bool(&st.readySelf)
 	})
 	for _, v := range c.vnodes {
-		if w.Loading() && (v.qoff < 0 || int(v.qoff)+len(c.sched.Tracked(int(v.pulse))) > len(c.qs)) {
+		if w.Loading() && (v.qoff < 0 || int(v.qoff)+len(c.st.sched.Tracked(int(v.pulse))) > len(c.qs)) {
 			w.Fail("core: vnode of pulse %d claims q-states from %d, only %d loaded", v.pulse, v.qoff, len(c.qs))
 		}
 	}

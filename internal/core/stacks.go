@@ -16,14 +16,15 @@ import (
 const firstCoverLevel = 5
 
 // stacks is one batch of synchronizer node stacks, built together so a run
-// allocates them per run rather than per node: the batch's nodeCores,
-// Muxes and per-level registration and barrier modules are four slices,
-// every Mux and module is a copy of one async.NewMux, reg.New or
-// gather.New value (so the copies share those values' slabs), and the cores
-// grow their run state from the batch's own slabs. Slot i hosts node
-// base+i; a one-slot batch — NewNodeHandler's — hosts the node the engine
-// binds it to. The batch is also every module's callbacks, routing each call
-// to the core of the node it carries.
+// allocates them per run rather than per node: the batch's nodeCores and
+// Muxes are two slices, and its registration and barrier modules one slice
+// each, level-major (level k's module for slot i at k·n + i), every
+// level's modules built in place by reg.NewLevel or gather.NewLevel so
+// they share its slabs. Every Mux is a copy of one async.NewMux value, and
+// the cores grow their run state from the batch's own slabs. Slot i hosts
+// node base+i; a one-slot batch — NewNodeHandler's — hosts the node the
+// engine binds it to. The batch is also every module's callbacks, routing
+// each call to the core of the node it carries.
 type stacks struct {
 	sched   *Schedule
 	layered *cover.Layered
@@ -31,13 +32,10 @@ type stacks struct {
 
 	cores []nodeCore
 	muxes []async.Mux
-	regs  []reg.Module // slot-major: one per cover level from firstCoverLevel
+	regs  []reg.Module // level-major, from firstCoverLevel
 	bars  []gather.Module
-	taken []bool
 
 	mux   *async.Mux
-	reg   []*reg.Module // by cover level from firstCoverLevel
-	bar   []*gather.Module
 	extra func(id graph.NodeID, algo syncrun.Handler, mux *async.Mux) // nil: none
 
 	vnodes slab.Slab[vnode]
@@ -55,8 +53,9 @@ var _ gather.Callbacks = (*stacks)(nil)
 func stagePulse(session int) int   { return session }
 func stageBarrier(session int) int { return session / 2 }
 
-// newStacks builds an empty batch of n slots, slot 0 hosting node base.
-func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID) *stacks {
+// newStacks builds an empty batch of n slots, slot 0 hosting node base,
+// whose Muxes copy mux.
+func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID, mux *async.Mux) *stacks {
 	levels := sched.MaxCoverLevel - firstCoverLevel + 1
 	st := &stacks{
 		sched:   sched,
@@ -64,18 +63,15 @@ func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID
 		base:    base,
 		cores:   make([]nodeCore, n),
 		muxes:   make([]async.Mux, n),
-		regs:    make([]reg.Module, n*levels),
-		bars:    make([]gather.Module, n*levels),
-		taken:   make([]bool, n),
-		mux:     async.NewMux(),
-		reg:     make([]*reg.Module, levels),
-		bar:     make([]*gather.Module, levels),
+		regs:    make([]reg.Module, levels*n),
+		bars:    make([]gather.Module, levels*n),
+		mux:     mux,
 	}
 	for k := range levels {
 		lvl := firstCoverLevel + k
 		cov := layered.Level(lvl)
-		st.reg[k] = reg.New(protoRegBase+async.Proto(lvl), cov, st, stagePulse)
-		st.bar[k] = gather.New(protoBarrierBase+async.Proto(lvl), cov, st, stageBarrier)
+		reg.NewLevel(st.regs[k*n:(k+1)*n], protoRegBase+async.Proto(lvl), cov, st, stagePulse)
+		gather.NewLevel(st.bars[k*n:(k+1)*n], protoBarrierBase+async.Proto(lvl), cov, st, stageBarrier)
 	}
 	return st
 }
@@ -83,26 +79,15 @@ func newStacks(sched *Schedule, layered *cover.Layered, n int, base graph.NodeID
 // stack wires slot i's node stack around algo: the core engine plus one
 // registration module and one barrier module per cover level in use.
 func (st *stacks) stack(i int, algo syncrun.Handler) *async.Mux {
-	st.taken[i] = true
-	levels := len(st.reg)
 	c := &st.cores[i]
-	*c = nodeCore{
-		st:      st,
-		sched:   st.sched,
-		algo:    algo,
-		regMods: st.regs[i*levels : (i+1)*levels],
-		barMods: st.bars[i*levels : (i+1)*levels],
-	}
+	*c = nodeCore{st: st, slot: int32(i), algo: algo}
 	mux := &st.muxes[i]
 	*mux = *st.mux
 	mux.Register(protoAlgo, c)
 	mux.Register(protoTree, c)
-	for k := range levels {
-		lvl := async.Proto(firstCoverLevel + k)
-		c.regMods[k] = *st.reg[k]
-		c.barMods[k] = *st.bar[k]
-		mux.Register(protoRegBase+lvl, &c.regMods[k])
-		mux.Register(protoBarrierBase+lvl, &c.barMods[k])
+	for lvl := firstCoverLevel; lvl <= st.sched.MaxCoverLevel; lvl++ {
+		mux.Register(protoRegBase+async.Proto(lvl), c.reg(lvl))
+		mux.Register(protoBarrierBase+async.Proto(lvl), c.bar(lvl))
 	}
 	return mux
 }
@@ -168,8 +153,8 @@ func (b *batcher) handler(id graph.NodeID, algo syncrun.Handler) *async.Mux {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	i := int(id - b.base)
-	if b.cur == nil || b.cur.taken[i] {
-		b.cur = newStacks(b.sched, b.layered, b.n, b.base)
+	if b.cur == nil || b.cur.cores[i].st != nil { // slot i is taken
+		b.cur = newStacks(b.sched, b.layered, b.n, b.base, async.NewMux())
 		if b.extra != nil {
 			b.cur.extra = b.extra(b.n)
 		}

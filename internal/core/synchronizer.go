@@ -25,14 +25,8 @@ import (
 // into retained capacity, and every slice grows from the batch's slabs
 // (stacks.go).
 type nodeCore struct {
-	st    *stacks
-	sched *Schedule
-	algo  syncrun.Handler
-
-	// Per-cover-level modules from firstCoverLevel up, in the batch's
-	// slices (see reg and bar).
-	regMods []reg.Module
-	barMods []gather.Module
+	st   *stacks
+	algo syncrun.Handler
 
 	vnodes []vnode      // sorted by pulse
 	qs     []qstate     // vnode v's block starts at v.qoff
@@ -41,6 +35,7 @@ type nodeCore struct {
 
 	started        bool
 	originator     bool
+	slot           int32 // in st: picks its modules from the level-major slices
 	initSends      []capturedSend
 	barrierRegWait int
 	cs             congestStamp
@@ -58,10 +53,13 @@ type capturedSend struct {
 var _ async.Module = (*nodeCore)(nil)
 
 // reg returns the registration module of cover level lvl.
-func (c *nodeCore) reg(lvl int) *reg.Module { return &c.regMods[lvl-firstCoverLevel] }
+func (c *nodeCore) reg(lvl int) *reg.Module { return &c.st.regs[c.module(lvl)] }
 
 // bar returns the barrier module of cover level lvl.
-func (c *nodeCore) bar(lvl int) *gather.Module { return &c.barMods[lvl-firstCoverLevel] }
+func (c *nodeCore) bar(lvl int) *gather.Module { return &c.st.bars[c.module(lvl)] }
+
+// module returns the index of the node's level-lvl modules in the batch.
+func (c *nodeCore) module(lvl int) int { return (lvl-firstCoverLevel)*len(c.st.cores) + int(c.slot) }
 
 // Start implements async.Module: run Init in capture mode, then join the
 // originator barriers of §4.2 (one register-barrier and one
@@ -77,9 +75,9 @@ func (c *nodeCore) Start(n *async.Node) {
 	c.batch = c.st.batch.Carve(n.Degree())
 	c.algo.Init(c.newAPI(n, nil, true))
 	c.originator = len(c.initSends) > 0
-	c.barrierRegWait = len(c.sched.Barrier())
-	for _, p := range c.sched.Barrier() {
-		bm := c.bar(c.sched.CoverLevel(p))
+	c.barrierRegWait = len(c.st.sched.Barrier())
+	for _, p := range c.st.sched.Barrier() {
+		bm := c.bar(c.st.sched.CoverLevel(p))
 		bm.MarkDone(n, barrierRegSession(p))
 		if c.originator {
 			bm.Begin(n, barrierDeregSession(p))
@@ -114,8 +112,8 @@ func (c *nodeCore) releaseOriginator(n *async.Node) {
 // createVnode tentatively instantiates (me, p) with the given parent and
 // emits the creation report (q = p, ready) plus the chosen reply.
 func (c *nodeCore) createVnode(n *async.Node, p int, parentPhys graph.NodeID, parentSelf bool) {
-	if p > c.sched.B {
-		panic(fmt.Sprintf("core: node %d reached pulse %d beyond bound %d", n.ID(), p, c.sched.B))
+	if p > c.st.sched.B {
+		panic(fmt.Sprintf("core: node %d reached pulse %d beyond bound %d", n.ID(), p, c.st.sched.B))
 	}
 	v := c.newVnode(p)
 	v.parentPhys = parentPhys
@@ -205,7 +203,7 @@ func (c *nodeCore) afterAnswersMaybe(n *async.Node, p int) {
 	if !v.answersDone() {
 		return
 	}
-	first, count := int(v.qoff), len(c.sched.Tracked(p))
+	first, count := int(v.qoff), len(c.st.sched.Tracked(p))
 	for k := 0; k < count; k++ {
 		c.tryResolve(n, p, first+k)
 	}
@@ -234,7 +232,7 @@ func (c *nodeCore) tryResolve(n *async.Node, p, qi int) {
 	if qs.resolved || !v.answersDone() || qs.reports < v.childCount() {
 		return
 	}
-	q := c.sched.Tracked(p)[qi-int(v.qoff)]
+	q := c.st.sched.Tracked(p)[qi-int(v.qoff)]
 	if qs.reports > v.childCount() {
 		panic(fmt.Sprintf("core: node %d pulse %d got %d reports for %d children (q=%d)",
 			n.ID(), p, qs.reports, v.childCount(), q))
@@ -242,11 +240,11 @@ func (c *nodeCore) tryResolve(n *async.Node, p, qi int) {
 	qs.resolved = true
 	qs.ready = qs.anyReady
 
-	if c.sched.Consumer(p, q) {
+	if c.st.sched.Consumer(p, q) {
 		c.consumeStatus(n, p, q, qi)
 		return
 	}
-	sessions := c.sched.RegisterSessions(p, q)
+	sessions := c.st.sched.RegisterSessions(p, q)
 	if qs.ready && len(sessions) > 0 {
 		qs.gateOutstanding = int32(len(sessions))
 		for _, s := range sessions {
@@ -260,7 +258,7 @@ func (c *nodeCore) tryResolve(n *async.Node, p, qi int) {
 // registerSession joins every cluster of session s's cover level, on behalf
 // of the pulse-p vnode (p = prev2(s)).
 func (c *nodeCore) registerSession(n *async.Node, p, s int) {
-	lvl := c.sched.CoverLevel(s)
+	lvl := c.st.sched.CoverLevel(s)
 	ids := c.st.layered.Level(lvl).MemberOf(n.ID())
 	if len(ids) == 0 {
 		panic(fmt.Sprintf("core: node %d is in no cluster at level %d", n.ID(), lvl))
@@ -276,10 +274,10 @@ func (c *nodeCore) registerSession(n *async.Node, p, s int) {
 // (originator pulses).
 func (c *nodeCore) consumeStatus(n *async.Node, p, q, qi int) {
 	if p == 0 {
-		if !c.sched.IsBarrier(q) {
+		if !c.st.sched.IsBarrier(q) {
 			panic(fmt.Sprintf("core: pulse-0 consumer for non-barrier pulse %d", q))
 		}
-		c.bar(c.sched.CoverLevel(q)).MarkDone(n, barrierDeregSession(q))
+		c.bar(c.st.sched.CoverLevel(q)).MarkDone(n, barrierDeregSession(q))
 		return
 	}
 	qs := &c.qs[qi]
@@ -291,7 +289,7 @@ func (c *nodeCore) consumeStatus(n *async.Node, p, q, qi int) {
 		}
 		return
 	}
-	lvl := c.sched.CoverLevel(q)
+	lvl := c.st.sched.CoverLevel(q)
 	ids := c.st.layered.Level(lvl).MemberOf(n.ID())
 	qs.gaOutstanding = int32(len(ids))
 	for _, cid := range ids {
@@ -393,7 +391,7 @@ func (c *nodeCore) evaluate(n *async.Node, p int) {
 	// Pulse only queues sends, so v stays put until createVnode below.
 	c.algo.Pulse(c.newAPI(n, v, false), p, c.takeBatch(p-1))
 	if v.sentAny {
-		if p == c.sched.B {
+		if p == c.st.sched.B {
 			panic(boundTooSmall{node: n.ID(), pulse: p})
 		}
 		if c.vn(p+1) == nil {

@@ -124,7 +124,7 @@ func (c *nodeCore) newVnode(p int) *vnode {
 	c.vnodes = slab.Push(&c.st.vnodes, c.vnodes, vnode{})
 	copy(c.vnodes[i+1:], c.vnodes[i:])
 	c.vnodes[i] = vnode{pulse: int32(p), parentPhys: -1, qoff: int32(len(c.qs))}
-	n, k := len(c.qs), len(c.sched.Tracked(p))
+	n, k := len(c.qs), len(c.st.sched.Tracked(p))
 	c.qs = c.st.qs.Grow(c.qs, k)[:n+k]
 	clear(c.qs[n:])
 	return &c.vnodes[i]
@@ -137,7 +137,7 @@ func (c *nodeCore) qi(p, q int) int {
 	if v == nil {
 		panic(fmt.Sprintf("core: no vnode of pulse %d (q=%d)", p, q))
 	}
-	tracked := c.sched.Tracked(p)
+	tracked := c.st.sched.Tracked(p)
 	k := sort.SearchInts(tracked, q)
 	if k == len(tracked) || tracked[k] != q {
 		panic(fmt.Sprintf("core: vnode pulse %d has no q-state for %d", p, q))

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/decomp"
 	"repro/internal/graph"
@@ -75,8 +74,6 @@ type Cover struct {
 	g     *graph.Graph
 	dec   *decomp.Decomposition
 	alive []bool
-
-	layouts sync.Map // bits per child → RecordStarts' column
 }
 
 // Ref is a node's place on one cluster tree of its cover: what a message on
@@ -98,10 +95,6 @@ func (c *Cover) MemberOf(v graph.NodeID) []ClusterID {
 // cluster id. Do not mutate.
 func (c *Cover) Refs(v graph.NodeID) []Ref { return c.refs[c.refOff[v]:c.refOff[v+1]] }
 
-// FirstRef returns the index of Refs(v)[0] among all the cover's refs, the
-// index RecordStarts' column is by.
-func (c *Cover) FirstRef(v graph.NodeID) int { return int(c.refOff[v]) }
-
 // Ref returns v's ref on the tree of cluster id. It panics when v is not
 // on that tree.
 func (c *Cover) Ref(v graph.NodeID, id ClusterID) Ref {
@@ -116,23 +109,6 @@ func (c *Cover) Ref(v graph.NodeID, id ClusterID) Ref {
 // Children returns the tree children of the node r belongs to, ascending.
 // Do not mutate.
 func (c *Cover) Children(r Ref) []graph.NodeID { return c.kids[r.kid0:r.kid1] }
-
-// RecordStarts lays out rows of one record per ref, as ctree's tables do:
-// a head byte, then bits bits per tree child in whole bytes. col[i] sums
-// the lengths of refs 0..i-1, so v's row spans col[FirstRef(v)] up to
-// col[FirstRef(v)+len(Refs(v))]. Built on the first call for bits and
-// shared after, so modules built one node at a time do not each rebuild it.
-func (c *Cover) RecordStarts(bits int) []int32 {
-	if col, ok := c.layouts.Load(bits); ok {
-		return col.([]int32)
-	}
-	col := make([]int32, len(c.refs)+1)
-	for i, r := range c.refs {
-		col[i+1] = col[i] + 1 + ((r.kid1-r.kid0)*int32(bits)+7)/8
-	}
-	got, _ := c.layouts.LoadOrStore(bits, col)
-	return got.([]int32)
-}
 
 // Home returns a cluster whose member set contains every node within
 // distance D of v (the strengthened covering property of Definition 2.1).

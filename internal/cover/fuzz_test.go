@@ -14,8 +14,7 @@ import (
 // steps; a node has one ref per cluster tree it is on, ascending by id;
 // each ref's member flag is Cluster.Has, its parent is the stored one, and
 // its children are exactly the nodes whose stored parent it is, ascending.
-// It also checks that a RecordStarts column spans exactly each ref's
-// record, and Definition 2.1: Home(v) holds v's whole d-ball.
+// It also checks Definition 2.1: Home(v) holds v's whole d-ball.
 func FuzzCoverLevel(f *testing.F) {
 	f.Add(uint8(0), uint8(30), uint8(0), uint8(1))
 	f.Add(uint8(1), uint8(40), uint8(3), uint8(3))
@@ -52,9 +51,8 @@ func FuzzCoverLevel(f *testing.F) {
 				onTree[v] = append(onTree[v], cl.ID)
 			}
 		}
-		starts := c.RecordStarts(1)
 		for v := range graph.NodeID(g.N()) {
-			refs, first := c.Refs(v), c.FirstRef(v)
+			refs := c.Refs(v)
 			if len(refs) != len(onTree[v]) {
 				t.Fatalf("%s d=%d: node %d has %d refs, is on %d cluster trees", spec, c.D, v, len(refs), len(onTree[v]))
 			}
@@ -73,8 +71,6 @@ func FuzzCoverLevel(f *testing.F) {
 					t.Fatalf("%s d=%d: node %d cluster %d parent %d, tree says %d", spec, c.D, v, cl.ID, r.Parent, parent)
 				case !slices.Equal(got, want):
 					t.Fatalf("%s d=%d: node %d cluster %d children %v, tree says %v", spec, c.D, v, cl.ID, got, want)
-				case starts[first+i+1]-starts[first+i] != int32(1+(len(got)+7)/8):
-					t.Fatalf("%s d=%d: node %d cluster %d record spans %d bytes for %d children", spec, c.D, v, cl.ID, starts[first+i+1]-starts[first+i], len(got))
 				}
 			}
 			home := c.Home(v)

@@ -7,11 +7,13 @@
 // synchronizer's sessions are sparse in id space), slot s owns row
 // Rows[s*stride:(s+1)*stride], and a row holds one record per cluster tree
 // the node is on, in cov.Refs(me) order. A record is a head byte followed
-// by whatever the module keeps per tree child. The refs and the record
-// offsets are the cover's, read in place, and a snapshot is the session
-// table and the rows as they stand. Code addresses records by offset and
-// never holds a sub-slice across a callback: callbacks can open sessions,
-// which grows Rows.
+// by whatever the module keeps per tree child, so the record offsets
+// follow from the refs' child counts. The refs are the cover's column,
+// which a table does not copy: a callback reads them once, into a View,
+// and addresses records through it. A snapshot is the session table and
+// the rows as they stand. Code addresses
+// records by offset and never holds a sub-slice across a callback:
+// callbacks can open sessions, which grows Rows.
 package ctree
 
 import (
@@ -49,44 +51,29 @@ type Level[S any] struct {
 	// Rec codes S after the session id; nil for none.
 	Rec func(*wire.Coder, *S)
 
-	starts []int32 // Cov.RecordStarts(ChildBits)
-	bytes  slab.Slab[byte]
-	sess   slab.Slab[Session[S]]
+	bytes slab.Slab[byte]
+	sess  slab.Slab[Session[S]]
 }
 
-// NewTable returns an unbound table on lv, fixing lv's record layout.
-func (lv *Level[S]) NewTable() Table[S] {
-	lv.starts = lv.Cov.RecordStarts(lv.ChildBits)
-	return Table[S]{lv: lv, me: -1}
-}
+// NewTable returns an unbound table on lv.
+func (lv *Level[S]) NewTable() Table[S] { return Table[S]{lv: lv, me: -1} }
 
-// Table is one node's sessions × cluster-tree records on one cover.
+// Table is one node's sessions × cluster-tree records on one cover. It
+// keeps only what the node's run writes: its refs are the cover's column,
+// which View reads, and its row layout follows from them.
 type Table[S any] struct {
-	lv      *Level[S]
-	me      graph.NodeID // -1 until bound
-	first   int32        // index of Trees[0] among the cover's refs
-	stride  int32        // row length in bytes
-	Members int32        // len(cov.MemberOf(me))
-	Trees   []cover.Ref  // cov.Refs(me), read in place
-	Sess    []Session[S] // by slot, in first-sight order
-	Rows    []byte       // len(Sess) rows
+	lv   *Level[S]
+	me   graph.NodeID // -1 until bound
+	Sess []Session[S] // by slot, in first-sight order
+	Rows []byte       // len(Sess) rows
 }
 
-// Bind fixes the node the table serves and points it at the node's refs on
-// the cover. The engine binds each handler once, when it builds it.
-func (t *Table[S]) Bind(me graph.NodeID) {
-	cov := t.lv.Cov
-	t.me, t.Trees = me, cov.Refs(me)
-	t.first = int32(cov.FirstRef(me))
-	t.Members = int32(len(cov.MemberOf(me)))
-	t.stride = t.lv.starts[int(t.first)+len(t.Trees)] - t.lv.starts[t.first]
-}
+// Bind fixes the node the table serves. The engine binds each handler
+// once, when it builds it.
+func (t *Table[S]) Bind(me graph.NodeID) { t.me = me }
 
 // Me returns the node the table is bound to.
 func (t *Table[S]) Me() graph.NodeID { return t.me }
-
-// Stride returns the row length in bytes.
-func (t *Table[S]) Stride() int { return int(t.stride) }
 
 // Lookup returns the session's slot, or -1. Recent sessions are the live
 // ones, so the scan runs newest first.
@@ -99,14 +86,41 @@ func (t *Table[S]) Lookup(session int) int {
 	return -1
 }
 
+// View is a table read against its node's refs on the cover: a callback
+// takes one at its entry and addresses records through it. The cover never
+// changes, and the view reaches the session table and rows through the
+// table, so it stays valid while callbacks open sessions.
+type View[S any] struct {
+	*Table[S]
+	Trees  []cover.Ref // cov.Refs(me)
+	stride int         // row length in bytes
+}
+
+// View reads the node's refs from the cover and sums its row length. An
+// unbound table's view is on no tree and has empty rows.
+func (t *Table[S]) View() View[S] {
+	v := View[S]{Table: t}
+	if t.me >= 0 {
+		v.Trees = t.lv.Cov.Refs(t.me)
+		v.stride = v.off(len(v.Trees))
+	}
+	return v
+}
+
+// Members returns how many clusters the node is a member of.
+func (t *View[S]) Members() int { return len(t.lv.Cov.MemberOf(t.me)) }
+
+// Stride returns the row length in bytes.
+func (t *View[S]) Stride() int { return t.stride }
+
 // Slot returns the session's slot, opening a fresh row on first sight.
-func (t *Table[S]) Slot(session int) int {
+func (t *View[S]) Slot(session int) int {
 	if s := t.Lookup(session); s >= 0 {
 		return s
 	}
 	t.Sess = slab.Push(&t.lv.sess, t.Sess, Session[S]{ID: session})
-	n, stride := len(t.Rows), int(t.stride)
-	t.Rows = t.lv.bytes.Grow(t.Rows, stride)[:n+stride]
+	n := len(t.Rows)
+	t.Rows = t.lv.bytes.Grow(t.Rows, t.stride)[:n+t.stride]
 	clear(t.Rows[n:])
 	if t.lv.RootHead != 0 {
 		for ci, tr := range t.Trees {
@@ -119,7 +133,7 @@ func (t *Table[S]) Slot(session int) int {
 }
 
 // Index returns c's position in Trees, or -1.
-func (t *Table[S]) Index(c cover.ClusterID) int {
+func (t *View[S]) Index(c cover.ClusterID) int {
 	for ci := range t.Trees {
 		if t.Trees[ci].ID == c {
 			return ci
@@ -131,7 +145,7 @@ func (t *Table[S]) Index(c cover.ClusterID) int {
 // Open returns (c, session)'s slot and tree index, opening the session's
 // row on first sight. Tree traffic only travels along cluster trees, so a
 // cluster the node is not on is a routing bug.
-func (t *Table[S]) Open(c cover.ClusterID, session int) (slot, ci int) {
+func (t *View[S]) Open(c cover.ClusterID, session int) (slot, ci int) {
 	ci = t.Index(c)
 	if ci < 0 {
 		panic(fmt.Sprintf("ctree: node %d is not on the tree of cluster %d", t.me, c))
@@ -140,24 +154,30 @@ func (t *Table[S]) Open(c cover.ClusterID, session int) (slot, ci int) {
 }
 
 // Recv resolves a message body Send wrote to its slot and tree index.
-func (t *Table[S]) Recv(b wire.Body) (slot, ci int) {
+func (t *View[S]) Recv(b wire.Body) (slot, ci int) {
 	return t.Open(cover.ClusterID(b.A), int(b.B))
 }
 
-// off returns tree ci's record offset in a row.
-func (t *Table[S]) off(ci int) int {
-	return int(t.lv.starts[int(t.first)+ci] - t.lv.starts[t.first])
+// off returns tree ci's record offset in a row: the lengths of the records
+// before it, each a head byte and ChildBits bits per child in whole bytes.
+// A node is on O(log n) trees, whose refs a callback reads anyway.
+func (t *View[S]) off(ci int) int {
+	off := 0
+	for _, tr := range t.Trees[:ci] {
+		off += 1 + (len(t.lv.Cov.Children(tr))*t.lv.ChildBits+7)/8
+	}
+	return off
 }
 
 // At returns the offset of (slot, ci)'s record in Rows.
-func (t *Table[S]) At(slot, ci int) int { return slot*int(t.stride) + t.off(ci) }
+func (t *View[S]) At(slot, ci int) int { return slot*t.stride + t.off(ci) }
 
 // Children returns the node's children on tree ci, ascending: the cover's
 // own storage.
-func (t *Table[S]) Children(ci int) []graph.NodeID { return t.lv.Cov.Children(t.Trees[ci]) }
+func (t *View[S]) Children(ci int) []graph.NodeID { return t.lv.Cov.Children(t.Trees[ci]) }
 
 // Child returns child's position in tree ci's children.
-func (t *Table[S]) Child(ci int, child graph.NodeID) int {
+func (t *View[S]) Child(ci int, child graph.NodeID) int {
 	i, ok := slices.BinarySearch(t.Children(ci), child)
 	if !ok {
 		panic(fmt.Sprintf("ctree: node %d heard from non-child %d in cluster %d", t.me, child, t.Trees[ci].ID))
@@ -167,7 +187,7 @@ func (t *Table[S]) Child(ci int, child graph.NodeID) int {
 
 // Send sends a message of kind k for (slot, ci) to a tree neighbor: the
 // body carries A = cluster, B = session, and the session picks the stage.
-func (t *Table[S]) Send(n *async.Node, to graph.NodeID, k wire.Kind, slot, ci int) {
+func (t *View[S]) Send(n *async.Node, to graph.NodeID, k wire.Kind, slot, ci int) {
 	session, stage := t.Sess[slot].ID, 0
 	if t.lv.StageOf != nil {
 		stage = t.lv.StageOf(session)
@@ -187,8 +207,8 @@ func (t *Table[S]) Reset() { t.Sess, t.Rows = t.Sess[:0], t.Rows[:0] }
 // record, then the rows verbatim. The level's configuration is
 // reconstructed by the module's constructor, and the row layout derives
 // from (cover, node); none of it travels. A load needs the table to know
-// its node, since the rows are only meaningful against that node's layout;
-// one that fails leaves the table empty.
+// its node, since it sizes the rows by that node's layout; one that fails
+// leaves the table empty.
 func (t *Table[S]) State(c *wire.Coder) {
 	wire.List(c, &t.Sess, &t.lv.sess, func(c *wire.Coder, s *Session[S]) {
 		c.Int(&s.ID)
@@ -196,10 +216,14 @@ func (t *Table[S]) State(c *wire.Coder) {
 			t.lv.Rec(c, &s.Rec)
 		}
 	})
-	if c.Loading() && len(t.Sess) > 0 && t.me < 0 {
-		c.Fail("ctree: state for %d sessions loaded into a table that does not know its node", len(t.Sess))
+	n := 0 // a save writes the rows whole; a load sizes them by the node's layout
+	if c.Loading() && len(t.Sess) > 0 {
+		if t.me < 0 {
+			c.Fail("ctree: state for %d sessions loaded into a table that does not know its node", len(t.Sess))
+		}
+		n = len(t.Sess) * t.View().stride
 	}
-	c.Raw(&t.Rows, len(t.Sess)*int(t.stride), &t.lv.bytes)
+	c.Raw(&t.Rows, n, &t.lv.bytes)
 	if c.Failed() { // never leave rows and session table out of step
 		t.Reset()
 	}

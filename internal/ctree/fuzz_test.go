@@ -31,26 +31,26 @@ type gatherClient struct{}
 
 func (gatherClient) NeighborhoodDone(*async.Node, int) {}
 
-// wideStar is one run of a module on a wide star whose one cluster tree is
-// rooted at the hub: live returns node id's module in the run, and fresh a
-// new copy of the module's New value bound to the same node.
+// wideStar is one run of one level of modules on a wide star whose one
+// cluster tree is rooted at the hub: live returns node id's module in the
+// run, and fresh the module of a new level of one bound to the same node.
 type wideStar struct {
 	sim   *async.Sim
 	live  func(id graph.NodeID) wire.StateCodec
 	fresh func(id graph.NodeID) wire.StateCodec
 }
 
-// newWideStar hosts copies of proto on g, calls start at each node's Start,
-// and keeps the nodes so fresh copies can bind to them.
+// newWideStar hosts mods, one NewLevel level, on g, calls start at each
+// node's Start, and keeps the nodes so that the modules fresh returns can
+// bind to them.
 func newWideStar[M any, PM interface {
 	*M
 	async.Module
 	wire.StateCodec
 	async.Rebinder
-}](g *graph.Graph, proto PM, mods []M, start func(n *async.Node, m PM)) *wideStar {
+}](g *graph.Graph, mods []M, fresh func() PM, start func(n *async.Node, m PM)) *wideStar {
 	nodes := make([]*async.Node, g.N())
 	sim := async.New(g, async.SeededRandom{Seed: 6}, func(id graph.NodeID) async.Handler {
-		mods[id] = *proto
 		m := PM(&mods[id])
 		mux := async.NewMux()
 		mux.Register(1, m)
@@ -61,8 +61,7 @@ func newWideStar[M any, PM interface {
 		sim:  sim,
 		live: func(id graph.NodeID) wire.StateCodec { return PM(&mods[id]) },
 		fresh: func(id graph.NodeID) wire.StateCodec {
-			m := PM(new(M))
-			*m = *proto
+			m := fresh()
 			m.Rebind(nodes[id])
 			return m
 		},
@@ -74,18 +73,21 @@ func newWideStar[M any, PM interface {
 // and gather in sessions 0 and 1 on an 80-star.
 func fuzzStars() []*wideStar {
 	rg := graph.StarOfPaths(70, 2)
-	rc := &regClient{mods: make([]reg.Module, rg.N())}
+	rc := &regClient{}
 	rcov := cover.BFSTree(rg, 0)
-	regs := newWideStar(rg, reg.New(1, rcov, rc, nil), rc.mods, func(n *async.Node, m *reg.Module) {
-		m.Register(n, 0, 0)
-		m.Register(n, 0, 5)
-	})
+	rc.mods = reg.NewLevel(make([]reg.Module, rg.N()), 1, rcov, rc, nil)
+	regs := newWideStar(rg, rc.mods, func() *reg.Module { return reg.New(1, rcov, rc, nil) },
+		func(n *async.Node, m *reg.Module) {
+			m.Register(n, 0, 0)
+			m.Register(n, 0, 5)
+		})
 	gg, err := graph.FromSpec("star:80")
 	if err != nil {
 		panic(err)
 	}
 	gcov := cover.BFSTree(gg, 0)
-	gathers := newWideStar(gg, gather.New(1, gcov, gatherClient{}, nil), make([]gather.Module, gg.N()),
+	gathers := newWideStar(gg, gather.NewLevel(make([]gather.Module, gg.N()), 1, gcov, gatherClient{}, nil),
+		func() *gather.Module { return gather.New(1, gcov, gatherClient{}, nil) },
 		func(n *async.Node, m *gather.Module) {
 			m.Begin(n, 1)
 			m.MarkDone(n, 0)

@@ -23,7 +23,7 @@ type bodyProbe struct {
 
 func (p *bodyProbe) Recv(n *async.Node, from graph.NodeID, m async.Msg) {
 	p.Module.Recv(n, from, m)
-	b, tab := m.Body, &p.Module.t
+	b, tab := m.Body, p.Module.t.View()
 	c, s := cover.ClusterID(b.A), int(b.B)
 	slot, ci := tab.Lookup(s), tab.Index(c)
 	if slot < 0 || ci < 0 || s != 0 {

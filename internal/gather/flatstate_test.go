@@ -58,28 +58,36 @@ func stepGather(t *testing.T, sim *async.Sim, mods []*Module, stride uint64) asy
 	return sim.FinishResult()
 }
 
+// clientsByNode is one level's callbacks: it routes each call to the
+// client of the node it carries.
+type clientsByNode []*gclient
+
+func (cs clientsByNode) NeighborhoodDone(n *async.Node, s int) { cs[n.ID()].NeighborhoodDone(n, s) }
+
 // TestGatherWideStar: the hub of an 80-star has 79 tree children, so its
-// childDone bits span ten bytes of the record.
+// childDone bits span ten bytes of the record. The modules are one
+// NewLevel level.
 func TestGatherWideStar(t *testing.T) {
 	g := specGraph("star:80")
 	cov := cover.BFSTree(g, 0)
 	w := &world{}
+	clients := make(clientsByNode, g.N())
+	level := NewLevel(make([]Module, g.N()), protoGather, cov, clients, nil)
 	mods := make([]*Module, g.N())
 	sim := async.New(g, async.SeededRandom{Seed: 4}, func(id graph.NodeID) async.Handler {
-		cl := &gclient{w: w}
-		cl.mod = New(protoGather, cov, cl, nil)
-		mods[id] = cl.mod
+		mods[id] = &level[id]
+		clients[id] = &gclient{w: w, mod: mods[id]}
 		mux := async.NewMux()
-		mux.Register(protoGather, cl.mod)
-		mux.Register(protoFlood, cl)
+		mux.Register(protoGather, mods[id])
+		mux.Register(protoFlood, clients[id])
 		return mux
 	})
 	res := stepGather(t, sim, mods, 25)
 	if len(res.Outputs) != g.N() {
 		t.Fatalf("only %d/%d nodes finished gathering", len(res.Outputs), g.N())
 	}
-	if got := mods[0].t.Stride(); got != 1+10 {
-		t.Fatalf("hub record is %d bytes, want a flags byte plus 10 bytes of child bits", got)
+	if v := mods[0].t.View(); v.Stride() != 1+10 {
+		t.Fatalf("hub record is %d bytes, want a flags byte plus 10 bytes of child bits", v.Stride())
 	}
 }
 
@@ -139,7 +147,7 @@ func TestGatherSessionFirstSeenByRecv(t *testing.T) {
 	if slot < 0 || m.sess(slot).began {
 		t.Fatalf("node 1: session 3 slot %d, want one opened by Recv and not yet begun", slot)
 	}
-	if m.t.Rows[m.t.At(slot, 0)+1]&1 == 0 {
+	if v := m.t.View(); v.Rows[v.At(slot, 0)+1]&1 == 0 {
 		t.Fatal("node 1: child 0's report was not recorded")
 	}
 	res := stepGather(t, sim, mods, 7)

@@ -66,33 +66,43 @@ type Module struct {
 	t  ctree.Table[session]
 }
 
-// level is the configuration every copy of one New value shares.
+// level is the configuration every module of one NewLevel call shares.
 type level struct {
 	ctree.Level[session]
 	cb Callbacks
 }
 
+// view is the module's table during one callback, read against the node's
+// cover columns once; the helpers below take it.
+type view = ctree.View[session]
+
 var _ async.Module = (*Module)(nil)
 var _ wire.StateCodec = (*Module)(nil)
 var _ async.Rebinder = (*Module)(nil)
 
-// New creates the per-node module. stageOf maps sessions to link stages
-// (nil = all zero).
-//
-// A run that hosts the module on many nodes builds them as copies of one
-// New value, taken before any of them is bound: the copies share its
+// NewLevel fills mods with one cover level's modules and returns it: one
+// per node the run hosts, each bound to its node by Rebind. stageOf maps
+// sessions to link stages (nil = all zero). The modules share the level's
 // callbacks — which tell the nodes apart by the *async.Node each call
-// carries — and its slabs, from which each copy grows its rows (the row
-// layout is the cover's, read in place). The run then allocates module
-// state per run, not per node.
-func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
+// carries — and its slabs, from which each grows its rows (the row layout
+// is the cover's, read in place), so a run allocates module state per
+// level, not per node.
+func NewLevel(mods []Module, proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) []Module {
 	lv := &level{cb: cb}
 	lv.Level = ctree.Level[session]{
 		Proto: proto, Cov: cov, StageOf: stageOf,
 		ChildBits: 1, // one childDone bit per child
 		Rec:       sessionState,
 	}
-	return &Module{lv: lv, t: lv.NewTable()}
+	for i := range mods {
+		mods[i] = Module{lv: lv, t: lv.NewTable()}
+	}
+	return mods
+}
+
+// New creates one node's module: a level of one.
+func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
+	return &NewLevel(make([]Module, 1), proto, cov, cb, stageOf)[0]
 }
 
 // Start implements async.Module.
@@ -112,55 +122,59 @@ func (m *Module) sess(slot int) *session { return &m.t.Sess[slot].Rec }
 // participates in becomes live here. Nonterminal nodes (pure relays) count
 // as locally done. Idempotent. Every tree participant must eventually call
 // Begin (or MarkDone) for every session, or convergecasts stall.
-func (m *Module) Begin(n *async.Node, session int) {
-	slot := m.t.Slot(session)
+func (m *Module) Begin(n *async.Node, session int) { m.begin(m.t.View(), n, session) }
+
+func (m *Module) begin(t view, n *async.Node, session int) {
+	slot := t.Slot(session)
 	if m.sess(slot).began {
 		return
 	}
 	m.sess(slot).began = true
-	for ci := range m.t.Trees {
+	for ci := range t.Trees {
 		f := fBegan
-		if !m.t.Trees[ci].Member {
+		if !t.Trees[ci].Member {
 			f |= fLocalDone // nonterminals have no process to finish
 		}
-		m.t.Rows[m.t.At(slot, ci)] |= f
-		m.maybeReport(n, slot, ci)
+		t.Rows[t.At(slot, ci)] |= f
+		m.maybeReport(&t, n, slot, ci)
 	}
 	// A node in no cluster at all has a trivially-done neighborhood.
-	if m.t.Members == 0 {
-		m.maybeFire(n, slot)
+	if t.Members() == 0 {
+		m.maybeFire(&t, n, slot)
 	}
 }
 
 // MarkDone records that this node's local process P for the session is
 // finished. Implies Begin.
 func (m *Module) MarkDone(n *async.Node, session int) {
-	m.Begin(n, session)
-	slot := m.t.Slot(session)
+	t := m.t.View()
+	m.begin(t, n, session)
+	slot := t.Slot(session)
 	if m.sess(slot).markedAll {
 		return
 	}
 	m.sess(slot).markedAll = true
-	for ci := range m.t.Trees {
-		if !m.t.Trees[ci].Member {
+	for ci := range t.Trees {
+		if !t.Trees[ci].Member {
 			continue
 		}
-		m.t.Rows[m.t.At(slot, ci)] |= fLocalDone
-		m.maybeReport(n, slot, ci)
+		t.Rows[t.At(slot, ci)] |= fLocalDone
+		m.maybeReport(&t, n, slot, ci)
 	}
-	m.maybeFire(n, slot)
+	m.maybeFire(&t, n, slot)
 }
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
-	slot, ci := m.t.Recv(msg.Body)
+	t := m.t.View()
+	slot, ci := t.Recv(msg.Body)
 	switch msg.Body.Kind {
 	case kindDoneUp:
-		i := m.t.Child(ci, from)
-		m.t.Rows[m.t.At(slot, ci)+1+i/8] |= 1 << uint(i%8)
-		m.maybeReport(n, slot, ci)
+		i := t.Child(ci, from)
+		t.Rows[t.At(slot, ci)+1+i/8] |= 1 << uint(i%8)
+		m.maybeReport(&t, n, slot, ci)
 	case kindConfirmDown:
-		m.confirm(n, slot, ci)
+		m.confirm(&t, n, slot, ci)
 	default:
 		panic(fmt.Sprintf("gather: unknown kind %d", msg.Body.Kind))
 	}
@@ -169,110 +183,64 @@ func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
 // maybeReport sends the subtree-done report upward (or starts the
 // confirmation broadcast at the root) once this node is locally done, has
 // begun, and has heard from every tree child.
-func (m *Module) maybeReport(n *async.Node, slot, ci int) {
-	r := m.t.At(slot, ci)
-	if f := m.t.Rows[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
+func (m *Module) maybeReport(t *view, n *async.Node, slot, ci int) {
+	r := t.At(slot, ci)
+	if f := t.Rows[r]; f&fReported != 0 || f&fBegan == 0 || f&fLocalDone == 0 {
 		return
 	}
-	t := &m.t.Trees[ci]
-	for i := range m.t.Children(ci) {
-		if m.t.Rows[r+1+i/8]&(1<<uint(i%8)) == 0 {
+	tr := &t.Trees[ci]
+	for i := range t.Children(ci) {
+		if t.Rows[r+1+i/8]&(1<<uint(i%8)) == 0 {
 			return
 		}
 	}
-	m.t.Rows[r] |= fReported
-	if t.Parent < 0 {
-		m.confirm(n, slot, ci)
+	t.Rows[r] |= fReported
+	if tr.Parent < 0 {
+		m.confirm(t, n, slot, ci)
 		return
 	}
-	m.t.Send(n, t.Parent, kindDoneUp, slot, ci)
+	t.Send(n, tr.Parent, kindDoneUp, slot, ci)
 }
 
 // confirm marks the cluster complete at this node and forwards the
 // broadcast to tree children.
-func (m *Module) confirm(n *async.Node, slot, ci int) {
-	r := m.t.At(slot, ci)
-	if m.t.Rows[r]&fConfirmed != 0 {
+func (m *Module) confirm(t *view, n *async.Node, slot, ci int) {
+	r := t.At(slot, ci)
+	if t.Rows[r]&fConfirmed != 0 {
 		return
 	}
-	m.t.Rows[r] |= fConfirmed
-	t := &m.t.Trees[ci]
-	for _, ch := range m.t.Children(ci) {
-		m.t.Send(n, ch, kindConfirmDown, slot, ci)
+	t.Rows[r] |= fConfirmed
+	tr := &t.Trees[ci]
+	for _, ch := range t.Children(ci) {
+		t.Send(n, ch, kindConfirmDown, slot, ci)
 	}
-	if t.Member {
+	if tr.Member {
 		m.sess(slot).confirmed++
-		m.maybeFire(n, slot)
+		m.maybeFire(t, n, slot)
 	}
 }
 
 // maybeFire delivers NeighborhoodDone when every containing cluster has
 // confirmed and the local process finished (a member's own completion is
 // part of "everyone within distance d is done").
-func (m *Module) maybeFire(n *async.Node, slot int) {
+func (m *Module) maybeFire(t *view, n *async.Node, slot int) {
 	ns := m.sess(slot)
 	if ns.fired {
 		return
 	}
-	if m.t.Members > 0 && (!ns.markedAll || ns.confirmed < m.t.Members) {
+	members := t.Members()
+	if members > 0 && (!ns.markedAll || int(ns.confirmed) < members) {
 		return
 	}
-	if m.t.Members == 0 && !ns.began {
+	if members == 0 && !ns.began {
 		return
 	}
 	ns.fired = true
-	m.lv.cb.NeighborhoodDone(n, m.t.Sess[slot].ID)
+	m.lv.cb.NeighborhoodDone(n, t.Sess[slot].ID)
 }
 
 // Done reports whether the session's NeighborhoodDone fired at this node.
 func (m *Module) Done(session int) bool {
 	s := m.t.Lookup(session)
 	return s >= 0 && m.sess(s).fired
-}
-
-// stagedGather runs Theorem 3.2's staged gather: stage i learns that the
-// (i+1)·d-neighborhood is done, by gathering "stage i-1 done" in the
-// d-cover. Sessions used are base+0 … base+(L-1).
-type stagedGather struct {
-	Mod  *Module
-	L    int // number of stages ℓ
-	Base int // first session id
-	// Final fires when the d·L-neighborhood is done with P.
-	Final func(n *async.Node)
-
-	marked bool
-	stage  int
-}
-
-// Begin announces all chain sessions at this node (relays included).
-func (ch *stagedGather) Begin(n *async.Node) {
-	for i := 0; i < ch.L; i++ {
-		ch.Mod.Begin(n, ch.Base+i)
-	}
-}
-
-// MarkDone records local completion of P, starting stage 0.
-func (ch *stagedGather) MarkDone(n *async.Node) {
-	if ch.marked {
-		return
-	}
-	ch.marked = true
-	ch.Begin(n)
-	ch.Mod.MarkDone(n, ch.Base)
-}
-
-// OnNeighborhoodDone must be called from the owner's Callbacks for sessions
-// in [Base, Base+L); it advances the chain and fires Final at the end.
-func (ch *stagedGather) OnNeighborhoodDone(n *async.Node, session int) {
-	if session != ch.Base+ch.stage {
-		panic(fmt.Sprintf("gather: chain got session %d at stage %d", session, ch.stage))
-	}
-	ch.stage++
-	if ch.stage == ch.L {
-		if ch.Final != nil {
-			ch.Final(n)
-		}
-		return
-	}
-	ch.Mod.MarkDone(n, ch.Base+ch.stage)
 }

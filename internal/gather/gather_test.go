@@ -262,3 +262,50 @@ func TestDoneQuery(t *testing.T) {
 		}
 	}
 }
+
+// stagedGather runs Theorem 3.2's staged gather: stage i learns that the
+// (i+1)·d-neighborhood is done, by gathering "stage i-1 done" in the
+// d-cover. Sessions used are base+0 … base+(L-1).
+type stagedGather struct {
+	Mod  *Module
+	L    int // number of stages ℓ
+	Base int // first session id
+	// Final fires when the d·L-neighborhood is done with P.
+	Final func(n *async.Node)
+
+	marked bool
+	stage  int
+}
+
+// Begin announces all chain sessions at this node (relays included).
+func (ch *stagedGather) Begin(n *async.Node) {
+	for i := 0; i < ch.L; i++ {
+		ch.Mod.Begin(n, ch.Base+i)
+	}
+}
+
+// MarkDone records local completion of P, starting stage 0.
+func (ch *stagedGather) MarkDone(n *async.Node) {
+	if ch.marked {
+		return
+	}
+	ch.marked = true
+	ch.Begin(n)
+	ch.Mod.MarkDone(n, ch.Base)
+}
+
+// OnNeighborhoodDone must be called from the owner's Callbacks for sessions
+// in [Base, Base+L); it advances the chain and fires Final at the end.
+func (ch *stagedGather) OnNeighborhoodDone(n *async.Node, session int) {
+	if session != ch.Base+ch.stage {
+		panic(fmt.Sprintf("gather: chain got session %d at stage %d", session, ch.stage))
+	}
+	ch.stage++
+	if ch.stage == ch.L {
+		if ch.Final != nil {
+			ch.Final(n)
+		}
+		return
+	}
+	ch.Mod.MarkDone(n, ch.Base+ch.stage)
+}

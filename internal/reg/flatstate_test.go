@@ -41,26 +41,35 @@ func checkCopies(t *testing.T, id graph.NodeID, m *Module) {
 	}
 }
 
+// clientsByNode is one level's callbacks: it routes each call to the
+// client of the node it carries.
+type clientsByNode []*client
+
+func (cs clientsByNode) Registered(n *async.Node, c cover.ClusterID, s int) {
+	cs[n.ID()].Registered(n, c, s)
+}
+
+func (cs clientsByNode) GoAhead(n *async.Node, c cover.ClusterID, s int) { cs[n.ID()].GoAhead(n, c, s) }
+
 // TestRegWideStarCopies drives two sessions over a star of 70 two-node
-// paths: the hub has 70 child-edge marks per record, the middle nodes
-// relay (so sessions reach them through Recv, and invokers wait on them
-// while an R is in flight), and at every few events every module's codec
-// copy must equal it.
+// paths, on one NewLevel level of modules: the hub has 70 child-edge marks
+// per record, the middle nodes relay (so sessions reach them through Recv,
+// and invokers wait on them while an R is in flight), and at every few
+// events every module's codec copy must equal it.
 func TestRegWideStarCopies(t *testing.T) {
 	g := graph.StarOfPaths(70, 2)
 	cov := cover.BFSTree(g, 0)
 	w := &world{expected: 2 * g.N()}
-	mods := make([]*Module, g.N())
-	clients := make([]*client, g.N())
+	clients := make(clientsByNode, g.N())
+	mods := NewLevel(make([]Module, g.N()), protoReg, cov, clients, nil)
 	sim := async.New(g, async.SeededRandom{Seed: 6}, func(id graph.NodeID) async.Handler {
 		cl := &client{
 			w:        w,
+			mod:      &mods[id],
 			sessions: map[int][]cover.ClusterID{0: {0}, 5: {0}},
 			reged:    make(map[[2]int]bool),
 			derged:   make(map[[2]int]bool),
 		}
-		mods[id] = New(protoReg, cov, cl, nil)
-		cl.mod = mods[id]
 		clients[id] = cl
 		mux := async.NewMux()
 		mux.Register(protoReg, cl.mod)
@@ -70,20 +79,20 @@ func TestRegWideStarCopies(t *testing.T) {
 	sawInvokers := false
 	for done := false; !done; {
 		done = sim.RunSteps(40)
-		for id, m := range mods {
-			sawInvokers = sawInvokers || len(m.inv) > 0
-			checkCopies(t, graph.NodeID(id), m)
+		for id := range mods {
+			sawInvokers = sawInvokers || len(mods[id].inv) > 0
+			checkCopies(t, graph.NodeID(id), &mods[id])
 		}
 	}
 	if !sawInvokers {
 		t.Fatal("no stop caught a waiting invoker; the case no longer covers that list")
 	}
-	if got := mods[0].t.Stride(); got != 1+70 {
-		t.Fatalf("hub record is %d bytes, want a head byte plus 70 edge marks", got)
+	if v := mods[0].t.View(); v.Stride() != 1+70 {
+		t.Fatalf("hub record is %d bytes, want a head byte plus 70 edge marks", v.Stride())
 	}
-	for id, m := range mods {
+	for id := range mods {
 		for _, s := range []int{0, 5} {
-			if !m.LocalDone(0, s) {
+			if !mods[id].LocalDone(0, s) {
 				t.Fatalf("node %d never freed in session %d", id, s)
 			}
 		}

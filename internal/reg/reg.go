@@ -23,6 +23,7 @@ package reg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/cover"
@@ -105,34 +106,44 @@ type Module struct {
 	inv []invoker
 }
 
-// level is the configuration every copy of one New value shares.
+// level is the configuration every module of one NewLevel call shares.
 type level struct {
 	ctree.Level[struct{}]
 	cb   Callbacks
 	invs slab.Slab[invoker]
 }
 
+// view is the module's table during one callback, read against the node's
+// cover columns once; the helpers below take it.
+type view = ctree.View[struct{}]
+
 var _ async.Module = (*Module)(nil)
 var _ wire.StateCodec = (*Module)(nil)
 var _ async.Rebinder = (*Module)(nil)
 
-// New creates the per-node module. stageOf maps a session to the link
-// scheduling stage (Lemma 2.5); pass nil for all-stage-zero.
-//
-// A run that hosts the module on many nodes builds them as copies of one
-// New value, taken before any of them is bound: the copies share its
-// callbacks — which tell the nodes apart by the *async.Node each call
-// carries — and its slabs, from which each copy grows its rows (the row
-// layout is the cover's, read in place). The run then allocates module
-// state per run, not per node.
-func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
+// NewLevel fills mods with one cover level's modules and returns it: one
+// per node the run hosts, each bound to its node by Rebind. stageOf maps a
+// session to the link scheduling stage (Lemma 2.5); pass nil for
+// all-stage-zero. The modules share the level's callbacks — which tell the
+// nodes apart by the *async.Node each call carries — and its slabs, from
+// which each grows its rows (the row layout is the cover's, read in
+// place), so a run allocates module state per level, not per node.
+func NewLevel(mods []Module, proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) []Module {
 	lv := &level{cb: cb}
 	lv.Level = ctree.Level[struct{}]{
 		Proto: proto, Cov: cov, StageOf: stageOf,
 		ChildBits: 8,                       // one edgeMark byte per child
 		RootHead:  uint8(idle) | fFinished, // the root is always finished
 	}
-	return &Module{lv: lv, t: lv.NewTable()}
+	for i := range mods {
+		mods[i] = Module{lv: lv, t: lv.NewTable()}
+	}
+	return mods
+}
+
+// New creates one node's module: a level of one.
+func New(proto async.Proto, cov *cover.Cover, cb Callbacks, stageOf func(int) int) *Module {
+	return &NewLevel(make([]Module, 1), proto, cov, cb, stageOf)[0]
 }
 
 // Start implements async.Module.
@@ -146,115 +157,113 @@ func (m *Module) Rebind(n *async.Node) { m.t.Bind(n.ID()) }
 func (m *Module) Ack(*async.Node, graph.NodeID, async.Msg) {}
 
 // ord returns (slot, ci)'s record ordinal, the key invokers carry.
-func (m *Module) ord(slot, ci int) int32 { return int32(slot*len(m.t.Trees) + ci) }
+func (m *Module) ord(t *view, slot, ci int) int32 { return int32(slot*len(t.Trees) + ci) }
 
 func (m *Module) local(r int) localState { return localState(m.t.Rows[r] & localMask) }
 
 func (m *Module) setLocal(r int, l localState) { m.t.Rows[r] = m.t.Rows[r]&^localMask | uint8(l) }
 
 // anyDirty reports whether some child edge of record r is still dirty.
-func (m *Module) anyDirty(r, ci int) bool {
-	for _, mark := range m.marks(r, ci) {
-		if edgeMark(mark) == markDirty {
-			return true
-		}
-	}
-	return false
+func (m *Module) anyDirty(t *view, r, ci int) bool {
+	return slices.Contains(m.marks(t, r, ci), uint8(markDirty))
 }
 
 // marks returns record r's child-edge marks; valid until the rows next grow.
-func (m *Module) marks(r, ci int) []byte {
-	return m.t.Rows[r+1 : r+1+len(m.t.Children(ci))]
+func (m *Module) marks(t *view, r, ci int) []byte {
+	return t.Rows[r+1 : r+1+len(t.Children(ci))]
 }
 
-func (m *Module) isRoot(ci int) bool { return m.t.Trees[ci].Parent < 0 }
+func (m *Module) isRoot(t *view, ci int) bool { return t.Trees[ci].Parent < 0 }
 
-func (m *Module) parent(ci int) graph.NodeID {
-	if m.isRoot(ci) {
-		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", m.t.Me(), m.t.Trees[ci].ID))
+func (m *Module) parent(t *view, ci int) graph.NodeID {
+	if m.isRoot(t, ci) {
+		panic(fmt.Sprintf("reg: node %d has no parent in cluster %d", t.Me(), t.Trees[ci].ID))
 	}
-	return m.t.Trees[ci].Parent
+	return t.Trees[ci].Parent
 }
 
 // Register starts this node's registration in cluster c for the session.
 // The node must be a tree node of c. Callbacks.Registered fires when done.
 func (m *Module) Register(n *async.Node, c cover.ClusterID, session int) {
-	slot, ci := m.t.Open(c, session)
-	r := m.t.At(slot, ci)
+	t := m.t.View()
+	slot, ci := t.Open(c, session)
+	r := t.At(slot, ci)
 	if m.local(r) != idle {
 		panic(fmt.Sprintf("reg: node %d double-registers in cluster %d session %d", n.ID(), c, session))
 	}
-	if m.t.Rows[r]&fFinished != 0 {
+	if t.Rows[r]&fFinished != 0 {
 		m.setLocal(r, registered)
 		m.lv.cb.Registered(n, c, session)
 		return
 	}
 	m.setLocal(r, registering)
-	m.invokeRUp(n, slot, ci)
+	m.invokeRUp(&t, n, slot, ci)
 }
 
 // invokeRUp sends (or relies on an already in-flight) R invocation to the
 // parent, marking the parent edge dirty.
-func (m *Module) invokeRUp(n *async.Node, slot, ci int) {
-	r := m.t.At(slot, ci)
-	if m.t.Rows[r]&fPending != 0 {
+func (m *Module) invokeRUp(t *view, n *async.Node, slot, ci int) {
+	r := t.At(slot, ci)
+	if t.Rows[r]&fPending != 0 {
 		return // an R(me) is already traveling; its completion serves all
 	}
-	m.t.Rows[r] |= fPending | fUpDirty
-	m.t.Send(n, m.parent(ci), kindRegUp, slot, ci)
+	t.Rows[r] |= fPending | fUpDirty
+	t.Send(n, m.parent(t, ci), kindRegUp, slot, ci)
 }
 
 // Deregister ends this node's participation; Callbacks.GoAhead fires when
 // the cluster's Go-Ahead arrives.
 func (m *Module) Deregister(n *async.Node, c cover.ClusterID, session int) {
-	slot, ci := m.t.Open(c, session)
-	r := m.t.At(slot, ci)
+	t := m.t.View()
+	slot, ci := t.Open(c, session)
+	r := t.At(slot, ci)
 	if m.local(r) != registered {
 		panic(fmt.Sprintf("reg: node %d deregisters in cluster %d session %d without being registered", n.ID(), c, session))
 	}
 	m.setLocal(r, deregistered)
-	m.runD(n, slot, ci)
+	m.runD(&t, n, slot, ci)
 }
 
 // Recv implements async.Module.
 func (m *Module) Recv(n *async.Node, from graph.NodeID, msg async.Msg) {
-	slot, ci := m.t.Recv(msg.Body)
+	t := m.t.View()
+	slot, ci := t.Recv(msg.Body)
 	switch msg.Body.Kind {
 	case kindRegUp:
-		m.onRegUp(n, from, slot, ci)
+		m.onRegUp(&t, n, from, slot, ci)
 	case kindRegDone:
-		m.onRegDone(n, slot, ci)
+		m.onRegDone(&t, n, slot, ci)
 	case kindDeregUp:
-		m.onDeregUp(n, from, slot, ci)
+		m.onDeregUp(&t, n, from, slot, ci)
 	case kindGoAhead:
-		m.runG(n, slot, ci)
+		m.runG(&t, n, slot, ci)
 	default:
 		panic(fmt.Sprintf("reg: unknown kind %d", msg.Body.Kind))
 	}
 }
 
 // childMark returns the offset of child's edge mark in record (slot, ci).
-func (m *Module) childMark(slot, ci int, child graph.NodeID) int {
-	return m.t.At(slot, ci) + 1 + m.t.Child(ci, child)
+func (m *Module) childMark(t *view, slot, ci int, child graph.NodeID) int {
+	return t.At(slot, ci) + 1 + t.Child(ci, child)
 }
 
-func (m *Module) onRegUp(n *async.Node, child graph.NodeID, slot, ci int) {
-	m.t.Rows[m.childMark(slot, ci, child)] = uint8(markDirty)
-	if m.t.Rows[m.t.At(slot, ci)]&fFinished != 0 {
-		m.t.Send(n, child, kindRegDone, slot, ci)
+func (m *Module) onRegUp(t *view, n *async.Node, child graph.NodeID, slot, ci int) {
+	t.Rows[m.childMark(t, slot, ci, child)] = uint8(markDirty)
+	if t.Rows[t.At(slot, ci)]&fFinished != 0 {
+		t.Send(n, child, kindRegDone, slot, ci)
 		return
 	}
-	m.inv = slab.Push(&m.lv.invs, m.inv, invoker{ord: m.ord(slot, ci), child: child})
-	m.invokeRUp(n, slot, ci)
+	m.inv = slab.Push(&m.lv.invs, m.inv, invoker{ord: m.ord(t, slot, ci), child: child})
+	m.invokeRUp(t, n, slot, ci)
 }
 
-func (m *Module) onRegDone(n *async.Node, slot, ci int) {
-	r := m.t.At(slot, ci)
-	m.t.Rows[r] = m.t.Rows[r]&^fPending | fFinished
-	ord, kept := m.ord(slot, ci), 0
+func (m *Module) onRegDone(t *view, n *async.Node, slot, ci int) {
+	r := t.At(slot, ci)
+	t.Rows[r] = t.Rows[r]&^fPending | fFinished
+	ord, kept := m.ord(t, slot, ci), 0
 	for _, iv := range m.inv {
 		if iv.ord == ord {
-			m.t.Send(n, iv.child, kindRegDone, slot, ci)
+			t.Send(n, iv.child, kindRegDone, slot, ci)
 		} else {
 			m.inv[kept] = iv
 			kept++
@@ -263,27 +272,27 @@ func (m *Module) onRegDone(n *async.Node, slot, ci int) {
 	m.inv = m.inv[:kept]
 	if m.local(r) == registering {
 		m.setLocal(r, registered)
-		m.lv.cb.Registered(n, m.t.Trees[ci].ID, m.t.Sess[slot].ID)
+		m.lv.cb.Registered(n, t.Trees[ci].ID, t.Sess[slot].ID)
 	}
 }
 
-func (m *Module) onDeregUp(n *async.Node, child graph.NodeID, slot, ci int) {
-	mark := m.childMark(slot, ci, child)
-	if edgeMark(m.t.Rows[mark]) != markDirty {
+func (m *Module) onDeregUp(t *view, n *async.Node, child graph.NodeID, slot, ci int) {
+	mark := m.childMark(t, slot, ci, child)
+	if edgeMark(t.Rows[mark]) != markDirty {
 		panic(fmt.Sprintf("reg: node %d got DeregUp on non-dirty edge from %d", n.ID(), child))
 	}
-	m.t.Rows[mark] = uint8(markWaiting)
-	if m.isRoot(ci) {
-		m.maybeIssueGo(n, slot, ci)
-		return
+	t.Rows[mark] = uint8(markWaiting)
+	if !m.isRoot(t, ci) {
+		m.runD(t, n, slot, ci)
+	} else if !m.anyDirty(t, t.At(slot, ci), ci) {
+		m.runG(t, n, slot, ci) // the root's Go-Ahead trigger
 	}
-	m.runD(n, slot, ci)
 }
 
 // runD is the deregistration wave step D(me).
-func (m *Module) runD(n *async.Node, slot, ci int) {
-	r := m.t.At(slot, ci)
-	if m.anyDirty(r, ci) {
+func (m *Module) runD(t *view, n *async.Node, slot, ci int) {
+	r := t.At(slot, ci)
+	if m.anyDirty(t, r, ci) {
 		return
 	}
 	if l := m.local(r); l == registering || l == registered {
@@ -291,38 +300,30 @@ func (m *Module) runD(n *async.Node, slot, ci int) {
 		// live keeps the path dirty; the wave stops here.
 		return
 	}
-	if m.isRoot(ci) {
-		m.maybeIssueGo(n, slot, ci)
+	if m.isRoot(t, ci) {
+		m.runG(t, n, slot, ci) // the root's Go-Ahead trigger: no child edge is dirty
 		return
 	}
-	if m.t.Rows[r]&fUpDirty == 0 {
+	if t.Rows[r]&fUpDirty == 0 {
 		panic(fmt.Sprintf("reg: D at node %d with non-dirty parent edge", n.ID()))
 	}
-	m.t.Rows[r] &^= fUpDirty | fFinished
-	m.t.Send(n, m.parent(ci), kindDeregUp, slot, ci)
-}
-
-// maybeIssueGo is the root's Go-Ahead trigger.
-func (m *Module) maybeIssueGo(n *async.Node, slot, ci int) {
-	if m.anyDirty(m.t.At(slot, ci), ci) {
-		return
-	}
-	m.runG(n, slot, ci)
+	t.Rows[r] &^= fUpDirty | fFinished
+	t.Send(n, m.parent(t, ci), kindDeregUp, slot, ci)
 }
 
 // runG is the Go-Ahead wave step G(me): free the local client if it is
 // waiting, then forward through waiting child edges (consuming the marks).
-func (m *Module) runG(n *async.Node, slot, ci int) {
-	if r := m.t.At(slot, ci); m.local(r) == deregistered {
+func (m *Module) runG(t *view, n *async.Node, slot, ci int) {
+	if r := t.At(slot, ci); m.local(r) == deregistered {
 		m.setLocal(r, free)
-		m.lv.cb.GoAhead(n, m.t.Trees[ci].ID, m.t.Sess[slot].ID)
+		m.lv.cb.GoAhead(n, t.Trees[ci].ID, t.Sess[slot].ID)
 	}
-	r := m.t.At(slot, ci) // the callback may have grown the rows
-	children := m.t.Children(ci)
-	for i, mark := range m.marks(r, ci) {
+	r := t.At(slot, ci) // the callback may have grown the rows
+	children := t.Children(ci)
+	for i, mark := range m.marks(t, r, ci) {
 		if edgeMark(mark) == markWaiting {
-			m.t.Rows[r+1+i] = uint8(markNone)
-			m.t.Send(n, children[i], kindGoAhead, slot, ci)
+			t.Rows[r+1+i] = uint8(markNone)
+			t.Send(n, children[i], kindGoAhead, slot, ci)
 		}
 	}
 }
@@ -330,6 +331,7 @@ func (m *Module) runG(n *async.Node, slot, ci int) {
 // LocalDone reports whether this node's client in (c, session) has been
 // freed (received its Go-Ahead). Tests use it for final-state checks.
 func (m *Module) LocalDone(c cover.ClusterID, session int) bool {
-	slot, ci := m.t.Lookup(session), m.t.Index(c)
-	return slot >= 0 && ci >= 0 && m.local(m.t.At(slot, ci)) == free
+	t := m.t.View()
+	slot, ci := t.Lookup(session), t.Index(c)
+	return slot >= 0 && ci >= 0 && m.local(t.At(slot, ci)) == free
 }
